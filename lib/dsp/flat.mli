@@ -1,0 +1,70 @@
+(** Flat spectra and the one frequency-domain distance kernel.
+
+    A flat spectrum stores a length-[n] complex vector as a
+    [float array] of length [2n] with real and imaginary parts
+    interleaved: coefficient [f] sits at indices [2f] (re) and [2f+1]
+    (im). Float arrays are unboxed, so reading a coefficient allocates
+    nothing — unlike a [Cpx.t array], whose every element is a boxed
+    record and whose [Cpx.sub]/[Cpx.mul] allocate a fresh one.
+
+    Several flat spectra may share one buffer, one after another; the
+    kernel then takes each one's offset, counted in coefficients. *)
+
+type t = float array
+
+(** [of_cpx zs] is the flat copy of [zs]. *)
+val of_cpx : Cpx.t array -> t
+
+(** [create n] is an uninitialised buffer of [n] coefficients. *)
+val create : int -> t
+
+(** [length x] is the number of complex coefficients of [x]. *)
+val length : t -> int
+
+(** [coeff x f] is coefficient [f] of [x]. *)
+val coeff : t -> int -> Cpx.t
+
+(** [sub x ~pos ~len] is coefficients [pos .. pos+len-1] of [x] as a
+    boxed vector (for feature extraction, not for hot loops). *)
+val sub : t -> pos:int -> len:int -> Cpx.t array
+
+(** [stretch_into ~stretch x dst ~off] writes [stretch.(f) · x.(f)] for
+    every coefficient [f] of [x] into coefficient [off + f] of [dst], with
+    [Complex.mul]'s formula (so the result is bit-identical to
+    [Cpx.mul_arrays] on the boxed vectors). Raises [Invalid_argument]
+    when the lengths disagree or [dst] is too short. *)
+val stretch_into : stretch:t -> t -> t -> off:int -> unit
+
+(** The running sum of {!sq_dist}: an all-float record, so storing into
+    it allocates nothing. *)
+type acc = { mutable sum : float }
+
+(** [acc ()] is a fresh accumulator at 0. *)
+val acc : unit -> acc
+
+(** [sq_dist ~stretch ~limit ~lo ~hi x xo y yo acc] adds to [acc.sum],
+    for each coefficient [f] in [lo .. hi-1] in ascending order,
+    [|s_f·x_f - y_f|²], where [x_f] is coefficient [xo + f] of [x]
+    (likewise [y_f] is coefficient [yo + f] of [y]) and [s_f] is
+    coefficient [f] of [stretch] ([x_f] is used as is when [stretch] is
+    [None]). It stops right after the first
+    coefficient that leaves [acc.sum > limit] (early abandoning; pass
+    [infinity] to never abandon) and returns the number of
+    coefficients it touched.
+
+    The arithmetic is fixed: [Complex.mul]'s formula for [s_f·x_f],
+    then the subtraction, then [sum +. (dr*.dr +. di*.di)] — exactly the
+    boxed [Cpx.sub]/[Cpx.mul] loop, so sums and abandon decisions are
+    bit-identical to it. The kernel allocates nothing. Raises
+    [Invalid_argument] when a range falls outside an array. *)
+val sq_dist :
+  stretch:t option ->
+  limit:float ->
+  lo:int ->
+  hi:int ->
+  t ->
+  int ->
+  t ->
+  int ->
+  acc ->
+  int

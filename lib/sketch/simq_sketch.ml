@@ -1,4 +1,4 @@
-module Cpx = Simq_dsp.Cpx
+module Flat = Simq_dsp.Flat
 module Dataset = Simq_tsindex.Dataset
 module Spec = Simq_tsindex.Spec
 module Kindex = Simq_tsindex.Kindex
@@ -29,20 +29,15 @@ type t = {
 }
 
 (* Both-ends coarse frequency set: {1..c} and their conjugate mirrors
-   {n-c..n-1}, deduplicated and clamped inside [1, n-1] (coefficient 0
-   of a normal form is always 0 on both sides). For real series the
-   mirror of f carries the conjugate coefficient, so taking both
-   halves doubles the captured energy without reading more of the
+   {n-c..n-1}, clamped inside [1, n-1] (coefficient 0 of a normal form
+   is always 0 on both sides), as ascending half-open coefficient
+   ranges — one when the two halves meet, two otherwise. For real
+   series the mirror of f carries the conjugate coefficient, so taking
+   both halves doubles the captured energy without reading more of the
    record. *)
-let coarse_freqs ~n ~coarse =
-  let mem f l = List.exists (Int.equal f) l in
-  let add acc f = if f >= 1 && f <= n - 1 && not (mem f acc) then f :: acc else acc in
-  let acc = ref [] in
-  for f = 1 to coarse do
-    acc := add !acc f;
-    acc := add !acc (n - f)
-  done;
-  Array.of_list (List.sort compare !acc)
+let coarse_ranges ~n ~coarse =
+  let low_hi = Int.min coarse (n - 1) + 1 and high_lo = Int.max 1 (n - coarse) in
+  if high_lo <= low_hi then [ (1, n) ] else [ (1, low_hi); (high_lo, n) ]
 
 (* Segment lengths of an n-point series cut into [segments] pieces:
    the first [n mod s] segments carry one extra point. Query and data
@@ -89,24 +84,21 @@ let config t = t.config
    break the exact-mode parity of Lemma 1. *)
 let slack = 1. -. 1e-9
 
-let sq_norm z =
-  let re = Cpx.re z and im = Cpx.im z in
-  (re *. re) +. (im *. im)
-
 (* Partial frequency-domain distance over the coarse set: for every
    length-preserving transformation the exact postfilter distance is
    sqrt (sum over all f of |s_f X_f - Q_f|^2) (by Parseval for the
    identity), and any subset of the non-negative terms lower-bounds
-   it. *)
-let coarse_bound ~freqs ~stretch ~(q : Dataset.entry) (entry : Dataset.entry) =
-  let acc = ref 0. in
-  Array.iter
-    (fun f ->
-      let x = entry.Dataset.spectrum.(f) in
-      let x = match stretch with None -> x | Some s -> Cpx.mul s.(f) x in
-      acc := !acc +. sq_norm (Cpx.sub x q.Dataset.spectrum.(f)))
-    freqs;
-  sqrt !acc *. slack
+   it. The ranges accumulate into one sum, in ascending coefficient
+   order. *)
+let coarse_bound ~ranges ~stretch ~(q : Dataset.entry) (entry : Dataset.entry) =
+  let acc = Flat.acc () in
+  List.iter
+    (fun (lo, hi) ->
+      ignore
+        (Flat.sq_dist ~stretch ~limit:infinity ~lo ~hi entry.Dataset.spectrum 0
+           q.Dataset.spectrum 0 acc))
+    ranges;
+  sqrt acc.Flat.sum *. slack
 
 let entry_segmeans t ~lengths (entry : Dataset.entry) =
   if entry.Dataset.id < Array.length t.segmeans then
@@ -145,18 +137,18 @@ let level_bounds t ~spec ~(query : Dataset.entry) =
   match spec with
   | Spec.Warp _ -> None
   | Spec.Identity ->
-    let freqs = coarse_freqs ~n ~coarse:t.config.coarse in
+    let ranges = coarse_ranges ~n ~coarse:t.config.coarse in
     let lengths = seg_lengths ~n ~segments:t.config.segments in
     let qmeans = seg_means ~lengths query.Dataset.normal in
     Some
       [|
-        ("coarse", coarse_bound ~freqs ~stretch:None ~q:query);
+        ("coarse", coarse_bound ~ranges ~stretch:None ~q:query);
         ("segment", segment_bound t ~lengths ~qmeans);
       |]
   | _ ->
-    let freqs = coarse_freqs ~n ~coarse:t.config.coarse in
-    let stretch = Spec.stretch spec ~n in
-    Some [| ("coarse", coarse_bound ~freqs ~stretch:(Some stretch) ~q:query) |]
+    let ranges = coarse_ranges ~n ~coarse:t.config.coarse in
+    let stretch = Some (Flat.of_cpx (Spec.stretch spec ~n)) in
+    Some [| ("coarse", coarse_bound ~ranges ~stretch ~q:query) |]
 
 let funnel t ~spec ~query =
   match level_bounds t ~spec ~query with

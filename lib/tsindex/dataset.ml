@@ -7,7 +7,7 @@ type entry = {
   name : string;
   series : Series.t;
   normal : Series.t;
-  spectrum : Simq_dsp.Cpx.t array;
+  spectrum : Simq_dsp.Flat.t;
   mean : float;
   std : float;
 }
@@ -19,6 +19,10 @@ type t = {
   relation : Relation.t;
 }
 
+(* The flat spectrum is filled once here; every frequency-domain
+   distance then reads it through the one kernel ({!Simq_dsp.Flat}). *)
+let flat_spectrum s = Simq_dsp.Flat.of_cpx (Simq_dsp.Fft.fft_real s)
+
 let prepare ~id ~name series =
   let d = Normal_form.decompose series in
   {
@@ -26,7 +30,7 @@ let prepare ~id ~name series =
     name;
     series;
     normal = d.Normal_form.normalised;
-    spectrum = Simq_dsp.Fft.fft_real d.Normal_form.normalised;
+    spectrum = flat_spectrum d.Normal_form.normalised;
     mean = d.Normal_form.mean;
     std = d.Normal_form.std;
   }
@@ -79,7 +83,7 @@ let prepare_query ?(normalise = true) q =
       name = "query";
       series = q;
       normal = q;
-      spectrum = Simq_dsp.Fft.fft_real q;
+      spectrum = flat_spectrum q;
       mean = 0.;
       std = 1.;
     }

@@ -12,8 +12,9 @@ type entry = {
   name : string;
   series : Simq_series.Series.t;  (** the original series *)
   normal : Simq_series.Series.t;  (** its normal form *)
-  spectrum : Simq_dsp.Cpx.t array;
-      (** full unitary DFT of [normal]; coefficient 0 is always 0 *)
+  spectrum : Simq_dsp.Flat.t;
+      (** full unitary DFT of [normal], flat (re/im interleaved, see
+          {!Simq_dsp.Flat}); coefficient 0 is always 0 *)
   mean : float;
   std : float;
 }

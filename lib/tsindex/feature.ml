@@ -15,7 +15,7 @@ let validate config ~n =
 let dims config = 2 + (2 * config.k)
 
 let coefficients config (entry : Dataset.entry) =
-  Array.sub entry.Dataset.spectrum 1 config.k
+  Simq_dsp.Flat.sub entry.Dataset.spectrum ~pos:1 ~len:config.k
 
 (* Feature dimensions first, mean/std last: the bulk loader tiles along
    the leading dimensions, and queries constrain the DFT features while

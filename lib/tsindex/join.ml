@@ -1,4 +1,4 @@
-module Cpx = Simq_dsp.Cpx
+module Flat = Simq_dsp.Flat
 module Distance = Simq_series.Distance
 module Pool = Simq_parallel.Pool
 module Budget = Simq_fault.Budget
@@ -20,26 +20,32 @@ type result = {
   node_accesses : int;
 }
 
-let sq_norm z =
-  let re = Cpx.re z and im = Cpx.im z in
-  (re *. re) +. (im *. im)
-
 (* Precompute the transformed normal forms (time domain, exact for every
    spec including Warp) and, for the length-preserving specs, the
-   transformed spectra used by the frequency-domain scans. Both are
-   pure per-entry maps, so they fan out over the pool too. *)
+   transformed spectra used by the frequency-domain scans: one flat
+   buffer of [count × n] coefficients, entry [i]'s spectrum from
+   coefficient [i·n]. Both are pure per-entry maps, so they fan out
+   over the pool too. *)
 let transformed_normals ?pool kindex spec =
   Pool.map_array ?pool
     (fun (entry : Dataset.entry) -> Spec.apply_series spec entry.Dataset.normal)
     (Dataset.entries (Kindex.dataset kindex))
 
 let transformed_spectra ?pool kindex spec =
+  let entries = Dataset.entries (Kindex.dataset kindex) in
   let n = Dataset.series_length (Kindex.dataset kindex) in
-  let stretch = Spec.stretch spec ~n in
-  Pool.map_array ?pool
-    (fun (entry : Dataset.entry) ->
-      Cpx.mul_arrays stretch entry.Dataset.spectrum)
-    (Dataset.entries (Kindex.dataset kindex))
+  let stretch = Flat.of_cpx (Spec.stretch spec ~n) in
+  let buffer = Flat.create (Array.length entries * n) in
+  let pool = match pool with Some p -> p | None -> Pool.default () in
+  Pool.chunked_iter ~pool
+    ~chunk:(Pool.adaptive_chunk pool (Array.length entries))
+    ~n:(Array.length entries)
+    (fun ~lo ~hi ->
+      for i = lo to hi - 1 do
+        Flat.stretch_into ~stretch entries.(i).Dataset.spectrum buffer
+          ~off:(i * n)
+      done);
+  buffer
 
 (* The pairwise scans parallelise over the outer row [i]: a chunk of
    rows produces its pairs in (i, j) order plus its own comparison
@@ -59,7 +65,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
       (* Frequency-domain prefixes underestimate warped distances; use
          the exact time-domain comparison instead. *)
       let normals = transformed_normals ~pool kindex spec in
-      fun pairs i ->
+      fun _acc pairs i ->
         let pairs = ref pairs in
         for j = i + 1 to count - 1 do
           let hit =
@@ -72,19 +78,16 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
         !pairs
     | _ ->
       let spectra = transformed_spectra ~pool kindex spec in
-      let n = Array.length spectra.(0) in
-      fun pairs i ->
+      let n = Dataset.series_length dataset in
+      let abandon_limit = if abandon then limit else infinity in
+      fun acc pairs i ->
         let pairs = ref pairs in
         for j = i + 1 to count - 1 do
-          let acc = ref 0. in
-          let f = ref 0 in
-          let alive = ref true in
-          while !alive && !f < n do
-            acc := !acc +. sq_norm (Cpx.sub spectra.(i).(!f) spectra.(j).(!f));
-            incr f;
-            if abandon && !acc > limit then alive := false
-          done;
-          if !alive && !acc <= limit then pairs := (i, j) :: !pairs
+          acc.Flat.sum <- 0.;
+          ignore
+            (Flat.sq_dist ~stretch:None ~limit:abandon_limit ~lo:0 ~hi:n
+               spectra (i * n) spectra (j * n) acc);
+          if acc.Flat.sum <= limit then pairs := (i, j) :: !pairs
         done;
         !pairs
   in
@@ -96,12 +99,14 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
     Pool.map_chunks ~pool ~chunk ~n:count (fun ~lo ~hi ->
         let pairs = ref [] in
         let comparisons = ref 0 in
+        (* The chunk's own kernel accumulator: domains never share one. *)
+        let acc = Flat.acc () in
         for i = lo to hi - 1 do
           (* Budget granularity is one outer row: check before the row,
              charge its [count - 1 - i] comparisons after. Every domain
              passes through here, so cancellation reaches all chunks. *)
           (match bstate with None -> () | Some b -> Budget.check b);
-          pairs := row !pairs i;
+          pairs := row acc !pairs i;
           let c = count - 1 - i in
           (match bstate with
           | None -> ()
@@ -178,13 +183,15 @@ let index_join ?profile kindex spec epsilon =
   (* Query features for entry i: the first k coefficients of its
      transformed spectrum (for Warp these are the predicted prefix of the
      warped spectrum, which is all the index needs). *)
-  let spectra =
+  let query_coeffs =
     match spec with
     | Spec.Identity ->
-      Array.map
-        (fun (e : Dataset.entry) -> e.Dataset.spectrum)
-        (Dataset.entries dataset)
-    | _ -> transformed_spectra kindex spec
+      fun (e : Dataset.entry) -> Flat.sub e.Dataset.spectrum ~pos:1 ~len:k
+    | _ ->
+      let spectra = transformed_spectra kindex spec in
+      let n = Dataset.series_length dataset in
+      fun (e : Dataset.entry) ->
+        Flat.sub spectra ~pos:((e.Dataset.id * n) + 1) ~len:k
   in
   let prepared = Kindex.prepare kindex spec in
   (* One flat operator node for the whole nested-query loop: a child
@@ -199,7 +206,7 @@ let index_join ?profile kindex spec epsilon =
   Array.iter
     (fun (entry : Dataset.entry) ->
       let i = entry.Dataset.id in
-      let query_coeffs = Array.sub spectra.(i) 1 k in
+      let query_coeffs = query_coeffs entry in
       let distance (candidate : Dataset.entry) =
         Distance.euclidean normals.(candidate.Dataset.id) normals.(i)
       in

@@ -1,4 +1,5 @@
 module Cpx = Simq_dsp.Cpx
+module Flat = Simq_dsp.Flat
 module Series = Simq_series.Series
 module Distance = Simq_series.Distance
 module Geometry = Simq_geometry
@@ -94,8 +95,8 @@ let lift lowered =
 type prepared = {
   pspec : Spec.t;
   ptransform : Linear_transform.t option;
-  pstretch : Cpx.t array option;
-      (* full-length frequency multiplier; None for Identity (not
+  pstretch : Flat.t option;
+      (* full-length frequency multiplier, flat; None for Identity (not
          needed) and Warp (length changes) *)
 }
 
@@ -115,7 +116,7 @@ let prepare t spec =
     let pstretch =
       match spec with
       | Spec.Warp _ -> None
-      | _ -> Some stretch
+      | _ -> Some (Flat.of_cpx stretch)
     in
     { pspec = spec; ptransform = Some (lift lowered); pstretch }
 
@@ -285,16 +286,12 @@ let range_prepared ?mean_range ?std_range ?prefilter ?approx ?anytime ?profile
 let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
   range_prepared t (prepare t spec) ~query_coeffs ~epsilon ~distance
 
-let sq_norm z =
-  let re = Cpx.re z and im = Cpx.im z in
-  (re *. re) +. (im *. im)
-
 (* The exact distance used in postprocessing. Length-preserving
    transformations are evaluated in the frequency domain against the
-   stored spectra (O(n) per candidate, like the paper's scan of the
-   Fourier-coefficient relation); the warp changes the length and falls
-   back to the time domain. Equal to the time-domain distance by
-   Parseval. *)
+   stored spectra through the one kernel (O(n) per candidate, like the
+   paper's scan of the Fourier-coefficient relation); the warp changes
+   the length and falls back to the time domain. Equal to the
+   time-domain distance by Parseval. *)
 let prepared_distance t prepared (q : Dataset.entry) =
   let n = Dataset.series_length t.dataset in
   match (prepared.pspec, prepared.pstretch) with
@@ -306,19 +303,18 @@ let prepared_distance t prepared (q : Dataset.entry) =
   | Spec.Identity, _ ->
     fun (entry : Dataset.entry) ->
       Distance.euclidean entry.Dataset.normal q.Dataset.normal
-  | _, Some stretch ->
+  | _, (Some _ as stretch) ->
     fun (entry : Dataset.entry) ->
-      let acc = ref 0. in
-      for f = 0 to n - 1 do
-        let z =
-          Cpx.sub
-            (Cpx.mul stretch.(f) entry.Dataset.spectrum.(f))
-            q.Dataset.spectrum.(f)
-        in
-        acc := !acc +. sq_norm z
-      done;
-      sqrt !acc
+      let acc = Flat.acc () in
+      ignore
+        (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n
+           entry.Dataset.spectrum 0 q.Dataset.spectrum 0 acc);
+      sqrt acc.Flat.sum
   | _, None -> assert false
+
+(* The query's index features: its first k non-DC coefficients. *)
+let query_coeffs t (q : Dataset.entry) =
+  Flat.sub q.Dataset.spectrum ~pos:1 ~len:t.config.Feature.k
 
 let check_query_length t spec query =
   let n = Dataset.series_length t.dataset in
@@ -356,7 +352,7 @@ let range_request ?mean_window ?std_band ~normalise_query t spec query =
       std_band
   in
   let q = Dataset.prepare_query ~normalise:normalise_query query in
-  let query_coeffs = Array.sub q.Dataset.spectrum 1 t.config.Feature.k in
+  let query_coeffs = query_coeffs t q in
   let prepared = prepare t spec in
   (mean_range, std_range, q, query_coeffs, prepared)
 
@@ -428,7 +424,7 @@ let range_batch ?pool ?profiles ?(spec = Spec.Identity)
     Simq_parallel.Batch.map ?pool ?profiles
       (fun ~profile (query, epsilon) ->
         let q = Dataset.prepare_query ~normalise:normalise_query query in
-        let query_coeffs = Array.sub q.Dataset.spectrum 1 t.config.Feature.k in
+        let query_coeffs = query_coeffs t q in
         range_prepared_counted ?prefilter:(build_funnel sketch q) ?approx
           ?anytime ?profile t prepared ~query_coeffs ~epsilon
           ~distance:(prepared_distance t prepared q))
@@ -525,7 +521,7 @@ let nearest ?(spec = Spec.Identity) ?(normalise_query = true) ?sketch ?profile
     t ~query ~k =
   check_query_length t spec query;
   let q = Dataset.prepare_query ~normalise:normalise_query query in
-  let query_coeffs = Array.sub q.Dataset.spectrum 1 t.config.Feature.k in
+  let query_coeffs = query_coeffs t q in
   let prepared = prepare t spec in
   let map_rect r =
     match prepared.ptransform with
@@ -626,7 +622,7 @@ let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
   check_query_length t spec query;
   if k <= 0 then invalid_arg "Kindex.nearest_checked: k must be positive";
   let q = Dataset.prepare_query ~normalise:normalise_query query in
-  let query_coeffs = Array.sub q.Dataset.spectrum 1 t.config.Feature.k in
+  let query_coeffs = query_coeffs t q in
   let prepared = prepare t spec in
   let map_rect r =
     match prepared.ptransform with

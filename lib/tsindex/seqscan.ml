@@ -1,4 +1,4 @@
-module Cpx = Simq_dsp.Cpx
+module Flat = Simq_dsp.Flat
 module Series = Simq_series.Series
 module Distance = Simq_series.Distance
 module Relation = Simq_storage.Relation
@@ -27,16 +27,6 @@ type result = {
   coefficients_touched : int;
 }
 
-let sq_norm z =
-  let re = Cpx.re z and im = Cpx.im z in
-  (re *. re) +. (im *. im)
-
-(* The transformed spectrum of an entry, restricted to the first
-   [limit] coefficients, produced lazily one coefficient at a time so
-   early abandoning does not pay for the whole vector. *)
-let transformed_coeff stretch (entry : Dataset.entry) f =
-  Cpx.mul stretch.(f) entry.Dataset.spectrum.(f)
-
 let check_query_length dataset spec query =
   let n = Dataset.series_length dataset in
   let expected = Spec.output_length spec ~n in
@@ -58,8 +48,9 @@ let account_io dataset =
 
 (* Per-entry comparison: the answer (when within ε), whether the
    distance computation ran to completion, and the coefficients (or
-   time-domain points) examined. Pure — safe to run from any domain. *)
-let compute_warp ~abandon spec epsilon (q : Dataset.entry)
+   time-domain points) examined. Safe to run from any domain that owns
+   the accumulator it passes (only the frequency path uses it). *)
+let compute_warp ~abandon spec epsilon (q : Dataset.entry) _acc
     (entry : Dataset.entry) =
   let transformed = Spec.apply_series spec entry.Dataset.normal in
   let touched = Series.length transformed in
@@ -73,23 +64,19 @@ let compute_warp ~abandon spec epsilon (q : Dataset.entry)
   | Some d when d <= epsilon -> (Some (entry, d), 1, touched)
   | _ -> (None, 1, touched)
 
-let compute_freq ~abandon ~stretch ~n ~limit epsilon (q : Dataset.entry)
+(* [limit] is the kernel's abandon limit: [epsilon²] when abandoning,
+   [infinity] otherwise. *)
+let compute_freq ~stretch ~n ~limit epsilon (q : Dataset.entry) acc
     (entry : Dataset.entry) =
-  let acc = ref 0. in
-  let f = ref 0 in
-  let abandoned = ref false in
-  while (not !abandoned) && !f < n do
-    let diff =
-      Cpx.sub (transformed_coeff stretch entry !f) q.Dataset.spectrum.(!f)
-    in
-    acc := !acc +. sq_norm diff;
-    incr f;
-    if abandon && !acc > limit then abandoned := true
-  done;
-  if !abandoned then (None, 0, !f)
+  acc.Flat.sum <- 0.;
+  let touched =
+    Flat.sq_dist ~stretch ~limit ~lo:0 ~hi:n entry.Dataset.spectrum 0
+      q.Dataset.spectrum 0 acc
+  in
+  if acc.Flat.sum > limit then (None, 0, touched)
   else begin
-    let d = sqrt !acc in
-    ((if d <= epsilon then Some (entry, d) else None), 1, !f)
+    let d = sqrt acc.Flat.sum in
+    ((if d <= epsilon then Some (entry, d) else None), 1, touched)
   end
 
 (* Frequency-domain scan for the length-preserving transformations; the
@@ -105,15 +92,15 @@ let scan_compute ~pool ~abandon ~normalise_query ?bstate dataset spec query
     epsilon =
   let q = Dataset.prepare_query ~normalise:normalise_query query in
   let n = Dataset.series_length dataset in
-  let limit = epsilon *. epsilon in
+  let limit = if abandon then epsilon *. epsilon else infinity in
   let entries = Dataset.entries dataset in
   let count = Array.length entries in
   let compute =
     match spec with
     | Spec.Warp _ -> compute_warp ~abandon spec epsilon q
     | _ ->
-      let stretch = Spec.stretch spec ~n in
-      compute_freq ~abandon ~stretch ~n ~limit epsilon q
+      let stretch = Some (Flat.of_cpx (Spec.stretch spec ~n)) in
+      compute_freq ~stretch ~n ~limit epsilon q
   in
   let chunk = Pool.adaptive_chunk pool count in
   let partials =
@@ -122,6 +109,7 @@ let scan_compute ~pool ~abandon ~normalise_query ?bstate dataset spec query
         let answers = ref [] in
         let full = ref 0 in
         let touched = ref 0 in
+        let acc = Flat.acc () in
         for i = lo to hi - 1 do
           (* Cooperative cancellation: every domain passes through here,
              so a budget blown anywhere stops all chunks promptly. Each
@@ -131,7 +119,7 @@ let scan_compute ~pool ~abandon ~normalise_query ?bstate dataset spec query
           | Some b ->
             Budget.check b;
             Budget.charge_comparisons b 1);
-          let answer, completed, examined = compute entries.(i) in
+          let answer, completed, examined = compute acc entries.(i) in
           (match answer with
           | Some hit -> answers := hit :: !answers
           | None -> ());

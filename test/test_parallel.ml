@@ -158,6 +158,7 @@ let test_create_validation () =
    [SIMQ_DOMAINS] is consulted. *)
 let test_env_domains_garbage_falls_back () =
   let fallback = max 1 (Domain.recommended_domain_count ()) in
+  let saved = Sys.getenv_opt "SIMQ_DOMAINS" in
   List.iter
     (fun garbage ->
       Unix.putenv "SIMQ_DOMAINS" garbage;
@@ -169,7 +170,11 @@ let test_env_domains_garbage_falls_back () =
   Unix.putenv "SIMQ_DOMAINS" " 2 ";
   Alcotest.(check int) "valid value honoured, whitespace trimmed" 2
     (Pool.default_domains ());
-  Unix.putenv "SIMQ_DOMAINS" "1"
+  (* Restore the caller's setting, so the rest of the suite runs at the
+     domain count it chose. Unix has no unsetenv: an unset variable is
+     restored as the count it resolves to. *)
+  Unix.putenv "SIMQ_DOMAINS"
+    (match saved with Some v -> v | None -> string_of_int fallback)
 
 let test_default_domains_override () =
   let before = Pool.default_domains () in

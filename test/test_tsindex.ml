@@ -80,7 +80,106 @@ let test_dataset_preparation () =
       Alcotest.(check bool) "normal form" true
         (Simq_series.Normal_form.is_normal e.Dataset.normal);
       Alcotest.(check (float 1e-9)) "coefficient 0 is zero" 0.
-        (Simq_dsp.Cpx.abs e.Dataset.spectrum.(0)))
+        (Simq_dsp.Cpx.abs (Simq_dsp.Flat.coeff e.Dataset.spectrum 0)))
+    (Dataset.entries d)
+
+(* The boxed formula every frequency-domain distance used before the
+   flat kernel, kept here as the reference: [Cpx.mul] by the stretch,
+   [Cpx.sub], then [acc +. (re*re +. im*im)] in ascending coefficient
+   order with the abandon test after each coefficient. Returns the sum,
+   whether it abandoned, and the coefficients touched. *)
+let boxed_sq_dist ~stretch ~limit x y =
+  let module Cpx = Simq_dsp.Cpx in
+  let acc = ref 0. and f = ref 0 and alive = ref true in
+  while !alive && !f < Array.length x do
+    let sx =
+      match stretch with None -> x.(!f) | Some s -> Cpx.mul s.(!f) x.(!f)
+    in
+    let z = Cpx.sub sx y.(!f) in
+    let re = Cpx.re z and im = Cpx.im z in
+    acc := !acc +. ((re *. re) +. (im *. im));
+    incr f;
+    if !acc > limit then alive := false
+  done;
+  (!acc, not !alive, !f)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_flat_kernel_matches_boxed () =
+  let module Flat = Simq_dsp.Flat in
+  let n = 64 in
+  let entries = Dataset.entries (dataset_of ~seed:12 ~count:12 ~n) in
+  let boxed =
+    Array.map
+      (fun (e : Dataset.entry) -> Simq_dsp.Fft.fft_real e.Dataset.normal)
+      entries
+  in
+  (* Every stretch of the spec mix ([Queries.spec_mix]): identity, rev,
+     mavg 2-7 and wma 2-7, plus no stretch at all. *)
+  let specs =
+    [ Spec.Identity; Spec.Reverse ]
+    @ List.init 6 (fun i -> Spec.Moving_average (i + 2))
+    @ List.init 6 (fun i ->
+          Spec.Weighted_ma (Simq_dsp.Window.ascending (i + 2)))
+  in
+  let abandons = ref 0 in
+  List.iter
+    (fun stretch ->
+      let flat_stretch = Option.map Flat.of_cpx stretch in
+      let check i j limit =
+        let sum, abandoned, touched =
+          boxed_sq_dist ~stretch ~limit boxed.(i) boxed.(j)
+        in
+        let acc = Flat.acc () in
+        let flat_touched =
+          Flat.sq_dist ~stretch:flat_stretch ~limit ~lo:0 ~hi:n
+            entries.(i).Dataset.spectrum 0 entries.(j).Dataset.spectrum 0 acc
+        in
+        if abandoned then incr abandons;
+        Alcotest.(check bool) "sum bit-identical" true
+          (same_bits sum acc.Flat.sum);
+        Alcotest.(check bool) "abandon decision" abandoned
+          (acc.Flat.sum > limit);
+        Alcotest.(check int) "coefficients touched" touched flat_touched
+      in
+      Array.iteri
+        (fun i _ ->
+          Array.iteri
+            (fun j _ ->
+              let full, _, _ =
+                boxed_sq_dist ~stretch ~limit:infinity boxed.(i) boxed.(j)
+              in
+              List.iter (check i j) [ infinity; full /. 4.; full; full *. 2. ])
+            boxed)
+        boxed)
+    (None :: List.map (fun spec -> Some (Spec.stretch spec ~n)) specs);
+  Alcotest.(check bool) "the tight limit abandons" true (!abandons > 0);
+  (* The kernel allocates nothing per comparison: only the two
+     [Gc.minor_words] results are boxed across a thousand calls. *)
+  let x = entries.(0).Dataset.spectrum and y = entries.(1).Dataset.spectrum in
+  let stretch = Some (Flat.of_cpx (Spec.stretch (Spec.Moving_average 4) ~n)) in
+  let acc = Flat.acc () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n x 0 y 0 acc)
+  done;
+  Alcotest.(check bool) "no allocation per comparison" true
+    (Gc.minor_words () -. before < 16.)
+
+let test_flat_spectrum_is_fft () =
+  let d = dataset_of ~seed:13 ~count:8 ~n:48 in
+  Array.iter
+    (fun (e : Dataset.entry) ->
+      let reference = Simq_dsp.Fft.fft_real e.Dataset.normal in
+      Alcotest.(check int) "coefficients" (Array.length reference)
+        (Simq_dsp.Flat.length e.Dataset.spectrum);
+      Array.iteri
+        (fun f (z : Simq_dsp.Cpx.t) ->
+          let c = Simq_dsp.Flat.coeff e.Dataset.spectrum f in
+          Alcotest.(check bool) "coefficient bit-identical" true
+            (same_bits z.Complex.re c.Complex.re
+            && same_bits z.Complex.im c.Complex.im))
+        reference)
     (Dataset.entries d)
 
 let test_dataset_rejects_mixed_lengths () =
@@ -691,6 +790,13 @@ let () =
           Alcotest.test_case "preparation" `Quick test_dataset_preparation;
           Alcotest.test_case "rejects mixed lengths" `Quick
             test_dataset_rejects_mixed_lengths;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "flat kernel = boxed formula, bit for bit" `Quick
+            test_flat_kernel_matches_boxed;
+          Alcotest.test_case "flat spectrum = fft_real of the normal form"
+            `Quick test_flat_spectrum_is_fft;
         ] );
       ( "range",
         [
