@@ -34,6 +34,8 @@ let run_micro () =
   let tests =
     [
       Test.make ~name:"fft-128" (Staged.stage (fun () -> Simq_dsp.Fft.fft_real s128));
+      Test.make ~name:"fft-128-flat"
+        (Staged.stage (fun () -> Simq_dsp.Fft.fft_real_flat s128));
       Test.make ~name:"fft-1024"
         (Staged.stage (fun () -> Simq_dsp.Fft.fft_real s1024));
       Test.make ~name:"mavg20-128"

@@ -16,9 +16,19 @@ let circular_fft x y =
     invalid_arg "Convolution.circular_fft: length mismatch";
   if n = 0 then [||]
   else begin
-    let product = Cpx.mul_arrays (Fft.fft x) (Fft.fft y) in
-    let scaled = Cpx.scale_array (sqrt (float_of_int n)) product in
-    Fft.ifft scaled
+    let fx = Flat.of_cpx x and fy = Flat.of_cpx y in
+    Fft.fft_inplace fx;
+    Fft.fft_inplace fy;
+    (* fx := sqrt n · fx·fy, by [Complex.mul]'s formula, then back. *)
+    let gain = sqrt (float_of_int n) in
+    for f = 0 to n - 1 do
+      let xr = fx.(2 * f) and xi = fx.((2 * f) + 1) in
+      let yr = fy.(2 * f) and yi = fy.((2 * f) + 1) in
+      fx.(2 * f) <- gain *. ((xr *. yr) -. (xi *. yi));
+      fx.((2 * f) + 1) <- gain *. ((xr *. yi) +. (xi *. yr))
+    done;
+    Fft.ifft_inplace fx;
+    Flat.to_cpx fx
   end
 
 let circular_real x y =

@@ -14,6 +14,7 @@ let of_cpx zs =
 let length x = Array.length x / 2
 let coeff x f = { Complex.re = x.(2 * f); im = x.((2 * f) + 1) }
 let sub x ~pos ~len = Array.init len (fun i -> coeff x (pos + i))
+let to_cpx x = sub x ~pos:0 ~len:(length x)
 
 let stretch_into ~stretch x dst ~off =
   if Array.length stretch <> Array.length x || off < 0

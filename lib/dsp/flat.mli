@@ -28,6 +28,10 @@ val coeff : t -> int -> Cpx.t
     boxed vector (for feature extraction, not for hot loops). *)
 val sub : t -> pos:int -> len:int -> Cpx.t array
 
+(** [to_cpx x] is every coefficient of [x] as a boxed vector, the
+    inverse of {!of_cpx}. *)
+val to_cpx : t -> Cpx.t array
+
 (** [stretch_into ~stretch x dst ~off] writes [stretch.(f) · x.(f)] for
     every coefficient [f] of [x] into coefficient [off + f] of [dst], with
     [Complex.mul]'s formula (so the result is bit-identical to

@@ -37,16 +37,13 @@ let distance_early_abandon ~threshold x y =
   in
   go 0 0.
 
-let truncate k x =
-  if k > Array.length x then invalid_arg "Spectrum.truncate";
-  Array.sub x 0 k
-
 let concentration k x =
   let total = energy_real x in
   if total = 0. then 1.
   else begin
-    let coeffs = Fft.fft_real x in
-    let kept = energy (truncate (min k (Array.length coeffs)) coeffs) in
+    let coeffs = Fft.fft_real_flat x in
+    let k = min k (Flat.length coeffs) in
+    let kept = energy (Flat.sub coeffs ~pos:0 ~len:k) in
     kept /. total
   end
 

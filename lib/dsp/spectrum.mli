@@ -26,9 +26,6 @@ val prefix_distance : int -> Cpx.t array -> Cpx.t array -> float
 val distance_early_abandon :
   threshold:float -> Cpx.t array -> Cpx.t array -> float option
 
-(** [truncate k x] is the first [k] coefficients. *)
-val truncate : int -> Cpx.t array -> Cpx.t array
-
 (** [concentration k x] is the fraction of the energy of [x] carried by
     its first [k] DFT coefficients, in [0, 1]. The DFT's usefulness as an
     index key rests on this being close to 1 for small [k]. *)

@@ -45,8 +45,12 @@ let kernel n w =
   Array.init n (fun idx -> if idx < m then w.weights.(idx) else 0.)
 
 let transfer n w =
-  let padded = kernel n w in
-  Cpx.scale_array (sqrt (float_of_int n)) (Fft.fft_real padded)
+  let h = Fft.fft_real_flat (kernel n w) in
+  let gain = sqrt (float_of_int n) in
+  for i = 0 to Array.length h - 1 do
+    h.(i) <- gain *. h.(i)
+  done;
+  Flat.to_cpx h
 
 let pp ppf w =
   Format.fprintf ppf "window[%a]"

@@ -39,6 +39,8 @@ let repeated k w s =
 
 let via_dft w s =
   let n = Array.length s in
-  let transfer = Dsp.Window.transfer n w in
-  let spectrum = Dsp.Fft.fft_real s in
-  Series.idft (Dsp.Cpx.mul_arrays transfer spectrum)
+  let transfer = Dsp.Flat.of_cpx (Dsp.Window.transfer n w) in
+  let spectrum = Dsp.Fft.fft_real_flat s in
+  let product = Dsp.Flat.create n in
+  Dsp.Flat.stretch_into ~stretch:transfer spectrum product ~off:0;
+  Series.idft_flat product

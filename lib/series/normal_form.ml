@@ -4,11 +4,18 @@ type decomposition = {
   std : float;
 }
 
-let decompose s =
+let decompose (s : Series.t) =
   let mean = Stats.mean s and std = Stats.std s in
+  let n = Array.length s in
   let normalised =
-    if std = 0. then Array.map (fun _ -> 0.) s
-    else Array.map (fun v -> (v -. mean) /. std) s
+    if std = 0. then Array.make n 0.
+    else begin
+      let out = Array.create_float n in
+      for t = 0 to n - 1 do
+        out.(t) <- (s.(t) -. mean) /. std
+      done;
+      out
+    end
   in
   { normalised; mean; std }
 

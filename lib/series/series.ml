@@ -38,7 +38,16 @@ let sample_every k s =
   Array.init n (fun idx -> s.(idx * k))
 
 let dft s = Simq_dsp.Fft.fft_real s
-let idft coeffs = Simq_dsp.Cpx.re_array (Simq_dsp.Fft.ifft coeffs)
+
+let idft_flat (x : Simq_dsp.Flat.t) =
+  Simq_dsp.Fft.ifft_inplace x;
+  let out = Array.create_float (Simq_dsp.Flat.length x) in
+  for t = 0 to Array.length out - 1 do
+    out.(t) <- x.(2 * t)
+  done;
+  out
+
+let idft coeffs = idft_flat (Simq_dsp.Flat.of_cpx coeffs)
 
 let pp ppf s =
   Format.fprintf ppf "(%a)"

@@ -52,4 +52,8 @@ val dft : t -> Simq_dsp.Cpx.t array
 (** [idft coeffs] inverts {!dft}, keeping only the real parts. *)
 val idft : Simq_dsp.Cpx.t array -> t
 
+(** [idft_flat x] is {!idft} of the flat vector [x], which it overwrites
+    (the inverse transform runs in place). *)
+val idft_flat : Simq_dsp.Flat.t -> t
+
 val pp : Format.formatter -> t -> unit

@@ -1,15 +1,26 @@
 let require_non_empty name s =
   if Array.length s = 0 then invalid_arg (name ^ ": empty series")
 
-let mean s =
+(* Left-to-right sums over local float refs, which the compiler keeps
+   unboxed (a fold's accumulator is boxed at every step). The deviation
+   is squared with [** 2.], not [d *. d]: libm's [pow] rounds some
+   squares differently, and every stored normal form depends on it. *)
+let mean (s : Series.t) =
   require_non_empty "Stats.mean" s;
-  Array.fold_left ( +. ) 0. s /. float_of_int (Array.length s)
+  let sum = ref 0. in
+  for t = 0 to Array.length s - 1 do
+    sum := !sum +. s.(t)
+  done;
+  !sum /. float_of_int (Array.length s)
 
-let variance s =
+let variance (s : Series.t) =
   require_non_empty "Stats.variance" s;
   let m = mean s in
-  let acc = Array.fold_left (fun acc v -> acc +. ((v -. m) ** 2.)) 0. s in
-  acc /. float_of_int (Array.length s)
+  let acc = ref 0. in
+  for t = 0 to Array.length s - 1 do
+    acc := !acc +. ((s.(t) -. m) ** 2.)
+  done;
+  !acc /. float_of_int (Array.length s)
 
 let std s = sqrt (variance s)
 

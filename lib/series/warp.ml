@@ -21,10 +21,10 @@ let coefficients ~m ~n ~k =
 let spectrum_of_expanded m s =
   let n = Array.length s in
   let a = coefficients ~m ~n ~k:n in
-  let spectrum = Dsp.Fft.fft_real s in
+  let spectrum = Dsp.Fft.fft_real_flat s in
   let inv_sqrt_m = 1. /. sqrt (float_of_int m) in
   Array.init n (fun f ->
-      Dsp.Cpx.scale inv_sqrt_m (Dsp.Cpx.mul a.(f) spectrum.(f)))
+      Dsp.Cpx.scale inv_sqrt_m (Dsp.Cpx.mul a.(f) (Dsp.Flat.coeff spectrum f)))
 
 let dtw ?band a b =
   let n = Array.length a and m = Array.length b in

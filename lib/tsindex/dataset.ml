@@ -19,10 +19,6 @@ type t = {
   relation : Relation.t;
 }
 
-(* The flat spectrum is filled once here; every frequency-domain
-   distance then reads it through the one kernel ({!Simq_dsp.Flat}). *)
-let flat_spectrum s = Simq_dsp.Flat.of_cpx (Simq_dsp.Fft.fft_real s)
-
 let prepare ~id ~name series =
   let d = Normal_form.decompose series in
   {
@@ -30,7 +26,9 @@ let prepare ~id ~name series =
     name;
     series;
     normal = d.Normal_form.normalised;
-    spectrum = flat_spectrum d.Normal_form.normalised;
+    (* Filled once; every frequency-domain distance reads it through
+       the one kernel ({!Simq_dsp.Flat}). *)
+    spectrum = Simq_dsp.Fft.fft_real_flat d.Normal_form.normalised;
     mean = d.Normal_form.mean;
     std = d.Normal_form.std;
   }
@@ -83,7 +81,7 @@ let prepare_query ?(normalise = true) q =
       name = "query";
       series = q;
       normal = q;
-      spectrum = flat_spectrum q;
+      spectrum = Simq_dsp.Fft.fft_real_flat q;
       mean = 0.;
       std = 1.;
     }

@@ -333,13 +333,14 @@ let range_request ?mean_window ?std_band ~normalise_query t spec query =
   (* GK95-style side constraints: mean and standard deviation ride along
      as the trailing index dimensions, so simple shifts and scales bound
      the search for free (the paper's reason for indexing normal forms
-     with mean/std dimensions). They always refer to the raw query. *)
-  let decomposition = Simq_series.Normal_form.decompose query in
+     with mean/std dimensions). They always refer to the raw query, which
+     is decomposed here only when a constraint asks for it. *)
+  let decomposition = lazy (Simq_series.Normal_form.decompose query) in
   let mean_range =
     Option.map
       (fun w ->
         if w < 0. then invalid_arg "Kindex.range: negative mean_window";
-        let m = decomposition.Simq_series.Normal_form.mean in
+        let m = (Lazy.force decomposition).Simq_series.Normal_form.mean in
         (m -. w, m +. w))
       mean_window
   in
@@ -347,7 +348,7 @@ let range_request ?mean_window ?std_band ~normalise_query t spec query =
     Option.map
       (fun f ->
         if f < 1. then invalid_arg "Kindex.range: std_band must be >= 1";
-        let s = decomposition.Simq_series.Normal_form.std in
+        let s = (Lazy.force decomposition).Simq_series.Normal_form.std in
         (s /. f, s *. f))
       std_band
   in

@@ -42,7 +42,9 @@ type hit = {
   distance : float;
 }
 
-let features ~k values = Array.sub (Simq_dsp.Fft.fft_real values) 0 k
+let features ~k values =
+  Simq_dsp.Flat.sub (Simq_dsp.Fft.fft_real_flat values) ~pos:0 ~len:k
+
 let encode ~k values = Coords.encode Coords.Rectangular (features ~k values)
 
 let build ?(k = 3) ?(max_fill = 32) ?trail ~window series =

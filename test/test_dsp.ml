@@ -135,6 +135,199 @@ let test_power_of_two_helpers () =
   Alcotest.(check int) "next of 1" 1 (Fft.next_power_of_two 1);
   Alcotest.(check int) "next of 65" 128 (Fft.next_power_of_two 65)
 
+(* --- Flat FFT: bit for bit the boxed transform ------------------------ *)
+
+(* The boxed radix-2 and Bluestein transforms the flat kernel replaced,
+   kept verbatim as the reference: the flat kernel must repeat them
+   operation for operation. *)
+module Boxed_ref = struct
+  let fft_pow2_inplace ~sign (x : Cpx.t array) =
+    let n = Array.length x in
+    let j = ref 0 in
+    for i = 0 to n - 2 do
+      if i < !j then begin
+        let tmp = x.(i) in
+        x.(i) <- x.(!j);
+        x.(!j) <- tmp
+      end;
+      let m = ref (n lsr 1) in
+      while !m >= 1 && !j land !m <> 0 do
+        j := !j lxor !m;
+        m := !m lsr 1
+      done;
+      j := !j lor !m
+    done;
+    let len = ref 2 in
+    while !len <= n do
+      let half = !len / 2 in
+      let theta = sign *. 2. *. Float.pi /. float_of_int !len in
+      let wstep = Cpx.exp_i theta in
+      let base = ref 0 in
+      while !base < n do
+        let w = ref Cpx.one in
+        for k = 0 to half - 1 do
+          let u = x.(!base + k) in
+          let v = Cpx.mul x.(!base + k + half) !w in
+          x.(!base + k) <- Cpx.add u v;
+          x.(!base + k + half) <- Cpx.sub u v;
+          w := Cpx.mul !w wstep
+        done;
+        base := !base + !len
+      done;
+      len := !len * 2
+    done
+
+  let bluestein ~sign x =
+    let n = Array.length x in
+    let chirp m =
+      let m2 = m * m mod (2 * n) in
+      Cpx.exp_i (sign *. Float.pi *. float_of_int m2 /. float_of_int n)
+    in
+    let m = Fft.next_power_of_two ((2 * n) - 1) in
+    let a = Array.make m Cpx.zero in
+    for t = 0 to n - 1 do
+      a.(t) <- Cpx.mul x.(t) (chirp t)
+    done;
+    let b = Array.make m Cpx.zero in
+    b.(0) <- Cpx.one;
+    for t = 1 to n - 1 do
+      let v = Cpx.conj (chirp t) in
+      b.(t) <- v;
+      b.(m - t) <- v
+    done;
+    fft_pow2_inplace ~sign:(-1.) a;
+    fft_pow2_inplace ~sign:(-1.) b;
+    let c = Array.map2 Cpx.mul a b in
+    Array.iteri (fun idx v -> c.(idx) <- Cpx.conj v) c;
+    fft_pow2_inplace ~sign:(-1.) c;
+    let inv_m = 1. /. float_of_int m in
+    Array.init n (fun f -> Cpx.mul (chirp f) (Cpx.scale inv_m (Cpx.conj c.(f))))
+
+  let transform ~sign x =
+    let n = Array.length x in
+    if n = 0 then [||]
+    else begin
+      let y =
+        if Fft.is_power_of_two n then begin
+          let y = Array.copy x in
+          fft_pow2_inplace ~sign y;
+          y
+        end
+        else bluestein ~sign x
+      in
+      let scale = 1. /. sqrt (float_of_int n) in
+      Array.map (Cpx.scale scale) y
+    end
+
+  let fft x = transform ~sign:(-1.) x
+  let ifft x = transform ~sign:1. x
+  let fft_real x = fft (Cpx.of_real_array x)
+end
+
+let fft_flat_lengths =
+  List.init 11 (fun p -> 1 lsl p) @ [ 3; 5; 7; 12; 100; 127; 129 ]
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_same_spectrum msg (expected : Cpx.t array) (actual : Cpx.t array) =
+  Alcotest.(check int) (msg ^ ": length") (Array.length expected)
+    (Array.length actual);
+  Array.iteri
+    (fun f (z : Cpx.t) ->
+      let w = actual.(f) in
+      if not (same_bits (Cpx.re z) (Cpx.re w) && same_bits (Cpx.im z) (Cpx.im w))
+      then
+        Alcotest.failf "%s: coefficient %d is %h%+hj, expected %h%+hj" msg f
+          (Cpx.re w) (Cpx.im w) (Cpx.re z) (Cpx.im z))
+    expected
+
+let random_complex seed n =
+  let re = random_signal seed n and im = random_signal (seed + 7919) n in
+  Array.init n (fun t -> Cpx.make re.(t) im.(t))
+
+let test_fft_flat_bit_identical () =
+  List.iter
+    (fun n ->
+      let x = random_complex (300 + n) n in
+      let name dir = Printf.sprintf "%s n=%d" dir n in
+      let forward = Boxed_ref.fft x and inverse = Boxed_ref.ifft x in
+      check_same_spectrum (name "fft") forward (Fft.fft x);
+      check_same_spectrum (name "ifft") inverse (Fft.ifft x);
+      let flat = Flat.of_cpx x in
+      Fft.fft_inplace flat;
+      check_same_spectrum (name "fft_inplace") forward (Flat.to_cpx flat);
+      let flat = Flat.of_cpx x in
+      Fft.ifft_inplace flat;
+      check_same_spectrum (name "ifft_inplace") inverse (Flat.to_cpx flat))
+    fft_flat_lengths
+
+let test_fft_real_flat_bit_identical () =
+  List.iter
+    (fun n ->
+      let x = random_signal (500 + n) n in
+      let expected = Boxed_ref.fft_real x in
+      let msg = Printf.sprintf "n=%d" n in
+      check_same_spectrum ("fft_real_flat " ^ msg) expected
+        (Flat.to_cpx (Fft.fft_real_flat x));
+      check_same_spectrum ("fft_real " ^ msg) expected (Fft.fft_real x))
+    (0 :: fft_flat_lengths)
+
+let test_fft_real_flat_random_walks () =
+  (* The series the data sets store: 128-point random walks. *)
+  let state = Random.State.make [| 2026 |] in
+  for i = 1 to 200 do
+    let x = Array.make 128 0. in
+    for t = 1 to 127 do
+      x.(t) <- x.(t - 1) +. Random.State.float state 2. -. 1.
+    done;
+    check_same_spectrum
+      (Printf.sprintf "walk %d" i)
+      (Boxed_ref.fft_real x)
+      (Flat.to_cpx (Fft.fft_real_flat x))
+  done
+
+let test_fft_real_flat_allocation () =
+  let n = 128 and calls = 1000 in
+  let x = random_signal 77 n in
+  ignore (Sys.opaque_identity (Fft.fft_real_flat x));
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Fft.fft_real_flat x))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  (* The output buffer is 2n floats plus a header word. *)
+  let output = float_of_int ((2 * n) + 1) in
+  if per_call > output +. 8. then
+    Alcotest.failf "fft_real_flat allocates %.1f words per call (output %.0f)"
+      per_call output
+
+let test_fft_callers_bit_identical () =
+  (* Window transfer functions and FFT convolution, against the boxed
+     formulas they used before the flat kernel. *)
+  List.iter
+    (fun n ->
+      let w = Window.triangular (min n 5) in
+      let expected =
+        Cpx.scale_array (sqrt (float_of_int n))
+          (Boxed_ref.fft_real (Window.kernel n w))
+      in
+      check_same_spectrum (Printf.sprintf "transfer n=%d" n) expected
+        (Window.transfer n w);
+      let x = random_complex (700 + n) n and y = random_complex (900 + n) n in
+      let expected =
+        Boxed_ref.ifft
+          (Cpx.scale_array (sqrt (float_of_int n))
+             (Cpx.mul_arrays (Boxed_ref.fft x) (Boxed_ref.fft y)))
+      in
+      check_same_spectrum (Printf.sprintf "circular_fft n=%d" n) expected
+        (Convolution.circular_fft x y))
+    [ 8; 12; 32; 100; 128 ]
+
+let test_fft_flat_odd_buffer () =
+  Alcotest.check_raises "odd buffer"
+    (Invalid_argument "Fft.fft_inplace: odd buffer length") (fun () ->
+      Fft.fft_inplace [| 1.; 2.; 3. |])
+
 (* --- Convolution ------------------------------------------------------ *)
 
 let test_convolution_identity_kernel () =
@@ -370,6 +563,20 @@ let () =
           Alcotest.test_case "prime sizes (Bluestein)" `Quick test_fft_prime_sizes;
           Alcotest.test_case "impulse" `Quick test_fft_impulse;
           Alcotest.test_case "power-of-two helpers" `Quick test_power_of_two_helpers;
+        ] );
+      ( "fft-flat",
+        [
+          Alcotest.test_case "bit-identical to boxed, both directions" `Quick
+            test_fft_flat_bit_identical;
+          Alcotest.test_case "real input bit-identical to boxed" `Quick
+            test_fft_real_flat_bit_identical;
+          Alcotest.test_case "random walks bit-identical" `Quick
+            test_fft_real_flat_random_walks;
+          Alcotest.test_case "allocates only its output (n=128)" `Quick
+            test_fft_real_flat_allocation;
+          Alcotest.test_case "transfer and convolution bit-identical" `Quick
+            test_fft_callers_bit_identical;
+          Alcotest.test_case "odd buffer rejected" `Quick test_fft_flat_odd_buffer;
         ] );
       ( "convolution",
         [

@@ -133,6 +133,107 @@ let test_normal_form_invariance () =
     (Normal_form.normalise s)
     (Normal_form.normalise shifted_scaled)
 
+(* The fold formulas the loops replaced, kept as the reference: mean,
+   variance and normal form must repeat them bit for bit. *)
+module Fold_ref = struct
+  let mean s = Array.fold_left ( +. ) 0. s /. float_of_int (Array.length s)
+
+  let variance s =
+    let m = mean s in
+    let acc = Array.fold_left (fun acc v -> acc +. ((v -. m) ** 2.)) 0. s in
+    acc /. float_of_int (Array.length s)
+
+  let decompose s =
+    let mean = mean s and std = sqrt (variance s) in
+    let normalised =
+      if std = 0. then Array.map (fun _ -> 0.) s
+      else Array.map (fun v -> (v -. mean) /. std) s
+    in
+    (normalised, mean, std)
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_bits msg expected actual =
+  if not (same_bits expected actual) then
+    Alcotest.failf "%s: %h, expected %h" msg actual expected
+
+let check_decompose_matches_fold msg s =
+  let normalised, mean, std = Fold_ref.decompose s in
+  let d = Normal_form.decompose s in
+  check_bits (msg ^ " mean") mean d.Normal_form.mean;
+  check_bits (msg ^ " std") std d.Normal_form.std;
+  check_bits (msg ^ " Stats.mean") (Fold_ref.mean s) (Stats.mean s);
+  check_bits (msg ^ " Stats.variance") (Fold_ref.variance s) (Stats.variance s);
+  Alcotest.(check int) (msg ^ " length") (Array.length normalised)
+    (Array.length d.Normal_form.normalised);
+  Array.iteri
+    (fun t v -> check_bits (Printf.sprintf "%s point %d" msg t) v
+        d.Normal_form.normalised.(t))
+    normalised
+
+let test_normal_form_matches_fold () =
+  let state = Random.State.make [| 1013 |] in
+  for i = 1 to 500 do
+    let n = 1 + Random.State.int state 200 in
+    check_decompose_matches_fold (Printf.sprintf "walk %d" i)
+      (Generator.random_walk state n)
+  done;
+  check_decompose_matches_fold "length 1" [| 42.5 |];
+  check_decompose_matches_fold "constant" (Array.make 17 (-3.25));
+  check_decompose_matches_fold "zeros" (Array.make 4 0.)
+
+let test_normal_form_empty () =
+  Alcotest.check_raises "empty decompose"
+    (Invalid_argument "Stats.mean: empty series") (fun () ->
+      ignore (Normal_form.decompose [||]));
+  Alcotest.check_raises "empty variance"
+    (Invalid_argument "Stats.variance: empty series") (fun () ->
+      ignore (Stats.variance [||]))
+
+let test_normal_form_keeps_pow () =
+  (* libm's [pow d 2.] and [d *. d] round this series' squared
+     deviations differently, so replacing [** 2.] by a product moves its
+     variance, std and normal form; every stored spectrum would move
+     with them. *)
+  let s = [| 14.45; 7.35; 5.88; 3.34 |] in
+  check_bits "variance" 0x1.0ffac710cb295p+4 (Stats.variance s);
+  let d = Normal_form.decompose s in
+  check_bits "std" 0x1.07de6de5b8baap+2 d.Normal_form.std;
+  check_decompose_matches_fold "pinned" s
+
+let test_fft_callers_bit_identical () =
+  (* The series-level FFT callers run on the flat kernel; they must give
+     the bits of their boxed formulas over the boxed wrappers. *)
+  let state = Random.State.make [| 4242 |] in
+  List.iter
+    (fun n ->
+      let s = Generator.random_walk state n in
+      let w = Dsp.Window.uniform (min n 4) in
+      let boxed_idft z = Dsp.Cpx.re_array (Dsp.Fft.ifft z) in
+      let check msg expected actual =
+        Array.iteri
+          (fun t v -> check_bits (Printf.sprintf "%s n=%d point %d" msg n t) v
+              actual.(t))
+          expected
+      in
+      check "via_dft"
+        (boxed_idft
+           (Dsp.Cpx.mul_arrays (Dsp.Window.transfer n w) (Dsp.Fft.fft_real s)))
+        (Moving_average.via_dft w s);
+      let z = Dsp.Fft.fft_real s in
+      check "idft" (boxed_idft z) (Series.idft z);
+      let a = Warp.coefficients ~m:2 ~n ~k:n in
+      let spectrum = Dsp.Fft.fft_real s in
+      let expected =
+        Array.init n (fun f ->
+            Dsp.Cpx.scale (1. /. sqrt 2.) (Dsp.Cpx.mul a.(f) spectrum.(f)))
+      in
+      let actual = Warp.spectrum_of_expanded 2 s in
+      check "warp re" (Dsp.Cpx.re_array expected) (Dsp.Cpx.re_array actual);
+      check "warp im" (Dsp.Cpx.im_array expected) (Dsp.Cpx.im_array actual))
+    [ 8; 13; 64; 128 ]
+
 (* --- Moving average --------------------------------------------------- *)
 
 let test_ma_paper_example_11 () =
@@ -339,6 +440,8 @@ let () =
           Alcotest.test_case "subsequence and sampling" `Quick
             test_series_subsequence_and_sampling;
           Alcotest.test_case "dft roundtrip" `Quick test_series_dft_roundtrip;
+          Alcotest.test_case "FFT callers bit-identical" `Quick
+            test_fft_callers_bit_identical;
         ] );
       ( "stats",
         [
@@ -361,6 +464,11 @@ let () =
             test_normal_form_constant_series;
           Alcotest.test_case "shift/scale invariance" `Quick
             test_normal_form_invariance;
+          Alcotest.test_case "bit-identical to the fold formulas" `Quick
+            test_normal_form_matches_fold;
+          Alcotest.test_case "empty series message" `Quick test_normal_form_empty;
+          Alcotest.test_case "keeps pow for the squares" `Quick
+            test_normal_form_keeps_pow;
         ] );
       ( "moving average",
         [
