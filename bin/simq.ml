@@ -15,8 +15,8 @@ module Budget = Simq_fault.Budget
 module Otrace = Simq_obs.Trace
 module Profile = Simq_obs.Profile
 module Qlog = Simq_obs.Qlog
-module Clock = Simq_obs.Clock
 module Metrics = Simq_obs.Metrics
+module Engine = Simq_serve.Engine
 open Simq_tsindex
 
 (* User-facing failures (Simq_cli.error): one line on stderr, a
@@ -220,308 +220,6 @@ let file_arg =
 
 (* --- query ------------------------------------------------------------------ *)
 
-(* The sN-name convention and the engine behind serve/batch live in
-   Simq_serve.Engine; the one-shot query paths below share them. *)
-let resolve_query_series = Simq_serve.Engine.resolve_query_series
-
-(* What the query log needs to know about the executed query, filled in
-   as the plan unfolds. *)
-type query_note = {
-  mutable note_path : string option;
-  mutable note_decision : string option;
-  mutable note_shards : Qlog.shard_counts option;
-}
-
-let note_shard_report note (r : Simq_shard.report) =
-  note.note_shards <-
-    Some
-      {
-        Qlog.fanout = r.Simq_shard.fanout;
-        pruned = r.Simq_shard.pruned;
-        degraded = r.Simq_shard.degraded;
-      }
-
-(* Per-shard admission decisions fold into one logged decision:
-   reject > degrade_to_scan > admit. *)
-let decision_rank = function
-  | Simq_admission.Admit -> 0
-  | Simq_admission.Degrade_to_scan -> 1
-  | Simq_admission.Reject _ -> 2
-
-let note_worst_decision note =
-  let worst = ref None in
-  fun d ->
-    match !worst with
-    | Some w when decision_rank w >= decision_rank d -> ()
-    | _ ->
-      worst := Some d;
-      note.note_decision <- Some (Simq_admission.decision_name d)
-
-let report_string (r : Simq_shard.report) =
-  Printf.sprintf "%d shards: fanout %d, pruned %d, degraded %d"
-    r.Simq_shard.shards r.Simq_shard.fanout r.Simq_shard.pruned
-    r.Simq_shard.degraded
-
-let print_answers answers =
-  List.iter
-    (fun ((e : Dataset.entry), d) ->
-      Printf.printf "  %-12s distance %.4f\n" e.Dataset.name d)
-    answers
-
-(* The monolithic paths' sketch funnel / NN bound builders; a sharded
-   run carries its own per-shard tables inside Simq_shard. *)
-let funnel_of sketch spec =
-  Option.map (fun sk query -> Simq_sketch.funnel sk ~spec ~query) sketch
-
-let nn_bound_of sketch spec =
-  Option.map (fun sk query -> Simq_sketch.nn_bound sk ~spec ~query) sketch
-
-let sketch_levels_of sketch spec =
-  if Option.is_some sketch then Simq_sketch.spec_levels spec else 0
-
-let partial_note p = if p then ", partial" else ""
-
-let run_parsed_query ?profile ~note index dataset noise ~budget ~admission
-    ~sharded ~sketch ~approx q =
-  let anytime = Option.is_some approx in
-  match q with
-  | Ql.Range { spec; query; epsilon; mean_window = _; std_band = _; _ }
-    when Option.is_some budget || admission ->
-    (* Budgeted ranges go through the resilient planner: admission
-       control (when enabled) vets the query before execution, then the
-       index path runs under the budget and degrades to the scan when
-       it fails. *)
-    let budget = Option.value budget ~default:Budget.unlimited in
-    let* series = resolve_query_series dataset spec ~name:query ~noise in
-    (match sharded with
-    | Some sh ->
-      note.note_path <- Some "shard";
-      let policy = if admission then Some Simq_admission.default else None in
-      let outcome, elapsed =
-        Simq_report.Timer.time (fun () ->
-            Simq_shard.range_checked ~spec ~budget ?admission:policy
-              ~on_decision:(note_worst_decision note) ?approx ~anytime
-              ?profile sh ~query:series ~epsilon)
-      in
-      (match outcome with
-      | Error e when Simq_fault.Error.kind e = "rejected" ->
-        note.note_decision <- Some "reject"
-      | _ -> ());
-      let* (r : Simq_shard.range_result) =
-        Result.map_error (fun e -> Fault e) outcome
-      in
-      note_shard_report note r.Simq_shard.report;
-      Printf.printf "%d answers (path shard, %s%s%s, %s)\n"
-        (List.length r.Simq_shard.answers)
-        (report_string r.Simq_shard.report)
-        (match note.note_decision with
-        | Some d -> ", admission: " ^ d
-        | None -> "")
-        (partial_note r.Simq_shard.partial)
-        (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
-      print_answers r.Simq_shard.answers;
-      Ok ()
-    | None ->
-    let counters = Planner.create_counters () in
-    (* Admission needs the selectivity histogram; collect is sampled
-       from a fixed seed, so the estimate is deterministic. *)
-    let stats = if admission then Some (Planner.collect dataset) else None in
-    let policy = if admission then Some Simq_admission.default else None in
-    let outcome, elapsed =
-      Simq_report.Timer.time (fun () ->
-          Planner.range_resilient ~spec ~budget ~counters ?stats
-            ?admission:policy ?sketch:(funnel_of sketch spec)
-            ~sketch_levels:(sketch_levels_of sketch spec) ?approx ~anytime
-            ?profile index ~query:series ~epsilon)
-    in
-    (match outcome with
-    | Ok (r : Planner.resilient_result) ->
-      note.note_path <-
-        Some (Format.asprintf "%a" Planner.pp_plan r.Planner.executed);
-      note.note_decision <-
-        Option.map Simq_admission.decision_name r.Planner.admission
-    | Error e ->
-      if Simq_fault.Error.kind e = "rejected" then
-        note.note_decision <- Some "reject");
-    let* (result : Planner.resilient_result) =
-      Result.map_error (fun e -> Fault e) outcome
-    in
-    Printf.printf "%d answers (path %s%s%s, %s)\n"
-      (List.length result.Planner.answers)
-      (Format.asprintf "%a" Planner.pp_plan result.Planner.executed)
-      (match (result.Planner.degraded, result.Planner.index_error) with
-      | false, _ -> ""
-      | true, Some e -> Format.asprintf ", degraded: %a" Simq_fault.Error.pp e
-      | true, None -> ", degraded before execution: admission control")
-      (partial_note result.Planner.partial)
-      (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
-    print_answers result.Planner.answers;
-    Ok ())
-  | Ql.Range { spec; query; epsilon; mean_window; std_band; _ } -> (
-    let* series = resolve_query_series dataset spec ~name:query ~noise in
-    match sharded with
-    | Some sh ->
-      note.note_path <- Some "shard";
-      let (r : Simq_shard.range_result), elapsed =
-        Simq_report.Timer.time (fun () ->
-            Simq_shard.range ~spec ?mean_window ?std_band ?approx ?profile sh
-              ~query:series ~epsilon)
-      in
-      note_shard_report note r.Simq_shard.report;
-      Printf.printf "%d answers (%s, %d candidates, %d node accesses, %s)\n"
-        (List.length r.Simq_shard.answers)
-        (report_string r.Simq_shard.report)
-        r.Simq_shard.candidates r.Simq_shard.node_accesses
-        (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
-      print_answers r.Simq_shard.answers;
-      Ok ()
-    | None ->
-      note.note_path <- Some "index";
-      let (result : Kindex.range_result), elapsed =
-        Simq_report.Timer.time (fun () ->
-            Kindex.range ~spec ?mean_window ?std_band
-              ?sketch:(funnel_of sketch spec) ?approx ?profile index
-              ~query:series ~epsilon)
-      in
-      Printf.printf "%d answers (%d candidates, %d node accesses, %s)\n"
-        (List.length result.Kindex.answers)
-        result.Kindex.candidates result.Kindex.node_accesses
-        (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
-      print_answers result.Kindex.answers;
-      Ok ())
-  | Ql.Nearest { k; spec; query; _ }
-    when Option.is_some budget || admission ->
-    (* Budgeted/vetted NN: the same cost model the range planner
-       consults decides before any node is visited — admit the
-       best-first traversal, degrade to an exact linear selection, or
-       reject with the typed error (exit 5). *)
-    let budget = Option.value budget ~default:Budget.unlimited in
-    let* series = resolve_query_series dataset spec ~name:query ~noise in
-    let policy = if admission then Some Simq_admission.default else None in
-    (match sharded with
-    | Some sh ->
-      note.note_path <- Some "shard";
-      let outcome, elapsed =
-        Simq_report.Timer.time (fun () ->
-            Simq_shard.nearest_checked ~spec ~budget ?admission:policy
-              ~on_decision:(note_worst_decision note) ?profile sh
-              ~query:series ~k)
-      in
-      (match outcome with
-      | Error e when Simq_fault.Error.kind e = "rejected" ->
-        note.note_decision <- Some "reject"
-      | _ -> ());
-      let* (r : Simq_shard.nearest_result) =
-        Result.map_error (fun e -> Fault e) outcome
-      in
-      note_shard_report note r.Simq_shard.nearest_report;
-      Printf.printf "%d nearest (path shard, %s%s, %s)\n"
-        (List.length r.Simq_shard.neighbours)
-        (report_string r.Simq_shard.nearest_report)
-        (match note.note_decision with
-        | Some d -> ", admission: " ^ d
-        | None -> "")
-        (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
-      print_answers r.Simq_shard.neighbours;
-      Ok ()
-    | None ->
-      note.note_path <- Some "index";
-      let outcome, elapsed =
-        Simq_report.Timer.time (fun () ->
-            Kindex.nearest_checked ~spec ~budget ?admission:policy
-              ?sketch:(nn_bound_of sketch spec)
-              ~on_decision:(fun d ->
-                note.note_decision <- Some (Simq_admission.decision_name d);
-                match d with
-                | Simq_admission.Degrade_to_scan ->
-                  note.note_path <- Some "scan"
-                | Simq_admission.Admit | Simq_admission.Reject _ -> ())
-              ?profile index ~query:series ~k)
-      in
-      let* results = Result.map_error (fun e -> Fault e) outcome in
-      Printf.printf "%d nearest (path %s%s, %s)\n" (List.length results)
-        (Option.value note.note_path ~default:"index")
-        (match note.note_decision with
-        | Some d -> ", admission: " ^ d
-        | None -> "")
-        (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
-      print_answers results;
-      Ok ())
-  | Ql.Nearest { k; spec; query; _ } -> (
-    let* series = resolve_query_series dataset spec ~name:query ~noise in
-    match sharded with
-    | Some sh ->
-      note.note_path <- Some "shard";
-      let (r : Simq_shard.nearest_result), elapsed =
-        Simq_report.Timer.time (fun () ->
-            Simq_shard.nearest ~spec ?profile sh ~query:series ~k)
-      in
-      note_shard_report note r.Simq_shard.nearest_report;
-      Printf.printf "%d nearest (%s, %s)\n"
-        (List.length r.Simq_shard.neighbours)
-        (report_string r.Simq_shard.nearest_report)
-        (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
-      print_answers r.Simq_shard.neighbours;
-      Ok ()
-    | None ->
-      note.note_path <- Some "index";
-      let results, elapsed =
-        Simq_report.Timer.time (fun () ->
-            Kindex.nearest ~spec ?sketch:(nn_bound_of sketch spec) ?profile
-              index ~query:series ~k)
-      in
-      Printf.printf "%d nearest (%s)\n" (List.length results)
-        (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
-      print_answers results;
-      Ok ())
-  | Ql.Pairs { method_ = Ql.Index; _ } when Option.is_some budget ->
-    usage
-      "budgets (--deadline/--max-*) apply to RANGE, NEAREST and PAIRS scan \
-       queries"
-  | Ql.Pairs { spec; epsilon; method_; _ } ->
-    note.note_path <-
-      Some (match method_ with Ql.Index -> "index" | _ -> "scan");
-    let join index ~epsilon =
-      match (budget, admission, method_) with
-      | _, _, Ql.Index ->
-        (* Index joins prune through the tree, so the n(n-1)/2 pair
-           count admission vets does not describe them. *)
-        Ok (Join.index_transformed ~spec ?profile index ~epsilon)
-      | None, false, Ql.Scan_full ->
-        Ok (Join.scan_full ~spec ?profile index ~epsilon)
-      | None, false, Ql.Scan_early ->
-        Ok (Join.scan_early_abandon ~spec ?profile index ~epsilon)
-      | _, _, ((Ql.Scan_full | Ql.Scan_early) as m) ->
-        (* Budgeted or vetted scan joins: admission (when enabled)
-           decides from the catalogue pair count before any series is
-           materialised — a rejection is the usual exit-5 error. *)
-        let budget = Option.value budget ~default:Budget.unlimited in
-        let policy = if admission then Some Simq_admission.default else None in
-        Result.map_error
-          (fun e -> Fault e)
-          (Join.scan_checked ~spec ~abandon:(m = Ql.Scan_early) ~budget
-             ?admission:policy
-             ~on_decision:(fun d ->
-               note.note_decision <- Some (Simq_admission.decision_name d))
-             ?profile index ~epsilon)
-    in
-    let outcome, elapsed =
-      Simq_report.Timer.time (fun () -> join index ~epsilon)
-    in
-    let* (result : Join.result) = outcome in
-    Printf.printf
-      "%d pairs (%d distance computations, %d node accesses, %s)\n"
-      (List.length result.Join.pairs)
-      result.Join.distance_computations result.Join.node_accesses
-      (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
-    List.iter
-      (fun (i, j) ->
-        let a = Dataset.get (Kindex.dataset index) i in
-        let b = Dataset.get (Kindex.dataset index) j in
-        Printf.printf "  %s ~ %s\n" a.Dataset.name b.Dataset.name)
-      result.Join.pairs;
-    Ok ()
-
 let budget_of ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses =
   match (deadline, max_page_reads, max_comparisons, max_node_accesses) with
   | None, None, None, None -> Ok None
@@ -533,21 +231,6 @@ let budget_of ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses =
     | budget -> Ok (Some budget)
     | exception Invalid_argument msg -> usage msg)
 
-(* The qlog outcome strings mirror the exit-code mapping: "ok"/0, the
-   typed fault kind (4 or 5 for a rejection), and the flat usage /
-   file / csv buckets. *)
-let outcome_of_result = function
-  | Ok () -> ("ok", 0)
-  | Error e ->
-    let kind =
-      match e with
-      | Fault f -> Simq_fault.Error.kind f
-      | Usage _ -> "usage"
-      | File _ -> "file"
-      | Csv_error _ -> "csv"
-    in
-    (kind, Simq_cli.exit_code e)
-
 (* --approx implies --sketch (the funnel is what gets relaxed); its
    value is range-checked here so every entry point rejects the same
    way. *)
@@ -556,6 +239,59 @@ let sketch_config ~sketch ~approx =
   | Some a when a < 0. || a >= 1. -> usage "--approx must be in [0, 1)"
   | Some _ -> Ok (Some Simq_sketch.default)
   | None -> Ok (if sketch then Some Simq_sketch.default else None)
+
+(* The set-up simq query and simq serve share: check the budget and
+   sketch flags, load and prepare the relation, build the index, and
+   hand [k] the engine every query runs through — inside the [span]
+   trace span. *)
+let with_engine ~span ~file ~noise ~shards ~admission ~sketch ~approx
+    ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses k =
+  let* budget =
+    budget_of ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses
+  in
+  let* sketch = sketch_config ~sketch ~approx in
+  let* relation = load_relation file in
+  Otrace.with_span span @@ fun () ->
+  let dataset =
+    Otrace.with_span "prepare" (fun () -> Dataset.of_relation relation)
+  in
+  let index = Otrace.with_span "build" (fun () -> Kindex.build dataset) in
+  let admission = if admission then Some Simq_admission.default else None in
+  k
+    (Engine.create ~noise ?budget ?admission ?shards ?sketch
+       ?approx index)
+
+(* The one-shot report, rendered from the engine's outcome: one header
+   line in the same shape for every query class, then one row per
+   answer — [name distance d] for RANGE/NEAREST, [a ~ b] for PAIRS. *)
+let print_outcome engine (o : Engine.outcome) ~elapsed =
+  let module J = Simq_obs.Json in
+  let shards =
+    match (Engine.sharded engine, o.Engine.shards) with
+    | Some sharded, Some c ->
+      Printf.sprintf ", %d shards: fanout %d, pruned %d, degraded %d"
+        (Simq_shard.shards sharded) c.Qlog.fanout c.Qlog.pruned
+        c.Qlog.degraded
+    | _ -> ""
+  in
+  Printf.printf "%d answers (path %s%s%s%s, %s)\n" o.Engine.answers
+    (Option.value o.Engine.path ~default:"index")
+    shards
+    (match o.Engine.decision with
+    | Some d -> ", admission: " ^ d
+    | None -> "")
+    (if o.Engine.partial then ", partial" else "")
+    (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
+  List.iter
+    (fun row ->
+      match (J.member "name" row, J.member "distance" row) with
+      | Some (J.Str name), Some (J.Num d) ->
+        Printf.printf "  %-12s distance %.4f\n" name d
+      | _ -> (
+        match (J.member "a" row, J.member "b" row) with
+        | Some (J.Str a), Some (J.Str b) -> Printf.printf "  %s ~ %s\n" a b
+        | _ -> ()))
+    (Option.value (J.arr o.Engine.results) ~default:[])
 
 let query_impl file text noise shards jobs metrics trace metrics_port
     metrics_state profile qlog qlog_sample qlog_slow_ms qlog_max_bytes
@@ -578,67 +314,49 @@ let query_impl file text noise shards jobs metrics trace metrics_port
     ?metrics_port:(Simq_cli.resolve_metrics_port metrics_port)
     ?metrics_state ?profile ?qlog ~metrics ~trace (fun () ->
       Otrace.with_request request @@ fun () ->
-      let* budget =
-        budget_of ~deadline ~max_page_reads ~max_comparisons
-          ~max_node_accesses
+      with_engine ~span:"query" ~file ~noise ~shards ~admission ~sketch
+        ~approx ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses
+      @@ fun engine ->
+      let note = Engine.note () in
+      (* The query-log bracket: counter deltas span the execution. *)
+      let log_query =
+        match qlog with
+        | None -> fun _ _ -> ()
+        | Some qlog ->
+          let before = Metrics.snapshot () in
+          fun result duration_s ->
+            let outcome, exit_code =
+              match result with
+              | Ok _ -> ("ok", 0)
+              | Error e -> outcome_of_error e
+            in
+            Qlog.log qlog
+              {
+                Qlog.spec = text;
+                digest = Engine.digest text;
+                decision = note.Engine.note_decision;
+                path = note.Engine.note_path;
+                deltas =
+                  Qlog.counter_deltas ~before ~after:(Metrics.snapshot ());
+                duration_s;
+                outcome;
+                exit_code;
+                domains =
+                  Simq_parallel.Pool.domains (Simq_parallel.Pool.default ());
+                shards = note.Engine.note_shards;
+                trace_id = Some request;
+              }
       in
-      let* sketch_cfg = sketch_config ~sketch ~approx in
-      let* relation = load_relation file in
-      Otrace.with_span "query" @@ fun () ->
-      let dataset =
-        Otrace.with_span "prepare" (fun () -> Dataset.of_relation relation)
-      in
-      let index = Otrace.with_span "build" (fun () -> Kindex.build dataset) in
-      let sharded =
-        Option.map
-          (fun k ->
-            Otrace.with_span "shard" (fun () ->
-                Simq_shard.create ?sketch:sketch_cfg ~shards:k dataset))
-          shards
-      in
-      (* The monolithic paths' sketch table; a sharded run sketches
-         per shard inside the executor instead. *)
-      let msketch =
-        match (sketch_cfg, sharded) with
-        | Some config, None ->
-          Some
-            (Otrace.with_span "sketch" (fun () ->
-                 Simq_sketch.create ~config dataset))
-        | _ -> None
-      in
-      let* q = Result.map_error (fun msg -> Usage msg) (Ql.parse text) in
-      let note =
-        { note_path = None; note_decision = None; note_shards = None }
-      in
-      let run () =
+      let result, elapsed =
         Otrace.with_span "execute" (fun () ->
-            run_parsed_query ?profile:(Option.map fst profile) ~note index
-              dataset noise ~budget ~admission ~sharded ~sketch:msketch
-              ~approx q)
+            Simq_report.Timer.time (fun () ->
+                Engine.exec ?profile:(Option.map fst profile)
+                  ~note engine text))
       in
-      match qlog with
-      | None -> run ()
-      | Some qlog ->
-        let before = Metrics.snapshot () in
-        let t0 = Clock.now_ns () in
-        let result = run () in
-        let duration_s = Clock.elapsed_s t0 in
-        let outcome, code = outcome_of_result result in
-        Qlog.log qlog
-          {
-            Qlog.spec = text;
-            digest = String.sub (Digest.to_hex (Digest.string text)) 0 12;
-            decision = note.note_decision;
-            path = note.note_path;
-            deltas = Qlog.counter_deltas ~before ~after:(Metrics.snapshot ());
-            duration_s;
-            outcome;
-            exit_code = code;
-            domains = Simq_parallel.Pool.domains (Simq_parallel.Pool.default ());
-            shards = note.note_shards;
-            trace_id = Some request;
-          };
-        result)
+      log_query result elapsed;
+      let* outcome = result in
+      print_outcome engine outcome ~elapsed;
+      Ok ())
 
 let ql_arg =
   Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY"
@@ -784,23 +502,6 @@ let read_qlog_specs file =
       files;
     Ok (List.rev !specs)
 
-(* One batch query against the resident engine. Join scans run on the
-   sequential pool — a batched query stays whole on its executing
-   domain instead of fanning back out. *)
-let run_batch_query ~profile engine text =
-  match
-    Simq_serve.Engine.exec ?profile ~pairs_pool:Simq_parallel.Pool.sequential
-      engine text
-  with
-  | Ok (o : Simq_serve.Engine.outcome) ->
-    Ok
-      ( Option.value o.Simq_serve.Engine.path ~default:"index",
-        o.Simq_serve.Engine.answers,
-        o.Simq_serve.Engine.results )
-  | Error e -> Error e
-
-let digest_of = Simq_serve.Engine.digest
-
 let batch_line ~seq ~spec (r : _ Simq_parallel.Batch.timed) =
   let module J = Simq_obs.Json in
   let head =
@@ -809,22 +510,23 @@ let batch_line ~seq ~spec (r : _ Simq_parallel.Batch.timed) =
       ("v", J.Num 1.);
       ("seq", J.Num (float_of_int seq));
       ("spec", J.Str spec);
-      ("digest", J.Str (digest_of spec));
+      ("digest", J.Str (Engine.digest spec));
       ("duration_ms", J.Num (r.Simq_parallel.Batch.duration_s *. 1000.));
     ]
   in
   let tail =
     match r.Simq_parallel.Batch.value with
-    | Ok (path, count, answers) ->
+    | Ok (o : Engine.outcome) ->
       [
-        ("path", J.Str path);
+        ("path", J.Str (Option.value o.Engine.path ~default:"index"));
         ("outcome", J.Str "ok");
         ("exit", J.Num 0.);
-        ("answers", J.Num (float_of_int count));
-        ("results", answers);
+        ("answers", J.Num (float_of_int o.Engine.answers));
       ]
+      @ (if o.Engine.partial then [ ("partial", J.Bool true) ] else [])
+      @ [ ("results", o.Engine.results) ]
     | Error e ->
-      let outcome, code = outcome_of_result (Error e) in
+      let outcome, code = outcome_of_error e in
       [
         ("path", J.Null);
         ("outcome", J.Str outcome);
@@ -923,8 +625,7 @@ let batch_impl file specs from_qlog output noise shards sketch approx jobs
             Otrace.with_span "build" (fun () -> Kindex.build dataset)
           in
           let engine =
-            Simq_serve.Engine.create ~noise ?shards ?sketch:sketch_cfg ?approx
-              index
+            Engine.create ~noise ?shards ?sketch:sketch_cfg ?approx index
           in
           let texts = Array.of_list texts in
           let n = Array.length texts in
@@ -942,10 +643,13 @@ let batch_impl file specs from_qlog output noise shards sketch approx jobs
           in
           (* A failed query becomes its own error line; the rest of the
              batch still runs, and the command still exits 0 — this is
-             the serving path, not a transaction. *)
+             the serving path, not a transaction. Join scans run on the
+             sequential pool: a batched query stays whole on its
+             executing domain instead of fanning back out. *)
           let run ~profile (i, text) =
             Otrace.with_request ~global:false requests.(i) (fun () ->
-                run_batch_query ~profile engine text)
+                Engine.exec ?profile
+                  ~pairs_pool:Simq_parallel.Pool.sequential engine text)
           in
           let results =
             Simq_parallel.Batch.map_timed ?profiles run
@@ -977,15 +681,16 @@ let batch_impl file specs from_qlog output noise shards sketch approx jobs
               (fun i (r : _ Simq_parallel.Batch.timed) ->
                 let outcome, code, path =
                   match r.Simq_parallel.Batch.value with
-                  | Ok (path, _, _) -> ("ok", 0, Some path)
+                  | Ok (o : Engine.outcome) ->
+                    ("ok", 0, Some (Option.value o.Engine.path ~default:"index"))
                   | Error e ->
-                    let outcome, code = outcome_of_result (Error e) in
+                    let outcome, code = outcome_of_error e in
                     (outcome, code, None)
                 in
                 Qlog.log qlog
                   {
                     Qlog.spec = texts.(i);
-                    digest = digest_of texts.(i);
+                    digest = Engine.digest texts.(i);
                     decision = None;
                     path;
                     deltas = [];
@@ -1110,7 +815,6 @@ let serve_impl file port max_inflight slow_k idle_timeout_ms write_timeout_ms
     max_page_reads max_comparisons max_node_accesses fault_seed
     fault_page_prob fault_node_prob =
   apply_jobs jobs;
-  let* sketch_cfg = sketch_config ~sketch ~approx in
   let* qlog =
     make_qlog ~sample:qlog_sample ~slow_ms:qlog_slow_ms
       ~max_bytes:qlog_max_bytes qlog
@@ -1121,20 +825,15 @@ let serve_impl file port max_inflight slow_k idle_timeout_ms write_timeout_ms
   Simq_cli.with_obs
     ?metrics_port:(Simq_cli.resolve_metrics_port metrics_port)
     ?metrics_state ?qlog ~metrics ~trace (fun () ->
-      let* budget =
-        budget_of ~deadline ~max_page_reads ~max_comparisons
-          ~max_node_accesses
-      in
-      let* relation = load_relation file in
-      Otrace.with_span "serve" @@ fun () ->
-      let dataset =
-        Otrace.with_span "prepare" (fun () -> Dataset.of_relation relation)
-      in
-      let index = Otrace.with_span "build" (fun () -> Kindex.build dataset) in
+      with_engine ~span:"serve" ~file ~noise ~shards ~admission ~sketch
+        ~approx ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses
+      @@ fun engine ->
       let* injector =
         make_injector ~seed:fault_seed ~page_prob:fault_page_prob
           ~node_prob:fault_node_prob
       in
+      let index = Engine.index engine in
+      let relation = Dataset.relation (Kindex.dataset index) in
       (match injector with
       | Some _ ->
         Simq_rtree.Rstar.set_injector (Kindex.tree index) injector;
@@ -1148,14 +847,6 @@ let serve_impl file port max_inflight slow_k idle_timeout_ms write_timeout_ms
             Relation.set_injector relation None
           | None -> ())
         (fun () ->
-          let admission_policy =
-            if admission then Some Simq_admission.default else None
-          in
-          let engine =
-            Simq_serve.Engine.create ~noise ?budget
-              ?admission:admission_policy ?shards ?sketch:sketch_cfg ?approx
-              index
-          in
           let* server =
             match
               Simq_serve.Server.start ?max_inflight ?slow_k
@@ -1219,12 +910,12 @@ let stress_impl file host port clients per_client seed chaos verify slow
            degraded query returns must be bit-identical to it. *)
         let dataset = Dataset.of_relation relation in
         let index = Kindex.build dataset in
-        let engine = Simq_serve.Engine.create ~noise index in
+        let engine = Engine.create ~noise index in
         Ok
           (Some
              (fun spec ->
-               match Simq_serve.Engine.exec engine spec with
-               | Ok o -> Some o.Simq_serve.Engine.results
+               match Engine.exec engine spec with
+               | Ok o -> Some o.Engine.results
                | Error _ -> None))
       end
     in

@@ -20,6 +20,16 @@ let exit_code = function
   | Fault (Error.Rejected _) -> 5
   | Fault _ -> 4
 
+let outcome_of_error e =
+  let kind =
+    match e with
+    | Fault f -> Error.kind f
+    | Usage _ -> "usage"
+    | File _ -> "file"
+    | Csv_error _ -> "csv"
+  in
+  (kind, exit_code e)
+
 let message = function
   | Usage msg | File msg | Csv_error msg -> msg
   | Fault e -> Error.to_string e

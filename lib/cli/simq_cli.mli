@@ -18,6 +18,14 @@ type error =
     admission control ([Simq_fault.Error.Rejected]). *)
 val exit_code : error -> int
 
+(** [outcome_of_error e] is the outcome string and exit code that
+    query-log lines and batch/serve response lines record for a failed
+    query: the typed fault kind ({!Simq_fault.Error.kind}, e.g.
+    ["budget_exceeded:comparisons"] with exit 4, or
+    ["rejected:page_reads"] with exit 5) for [Fault], and ["usage"]/1,
+    ["file"]/2, ["csv"]/3 otherwise. A success is ["ok"]/0. *)
+val outcome_of_error : error -> string * int
+
 val message : error -> string
 
 (** [handle r] is [0] for [Ok ()]; otherwise prints

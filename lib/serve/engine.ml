@@ -38,11 +38,15 @@ let create ?(noise = 0.) ?budget ?admission ?shards ?sketch ?approx index =
     admission;
     sharded =
       Option.map
-        (fun k -> Simq_shard.create ?sketch ~shards:k (Kindex.dataset index))
+        (fun k ->
+          Simq_obs.Trace.with_span "shard" (fun () ->
+              Simq_shard.create ?sketch ~shards:k (Kindex.dataset index)))
         shards;
     sketch =
       Option.map
-        (fun config -> Simq_sketch.create ~config (Kindex.dataset index))
+        (fun config ->
+          Simq_obs.Trace.with_span "sketch" (fun () ->
+              Simq_sketch.create ~config (Kindex.dataset index)))
         sketch;
     approx;
     (* Approximate mode is progressive: a budgeted engine returns the
@@ -143,6 +147,8 @@ let note_shard_decision note =
 type outcome = {
   path : string option;
   decision : string option;
+  shards : Qlog.shard_counts option;
+  partial : bool;
   answers : int;
   results : J.t;
 }
@@ -167,11 +173,13 @@ let pairs_json dataset pairs =
          J.Obj [ ("a", J.Str a.Dataset.name); ("b", J.Str b.Dataset.name) ])
        pairs)
 
-let finish note ~answers ~results =
+let finish ?(partial = false) note ~answers ~results =
   Ok
     {
       path = note.note_path;
       decision = note.note_decision;
+      shards = note.note_shards;
+      partial;
       answers;
       results;
     }
@@ -200,7 +208,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
           ?profile sharded ~query:series ~epsilon
       in
       note_report note r.Simq_shard.report;
-      finish note
+      finish ~partial:r.Simq_shard.partial note
         ~answers:(List.length r.Simq_shard.answers)
         ~results:(answers_json r.Simq_shard.answers)
     | _ ->
@@ -223,7 +231,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
                ?sketch:(funnel t spec) ?approx:t.approx ~anytime:t.anytime
                ?profile t.index ~query:series ~epsilon)
       in
-      finish note
+      finish ~partial:r.Kindex.partial note
         ~answers:(List.length r.Kindex.answers)
         ~results:(answers_json r.Kindex.answers))
   | Ql.Range { spec; query; epsilon; _ } ->
@@ -241,7 +249,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
        with
       | Ok r ->
         note_report note r.Simq_shard.report;
-        finish note
+        finish ~partial:r.Simq_shard.partial note
           ~answers:(List.length r.Simq_shard.answers)
           ~results:(answers_json r.Simq_shard.answers)
       | Error e ->
@@ -262,7 +270,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
           Some (Format.asprintf "%a" Planner.pp_plan r.Planner.executed);
         note.note_decision <-
           Option.map Simq_admission.decision_name r.Planner.admission;
-        finish note
+        finish ~partial:r.Planner.partial note
           ~answers:(List.length r.Planner.answers)
           ~results:(answers_json r.Planner.answers)
       | Error e ->
@@ -328,15 +336,16 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
         finish note ~answers:(List.length results)
           ~results:(answers_json results)
       | Error e -> fault e))
+  | Ql.Pairs { method_ = Ql.Index; _ } when Option.is_some t.budget ->
+    (* Refused before anything executes, so the note keeps no path. *)
+    usage
+      "budgets (--deadline/--max-*) apply to RANGE, NEAREST and PAIRS scan \
+       queries"
   | Ql.Pairs { spec; epsilon; method_; _ } -> (
     note.note_path <-
       Some (match method_ with Ql.Index -> "index" | _ -> "scan");
-    match (t.budget, method_) with
-    | Some _, Ql.Index ->
-      usage
-        "budgets (--deadline/--max-*) apply to RANGE, NEAREST and PAIRS \
-         scan queries"
-    | _, (Ql.Scan_full | Ql.Scan_early) when checked t -> (
+    match method_ with
+    | (Ql.Scan_full | Ql.Scan_early) when checked t -> (
       (* Budgeted or vetted scan joins: admission (when the engine has
          a policy) decides from the catalogue pair count before any
          series is materialised. *)
@@ -356,7 +365,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
         if Simq_fault.Error.kind e = "rejected" then
           note.note_decision <- Some "reject";
         fault e)
-    | _, _ ->
+    | _ ->
       let (r : Join.result) =
         match method_ with
         | Ql.Scan_full ->

@@ -1,13 +1,16 @@
-(** The resident query engine behind [simq serve] and [simq batch]:
-    one loaded relation, one built k-index, one lazily collected
-    planner histogram and one admission policy, executing
-    query-language text against them over and over without paying the
-    load/build cost per query.
+(** The one query executor behind [simq query], [simq batch], [simq
+    serve] and the stress oracle: one loaded relation, one built
+    k-index, one lazily collected planner histogram and one admission
+    policy, executing query-language text against them. A one-shot
+    [simq query] builds an engine and runs one query through it; the
+    resident commands run many without paying the load/build cost per
+    query. Every routing decision — which physical strategy answers a
+    RANGE, NEAREST or PAIRS query under which options — lives here and
+    nowhere else.
 
-    The execution semantics are exactly those of the one-shot
-    [simq query] paths: a plain engine (no budget, no admission)
-    answers through the k-index directly; a {e checked} engine (a
-    budget, an admission policy, or both) routes RANGE queries through
+    A plain engine (no budget, no admission) answers through the
+    k-index directly; a {e checked} engine (a budget, an admission
+    policy, or both) routes RANGE queries through
     {!Simq_tsindex.Planner.range_resilient} (admission vetting, then
     budgeted execution with scan degradation), NEAREST queries through
     {!Simq_tsindex.Kindex.nearest_checked} (same vetting, exact
@@ -16,7 +19,10 @@
     are exact, so for every query a checked engine {e admits or
     degrades}, the answers are bit-identical to the plain engine's —
     the invariant the stress harness verifies against a served
-    daemon.
+    daemon. Side-constrained ranges ([MEAN]/[STD]) bypass the planner,
+    which does not model the constraints: they run the direct k-index
+    traversal, under the budget when there is one, so a checked engine
+    answers them exactly as a plain one does.
 
     A {e sharded} engine ([?shards]) additionally partitions the
     relation through {!Simq_shard} and routes RANGE/NEAREST through
@@ -99,13 +105,22 @@ type note = {
 
 val note : unit -> note
 
-(** A successful execution: the executed path and admission decision
-    (as in the {!note}), the answer count, and the rendered answer
+(** A successful execution: the executed path, admission decision and
+    scatter-gather counts (as in the {!note}), whether the answer is an
+    anytime partial subset, the answer count, and the rendered answer
     rows — [{id; name; distance}] objects for RANGE/NEAREST, [{a; b}]
-    name pairs for PAIRS — ready for a response or batch line. *)
+    name pairs for PAIRS — ready for a response, batch line or the
+    one-shot report. *)
 type outcome = {
   path : string option;
   decision : string option;
+  shards : Simq_obs.Qlog.shard_counts option;
+      (** set on sharded executions *)
+  partial : bool;
+      (** an approximate engine under a budget ran out inside exact
+          verification: the answers are a sound subset of the exact
+          ones (from {!Simq_tsindex.Kindex}, {!Simq_tsindex.Planner} or
+          {!Simq_shard}). Always [false] for NEAREST and PAIRS *)
   answers : int;
   results : Simq_obs.Json.t;
 }

@@ -70,7 +70,10 @@ let head ~event ~seq = [ ("event", J.Str event); ("v", J.Num 1.); ("seq", J.Num 
 
 let opt_str = function None -> J.Null | Some s -> J.Str s
 
-let ok_line ~seq ~spec ~path ~decision ~answers ~results ~duration_s ?profile () =
+let partial_field partial = if partial then [ ("partial", J.Bool true) ] else []
+
+let ok_line ~seq ~spec ~path ~decision ?(partial = false) ~answers ~results
+    ~duration_s ?profile () =
   let tail =
     match profile with None -> [] | Some p -> [ ("profile", p) ]
   in
@@ -84,6 +87,9 @@ let ok_line ~seq ~spec ~path ~decision ~answers ~results ~duration_s ?profile ()
            ("outcome", J.Str "ok");
            ("exit", J.Num 0.);
            ("answers", J.Num (float_of_int answers));
+         ]
+       @ partial_field partial
+       @ [
            ("results", results);
            ("duration_ms", J.Num (duration_s *. 1000.));
          ]

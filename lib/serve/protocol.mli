@@ -56,16 +56,20 @@ val parse_request : string -> (request, string) result
     newline. [seq] is the per-connection response sequence number, so
     a client can match pipelined requests to responses. *)
 
-(** [ok_line ~seq ~spec ~path ~decision ~answers ~results ~duration_s
-    ?profile ()] is the success response: ["event":"simq.serve"],
-    outcome ["ok"]/exit [0], the executed access path and admission
-    decision when known, the answer count, the rendered answer rows
-    and the server-side execution time. *)
+(** [ok_line ~seq ~spec ~path ~decision ?partial ~answers ~results
+    ~duration_s ?profile ()] is the success response:
+    ["event":"simq.serve"], outcome ["ok"]/exit [0], the executed
+    access path and admission decision when known, the answer count,
+    the rendered answer rows and the server-side execution time. An
+    anytime answer cut short by its budget ([partial], default
+    [false]) carries ["partial":true] after the count; a complete one
+    has no such member. *)
 val ok_line :
   seq:int ->
   spec:string ->
   path:string option ->
   decision:string option ->
+  ?partial:bool ->
   answers:int ->
   results:Simq_obs.Json.t ->
   duration_s:float ->

@@ -105,16 +105,6 @@ let write_line fd line =
   in
   go 0
 
-let outcome_of_error (e : Simq_cli.error) =
-  let kind =
-    match e with
-    | Simq_cli.Fault f -> Simq_fault.Error.kind f
-    | Simq_cli.Usage _ -> "usage"
-    | Simq_cli.File _ -> "file"
-    | Simq_cli.Csv_error _ -> "csv"
-  in
-  (kind, Simq_cli.exit_code e)
-
 let log_query t ~spec ~trace ~decision ~path ?shards ~deltas ~duration_s
     ~outcome ~exit_code () =
   match t.qlog with
@@ -144,8 +134,7 @@ let shed_response t ~seq ~trace ~spec ~inflight ~limit =
   let reject = Simq_admission.shed t.policy ~inflight ~limit in
   let e = Simq_admission.error_of_reject reject in
   let message = Format.asprintf "%a" Simq_fault.Error.pp e in
-  let outcome = Simq_fault.Error.kind e in
-  let exit_code = Simq_cli.exit_code (Simq_cli.Fault e) in
+  let outcome, exit_code = Simq_cli.outcome_of_error (Simq_cli.Fault e) in
   log_query t ~spec ~trace ~decision:(Some "reject") ~path:None ~deltas:[]
     ~duration_s:0. ~outcome ~exit_code ();
   Protocol.error_line ~seq ~spec ~outcome ~exit_code ~message ()
@@ -206,7 +195,7 @@ let run_query t ~seq ~profile ~spec =
                   let outcome, exit_code =
                     match result with
                     | `Result (Ok _) -> ("ok", 0)
-                    | `Result (Error e) -> outcome_of_error e
+                    | `Result (Error e) -> Simq_cli.outcome_of_error e
                     | `Escaped _ -> ("fault", 4)
                   in
                   log_query t ~spec ~trace ~decision:note.Engine.note_decision
@@ -231,14 +220,14 @@ let run_query t ~seq ~profile ~spec =
         match result with
         | `Result (Ok (o : Engine.outcome)) ->
           Protocol.ok_line ~seq ~spec ~path:o.Engine.path
-            ~decision:o.Engine.decision ~answers:o.Engine.answers
-            ~results:o.Engine.results ~duration_s
+            ~decision:o.Engine.decision ~partial:o.Engine.partial
+            ~answers:o.Engine.answers ~results:o.Engine.results ~duration_s
             ?profile:
               (if profile then Option.map Profile.to_json prof else None)
             ()
         | `Result (Error e) ->
           Atomic.incr t.n_errors;
-          let outcome, exit_code = outcome_of_error e in
+          let outcome, exit_code = Simq_cli.outcome_of_error e in
           Protocol.error_line ~seq ~spec ~outcome ~exit_code
             ~message:(Simq_cli.message e) ()
         | `Escaped e ->

@@ -11,19 +11,23 @@ module Serve = Simq_obs.Serve
 module Error = Simq_fault.Error
 
 let test_exit_codes () =
-  let check name expected err =
-    Alcotest.(check int) name expected (Cli.exit_code err)
+  (* The exit code, and the outcome string query-log and batch/serve
+     lines record beside it. *)
+  let check name expected outcome err =
+    Alcotest.(check int) name expected (Cli.exit_code err);
+    Alcotest.(check (pair string int))
+      (name ^ ": outcome") (outcome, expected) (Cli.outcome_of_error err)
   in
-  check "usage" 1 (Cli.Usage "bad");
-  check "file" 2 (Cli.File "missing");
-  check "csv" 3 (Cli.Csv_error "ragged");
-  check "fault" 4
+  check "usage" 1 "usage" (Cli.Usage "bad");
+  check "file" 2 "file" (Cli.File "missing");
+  check "csv" 3 "csv" (Cli.Csv_error "ragged");
+  check "fault" 4 "budget_exceeded:comparisons"
     (Cli.Fault
        (Error.Budget_exceeded
           { resource = Error.Comparisons; spent = 9; limit = 3 }));
-  check "timeout is a fault" 4
+  check "timeout is a fault" 4 "timeout"
     (Cli.Fault (Error.Timeout { elapsed_s = 2.; deadline_s = 1. }));
-  check "admission rejection" 5
+  check "admission rejection" 5 "rejected:page_reads"
     (Cli.Fault
        (Error.Rejected
           { resource = Error.Page_reads; estimated = 100; limit = 10 }))

@@ -120,6 +120,127 @@ let test_served_equals_offline () =
               "PAIRS FROM r EPS 1.0 METHOD scan";
             ]))
 
+(* --- one executor: every engine type answers alike ---------------------------- *)
+
+let answer_count engine spec =
+  match Engine.exec engine spec with
+  | Ok o -> o.Engine.answers
+  | Error e -> Alcotest.failf "%S failed: %s" spec (Simq_cli.message e)
+
+(* MEAN/STD ranges must keep their side constraints on every engine
+   type: the checked (budget or admission) and sharded engines route
+   them differently from the plain one, and simq query runs through
+   the same routing. *)
+let test_checked_engines_keep_side_constraints () =
+  let index = build_index ~count:80 () in
+  let dataset = Kindex.dataset index in
+  let plain = Engine.create index in
+  let budget () =
+    Budget.create ~max_page_reads:100_000 ~max_node_accesses:100_000 ()
+  in
+  let engines =
+    [
+      ("budgeted", Engine.create ~budget:(budget ()) index);
+      ("admission", Engine.create ~admission:Admission.default index);
+      ("3 shards, budgeted", Engine.create ~shards:3 ~budget:(budget ()) index);
+      ( "3 shards, sketched",
+        Engine.create ~shards:3 ~sketch:Simq_sketch.default index );
+    ]
+  in
+  let cases =
+    [
+      (Spec.Identity, "", 3, 8., Some 0.5, None);
+      (Spec.Identity, "", 5, 8., None, Some 1.5);
+      (Spec.Moving_average 4, " USING mavg(4)", 7, 6., Some 1., Some 2.);
+      (Spec.Reverse, " USING rev", 9, 8., Some 0.8, None);
+    ]
+  in
+  List.iter
+    (fun (spec, using, q, epsilon, mean_window, std_band) ->
+      let opt name = function
+        | Some v -> Printf.sprintf " %s %g" name v
+        | None -> ""
+      in
+      let unconstrained =
+        Printf.sprintf "RANGE FROM r%s QUERY s%d EPS %g" using q epsilon
+      in
+      let text =
+        unconstrained ^ opt "MEAN" mean_window ^ opt "STD" std_band
+      in
+      (* The plain engine is the direct constrained traversal... *)
+      let direct =
+        Kindex.range ~spec ?mean_window ?std_band index
+          ~query:(Dataset.get dataset q).Dataset.series ~epsilon
+      in
+      let reference = offline_results plain text in
+      Alcotest.(check string) (text ^ ": plain = direct traversal")
+        (J.to_string
+           (J.Arr
+              (List.map
+                 (fun ((e : Dataset.entry), d) ->
+                   J.Obj
+                     [
+                       ("id", J.Num (float_of_int e.Dataset.id));
+                       ("name", J.Str e.Dataset.name);
+                       ("distance", J.Num d);
+                     ])
+                 direct.Kindex.answers)))
+        reference;
+      (* ...whose constraints bite, so dropping them would show... *)
+      Alcotest.(check bool) (text ^ ": the constraints drop answers") true
+        (answer_count plain unconstrained > List.length direct.Kindex.answers);
+      (* ...and every other engine type answers bit for bit alike. *)
+      List.iter
+        (fun (name, engine) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s = plain" text name)
+            reference
+            (offline_results engine text))
+        engines)
+    cases
+
+(* An approximate engine under a budget that dies inside exact
+   verification returns a sound subset; the outcome says so, and so
+   does the served line — a complete answer's line has no such
+   member. *)
+let test_anytime_partial_is_carried () =
+  let index = build_index ~count:80 () in
+  let plain = Engine.create index in
+  let engine =
+    Engine.create ~budget:(Budget.create ~max_comparisons:1 ())
+      ~sketch:Simq_sketch.default ~approx:0. index
+  in
+  let spec = "RANGE FROM r QUERY s2 EPS 8" in
+  let rows engine =
+    match Engine.exec engine spec with
+    | Ok o -> (o, Option.value (J.arr o.Engine.results) ~default:[])
+    | Error e -> Alcotest.failf "%s failed: %s" spec (Simq_cli.message e)
+  in
+  let complete, exact = rows plain in
+  let partial, subset = rows engine in
+  Alcotest.(check bool) "plain answer complete" false complete.Engine.partial;
+  Alcotest.(check bool) "budget died inside verification" true
+    partial.Engine.partial;
+  Alcotest.(check bool) "a strict subset" true
+    (List.length subset < List.length exact);
+  List.iter
+    (fun row ->
+      if not (List.mem row exact) then
+        Alcotest.failf "partial answer %s not in the exact set"
+          (J.to_string row))
+    subset;
+  let served engine =
+    with_daemon ~engine (fun _server port ->
+        let client = connect port in
+        Fun.protect
+          ~finally:(fun () -> Stress.Client.close client)
+          (fun () -> query_json client spec))
+  in
+  Alcotest.(check bool) "served line marked partial" true
+    (J.member "partial" (served engine) = Some (J.Bool true));
+  Alcotest.(check bool) "complete line carries no partial member" true
+    (J.member "partial" (served plain) = None)
+
 (* --- worker isolation under abuse ------------------------------------------ *)
 
 let test_malformed_line_isolated () =
@@ -602,6 +723,13 @@ let () =
             test_served_equals_offline;
           Alcotest.test_case "qlog records served queries" `Quick
             test_qlog_records_served_queries;
+        ] );
+      ( "one-executor",
+        [
+          Alcotest.test_case "checked engines keep side constraints" `Quick
+            test_checked_engines_keep_side_constraints;
+          Alcotest.test_case "anytime partial is carried" `Quick
+            test_anytime_partial_is_carried;
         ] );
       ( "isolation",
         [

@@ -14,13 +14,15 @@
 # slow command, shut down in-band, with the drained dumps checked and
 # the daemon qlog broken down by trace id, and
 # the sharded executor: a --shards query checked bit-identical to the
-# unsharded run, a sharded batch, and a sharded daemon verified by
-# stress with its qlog aggregated by fanout, and the sketch funnel: a
-# --sketch query (plain and sharded) checked bit-identical to the
-# unsketched run with its filter counters exposed, an --approx query
-# checked superset-free against the exact answers with the sketch
-# ladder visible in its profile tree, and an out-of-range --approx
-# rejected as a usage error.
+# unsharded run, a MEAN-constrained range checked identical to the
+# plain run under a budget, admission and a budgeted --shards run, an
+# STD band below 1 rejected as usage, a sharded batch, and a sharded
+# daemon verified by stress with its qlog aggregated by fanout, and the
+# sketch funnel: a --sketch query (plain and sharded) checked
+# bit-identical to the unsketched run with its filter counters exposed,
+# an --approx query checked superset-free against the exact answers
+# with the sketch ladder visible in its profile tree, and an
+# out-of-range --approx rejected as a usage error.
 #
 # Two modes:
 #   tools/smoke.sh                full standalone run: dune build @all,
@@ -191,7 +193,7 @@ echo "== sharded query: fanout report, shard metrics, unsharded parity"
 "$simq" query smoke.rel "RANGE FROM r QUERY s0 EPS 2.5" >plain.out
 "$simq" query smoke.rel "RANGE FROM r QUERY s0 EPS 2.5" \
   --shards 4 --metrics shard.prom >shard.out
-grep -q '(4 shards: fanout' shard.out || {
+grep -q '(path shard, 4 shards: fanout' shard.out || {
   echo "smoke: sharded query printed no scatter-gather report" >&2
   cat shard.out >&2
   exit 1
@@ -207,6 +209,40 @@ grep -q '^# TYPE simq_shard' shard.prom || {
 }
 grep -q '^simq_shard_queries_total 1' shard.prom || {
   echo "smoke: sharded query not counted in the exposition" >&2
+  exit 1
+}
+
+echo "== side constraints: checked and sharded runs keep MEAN, bad STD is usage"
+# simq query routes through the same engine as batch and serve, so a
+# budget, admission or a budgeted sharded run answers a MEAN-constrained
+# range exactly as the plain run does.
+"$simq" query smoke.rel "RANGE FROM r QUERY s0 EPS 6 MEAN 0.5" >mean.out
+grep -q ' distance ' mean.out || {
+  echo "smoke: the MEAN-constrained range found no answer" >&2
+  exit 1
+}
+for opts in "--max-page-reads 100000" "--admission" \
+  "--shards 4 --max-node-accesses 100000"; do
+  # shellcheck disable=SC2086
+  "$simq" query smoke.rel "RANGE FROM r QUERY s0 EPS 6 MEAN 0.5" $opts \
+    >mean.checked.out
+  [ "$(grep ' distance ' mean.checked.out)" = "$(grep ' distance ' mean.out)" ] || {
+    echo "smoke: MEAN-constrained answers under $opts differ from the plain run" >&2
+    diff mean.out mean.checked.out >&2 || true
+    exit 1
+  }
+done
+status=0
+"$simq" query smoke.rel "RANGE FROM r QUERY s0 EPS 6 STD 0.5" \
+  2>std.err >/dev/null || status=$?
+[ "$status" -eq 1 ] || {
+  echo "smoke: an STD band below 1 should exit 1 (usage), got $status" >&2
+  cat std.err >&2
+  exit 1
+}
+grep -q 'std_band must be >= 1' std.err || {
+  echo "smoke: the bad STD band printed no usage message" >&2
+  cat std.err >&2
   exit 1
 }
 
