@@ -65,6 +65,11 @@ let run_micro () =
              ignore
                (Simq_tsindex.Seqscan.range_early_abandon dataset ~query
                   ~epsilon:2.)));
+      Test.make ~name:"join-scan-early-1000"
+        (Staged.stage (fun () ->
+             ignore
+               (Simq_tsindex.Join.scan_early_abandon
+                  ~spec:(Simq_tsindex.Spec.Moving_average 4) index ~epsilon:2.)));
     ]
   in
   let test = Test.make_grouped ~name:"micro" ~fmt:"%s %s" tests in

@@ -186,6 +186,14 @@ let finish ?(partial = false) note ~answers ~results =
 
 let fault e = Error (Simq_cli.Fault e)
 
+(* A rejection is logged as the admission decision [reject] even when
+   the path reports it only through its error. *)
+let fault_noting note e =
+  (match e with
+  | Simq_fault.Error.Rejected _ -> note.note_decision <- Some "reject"
+  | _ -> ());
+  fault e
+
 let exec_parsed ?profile ?pairs_pool ~note t text =
   let* q = Result.map_error (fun m -> Simq_cli.Usage m) (Ql.parse text) in
   match q with
@@ -253,9 +261,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
           ~answers:(List.length r.Simq_shard.answers)
           ~results:(answers_json r.Simq_shard.answers)
       | Error e ->
-        if Simq_fault.Error.kind e = "rejected" then
-          note.note_decision <- Some "reject";
-        fault e)
+        fault_noting note e)
     | None ->
       let stats = Option.map (fun _ -> stats t) t.admission in
       let outcome =
@@ -274,9 +280,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
           ~answers:(List.length r.Planner.answers)
           ~results:(answers_json r.Planner.answers)
       | Error e ->
-        if Simq_fault.Error.kind e = "rejected" then
-          note.note_decision <- Some "reject";
-        fault e))
+        fault_noting note e))
   | Ql.Nearest { k; spec; query; _ } when not (checked t) ->
     let* series =
       resolve_query_series t.dataset spec ~name:query ~noise:t.noise
@@ -316,9 +320,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
           ~answers:(List.length r.Simq_shard.neighbours)
           ~results:(answers_json r.Simq_shard.neighbours)
       | Error e ->
-        if Simq_fault.Error.kind e = "rejected" then
-          note.note_decision <- Some "reject";
-        fault e)
+        fault_noting note e)
     | None ->
       note.note_path <- Some "index";
       let outcome =
@@ -362,9 +364,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
           ~answers:(List.length r.Join.pairs)
           ~results:(pairs_json t.dataset r.Join.pairs)
       | Error e ->
-        if Simq_fault.Error.kind e = "rejected" then
-          note.note_decision <- Some "reject";
-        fault e)
+        fault_noting note e)
     | _ ->
       let (r : Join.result) =
         match method_ with

@@ -20,32 +20,13 @@ type result = {
   node_accesses : int;
 }
 
-(* Precompute the transformed normal forms (time domain, exact for every
-   spec including Warp) and, for the length-preserving specs, the
-   transformed spectra used by the frequency-domain scans: one flat
-   buffer of [count × n] coefficients, entry [i]'s spectrum from
-   coefficient [i·n]. Both are pure per-entry maps, so they fan out
-   over the pool too. *)
+(* The transformed normal forms (time domain, exact for every spec
+   including Warp): a pure per-entry map, so it fans out over the pool
+   too. *)
 let transformed_normals ?pool kindex spec =
   Pool.map_array ?pool
     (fun (entry : Dataset.entry) -> Spec.apply_series spec entry.Dataset.normal)
     (Dataset.entries (Kindex.dataset kindex))
-
-let transformed_spectra ?pool kindex spec =
-  let entries = Dataset.entries (Kindex.dataset kindex) in
-  let n = Dataset.series_length (Kindex.dataset kindex) in
-  let stretch = Flat.of_cpx (Spec.stretch spec ~n) in
-  let buffer = Flat.create (Array.length entries * n) in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  Pool.chunked_iter ~pool
-    ~chunk:(Pool.adaptive_chunk pool (Array.length entries))
-    ~n:(Array.length entries)
-    (fun ~lo ~hi ->
-      for i = lo to hi - 1 do
-        Flat.stretch_into ~stretch entries.(i).Dataset.spectrum buffer
-          ~off:(i * n)
-      done);
-  buffer
 
 (* The pairwise scans parallelise over the outer row [i]: a chunk of
    rows produces its pairs in (i, j) order plus its own comparison
@@ -59,13 +40,14 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
   let dataset = Kindex.dataset kindex in
   let count = Dataset.cardinality dataset in
   let limit = epsilon *. epsilon in
-  let row =
+  (* [row_for ~lo] is a chunk's row function, starting at row [lo]. *)
+  let row_for =
     match spec with
     | Spec.Warp _ ->
       (* Frequency-domain prefixes underestimate warped distances; use
          the exact time-domain comparison instead. *)
       let normals = transformed_normals ~pool kindex spec in
-      fun _acc pairs i ->
+      fun ~lo:_ pairs i ->
         let pairs = ref pairs in
         for j = i + 1 to count - 1 do
           let hit =
@@ -77,19 +59,32 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
         done;
         !pairs
     | _ ->
-      let spectra = transformed_spectra ~pool kindex spec in
-      let n = Dataset.series_length dataset in
+      (* The stored spectra under the spec's stretch: only the
+         [count × head_width] head buffer is materialised per query. *)
+      let rows =
+        Flat.rows
+          ~stretch:
+            (Flat.of_cpx
+               (Spec.stretch spec ~n:(Dataset.series_length dataset)))
+          (Array.map
+             (fun (e : Dataset.entry) -> e.Dataset.spectrum)
+             (Dataset.entries dataset))
+      in
       let abandon_limit = if abandon then limit else infinity in
-      fun acc pairs i ->
-        let pairs = ref pairs in
-        for j = i + 1 to count - 1 do
-          acc.Flat.sum <- 0.;
-          ignore
-            (Flat.sq_dist ~stretch:None ~limit:abandon_limit ~lo:0 ~hi:n
-               spectra (i * n) spectra (j * n) acc);
-          if acc.Flat.sum <= limit then pairs := (i, j) :: !pairs
-        done;
-        !pairs
+      fun ~lo ->
+        (* The chunk's own hit buffer, long enough for its first and
+           longest row: domains never share one. *)
+        let hits = Array.make (count - lo) 0 in
+        fun pairs i ->
+          let found =
+            Flat.within_row rows ~limit:abandon_limit ~threshold:limit ~i
+              ~j0:(i + 1) hits
+          in
+          let pairs = ref pairs in
+          for h = 0 to found - 1 do
+            pairs := (i, hits.(h)) :: !pairs
+          done;
+          !pairs
   in
   let chunk = max 1 (count / (16 * Pool.domains pool)) in
   let pn = Profile.enter profile "join.scan" in
@@ -99,14 +94,13 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
     Pool.map_chunks ~pool ~chunk ~n:count (fun ~lo ~hi ->
         let pairs = ref [] in
         let comparisons = ref 0 in
-        (* The chunk's own kernel accumulator: domains never share one. *)
-        let acc = Flat.acc () in
+        let row = row_for ~lo in
         for i = lo to hi - 1 do
           (* Budget granularity is one outer row: check before the row,
              charge its [count - 1 - i] comparisons after. Every domain
              passes through here, so cancellation reaches all chunks. *)
           (match bstate with None -> () | Some b -> Budget.check b);
-          pairs := row acc !pairs i;
+          pairs := row !pairs i;
           let c = count - 1 - i in
           (match bstate with
           | None -> ()
@@ -188,10 +182,12 @@ let index_join ?profile kindex spec epsilon =
     | Spec.Identity ->
       fun (e : Dataset.entry) -> Flat.sub e.Dataset.spectrum ~pos:1 ~len:k
     | _ ->
-      let spectra = transformed_spectra kindex spec in
-      let n = Dataset.series_length dataset in
+      (* Only coefficients [1 .. k] are stretched, with [Complex.mul] —
+         the formula every stretched spectrum is computed with. *)
+      let stretch = Spec.stretch spec ~n:(Dataset.series_length dataset) in
       fun (e : Dataset.entry) ->
-        Flat.sub spectra ~pos:((e.Dataset.id * n) + 1) ~len:k
+        Array.init k (fun f ->
+            Complex.mul stretch.(f + 1) (Flat.coeff e.Dataset.spectrum (f + 1)))
   in
   let prepared = Kindex.prepare kindex spec in
   (* One flat operator node for the whole nested-query loop: a child

@@ -18,7 +18,15 @@
     The scan methods parallelise their outer loop over a
     {!Simq_parallel.Pool} (default the global pool) with row-chunk
     results merged in row order, so the pair list and the counters are
-    bit-identical to a single-domain join.
+    bit-identical to a single-domain join. Under every spec but [Warp]
+    they compare transformed spectra with the row kernel
+    {!Simq_dsp.Flat.within_row}, one call per outer row: per query
+    only the [count × Flat.head_width] head buffer is stretched, never
+    a full copy of the relation, and the pairs are bit-identical to a
+    double loop of {!Simq_dsp.Flat.sq_dist} over pre-stretched spectra.
+    [Warp] compares the transformed normal forms in the time domain.
+    The index methods stretch only the [k] query coefficients of each
+    entry.
 
     Every method takes an optional [?profile] ({!Simq_obs.Profile}):
     the scans record one flat [join.scan] operator node (rows in,

@@ -347,12 +347,8 @@ let qlog_entry ~spec ~epsilon ~query ~pool ~duration_s result =
         Some (plan_name r.executed),
         "ok",
         0 )
-    | Error e ->
-      let kind = Error.kind e in
-      ( (if kind = "rejected" then Some "reject" else None),
-        None,
-        kind,
-        if kind = "rejected" then 5 else 4 )
+    | Error (Error.Rejected _ as e) -> (Some "reject", None, Error.kind e, 5)
+    | Error e -> (None, None, Error.kind e, 4)
   in
   {
     Qlog.spec = spec_text;

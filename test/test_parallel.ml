@@ -271,6 +271,33 @@ let prop_scan_parallel_eq_sequential =
         [ 1; 2; 4 ];
       true)
 
+(* The frequency-domain join scan as a plain double loop of the
+   distance kernel over one pre-stretched [count × n] buffer: the pairs
+   in (i, j) order and one computation per pair. *)
+let reference_join ~abandon d spec epsilon =
+  let module Flat = Simq_dsp.Flat in
+  let entries = Dataset.entries d in
+  let count = Array.length entries and n = Dataset.series_length d in
+  let stretch = Flat.of_cpx (Spec.stretch spec ~n) in
+  let spectra = Flat.create (count * n) in
+  Array.iteri
+    (fun i (e : Dataset.entry) ->
+      Flat.stretch_into ~stretch e.Dataset.spectrum spectra ~off:(i * n))
+    entries;
+  let threshold = epsilon *. epsilon in
+  let limit = if abandon then threshold else infinity in
+  let acc = Flat.acc () and pairs = ref [] in
+  for i = 0 to count - 1 do
+    for j = i + 1 to count - 1 do
+      acc.Flat.sum <- 0.;
+      ignore
+        (Flat.sq_dist ~stretch:None ~limit ~lo:0 ~hi:n spectra (i * n) spectra
+           (j * n) acc);
+      if acc.Flat.sum <= threshold then pairs := (i, j) :: !pairs
+    done
+  done;
+  (List.rev !pairs, count * (count - 1) / 2)
+
 let prop_join_parallel_eq_sequential =
   QCheck.Test.make ~name:"parallel join scan ≡ sequential (every spec)"
     ~count:12 arb_setup (fun (seed, epsilon, qseed) ->
@@ -281,9 +308,21 @@ let prop_join_parallel_eq_sequential =
         (fun domains ->
           let pool = pool_of domains in
           List.iter
-            (fun (label, join) ->
+            (fun (label, abandon, join) ->
               let seq : Join.result = join ~pool:Pool.sequential in
               let par : Join.result = join ~pool in
+              (match spec with
+              | Spec.Warp _ -> ()
+              | _ ->
+                let pairs, computations = reference_join ~abandon d spec epsilon in
+                Alcotest.(check (list (pair int int)))
+                  (Printf.sprintf "%s pairs = kernel loop, %s" label
+                     (Spec.name spec))
+                  pairs seq.Join.pairs;
+                Alcotest.(check int)
+                  (Printf.sprintf "%s computations = kernel loop, %s" label
+                     (Spec.name spec))
+                  computations seq.Join.distance_computations);
               Alcotest.(check (list (pair int int)))
                 (Printf.sprintf "%s pairs, %s, domains=%d" label
                    (Spec.name spec) domains)
@@ -293,8 +332,9 @@ let prop_join_parallel_eq_sequential =
                    (Spec.name spec) domains)
                 seq.Join.distance_computations par.Join.distance_computations)
             [
-              ("full", fun ~pool -> Join.scan_full ~pool ~spec index ~epsilon);
-              ( "early",
+              ( "full", false,
+                fun ~pool -> Join.scan_full ~pool ~spec index ~epsilon );
+              ( "early", true,
                 fun ~pool -> Join.scan_early_abandon ~pool ~spec index ~epsilon
               );
             ])

@@ -353,6 +353,16 @@ let test_shutdown_drains_and_answers () =
       Alcotest.(check bool) "served at least the one query" true
         (stats.Server.served >= 1))
 
+let read_lines path =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> close_in ic);
+  List.rev !lines
+
 let test_qlog_records_served_queries () =
   let path = Filename.temp_file "simq_serve" ".qlog" in
   let qlog = Qlog.create path in
@@ -365,14 +375,7 @@ let test_qlog_records_served_queries () =
           ignore (query_json client "RANGE FROM r QUERY s3 EPS 2.0");
           ignore (query_json client "NOT A QUERY")));
   Qlog.close qlog;
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
+  let lines = read_lines path in
   Sys.remove path;
   Alcotest.(check int) "one entry per request" 2 (List.length lines);
   let outcomes =
@@ -384,6 +387,49 @@ let test_qlog_records_served_queries () =
     "outcomes logged in order"
     [ Some "ok"; Some "usage" ]
     outcomes
+
+(* A served RANGE that admission rejects logs the decision [reject] in
+   the daemon's qlog, and the planner's entry in the ambient qlog
+   carries the rejection exit code 5, not the execution-failure 4. *)
+let test_qlog_logs_range_rejection () =
+  let served = Filename.temp_file "simq_serve" ".qlog" in
+  let ambient = Filename.temp_file "simq_ambient" ".qlog" in
+  let qlog = Qlog.create served and ambient_log = Qlog.create ambient in
+  let engine =
+    Engine.create
+      ~budget:(Budget.create ~max_page_reads:3 ~max_node_accesses:0 ())
+      ~admission:Admission.default (build_index ())
+  in
+  Qlog.install (Some ambient_log);
+  Fun.protect
+    ~finally:(fun () -> Qlog.install None)
+    (fun () ->
+      with_daemon ~qlog ~engine (fun _server port ->
+          let client = connect port in
+          Fun.protect
+            ~finally:(fun () -> Stress.Client.close client)
+            (fun () ->
+              expect_outcome ~what:"starved range"
+                ~outcome:"rejected:page_reads" ~exit_code:5
+                (query_json client "RANGE FROM r QUERY s3 EPS 2.0"))));
+  Qlog.close qlog;
+  Qlog.close ambient_log;
+  let only_line path =
+    let lines = read_lines path in
+    Sys.remove path;
+    match lines with
+    | [ line ] -> Result.get_ok (J.parse line)
+    | ls -> Alcotest.failf "expected one qlog line, got %d" (List.length ls)
+  in
+  let served = only_line served and ambient = only_line ambient in
+  Alcotest.(check (option string)) "served decision" (Some "reject")
+    (member_str "decision" served);
+  Alcotest.(check (option int)) "served exit" (Some 5)
+    (member_int "exit" served);
+  Alcotest.(check (option string)) "planner decision" (Some "reject")
+    (member_str "decision" ambient);
+  Alcotest.(check (option int)) "planner exit" (Some 5)
+    (member_int "exit" ambient)
 
 (* --- NN admission: domain-count invariance and exact degradation ----------- *)
 
@@ -723,6 +769,8 @@ let () =
             test_served_equals_offline;
           Alcotest.test_case "qlog records served queries" `Quick
             test_qlog_records_served_queries;
+          Alcotest.test_case "qlog logs a range rejection" `Quick
+            test_qlog_logs_range_rejection;
         ] );
       ( "one-executor",
         [

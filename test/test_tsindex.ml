@@ -166,6 +166,102 @@ let test_flat_kernel_matches_boxed () =
   Alcotest.(check bool) "no allocation per comparison" true
     (Gc.minor_words () -. before < 16.)
 
+(* The row kernel's hits against the boxed formula over random flat
+   spectra: every length-preserving spec, abandoning at the threshold,
+   never, and at a limit below it, a threshold set exactly to one
+   pair's boxed distance (the [<=] tie), lengths below the head width,
+   and the empty row [j0 = count]. *)
+let test_row_kernel_matches_boxed () =
+  let module Flat = Simq_dsp.Flat in
+  let state = Random.State.make [| 15 |] in
+  let count = 24 in
+  List.iter
+    (fun n ->
+      let spectra =
+        Array.init count (fun _ ->
+            Array.init (2 * n) (fun _ -> Random.State.float state 2. -. 1.))
+      in
+      let boxed = Array.map Flat.to_cpx spectra in
+      let specs =
+        [ Spec.Identity; Spec.Reverse; Spec.Moving_average 2;
+          Spec.Weighted_ma (Simq_dsp.Window.ascending 2) ]
+        @ (if n >= 7 then
+             [ Spec.Moving_average 7;
+               Spec.Weighted_ma (Simq_dsp.Window.ascending 5) ]
+           else [])
+      in
+      List.iter
+        (fun spec ->
+          let stretch = Spec.stretch spec ~n in
+          let rows = Flat.rows ~stretch:(Flat.of_cpx stretch) spectra in
+          (* Both sides stretched with [Cpx.mul], as the join compares
+             two transformed spectra. *)
+          let stretched = Array.map (Simq_dsp.Cpx.mul_arrays stretch) boxed in
+          let boxed_sum ~limit i j =
+            let sum, _, _ =
+              boxed_sq_dist ~stretch:None ~limit stretched.(i) stretched.(j)
+            in
+            sum
+          in
+          let tie = boxed_sum ~limit:infinity 0 1 in
+          let hits = Array.make count (-1) in
+          List.iter
+            (fun threshold ->
+              (* Abandoning at the threshold, never, and at a limit
+                 below it — where a pair's partial sum decides its hit,
+                 so the coefficient it abandons after must match. *)
+              List.iter
+                (fun (abandon, limit) ->
+                  for i = 0 to count - 1 do
+                    List.iter
+                      (fun j0 ->
+                        let expected =
+                          List.filter
+                            (fun j -> boxed_sum ~limit i j <= threshold)
+                            (List.init (count - j0) (fun d -> j0 + d))
+                        in
+                        let found =
+                          Flat.within_row rows ~limit ~threshold ~i ~j0 hits
+                        in
+                        Alcotest.(check (list int))
+                          (Printf.sprintf "%s n=%d i=%d j0=%d abandon %s"
+                             (Spec.name spec) n i j0 abandon)
+                          expected
+                          (Array.to_list (Array.sub hits 0 found)))
+                      [ 0; i + 1; count ]
+                  done)
+                [ ("at", threshold); ("off", infinity);
+                  ("below", threshold /. 4.) ])
+            [ tie; tie /. 2.; tie *. 1.5; float_of_int n ];
+          (* The tie itself is a hit, and the next float below it not. *)
+          let hits_of ~threshold =
+            Array.to_list
+              (Array.sub hits 0
+                 (Flat.within_row rows ~limit:threshold ~threshold ~i:0 ~j0:1
+                    hits))
+          in
+          Alcotest.(check bool) "the tie is a hit" true
+            (List.mem 1 (hits_of ~threshold:tie));
+          Alcotest.(check bool) "just below the tie is not" false
+            (List.mem 1 (hits_of ~threshold:(Float.pred tie))))
+        specs)
+    [ 2; 3; 4; 16; 64 ];
+  (* The kernel allocates nothing: only the two [Gc.minor_words]
+     results are boxed across a thousand rows. *)
+  let spectra = Array.init count (fun _ -> Array.make 128 0.5) in
+  let rows =
+    Flat.rows
+      ~stretch:(Flat.of_cpx (Spec.stretch (Spec.Moving_average 4) ~n:64))
+      spectra
+  in
+  let hits = Array.make count 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Flat.within_row rows ~limit:infinity ~threshold:1. ~i:0 ~j0:1 hits)
+  done;
+  Alcotest.(check bool) "no allocation per row" true
+    (Gc.minor_words () -. before < 16.)
+
 let test_flat_spectrum_is_fft () =
   let d = dataset_of ~seed:13 ~count:8 ~n:48 in
   Array.iter
@@ -795,6 +891,8 @@ let () =
         [
           Alcotest.test_case "flat kernel = boxed formula, bit for bit" `Quick
             test_flat_kernel_matches_boxed;
+          Alcotest.test_case "row kernel = boxed formula, bit for bit" `Quick
+            test_row_kernel_matches_boxed;
           Alcotest.test_case "flat spectrum = fft_real of the normal form"
             `Quick test_flat_spectrum_is_fft;
         ] );

@@ -22,7 +22,8 @@
 # bit-identical to the unsketched run with its filter counters exposed,
 # an --approx query checked superset-free against the exact answers
 # with the sketch ladder visible in its profile tree, and an
-# out-of-range --approx rejected as a usage error.
+# out-of-range --approx rejected as a usage error, plus a PAIRS join
+# whose early-abandoning scan prints the same pairs as the full scan.
 #
 # Two modes:
 #   tools/smoke.sh                full standalone run: dune build @all,
@@ -109,6 +110,21 @@ grep -q 'pages=' profiled.out || {
   --admission --profile=profile.json >/dev/null
 grep -q '"event":"simq.profile"' profile.json || {
   echo "smoke: --profile=FILE.json did not write the JSON export" >&2
+  exit 1
+}
+
+echo "== PAIRS: the early-abandoning scan join equals the full scan"
+"$simq" query smoke.rel "PAIRS FROM r USING mavg(4) EPS 2.5 METHOD scan" \
+  >pairs.full.out
+"$simq" query smoke.rel \
+  "PAIRS FROM r USING mavg(4) EPS 2.5 METHOD scan-early" >pairs.early.out
+grep -q ' ~ ' pairs.full.out || {
+  echo "smoke: the PAIRS scan join found no pair" >&2
+  exit 1
+}
+[ "$(grep ' ~ ' pairs.early.out)" = "$(grep ' ~ ' pairs.full.out)" ] || {
+  echo "smoke: scan-early pairs differ from the full scan" >&2
+  diff pairs.full.out pairs.early.out >&2 || true
   exit 1
 }
 
