@@ -76,6 +76,15 @@ let sq_dist ~stretch ~limit ~lo ~hi x xo y yo acc =
   acc.sum <- !sum;
   !f - lo
 
+let dist_within ~stretch ~within ~lo ~hi x xo y yo acc =
+  let limit = within *. within in
+  let touched = sq_dist ~stretch ~limit ~lo ~hi x xo y yo acc in
+  (* Past the limit by rounding alone: complete the sum. *)
+  if acc.sum > limit && not (sqrt acc.sum > within) then
+    ignore
+      (sq_dist ~stretch ~limit:infinity ~lo:(lo + touched) ~hi x xo y yo acc);
+  sqrt acc.sum
+
 (* One 64-byte cache line of coefficients per entry (see the .mli);
    {!within_row} walks exactly these four, unrolled. *)
 let head_width = 4

@@ -73,6 +73,29 @@ val sq_dist :
   acc ->
   int
 
+(** [dist_within ~stretch ~within ~lo ~hi x xo y yo acc] resumes
+    {!sq_dist} from [acc.sum] over coefficients [lo .. hi-1] with
+    limit [within *. within] and returns [sqrt acc.sum]: the distance
+    over every coefficient summed into [acc], in ascending order,
+    unless a partial sum's root is strictly greater than [within], in
+    which case that root (a lower bound above [within]) is returned. A
+    partial sum past the limit whose root is not strictly greater than
+    [within] (a rounding case) is completed with no limit, so a result
+    [<= within] is always the exact distance. Nearest-neighbour
+    refinement abandons an entry this way against the k-th best
+    distance so far. *)
+val dist_within :
+  stretch:t option ->
+  within:float ->
+  lo:int ->
+  hi:int ->
+  t ->
+  int ->
+  t ->
+  int ->
+  acc ->
+  float
+
 (** {1 The row kernel}
 
     The pairwise join compares every entry with every later one. Its

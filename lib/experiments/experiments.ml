@@ -2797,8 +2797,8 @@ let ablation_sketch ~fast =
       specs
   in
   Table.print table;
-  (* NN parity: the deferred-refinement bound reorders work, never
-     answers. *)
+  (* NN parity: the sketch's NN bound replaces the head bound as the
+     queue key, which reorders work, never answers. *)
   let nn_reference =
     List.map (fun (q, _) -> canon (Kindex.nearest index ~query:q ~k:5)) queries
   in
@@ -2927,8 +2927,8 @@ let ablation_sketch ~fast =
       !all_exact;
     Expectation.check ~experiment:"Ablation sketch"
       ~expectation:
-        "a sketched 4-shard executor answers bit-identically to the \
-         unsharded run at 1, 2 and 4 domains"
+        "a sketched 4-shard executor answers range and NN (k=5) \
+         bit-identically to the unsharded run at 1, 2 and 4 domains"
       ~measured:(Printf.sprintf "3 domain counts: parity %b" !shard_exact)
       !shard_exact;
     Expectation.check ~experiment:"Ablation sketch"

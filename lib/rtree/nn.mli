@@ -38,14 +38,26 @@ val nearest :
 
     [point_bound], when given, must lower-bound [point_dist] on every
     data entry. Entries are then queued under the cheap bound and
-    refined to their exact distance only when they surface (the
-    multi-step filter-and-refine pattern), which skips [point_dist]
-    entirely for entries that never make the top [k]. Results are
+    refined only when they surface (the multi-step filter-and-refine
+    pattern of Seidl and Kriegel), which skips the exact distance
+    entirely for entries that never reach the top of the queue. The
+    traversal keeps the [k] best refined distances seen so far; call
+    the k-th of them [within] ([infinity] until [k] entries have been
+    refined). An entry whose bound is strictly greater than [within]
+    is not queued, since it can never be emitted. A surfacing entry
+    is refined by [refine r v ~within] (default: [point_dist r v]),
+    which must return the exact distance or, when that exceeds
+    [within], any lower bound strictly greater than [within] — the
+    entry is then dropped, so refinement may abandon early. Ties with
+    [within] are refined and queued, so [data_rank] still decides the
+    tie set at the k-th boundary. Node expansions are the same as
+    without a bound: results, their order and the nodes visited are
     identical to the unbounded traversal. *)
 val nearest_custom :
   ?visit:(unit -> unit) ->
   ?data_rank:('a -> int) ->
   ?point_bound:(Simq_geometry.Rect.t -> 'a -> float) ->
+  ?refine:(Simq_geometry.Rect.t -> 'a -> within:float -> float) ->
   'a Rstar.t ->
   rect_bound:(Simq_geometry.Rect.t -> float) ->
   point_dist:(Simq_geometry.Rect.t -> 'a -> float) ->

@@ -66,13 +66,11 @@ let counters t = t.counters
    against. *)
 let checked t = Option.is_some t.budget || Option.is_some t.admission
 
-(* The monolithic paths' funnel and NN-bound builders; sharded
-   executions carry their own per-shard tables inside {!Simq_shard}. *)
+(* The monolithic paths' funnel builder; sharded executions carry
+   their own per-shard tables inside {!Simq_shard}. NN queries take no
+   sketch: the k-index queues them under its own head bound. *)
 let funnel t spec =
   Option.map (fun sk query -> Simq_sketch.funnel sk ~spec ~query) t.sketch
-
-let nn_bound t spec =
-  Option.map (fun sk query -> Simq_sketch.nn_bound sk ~spec ~query) t.sketch
 
 let sketch_levels t spec =
   if Option.is_some t.sketch then Simq_sketch.spec_levels spec else 0
@@ -296,8 +294,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
     | None ->
       note.note_path <- Some "index";
       let results =
-        Kindex.nearest ~spec ?sketch:(nn_bound t spec) ?profile t.index
-          ~query:series ~k
+        Kindex.nearest ~spec ?profile t.index ~query:series ~k
       in
       finish note ~answers:(List.length results)
         ~results:(answers_json results))
@@ -325,7 +322,6 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
       note.note_path <- Some "index";
       let outcome =
         Kindex.nearest_checked ~spec ~budget ?admission:t.admission
-          ?sketch:(nn_bound t spec)
           ~on_decision:(fun d ->
             note.note_decision <- Some (Simq_admission.decision_name d);
             match d with

@@ -47,9 +47,10 @@ type t
     registry state.
 
     [?sketch] builds a {!Simq_sketch} table (per shard on a sharded
-    engine) and threads the funnel into every RANGE/NEAREST execution;
-    without [?approx] the answers stay bit-identical to an unsketched
-    engine's. [?approx a] (finite, [0 <= a < 1], else
+    engine) and threads the funnel into every RANGE execution; NEAREST
+    takes no sketch (the k-index queues entries under its own head
+    bound). Without [?approx] the answers stay bit-identical to an
+    unsketched engine's. [?approx a] (finite, [0 <= a < 1], else
     [Invalid_argument] here) makes RANGE queries approximate —
     sketch-dismissal at the [(1 - a) epsilon] cutoff, only true
     answers returned — and progressive: a budgeted engine whose budget

@@ -133,19 +133,15 @@ type 'a run = {
   r_partial : bool;  (* this shard's anytime verification was cut short *)
 }
 
-(* The per-shard sketch funnel and NN bound builders: the shard's own
-   sketch table over its own (local-id) dataset, or nothing when the
-   executor was built without sketches. *)
+(* The per-shard sketch funnel builder: the shard's own sketch table
+   over its own (local-id) dataset, or nothing when the executor was
+   built without sketches. NN takes no sketch: each shard's k-index
+   queues entries under its own head bound. *)
 let sketch_spec spec = Option.value spec ~default:Spec.Identity
 
 let shard_funnel ?spec s =
   Option.map
     (fun sk query -> Simq_sketch.funnel sk ~spec:(sketch_spec spec) ~query)
-    s.ssketch
-
-let shard_nn_bound ?spec s =
-  Option.map
-    (fun sk query -> Simq_sketch.nn_bound sk ~spec:(sketch_spec spec) ~query)
     s.ssketch
 
 (* Metrics and profile for one finished scatter, on the coordinating
@@ -427,8 +423,7 @@ let nearest ?pool ?spec ?normalise_query ?profile t ~query ~k =
       (fun s ->
         Some
           (nn_run t s
-             (Kindex.nearest ?spec ?normalise_query
-                ?sketch:(shard_nn_bound ?spec s) s.sindex ~query ~k)))
+             (Kindex.nearest ?spec ?normalise_query s.sindex ~query ~k)))
       t.parts
   in
   gather_nearest ?profile t ~k runs
@@ -441,9 +436,8 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
     let cardinality = Dataset.cardinality s.sdataset in
     Float.min 1. (float_of_int k /. float_of_int cardinality)
   in
-  (* The NN funnel reorders refinement, it dismisses nothing, so the
-     admission cost model sees no sketch discount — decisions are
-     identical with and without sketches. *)
+  (* NN takes no sketch, so the admission cost model sees no sketch
+     discount — decisions are identical with and without sketches. *)
   let sketch_levels _ = 0 in
   match preflight ?admission ~budget ~keep ~selectivity ~sketch_levels t with
   | Error e -> Error e
@@ -460,8 +454,7 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
         | Some Simq_admission.Degrade_to_scan -> scan s
         | _ -> (
           match
-            Kindex.nearest_checked ?spec ~budget ?retry
-              ?sketch:(shard_nn_bound ?spec s) s.sindex ~query ~k
+            Kindex.nearest_checked ?spec ~budget ?retry s.sindex ~query ~k
           with
           | Ok answers -> nn_run t s answers
           | Error _ -> scan s))

@@ -56,10 +56,11 @@ type t
     cardinality is clamped; [shards < 1] raises [Invalid_argument].
 
     With [?sketch] every shard additionally builds its own
-    {!Simq_sketch} table over its local dataset, and the range/NN
-    entry points below thread the shard's funnel into the per-shard
+    {!Simq_sketch} table over its local dataset, and the range entry
+    points below thread the shard's funnel into the per-shard
     traversals — exact-mode answers stay bit-identical (Lemma 1 holds
-    per shard), only the count of exact distance evaluations drops. *)
+    per shard), only the count of exact distance evaluations drops.
+    NN takes no sketch. *)
 val create :
   ?pool:Simq_parallel.Pool.t ->
   ?config:Simq_tsindex.Feature.config ->
@@ -216,10 +217,10 @@ type nearest_result = {
     k-way-merges the per-shard top-k lists in (distance, entry id)
     order — the same exact answer set as the unsharded traversal, in
     the canonical order the degraded NN path uses. Records the same
-    [shard.scatter]/[shard.gather] profile nodes as {!range}. A
-    sketched executor passes each shard's {!Simq_sketch.nn_bound} to
-    the per-shard traversal — deferred refinement, answers unchanged.
-    Raises [Invalid_argument] when [k <= 0] or on a query-length
+    [shard.scatter]/[shard.gather] profile nodes as {!range}. NN
+    takes no sketch, sketched executor or not: each shard's traversal
+    queues its entries under its own head bound (deferred refinement,
+    see {!Simq_tsindex.Kindex.nearest}). Raises [Invalid_argument] when [k <= 0] or on a query-length
     mismatch. *)
 val nearest :
   ?pool:Simq_parallel.Pool.t ->
@@ -239,10 +240,9 @@ val nearest :
     whole query with nothing run, [Degrade_to_scan] and mid-flight
     index failures degrading that shard (only) to the exact linear
     selection of {!Simq_tsindex.Kindex.nearest_scan}. The merge is
-    exact whichever mix of paths answered the shards. The NN funnel
-    of a sketched executor dismisses nothing, so the per-shard
-    admission workloads carry no sketch discount — decisions are
-    identical with and without sketches. *)
+    exact whichever mix of paths answered the shards. NN takes no
+    sketch, so the per-shard admission workloads carry no sketch
+    discount — decisions are identical with and without sketches. *)
 val nearest_checked :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Simq_tsindex.Spec.t ->

@@ -66,9 +66,10 @@ val funnel :
 
 (** [nn_bound t ~spec ~query] is the strongest per-entry lower bound
     (the max over the available levels), or [None] when [spec]
-    supports no sketch. Feed it to
-    {!Simq_tsindex.Kindex.nearest}[ ~sketch] to defer exact distance
-    refinement in the nearest-neighbour traversal. *)
+    supports no sketch. Passed to {!Simq_tsindex.Kindex.nearest}[
+    ~sketch], it replaces the k-index's head bound as the key entries
+    are queued under; answers are unchanged. No executor passes it:
+    the head bound is cheaper per entry and prunes as well. *)
 val nn_bound :
   t ->
   spec:Simq_tsindex.Spec.t ->

@@ -1,23 +1,36 @@
 module Series = Simq_series.Series
 module Normal_form = Simq_series.Normal_form
 module Relation = Simq_storage.Relation
+module Flat = Simq_dsp.Flat
 
 type entry = {
   id : int;
   name : string;
   series : Series.t;
   normal : Series.t;
-  spectrum : Simq_dsp.Flat.t;
+  spectrum : Flat.t;
   mean : float;
   std : float;
 }
 
 type t = {
   mutable entries : entry array;  (* amortised growable; [count] live *)
+  mutable head : Flat.t;
+      (* entry [id]'s first [Flat.head_width] spectrum coefficients from
+         coefficient [id·head_width]; grows with [entries] *)
   mutable count : int;
   n : int;
   relation : Relation.t;
 }
+
+let head_width = Flat.head_width
+
+(* Coefficients [0 .. min head_width n - 1] of [entry]'s spectrum into
+   its slot of [head]; the slot's zero padding beyond [n - 1] is never
+   read by the kernel, whose ranges stop at [n]. *)
+let fill_head head (entry : entry) =
+  let len = 2 * Int.min head_width (Flat.length entry.spectrum) in
+  Array.blit entry.spectrum 0 head (2 * head_width * entry.id) len
 
 let prepare ~id ~name series =
   let d = Normal_form.decompose series in
@@ -51,7 +64,10 @@ let of_relation ?pool r =
           tuple.Relation.data)
       tuples
   in
-  { entries; count = Array.length entries; n; relation = r }
+  let count = Array.length entries in
+  let head = Array.make (2 * head_width * count) 0. in
+  Array.iter (fill_head head) entries;
+  { entries; head; count; n; relation = r }
 
 let of_series ?pool ~name batch =
   of_relation ?pool (Relation.of_series ~name batch)
@@ -66,8 +82,12 @@ let insert t ~name data =
   if t.count = capacity then begin
     let fresh = Array.make (max 16 (2 * capacity)) entry in
     Array.blit t.entries 0 fresh 0 capacity;
-    t.entries <- fresh
+    t.entries <- fresh;
+    let head = Array.make (2 * head_width * Array.length fresh) 0. in
+    Array.blit t.head 0 head 0 (Array.length t.head);
+    t.head <- head
   end;
+  fill_head t.head entry;
   t.entries.(t.count) <- entry;
   t.count <- t.count + 1;
   entry
@@ -90,6 +110,13 @@ let entries t = Array.sub t.entries 0 t.count
 let get t id =
   if id < 0 || id >= t.count then invalid_arg "Dataset.get: unknown id";
   t.entries.(id)
+
+let head_sq_dist t ~stretch id qs acc =
+  if id < 0 || id >= t.count then
+    invalid_arg "Dataset.head_sq_dist: unknown id";
+  acc.Flat.sum <- 0.;
+  Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:(Int.min head_width t.n)
+    t.head (head_width * id) qs 0 acc
 
 let cardinality t = t.count
 let series_length t = t.n

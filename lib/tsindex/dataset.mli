@@ -47,6 +47,26 @@ val insert : t -> name:string -> Simq_series.Series.t -> entry
     forms track this curve”. *)
 val prepare_query : ?normalise:bool -> Simq_series.Series.t -> entry
 
+(** [head_sq_dist t ~stretch id qs acc] sets [acc.sum] to the
+    {!Simq_dsp.Flat.sq_dist} sum of entry [id]'s coefficients
+    [0 .. h-1] against [qs]'s, where [h] is [min head_width n] for
+    {!Simq_dsp.Flat.head_width}, and returns [h]. The coefficients come
+    from the head table: an unstretched copy of every entry's first
+    [head_width] spectrum coefficients, one 64-byte cache line per
+    entry, filled by {!of_relation} and grown by {!insert}. They are
+    copies of [spectrum]'s doubles, so resuming [acc] from coefficient
+    [h] over [spectrum] gives the sum over [spectrum] alone bit for bit:
+    nearest-neighbour search queues entries under the head sum and
+    refines them by that resumption ({!Kindex.nearest}). Raises
+    [Invalid_argument] for an unknown id. *)
+val head_sq_dist :
+  t ->
+  stretch:Simq_dsp.Flat.t option ->
+  int ->
+  Simq_dsp.Flat.t ->
+  Simq_dsp.Flat.acc ->
+  int
+
 (** [entries t] is a snapshot of the live entries. *)
 val entries : t -> entry array
 val get : t -> int -> entry

@@ -287,11 +287,13 @@ let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
   range_prepared t (prepare t spec) ~query_coeffs ~epsilon ~distance
 
 (* The exact distance used in postprocessing. Length-preserving
-   transformations are evaluated in the frequency domain against the
-   stored spectra through the one kernel (O(n) per candidate, like the
-   paper's scan of the Fourier-coefficient relation); the warp changes
-   the length and falls back to the time domain. Equal to the
-   time-domain distance by Parseval. *)
+   transformations, the identity included, are evaluated in the
+   frequency domain against the stored spectra through the one kernel
+   (O(n) per candidate, like the paper's scan of the Fourier-coefficient
+   relation), so index, scan and degraded-shard distances are the same
+   doubles; the warp changes the length and falls back to the time
+   domain. Equal to the time-domain distance by Parseval, up to
+   rounding. *)
 let prepared_distance t prepared (q : Dataset.entry) =
   let n = Dataset.series_length t.dataset in
   match (prepared.pspec, prepared.pstretch) with
@@ -300,17 +302,13 @@ let prepared_distance t prepared (q : Dataset.entry) =
       Distance.euclidean
         (Spec.apply_series prepared.pspec entry.Dataset.normal)
         q.Dataset.normal
-  | Spec.Identity, _ ->
-    fun (entry : Dataset.entry) ->
-      Distance.euclidean entry.Dataset.normal q.Dataset.normal
-  | _, (Some _ as stretch) ->
+  | _, stretch ->
     fun (entry : Dataset.entry) ->
       let acc = Flat.acc () in
       ignore
         (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n
            entry.Dataset.spectrum 0 q.Dataset.spectrum 0 acc);
       sqrt acc.Flat.sum
-  | _, None -> assert false
 
 (* The query's index features: its first k non-DC coefficients. *)
 let query_coeffs t (q : Dataset.entry) =
@@ -475,36 +473,51 @@ let polar_mindist q ~mag_lo ~mag_hi ~ang_lo ~ang_hi =
   let d2 = (qmag *. qmag) +. (m_star *. m_star) -. (2. *. qmag *. m_star *. c) in
   sqrt (Float.max 0. d2)
 
+(* The node bound's rounding slack, relative to the squared scale of
+   each feature. The polar bound cancels in the law of cosines when the
+   query sits near a node (an error of a few ulps of (|q| + m)² in the
+   squared distance), and when the features carry all of a series'
+   energy (n <= 2k + 1) the bound is tight against the kernel distance:
+   an ulp above it would leave a node unexpanded that holds an entry
+   tied with, or an ulp closer than, the k-th answer. Taking
+   1e-12·(|q| + m)² off per feature keeps the bound below every
+   entry's kernel distance; it moves a node key by about 1e-10. *)
+let bound_slack = 1e-12
+
 let feature_lower_bound t ~query_coeffs (r : Rect.t) =
   let k = t.config.Feature.k in
-  let acc = ref 0. in
+  let acc = ref 0. and tol = ref 0. in
   for i = 0 to k - 1 do
+    let lo_a = r.Rect.lo.(2 * i) and hi_a = r.Rect.hi.(2 * i) in
+    let lo_b = r.Rect.lo.((2 * i) + 1) and hi_b = r.Rect.hi.((2 * i) + 1) in
     let d =
       match t.config.Feature.representation with
       | Coords.Rectangular ->
         let re = Cpx.re query_coeffs.(i) and im = Cpx.im query_coeffs.(i) in
         let clamp v lo hi = Float.max lo (Float.min hi v) in
-        let dre = re -. clamp re r.Rect.lo.(2 * i) r.Rect.hi.(2 * i) in
-        let dim = im -. clamp im r.Rect.lo.((2 * i) + 1) r.Rect.hi.((2 * i) + 1) in
+        let dre = re -. clamp re lo_a hi_a in
+        let dim = im -. clamp im lo_b hi_b in
+        let scale =
+          Float.abs re +. Float.abs im
+          +. Float.max (Float.abs lo_a) (Float.abs hi_a)
+          +. Float.max (Float.abs lo_b) (Float.abs hi_b)
+        in
+        tol := !tol +. (scale *. scale);
         sqrt ((dre *. dre) +. (dim *. dim))
       | Coords.Polar ->
-        polar_mindist query_coeffs.(i)
-          ~mag_lo:r.Rect.lo.(2 * i)
-          ~mag_hi:r.Rect.hi.(2 * i)
-          ~ang_lo:r.Rect.lo.((2 * i) + 1)
-          ~ang_hi:r.Rect.hi.((2 * i) + 1)
+        let scale = Cpx.abs query_coeffs.(i) +. Float.abs hi_a in
+        tol := !tol +. (scale *. scale);
+        polar_mindist query_coeffs.(i) ~mag_lo:lo_a ~mag_hi:hi_a ~ang_lo:lo_b
+          ~ang_hi:hi_b
     in
     acc := !acc +. (d *. d)
   done;
-  sqrt !acc
+  sqrt (Float.max 0. (!acc -. (bound_slack *. !tol)))
 
 (* The NN sketch argument is also a builder: applied to the prepared
    query it yields a per-entry lower bound (the max over the funnel's
-   levels). [Nn.nearest_custom ?point_bound] queues data entries under
-   that bound and refines to the exact distance only on pop, so
-   entries never reaching the top of the heap never pay the exact
-   comparison — the emitted answers stay exact (the multi-step
-   refinement of [RKV95], one more resolution down). *)
+   levels). When given, it replaces the head bound below as the key
+   data entries are queued under; refinement is the same. *)
 let nn_point_bound t sketch q =
   match sketch with
   | None -> None
@@ -518,37 +531,113 @@ let nn_detail ~k point_bound =
   | None -> Printf.sprintf "k=%d" k
   | Some _ -> Printf.sprintf "k=%d sketch" k
 
-let nearest ?(spec = Spec.Identity) ?(normalise_query = true) ?sketch ?profile
-    t ~query ~k =
-  check_query_length t spec query;
-  let q = Dataset.prepare_query ~normalise:normalise_query query in
+(* Multi-step NN refinement on the one kernel, for the
+   length-preserving transformations: an entry's key is the square
+   root of the kernel sum over the head coefficients, read from the
+   dataset's head table (one cache line per entry); refinement
+   recomputes that sum — the same doubles in the same order — and
+   resumes the same accumulator over the tail of the stored spectrum
+   ({!Flat.dist_within}), so a refined distance is exactly
+   {!prepared_distance}'s, and an entry is abandoned only when
+   [sqrt partial > within]. The warp changes the length and keeps its
+   time-domain distance. The accumulator belongs to one query. *)
+let nn_refinement t prepared (q : Dataset.entry) =
+  match prepared.pspec with
+  | Spec.Warp _ -> None
+  | _ ->
+    let n = Dataset.series_length t.dataset in
+    let stretch = prepared.pstretch and qs = q.Dataset.spectrum in
+    let acc = Flat.acc () in
+    let bound id =
+      ignore (Dataset.head_sq_dist t.dataset ~stretch id qs acc);
+      sqrt acc.Flat.sum
+    in
+    let refine id ~within =
+      let lo = Dataset.head_sq_dist t.dataset ~stretch id qs acc in
+      Flat.dist_within ~stretch ~within ~lo ~hi:n
+        (Dataset.get t.dataset id).Dataset.spectrum 0 qs 0 acc
+    in
+    Some (bound, refine)
+
+(* The one NN traversal behind {!nearest} and {!nearest_checked}:
+   best-first over the tree with per-feature geometric bounds on the
+   nodes ([RKV95]), data entries queued under the sketch bound when one
+   is given, else under the head bound, and refined on the kernel as
+   they surface. Under [bstate] every node expansion is checked and
+   charged as a node access and every refinement (or warp distance) as
+   one comparison; bounds charge nothing. [visits] counts node
+   expansions when a budget or a profile asks for them. *)
+let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
   let query_coeffs = query_coeffs t q in
-  let prepared = prepare t spec in
   let map_rect r =
     match prepared.ptransform with
     | None -> r
     | Some tr -> Linear_transform.apply_rect tr r
   in
-  let dist = prepared_distance t prepared q in
-  let point_bound = nn_point_bound t sketch q in
-  let pn = Profile.enter profile "kindex.nearest" in
-  Profile.set_detail pn (nn_detail ~k point_bound);
-  let visits = ref 0 in
-  let visit =
-    match pn with None -> None | Some _ -> Some (fun () -> incr visits)
+  let charge () =
+    match bstate with
+    | None -> ()
+    | Some b ->
+      Budget.check b;
+      Budget.charge_comparisons b 1
   in
+  let visit =
+    match (bstate, pn) with
+    | None, None -> None
+    | _ ->
+      Some
+        (fun () ->
+          incr visits;
+          match bstate with
+          | None -> ()
+          | Some b ->
+            Budget.check b;
+            Budget.charge_node_access b)
+  in
+  let dist = prepared_distance t prepared q in
   let point_dist _ id =
     Profile.add_candidates pn 1;
+    charge ();
     dist (Dataset.get t.dataset id)
   in
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
-  let answers =
-    Otrace.with_span "kindex.nearest" @@ fun () ->
-    Nn.nearest_custom ?visit ?point_bound ~data_rank:Fun.id t.tree
-      ~rect_bound:(fun r -> feature_lower_bound t ~query_coeffs (map_rect r))
-      ~point_dist ~k
-    |> List.map (fun (_, id, d) -> (Dataset.get t.dataset id, d))
+  let point_bound, refine =
+    match nn_refinement t prepared q with
+    | None -> (sketch_bound, None)
+    | Some (head_bound, refine) ->
+      ( (match sketch_bound with
+        | Some _ -> sketch_bound
+        | None -> Some (fun _ id -> head_bound id)),
+        Some
+          (fun _ id ~within ->
+            Profile.add_candidates pn 1;
+            charge ();
+            refine id ~within) )
   in
+  Otrace.with_span "kindex.nearest" @@ fun () ->
+  Nn.nearest_custom ?visit ?point_bound ?refine ~data_rank:Fun.id t.tree
+    ~rect_bound:(fun r -> feature_lower_bound t ~query_coeffs (map_rect r))
+    ~point_dist ~k
+  |> List.map (fun (_, id, d) -> (Dataset.get t.dataset id, d))
+
+(* What both NN entry points prepare before traversing: the query
+   entry, the transformation, the sketch bound and the profile node. *)
+let nearest_request ~spec ~normalise_query ?sketch ?profile t ~query ~k =
+  check_query_length t spec query;
+  let q = Dataset.prepare_query ~normalise:normalise_query query in
+  let prepared = prepare t spec in
+  let sketch_bound = nn_point_bound t sketch q in
+  let pn = Profile.enter profile "kindex.nearest" in
+  Profile.set_detail pn (nn_detail ~k sketch_bound);
+  (q, prepared, sketch_bound, pn)
+
+let nearest ?(spec = Spec.Identity) ?(normalise_query = true) ?sketch ?profile
+    t ~query ~k =
+  let q, prepared, sketch_bound, pn =
+    nearest_request ~spec ~normalise_query ?sketch ?profile t ~query ~k
+  in
+  let visits = ref 0 in
+  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
+  let answers = nearest_run ?sketch_bound ~pn ~visits t prepared q ~k in
   Profile.add_pages pn !visits;
   Profile.add_rows_out pn (List.length answers);
   answers
@@ -611,29 +700,19 @@ let nn_workload t ~k =
     selectivity =
       (if cardinality = 0 then 1.
        else Float.min 1. (float_of_int k /. float_of_int cardinality));
-    (* The NN funnel reorders refinement, it does not dismiss: the
-       comparison estimate keeps its funnel-free form so NN admission
-       decides identically with and without a sketch. *)
+    (* The checked NN path takes no sketch: the comparison estimate
+       keeps its funnel-free form. *)
     sketch_levels = 0;
   }
 
 let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
     ?(budget = Budget.unlimited) ?retry ?on_retry ?admission ?on_decision
-    ?sketch ?profile t ~query ~k =
+    ?profile t ~query ~k =
   check_query_length t spec query;
   if k <= 0 then invalid_arg "Kindex.nearest_checked: k must be positive";
-  let q = Dataset.prepare_query ~normalise:normalise_query query in
-  let query_coeffs = query_coeffs t q in
-  let prepared = prepare t spec in
-  let map_rect r =
-    match prepared.ptransform with
-    | None -> r
-    | Some tr -> Linear_transform.apply_rect tr r
+  let q, prepared, _, pn =
+    nearest_request ~spec ~normalise_query ?profile t ~query ~k
   in
-  let dist = prepared_distance t prepared q in
-  let point_bound = nn_point_bound t sketch q in
-  let pn = Profile.enter profile "kindex.nearest" in
-  Profile.set_detail pn (nn_detail ~k point_bound);
   let visits = ref 0 in
   Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
   (* Admission runs once, before any attempt: the decision is a pure
@@ -664,6 +743,7 @@ let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
        comparison runs. *)
     finish (Error (Simq_admission.error_of_reject reject))
   | Some Simq_admission.Degrade_to_scan ->
+    let dist = prepared_distance t prepared q in
     finish
       (Retry.with_retries ?policy:retry ?on_retry (fun () ->
            let bstate = Budget.state_opt budget in
@@ -671,39 +751,6 @@ let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
   | Some Simq_admission.Admit | None ->
     finish
       (Retry.with_retries ?policy:retry ?on_retry (fun () ->
-           (* Fresh budget state per attempt, like {!range_checked}. Node
-              accesses are charged at every node expansion of the best-first
-              traversal, exact distances as comparisons — the same accounting
-              the range path uses. *)
+           (* Fresh budget state per attempt, like {!range_checked}. *)
            let bstate = Budget.state_opt budget in
-           let charge =
-             Option.map
-               (fun b () ->
-                 Budget.check b;
-                 Budget.charge_node_access b)
-               bstate
-           in
-           let visit =
-             match (charge, pn) with
-             | None, None -> None
-             | _ ->
-                 Some
-                   (fun () ->
-                     incr visits;
-                     match charge with Some f -> f () | None -> ())
-           in
-           let point_dist _ id =
-             Profile.add_candidates pn 1;
-             (match bstate with
-             | None -> ()
-             | Some b ->
-               Budget.check b;
-               Budget.charge_comparisons b 1);
-             dist (Dataset.get t.dataset id)
-           in
-           Otrace.with_span "kindex.nearest" @@ fun () ->
-           Nn.nearest_custom ?visit ?point_bound ~data_rank:Fun.id t.tree
-             ~rect_bound:(fun r ->
-               feature_lower_bound t ~query_coeffs (map_rect r))
-             ~point_dist ~k
-           |> List.map (fun (_, id, d) -> (Dataset.get t.dataset id, d))))
+           nearest_run ?bstate ~pn ~visits t prepared q ~k))

@@ -199,17 +199,26 @@ val range_batch :
   range_result array
 
 (** [nearest t ?spec ~query ~k] is the [k] entries minimising the same
-    distance, closest first — best-first search with per-feature
-    geometric lower bounds, full distances computed on demand
-    (the multi-step exact NN of [RKV95]).
+    distance, closest first, ties broken by ascending entry id —
+    best-first search with per-feature geometric lower bounds on the
+    nodes ([RKV95]), in the optimal multi-step form of Seidl and
+    Kriegel: every data entry of an expanded leaf is queued under the
+    square root of the one kernel's ({!Simq_dsp.Flat.sq_dist}) partial
+    sum over its first {!Simq_dsp.Flat.head_width} coefficients
+    ({!Dataset.head_sq_dist}), and is refined only when it reaches the
+    top of the queue, by resuming that same accumulator over the tail
+    of its stored spectrum ({!Simq_dsp.Flat.dist_within}). So a refined distance is exactly
+    {!prepared_distance}'s double. The traversal keeps the [k] best
+    refined distances so far: an entry whose head bound is strictly
+    above the k-th is never queued, and a refinement abandons once
+    its partial root is strictly above it. The warp changes the
+    length and keeps its time-domain distance, computed as entries
+    are found. Nodes are expanded exactly as without the deferral.
 
     [?sketch] is an NN bound builder ({!Simq_sketch.nn_bound}
     partially applied): called once on the prepared query entry, it
-    yields a per-entry lower bound (the max over the funnel's levels)
-    under which data entries are queued and refined to their exact
-    distance only when they reach the top of the heap — one more
-    refinement step, so entries the sketch keeps away from the top
-    never pay an exact comparison. The emitted answers are exact and
+    yields a per-entry lower bound that replaces the head bound as the
+    queue key; refinement is the same, so the answers are
     bit-identical to the sketch-free run at every domain count. *)
 val nearest :
   ?spec:Spec.t -> ?normalise_query:bool ->
@@ -241,13 +250,15 @@ val nearest_scan :
   ((Dataset.entry * float) list, Simq_fault.Error.t) Result.t
 
 (** [nearest_checked t ?spec ?budget ?retry ?admission ~query ~k] is
-    {!nearest} under a {!Simq_fault.Budget} and bounded
-    {!Simq_fault.Retry}: every node expansion of the best-first
-    traversal is checked and charged as a node access, every
-    exact-distance evaluation as one comparison. Returns the exact
-    {!nearest} result or a typed error; each attempt gets a fresh
-    budget state. Argument validation still raises
-    [Invalid_argument].
+    {!nearest} (which it runs without a sketch) under a
+    {!Simq_fault.Budget} and bounded {!Simq_fault.Retry}: the same
+    traversal, with every node
+    expansion checked and charged as a node access and every
+    refinement (or warp distance) as one comparison; queue keys charge
+    nothing. Without a budget, admission or profile it is the plain
+    {!nearest} run. Returns the exact {!nearest} result or a typed
+    error; each attempt gets a fresh budget state. Argument
+    validation still raises [Invalid_argument].
 
     With [?admission] the query is vetted by the same cost model the
     range planner consults ({!Simq_admission.decide}), {e before} any
@@ -270,7 +281,6 @@ val nearest_checked :
   ?on_retry:(attempt:int -> unit) ->
   ?admission:Simq_admission.t ->
   ?on_decision:(Simq_admission.decision -> unit) ->
-  ?sketch:(Dataset.entry -> (Dataset.entry -> float) option) ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t ->
@@ -326,8 +336,10 @@ val range_prepared :
   range_result
 
 (** [prepared_distance t prepared q] is the exact full distance
-    [entry -> D(T entry, q)] used by postprocessing: frequency-domain
-    against stored spectra for length-preserving transformations,
-    time-domain for the warp. *)
+    [entry -> D(T entry, q)] used by postprocessing and NN refinement:
+    {!Simq_dsp.Flat.sq_dist} over the stored spectra, [0 .. n-1] in
+    ascending order, for length-preserving transformations (the
+    identity included, so index, scan and degraded distances are the
+    same doubles), time-domain for the warp. *)
 val prepared_distance :
   t -> prepared -> Dataset.entry -> Dataset.entry -> float

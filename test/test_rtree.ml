@@ -234,6 +234,57 @@ let test_nn_with_transform () =
       Alcotest.(check (float 1e-9)) "same distance" d1 d2)
     expected actual
 
+(* Deferred refinement with abandon: entries are queued under their
+   euclidean distance and refined to that distance rounded up to a
+   0.5 grid, so exact distances tie often while the keys of tied
+   entries differ, and a refinement returns a value past [within]
+   whenever the rounded distance is beyond it. The answers must be the
+   brute-force selection by (rounded distance, id), ties at the k-th
+   boundary included, and the nodes expanded must be those of the
+   traversal that computes the rounded distance for every entry. *)
+let test_nn_deferred_refinement () =
+  let points = random_points ~seed:75 ~count:600 ~dims:2 ~range:20. in
+  let t = build_by_insertion ~max_fill:8 ~dims:2 points in
+  let state = Random.State.make [| 76 |] in
+  for _ = 1 to 30 do
+    let query = Array.init 2 (fun _ -> Random.State.float state 20.) in
+    let k = 1 + Random.State.int state 40 in
+    let euclid (r : Rect.t) = Point.distance query r.Rect.lo in
+    let rounded r = Float.ceil (2. *. euclid r) /. 2. in
+    let expected =
+      Array.to_list points
+      |> List.map (fun (p, v) -> (Float.ceil (2. *. Point.distance query p) /. 2., v))
+      |> List.sort compare
+      |> List.filteri (fun i _ -> i < k)
+    in
+    let run ?point_bound ?refine () =
+      let visits = ref 0 in
+      let answers =
+        Nn.nearest_custom ~visit:(fun () -> incr visits) ~data_rank:Fun.id
+          ?point_bound ?refine t
+          ~rect_bound:(fun r -> Rect.mindist query r)
+          ~point_dist:(fun r _ -> rounded r)
+          ~k
+        |> List.map (fun (_, v, d) -> (d, v))
+      in
+      (answers, !visits)
+    in
+    let plain, plain_visits = run () in
+    let deferred, deferred_visits =
+      run
+        ~point_bound:(fun r _ -> euclid r)
+        ~refine:(fun r _ ~within ->
+          let d = rounded r in
+          if d > within then d +. 1. else d)
+        ()
+    in
+    Alcotest.(check (list (pair (float 0.) int))) "plain = brute force"
+      expected plain;
+    Alcotest.(check (list (pair (float 0.) int))) "deferred = brute force"
+      expected deferred;
+    Alcotest.(check int) "same nodes" plain_visits deferred_visits
+  done
+
 let test_nn_empty_tree () =
   let t : int Rstar.t = Rstar.create ~dims:2 () in
   Alcotest.(check int) "no neighbours" 0
@@ -524,6 +575,8 @@ let () =
           Alcotest.test_case "matches brute force" `Quick
             test_nn_matches_brute_force;
           Alcotest.test_case "with transformation" `Quick test_nn_with_transform;
+          Alcotest.test_case "deferred refinement keeps ties" `Quick
+            test_nn_deferred_refinement;
           Alcotest.test_case "empty tree" `Quick test_nn_empty_tree;
           Alcotest.test_case "k larger than tree" `Quick test_nn_k_larger_than_tree;
         ] );

@@ -250,9 +250,9 @@ let test_pruned_shards_execute_nothing () =
 
 (* An always-firing node-access injector on one shard's tree: its index
    path cannot run, so the checked scatter answers that shard through
-   its own scan — that shard only, and the answer ids are still exact
-   (the scan's distance accumulation differs from the traversal's only
-   in the last ulp). *)
+   its own scan — that shard only, and the answers are still exact:
+   scan and traversal compute every distance with the one kernel, so
+   ids and distances are the same, bit for bit. *)
 let with_faulty_shard sh i f =
   let tree = Kindex.tree (Shard.shard_index sh i) in
   let injector =
@@ -281,7 +281,7 @@ let test_degraded_shard_still_exact () =
               (ids r.Shard.answers);
             List.iter2
               (fun (_, a) (_, b) ->
-                Alcotest.(check (float 1e-9))
+                Alcotest.(check (float 0.))
                   (Printf.sprintf "range distance domains=%d" domains)
                   a b)
               (pairs expected.Kindex.answers)
@@ -322,7 +322,7 @@ let test_degraded_shard_nearest_still_exact () =
           (List.map snd (canon r.Shard.neighbours));
         List.iter2
           (fun (a, _) (b, _) ->
-            Alcotest.(check (float 1e-9))
+            Alcotest.(check (float 0.))
               (Printf.sprintf "nn distance domains=%d" domains)
               a b)
           expected

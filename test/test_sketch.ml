@@ -231,6 +231,44 @@ let test_sharded_sketch_parity () =
         [ 3; 14; 25 ])
     [ 1; 2; 7 ]
 
+(* The executor level: a 4-shard sketched engine answers NEAREST
+   exactly as the plain engine does — same ids, order and distances in
+   the rendered results — under every spec of the query language,
+   checked and unchecked. *)
+let test_engine_nearest_parity () =
+  let module Engine = Simq_serve.Engine in
+  let d = dataset_of ~seed:22 ~count:60 ~n:32 in
+  let index = Kindex.build d in
+  let budget () =
+    Budget.create ~max_comparisons:1_000_000 ~max_node_accesses:1_000_000 ()
+  in
+  let results engine text =
+    match Engine.exec engine text with
+    | Ok o -> Simq_obs.Json.to_string o.Engine.results
+    | Error e -> Alcotest.failf "%S failed: %s" text (Simq_cli.message e)
+  in
+  let plain = Engine.create index in
+  List.iter
+    (fun (what, engine) ->
+      List.iter
+        (fun using ->
+          List.iter
+            (fun (k, q) ->
+              let text =
+                Printf.sprintf "NEAREST %d FROM r%s QUERY s%d" k using q
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s" what text)
+                (results plain text) (results engine text))
+            [ (1, 3); (5, 17); (60, 40) ])
+        [ ""; " USING mavg(4)"; " USING rev"; " USING warp(2)" ])
+    [
+      ("4 shards, sketched", Engine.create ~shards:4 ~sketch:Sketch.default index);
+      ( "4 shards, sketched, budgeted",
+        Engine.create ~shards:4 ~sketch:Sketch.default ~budget:(budget ())
+          index );
+    ]
+
 (* --- approximate mode ------------------------------------------------------- *)
 
 let test_approx_guarantee () =
@@ -414,6 +452,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_sketched_eq_unsketched;
           Alcotest.test_case "sharded parity + counters" `Quick
             test_sharded_sketch_parity;
+          Alcotest.test_case "sharded sketched engine NEAREST = plain" `Quick
+            test_engine_nearest_parity;
         ] );
       ( "approx",
         [

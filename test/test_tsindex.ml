@@ -166,6 +166,64 @@ let test_flat_kernel_matches_boxed () =
   Alcotest.(check bool) "no allocation per comparison" true
     (Gc.minor_words () -. before < 16.)
 
+(* [Flat.dist_within], the refinement step of NN: a result at most
+   [within] is the exact distance, bit for bit, and a larger one is a
+   lower bound. The hand-built case reaches the rounding branch:
+   [sqrt 3 *. sqrt 3] rounds below 3, so the sum passes the limit
+   [within²] at coefficient 1 while its root is [within] itself, and
+   the tail must be resumed right after coefficient 1. *)
+let test_dist_within () =
+  let module Flat = Simq_dsp.Flat in
+  let x = [| 1.; 1.; 1.; 0.; 0.; 0.; 0.; 0. |] and y = Array.make 8 0. in
+  let within = sqrt 3. in
+  Alcotest.(check bool) "the limit rounds below the sum" true
+    (within *. within < 3.);
+  List.iter
+    (fun (lo, head_sum) ->
+      let acc = Flat.acc () in
+      acc.Flat.sum <- head_sum;
+      let d = Flat.dist_within ~stretch:None ~within ~lo ~hi:4 x 0 y 0 acc in
+      Alcotest.(check bool)
+        (Printf.sprintf "rounding case from %d: exact" lo)
+        true (same_bits d within))
+    [ (0, 0.); (1, 2.) ];
+  let n = 32 in
+  let entries = Dataset.entries (dataset_of ~seed:14 ~count:8 ~n) in
+  let stretch = Some (Flat.of_cpx (Spec.stretch (Spec.Moving_average 3) ~n)) in
+  let checked = ref 0 in
+  Array.iter
+    (fun (a : Dataset.entry) ->
+      Array.iter
+        (fun (b : Dataset.entry) ->
+          let acc = Flat.acc () in
+          ignore
+            (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n
+               a.Dataset.spectrum 0 b.Dataset.spectrum 0 acc);
+          let exact = sqrt acc.Flat.sum in
+          List.iter
+            (fun within ->
+              let acc = Flat.acc () in
+              let head =
+                Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:4
+                  a.Dataset.spectrum 0 b.Dataset.spectrum 0 acc
+              in
+              let d =
+                Flat.dist_within ~stretch ~within ~lo:head ~hi:n
+                  a.Dataset.spectrum 0 b.Dataset.spectrum 0 acc
+              in
+              incr checked;
+              if d <= within then
+                Alcotest.(check bool) "exact when within" true
+                  (same_bits d exact)
+              else
+                Alcotest.(check bool) "a lower bound beyond" true
+                  (d <= exact && exact > within))
+            [ infinity; exact; Float.pred exact; Float.succ exact;
+              exact /. 2.; 0. ])
+        entries)
+    entries;
+  Alcotest.(check int) "cases" (8 * 8 * 6) !checked
+
 (* The row kernel's hits against the boxed formula over random flat
    spectra: every length-preserving spec, abandoning at the threshold,
    never, and at a limit below it, a threshold set exactly to one
@@ -407,6 +465,211 @@ let test_nearest_matches_brute_force () =
           end)
         all_specs)
     [ Coords.Polar; Coords.Rectangular ]
+
+(* NN against a brute-force linear selection on the one kernel
+   ([Flat.sq_dist] over coefficients [0 .. n-1]), ordered by
+   (distance, id): the traversal's answers must be these ids and these
+   doubles, bit for bit. *)
+let kernel_nearest ~spec d ~query ~k =
+  let n = Dataset.series_length d in
+  let q = Dataset.prepare_query query in
+  let stretch =
+    match spec with
+    | Spec.Identity -> None
+    | _ -> Some (Simq_dsp.Flat.of_cpx (Spec.stretch spec ~n))
+  in
+  Array.to_list (Dataset.entries d)
+  |> List.map (fun (e : Dataset.entry) ->
+         let acc = Simq_dsp.Flat.acc () in
+         ignore
+           (Simq_dsp.Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n
+              e.Dataset.spectrum 0 q.Dataset.spectrum 0 acc);
+         (sqrt acc.Simq_dsp.Flat.sum, e.Dataset.id))
+  |> List.sort compare
+  |> List.filteri (fun i _ -> i < k)
+
+let nn_pairs answers =
+  List.map (fun ((e : Dataset.entry), d) -> (d, e.Dataset.id)) answers
+
+let nn_ok what = function
+  | Ok answers -> answers
+  | Error e -> Alcotest.failf "%s failed: %s" what (Simq_fault.Error.kind e)
+
+(* Every series appears twice, so equal distances come in pairs and
+   the k = 1 and k = 5 boundaries cut through ties (a query equal to a
+   stored series ties at distance 0); n = 2 and 3 sit below the head
+   width, 32 above it (smoothing windows wider than n do not apply). Each case runs through [nearest],
+   [nearest_checked] under a finite budget, and a 4-shard executor
+   (plain and checked) at 1 and 2 domains. Complex stretches are only
+   safe in the polar representation (Theorem 3). *)
+let test_nearest_matches_kernel_selection () =
+  let module Shard = Simq_shard in
+  let module Pool = Simq_parallel.Pool in
+  let module Budget = Simq_fault.Budget in
+  let pools = [ (1, Pool.sequential); (2, Pool.create ~domains:2) ] in
+  let budget () =
+    Budget.create ~max_comparisons:1_000_000 ~max_node_accesses:1_000_000 ()
+  in
+  List.iter
+    (fun n ->
+      let base = Generator.random_walks ~seed:(70 + n) ~count:20 ~n in
+      let d = Dataset.of_series ~name:"dup" (Array.append base base) in
+      let count = Dataset.cardinality d in
+      List.iter
+        (fun representation ->
+          let config = { Feature.k = Int.min 2 (n - 1); representation } in
+          let idx = Kindex.build ~config ~max_fill:4 d in
+          let sh =
+            Shard.create ~pool:Pool.sequential ~config ~max_fill:4 ~shards:4 d
+          in
+          List.iter
+            (fun spec ->
+              let safe =
+                representation = Coords.Polar
+                ||
+                match spec with
+                | Spec.Identity | Spec.Reverse -> true
+                | _ -> false
+              in
+              (* A smoothing window must fit in the series. *)
+              let fits =
+                match spec with
+                | Spec.Moving_average m -> m <= n
+                | Spec.Weighted_ma w -> Simq_dsp.Window.width w <= n
+                | _ -> true
+              in
+              if safe && fits then
+                List.iter
+                  (fun (qname, query) ->
+                    List.iter
+                      (fun k ->
+                        let label =
+                          Printf.sprintf "n=%d %s %s %s k=%d" n
+                            (match representation with
+                            | Coords.Polar -> "polar"
+                            | Coords.Rectangular -> "rect")
+                            (Spec.name spec) qname k
+                        in
+                        let expected = kernel_nearest ~spec d ~query ~k in
+                        let check what answers =
+                          Alcotest.(check (list (pair (float 0.) int)))
+                            (label ^ " " ^ what) expected (nn_pairs answers)
+                        in
+                        check "nearest" (Kindex.nearest ~spec idx ~query ~k);
+                        check "nearest_checked"
+                          (nn_ok label
+                             (Kindex.nearest_checked ~spec ~budget:(budget ())
+                                idx ~query ~k));
+                        List.iter
+                          (fun (domains, pool) ->
+                            check
+                              (Printf.sprintf "4 shards, %d domains" domains)
+                              (Shard.nearest ~pool ~spec sh ~query ~k)
+                                .Shard.neighbours;
+                            check
+                              (Printf.sprintf "4 shards checked, %d domains"
+                                 domains)
+                              (nn_ok label
+                                 (Shard.nearest_checked ~pool ~spec
+                                    ~budget:(budget ()) sh ~query ~k))
+                                .Shard.neighbours)
+                          pools)
+                      [ 1; 5; count ])
+                  [
+                    ("perturbed", query_for d spec 3);
+                    ("stored", (Dataset.get d 7).Dataset.series);
+                  ])
+            [
+              Spec.Identity;
+              Spec.Moving_average 3;
+              Spec.Moving_average 8;
+              Spec.Weighted_ma (Simq_dsp.Window.ascending 5);
+              Spec.Reverse;
+            ])
+        [ Coords.Polar; Coords.Rectangular ])
+    [ 2; 3; 32 ]
+
+(* A series inserted after the build is found by NN at distance 0: the
+   head table grows with the entries. *)
+let test_nearest_finds_inserted () =
+  let d = dataset_of ~seed:64 ~count:30 ~n:32 in
+  let idx = Kindex.build ~max_fill:8 d in
+  let extra = Generator.random_walks ~seed:65 ~count:40 ~n:32 in
+  Array.iteri
+    (fun i s ->
+      let entry = Kindex.insert idx ~name:(Printf.sprintf "new-%d" i) s in
+      match Kindex.nearest idx ~query:s ~k:1 with
+      | [ (e, dist) ] ->
+        Alcotest.(check int) "inserted id" entry.Dataset.id e.Dataset.id;
+        Alcotest.(check (float 0.)) "distance 0" 0. dist
+      | _ -> Alcotest.fail "expected one neighbour")
+    extra;
+  (* Earlier entries' head slots survive every growth of the table. *)
+  let query = query_for d Spec.Identity 4 in
+  Alcotest.(check (list (pair (float 0.) int)))
+    "grown set = kernel selection"
+    (kernel_nearest ~spec:Spec.Identity d ~query ~k:7)
+    (nn_pairs (Kindex.nearest idx ~query ~k:7))
+
+(* The checked traversal charges one comparison per refinement (the
+   profile's candidate count) and nothing for queue keys, and expands
+   exactly the nodes of a traversal that queues every entry under its
+   exact distance — the traversal before deferral. *)
+let test_nearest_checked_charges () =
+  let module Budget = Simq_fault.Budget in
+  let module Profile = Simq_obs.Profile in
+  let d = dataset_of ~seed:66 ~count:200 ~n:64 in
+  let idx = Kindex.build ~max_fill:8 d in
+  let tree = Kindex.tree idx in
+  let outcome spec query ~k budget =
+    match Kindex.nearest_checked ~spec ~budget idx ~query ~k with
+    | Ok _ -> "ok"
+    | Error e -> Simq_fault.Error.kind e
+  in
+  List.iter
+    (fun spec ->
+      let query = query_for d spec 11 in
+      let k = 5 in
+      let profile = Profile.create () in
+      let n0 = Simq_rtree.Rstar.node_accesses tree in
+      let answers = Kindex.nearest ~spec ~profile idx ~query ~k in
+      let nodes = Simq_rtree.Rstar.node_accesses tree - n0 in
+      let refinements =
+        match Profile.find profile "kindex.nearest" with
+        | Some node -> Profile.candidates node
+        | None -> Alcotest.fail "no kindex.nearest node"
+      in
+      let exact = Kindex.prepared_distance idx (Kindex.prepare idx spec) in
+      let n1 = Simq_rtree.Rstar.node_accesses tree in
+      let exact_keyed =
+        Kindex.nearest ~spec
+          ~sketch:(fun q -> Some (fun e -> exact q e))
+          idx ~query ~k
+      in
+      let label = Spec.name spec in
+      Alcotest.(check (list (pair (float 0.) int)))
+        (label ^ ": exact-keyed answers")
+        (nn_pairs answers) (nn_pairs exact_keyed);
+      Alcotest.(check int) (label ^ ": nodes of the exact-keyed traversal")
+        (Simq_rtree.Rstar.node_accesses tree - n1)
+        nodes;
+      Alcotest.(check bool) (label ^ ": refinement skips entries") true
+        (refinements < Dataset.cardinality d);
+      let run ?max_comparisons ?max_node_accesses () =
+        outcome spec query ~k
+          (Budget.create ?max_comparisons ?max_node_accesses ())
+      in
+      Alcotest.(check string) (label ^ ": one comparison per refinement")
+        "ok" (run ~max_comparisons:refinements ());
+      Alcotest.(check string) (label ^ ": one refinement short")
+        "budget_exceeded:comparisons"
+        (run ~max_comparisons:(refinements - 1) ());
+      Alcotest.(check string) (label ^ ": every node charged") "ok"
+        (run ~max_node_accesses:nodes ());
+      Alcotest.(check string) (label ^ ": one node short")
+        "budget_exceeded:node_accesses"
+        (run ~max_node_accesses:(nodes - 1) ()))
+    [ Spec.Identity; Spec.Moving_average 8; Spec.Reverse ]
 
 (* --- Seqscan ------------------------------------------------------------------ *)
 
@@ -893,6 +1156,8 @@ let () =
             test_flat_kernel_matches_boxed;
           Alcotest.test_case "row kernel = boxed formula, bit for bit" `Quick
             test_row_kernel_matches_boxed;
+          Alcotest.test_case "dist_within: exact within, a bound beyond" `Quick
+            test_dist_within;
           Alcotest.test_case "flat spectrum = fft_real of the normal form"
             `Quick test_flat_spectrum_is_fft;
         ] );
@@ -910,6 +1175,12 @@ let () =
         [
           Alcotest.test_case "matches brute force" `Quick
             test_nearest_matches_brute_force;
+          Alcotest.test_case "matches the kernel's linear selection" `Quick
+            test_nearest_matches_kernel_selection;
+          Alcotest.test_case "finds inserted series" `Quick
+            test_nearest_finds_inserted;
+          Alcotest.test_case "checked charges" `Quick
+            test_nearest_checked_charges;
         ] );
       ( "maintenance",
         [

@@ -20,6 +20,8 @@
 # daemon verified by stress with its qlog aggregated by fanout, and the
 # sketch funnel: a --sketch query (plain and sharded) checked
 # bit-identical to the unsketched run with its filter counters exposed,
+# a NEAREST query printing the same rows plain, with --shards 4 and
+# with --shards 4 --sketch,
 # an --approx query checked superset-free against the exact answers
 # with the sketch ladder visible in its profile tree, and an
 # out-of-range --approx rejected as a usage error, plus a PAIRS join
@@ -298,6 +300,24 @@ grep -q '^# TYPE simq_sketch_filtered_total' sketch.prom || {
   diff plain.out sketchshard.out >&2 || true
   exit 1
 }
+# NEAREST through the CLI: the same rows plain, sharded, and sharded
+# with sketches (NN takes no sketch; each shard queues its entries
+# under its own head bound).
+nn_spec="NEAREST 5 FROM r USING mavg(4) QUERY s3"
+"$simq" query smoke.rel "$nn_spec" >nn.plain.out
+grep -q ' distance ' nn.plain.out || {
+  echo "smoke: plain NEAREST printed no rows" >&2
+  exit 1
+}
+for opts in "--shards 4" "--shards 4 --sketch"; do
+  # shellcheck disable=SC2086
+  "$simq" query smoke.rel "$nn_spec" $opts >nn.shard.out
+  [ "$(grep ' distance ' nn.shard.out)" = "$(grep ' distance ' nn.plain.out)" ] || {
+    echo "smoke: NEAREST rows under $opts differ from the plain run" >&2
+    diff nn.plain.out nn.shard.out >&2 || true
+    exit 1
+  }
+done
 "$simq" query smoke.rel "RANGE FROM r QUERY s0 EPS 2.5" \
   --approx 0.4 --profile >approx.out
 grep -q 'sketch.coarse' approx.out || {
