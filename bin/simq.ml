@@ -1157,9 +1157,9 @@ let fault_page_prob_arg =
     & info [ "fault-page-prob" ] ~docv:"P"
         ~doc:
           "Inject a transient fault on each logical page read with \
-           probability $(docv) (chaos testing; budgeted queries retry \
-           and degrade, unbudgeted ones answer with a typed fault \
-           line).")
+           probability $(docv) (chaos testing; queries retry and \
+           degrade, and answer with a typed fault line only when the \
+           degraded path fails too).")
 
 let fault_node_prob_arg =
   Arg.(

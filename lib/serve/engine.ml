@@ -15,17 +15,17 @@ type t = {
   index : Kindex.t;
   dataset : Dataset.t;
   noise : float;
-  budget : Budget.t option;
+  budget : Budget.t;  (* unlimited on a plain engine *)
   admission : Simq_admission.t option;
   sharded : Simq_shard.t option;
-  sketch : Simq_sketch.t option;  (* the monolithic paths' sketch table *)
+  sketch : Simq_sketch.t option;  (* a monolithic engine's sketch table *)
   approx : float option;
   anytime : bool;
   mutable stats : Planner.stats option;
-  counters : Planner.counters;
 }
 
-let create ?(noise = 0.) ?budget ?admission ?shards ?sketch ?approx index =
+let create ?(noise = 0.) ?(budget = Budget.unlimited) ?admission ?shards
+    ?sketch ?approx index =
   (match approx with
   | Some a when (not (Float.is_finite a)) || a < 0. || a >= 1. ->
     invalid_arg "Engine.create: approx must be in [0, 1)"
@@ -43,30 +43,28 @@ let create ?(noise = 0.) ?budget ?admission ?shards ?sketch ?approx index =
               Simq_shard.create ?sketch ~shards:k (Kindex.dataset index)))
         shards;
     sketch =
-      Option.map
-        (fun config ->
-          Simq_obs.Trace.with_span "sketch" (fun () ->
-              Simq_sketch.create ~config (Kindex.dataset index)))
-        sketch;
+      (* A sharded engine answers every range from its shards' own
+         tables, so only a monolithic one builds the whole relation's. *)
+      (match shards with
+      | Some _ -> None
+      | None ->
+        Option.map
+          (fun config ->
+            Simq_obs.Trace.with_span "sketch" (fun () ->
+                Simq_sketch.create ~config (Kindex.dataset index)))
+          sketch);
     approx;
     (* Approximate mode is progressive: a budgeted engine returns the
        sound subset it verified when the budget dies mid-verification
        instead of degrading to the scan. *)
     anytime = Option.is_some approx;
     stats = None;
-    counters = Planner.create_counters ();
   }
 
 let index t = t.index
 let sharded t = t.sharded
-let counters t = t.counters
 
-(* A budget or an admission policy routes queries through the checked
-   paths; a plain engine is the oracle the stress harness compares
-   against. *)
-let checked t = Option.is_some t.budget || Option.is_some t.admission
-
-(* The monolithic paths' funnel builder; sharded executions carry
+(* A monolithic engine's funnel builder; sharded engines carry
    their own per-shard tables inside {!Simq_shard}. NN queries take no
    sketch: the k-index queues them under its own head bound. *)
 let funnel t spec =
@@ -192,83 +190,40 @@ let fault_noting note e =
   | _ -> ());
   fault e
 
+(* One route per query class and engine shape: every query runs the
+   checked entry point of its physical strategy, and a plain engine is
+   the one whose budget is unlimited and which has no admission
+   policy. *)
 let exec_parsed ?profile ?pairs_pool ~note t text =
   let* q = Result.map_error (fun m -> Simq_cli.Usage m) (Ql.parse text) in
   match q with
-  | Ql.Range { spec; query; epsilon; mean_window; std_band; _ }
-    when (not (checked t)) || Option.is_some mean_window
-         || Option.is_some std_band ->
-    (* The direct k-index path: a plain engine always, and the
-       side-constrained ranges the planner paths do not model — a
-       budget still applies through the checked traversal. *)
+  | Ql.Range { spec; query; epsilon; mean_window; std_band; _ } -> (
     let* series =
       resolve_query_series t.dataset spec ~name:query ~noise:t.noise
     in
-    (match (t.sharded, t.budget) with
-    | Some sharded, None ->
-      (* Scatter-gather, unbudgeted: side constraints participate in
-         both the catalogue probe and the per-shard traversals. *)
+    match t.sharded with
+    | Some sharded -> (
       note.note_path <- Some "shard";
-      let r =
-        Simq_shard.range ~spec ?mean_window ?std_band ?approx:t.approx
-          ?profile sharded ~query:series ~epsilon
-      in
-      note_report note r.Simq_shard.report;
-      finish ~partial:r.Simq_shard.partial note
-        ~answers:(List.length r.Simq_shard.answers)
-        ~results:(answers_json r.Simq_shard.answers)
-    | _ ->
-      (* Side-constrained ranges under a budget run the monolithic
-         checked traversal even on a sharded engine: the per-shard
-         degradation scan does not model mean/std constraints. Both
-         executions are exact, so the answers are identical. *)
-      note.note_path <- Some "index";
-      let* (r : Kindex.range_result) =
-        match t.budget with
-        | None ->
-          Ok
-            (Kindex.range ~spec ?mean_window ?std_band
-               ?sketch:(funnel t spec) ?approx:t.approx ?profile t.index
-               ~query:series ~epsilon)
-        | Some budget ->
-          Result.map_error
-            (fun e -> Simq_cli.Fault e)
-            (Kindex.range_checked ~spec ?mean_window ?std_band ~budget
-               ?sketch:(funnel t spec) ?approx:t.approx ~anytime:t.anytime
-               ?profile t.index ~query:series ~epsilon)
-      in
-      finish ~partial:r.Kindex.partial note
-        ~answers:(List.length r.Kindex.answers)
-        ~results:(answers_json r.Kindex.answers))
-  | Ql.Range { spec; query; epsilon; _ } ->
-    let budget = Option.value t.budget ~default:Budget.unlimited in
-    let* series =
-      resolve_query_series t.dataset spec ~name:query ~noise:t.noise
-    in
-    (match t.sharded with
-    | Some sharded ->
-      note.note_path <- Some "shard";
-      (match
-         Simq_shard.range_checked ~spec ~budget ?admission:t.admission
-           ~on_decision:(note_shard_decision note) ?approx:t.approx
-           ~anytime:t.anytime ?profile sharded ~query:series ~epsilon
-       with
+      match
+        Simq_shard.range_checked ~spec ?mean_window ?std_band ~budget:t.budget
+          ?admission:t.admission ~on_decision:(note_shard_decision note)
+          ?approx:t.approx ~anytime:t.anytime ?profile sharded ~query:series
+          ~epsilon
+      with
       | Ok r ->
         note_report note r.Simq_shard.report;
         finish ~partial:r.Simq_shard.partial note
           ~answers:(List.length r.Simq_shard.answers)
           ~results:(answers_json r.Simq_shard.answers)
-      | Error e ->
-        fault_noting note e)
-    | None ->
+      | Error e -> fault_noting note e)
+    | None -> (
       let stats = Option.map (fun _ -> stats t) t.admission in
-      let outcome =
-        Planner.range_resilient ~spec ~budget ~counters:t.counters ?stats
-          ?admission:t.admission ?sketch:(funnel t spec)
+      match
+        Planner.range_resilient ~spec ?mean_window ?std_band ~budget:t.budget
+          ?stats ?admission:t.admission ?sketch:(funnel t spec)
           ~sketch_levels:(sketch_levels t spec) ?approx:t.approx
           ~anytime:t.anytime ?profile t.index ~query:series ~epsilon
-      in
-      (match outcome with
+      with
       | Ok (r : Planner.resilient_result) ->
         note.note_path <-
           Some (Format.asprintf "%a" Planner.pp_plan r.Planner.executed);
@@ -277,103 +232,70 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
         finish ~partial:r.Planner.partial note
           ~answers:(List.length r.Planner.answers)
           ~results:(answers_json r.Planner.answers)
-      | Error e ->
-        fault_noting note e))
-  | Ql.Nearest { k; spec; query; _ } when not (checked t) ->
+      | Error e -> fault_noting note e))
+  | Ql.Nearest { k; spec; query; _ } -> (
     let* series =
       resolve_query_series t.dataset spec ~name:query ~noise:t.noise
     in
-    (match t.sharded with
-    | Some sharded ->
+    match t.sharded with
+    | Some sharded -> (
       note.note_path <- Some "shard";
-      let r = Simq_shard.nearest ~spec ?profile sharded ~query:series ~k in
-      note_report note r.Simq_shard.nearest_report;
-      finish note
-        ~answers:(List.length r.Simq_shard.neighbours)
-        ~results:(answers_json r.Simq_shard.neighbours)
-    | None ->
-      note.note_path <- Some "index";
-      let results =
-        Kindex.nearest ~spec ?profile t.index ~query:series ~k
-      in
-      finish note ~answers:(List.length results)
-        ~results:(answers_json results))
-  | Ql.Nearest { k; spec; query; _ } ->
-    let budget = Option.value t.budget ~default:Budget.unlimited in
-    let* series =
-      resolve_query_series t.dataset spec ~name:query ~noise:t.noise
-    in
-    (match t.sharded with
-    | Some sharded ->
-      note.note_path <- Some "shard";
-      (match
-         Simq_shard.nearest_checked ~spec ~budget ?admission:t.admission
-           ~on_decision:(note_shard_decision note) ?profile sharded
-           ~query:series ~k
-       with
+      match
+        Simq_shard.nearest_checked ~spec ~budget:t.budget
+          ?admission:t.admission ~on_decision:(note_shard_decision note)
+          ?profile sharded ~query:series ~k
+      with
       | Ok r ->
         note_report note r.Simq_shard.nearest_report;
         finish note
           ~answers:(List.length r.Simq_shard.neighbours)
           ~results:(answers_json r.Simq_shard.neighbours)
-      | Error e ->
-        fault_noting note e)
-    | None ->
+      | Error e -> fault_noting note e)
+    | None -> (
       note.note_path <- Some "index";
-      let outcome =
-        Kindex.nearest_checked ~spec ~budget ?admission:t.admission
+      match
+        Kindex.nearest_checked ~spec ~budget:t.budget ?admission:t.admission
           ~on_decision:(fun d ->
             note.note_decision <- Some (Simq_admission.decision_name d);
             match d with
             | Simq_admission.Degrade_to_scan -> note.note_path <- Some "scan"
             | Simq_admission.Admit | Simq_admission.Reject _ -> ())
           ?profile t.index ~query:series ~k
-      in
-      (match outcome with
+      with
       | Ok results ->
         finish note ~answers:(List.length results)
           ~results:(answers_json results)
       | Error e -> fault e))
-  | Ql.Pairs { method_ = Ql.Index; _ } when Option.is_some t.budget ->
-    (* Refused before anything executes, so the note keeps no path. *)
-    usage
-      "budgets (--deadline/--max-*) apply to RANGE, NEAREST and PAIRS scan \
-       queries"
-  | Ql.Pairs { spec; epsilon; method_; _ } -> (
-    note.note_path <-
-      Some (match method_ with Ql.Index -> "index" | _ -> "scan");
-    match method_ with
-    | (Ql.Scan_full | Ql.Scan_early) when checked t -> (
-      (* Budgeted or vetted scan joins: admission (when the engine has
-         a policy) decides from the catalogue pair count before any
-         series is materialised. *)
-      let budget = Option.value t.budget ~default:Budget.unlimited in
-      match
-        Join.scan_checked ?pool:pairs_pool ~spec
-          ~abandon:(method_ = Ql.Scan_early) ~budget ?admission:t.admission
-          ~on_decision:(fun d ->
-            note.note_decision <- Some (Simq_admission.decision_name d))
-          ?profile t.index ~epsilon
-      with
-      | Ok (r : Join.result) ->
-        finish note
-          ~answers:(List.length r.Join.pairs)
-          ~results:(pairs_json t.dataset r.Join.pairs)
-      | Error e ->
-        fault_noting note e)
-    | _ ->
-      let (r : Join.result) =
-        match method_ with
-        | Ql.Scan_full ->
-          Join.scan_full ?pool:pairs_pool ~spec ?profile t.index ~epsilon
-        | Ql.Scan_early ->
-          Join.scan_early_abandon ?pool:pairs_pool ~spec ?profile t.index
-            ~epsilon
-        | Ql.Index -> Join.index_transformed ~spec ?profile t.index ~epsilon
-      in
+  | Ql.Pairs { spec; epsilon; method_ = Ql.Index; _ } ->
+    if not (Budget.is_unlimited t.budget) then
+      (* Refused before anything executes, so the note keeps no path. *)
+      usage
+        "budgets (--deadline/--max-*) apply to RANGE, NEAREST and PAIRS \
+         scan queries"
+    else begin
+      note.note_path <- Some "index";
+      let r = Join.index_transformed ~spec ?profile t.index ~epsilon in
       finish note
         ~answers:(List.length r.Join.pairs)
-        ~results:(pairs_json t.dataset r.Join.pairs))
+        ~results:(pairs_json t.dataset r.Join.pairs)
+    end
+  | Ql.Pairs { spec; epsilon; method_; _ } -> (
+    note.note_path <- Some "scan";
+    (* Admission (when the engine has a policy) decides from the
+       catalogue pair count before any series is materialised. *)
+    match
+      Join.scan_checked ?pool:pairs_pool ~spec
+        ~abandon:(method_ = Ql.Scan_early) ~budget:t.budget
+        ?admission:t.admission
+        ~on_decision:(fun d ->
+          note.note_decision <- Some (Simq_admission.decision_name d))
+        ?profile t.index ~epsilon
+    with
+    | Ok (r : Join.result) ->
+      finish note
+        ~answers:(List.length r.Join.pairs)
+        ~results:(pairs_json t.dataset r.Join.pairs)
+    | Error e -> fault_noting note e)
 
 let exec ?profile ?pairs_pool ?note:n t text =
   let note = match n with Some n -> n | None -> note () in

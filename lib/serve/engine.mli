@@ -8,31 +8,29 @@
     RANGE, NEAREST or PAIRS query under which options — lives here and
     nowhere else.
 
-    A plain engine (no budget, no admission) answers through the
-    k-index directly; a {e checked} engine (a budget, an admission
-    policy, or both) routes RANGE queries through
-    {!Simq_tsindex.Planner.range_resilient} (admission vetting, then
-    budgeted execution with scan degradation), NEAREST queries through
-    {!Simq_tsindex.Kindex.nearest_checked} (same vetting, exact
-    linear-selection degradation), and scan PAIRS through
-    {!Simq_tsindex.Join.scan_checked}. Both paths of every degradation
-    are exact, so for every query a checked engine {e admits or
-    degrades}, the answers are bit-identical to the plain engine's —
-    the invariant the stress harness verifies against a served
-    daemon. Side-constrained ranges ([MEAN]/[STD]) bypass the planner,
-    which does not model the constraints: they run the direct k-index
-    traversal, under the budget when there is one, so a checked engine
-    answers them exactly as a plain one does.
+    Every query class has one route per engine shape, through the
+    checked entry point of its physical strategy. RANGE runs
+    {!Simq_tsindex.Planner.range_resilient} (planning, admission
+    vetting, then budgeted execution with scan degradation), NEAREST
+    {!Simq_tsindex.Kindex.nearest_checked} (the same vetting, exact
+    linear-selection degradation), scan PAIRS
+    {!Simq_tsindex.Join.scan_checked} and index PAIRS
+    {!Simq_tsindex.Join.index_transformed}. A plain engine is the one
+    with an unlimited budget and no admission policy: it takes the
+    same routes, so it too retries transient faults and degrades to
+    the scan when they outlast the retries. Both paths of every
+    degradation are exact, side constraints ([MEAN]/[STD]) included,
+    so for every query a checked engine {e admits or degrades}, the
+    answers are bit-identical to the plain engine's — the invariant
+    the stress harness verifies against a served daemon.
 
     A {e sharded} engine ([?shards]) additionally partitions the
     relation through {!Simq_shard} and routes RANGE/NEAREST through
-    the scatter-gather executor (catalogue pruning, per-shard
+    its checked scatter-gather ({!Simq_shard.range_checked},
+    {!Simq_shard.nearest_checked}: catalogue pruning, per-shard
     admission and degradation, deterministic merge); every sharded
     execution is bit-identical to the corresponding unsharded one, so
-    the stress oracle needs no sharding awareness. Side-constrained
-    ranges under a budget are the one exception routed to the
-    monolithic checked traversal — the per-shard degradation scan does
-    not model mean/std constraints — and both executions are exact. *)
+    the stress oracle needs no sharding awareness. *)
 
 type t
 
@@ -70,10 +68,6 @@ val index : t -> Simq_tsindex.Kindex.t
 
 (** The shard set behind a sharded engine ([None] on plain ones). *)
 val sharded : t -> Simq_shard.t option
-
-(** Shared degradation/rejection counters across every RANGE routed
-    through the resilient planner by this engine. *)
-val counters : t -> Simq_tsindex.Planner.counters
 
 (** [digest text] is the stable 12-hex-character query identity used
     by the query log and the batch/serve response lines. *)

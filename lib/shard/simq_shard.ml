@@ -218,39 +218,6 @@ let gather_range ?profile t runs =
   let report = finish ?profile t ~op:"range" ~runs ~rows_out:(List.length answers) in
   { answers; candidates; node_accesses; partial; report }
 
-let range ?pool ?spec ?normalise_query ?mean_window ?std_band ?approx ?profile
-    t ~query ~epsilon =
-  let probe =
-    probe_of ?spec ?normalise_query ?mean_window ?std_band t ~query ~epsilon
-  in
-  let keep = Array.map (fun s -> probe s.box) t.parts in
-  Otrace.with_span "shard.scatter" @@ fun () ->
-  let runs =
-    (* One task per surviving shard; a task touches only its own
-       shard's tree and buffer pool, so tasks share no mutable state
-       and the per-shard results are position-stable. *)
-    Pool.map_array ?pool
-      (fun s ->
-        if not keep.(s.ordinal) then None
-        else begin
-          let r =
-            Kindex.range ?spec ?normalise_query ?mean_window ?std_band
-              ?sketch:(shard_funnel ?spec s) ?approx s.sindex ~query ~epsilon
-          in
-          Some
-            {
-              r_payload = globalise t s r.Kindex.answers;
-              r_rows = List.length r.Kindex.answers;
-              r_candidates = r.Kindex.candidates;
-              r_nodes = r.Kindex.node_accesses;
-              r_scan = false;
-              r_partial = r.Kindex.partial;
-            }
-        end)
-      t.parts
-  in
-  gather_range ?profile t runs
-
 (* A shard abandoned by both its index path and its fallback scan: the
    typed error surfaces as the whole query's (deterministically — the
    pool re-raises from the lowest chunk). *)
@@ -309,13 +276,14 @@ let notify_decisions ?on_decision decisions =
   | None -> ()
   | Some f -> Array.iter (function None -> () | Some d -> f d) decisions
 
-let range_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
-    ?on_decision ?approx ?anytime ?profile t ~query ~epsilon =
-  let probe = probe_of ?spec t ~query ~epsilon in
+let range_checked ?pool ?spec ?mean_window ?std_band
+    ?(budget = Budget.unlimited) ?retry ?admission ?on_decision ?approx ?anytime
+    ?profile t ~query ~epsilon =
+  let probe = probe_of ?spec ?mean_window ?std_band t ~query ~epsilon in
   let keep = Array.map (fun s -> probe s.box) t.parts in
-  let selectivity s =
-    Planner.selectivity (shard_stats s) ~epsilon
-  in
+  (* The unconstrained selectivity: an upper bound under side
+     constraints. *)
+  let selectivity s = Planner.selectivity (shard_stats s) ~epsilon in
   let sketch_levels s =
     if Option.is_some s.ssketch then Simq_sketch.spec_levels (sketch_spec spec)
     else 0
@@ -329,8 +297,8 @@ let range_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
          dataset and buffer pool, sequential within the shard (the
          scatter already owns the pool's domains). *)
       match
-        Seqscan.range_checked ~pool:Pool.sequential ?spec ~budget ?retry
-          s.sdataset ~query ~epsilon
+        Seqscan.range_checked ~pool:Pool.sequential ?spec ?mean_window
+          ?std_band ~budget ?retry s.sdataset ~query ~epsilon
       with
       | Ok r ->
         {
@@ -343,6 +311,9 @@ let range_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
         }
       | Error e -> raise (Shard_failed e)
     in
+    (* One task per surviving shard; a task touches only its own
+       shard's tree and buffer pool, so tasks share no mutable state
+       and the per-shard results are position-stable. *)
     let task s =
       if not keep.(s.ordinal) then None
       else
@@ -351,7 +322,7 @@ let range_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
           | Some Simq_admission.Degrade_to_scan -> scan s
           | _ -> (
             match
-              Kindex.range_checked ?spec ~budget ?retry
+              Kindex.range_checked ?spec ?mean_window ?std_band ~budget ?retry
                 ?sketch:(shard_funnel ?spec s) ?approx ?anytime s.sindex
                 ~query ~epsilon
             with
@@ -370,6 +341,19 @@ let range_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
        Otrace.with_span "shard.scatter" @@ fun () ->
        Ok (gather_range ?profile t (Pool.map_array ?pool task t.parts))
      with Shard_failed e -> Error e)
+
+(* The unbudgeted forms are the checked ones with no admission and an
+   unlimited budget: the one error left is a shard whose index path
+   and scan both fail under injected faults. *)
+let unbudgeted = function
+  | Ok r -> r
+  | Error e -> failwith (Simq_fault.Error.to_string e)
+
+let range ?pool ?spec ?mean_window ?std_band ?approx ?profile t ~query
+    ~epsilon =
+  unbudgeted
+    (range_checked ?pool ?spec ?mean_window ?std_band ?approx ?profile t
+       ~query ~epsilon)
 
 type nearest_result = {
   neighbours : (Dataset.entry * float) list;
@@ -415,22 +399,9 @@ let nn_run t s answers =
     r_partial = false;
   }
 
-let nearest ?pool ?spec ?normalise_query ?profile t ~query ~k =
-  if k <= 0 then invalid_arg "Simq_shard.nearest: k must be positive";
-  Otrace.with_span "shard.scatter" @@ fun () ->
-  let runs =
-    Pool.map_array ?pool
-      (fun s ->
-        Some
-          (nn_run t s
-             (Kindex.nearest ?spec ?normalise_query s.sindex ~query ~k)))
-      t.parts
-  in
-  gather_nearest ?profile t ~k runs
-
 let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
     ?on_decision ?profile t ~query ~k =
-  if k <= 0 then invalid_arg "Simq_shard.nearest_checked: k must be positive";
+  if k <= 0 then invalid_arg "Simq_shard.nearest: k must be positive";
   let keep = Array.map (fun _ -> true) t.parts in
   let selectivity s =
     let cardinality = Dataset.cardinality s.sdataset in
@@ -463,3 +434,6 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
        Otrace.with_span "shard.scatter" @@ fun () ->
        Ok (gather_nearest ?profile t ~k (Pool.map_array ?pool task t.parts))
      with Shard_failed e -> Error e)
+
+let nearest ?pool ?spec ?profile t ~query ~k =
+  unbudgeted (nearest_checked ?pool ?spec ?profile t ~query ~k)

@@ -129,27 +129,15 @@ type range_result = {
   report : report;
 }
 
-(** [range t ?spec ~query ~epsilon] scatters the range query of
-    {!Simq_tsindex.Kindex.range} over the surviving shards and gathers
-    the ordered union. Side constraints ([mean_window]/[std_band])
-    participate in both the probe and the per-shard traversals. With
-    [?profile] the gather records a [shard.scatter] node (one
-    [shard.i] child per shard: its fate — [pruned], [index] or
-    [scan] — pages, candidates and rows) and a [shard.gather] node
-    (rows in = per-shard answers, rows out = merged answers), on the
-    coordinating domain after the merge, so the recorded structure is
-    identical at every domain count.
-
-    When the executor carries sketches ([create ?sketch]) each shard
-    funnels its candidates through its own sketch levels first;
-    [?approx a] relaxes every shard's funnel to the [(1 - a) epsilon]
-    cutoff (validated as in {!Simq_tsindex.Kindex.range}), keeping
-    every answer within [(1 - a) epsilon] and returning only true
-    answers. *)
+(** [range t ?spec ~query ~epsilon] is the unbudgeted form of
+    {!range_checked}: the same scatter-gather with an unlimited budget
+    and no admission — a shard degrades to its own scan only when
+    injected faults outlast the retries on its index path, and a shard
+    whose scan fails too raises [Failure] with the typed error's
+    text. *)
 val range :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Simq_tsindex.Spec.t ->
-  ?normalise_query:bool ->
   ?mean_window:float ->
   ?std_band:float ->
   ?approx:float ->
@@ -159,8 +147,24 @@ val range :
   epsilon:float ->
   range_result
 
-(** [range_checked t ?budget ?retry ?admission ~query ~epsilon] is
-    {!range} under the fault layer, shard by shard.
+(** [range_checked t ?spec ?budget ?retry ?admission ~query ~epsilon]
+    scatters the range query of {!Simq_tsindex.Kindex.range} over the
+    surviving shards under the fault layer, shard by shard, and gathers
+    the ordered union. Side constraints ([mean_window]/[std_band])
+    participate in the catalogue probe, the per-shard traversals and
+    the per-shard degradation scans alike. With [?profile] the gather
+    records a [shard.scatter] node (one [shard.i] child per shard: its
+    fate — [pruned], [index] or [scan] — pages, candidates and rows)
+    and a [shard.gather] node (rows in = per-shard answers, rows out =
+    merged answers), on the coordinating domain after the merge, so the
+    recorded structure is identical at every domain count.
+
+    When the executor carries sketches ([create ?sketch]) each shard
+    funnels its candidates through its own sketch levels first;
+    [?approx a] relaxes every shard's funnel to the [(1 - a) epsilon]
+    cutoff (validated as in {!Simq_tsindex.Kindex.range}), keeping
+    every answer within [(1 - a) epsilon] and returning only true
+    answers.
 
     With [?admission], every surviving shard is vetted {e before any
     shard executes} — {!Simq_admission.decide} on the shard's own
@@ -179,10 +183,12 @@ val range :
     per shard-attempt, like retries); a shard whose index path fails —
     budget exhausted or transient faults outlasting [retry] — degrades
     to its own {!Simq_tsindex.Seqscan.range_checked} over the shard
-    dataset, degrading that shard only. [Error] is returned only when
-    a shard's fallback itself fails.
+    dataset, under the same side constraints, degrading that shard
+    only. The admission workload uses the shard's unconstrained
+    selectivity, an upper bound under side constraints. [Error] is
+    returned only when a shard's fallback itself fails.
 
-    Sketched executors funnel per shard as in {!range}; each shard's
+    Sketched executors funnel per shard as above; each shard's
     funnel levels feed that shard's admission workload
     ([sketch_levels]), so the cost model sees the comparisons the
     funnel saves. [?anytime] lets a shard whose budget dies inside
@@ -192,6 +198,8 @@ val range :
 val range_checked :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Simq_tsindex.Spec.t ->
+  ?mean_window:float ->
+  ?std_band:float ->
   ?budget:Simq_fault.Budget.t ->
   ?retry:Simq_fault.Retry.policy ->
   ?admission:Simq_admission.t ->
@@ -211,30 +219,31 @@ type nearest_result = {
   nearest_report : report;  (** NN prunes nothing: fanout = K *)
 }
 
-(** [nearest t ?spec ~query ~k] scatters
-    {!Simq_tsindex.Kindex.nearest} over every shard (an NN query has
-    no radius to prune on until answers exist, so all K execute) and
-    k-way-merges the per-shard top-k lists in (distance, entry id)
-    order — the same exact answer set as the unsharded traversal, in
-    the canonical order the degraded NN path uses. Records the same
-    [shard.scatter]/[shard.gather] profile nodes as {!range}. NN
-    takes no sketch, sketched executor or not: each shard's traversal
-    queues its entries under its own head bound (deferred refinement,
-    see {!Simq_tsindex.Kindex.nearest}). Raises [Invalid_argument] when [k <= 0] or on a query-length
-    mismatch. *)
+(** [nearest t ?spec ~query ~k] is the unbudgeted form of
+    {!nearest_checked}: an unlimited budget and no admission, raising
+    [Failure] only when a shard's index path and its scan both fail
+    under injected faults. *)
 val nearest :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Simq_tsindex.Spec.t ->
-  ?normalise_query:bool ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t ->
   k:int ->
   nearest_result
 
-(** [nearest_checked t ?budget ?retry ?admission ~query ~k] is
-    {!nearest} under the fault layer, with the same per-shard
-    contract as {!range_checked}: every shard vetted before any
+(** [nearest_checked t ?spec ?budget ?retry ?admission ~query ~k]
+    scatters {!Simq_tsindex.Kindex.nearest_checked} over every shard
+    (an NN query has no radius to prune on until answers exist, so all
+    K execute) and k-way-merges the per-shard top-k lists in
+    (distance, entry id) order — the same exact answer set as the
+    unsharded traversal, in the canonical order the degraded NN path
+    uses. It records the same [shard.scatter]/[shard.gather] profile
+    nodes as {!range_checked}, and raises [Invalid_argument] when
+    [k <= 0] or on a query-length mismatch.
+
+    The fault layer follows the same per-shard contract as
+    {!range_checked}: every shard vetted before any
     executes (the NN workload uses the shard's exact answer fraction
     [k / cardinality] as its selectivity), one [Reject] refusing the
     whole query with nothing run, [Degrade_to_scan] and mid-flight

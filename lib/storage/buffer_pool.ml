@@ -23,7 +23,6 @@ type t = {
   resident : (int, int) Hashtbl.t;  (* page id -> last-touch stamp *)
   mutable clock : int;
   mutable injector : Simq_fault.Injector.t option;
-  mutable budget : Simq_fault.Budget.state option;
 }
 
 let create ~capacity ~stats =
@@ -34,11 +33,9 @@ let create ~capacity ~stats =
     resident = Hashtbl.create (2 * capacity);
     clock = 0;
     injector = None;
-    budget = None;
   }
 
 let set_injector t injector = t.injector <- injector
-let set_budget t budget = t.budget <- budget
 
 let evict_lru t =
   let victim =
@@ -55,7 +52,7 @@ let evict_lru t =
     Simq_obs.Metrics.incr m_evictions
   | None -> ()
 
-let touch t page =
+let touch ?budget t page =
   (match t.injector with
   | None -> ()
   | Some injector -> (
@@ -63,7 +60,7 @@ let touch t page =
       with Simq_fault.Injector.Transient_fault _ as e ->
         Simq_obs.Metrics.incr m_faults;
         raise e));
-  (match t.budget with
+  (match budget with
   | None -> ()
   | Some budget ->
     Simq_fault.Budget.check budget;

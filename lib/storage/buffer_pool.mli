@@ -9,26 +9,21 @@ type t
     [capacity <= 0]. *)
 val create : capacity:int -> stats:Io_stats.t -> t
 
-(** [touch pool page] accesses [page]: [`Hit] when resident, [`Miss]
-    (counted as a page read, least-recently-used page evicted if
-    necessary) otherwise. When an injector is installed the access may
-    raise {!Simq_fault.Injector.Transient_fault} {e before} any
-    counter is updated; when a budget state is installed the touch is
-    first checked and charged as one logical page read and may raise
+(** [touch ?budget pool page] accesses [page]: [`Hit] when resident,
+    [`Miss] (counted as a page read, least-recently-used page evicted
+    if necessary) otherwise. When an injector is installed the access
+    may raise {!Simq_fault.Injector.Transient_fault} {e before} any
+    counter is updated. With [?budget] (the calling query attempt's
+    state) the touch is then checked and charged as one logical page
+    read — hits and misses alike, so budget outcomes do not depend on
+    residency left behind by earlier queries — and may raise
     {!Simq_fault.Budget.Exceeded}. *)
-val touch : t -> int -> [ `Hit | `Miss ]
+val touch : ?budget:Simq_fault.Budget.state -> t -> int -> [ `Hit | `Miss ]
 
 (** [set_injector pool injector] installs (or, with [None], removes)
     a fault injector consulted on every {!touch}. Absent by default —
     the guard then costs a single pattern match. *)
 val set_injector : t -> Simq_fault.Injector.t option -> unit
-
-(** [set_budget pool budget] installs (or removes) the budget state
-    charged one logical page read per {!touch} — hits and misses
-    alike, so budget outcomes do not depend on residency left behind
-    by earlier queries. Install for the duration of a single query
-    attempt and remove afterwards. *)
-val set_budget : t -> Simq_fault.Budget.state option -> unit
 
 (** [resident pool] is the number of currently resident pages. *)
 val resident : t -> int

@@ -38,7 +38,6 @@ let create ?(page_size = 4096) ?(pool_pages = 64) ~name () =
 let name t = t.name
 let cardinality t = t.count
 let set_injector t injector = Buffer_pool.set_injector t.pool injector
-let set_budget t budget = Buffer_pool.set_budget t.pool budget
 
 let ensure_capacity t =
   let capacity = Array.length t.tuples in
@@ -75,16 +74,16 @@ let of_series ?page_size ~name batch =
 let page_of t offset = offset / t.page_size
 
 (* Touch every page the tuple spans. *)
-let touch_tuple t idx =
+let touch_tuple ?budget t idx =
   let first = page_of t t.offsets.(idx) in
   let last = page_of t (t.offsets.(idx) + tuple_bytes t.tuples.(idx) - 1) in
   for page = first to last do
-    ignore (Buffer_pool.touch t.pool page)
+    ignore (Buffer_pool.touch ?budget t.pool page)
   done
 
-let get t id =
+let get ?budget t id =
   if id < 0 || id >= t.count then raise Not_found;
-  touch_tuple t id;
+  touch_tuple ?budget t id;
   t.tuples.(id)
 
 let fold t ~init ~f =

@@ -32,9 +32,10 @@ val insert : t -> name:string -> Simq_series.Series.t -> tuple
     names. *)
 val of_series : ?page_size:int -> name:string -> Simq_series.Series.t array -> t
 
-(** [get t id] fetches one tuple through the buffer pool. Raises
-    [Not_found] for unknown ids. *)
-val get : t -> int -> tuple
+(** [get ?budget t id] fetches one tuple through the buffer pool,
+    charging every page touch to [budget] when given (see
+    {!Buffer_pool.touch}). Raises [Not_found] for unknown ids. *)
+val get : ?budget:Simq_fault.Budget.state -> t -> int -> tuple
 
 (** [fold t ~init ~f] scans all tuples in storage order, touching each
     data page once. *)
@@ -56,11 +57,6 @@ val stats : t -> Io_stats.t
     {!Simq_fault.Injector.Transient_fault}. See
     {!Buffer_pool.set_injector}. *)
 val set_injector : t -> Simq_fault.Injector.t option -> unit
-
-(** [set_budget t budget] installs (or removes) a per-query budget
-    state charged for every logical page touch. See
-    {!Buffer_pool.set_budget}. *)
-val set_budget : t -> Simq_fault.Budget.state option -> unit
 
 (** [save t path] / [load path] persist and restore a relation
     (marshalled; same OCaml version required on both ends). *)

@@ -2,6 +2,7 @@ module Series = Simq_series.Series
 module Normal_form = Simq_series.Normal_form
 module Relation = Simq_storage.Relation
 module Flat = Simq_dsp.Flat
+module Region = Simq_geometry.Region
 
 type entry = {
   id : int;
@@ -105,6 +106,37 @@ let prepare_query ?(normalise = true) q =
       mean = 0.;
       std = 1.;
     }
+
+(* GK95-style side constraints always refer to the raw query, which is
+   decomposed only when a constraint asks for it. The messages are the
+   range entry points' own, whichever executes the constraint. *)
+let side_ranges ?mean_window ?std_band query =
+  let decomposition = lazy (Normal_form.decompose query) in
+  let mean_range =
+    Option.map
+      (fun w ->
+        if w < 0. then invalid_arg "Kindex.range: negative mean_window";
+        let m = (Lazy.force decomposition).Normal_form.mean in
+        Region.linear ~lo:(m -. w) ~hi:(m +. w))
+      mean_window
+  in
+  let std_range =
+    Option.map
+      (fun f ->
+        if f < 1. then invalid_arg "Kindex.range: std_band must be >= 1";
+        let s = (Lazy.force decomposition).Normal_form.std in
+        Region.linear ~lo:(s /. f) ~hi:(s *. f))
+      std_band
+  in
+  (mean_range, std_range)
+
+let within_sides (mean_range, std_range) entry =
+  let within v = function
+    | None -> true
+    | Some range -> Region.contains_value range v
+  in
+  within entry.mean mean_range && within entry.std std_range
+
 let entries t = Array.sub t.entries 0 t.count
 
 let get t id =

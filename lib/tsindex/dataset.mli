@@ -47,6 +47,31 @@ val insert : t -> name:string -> Simq_series.Series.t -> entry
     forms track this curve”. *)
 val prepare_query : ?normalise:bool -> Simq_series.Series.t -> entry
 
+(** [side_ranges ?mean_window ?std_band query] is the pair of closed
+    ranges GK95-style side constraints allow for an answer's mean and
+    standard deviation, both taken from the {e raw} [query]:
+    [mean_window w] gives [[m - w, m + w]] around the query's mean [m],
+    [std_band f] gives [[s / f, s * f]] around its deviation [s]; an
+    absent constraint is [None]. The index appends these ranges as its
+    trailing mean/std dimensions and the scans test them on each entry
+    ({!within_sides}), both through
+    {!Simq_geometry.Region.contains_value}, so both keep exactly the
+    same entries. Raises [Invalid_argument] when [w < 0] or [f < 1]. *)
+val side_ranges :
+  ?mean_window:float ->
+  ?std_band:float ->
+  Simq_series.Series.t ->
+  Simq_geometry.Region.range option * Simq_geometry.Region.range option
+
+(** [within_sides ranges entry] holds when the entry's mean and
+    deviation each lie in the matching present range of [ranges]
+    ({!side_ranges}) — the membership test the index applies to its
+    mean/std dimensions. *)
+val within_sides :
+  Simq_geometry.Region.range option * Simq_geometry.Region.range option ->
+  entry ->
+  bool
+
 (** [head_sq_dist t ~stretch id qs acc] sets [acc.sum] to the
     {!Simq_dsp.Flat.sq_dist} sum of entry [id]'s coefficients
     [0 .. h-1] against [qs]'s, where [h] is [min head_width n] for

@@ -127,10 +127,7 @@ let full_region t ?mean_range ?std_range ~query_coeffs ~epsilon () =
     Coords.search_region t.config.Feature.representation ~query:query_coeffs
       ~epsilon
   in
-  let of_range = function
-    | None -> unconstrained
-    | Some (lo, hi) -> Region.linear ~lo ~hi
-  in
+  let of_range = Option.value ~default:unconstrained in
   Array.append feature_region [| of_range mean_range; of_range std_range |]
 
 (* Transformed overlap/membership tests, dimension by dimension with no
@@ -331,24 +328,9 @@ let range_request ?mean_window ?std_band ~normalise_query t spec query =
   (* GK95-style side constraints: mean and standard deviation ride along
      as the trailing index dimensions, so simple shifts and scales bound
      the search for free (the paper's reason for indexing normal forms
-     with mean/std dimensions). They always refer to the raw query, which
-     is decomposed here only when a constraint asks for it. *)
-  let decomposition = lazy (Simq_series.Normal_form.decompose query) in
-  let mean_range =
-    Option.map
-      (fun w ->
-        if w < 0. then invalid_arg "Kindex.range: negative mean_window";
-        let m = (Lazy.force decomposition).Simq_series.Normal_form.mean in
-        (m -. w, m +. w))
-      mean_window
-  in
-  let std_range =
-    Option.map
-      (fun f ->
-        if f < 1. then invalid_arg "Kindex.range: std_band must be >= 1";
-        let s = (Lazy.force decomposition).Simq_series.Normal_form.std in
-        (s /. f, s *. f))
-      std_band
+     with mean/std dimensions). *)
+  let mean_range, std_range =
+    Dataset.side_ranges ?mean_window ?std_band query
   in
   let q = Dataset.prepare_query ~normalise:normalise_query query in
   let query_coeffs = query_coeffs t q in

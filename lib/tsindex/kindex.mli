@@ -322,8 +322,8 @@ val prepare : t -> Spec.t -> prepared
     caller's here), run under the same exact/approx/anytime contract
     as {!range}'s [?sketch]. *)
 val range_prepared :
-  ?mean_range:float * float ->
-  ?std_range:float * float ->
+  ?mean_range:Simq_geometry.Region.range ->
+  ?std_range:Simq_geometry.Region.range ->
   ?prefilter:prefilter ->
   ?approx:float ->
   ?anytime:bool ->

@@ -197,8 +197,8 @@ let admission_workload ?stats ?(sketch_levels = 0) kindex ~epsilon =
     sketch_levels;
   }
 
-let range_resilient_impl ?pool ?(spec = Spec.Identity) ?stats
-    ?(budget = Budget.unlimited) ?retry ?counters ?(validate = false)
+let range_resilient_impl ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
+    ?stats ?(budget = Budget.unlimited) ?retry ?counters ?(validate = false)
     ?admission ?sketch ?(sketch_levels = 0) ?approx ?anytime ?profile kindex
     ~query ~epsilon =
   let bump f = match counters with Some c -> f c | None -> () in
@@ -211,8 +211,8 @@ let range_resilient_impl ?pool ?(spec = Spec.Identity) ?stats
   in
   let dataset = Kindex.dataset kindex in
   let scan () =
-    Seqscan.range_checked ?pool ~spec ~budget ?retry ~on_retry ?profile dataset
-      ~query ~epsilon
+    Seqscan.range_checked ?pool ~spec ?mean_window ?std_band ~budget ?retry
+      ~on_retry ?profile dataset ~query ~epsilon
   in
   let failed e =
     bump (fun c -> c.failures <- c.failures + 1);
@@ -295,8 +295,8 @@ let range_resilient_impl ?pool ?(spec = Spec.Identity) ?stats
     else begin
       bump (fun c -> c.index_attempts <- c.index_attempts + 1);
       match
-        Kindex.range_checked ~spec ~budget ?retry ~on_retry ?sketch ?approx
-          ?anytime ?profile kindex ~query ~epsilon
+        Kindex.range_checked ~spec ?mean_window ?std_band ~budget ?retry
+          ~on_retry ?sketch ?approx ?anytime ?profile kindex ~query ~epsilon
       with
       | Ok (r : Kindex.range_result) ->
         Ok
@@ -326,18 +326,30 @@ let range_resilient_impl ?pool ?(spec = Spec.Identity) ?stats
   | None | Some Simq_admission.Admit -> (
     match plan with Use_scan -> run_scan ~degraded:false | Use_index -> run_index ())
 
-(* One qlog entry per executed (or rejected) query: spec text + digest,
+(* One qlog entry per executed (or rejected) query: spec text + digest
+   (both covering the side constraints, whose answers differ),
    the decision and the path actually taken, the counter deltas between
    the two registry snapshots bracketing the run, duration, outcome and
    the Simq_cli exit-code convention (0 ok, 4 executed-and-failed,
    5 rejected). The ambient log is the bench driver's [--qlog] hook;
    [bin/simq] builds its entries explicitly instead. *)
-let qlog_entry ~spec ~epsilon ~query ~pool ~duration_s result =
-  let spec_text = Printf.sprintf "range %s eps=%g" (Spec.name spec) epsilon in
+let qlog_entry ?mean_window ?std_band ~spec ~epsilon ~query ~pool ~duration_s
+    result =
+  let side name = function
+    | None -> ""
+    | Some v -> Printf.sprintf " %s=%g" name v
+  in
+  let spec_text =
+    Printf.sprintf "range %s eps=%g%s%s" (Spec.name spec) epsilon
+      (side "mean" mean_window) (side "std" std_band)
+  in
   let digest =
     String.sub
       (Digest.to_hex
-         (Digest.string (Marshal.to_string (Spec.name spec, epsilon, query) [])))
+         (Digest.string
+            (Marshal.to_string
+               (Spec.name spec, epsilon, mean_window, std_band, query)
+               [])))
       0 12
   in
   let decision, path, outcome, exit_code =
@@ -369,26 +381,27 @@ let qlog_entry ~spec ~epsilon ~query ~pool ~duration_s result =
       (match Otrace.current_request () with 0 -> None | id -> Some id);
   }
 
-let range_resilient ?pool ?spec ?stats ?budget ?retry ?counters ?validate
-    ?admission ?sketch ?sketch_levels ?approx ?anytime ?profile kindex ~query
-    ~epsilon =
+let range_resilient ?pool ?spec ?mean_window ?std_band ?stats ?budget ?retry
+    ?counters ?validate ?admission ?sketch ?sketch_levels ?approx ?anytime
+    ?profile kindex ~query ~epsilon =
   match Qlog.ambient () with
   | None ->
-    range_resilient_impl ?pool ?spec ?stats ?budget ?retry ?counters ?validate
-      ?admission ?sketch ?sketch_levels ?approx ?anytime ?profile kindex
-      ~query ~epsilon
+    range_resilient_impl ?pool ?spec ?mean_window ?std_band ?stats ?budget
+      ?retry ?counters ?validate ?admission ?sketch ?sketch_levels ?approx
+      ?anytime ?profile kindex ~query ~epsilon
   | Some qlog ->
     let before = Metrics.snapshot () in
     let t0 = Clock.now_ns () in
     let result =
-      range_resilient_impl ?pool ?spec ?stats ?budget ?retry ?counters
-        ?validate ?admission ?sketch ?sketch_levels ?approx ?anytime ?profile
-        kindex ~query ~epsilon
+      range_resilient_impl ?pool ?spec ?mean_window ?std_band ?stats ?budget
+        ?retry ?counters ?validate ?admission ?sketch ?sketch_levels ?approx
+        ?anytime ?profile kindex ~query ~epsilon
     in
     let duration_s = Clock.elapsed_s t0 in
     let entry =
-      qlog_entry ~spec:(Option.value spec ~default:Spec.Identity) ~epsilon
-        ~query ~pool ~duration_s result
+      qlog_entry ?mean_window ?std_band
+        ~spec:(Option.value spec ~default:Spec.Identity)
+        ~epsilon ~query ~pool ~duration_s result
     in
     Qlog.log qlog
       {

@@ -140,10 +140,19 @@ type resilient_result = {
     true). [?sketch_levels] feeds the funnel's level count into the
     admission workload so the cost model discounts the exact
     comparisons the funnel saves; it defaults to [0] and never changes
-    what an executed path returns. *)
+    what an executed path returns.
+
+    [?mean_window]/[?std_band] are {!Kindex.range}'s side constraints,
+    applied by whichever path executes: the index tests them on its
+    mean/std dimensions, the scan on each entry
+    ({!Seqscan.range_checked}), so a degraded answer stays the index
+    answer bit for bit. Planning and admission see the unconstrained
+    selectivity, an upper bound on the constrained one. *)
 val range_resilient :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Spec.t ->
+  ?mean_window:float ->
+  ?std_band:float ->
   ?stats:stats ->
   ?budget:Simq_fault.Budget.t ->
   ?retry:Simq_fault.Retry.policy ->

@@ -37,13 +37,14 @@ let check_query_length dataset spec query =
 
 (* One full pass of page traffic against the backing relation, in entry
    order — the touch sequence (hence the buffer-pool statistics) a
-   sequential scan produces. Kept out of the workers so the I/O
+   sequential scan produces, each touch charged to the attempt's
+   [budget] when it has one. Kept out of the workers so the I/O
    accounting stays single-domain and deterministic. *)
-let account_io dataset =
+let account_io ?budget dataset =
   let relation = Dataset.relation dataset in
   Array.iter
     (fun (entry : Dataset.entry) ->
-      ignore (Relation.get relation entry.Dataset.id))
+      ignore (Relation.get ?budget relation entry.Dataset.id))
     (Dataset.entries dataset)
 
 (* Per-entry comparison: the answer (when within ε), whether the
@@ -87,9 +88,10 @@ let compute_freq ~stretch ~n ~limit epsilon (q : Dataset.entry) acc
    The entry array is cut into chunks fanned out over the pool; each
    chunk keeps its answers in entry order and its own counters, and the
    chunks are merged in chunk order, so answers, distances and counters
-   are bit-identical to a single-domain scan. *)
-let scan_compute ~pool ~abandon ~normalise_query ?bstate dataset spec query
-    epsilon =
+   are bit-identical to a single-domain scan. An answer outside the
+   side-constraint [sides] ({!Dataset.side_ranges}) is dropped. *)
+let scan_compute ~pool ~abandon ~normalise_query ?bstate ?sides dataset spec
+    query epsilon =
   let q = Dataset.prepare_query ~normalise:normalise_query query in
   let n = Dataset.series_length dataset in
   let limit = if abandon then epsilon *. epsilon else infinity in
@@ -101,6 +103,9 @@ let scan_compute ~pool ~abandon ~normalise_query ?bstate dataset spec query
     | _ ->
       let stretch = Some (Flat.of_cpx (Spec.stretch spec ~n)) in
       compute_freq ~stretch ~n ~limit epsilon q
+  in
+  let keep =
+    match sides with None -> fun _ -> true | Some s -> Dataset.within_sides s
   in
   let chunk = Pool.adaptive_chunk pool count in
   let partials =
@@ -121,8 +126,8 @@ let scan_compute ~pool ~abandon ~normalise_query ?bstate dataset spec query
             Budget.charge_comparisons b 1);
           let answer, completed, examined = compute acc entries.(i) in
           (match answer with
-          | Some hit -> answers := hit :: !answers
-          | None -> ());
+          | Some ((e, _) as hit) when keep e -> answers := hit :: !answers
+          | _ -> ());
           full := !full + completed;
           touched := !touched + examined
         done;
@@ -155,18 +160,19 @@ let resolve_pool = function Some pool -> pool | None -> Pool.default ()
    child, counters recorded on the coordinating domain only, after the
    deterministic chunk merge — so the profile tree and its counters
    are identical at every domain count. *)
-let profiled_scan ~pool ~abandon ~normalise_query ?bstate ?profile dataset spec
-    query epsilon =
+let profiled_scan ~pool ~abandon ~normalise_query ?bstate ?sides ?profile
+    dataset spec query epsilon =
   Otrace.with_span "seqscan.range" (fun () ->
       let count = Array.length (Dataset.entries dataset) in
       let pio = Profile.enter profile "seqscan.io" in
-      Otrace.with_span "seqscan.io" (fun () -> account_io dataset);
+      Otrace.with_span "seqscan.io" (fun () ->
+          account_io ?budget:bstate dataset);
       Profile.add_pages pio count;
       Profile.leave profile pio;
       let pc = Profile.enter profile "seqscan.compute" in
       let result =
-        scan_compute ~pool ~abandon ~normalise_query ?bstate dataset spec
-          query epsilon
+        scan_compute ~pool ~abandon ~normalise_query ?bstate ?sides dataset
+          spec query epsilon
       in
       let survivors = List.length result.answers in
       Profile.add_rows_in pc count;
@@ -204,13 +210,13 @@ let range_early_abandon ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
   scan ?pool ?profile ~abandon:true ~normalise_query dataset spec query epsilon
 
 let range_checked ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
-    ?(abandon = true) ?(budget = Budget.unlimited) ?retry ?on_retry ?profile
-    dataset ~query ~epsilon =
+    ?mean_window ?std_band ?(abandon = true) ?(budget = Budget.unlimited)
+    ?retry ?on_retry ?profile dataset ~query ~epsilon =
   check_query_length dataset spec query;
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Seqscan: epsilon must be finite and >= 0";
+  let sides = Dataset.side_ranges ?mean_window ?std_band query in
   let pool = resolve_pool pool in
-  let relation = Dataset.relation dataset in
   let pn = Profile.enter profile "seqscan.range" in
   let on_retry ~attempt =
     Profile.add_event pn (Printf.sprintf "retry: attempt %d abandoned" attempt);
@@ -224,15 +230,8 @@ let range_checked ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
             (* A fresh budget state per attempt: limits are per-attempt,
                and a retried scan starts its accounting from zero. *)
             let bstate = Budget.state_opt budget in
-            (match bstate with
-            | None -> ()
-            | Some _ -> Relation.set_budget relation bstate);
-            Fun.protect
-              ~finally:(fun () ->
-                if Option.is_some bstate then Relation.set_budget relation None)
-              (fun () ->
-                profiled_scan ~pool ~abandon ~normalise_query ?bstate ?profile
-                  dataset spec query epsilon))
+            profiled_scan ~pool ~abandon ~normalise_query ?bstate ~sides
+              ?profile dataset spec query epsilon)
       in
       (match result with
       | Ok r ->

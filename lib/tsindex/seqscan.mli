@@ -53,19 +53,28 @@ val range_early_abandon :
     {!range_early_abandon} (or {!range_full} with [abandon:false]) but
     executed under a {!Simq_fault.Budget} and bounded
     {!Simq_fault.Retry}, returning a typed error instead of raising.
-    Each attempt gets a fresh budget state, installed on the backing
-    relation for its page accounting and checked per entry in every
-    scan domain; transient page-read faults from an installed
+    Each attempt gets a fresh budget state, charged for every page the
+    attempt touches on the backing relation and checked per entry in
+    every scan domain; transient page-read faults from an installed
     {!Simq_fault.Injector} are retried per [retry] (default
     {!Simq_fault.Retry.default}), with [on_retry] told about each
     abandoned attempt. With an unlimited budget and no injector the
-    result is bit-identical to the unchecked scan. Argument validation
-    errors (wrong query length, negative ε) still raise
+    result is bit-identical to the unchecked scan.
+
+    [?mean_window]/[?std_band] are the side constraints of
+    {!Kindex.range}: an answer is kept only when its mean and deviation
+    lie in the closed intervals {!Dataset.side_ranges} derives from the
+    raw query — the test the index applies to its mean/std dimensions,
+    so the constrained scan returns the constrained index answer, ids
+    and distances bit for bit. Argument validation errors (wrong query
+    length, negative ε, a bad constraint) still raise
     [Invalid_argument]. *)
 val range_checked :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Spec.t ->
   ?normalise_query:bool ->
+  ?mean_window:float ->
+  ?std_band:float ->
   ?abandon:bool ->
   ?budget:Simq_fault.Budget.t ->
   ?retry:Simq_fault.Retry.policy ->

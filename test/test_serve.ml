@@ -128,9 +128,9 @@ let answer_count engine spec =
   | Error e -> Alcotest.failf "%S failed: %s" spec (Simq_cli.message e)
 
 (* MEAN/STD ranges must keep their side constraints on every engine
-   type: the checked (budget or admission) and sharded engines route
-   them differently from the plain one, and simq query runs through
-   the same routing. *)
+   type — budgeted, vetted, sharded, and starved of node accesses so
+   that the index path degrades to the scan (per shard on a sharded
+   engine) — and simq query runs through the same routing. *)
 let test_checked_engines_keep_side_constraints () =
   let index = build_index ~count:80 () in
   let dataset = Kindex.dataset index in
@@ -138,6 +138,7 @@ let test_checked_engines_keep_side_constraints () =
   let budget () =
     Budget.create ~max_page_reads:100_000 ~max_node_accesses:100_000 ()
   in
+  let starved () = Budget.create ~max_node_accesses:0 () in
   let engines =
     [
       ("budgeted", Engine.create ~budget:(budget ()) index);
@@ -145,6 +146,10 @@ let test_checked_engines_keep_side_constraints () =
       ("3 shards, budgeted", Engine.create ~shards:3 ~budget:(budget ()) index);
       ( "3 shards, sketched",
         Engine.create ~shards:3 ~sketch:Simq_sketch.default index );
+      ("starved", Engine.create ~budget:(starved ()) index);
+      ("3 shards, starved", Engine.create ~shards:3 ~budget:(starved ()) index);
+      ( "3 shards, admission",
+        Engine.create ~shards:3 ~admission:Admission.default index );
     ]
   in
   let cases =
@@ -189,13 +194,25 @@ let test_checked_engines_keep_side_constraints () =
       (* ...whose constraints bite, so dropping them would show... *)
       Alcotest.(check bool) (text ^ ": the constraints drop answers") true
         (answer_count plain unconstrained > List.length direct.Kindex.answers);
-      (* ...and every other engine type answers bit for bit alike. *)
+      (* ...and every other engine type answers bit for bit alike,
+         sharded ones through the scatter-gather. *)
       List.iter
         (fun (name, engine) ->
+          let note = Engine.note () in
+          let results =
+            match Engine.exec ~note engine text with
+            | Ok o -> J.to_string o.Engine.results
+            | Error e ->
+              Alcotest.failf "%s: %s failed: %s" text name
+                (Simq_cli.message e)
+          in
           Alcotest.(check string)
             (Printf.sprintf "%s: %s = plain" text name)
-            reference
-            (offline_results engine text))
+            reference results;
+          if Option.is_some (Engine.sharded engine) then
+            Alcotest.(check (option string))
+              (Printf.sprintf "%s: %s path" text name)
+              (Some "shard") note.Engine.note_path)
         engines)
     cases
 
@@ -330,6 +347,44 @@ let test_shed_is_typed_and_executes_nothing () =
                 stats.Server.shed;
               Alcotest.(check int) "nothing served" 0 stats.Server.served)))
 
+(* An admission-rejected MEAN range executes nothing, on a monolithic
+   engine (through the planner) and on a sharded one (per-shard
+   pre-flight): the constrained range is vetted like any other. *)
+let test_rejected_mean_range_executes_nothing () =
+  let index = build_index () in
+  let starved () = Budget.create ~max_page_reads:3 ~max_node_accesses:0 () in
+  List.iter
+    (fun (name, engine) ->
+      Metrics.with_enabled true (fun () ->
+          Metrics.reset ();
+          let note = Engine.note () in
+          (match
+             Engine.exec ~note engine "RANGE FROM r QUERY s3 EPS 2.0 MEAN 0.5"
+           with
+          | Ok _ -> Alcotest.failf "%s: the starved MEAN range ran" name
+          | Error e ->
+            Alcotest.(check string)
+              (name ^ ": rejected") "rejected:page_reads"
+              (match e with
+              | Simq_cli.Fault f -> Simq_fault.Error.kind f
+              | e -> Simq_cli.message e));
+          Alcotest.(check (option string))
+            (name ^ ": decision") (Some "reject") note.Engine.note_decision;
+          List.iter
+            (fun family ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: %s untouched" name family)
+                0
+                (Metrics.counter_total (Metrics.counter family)))
+            ("simq_shard_fanout_total" :: execution_families)))
+    [
+      ( "monolithic",
+        Engine.create ~budget:(starved ()) ~admission:Admission.default index );
+      ( "3 shards",
+        Engine.create ~shards:3 ~budget:(starved ())
+          ~admission:Admission.default index );
+    ]
+
 (* --- graceful drain --------------------------------------------------------- *)
 
 let test_shutdown_drains_and_answers () =
@@ -430,6 +485,39 @@ let test_qlog_logs_range_rejection () =
     (member_str "decision" ambient);
   Alcotest.(check (option int)) "planner exit" (Some 5)
     (member_int "exit" ambient)
+
+(* A MEAN/STD range and its unconstrained twin answer differently, so
+   the planner's ambient qlog gives them different spec texts and
+   digests. *)
+let test_qlog_keeps_side_constraints_apart () =
+  let path = Filename.temp_file "simq_ambient" ".qlog" in
+  let log = Qlog.create path in
+  let index = build_index () in
+  let query = (Dataset.entries (Kindex.dataset index)).(3).Dataset.series in
+  Qlog.install (Some log);
+  Fun.protect
+    ~finally:(fun () -> Qlog.install None)
+    (fun () ->
+      List.iter
+        (fun (mean_window, std_band) ->
+          ignore
+            (Planner.range_resilient ?mean_window ?std_band index ~query
+               ~epsilon:2.0))
+        [ (None, None); (Some 0.5, None); (Some 0.5, Some 2.) ]);
+  Qlog.close log;
+  let lines = List.map (fun l -> Result.get_ok (J.parse l)) (read_lines path) in
+  Sys.remove path;
+  Alcotest.(check (list (option string)))
+    "spec texts"
+    [
+      Some "range id eps=2";
+      Some "range id eps=2 mean=0.5";
+      Some "range id eps=2 mean=0.5 std=2";
+    ]
+    (List.map (member_str "spec") lines);
+  let digests = List.map (member_str "digest") lines in
+  Alcotest.(check int) "distinct digests" 3
+    (List.length (List.sort_uniq compare digests))
 
 (* --- NN admission: domain-count invariance and exact degradation ----------- *)
 
@@ -771,6 +859,10 @@ let () =
             test_qlog_records_served_queries;
           Alcotest.test_case "qlog logs a range rejection" `Quick
             test_qlog_logs_range_rejection;
+          Alcotest.test_case "qlog keeps side constraints apart" `Quick
+            test_qlog_keeps_side_constraints_apart;
+          Alcotest.test_case "a rejected MEAN range executes nothing" `Quick
+            test_rejected_mean_range_executes_nothing;
         ] );
       ( "one-executor",
         [

@@ -268,34 +268,45 @@ let test_degraded_shard_still_exact () =
   let index = Kindex.build d in
   let query = query_for d Spec.Identity 31 in
   let epsilon = 12.0 in
-  let expected = Kindex.range index ~query ~epsilon in
   let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
-  with_faulty_shard sh 1 (fun () ->
-      List.iter
-        (fun (domains, pool) ->
-          match Shard.range_checked ~pool sh ~query ~epsilon with
-          | Ok r ->
-            Alcotest.(check (list int))
-              (Printf.sprintf "range ids domains=%d" domains)
-              (ids expected.Kindex.answers)
-              (ids r.Shard.answers);
-            List.iter2
-              (fun (_, a) (_, b) ->
-                Alcotest.(check (float 0.))
-                  (Printf.sprintf "range distance domains=%d" domains)
-                  a b)
-              (pairs expected.Kindex.answers)
-              (pairs r.Shard.answers);
-            Alcotest.(check int)
-              (Printf.sprintf "one degraded shard domains=%d" domains)
-              1 r.Shard.report.Shard.degraded;
-            Alcotest.(check int)
-              (Printf.sprintf "full fanout domains=%d" domains)
-              4 r.Shard.report.Shard.fanout
-          | Error e ->
-            Alcotest.failf "domains=%d: degraded query failed: %s" domains
-              (Error.kind e))
-        pools)
+  (* The degraded shard's scan applies the side constraints itself: the
+     constrained case keeps 7 of the 60 answers, one of them in the
+     faulty shard. At this ε the catalogue prunes no shard in either
+     case. *)
+  List.iter
+    (fun (label, mean_window, std_band) ->
+      let expected = Kindex.range ?mean_window ?std_band index ~query ~epsilon in
+      with_faulty_shard sh 1 (fun () ->
+          List.iter
+            (fun (domains, pool) ->
+              match
+                Shard.range_checked ~pool ?mean_window ?std_band sh ~query
+                  ~epsilon
+              with
+              | Ok r ->
+                Alcotest.(check (list int))
+                  (Printf.sprintf "%s ids domains=%d" label domains)
+                  (ids expected.Kindex.answers)
+                  (ids r.Shard.answers);
+                List.iter2
+                  (fun (_, a) (_, b) ->
+                    Alcotest.(check (float 0.))
+                      (Printf.sprintf "%s distance domains=%d" label domains)
+                      a b)
+                  (pairs expected.Kindex.answers)
+                  (pairs r.Shard.answers);
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: one degraded shard domains=%d" label
+                     domains)
+                  1 r.Shard.report.Shard.degraded;
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: full fanout domains=%d" label domains)
+                  4 r.Shard.report.Shard.fanout
+              | Error e ->
+                Alcotest.failf "domains=%d: degraded %s failed: %s" domains
+                  label (Error.kind e))
+            pools))
+    [ ("range", None, None); ("constrained range", Some 5., Some 2.) ]
 
 (* The NN traversal's degradation path is admission-driven (its
    best-first loop charges the budget itself rather than consulting the

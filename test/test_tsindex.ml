@@ -347,6 +347,7 @@ let test_dataset_rejects_mixed_lengths () =
 (* --- Kindex range: exactness under every spec and representation ------------- *)
 
 let test_range_matches_reference () =
+  let dropped = ref 0 in
   List.iter
     (fun representation ->
       let d = dataset_of ~seed:7 ~count:120 ~n:64 in
@@ -378,10 +379,42 @@ let test_range_matches_reference () =
                 Alcotest.(check bool) (label ^ ": superset")
                   true
                   (actual.Kindex.candidates
-                  >= List.length actual.Kindex.answers))
+                  >= List.length actual.Kindex.answers);
+                (* Under side constraints the scan — the planner's and
+                   every shard's degradation path — returns the index
+                   answer, ids and distances bit for bit. *)
+                List.iter
+                  (fun (mean_window, std_band) ->
+                    let index =
+                      Kindex.range ~spec ?mean_window ?std_band idx ~query
+                        ~epsilon
+                    in
+                    match
+                      Seqscan.range_checked ~spec ?mean_window ?std_band d
+                        ~query ~epsilon
+                    with
+                    | Error e ->
+                      Alcotest.failf "%s: constrained scan failed: %s" label
+                        (Simq_fault.Error.to_string e)
+                    | Ok scan ->
+                      let pairs answers =
+                        List.map
+                          (fun ((e : Dataset.entry), dist) ->
+                            (e.Dataset.id, dist))
+                          answers
+                      in
+                      Alcotest.(check (list (pair int (float 0.))))
+                        (label ^ ": constrained scan = constrained index")
+                        (pairs index.Kindex.answers)
+                        (pairs scan.Seqscan.answers);
+                      dropped :=
+                        !dropped + List.length actual.Kindex.answers
+                        - List.length index.Kindex.answers)
+                  [ (Some 5., None); (None, Some 1.5); (Some 5., Some 2.) ])
               [ (1, 0.5); (2, 2.); (3, 6.); (4, 12.) ])
         all_specs)
-    [ Coords.Polar; Coords.Rectangular ]
+    [ Coords.Polar; Coords.Rectangular ];
+  Alcotest.(check bool) "the side constraints drop answers" true (!dropped > 0)
 
 let test_range_rejects_bad_query_length () =
   let d = dataset_of ~seed:9 ~count:10 ~n:32 in

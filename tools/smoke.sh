@@ -233,14 +233,16 @@ grep -q '^simq_shard_queries_total 1' shard.prom || {
 echo "== side constraints: checked and sharded runs keep MEAN, bad STD is usage"
 # simq query routes through the same engine as batch and serve, so a
 # budget, admission or a budgeted sharded run answers a MEAN-constrained
-# range exactly as the plain run does.
+# range exactly as the plain run does — also when a one-node budget
+# degrades the index path to the scan (per shard on a sharded run).
 "$simq" query smoke.rel "RANGE FROM r QUERY s0 EPS 6 MEAN 0.5" >mean.out
 grep -q ' distance ' mean.out || {
   echo "smoke: the MEAN-constrained range found no answer" >&2
   exit 1
 }
 for opts in "--max-page-reads 100000" "--admission" \
-  "--shards 4 --max-node-accesses 100000"; do
+  "--shards 4 --max-node-accesses 100000" "--max-node-accesses 1" \
+  "--shards 4 --max-node-accesses 1"; do
   # shellcheck disable=SC2086
   "$simq" query smoke.rel "RANGE FROM r QUERY s0 EPS 6 MEAN 0.5" $opts \
     >mean.checked.out
