@@ -16,13 +16,18 @@ let coeff x f = { Complex.re = x.(2 * f); im = x.((2 * f) + 1) }
 let sub x ~pos ~len = Array.init len (fun i -> coeff x (pos + i))
 let to_cpx x = sub x ~pos:0 ~len:(length x)
 
+(* The real part of coefficient [f] of [stretch · x] by [Complex.mul]'s
+   formula: the head stores it, and the band join sorts by it. *)
+let[@inline] stretched_re ~stretch x f =
+  (stretch.(2 * f) *. x.(2 * f)) -. (stretch.((2 * f) + 1) *. x.((2 * f) + 1))
+
 (* Coefficients [0 .. len-1] of [stretch · x] into [dst] from
    coefficient [off], with [Complex.mul]'s formula. *)
 let stretch_prefix ~stretch x ~len dst ~off =
   for f = 0 to len - 1 do
     let sr = stretch.(2 * f) and si = stretch.((2 * f) + 1) in
     let xr = x.(2 * f) and xi = x.((2 * f) + 1) in
-    dst.(2 * (off + f)) <- (sr *. xr) -. (si *. xi);
+    dst.(2 * (off + f)) <- stretched_re ~stretch x f;
     dst.((2 * (off + f)) + 1) <- (sr *. xi) +. (si *. xr)
   done
 
@@ -86,102 +91,158 @@ let dist_within ~stretch ~within ~lo ~hi x xo y yo acc =
   sqrt acc.sum
 
 (* One 64-byte cache line of coefficients per entry (see the .mli);
-   {!within_row} walks exactly these four, unrolled. *)
+   {!pair_sum} walks exactly these four, unrolled. *)
 let head_width = 4
 
 type rows = {
   stretch : t;
-  spectra : t array;  (* a private copy: its lengths were checked *)
+  spectra : t array;  (* position [p]'s spectrum; its length was checked *)
   n : int;
-  head : t;  (* entry [j]'s stretched head from coefficient [j·head_width] *)
+  head : t;  (* position [p]'s stretched head from coefficient [p·head_width] *)
+  key_re : t;  (* position [p]'s stretched coefficient 1, copied from the *)
+  key_im : t;  (* head so that the band pre-pass reads it densely *)
 }
 
-let rows ~stretch spectra =
+let sort_key ~stretch x =
+  if Array.length x <> Array.length stretch then
+    invalid_arg "Flat.sort_key: spectrum length differs from the stretch";
+  if length x < 2 then 0. else stretched_re ~stretch x 1
+
+let rows ~stretch ?order spectra =
   let n = length stretch in
   Array.iter
     (fun x ->
       if Array.length x <> Array.length stretch then
         invalid_arg "Flat.rows: spectrum length differs from the stretch")
     spectra;
+  let count = Array.length spectra in
+  let spectra =
+    match order with
+    | None -> Array.copy spectra
+    | Some order ->
+      if Array.length order <> count then
+        invalid_arg "Flat.rows: order length differs from the spectra";
+      Array.map (fun j -> spectra.(j)) order
+  in
   (* Zero past coefficient [n - 1]: such a coefficient adds [0.] to the
      sum, which leaves it and every abandon test unchanged. *)
-  let head = Array.make (2 * head_width * Array.length spectra) 0. in
+  let head = Array.make (2 * head_width * count) 0. in
   Array.iteri
-    (fun j x ->
+    (fun p x ->
       stretch_prefix ~stretch x ~len:(min head_width n) head
-        ~off:(j * head_width))
+        ~off:(p * head_width))
     spectra;
-  { stretch; spectra = Array.copy spectra; n; head }
+  let key_re = create count and key_im = create count in
+  for p = 0 to count - 1 do
+    key_re.(p) <- head.((2 * head_width * p) + 2);
+    key_im.(p) <- head.((2 * head_width * p) + 3)
+  done;
+  { stretch; spectra; n; head; key_re; key_im }
 
-(* Every length was checked when [r] was built and [i], [j0] and [hits]
-   are checked here, so the loops read unchecked. The per-pair
-   arithmetic is {!sq_dist}'s over two pre-stretched spectra: the head
-   is stored stretched, and the tail stretches both sides with the same
-   [Complex.mul] formula {!stretch_into} uses, so every difference, sum
-   and abandon test sees the same doubles. The four head coefficients
-   are unrolled: a loop over them costs more than their arithmetic. *)
+(* The squared distance between positions [i] and [j], abandoned at
+   [limit]: {!sq_dist}'s arithmetic over two pre-stretched spectra. The
+   head is stored stretched, and the tail stretches both sides with the
+   same [Complex.mul] formula {!stretch_into} uses, so every
+   difference, sum and abandon test sees the same doubles. The four
+   head coefficients are unrolled: a loop over them costs more than
+   their arithmetic. The callers checked every index, so the loads are
+   unchecked; inlined, the float result stays unboxed. *)
+let[@inline] pair_sum r ~limit ~i ~j =
+  let s = r.stretch and head = r.head and spectra = r.spectra and n = r.n in
+  let xo = 2 * head_width * i and yo = 2 * head_width * j in
+  let sum = ref 0. in
+  let dr = Array.unsafe_get head xo -. Array.unsafe_get head yo
+  and di = Array.unsafe_get head (xo + 1) -. Array.unsafe_get head (yo + 1) in
+  sum := !sum +. ((dr *. dr) +. (di *. di));
+  if not (!sum > limit) then begin
+    let dr = Array.unsafe_get head (xo + 2) -. Array.unsafe_get head (yo + 2)
+    and di =
+      Array.unsafe_get head (xo + 3) -. Array.unsafe_get head (yo + 3)
+    in
+    sum := !sum +. ((dr *. dr) +. (di *. di));
+    if not (!sum > limit) then begin
+      let dr =
+        Array.unsafe_get head (xo + 4) -. Array.unsafe_get head (yo + 4)
+      and di =
+        Array.unsafe_get head (xo + 5) -. Array.unsafe_get head (yo + 5)
+      in
+      sum := !sum +. ((dr *. dr) +. (di *. di));
+      if not (!sum > limit) then begin
+        let dr =
+          Array.unsafe_get head (xo + 6) -. Array.unsafe_get head (yo + 6)
+        and di =
+          Array.unsafe_get head (xo + 7) -. Array.unsafe_get head (yo + 7)
+        in
+        sum := !sum +. ((dr *. dr) +. (di *. di));
+        if not (!sum > limit) then begin
+          let x = Array.unsafe_get spectra i
+          and y = Array.unsafe_get spectra j in
+          let f = ref head_width and stop = ref n in
+          while !f < !stop do
+            let k = 2 * !f in
+            let sr = Array.unsafe_get s k
+            and si = Array.unsafe_get s (k + 1) in
+            let xr = Array.unsafe_get x k
+            and xi = Array.unsafe_get x (k + 1) in
+            let yr = Array.unsafe_get y k
+            and yi = Array.unsafe_get y (k + 1) in
+            let dr =
+              ((sr *. xr) -. (si *. xi)) -. ((sr *. yr) -. (si *. yi))
+            in
+            let di =
+              ((sr *. xi) +. (si *. xr)) -. ((sr *. yi) +. (si *. yr))
+            in
+            sum := !sum +. ((dr *. dr) +. (di *. di));
+            incr f;
+            if !sum > limit then stop := !f
+          done
+        end
+      end
+    end
+  end;
+  !sum
+
 let within_row r ~limit ~threshold ~i ~j0 hits =
   let count = Array.length r.spectra in
   if i < 0 || i >= count || j0 < 0 || j0 > count
      || Array.length hits < count - j0
   then invalid_arg "Flat.within_row: row out of bounds";
-  let s = r.stretch and head = r.head and spectra = r.spectra and n = r.n in
-  let x = Array.unsafe_get spectra i in
-  let xo = 2 * head_width * i in
   let found = ref 0 in
   for j = j0 to count - 1 do
-    let yo = 2 * head_width * j in
-    let sum = ref 0. in
-    let dr = Array.unsafe_get head xo -. Array.unsafe_get head yo
-    and di = Array.unsafe_get head (xo + 1) -. Array.unsafe_get head (yo + 1) in
-    sum := !sum +. ((dr *. dr) +. (di *. di));
-    if not (!sum > limit) then begin
-      let dr = Array.unsafe_get head (xo + 2) -. Array.unsafe_get head (yo + 2)
-      and di =
-        Array.unsafe_get head (xo + 3) -. Array.unsafe_get head (yo + 3)
-      in
-      sum := !sum +. ((dr *. dr) +. (di *. di));
-      if not (!sum > limit) then begin
-        let dr =
-          Array.unsafe_get head (xo + 4) -. Array.unsafe_get head (yo + 4)
-        and di =
-          Array.unsafe_get head (xo + 5) -. Array.unsafe_get head (yo + 5)
-        in
-        sum := !sum +. ((dr *. dr) +. (di *. di));
-        if not (!sum > limit) then begin
-          let dr =
-            Array.unsafe_get head (xo + 6) -. Array.unsafe_get head (yo + 6)
-          and di =
-            Array.unsafe_get head (xo + 7) -. Array.unsafe_get head (yo + 7)
-          in
-          sum := !sum +. ((dr *. dr) +. (di *. di));
-          if not (!sum > limit) then begin
-            let y = Array.unsafe_get spectra j in
-            let f = ref head_width and stop = ref n in
-            while !f < !stop do
-              let k = 2 * !f in
-              let sr = Array.unsafe_get s k
-              and si = Array.unsafe_get s (k + 1) in
-              let xr = Array.unsafe_get x k
-              and xi = Array.unsafe_get x (k + 1) in
-              let yr = Array.unsafe_get y k
-              and yi = Array.unsafe_get y (k + 1) in
-              let dr =
-                ((sr *. xr) -. (si *. xi)) -. ((sr *. yr) -. (si *. yi))
-              in
-              let di =
-                ((sr *. xi) +. (si *. xr)) -. ((sr *. yi) +. (si *. yr))
-              in
-              sum := !sum +. ((dr *. dr) +. (di *. di));
-              incr f;
-              if !sum > limit then stop := !f
-            done
-          end
-        end
-      end
-    end;
-    if !sum <= threshold then begin
+    if pair_sum r ~limit ~i ~j <= threshold then begin
       Array.unsafe_set hits !found j;
+      incr found
+    end
+  done;
+  !found
+
+(* The pre-pass is coefficient 1's term of {!pair_sum}, the same
+   doubles in the same order. A pair abandoned before coefficient 1 is
+   over [limit >= threshold], and any other's sum only grows from that
+   term: a position the pre-pass drops can never be a hit. It stores
+   every [j] and advances the count by the comparison's 0 or 1, so no
+   branch depends on the data. The kernel then compacts its hits into
+   the same buffer, never writing past the candidate it reads. *)
+let within_band r ~limit ~threshold ~i ~j1 buf =
+  let count = Array.length r.spectra in
+  if i < 0 || i >= count || j1 <= i || j1 > count
+     || Array.length buf < j1 - i - 1
+  then invalid_arg "Flat.within_band: row out of bounds";
+  if not (threshold <= limit) then
+    invalid_arg "Flat.within_band: limit below the threshold";
+  let re = r.key_re and im = r.key_im in
+  let xr = Array.unsafe_get re i and xi = Array.unsafe_get im i in
+  let kept = ref 0 in
+  for j = i + 1 to j1 - 1 do
+    let dr = xr -. Array.unsafe_get re j and di = xi -. Array.unsafe_get im j in
+    Array.unsafe_set buf !kept j;
+    kept := !kept + Bool.to_int ((dr *. dr) +. (di *. di) <= threshold)
+  done;
+  let found = ref 0 in
+  for c = 0 to !kept - 1 do
+    let j = Array.unsafe_get buf c in
+    if pair_sum r ~limit ~i ~j <= threshold then begin
+      Array.unsafe_set buf !found j;
       incr found
     end
   done;

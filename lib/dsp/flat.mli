@@ -98,11 +98,12 @@ val dist_within :
 
 (** {1 The row kernel}
 
-    The pairwise join compares every entry with every later one. Its
-    comparisons mostly abandon within a few coefficients, so the row
-    kernel reads those from a small contiguous {e head} buffer and
-    reaches for an entry's full spectrum only while a pair is still
-    under the abandon limit. *)
+    The pairwise join compares entries pair by pair. Its comparisons
+    mostly abandon within a few coefficients, so the row kernel reads
+    those from a small contiguous {e head} buffer and reaches for an
+    entry's full spectrum only while a pair is still under the abandon
+    limit. The entries sit at {e positions} [0 .. count-1], in an order
+    the caller may choose (the band join sorts them by {!sort_key}). *)
 
 (** [head_width] is 4: the number of leading coefficients stored
     stretched in the head buffer — 4 × 16 bytes, one 64-byte cache
@@ -110,22 +111,32 @@ val dist_within :
     early-abandoning join comparisons end within them. *)
 val head_width : int
 
-(** A relation prepared for {!within_row}: its stored spectra, one
-    stretch, and the head buffer holding the first [head_width]
-    stretched coefficients of every entry, one entry after another
-    (zero beyond coefficient [n - 1] when [n < head_width]: adding
-    [0.] leaves a sum and its abandon tests unchanged). *)
+(** A relation prepared for {!within_row} and {!within_band}: its
+    stored spectra in position order, one stretch, and the head buffer
+    holding the first [head_width] stretched coefficients of every
+    position, one after another (zero beyond coefficient [n - 1] when
+    [n < head_width]: adding [0.] leaves a sum and its abandon tests
+    unchanged). *)
 type rows
 
-(** [rows ~stretch spectra] prepares [spectra] (entry [j] is
-    [spectra.(j)]) under [stretch]. Only the head buffer is stretched:
-    [Array.length spectra × head_width] coefficients. Raises
-    [Invalid_argument] when a spectrum's length differs from
+(** [sort_key ~stretch x] is the real part of [stretch.(1)·x.(1)] by
+    [Complex.mul]'s formula ([0.] when [x] has fewer than two
+    coefficients): the very double {!rows} stores as the real part of
+    the entry's head coefficient 1, which {!within_band}'s pre-pass
+    reads. Raises [Invalid_argument] when [x]'s length differs from
     [stretch]'s. *)
-val rows : stretch:t -> t array -> rows
+val sort_key : stretch:t -> t -> float
 
-(** [within_row r ~limit ~threshold ~i ~j0 hits] compares entry [i]
-    with each entry [j] in [j0 .. count-1], in ascending order, and
+(** [rows ~stretch ?order spectra] prepares [spectra] under [stretch]:
+    position [p] holds [spectra.(order.(p))] ([order] defaults to the
+    identity, and should be a permutation). Only the head buffer is
+    stretched: [Array.length spectra × head_width] coefficients. Raises
+    [Invalid_argument] when a spectrum's length differs from
+    [stretch]'s, or [order]'s from [spectra]'s. *)
+val rows : stretch:t -> ?order:int array -> t array -> rows
+
+(** [within_row r ~limit ~threshold ~i ~j0 hits] compares position [i]
+    with each position [j] in [j0 .. count-1], in ascending order, and
     writes every [j] whose squared distance is [<= threshold] into
     [hits] from index 0; it returns the number written. [hits] must
     hold at least [count - j0] elements.
@@ -139,7 +150,7 @@ val rows : stretch:t -> t array -> rows
     the first coefficient that leaves [sum > limit] (pass [infinity] to
     never abandon), and the final test is [sum <= threshold]. Hits are
     therefore bit-identical to that double loop. The kernel allocates
-    nothing. Raises [Invalid_argument] when [i] is not an entry,
+    nothing. Raises [Invalid_argument] when [i] is not a position,
     [j0] is outside [0 .. count], or [hits] is too short. *)
 val within_row :
   rows ->
@@ -147,5 +158,30 @@ val within_row :
   threshold:float ->
   i:int ->
   j0:int ->
+  int array ->
+  int
+
+(** [within_band r ~limit ~threshold ~i ~j1 buf] is {!within_row}
+    over positions [i+1 .. j1-1] only, with the same hits in the same
+    order, written into [buf] from index 0; it returns their number.
+    [buf] must hold at least [j1 - i - 1] elements.
+
+    A branch-free pre-pass first keeps each [j] whose coefficient-1
+    term [dr*.dr +. di*.di] — the kernel's own, over the head's
+    doubles — is [<= threshold], and only those run the per-pair
+    kernel, from coefficient 0. A pair abandoned after coefficient 0
+    is over [limit], so not a hit, and any other pair's sum is at
+    least that term (each later coefficient adds a non-negative one):
+    a dropped [j] can never have been a hit. This needs
+    [threshold <= limit]. The kernel allocates nothing. Raises
+    [Invalid_argument] when [i] is not a position, [j1] is outside
+    [i+1 .. count], [buf] is too short, or [limit] is below
+    [threshold]. *)
+val within_band :
+  rows ->
+  limit:float ->
+  threshold:float ->
+  i:int ->
+  j1:int ->
   int array ->
   int

@@ -28,11 +28,28 @@ let transformed_normals ?pool kindex spec =
     (fun (entry : Dataset.entry) -> Spec.apply_series spec entry.Dataset.normal)
     (Dataset.entries (Kindex.dataset kindex))
 
-(* The pairwise scans parallelise over the outer row [i]: a chunk of
-   rows produces its pairs in (i, j) order plus its own comparison
-   counter, and chunks merge in row order — the pair list and the
-   counters come out exactly as the sequential double loop's. Rows
-   shrink as [i] grows, so chunks are kept small to balance load. *)
+(* How far apart the band keys of a pair within ε can lie. A hit's sum
+   is at least coefficient 1's term, so [fl(dr²) <= fl(ε²)] for the
+   difference [dr] of its keys, and the keys differ by at most
+   [ε·(1 + 3u)] — or, when [dr²] underflows, by less than [2^-511],
+   which the additive term covers. When [ε²] overflows, every pair
+   is a hit. *)
+let band_width epsilon =
+  if Float.is_finite (epsilon *. epsilon) then
+    (epsilon *. (1. +. 1e-9)) +. 1e-153
+  else infinity
+
+(* The (i, j) order of the double loop. *)
+let compare_pairs (a, b) (c, d) =
+  if a <> c then Int.compare a c else Int.compare b d
+
+(* The pairwise scans parallelise over the outer row: a chunk of rows
+   produces its pairs plus its own comparison counter, and chunks merge
+   in row order, so the pairs and the counters are the sequential
+   loop's at every domain count (the band join then sorts its pairs
+   into (i, j) order). Rows differ in length — they shrink as the row
+   grows, and a band window is widest where keys are densest — so
+   chunks are kept small to balance load. *)
 let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Join.scan: epsilon must be finite and >= 0";
@@ -40,51 +57,94 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
   let dataset = Kindex.dataset kindex in
   let count = Dataset.cardinality dataset in
   let limit = epsilon *. epsilon in
-  (* [row_for ~lo] is a chunk's row function, starting at row [lo]. *)
-  let row_for =
+  let stretch () =
+    Flat.of_cpx (Spec.stretch spec ~n:(Dataset.series_length dataset))
+  in
+  let spectra () =
+    Array.map (fun (e : Dataset.entry) -> e.Dataset.spectrum)
+      (Dataset.entries dataset)
+  in
+  (* [row_for ~lo ~hi] is a chunk's row function: it adds row [p]'s
+     pairs to the list and returns its comparisons. [canonical] orders
+     the merged pairs. *)
+  let row_for, canonical =
     match spec with
     | Spec.Warp _ ->
       (* Frequency-domain prefixes underestimate warped distances; use
          the exact time-domain comparison instead. *)
       let normals = transformed_normals ~pool kindex spec in
-      fun ~lo:_ pairs i ->
-        let pairs = ref pairs in
-        for j = i + 1 to count - 1 do
-          let hit =
-            if abandon then
-              Distance.within ~threshold:epsilon normals.(i) normals.(j)
-            else Distance.euclidean normals.(i) normals.(j) <= epsilon
-          in
-          if hit then pairs := (i, j) :: !pairs
-        done;
-        !pairs
-    | _ ->
-      (* The stored spectra under the spec's stretch: only the
-         [count × head_width] head buffer is materialised per query. *)
-      let rows =
-        Flat.rows
-          ~stretch:
-            (Flat.of_cpx
-               (Spec.stretch spec ~n:(Dataset.series_length dataset)))
-          (Array.map
-             (fun (e : Dataset.entry) -> e.Dataset.spectrum)
-             (Dataset.entries dataset))
-      in
-      let abandon_limit = if abandon then limit else infinity in
-      fun ~lo ->
-        (* The chunk's own hit buffer, long enough for its first and
-           longest row: domains never share one. *)
-        let hits = Array.make (count - lo) 0 in
-        fun pairs i ->
-          let found =
-            Flat.within_row rows ~limit:abandon_limit ~threshold:limit ~i
-              ~j0:(i + 1) hits
-          in
-          let pairs = ref pairs in
-          for h = 0 to found - 1 do
-            pairs := (i, hits.(h)) :: !pairs
+      ( (fun ~lo:_ ~hi:_ pairs i ->
+          for j = i + 1 to count - 1 do
+            let hit =
+              if abandon then
+                Distance.within ~threshold:epsilon normals.(i) normals.(j)
+              else Distance.euclidean normals.(i) normals.(j) <= epsilon
+            in
+            if hit then pairs := (i, j) :: !pairs
           done;
-          !pairs
+          count - 1 - i),
+        Fun.id )
+    | _ when not abandon ->
+      (* Method (a): every later row, in id order, never abandoned.
+         Only the [count × head_width] head buffer is materialised. *)
+      let rows = Flat.rows ~stretch:(stretch ()) (spectra ()) in
+      ( (fun ~lo ~hi:_ ->
+          (* The chunk's own hit buffer, long enough for its first and
+             longest row: domains never share one. *)
+          let hits = Array.make (count - lo) 0 in
+          fun pairs i ->
+            let found =
+              Flat.within_row rows ~limit:infinity ~threshold:limit ~i
+                ~j0:(i + 1) hits
+            in
+            for h = 0 to found - 1 do
+              pairs := (i, hits.(h)) :: !pairs
+            done;
+            count - 1 - i),
+        Fun.id )
+    | _ ->
+      (* Method (b), a band join: positions sorted by the real part of
+         stretched coefficient 1, a lower bound on the pair distance,
+         so row [p] compares only the later positions whose key is
+         within the band width of its own. *)
+      let stretch = stretch () and spectra = spectra () in
+      let keys = Array.map (Flat.sort_key ~stretch) spectra in
+      let order = Array.init count Fun.id in
+      Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b)) order;
+      let rows = Flat.rows ~stretch ~order spectra in
+      let width = band_width epsilon in
+      (* [ends.(p)]: one past row [p]'s window. Rounding is monotone,
+         so a key within [width] of row [p]'s stays under the rounded
+         bound, and bounds, hence ends, grow with [p] (NaN keys sort
+         first, with empty windows: a NaN is never a hit). *)
+      let ends = Array.make count 0 in
+      let e = ref 0 in
+      for p = 0 to count - 1 do
+        let bound = keys.(order.(p)) +. width in
+        e := Int.max !e (p + 1);
+        while !e < count && keys.(order.(!e)) <= bound do
+          incr e
+        done;
+        ends.(p) <- !e
+      done;
+      ( (fun ~lo ~hi ->
+          let widest = ref 0 in
+          for p = lo to hi - 1 do
+            widest := Int.max !widest (ends.(p) - p - 1)
+          done;
+          let buf = Array.make !widest 0 in
+          fun pairs p ->
+            let found =
+              Flat.within_band rows ~limit ~threshold:limit ~i:p
+                ~j1:ends.(p) buf
+            in
+            let a = order.(p) in
+            for h = 0 to found - 1 do
+              let b = order.(buf.(h)) in
+              pairs := (Int.min a b, Int.max a b) :: !pairs
+            done;
+            ends.(p) - p - 1),
+        List.sort compare_pairs )
   in
   let chunk = max 1 (count / (16 * Pool.domains pool)) in
   let pn = Profile.enter profile "join.scan" in
@@ -94,14 +154,13 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
     Pool.map_chunks ~pool ~chunk ~n:count (fun ~lo ~hi ->
         let pairs = ref [] in
         let comparisons = ref 0 in
-        let row = row_for ~lo in
+        let row = row_for ~lo ~hi in
         for i = lo to hi - 1 do
           (* Budget granularity is one outer row: check before the row,
-             charge its [count - 1 - i] comparisons after. Every domain
-             passes through here, so cancellation reaches all chunks. *)
+             charge the comparisons it made after. Every domain passes
+             through here, so cancellation reaches all chunks. *)
           (match bstate with None -> () | Some b -> Budget.check b);
-          pairs := row !pairs i;
-          let c = count - 1 - i in
+          let c = row pairs i in
           (match bstate with
           | None -> ()
           | Some b -> Budget.charge_comparisons b c);
@@ -115,7 +174,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
   Otrace.with_span "join.merge" @@ fun () ->
   let result =
     {
-      pairs = List.concat_map fst partials;
+      pairs = canonical (List.concat_map fst partials);
       distance_computations =
         List.fold_left (fun acc (_, c) -> acc + c) 0 partials;
       node_accesses = 0;

@@ -5,7 +5,9 @@
     - {b a} — sequential scan of the Fourier-coefficient relation,
       comparing every sequence to all later ones, transformation applied,
       no early abandoning;
-    - {b b} — as (a) with early abandoning of each distance computation;
+    - {b b} — as (a) with early abandoning of each distance
+      computation, run as a band join (below) that compares only the
+      pairs one stretched coefficient cannot already rule out;
     - {b c} — scan the relation and pose one index range query per
       sequence, {e without} the transformation;
     - {b d} — as (c), applying the transformation to both the index and
@@ -19,12 +21,26 @@
     {!Simq_parallel.Pool} (default the global pool) with row-chunk
     results merged in row order, so the pair list and the counters are
     bit-identical to a single-domain join. Under every spec but [Warp]
-    they compare transformed spectra with the row kernel
-    {!Simq_dsp.Flat.within_row}, one call per outer row: per query
-    only the [count × Flat.head_width] head buffer is stretched, never
-    a full copy of the relation, and the pairs are bit-identical to a
-    double loop of {!Simq_dsp.Flat.sq_dist} over pre-stretched spectra.
-    [Warp] compares the transformed normal forms in the time domain.
+    they compare transformed spectra with the row kernel of
+    {!Simq_dsp.Flat}: per query only the [count × Flat.head_width] head
+    buffer is stretched, never a full copy of the relation. Method (a)
+    calls {!Simq_dsp.Flat.within_row} on every later row. Method (b) is
+    a band join. By Parseval and Lemma 1 any single stretched
+    coefficient lower-bounds the pair distance, so the entries are
+    sorted once per query by {!Simq_dsp.Flat.sort_key}, the real part
+    of stretched coefficient 1. Row [p] of that order then takes only
+    the contiguous window of later rows whose key is within
+    [ε·(1 + 1e-9)] of its own, and {!Simq_dsp.Flat.within_band} runs
+    the per-pair kernel on the window's pairs whose whole coefficient 1
+    lies within ε. Hits are mapped back to ids as [(min, max)] and
+    sorted into [(i, j)] order. Both methods' pairs are bit-identical
+    to a double loop of {!Simq_dsp.Flat.sq_dist} over pre-stretched
+    spectra: a pair outside the window or the pre-pass can never be a
+    hit, and every other pair gets the same doubles in the same order.
+    Method (b)'s [distance_computations] count the window pairs, not
+    the [count (count - 1) / 2] of method (a).
+    [Warp] compares the transformed normal forms in the time domain,
+    every pair, for both methods.
     The index methods stretch only the [k] query coefficients of each
     entry.
 
@@ -38,8 +54,8 @@
 type result = {
   pairs : (int * int) list;  (** entry-id pairs; self-pairs excluded *)
   distance_computations : int;
-      (** full distance computations (a, b) or postprocessing
-          computations (c, d) *)
+      (** pairs compared: every pair (a), the band-window pairs (b),
+          or postprocessing computations (c, d) *)
   node_accesses : int;  (** R-tree nodes visited (0 for a, b) *)
 }
 
@@ -58,7 +74,8 @@ val scan_early_abandon :
 (** [scan_checked kindex ?pool ?spec ?abandon ?budget ?retry ~epsilon]
     is the scan join ((a) with [abandon:false], (b) — the default —
     otherwise) under a {!Simq_fault.Budget}: the outer loop checks the
-    budget per row on every domain and charges the row's comparisons,
+    budget before each row on every domain and charges the row's
+    comparisons after it (for (b), the row's band window),
     so a blown comparison limit or deadline yields a typed error
     instead of an exception (with an unlimited budget the result is
     bit-identical to the unchecked scan). [retry]/[on_retry] follow
@@ -66,7 +83,8 @@ val scan_early_abandon :
 
     With [?admission] the join is vetted {e before} execution by
     {!Simq_admission.decide_pairs}: the comparison count
-    [n (n - 1) / 2] is a catalogue fact, so the decision is a pure
+    [n (n - 1) / 2] — an upper bound on (b)'s window pairs — is a
+    catalogue fact, so the decision is a pure
     function of the budget and a registry snapshot — identical at
     every domain count, and counted in the
     [simq_admission_decisions_total] family. A [Reject] returns the

@@ -273,7 +273,11 @@ let prop_scan_parallel_eq_sequential =
 
 (* The frequency-domain join scan as a plain double loop of the
    distance kernel over one pre-stretched [count × n] buffer: the pairs
-   in (i, j) order and one computation per pair. *)
+   in (i, j) order, and the comparisons the scan makes — one per pair
+   for method (a), and for method (b) one per pair whose coefficient-1
+   real parts lie within the band width of each other (any two keys,
+   in either order: the band is a property of the pair, not of the
+   sort). *)
 let reference_join ~abandon d spec epsilon =
   let module Flat = Simq_dsp.Flat in
   let entries = Dataset.entries d in
@@ -286,17 +290,24 @@ let reference_join ~abandon d spec epsilon =
     entries;
   let threshold = epsilon *. epsilon in
   let limit = if abandon then threshold else infinity in
-  let acc = Flat.acc () and pairs = ref [] in
+  let key i = if n < 2 then 0. else spectra.(2 * ((i * n) + 1)) in
+  let width =
+    if Float.is_finite threshold then (epsilon *. (1. +. 1e-9)) +. 1e-153
+    else infinity
+  in
+  let acc = Flat.acc () and pairs = ref [] and band = ref 0 in
   for i = 0 to count - 1 do
     for j = i + 1 to count - 1 do
       acc.Flat.sum <- 0.;
       ignore
         (Flat.sq_dist ~stretch:None ~limit ~lo:0 ~hi:n spectra (i * n) spectra
            (j * n) acc);
-      if acc.Flat.sum <= threshold then pairs := (i, j) :: !pairs
+      if acc.Flat.sum <= threshold then pairs := (i, j) :: !pairs;
+      let lo = Float.min (key i) (key j) and hi = Float.max (key i) (key j) in
+      if hi <= lo +. width then incr band
     done
   done;
-  (List.rev !pairs, count * (count - 1) / 2)
+  (List.rev !pairs, if abandon then !band else count * (count - 1) / 2)
 
 let prop_join_parallel_eq_sequential =
   QCheck.Test.make ~name:"parallel join scan ≡ sequential (every spec)"
@@ -339,6 +350,55 @@ let prop_join_parallel_eq_sequential =
               );
             ])
         [ 1; 2; 4 ];
+      true)
+
+(* Method (b)'s band join against the exhaustive double loop, where
+   keys tie and pairs lie at distance 0: a relation with exact
+   duplicates (identical spectra) and shifted, scaled copies (normal
+   forms equal up to rounding), at ε = 0 and above, for every spec the
+   band applies to. *)
+let prop_band_join_eq_exhaustive =
+  QCheck.Test.make ~name:"band join pairs ≡ exhaustive pairs (every non-Warp spec)"
+    ~count:12
+    QCheck.(
+      make
+        ~print:(fun (seed, eps) -> Printf.sprintf "seed=%d eps=%g" seed eps)
+        Gen.(
+          pair (int_range 0 1000)
+            (frequency [ (1, return 0.); (3, float_range 0.05 6.) ])))
+    (fun (seed, epsilon) ->
+      let base = Generator.random_walks ~seed ~count:30 ~n:32 in
+      let copies =
+        Array.init 12 (fun i ->
+            let s = base.(i * 7 mod 30) in
+            if i mod 2 = 0 then Array.copy s
+            else Array.map (fun v -> (3. *. v) +. 10.) s)
+      in
+      let d =
+        Dataset.of_series ~pool:Pool.sequential ~name:"dups"
+          (Array.append base copies)
+      in
+      let index = Kindex.build ~max_fill:8 d in
+      List.iter
+        (fun spec ->
+          let pairs, _ = reference_join ~abandon:true d spec epsilon in
+          if epsilon = 0. then
+            Alcotest.(check bool)
+              (Printf.sprintf "duplicates pair at 0, %s" (Spec.name spec))
+              true
+              (List.length pairs >= 6);
+          List.iter
+            (fun domains ->
+              Alcotest.(check (list (pair int int)))
+                (Printf.sprintf "band = exhaustive, %s, domains=%d"
+                   (Spec.name spec) domains)
+                pairs
+                (Join.scan_early_abandon ~pool:(pool_of domains) ~spec index
+                   ~epsilon)
+                  .Join.pairs)
+            [ 1; 2 ])
+        [ Spec.Identity; Spec.Moving_average 3; Spec.Moving_average 8;
+          Spec.Reverse; Spec.Weighted_ma (Simq_dsp.Window.ascending 5) ];
       true)
 
 let prop_batch_eq_one_by_one =
@@ -543,5 +603,7 @@ let () =
               test_scan_io_accounting_matches;
             Alcotest.test_case "Lemma 1 with metrics enabled" `Quick
               test_scan_with_metrics_enabled;
-          ] );
+          ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_band_join_eq_exhaustive ]
+      );
     ]

@@ -286,7 +286,34 @@ let test_row_kernel_matches_boxed () =
                              (Spec.name spec) n i j0 abandon)
                           expected
                           (Array.to_list (Array.sub hits 0 found)))
-                      [ 0; i + 1; count ]
+                      [ 0; i + 1; count ];
+                    (* The band entry point: the same hits, cut at
+                       [j1], after its coefficient-1 pre-pass — which
+                       needs the limit at or above the threshold. *)
+                    let band j1 =
+                      Flat.within_band rows ~limit ~threshold ~i ~j1 hits
+                    in
+                    if limit < threshold then
+                      Alcotest.check_raises "band below the threshold"
+                        (Invalid_argument
+                           "Flat.within_band: limit below the threshold")
+                        (fun () -> ignore (band count))
+                    else
+                      List.iter
+                        (fun j1 ->
+                          let expected =
+                            List.filter
+                              (fun j -> boxed_sum ~limit i j <= threshold)
+                              (List.init (j1 - i - 1) (fun d -> i + 1 + d))
+                          in
+                          let found = band j1 in
+                          Alcotest.(check (list int))
+                            (Printf.sprintf "%s n=%d i=%d j1=%d band, abandon %s"
+                               (Spec.name spec) n i j1 abandon)
+                            expected
+                            (Array.to_list (Array.sub hits 0 found)))
+                        (List.sort_uniq compare
+                           [ i + 1; (i + 1 + count) / 2; count ])
                   done)
                 [ ("at", threshold); ("off", infinity);
                   ("below", threshold /. 4.) ])
@@ -298,10 +325,20 @@ let test_row_kernel_matches_boxed () =
                  (Flat.within_row rows ~limit:threshold ~threshold ~i:0 ~j0:1
                     hits))
           in
+          let band_hits_of ~threshold =
+            Array.to_list
+              (Array.sub hits 0
+                 (Flat.within_band rows ~limit:threshold ~threshold ~i:0
+                    ~j1:count hits))
+          in
           Alcotest.(check bool) "the tie is a hit" true
             (List.mem 1 (hits_of ~threshold:tie));
           Alcotest.(check bool) "just below the tie is not" false
-            (List.mem 1 (hits_of ~threshold:(Float.pred tie))))
+            (List.mem 1 (hits_of ~threshold:(Float.pred tie)));
+          Alcotest.(check bool) "the tie is a band hit" true
+            (List.mem 1 (band_hits_of ~threshold:tie));
+          Alcotest.(check bool) "just below the tie is no band hit" false
+            (List.mem 1 (band_hits_of ~threshold:(Float.pred tie))))
         specs)
     [ 2; 3; 4; 16; 64 ];
   (* The kernel allocates nothing: only the two [Gc.minor_words]
@@ -318,7 +355,63 @@ let test_row_kernel_matches_boxed () =
     ignore (Flat.within_row rows ~limit:infinity ~threshold:1. ~i:0 ~j0:1 hits)
   done;
   Alcotest.(check bool) "no allocation per row" true
+    (Gc.minor_words () -. before < 16.);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore
+      (Flat.within_band rows ~limit:infinity ~threshold:1. ~i:0 ~j1:count hits)
+  done;
+  Alcotest.(check bool) "no allocation per band row" true
     (Gc.minor_words () -. before < 16.)
+
+(* Positions follow [?order]: a band row over the ordered positions
+   hits exactly the entries the unordered row kernel hits among the
+   later positions. [sort_key] is [Complex.mul]'s real part of
+   coefficient 1. *)
+let test_rows_order () =
+  let module Flat = Simq_dsp.Flat in
+  let d = dataset_of ~seed:17 ~count:9 ~n:16 in
+  let spectra =
+    Array.map (fun (e : Dataset.entry) -> e.Dataset.spectrum) (Dataset.entries d)
+  in
+  let stretch = Flat.of_cpx (Spec.stretch (Spec.Moving_average 3) ~n:16) in
+  let order = [| 4; 0; 8; 2; 6; 1; 3; 5; 7 |] in
+  let plain = Flat.rows ~stretch spectra
+  and sorted = Flat.rows ~stretch ~order spectra in
+  let hits = Array.make 9 0 in
+  let position = Array.make 9 0 in
+  Array.iteri (fun p j -> position.(j) <- p) order;
+  List.iter
+    (fun threshold ->
+      Array.iteri
+        (fun p i ->
+          let expected =
+            Array.sub hits 0
+              (Flat.within_row plain ~limit:threshold ~threshold ~i ~j0:0 hits)
+            |> Array.to_list
+            |> List.filter (fun j -> position.(j) > p)
+            |> List.sort compare
+          in
+          let found =
+            Flat.within_band sorted ~limit:threshold ~threshold ~i:p ~j1:9 hits
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "band row %d, threshold %g" p threshold)
+            expected
+            (List.sort compare
+               (List.map (fun q -> order.(q))
+                  (Array.to_list (Array.sub hits 0 found)))))
+        order)
+    [ 0.; 8.; 16.; 24.; 32.; infinity ];
+  Array.iter
+    (fun x ->
+      Alcotest.(check (float 0.)) "sort_key = Complex.mul's real part"
+        (Complex.mul (Flat.coeff stretch 1) (Flat.coeff x 1)).Complex.re
+        (Flat.sort_key ~stretch x))
+    spectra;
+  Alcotest.check_raises "order length"
+    (Invalid_argument "Flat.rows: order length differs from the spectra")
+    (fun () -> ignore (Flat.rows ~stretch ~order:[| 0 |] spectra))
 
 let test_flat_spectrum_is_fft () =
   let d = dataset_of ~seed:13 ~count:8 ~n:48 in
@@ -785,6 +878,56 @@ let test_join_transformed_finds_more_smoothed_pairs () =
     true
     (List.length smoothed.Join.pairs >= List.length raw.Join.pairs)
 
+(* Method (b) charges each row's band window, and its comparison
+   counter, its metric and its profile node all report that count:
+   fewer than the [n (n - 1) / 2] pairs of method (a). *)
+let test_join_checked_charges () =
+  let module Budget = Simq_fault.Budget in
+  let module Metrics = Simq_obs.Metrics in
+  let module Profile = Simq_obs.Profile in
+  let d = dataset_of ~seed:41 ~count:120 ~n:64 in
+  let idx = Kindex.build ~max_fill:8 d in
+  let pool = Simq_parallel.Pool.sequential in
+  let m = Metrics.counter "simq_join_comparisons_total" in
+  List.iter
+    (fun (spec, epsilon) ->
+      let label = Spec.name spec in
+      let profile = Profile.create () in
+      let before = Metrics.counter_total m in
+      let r =
+        Metrics.with_enabled true (fun () ->
+            Join.scan_early_abandon ~pool ~spec ~profile idx ~epsilon)
+      in
+      let n = Dataset.cardinality d in
+      Alcotest.(check bool) (label ^ ": the band skips pairs") true
+        (r.Join.distance_computations < n * (n - 1) / 2);
+      Alcotest.(check int) (label ^ ": metric = computations")
+        r.Join.distance_computations
+        (Metrics.counter_total m - before);
+      Alcotest.(check int) (label ^ ": profile candidates = computations")
+        r.Join.distance_computations
+        (match Profile.find profile "join.scan" with
+        | Some node -> Profile.candidates node
+        | None -> Alcotest.fail "no join.scan node");
+      let run max_comparisons =
+        match
+          Join.scan_checked ~pool ~spec
+            ~budget:(Budget.create ~max_comparisons ())
+            idx ~epsilon
+        with
+        | Ok r' ->
+          Alcotest.(check (list (pair int int))) (label ^ ": checked pairs")
+            r.Join.pairs r'.Join.pairs;
+          "ok"
+        | Error e -> Simq_fault.Error.kind e
+      in
+      Alcotest.(check string) (label ^ ": one comparison per window pair")
+        "ok" (run r.Join.distance_computations);
+      Alcotest.(check string) (label ^ ": one comparison short")
+        "budget_exceeded:comparisons"
+        (run (r.Join.distance_computations - 1)))
+    [ (Spec.Identity, 2.); (Spec.Moving_average 8, 1.); (Spec.Reverse, 2.5) ]
+
 (* --- GK95 constraints & raw queries ----------------------------------------- *)
 
 let test_range_mean_std_constraints () =
@@ -1189,6 +1332,7 @@ let () =
             test_flat_kernel_matches_boxed;
           Alcotest.test_case "row kernel = boxed formula, bit for bit" `Quick
             test_row_kernel_matches_boxed;
+          Alcotest.test_case "rows follow their order" `Quick test_rows_order;
           Alcotest.test_case "dist_within: exact within, a bound beyond" `Quick
             test_dist_within;
           Alcotest.test_case "flat spectrum = fft_real of the normal form"
@@ -1256,6 +1400,8 @@ let () =
             test_join_untransformed_matches_identity;
           Alcotest.test_case "smoothing admits more pairs" `Quick
             test_join_transformed_finds_more_smoothed_pairs;
+          Alcotest.test_case "checked band charges its windows" `Quick
+            test_join_checked_charges;
         ] );
       ( "planner",
         [

@@ -24,8 +24,9 @@
 # with --shards 4 --sketch,
 # an --approx query checked superset-free against the exact answers
 # with the sketch ladder visible in its profile tree, and an
-# out-of-range --approx rejected as a usage error, plus a PAIRS join
-# whose early-abandoning scan prints the same pairs as the full scan.
+# out-of-range --approx rejected as a usage error, plus PAIRS joins
+# (identity, rev, mavg(4)) whose early-abandoning band join prints the
+# same pairs as the full scan.
 #
 # Two modes:
 #   tools/smoke.sh                full standalone run: dune build @all,
@@ -115,20 +116,22 @@ grep -q '"event":"simq.profile"' profile.json || {
   exit 1
 }
 
-echo "== PAIRS: the early-abandoning scan join equals the full scan"
-"$simq" query smoke.rel "PAIRS FROM r USING mavg(4) EPS 2.5 METHOD scan" \
-  >pairs.full.out
-"$simq" query smoke.rel \
-  "PAIRS FROM r USING mavg(4) EPS 2.5 METHOD scan-early" >pairs.early.out
-grep -q ' ~ ' pairs.full.out || {
-  echo "smoke: the PAIRS scan join found no pair" >&2
-  exit 1
-}
-[ "$(grep ' ~ ' pairs.early.out)" = "$(grep ' ~ ' pairs.full.out)" ] || {
-  echo "smoke: scan-early pairs differ from the full scan" >&2
-  diff pairs.full.out pairs.early.out >&2 || true
-  exit 1
-}
+echo "== PAIRS: the early-abandoning band join equals the full scan"
+for using in "" "USING rev " "USING mavg(4) "; do
+  "$simq" query smoke.rel "PAIRS FROM r ${using}EPS 2.5 METHOD scan" \
+    >pairs.full.out
+  "$simq" query smoke.rel "PAIRS FROM r ${using}EPS 2.5 METHOD scan-early" \
+    >pairs.early.out
+  grep -q ' ~ ' pairs.full.out || {
+    echo "smoke: the PAIRS scan join ${using}found no pair" >&2
+    exit 1
+  }
+  [ "$(grep ' ~ ' pairs.early.out)" = "$(grep ' ~ ' pairs.full.out)" ] || {
+    echo "smoke: scan-early pairs ${using}differ from the full scan" >&2
+    diff pairs.full.out pairs.early.out >&2 || true
+    exit 1
+  }
+done
 
 echo "== sampled query log over a bench sweep, aggregated by qlog-top"
 "$bench" --fast ablation_fault --qlog smoke.qlog --qlog-sample 3 \
