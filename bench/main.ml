@@ -125,24 +125,17 @@ let rec strip_jobs = function
   | "--jobs" :: [] -> jobs_usage ()
   | arg :: rest -> arg :: strip_jobs rest
 
-(* [--metrics[=FILE]], [--trace FILE] and [--metrics-port PORT] enable
-   the observability subsystem for the whole run; the exposition /
-   Chrome trace is written once all experiments finish ("-" means
-   stdout), and the port (or SIMQ_METRICS_PORT) serves the live
-   exposition while the run is in flight.
-
-   [--qlog FILE] (with [--qlog-sample N] and [--qlog-slow-ms T])
-   installs the ambient query log, so every query the experiments route
-   through Planner.range_resilient appends a line. [--metrics-state
-   FILE] loads the saved registry state before the run and rewrites it
-   afterwards, persisting planner calibration across processes. *)
+(* [--metrics[=FILE]], [--trace FILE], [--metrics-port PORT] and
+   [--metrics-state FILE] are simq's observability flags, run through
+   the same Simq_cli.with_obs: the exposition / Chrome trace is written
+   once all experiments finish ("-" means stdout), the port (or
+   SIMQ_METRICS_PORT) serves the live exposition while the run is in
+   flight, and the saved registry state is loaded before the run and
+   rewritten afterwards, persisting planner calibration across
+   processes. [--shards K] overrides the shard experiment's count. *)
 let metrics_dest = ref None
 let trace_dest = ref None
 let metrics_port = ref None
-let qlog_dest = ref None
-let qlog_sample = ref 1
-let qlog_slow_ms = ref None
-let qlog_max_bytes = ref None
 let metrics_state = ref None
 
 let obs_usage opt expected =
@@ -171,31 +164,6 @@ let rec strip_obs = function
   | "--metrics-port" :: [] ->
     prerr_endline "option '--metrics-port': expected a port number";
     exit 2
-  | "--qlog" :: file :: rest ->
-    qlog_dest := Some file;
-    strip_obs rest
-  | "--qlog" :: [] -> obs_usage "--qlog" "a file name"
-  | "--qlog-sample" :: value :: rest -> (
-    match int_of_string_opt (String.trim value) with
-    | Some n when n >= 1 ->
-      qlog_sample := n;
-      strip_obs rest
-    | _ -> obs_usage "--qlog-sample" "an integer >= 1")
-  | "--qlog-sample" :: [] -> obs_usage "--qlog-sample" "an integer >= 1"
-  | "--qlog-slow-ms" :: value :: rest -> (
-    match float_of_string_opt (String.trim value) with
-    | Some t when t >= 0. ->
-      qlog_slow_ms := Some t;
-      strip_obs rest
-    | _ -> obs_usage "--qlog-slow-ms" "a duration in milliseconds")
-  | "--qlog-slow-ms" :: [] -> obs_usage "--qlog-slow-ms" "a duration in milliseconds"
-  | "--qlog-max-bytes" :: value :: rest -> (
-    match int_of_string_opt (String.trim value) with
-    | Some b when b >= 1 ->
-      qlog_max_bytes := Some b;
-      strip_obs rest
-    | _ -> obs_usage "--qlog-max-bytes" "an integer >= 1")
-  | "--qlog-max-bytes" :: [] -> obs_usage "--qlog-max-bytes" "an integer >= 1"
   | "--metrics-state" :: file :: rest ->
     metrics_state := Some file;
     strip_obs rest
@@ -212,80 +180,27 @@ let rec strip_obs = function
     strip_obs rest
   | arg :: rest -> arg :: strip_obs rest
 
-let dump_obs () =
-  let module Metrics = Simq_obs.Metrics in
-  let module Trace = Simq_obs.Trace in
-  (match !metrics_dest with
-  | None -> ()
-  | Some "-" -> print_string (Metrics.exposition ())
-  | Some file ->
-    let oc = open_out file in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Metrics.exposition ())));
-  (match !trace_dest with
-  | None -> ()
-  | Some file -> Trace.export_file file);
-  match !metrics_state with
-  | None -> ()
-  | Some file -> Metrics.save_state file
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl |> strip_jobs |> strip_obs in
-  if !metrics_dest <> None then Simq_obs.Metrics.set_enabled true;
-  if !trace_dest <> None then Simq_obs.Trace.set_enabled true;
-  (* Like the CLI: persisted state and qlog deltas need live counters. *)
-  if !metrics_state <> None || !qlog_dest <> None then
-    Simq_obs.Metrics.set_enabled true;
-  (match !metrics_state with
-  | Some file when Sys.file_exists file -> (
-    match Simq_obs.Metrics.load_state file with
-    | () -> ()
-    | exception (Failure msg | Sys_error msg) ->
-      prerr_endline ("bench: " ^ msg);
-      exit 2)
-  | _ -> ());
-  let qlog =
-    match !qlog_dest with
-    | None -> None
-    | Some file -> (
-      match
-        Simq_obs.Qlog.create ~sample:!qlog_sample ?slow_ms:!qlog_slow_ms
-          ?max_bytes:!qlog_max_bytes file
-      with
-      | t -> Some t
-      | exception Sys_error msg ->
-        prerr_endline ("bench: " ^ msg);
-        exit 2)
+  let fast = List.mem "--fast" args in
+  let names = List.filter (fun a -> a <> "--fast") args in
+  let names = if names = [] then [ "all"; "micro" ] else names in
+  let run name =
+    if String.equal name "micro" then Ok (run_micro ())
+    else
+      Result.map_error
+        (fun msg -> Simq_cli.Usage msg)
+        (Simq_experiments.Experiments.run ~fast name)
   in
-  Simq_obs.Qlog.install qlog;
-  let server =
-    match Simq_cli.resolve_metrics_port !metrics_port with
-    | None -> None
-    | Some port ->
-      Simq_obs.Metrics.set_enabled true;
-      let server = Simq_obs.Serve.start ~port () in
-      Printf.eprintf "bench: serving metrics on http://127.0.0.1:%d/metrics\n%!"
-        (Simq_obs.Serve.port server);
-      Some server
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Simq_obs.Serve.stop server;
-      Simq_obs.Qlog.install None;
-      Option.iter Simq_obs.Qlog.close qlog)
-    (fun () ->
-      let fast = List.mem "--fast" args in
-      let names = List.filter (fun a -> a <> "--fast") args in
-      let names = if names = [] then [ "all"; "micro" ] else names in
-      List.iter
-        (fun name ->
-          if String.equal name "micro" then run_micro ()
-          else
-            match Simq_experiments.Experiments.run ~fast name with
-            | Ok () -> ()
-            | Error msg ->
-              prerr_endline msg;
-              exit 1)
-        names;
-      dump_obs ())
+  match
+    Simq_cli.with_obs
+      ?metrics_port:(Simq_cli.resolve_metrics_port !metrics_port)
+      ?metrics_state:!metrics_state ~metrics:!metrics_dest ~trace:!trace_dest
+      (fun () ->
+        List.fold_left (fun acc name -> Result.bind acc (fun () -> run name))
+          (Ok ()) names)
+  with
+  | Ok () -> ()
+  | Error e ->
+    prerr_endline ("bench: " ^ Simq_cli.message e);
+    exit (Simq_cli.exit_code e)

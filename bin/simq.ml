@@ -15,7 +15,6 @@ module Budget = Simq_fault.Budget
 module Otrace = Simq_obs.Trace
 module Profile = Simq_obs.Profile
 module Qlog = Simq_obs.Qlog
-module Metrics = Simq_obs.Metrics
 module Engine = Simq_serve.Engine
 open Simq_tsindex
 
@@ -261,13 +260,14 @@ let with_engine ~span ~file ~noise ~shards ~admission ~sketch ~approx
     (Engine.create ~noise ?budget ?admission ?shards ?sketch
        ?approx index)
 
-(* The one-shot report, rendered from the engine's outcome: one header
-   line in the same shape for every query class, then one row per
-   answer — [name distance d] for RANGE/NEAREST, [a ~ b] for PAIRS. *)
-let print_outcome engine (o : Engine.outcome) ~elapsed =
+(* The one-shot report, rendered from the engine's record and answer:
+   one header line in the same shape for every query class, then one
+   row per answer — [name distance d] for RANGE/NEAREST, [a ~ b] for
+   PAIRS. *)
+let print_outcome engine (note : Engine.note) (o : Engine.outcome) =
   let module J = Simq_obs.Json in
   let shards =
-    match (Engine.sharded engine, o.Engine.shards) with
+    match (Engine.sharded engine, note.Engine.note_shards) with
     | Some sharded, Some c ->
       Printf.sprintf ", %d shards: fanout %d, pruned %d, degraded %d"
         (Simq_shard.shards sharded) c.Qlog.fanout c.Qlog.pruned
@@ -275,13 +275,14 @@ let print_outcome engine (o : Engine.outcome) ~elapsed =
     | _ -> ""
   in
   Printf.printf "%d answers (path %s%s%s%s, %s)\n" o.Engine.answers
-    (Option.value o.Engine.path ~default:"index")
+    (Option.value note.Engine.note_path ~default:"index")
     shards
-    (match o.Engine.decision with
+    (match note.Engine.note_decision with
     | Some d -> ", admission: " ^ d
     | None -> "")
     (if o.Engine.partial then ", partial" else "")
-    (Format.asprintf "%a" Simq_report.Timer.pp_seconds elapsed);
+    (Format.asprintf "%a" Simq_report.Timer.pp_seconds
+       note.Engine.note_duration_s);
   List.iter
     (fun row ->
       match (J.member "name" row, J.member "distance" row) with
@@ -318,44 +319,14 @@ let query_impl file text noise shards jobs metrics trace metrics_port
         ~approx ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses
       @@ fun engine ->
       let note = Engine.note () in
-      (* The query-log bracket: counter deltas span the execution. *)
-      let log_query =
-        match qlog with
-        | None -> fun _ _ -> ()
-        | Some qlog ->
-          let before = Metrics.snapshot () in
-          fun result duration_s ->
-            let outcome, exit_code =
-              match result with
-              | Ok _ -> ("ok", 0)
-              | Error e -> outcome_of_error e
-            in
-            Qlog.log qlog
-              {
-                Qlog.spec = text;
-                digest = Engine.digest text;
-                decision = note.Engine.note_decision;
-                path = note.Engine.note_path;
-                deltas =
-                  Qlog.counter_deltas ~before ~after:(Metrics.snapshot ());
-                duration_s;
-                outcome;
-                exit_code;
-                domains =
-                  Simq_parallel.Pool.domains (Simq_parallel.Pool.default ());
-                shards = note.Engine.note_shards;
-                trace_id = Some request;
-              }
-      in
-      let result, elapsed =
+      let result =
         Otrace.with_span "execute" (fun () ->
-            Simq_report.Timer.time (fun () ->
-                Engine.exec ?profile:(Option.map fst profile)
-                  ~note engine text))
+            Engine.exec ?qlog ?profile:(Option.map fst profile) ~note
+              engine text)
       in
-      log_query result elapsed;
+      Simq_report.Timer.observe note.Engine.note_duration_s;
       let* outcome = result in
-      print_outcome engine outcome ~elapsed;
+      print_outcome engine note outcome;
       Ok ())
 
 let ql_arg =
@@ -502,40 +473,6 @@ let read_qlog_specs file =
       files;
     Ok (List.rev !specs)
 
-let batch_line ~seq ~spec (r : _ Simq_parallel.Batch.timed) =
-  let module J = Simq_obs.Json in
-  let head =
-    [
-      ("event", J.Str "simq.batch");
-      ("v", J.Num 1.);
-      ("seq", J.Num (float_of_int seq));
-      ("spec", J.Str spec);
-      ("digest", J.Str (Engine.digest spec));
-      ("duration_ms", J.Num (r.Simq_parallel.Batch.duration_s *. 1000.));
-    ]
-  in
-  let tail =
-    match r.Simq_parallel.Batch.value with
-    | Ok (o : Engine.outcome) ->
-      [
-        ("path", J.Str (Option.value o.Engine.path ~default:"index"));
-        ("outcome", J.Str "ok");
-        ("exit", J.Num 0.);
-        ("answers", J.Num (float_of_int o.Engine.answers));
-      ]
-      @ (if o.Engine.partial then [ ("partial", J.Bool true) ] else [])
-      @ [ ("results", o.Engine.results) ]
-    | Error e ->
-      let outcome, code = outcome_of_error e in
-      [
-        ("path", J.Null);
-        ("outcome", J.Str outcome);
-        ("exit", J.Num (float_of_int code));
-        ("error", J.Str (Simq_cli.message e));
-      ]
-  in
-  J.to_string (J.Obj (head @ tail))
-
 (* Per-query profile trees, dumped together: the text form labels each
    tree with its sequence number and spec, the .json form wraps them in
    one self-describing simq.batch-profile object. *)
@@ -629,13 +566,6 @@ let batch_impl file specs from_qlog output noise shards sketch approx jobs
           in
           let texts = Array.of_list texts in
           let n = Array.length texts in
-          (* Request ids are pre-allocated in sequence order on this
-             domain, so qlog trace ids are a pure function of the
-             batch — identical at every pool size. Each task binds its
-             id domain-locally ([~global:false]): a batch query runs
-             wholly on one pool domain, and concurrent tasks must not
-             overwrite each other's ambient id. *)
-          let requests = Array.init n (fun _ -> Otrace.new_request_id ()) in
           let profiles =
             Option.map
               (fun _ -> Array.init n (fun _ -> Profile.create ()))
@@ -643,67 +573,20 @@ let batch_impl file specs from_qlog output noise shards sketch approx jobs
           in
           (* A failed query becomes its own error line; the rest of the
              batch still runs, and the command still exits 0 — this is
-             the serving path, not a transaction. Join scans run on the
-             sequential pool: a batched query stays whole on its
-             executing domain instead of fanning back out. *)
-          let run ~profile (i, text) =
-            Otrace.with_request ~global:false requests.(i) (fun () ->
-                Engine.exec ?profile
-                  ~pairs_pool:Simq_parallel.Pool.sequential engine text)
-          in
-          let results =
-            Simq_parallel.Batch.map_timed ?profiles run
-              (Array.mapi (fun i text -> (i, text)) texts)
-          in
+             the serving path, not a transaction. *)
+          let results = Engine.batch ?profiles ?qlog engine texts in
           let oc = Option.value out ~default:stdout in
           let ok_count = ref 0 in
           Array.iteri
-            (fun i r ->
-              (match r.Simq_parallel.Batch.value with
-              | Ok _ -> incr ok_count
-              | Error _ -> ());
-              output_string oc (batch_line ~seq:i ~spec:texts.(i) r);
+            (fun seq (note, r) ->
+              if Result.is_ok r then incr ok_count;
+              output_string oc
+                (Simq_serve.Protocol.result_line ~event:"simq.batch" ~seq
+                   ~digest:(Engine.note_digest note) note
+                   (Result.map_error Simq_cli.message r));
               output_char oc '\n')
             results;
           flush oc;
-          (* The query log is written after the batch, in query order on
-             this domain, so qlog sampling stays a pure function of the
-             sequence number at every pool size. Per-query counter
-             deltas are not separable under parallel execution, so the
-             deltas field stays empty. *)
-          (match qlog with
-          | None -> ()
-          | Some qlog ->
-            let domains =
-              Simq_parallel.Pool.domains (Simq_parallel.Pool.default ())
-            in
-            Array.iteri
-              (fun i (r : _ Simq_parallel.Batch.timed) ->
-                let outcome, code, path =
-                  match r.Simq_parallel.Batch.value with
-                  | Ok (o : Engine.outcome) ->
-                    ("ok", 0, Some (Option.value o.Engine.path ~default:"index"))
-                  | Error e ->
-                    let outcome, code = outcome_of_error e in
-                    (outcome, code, None)
-                in
-                Qlog.log qlog
-                  {
-                    Qlog.spec = texts.(i);
-                    digest = Engine.digest texts.(i);
-                    decision = None;
-                    path;
-                    deltas = [];
-                    duration_s = r.Simq_parallel.Batch.duration_s;
-                    outcome;
-                    exit_code = code;
-                    domains;
-                    (* Like the deltas, per-query shard counts are not
-                       separable from the batch pipeline's timed tuples. *)
-                    shards = None;
-                    trace_id = Some requests.(i);
-                  })
-              results);
           let* () =
             match (profile, profiles) with
             | Some dest, Some profiles ->
@@ -792,8 +675,9 @@ let scrape_impl host port timeout_ms =
 
 let ms_to_s ms = float_of_int ms /. 1000.
 
-(* The chaos seam: a seeded transient-fault injector installed on the
-   buffer pool and the R*-tree for the lifetime of the daemon. *)
+(* The chaos seam: a seeded transient-fault injector installed on every
+   buffer pool and R*-tree the engine queries, each shard's included,
+   for the lifetime of the daemon. *)
 let make_injector ~seed ~page_prob ~node_prob =
   if page_prob <= 0. && node_prob <= 0. then Ok None
   else
@@ -832,20 +716,9 @@ let serve_impl file port max_inflight slow_k idle_timeout_ms write_timeout_ms
         make_injector ~seed:fault_seed ~page_prob:fault_page_prob
           ~node_prob:fault_node_prob
       in
-      let index = Engine.index engine in
-      let relation = Dataset.relation (Kindex.dataset index) in
-      (match injector with
-      | Some _ ->
-        Simq_rtree.Rstar.set_injector (Kindex.tree index) injector;
-        Relation.set_injector relation injector
-      | None -> ());
+      Engine.set_injector engine injector;
       Fun.protect
-        ~finally:(fun () ->
-          match injector with
-          | Some _ ->
-            Simq_rtree.Rstar.set_injector (Kindex.tree index) None;
-            Relation.set_injector relation None
-          | None -> ())
+        ~finally:(fun () -> Engine.set_injector engine None)
         (fun () ->
           let* server =
             match

@@ -167,13 +167,6 @@ let rotated_chain path =
   | false, false -> []
 
 (* ------------------------------------------------------------------ *)
-(* Ambient log                                                         *)
-
-let ambient_log : t option Atomic.t = Atomic.make None
-let install log = Atomic.set ambient_log log
-let ambient () = Atomic.get ambient_log
-
-(* ------------------------------------------------------------------ *)
 (* Building entries                                                    *)
 
 let sample_key name labels =

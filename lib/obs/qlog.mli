@@ -16,10 +16,10 @@
     can only {e add} slow-query lines).
 
     A query log never changes an answer: it only reads registry
-    snapshots. The optional process-wide {e ambient} log is how the
-    bench driver's [--qlog] flag reaches
-    {!Simq_tsindex.Planner.range_resilient} without threading a value
-    through every experiment. *)
+    snapshots. Lines are written by the query entry points ([simq
+    query], [simq batch], [simq serve]), each projecting the engine's
+    one request record ([Simq_serve.Engine.qlog_entry]); no library
+    below [lib/serve] logs queries. *)
 
 type t
 (** An open query log: destination channel, sampling policy, sequence
@@ -90,15 +90,6 @@ val rotated_chain : string -> string list
     consume. Every pair state is handled: both files, only [path],
     only [path.1] (rotation fired on the final line and nothing was
     written after it), or neither — the result is then empty. *)
-
-(** {1 The ambient log} *)
-
-val install : t option -> unit
-(** Sets (or clears) the process-wide ambient log that
-    [Planner.range_resilient] appends to when no explicit log is in
-    scope. Used by the bench driver's [--qlog] flag. *)
-
-val ambient : unit -> t option
 
 (** {1 Building entries} *)
 

@@ -8,11 +8,13 @@ let m_seconds =
   Metrics.histogram ~help:"Every interval measured by Report.Timer, in seconds"
     "simq_timer_seconds"
 
+let observe elapsed = Metrics.observe m_seconds elapsed
+
 let time f =
   let start = Clock.now_ns () in
   let result = f () in
   let elapsed = Clock.elapsed_s start in
-  Metrics.observe m_seconds elapsed;
+  observe elapsed;
   (result, elapsed)
 
 let time_median ~runs f =

@@ -8,6 +8,10 @@
     seconds. *)
 val time : (unit -> 'a) -> 'a * float
 
+(** [observe seconds] records an interval measured elsewhere (a query's
+    own execution time) into [simq_timer_seconds], as {!time} does. *)
+val observe : float -> unit
+
 (** [time_median ~runs f] runs [f] [runs] times and returns the last
     result with the median elapsed seconds — robust against scheduler
     noise. [runs] must be positive. *)

@@ -6,6 +6,10 @@ module Join = Simq_tsindex.Join
 module Ql = Simq_tsindex.Ql
 module Spec = Simq_tsindex.Spec
 module Qlog = Simq_obs.Qlog
+module Metrics = Simq_obs.Metrics
+module Trace = Simq_obs.Trace
+module Clock = Simq_obs.Clock
+module Pool = Simq_parallel.Pool
 module J = Simq_obs.Json
 
 let ( let* ) = Result.bind
@@ -61,7 +65,6 @@ let create ?(noise = 0.) ?(budget = Budget.unlimited) ?admission ?shards
     stats = None;
   }
 
-let index t = t.index
 let sharded t = t.sharded
 
 (* A monolithic engine's funnel builder; sharded engines carry
@@ -107,12 +110,61 @@ let resolve_query_series dataset spec ~name ~noise =
     Ok series
 
 type note = {
+  mutable note_spec : string;
+  mutable note_digest : string option;
+  mutable note_trace : int option;
   mutable note_path : string option;
   mutable note_decision : string option;
   mutable note_shards : Qlog.shard_counts option;
+  mutable note_partial : bool;
+  mutable note_duration_s : float;
+  mutable note_outcome : string;
+  mutable note_exit : int;
 }
 
-let note () = { note_path = None; note_decision = None; note_shards = None }
+let note () =
+  {
+    note_spec = "";
+    note_digest = None;
+    note_trace = None;
+    note_path = None;
+    note_decision = None;
+    note_shards = None;
+    note_partial = false;
+    note_duration_s = 0.;
+    note_outcome = "ok";
+    note_exit = 0;
+  }
+
+(* Computed at most once per request, and only when a view asks for
+   it: a query with no log or slow store open pays no digest. *)
+let note_digest note =
+  match note.note_digest with
+  | Some d -> d
+  | None ->
+    let d = digest note.note_spec in
+    note.note_digest <- Some d;
+    d
+
+(* A rejection is recorded as the admission decision [reject] even
+   when the path reports it only through its error. *)
+let settle note ~duration_s result =
+  note.note_duration_s <- duration_s;
+  match result with
+  | Ok _ -> ()
+  | Error e ->
+    (match e with
+    | Simq_cli.Fault (Simq_fault.Error.Rejected _) ->
+      note.note_decision <- Some "reject"
+    | _ -> ());
+    let outcome, code = Simq_cli.outcome_of_error e in
+    note.note_outcome <- outcome;
+    note.note_exit <- code
+
+let refuse note ~trace ~spec e =
+  note.note_spec <- spec;
+  note.note_trace <- Some trace;
+  settle note ~duration_s:0. (Error (Simq_cli.Fault e))
 
 let note_report note (r : Simq_shard.report) =
   note.note_shards <-
@@ -140,14 +192,7 @@ let note_shard_decision note =
       worst := Some d;
       note.note_decision <- Some (Simq_admission.decision_name d)
 
-type outcome = {
-  path : string option;
-  decision : string option;
-  shards : Qlog.shard_counts option;
-  partial : bool;
-  answers : int;
-  results : J.t;
-}
+type outcome = { partial : bool; answers : int; results : J.t }
 
 let answers_json answers =
   J.Arr
@@ -170,25 +215,10 @@ let pairs_json dataset pairs =
        pairs)
 
 let finish ?(partial = false) note ~answers ~results =
-  Ok
-    {
-      path = note.note_path;
-      decision = note.note_decision;
-      shards = note.note_shards;
-      partial;
-      answers;
-      results;
-    }
+  note.note_partial <- partial;
+  Ok { partial; answers; results }
 
 let fault e = Error (Simq_cli.Fault e)
-
-(* A rejection is logged as the admission decision [reject] even when
-   the path reports it only through its error. *)
-let fault_noting note e =
-  (match e with
-  | Simq_fault.Error.Rejected _ -> note.note_decision <- Some "reject"
-  | _ -> ());
-  fault e
 
 (* One route per query class and engine shape: every query runs the
    checked entry point of its physical strategy, and a plain engine is
@@ -215,7 +245,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
         finish ~partial:r.Simq_shard.partial note
           ~answers:(List.length r.Simq_shard.answers)
           ~results:(answers_json r.Simq_shard.answers)
-      | Error e -> fault_noting note e)
+      | Error e -> fault e)
     | None -> (
       let stats = Option.map (fun _ -> stats t) t.admission in
       match
@@ -232,7 +262,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
         finish ~partial:r.Planner.partial note
           ~answers:(List.length r.Planner.answers)
           ~results:(answers_json r.Planner.answers)
-      | Error e -> fault_noting note e))
+      | Error e -> fault e))
   | Ql.Nearest { k; spec; query; _ } -> (
     let* series =
       resolve_query_series t.dataset spec ~name:query ~noise:t.noise
@@ -250,7 +280,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
         finish note
           ~answers:(List.length r.Simq_shard.neighbours)
           ~results:(answers_json r.Simq_shard.neighbours)
-      | Error e -> fault_noting note e)
+      | Error e -> fault e)
     | None -> (
       note.note_path <- Some "index";
       match
@@ -295,16 +325,99 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
       finish note
         ~answers:(List.length r.Join.pairs)
         ~results:(pairs_json t.dataset r.Join.pairs)
-    | Error e -> fault_noting note e)
+    | Error e -> fault e)
 
-let exec ?profile ?pairs_pool ?note:n t text =
+let qlog_entry ?(deltas = []) note =
+  {
+    Qlog.spec = note.note_spec;
+    digest = note_digest note;
+    decision = note.note_decision;
+    path = note.note_path;
+    deltas;
+    duration_s = note.note_duration_s;
+    outcome = note.note_outcome;
+    exit_code = note.note_exit;
+    domains = Pool.domains (Pool.default ());
+    shards = note.note_shards;
+    trace_id = note.note_trace;
+  }
+
+let exec ?qlog ?profile ?pairs_pool ?note:n t text =
   let note = match n with Some n -> n | None -> note () in
+  note.note_spec <- text;
+  note.note_trace <-
+    (match Trace.current_request () with 0 -> None | id -> Some id);
   (* The one central stamping point: a profile built inside a request
      scope carries the request id on its JSON root, correlating it
      with the query's qlog line and trace spans. *)
-  (match (profile, Simq_obs.Trace.current_request ()) with
-  | Some p, id when id <> 0 -> Simq_obs.Profile.set_trace p id
+  (match (profile, note.note_trace) with
+  | Some p, Some id -> Simq_obs.Profile.set_trace p id
   | _ -> ());
-  match exec_parsed ?profile ?pairs_pool ~note t text with
-  | r -> r
-  | exception Invalid_argument msg -> usage msg
+  (* The qlog's counter deltas bracket two global registry snapshots,
+     valid while the caller serialises execution. *)
+  let bracket = Option.map (fun log -> (log, Metrics.snapshot ())) qlog in
+  let t0 = Clock.now_ns () in
+  let result =
+    match exec_parsed ?profile ?pairs_pool ~note t text with
+    | r -> Ok r
+    | exception Invalid_argument msg -> Ok (usage msg)
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let duration_s = Clock.elapsed_s t0 in
+  (match result with
+  | Ok r -> settle note ~duration_s r
+  | Error _ ->
+    note.note_duration_s <- duration_s;
+    note.note_outcome <- "fault";
+    note.note_exit <- 4);
+  (match bracket with
+  | Some (log, before) ->
+    Qlog.log log
+      (qlog_entry
+         ~deltas:(Qlog.counter_deltas ~before ~after:(Metrics.snapshot ()))
+         note)
+  | None -> ());
+  match result with
+  | Ok r -> r
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+let batch ?profiles ?qlog t texts =
+  let n = Array.length texts in
+  (* Request ids are pre-allocated in sequence order on this domain,
+     so qlog trace ids are a pure function of the batch — identical
+     at every pool size. Each task binds its id domain-locally: a
+     batch query runs wholly on one pool domain, and concurrent tasks
+     must not overwrite each other's ambient id. *)
+  let requests = Array.init n (fun _ -> Trace.new_request_id ()) in
+  let notes = Array.init n (fun _ -> note ()) in
+  let results =
+    Simq_parallel.Batch.map ?profiles
+      (fun ~profile i ->
+        Trace.with_request ~global:false requests.(i) (fun () ->
+            exec ?profile ~pairs_pool:Pool.sequential ~note:notes.(i) t
+              texts.(i)))
+      (Array.init n Fun.id)
+  in
+  (* Logged after the batch, in query order on this domain, so qlog
+     sampling stays a pure function of the sequence number at every
+     pool size. Per-query counter deltas are not separable under
+     parallel execution, so the deltas stay empty. *)
+  Option.iter
+    (fun log -> Array.iter (fun note -> Qlog.log log (qlog_entry note)) notes)
+    qlog;
+  Array.map2 (fun note r -> (note, r)) notes results
+
+let set_injector t injector =
+  let install index =
+    Simq_rtree.Rstar.set_injector (Kindex.tree index) injector;
+    Simq_storage.Relation.set_injector
+      (Dataset.relation (Kindex.dataset index))
+      injector
+  in
+  install t.index;
+  Option.iter
+    (fun sharded ->
+      for i = 0 to Simq_shard.shards sharded - 1 do
+        install (Simq_shard.shard_index sharded i)
+      done)
+    t.sharded

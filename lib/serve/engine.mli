@@ -64,14 +64,8 @@ val create :
   Simq_tsindex.Kindex.t ->
   t
 
-val index : t -> Simq_tsindex.Kindex.t
-
 (** The shard set behind a sharded engine ([None] on plain ones). *)
 val sharded : t -> Simq_shard.t option
-
-(** [digest text] is the stable 12-hex-character query identity used
-    by the query log and the batch/serve response lines. *)
-val digest : string -> string
 
 (** [resolve_query_series dataset spec ~name ~noise] resolves the
     [sN] query-name convention against the data set: entry [N]'s
@@ -86,31 +80,56 @@ val resolve_query_series :
   noise:float ->
   (Simq_series.Series.t, Simq_cli.error) result
 
-(** What the query log wants to know about an execution, filled in as
-    the plan unfolds — meaningful even when {!exec} returns an error
-    (a rejected query records its ["reject"] decision here). *)
+(** The one request record: everything known about one query once it
+    has finished, filled in by {!exec} as the plan unfolds and stamped
+    on every way out — an answer, a typed error, or an exception that
+    escapes the executor. Every view of a finished query is a
+    projection of it: the qlog line ({!qlog_entry}), the [simq.serve]
+    response and [simq.batch] line ({!Protocol.result_line}), the
+    daemon's slow exemplar and the one-shot report of [simq query]. *)
 type note = {
+  mutable note_spec : string;  (** the query text as received *)
+  mutable note_digest : string option;
+      (** the digest of [note_spec], computed on first use by
+          {!note_digest}; [None] until a view asks for it *)
+  mutable note_trace : int option;
+      (** the request id in scope while the query ran
+          ({!Simq_obs.Trace.current_request}) *)
   mutable note_path : string option;  (** access path actually executed *)
   mutable note_decision : string option;
-      (** admission decision; on a sharded engine the worst per-shard
-          decision (reject > degrade_to_scan > admit) *)
+      (** admission decision — ["reject"] for every rejected query; on
+          a sharded engine the worst per-shard decision (reject >
+          degrade_to_scan > admit) *)
   mutable note_shards : Simq_obs.Qlog.shard_counts option;
       (** scatter-gather accounting, set on sharded executions *)
+  mutable note_partial : bool;
+      (** the answer is an anytime partial subset (see {!outcome}) *)
+  mutable note_duration_s : float;  (** execution time inside {!exec} *)
+  mutable note_outcome : string;
+      (** ["ok"], the {!Simq_cli.outcome_of_error} kind, or ["fault"]
+          for an escaped exception *)
+  mutable note_exit : int;  (** the exit code matching [note_outcome] *)
 }
 
+(** An empty record, for {!exec} to fill. *)
 val note : unit -> note
 
-(** A successful execution: the executed path, admission decision and
-    scatter-gather counts (as in the {!note}), whether the answer is an
-    anytime partial subset, the answer count, and the rendered answer
-    rows — [{id; name; distance}] objects for RANGE/NEAREST, [{a; b}]
-    name pairs for PAIRS — ready for a response, batch line or the
-    one-shot report. *)
+(** [note_digest note] is the record's query identity — the first 12
+    hex characters of the MD5 digest of its spec — computed once and
+    kept in the record. *)
+val note_digest : note -> string
+
+(** [refuse note ~trace ~spec e] records a request refused before it
+    reached the executor (the daemon's in-flight cap): decision
+    ["reject"], [e]'s outcome and exit code, zero duration. *)
+val refuse : note -> trace:int -> spec:string -> Simq_fault.Error.t -> unit
+
+(** A successful execution's answer: whether it is an anytime partial
+    subset, the answer count, and the rendered answer rows —
+    [{id; name; distance}] objects for RANGE/NEAREST, [{a; b}] name
+    pairs for PAIRS. How the answer was reached lives in the
+    {!note}. *)
 type outcome = {
-  path : string option;
-  decision : string option;
-  shards : Simq_obs.Qlog.shard_counts option;
-      (** set on sharded executions *)
   partial : bool;
       (** an approximate engine under a budget ran out inside exact
           verification: the answers are a sound subset of the exact
@@ -120,17 +139,57 @@ type outcome = {
   results : Simq_obs.Json.t;
 }
 
-(** [exec ?profile ?pairs_pool ?note t text] parses and executes one
-    query. [pairs_pool] feeds the PAIRS scan methods' domain pool
-    (batch passes {!Simq_parallel.Pool.sequential} so a batched query
-    stays whole on its executing domain). Parse failures and argument
-    violations are [Usage] errors; budget exhaustion, unretried faults
-    and admission rejections are typed [Fault] errors — [exec] never
-    raises on query-dependent input. *)
+(** [exec ?qlog ?profile ?pairs_pool ?note t text] parses and
+    executes one query, filling [note] (a fresh record when omitted;
+    pass a fresh {!note} per query). [pairs_pool] feeds the PAIRS scan
+    methods' domain pool (batch passes
+    {!Simq_parallel.Pool.sequential} so a batched query stays whole on
+    its executing domain). Parse failures and argument violations are
+    [Usage] errors; budget exhaustion, unretried faults and admission
+    rejections are typed [Fault] errors — [exec] never raises on
+    query-dependent input. An exception that escapes anyway is
+    recorded in [note] as outcome ["fault"], exit 4, and re-raised.
+
+    With [qlog], the query also appends its record's line
+    ({!qlog_entry}), whose counter deltas bracket the execution
+    between two global registry snapshots — valid only while the
+    caller serialises execution ([simq query] runs one query, the
+    daemon holds its engine mutex). Without [qlog] no snapshot is
+    taken. *)
 val exec :
+  ?qlog:Simq_obs.Qlog.t ->
   ?profile:Simq_obs.Profile.t ->
   ?pairs_pool:Simq_parallel.Pool.t ->
   ?note:note ->
   t ->
   string ->
   (outcome, Simq_cli.error) result
+
+(** [qlog_entry ?deltas note] is the record's qlog line: spec and
+    digest, decision, path, shard counts, duration, outcome, exit code
+    and trace id, plus the domain count of the default pool, read now.
+    [deltas] (default none) are the counter deltas of the caller's
+    registry bracket. The only place a {!Simq_obs.Qlog.entry} is
+    built. *)
+val qlog_entry : ?deltas:(string * int) list -> note -> Simq_obs.Qlog.entry
+
+(** [batch ?profiles ?qlog t texts] executes every query of a batch,
+    one query per task of the default pool, each under its own
+    request id (allocated in query order, so ids are a pure function
+    of the batch) and with PAIRS scans on the sequential pool. Returns
+    each query's record and result in query order. With [qlog], one
+    line per query is logged after the batch, in query order, so
+    sampling is a pure function of the sequence number at every pool
+    size; per-query counter deltas are not separable under parallel
+    execution, so those lines carry none. *)
+val batch :
+  ?profiles:Simq_obs.Profile.t array ->
+  ?qlog:Simq_obs.Qlog.t ->
+  t ->
+  string array ->
+  (note * (outcome, Simq_cli.error) result) array
+
+(** [set_injector t injector] installs (or, with [None], removes) a
+    fault injector on every R*-tree and relation [t] queries: the
+    whole relation's and, on a sharded engine, each shard's. *)
+val set_injector : t -> Simq_fault.Injector.t option -> unit

@@ -72,35 +72,56 @@ let opt_str = function None -> J.Null | Some s -> J.Str s
 
 let partial_field partial = if partial then [ ("partial", J.Bool true) ] else []
 
-let ok_line ~seq ~spec ~path ~decision ?(partial = false) ~answers ~results
-    ~duration_s ?profile () =
-  let tail =
+let result_line ~event ~seq ?digest ?profile (note : Engine.note) result =
+  let digest =
+    match digest with None -> [] | Some d -> [ ("digest", J.Str d) ]
+  in
+  let answer =
+    match result with
+    | Ok (o : Engine.outcome) ->
+      [ ("answers", J.Num (float_of_int o.Engine.answers)) ]
+      @ partial_field note.Engine.note_partial
+      @ [ ("results", o.Engine.results) ]
+    | Error message -> [ ("error", J.Str message) ]
+  in
+  let profile =
     match profile with None -> [] | Some p -> [ ("profile", p) ]
+  in
+  (* An error line names no path: the query answered nothing. *)
+  let path =
+    match result with Ok _ -> opt_str note.Engine.note_path | Error _ -> J.Null
   in
   J.to_string
     (J.Obj
-       (head ~event:"simq.serve" ~seq
+       (head ~event ~seq
+       @ (("spec", J.Str note.Engine.note_spec) :: digest)
        @ [
-           ("spec", J.Str spec);
-           ("path", opt_str path);
-           ("decision", opt_str decision);
-           ("outcome", J.Str "ok");
-           ("exit", J.Num 0.);
-           ("answers", J.Num (float_of_int answers));
+           ("path", path);
+           ("decision", opt_str note.Engine.note_decision);
+           ("outcome", J.Str note.Engine.note_outcome);
+           ("exit", J.Num (float_of_int note.Engine.note_exit));
          ]
-       @ partial_field partial
-       @ [
-           ("results", results);
-           ("duration_ms", J.Num (duration_s *. 1000.));
-         ]
-       @ tail))
+       @ answer
+       @ [ ("duration_ms", J.Num (note.Engine.note_duration_s *. 1000.)) ]
+       @ profile))
 
-let error_line ~seq ?spec ~outcome ~exit_code ~message () =
+let ok_line ~seq ~spec ~path ~decision ?(partial = false) ~answers ~results
+    ~duration_s ?profile () =
+  let note = Engine.note () in
+  note.Engine.note_spec <- spec;
+  note.Engine.note_path <- path;
+  note.Engine.note_decision <- decision;
+  note.Engine.note_partial <- partial;
+  note.Engine.note_duration_s <- duration_s;
+  result_line ~event:"simq.serve" ~seq ?profile note
+    (Ok { Engine.partial; answers; results })
+
+let error_line ~seq ~outcome ~exit_code ~message () =
   J.to_string
     (J.Obj
        (head ~event:"simq.serve" ~seq
        @ [
-           ("spec", opt_str spec);
+           ("spec", J.Null);
            ("outcome", J.Str outcome);
            ("exit", J.Num (float_of_int exit_code));
            ("error", J.Str message);

@@ -6,10 +6,11 @@
     on one line; the reserved command words [ping], [shutdown] and the
     [profile ] prefix are matched on the raw line before unescaping
     (query-language keywords are case-insensitive, so no legal spec
-    collides with the lowercase command words). Responses reuse the
-    JSON-lines vocabulary of [simq batch]: an ["event"] tag, the
-    outcome string with its mapped exit code, and the rendered answers
-    — any JSON-lines tool can aggregate a session transcript.
+    collides with the lowercase command words). A query's response
+    and its [simq batch] line come from one renderer
+    ({!result_line}): an ["event"] tag, the outcome string with its
+    mapped exit code, and the rendered answers — any JSON-lines tool
+    can aggregate a session transcript.
 
     Everything here is pure string/JSON manipulation, shared by the
     server ({!Server}), the stress harness ({!Stress}) and the tests;
@@ -56,14 +57,29 @@ val parse_request : string -> (request, string) result
     newline. [seq] is the per-connection response sequence number, so
     a client can match pipelined requests to responses. *)
 
+(** [result_line ~event ~seq ?digest ?profile note result] is the
+    line of one finished query — the [simq.serve] response
+    ([event = "simq.serve"]) and the [simq.batch] result line
+    ([event = "simq.batch"]) alike — projected from the engine's
+    request record: spec, [digest] when given, the executed path
+    ([null] on an error line), the admission decision, the outcome
+    with its exit code, then the answer count, ["partial":true] for an
+    anytime partial answer (a complete one has no such member) and the
+    rendered rows — or, for [Error message], the one-line message —
+    and the execution time. [profile] attaches the per-query operator
+    tree. *)
+val result_line :
+  event:string ->
+  seq:int ->
+  ?digest:string ->
+  ?profile:Simq_obs.Json.t ->
+  Engine.note ->
+  (Engine.outcome, string) result ->
+  string
+
 (** [ok_line ~seq ~spec ~path ~decision ?partial ~answers ~results
-    ~duration_s ?profile ()] is the success response:
-    ["event":"simq.serve"], outcome ["ok"]/exit [0], the executed
-    access path and admission decision when known, the answer count,
-    the rendered answer rows and the server-side execution time. An
-    anytime answer cut short by its budget ([partial], default
-    [false]) carries ["partial":true] after the count; a complete one
-    has no such member. *)
+    ~duration_s ?profile ()] is {!result_line}'s [simq.serve] success
+    response for a caller holding the fields rather than a record. *)
 val ok_line :
   seq:int ->
   spec:string ->
@@ -77,18 +93,13 @@ val ok_line :
   unit ->
   string
 
-(** [error_line ~seq ?spec ~outcome ~exit_code ~message ()] is the
-    failure response, carrying the {!Simq_cli} outcome string and exit
-    code ([usage]/1, [file]/2, the typed fault kind/4, [rejected]/5)
-    and a one-line human-readable message. *)
+(** [error_line ~seq ~outcome ~exit_code ~message ()] is the response
+    to a request line that never reached the engine (an unparsable or
+    over-long line, a [slow] command without a store): a [null] spec,
+    the {!Simq_cli} outcome string with its exit code and a one-line
+    message. *)
 val error_line :
-  seq:int ->
-  ?spec:string ->
-  outcome:string ->
-  exit_code:int ->
-  message:string ->
-  unit ->
-  string
+  seq:int -> outcome:string -> exit_code:int -> message:string -> unit -> string
 
 (** [pong_line ~seq] answers {!Ping} (["event":"simq.serve.pong"]). *)
 val pong_line : seq:int -> string

@@ -105,26 +105,6 @@ let write_line fd line =
   in
   go 0
 
-let log_query t ~spec ~trace ~decision ~path ?shards ~deltas ~duration_s
-    ~outcome ~exit_code () =
-  match t.qlog with
-  | None -> ()
-  | Some qlog ->
-    Qlog.log qlog
-      {
-        Qlog.spec;
-        digest = Engine.digest spec;
-        decision;
-        path;
-        deltas;
-        duration_s;
-        outcome;
-        exit_code;
-        domains = Simq_parallel.Pool.domains (Simq_parallel.Pool.default ());
-        shards;
-        trace_id = Some trace;
-      }
-
 (* The load-shed path: refused through the admission policy before the
    engine mutex is even contended — no page read, no execution-side
    counter moves. *)
@@ -133,11 +113,11 @@ let shed_response t ~seq ~trace ~spec ~inflight ~limit =
   Metrics.incr m_shed;
   let reject = Simq_admission.shed t.policy ~inflight ~limit in
   let e = Simq_admission.error_of_reject reject in
-  let message = Format.asprintf "%a" Simq_fault.Error.pp e in
-  let outcome, exit_code = Simq_cli.outcome_of_error (Simq_cli.Fault e) in
-  log_query t ~spec ~trace ~decision:(Some "reject") ~path:None ~deltas:[]
-    ~duration_s:0. ~outcome ~exit_code ();
-  Protocol.error_line ~seq ~spec ~outcome ~exit_code ~message ()
+  let note = Engine.note () in
+  Engine.refuse note ~trace ~spec e;
+  Option.iter (fun qlog -> Qlog.log qlog (Engine.qlog_entry note)) t.qlog;
+  Protocol.result_line ~event:"simq.serve" ~seq note
+    (Error (Simq_fault.Error.to_string e))
 
 let run_query t ~seq ~profile ~spec =
   (* One request id per protocol query line — the correlation key of
@@ -164,44 +144,33 @@ let run_query t ~seq ~profile ~spec =
           if profile || t.slow <> None then Some (Profile.create ()) else None
         in
         let note = Engine.note () in
-        let result, duration_s =
+        let result =
           Mutex.protect t.engine_mutex (fun () ->
               (* Engine execution is serialized under the mutex, so
                  publishing the request id process-wide is race-free
                  and pool worker domains fanning out for this query
-                 observe it. *)
+                 observe it — and the qlog's global counter bracket
+                 sees this query alone. *)
               Trace.with_request trace (fun () ->
-                  let before =
-                    match t.qlog with
-                    | Some _ -> Some (Metrics.snapshot ())
-                    | None -> None
-                  in
-                  let result, duration_s =
-                    Simq_report.Timer.time (fun () ->
-                        match Engine.exec ?profile:prof ~note t.engine spec with
-                        | r -> `Result r
-                        | exception e -> `Escaped e)
-                  in
-                  let deltas =
-                    match before with
-                    | Some before ->
-                      Qlog.counter_deltas ~before ~after:(Metrics.snapshot ())
-                    | None -> []
+                  let result =
+                    match
+                      Engine.exec ?qlog:t.qlog ?profile:prof ~note
+                        t.engine spec
+                    with
+                    | Ok o -> Ok o
+                    | Error e -> Error (Simq_cli.message e)
+                    | exception e ->
+                      (* Worker isolation: anything escaping the engine
+                         becomes an exit-4 fault line, never a dead
+                         thread. *)
+                      Error (Printexc.to_string e)
                   in
                   (* After the delta bracket, so qlog deltas keep
                      showing only execution-side families (and a
                      rejected query's stay empty). *)
                   Metrics.incr m_queries;
-                  let outcome, exit_code =
-                    match result with
-                    | `Result (Ok _) -> ("ok", 0)
-                    | `Result (Error e) -> Simq_cli.outcome_of_error e
-                    | `Escaped _ -> ("fault", 4)
-                  in
-                  log_query t ~spec ~trace ~decision:note.Engine.note_decision
-                    ~path:note.Engine.note_path ?shards:note.Engine.note_shards
-                    ~deltas ~duration_s ~outcome ~exit_code ();
-                  (result, duration_s)))
+                  Simq_report.Timer.observe note.Engine.note_duration_s;
+                  result))
         in
         Atomic.incr t.n_served;
         (match t.slow with
@@ -209,33 +178,18 @@ let run_query t ~seq ~profile ~spec =
           Slow.observe store
             {
               Slow.seq;
-              trace_id = trace;
-              digest = Engine.digest spec;
-              spec;
-              duration_s;
+              trace_id = Option.value note.Engine.note_trace ~default:0;
+              digest = Engine.note_digest note;
+              spec = note.Engine.note_spec;
+              duration_s = note.Engine.note_duration_s;
               profile =
                 (match prof with Some p -> Profile.render p | None -> "");
             }
         | None -> ());
-        match result with
-        | `Result (Ok (o : Engine.outcome)) ->
-          Protocol.ok_line ~seq ~spec ~path:o.Engine.path
-            ~decision:o.Engine.decision ~partial:o.Engine.partial
-            ~answers:o.Engine.answers ~results:o.Engine.results ~duration_s
-            ?profile:
-              (if profile then Option.map Profile.to_json prof else None)
-            ()
-        | `Result (Error e) ->
-          Atomic.incr t.n_errors;
-          let outcome, exit_code = Simq_cli.outcome_of_error e in
-          Protocol.error_line ~seq ~spec ~outcome ~exit_code
-            ~message:(Simq_cli.message e) ()
-        | `Escaped e ->
-          (* Worker isolation: anything escaping the engine becomes an
-             exit-4 fault line, never a dead thread. *)
-          Atomic.incr t.n_errors;
-          Protocol.error_line ~seq ~spec ~outcome:"fault" ~exit_code:4
-            ~message:(Printexc.to_string e) ())
+        if Result.is_error result then Atomic.incr t.n_errors;
+        Protocol.result_line ~event:"simq.serve" ~seq
+          ?profile:(if profile then Option.map Profile.to_json prof else None)
+          note result)
 
 let handle_line t fd ~next_seq line =
   let line =

@@ -29,9 +29,9 @@
     Queries execute one at a time under an engine mutex (connection
     I/O stays concurrent), so registry snapshots bracket exactly one
     query and the query-log entry stream is well-formed; the executed
-    query is timed through {!Simq_report.Timer}, feeding the
-    [simq_timer_seconds] histogram the admission policy calibrates
-    against.
+    query's time ([Engine.note]'s duration) is observed through
+    {!Simq_report.Timer}, feeding the [simq_timer_seconds] histogram
+    the admission policy calibrates against.
 
     Every query line is issued a request id
     ({!Simq_obs.Trace.new_request_id}) published for the duration of

@@ -2,9 +2,6 @@ module Distance = Simq_series.Distance
 module Metrics = Simq_obs.Metrics
 module Otrace = Simq_obs.Trace
 module Profile = Simq_obs.Profile
-module Qlog = Simq_obs.Qlog
-module Clock = Simq_obs.Clock
-module Pool = Simq_parallel.Pool
 
 let m_path_index =
   Metrics.counter ~help:"Queries planned onto the k-index"
@@ -197,7 +194,7 @@ let admission_workload ?stats ?(sketch_levels = 0) kindex ~epsilon =
     sketch_levels;
   }
 
-let range_resilient_impl ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
+let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
     ?stats ?(budget = Budget.unlimited) ?retry ?counters ?(validate = false)
     ?admission ?sketch ?(sketch_levels = 0) ?approx ?anytime ?profile kindex
     ~query ~epsilon =
@@ -325,87 +322,3 @@ let range_resilient_impl ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
     run_scan ~degraded:true
   | None | Some Simq_admission.Admit -> (
     match plan with Use_scan -> run_scan ~degraded:false | Use_index -> run_index ())
-
-(* One qlog entry per executed (or rejected) query: spec text + digest
-   (both covering the side constraints, whose answers differ),
-   the decision and the path actually taken, the counter deltas between
-   the two registry snapshots bracketing the run, duration, outcome and
-   the Simq_cli exit-code convention (0 ok, 4 executed-and-failed,
-   5 rejected). The ambient log is the bench driver's [--qlog] hook;
-   [bin/simq] builds its entries explicitly instead. *)
-let qlog_entry ?mean_window ?std_band ~spec ~epsilon ~query ~pool ~duration_s
-    result =
-  let side name = function
-    | None -> ""
-    | Some v -> Printf.sprintf " %s=%g" name v
-  in
-  let spec_text =
-    Printf.sprintf "range %s eps=%g%s%s" (Spec.name spec) epsilon
-      (side "mean" mean_window) (side "std" std_band)
-  in
-  let digest =
-    String.sub
-      (Digest.to_hex
-         (Digest.string
-            (Marshal.to_string
-               (Spec.name spec, epsilon, mean_window, std_band, query)
-               [])))
-      0 12
-  in
-  let decision, path, outcome, exit_code =
-    match result with
-    | Ok r ->
-      ( Option.map Simq_admission.decision_name r.admission,
-        Some (plan_name r.executed),
-        "ok",
-        0 )
-    | Error (Error.Rejected _ as e) -> (Some "reject", None, Error.kind e, 5)
-    | Error e -> (None, None, Error.kind e, 4)
-  in
-  {
-    Qlog.spec = spec_text;
-    digest;
-    decision;
-    path;
-    deltas = [];
-    duration_s;
-    outcome;
-    exit_code;
-    domains =
-      Pool.domains (match pool with Some p -> p | None -> Pool.default ());
-    (* The resilient planner runs one monolithic index; scatter-gather
-       queries are logged by their own callers with the gather's
-       report. *)
-    shards = None;
-    trace_id =
-      (match Otrace.current_request () with 0 -> None | id -> Some id);
-  }
-
-let range_resilient ?pool ?spec ?mean_window ?std_band ?stats ?budget ?retry
-    ?counters ?validate ?admission ?sketch ?sketch_levels ?approx ?anytime
-    ?profile kindex ~query ~epsilon =
-  match Qlog.ambient () with
-  | None ->
-    range_resilient_impl ?pool ?spec ?mean_window ?std_band ?stats ?budget
-      ?retry ?counters ?validate ?admission ?sketch ?sketch_levels ?approx
-      ?anytime ?profile kindex ~query ~epsilon
-  | Some qlog ->
-    let before = Metrics.snapshot () in
-    let t0 = Clock.now_ns () in
-    let result =
-      range_resilient_impl ?pool ?spec ?mean_window ?std_band ?stats ?budget
-        ?retry ?counters ?validate ?admission ?sketch ?sketch_levels ?approx
-        ?anytime ?profile kindex ~query ~epsilon
-    in
-    let duration_s = Clock.elapsed_s t0 in
-    let entry =
-      qlog_entry ?mean_window ?std_band
-        ~spec:(Option.value spec ~default:Spec.Identity)
-        ~epsilon ~query ~pool ~duration_s result
-    in
-    Qlog.log qlog
-      {
-        entry with
-        Qlog.deltas = Qlog.counter_deltas ~before ~after:(Metrics.snapshot ());
-      };
-    result

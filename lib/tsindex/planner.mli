@@ -125,13 +125,9 @@ type resilient_result = {
     [planner] operator node — [plan] and [admit] children annotated
     with the chosen path and the admission decision, retry and
     degradation events, and the executed access path's own node below
-    it. When a process-wide ambient query log is installed
-    ({!Simq_obs.Qlog.install} — the bench driver's [--qlog] flag),
-    every call also appends one log entry: spec and digest, decision,
-    path, counter deltas between the bracketing registry snapshots,
-    duration, outcome with its exit-code convention (0 ok, 4 failed,
-    5 rejected) and domain count. Neither changes answers, counters or
-    decisions.
+    it. The profile never changes answers, counters or decisions. The
+    planner logs nothing: a query's log line is built from
+    [Simq_serve.Engine]'s request record.
 
     [?sketch]/[?approx]/[?anytime] thread the {!Kindex} sketch funnel
     into the index path only — the fallback scan is always exact and

@@ -470,28 +470,22 @@ let test_profile_invariance_across_domains () =
 let test_qlog_never_changes_answers () =
   let batch = Generator.random_walks ~seed:7 ~count:60 ~n:32 in
   let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"inv" batch in
-  let index = Kindex.build dataset in
-  let query = batch.(2) and epsilon = 1.2 in
-  let run () =
-    match Planner.range_resilient index ~query ~epsilon with
-    | Ok r ->
-      List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d))
-        r.Planner.answers
-    | Error _ -> Alcotest.fail "resilient range must succeed"
+  let engine = Simq_serve.Engine.create (Kindex.build dataset) in
+  let spec = "RANGE FROM r QUERY s2 EPS 1.2" in
+  let run ?qlog () =
+    match Simq_serve.Engine.exec ?qlog engine spec with
+    | Ok o -> Json.to_string o.Simq_serve.Engine.results
+    | Error _ -> Alcotest.fail "the range must succeed"
   in
   let off = run () in
   let file = Filename.temp_file "simq_qlog" ".jsonl" in
   Fun.protect
-    ~finally:(fun () ->
-      Qlog.install None;
-      try Sys.remove file with Sys_error _ -> ())
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
       let t = Qlog.create file in
-      Qlog.install (Some t);
-      let on = Metrics.with_enabled true run in
+      let on = Metrics.with_enabled true (fun () -> run ~qlog:t ()) in
       Qlog.close t;
-      Alcotest.(check bool) "answers identical with ambient qlog" true
-        (off = on);
+      Alcotest.(check string) "answers identical with a qlog" off on;
       Alcotest.(check int) "one line per query" 1 (Qlog.lines_written t);
       let line = In_channel.with_open_text file In_channel.input_all in
       match Json.parse (String.trim line) with
@@ -499,7 +493,7 @@ let test_qlog_never_changes_answers () =
         Alcotest.(check (option string))
           "path logged" (Some "index")
           (Option.bind (Json.member "path" v) Json.string_of)
-      | Error msg -> Alcotest.failf "ambient line unparseable: %s" msg)
+      | Error msg -> Alcotest.failf "qlog line unparseable: %s" msg)
 
 let () =
   Alcotest.run "simq_profile"
@@ -537,7 +531,7 @@ let () =
         [
           Alcotest.test_case "profile on/off across domains" `Quick
             test_profile_invariance_across_domains;
-          Alcotest.test_case "ambient qlog never changes answers" `Quick
+          Alcotest.test_case "qlog never changes answers" `Quick
             test_qlog_never_changes_answers;
         ] );
     ]

@@ -422,14 +422,21 @@ let test_qlog_records_served_queries () =
   let path = Filename.temp_file "simq_serve" ".qlog" in
   let qlog = Qlog.create path in
   let engine = Engine.create (build_index ()) in
-  with_daemon ~qlog ~engine (fun _server port ->
-      let client = connect port in
-      Fun.protect
-        ~finally:(fun () -> Stress.Client.close client)
-        (fun () ->
-          ignore (query_json client "RANGE FROM r QUERY s3 EPS 2.0");
-          ignore (query_json client "NOT A QUERY")));
+  let timed =
+    Metrics.with_enabled true (fun () ->
+        Metrics.reset ();
+        with_daemon ~qlog ~engine (fun _server port ->
+            let client = connect port in
+            Fun.protect
+              ~finally:(fun () -> Stress.Client.close client)
+              (fun () ->
+                ignore (query_json client "RANGE FROM r QUERY s3 EPS 2.0");
+                ignore (query_json client "NOT A QUERY")));
+        Metrics.histogram_count (Metrics.histogram "simq_timer_seconds"))
+  in
   Qlog.close qlog;
+  (* The admission policy and /history read served query times here. *)
+  Alcotest.(check int) "every served query timed" 2 timed;
   let lines = read_lines path in
   Sys.remove path;
   Alcotest.(check int) "one entry per request" 2 (List.length lines);
@@ -444,80 +451,151 @@ let test_qlog_records_served_queries () =
     outcomes
 
 (* A served RANGE that admission rejects logs the decision [reject] in
-   the daemon's qlog, and the planner's entry in the ambient qlog
-   carries the rejection exit code 5, not the execution-failure 4. *)
+   the daemon's qlog, and the engine's record of the same query carries
+   the rejection exit code 5, not the execution-failure 4. *)
 let test_qlog_logs_range_rejection () =
   let served = Filename.temp_file "simq_serve" ".qlog" in
-  let ambient = Filename.temp_file "simq_ambient" ".qlog" in
-  let qlog = Qlog.create served and ambient_log = Qlog.create ambient in
+  let qlog = Qlog.create served in
   let engine =
     Engine.create
       ~budget:(Budget.create ~max_page_reads:3 ~max_node_accesses:0 ())
       ~admission:Admission.default (build_index ())
   in
-  Qlog.install (Some ambient_log);
-  Fun.protect
-    ~finally:(fun () -> Qlog.install None)
-    (fun () ->
-      with_daemon ~qlog ~engine (fun _server port ->
-          let client = connect port in
-          Fun.protect
-            ~finally:(fun () -> Stress.Client.close client)
-            (fun () ->
-              expect_outcome ~what:"starved range"
-                ~outcome:"rejected:page_reads" ~exit_code:5
-                (query_json client "RANGE FROM r QUERY s3 EPS 2.0"))));
+  let spec = "RANGE FROM r QUERY s3 EPS 2.0" in
+  with_daemon ~qlog ~engine (fun _server port ->
+      let client = connect port in
+      Fun.protect
+        ~finally:(fun () -> Stress.Client.close client)
+        (fun () ->
+          expect_outcome ~what:"starved range" ~outcome:"rejected:page_reads"
+            ~exit_code:5 (query_json client spec)));
   Qlog.close qlog;
-  Qlog.close ambient_log;
-  let only_line path =
-    let lines = read_lines path in
-    Sys.remove path;
+  let served =
+    let lines = read_lines served in
+    Sys.remove served;
     match lines with
     | [ line ] -> Result.get_ok (J.parse line)
     | ls -> Alcotest.failf "expected one qlog line, got %d" (List.length ls)
   in
-  let served = only_line served and ambient = only_line ambient in
   Alcotest.(check (option string)) "served decision" (Some "reject")
     (member_str "decision" served);
   Alcotest.(check (option int)) "served exit" (Some 5)
     (member_int "exit" served);
-  Alcotest.(check (option string)) "planner decision" (Some "reject")
-    (member_str "decision" ambient);
-  Alcotest.(check (option int)) "planner exit" (Some 5)
-    (member_int "exit" ambient)
+  let note = Engine.note () in
+  ignore (Engine.exec ~note engine spec);
+  let entry = Engine.qlog_entry note in
+  Alcotest.(check (option string)) "engine record decision" (Some "reject")
+    entry.Qlog.decision;
+  Alcotest.(check int) "engine record exit" 5 entry.Qlog.exit_code
 
 (* A MEAN/STD range and its unconstrained twin answer differently, so
-   the planner's ambient qlog gives them different spec texts and
-   digests. *)
+   their qlog lines carry different spec texts and digests. *)
 let test_qlog_keeps_side_constraints_apart () =
-  let path = Filename.temp_file "simq_ambient" ".qlog" in
+  let path = Filename.temp_file "simq_qlog" ".qlog" in
   let log = Qlog.create path in
-  let index = build_index () in
-  let query = (Dataset.entries (Kindex.dataset index)).(3).Dataset.series in
-  Qlog.install (Some log);
-  Fun.protect
-    ~finally:(fun () -> Qlog.install None)
-    (fun () ->
-      List.iter
-        (fun (mean_window, std_band) ->
-          ignore
-            (Planner.range_resilient ?mean_window ?std_band index ~query
-               ~epsilon:2.0))
-        [ (None, None); (Some 0.5, None); (Some 0.5, Some 2.) ]);
+  let engine = Engine.create (build_index ()) in
+  let specs =
+    [
+      "RANGE FROM r QUERY s3 EPS 2.0";
+      "RANGE FROM r QUERY s3 EPS 2.0 MEAN 0.5";
+      "RANGE FROM r QUERY s3 EPS 2.0 MEAN 0.5 STD 2";
+    ]
+  in
+  List.iter
+    (fun spec ->
+      match Engine.exec ~qlog:log engine spec with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s failed: %s" spec (Simq_cli.message e))
+    specs;
   Qlog.close log;
   let lines = List.map (fun l -> Result.get_ok (J.parse l)) (read_lines path) in
   Sys.remove path;
   Alcotest.(check (list (option string)))
     "spec texts"
-    [
-      Some "range id eps=2";
-      Some "range id eps=2 mean=0.5";
-      Some "range id eps=2 mean=0.5 std=2";
-    ]
+    (List.map Option.some specs)
     (List.map (member_str "spec") lines);
   let digests = List.map (member_str "digest") lines in
   Alcotest.(check int) "distinct digests" 3
     (List.length (List.sort_uniq compare digests))
+
+(* One request record behind every entry point: for the same spec, the
+   qlog line of the one-query path ([simq query]), of the batch path
+   ([simq batch]) and of a live daemon ([simq serve]) agree on every
+   field the record carries — on an unsharded and on a sharded engine,
+   for an answered RANGE and NEAREST, an admission rejection and a
+   malformed spec. *)
+let test_one_record_every_entry_point () =
+  let index = build_index ~count:80 () in
+  let specs =
+    [|
+      "RANGE FROM r QUERY s3 EPS 2.0";
+      "NEAREST 3 FROM r QUERY s2";
+      "PAIRS FROM r EPS 1.0 METHOD scan";
+      "NOT A QUERY";
+    |]
+  in
+  let fields =
+    [ "spec"; "digest"; "decision"; "path"; "shards"; "outcome"; "exit" ]
+  in
+  let logged f =
+    let path = Filename.temp_file "simq_record" ".qlog" in
+    let log = Qlog.create path in
+    f log;
+    Qlog.close log;
+    let lines = read_lines path in
+    Sys.remove path;
+    List.map
+      (fun line ->
+        let json = Result.get_ok (J.parse line) in
+        List.map
+          (fun k ->
+            (k, Option.fold ~none:"-" ~some:J.to_string (J.member k json)))
+          fields)
+      lines
+  in
+  List.iter
+    (fun shards ->
+      let engine () =
+        Engine.create ?shards
+          ~budget:(Budget.create ~max_comparisons:1_000 ())
+          ~admission:Admission.default index
+      in
+      let what = match shards with None -> "unsharded" | Some _ -> "sharded" in
+      let query =
+        logged (fun log ->
+            let engine = engine () in
+            Array.iter
+              (fun spec -> ignore (Engine.exec ~qlog:log engine spec))
+              specs)
+      in
+      let batch =
+        logged (fun log -> ignore (Engine.batch ~qlog:log (engine ()) specs))
+      in
+      let served =
+        logged (fun qlog ->
+            with_daemon ~qlog ~engine:(engine ()) (fun _server port ->
+                let client = connect port in
+                Fun.protect
+                  ~finally:(fun () -> Stress.Client.close client)
+                  (fun () ->
+                    Array.iter
+                      (fun spec -> ignore (query_json client spec))
+                      specs)))
+      in
+      let outcomes = List.map (List.assoc "outcome") query in
+      Alcotest.(check (list string))
+        (what ^ ": an answer, an answer, a rejection, a usage error")
+        [ "\"ok\""; "\"ok\""; "\"rejected:comparisons\""; "\"usage\"" ]
+        outcomes;
+      Alcotest.(check bool)
+        (what ^ ": shard counts present iff sharded")
+        (Option.is_some shards)
+        (List.assoc "shards" (List.hd query) <> "null");
+      Alcotest.(check (list (list (pair string string))))
+        (what ^ ": batch lines = query lines") query batch;
+      Alcotest.(check (list (list (pair string string))))
+        (what ^ ": served lines = query lines") query served)
+    [ None; Some 3 ]
 
 (* --- NN admission: domain-count invariance and exact degradation ----------- *)
 
@@ -659,6 +737,48 @@ let test_chaos_with_injected_faults () =
   Alcotest.(check int) "every request answered in protocol" 0
     report.Stress.protocol_errors;
   Alcotest.(check bool) "queries still served" true (report.Stress.ok > 0)
+
+(* The daemon's chaos seam reaches every shard: [Engine.set_injector]
+   installs one injector on the whole relation's tree and relation and
+   on each shard's. An always-firing node injector degrades every
+   executed shard to its scan (still answering); adding an
+   always-firing page injector fails the scan too, with the unsharded
+   engine's outcome. *)
+let test_injector_reaches_every_shard () =
+  let index = build_index ~count:80 () in
+  let spec = "RANGE FROM r QUERY s3 EPS 2.0" in
+  let always () = Simq_fault.Injector.transient ~probability:1. () in
+  let run engine injector =
+    let note = Engine.note () in
+    Engine.set_injector engine (Some injector);
+    Fun.protect
+      ~finally:(fun () -> Engine.set_injector engine None)
+      (fun () -> ignore (Engine.exec ~note engine spec));
+    note
+  in
+  let sharded = Engine.create ~shards:3 index in
+  let note =
+    run sharded
+      (Simq_fault.Injector.create ~node_accesses:(always ()) ~seed:7 ())
+  in
+  Alcotest.(check string) "node faults: answered" "ok" note.Engine.note_outcome;
+  (match note.Engine.note_shards with
+  | Some c ->
+    Alcotest.(check bool) "some shard executed" true (c.Qlog.fanout > 0);
+    Alcotest.(check int) "every executed shard degraded" c.Qlog.fanout
+      c.Qlog.degraded
+  | None -> Alcotest.fail "a sharded range reports no shard counts");
+  let both () =
+    Simq_fault.Injector.create ~node_accesses:(always ())
+      ~page_reads:(always ()) ~seed:7 ()
+  in
+  let unsharded = run (Engine.create index) (both ()) in
+  Alcotest.(check string) "unsharded: io_failed" "io_failed"
+    unsharded.Engine.note_outcome;
+  let sharded = run sharded (both ()) in
+  Alcotest.(check (pair string int)) "sharded = unsharded outcome"
+    (unsharded.Engine.note_outcome, unsharded.Engine.note_exit)
+    (sharded.Engine.note_outcome, sharded.Engine.note_exit)
 
 let test_chaos_stream_deterministic () =
   let index = build_index () in
@@ -863,6 +983,8 @@ let () =
             test_qlog_keeps_side_constraints_apart;
           Alcotest.test_case "a rejected MEAN range executes nothing" `Quick
             test_rejected_mean_range_executes_nothing;
+          Alcotest.test_case "one record behind every entry point" `Quick
+            test_one_record_every_entry_point;
         ] );
       ( "one-executor",
         [
@@ -905,6 +1027,8 @@ let () =
             test_chaos_with_injected_faults;
           Alcotest.test_case "deterministic abuse stream" `Quick
             test_chaos_stream_deterministic;
+          Alcotest.test_case "an injector reaches every shard" `Quick
+            test_injector_reaches_every_shard;
         ] );
       ( "correlation",
         [

@@ -2,9 +2,10 @@
 # Smoke test: drive the built binaries end to end — the fast benchmark
 # sweep with observability on, an admission-control rejection (exit 5)
 # that still dumps its metrics and trace, a profiled query with both
-# profile exports plus a sampled query log aggregated by qlog-top, a
+# profile exports, a bench sweep persisting its registry state, a
 # batch run (a workload file in, one JSON line per query out, with
-# metrics, a sampled query log and a --from-qlog replay), a live
+# metrics, a sampled query log aggregated by qlog-top and a --from-qlog
+# replay), a live
 # scrape of the TCP exposition endpoint while a bench run is serving
 # it, a simq serve daemon on an ephemeral port driven through a
 # chaotic stress session (good, malformed and disconnecting clients),
@@ -16,7 +17,8 @@
 # the sharded executor: a --shards query checked bit-identical to the
 # unsharded run, a MEAN-constrained range checked identical to the
 # plain run under a budget, admission and a budgeted --shards run, an
-# STD band below 1 rejected as usage, a sharded batch, and a sharded
+# STD band below 1 rejected as usage, a sharded batch whose qlog
+# aggregates by fanout, and a sharded
 # daemon verified by stress with its qlog aggregated by fanout, and the
 # sketch funnel: a --sketch query (plain and sharded) checked
 # bit-identical to the unsketched run with its filter counters exposed,
@@ -133,28 +135,10 @@ for using in "" "USING rev " "USING mavg(4) "; do
   }
 done
 
-echo "== sampled query log over a bench sweep, aggregated by qlog-top"
-"$bench" --fast ablation_fault --qlog smoke.qlog --qlog-sample 3 \
-  --metrics-state smoke.state >/dev/null
-[ -s smoke.qlog ] || {
-  echo "smoke: bench --qlog wrote no lines" >&2
-  exit 1
-}
-grep -q '"event":"simq.qlog"' smoke.qlog || {
-  echo "smoke: qlog lines are not tagged simq.qlog" >&2
-  exit 1
-}
+echo "== bench sweep persists the metrics registry"
+"$bench" --fast ablation_fault --metrics-state smoke.state >/dev/null
 grep -q '"event":"simq.metrics-state"' smoke.state || {
   echo "smoke: --metrics-state wrote no registry snapshot" >&2
-  exit 1
-}
-"$simq" qlog-top smoke.qlog >qlogtop.out
-grep -q 'top by duration:' qlogtop.out || {
-  echo "smoke: qlog-top printed no duration ranking" >&2
-  exit 1
-}
-grep -q 'by path:' qlogtop.out || {
-  echo "smoke: qlog-top printed no path breakdown" >&2
   exit 1
 }
 
@@ -195,6 +179,15 @@ grep -q '^simq_batch_queries_total 5' batch.prom || {
 # of the query sequence number, so this count is deterministic.
 [ "$(grep -c '"event":"simq.qlog"' batch.qlog)" -eq 3 ] || {
   echo "smoke: sampled batch qlog should hold exactly 3 lines" >&2
+  exit 1
+}
+"$simq" qlog-top batch.qlog >qlogtop.out
+grep -q 'top by duration:' qlogtop.out || {
+  echo "smoke: qlog-top printed no duration ranking" >&2
+  exit 1
+}
+grep -q 'by path:' qlogtop.out || {
+  echo "smoke: qlog-top printed no path breakdown" >&2
   exit 1
 }
 
@@ -271,7 +264,8 @@ grep -q 'std_band must be >= 1' std.err || {
 
 echo "== sharded batch: every executed spec takes the shard path"
 "$simq" batch smoke.rel batch.specs --shards 4 --jobs 2 \
-  -o shardbatch.jsonl --metrics shardbatch.prom 2>shardbatch.err
+  -o shardbatch.jsonl --metrics shardbatch.prom --qlog shardbatch.qlog \
+  2>shardbatch.err
 grep -q 'batch: 5 queries (4 ok, 1 failed)' shardbatch.err || {
   echo "smoke: sharded batch summary line wrong or missing" >&2
   cat shardbatch.err >&2
@@ -283,6 +277,19 @@ grep -q 'batch: 5 queries (4 ok, 1 failed)' shardbatch.err || {
 }
 grep -q '^simq_shard_queries_total 4' shardbatch.prom || {
   echo "smoke: sharded batch queries not counted in the exposition" >&2
+  exit 1
+}
+# Batch qlog lines project the same record as query and serve lines,
+# shard counts included.
+"$simq" qlog-top shardbatch.qlog >shardbatch.top
+grep -q 'by fanout:' shardbatch.top || {
+  echo "smoke: sharded batch qlog has no fanout breakdown" >&2
+  cat shardbatch.top >&2
+  exit 1
+}
+grep -q '4-shard' shardbatch.top || {
+  echo "smoke: sharded batch fanout breakdown lacks the 4-shard bucket" >&2
+  cat shardbatch.top >&2
   exit 1
 }
 
