@@ -219,17 +219,6 @@ let file_arg =
 
 (* --- query ------------------------------------------------------------------ *)
 
-let budget_of ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses =
-  match (deadline, max_page_reads, max_comparisons, max_node_accesses) with
-  | None, None, None, None -> Ok None
-  | _ -> (
-    match
-      Budget.create ?deadline_s:deadline ?max_page_reads ?max_comparisons
-        ?max_node_accesses ()
-    with
-    | budget -> Ok (Some budget)
-    | exception Invalid_argument msg -> usage msg)
-
 (* --approx implies --sketch (the funnel is what gets relaxed); its
    value is range-checked here so every entry point rejects the same
    way. *)
@@ -242,11 +231,16 @@ let sketch_config ~sketch ~approx =
 (* The set-up simq query and simq serve share: check the budget and
    sketch flags, load and prepare the relation, build the index, and
    hand [k] the engine every query runs through — inside the [span]
-   trace span. *)
-let with_engine ~span ~file ~noise ~shards ~admission ~sketch ~approx
+   trace span. [faults] rides in the engine's budget. *)
+let with_engine ?faults ~span ~file ~noise ~shards ~admission ~sketch ~approx
     ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses k =
   let* budget =
-    budget_of ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses
+    match
+      Budget.create ?deadline_s:deadline ?max_page_reads ?max_comparisons
+        ?max_node_accesses ?faults ()
+    with
+    | budget -> Ok budget
+    | exception Invalid_argument msg -> usage msg
   in
   let* sketch = sketch_config ~sketch ~approx in
   let* relation = load_relation file in
@@ -257,7 +251,7 @@ let with_engine ~span ~file ~noise ~shards ~admission ~sketch ~approx
   let index = Otrace.with_span "build" (fun () -> Kindex.build dataset) in
   let admission = if admission then Some Simq_admission.default else None in
   k
-    (Engine.create ~noise ?budget ?admission ?shards ?sketch
+    (Engine.create ~noise ~budget ?admission ?shards ?sketch
        ?approx index)
 
 (* The one-shot report, rendered from the engine's record and answer:
@@ -675,9 +669,9 @@ let scrape_impl host port timeout_ms =
 
 let ms_to_s ms = float_of_int ms /. 1000.
 
-(* The chaos seam: a seeded transient-fault injector installed on every
-   buffer pool and R*-tree the engine queries, each shard's included,
-   for the lifetime of the daemon. *)
+(* The chaos seam: a seeded transient-fault injector carried by the
+   engine's budget, so every attempt of every query the daemon serves
+   consults it at each guarded access, on every shard. *)
 let make_injector ~seed ~page_prob ~node_prob =
   if page_prob <= 0. && node_prob <= 0. then Ok None
   else
@@ -703,65 +697,62 @@ let serve_impl file port max_inflight slow_k idle_timeout_ms write_timeout_ms
     make_qlog ~sample:qlog_sample ~slow_ms:qlog_slow_ms
       ~max_bytes:qlog_max_bytes qlog
   in
+  let* faults =
+    make_injector ~seed:fault_seed ~page_prob:fault_page_prob
+      ~node_prob:fault_node_prob
+  in
   (* The drain dumps metrics/qlog/state exactly like a one-shot
      command: with_obs closes the seams on every exit path, after the
      last worker has finished. *)
   Simq_cli.with_obs
     ?metrics_port:(Simq_cli.resolve_metrics_port metrics_port)
     ?metrics_state ?qlog ~metrics ~trace (fun () ->
-      with_engine ~span:"serve" ~file ~noise ~shards ~admission ~sketch
-        ~approx ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses
+      with_engine ?faults ~span:"serve" ~file ~noise ~shards ~admission
+        ~sketch ~approx ~deadline ~max_page_reads ~max_comparisons
+        ~max_node_accesses
       @@ fun engine ->
-      let* injector =
-        make_injector ~seed:fault_seed ~page_prob:fault_page_prob
-          ~node_prob:fault_node_prob
+      let* server =
+        match
+          Simq_serve.Server.start ?max_inflight ?slow_k
+            ?idle_timeout:(Option.map ms_to_s idle_timeout_ms)
+            ?write_timeout:(Option.map ms_to_s write_timeout_ms)
+            ?qlog ~engine ~port ()
+        with
+        | s -> Ok s
+        | exception Unix.Unix_error (e, _, _) ->
+          Error
+            (Usage
+               (Printf.sprintf "cannot bind 127.0.0.1:%d: %s" port
+                  (Unix.error_message e)))
+        | exception Invalid_argument msg -> Error (Usage msg)
       in
-      Engine.set_injector engine injector;
+      Printf.eprintf "simq: serving queries on 127.0.0.1:%d\n%!"
+        (Simq_serve.Server.port server);
+      (* SIGTERM/SIGINT begin the same graceful drain as the
+         in-band shutdown command. *)
+      let drain _ = Simq_serve.Server.request_drain server in
+      let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle drain) in
+      let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle drain) in
       Fun.protect
-        ~finally:(fun () -> Engine.set_injector engine None)
-        (fun () ->
-          let* server =
-            match
-              Simq_serve.Server.start ?max_inflight ?slow_k
-                ?idle_timeout:(Option.map ms_to_s idle_timeout_ms)
-                ?write_timeout:(Option.map ms_to_s write_timeout_ms)
-                ?qlog ~engine ~port ()
-            with
-            | s -> Ok s
-            | exception Unix.Unix_error (e, _, _) ->
-              Error
-                (Usage
-                   (Printf.sprintf "cannot bind 127.0.0.1:%d: %s" port
-                      (Unix.error_message e)))
-            | exception Invalid_argument msg -> Error (Usage msg)
-          in
-          Printf.eprintf "simq: serving queries on 127.0.0.1:%d\n%!"
-            (Simq_serve.Server.port server);
-          (* SIGTERM/SIGINT begin the same graceful drain as the
-             in-band shutdown command. *)
-          let drain _ = Simq_serve.Server.request_drain server in
-          let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle drain) in
-          let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle drain) in
-          Fun.protect
-            ~finally:(fun () ->
-              Sys.set_signal Sys.sigterm prev_term;
-              Sys.set_signal Sys.sigint prev_int;
-              Simq_serve.Server.stop server)
-            (fun () -> Simq_serve.Server.wait server);
-          let {
-            Simq_serve.Server.served;
-            shed;
-            errors;
-            connections;
-          } =
-            Simq_serve.Server.stats server
-          in
-          Printf.eprintf
-            "simq: serve: drained — %d connections, %d queries served, %d \
-             shed, %d errors\n\
-             %!"
-            connections served shed errors;
-          Ok ()))
+        ~finally:(fun () ->
+          Sys.set_signal Sys.sigterm prev_term;
+          Sys.set_signal Sys.sigint prev_int;
+          Simq_serve.Server.stop server)
+        (fun () -> Simq_serve.Server.wait server);
+      let {
+        Simq_serve.Server.served;
+        shed;
+        errors;
+        connections;
+      } =
+        Simq_serve.Server.stats server
+      in
+      Printf.eprintf
+        "simq: serve: drained — %d connections, %d queries served, %d \
+         shed, %d errors\n\
+         %!"
+        connections served shed errors;
+      Ok ())
 
 let stress_impl file host port clients per_client seed chaos verify slow
     shutdown timeout_ms noise jobs =

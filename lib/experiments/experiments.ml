@@ -1095,17 +1095,18 @@ let par ~fast =
 (* --- fault injection and budgets ------------------------------------------------- *)
 
 (* The resilience layer's two promises, measured: (1) the guard hooks in
-   the scan and traversal loops cost ~nothing while no injector or
-   budget is installed — the checked entry points with an unlimited
-   budget return bit-identical answers at indistinguishable cost; and
-   (2) under seeded transient node faults every query still returns the
-   exact answer (possibly by degrading to the scan), with the
-   degradation rate growing with the fault rate and visible in the
+   the scan and traversal loops cost ~nothing under an unlimited budget
+   without a fault plan — the checked entry points then return
+   bit-identical answers at indistinguishable cost; and (2) under a
+   budget carrying seeded transient node faults every query still
+   returns the exact answer (possibly by degrading to the scan), with
+   the degradation rate growing with the fault rate and visible in the
    planner counters. *)
 let ablation_fault ~fast =
   let module Pool = Simq_parallel.Pool in
   let module Injector = Simq_fault.Injector in
   let module Retry = Simq_fault.Retry in
+  let module Budget = Simq_fault.Budget in
   let count = if fast then 200 else 600 in
   let n = if fast then 64 else 128 in
   let repeats = if fast then 3 else 10 in
@@ -1120,7 +1121,7 @@ let ablation_fault ~fast =
   let answer_ids answers =
     List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) answers
   in
-  (* Part 1: guard-hook overhead with nothing installed. *)
+  (* Part 1: guard-hook overhead with no limit and no fault plan. *)
   let time f =
     Bench_util.time_per_query ~repeats (fun () -> List.iter f queries)
     /. float_of_int (List.length queries)
@@ -1174,7 +1175,7 @@ let ablation_fault ~fast =
     Table.create
       ~title:
         (Printf.sprintf
-           "Fault layer: guard overhead, nothing installed (%d series, n=%d)"
+           "Fault layer: guard overhead, unlimited budget (%d series, n=%d)"
            count n)
       ~columns:[ "path"; "plain"; "checked"; "ratio" ]
   in
@@ -1207,26 +1208,27 @@ let ablation_fault ~fast =
   let curve =
     List.map
       (fun probability ->
-        let injector =
-          Injector.create
-            ~node_accesses:(Injector.transient ~probability ())
-            ~seed:(Bench_util.derived_seed 33)
+        let budget =
+          Budget.create
+            ~faults:
+              (Injector.create
+                 ~node_accesses:(Injector.transient ~probability ())
+                 ~seed:(Bench_util.derived_seed 33)
+                 ())
             ()
         in
-        Simq_rtree.Rstar.set_injector (Kindex.tree index) (Some injector);
         let counters = Planner.create_counters () in
         let exact =
           List.for_all2
             (fun (q, eps) expected ->
               match
-                Planner.range_resilient ~pool:Pool.sequential ~retry ~counters
-                  index ~query:q ~epsilon:eps
+                Planner.range_resilient ~pool:Pool.sequential ~budget ~retry
+                  ~counters index ~query:q ~epsilon:eps
               with
               | Ok r -> answer_ids r.Planner.answers = expected
               | Error _ -> true (* a structured error is safe; silence isn't *))
             queries reference
         in
-        Simq_rtree.Rstar.set_injector (Kindex.tree index) None;
         let rate = Planner.degradation_rate counters in
         Table.add_row degradation_table
           [
@@ -1255,13 +1257,13 @@ let ablation_fault ~fast =
     if fast then
       Expectation.partial ~experiment:"Fault layer"
         ~expectation:
-          "guard hooks cost ~0 with no injector or budget installed"
+          "guard hooks cost ~0 under an unlimited budget without faults"
         ~measured:
           (overhead_measured ^ " (fast mode — timing not asserted)")
     else
       Expectation.check ~experiment:"Fault layer"
         ~expectation:
-          "guard hooks cost ~0 with no injector or budget installed \
+          "guard hooks cost ~0 under an unlimited budget without faults \
            (checked/plain < 1.5)"
         ~measured:overhead_measured
         (oh_index < 1.5 && oh_scan < 1.5)
@@ -2228,28 +2230,23 @@ let serve ~fast =
         in
         (* Chaos: malformed and oversized lines, mid-query
            disconnects, and seeded transient faults on the page and
-           node seams — against a budgeted engine, whose resilient
-           paths retry or degrade. *)
+           node seams — carried by the budget of a budgeted engine,
+           whose resilient paths retry or degrade. *)
         let chaos_phase =
-          let injector =
+          let faults =
             Simq_fault.Injector.create
               ~page_reads:(Simq_fault.Injector.transient ~probability:0.05 ())
               ~node_accesses:
                 (Simq_fault.Injector.transient ~probability:0.05 ())
               ~seed:(Bench_util.derived_seed 73) ()
           in
-          Simq_rtree.Rstar.set_injector (Kindex.tree index) (Some injector);
-          Fun.protect
-            ~finally:(fun () ->
-              Simq_rtree.Rstar.set_injector (Kindex.tree index) None)
-            (fun () ->
-              let budget =
-                Simq_fault.Budget.create ~max_page_reads:200_000
-                  ~max_node_accesses:200_000 ()
-              in
-              let engine = Engine.create ~budget index in
-              Server.with_server ~engine ~port:0 (fun server ->
-                  fst (stress ~chaos:true server)))
+          let budget =
+            Simq_fault.Budget.create ~max_page_reads:200_000
+              ~max_node_accesses:200_000 ~faults ()
+          in
+          let engine = Engine.create ~budget index in
+          Server.with_server ~engine ~port:0 (fun server ->
+              fst (stress ~chaos:true server))
         in
         (sweep, shed_phase, chaos_phase))
   in
@@ -2498,42 +2495,44 @@ let shard ~fast =
       shard_counts
   in
   Table.print table;
-  (* A fault-tripped shard degrades alone: an always-firing node-access
-     injector on shard 0's tree defeats its index path; the checked
-     scatter answers that shard through its own scan. The scan's
-     distance accumulation differs from the traversal's in the last
-     ulp, so — like the fault ablation — degraded parity is on the
+  (* A fault-tripped shard degrades alone: each query gets a fresh fault
+     plan failing the first [max_attempts] node visits, all of which the
+     first executed shard makes on the sequential pool, so its index
+     path exhausts its retries; the checked scatter answers that shard
+     through its own scan and the other shards never see a fault. The
+     scan's distance accumulation differs from the traversal's in the
+     last ulp, so — like the fault ablation — degraded parity is on the
      answer id sets. *)
   let answer_ids answers =
     List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) answers
   in
   let reference_ids = List.map (List.map fst) reference in
   let sh4 = Shard.create ~pool:Pool.sequential ~shards:4 dataset in
-  let injector =
-    Injector.create
-      ~node_accesses:(Injector.transient ~probability:1. ())
-      ~seed:(Bench_util.derived_seed 43) ()
+  let first_shard_faults () =
+    let attempts = Simq_fault.Retry.default.Simq_fault.Retry.max_attempts in
+    Simq_fault.Budget.create
+      ~faults:
+        (Injector.create
+           ~node_accesses:
+             (Injector.transient ~schedule:(List.init attempts succ) ())
+           ~seed:(Bench_util.derived_seed 43) ())
+      ()
   in
-  Simq_rtree.Rstar.set_injector (Kindex.tree (Shard.shard_index sh4 0))
-    (Some injector);
   let degraded_ok, degraded_total =
-    Fun.protect
-      ~finally:(fun () ->
-        Simq_rtree.Rstar.set_injector
-          (Kindex.tree (Shard.shard_index sh4 0))
-          None)
-      (fun () ->
-        List.fold_left2
-          (fun (ok, total) (q, eps) expected ->
-            match
-              Shard.range_checked ~pool:Pool.sequential sh4 ~query:q
-                ~epsilon:eps
-            with
-            | Ok r ->
-              ( ok && answer_ids r.Shard.answers = expected,
-                total + r.Shard.report.Shard.degraded )
-            | Error _ -> (false, total))
-          (true, 0) queries reference_ids)
+    List.fold_left2
+      (fun (ok, total) (q, eps) expected ->
+        match
+          Shard.range_checked ~pool:Pool.sequential
+            ~budget:(first_shard_faults ()) sh4 ~query:q ~epsilon:eps
+        with
+        | Ok r ->
+          let report = r.Shard.report in
+          ( ok
+            && answer_ids r.Shard.answers = expected
+            && report.Shard.degraded = Int.min 1 report.Shard.fanout,
+            total + report.Shard.degraded )
+        | Error _ -> (false, total))
+      (true, 0) queries reference_ids
   in
   (* The realistic non-uniform service workload: spec_mix with the
      shard-skew knob collapses most query ids into one narrow id band,

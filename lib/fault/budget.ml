@@ -8,6 +8,7 @@ type t = {
   max_page_reads : int;
   max_comparisons : int;
   max_node_accesses : int;
+  faults : Injector.t option;
 }
 
 let unlimited =
@@ -16,15 +17,16 @@ let unlimited =
     max_page_reads = max_int;
     max_comparisons = max_int;
     max_node_accesses = max_int;
+    faults = None;
   }
 
 let create ?(deadline_s = infinity) ?(max_page_reads = max_int)
-    ?(max_comparisons = max_int) ?(max_node_accesses = max_int) () =
+    ?(max_comparisons = max_int) ?(max_node_accesses = max_int) ?faults () =
   if not (deadline_s >= 0.) then
     invalid_arg "Budget.create: deadline_s must be >= 0";
   if max_page_reads < 0 || max_comparisons < 0 || max_node_accesses < 0 then
     invalid_arg "Budget.create: limits must be >= 0";
-  { deadline_s; max_page_reads; max_comparisons; max_node_accesses }
+  { deadline_s; max_page_reads; max_comparisons; max_node_accesses; faults }
 
 let limit b resource =
   let cap n = if n = max_int then None else Some n in
@@ -53,18 +55,19 @@ type state = {
 
 exception Exceeded of Error.t
 
-let start limits =
-  {
-    limits;
-    started_s =
-      (if limits.deadline_s = infinity then 0. else Unix.gettimeofday ());
-    cancelled = Atomic.make None;
-    page_reads = Atomic.make 0;
-    comparisons = Atomic.make 0;
-    node_accesses = Atomic.make 0;
-  }
-
-let state_opt limits = if is_unlimited limits then None else Some (start limits)
+let state_opt limits =
+  if is_unlimited limits && Option.is_none limits.faults then None
+  else
+    Some
+      {
+        limits;
+        started_s =
+          (if limits.deadline_s = infinity then 0. else Unix.gettimeofday ());
+        cancelled = Atomic.make None;
+        page_reads = Atomic.make 0;
+        comparisons = Atomic.make 0;
+        node_accesses = Atomic.make 0;
+      }
 
 (* The first crossing wins the CAS; later chargers (other domains) raise
    that same error, so one query reports one cause. *)
@@ -92,15 +95,34 @@ let charge counter limit resource s n =
       fail s (Error.Budget_exceeded { resource; spent; limit })
   end
 
-let charge_page_read s =
-  charge s.page_reads s.limits.max_page_reads Error.Page_reads s 1
+(* Every guarded access runs the same three steps, in this order: the
+   attempt's fault plan may fail the access, a cancelled or expired
+   attempt stops, and the access is charged. *)
+let fault s site =
+  match s.limits.faults with None -> () | Some f -> Injector.check f site
 
-let charge_comparisons s n =
-  if n < 0 then invalid_arg "Budget.charge_comparisons: negative charge";
-  if n > 0 then charge s.comparisons s.limits.max_comparisons Error.Comparisons s n
+let node_access = function
+  | None -> ()
+  | Some s ->
+    fault s Injector.Node_access;
+    check s;
+    charge s.node_accesses s.limits.max_node_accesses Error.Node_accesses s 1
 
-let charge_node_access s =
-  charge s.node_accesses s.limits.max_node_accesses Error.Node_accesses s 1
+let page_read = function
+  | None -> ()
+  | Some s ->
+    fault s Injector.Page_read;
+    check s;
+    charge s.page_reads s.limits.max_page_reads Error.Page_reads s 1
+
+let comparisons bstate n =
+  match bstate with
+  | None -> ()
+  | Some s ->
+    if n < 0 then invalid_arg "Budget.comparisons: negative charge";
+    check s;
+    if n > 0 then
+      charge s.comparisons s.limits.max_comparisons Error.Comparisons s n
 
 let spent s = function
   | Error.Wall_clock | Error.In_flight -> 0

@@ -1,6 +1,6 @@
 let m_injected =
   Simq_obs.Metrics.counter
-    ~help:"Transient faults raised by installed injectors"
+    ~help:"Transient faults raised by budget fault plans"
     "simq_fault_injected_total"
 
 type site = Page_read | Node_access

@@ -1,20 +1,22 @@
 (** Deterministic, seeded transient-fault injection.
 
-    An injector is installed on a storage structure
-    ([Simq_storage.Buffer_pool.set_injector],
-    [Simq_rtree.Rstar.set_injector]) and consulted on every guarded
-    access. When it decides an access faults it raises
+    An injector is a fault plan carried by a query budget
+    ([Budget.create ~faults]); every attempt run under that budget
+    consults it at each guarded access ([Budget.node_access],
+    [Budget.page_read]). When it decides an access faults it raises
     {!Transient_fault}, modelling a transient I/O error: the failed
     access is not recorded, and a retry re-issues it as a {e new}
-    access (with a new ordinal). When no injector is installed the
-    guard is a single [None] match — zero overhead.
+    access (with a new ordinal). A query run without a budget state
+    cannot be faulted.
 
     Fault decisions are reproducible: the same [seed] and the same
     access sequence produce the same fault sequence. Internal state is
-    mutex-protected, so an injector may be shared across domains, but
+    mutex-protected, so one injector may serve several domains, but
     reproducibility then additionally requires a deterministic access
-    order (all current injection sites are driven from the submitting
-    domain only). *)
+    order: page accounting of a scan and a single traversal run on the
+    submitting domain, while the per-shard tasks of a sharded query
+    run on pool domains and interleave their ordinals — their fault
+    sequence is reproducible only on the sequential pool. *)
 
 (** Where a fault can be injected. *)
 type site =
@@ -46,7 +48,8 @@ type t
 val create : ?page_reads:spec -> ?node_accesses:spec -> seed:int -> unit -> t
 
 (** [check t site] records one access at [site] and raises
-    {!Transient_fault} if that access faults. *)
+    {!Transient_fault} if that access faults. Query code reaches it
+    through the [Budget] guards only. *)
 val check : t -> site -> unit
 
 (** [accesses t site] is the number of {!check} calls seen at [site]

@@ -15,9 +15,10 @@ let policy ?(max_attempts = 3) ?(base_delay_s = 1e-3) ?(backoff = 2.) () =
 let default = policy ()
 let none = policy ~max_attempts:1 ~base_delay_s:0. ()
 
-let with_retries ?(policy = default) ?on_retry f =
+let with_retries ?(policy = default) ?on_retry ?(budget = Budget.unlimited) f =
   let rec go attempt =
-    match f () with
+    (* Each attempt runs against its own fresh budget state. *)
+    match f (Budget.state_opt budget) with
     | v -> Ok v
     | exception Budget.Exceeded e -> Error e
     | exception Injector.Transient_fault { site; _ } ->

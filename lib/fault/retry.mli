@@ -17,16 +17,20 @@ val default : policy
 (** Single attempt, no backoff. *)
 val none : policy
 
-(** [with_retries ?policy ?on_retry f] runs [f] up to
-    [policy.max_attempts] times. {!Injector.Transient_fault} triggers a
-    retry (after [base_delay_s * backoff^(attempt-1)] seconds,
-    reporting the abandoned attempt number to [on_retry]); exhausting
-    all attempts yields [Error (Io_failed _)]. {!Budget.Exceeded} is
-    not retried — a blown budget fails the attempt immediately with its
-    carried error. Any other exception propagates: it is a programming
-    error, not a fault. *)
+(** [with_retries ?policy ?on_retry ?budget f] runs [f] up to
+    [policy.max_attempts] times, handing each attempt a fresh
+    [Budget.state_opt budget] (default {!Budget.unlimited}, so [f]
+    sees [None]) — the one place a query attempt's state is made.
+    {!Injector.Transient_fault} triggers a retry (after
+    [base_delay_s * backoff^(attempt-1)] seconds, reporting the
+    abandoned attempt number to [on_retry]); exhausting all attempts
+    yields [Error (Io_failed _)]. {!Budget.Exceeded} is not retried — a
+    blown budget fails the attempt immediately with its carried error.
+    Any other exception propagates: it is a programming error, not a
+    fault. *)
 val with_retries :
   ?policy:policy ->
   ?on_retry:(attempt:int -> unit) ->
-  (unit -> 'a) ->
+  ?budget:Budget.t ->
+  (Budget.state option -> 'a) ->
   ('a, Error.t) result

@@ -25,7 +25,6 @@ type 'a t = {
   min_fill : int;
   variant : variant;
   mutable node_accesses : int;
-  mutable injector : Simq_fault.Injector.t option;
 }
 
 (* Fraction of a node reinserted by OverflowTreatment; 30% per BKSS90. *)
@@ -48,7 +47,6 @@ let create ?(max_fill = 32) ?min_fill ?(variant = Rstar_variant) ~dims () =
     min_fill;
     variant;
     node_accesses = 0;
-    injector = None;
   }
 
 let dims t = t.dims
@@ -67,7 +65,6 @@ let max_fill t = t.max_fill
 let count_access t =
   t.node_accesses <- t.node_accesses + 1;
   Simq_obs.Metrics.incr m_node_visits
-let set_injector t injector = t.injector <- injector
 
 (* --- insertion --------------------------------------------------------- *)
 
@@ -478,20 +475,11 @@ let fold_region_counted ?budget t ~overlaps ~matches ~init ~f =
   if t.size = 0 then (init, 0)
   else begin
     let accesses = ref 0 in
-    (* Faults and budget charges fire per node visit, before the node is
-       examined — a faulted read yields no data and no access count. *)
-    let guard () =
-      (match t.injector with
-      | None -> ()
-      | Some injector -> Simq_fault.Injector.check injector Node_access);
-      match budget with
-      | None -> ()
-      | Some b ->
-        Simq_fault.Budget.check b;
-        Simq_fault.Budget.charge_node_access b
-    in
     let rec go acc node =
-      guard ();
+      (* Faults and budget charges fire per node visit, before the node
+         is examined — a faulted read yields no data and no access
+         count. *)
+      Simq_fault.Budget.node_access budget;
       incr accesses;
       List.fold_left
         (fun acc entry ->

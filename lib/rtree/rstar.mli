@@ -74,12 +74,12 @@ val fold_region :
     domains; credit the count with {!add_accesses} afterwards if the
     cumulative statistics should include it.
 
-    When [budget] is given, every node visit is checked against it and
-    charged one node access, so the traversal may raise
-    {!Simq_fault.Budget.Exceeded}; when an injector is installed
-    ({!set_injector}) a visit may raise
-    {!Simq_fault.Injector.Transient_fault}. Both fire before the node
-    is examined or counted. *)
+    When [budget] (the query attempt's state) is given, every node
+    visit passes {!Simq_fault.Budget.node_access}: the attempt's fault
+    plan may raise {!Simq_fault.Injector.Transient_fault}, and the
+    visit is checked and charged one node access, so the traversal may
+    raise {!Simq_fault.Budget.Exceeded}. Both fire before the node is
+    examined or counted. Without it no visit can fail. *)
 val fold_region_counted :
   ?budget:Simq_fault.Budget.state ->
   'a t ->
@@ -116,15 +116,6 @@ val to_list : 'a t -> (Simq_geometry.Point.t * 'a) list
 val node_accesses : 'a t -> int
 
 val reset_stats : 'a t -> unit
-
-(** [set_injector t injector] installs (or, with [None], removes) a
-    fault injector consulted at every node visit of read traversals
-    ({!fold_region}, {!fold_region_counted} and everything built on
-    them). Mutations (insert/delete) are deliberately not guarded:
-    injecting mid-update could leave the tree structurally invalid,
-    and the model is transient {e read} faults. Absent by default —
-    zero overhead. *)
-val set_injector : 'a t -> Simq_fault.Injector.t option -> unit
 
 (** {2 Internal access for sibling modules}
 

@@ -406,18 +406,3 @@ let batch ?profiles ?qlog t texts =
     (fun log -> Array.iter (fun note -> Qlog.log log (qlog_entry note)) notes)
     qlog;
   Array.map2 (fun note r -> (note, r)) notes results
-
-let set_injector t injector =
-  let install index =
-    Simq_rtree.Rstar.set_injector (Kindex.tree index) injector;
-    Simq_storage.Relation.set_injector
-      (Dataset.relation (Kindex.dataset index))
-      injector
-  in
-  install t.index;
-  Option.iter
-    (fun sharded ->
-      for i = 0 to Simq_shard.shards sharded - 1 do
-        install (Simq_shard.shard_index sharded i)
-      done)
-    t.sharded

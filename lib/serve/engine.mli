@@ -17,8 +17,14 @@
     {!Simq_tsindex.Join.scan_checked} and index PAIRS
     {!Simq_tsindex.Join.index_transformed}. A plain engine is the one
     with an unlimited budget and no admission policy: it takes the
-    same routes, so it too retries transient faults and degrades to
-    the scan when they outlast the retries. Both paths of every
+    same routes. The engine's budget also carries its fault plan
+    ([Simq_fault.Budget.create ~faults], [simq serve --fault-*]):
+    every guarded access of every attempt consults the attempt's
+    state. A faulted attempt is retried; when the faults outlast the
+    retries, RANGE (and each shard of a sharded NEAREST) degrades to
+    the scan, while unsharded NEAREST and scan PAIRS answer
+    [io_failed]. Index PAIRS takes no budget, so it cannot be faulted.
+    Both paths of every
     degradation are exact, side constraints ([MEAN]/[STD]) included,
     so for every query a checked engine {e admits or degrades}, the
     answers are bit-identical to the plain engine's — the invariant
@@ -36,7 +42,8 @@ type t
 
 (** [create ?noise ?budget ?admission ?shards index] wraps a built
     index. [noise] perturbs every resolved query series as [simq query
-    --noise] does (default [0.]); [budget] bounds each executed query;
+    --noise] does (default [0.]); [budget] bounds each executed query
+    and carries the fault plan its attempts consult;
     [admission] vets each RANGE/NEAREST query against the cost model
     before execution; [shards] partitions the relation into that many
     shards and answers RANGE/NEAREST by scatter-gather. The planner
@@ -188,8 +195,3 @@ val batch :
   t ->
   string array ->
   (note * (outcome, Simq_cli.error) result) array
-
-(** [set_injector t injector] installs (or, with [None], removes) a
-    fault injector on every R*-tree and relation [t] queries: the
-    whole relation's and, on a sharded engine, each shard's. *)
-val set_injector : t -> Simq_fault.Injector.t option -> unit

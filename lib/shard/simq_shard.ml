@@ -343,8 +343,7 @@ let range_checked ?pool ?spec ?mean_window ?std_band
      with Shard_failed e -> Error e)
 
 (* The unbudgeted forms are the checked ones with no admission and an
-   unlimited budget: the one error left is a shard whose index path
-   and scan both fail under injected faults. *)
+   unlimited budget, which carries no fault plan: no error is left. *)
 let unbudgeted = function
   | Ok r -> r
   | Error e -> failwith (Simq_fault.Error.to_string e)

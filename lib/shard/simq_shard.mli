@@ -131,10 +131,8 @@ type range_result = {
 
 (** [range t ?spec ~query ~epsilon] is the unbudgeted form of
     {!range_checked}: the same scatter-gather with an unlimited budget
-    and no admission — a shard degrades to its own scan only when
-    injected faults outlast the retries on its index path, and a shard
-    whose scan fails too raises [Failure] with the typed error's
-    text. *)
+    and no admission. That budget carries no fault plan, so no shard
+    degrades and no error is left to raise. *)
 val range :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Simq_tsindex.Spec.t ->
@@ -220,9 +218,8 @@ type nearest_result = {
 }
 
 (** [nearest t ?spec ~query ~k] is the unbudgeted form of
-    {!nearest_checked}: an unlimited budget and no admission, raising
-    [Failure] only when a shard's index path and its scan both fail
-    under injected faults. *)
+    {!nearest_checked}: an unlimited budget (so no fault plan) and no
+    admission. *)
 val nearest :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Simq_tsindex.Spec.t ->

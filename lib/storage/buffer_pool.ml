@@ -13,16 +13,11 @@ let m_misses =
 let m_evictions =
   Simq_obs.Metrics.counter ~help:"LRU evictions" "simq_buffer_pool_evictions_total"
 
-let m_faults =
-  Simq_obs.Metrics.counter ~help:"Injected faults surfaced at page touches"
-    "simq_buffer_pool_faults_total"
-
 type t = {
   capacity : int;
   stats : Io_stats.t;
   resident : (int, int) Hashtbl.t;  (* page id -> last-touch stamp *)
   mutable clock : int;
-  mutable injector : Simq_fault.Injector.t option;
 }
 
 let create ~capacity ~stats =
@@ -32,10 +27,7 @@ let create ~capacity ~stats =
     stats;
     resident = Hashtbl.create (2 * capacity);
     clock = 0;
-    injector = None;
   }
-
-let set_injector t injector = t.injector <- injector
 
 let evict_lru t =
   let victim =
@@ -53,18 +45,7 @@ let evict_lru t =
   | None -> ()
 
 let touch ?budget t page =
-  (match t.injector with
-  | None -> ()
-  | Some injector -> (
-      try Simq_fault.Injector.check injector Page_read
-      with Simq_fault.Injector.Transient_fault _ as e ->
-        Simq_obs.Metrics.incr m_faults;
-        raise e));
-  (match budget with
-  | None -> ()
-  | Some budget ->
-    Simq_fault.Budget.check budget;
-    Simq_fault.Budget.charge_page_read budget);
+  Simq_fault.Budget.page_read budget;
   t.clock <- t.clock + 1;
   if Hashtbl.mem t.resident page then begin
     Hashtbl.replace t.resident page t.clock;

@@ -11,19 +11,14 @@ val create : capacity:int -> stats:Io_stats.t -> t
 
 (** [touch ?budget pool page] accesses [page]: [`Hit] when resident,
     [`Miss] (counted as a page read, least-recently-used page evicted
-    if necessary) otherwise. When an injector is installed the access
-    may raise {!Simq_fault.Injector.Transient_fault} {e before} any
-    counter is updated. With [?budget] (the calling query attempt's
-    state) the touch is then checked and charged as one logical page
-    read — hits and misses alike, so budget outcomes do not depend on
-    residency left behind by earlier queries — and may raise
-    {!Simq_fault.Budget.Exceeded}. *)
+    if necessary) otherwise. With [?budget] (the calling query
+    attempt's state) the touch first passes {!Simq_fault.Budget.page_read}
+    — one logical page read, hits and misses alike, so budget outcomes
+    do not depend on residency left behind by earlier queries — which
+    may raise {!Simq_fault.Injector.Transient_fault} or
+    {!Simq_fault.Budget.Exceeded} {e before} any counter is updated.
+    Without it the touch cannot fail. *)
 val touch : ?budget:Simq_fault.Budget.state -> t -> int -> [ `Hit | `Miss ]
-
-(** [set_injector pool injector] installs (or, with [None], removes)
-    a fault injector consulted on every {!touch}. Absent by default —
-    the guard then costs a single pattern match. *)
-val set_injector : t -> Simq_fault.Injector.t option -> unit
 
 (** [resident pool] is the number of currently resident pages. *)
 val resident : t -> int

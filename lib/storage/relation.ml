@@ -37,7 +37,6 @@ let create ?(page_size = 4096) ?(pool_pages = 64) ~name () =
 
 let name t = t.name
 let cardinality t = t.count
-let set_injector t injector = Buffer_pool.set_injector t.pool injector
 
 let ensure_capacity t =
   let capacity = Array.length t.tuples in

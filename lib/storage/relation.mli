@@ -33,12 +33,13 @@ val insert : t -> name:string -> Simq_series.Series.t -> tuple
 val of_series : ?page_size:int -> name:string -> Simq_series.Series.t array -> t
 
 (** [get ?budget t id] fetches one tuple through the buffer pool,
-    charging every page touch to [budget] when given (see
-    {!Buffer_pool.touch}). Raises [Not_found] for unknown ids. *)
+    guarding every page touch with [budget] when given — its charges
+    and its fault plan (see {!Buffer_pool.touch}). Raises [Not_found]
+    for unknown ids. *)
 val get : ?budget:Simq_fault.Budget.state -> t -> int -> tuple
 
 (** [fold t ~init ~f] scans all tuples in storage order, touching each
-    data page once. *)
+    data page once, unguarded. *)
 val fold : t -> init:'acc -> f:('acc -> tuple -> 'acc) -> 'acc
 
 val iter : t -> f:(tuple -> unit) -> unit
@@ -50,13 +51,6 @@ val pages : t -> int
 (** [stats t] exposes the I/O counters ({!Io_stats.reset} to clear
     between measurements). *)
 val stats : t -> Io_stats.t
-
-(** [set_injector t injector] installs (or removes) a fault injector on
-    the relation's buffer pool: every page touched by {!get}, {!fold}
-    and {!iter} may then raise
-    {!Simq_fault.Injector.Transient_fault}. See
-    {!Buffer_pool.set_injector}. *)
-val set_injector : t -> Simq_fault.Injector.t option -> unit
 
 (** [save t path] / [load path] persist and restore a relation
     (marshalled; same OCaml version required on both ends). *)

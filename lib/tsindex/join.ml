@@ -156,14 +156,12 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
         let comparisons = ref 0 in
         let row = row_for ~lo ~hi in
         for i = lo to hi - 1 do
-          (* Budget granularity is one outer row: check before the row,
-             charge the comparisons it made after. Every domain passes
-             through here, so cancellation reaches all chunks. *)
-          (match bstate with None -> () | Some b -> Budget.check b);
+          (* Budget granularity is one outer row: the row is checked
+             and charged the comparisons it made once it is done. Every
+             domain passes through here, so cancellation reaches all
+             chunks. *)
           let c = row pairs i in
-          (match bstate with
-          | None -> ()
-          | Some b -> Budget.charge_comparisons b c);
+          Budget.comparisons bstate c;
           comparisons := !comparisons + c
         done;
         let pairs = List.rev !pairs in
@@ -220,8 +218,7 @@ let scan_checked ?pool ?(spec = Spec.Identity) ?(abandon = true)
        materialised, no comparison runs. *)
     Error (Simq_admission.error_of_reject reject)
   | Some Simq_admission.Admit | Some Simq_admission.Degrade_to_scan | None ->
-    Retry.with_retries ?policy:retry ?on_retry (fun () ->
-        let bstate = Budget.state_opt budget in
+    Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
         scan ?pool ?bstate ?profile ~abandon kindex spec epsilon)
 
 (* One index range query per sequence; the transformation (when present)

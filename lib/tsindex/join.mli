@@ -73,9 +73,9 @@ val scan_early_abandon :
 
 (** [scan_checked kindex ?pool ?spec ?abandon ?budget ?retry ~epsilon]
     is the scan join ((a) with [abandon:false], (b) — the default —
-    otherwise) under a {!Simq_fault.Budget}: the outer loop checks the
-    budget before each row on every domain and charges the row's
-    comparisons after it (for (b), the row's band window),
+    otherwise) under a {!Simq_fault.Budget}: on every domain, each
+    outer row is guarded once it is done — the budget checked and
+    charged the row's comparisons (for (b), the row's band window) —
     so a blown comparison limit or deadline yields a typed error
     instead of an exception (with an unlimited budget the result is
     bit-identical to the unchecked scan). [retry]/[on_retry] follow

@@ -240,11 +240,7 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
          (fun id ->
            (* Each exact-distance evaluation of a candidate is one
               comparison against the budget, like a scan entry. *)
-           (match bstate with
-           | None -> ()
-           | Some b ->
-             Budget.check b;
-             Budget.charge_comparisons b 1);
+           Budget.comparisons bstate 1;
            let entry = Dataset.get t.dataset id in
            let d = distance entry in
            if d <= epsilon then kept := (entry, d) :: !kept)
@@ -364,10 +360,9 @@ let range_checked ?(spec = Spec.Identity) ?(normalise_query = true)
   in
   let prefilter = build_funnel sketch q in
   let distance = prepared_distance t prepared q in
-  Retry.with_retries ?policy:retry ?on_retry (fun () ->
-      (* Fresh budget state per attempt; node accesses are credited to
-         the tree only for the attempt that succeeds. *)
-      let bstate = Budget.state_opt budget in
+  Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
+      (* Node accesses are credited to the tree only for the attempt
+         that succeeds. *)
       let result =
         range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter
           ?approx ?anytime ?profile t prepared ~query_coeffs ~epsilon ~distance
@@ -556,13 +551,6 @@ let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
     | None -> r
     | Some tr -> Linear_transform.apply_rect tr r
   in
-  let charge () =
-    match bstate with
-    | None -> ()
-    | Some b ->
-      Budget.check b;
-      Budget.charge_comparisons b 1
-  in
   let visit =
     match (bstate, pn) with
     | None, None -> None
@@ -570,16 +558,12 @@ let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
       Some
         (fun () ->
           incr visits;
-          match bstate with
-          | None -> ()
-          | Some b ->
-            Budget.check b;
-            Budget.charge_node_access b)
+          Budget.node_access bstate)
   in
   let dist = prepared_distance t prepared q in
   let point_dist _ id =
     Profile.add_candidates pn 1;
-    charge ();
+    Budget.comparisons bstate 1;
     dist (Dataset.get t.dataset id)
   in
   let point_bound, refine =
@@ -592,7 +576,7 @@ let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
         Some
           (fun _ id ~within ->
             Profile.add_candidates pn 1;
-            charge ();
+            Budget.comparisons bstate 1;
             refine id ~within) )
   in
   Otrace.with_span "kindex.nearest" @@ fun () ->
@@ -637,12 +621,8 @@ let nearest_scan_counted ?bstate ?profile t ~dist ~k =
   let scored =
     Array.map
       (fun (entry : Dataset.entry) ->
-        (match bstate with
-        | None -> ()
-        | Some b ->
-          Budget.check b;
-          Budget.charge_page_read b;
-          Budget.charge_comparisons b 1);
+        Budget.page_read bstate;
+        Budget.comparisons bstate 1;
         (entry, dist entry))
       entries
   in
@@ -665,8 +645,7 @@ let nearest_scan ?(spec = Spec.Identity) ?(normalise_query = true)
   let q = Dataset.prepare_query ~normalise:normalise_query query in
   let prepared = prepare t spec in
   let dist = prepared_distance t prepared q in
-  Retry.with_retries ?policy:retry ?on_retry (fun () ->
-      let bstate = Budget.state_opt budget in
+  Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
       nearest_scan_counted ?bstate ?profile t ~dist ~k)
 
 (* What admission control knows about an NN query before running it:
@@ -724,15 +703,11 @@ let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
     (* Refused before execution: no node is visited, no page read, no
        comparison runs. *)
     finish (Error (Simq_admission.error_of_reject reject))
-  | Some Simq_admission.Degrade_to_scan ->
-    let dist = prepared_distance t prepared q in
+  | _ ->
     finish
-      (Retry.with_retries ?policy:retry ?on_retry (fun () ->
-           let bstate = Budget.state_opt budget in
-           nearest_scan_counted ?bstate ?profile t ~dist ~k))
-  | Some Simq_admission.Admit | None ->
-    finish
-      (Retry.with_retries ?policy:retry ?on_retry (fun () ->
-           (* Fresh budget state per attempt, like {!range_checked}. *)
-           let bstate = Budget.state_opt budget in
-           nearest_run ?bstate ~pn ~visits t prepared q ~k))
+      (Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
+           match decision with
+           | Some Simq_admission.Degrade_to_scan ->
+             nearest_scan_counted ?bstate ?profile t
+               ~dist:(prepared_distance t prepared q) ~k
+           | _ -> nearest_run ?bstate ~pn ~visits t prepared q ~k))

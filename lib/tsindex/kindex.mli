@@ -129,10 +129,10 @@ val range :
     under a {!Simq_fault.Budget} and bounded {!Simq_fault.Retry}: node
     visits are charged against the budget inside the traversal
     (cooperatively cancellable), candidate postprocessing charges one
-    comparison per candidate, and transient node-access faults from an
-    injector installed on the tree ({!Simq_rtree.Rstar.set_injector})
-    are retried per [retry] (default {!Simq_fault.Retry.default};
-    [on_retry] observes abandoned attempts). Returns the exact
+    comparison per candidate, and transient node-access faults from the
+    budget's fault plan are retried per [retry] (default
+    {!Simq_fault.Retry.default}; [on_retry] observes abandoned
+    attempts). Returns the exact
     {!range} result or a typed error — never a fault or budget
     exception. Each attempt gets a fresh budget state; the tree's
     cumulative access counter is credited only by a successful
@@ -233,10 +233,11 @@ val nearest :
     scatter-gather executor of {!module:Simq_shard}) can degrade one
     partition without an admission verdict. Priced like the scan path:
     one comparison and one logical page read per series against
-    [budget]; ties at the [k] boundary break on the entry id, so the
-    selection is deterministic at every domain count. Returns the
-    answers (closest first) or a typed error; each retry attempt gets a
-    fresh budget state. *)
+    [budget], each page read consulting its fault plan; ties at the
+    [k] boundary break on the entry id, so the selection is
+    deterministic at every domain count. Returns the answers (closest
+    first) or a typed error; each retry attempt gets a fresh budget
+    state. *)
 val nearest_scan :
   ?spec:Spec.t ->
   ?normalise_query:bool ->
@@ -255,10 +256,13 @@ val nearest_scan :
     traversal, with every node
     expansion checked and charged as a node access and every
     refinement (or warp distance) as one comparison; queue keys charge
-    nothing. Without a budget, admission or profile it is the plain
-    {!nearest} run. Returns the exact {!nearest} result or a typed
-    error; each attempt gets a fresh budget state. Argument
-    validation still raises [Invalid_argument].
+    nothing. Node faults from the budget's fault plan are retried per
+    [retry]; outlasting the retries is a typed [Io_failed], like budget
+    exhaustion, never a degradation. Without a budget, admission or
+    profile it is the plain {!nearest} run. Returns the exact
+    {!nearest} result or a typed error; each attempt gets a fresh
+    budget state. Argument validation still raises
+    [Invalid_argument].
 
     With [?admission] the query is vetted by the same cost model the
     range planner consults ({!Simq_admission.decide}), {e before} any

@@ -119,11 +119,7 @@ let scan_compute ~pool ~abandon ~normalise_query ?bstate ?sides dataset spec
           (* Cooperative cancellation: every domain passes through here,
              so a budget blown anywhere stops all chunks promptly. Each
              entry costs one comparison whether or not it abandons. *)
-          (match bstate with
-          | None -> ()
-          | Some b ->
-            Budget.check b;
-            Budget.charge_comparisons b 1);
+          Budget.comparisons bstate 1;
           let answer, completed, examined = compute acc entries.(i) in
           (match answer with
           | Some ((e, _) as hit) when keep e -> answers := hit :: !answers
@@ -226,10 +222,7 @@ let range_checked ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
     ~finally:(fun () -> Profile.leave profile pn)
     (fun () ->
       let result =
-        Retry.with_retries ?policy:retry ~on_retry (fun () ->
-            (* A fresh budget state per attempt: limits are per-attempt,
-               and a retried scan starts its accounting from zero. *)
-            let bstate = Budget.state_opt budget in
+        Retry.with_retries ?policy:retry ~on_retry ~budget (fun bstate ->
             profiled_scan ~pool ~abandon ~normalise_query ?bstate ~sides
               ?profile dataset spec query epsilon)
       in

@@ -55,11 +55,11 @@ val range_early_abandon :
     {!Simq_fault.Retry}, returning a typed error instead of raising.
     Each attempt gets a fresh budget state, charged for every page the
     attempt touches on the backing relation and checked per entry in
-    every scan domain; transient page-read faults from an installed
-    {!Simq_fault.Injector} are retried per [retry] (default
-    {!Simq_fault.Retry.default}), with [on_retry] told about each
-    abandoned attempt. With an unlimited budget and no injector the
-    result is bit-identical to the unchecked scan.
+    every scan domain; transient page-read faults from the budget's
+    fault plan ({!Simq_fault.Budget.create} [~faults]) are retried per
+    [retry] (default {!Simq_fault.Retry.default}), with [on_retry] told
+    about each abandoned attempt. With an unlimited budget and no fault
+    plan the result is bit-identical to the unchecked scan.
 
     [?mean_window]/[?std_band] are the side constraints of
     {!Kindex.range}: an answer is kept only when its mean and deviation

@@ -132,11 +132,7 @@ let range_compute ?bstate ?profile t ~query ~epsilon =
           ~matches:(fun r _ -> Region.intersects_rect region r)
           ~init:[]
           ~f:(fun acc _ payload ->
-            (match bstate with
-            | None -> ()
-            | Some b ->
-              Budget.check b;
-              Budget.charge_comparisons b payload.run);
+            Budget.comparisons bstate payload.run;
             candidates := !candidates + payload.run;
             expand_candidate t query ~epsilon payload acc))
   in
@@ -172,10 +168,7 @@ let range_checked ?(budget = Budget.unlimited) ?retry ?on_retry ?profile t
     ~query ~epsilon =
   check_query t query;
   if epsilon < 0. then invalid_arg "Subseq.range_checked: negative epsilon";
-  Retry.with_retries ?policy:retry ?on_retry (fun () ->
-      (* Fresh budget state per attempt, matching the other checked
-         entry points. *)
-      let bstate = Budget.state_opt budget in
+  Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
       range_compute ?bstate ?profile t ~query ~epsilon)
 
 let nearest_compute ?bstate ?profile t ~query ~k =
@@ -185,21 +178,14 @@ let nearest_compute ?bstate ?profile t ~query ~k =
   Otrace.with_span "subseq.nearest" @@ fun () ->
   let query_point = encode ~k:t.k query in
   let visits = ref 0 in
-  let charge =
-    Option.map
-      (fun b () ->
-        Budget.check b;
-        Budget.charge_node_access b)
-      bstate
-  in
   let visit =
-    match (charge, pn) with
+    match (bstate, pn) with
     | None, None -> None
     | _ ->
         Some
           (fun () ->
             incr visits;
-            match charge with Some f -> f () | None -> ())
+            Budget.node_access bstate)
   in
   (* With trails an entry stands for [run] windows; best-first over
      entries keyed by the minimum distance of their windows, expanded as
@@ -209,11 +195,7 @@ let nearest_compute ?bstate ?profile t ~query ~k =
     ~rect_bound:(fun r -> Rect.mindist query_point r)
     ~point_dist:(fun _ payload ->
       Profile.add_candidates pn payload.run;
-      (match bstate with
-      | None -> ()
-      | Some b ->
-        Budget.check b;
-        Budget.charge_comparisons b payload.run);
+      Budget.comparisons bstate payload.run;
       let best = ref Float.infinity in
       for offset = payload.first to payload.first + payload.run - 1 do
         best :=
@@ -252,6 +234,5 @@ let nearest_checked ?(budget = Budget.unlimited) ?retry ?on_retry ?profile t
     ~query ~k =
   check_query t query;
   if k <= 0 then invalid_arg "Subseq.nearest_checked: k must be positive";
-  Retry.with_retries ?policy:retry ?on_retry (fun () ->
-      let bstate = Budget.state_opt budget in
+  Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
       nearest_compute ?bstate ?profile t ~query ~k)

@@ -66,8 +66,8 @@ val range :
 
 (** [range_checked t ?budget ?retry ~query ~epsilon] is {!range} under
     a {!Simq_fault.Budget} and bounded {!Simq_fault.Retry}: node visits
-    are charged inside the traversal, every candidate window position
-    as one comparison. Returns the exact {!range} result or a typed
+    are charged inside the traversal (and consult the budget's fault
+    plan), every candidate window position as one comparison. Returns the exact {!range} result or a typed
     error; each attempt gets a fresh budget state. Argument validation
     still raises [Invalid_argument]. *)
 val range_checked :
@@ -89,9 +89,11 @@ val nearest :
   t -> query:Simq_series.Series.t -> k:int -> hit list
 
 (** [nearest_checked t ?budget ?retry ~query ~k] is {!nearest} under a
-    budget: node expansions charge node accesses, each candidate
-    entry's window evaluations charge comparisons. Returns the exact
-    {!nearest} result or a typed error. *)
+    budget: node expansions consult its fault plan and charge node
+    accesses, each candidate entry's window evaluations charge
+    comparisons. Transient faults are retried per [retry], each attempt
+    with a fresh budget state. Returns the exact {!nearest} result or a
+    typed error. *)
 val nearest_checked :
   ?budget:Simq_fault.Budget.t ->
   ?retry:Simq_fault.Retry.policy ->

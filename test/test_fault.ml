@@ -12,7 +12,6 @@ module Retry = Simq_fault.Retry
 module Pool = Simq_parallel.Pool
 module Rstar = Simq_rtree.Rstar
 module Check = Simq_rtree.Check
-module Relation = Simq_storage.Relation
 open Simq_tsindex
 module Generator = Simq_series.Generator
 
@@ -77,13 +76,22 @@ let test_budget_unlimited () =
     (Budget.is_unlimited (Budget.create ()));
   Alcotest.(check bool) "no state installed for unlimited budgets" true
     (Budget.state_opt Budget.unlimited = None);
+  (* A fault plan alone makes a state but sets no limit. *)
+  let faults = Budget.create ~faults:(Injector.create ~seed:1 ()) () in
+  Alcotest.(check bool) "faults alone are unlimited" true
+    (Budget.is_unlimited faults);
+  Alcotest.(check bool) "faults alone make a state" true
+    (Budget.state_opt faults <> None);
   Alcotest.check_raises "negative limit"
     (Invalid_argument "Budget.create: limits must be >= 0") (fun () ->
       ignore (Budget.create ~max_comparisons:(-1) ()))
 
+(* Budgets here set a limit, so each has a state. *)
+let state_of budget = Budget.state_opt budget
+
 let test_budget_limit_latches () =
-  let s = Budget.start (Budget.create ~max_comparisons:0 ()) in
-  (match Budget.charge_comparisons s 1 with
+  let s = state_of (Budget.create ~max_comparisons:0 ()) in
+  (match Budget.comparisons s 1 with
   | () -> Alcotest.fail "expected Exceeded"
   | exception Budget.Exceeded (Error.Budget_exceeded { resource; spent; limit })
     ->
@@ -93,38 +101,64 @@ let test_budget_limit_latches () =
     Alcotest.(check int) "limit" 0 limit
   | exception Budget.Exceeded e ->
     Alcotest.failf "unexpected error %s" (Error.to_string e));
-  (* The error is latched: every later check on any domain re-raises the
+  (* The error is latched: every later guard on any domain re-raises the
      same error — that is the cooperative-cancellation signal. *)
-  match Budget.check s with
+  match Budget.page_read s with
   | () -> Alcotest.fail "cancelled state must keep failing"
   | exception Budget.Exceeded e ->
     Alcotest.(check string) "latched kind" "budget_exceeded:comparisons"
       (Error.kind e)
 
 let test_budget_accounting () =
-  let s =
-    Budget.start (Budget.create ~max_page_reads:10 ~max_comparisons:100 ())
+  let bstate =
+    state_of (Budget.create ~max_page_reads:10 ~max_comparisons:100 ())
   in
-  Budget.charge_page_read s;
-  Budget.charge_page_read s;
-  Budget.charge_page_read s;
-  Budget.charge_comparisons s 4;
+  let s = Option.get bstate in
+  Budget.page_read bstate;
+  Budget.page_read bstate;
+  Budget.page_read bstate;
+  Budget.comparisons bstate 4;
   Alcotest.(check int) "page reads" 3 (Budget.spent s Error.Page_reads);
   Alcotest.(check int) "comparisons" 4 (Budget.spent s Error.Comparisons);
   Alcotest.(check int) "wall clock has no count" 0
     (Budget.spent s Error.Wall_clock);
   (* Unlimited resources skip accounting entirely (the hot-path cost of
      an uncapped charge is one comparison). *)
-  Budget.charge_node_access s;
+  Budget.node_access bstate;
   Alcotest.(check int) "uncapped resources are not counted" 0
     (Budget.spent s Error.Node_accesses)
 
+(* A guard consults the fault plan first: a faulted access is neither
+   checked nor charged, and the retried access is a new ordinal. *)
+let test_budget_guard_faults_first () =
+  let bstate =
+    state_of
+      (Budget.create ~max_node_accesses:10
+         ~faults:
+           (Injector.create
+              ~node_accesses:(Injector.transient ~schedule:[ 1 ] ())
+              ~seed:3 ())
+         ())
+  in
+  (match Budget.node_access bstate with
+  | () -> Alcotest.fail "expected the scheduled fault"
+  | exception Injector.Transient_fault { ordinal; _ } ->
+    Alcotest.(check int) "first ordinal" 1 ordinal);
+  let s = Option.get bstate in
+  Alcotest.(check int) "faulted access not charged" 0
+    (Budget.spent s Error.Node_accesses);
+  Budget.node_access bstate;
+  Alcotest.(check int) "retried access charged" 1
+    (Budget.spent s Error.Node_accesses);
+  (* The page site has no plan: page reads never fault. *)
+  Budget.page_read bstate
+
 let test_budget_deadline () =
-  let s = Budget.start (Budget.create ~deadline_s:0. ()) in
+  let s = state_of (Budget.create ~deadline_s:0. ()) in
   (* [deadline_s = 0.] expires as soon as any wall-clock time passes;
      let the clock tick past the start stamp first. *)
   Unix.sleepf 1e-3;
-  match Budget.check s with
+  match Budget.comparisons s 0 with
   | () -> Alcotest.fail "expected Timeout"
   | exception Budget.Exceeded e ->
     Alcotest.(check string) "kind" "timeout" (Error.kind e)
@@ -163,7 +197,7 @@ let test_retry_recovers () =
   let result =
     Retry.with_retries ~policy:(fast_retry ())
       ~on_retry:(fun ~attempt -> abandoned := attempt :: !abandoned)
-      (fun () ->
+      (fun _ ->
         Injector.check inj Injector.Page_read;
         "done")
   in
@@ -173,7 +207,7 @@ let test_retry_recovers () =
 let test_retry_exhausts () =
   let attempts = ref 0 in
   match
-    Retry.with_retries ~policy:(fast_retry ~max_attempts:3 ()) (fun () ->
+    Retry.with_retries ~policy:(fast_retry ~max_attempts:3 ()) (fun _ ->
         incr attempts;
         raise
           (Injector.Transient_fault
@@ -193,7 +227,7 @@ let test_retry_never_retries_budgets () =
       { resource = Error.Comparisons; spent = 5; limit = 4 }
   in
   (match
-     Retry.with_retries ~policy:(fast_retry ~max_attempts:5 ()) (fun () ->
+     Retry.with_retries ~policy:(fast_retry ~max_attempts:5 ()) (fun _ ->
          incr attempts;
          raise (Budget.Exceeded blown))
    with
@@ -203,7 +237,7 @@ let test_retry_never_retries_budgets () =
   Alcotest.(check int) "no retry on blown budget" 1 !attempts;
   (* Anything else is a programming error and must propagate. *)
   Alcotest.check_raises "other exceptions propagate" (Failure "boom")
-    (fun () -> ignore (Retry.with_retries (fun () -> failwith "boom")))
+    (fun () -> ignore (Retry.with_retries (fun _ -> failwith "boom")))
 
 (* --- Query-level fixtures --------------------------------------------------- *)
 
@@ -215,9 +249,10 @@ let dataset_of ~seed ~count ~n =
     (Generator.random_walks ~seed ~count ~n)
 
 (* Shared datasets: the properties below draw from this pool instead of
-   rebuilding (and re-transforming) series per case. Checked paths must
-   leave no injector or budget installed behind, which the properties
-   verify implicitly by reusing the datasets hundreds of times. *)
+   rebuilding (and re-transforming) series per case. Fault plans and
+   budget states live on each query's attempts, never on the datasets,
+   which the properties verify implicitly by reusing the datasets
+   hundreds of times. *)
 let datasets = Array.init 4 (fun i -> dataset_of ~seed:(100 + i) ~count:36 ~n:32)
 
 let spec_of_index i =
@@ -255,8 +290,9 @@ let reference_ids dataset spec query epsilon =
 
 (* --- Safety property -------------------------------------------------------- *)
 
-(* One randomized resilient-execution scenario: a seeded injector on
-   both fault sites, an optional resource budget, and a planner query.
+(* One randomized resilient-execution scenario: a seeded fault plan on
+   both fault sites carried by the budget, an optional resource limit,
+   and a planner query.
    The safety invariant allows exactly two outcomes. *)
 
 let arb_scenario =
@@ -279,12 +315,12 @@ let arb_scenario =
       let* bkind = int_range 0 3 in
       return (dseed, qseed, eps, node_p, page_p, sched, fseed, bkind))
 
-let budget_of_scenario bkind qseed =
+let budget_of_scenario ~faults bkind qseed =
   match bkind with
-  | 0 -> Budget.unlimited
-  | 1 -> Budget.create ~max_node_accesses:(qseed mod 3) ()
-  | 2 -> Budget.create ~max_comparisons:(qseed mod 25) ()
-  | _ -> Budget.create ~max_page_reads:(qseed mod 4) ()
+  | 0 -> Budget.create ~faults ()
+  | 1 -> Budget.create ~max_node_accesses:(qseed mod 3) ~faults ()
+  | 2 -> Budget.create ~max_comparisons:(qseed mod 25) ~faults ()
+  | _ -> Budget.create ~max_page_reads:(qseed mod 4) ~faults ()
 
 let prop_safety =
   QCheck.Test.make
@@ -300,30 +336,24 @@ let prop_safety =
       in
       let spec = safe_spec representation (spec_of_index qseed) in
       let query = query_for dataset spec qseed in
-      let budget = budget_of_scenario bkind qseed in
       let run () =
-        let injector =
+        let faults =
           Injector.create
             ~page_reads:(Injector.transient ~probability:page_p ())
             ~node_accesses:
               (Injector.transient ~probability:node_p ~schedule:sched ())
             ~seed:fseed ()
         in
+        let budget = budget_of_scenario ~faults bkind qseed in
         let index =
           Kindex.build
             ~config:{ Feature.k = 2; representation }
             ~max_fill:8 dataset
         in
-        Rstar.set_injector (Kindex.tree index) (Some injector);
-        Relation.set_injector (Dataset.relation dataset) (Some injector);
         let counters = Planner.create_counters () in
         let outcome =
-          Fun.protect
-            ~finally:(fun () ->
-              Relation.set_injector (Dataset.relation dataset) None)
-            (fun () ->
-              Planner.range_resilient ~pool:Pool.sequential ~spec ~budget
-                ~retry:(fast_retry ()) ~counters index ~query ~epsilon:eps)
+          Planner.range_resilient ~pool:Pool.sequential ~spec ~budget
+            ~retry:(fast_retry ()) ~counters index ~query ~epsilon:eps
         in
         (outcome, counters)
       in
@@ -460,34 +490,27 @@ let prop_parallel_checked =
       let dataset = datasets.(dseed) in
       let spec = safe_spec Simq_geometry.Coords.Polar (spec_of_index qseed) in
       let query = query_for dataset spec qseed in
-      let budget =
+      let budget faults =
         match bkind with
-        | 0 | 1 -> Budget.unlimited
-        | 2 -> Budget.create ~max_comparisons:(qseed mod 50) ()
-        | _ -> Budget.create ~max_page_reads:(qseed mod 6) ()
+        | 0 | 1 -> Budget.create ~faults ()
+        | 2 -> Budget.create ~max_comparisons:(qseed mod 50) ~faults ()
+        | _ -> Budget.create ~max_page_reads:(qseed mod 6) ~faults ()
       in
       let outcomes =
         List.map
           (fun (domains, pool) ->
-            (* A fresh injector per run, same seed: the page-fault
+            (* A fresh fault plan per run, same seed: the page-fault
                stream is identical whatever the domain count, because
                page accounting runs on the submitting domain only. *)
-            let injector =
+            let faults =
               Injector.create
                 ~page_reads:
                   (Injector.transient ~probability:page_p ~schedule:sched ())
                 ~seed:fseed ()
             in
-            Relation.set_injector (Dataset.relation dataset) (Some injector);
-            let outcome =
-              Fun.protect
-                ~finally:(fun () ->
-                  Relation.set_injector (Dataset.relation dataset) None)
-                (fun () ->
-                  Seqscan.range_checked ~pool ~spec ~budget
-                    ~retry:(fast_retry ()) dataset ~query ~epsilon:eps)
-            in
-            (domains, outcome))
+            ( domains,
+              Seqscan.range_checked ~pool ~spec ~budget:(budget faults)
+                ~retry:(fast_retry ()) dataset ~query ~epsilon:eps ))
           pools
       in
       (match outcomes with
@@ -586,15 +609,11 @@ let test_scan_retry_end_to_end () =
   let dataset = datasets.(1) in
   let query = query_for dataset Spec.Identity 3 in
   let with_schedule schedule retry =
-    let injector =
+    let faults =
       Injector.create ~page_reads:(Injector.transient ~schedule ()) ~seed:2 ()
     in
-    Relation.set_injector (Dataset.relation dataset) (Some injector);
-    Fun.protect
-      ~finally:(fun () -> Relation.set_injector (Dataset.relation dataset) None)
-      (fun () ->
-        Seqscan.range_checked ~pool:Pool.sequential ~retry dataset ~query
-          ~epsilon:3.)
+    Seqscan.range_checked ~pool:Pool.sequential ~retry
+      ~budget:(Budget.create ~faults ()) dataset ~query ~epsilon:3.
   in
   (* One scheduled fault on the first page: a single retry absorbs it. *)
   (match with_schedule [ 1 ] (fast_retry ()) with
@@ -628,6 +647,8 @@ let () =
           Alcotest.test_case "unlimited" `Quick test_budget_unlimited;
           Alcotest.test_case "limit latches" `Quick test_budget_limit_latches;
           Alcotest.test_case "accounting" `Quick test_budget_accounting;
+          Alcotest.test_case "guards fault before charging" `Quick
+            test_budget_guard_faults_first;
           Alcotest.test_case "deadline" `Quick test_budget_deadline;
           Alcotest.test_case "error kinds" `Quick test_error_kinds;
         ] );

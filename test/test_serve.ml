@@ -703,34 +703,30 @@ let test_chaos_survives_and_matches () =
   Alcotest.(check bool) "queries actually served" true (report.Stress.ok > 0)
 
 let test_chaos_with_injected_faults () =
-  (* Seeded transient faults on the page and node seams while hostile
-     clients abuse the protocol: the budgeted engine's resilient paths
-     retry or degrade, anything that still escapes becomes a typed
-     fault line — and the daemon survives all of it. *)
+  (* Seeded transient faults on the page and node seams, carried by the
+     engine's budget, while hostile clients abuse the protocol: the
+     budgeted engine's resilient paths retry or degrade, anything that
+     still escapes becomes a typed fault line — and the daemon survives
+     all of it. *)
   let index = build_index () in
-  let injector =
+  let faults =
     Simq_fault.Injector.create
       ~page_reads:(Simq_fault.Injector.transient ~probability:0.1 ())
       ~node_accesses:(Simq_fault.Injector.transient ~probability:0.1 ())
       ~seed:1312 ()
   in
-  Simq_rtree.Rstar.set_injector (Kindex.tree index) (Some injector);
+  let engine =
+    Engine.create
+      ~budget:
+        (Budget.create ~max_page_reads:1_000_000 ~max_node_accesses:1_000_000
+           ~faults ())
+      index
+  in
   let report =
-    Fun.protect
-      ~finally:(fun () ->
-        Simq_rtree.Rstar.set_injector (Kindex.tree index) None)
-      (fun () ->
-        let engine =
-          Engine.create
-            ~budget:
-              (Budget.create ~max_page_reads:1_000_000
-                 ~max_node_accesses:1_000_000 ())
-            index
-        in
-        Server.with_server ~engine ~port:0 (fun server ->
-            Stress.run ~chaos:true ~timeout:30. ~host:"127.0.0.1"
-              ~port:(Server.port server) ~clients:4 ~per_client:8 ~seed:1848
-              ~cardinality:32 ()))
+    Server.with_server ~engine ~port:0 (fun server ->
+        Stress.run ~chaos:true ~timeout:30. ~host:"127.0.0.1"
+          ~port:(Server.port server) ~clients:4 ~per_client:8 ~seed:1848
+          ~cardinality:32 ())
   in
   Alcotest.(check bool) "daemon alive under faults" false
     report.Stress.server_gone;
@@ -738,29 +734,33 @@ let test_chaos_with_injected_faults () =
     report.Stress.protocol_errors;
   Alcotest.(check bool) "queries still served" true (report.Stress.ok > 0)
 
-(* The daemon's chaos seam reaches every shard: [Engine.set_injector]
-   installs one injector on the whole relation's tree and relation and
-   on each shard's. An always-firing node injector degrades every
-   executed shard to its scan (still answering); adding an
-   always-firing page injector fails the scan too, with the unsharded
+(* An engine whose budget carries always-firing faults at the chosen
+   sites, and no limit. *)
+let faulty_engine ?shards ?(node = false) ?(page = false) index =
+  let always flag =
+    if flag then Some (Simq_fault.Injector.transient ~probability:1. ())
+    else None
+  in
+  let faults =
+    Simq_fault.Injector.create ?node_accesses:(always node)
+      ?page_reads:(always page) ~seed:7 ()
+  in
+  Engine.create ?shards ~budget:(Budget.create ~faults ()) index
+
+let exec_note engine spec =
+  let note = Engine.note () in
+  let result = Engine.exec ~note engine spec in
+  (note, result)
+
+(* The engine's fault plan reaches every shard: it rides on the budget
+   each shard's attempts run under. An always-firing node plan
+   degrades every executed shard to its scan (still answering); adding
+   always-firing page faults fails the scan too, with the unsharded
    engine's outcome. *)
 let test_injector_reaches_every_shard () =
   let index = build_index ~count:80 () in
   let spec = "RANGE FROM r QUERY s3 EPS 2.0" in
-  let always () = Simq_fault.Injector.transient ~probability:1. () in
-  let run engine injector =
-    let note = Engine.note () in
-    Engine.set_injector engine (Some injector);
-    Fun.protect
-      ~finally:(fun () -> Engine.set_injector engine None)
-      (fun () -> ignore (Engine.exec ~note engine spec));
-    note
-  in
-  let sharded = Engine.create ~shards:3 index in
-  let note =
-    run sharded
-      (Simq_fault.Injector.create ~node_accesses:(always ()) ~seed:7 ())
-  in
+  let note, _ = exec_note (faulty_engine ~shards:3 ~node:true index) spec in
   Alcotest.(check string) "node faults: answered" "ok" note.Engine.note_outcome;
   (match note.Engine.note_shards with
   | Some c ->
@@ -768,17 +768,75 @@ let test_injector_reaches_every_shard () =
     Alcotest.(check int) "every executed shard degraded" c.Qlog.fanout
       c.Qlog.degraded
   | None -> Alcotest.fail "a sharded range reports no shard counts");
-  let both () =
-    Simq_fault.Injector.create ~node_accesses:(always ())
-      ~page_reads:(always ()) ~seed:7 ()
+  let unsharded, _ =
+    exec_note (faulty_engine ~node:true ~page:true index) spec
   in
-  let unsharded = run (Engine.create index) (both ()) in
   Alcotest.(check string) "unsharded: io_failed" "io_failed"
     unsharded.Engine.note_outcome;
-  let sharded = run sharded (both ()) in
+  let sharded, _ =
+    exec_note (faulty_engine ~shards:3 ~node:true ~page:true index) spec
+  in
   Alcotest.(check (pair string int)) "sharded = unsharded outcome"
     (unsharded.Engine.note_outcome, unsharded.Engine.note_exit)
     (sharded.Engine.note_outcome, sharded.Engine.note_exit)
+
+let results_of = function
+  | Ok (o : Engine.outcome) -> J.to_string o.Engine.results
+  | Error _ -> Alcotest.fail "expected an answer"
+
+(* NEAREST consults the attempt's fault plan at every node visit of its
+   traversal and every priced page read of its linear selection. With
+   node and page faults both firing, plain and sharded NEAREST fail
+   typed; with node faults only, each shard degrades to its exact
+   linear selection, while the unsharded traversal — which degrades on
+   admission only — fails typed, as it does on budget exhaustion. *)
+let test_nearest_sees_faults () =
+  let index = build_index ~count:80 () in
+  let spec = "NEAREST 3 FROM r QUERY s3" in
+  List.iter
+    (fun (label, shards) ->
+      let note, _ =
+        exec_note (faulty_engine ?shards ~node:true ~page:true index) spec
+      in
+      Alcotest.(check (pair string int))
+        (label ^ ": node+page faults")
+        ("io_failed", 4)
+        (note.Engine.note_outcome, note.Engine.note_exit))
+    [ ("plain", None); ("3 shards", Some 3) ];
+  let plain, _ = exec_note (faulty_engine ~node:true index) spec in
+  Alcotest.(check (pair string int)) "plain: node faults" ("io_failed", 4)
+    (plain.Engine.note_outcome, plain.Engine.note_exit);
+  let sharded, result =
+    exec_note (faulty_engine ~shards:3 ~node:true index) spec
+  in
+  Alcotest.(check string) "3 shards: node faults answered" "ok"
+    sharded.Engine.note_outcome;
+  (match sharded.Engine.note_shards with
+  | Some c ->
+    Alcotest.(check int) "fanout" 3 c.Qlog.fanout;
+    Alcotest.(check int) "every shard degraded" c.Qlog.fanout c.Qlog.degraded
+  | None -> Alcotest.fail "a sharded NEAREST reports no shard counts");
+  Alcotest.(check string) "degraded answers = plain engine's"
+    (results_of (Engine.exec (Engine.create index) spec))
+    (results_of result)
+
+(* Index PAIRS takes no budget, so the engine's fault plan cannot reach
+   it: under always-firing faults it answers the plain engine's pairs,
+   plain and sharded, instead of letting a raw fault escape. *)
+let test_index_pairs_under_faults () =
+  let index = build_index ~count:80 () in
+  let spec = "PAIRS FROM r EPS 1.5 METHOD index" in
+  let expected = results_of (Engine.exec (Engine.create index) spec) in
+  List.iter
+    (fun (label, shards) ->
+      let note, result =
+        exec_note (faulty_engine ?shards ~node:true ~page:true index) spec
+      in
+      Alcotest.(check string) (label ^ ": answered") "ok"
+        note.Engine.note_outcome;
+      Alcotest.(check string) (label ^ ": plain pairs") expected
+        (results_of result))
+    [ ("plain", None); ("3 shards", Some 3) ]
 
 let test_chaos_stream_deterministic () =
   let index = build_index () in
@@ -1029,6 +1087,10 @@ let () =
             test_chaos_stream_deterministic;
           Alcotest.test_case "an injector reaches every shard" `Quick
             test_injector_reaches_every_shard;
+          Alcotest.test_case "NEAREST sees injected faults" `Quick
+            test_nearest_sees_faults;
+          Alcotest.test_case "index PAIRS answers under faults" `Quick
+            test_index_pairs_under_faults;
         ] );
       ( "correlation",
         [

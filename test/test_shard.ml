@@ -248,20 +248,22 @@ let test_pruned_shards_execute_nothing () =
 
 (* --- degradation ------------------------------------------------------------ *)
 
-(* An always-firing node-access injector on one shard's tree: its index
-   path cannot run, so the checked scatter answers that shard through
-   its own scan — that shard only, and the answers are still exact:
-   scan and traversal compute every distance with the one kernel, so
-   ids and distances are the same, bit for bit. *)
-let with_faulty_shard sh i f =
-  let tree = Kindex.tree (Shard.shard_index sh i) in
-  let injector =
-    Injector.create
-      ~node_accesses:(Injector.transient ~probability:1. ())
-      ~seed:4242 ()
-  in
-  Simq_rtree.Rstar.set_injector tree (Some injector);
-  Fun.protect ~finally:(fun () -> Simq_rtree.Rstar.set_injector tree None) f
+(* A fresh per-query fault plan failing the first [max_attempts] node
+   visits: on the sequential pool shard 0 runs first and makes all of
+   them, so its index path exhausts its retries and the checked scatter
+   answers that shard through its own scan — that shard only, since
+   every later visit is fault-free. The answers are still exact: scan
+   and traversal compute every distance with the one kernel, so ids
+   and distances are the same, bit for bit. *)
+let first_shard_faults () =
+  let attempts = Simq_fault.Retry.default.Simq_fault.Retry.max_attempts in
+  Budget.create
+    ~faults:
+      (Injector.create
+         ~node_accesses:
+           (Injector.transient ~schedule:(List.init attempts succ) ())
+         ~seed:4242 ())
+    ()
 
 let test_degraded_shard_still_exact () =
   let d = dataset_of ~seed:31 ~count:60 ~n:32 in
@@ -270,42 +272,31 @@ let test_degraded_shard_still_exact () =
   let epsilon = 12.0 in
   let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
   (* The degraded shard's scan applies the side constraints itself: the
-     constrained case keeps 7 of the 60 answers, one of them in the
-     faulty shard. At this ε the catalogue prunes no shard in either
-     case. *)
+     constrained case keeps 7 of the 60 answers. At this ε the
+     catalogue prunes no shard in either case. *)
   List.iter
     (fun (label, mean_window, std_band) ->
       let expected = Kindex.range ?mean_window ?std_band index ~query ~epsilon in
-      with_faulty_shard sh 1 (fun () ->
-          List.iter
-            (fun (domains, pool) ->
-              match
-                Shard.range_checked ~pool ?mean_window ?std_band sh ~query
-                  ~epsilon
-              with
-              | Ok r ->
-                Alcotest.(check (list int))
-                  (Printf.sprintf "%s ids domains=%d" label domains)
-                  (ids expected.Kindex.answers)
-                  (ids r.Shard.answers);
-                List.iter2
-                  (fun (_, a) (_, b) ->
-                    Alcotest.(check (float 0.))
-                      (Printf.sprintf "%s distance domains=%d" label domains)
-                      a b)
-                  (pairs expected.Kindex.answers)
-                  (pairs r.Shard.answers);
-                Alcotest.(check int)
-                  (Printf.sprintf "%s: one degraded shard domains=%d" label
-                     domains)
-                  1 r.Shard.report.Shard.degraded;
-                Alcotest.(check int)
-                  (Printf.sprintf "%s: full fanout domains=%d" label domains)
-                  4 r.Shard.report.Shard.fanout
-              | Error e ->
-                Alcotest.failf "domains=%d: degraded %s failed: %s" domains
-                  label (Error.kind e))
-            pools))
+      match
+        Shard.range_checked ~pool:Pool.sequential ~budget:(first_shard_faults ())
+          ?mean_window ?std_band sh ~query ~epsilon
+      with
+      | Ok r ->
+        Alcotest.(check (list int))
+          (label ^ " ids")
+          (ids expected.Kindex.answers)
+          (ids r.Shard.answers);
+        List.iter2
+          (fun (_, a) (_, b) ->
+            Alcotest.(check (float 0.)) (label ^ " distance") a b)
+          (pairs expected.Kindex.answers)
+          (pairs r.Shard.answers);
+        Alcotest.(check int) (label ^ ": one degraded shard") 1
+          r.Shard.report.Shard.degraded;
+        Alcotest.(check int) (label ^ ": full fanout") 4
+          r.Shard.report.Shard.fanout
+      | Error e ->
+        Alcotest.failf "degraded %s failed: %s" label (Error.kind e))
     [ ("range", None, None); ("constrained range", Some 5., Some 2.) ]
 
 (* The NN traversal's degradation path is admission-driven (its

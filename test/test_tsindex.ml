@@ -1116,6 +1116,58 @@ let test_subseq_nearest () =
   in
   Alcotest.(check (list (float 1e-9))) "knn distances" expected actual
 
+(* A scheduled node fault reaches both NN traversals through the
+   attempt's budget state: the first visit of the first attempt fails,
+   the retry (a fresh state, a new ordinal) runs clean, and the answer
+   is the fault-free one. *)
+let first_visit_faults () =
+  let module Injector = Simq_fault.Injector in
+  Simq_fault.Budget.create
+    ~faults:
+      (Injector.create
+         ~node_accesses:(Injector.transient ~schedule:[ 1 ] ())
+         ~seed:5 ())
+    ()
+
+let fast_retry = Simq_fault.Retry.policy ~base_delay_s:0. ()
+
+let test_nearest_checked_retries_fault () =
+  let d = dataset_of ~seed:67 ~count:120 ~n:64 in
+  let idx = Kindex.build ~max_fill:8 d in
+  let query = query_for d Spec.Identity 13 in
+  let retries = ref 0 in
+  match
+    Kindex.nearest_checked ~budget:(first_visit_faults ()) ~retry:fast_retry
+      ~on_retry:(fun ~attempt:_ -> incr retries)
+      idx ~query ~k:5
+  with
+  | Ok answers ->
+    Alcotest.(check int) "one retry" 1 !retries;
+    Alcotest.(check (list (pair (float 0.) int)))
+      "fault-free answer"
+      (nn_pairs (Kindex.nearest idx ~query ~k:5))
+      (nn_pairs answers)
+  | Error e -> Alcotest.failf "retry should absorb it: %s" (Simq_fault.Error.kind e)
+
+let test_subseq_nearest_checked_retries_fault () =
+  let series = Generator.random_walks ~seed:54 ~count:10 ~n:64 in
+  let index = Subseq.build ~window:8 series in
+  let query = Simq_series.Series.subsequence series.(2) ~pos:9 ~len:8 in
+  let retries = ref 0 in
+  let hit (h : Subseq.hit) = (h.Subseq.series_id, h.Subseq.offset, h.Subseq.distance) in
+  match
+    Subseq.nearest_checked ~budget:(first_visit_faults ()) ~retry:fast_retry
+      ~on_retry:(fun ~attempt:_ -> incr retries)
+      index ~query ~k:4
+  with
+  | Ok hits ->
+    Alcotest.(check int) "one retry" 1 !retries;
+    Alcotest.(check (list (triple int int (float 0.))))
+      "fault-free answer"
+      (List.map hit (Subseq.nearest index ~query ~k:4))
+      (List.map hit hits)
+  | Error e -> Alcotest.failf "retry should absorb it: %s" (Simq_fault.Error.kind e)
+
 let test_subseq_paper_example_12 () =
   (* Example 1.2: the minimum distance from p to a length-4 subsequence
      of s is over 1.41 without warping. *)
@@ -1358,6 +1410,8 @@ let () =
             test_nearest_finds_inserted;
           Alcotest.test_case "checked charges" `Quick
             test_nearest_checked_charges;
+          Alcotest.test_case "checked retries a node fault" `Quick
+            test_nearest_checked_retries_fault;
         ] );
       ( "maintenance",
         [
@@ -1379,6 +1433,8 @@ let () =
           Alcotest.test_case "range = brute force" `Quick
             test_subseq_range_matches_brute_force;
           Alcotest.test_case "nearest" `Quick test_subseq_nearest;
+          Alcotest.test_case "checked nearest retries a node fault" `Quick
+            test_subseq_nearest_checked_retries_fault;
           Alcotest.test_case "paper example 1.2 floor" `Quick
             test_subseq_paper_example_12;
           Alcotest.test_case "validation" `Quick test_subseq_validation;

@@ -28,7 +28,9 @@
 # with the sketch ladder visible in its profile tree, and an
 # out-of-range --approx rejected as a usage error, plus PAIRS joins
 # (identity, rev, mavg(4)) whose early-abandoning band join prints the
-# same pairs as the full scan.
+# same pairs as the full scan, and a daemon whose budget carries
+# always-firing node and page faults, driven by a plain stress session
+# with every NEAREST line of its qlog failed typed.
 #
 # Two modes:
 #   tools/smoke.sh                full standalone run: dune build @all,
@@ -548,6 +550,54 @@ grep -q 'by fanout:' sharded.top || {
 grep -q '4-shard' sharded.top || {
   echo "smoke: fanout breakdown lacks the 4-shard bucket" >&2
   cat sharded.top >&2
+  exit 1
+}
+
+echo "== fault plan: every query class of a daemon under always-firing faults"
+"$simq" serve smoke.rel --fault-node-prob 1 --fault-page-prob 1 \
+  --qlog faults.qlog 2>faults.err &
+faults_pid=$!
+faults_port=
+i=0
+while [ -z "$faults_port" ]; do
+  faults_port=$(sed -n 's!.*serving queries on 127\.0\.0\.1:\([0-9]*\)$!\1!p' faults.err | head -n 1)
+  kill -0 "$faults_pid" 2>/dev/null || break
+  [ "$i" -lt 400 ] || break
+  sleep 0.02
+  i=$((i + 1))
+done
+[ -n "$faults_port" ] || {
+  echo "smoke: faulted daemon never announced its port" >&2
+  cat faults.err >&2
+  exit 1
+}
+"$simq" stress smoke.rel --port "$faults_port" --clients 2 --queries 10 \
+  --shutdown >faults-stress.out || {
+  echo "smoke: stress run against the faulted daemon failed" >&2
+  cat faults-stress.out >&2
+  cat faults.err >&2
+  exit 1
+}
+grep -q '0 protocol errors' faults-stress.out || {
+  echo "smoke: faulted stress saw protocol errors" >&2
+  cat faults-stress.out >&2
+  exit 1
+}
+wait "$faults_pid" || {
+  echo "smoke: faulted daemon did not exit cleanly after shutdown" >&2
+  cat faults.err >&2
+  exit 1
+}
+# The budget's fault plan reaches NEAREST: no nearest-neighbour query
+# may answer while every node visit and page read faults.
+if grep '"spec":"NEAREST' faults.qlog | grep -q '"outcome":"ok"'; then
+  echo "smoke: a NEAREST query answered under always-firing faults" >&2
+  grep '"spec":"NEAREST' faults.qlog >&2
+  exit 1
+fi
+grep '"spec":"NEAREST' faults.qlog | grep -q '"outcome":"io_failed"' || {
+  echo "smoke: no NEAREST query failed typed under faults" >&2
+  cat faults.qlog >&2
   exit 1
 }
 
