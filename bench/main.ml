@@ -7,8 +7,15 @@
      dune exec bench/main.exe -- --fast       -- everything, small sizes
      dune exec bench/main.exe -- fig12        -- one experiment
      dune exec bench/main.exe -- micro        -- micro-benchmarks only
-     dune exec bench/main.exe -- --jobs 4 par -- scaling run, 4 domains
-     dune exec bench/main.exe -- --shards 8 shard -- one shard count
+     dune exec bench/main.exe -- --jobs 4 fig10 -- one experiment, 4 domains
+
+   The parallelism and observability flags are simq's own
+   (Simq_cli.jobs_arg, metrics_arg, trace_arg, metrics_port_arg,
+   metrics_state_arg), run through the same Simq_cli.with_obs: the
+   exposition / Chrome trace is written once all experiments finish,
+   the port serves the live exposition while the run is in flight, and
+   the saved registry state is loaded before the run and rewritten
+   afterwards.
 
    All synthetic inputs derive from Bench_util.bench_seed, so two runs
    of the same binary measure identical data. *)
@@ -106,84 +113,8 @@ let run_micro () =
     (List.sort compare !rows);
   print_newline ()
 
-(* [--jobs N] caps the default pool (overrides SIMQ_DOMAINS); returns
-   the remaining arguments. Validation matches bin/simq's cmdliner
-   converter: anything but an integer >= 1 is a usage error before any
-   pool is created. *)
-let jobs_usage () =
-  prerr_endline "option '--jobs': expected an integer >= 1";
-  exit 2
-
-let rec strip_jobs = function
-  | [] -> []
-  | "--jobs" :: value :: rest -> (
-    match int_of_string_opt (String.trim value) with
-    | Some domains when domains >= 1 ->
-      Simq_parallel.Pool.set_default_domains domains;
-      strip_jobs rest
-    | _ -> jobs_usage ())
-  | "--jobs" :: [] -> jobs_usage ()
-  | arg :: rest -> arg :: strip_jobs rest
-
-(* [--metrics[=FILE]], [--trace FILE], [--metrics-port PORT] and
-   [--metrics-state FILE] are simq's observability flags, run through
-   the same Simq_cli.with_obs: the exposition / Chrome trace is written
-   once all experiments finish ("-" means stdout), the port (or
-   SIMQ_METRICS_PORT) serves the live exposition while the run is in
-   flight, and the saved registry state is loaded before the run and
-   rewritten afterwards, persisting planner calibration across
-   processes. [--shards K] overrides the shard experiment's count. *)
-let metrics_dest = ref None
-let trace_dest = ref None
-let metrics_port = ref None
-let metrics_state = ref None
-
-let obs_usage opt expected =
-  Printf.eprintf "option '%s': expected %s\n" opt expected;
-  exit 2
-
-let rec strip_obs = function
-  | [] -> []
-  | "--metrics" :: rest ->
-    metrics_dest := Some "-";
-    strip_obs rest
-  | "--trace" :: file :: rest ->
-    trace_dest := Some file;
-    strip_obs rest
-  | "--trace" :: [] ->
-    prerr_endline "--trace expects a file name";
-    exit 2
-  | "--metrics-port" :: value :: rest -> (
-    match int_of_string_opt (String.trim value) with
-    | Some port when port >= 0 && port <= 65535 ->
-      metrics_port := Some port;
-      strip_obs rest
-    | _ ->
-      prerr_endline "option '--metrics-port': expected a port number";
-      exit 2)
-  | "--metrics-port" :: [] ->
-    prerr_endline "option '--metrics-port': expected a port number";
-    exit 2
-  | "--metrics-state" :: file :: rest ->
-    metrics_state := Some file;
-    strip_obs rest
-  | "--metrics-state" :: [] -> obs_usage "--metrics-state" "a file name"
-  | "--shards" :: value :: rest -> (
-    match int_of_string_opt (String.trim value) with
-    | Some k when k >= 1 ->
-      Bench_util.shard_override := Some k;
-      strip_obs rest
-    | _ -> obs_usage "--shards" "an integer >= 1")
-  | "--shards" :: [] -> obs_usage "--shards" "an integer >= 1"
-  | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--metrics=" ->
-    metrics_dest := Some (String.sub arg 10 (String.length arg - 10));
-    strip_obs rest
-  | arg :: rest -> arg :: strip_obs rest
-
-let () =
-  let args = Array.to_list Sys.argv |> List.tl |> strip_jobs |> strip_obs in
-  let fast = List.mem "--fast" args in
-  let names = List.filter (fun a -> a <> "--fast") args in
+let run_bench fast names jobs metrics trace metrics_port metrics_state =
+  Option.iter Simq_parallel.Pool.set_default_domains jobs;
   let names = if names = [] then [ "all"; "micro" ] else names in
   let run name =
     if String.equal name "micro" then Ok (run_micro ())
@@ -194,13 +125,39 @@ let () =
   in
   match
     Simq_cli.with_obs
-      ?metrics_port:(Simq_cli.resolve_metrics_port !metrics_port)
-      ?metrics_state:!metrics_state ~metrics:!metrics_dest ~trace:!trace_dest
+      ?metrics_port:(Simq_cli.resolve_metrics_port metrics_port)
+      ?metrics_state ~metrics ~trace
       (fun () ->
         List.fold_left (fun acc name -> Result.bind acc (fun () -> run name))
           (Ok ()) names)
   with
-  | Ok () -> ()
+  | Ok () -> 0
   | Error e ->
     prerr_endline ("bench: " ^ Simq_cli.message e);
-    exit (Simq_cli.exit_code e)
+    Simq_cli.exit_code e
+
+let () =
+  let open Cmdliner in
+  let fast =
+    Arg.(
+      value & flag
+      & info [ "fast" ] ~doc:"Small data sizes: the whole suite in seconds.")
+  in
+  let names =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            "Experiments to run, in order ($(b,all), one of the suite's \
+             names, or $(b,micro) for the micro-benchmarks). Default: \
+             $(b,all) then $(b,micro).")
+  in
+  let cmd =
+    Cmd.v
+      (Cmd.info "bench" ~doc:"Regenerate the evaluation's figures and tables")
+      Term.(
+        const run_bench $ fast $ names $ Simq_cli.jobs_arg $ Simq_cli.metrics_arg
+        $ Simq_cli.trace_arg $ Simq_cli.metrics_port_arg
+        $ Simq_cli.metrics_state_arg)
+  in
+  exit (Cmd.eval' cmd)

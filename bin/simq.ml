@@ -41,56 +41,11 @@ let load_relation file =
 
 (* --- parallelism --------------------------------------------------------- *)
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some Simq_cli.positive_int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:
-           "Number of domains for parallel execution (overrides the \
-            $(b,SIMQ_DOMAINS) environment variable; $(b,1) runs fully \
-            sequentially). Must be an integer >= 1; anything else is a \
-            usage error.")
-
 let apply_jobs = function
   | None -> ()
   | Some domains -> Simq_parallel.Pool.set_default_domains domains
 
 (* --- observability -------------------------------------------------------- *)
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some "-") (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Collect runtime metrics and dump a Prometheus-style text \
-           exposition when the command finishes — to stdout, or to $(docv) \
-           when one is given. The $(b,SIMQ_METRICS) environment variable \
-           also enables collection (without the dump).")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record execution spans and write them as Chrome trace-event JSON \
-           to $(docv) when the command finishes (inspect with any trace \
-           viewer: chrome://tracing, Perfetto, ...).")
-
-let metrics_port_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "metrics-port" ] ~docv:"PORT"
-        ~doc:
-          "Serve the live Prometheus exposition over HTTP on \
-           127.0.0.1:$(docv) for the duration of the command ($(b,0) picks \
-           an ephemeral port, printed on stderr); scrape it with \
-           $(b,simq scrape) or any Prometheus client. Implies metric \
-           collection. The $(b,SIMQ_METRICS_PORT) environment variable \
-           sets a default.")
 
 let profile_arg =
   Arg.(
@@ -147,17 +102,6 @@ let qlog_max_bytes_arg =
            (replacing any previous rotation) and a fresh file is started, \
            so long runs cannot grow the log unboundedly. Sequence numbers \
            keep counting across rotations.")
-
-let metrics_state_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-state" ] ~docv:"FILE"
-        ~doc:
-          "Persist the metrics registry across processes: load $(docv) \
-           when it exists before the command runs and rewrite it \
-           afterwards, so planner calibration gauges survive restarts. \
-           Implies metric collection.")
 
 let make_qlog ~sample ~slow_ms ~max_bytes = function
   | None -> Ok None
@@ -1181,7 +1125,9 @@ let qlog_top_impl file top by_trace =
 
 let experiment_arg =
   Arg.(value & pos 0 string "all" & info [] ~docv:"NAME"
-         ~doc:"Experiment: fig8..fig12, table1, edit_dp, eq10, vptree, ablation_*, planner, par, serve, shard or all.")
+         ~doc:"Experiment: fig8..fig12, table1, edit_dp, eq10, vptree, \
+               ablation_k, ablation_repr, ablation_rtree, ablation_trails \
+               or all.")
 
 let fast_arg =
   Arg.(value & flag & info [ "fast" ] ~doc:"Smaller data sizes (seconds instead of minutes).")

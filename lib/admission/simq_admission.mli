@@ -17,11 +17,13 @@
       touches, hits and misses alike) — both known from the catalogue,
       so scan-path decisions are exact;
     - the {e index} path costs are predicted from the planner's
-      histogram selectivity, calibrated by the live
-      [simq_planner_estimated_selectivity] /
-      [simq_planner_actual_selectivity] gauges (when the planner has
-      been systematically under- or over-estimating, the ratio corrects
-      the next estimate);
+      histogram selectivity, scaled by the clamped ratio of the
+      [simq_planner_actual_selectivity] /
+      [simq_planner_estimated_selectivity] gauges when both are set.
+      No executor writes them (a last-query gauge written by parallel
+      batch tasks would make decisions depend on how the tasks
+      interleave), so the factor is 1 unless a restored registry
+      state carries older values;
     - the wall-clock deadline is compared against a conservative
       per-query time predicted from the [simq_timer_seconds] histogram
       (its p95 bucket upper bound, once enough queries have been

@@ -48,6 +48,14 @@ let positive_int =
   in
   Cmdliner.Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+let port =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some p when p >= 0 && p <= 65535 -> Ok p
+    | _ -> Error (`Msg "expected a port number (0-65535)")
+  in
+  Cmdliner.Arg.conv ~docv:"PORT" (parse, Format.pp_print_int)
+
 (* [float_of_string_opt] accepts "nan" and "inf" (and overflowing
    literals round to infinity): every float the CLI feeds a distance or
    a deadline must be finite, or downstream comparisons silently turn
@@ -60,6 +68,65 @@ let finite_float =
     | None -> Error (`Msg "expected a number")
   in
   Cmdliner.Arg.conv ~docv:"X" (parse, Format.pp_print_float)
+
+(* --- the flags both binaries share ------------------------------------------- *)
+
+let jobs_arg =
+  Cmdliner.Arg.(
+    value
+    & opt (some positive_int) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Number of domains for parallel execution (overrides the \
+           $(b,SIMQ_DOMAINS) environment variable; $(b,1) runs fully \
+           sequentially). Must be an integer >= 1; anything else is a \
+           usage error.")
+
+let metrics_arg =
+  Cmdliner.Arg.(
+    value
+    & opt ~vopt:(Some "-") (some string) None
+    & info [ "metrics" ] ~docv:"FILE"
+        ~doc:
+          "Collect runtime metrics and dump a Prometheus-style text \
+           exposition when the command finishes — to stdout, or to $(docv) \
+           when one is given. The $(b,SIMQ_METRICS) environment variable \
+           also enables collection (without the dump).")
+
+let trace_arg =
+  Cmdliner.Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Record execution spans and write them as Chrome trace-event JSON \
+           to $(docv) when the command finishes (inspect with any trace \
+           viewer: chrome://tracing, Perfetto, ...).")
+
+let metrics_port_arg =
+  Cmdliner.Arg.(
+    value
+    & opt (some port) None
+    & info [ "metrics-port" ] ~docv:"PORT"
+        ~doc:
+          "Serve the live Prometheus exposition over HTTP on \
+           127.0.0.1:$(docv) for the duration of the command ($(b,0) picks \
+           an ephemeral port, printed on stderr); scrape it with \
+           $(b,simq scrape) or any Prometheus client. Implies metric \
+           collection. The $(b,SIMQ_METRICS_PORT) environment variable \
+           sets a default.")
+
+let metrics_state_arg =
+  Cmdliner.Arg.(
+    value
+    & opt (some string) None
+    & info [ "metrics-state" ] ~docv:"FILE"
+        ~doc:
+          "Persist the metrics registry across processes: load $(docv) \
+           when it exists before the command runs and rewrite it \
+           afterwards, so counters, gauges and histograms (among them \
+           the timer histogram behind admission's deadline prediction) \
+           survive restarts. Implies metric collection.")
 
 (* Mirrors Pool.env_domains: a garbage value warns once and falls back
    to the feature being off, rather than failing the command. *)

@@ -1,9 +1,9 @@
-(** The command-line harness shared by [bin/simq]: error-to-exit-code
-    mapping, exception-safe observability dumps, and the live metrics
-    endpoint lifecycle. Kept in a library so the failure paths are unit
-    testable — every non-zero exit of the binary must still write the
-    requested [--metrics]/[--trace] files, and that guarantee lives
-    here. *)
+(** The command-line harness shared by [bin/simq] and [bench/main]:
+    error-to-exit-code mapping, the flags both parse, exception-safe
+    observability dumps, and the live metrics endpoint lifecycle. Kept
+    in a library so the failure paths are unit testable — every
+    non-zero exit of the binary must still write the requested
+    [--metrics]/[--trace] files, and that guarantee lives here. *)
 
 (** User-facing failures: one line on stderr, a distinct exit code,
     never a backtrace. *)
@@ -37,11 +37,43 @@ val handle : (unit, error) result -> int
     (in particular [Simq_parallel.Pool.create]) runs. *)
 val positive_int : int Cmdliner.Arg.conv
 
+(** A [Cmdliner] converter for TCP port numbers, [0] to [65535]: an
+    out-of-range port is a parse-time usage error rather than a bind
+    to the port it wraps around to. *)
+val port : int Cmdliner.Arg.conv
+
 (** A [Cmdliner] converter for finite floats: ["nan"], ["inf"] and
     overflowing literals are parse-time usage errors, so no non-finite
     value can reach a distance or deadline comparison through the
     CLI. *)
 val finite_float : float Cmdliner.Arg.conv
+
+(** {2 Flags shared by [simq] and the bench binary}
+
+    The [Cmdliner] terms both binaries parse their parallelism and
+    observability options with, so the two surfaces accept the same
+    spellings and report the same usage errors. *)
+
+(** [-j N] / [--jobs N]: the default pool's domain count
+    ({!positive_int}); [None] leaves [SIMQ_DOMAINS] or the core count
+    in charge. *)
+val jobs_arg : int option Cmdliner.Term.t
+
+(** [--metrics[=FILE]]: dump the exposition when the command finishes,
+    to [FILE] or (bare flag, ["-"]) to stdout. *)
+val metrics_arg : string option Cmdliner.Term.t
+
+(** [--trace FILE]: write the Chrome trace-event JSON there. *)
+val trace_arg : string option Cmdliner.Term.t
+
+(** [--metrics-port PORT]: serve the live exposition for the duration
+    of the command (see {!resolve_metrics_port} for the environment
+    default). *)
+val metrics_port_arg : int option Cmdliner.Term.t
+
+(** [--metrics-state FILE]: load the registry from [FILE] before the
+    command and save it afterwards (see {!with_obs}). *)
+val metrics_state_arg : string option Cmdliner.Term.t
 
 (** [resolve_metrics_port explicit] is [explicit] when given, otherwise
     the [SIMQ_METRICS_PORT] environment variable. An unparsable
@@ -77,9 +109,13 @@ val dump_observability :
     logged counter deltas are live — and [metrics_state] a
     {!Simq_obs.Metrics.save_state} file — loaded before [f] when it
     exists (forcing metric collection on, like [metrics_port]) and
-    rewritten afterwards, so calibration gauges survive restarts. A
-    state file that exists but does not parse is a [File] error and
-    [f] is not run. *)
+    rewritten afterwards, so the registry's counters, gauges and
+    histograms survive restarts (among them the [simq_timer_seconds]
+    histogram behind admission's deadline prediction; no executor
+    writes the planner's selectivity calibration gauges, so a saved
+    state carries only what an older process left in them). A state
+    file that exists but does not parse is a [File] error and [f] is
+    not run. *)
 val with_obs :
   ?metrics_port:int ->
   ?history_interval_s:float ->

@@ -24,5 +24,3 @@ let queries_for ~seed ~count batch =
 let bench_seed = 1995
 
 let derived_seed offset = (bench_seed * 31) + offset
-
-let shard_override : int option ref = ref None

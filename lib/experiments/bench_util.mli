@@ -30,10 +30,3 @@ val bench_seed : int
     derived from {!bench_seed}; distinct offsets give independent
     streams. *)
 val derived_seed : int -> int
-
-(** {2 Sharding}
-
-    The bench driver's [--shards K] flag narrows the [shard]
-    experiment's shard-count sweep to one value; [None] (the default)
-    sweeps the documented K list. *)
-val shard_override : int option ref

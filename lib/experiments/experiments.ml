@@ -862,2100 +862,6 @@ let ablation_trails ~fast =
       (trail_entries * 7 <= point_entries);
   ]
 
-(* --- multicore scaling ------------------------------------------------------------ *)
-
-(* The parallel execution layer under the paper's workloads, from both
-   ends of the multicore overhaul: intra-query chunking (dataset
-   preparation, the sequential-scan baseline, the scan self-join) and
-   the inter-query batch executor, each at 1/2/4/N domains. Build, scan
-   and batch run on a large dataset (10^5 series full / smaller in
-   fast mode) where per-chunk work dwarfs scheduling overhead; the
-   quadratic self-join keeps a moderate dataset. Two claims: the
-   answers are bit-identical at every domain count (always asserted —
-   this is Lemma 1 under parallelism), and at 4 domains every speedup
-   column exceeds 1.0 (asserted only on full runs with >= 4 cores;
-   timing on oversubscribed or tiny configurations is noise). *)
-let par ~fast =
-  let module Pool = Simq_parallel.Pool in
-  let count = if fast then 150 else 600 in
-  let n = if fast then 64 else 128 in
-  let repeats = if fast then 1 else 2 in
-  let batch = Stocklike.batch ~seed:Bench_util.bench_seed ~count ~n in
-  let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"stocks" batch in
-  let index = Kindex.build dataset in
-  let query =
-    Queries.perturb
-      (Random.State.make [| Bench_util.derived_seed 11 |])
-      batch.(0) ~amount:0.5
-  in
-  let epsilon = calibrated_epsilon dataset query ~target:10 in
-  let join_epsilon = epsilon /. 2. in
-  (* The large workload: enough per-chunk work that the adaptive
-     chunking has something to amortise, and a 16-query batch for the
-     inter-query executor. *)
-  let large_count = if fast then 4_000 else 100_000 in
-  let large_n = 64 in
-  let large_batch =
-    Stocklike.batch ~seed:(Bench_util.derived_seed 13) ~count:large_count
-      ~n:large_n
-  in
-  let large_dataset =
-    Dataset.of_series ~pool:Pool.sequential ~name:"stocks-large" large_batch
-  in
-  let large_query =
-    Queries.perturb
-      (Random.State.make [| Bench_util.derived_seed 14 |])
-      large_batch.(0) ~amount:0.5
-  in
-  let large_epsilon =
-    calibrated_epsilon large_dataset large_query ~target:20
-  in
-  let batch_queries =
-    Array.of_list
-      (List.map
-         (fun q -> (q, large_epsilon))
-         (Bench_util.queries_for ~seed:(Bench_util.derived_seed 12) ~count:16
-            large_batch))
-  in
-  let ref_scan =
-    Seqscan.range_early_abandon ~pool:Pool.sequential large_dataset
-      ~query:large_query ~epsilon:large_epsilon
-  in
-  let ref_join =
-    Join.scan_early_abandon ~pool:Pool.sequential index ~epsilon:join_epsilon
-  in
-  let ref_batch =
-    Seqscan.range_batch ~pool:Pool.sequential large_dataset
-      ~queries:batch_queries
-  in
-  let cores = max 1 (Domain.recommended_domain_count ()) in
-  let domain_counts =
-    List.sort_uniq compare (if cores > 4 then [ 1; 2; 4; cores ] else [ 1; 2; 4 ])
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Scaling: domain pool (%d stock-like series n=%d; self-join on \
-            %d n=%d; %d core%s)"
-           large_count large_n count n cores
-           (if cores = 1 then "" else "s"))
-      ~columns:[ "domains"; "build"; "scan"; "self-join"; "batch(16)" ]
-  in
-  let scan_equal (a : Seqscan.result) (b : Seqscan.result) =
-    List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) a.Seqscan.answers
-    = List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) b.Seqscan.answers
-    && a.Seqscan.full_computations = b.Seqscan.full_computations
-    && a.Seqscan.coefficients_touched = b.Seqscan.coefficients_touched
-  in
-  let all_equal = ref true in
-  let runs =
-    List.map
-      (fun domains ->
-        let pool = Pool.create ~domains in
-        let built = ref large_dataset in
-        let build_time =
-          Bench_util.time_per_query ~repeats (fun () ->
-              built := Dataset.of_series ~pool ~name:"stocks-large" large_batch)
-        in
-        let scan = ref ref_scan in
-        let scan_time =
-          Bench_util.time_per_query ~repeats (fun () ->
-              scan :=
-                Seqscan.range_early_abandon ~pool large_dataset
-                  ~query:large_query ~epsilon:large_epsilon)
-        in
-        let join = ref ref_join in
-        let join_time =
-          Bench_util.time_per_query ~repeats (fun () ->
-              join :=
-                Join.scan_early_abandon ~pool index ~epsilon:join_epsilon)
-        in
-        let batch_results = ref ref_batch in
-        let batch_time =
-          Bench_util.time_per_query ~repeats (fun () ->
-              batch_results :=
-                Seqscan.range_batch ~pool large_dataset ~queries:batch_queries)
-        in
-        let build_ok =
-          Array.for_all2
-            (fun (a : Dataset.entry) (b : Dataset.entry) ->
-              a.Dataset.normal = b.Dataset.normal
-              && a.Dataset.spectrum = b.Dataset.spectrum)
-            (Dataset.entries large_dataset)
-            (Dataset.entries !built)
-        in
-        let join_ok =
-          !join.Join.pairs = ref_join.Join.pairs
-          && !join.Join.distance_computations
-             = ref_join.Join.distance_computations
-        in
-        let batch_ok =
-          Array.length !batch_results = Array.length ref_batch
-          && Array.for_all2 scan_equal ref_batch !batch_results
-        in
-        if not (build_ok && scan_equal ref_scan !scan && join_ok && batch_ok)
-        then all_equal := false;
-        Pool.shutdown pool;
-        Table.add_row table
-          [
-            string_of_int domains; fmt build_time; fmt scan_time;
-            fmt join_time; fmt batch_time;
-          ];
-        (domains, build_time, scan_time, join_time, batch_time))
-      domain_counts
-  in
-  Table.print table;
-  let base sel = match runs with (_, b, s, j, q) :: _ -> sel (b, s, j, q) | [] -> 1. in
-  let speedup sel (_, b, s, j, q) =
-    let t = sel (b, s, j, q) in
-    if t > 0. then base sel /. t else 1.
-  in
-  let sel_build (b, _, _, _) = b
-  and sel_scan (_, s, _, _) = s
-  and sel_join (_, _, j, _) = j
-  and sel_batch (_, _, _, q) = q in
-  let at4 =
-    List.find_opt (fun (d, _, _, _, _) -> d = 4) runs
-    |> Option.value ~default:(List.nth runs (List.length runs - 1))
-  in
-  let s_build = speedup sel_build at4
-  and s_scan = speedup sel_scan at4
-  and s_join = speedup sel_join at4
-  and s_batch = speedup sel_batch at4 in
-  (* BENCH_par.json: the raw speedup curves, for tracking across runs. *)
-  let oc = open_out "BENCH_par.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"par\",\n  \"fast\": %b,\n  \"seed\": %d,\n\
-    \  \"series\": { \"count\": %d, \"n\": %d, \"batch_queries\": %d },\n\
-    \  \"join_series\": { \"count\": %d, \"n\": %d },\n\
-    \  \"adaptive_chunking\": { \"min_chunk_quantum\": %d, \
-     \"coarse_chunks_per_domain\": %d, \"max_chunks_per_domain\": %d },\n\
-    \  \"recommended_domain_count\": %d,\n  \"runs\": [\n"
-    fast Bench_util.bench_seed large_count large_n
-    (Array.length batch_queries) count n Pool.min_chunk_quantum
-    Pool.coarse_chunks_per_domain Pool.max_chunks_per_domain cores;
-  List.iteri
-    (fun i (d, b, s, j, q) ->
-      Printf.fprintf oc
-        "    { \"domains\": %d, \"build_s\": %.6f, \"scan_s\": %.6f, \
-         \"join_s\": %.6f, \"batch_s\": %.6f, \"build_speedup\": %.3f, \
-         \"scan_speedup\": %.3f, \"join_speedup\": %.3f, \
-         \"batch_speedup\": %.3f }%s\n"
-        d b s j q
-        (speedup sel_build (d, b, s, j, q))
-        (speedup sel_scan (d, b, s, j, q))
-        (speedup sel_join (d, b, s, j, q))
-        (speedup sel_batch (d, b, s, j, q))
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  Printf.fprintf oc "  ],\n  \"all_results_equal\": %b\n}\n" !all_equal;
-  close_out oc;
-  print_endline "wrote BENCH_par.json";
-  let speedup_claim =
-    let measured =
-      Printf.sprintf
-        "4-domain speedups: build %.2fx, scan %.2fx, join %.2fx, batch %.2fx"
-        s_build s_scan s_join s_batch
-    in
-    if (not fast) && cores >= 4 then
-      Expectation.check ~experiment:"Scaling"
-        ~expectation:
-          "at 4 domains every speedup column — dataset build, scan, \
-           self-join and the query batch — exceeds 1.0"
-        ~measured
-        (List.for_all (fun s -> s > 1.) [ s_build; s_scan; s_join; s_batch ])
-    else
-      Expectation.partial ~experiment:"Scaling"
-        ~expectation:
-          "at 4 domains every speedup column — dataset build, scan, \
-           self-join and the query batch — exceeds 1.0"
-        ~measured:
-          (Printf.sprintf "%s (%s — timing not asserted)" measured
-             (if cores < 4 then
-                Printf.sprintf "only %d core%s available" cores
-                  (if cores = 1 then "" else "s")
-              else "fast mode"))
-  in
-  [
-    Expectation.check ~experiment:"Scaling"
-      ~expectation:
-        "parallel execution is invisible in the answers: every domain \
-         count returns bit-identical results and counters (Lemma 1 \
-         under parallelism)"
-      ~measured:
-        (if !all_equal then
-           Printf.sprintf "identical at every domain count in %s"
-             (String.concat "/" (List.map string_of_int domain_counts))
-         else "MISMATCH against the single-domain reference")
-      !all_equal;
-    speedup_claim;
-  ]
-
-(* --- fault injection and budgets ------------------------------------------------- *)
-
-(* The resilience layer's two promises, measured: (1) the guard hooks in
-   the scan and traversal loops cost ~nothing under an unlimited budget
-   without a fault plan — the checked entry points then return
-   bit-identical answers at indistinguishable cost; and (2) under a
-   budget carrying seeded transient node faults every query still
-   returns the exact answer (possibly by degrading to the scan), with
-   the degradation rate growing with the fault rate and visible in the
-   planner counters. *)
-let ablation_fault ~fast =
-  let module Pool = Simq_parallel.Pool in
-  let module Injector = Simq_fault.Injector in
-  let module Retry = Simq_fault.Retry in
-  let module Budget = Simq_fault.Budget in
-  let count = if fast then 200 else 600 in
-  let n = if fast then 64 else 128 in
-  let repeats = if fast then 3 else 10 in
-  let batch = Stocklike.batch ~seed:(Bench_util.derived_seed 31) ~count ~n in
-  let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"stocks" batch in
-  let index = Kindex.build dataset in
-  let queries =
-    with_selective_epsilons dataset
-      (Bench_util.queries_for ~seed:(Bench_util.derived_seed 32) ~count:12
-         batch)
-  in
-  let answer_ids answers =
-    List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) answers
-  in
-  (* Part 1: guard-hook overhead with no limit and no fault plan. *)
-  let time f =
-    Bench_util.time_per_query ~repeats (fun () -> List.iter f queries)
-    /. float_of_int (List.length queries)
-  in
-  let get = function Ok r -> r | Error _ -> assert false in
-  let t_index_plain =
-    time (fun (q, eps) -> ignore (Kindex.range index ~query:q ~epsilon:eps))
-  in
-  let t_index_checked =
-    time (fun (q, eps) ->
-        ignore (get (Kindex.range_checked index ~query:q ~epsilon:eps)))
-  in
-  let t_scan_plain =
-    time (fun (q, eps) ->
-        ignore
-          (Seqscan.range_early_abandon ~pool:Pool.sequential dataset ~query:q
-             ~epsilon:eps))
-  in
-  let t_scan_checked =
-    time (fun (q, eps) ->
-        ignore
-          (get
-             (Seqscan.range_checked ~pool:Pool.sequential dataset ~query:q
-                ~epsilon:eps)))
-  in
-  let guards_exact =
-    List.for_all
-      (fun (q, eps) ->
-        let plain = Kindex.range index ~query:q ~epsilon:eps in
-        let checked = get (Kindex.range_checked index ~query:q ~epsilon:eps) in
-        let scan_plain =
-          Seqscan.range_early_abandon ~pool:Pool.sequential dataset ~query:q
-            ~epsilon:eps
-        in
-        let scan_checked =
-          get
-            (Seqscan.range_checked ~pool:Pool.sequential dataset ~query:q
-               ~epsilon:eps)
-        in
-        checked.Kindex.answers = plain.Kindex.answers
-        && checked.Kindex.candidates = plain.Kindex.candidates
-        && scan_checked.Seqscan.answers = scan_plain.Seqscan.answers
-        && scan_checked.Seqscan.full_computations
-           = scan_plain.Seqscan.full_computations)
-      queries
-  in
-  let overhead checked plain = if plain > 0. then checked /. plain else 1. in
-  let oh_index = overhead t_index_checked t_index_plain in
-  let oh_scan = overhead t_scan_checked t_scan_plain in
-  let overhead_table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Fault layer: guard overhead, unlimited budget (%d series, n=%d)"
-           count n)
-      ~columns:[ "path"; "plain"; "checked"; "ratio" ]
-  in
-  Table.add_row overhead_table
-    [ "k-index range"; fmt t_index_plain; fmt t_index_checked;
-      Printf.sprintf "%.3f" oh_index ];
-  Table.add_row overhead_table
-    [ "seq scan"; fmt t_scan_plain; fmt t_scan_checked;
-      Printf.sprintf "%.3f" oh_scan ];
-  Table.print overhead_table;
-  (* Part 2: degradation rate vs node-access fault rate. *)
-  let reference =
-    List.map
-      (fun (q, eps) -> answer_ids (Kindex.range index ~query:q ~epsilon:eps).Kindex.answers)
-      queries
-  in
-  let retry = Retry.policy ~max_attempts:2 ~base_delay_s:0. () in
-  let rates = [ 0.0; 0.02; 0.1; 0.3 ] in
-  let degradation_table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Fault layer: degradation under transient node faults (%d queries, \
-            retry x%d)"
-           (List.length queries) retry.Retry.max_attempts)
-      ~columns:
-        [ "fault rate"; "degraded"; "retries"; "failures"; "degradation rate";
-          "exact" ]
-  in
-  let curve =
-    List.map
-      (fun probability ->
-        let budget =
-          Budget.create
-            ~faults:
-              (Injector.create
-                 ~node_accesses:(Injector.transient ~probability ())
-                 ~seed:(Bench_util.derived_seed 33)
-                 ())
-            ()
-        in
-        let counters = Planner.create_counters () in
-        let exact =
-          List.for_all2
-            (fun (q, eps) expected ->
-              match
-                Planner.range_resilient ~pool:Pool.sequential ~budget ~retry
-                  ~counters index ~query:q ~epsilon:eps
-              with
-              | Ok r -> answer_ids r.Planner.answers = expected
-              | Error _ -> true (* a structured error is safe; silence isn't *))
-            queries reference
-        in
-        let rate = Planner.degradation_rate counters in
-        Table.add_row degradation_table
-          [
-            Printf.sprintf "%.2f" probability;
-            string_of_int counters.Planner.degraded;
-            string_of_int counters.Planner.retries;
-            string_of_int counters.Planner.failures;
-            Printf.sprintf "%.2f" rate;
-            (if exact then "yes" else "NO");
-          ];
-        (probability, rate, exact))
-      rates
-  in
-  Table.print degradation_table;
-  let rate_at p =
-    match List.find_opt (fun (p', _, _) -> p' = p) curve with
-    | Some (_, r, _) -> r
-    | None -> 0.
-  in
-  let all_exact = List.for_all (fun (_, _, e) -> e) curve in
-  let overhead_measured =
-    Printf.sprintf "checked/plain ratio: %.3f (index), %.3f (scan)" oh_index
-      oh_scan
-  in
-  let overhead_claim =
-    if fast then
-      Expectation.partial ~experiment:"Fault layer"
-        ~expectation:
-          "guard hooks cost ~0 under an unlimited budget without faults"
-        ~measured:
-          (overhead_measured ^ " (fast mode — timing not asserted)")
-    else
-      Expectation.check ~experiment:"Fault layer"
-        ~expectation:
-          "guard hooks cost ~0 under an unlimited budget without faults \
-           (checked/plain < 1.5)"
-        ~measured:overhead_measured
-        (oh_index < 1.5 && oh_scan < 1.5)
-  in
-  [
-    Expectation.check ~experiment:"Fault layer"
-      ~expectation:
-        "checked entry points with an unlimited budget return answers and \
-         counters bit-identical to the unchecked paths"
-      ~measured:(if guards_exact then "identical" else "MISMATCH")
-      guards_exact;
-    overhead_claim;
-    Expectation.check ~experiment:"Fault layer"
-      ~expectation:
-        "under injected node faults every query returns the exact answer \
-         (degrading to the scan when retries run out); degradation is 0 \
-         with no faults and visible in the counters at the highest rate"
-      ~measured:
-        (Printf.sprintf
-           "degradation rate %.2f at fault rate 0, %.2f at %.2f; answers %s"
-           (rate_at 0.) (rate_at 0.3) 0.3
-           (if all_exact then "exact" else "WRONG"))
-      (all_exact && rate_at 0. = 0. && rate_at 0.3 > 0.);
-  ]
-
-(* --- planner instrumentation ------------------------------------------------------ *)
-
-(* The cost-based planner, observed end to end: sweep epsilon across the
-   selectivity range of one workload, record for each query the chosen
-   access path and the estimated vs actual answer count, and cross-check
-   the registry's planner counter family against the per-run tally. The
-   sweep (plans, estimates, actuals, counters) is written to
-   BENCH_planner.json in the working directory, like BENCH_par.json. *)
-let planner ~fast =
-  let module Pool = Simq_parallel.Pool in
-  let module Metrics = Simq_obs.Metrics in
-  let count = if fast then 200 else 600 in
-  let n = if fast then 64 else 128 in
-  let batch = Stocklike.batch ~seed:(Bench_util.derived_seed 51) ~count ~n in
-  let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"stocks" batch in
-  let index = Kindex.build dataset in
-  let stats = Planner.collect ~seed:(Bench_util.derived_seed 52) dataset in
-  let query =
-    Queries.perturb
-      (Random.State.make [| Bench_util.derived_seed 53 |])
-      batch.(0) ~amount:0.5
-  in
-  let targets =
-    List.sort_uniq compare
-      (if fast then [ 1; 5; 20; count / 2; count ]
-       else [ 1; 5; 20; 60; count / 3; 2 * count / 3; count ])
-  in
-  let m_path_index = Metrics.counter "simq_planner_path_index_total" in
-  let m_path_scan = Metrics.counter "simq_planner_path_scan_total" in
-  let rows =
-    Metrics.with_enabled true (fun () ->
-        Metrics.reset ();
-        List.map
-          (fun target ->
-            let epsilon = calibrated_epsilon dataset query ~target in
-            let r = Planner.range index stats ~query ~epsilon in
-            (target, epsilon, r.Planner.plan, r.Planner.estimated_answers,
-             List.length r.Planner.answers))
-          targets)
-  in
-  let plan_name = function
-    | Planner.Use_index -> "index"
-    | Planner.Use_scan -> "scan"
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Planner: estimated vs actual answers across the selectivity \
-            range (%d stock-like series, n=%d)"
-           count n)
-      ~columns:[ "target"; "epsilon"; "plan"; "estimated"; "actual" ]
-  in
-  List.iter
-    (fun (target, epsilon, plan, estimated, actual) ->
-      Table.add_row table
-        [
-          string_of_int target; Printf.sprintf "%.3f" epsilon; plan_name plan;
-          Printf.sprintf "%.1f" estimated; string_of_int actual;
-        ])
-    rows;
-  Table.print table;
-  let n_index =
-    List.length (List.filter (fun (_, _, p, _, _) -> p = Planner.Use_index) rows)
-  in
-  let n_scan = List.length rows - n_index in
-  let c_index = Metrics.counter_total m_path_index in
-  let c_scan = Metrics.counter_total m_path_scan in
-  (* BENCH_planner.json: the sweep and the registry counters, for
-     tracking across runs. *)
-  let oc = open_out "BENCH_planner.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"planner\",\n  \"fast\": %b,\n  \"seed\": %d,\n\
-    \  \"series\": { \"count\": %d, \"n\": %d },\n  \"sweep\": [\n"
-    fast Bench_util.bench_seed count n;
-  List.iteri
-    (fun i (target, epsilon, plan, estimated, actual) ->
-      Printf.fprintf oc
-        "    { \"target\": %d, \"epsilon\": %.6f, \"plan\": %S, \
-         \"estimated_answers\": %.3f, \"actual_answers\": %d }%s\n"
-        target epsilon (plan_name plan) estimated actual
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"counters\": { \"path_index\": %d, \"path_scan\": %d }\n}\n" c_index
-    c_scan;
-  close_out oc;
-  print_endline "wrote BENCH_planner.json";
-  let first_plan = match rows with (_, _, p, _, _) :: _ -> p | [] -> Planner.Use_scan in
-  let last_plan =
-    match List.rev rows with (_, _, p, _, _) :: _ -> p | [] -> Planner.Use_index
-  in
-  let estimates_monotone =
-    let rec check = function
-      | (_, _, _, a, _) :: ((_, _, _, b, _) :: _ as rest) ->
-        a <= b && check rest
-      | _ -> true
-    in
-    check rows
-  in
-  let mean_rel_error =
-    Bench_util.mean
-      (List.map
-         (fun (_, _, _, estimated, actual) ->
-           Float.abs (estimated -. float_of_int actual)
-           /. Float.max 1. (float_of_int actual))
-         rows)
-  in
-  [
-    Expectation.check ~experiment:"Planner"
-      ~expectation:
-        "the planner picks the index at the selective end of the sweep and \
-         the scan once the answer set covers the relation (the Figure 12 \
-         crossover)"
-      ~measured:
-        (Printf.sprintf "plan %s at target 1, %s at target %d"
-           (plan_name first_plan) (plan_name last_plan) count)
-      (first_plan = Planner.Use_index && last_plan = Planner.Use_scan);
-    Expectation.check ~experiment:"Planner"
-      ~expectation:
-        "the registry's planner counters agree with the per-run tally of \
-         chosen paths"
-      ~measured:
-        (Printf.sprintf "registry index/scan = %d/%d, tally = %d/%d" c_index
-           c_scan n_index n_scan)
-      (c_index = n_index && c_scan = n_scan);
-    Expectation.check ~experiment:"Planner"
-      ~expectation:
-        "estimated answer counts are monotone in epsilon (the selectivity \
-         histogram is cumulative)"
-      ~measured:
-        (Printf.sprintf "monotone: %b, mean relative error %.2f"
-           estimates_monotone mean_rel_error)
-      estimates_monotone;
-  ]
-
-(* --- observability overhead and determinism --------------------------------------- *)
-
-(* The observability layer's two promises, measured with the same
-   methodology as [ablation_fault]: (1) instrumentation is invisible —
-   answers are bit-identical with metrics on and off, and the enabled
-   cost stays within a modest constant of the disabled cost (the
-   disabled cost itself is one atomic load and branch per site, which no
-   timer resolves); and (2) the merged integer counter totals of the
-   query-level families are identical at every domain count — the
-   instrumentation inherits the Lemma 1 determinism of the paths it
-   observes. *)
-let ablation_obs ~fast =
-  let module Pool = Simq_parallel.Pool in
-  let module Metrics = Simq_obs.Metrics in
-  let count = if fast then 200 else 600 in
-  let n = if fast then 64 else 128 in
-  let repeats = if fast then 3 else 10 in
-  let batch = Stocklike.batch ~seed:(Bench_util.derived_seed 61) ~count ~n in
-  let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"stocks" batch in
-  let index = Kindex.build dataset in
-  let queries =
-    with_selective_epsilons dataset
-      (Bench_util.queries_for ~seed:(Bench_util.derived_seed 62) ~count:12
-         batch)
-  in
-  (* Part 1: cost and answers, metrics off vs on. *)
-  let time f =
-    Bench_util.time_per_query ~repeats (fun () -> List.iter f queries)
-    /. float_of_int (List.length queries)
-  in
-  let run_index (q, eps) = ignore (Kindex.range index ~query:q ~epsilon:eps) in
-  let run_scan (q, eps) =
-    ignore
-      (Seqscan.range_early_abandon ~pool:Pool.sequential dataset ~query:q
-         ~epsilon:eps)
-  in
-  let t_index_off = Metrics.with_enabled false (fun () -> time run_index) in
-  let t_index_on = Metrics.with_enabled true (fun () -> time run_index) in
-  let t_scan_off = Metrics.with_enabled false (fun () -> time run_scan) in
-  let t_scan_on = Metrics.with_enabled true (fun () -> time run_scan) in
-  let answers_equal =
-    List.for_all
-      (fun (q, eps) ->
-        let off =
-          Metrics.with_enabled false (fun () ->
-              Kindex.range index ~query:q ~epsilon:eps)
-        in
-        let on =
-          Metrics.with_enabled true (fun () ->
-              Kindex.range index ~query:q ~epsilon:eps)
-        in
-        off.Kindex.answers = on.Kindex.answers
-        && off.Kindex.candidates = on.Kindex.candidates
-        && off.Kindex.node_accesses = on.Kindex.node_accesses)
-      queries
-  in
-  let overhead on off = if off > 0. then on /. off else 1. in
-  let oh_index = overhead t_index_on t_index_off in
-  let oh_scan = overhead t_scan_on t_scan_off in
-  let overhead_table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Observability: metrics off vs on (%d series, n=%d)" count n)
-      ~columns:[ "path"; "off"; "on"; "ratio" ]
-  in
-  Table.add_row overhead_table
-    [ "k-index range"; fmt t_index_off; fmt t_index_on;
-      Printf.sprintf "%.3f" oh_index ];
-  Table.add_row overhead_table
-    [ "seq scan"; fmt t_scan_off; fmt t_scan_on;
-      Printf.sprintf "%.3f" oh_scan ];
-  Table.print overhead_table;
-  (* Part 2: merged counter totals across domain counts. The families
-     checked are the query-level ones whose per-chunk adds cover the
-     whole input exactly once (see the determinism note in
-     Simq_obs.Metrics); pool self-metrics are excluded by design. *)
-  let families =
-    [
-      "simq_scan_candidates_total"; "simq_scan_survivors_total";
-      "simq_scan_early_abandon_total"; "simq_kindex_candidates_total";
-      "simq_kindex_survivors_total";
-    ]
-  in
-  let totals_at domains =
-    let pool = Pool.create ~domains in
-    let answers =
-      Metrics.with_enabled true (fun () ->
-          Metrics.reset ();
-          List.map
-            (fun (q, eps) ->
-              let scan =
-                Seqscan.range_early_abandon ~pool dataset ~query:q ~epsilon:eps
-              in
-              let idx = Kindex.range index ~query:q ~epsilon:eps in
-              ( List.map
-                  (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d))
-                  scan.Seqscan.answers,
-                List.map
-                  (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d))
-                  idx.Kindex.answers ))
-            queries)
-    in
-    let totals =
-      List.map (fun name -> Metrics.counter_total (Metrics.counter name))
-        families
-    in
-    Pool.shutdown pool;
-    (answers, totals)
-  in
-  let domain_counts = [ 1; 2; 4 ] in
-  let runs = List.map (fun d -> (d, totals_at d)) domain_counts in
-  let determinism_table =
-    Table.create
-      ~title:"Observability: merged counter totals vs domain count"
-      ~columns:
-        ("domains"
-        :: List.map
-             (fun name ->
-               (* strip the simq_ prefix and _total suffix for width *)
-               String.sub name 5 (String.length name - 11))
-             families)
-  in
-  List.iter
-    (fun (d, (_, totals)) ->
-      Table.add_row determinism_table
-        (string_of_int d :: List.map string_of_int totals))
-    runs;
-  Table.print determinism_table;
-  let reference = match runs with (_, r) :: _ -> r | [] -> ([], []) in
-  let deterministic =
-    List.for_all (fun (_, (answers, totals)) ->
-        answers = fst reference && totals = snd reference)
-      runs
-  in
-  (* Part 3: request-id threading. Allocating and publishing a request
-     id per query is one atomic increment and two ref writes — the
-     on/off ratio on the index path must stay within the same modest
-     constant as metric collection itself. *)
-  let module Otrace = Simq_obs.Trace in
-  let run_index_traced (q, eps) =
-    Otrace.with_request
-      (Otrace.new_request_id ())
-      (fun () -> ignore (Kindex.range index ~query:q ~epsilon:eps))
-  in
-  (* A fresh adjacent baseline: the two arms must share allocator and
-     cache state, or the ratio measures the experiment's history
-     instead of the id threading. *)
-  let t_ids_off = Metrics.with_enabled false (fun () -> time run_index) in
-  let t_ids_on = Metrics.with_enabled false (fun () -> time run_index_traced) in
-  let oh_ids = overhead t_ids_on t_ids_off in
-  let ids_table =
-    Table.create
-      ~title:"Observability: request-id threading off vs on (k-index range)"
-      ~columns:[ "mode"; "per query"; "ratio" ]
-  in
-  Table.add_row ids_table [ "plain"; fmt t_ids_off; "1.000" ];
-  Table.add_row ids_table
-    [ "with request ids"; fmt t_ids_on; Printf.sprintf "%.3f" oh_ids ];
-  Table.print ids_table;
-  (* Part 4: the same workload with a live history sampler — the
-     sampler only snapshots the registry (merge-on-read), so every
-     merged total must equal the sampler-free run at every domain
-     count. *)
-  let module History = Simq_obs.History in
-  let totals_with_sampler domains =
-    let pool = Pool.create ~domains in
-    let history = History.create ~capacity:16 ~interval_s:0.01 () in
-    History.start history;
-    let totals =
-      Metrics.with_enabled true (fun () ->
-          Metrics.reset ();
-          List.iter
-            (fun (q, eps) ->
-              ignore
-                (Seqscan.range_early_abandon ~pool dataset ~query:q
-                   ~epsilon:eps);
-              ignore (Kindex.range index ~query:q ~epsilon:eps))
-            queries;
-          List.map
-            (fun name -> Metrics.counter_total (Metrics.counter name))
-            families)
-    in
-    History.stop history;
-    Pool.shutdown pool;
-    (totals, History.length history)
-  in
-  let sampler_runs =
-    List.map (fun d -> (d, totals_with_sampler d)) domain_counts
-  in
-  let sampler_table =
-    Table.create
-      ~title:"Observability: merged totals with a live history sampler"
-      ~columns:
-        ("domains" :: "samples"
-        :: List.map
-             (fun name -> String.sub name 5 (String.length name - 11))
-             families)
-  in
-  List.iter
-    (fun (d, (totals, samples)) ->
-      Table.add_row sampler_table
-        (string_of_int d :: string_of_int samples
-        :: List.map string_of_int totals))
-    sampler_runs;
-  Table.print sampler_table;
-  let sampler_invariant =
-    List.for_all
-      (fun (_, (totals, _)) -> totals = snd reference)
-      sampler_runs
-  in
-  (* BENCH_obs.json: the overhead ratios and the sampler sweep, for
-     tracking across runs. *)
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"obs\",\n  \"fast\": %b,\n  \"seed\": %d,\n\
-    \  \"series\": { \"count\": %d, \"n\": %d },\n\
-    \  \"overhead\": { \"index\": %.6f, \"scan\": %.6f, \"request_ids\": \
-     %.6f },\n\
-    \  \"sampler_sweep\": [\n"
-    fast Bench_util.bench_seed count n oh_index oh_scan oh_ids;
-  List.iteri
-    (fun i (d, (totals, samples)) ->
-      Printf.fprintf oc
-        "    { \"domains\": %d, \"samples\": %d, \"totals\": [%s] }%s\n" d
-        samples
-        (String.concat ", " (List.map string_of_int totals))
-        (if i = List.length sampler_runs - 1 then "" else ","))
-    sampler_runs;
-  Printf.fprintf oc "  ],\n  \"sampler_invariant\": %b\n}\n" sampler_invariant;
-  close_out oc;
-  print_endline "wrote BENCH_obs.json";
-  let overhead_measured =
-    Printf.sprintf "on/off ratio: %.3f (index), %.3f (scan)" oh_index oh_scan
-  in
-  let overhead_claim =
-    if fast then
-      Expectation.partial ~experiment:"Observability"
-        ~expectation:"enabling metrics costs only a modest constant"
-        ~measured:(overhead_measured ^ " (fast mode — timing not asserted)")
-    else
-      Expectation.check ~experiment:"Observability"
-        ~expectation:
-          "enabling metrics costs only a modest constant (on/off < 1.5; \
-           disabled cost is one branch per site)"
-        ~measured:overhead_measured
-        (oh_index < 1.5 && oh_scan < 1.5)
-  in
-  let ids_measured = Printf.sprintf "on/off ratio: %.3f (index)" oh_ids in
-  let ids_claim =
-    if fast then
-      Expectation.partial ~experiment:"Observability"
-        ~expectation:"request-id threading costs only a modest constant"
-        ~measured:(ids_measured ^ " (fast mode — timing not asserted)")
-    else
-      Expectation.check ~experiment:"Observability"
-        ~expectation:
-          "request-id threading costs only a modest constant (on/off < \
-           1.5; one atomic increment and two ref writes per query)"
-        ~measured:ids_measured (oh_ids < 1.5)
-  in
-  [
-    Expectation.check ~experiment:"Observability"
-      ~expectation:
-        "instrumentation is invisible in the answers: results and query \
-         counters are bit-identical with metrics on and off"
-      ~measured:(if answers_equal then "identical" else "MISMATCH")
-      answers_equal;
-    overhead_claim;
-    ids_claim;
-    Expectation.check ~experiment:"Observability"
-      ~expectation:
-        "merged integer counter totals of the query-level families are \
-         identical at every domain count, and so are the answers"
-      ~measured:
-        (if deterministic then
-           Printf.sprintf "identical totals and answers at %s domains"
-             (String.concat "/" (List.map string_of_int domain_counts))
-         else "MISMATCH against the single-domain reference")
-      deterministic;
-    Expectation.check ~experiment:"Observability"
-      ~expectation:
-        "a live history sampler only snapshots the registry: every merged \
-         counter total equals the sampler-free run at every domain count"
-      ~measured:
-        (if sampler_invariant then
-           Printf.sprintf "identical totals at %s domains with the sampler \
-                           running"
-             (String.concat "/" (List.map string_of_int domain_counts))
-         else "MISMATCH against the sampler-free reference")
-      sampler_invariant;
-  ]
-
-(* --- per-query profiling ----------------------------------------------------------- *)
-
-(* The profiling layer end to end: answers and query counters
-   bit-identical with a profile attached, the attach cost on both
-   access paths (metrics enabled in both arms, so the ratio isolates
-   the operator-tree recording itself), and cross-domain determinism —
-   the rendered tree, timings stripped, is character-identical at 1, 2
-   and 4 domains. Writes BENCH_profile.json. *)
-let ablation_profile ~fast =
-  let module Pool = Simq_parallel.Pool in
-  let module Metrics = Simq_obs.Metrics in
-  let module Profile = Simq_obs.Profile in
-  let module Json = Simq_obs.Json in
-  let count = if fast then 200 else 600 in
-  let n = if fast then 64 else 128 in
-  let repeats = if fast then 3 else 10 in
-  let batch = Stocklike.batch ~seed:(Bench_util.derived_seed 81) ~count ~n in
-  let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"stocks" batch in
-  let index = Kindex.build dataset in
-  let queries =
-    with_selective_epsilons dataset
-      (Bench_util.queries_for ~seed:(Bench_util.derived_seed 82) ~count:12
-         batch)
-  in
-  let time f =
-    Metrics.with_enabled true (fun () ->
-        Bench_util.time_per_query ~repeats (fun () -> List.iter f queries))
-    /. float_of_int (List.length queries)
-  in
-  let run_index ?profile (q, eps) =
-    ignore (Kindex.range ?profile index ~query:q ~epsilon:eps)
-  in
-  let run_scan ?profile (q, eps) =
-    ignore
-      (Seqscan.range_early_abandon ~pool:Pool.sequential ?profile dataset
-         ~query:q ~epsilon:eps)
-  in
-  let t_index_off = time (fun q -> run_index q) in
-  let t_index_on = time (fun q -> run_index ~profile:(Profile.create ()) q) in
-  let t_scan_off = time (fun q -> run_scan q) in
-  let t_scan_on = time (fun q -> run_scan ~profile:(Profile.create ()) q) in
-  let answers_equal =
-    List.for_all
-      (fun (q, eps) ->
-        let off = Kindex.range index ~query:q ~epsilon:eps in
-        let pi = Profile.create () in
-        let on = Kindex.range ~profile:pi index ~query:q ~epsilon:eps in
-        let scan_off =
-          Seqscan.range_early_abandon ~pool:Pool.sequential dataset ~query:q
-            ~epsilon:eps
-        in
-        let ps = Profile.create () in
-        let scan_on =
-          Seqscan.range_early_abandon ~pool:Pool.sequential ~profile:ps dataset
-            ~query:q ~epsilon:eps
-        in
-        off.Kindex.answers = on.Kindex.answers
-        && off.Kindex.candidates = on.Kindex.candidates
-        && off.Kindex.node_accesses = on.Kindex.node_accesses
-        && scan_off.Seqscan.answers = scan_on.Seqscan.answers
-        && scan_off.Seqscan.full_computations
-           = scan_on.Seqscan.full_computations
-        && Profile.well_formed pi && Profile.well_formed ps)
-      queries
-  in
-  (* The scan fans out over the pool, but the profile is recorded on the
-     coordinating domain after the deterministic chunk merge — so the
-     tree, timings stripped, must not depend on the domain count. *)
-  let render_at domains =
-    let pool = Pool.create ~domains in
-    let trees =
-      List.map
-        (fun (q, eps) ->
-          let profile = Profile.create () in
-          ignore
-            (Seqscan.range_early_abandon ~pool ~profile dataset ~query:q
-               ~epsilon:eps);
-          Profile.render ~timings:false profile)
-        queries
-    in
-    Pool.shutdown pool;
-    trees
-  in
-  let domain_counts = [ 1; 2; 4 ] in
-  let renders = List.map (fun d -> (d, render_at d)) domain_counts in
-  let reference = match renders with (_, r) :: _ -> r | [] -> [] in
-  let structure_deterministic =
-    List.for_all (fun (_, r) -> r = reference) renders
-  in
-  let overhead on off = if off > 0. then on /. off else 1. in
-  let oh_index = overhead t_index_on t_index_off in
-  let oh_scan = overhead t_scan_on t_scan_off in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Per-query profiling: profile off vs on (%d series, n=%d)" count n)
-      ~columns:[ "path"; "off"; "on"; "ratio" ]
-  in
-  Table.add_row table
-    [ "k-index range"; fmt t_index_off; fmt t_index_on;
-      Printf.sprintf "%.3f" oh_index ];
-  Table.add_row table
-    [ "seq scan"; fmt t_scan_off; fmt t_scan_on;
-      Printf.sprintf "%.3f" oh_scan ];
-  Table.print table;
-  let sample_tree =
-    match queries with
-    | (q, eps) :: _ ->
-      let profile = Profile.create () in
-      ignore
-        (Seqscan.range_early_abandon ~pool:Pool.sequential ~profile dataset
-           ~query:q ~epsilon:eps);
-      Profile.to_json ~timings:false profile
-    | [] -> Json.Null
-  in
-  let oc = open_out "BENCH_profile.json" in
-  output_string oc
-    (Json.to_string
-       (Json.Obj
-          [
-            ("experiment", Json.Str "ablation_profile");
-            ("fast", Json.Bool fast);
-            ("seed", Json.Num (float_of_int Bench_util.bench_seed));
-            ( "series",
-              Json.Obj
-                [
-                  ("count", Json.Num (float_of_int count));
-                  ("n", Json.Num (float_of_int n));
-                ] );
-            ( "per_query_s",
-              Json.Obj
-                [
-                  ("index_off", Json.Num t_index_off);
-                  ("index_on", Json.Num t_index_on);
-                  ("scan_off", Json.Num t_scan_off);
-                  ("scan_on", Json.Num t_scan_on);
-                ] );
-            ( "ratio",
-              Json.Obj
-                [ ("index", Json.Num oh_index); ("scan", Json.Num oh_scan) ] );
-            ("structure_deterministic", Json.Bool structure_deterministic);
-            ("sample_tree", sample_tree);
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_profile.json";
-  [
-    Expectation.check ~experiment:"Profiling"
-      ~expectation:
-        "an attached profile is invisible in the answers: results and \
-         query counters are bit-identical with and without it, and the \
-         recorded tree is well formed"
-      ~measured:(if answers_equal then "identical" else "MISMATCH")
-      answers_equal;
-    Expectation.check ~experiment:"Profiling"
-      ~expectation:
-        "recording the operator tree costs only a modest constant per \
-         query (on/off < 1.5 on both access paths)"
-      ~measured:
-        (Printf.sprintf "on/off ratio: %.3f (index), %.3f (scan)" oh_index
-           oh_scan)
-      (oh_index < 1.5 && oh_scan < 1.5);
-    Expectation.check ~experiment:"Profiling"
-      ~expectation:
-        "the rendered tree (timings stripped) is identical at every \
-         domain count"
-      ~measured:
-        (if structure_deterministic then
-           Printf.sprintf "identical trees at %s domains"
-             (String.concat "/" (List.map string_of_int domain_counts))
-         else "MISMATCH against the single-domain reference")
-      structure_deterministic;
-  ]
-
-(* --- admission control ------------------------------------------------------------ *)
-
-(* The admission layer end to end: sweep queries across the selectivity
-   range under over- and under-provisioned budgets, compare every
-   admission decision against the ground truth of an admission-off run
-   of the same (query, budget), and check the three promises the design
-   makes — rejection precision on truly over-budget runs, identical
-   decisions at every domain count, and not a single page touch, node
-   access or comparison on a rejected query. The per-case log and the
-   precision/recall summary are written to BENCH_admission.json. *)
-let ablation_admission ~fast =
-  let module Pool = Simq_parallel.Pool in
-  let module Metrics = Simq_obs.Metrics in
-  let module Budget = Simq_fault.Budget in
-  let count = if fast then 200 else 600 in
-  let n = if fast then 64 else 128 in
-  let batch = Stocklike.batch ~seed:(Bench_util.derived_seed 71) ~count ~n in
-  let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"stocks" batch in
-  let index = Kindex.build dataset in
-  let stats = Planner.collect ~seed:(Bench_util.derived_seed 72) dataset in
-  let pages = Simq_storage.Relation.pages (Dataset.relation dataset) in
-  let query =
-    Queries.perturb
-      (Random.State.make [| Bench_util.derived_seed 73 |])
-      batch.(0) ~amount:0.5
-  in
-  let targets = [ 1; 5; count / 2; count ] in
-  (* Budgets with wide margins on both sides of the true cost: the
-     roomy ones cover several times the catalogue cost of either path,
-     the starved ones a fraction of it — the regime where a cost-based
-     admission decision can be held to a precision target. *)
-  let budgets =
-    [
-      ( "roomy",
-        Budget.create ~max_page_reads:(4 * count) ~max_comparisons:(4 * count)
-          ~max_node_accesses:(8 * count) () );
-      ( "comparison-starved",
-        Budget.create ~max_comparisons:(max 1 (count / 8)) () );
-      ( "io-starved",
-        Budget.create ~max_page_reads:(max 1 (pages / 8))
-          ~max_node_accesses:0 () );
-      ("deadline-roomy", Budget.create ~deadline_s:60. ());
-    ]
-  in
-  let cases =
-    List.concat_map
-      (fun target ->
-        let epsilon = calibrated_epsilon dataset query ~target in
-        List.map
-          (fun (bname, budget) -> (target, epsilon, bname, budget))
-          budgets)
-      targets
-  in
-  let ids answers =
-    List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) answers
-  in
-  (* Ground truth: the same (query, budget) without admission control.
-     An [Error] outcome means no access path fits the budget even with
-     degradation — exactly the runs a perfect admission layer rejects. *)
-  let ground_truth =
-    List.map
-      (fun (_, epsilon, _, budget) ->
-        match
-          Planner.range_resilient ~pool:Pool.sequential ~stats ~budget index
-            ~query ~epsilon
-        with
-        | Ok r -> `Fits (ids r.Planner.answers)
-        | Error _ -> `Over_budget)
-      cases
-  in
-  (* Admission-on runs at 1, 2 and 4 domains, each with a fresh policy
-     against an isolated registry: the calibration gauges and the timer
-     histogram read as unset, so every domain count decides from the
-     same registry snapshot. *)
-  let outcomes_at domains =
-    let pool = Pool.create ~domains in
-    let policy =
-      Simq_admission.create ~registry:(Metrics.create_registry ()) ()
-    in
-    let outcomes =
-      List.map
-        (fun (_, epsilon, _, budget) ->
-          match
-            Planner.range_resilient ~pool ~stats ~budget ~admission:policy
-              index ~query ~epsilon
-          with
-          | Ok r ->
-            ( (match r.Planner.admission with
-              | Some d -> Simq_admission.decision_name d
-              | None -> "none"),
-              `Fits (ids r.Planner.answers) )
-          | Error (Simq_fault.Error.Rejected _) -> ("reject", `Over_budget)
-          | Error _ -> ("admit", `Over_budget))
-        cases
-    in
-    Pool.shutdown pool;
-    outcomes
-  in
-  let domain_counts = [ 1; 2; 4 ] in
-  let runs = List.map (fun d -> (d, outcomes_at d)) domain_counts in
-  let reference = List.assoc 1 runs in
-  let decisions_deterministic =
-    List.for_all (fun (_, outcomes) -> outcomes = reference) runs
-  in
-  (* Rejection precision/recall against the ground truth. *)
-  let paired = List.combine (List.combine cases ground_truth) reference in
-  let count_where p = List.length (List.filter p paired) in
-  let tp =
-    count_where (fun ((_, gt), (dec, _)) -> dec = "reject" && gt = `Over_budget)
-  in
-  let fp =
-    count_where (fun ((_, gt), (dec, _)) -> dec = "reject" && gt <> `Over_budget)
-  in
-  let fn =
-    count_where (fun ((_, gt), (dec, _)) -> dec <> "reject" && gt = `Over_budget)
-  in
-  let ratio num denom =
-    if denom = 0 then 1. else float_of_int num /. float_of_int denom
-  in
-  let precision = ratio tp (tp + fp) in
-  let recall = ratio tp (tp + fn) in
-  (* Runs that completed on both sides must agree bit for bit: an
-     admission layer may refuse work but never change an answer. *)
-  let answers_match =
-    List.for_all
-      (fun ((_, gt), (_, outcome)) ->
-        match (gt, outcome) with
-        | `Fits a, `Fits b -> a = b
-        | `Over_budget, _ | _, `Over_budget -> true)
-      paired
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Admission: decision vs ground truth (%d stock-like series, \
-            n=%d, %d pages)"
-           count n pages)
-      ~columns:[ "target"; "budget"; "ground truth"; "decision"; "agrees" ]
-  in
-  List.iter
-    (fun (((target, _, bname, _), gt), (dec, _)) ->
-      let gt_name =
-        match gt with `Fits _ -> "fits" | `Over_budget -> "over budget"
-      in
-      let agrees = (dec = "reject") = (gt = `Over_budget) in
-      Table.add_row table
-        [
-          string_of_int target; bname; gt_name; dec;
-          (if agrees then "yes" else "NO");
-        ])
-    paired;
-  Table.print table;
-  (* A rejected query must leave every execution-side counter family at
-     zero: the decision ran before any page was touched. *)
-  let exec_families =
-    [
-      "simq_buffer_pool_hits_total"; "simq_buffer_pool_misses_total";
-      "simq_scan_candidates_total"; "simq_kindex_candidates_total";
-      "simq_rtree_node_accesses_total";
-    ]
-  in
-  let rejection_untouched, rejection_totals =
-    match
-      List.find_opt (fun ((_, _), (dec, _)) -> dec = "reject") paired
-    with
-    | None -> (false, [])
-    | Some (((_, epsilon, _, budget), _), _) ->
-      Metrics.with_enabled true (fun () ->
-          Metrics.reset ();
-          let policy =
-            Simq_admission.create ~registry:(Metrics.create_registry ()) ()
-          in
-          let result =
-            Planner.range_resilient ~pool:Pool.sequential ~stats ~budget
-              ~admission:policy index ~query ~epsilon
-          in
-          let rejected =
-            match result with
-            | Error (Simq_fault.Error.Rejected _) -> true
-            | _ -> false
-          in
-          let totals =
-            List.map
-              (fun f -> Metrics.counter_total (Metrics.counter f))
-              exec_families
-          in
-          (rejected && List.for_all (fun t -> t = 0) totals, totals))
-  in
-  (* BENCH_admission.json: the per-case log and the summary numbers. *)
-  let oc = open_out "BENCH_admission.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"admission\",\n  \"fast\": %b,\n  \"seed\": %d,\n\
-    \  \"series\": { \"count\": %d, \"n\": %d },\n  \"pages\": %d,\n\
-    \  \"cases\": [\n"
-    fast Bench_util.bench_seed count n pages;
-  List.iteri
-    (fun i (((target, epsilon, bname, _), gt), (dec, _)) ->
-      Printf.fprintf oc
-        "    { \"target\": %d, \"epsilon\": %.6f, \"budget\": %S, \
-         \"ground_truth\": %S, \"decision\": %S }%s\n"
-        target epsilon bname
-        (match gt with `Fits _ -> "fits" | `Over_budget -> "over_budget")
-        dec
-        (if i = List.length paired - 1 then "" else ","))
-    paired;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"rejections\": { \"true_positive\": %d, \"false_positive\": %d, \
-     \"false_negative\": %d },\n\
-    \  \"precision\": %.3f,\n  \"recall\": %.3f,\n\
-    \  \"decisions_identical_at_domains\": %b,\n\
-    \  \"rejection_reads_nothing\": %b\n}\n"
-    tp fp fn precision recall decisions_deterministic rejection_untouched;
-  close_out oc;
-  print_endline "wrote BENCH_admission.json";
-  [
-    Expectation.check ~experiment:"Admission"
-      ~expectation:
-        "rejections are precise: at least 9 of 10 rejected queries are \
-         genuinely over budget (admission-off runs of the same query and \
-         budget fail)"
-      ~measured:
-        (Printf.sprintf "precision %.2f, recall %.2f (tp=%d fp=%d fn=%d)"
-           precision recall tp fp fn)
-      (precision >= 0.9 && tp > 0);
-    Expectation.check ~experiment:"Admission"
-      ~expectation:
-        "decisions are a pure function of the workload, budget and \
-         registry snapshot: identical at 1/2/4 domains"
-      ~measured:
-        (if decisions_deterministic then "identical at every domain count"
-         else "MISMATCH against the single-domain run")
-      decisions_deterministic;
-    Expectation.check ~experiment:"Admission"
-      ~expectation:
-        "a rejected query executes nothing: page-touch, scan, k-index and \
-         R-tree counter families all stay at zero"
-      ~measured:
-        (Printf.sprintf "execution-family totals on a rejected run: [%s]"
-           (String.concat "; " (List.map string_of_int rejection_totals)))
-      rejection_untouched;
-    Expectation.check ~experiment:"Admission"
-      ~expectation:
-        "admission control never changes an answer: runs completing on \
-         both sides return bit-identical answer sets"
-      ~measured:(if answers_match then "identical" else "MISMATCH")
-      answers_match;
-  ]
-
-(* --- serve: the resident daemon under concurrent load ----------------------- *)
-
-(* An in-process [simq serve] daemon stressed by the deterministic
-   multi-client harness: a clean throughput/latency sweep at 1, 2 and
-   4 domains with offline bit-identical verification and a small
-   in-flight cap (so the shed path is exercised under real
-   contention), a full-shed phase under a zero cap, and a chaos phase
-   (protocol abuse plus seeded transient faults against a budgeted
-   engine) that the daemon must survive. Writes BENCH_serve.json. *)
-let serve ~fast =
-  let module Server = Simq_serve.Server in
-  let module Stress = Simq_serve.Stress in
-  let module Engine = Simq_serve.Engine in
-  let module Clock = Simq_obs.Clock in
-  let module Pool = Simq_parallel.Pool in
-  let count = if fast then 48 else 96 in
-  let n = 128 in
-  let _, _, index =
-    build_walks ~seed:(Bench_util.derived_seed 71) ~count ~n
-  in
-  let clients = 4 in
-  let per_client = if fast then 10 else 30 in
-  let harness_seed = Bench_util.derived_seed 72 in
-  let oracle_engine = Engine.create index in
-  let oracle spec =
-    match Engine.exec oracle_engine spec with
-    | Ok o -> Some o.Engine.results
-    | Error _ -> None
-  in
-  let stress ?chaos ?oracle server =
-    let t0 = Clock.now_ns () in
-    let report =
-      Stress.run ?chaos ?oracle ~host:"127.0.0.1" ~port:(Server.port server)
-        ~clients ~per_client ~seed:harness_seed ~cardinality:count ()
-    in
-    (report, Clock.elapsed_s t0)
-  in
-  let table =
-    Table.create ~title:"simq serve: 4 concurrent clients, cap 2"
-      ~columns:
-        [ "domains"; "sent"; "ok"; "shed"; "qps"; "p50"; "p90"; "p99" ]
-  in
-  let saved_domains = Pool.default_domains () in
-  let sweep, shed_phase, chaos_phase =
-    Fun.protect
-      ~finally:(fun () -> Pool.set_default_domains saved_domains)
-      (fun () ->
-        let sweep =
-          List.map
-            (fun domains ->
-              Pool.set_default_domains domains;
-              let engine = Engine.create index in
-              Server.with_server ~max_inflight:2 ~engine ~port:0
-                (fun server ->
-                  let report, elapsed = stress ~oracle server in
-                  let q p = Stress.quantile report.Stress.latencies_s p in
-                  let qps =
-                    if elapsed > 0. then
-                      float_of_int report.Stress.sent /. elapsed
-                    else 0.
-                  in
-                  Table.add_row table
-                    [
-                      string_of_int domains;
-                      string_of_int report.Stress.sent;
-                      string_of_int report.Stress.ok;
-                      string_of_int report.Stress.rejected;
-                      Printf.sprintf "%.0f" qps;
-                      fmt (q 0.5);
-                      fmt (q 0.9);
-                      fmt (q 0.99);
-                    ];
-                  (domains, report, qps, q 0.5, q 0.9, q 0.99)))
-            [ 1; 2; 4 ]
-        in
-        (* Full shed: a zero cap refuses every query before it reads a
-           page; the daemon stays up and every refusal is a typed
-           exit-5 response. *)
-        Pool.set_default_domains 1;
-        let shed_phase =
-          let engine = Engine.create index in
-          Server.with_server ~max_inflight:0 ~engine ~port:0 (fun server ->
-              fst (stress server))
-        in
-        (* Chaos: malformed and oversized lines, mid-query
-           disconnects, and seeded transient faults on the page and
-           node seams — carried by the budget of a budgeted engine,
-           whose resilient paths retry or degrade. *)
-        let chaos_phase =
-          let faults =
-            Simq_fault.Injector.create
-              ~page_reads:(Simq_fault.Injector.transient ~probability:0.05 ())
-              ~node_accesses:
-                (Simq_fault.Injector.transient ~probability:0.05 ())
-              ~seed:(Bench_util.derived_seed 73) ()
-          in
-          let budget =
-            Simq_fault.Budget.create ~max_page_reads:200_000
-              ~max_node_accesses:200_000 ~faults ()
-          in
-          let engine = Engine.create ~budget index in
-          Server.with_server ~engine ~port:0 (fun server ->
-              fst (stress ~chaos:true server))
-        in
-        (sweep, shed_phase, chaos_phase))
-  in
-  Table.print table;
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"serve\",\n  \"fast\": %b,\n  \"seed\": %d,\n\
-    \  \"series\": { \"count\": %d, \"n\": %d },\n\
-    \  \"clients\": %d,\n  \"queries_per_client\": %d,\n  \"runs\": [\n"
-    fast Bench_util.bench_seed count n clients per_client;
-  List.iteri
-    (fun i (domains, (r : Stress.report), qps, p50, p90, p99) ->
-      Printf.fprintf oc
-        "    { \"domains\": %d, \"sent\": %d, \"ok\": %d, \"shed\": %d, \
-         \"failed\": %d, \"qps\": %.1f, \"p50_ms\": %.3f, \"p90_ms\": \
-         %.3f, \"p99_ms\": %.3f, \"shed_rate\": %.3f }%s\n"
-        domains r.Stress.sent r.Stress.ok r.Stress.rejected r.Stress.failed
-        qps (p50 *. 1000.) (p90 *. 1000.) (p99 *. 1000.)
-        (if r.Stress.sent > 0 then
-           float_of_int r.Stress.rejected /. float_of_int r.Stress.sent
-         else 0.)
-        (if i = 2 then "" else ","))
-    sweep;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"shed\": { \"sent\": %d, \"shed\": %d, \"ok\": %d, \"shed_rate\": \
-     %.3f },\n\
-    \  \"chaos\": { \"sent\": %d, \"ok\": %d, \"malformed\": %d, \
-     \"disconnects\": %d, \"protocol_errors\": %d, \"server_gone\": %b }\n\
-     }\n"
-    shed_phase.Stress.sent shed_phase.Stress.rejected shed_phase.Stress.ok
-    (if shed_phase.Stress.sent > 0 then
-       float_of_int shed_phase.Stress.rejected
-       /. float_of_int shed_phase.Stress.sent
-     else 0.)
-    chaos_phase.Stress.sent chaos_phase.Stress.ok
-    chaos_phase.Stress.malformed_sent chaos_phase.Stress.disconnects
-    chaos_phase.Stress.protocol_errors chaos_phase.Stress.server_gone;
-  close_out oc;
-  print_endline "wrote BENCH_serve.json";
-  let healthy =
-    List.for_all
-      (fun (_, (r : Stress.report), _, _, _, _) ->
-        (not r.Stress.server_gone)
-        && r.Stress.protocol_errors = 0
-        && r.Stress.mismatches = [])
-      sweep
-  in
-  let total_ok =
-    List.fold_left (fun acc (_, r, _, _, _, _) -> acc + r.Stress.ok) 0 sweep
-  in
-  [
-    Expectation.check ~experiment:"Service"
-      ~expectation:
-        "every answer served to 4 concurrent clients at 1, 2 and 4 \
-         domains is bit-identical to the offline execution of the same \
-         spec, with zero protocol violations"
-      ~measured:
-        (Printf.sprintf "%d ok answers verified, %d shed under the cap"
-           total_ok
-           (List.fold_left
-              (fun acc (_, (r : Stress.report), _, _, _, _) ->
-                acc + r.Stress.rejected)
-              0 sweep))
-      (healthy && total_ok > 0);
-    Expectation.check ~experiment:"Service"
-      ~expectation:
-        "a zero in-flight cap sheds every request as a typed exit-5 \
-         rejection before execution; the daemon stays up"
-      ~measured:
-        (Printf.sprintf "%d sent, %d shed, %d executed"
-           shed_phase.Stress.sent shed_phase.Stress.rejected
-           shed_phase.Stress.ok)
-      ((not shed_phase.Stress.server_gone)
-      && shed_phase.Stress.sent > 0
-      && shed_phase.Stress.rejected = shed_phase.Stress.sent
-      && shed_phase.Stress.ok = 0);
-    Expectation.check ~experiment:"Service"
-      ~expectation:
-        "chaos (malformed lines, oversized lines, mid-query \
-         disconnects, seeded transient faults) never kills the daemon \
-         and never corrupts the protocol: one response per surviving \
-         request, liveness probe answered"
-      ~measured:
-        (Printf.sprintf
-           "%d queries + %d abusive lines + %d disconnects: gone=%b, \
-            protocol_errors=%d"
-           chaos_phase.Stress.sent chaos_phase.Stress.malformed_sent
-           chaos_phase.Stress.disconnects chaos_phase.Stress.server_gone
-           chaos_phase.Stress.protocol_errors)
-      ((not chaos_phase.Stress.server_gone)
-      && chaos_phase.Stress.protocol_errors = 0);
-  ]
-
-(* --- sharded scatter-gather ------------------------------------------------------ *)
-
-(* Clustered synthetic data for the shard catalogue: contiguous id
-   blocks of sinusoids whose dominant DFT bin, sin/cos mix and sign
-   differ per block, so after normalisation each block occupies its own
-   corner of feature space and the per-shard min/max boxes separate.
-   Because the blocks are contiguous in id order — the partitioner's
-   own layout — a query aimed at one cluster lets the catalogue prune
-   the shards holding the others. *)
-let clustered_batch ~seed ~count ~n ~clusters =
-  let state = Random.State.make [| seed |] in
-  Array.init count (fun i ->
-      let c = i * clusters / count in
-      let freq = float_of_int ((c mod 3) + 1) in
-      let use_cos = c / 3 mod 2 = 1 in
-      let sign = if c / 6 mod 2 = 1 then -1. else 1. in
-      Array.init n (fun t ->
-          let a = 2. *. Float.pi *. freq *. float_of_int t /. float_of_int n in
-          (sign *. 3. *. (if use_cos then cos a else sin a))
-          +. Random.State.float state 0.3 -. 0.15))
-
-(* The sharded scatter-gather executor measured four ways: (1) answers
-   (range and NN) bit-identical to the unsharded traversal at every
-   K x domain count, with the catalogue plan — fanout and pruned
-   counts — invariant across domain counts; (2) pruning rate on
-   clustered data, plus the skewed service workload (spec_mix with the
-   shard-skew knob) driven through a sharded serve engine; (3) a
-   fault-tripped shard degrades to its own scan without losing
-   exactness; (4) the pruning speedup of the K-way scatter over the
-   single-shard run, asserted only on full runs (small-data timing is
-   noise). Writes BENCH_shard.json. *)
-let shard ~fast =
-  let module Pool = Simq_parallel.Pool in
-  let module Injector = Simq_fault.Injector in
-  let module Shard = Simq_shard in
-  let clusters = 16 in
-  let count = if fast then 240 else 7680 in
-  let n = if fast then 64 else 128 in
-  let repeats = if fast then 2 else 3 in
-  let batch =
-    clustered_batch ~seed:(Bench_util.derived_seed 41) ~count ~n ~clusters
-  in
-  let dataset =
-    Dataset.of_series ~pool:Pool.sequential ~name:"clustered" batch
-  in
-  let index = Kindex.build dataset in
-  (* The clustered workload: each query perturbs a stored series, so
-     its (selective) search region sits inside one cluster's corner. *)
-  let state = Random.State.make [| Bench_util.derived_seed 42 |] in
-  let block = count / clusters in
-  let queries =
-    List.init 12 (fun i ->
-        let id = (i * 5 mod clusters * block) + (i * 7 mod block) in
-        Queries.perturb state batch.(id) ~amount:0.1)
-  in
-  let queries = with_selective_epsilons dataset queries in
-  let nqueries = List.length queries in
-  let answer_pairs answers =
-    List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) answers
-  in
-  let canon answers =
-    List.sort compare
-      (List.map (fun ((e : Dataset.entry), d) -> (d, e.Dataset.id)) answers)
-  in
-  let reference =
-    List.map
-      (fun (q, eps) ->
-        answer_pairs (Kindex.range index ~query:q ~epsilon:eps).Kindex.answers)
-      queries
-  in
-  let nn_reference =
-    List.map (fun (q, _) -> canon (Kindex.nearest index ~query:q ~k:5)) queries
-  in
-  let shard_counts =
-    match !Bench_util.shard_override with
-    | Some k -> [ k ]
-    | None -> [ 1; 4; 16 ]
-  in
-  let domain_counts = [ 1; 2; 4 ] in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Sharded scatter-gather (%d clustered series n=%d, %d clusters, \
-            %d range + %d NN queries)"
-           count n clusters nqueries nqueries)
-      ~columns:
-        [ "shards"; "domains"; "range"; "nn"; "fanout"; "pruned"; "speedup" ]
-  in
-  let all_equal = ref true in
-  (* The catalogue plan is decided before the scatter, so fanout and
-     pruned totals must not move with the domain count. *)
-  let plans : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
-  let baseline = ref None in
-  let runs =
-    List.concat_map
-      (fun shards ->
-        let sh = Shard.create ~pool:Pool.sequential ~shards dataset in
-        let k = Shard.shards sh in
-        List.map
-          (fun domains ->
-            let pool = Pool.create ~domains in
-            let fanout = ref 0 and pruned = ref 0 in
-            let answers = ref [] in
-            let range_time =
-              Bench_util.time_per_query ~repeats (fun () ->
-                  fanout := 0;
-                  pruned := 0;
-                  answers :=
-                    List.map
-                      (fun (q, eps) ->
-                        let r = Shard.range ~pool sh ~query:q ~epsilon:eps in
-                        fanout := !fanout + r.Shard.report.Shard.fanout;
-                        pruned := !pruned + r.Shard.report.Shard.pruned;
-                        answer_pairs r.Shard.answers)
-                      queries)
-              /. float_of_int nqueries
-            in
-            let nn = ref [] in
-            let nn_time =
-              Bench_util.time_per_query ~repeats (fun () ->
-                  nn :=
-                    List.map
-                      (fun (q, _) ->
-                        canon
-                          (Shard.nearest ~pool sh ~query:q ~k:5)
-                            .Shard.neighbours)
-                      queries)
-              /. float_of_int nqueries
-            in
-            Pool.shutdown pool;
-            if !answers <> reference || !nn <> nn_reference then
-              all_equal := false;
-            (match Hashtbl.find_opt plans k with
-            | None -> Hashtbl.add plans k (!fanout, !pruned)
-            | Some plan ->
-              if plan <> (!fanout, !pruned) then all_equal := false);
-            if !baseline = None then baseline := Some range_time;
-            let speedup =
-              match !baseline with
-              | Some b when range_time > 0. -> b /. range_time
-              | _ -> 1.
-            in
-            Table.add_row table
-              [
-                string_of_int k; string_of_int domains; fmt range_time;
-                fmt nn_time; string_of_int !fanout; string_of_int !pruned;
-                Printf.sprintf "%.2f" speedup;
-              ];
-            (k, domains, range_time, nn_time, !fanout, !pruned, speedup))
-          domain_counts)
-      shard_counts
-  in
-  Table.print table;
-  (* A fault-tripped shard degrades alone: each query gets a fresh fault
-     plan failing the first [max_attempts] node visits, all of which the
-     first executed shard makes on the sequential pool, so its index
-     path exhausts its retries; the checked scatter answers that shard
-     through its own scan and the other shards never see a fault. The
-     scan's distance accumulation differs from the traversal's in the
-     last ulp, so — like the fault ablation — degraded parity is on the
-     answer id sets. *)
-  let answer_ids answers =
-    List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) answers
-  in
-  let reference_ids = List.map (List.map fst) reference in
-  let sh4 = Shard.create ~pool:Pool.sequential ~shards:4 dataset in
-  let first_shard_faults () =
-    let attempts = Simq_fault.Retry.default.Simq_fault.Retry.max_attempts in
-    Simq_fault.Budget.create
-      ~faults:
-        (Injector.create
-           ~node_accesses:
-             (Injector.transient ~schedule:(List.init attempts succ) ())
-           ~seed:(Bench_util.derived_seed 43) ())
-      ()
-  in
-  let degraded_ok, degraded_total =
-    List.fold_left2
-      (fun (ok, total) (q, eps) expected ->
-        match
-          Shard.range_checked ~pool:Pool.sequential
-            ~budget:(first_shard_faults ()) sh4 ~query:q ~epsilon:eps
-        with
-        | Ok r ->
-          let report = r.Shard.report in
-          ( ok
-            && answer_ids r.Shard.answers = expected
-            && report.Shard.degraded = Int.min 1 report.Shard.fanout,
-            total + report.Shard.degraded )
-        | Error _ -> (false, total))
-      (true, 0) queries reference_ids
-  in
-  (* The realistic non-uniform service workload: spec_mix with the
-     shard-skew knob collapses most query ids into one narrow id band,
-     and a sharded serve engine answers the very spec strings an
-     unsharded one would — catalogue pruning shows up in the per-query
-     shard counts the engine notes for the query log. *)
-  let engine = Simq_serve.Engine.create ~shards:16 index in
-  let specs =
-    Queries.spec_mix ~skew:0.8 ~seed:(Bench_util.derived_seed 44)
-      ~cardinality:count ~count:(if fast then 40 else 120) ()
-  in
-  let skew_fanout = ref 0 and skew_pruned = ref 0 and skew_lines = ref 0 in
-  List.iter
-    (fun spec ->
-      let note = Simq_serve.Engine.note () in
-      (match Simq_serve.Engine.exec ~note engine spec with
-      | Ok _ | Error _ -> ());
-      match note.Simq_serve.Engine.note_shards with
-      | Some s ->
-        skew_fanout := !skew_fanout + s.Simq_obs.Qlog.fanout;
-        skew_pruned := !skew_pruned + s.Simq_obs.Qlog.pruned;
-        incr skew_lines
-      | None -> ())
-    specs;
-  let max_k =
-    List.fold_left (fun acc (k, _, _, _, _, _, _) -> max acc k) 1 runs
-  in
-  let pruned_at_max =
-    List.fold_left
-      (fun acc (k, d, _, _, _, p, _) -> if k = max_k && d = 1 then p else acc)
-      0 runs
-  in
-  let speedup_at_max =
-    List.fold_left
-      (fun acc (k, d, _, _, _, _, s) ->
-        if k = max_k && d = 1 then s else acc)
-      1. runs
-  in
-  let oc = open_out "BENCH_shard.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"shard\",\n  \"fast\": %b,\n  \"seed\": %d,\n\
-    \  \"series\": { \"count\": %d, \"n\": %d, \"clusters\": %d, \
-     \"queries\": %d },\n\
-    \  \"runs\": [\n"
-    fast Bench_util.bench_seed count n clusters nqueries;
-  List.iteri
-    (fun i (k, d, range_s, nn_s, fanout, pruned, speedup) ->
-      Printf.fprintf oc
-        "    { \"shards\": %d, \"domains\": %d, \"range_s\": %.6f, \
-         \"nn_s\": %.6f, \"fanout\": %d, \"pruned\": %d, \
-         \"pruning_rate\": %.3f, \"speedup\": %.3f }%s\n"
-        k d range_s nn_s fanout pruned
-        (float_of_int pruned /. float_of_int (nqueries * k))
-        speedup
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  Printf.fprintf oc
-    "  ],\n  \"degraded_parity\": { \"ok\": %b, \"degraded_shards\": %d },\n\
-    \  \"skewed_workload\": { \"specs\": %d, \"sharded_lines\": %d, \
-     \"fanout\": %d, \"pruned\": %d },\n\
-    \  \"all_results_equal\": %b\n}\n"
-    degraded_ok degraded_total (List.length specs) !skew_lines !skew_fanout
-    !skew_pruned !all_equal;
-  close_out oc;
-  print_endline "wrote BENCH_shard.json";
-  let pruning_measured =
-    Printf.sprintf
-      "K=%d pruned %d of %d shard visits; skewed workload pruned %d over \
-       %d sharded queries"
-      max_k pruned_at_max (nqueries * max_k) !skew_pruned !skew_lines
-  in
-  let pruning_claim =
-    if max_k >= 4 then
-      Expectation.check ~experiment:"Sharding"
-        ~expectation:
-          "the shard catalogue prunes: clustered data and the skewed \
-           service workload both refuse shards before touching any page"
-        ~measured:pruning_measured
-        (pruned_at_max > 0 && !skew_pruned > 0)
-    else
-      Expectation.partial ~experiment:"Sharding"
-        ~expectation:
-          "the shard catalogue prunes: clustered data and the skewed \
-           service workload both refuse shards before touching any page"
-        ~measured:
-          (Printf.sprintf "%s (--shards %d leaves nothing to prune)"
-             pruning_measured max_k)
-  in
-  let speedup_measured =
-    Printf.sprintf
-      "K=%d single-domain scatter runs %.2fx the single-shard baseline"
-      max_k speedup_at_max
-  in
-  let speedup_claim =
-    if (not fast) && max_k >= 4 && List.length shard_counts > 1 then
-      Expectation.check ~experiment:"Sharding"
-        ~expectation:
-          "catalogue pruning pays: the largest-K scatter beats the \
-           single-shard run at one domain"
-        ~measured:speedup_measured
-        (speedup_at_max > 1.)
-    else
-      Expectation.partial ~experiment:"Sharding"
-        ~expectation:
-          "catalogue pruning pays: the largest-K scatter beats the \
-           single-shard run at one domain"
-        ~measured:
-          (Printf.sprintf "%s (timing not asserted in %s)" speedup_measured
-             (if fast then "fast mode" else "a narrowed sweep"))
-  in
-  [
-    Expectation.check ~experiment:"Sharding"
-      ~expectation:
-        "sharded scatter-gather is invisible in the answers: every \
-         K x domain count returns bit-identical range and NN results, \
-         with a domain-invariant catalogue plan"
-      ~measured:
-        (if !all_equal then
-           Printf.sprintf "identical for K in %s at %s domains"
-             (String.concat "/" (List.map string_of_int shard_counts))
-             (String.concat "/" (List.map string_of_int domain_counts))
-         else "MISMATCH against the unsharded reference")
-      !all_equal;
-    pruning_claim;
-    Expectation.check ~experiment:"Sharding"
-      ~expectation:
-        "a fault-tripped shard degrades to its own scan — that shard \
-         only — and the gathered answer stays exact"
-      ~measured:
-        (Printf.sprintf "%d degraded shard visits over %d queries, exact=%b"
-           degraded_total nqueries degraded_ok)
-      (degraded_ok && degraded_total >= 1);
-    speedup_claim;
-  ]
-
-(* --- ablation: multi-resolution sketch funnel ------------------------------ *)
-
-(* The sketch funnel in front of the k-index, on four claims: (1) exact
-   mode is invisible — sketched answers bit-identical to unsketched
-   under every sketchable spec, unsharded and sharded, at 1, 2 and 4
-   domains; (2) the funnel filters — each level of the ladder dismisses
-   a measurable share of the candidates before any exact distance
-   runs; (3) approximate mode keeps its epsilon-guarantee — every
-   returned answer is a true answer within epsilon (superset-free) and
-   every series within (1-a)·epsilon is still returned; (4) anytime
-   mode under a dying budget returns a sound subset marked partial.
-   The raw ladder rows save to BENCH_sketch.json. *)
-let ablation_sketch ~fast =
-  let module Pool = Simq_parallel.Pool in
-  let module Shard = Simq_shard in
-  let module Sketch = Simq_sketch in
-  let module Budget = Simq_fault.Budget in
-  let count = if fast then 240 else 2048 in
-  let n = if fast then 64 else 128 in
-  let repeats = if fast then 2 else 3 in
-  let batch = Stocklike.batch ~seed:(Bench_util.derived_seed 91) ~count ~n in
-  let dataset =
-    Dataset.of_series ~pool:Pool.sequential ~name:"stocks" batch
-  in
-  let index = Kindex.build dataset in
-  let sketch = Sketch.create dataset in
-  let state = Random.State.make [| Bench_util.derived_seed 92 |] in
-  let queries =
-    List.init 12 (fun i ->
-        Queries.perturb state batch.(i * 17 mod count) ~amount:0.25)
-  in
-  let queries = with_selective_epsilons dataset queries in
-  let nqueries = List.length queries in
-  let pairs answers =
-    List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) answers
-  in
-  let canon answers =
-    List.sort compare
-      (List.map (fun ((e : Dataset.entry), d) -> (d, e.Dataset.id)) answers)
-  in
-  let specs =
-    [
-      ("identity", Spec.Identity);
-      ("mavg(8)", Spec.Moving_average 8);
-      ("rev", Spec.Reverse);
-    ]
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Ablation: sketch funnel (%d stock-like series n=%d, %d range \
-            queries per spec)"
-           count n nqueries)
-      ~columns:
-        [
-          "spec"; "candidates"; "after coarse"; "after segment"; "plain";
-          "sketched";
-        ]
-  in
-  let all_exact = ref true in
-  let rows =
-    List.map
-      (fun (label, spec) ->
-        let reference =
-          List.map
-            (fun (q, eps) ->
-              pairs (Kindex.range ~spec index ~query:q ~epsilon:eps).Kindex.answers)
-            queries
-        in
-        (* One counted pass tallies the ladder; the timed passes use the
-           plain funnel so repeats do not inflate the tally. *)
-        let candidates = ref 0 in
-        let filtered = [| 0; 0 |] in
-        let counted q =
-          Option.map
-            (fun (pf : Kindex.prefilter) ->
-              {
-                pf with
-                Kindex.on_filtered =
-                  (fun level dismissed ->
-                    filtered.(level) <- filtered.(level) + dismissed;
-                    pf.Kindex.on_filtered level dismissed);
-              })
-            (Sketch.funnel sketch ~spec ~query:q)
-        in
-        let funnel q = Sketch.funnel sketch ~spec ~query:q in
-        let sketched =
-          List.map
-            (fun (q, eps) ->
-              let r =
-                Kindex.range ~spec ~sketch:counted index ~query:q ~epsilon:eps
-              in
-              candidates := !candidates + r.Kindex.candidates;
-              pairs r.Kindex.answers)
-            queries
-        in
-        if sketched <> reference then all_exact := false;
-        let plain_time =
-          Bench_util.time_per_query ~repeats (fun () ->
-              List.iter
-                (fun (q, eps) ->
-                  ignore (Kindex.range ~spec index ~query:q ~epsilon:eps))
-                queries)
-          /. float_of_int nqueries
-        in
-        let sketched_time =
-          Bench_util.time_per_query ~repeats (fun () ->
-              List.iter
-                (fun (q, eps) ->
-                  ignore
-                    (Kindex.range ~spec ~sketch:funnel index ~query:q
-                       ~epsilon:eps))
-                queries)
-          /. float_of_int nqueries
-        in
-        let after_coarse = !candidates - filtered.(0) in
-        let after_segment = after_coarse - filtered.(1) in
-        Table.add_row table
-          [
-            label; string_of_int !candidates; string_of_int after_coarse;
-            string_of_int after_segment; fmt plain_time; fmt sketched_time;
-          ];
-        (label, !candidates, after_coarse, after_segment, plain_time,
-         sketched_time))
-      specs
-  in
-  Table.print table;
-  (* NN parity: the sketch's NN bound replaces the head bound as the
-     queue key, which reorders work, never answers. *)
-  let nn_reference =
-    List.map (fun (q, _) -> canon (Kindex.nearest index ~query:q ~k:5)) queries
-  in
-  let nn_sketched =
-    List.map
-      (fun (q, _) ->
-        canon
-          (Kindex.nearest
-             ~sketch:(fun q -> Sketch.nn_bound sketch ~spec:Spec.Identity ~query:q)
-             index ~query:q ~k:5))
-      queries
-  in
-  if nn_sketched <> nn_reference then all_exact := false;
-  (* Sharded parity: a sketched 4-shard executor at 1, 2 and 4 domains
-     against the unsharded unsketched reference. *)
-  let identity_reference =
-    List.map
-      (fun (q, eps) ->
-        pairs (Kindex.range index ~query:q ~epsilon:eps).Kindex.answers)
-      queries
-  in
-  let sh =
-    Shard.create ~pool:Pool.sequential ~sketch:Sketch.default ~shards:4
-      dataset
-  in
-  let domain_counts = [ 1; 2; 4 ] in
-  let shard_exact = ref true in
-  List.iter
-    (fun domains ->
-      let pool = Pool.create ~domains in
-      List.iter2
-        (fun (q, eps) expected ->
-          let r = Shard.range ~pool sh ~query:q ~epsilon:eps in
-          if pairs r.Shard.answers <> expected then shard_exact := false)
-        queries identity_reference;
-      List.iter2
-        (fun (q, _) expected ->
-          let r = Shard.nearest ~pool sh ~query:q ~k:5 in
-          if canon r.Shard.neighbours <> expected then shard_exact := false)
-        queries nn_reference;
-      Pool.shutdown pool)
-    domain_counts;
-  (* Approximate mode: superset-free (every answer true), inner-ball
-     complete (everything within (1-a)·epsilon kept), recall measured
-     against the exact answer set. *)
-  let a = 0.25 in
-  let funnel q = Sketch.funnel sketch ~spec:Spec.Identity ~query:q in
-  let superset_free = ref true and inner_complete = ref true in
-  let kept = ref 0 and exact_total = ref 0 in
-  List.iter2
-    (fun (q, eps) exact ->
-      let approx =
-        pairs
-          (Kindex.range ~sketch:funnel ~approx:a index ~query:q ~epsilon:eps)
-            .Kindex.answers
-      in
-      List.iter
-        (fun pair -> if not (List.mem pair exact) then superset_free := false)
-        approx;
-      List.iter
-        (fun ((_, d) as pair) ->
-          if d <= (1. -. a) *. eps && not (List.mem pair approx) then
-            inner_complete := false)
-        exact;
-      kept := !kept + List.length approx;
-      exact_total := !exact_total + List.length exact)
-    queries identity_reference;
-  let recall =
-    if !exact_total = 0 then 1.
-    else float_of_int !kept /. float_of_int !exact_total
-  in
-  (* Anytime mode: a one-comparison budget dies inside verification;
-     the partial answer must still be a sound subset. *)
-  let any_partial = ref false and partial_sound = ref true in
-  List.iter2
-    (fun (q, eps) exact ->
-      let budget = Budget.create ~max_comparisons:1 () in
-      match
-        Kindex.range_checked ~budget ~sketch:funnel ~approx:a ~anytime:true
-          index ~query:q ~epsilon:eps
-      with
-      | Ok r ->
-        if r.Kindex.partial then any_partial := true;
-        List.iter
-          (fun pair ->
-            if not (List.mem pair exact) then partial_sound := false)
-          (pairs r.Kindex.answers)
-      | Error _ -> partial_sound := false)
-    queries identity_reference;
-  (* BENCH_sketch.json: the raw ladder, for tracking across runs. *)
-  let oc = open_out "BENCH_sketch.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"ablation_sketch\",\n  \"fast\": %b,\n\
-    \  \"seed\": %d,\n\
-    \  \"series\": { \"count\": %d, \"n\": %d, \"queries\": %d },\n\
-    \  \"config\": { \"coarse\": %d, \"segments\": %d },\n  \"ladder\": [\n"
-    fast Bench_util.bench_seed count n nqueries Sketch.default.Sketch.coarse
-    Sketch.default.Sketch.segments;
-  List.iteri
-    (fun i (label, candidates, after_coarse, after_segment, plain_time,
-            sketched_time) ->
-      Printf.fprintf oc
-        "    { \"spec\": \"%s\", \"candidates\": %d, \"after_coarse\": %d, \
-         \"after_segment\": %d, \"plain_s\": %.6f, \"sketched_s\": %.6f }%s\n"
-        label candidates after_coarse after_segment plain_time sketched_time
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n  \"exact_parity\": %b,\n  \"shard_parity\": %b,\n\
-    \  \"approx\": { \"a\": %.2f, \"recall\": %.4f, \"superset_free\": %b, \
-     \"inner_complete\": %b },\n  \"anytime_partial\": %b\n}\n"
-    !all_exact !shard_exact a recall !superset_free !inner_complete
-    !any_partial;
-  close_out oc;
-  print_endline "wrote BENCH_sketch.json";
-  let _, candidates0, _, after_segment0, _, _ = List.hd rows in
-  [
-    Expectation.check ~experiment:"Ablation sketch"
-      ~expectation:
-        "exact mode is invisible: sketched range and NN answers are \
-         bit-identical to the unsketched traversal under every sketchable \
-         spec (Lemma 1 per level)"
-      ~measured:
-        (Printf.sprintf "%d specs x %d queries, NN k=5: parity %b"
-           (List.length specs) nqueries !all_exact)
-      !all_exact;
-    Expectation.check ~experiment:"Ablation sketch"
-      ~expectation:
-        "a sketched 4-shard executor answers range and NN (k=5) \
-         bit-identically to the unsharded run at 1, 2 and 4 domains"
-      ~measured:(Printf.sprintf "3 domain counts: parity %b" !shard_exact)
-      !shard_exact;
-    Expectation.check ~experiment:"Ablation sketch"
-      ~expectation:
-        "the funnel dismisses candidates before any exact distance runs"
-      ~measured:
-        (Printf.sprintf "identity: %d candidates -> %d funnel survivors"
-           candidates0 after_segment0)
-      (after_segment0 < candidates0);
-    Expectation.check ~experiment:"Ablation sketch"
-      ~expectation:
-        "approximate mode keeps the epsilon-guarantee: superset-free, \
-         inner-ball complete, recall >= 1 - a"
-      ~measured:
-        (Printf.sprintf
-           "a=%.2f: recall %.3f, superset_free %b, inner_complete %b" a
-           recall !superset_free !inner_complete)
-      (!superset_free && !inner_complete && recall >= 1. -. a);
-    Expectation.check ~experiment:"Ablation sketch"
-      ~expectation:
-        "anytime mode returns a sound subset when the budget dies inside \
-         verification, marked partial"
-      ~measured:
-        (Printf.sprintf "max_comparisons=1: partial seen %b, sound %b"
-           !any_partial !partial_sound)
-      (!any_partial && !partial_sound);
-  ]
-
 (* --- dispatcher ------------------------------------------------------------------ *)
 
 let suite =
@@ -2973,15 +879,6 @@ let suite =
     ("ablation_repr", ablation_repr);
     ("ablation_rtree", ablation_rtree);
     ("ablation_trails", ablation_trails);
-    ("ablation_fault", ablation_fault);
-    ("ablation_obs", ablation_obs);
-    ("ablation_profile", ablation_profile);
-    ("ablation_admission", ablation_admission);
-    ("ablation_sketch", ablation_sketch);
-    ("planner", planner);
-    ("par", par);
-    ("serve", serve);
-    ("shard", shard);
   ]
 
 let all ~fast =

@@ -53,73 +53,12 @@ val ablation_rtree : fast:bool -> claim list
     trails. *)
 val ablation_trails : fast:bool -> claim list
 
-(** Ablation: the fault layer — guard-hook overhead with nothing
-    installed, and exactness plus degradation rates under injected
-    transient node faults. *)
-val ablation_fault : fast:bool -> claim list
-
-(** Ablation: the observability layer — answers bit-identical with
-    metrics on and off, the on/off cost ratio, and cross-domain
-    determinism of merged counter totals at 1/2/4 domains. *)
-val ablation_obs : fast:bool -> claim list
-
-(** Ablation: the profiling layer — answers and query counters
-    bit-identical with a profile attached, the per-query cost of
-    recording the operator tree on both access paths (asserted < 1.5x),
-    and cross-domain determinism of the rendered tree (timings
-    stripped) at 1/2/4 domains; writes [BENCH_profile.json] in the
-    working directory. *)
-val ablation_profile : fast:bool -> claim list
-
-(** Ablation: the admission layer — rejection precision and recall
-    against ground-truth over-budget runs, identical decisions at
-    1/2/4 domains, zero execution-side counter movement on a rejected
-    query, and answer sets bit-identical to admission-off runs;
-    writes [BENCH_admission.json] in the working directory. *)
-val ablation_admission : fast:bool -> claim list
-
-(** Planner instrumentation: estimated vs actual answer counts across a
-    selectivity sweep, the chosen access path per query, and the
-    registry's planner counter family cross-checked against the per-run
-    tally; writes [BENCH_planner.json] in the working directory. *)
-val planner : fast:bool -> claim list
-
-(** Scaling: the multicore execution layer at 1/2/4/N domains — dataset
-    build, sequential scan, scan self-join and the batched query path —
-    asserting bit-identical answers at every domain count and writing
-    the speedup curves to [BENCH_par.json] in the working directory.
-    The >= 2x speedup claim is asserted only on full (non-[fast]) runs
-    with at least four cores; elsewhere it is reported as partial. *)
-val par : fast:bool -> claim list
-
-(** Service: an in-process [simq serve] daemon stressed by the
-    deterministic multi-client harness — throughput and latency
-    quantiles at 1/2/4 domains under a small in-flight cap with every
-    served answer verified bit-identical to offline execution, a
-    full-shed phase under a zero cap, and a chaos phase (protocol
-    abuse plus seeded transient faults) the daemon must survive;
-    writes [BENCH_serve.json] in the working directory. *)
-val serve : fast:bool -> claim list
-
-(** Sharding: the scatter-gather executor on clustered data at
-    K = 1/4/16 shards x 1/2/4 domains (the bench driver's [--shards]
-    flag narrows the K sweep) — range and NN answers asserted
-    bit-identical to the unsharded traversal everywhere with a
-    domain-invariant catalogue plan, the pruning rate on clustered
-    data and on the skewed [spec_mix] service workload, exactness
-    under a fault-tripped (scan-degraded) shard, and the pruning
-    speedup of the largest-K scatter (asserted only on full runs);
-    writes [BENCH_shard.json] in the working directory. *)
-val shard : fast:bool -> claim list
-
 (** [all ~fast] runs everything in order and prints the claim summary. *)
 val all : fast:bool -> unit
 
 (** [run ~fast name] runs one experiment by name
     ("fig8" … "table1", "edit_dp", "eq10", "vptree",
     "ablation_k", "ablation_repr", "ablation_rtree",
-    "ablation_trails", "ablation_fault", "ablation_obs",
-    "ablation_profile", "ablation_admission", "planner", "par",
-    "serve", "shard", "all").
+    "ablation_trails", "all").
     Unknown names return [Error] with the available names. *)
 val run : fast:bool -> string -> (unit, string) result

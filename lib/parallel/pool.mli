@@ -73,27 +73,16 @@ val set_default_domains : int -> unit
 (** {2 Adaptive chunking}
 
     When [?chunk] is omitted, the pool picks the chunk size itself and
-    adapts it to the workload: jobs start {e coarse}
-    ({!coarse_chunks_per_domain} chunks per domain, amortising
-    scheduling overhead) and split finer — up to
-    {!max_chunks_per_domain} per domain — only when the measured
-    per-domain busy times of a finished job are imbalanced (the
-    [simq_pool_imbalance_ratio] gauge); near-perfect balance coarsens
-    them again. A chunk never holds fewer than {!min_chunk_quantum}
-    elements, so inputs smaller than the quantum collapse to a single
-    chunk and run inline in the caller. Chunk sizing only moves work
-    between domains — per-chunk answers and counters merge in chunk
-    order — so adaptation never changes an answer. *)
-
-(** Minimum elements per automatically sized chunk (the minimum-work
-    quantum below which scheduling overhead dominates). *)
-val min_chunk_quantum : int
-
-(** Chunks per domain a fresh pool starts with. *)
-val coarse_chunks_per_domain : int
-
-(** Upper bound on chunks per domain the controller will split to. *)
-val max_chunks_per_domain : int
+    adapts it to the workload: jobs start {e coarse} (2 chunks per
+    domain, amortising scheduling overhead) and split finer — up to 16
+    per domain — only when the measured per-domain busy times of a
+    finished job are imbalanced (the [simq_pool_imbalance_ratio]
+    gauge); near-perfect balance coarsens them again. A chunk never
+    holds fewer than 64 elements (the minimum-work quantum below which
+    scheduling overhead dominates), so smaller inputs collapse to a
+    single chunk and run inline in the caller. Chunk sizing only moves
+    work between domains — per-chunk answers and counters merge in
+    chunk order — so adaptation never changes an answer. *)
 
 (** [adaptive_chunk pool n] is the chunk size the controller currently
     picks for an [n]-element operation on [pool] — what every operation
@@ -102,8 +91,7 @@ val max_chunks_per_domain : int
 val adaptive_chunk : t -> int -> int
 
 (** [chunks_per_domain pool] is the controller's current
-    chunks-per-domain target, between {!coarse_chunks_per_domain} and
-    {!max_chunks_per_domain}. *)
+    chunks-per-domain target, between 2 and 16. *)
 val chunks_per_domain : t -> int
 
 (** {2 Parallel operations}

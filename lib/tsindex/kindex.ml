@@ -380,37 +380,6 @@ let range_probe ?(spec = Spec.Identity) ?(normalise_query = true) ?mean_window
   let region = full_region t ?mean_range ?std_range ~query_coeffs ~epsilon () in
   fst (region_tests region prepared.ptransform)
 
-(* --- query batches -------------------------------------------------------- *)
-
-let range_batch ?pool ?profiles ?(spec = Spec.Identity)
-    ?(normalise_query = true) ?sketch ?approx ?anytime t ~queries =
-  Array.iter
-    (fun (query, epsilon) ->
-      check_query_length t spec query;
-      if not (Float.is_finite epsilon) || epsilon < 0. then
-        invalid_arg "Kindex.range_batch: epsilon must be finite and >= 0")
-    queries;
-  (* One preparation for the whole workload; the traversals are
-     read-only (locally counted accesses, see
-     {!Rstar.fold_region_counted}), so one query per batch task. The
-     cumulative access counter is credited afterwards, in query order,
-     matching a sequential loop's total. *)
-  let prepared = prepare t spec in
-  let results =
-    Simq_parallel.Batch.map ?pool ?profiles
-      (fun ~profile (query, epsilon) ->
-        let q = Dataset.prepare_query ~normalise:normalise_query query in
-        let query_coeffs = query_coeffs t q in
-        range_prepared_counted ?prefilter:(build_funnel sketch q) ?approx
-          ?anytime ?profile t prepared ~query_coeffs ~epsilon
-          ~distance:(prepared_distance t prepared q))
-      queries
-  in
-  Array.iter
-    (fun (r : range_result) -> Rstar.add_accesses t.tree r.node_accesses)
-    results;
-  results
-
 (* --- nearest neighbours -------------------------------------------------- *)
 
 let two_pi = 2. *. Float.pi

@@ -175,29 +175,6 @@ val range_probe :
   epsilon:float ->
   (Simq_geometry.Rect.t -> bool)
 
-(** [range_batch t ?pool ?profiles ?spec ~queries] answers a whole
-    workload of [(query, epsilon)] pairs — the serving path for many
-    concurrent users, run through {!Simq_parallel.Batch}. The
-    transformation is prepared once against the resident index, queries
-    run one per task of [pool] (default the global pool), and element
-    [i] of the result — answers, candidate count and node accesses — is
-    bit-identical to [range t ~query ~epsilon] posed alone. All queries
-    are validated before any work starts; the tree's cumulative access
-    counter advances by the same total as a sequential loop. With
-    [?profiles] (length = [queries]'s, else [Invalid_argument]) query
-    [i] records its [kindex.range] operator tree into [profiles.(i)]. *)
-val range_batch :
-  ?pool:Simq_parallel.Pool.t ->
-  ?profiles:Simq_obs.Profile.t array ->
-  ?spec:Spec.t ->
-  ?normalise_query:bool ->
-  ?sketch:(Dataset.entry -> prefilter option) ->
-  ?approx:float ->
-  ?anytime:bool ->
-  t ->
-  queries:(Simq_series.Series.t * float) array ->
-  range_result array
-
 (** [nearest t ?spec ~query ~k] is the [k] entries minimising the same
     distance, closest first, ties broken by ascending entry id —
     best-first search with per-feature geometric lower bounds on the

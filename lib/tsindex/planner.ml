@@ -19,14 +19,6 @@ let m_failures =
   Metrics.counter ~help:"Planned queries that returned a typed error"
     "simq_planner_failures_total"
 
-let m_estimated_selectivity =
-  Metrics.gauge ~help:"Histogram-estimated selectivity of the last planned query"
-    "simq_planner_estimated_selectivity"
-
-let m_actual_selectivity =
-  Metrics.gauge ~help:"Actual selectivity of the last planned query"
-    "simq_planner_actual_selectivity"
-
 type stats = {
   bucket_width : float;
   counts : int array;  (* counts.(i): distances in [i·w, (i+1)·w) *)
@@ -87,53 +79,12 @@ let choose ?(scan_threshold = 0.3) stats ~cardinality ~epsilon =
   in
   (plan, expected)
 
-type result = {
-  answers : (Dataset.entry * float) list;
-  plan : plan;
-  estimated_answers : float;
-}
-
-(* Publish one planned query's decision and its estimate-vs-actual
-   selectivity (gauges: the last query wins, counters accumulate). *)
+(* Count one planned query's chosen path. *)
 let record_plan plan = Metrics.incr (match plan with
   | Use_index -> m_path_index
   | Use_scan -> m_path_scan)
 
-let record_selectivity ~cardinality ~estimated ~actual =
-  if Metrics.on () && cardinality > 0 then begin
-    let card = float_of_int cardinality in
-    Metrics.set_gauge m_estimated_selectivity (estimated /. card);
-    Metrics.set_gauge m_actual_selectivity (float_of_int actual /. card)
-  end
-
 let plan_name = function Use_index -> "index" | Use_scan -> "scan"
-
-let range ?(spec = Spec.Identity) ?profile kindex stats ~query ~epsilon =
-  let dataset = Kindex.dataset kindex in
-  let cardinality = Dataset.cardinality dataset in
-  let pn = Profile.enter profile "planner" in
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
-  let pplan = Profile.enter profile "plan" in
-  let plan, estimated_answers =
-    Otrace.with_span "plan" (fun () -> choose stats ~cardinality ~epsilon)
-  in
-  Profile.set_detail pplan
-    (Printf.sprintf "%s est=%.1f" (plan_name plan) estimated_answers);
-  Profile.leave profile pplan;
-  Profile.set_detail pn (plan_name plan);
-  record_plan plan;
-  let answers =
-    match plan with
-    | Use_index ->
-      (Kindex.range ~spec ?profile kindex ~query ~epsilon).Kindex.answers
-    | Use_scan ->
-      (Seqscan.range_early_abandon ~spec ?profile dataset ~query ~epsilon)
-        .Seqscan.answers
-  in
-  record_selectivity ~cardinality ~estimated:estimated_answers
-    ~actual:(List.length answers);
-  Profile.add_rows_out pn (List.length answers);
-  { answers; plan; estimated_answers }
 
 let pp_plan ppf plan = Format.pp_print_string ppf (plan_name plan)
 

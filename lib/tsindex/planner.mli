@@ -31,25 +31,6 @@ val choose :
   ?scan_threshold:float -> stats -> cardinality:int -> epsilon:float ->
   plan * float
 
-type result = {
-  answers : (Dataset.entry * float) list;
-  plan : plan;
-  estimated_answers : float;
-}
-
-(** [range kindex stats ?spec ~query ~epsilon] plans and executes: the
-    answers are identical whichever path runs (both are exact).
-    [?profile] records a [planner] node (a [plan] child annotated with
-    the choice and estimate, the executed path's node below). *)
-val range :
-  ?spec:Spec.t ->
-  ?profile:Simq_obs.Profile.t ->
-  Kindex.t ->
-  stats ->
-  query:Simq_series.Series.t ->
-  epsilon:float ->
-  result
-
 val pp_plan : Format.formatter -> plan -> unit
 
 (** {2 Resilient execution}

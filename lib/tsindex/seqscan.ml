@@ -234,47 +234,6 @@ let range_checked ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
           Profile.add_event pn ("error: " ^ Simq_fault.Error.kind e));
       result)
 
-let range_batch ?pool ?profiles ?(spec = Spec.Identity)
-    ?(normalise_query = true) ?(abandon = true) dataset ~queries =
-  Array.iter
-    (fun (query, epsilon) ->
-      check_query_length dataset spec query;
-      if not (Float.is_finite epsilon) || epsilon < 0. then
-        invalid_arg "Seqscan.range_batch: epsilon must be finite and >= 0")
-    queries;
-  (* Each query reads the whole relation; account the passes up front,
-     in query order, exactly as running the queries one by one would. *)
-  Array.iter (fun _ -> account_io dataset) queries;
-  let count = Array.length (Dataset.entries dataset) in
-  Simq_parallel.Batch.map ?pool ?profiles
-    (fun ~profile (query, epsilon) ->
-      let pn = Profile.enter profile "seqscan.range" in
-      Fun.protect
-        ~finally:(fun () -> Profile.leave profile pn)
-        (fun () ->
-          (* The page traffic really happened up front (see above); the
-             profile still shows the per-query cost in its io child. *)
-          let pio = Profile.enter profile "seqscan.io" in
-          Profile.add_pages pio count;
-          Profile.add_event pio "accounted up front, in query order";
-          Profile.leave profile pio;
-          let pc = Profile.enter profile "seqscan.compute" in
-          let result =
-            scan_compute ~pool:Pool.sequential ~abandon ~normalise_query
-              dataset spec query epsilon
-          in
-          let survivors = List.length result.answers in
-          Profile.add_rows_in pc count;
-          Profile.add_candidates pc count;
-          Profile.add_rows_out pc survivors;
-          Profile.add_survivors pc survivors;
-          Profile.add_early_abandon pc (count - result.full_computations);
-          Profile.leave profile pc;
-          Profile.add_rows_in pn count;
-          Profile.add_rows_out pn survivors;
-          result))
-    queries
-
 let reference ?(spec = Spec.Identity) ?(normalise_query = true) dataset ~query
     ~epsilon =
   check_query_length dataset spec query;

@@ -83,26 +83,6 @@ val range_checked :
   Dataset.t -> query:Simq_series.Series.t -> epsilon:float ->
   (result, Simq_fault.Error.t) Result.t
 
-(** [range_batch dataset ?pool ?profiles ?spec ?abandon ~queries]
-    answers a whole workload of [(query, epsilon)] pairs through
-    {!Simq_parallel.Batch} — one query per task over the resident
-    dataset (the serving path for many concurrent users). All queries
-    are validated before any work starts; element [i] of the result is
-    bit-identical to running query [i] alone ([abandon] selects
-    {!range_early_abandon} semantics, the default, vs {!range_full}),
-    and the relation's page statistics advance exactly as [queries]
-    sequential scans would (the passes are accounted up front, in
-    query order). With [?profiles] (length = [queries]'s, else
-    [Invalid_argument]) query [i] records its [seqscan.range] tree into
-    [profiles.(i)]; its [seqscan.io] child notes that the page traffic
-    was accounted up front. *)
-val range_batch :
-  ?pool:Simq_parallel.Pool.t ->
-  ?profiles:Simq_obs.Profile.t array ->
-  ?spec:Spec.t -> ?normalise_query:bool -> ?abandon:bool -> Dataset.t ->
-  queries:(Simq_series.Series.t * float) array ->
-  result array
-
 (** [reference dataset ?spec ~query ~epsilon] is the plain time-domain
     brute force used as the test oracle (always single-domain). *)
 val reference :

@@ -275,7 +275,27 @@ let test_decisions_identical_at_every_domain_count () =
         (Printf.sprintf "decisions and outcomes at %d domains" domains)
         true
         (outcomes_at domains = reference))
-    [ 2; 4 ]
+    [ 2; 4 ];
+  (* Rejections are precise: a rejected (epsilon, budget) case also
+     fails when run without admission control. *)
+  let cases =
+    List.concat_map (fun epsilon -> List.map (fun b -> (epsilon, b)) budgets)
+      epsilons
+  in
+  let rejected =
+    List.filter_map
+      (fun ((epsilon, budget), (decision, _)) ->
+        if decision = Some "reject" then Some (epsilon, budget) else None)
+      (List.combine cases reference)
+  in
+  Alcotest.(check bool) "some case is rejected" true (rejected <> []);
+  List.iter
+    (fun (epsilon, budget) ->
+      match run ~pool:Pool.sequential ~budget ~epsilon () with
+      | Error _, _ -> ()
+      | Ok _, _ ->
+        Alcotest.failf "eps %g: rejected, yet fits without admission" epsilon)
+    rejected
 
 let test_admission_decision_metric_counts () =
   let registry = Metrics.create_registry () in

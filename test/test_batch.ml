@@ -1,10 +1,10 @@
-(* The inter-query batch executor (Simq_parallel.Batch) and its wiring
-   into Kindex.range_batch / Seqscan.range_batch: batch answers must be
-   bit-identical to per-query sequential runs at every pool size (under
-   Spec variation), merged metric totals must be invariant in the
-   domain count, per-query profile trees (timings stripped) must be
-   identical at every domain count, and the qlog size rotation must
-   preserve the line stream. *)
+(* The inter-query batch executor (Simq_parallel.Batch) and the engine's
+   batch path behind it (Simq_serve.Engine.batch): batch answers must
+   be bit-identical to per-query runs at every pool size (under Spec
+   variation, on index- and scan-planned engines), merged metric totals
+   must be invariant in the domain count, per-query profile trees
+   (timings stripped) must be identical at every domain count, and the
+   qlog size rotation must preserve the line stream. *)
 
 module Pool = Simq_parallel.Pool
 module Batch = Simq_parallel.Batch
@@ -16,8 +16,6 @@ module Generator = Simq_series.Generator
 
 let pools =
   [ (1, Pool.sequential); (2, Pool.create ~domains:2); (4, Pool.create ~domains:4) ]
-
-let pool_of n = List.assoc n pools
 
 (* --- Batch.map unit tests --------------------------------------------------- *)
 
@@ -108,24 +106,10 @@ let test_exception_propagates_lowest_index () =
         Alcotest.(check string) (Printf.sprintf "domains=%d" d) "7" msg)
     pools
 
-(* --- batch ≡ per-query sequential (QCheck, under Spec variation) ----------- *)
+(* --- Engine.batch ≡ one-by-one (QCheck, under Spec variation) --------------- *)
 
-let dataset_of ~seed ~count ~n =
-  Dataset.of_series ~pool:Pool.sequential ~name:"test"
-    (Generator.random_walks ~seed ~count ~n)
-
-let query_for dataset spec seed =
-  let entries = Dataset.entries dataset in
-  let base = entries.(seed mod Array.length entries) in
-  let state = Random.State.make [| seed |] in
-  let perturbed =
-    Array.map
-      (fun v -> v +. Random.State.float state 2. -. 1.)
-      base.Dataset.series
-  in
-  match spec with
-  | Spec.Warp m -> Simq_series.Warp.expand m perturbed
-  | _ -> perturbed
+module Engine = Simq_serve.Engine
+module Json = Simq_obs.Json
 
 let spec_of_index i =
   match i mod 5 with
@@ -145,129 +129,188 @@ let arb_setup =
       let* qseed = int_range 0 1000 in
       return (seed, eps, qseed))
 
-(* Bit-identity of the profiled batch paths against per-query
-   sequential runs, plus domain-count invariance of the rendered
-   per-query profile trees (timings stripped). *)
+let spec_text = function
+  | Spec.Identity -> "id"
+  | Spec.Moving_average m -> Printf.sprintf "mavg(%d)" m
+  | Spec.Reverse -> "rev"
+  | Spec.Warp m -> Printf.sprintf "warp(%d)" m
+  | Spec.Weighted_ma w ->
+    Printf.sprintf "wma(%d)" (Simq_dsp.Window.width w)
+
+(* QL queries name relation members, so the relation holds [count]
+   random walks followed by [nq] perturbed copies of them: query [i]
+   is member [count + i], under its own name. *)
+let relation_with_queries ~seed ~count ~n ~nq ~qseed =
+  let walks = Generator.random_walks ~seed ~count ~n in
+  let perturbed i =
+    let state = Random.State.make [| qseed + i |] in
+    Array.map
+      (fun v -> v +. Random.State.float state 2. -. 1.)
+      walks.((qseed + i) mod count)
+  in
+  Dataset.of_series ~pool:Pool.sequential ~name:"test"
+    (Array.append walks (Array.init nq perturbed))
+
+let range_texts ~count spec epsilons =
+  Array.mapi
+    (fun i epsilon ->
+      Printf.sprintf "RANGE FROM r USING %s QUERY s%d EPS %.17g"
+        (spec_text spec) (count + i) epsilon)
+    epsilons
+
+(* An engine whose plan is the scan: a node budget of zero leaves no
+   room for the index path, so admission (against an isolated
+   registry, so every run decides from the same snapshot) sends every
+   RANGE to the sequential scan before execution. *)
+let scan_engine index =
+  Engine.create
+    ~budget:(Simq_fault.Budget.create ~max_node_accesses:0 ())
+    ~admission:(Simq_admission.create ~registry:(Metrics.create_registry ()) ())
+    index
+
+(* [Engine.batch] on the default pool resized to [domains], restored
+   afterwards. *)
+let batch_at domains ?profiles engine texts =
+  let saved = Pool.default_domains () in
+  Pool.set_default_domains domains;
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_domains saved)
+    (fun () -> Engine.batch ?profiles engine texts)
+
+let results_of what = function
+  | Ok (o : Engine.outcome) -> o.Engine.results
+  | Error e -> Alcotest.failf "%s failed: %s" what (Simq_cli.message e)
+
+(* The (id, distance) rows of a RANGE answer. *)
+let rows json =
+  match json with
+  | Json.Arr items ->
+    List.map
+      (fun item ->
+        match (Json.member "id" item, Json.member "distance" item) with
+        | Some (Json.Num id), Some (Json.Num d) -> (int_of_float id, d)
+        | _ -> Alcotest.fail "answer row without id/distance")
+      items
+  | _ -> Alcotest.fail "answers are not an array"
+
+(* Bit-identity of batch element [i] against query [i] run alone, on an
+   index-planned and a scan-planned engine at 1, 2 and 4 domains,
+   plus domain-count invariance of the rendered per-query profile
+   trees (timings stripped); the one-by-one answers are themselves the
+   k-index's and the early-abandon scan's. *)
 let prop_profiled_batch_eq_sequential =
   QCheck.Test.make
     ~name:"profiled range_batch ≡ one-by-one; trees domain-count-invariant"
     ~count:8 arb_setup (fun (seed, epsilon, qseed) ->
-      let d = dataset_of ~seed ~count:50 ~n:32 in
+      let count = 50 and nq = 6 in
+      let d = relation_with_queries ~seed ~count ~n:32 ~nq ~qseed in
       let spec = spec_of_index qseed in
-      let queries =
-        Array.init 6 (fun i ->
-            (query_for d spec (qseed + i), epsilon +. (0.3 *. float_of_int i)))
-      in
-      let nq = Array.length queries in
+      let epsilons = Array.init nq (fun i -> epsilon +. (0.3 *. float_of_int i)) in
+      let texts = range_texts ~count spec epsilons in
       let index = Kindex.build ~max_fill:8 d in
-      let expected_kindex =
-        Array.map
-          (fun (query, epsilon) -> Kindex.range ~spec index ~query ~epsilon)
-          queries
+      let query i =
+        match
+          Engine.resolve_query_series d spec
+            ~name:(Printf.sprintf "s%d" (count + i)) ~noise:0.
+        with
+        | Ok q -> q
+        | Error e -> Alcotest.failf "query %d: %s" i (Simq_cli.message e)
       in
-      let expected_seqscan =
-        Array.map
-          (fun (query, epsilon) ->
-            Seqscan.range_early_abandon ~pool:Pool.sequential ~spec d ~query
-              ~epsilon)
-          queries
+      let pairs answers =
+        List.map (fun ((e : Dataset.entry), dist) -> (e.Dataset.id, dist)) answers
       in
-      let kindex_trees = ref None and seqscan_trees = ref None in
+      let direct_index i =
+        Kindex.range ~spec index ~query:(query i) ~epsilon:epsilons.(i)
+      in
+      let direct_scan i =
+        Seqscan.range_early_abandon ~pool:Pool.sequential ~spec d
+          ~query:(query i) ~epsilon:epsilons.(i)
+      in
       List.iter
-        (fun domains ->
-          let pool = pool_of domains in
-          let profiles = Array.init nq (fun _ -> Profile.create ()) in
-          let batch = Kindex.range_batch ~pool ~profiles ~spec index ~queries in
+        (fun (label, engine, path, direct) ->
+          let alone =
+            Array.map
+              (fun text ->
+                let profile = Profile.create () in
+                let note = Engine.note () in
+                let r = Engine.exec ~profile ~note engine text in
+                (results_of text r, note.Engine.note_path,
+                 Profile.render ~timings:false profile))
+              texts
+          in
           Array.iteri
-            (fun i (expected : Kindex.range_result) ->
-              let actual = batch.(i) in
-              let project (r : Kindex.range_result) =
-                List.map
-                  (fun ((e : Dataset.entry), dist) -> (e.Dataset.id, dist))
-                  r.Kindex.answers
+            (fun i (results, note_path, _) ->
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s path q%d" label i) (Some path) note_path;
+              Alcotest.(check (list (pair int (float 0.))))
+                (Printf.sprintf "%s alone = direct q%d" label i)
+                (direct i) (rows results))
+            alone;
+          let trees = ref None in
+          List.iter
+            (fun domains ->
+              let profiles = Array.init nq (fun _ -> Profile.create ()) in
+              let batch = batch_at domains ~profiles engine texts in
+              Array.iteri
+                (fun i (note, r) ->
+                  let results, note_path, tree = alone.(i) in
+                  let what = Printf.sprintf "%s q%d domains=%d" label i domains in
+                  Alcotest.(check bool) (what ^ ": answers") true
+                    (results_of what r = results);
+                  Alcotest.(check (option string)) (what ^ ": path")
+                    note_path note.Engine.note_path;
+                  Alcotest.(check string) (what ^ ": tree = alone") tree
+                    (Profile.render ~timings:false profiles.(i)))
+                batch;
+              let rendered =
+                Array.map (fun p -> Profile.render ~timings:false p) profiles
               in
-              Alcotest.(check (list (pair int (float 0.))))
-                (Printf.sprintf "kindex answers q%d domains=%d" i domains)
-                (project expected) (project actual);
-              Alcotest.(check int)
-                (Printf.sprintf "kindex candidates q%d domains=%d" i domains)
-                expected.Kindex.candidates actual.Kindex.candidates;
-              Alcotest.(check int)
-                (Printf.sprintf "kindex node accesses q%d domains=%d" i domains)
-                expected.Kindex.node_accesses actual.Kindex.node_accesses)
-            expected_kindex;
-          let rendered =
-            Array.map (fun p -> Profile.render ~timings:false p) profiles
-          in
-          (match !kindex_trees with
-          | None -> kindex_trees := Some rendered
-          | Some reference ->
-            Alcotest.(check (array string))
-              (Printf.sprintf "kindex trees domains=%d" domains)
-              reference rendered);
-          let profiles = Array.init nq (fun _ -> Profile.create ()) in
-          let batch = Seqscan.range_batch ~pool ~profiles ~spec d ~queries in
-          Array.iteri
-            (fun i (expected : Seqscan.result) ->
-              let actual = batch.(i) in
-              Alcotest.(check (list (pair int (float 0.))))
-                (Printf.sprintf "scan answers q%d domains=%d" i domains)
-                (List.map
-                   (fun ((e : Dataset.entry), dist) -> (e.Dataset.id, dist))
-                   expected.Seqscan.answers)
-                (List.map
-                   (fun ((e : Dataset.entry), dist) -> (e.Dataset.id, dist))
-                   actual.Seqscan.answers);
-              Alcotest.(check int)
-                (Printf.sprintf "scan full q%d domains=%d" i domains)
-                expected.Seqscan.full_computations
-                actual.Seqscan.full_computations;
-              Alcotest.(check int)
-                (Printf.sprintf "scan touched q%d domains=%d" i domains)
-                expected.Seqscan.coefficients_touched
-                actual.Seqscan.coefficients_touched)
-            expected_seqscan;
-          let rendered =
-            Array.map (fun p -> Profile.render ~timings:false p) profiles
-          in
-          match !seqscan_trees with
-          | None -> seqscan_trees := Some rendered
-          | Some reference ->
-            Alcotest.(check (array string))
-              (Printf.sprintf "seqscan trees domains=%d" domains)
-              reference rendered)
-        [ 1; 2; 4 ];
+              match !trees with
+              | None -> trees := Some rendered
+              | Some reference ->
+                Alcotest.(check (array string))
+                  (Printf.sprintf "%s trees domains=%d" label domains)
+                  reference rendered)
+            [ 1; 2; 4 ])
+        [
+          ( "kindex", Engine.create index, "index",
+            fun i -> pairs (direct_index i).Kindex.answers );
+          ( "scan", scan_engine index, "scan",
+            fun i -> pairs (direct_scan i).Seqscan.answers );
+        ];
       true)
 
 (* --- merged metric totals are domain-count-invariant ------------------------ *)
 
 let test_batch_metric_totals_invariant () =
-  let d = dataset_of ~seed:23 ~count:70 ~n:32 in
+  let count = 70 and nq = 8 in
+  let d = relation_with_queries ~seed:23 ~count ~n:32 ~nq ~qseed:40 in
   let index = Kindex.build ~max_fill:8 d in
-  let spec = Spec.Moving_average 4 in
-  let queries =
-    Array.init 8 (fun i ->
-        (query_for d spec (40 + i), 1.0 +. (0.4 *. float_of_int i)))
+  let texts =
+    range_texts ~count (Spec.Moving_average 4)
+      (Array.init nq (fun i -> 1.0 +. (0.4 *. float_of_int i)))
   in
+  let engine = Engine.create index and scan = scan_engine index in
   let families =
     [ "simq_batch_queries_total"; "simq_scan_candidates_total";
-      "simq_scan_survivors_total"; "simq_scan_early_abandon_total" ]
+      "simq_scan_survivors_total"; "simq_scan_early_abandon_total";
+      "simq_kindex_candidates_total"; "simq_rtree_node_accesses_total" ]
   in
   let ref_totals = ref None in
   List.iter
-    (fun (domains, pool) ->
+    (fun (domains, _) ->
       let totals =
         Metrics.with_enabled true (fun () ->
             Metrics.reset ();
-            ignore (Kindex.range_batch ~pool ~spec index ~queries);
-            ignore (Seqscan.range_batch ~pool ~spec d ~queries);
+            ignore (batch_at domains engine texts);
+            ignore (batch_at domains scan texts);
             List.map
               (fun f -> Metrics.counter_total (Metrics.counter f))
               families)
       in
       Alcotest.(check int)
         (Printf.sprintf "batch queries counted, domains=%d" domains)
-        (2 * Array.length queries)
+        (2 * nq)
         (List.hd totals);
       match !ref_totals with
       | None -> ref_totals := Some totals

@@ -77,7 +77,19 @@ let test_resolve_metrics_port () =
   Alcotest.(check (option int))
     "out-of-range env counts as unset" None
     (Cli.resolve_metrics_port None);
-  Unix.putenv "SIMQ_METRICS_PORT" ""
+  Unix.putenv "SIMQ_METRICS_PORT" "";
+  (* The --metrics-port flag rejects what the environment ignores. *)
+  let parse = Cmdliner.Arg.conv_parser Cli.port in
+  (match parse "0" with Ok 0 -> () | _ -> Alcotest.fail "0 must parse");
+  (match parse "65535" with
+  | Ok 65535 -> ()
+  | _ -> Alcotest.fail "65535 must parse");
+  List.iter
+    (fun s ->
+      match parse s with
+      | Error (`Msg _) -> ()
+      | Ok p -> Alcotest.failf "%S must be a usage error, parsed %d" s p)
+    [ "70000"; "-1"; "x" ]
 
 let with_temp_files f =
   let metrics_file = Filename.temp_file "simq_cli" ".prom" in

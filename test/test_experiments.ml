@@ -26,29 +26,6 @@ let test_ablation_repr () =
 let test_ablation_k () =
   claims_hold "ablation_k" (Experiments.ablation_k ~fast:true)
 
-(* The fast scaling run asserts parallel = sequential (the speedup claim
-   is only Partial in fast mode, so noisy CI timing cannot fail it);
-   runs in a temporary directory so BENCH_par.json does not litter the
-   source tree. *)
-let test_par () =
-  let cwd = Sys.getcwd () in
-  let dir = Filename.temp_file "simq_par" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Sys.chdir dir;
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.chdir cwd;
-      if Sys.file_exists (Filename.concat dir "BENCH_par.json") then
-        Sys.remove (Filename.concat dir "BENCH_par.json");
-      Sys.rmdir dir)
-    (fun () ->
-      let claims = Experiments.par ~fast:true in
-      Alcotest.(check bool)
-        "BENCH_par.json written" true
-        (Sys.file_exists "BENCH_par.json");
-      claims_hold "par" claims)
-
 let test_table1_structure () =
   (* The structural Table 1 claims (answer sizes) are deterministic;
      filter out the timing ones. *)
@@ -85,7 +62,6 @@ let () =
         [
           Alcotest.test_case "representation" `Slow test_ablation_repr;
           Alcotest.test_case "feature count" `Slow test_ablation_k;
-          Alcotest.test_case "multicore scaling" `Slow test_par;
         ] );
       ( "experiments",
         [

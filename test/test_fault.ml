@@ -398,42 +398,61 @@ let prop_degradation =
     ~name:
       "index failure degrades to the scan: exact answers, visible counters"
     ~count:150 arb_scenario
-    (fun (dseed, qseed, eps, _, _, _, _, use_validate) ->
+    (fun (dseed, qseed, eps, _, _, _, fseed, kind) ->
       let dataset = datasets.(dseed) in
       let spec = safe_spec Simq_geometry.Coords.Polar (spec_of_index qseed) in
       let query = query_for dataset spec qseed in
       let index = Kindex.build ~max_fill:8 dataset in
       let counters = Planner.create_counters () in
-      let validate = use_validate mod 2 = 0 in
+      (* Four ways in: a corrupted tree, a zero node budget, a fault
+         plan failing the first visit of every attempt, and neither
+         limit nor faults (nothing may degrade). *)
+      let validate = kind = 0 in
       let budget, expected_kind =
-        if validate then begin
+        match kind with
+        | 0 ->
           (* Corrupt the recorded size: Check must reject the tree and
              the planner must not even attempt the traversal. *)
           let tree = Kindex.tree index in
           Rstar.set_root tree (Rstar.root tree) ~size:(Rstar.size tree + 1);
           Alcotest.(check bool) "corruption detected" false
             (Check.is_valid tree);
-          (Budget.unlimited, "index_unusable")
-        end
-        else
+          ((fun () -> Budget.unlimited), "index_unusable")
+        | 1 ->
           (* A zero node budget fails any traversal that descends past
              the root; a query region that prunes at (or misses) the
              root completes legitimately, so the expected outcome is
              learned below by mirroring the planner's index attempt. *)
-          (Budget.create ~max_node_accesses:0 (), "budget_exceeded:node_accesses")
+          ( (fun () -> Budget.create ~max_node_accesses:0 ()),
+            "budget_exceeded:node_accesses" )
+        | 2 ->
+          (* Transient node faults outlasting every retry: each attempt's
+             first visit faults. *)
+          ( (fun () ->
+              Budget.create
+                ~faults:
+                  (Injector.create
+                     ~node_accesses:(Injector.transient ~schedule:[ 1; 2 ] ())
+                     ~seed:fseed ())
+                ()),
+            "io_failed" )
+        | _ -> ((fun () -> Budget.unlimited), "none")
       in
       let index_survives =
         (not validate)
         &&
         match
-          Kindex.range_checked ~spec ~budget ~retry:(fast_retry ()) index
-            ~query ~epsilon:eps
+          Kindex.range_checked ~spec ~budget:(budget ()) ~retry:(fast_retry ())
+            index ~query ~epsilon:eps
         with
         | Ok _ -> true
         | Error _ -> false
       in
+      if kind = 3 then
+        Alcotest.(check bool) "no limit, no faults: the index survives" true
+          index_survives;
       (match
-         Planner.range_resilient ~pool:Pool.sequential ~spec ~budget
+         Planner.range_resilient ~pool:Pool.sequential ~spec ~budget:(budget ())
            ~retry:(fast_retry ()) ~counters ~validate index ~query
            ~epsilon:eps
        with

@@ -401,79 +401,148 @@ let prop_band_join_eq_exhaustive =
           Spec.Reverse; Spec.Weighted_ma (Simq_dsp.Window.ascending 5) ];
       true)
 
+(* QL queries name relation members, so the batch relation holds the
+   random walks followed by [nq] perturbed copies of them: query [i] is
+   member [count + i], under its own name. *)
+let relation_with_queries ~seed ~count ~n ~nq ~qseed =
+  let walks = Generator.random_walks ~seed ~count ~n in
+  let perturbed i =
+    let state = Random.State.make [| qseed + i |] in
+    Array.map
+      (fun v -> v +. Random.State.float state 2. -. 1.)
+      walks.((qseed + i) mod count)
+  in
+  Dataset.of_series ~pool:Pool.sequential ~name:"test"
+    (Array.append walks (Array.init nq perturbed))
+
+let spec_text = function
+  | Spec.Identity -> "id"
+  | Spec.Moving_average m -> Printf.sprintf "mavg(%d)" m
+  | Spec.Reverse -> "rev"
+  | Spec.Warp m -> Printf.sprintf "warp(%d)" m
+  | Spec.Weighted_ma w ->
+    Printf.sprintf "wma(%d)" (Simq_dsp.Window.width w)
+
+(* The (id, distance) rows of an engine's RANGE answer. *)
+let engine_rows what = function
+  | Ok (o : Simq_serve.Engine.outcome) -> (
+    let module Json = Simq_obs.Json in
+    match o.Simq_serve.Engine.results with
+    | Json.Arr items ->
+      List.map
+        (fun item ->
+          match (Json.member "id" item, Json.member "distance" item) with
+          | Some (Json.Num id), Some (Json.Num d) -> (int_of_float id, d)
+          | _ -> Alcotest.failf "%s: answer row without id/distance" what)
+        items
+    | _ -> Alcotest.failf "%s: answers are not an array" what)
+  | Error e -> Alcotest.failf "%s failed: %s" what (Simq_cli.message e)
+
+(* Engine.batch, element [i] against query [i] run alone, on the
+   default pool resized to 1, 2 and 4 domains: index-planned engines
+   over both representations, and an engine whose plan is the scan (a
+   zero node budget under admission sends every RANGE to the scan
+   before execution). The rendered per-query profile trees (timings
+   stripped) must not depend on the domain count. *)
 let prop_batch_eq_one_by_one =
   QCheck.Test.make
     ~name:"range_batch ≡ one-by-one (kindex + seqscan, both representations)"
     ~count:10 arb_setup (fun (seed, epsilon, qseed) ->
-      let d = dataset_of ~seed ~count:50 ~n:32 in
-      let spec = spec_of_index qseed in
-      let queries_for spec =
-        Array.init 7 (fun i ->
-            (query_for d spec (qseed + i), epsilon +. (0.3 *. float_of_int i)))
+      let module Engine = Simq_serve.Engine in
+      let module Profile = Simq_obs.Profile in
+      let count = 50 and nq = 7 in
+      let d = relation_with_queries ~seed ~count ~n:32 ~nq ~qseed in
+      let epsilons = Array.init nq (fun i -> epsilon +. (0.3 *. float_of_int i)) in
+      let check_batch label engine spec ~direct =
+        let texts =
+          Array.mapi
+            (fun i epsilon ->
+              Printf.sprintf "RANGE FROM r USING %s QUERY s%d EPS %.17g"
+                (spec_text spec) (count + i) epsilon)
+            epsilons
+        in
+        let query i =
+          match
+            Engine.resolve_query_series d spec
+              ~name:(Printf.sprintf "s%d" (count + i)) ~noise:0.
+          with
+          | Ok q -> q
+          | Error e -> Alcotest.failf "query %d: %s" i (Simq_cli.message e)
+        in
+        let one_by_one =
+          Array.mapi (fun i _ -> direct ~query:(query i) ~epsilon:epsilons.(i)) texts
+        in
+        Array.iteri
+          (fun i text ->
+            Alcotest.(check (list (pair int (float 0.))))
+              (Printf.sprintf "%s alone q%d" label i)
+              one_by_one.(i)
+              (engine_rows text (Engine.exec engine text)))
+          texts;
+        let saved = Pool.default_domains () in
+        let trees = ref None in
+        Fun.protect
+          ~finally:(fun () -> Pool.set_default_domains saved)
+          (fun () ->
+            List.iter
+              (fun domains ->
+                Pool.set_default_domains domains;
+                let profiles = Array.init nq (fun _ -> Profile.create ()) in
+                let batch = Engine.batch ~profiles engine texts in
+                Array.iteri
+                  (fun i (_, r) ->
+                    let what =
+                      Printf.sprintf "%s answers q%d domains=%d" label i domains
+                    in
+                    Alcotest.(check (list (pair int (float 0.))))
+                      what one_by_one.(i) (engine_rows what r))
+                  batch;
+                let rendered =
+                  Array.map (fun p -> Profile.render ~timings:false p) profiles
+                in
+                match !trees with
+                | None -> trees := Some rendered
+                | Some reference ->
+                  Alcotest.(check (array string))
+                    (Printf.sprintf "%s trees domains=%d" label domains)
+                    reference rendered)
+              [ 1; 2; 4 ])
       in
-      let queries = queries_for spec in
+      let project answers =
+        List.map (fun ((e : Dataset.entry), dist) -> (e.Dataset.id, dist)) answers
+      in
+      let requested = spec_of_index qseed in
       List.iter
         (fun representation ->
           (* Complex stretches are only safe in S_pol (Theorem 3). *)
           let spec =
-            match (representation, spec) with
+            match (representation, requested) with
             | Simq_geometry.Coords.Rectangular,
               (Spec.Moving_average _ | Spec.Warp _) ->
               Spec.Reverse
-            | _ -> spec
+            | _ -> requested
           in
-          let queries = queries_for spec in
           let config = { Feature.k = 2; representation } in
           let index = Kindex.build ~config ~max_fill:8 d in
-          let one_by_one =
-            Array.map
-              (fun (query, epsilon) -> Kindex.range ~spec index ~query ~epsilon)
-              queries
-          in
-          List.iter
-            (fun domains ->
-              let pool = pool_of domains in
-              let batch = Kindex.range_batch ~pool ~spec index ~queries in
-              Array.iteri
-                (fun i (expected : Kindex.range_result) ->
-                  let actual = batch.(i) in
-                  let project (r : Kindex.range_result) =
-                    List.map
-                      (fun ((e : Dataset.entry), dist) -> (e.Dataset.id, dist))
-                      r.Kindex.answers
-                  in
-                  Alcotest.(check (list (pair int (float 0.))))
-                    (Printf.sprintf "answers q%d domains=%d" i domains)
-                    (project expected) (project actual);
-                  Alcotest.(check int)
-                    (Printf.sprintf "candidates q%d domains=%d" i domains)
-                    expected.Kindex.candidates actual.Kindex.candidates;
-                  Alcotest.(check int)
-                    (Printf.sprintf "node accesses q%d domains=%d" i domains)
-                    expected.Kindex.node_accesses actual.Kindex.node_accesses)
-                one_by_one)
-            [ 1; 2; 4 ])
+          check_batch "kindex" (Engine.create index) spec
+            ~direct:(fun ~query ~epsilon ->
+              project (Kindex.range ~spec index ~query ~epsilon).Kindex.answers))
         [ Simq_geometry.Coords.Polar; Simq_geometry.Coords.Rectangular ];
-      (* The sequential-scan batch against its own one-by-one loop. *)
-      let one_by_one =
-        Array.map
-          (fun (query, epsilon) ->
-            Seqscan.range_early_abandon ~pool:Pool.sequential ~spec d ~query
-              ~epsilon)
-          queries
+      (* The sequential-scan half, against its own one-by-one loop. *)
+      let index = Kindex.build ~max_fill:8 d in
+      let scan =
+        Engine.create
+          ~budget:(Simq_fault.Budget.create ~max_node_accesses:0 ())
+          ~admission:
+            (Simq_admission.create
+               ~registry:(Simq_obs.Metrics.create_registry ()) ())
+          index
       in
-      List.iter
-        (fun domains ->
-          let batch =
-            Seqscan.range_batch ~pool:(pool_of domains) ~spec d ~queries
-          in
-          Array.iteri
-            (fun i expected ->
-              check_result_equal
-                (Printf.sprintf "scan batch q%d domains=%d" i domains)
-                expected batch.(i))
-            one_by_one)
-        [ 1; 2; 4 ];
+      check_batch "scan" scan requested ~direct:(fun ~query ~epsilon ->
+          project
+            (Seqscan.range_early_abandon ~pool:Pool.sequential ~spec:requested d
+               ~query ~epsilon)
+              .Seqscan.answers);
       true)
 
 let test_parallel_build_eq_sequential () =
@@ -525,14 +594,30 @@ let test_scan_io_accounting_matches () =
 
 (* Lemma 1 with the observability layer switched on: instrumentation
    must not perturb the answers or the query counters at any domain
-   count, and the merged metric totals of the scan family must
-   themselves be invariant in the domain count. *)
+   count, on the scan and on the k-index, and the merged metric totals
+   of the scan family must themselves be invariant in the domain
+   count. *)
 let test_scan_with_metrics_enabled () =
   let module Metrics = Simq_obs.Metrics in
   let d = dataset_of ~seed:17 ~count:80 ~n:32 in
   let spec = Spec.Moving_average 5 in
   let query = query_for d spec 17 in
   let epsilon = 1.5 in
+  let index = Kindex.build ~max_fill:8 d in
+  let kindex_run on =
+    let r =
+      Metrics.with_enabled on (fun () -> Kindex.range ~spec index ~query ~epsilon)
+    in
+    ( List.map (fun ((e : Dataset.entry), dist) -> (e.Dataset.id, dist))
+        r.Kindex.answers,
+      (r.Kindex.candidates, r.Kindex.node_accesses) )
+  in
+  let kindex_off = kindex_run false and kindex_on = kindex_run true in
+  Alcotest.(check (list (pair int (float 0.))))
+    "kindex answers, metrics on = off" (fst kindex_off) (fst kindex_on);
+  Alcotest.(check (pair int int))
+    "kindex candidates and node accesses, metrics on = off" (snd kindex_off)
+    (snd kindex_on);
   let reference =
     Metrics.with_enabled false (fun () ->
         Seqscan.range_early_abandon ~pool:Pool.sequential ~spec d ~query

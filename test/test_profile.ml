@@ -395,8 +395,8 @@ let test_qlog_aggregate () =
 
 (* --- Stack-wide invariance ------------------------------------------- *)
 
-(* The families whose per-chunk adds cover the input exactly once (the
-   same set ablation_obs checks). *)
+(* The query-level families whose per-chunk adds cover the input
+   exactly once. *)
 let families =
   [
     "simq_scan_candidates_total"; "simq_scan_survivors_total";
@@ -408,7 +408,13 @@ let test_profile_invariance_across_domains () =
   let batch = Generator.random_walks ~seed:1995 ~count:80 ~n:32 in
   let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"inv" batch in
   let index = Kindex.build dataset in
-  let queries = [ (batch.(0), 1.5); (batch.(3), 0.7); (batch.(7), 2.5) ] in
+  let stats = Planner.collect dataset in
+  (* The planner picks the index for the selective queries and the
+     scan for the last, which covers the relation: both access paths
+     run profiled. *)
+  let queries =
+    [ (batch.(0), 1.5); (batch.(3), 0.7); (batch.(7), 2.5); (batch.(9), 50.) ]
+  in
   let run_at domains ~profiled =
     let pool = Pool.create ~domains in
     let out =
@@ -418,7 +424,7 @@ let test_profile_invariance_across_domains () =
             (fun (q, eps) ->
               let profile = if profiled then Some (Profile.create ()) else None in
               let result =
-                Planner.range_resilient ~pool ?profile index ~query:q
+                Planner.range_resilient ~pool ~stats ?profile index ~query:q
                   ~epsilon:eps
               in
               let answers =
@@ -448,6 +454,8 @@ let test_profile_invariance_across_domains () =
     (out, totals)
   in
   let baseline_answers, baseline_totals = run_at 1 ~profiled:false in
+  Alcotest.(check bool) "both access paths ran" true
+    (List.nth baseline_totals 0 > 0 && List.nth baseline_totals 3 > 0);
   List.iter
     (fun domains ->
       let on, totals_on = run_at domains ~profiled:true in

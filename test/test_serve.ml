@@ -689,18 +689,33 @@ let chaos_report index =
         ~port:(Server.port server) ~clients:4 ~per_client:8 ~seed:9001
         ~cardinality:32 ())
 
+(* Served at 1, 2 and 4 domains (the default pool resized, then
+   restored): every answer bit-identical to offline execution. *)
 let test_chaos_survives_and_matches () =
   let index = build_index () in
-  let report = chaos_report index in
-  Alcotest.(check bool) "daemon alive" false report.Stress.server_gone;
-  Alcotest.(check int) "no protocol violations" 0
-    report.Stress.protocol_errors;
-  Alcotest.(check int) "no execution failures" 0 report.Stress.failed;
-  Alcotest.(check (list (pair string string)))
-    "served answers bit-identical to offline" [] report.Stress.mismatches;
-  Alcotest.(check bool) "abuse actually happened" true
-    (report.Stress.malformed_sent > 0 && report.Stress.disconnects > 0);
-  Alcotest.(check bool) "queries actually served" true (report.Stress.ok > 0)
+  let saved = Pool.default_domains () in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_domains saved)
+    (fun () ->
+      List.iter
+        (fun domains ->
+          Pool.set_default_domains domains;
+          let report = chaos_report index in
+          let what s = Printf.sprintf "%s, domains=%d" s domains in
+          Alcotest.(check bool) (what "daemon alive") false
+            report.Stress.server_gone;
+          Alcotest.(check int) (what "no protocol violations") 0
+            report.Stress.protocol_errors;
+          Alcotest.(check int) (what "no execution failures") 0
+            report.Stress.failed;
+          Alcotest.(check (list (pair string string)))
+            (what "served answers bit-identical to offline")
+            [] report.Stress.mismatches;
+          Alcotest.(check bool) (what "abuse actually happened") true
+            (report.Stress.malformed_sent > 0 && report.Stress.disconnects > 0);
+          Alcotest.(check bool) (what "queries actually served") true
+            (report.Stress.ok > 0))
+        [ 1; 2; 4 ])
 
 let test_chaos_with_injected_faults () =
   (* Seeded transient faults on the page and node seams, carried by the

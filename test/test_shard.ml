@@ -244,7 +244,24 @@ let test_pruned_shards_execute_nothing () =
             (Printf.sprintf "shard %d executed counter" i)
             (if alive then 1 else 0)
             executed)
-        survivors)
+        survivors);
+  (* The skewed service workload (spec_mix with the shard-skew knob)
+     through a sharded engine: the catalogue refuses shards there too,
+     as the shard counts of the engine's request records show. *)
+  let engine = Simq_serve.Engine.create ~shards:clusters (Kindex.build d) in
+  let pruned =
+    List.fold_left
+      (fun acc spec ->
+        let note = Simq_serve.Engine.note () in
+        ignore (Simq_serve.Engine.exec ~note engine spec);
+        match note.Simq_serve.Engine.note_shards with
+        | Some counts -> acc + counts.Simq_obs.Qlog.pruned
+        | None -> acc)
+      0
+      (Simq_workload.Queries.spec_mix ~skew:0.8 ~seed:44 ~cardinality:64
+         ~count:40 ())
+  in
+  Alcotest.(check bool) "the skewed workload prunes shards" true (pruned > 0)
 
 (* --- degradation ------------------------------------------------------------ *)
 

@@ -272,10 +272,12 @@ let test_engine_nearest_parity () =
 (* --- approximate mode ------------------------------------------------------- *)
 
 let test_approx_guarantee () =
+  let recall_a = 0.25 in
   let d = dataset_of ~seed:5 ~count:80 ~n:32 in
   let index = Kindex.build d in
   let sketch = Sketch.create d in
   let funnel q = Sketch.funnel sketch ~spec:Spec.Identity ~query:q in
+  let kept = ref 0 and total = ref 0 in
   List.iter
     (fun qseed ->
       let query = query_for d Spec.Identity qseed in
@@ -283,6 +285,7 @@ let test_approx_guarantee () =
       let exact =
         pairs (Kindex.range index ~query ~epsilon).Kindex.answers
       in
+      total := !total + List.length exact;
       (* a = 0: the cutoff is ε itself, so the run stays exact. *)
       let at_zero =
         Kindex.range ~sketch:funnel ~approx:0. index ~query ~epsilon
@@ -296,6 +299,7 @@ let test_approx_guarantee () =
             Kindex.range ~sketch:funnel ~approx:a index ~query ~epsilon
           in
           let approx = pairs r.Kindex.answers in
+          if a = recall_a then kept := !kept + List.length approx;
           List.iter
             (fun pair ->
               if not (List.mem pair exact) then
@@ -308,8 +312,15 @@ let test_approx_guarantee () =
                 Alcotest.failf
                   "a=%g dropped an inner-ball answer at distance %g" a dist)
             exact)
-        [ 0.3; 0.9 ])
-    [ 2; 11; 30 ]
+        [ 0.25; 0.3; 0.9 ])
+    [ 2; 11; 30 ];
+  (* Recall is a property of the data, not a guarantee (a = 0.9 keeps
+     3 of these 89 answers); at a = 0.25 these queries keep at least
+     1 - a of the exact answers. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "a=%g: recall %d/%d >= 1 - a" recall_a !kept !total)
+    true
+    (float_of_int !kept >= (1. -. recall_a) *. float_of_int !total)
 
 let test_approx_rejects_bad_a () =
   let d = dataset_of ~seed:5 ~count:20 ~n:32 in

@@ -1284,20 +1284,48 @@ let test_planner_choice_and_execution () =
   let idx = Kindex.build ~max_fill:8 d in
   let stats = Planner.collect d in
   (* Selective query: index plan; broad query: scan plan. Either way the
-     answers match the direct index computation. *)
+     answers match the direct index computation, and the registry's
+     planner counters agree with the tally of chosen paths. *)
+  let module Metrics = Simq_obs.Metrics in
   let query = query_for d Spec.Identity 2 in
-  let tiny = Planner.range idx stats ~query ~epsilon:0.5 in
-  Alcotest.(check bool) "tiny eps -> index" true (tiny.Planner.plan = Planner.Use_index);
-  let huge = Planner.range idx stats ~query ~epsilon:50. in
-  Alcotest.(check bool) "huge eps -> scan" true (huge.Planner.plan = Planner.Use_scan);
-  List.iter
-    (fun epsilon ->
-      let planned = Planner.range idx stats ~query ~epsilon in
-      let direct = Kindex.range idx ~query ~epsilon in
-      Alcotest.(check (list int)) "same answers"
-        (ids_of direct.Kindex.answers)
-        (ids_of planned.Planner.answers))
-    [ 0.5; 5.; 50. ]
+  let plan epsilon =
+    match Planner.range_resilient ~stats idx ~query ~epsilon with
+    | Ok r -> r
+    | Error e ->
+      Alcotest.failf "planned range failed: %s" (Simq_fault.Error.kind e)
+  in
+  let tiny = plan 0.5 in
+  Alcotest.(check bool) "tiny eps -> index" true
+    (tiny.Planner.executed = Planner.Use_index);
+  let huge = plan 50. in
+  Alcotest.(check bool) "huge eps -> scan" true
+    (huge.Planner.executed = Planner.Use_scan);
+  let paths =
+    Metrics.with_enabled true (fun () ->
+        Metrics.reset ();
+        let paths =
+          List.map
+            (fun epsilon ->
+              let planned = plan epsilon in
+              let direct = Kindex.range idx ~query ~epsilon in
+              Alcotest.(check (list int)) "same answers"
+                (ids_of direct.Kindex.answers)
+                (ids_of planned.Planner.answers);
+              planned.Planner.executed)
+            [ 0.5; 5.; 50. ]
+        in
+        let total name = Metrics.counter_total (Metrics.counter name) in
+        let tally p = List.length (List.filter (( = ) p) paths) in
+        Alcotest.(check int) "registry index paths = tally"
+          (tally Planner.Use_index)
+          (total "simq_planner_path_index_total");
+        Alcotest.(check int) "registry scan paths = tally"
+          (tally Planner.Use_scan)
+          (total "simq_planner_path_scan_total");
+        paths)
+  in
+  Alcotest.(check bool) "both paths ran" true
+    (List.mem Planner.Use_index paths && List.mem Planner.Use_scan paths)
 
 (* --- property-based -------------------------------------------------------------- *)
 

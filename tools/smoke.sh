@@ -62,12 +62,13 @@ cd "$workdir"
 echo "== bench --fast with metrics and tracing on"
 "$bench" --fast --metrics=metrics.prom --trace trace.json
 
-# The exposition must contain every instrumented family; the trace must
-# be non-empty valid JSON (well-formedness is checked structurally by
-# the test suite, so a cheap shape check suffices here).
+# The exposition must contain every instrumented family the bench
+# links (simq_batch, the batch executor's, is checked on the simq batch
+# run below); the trace must be non-empty valid JSON (well-formedness
+# is checked structurally by the test suite, so a cheap shape check
+# suffices here).
 for family in simq_buffer_pool simq_rtree simq_planner simq_pool \
-  simq_fault simq_scan simq_kindex simq_join simq_timer simq_admission \
-  simq_batch; do
+  simq_fault simq_scan simq_kindex simq_join simq_timer simq_admission; do
   grep -q "^# TYPE $family" metrics.prom || {
     echo "smoke: family $family missing from the exposition" >&2
     exit 1
@@ -138,7 +139,7 @@ for using in "" "USING rev " "USING mavg(4) "; do
 done
 
 echo "== bench sweep persists the metrics registry"
-"$bench" --fast ablation_fault --metrics-state smoke.state >/dev/null
+"$bench" --fast fig8 --metrics-state smoke.state >/dev/null
 grep -q '"event":"simq.metrics-state"' smoke.state || {
   echo "smoke: --metrics-state wrote no registry snapshot" >&2
   exit 1
@@ -171,6 +172,10 @@ grep -q '"outcome":"usage"' batch.jsonl || {
 }
 [ "$(grep -c '"outcome":"ok"' batch.jsonl)" -eq 4 ] || {
   echo "smoke: expected 4 ok result lines" >&2
+  exit 1
+}
+grep -q '^# TYPE simq_batch' batch.prom || {
+  echo "smoke: family simq_batch missing from the exposition" >&2
   exit 1
 }
 grep -q '^simq_batch_queries_total 5' batch.prom || {
