@@ -31,19 +31,13 @@ type reject = {
 type decision = Admit | Degrade_to_scan | Reject of reject
 
 type t = {
-  headroom : float;
-  calibrate : bool;
-  g_estimated : Metrics.gauge;
-  g_actual : Metrics.gauge;
   h_timer : Metrics.histogram;
   m_admit : Metrics.counter;
   m_degrade : Metrics.counter;
   m_reject : Metrics.counter;
 }
 
-let create ?registry ?(headroom = 1.) ?(calibrate = true) () =
-  if not (headroom > 0.) then
-    invalid_arg "Simq_admission.create: headroom must be > 0";
+let create ?registry () =
   let decision d =
     Metrics.counter ?registry
       ~help:"Admission decisions, by outcome"
@@ -51,12 +45,8 @@ let create ?registry ?(headroom = 1.) ?(calibrate = true) () =
       "simq_admission_decisions_total"
   in
   {
-    headroom;
-    calibrate;
-    (* Retrieve-or-register: the planner and timer own these when they
-       are linked in; an isolated registry simply reads zeroes. *)
-    g_estimated = Metrics.gauge ?registry "simq_planner_estimated_selectivity";
-    g_actual = Metrics.gauge ?registry "simq_planner_actual_selectivity";
+    (* Retrieve-or-register: the timer owns this when it is linked in;
+       an isolated registry simply reads zeroes. *)
     h_timer = Metrics.histogram ?registry "simq_timer_seconds";
     m_admit = decision "admit";
     m_degrade = decision "degrade_to_scan";
@@ -64,18 +54,6 @@ let create ?registry ?(headroom = 1.) ?(calibrate = true) () =
   }
 
 let default = create ()
-
-(* The planner's bias observed so far: actual / estimated selectivity
-   of the last planned query, clamped to [1/4, 4] so one outlier does
-   not swing every later decision. 1 when either gauge is unset. *)
-let calibration t =
-  if not t.calibrate then 1.
-  else begin
-    let est = Metrics.gauge_value t.g_estimated in
-    let act = Metrics.gauge_value t.g_actual in
-    if est > 0. && act > 0. then Float.min 4. (Float.max 0.25 (act /. est))
-    else 1.
-  end
 
 (* A conservative per-query wall-clock prediction: the p95 bucket
    upper bound of [simq_timer_seconds], once at least 8 timed queries
@@ -102,9 +80,7 @@ let predicted_seconds t =
 let ceil_pos v = if v <= 0. then 0 else int_of_float (Float.ceil v)
 
 let estimate t w =
-  let sel =
-    Float.min 1. (Float.max 0. w.selectivity *. calibration t)
-  in
+  let sel = Float.min 1. (Float.max 0. w.selectivity) in
   {
     (* The scan compares every series exactly once, and the budget
        counts page reads as logical buffer-pool touches (hits and
@@ -113,7 +89,7 @@ let estimate t w =
     scan_page_reads = w.cardinality;
     scan_comparisons = w.cardinality;
     (* Index heuristics: a root-to-leaf descent plus a visited-node
-       share and a candidate set proportional to the calibrated
+       share and a candidate set proportional to the estimated
        selectivity (feature-space candidates exceed true answers, hence
        the factor 2 margin). *)
     index_node_accesses =
@@ -131,59 +107,50 @@ let estimate t w =
 
 let ms_of_seconds s = ceil_pos (s *. 1000.)
 
-(* The first budget limit a path's estimate crosses, in a fixed
-   resource order, so the rejection reason is deterministic. *)
-let violation t estimated limit_opt resource =
-  match limit_opt with
-  | Some limit when float_of_int estimated > t.headroom *. float_of_int limit
-    ->
-    Some { resource; estimated; limit }
+(* The budget limit of [resource] that [estimated] crosses, if any. *)
+let violation budget resource estimated =
+  match Budget.limit budget resource with
+  | Some limit when estimated > limit -> Some { resource; estimated; limit }
   | _ -> None
 
+(* The first violation of a path, in a fixed resource order, so the
+   rejection reason is deterministic. *)
 let first_violation candidates =
   List.fold_left
     (fun acc c -> match acc with Some _ -> acc | None -> c)
     None candidates
 
+(* The deadline against a predicted per-query time, when both exist. *)
+let deadline_violation budget predicted =
+  match (Budget.deadline budget, predicted) with
+  | Some deadline, Some predicted when predicted > deadline ->
+    Some
+      {
+        resource = Error.Wall_clock;
+        estimated = ms_of_seconds predicted;
+        limit = ms_of_seconds deadline;
+      }
+  | _ -> None
+
 let decide_pure t w ~prefer ~budget =
   if Budget.is_unlimited budget then Admit
   else begin
     let e = estimate t w in
-    let deadline_reject =
-      match (Budget.deadline budget, e.est_query_seconds) with
-      | Some deadline, Some predicted
-        when predicted > t.headroom *. deadline ->
-        Some
-          {
-            resource = Error.Wall_clock;
-            estimated = ms_of_seconds predicted;
-            limit = ms_of_seconds deadline;
-          }
-      | _ -> None
-    in
     let scan_reject =
       first_violation
         [
-          violation t e.scan_page_reads
-            (Budget.limit budget Error.Page_reads)
-            Error.Page_reads;
-          violation t e.scan_comparisons
-            (Budget.limit budget Error.Comparisons)
-            Error.Comparisons;
+          violation budget Error.Page_reads e.scan_page_reads;
+          violation budget Error.Comparisons e.scan_comparisons;
         ]
     in
     let index_reject =
       first_violation
         [
-          violation t e.index_node_accesses
-            (Budget.limit budget Error.Node_accesses)
-            Error.Node_accesses;
-          violation t e.index_comparisons
-            (Budget.limit budget Error.Comparisons)
-            Error.Comparisons;
+          violation budget Error.Node_accesses e.index_node_accesses;
+          violation budget Error.Comparisons e.index_comparisons;
         ]
     in
-    match deadline_reject with
+    match deadline_violation budget e.est_query_seconds with
     | Some r -> Reject r
     | None -> (
       match prefer with
@@ -198,9 +165,10 @@ let decide_pure t w ~prefer ~budget =
           | Some r -> Reject r)))
   end
 
-let decide t w ~prefer ~budget =
+(* Every decision is spanned as ["admit"] and counted by outcome. *)
+let counted t decide =
   Otrace.with_span "admit" @@ fun () ->
-  let decision = decide_pure t w ~prefer ~budget in
+  let decision = decide () in
   Metrics.incr
     (match decision with
     | Admit -> t.m_admit
@@ -208,46 +176,27 @@ let decide t w ~prefer ~budget =
     | Reject _ -> t.m_reject);
   decision
 
+let decide t w ~prefer ~budget =
+  counted t (fun () -> decide_pure t w ~prefer ~budget)
+
 (* The pairwise join costs [n (n - 1) / 2] comparisons — a catalogue
    fact, like the scan costs — and reads no page (it runs over the
    resident spectra), so only the comparison limit and the deadline
    prediction can refuse it, and there is no cheaper path to degrade
    to. *)
 let decide_pairs t ~comparisons ~budget =
-  Otrace.with_span "admit" @@ fun () ->
-  let decision =
-    if Budget.is_unlimited budget then Admit
-    else begin
-      let deadline_reject =
-        match (Budget.deadline budget, predicted_seconds t) with
-        | Some deadline, Some predicted
-          when predicted > t.headroom *. deadline ->
-          Some
-            {
-              resource = Error.Wall_clock;
-              estimated = ms_of_seconds predicted;
-              limit = ms_of_seconds deadline;
-            }
-        | _ -> None
-      in
-      match deadline_reject with
-      | Some r -> Reject r
-      | None -> (
-        match
-          violation t comparisons
-            (Budget.limit budget Error.Comparisons)
-            Error.Comparisons
-        with
-        | Some r -> Reject r
-        | None -> Admit)
-    end
-  in
-  Metrics.incr
-    (match decision with
-    | Admit -> t.m_admit
-    | Degrade_to_scan -> t.m_degrade
-    | Reject _ -> t.m_reject);
-  decision
+  counted t @@ fun () ->
+  if Budget.is_unlimited budget then Admit
+  else
+    match
+      first_violation
+        [
+          deadline_violation budget (predicted_seconds t);
+          violation budget Error.Comparisons comparisons;
+        ]
+    with
+    | Some r -> Reject r
+    | None -> Admit
 
 let shed t ~inflight ~limit =
   Otrace.with_span "admit" @@ fun () ->
@@ -261,11 +210,3 @@ let decision_name = function
   | Admit -> "admit"
   | Degrade_to_scan -> "degrade_to_scan"
   | Reject _ -> "reject"
-
-let pp_decision ppf = function
-  | Admit -> Format.pp_print_string ppf "admit"
-  | Degrade_to_scan -> Format.pp_print_string ppf "degrade_to_scan"
-  | Reject { resource; estimated; limit } ->
-    Format.fprintf ppf "reject (estimated %d %s > limit %d)" estimated
-      (Error.resource_name resource)
-      limit

@@ -17,13 +17,7 @@
       touches, hits and misses alike) — both known from the catalogue,
       so scan-path decisions are exact;
     - the {e index} path costs are predicted from the planner's
-      histogram selectivity, scaled by the clamped ratio of the
-      [simq_planner_actual_selectivity] /
-      [simq_planner_estimated_selectivity] gauges when both are set.
-      No executor writes them (a last-query gauge written by parallel
-      batch tasks would make decisions depend on how the tasks
-      interleave), so the factor is 1 unless a restored registry
-      state carries older values;
+      histogram selectivity;
     - the wall-clock deadline is compared against a conservative
       per-query time predicted from the [simq_timer_seconds] histogram
       (its p95 bucket upper bound, once enough queries have been
@@ -66,7 +60,7 @@ type estimate = {
   scan_page_reads : int;
       (** exact: one logical buffer-pool touch per series *)
   scan_comparisons : int;  (** exact: every series, once *)
-  index_node_accesses : int;  (** heuristic, from calibrated selectivity *)
+  index_node_accesses : int;  (** heuristic, from the selectivity *)
   index_comparisons : int;  (** heuristic: predicted candidate count *)
   est_query_seconds : float option;
       (** p95-style per-query seconds from [simq_timer_seconds];
@@ -86,27 +80,18 @@ type decision =
           sequential scan can: run the scan instead *)
   | Reject of reject  (** no path fits: refuse before execution *)
 
-(** Admission policy: where to read live metrics from and how eagerly
-    to admit. *)
+(** Admission policy: the registry it reads live metrics from and
+    counts its decisions in. A query is admitted while every estimate
+    fits its limit. *)
 type t
 
-(** [create ()] is the default policy against [Simq_obs.Metrics.default].
-    [headroom] scales every limit before comparison (default [1.]:
-    admit while the estimate fits the limit exactly; [0.5] admits only
-    queries predicted to use at most half the budget). [calibrate]
-    (default [true]) applies the live estimated-vs-actual selectivity
-    correction. Raises [Invalid_argument] when [headroom <= 0]. *)
-val create :
-  ?registry:Simq_obs.Metrics.registry ->
-  ?headroom:float ->
-  ?calibrate:bool ->
-  unit ->
-  t
+(** [create ()] is the default policy against [Simq_obs.Metrics.default]. *)
+val create : ?registry:Simq_obs.Metrics.registry -> unit -> t
 
 val default : t
 
 (** [estimate t w] is the cost model's prediction for [w], reading the
-    calibration gauges and timer histogram from [t]'s registry. *)
+    timer histogram from [t]'s registry. *)
 val estimate : t -> workload -> estimate
 
 (** [decide t w ~prefer ~budget] admits, degrades or rejects the query
@@ -146,5 +131,3 @@ val error_of_reject : reject -> Simq_fault.Error.t
 (** ["admit"], ["degrade_to_scan"] or ["reject"] — the decision label
     used in the metric family. *)
 val decision_name : decision -> string
-
-val pp_decision : Format.formatter -> decision -> unit

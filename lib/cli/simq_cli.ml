@@ -212,8 +212,7 @@ let close_qlog qlog =
   | () -> Ok ()
   | exception Sys_error msg -> Error (File msg)
 
-let with_obs ?metrics_port ?history_interval_s ?metrics_state ?profile ?qlog
-    ~metrics ~trace f =
+let with_obs ?metrics_port ?metrics_state ?profile ?qlog ~metrics ~trace f =
   if Option.is_some metrics then Metrics.set_enabled true;
   (* Persisted state is collected state: restoring or saving it without
      collection running would round-trip zeros. Likewise the query
@@ -230,7 +229,7 @@ let with_obs ?metrics_port ?history_interval_s ?metrics_state ?profile ?qlog
          (merge-on-read), so its presence leaves every merged total
          unchanged. *)
       Metrics.set_enabled true;
-      let history = History.create ?interval_s:history_interval_s () in
+      let history = History.create () in
       History.start history;
       match
         Serve.start ~history:(fun () -> History.document history) ~port ()

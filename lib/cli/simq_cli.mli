@@ -81,14 +81,11 @@ val metrics_state_arg : string option Cmdliner.Term.t
     mirroring the [SIMQ_DOMAINS] handling in [Simq_parallel.Pool]. *)
 val resolve_metrics_port : int option -> int option
 
-(** [dump_observability ~metrics ~trace] writes the metric exposition
-    ([Some file], with ["-"] meaning stdout) and the Chrome trace JSON.
-    Unwritable destinations are reported as [File] errors. *)
-val dump_observability :
-  metrics:string option -> trace:string option -> (unit, error) result
-
 (** [with_obs ?metrics_port ~metrics ~trace f] enables the requested
-    observability subsystems, runs [f], and dumps on the way out —
+    observability subsystems, runs [f], and dumps on the way out — the
+    metric exposition ([Some file], with ["-"] meaning stdout) and the
+    Chrome trace JSON, unwritable destinations reported as [File]
+    errors —
     {e on every path}: after [Ok], after [Error] (the dump describes
     the failing run), and before re-raising when [f] raises. When
     [metrics_port] is given, metric collection is forced on and the
@@ -97,9 +94,9 @@ val dump_observability :
     stderr. A port that cannot be bound is a [Usage] error and [f] is
     not run. The endpoint also answers [GET /history] with the
     windowed-rate document of a {!Simq_obs.History} sampler running
-    for the duration of [f] ([history_interval_s] overrides its
-    period, default 1 s) — the sampler only snapshots the registry,
-    so merged totals are unchanged by its presence.
+    for the duration of [f] (one snapshot a second) — the sampler only
+    snapshots the registry, so merged totals are unchanged by its
+    presence.
 
     The same every-exit-path guarantee extends to the per-query
     forensics: [profile] is a {!Simq_obs.Profile} plus its destination
@@ -111,14 +108,11 @@ val dump_observability :
     exists (forcing metric collection on, like [metrics_port]) and
     rewritten afterwards, so the registry's counters, gauges and
     histograms survive restarts (among them the [simq_timer_seconds]
-    histogram behind admission's deadline prediction; no executor
-    writes the planner's selectivity calibration gauges, so a saved
-    state carries only what an older process left in them). A state
+    histogram behind admission's deadline prediction). A state
     file that exists but does not parse is a [File] error and [f] is
     not run. *)
 val with_obs :
   ?metrics_port:int ->
-  ?history_interval_s:float ->
   ?metrics_state:string ->
   ?profile:Simq_obs.Profile.t * string ->
   ?qlog:Simq_obs.Qlog.t ->

@@ -5,9 +5,9 @@
     an {!Injector.t} — the fault plan of every query run under it. Each
     query attempt gets a fresh mutable {!state} from it
     ([Retry.with_retries], the one place attempts start); every guarded
-    access in [Rstar] traversal, the [Buffer_pool], the NN traversals
-    of [Kindex]/[Subseq] and the comparison loops of the scan, join,
-    postfilter and subsequence paths is one call to a guard
+    access in [Rstar] traversal, the [Buffer_pool], the NN traversal
+    of [Kindex] and the comparison loops of the scan, join and
+    postfilter paths is one call to a guard
     ({!node_access}, {!page_read}, {!comparisons}) with that state.
     A guard runs the attempt's fault plan for its site (which may raise
     {!Injector.Transient_fault}), then the cancellation and deadline

@@ -80,9 +80,6 @@ val window : t -> window option
 (** The view over the two newest snapshots; [None] with fewer than
     two. *)
 
-val window_json : window -> Json.t
-(** The nested ["window"] object of the history document. *)
-
 val to_json : t -> Json.t
 (** The self-describing history document:
     [{"event":"simq.history","v":1,"samples":…,"capacity":…,

@@ -456,7 +456,7 @@ let reset ?(registry = default) () =
 
 (* --- state persistence ----------------------------------------------------
 
-   A registry snapshot as one JSON document, so calibration gauges
+   A registry snapshot as one JSON document, so the timer histogram
    (and any other metric) can survive a process restart. Loading
    writes cells directly — deliberately bypassing the [on ()] gate,
    because restoring state is not an instrumented event — and lands

@@ -182,9 +182,10 @@ val reset : ?registry:registry -> unit -> unit
 (** [save_state path] writes the full merged snapshot of the registry
     (counters, gauges, histogram buckets and sums, with labels and
     help text) as one self-describing JSON document — the mechanism
-    behind the [--metrics-state] flag, which keeps the planner's
-    calibration gauges ([simq_planner_*]) alive across process
-    restarts so admission cost models do not start cold. *)
+    behind the [--metrics-state] flag, which keeps the
+    [simq_timer_seconds] histogram behind admission's deadline
+    prediction alive across process restarts, so that prediction does
+    not start cold. *)
 val save_state : ?registry:registry -> string -> unit
 
 (** [load_state path] reads a {!save_state} document back: unseen

@@ -56,6 +56,11 @@ let enter t name =
       t.stack <- node :: t.stack;
       Some node
 
+let current t =
+  match t with
+  | Some { stack = node :: _; _ } -> Some node
+  | Some { stack = []; _ } | None -> None
+
 let close_at now node =
   if not node.closed then (
     node.node_wall_ns <- Int64.sub now node.start_ns;

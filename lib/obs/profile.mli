@@ -48,6 +48,10 @@ val enter : t option -> string -> node option
     open node (or as a new root) and starts its clock. [None] in gives
     [None] out. *)
 
+val current : t option -> node option
+(** The innermost open node, [None] when none is open (or on [None]):
+    where a caller that opened no node of its own records an event. *)
+
 val leave : t option -> node option -> unit
 (** [leave profile node] closes [node], fixing its wall time. Nodes
     left open below it (by an exception path) are closed with it, so

@@ -38,7 +38,6 @@ let epoch_ns = Monotonic_clock.now ()
 
 type event = {
   ev_name : string;
-  ev_cat : string;
   ev_ts_ns : int64; (* start, relative to [epoch_ns] *)
   ev_dur_ns : int64;
   ev_tid : int;
@@ -73,13 +72,12 @@ type span =
       id : int;
       parent : int;
       name : string;
-      cat : string;
       start_ns : int64;
       trace : int;
       buf : buffer;
     }
 
-let start ?(cat = "simq") name =
+let start name =
   if not (on ()) then Disabled
   else begin
     let buf = Domain.DLS.get buffer_key in
@@ -91,7 +89,6 @@ let start ?(cat = "simq") name =
         id;
         parent;
         name;
-        cat;
         start_ns = Monotonic_clock.now ();
         trace = current_request ();
         buf;
@@ -100,7 +97,7 @@ let start ?(cat = "simq") name =
 
 let finish = function
   | Disabled -> ()
-  | Active { id; parent; name; cat; start_ns; trace; buf } ->
+  | Active { id; parent; name; start_ns; trace; buf } ->
       let now = Monotonic_clock.now () in
       (* Pop this span (tolerate out-of-order finishes by filtering). *)
       (buf.open_stack <-
@@ -110,7 +107,6 @@ let finish = function
       buf.events <-
         {
           ev_name = name;
-          ev_cat = cat;
           ev_ts_ns = Int64.sub start_ns epoch_ns;
           ev_dur_ns = Int64.sub now start_ns;
           ev_tid = buf.tid;
@@ -120,8 +116,8 @@ let finish = function
         }
         :: buf.events
 
-let with_span ?cat name f =
-  let s = start ?cat name in
+let with_span name f =
+  let s = start name in
   Fun.protect ~finally:(fun () -> finish s) f
 
 let all_buffers () =
@@ -168,8 +164,8 @@ let export oc =
       if i > 0 then output_string oc ",";
       Printf.fprintf oc
         "\n\
-         {\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"id\":%d,\"parent\":%d,\"trace\":%d}}"
-        (json_escape e.ev_name) (json_escape e.ev_cat) (us_of_ns e.ev_ts_ns)
+         {\"name\":\"%s\",\"cat\":\"simq\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"id\":%d,\"parent\":%d,\"trace\":%d}}"
+        (json_escape e.ev_name) (us_of_ns e.ev_ts_ns)
         (us_of_ns e.ev_dur_ns) e.ev_tid e.ev_id e.ev_parent e.ev_trace)
     events;
   output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n"

@@ -53,10 +53,10 @@ val with_request : ?global:bool -> int -> (unit -> 'a) -> 'a
     {!finish} a no-op. *)
 type span
 
-(** [start ?cat name] opens a span on the calling domain, nested
-    under the domain's innermost open span. [cat] is the Chrome
-    trace category (default ["simq"]). *)
-val start : ?cat:string -> string -> span
+(** [start name] opens a span on the calling domain, nested under the
+    domain's innermost open span. Its Chrome trace category is
+    ["simq"]. *)
+val start : string -> span
 
 (** [finish s] closes the span and records one trace event into the
     calling domain's buffer. Spans must be finished on the domain
@@ -66,7 +66,7 @@ val finish : span -> unit
 
 (** [with_span name f] runs [f ()] inside a span, finishing it even
     if [f] raises. *)
-val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
+val with_span : string -> (unit -> 'a) -> 'a
 
 (** [open_spans ()] is the number of started-but-unfinished spans
     across all domains; [0] once every [with_span] has unwound (the

@@ -297,7 +297,6 @@ let adaptive_chunk pool n =
   end
 
 let default_chunk = adaptive_chunk
-let chunks_per_domain pool = Atomic.get pool.split
 
 let check_chunk chunk =
   if chunk < 1 then invalid_arg "Pool: chunk must be >= 1"

@@ -90,10 +90,6 @@ val set_default_domains : int -> unit
     chunks themselves (the scans) follow the same policy. *)
 val adaptive_chunk : t -> int -> int
 
-(** [chunks_per_domain pool] is the controller's current
-    chunks-per-domain target, between 2 and 16. *)
-val chunks_per_domain : t -> int
-
 (** {2 Parallel operations}
 
     Every operation takes [?pool] (default {!default}) and an optional

@@ -24,7 +24,6 @@ type t = {
   sharded : Simq_shard.t option;
   sketch : Simq_sketch.t option;  (* a monolithic engine's sketch table *)
   approx : float option;
-  anytime : bool;
   mutable stats : Planner.stats option;
 }
 
@@ -58,10 +57,6 @@ let create ?(noise = 0.) ?(budget = Budget.unlimited) ?admission ?shards
                 Simq_sketch.create ~config (Kindex.dataset index)))
           sketch);
     approx;
-    (* Approximate mode is progressive: a budgeted engine returns the
-       sound subset it verified when the budget dies mid-verification
-       instead of degrading to the scan. *)
-    anytime = Option.is_some approx;
     stats = None;
   }
 
@@ -166,14 +161,8 @@ let refuse note ~trace ~spec e =
   note.note_trace <- Some trace;
   settle note ~duration_s:0. (Error (Simq_cli.Fault e))
 
-let note_report note (r : Simq_shard.report) =
-  note.note_shards <-
-    Some
-      {
-        Qlog.fanout = r.Simq_shard.fanout;
-        pruned = r.Simq_shard.pruned;
-        degraded = r.Simq_shard.degraded;
-      }
+let note_decision note d =
+  note.note_decision <- Option.map Simq_admission.decision_name d
 
 (* Per-shard admission decisions fold into one logged decision:
    reject > degrade_to_scan > admit (a query with one degraded and
@@ -183,14 +172,22 @@ let decision_rank = function
   | Simq_admission.Degrade_to_scan -> 1
   | Simq_admission.Reject _ -> 2
 
-let note_shard_decision note =
-  let worst = ref None in
-  fun d ->
-    match !worst with
-    | Some w when decision_rank w >= decision_rank d -> ()
-    | _ ->
-      worst := Some d;
-      note.note_decision <- Some (Simq_admission.decision_name d)
+let note_report note (r : Simq_shard.report) =
+  note.note_shards <-
+    Some
+      {
+        Qlog.fanout = r.Simq_shard.fanout;
+        pruned = r.Simq_shard.pruned;
+        degraded = r.Simq_shard.degraded;
+      };
+  note_decision note
+    (Array.fold_left
+       (fun worst d ->
+         match (worst, d) with
+         | Some w, Some d when decision_rank d > decision_rank w -> Some d
+         | None, d | d, None -> d
+         | Some _, Some _ -> worst)
+       None r.Simq_shard.admission)
 
 type outcome = { partial : bool; answers : int; results : J.t }
 
@@ -236,9 +233,8 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
       note.note_path <- Some "shard";
       match
         Simq_shard.range_checked ~spec ?mean_window ?std_band ~budget:t.budget
-          ?admission:t.admission ~on_decision:(note_shard_decision note)
-          ?approx:t.approx ~anytime:t.anytime ?profile sharded ~query:series
-          ~epsilon
+          ?admission:t.admission ?approx:t.approx ?profile sharded
+          ~query:series ~epsilon
       with
       | Ok r ->
         note_report note r.Simq_shard.report;
@@ -251,14 +247,13 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
       match
         Planner.range_resilient ~spec ?mean_window ?std_band ~budget:t.budget
           ?stats ?admission:t.admission ?sketch:(funnel t spec)
-          ~sketch_levels:(sketch_levels t spec) ?approx:t.approx
-          ~anytime:t.anytime ?profile t.index ~query:series ~epsilon
+          ~sketch_levels:(sketch_levels t spec) ?approx:t.approx ?profile
+          t.index ~query:series ~epsilon
       with
       | Ok (r : Planner.resilient_result) ->
         note.note_path <-
           Some (Format.asprintf "%a" Planner.pp_plan r.Planner.executed);
-        note.note_decision <-
-          Option.map Simq_admission.decision_name r.Planner.admission;
+        note_decision note r.Planner.admission;
         finish ~partial:r.Planner.partial note
           ~answers:(List.length r.Planner.answers)
           ~results:(answers_json r.Planner.answers)
@@ -272,8 +267,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
       note.note_path <- Some "shard";
       match
         Simq_shard.nearest_checked ~spec ~budget:t.budget
-          ?admission:t.admission ~on_decision:(note_shard_decision note)
-          ?profile sharded ~query:series ~k
+          ?admission:t.admission ?profile sharded ~query:series ~k
       with
       | Ok r ->
         note_report note r.Simq_shard.nearest_report;
@@ -285,16 +279,15 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
       note.note_path <- Some "index";
       match
         Kindex.nearest_checked ~spec ~budget:t.budget ?admission:t.admission
-          ~on_decision:(fun d ->
-            note.note_decision <- Some (Simq_admission.decision_name d);
-            match d with
-            | Simq_admission.Degrade_to_scan -> note.note_path <- Some "scan"
-            | Simq_admission.Admit | Simq_admission.Reject _ -> ())
           ?profile t.index ~query:series ~k
       with
-      | Ok results ->
-        finish note ~answers:(List.length results)
-          ~results:(answers_json results)
+      | Ok r ->
+        note_decision note r.Kindex.admission;
+        if r.Kindex.admission = Some Simq_admission.Degrade_to_scan then
+          note.note_path <- Some "scan";
+        finish note
+          ~answers:(List.length r.Kindex.neighbours)
+          ~results:(answers_json r.Kindex.neighbours)
       | Error e -> fault e))
   | Ql.Pairs { spec; epsilon; method_ = Ql.Index; _ } ->
     if not (Budget.is_unlimited t.budget) then
@@ -316,12 +309,10 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
     match
       Join.scan_checked ?pool:pairs_pool ~spec
         ~abandon:(method_ = Ql.Scan_early) ~budget:t.budget
-        ?admission:t.admission
-        ~on_decision:(fun d ->
-          note.note_decision <- Some (Simq_admission.decision_name d))
-        ?profile t.index ~epsilon
+        ?admission:t.admission ?profile t.index ~epsilon
     with
     | Ok (r : Join.result) ->
+      note_decision note r.Join.admission;
       finish note
         ~answers:(List.length r.Join.pairs)
         ~results:(pairs_json t.dataset r.Join.pairs)

@@ -104,9 +104,10 @@ type note = {
           ({!Simq_obs.Trace.current_request}) *)
   mutable note_path : string option;  (** access path actually executed *)
   mutable note_decision : string option;
-      (** admission decision — ["reject"] for every rejected query; on
-          a sharded engine the worst per-shard decision (reject >
-          degrade_to_scan > admit) *)
+      (** admission decision, read from the answered result (on a
+          sharded engine the worst per-shard decision: reject >
+          degrade_to_scan > admit) — ["reject"] for every rejected
+          query, none for a query that failed after admission *)
   mutable note_shards : Simq_obs.Qlog.shard_counts option;
       (** scatter-gather accounting, set on sharded executions *)
   mutable note_partial : bool;

@@ -31,7 +31,7 @@
     query and the query-log entry stream is well-formed; the executed
     query's time ([Engine.note]'s duration) is observed through
     {!Simq_report.Timer}, feeding the [simq_timer_seconds] histogram
-    the admission policy calibrates against.
+    the admission policy predicts deadlines from.
 
     Every query line is issued a request id
     ({!Simq_obs.Trace.new_request_id}) published for the duration of

@@ -89,11 +89,16 @@ let create ?pool ?(config = Feature.default) ?(max_fill = 32) ?sketch ~shards
 let shards t = Array.length t.parts
 let dataset t = t.parent
 let bounds t i = (t.parts.(i).lo, t.parts.(i).hi)
-let catalogue_box t i = t.parts.(i).box
 let shard_index t i = t.parts.(i).sindex
 let shard_dataset t i = t.parts.(i).sdataset
 
-type report = { shards : int; fanout : int; pruned : int; degraded : int }
+type report = {
+  shards : int;
+  fanout : int;
+  pruned : int;
+  degraded : int;
+  admission : Simq_admission.decision option array;
+}
 
 (* Shard ids are local (dense 0..width-1); global id = lo + local. The
    parent entry is returned so answers are physically the entries an
@@ -146,7 +151,7 @@ let shard_funnel ?spec s =
 
 (* Metrics and profile for one finished scatter, on the coordinating
    domain after the merge (deterministic at every domain count). *)
-let finish ?profile t ~op ~(runs : _ run option array) ~rows_out =
+let finish ?profile t ~op ~decisions ~(runs : _ run option array) ~rows_out =
   let k = Array.length t.parts in
   let fanout = ref 0 and degraded = ref 0 and rows_in = ref 0 in
   Array.iter
@@ -159,7 +164,13 @@ let finish ?profile t ~op ~(runs : _ run option array) ~rows_out =
         if r.r_scan then incr degraded)
     runs;
   let report =
-    { shards = k; fanout = !fanout; pruned = k - !fanout; degraded = !degraded }
+    {
+      shards = k;
+      fanout = !fanout;
+      pruned = k - !fanout;
+      degraded = !degraded;
+      admission = decisions;
+    }
   in
   Metrics.incr m_queries;
   Metrics.add m_fanout report.fanout;
@@ -195,7 +206,7 @@ let finish ?profile t ~op ~(runs : _ run option array) ~rows_out =
     Profile.leave profile pg);
   report
 
-let gather_range ?profile t runs =
+let gather_range ?profile t ~decisions runs =
   let answers =
     (* Contiguous id blocks in shard order: concatenation is already
        globally sorted by entry id, like the unsharded traversal. *)
@@ -215,7 +226,10 @@ let gather_range ?profile t runs =
   let partial =
     Array.exists (function None -> false | Some r -> r.r_partial) runs
   in
-  let report = finish ?profile t ~op:"range" ~runs ~rows_out:(List.length answers) in
+  let report =
+    finish ?profile t ~op:"range" ~decisions ~runs
+      ~rows_out:(List.length answers)
+  in
   { answers; candidates; node_accesses; partial; report }
 
 (* A shard abandoned by both its index path and its fallback scan: the
@@ -271,14 +285,8 @@ let preflight ?admission ~budget ~keep ~selectivity ~sketch_levels t =
     | Some r -> Error (Simq_admission.error_of_reject r)
     | None -> Ok decisions)
 
-let notify_decisions ?on_decision decisions =
-  match on_decision with
-  | None -> ()
-  | Some f -> Array.iter (function None -> () | Some d -> f d) decisions
-
 let range_checked ?pool ?spec ?mean_window ?std_band
-    ?(budget = Budget.unlimited) ?retry ?admission ?on_decision ?approx ?anytime
-    ?profile t ~query ~epsilon =
+    ?(budget = Budget.unlimited) ?admission ?approx ?profile t ~query ~epsilon =
   let probe = probe_of ?spec ?mean_window ?std_band t ~query ~epsilon in
   let keep = Array.map (fun s -> probe s.box) t.parts in
   (* The unconstrained selectivity: an upper bound under side
@@ -291,14 +299,13 @@ let range_checked ?pool ?spec ?mean_window ?std_band
   match preflight ?admission ~budget ~keep ~selectivity ~sketch_levels t with
   | Error e -> Error e
   | Ok decisions ->
-    notify_decisions ?on_decision decisions;
     let scan s =
       (* The shard's own degradation path: exact, over the shard's
          dataset and buffer pool, sequential within the shard (the
          scatter already owns the pool's domains). *)
       match
         Seqscan.range_checked ~pool:Pool.sequential ?spec ?mean_window
-          ?std_band ~budget ?retry s.sdataset ~query ~epsilon
+          ?std_band ~budget s.sdataset ~query ~epsilon
       with
       | Ok r ->
         {
@@ -322,9 +329,9 @@ let range_checked ?pool ?spec ?mean_window ?std_band
           | Some Simq_admission.Degrade_to_scan -> scan s
           | _ -> (
             match
-              Kindex.range_checked ?spec ?mean_window ?std_band ~budget ?retry
-                ?sketch:(shard_funnel ?spec s) ?approx ?anytime s.sindex
-                ~query ~epsilon
+              Kindex.range_checked ?spec ?mean_window ?std_band ~budget
+                ?sketch:(shard_funnel ?spec s) ?approx s.sindex ~query
+                ~epsilon
             with
             | Ok r ->
               {
@@ -339,7 +346,8 @@ let range_checked ?pool ?spec ?mean_window ?std_band
     in
     (try
        Otrace.with_span "shard.scatter" @@ fun () ->
-       Ok (gather_range ?profile t (Pool.map_array ?pool task t.parts))
+       Ok
+         (gather_range ?profile t ~decisions (Pool.map_array ?pool task t.parts))
      with Shard_failed e -> Error e)
 
 (* The unbudgeted forms are the checked ones with no admission and an
@@ -372,7 +380,7 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let gather_nearest ?profile t ~k runs =
+let gather_nearest ?profile t ~k ~decisions runs =
   let neighbours =
     (* Union of per-shard top-k contains the global top-k (each shard's
        list is exact for its entries); the k-way merge is a sort in
@@ -383,7 +391,7 @@ let gather_nearest ?profile t ~k runs =
     |> List.sort by_distance |> take k
   in
   let report =
-    finish ?profile t ~op:(Printf.sprintf "nearest k=%d" k) ~runs
+    finish ?profile t ~op:(Printf.sprintf "nearest k=%d" k) ~decisions ~runs
       ~rows_out:(List.length neighbours)
   in
   { neighbours; nearest_report = report }
@@ -398,8 +406,8 @@ let nn_run t s answers =
     r_partial = false;
   }
 
-let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
-    ?on_decision ?profile t ~query ~k =
+let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
+    ?profile t ~query ~k =
   if k <= 0 then invalid_arg "Simq_shard.nearest: k must be positive";
   let keep = Array.map (fun _ -> true) t.parts in
   let selectivity s =
@@ -412,9 +420,8 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
   match preflight ?admission ~budget ~keep ~selectivity ~sketch_levels t with
   | Error e -> Error e
   | Ok decisions ->
-    notify_decisions ?on_decision decisions;
     let scan s =
-      match Kindex.nearest_scan ?spec ~budget ?retry s.sindex ~query ~k with
+      match Kindex.nearest_scan ?spec ~budget s.sindex ~query ~k with
       | Ok answers -> { (nn_run t s answers) with r_scan = true }
       | Error e -> raise (Shard_failed e)
     in
@@ -423,15 +430,15 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?retry ?admission
         (match decisions.(s.ordinal) with
         | Some Simq_admission.Degrade_to_scan -> scan s
         | _ -> (
-          match
-            Kindex.nearest_checked ?spec ~budget ?retry s.sindex ~query ~k
-          with
-          | Ok answers -> nn_run t s answers
+          match Kindex.nearest_checked ?spec ~budget s.sindex ~query ~k with
+          | Ok r -> nn_run t s r.Kindex.neighbours
           | Error _ -> scan s))
     in
     (try
        Otrace.with_span "shard.scatter" @@ fun () ->
-       Ok (gather_nearest ?profile t ~k (Pool.map_array ?pool task t.parts))
+       Ok
+         (gather_nearest ?profile t ~k ~decisions
+            (Pool.map_array ?pool task t.parts))
      with Shard_failed e -> Error e)
 
 let nearest ?pool ?spec ?profile t ~query ~k =

@@ -80,10 +80,6 @@ val dataset : t -> Simq_tsindex.Dataset.t
     [(lo, hi)], [lo] inclusive, [hi] exclusive. *)
 val bounds : t -> int -> int * int
 
-(** [catalogue_box t i] is the min/max box of shard [i]'s feature
-    points — what the scatter probes before touching the shard. *)
-val catalogue_box : t -> int -> Simq_geometry.Rect.t
-
 (** [shard_index t i] / [shard_dataset t i] expose shard [i]'s own
     index and dataset for inspection and invariant checking (the
     shard's backing relation — its buffer pool — is
@@ -98,6 +94,10 @@ type report = {
   fanout : int;  (** shards that executed *)
   pruned : int;  (** shards refused by their catalogue box *)
   degraded : int;  (** executed shards answered by their own scan *)
+  admission : Simq_admission.decision option array;
+      (** the admission decision of each shard, in shard order: [None]
+          for a pruned shard, and for every shard when no [admission]
+          policy was given *)
 }
 
 (** [survivors t ?spec ~query ~epsilon] is the catalogue plan of the
@@ -123,9 +123,10 @@ type range_result = {
           shard contributes its cardinality *)
   node_accesses : int;  (** summed over executed shards (0 for scans) *)
   partial : bool;
-      (** some shard's anytime verification ([?anytime]) was cut short
-          by its budget: the merged answers are a sound subset. Always
-          [false] without [?anytime], and for scan-degraded shards *)
+      (** some shard's approximate run ([?approx]) had its exact
+          verification cut short by its budget: the merged answers are
+          a sound subset. Always [false] without [?approx], and for
+          scan-degraded shards *)
   report : report;
 }
 
@@ -145,7 +146,7 @@ val range :
   epsilon:float ->
   range_result
 
-(** [range_checked t ?spec ?budget ?retry ?admission ~query ~epsilon]
+(** [range_checked t ?spec ?budget ?admission ~query ~epsilon]
     scatters the range query of {!Simq_tsindex.Kindex.range} over the
     surviving shards under the fault layer, shard by shard, and gathers
     the ordered union. Side constraints ([mean_window]/[std_band])
@@ -168,8 +169,8 @@ val range :
     shard executes} — {!Simq_admission.decide} on the shard's own
     catalogue facts and selectivity histogram (collected lazily, once
     per shard), in shard order, each decision counted in the
-    [simq_admission_decisions_total] family and reported to
-    [on_decision]. Decisions are pure functions of catalogue metadata,
+    [simq_admission_decisions_total] family and reported in the
+    result's [report.admission]. Decisions are pure functions of catalogue metadata,
     the budget and a registry snapshot — identical at every domain
     count. One [Reject] rejects the whole query with the typed
     [Rejected] error and {e nothing executed}: every execution-side
@@ -179,7 +180,8 @@ val range :
     Each executing shard runs {!Simq_tsindex.Kindex.range_checked}
     against its own tree with a fresh state of [budget] (limits are
     per shard-attempt, like retries); a shard whose index path fails —
-    budget exhausted or transient faults outlasting [retry] — degrades
+    budget exhausted or transient faults outlasting the retries —
+    degrades
     to its own {!Simq_tsindex.Seqscan.range_checked} over the shard
     dataset, under the same side constraints, degrading that shard
     only. The admission workload uses the shard's unconstrained
@@ -189,21 +191,18 @@ val range :
     Sketched executors funnel per shard as above; each shard's
     funnel levels feed that shard's admission workload
     ([sketch_levels]), so the cost model sees the comparisons the
-    funnel saves. [?anytime] lets a shard whose budget dies inside
-    exact verification return its sound subset (marked in [partial])
-    instead of degrading to the scan; descent exhaustion still
-    degrades as before. *)
+    funnel saves. An approximate run is also anytime: a shard whose
+    budget dies inside exact verification returns its sound subset
+    (marked in [partial]) instead of degrading to the scan; descent
+    exhaustion still degrades as before. *)
 val range_checked :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Simq_tsindex.Spec.t ->
   ?mean_window:float ->
   ?std_band:float ->
   ?budget:Simq_fault.Budget.t ->
-  ?retry:Simq_fault.Retry.policy ->
   ?admission:Simq_admission.t ->
-  ?on_decision:(Simq_admission.decision -> unit) ->
   ?approx:float ->
-  ?anytime:bool ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t ->
@@ -229,7 +228,7 @@ val nearest :
   k:int ->
   nearest_result
 
-(** [nearest_checked t ?spec ?budget ?retry ?admission ~query ~k]
+(** [nearest_checked t ?spec ?budget ?admission ~query ~k]
     scatters {!Simq_tsindex.Kindex.nearest_checked} over every shard
     (an NN query has no radius to prune on until answers exist, so all
     K execute) and k-way-merges the per-shard top-k lists in
@@ -253,9 +252,7 @@ val nearest_checked :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Simq_tsindex.Spec.t ->
   ?budget:Simq_fault.Budget.t ->
-  ?retry:Simq_fault.Retry.policy ->
   ?admission:Simq_admission.t ->
-  ?on_decision:(Simq_admission.decision -> unit) ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t ->

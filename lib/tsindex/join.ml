@@ -18,6 +18,7 @@ type result = {
   pairs : (int * int) list;
   distance_computations : int;
   node_accesses : int;
+  admission : Simq_admission.decision option;
 }
 
 (* The transformed normal forms (time domain, exact for every spec
@@ -176,6 +177,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
       distance_computations =
         List.fold_left (fun acc (_, c) -> acc + c) 0 partials;
       node_accesses = 0;
+      admission = None;
     }
   in
   Profile.add_rows_in pn count;
@@ -191,8 +193,7 @@ let scan_early_abandon ?pool ?(spec = Spec.Identity) ?profile kindex ~epsilon =
   scan ?pool ?profile ~abandon:true kindex spec epsilon
 
 let scan_checked ?pool ?(spec = Spec.Identity) ?(abandon = true)
-    ?(budget = Budget.unlimited) ?retry ?on_retry ?admission ?on_decision
-    ?profile kindex ~epsilon =
+    ?(budget = Budget.unlimited) ?admission ?profile kindex ~epsilon =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Join.scan: epsilon must be finite and >= 0";
   (* Admission runs once, before any comparison: the join's comparison
@@ -204,13 +205,10 @@ let scan_checked ?pool ?(spec = Spec.Identity) ?(abandon = true)
     | None -> None
     | Some policy ->
       let n = Dataset.cardinality (Kindex.dataset kindex) in
-      let d =
-        Simq_admission.decide_pairs policy
-          ~comparisons:(n * (n - 1) / 2)
-          ~budget
-      in
-      (match on_decision with Some f -> f d | None -> ());
-      Some d
+      Some
+        (Simq_admission.decide_pairs policy
+           ~comparisons:(n * (n - 1) / 2)
+           ~budget)
   in
   match decision with
   | Some (Simq_admission.Reject reject) ->
@@ -218,8 +216,9 @@ let scan_checked ?pool ?(spec = Spec.Identity) ?(abandon = true)
        materialised, no comparison runs. *)
     Error (Simq_admission.error_of_reject reject)
   | Some Simq_admission.Admit | Some Simq_admission.Degrade_to_scan | None ->
-    Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
-        scan ?pool ?bstate ?profile ~abandon kindex spec epsilon)
+    Retry.with_retries ?profile ~budget (fun bstate ->
+        { (scan ?pool ?bstate ?profile ~abandon kindex spec epsilon) with
+          admission = decision })
 
 (* One index range query per sequence; the transformation (when present)
    applies to both the stored side (via the transformed traversal) and
@@ -279,7 +278,7 @@ let index_join ?profile kindex spec epsilon =
   Profile.add_rows_out pn (List.length !pairs);
   Profile.add_survivors pn (List.length !pairs);
   { pairs = List.rev !pairs; distance_computations = !computations;
-    node_accesses = !node_accesses }
+    node_accesses = !node_accesses; admission = None }
 
 let index_untransformed ?profile kindex ~epsilon =
   index_join ?profile kindex Spec.Identity epsilon

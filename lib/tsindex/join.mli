@@ -57,6 +57,10 @@ type result = {
       (** pairs compared: every pair (a), the band-window pairs (b),
           or postprocessing computations (c, d) *)
   node_accesses : int;  (** R-tree nodes visited (0 for a, b) *)
+  admission : Simq_admission.decision option;
+      (** the admission decision of {!scan_checked}, when an
+          [admission] policy was given; [None] for every other
+          method *)
 }
 
 (** [scan_full kindex ?pool ?spec ~epsilon] — method (a). *)
@@ -71,15 +75,16 @@ val scan_early_abandon :
   Kindex.t -> epsilon:float ->
   result
 
-(** [scan_checked kindex ?pool ?spec ?abandon ?budget ?retry ~epsilon]
+(** [scan_checked kindex ?pool ?spec ?abandon ?budget ~epsilon]
     is the scan join ((a) with [abandon:false], (b) — the default —
     otherwise) under a {!Simq_fault.Budget}: on every domain, each
     outer row is guarded once it is done — the budget checked and
     charged the row's comparisons (for (b), the row's band window) —
     so a blown comparison limit or deadline yields a typed error
     instead of an exception (with an unlimited budget the result is
-    bit-identical to the unchecked scan). [retry]/[on_retry] follow
-    {!Simq_fault.Retry.with_retries}.
+    bit-identical to the unchecked scan). Attempts run under
+    {!Simq_fault.Retry.with_retries}; the join reads no page and
+    visits no node, so no fault site can make it retry.
 
     With [?admission] the join is vetted {e before} execution by
     {!Simq_admission.decide_pairs}: the comparison count
@@ -91,16 +96,13 @@ val scan_early_abandon :
     typed [Rejected] error with nothing executed (no transformed
     normal or spectrum materialised, no comparison run); an [Admit]
     runs the scan unchanged, bit-identical to an admission-off call.
-    [on_decision] observes the decision (for query logs). *)
+    The decision comes back in the result's [admission]. *)
 val scan_checked :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Spec.t ->
   ?abandon:bool ->
   ?budget:Simq_fault.Budget.t ->
-  ?retry:Simq_fault.Retry.policy ->
-  ?on_retry:(attempt:int -> unit) ->
   ?admission:Simq_admission.t ->
-  ?on_decision:(Simq_admission.decision -> unit) ->
   ?profile:Simq_obs.Profile.t ->
   Kindex.t ->
   epsilon:float ->

@@ -172,7 +172,7 @@ let region_tests region ptransform =
    concurrently from several domains; {!range_prepared} credits the
    tree's cumulative counter afterwards. *)
 let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
-    ?(anytime = false) ?profile t prepared ~query_coeffs ~epsilon ~distance =
+    ?profile t prepared ~query_coeffs ~epsilon ~distance =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Kindex.range_prepared: epsilon must be finite and >= 0";
   (match approx with
@@ -245,8 +245,9 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
            let d = distance entry in
            if d <= epsilon then kept := (entry, d) :: !kept)
          survivor_ids
-     with Budget.Exceeded _ when anytime ->
-       (* Anytime mode: the budget died inside the verification loop.
+     with Budget.Exceeded _ when Option.is_some approx ->
+       (* Approximate mode is anytime: the budget died inside the
+          verification loop.
           Every answer already collected paid its exact distance, so
           the result is a sound subset — return it marked partial
           instead of failing the whole query. *)
@@ -267,11 +268,11 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
   Metrics.add m_survivors survivors;
   { answers; candidates; node_accesses; partial = !partial }
 
-let range_prepared ?mean_range ?std_range ?prefilter ?approx ?anytime ?profile
-    t prepared ~query_coeffs ~epsilon ~distance =
+let range_prepared ?mean_range ?std_range ?prefilter ?approx ?profile t
+    prepared ~query_coeffs ~epsilon ~distance =
   let result =
-    range_prepared_counted ?mean_range ?std_range ?prefilter ?approx ?anytime
-      ?profile t prepared ~query_coeffs ~epsilon ~distance
+    range_prepared_counted ?mean_range ?std_range ?prefilter ?approx ?profile t
+      prepared ~query_coeffs ~epsilon ~distance
   in
   Rstar.add_accesses t.tree result.node_accesses;
   result
@@ -341,18 +342,18 @@ let build_funnel sketch q =
   match sketch with None -> None | Some f -> (f q : prefilter option)
 
 let range ?(spec = Spec.Identity) ?(normalise_query = true) ?mean_window
-    ?std_band ?sketch ?approx ?anytime ?profile t ~query ~epsilon =
+    ?std_band ?sketch ?approx ?profile t ~query ~epsilon =
   let mean_range, std_range, q, query_coeffs, prepared =
     range_request ?mean_window ?std_band ~normalise_query t spec query
   in
   range_prepared ?mean_range ?std_range
     ?prefilter:(build_funnel sketch q)
-    ?approx ?anytime ?profile t prepared ~query_coeffs ~epsilon
+    ?approx ?profile t prepared ~query_coeffs ~epsilon
     ~distance:(prepared_distance t prepared q)
 
 let range_checked ?(spec = Spec.Identity) ?(normalise_query = true)
-    ?mean_window ?std_band ?(budget = Budget.unlimited) ?retry ?on_retry
-    ?sketch ?approx ?anytime ?profile t ~query ~epsilon =
+    ?mean_window ?std_band ?(budget = Budget.unlimited) ?sketch ?approx
+    ?profile t ~query ~epsilon =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Kindex.range: epsilon must be finite and >= 0";
   let mean_range, std_range, q, query_coeffs, prepared =
@@ -360,12 +361,12 @@ let range_checked ?(spec = Spec.Identity) ?(normalise_query = true)
   in
   let prefilter = build_funnel sketch q in
   let distance = prepared_distance t prepared q in
-  Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
+  Retry.with_retries ?profile ~budget (fun bstate ->
       (* Node accesses are credited to the tree only for the attempt
          that succeeds. *)
       let result =
         range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter
-          ?approx ?anytime ?profile t prepared ~query_coeffs ~epsilon ~distance
+          ?approx ?profile t prepared ~query_coeffs ~epsilon ~distance
       in
       Rstar.add_accesses t.tree result.node_accesses;
       result)
@@ -608,13 +609,13 @@ let nearest_scan_counted ?bstate ?profile t ~dist ~k =
   Array.to_list (Array.sub scored 0 n)
 
 let nearest_scan ?(spec = Spec.Identity) ?(normalise_query = true)
-    ?(budget = Budget.unlimited) ?retry ?on_retry ?profile t ~query ~k =
+    ?(budget = Budget.unlimited) ?profile t ~query ~k =
   check_query_length t spec query;
   if k <= 0 then invalid_arg "Kindex.nearest_scan: k must be positive";
   let q = Dataset.prepare_query ~normalise:normalise_query query in
   let prepared = prepare t spec in
   let dist = prepared_distance t prepared q in
-  Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
+  Retry.with_retries ?profile ~budget (fun bstate ->
       nearest_scan_counted ?bstate ?profile t ~dist ~k)
 
 (* What admission control knows about an NN query before running it:
@@ -635,9 +636,13 @@ let nn_workload t ~k =
     sketch_levels = 0;
   }
 
+type nearest_result = {
+  neighbours : (Dataset.entry * float) list;
+  admission : Simq_admission.decision option;
+}
+
 let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
-    ?(budget = Budget.unlimited) ?retry ?on_retry ?admission ?on_decision
-    ?profile t ~query ~k =
+    ?(budget = Budget.unlimited) ?admission ?profile t ~query ~k =
   check_query_length t spec query;
   if k <= 0 then invalid_arg "Kindex.nearest_checked: k must be positive";
   let q, prepared, _, pn =
@@ -657,15 +662,17 @@ let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
           ~prefer:Simq_admission.Index_path ~budget
       in
       Profile.add_event pn ("admission: " ^ Simq_admission.decision_name d);
-      (match on_decision with Some f -> f d | None -> ());
       Some d
   in
   let finish result =
     Profile.add_pages pn !visits;
-    (match result with
-    | Ok answers -> Profile.add_rows_out pn (List.length answers)
-    | Error e -> Profile.add_event pn ("error: " ^ Simq_fault.Error.kind e));
-    result
+    match result with
+    | Ok neighbours ->
+      Profile.add_rows_out pn (List.length neighbours);
+      Ok { neighbours; admission = decision }
+    | Error e ->
+      Profile.add_event pn ("error: " ^ Simq_fault.Error.kind e);
+      Error e
   in
   match decision with
   | Some (Simq_admission.Reject reject) ->
@@ -674,7 +681,7 @@ let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
     finish (Error (Simq_admission.error_of_reject reject))
   | _ ->
     finish
-      (Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
+      (Retry.with_retries ?profile ~budget (fun bstate ->
            match decision with
            | Some Simq_admission.Degrade_to_scan ->
              nearest_scan_counted ?bstate ?profile t

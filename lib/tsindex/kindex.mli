@@ -46,11 +46,11 @@ type range_result = {
   candidates : int;  (** leaf hits before postprocessing (>= answers) *)
   node_accesses : int;  (** R-tree nodes visited by this query *)
   partial : bool;
-      (** [true] only in anytime mode ([?anytime]) when the budget
-          died inside exact verification: the answers returned are a
-          sound subset of the exact answer (each one paid its exact
-          distance), and the tail was never verified. Always [false]
-          otherwise. *)
+      (** [true] only on a checked, approximate ([?approx]) run whose
+          budget died inside exact verification: the answers returned
+          are a sound subset of the exact answer (each one paid its
+          exact distance), and the tail was never verified. Always
+          [false] otherwise. *)
 }
 
 (** A multi-resolution sketch funnel, run between the index descent
@@ -86,7 +86,6 @@ val range :
   ?std_band:float ->
   ?sketch:(Dataset.entry -> prefilter option) ->
   ?approx:float ->
-  ?anytime:bool ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t ->
@@ -110,9 +109,9 @@ val range :
     cutoff to [(1 - a)·ε]: every returned answer is still a true
     answer, but answers whose distance lies in [((1 - a)·ε, ε]] may be
     dismissed at sketch resolution — the ε-guaranteed approximate
-    mode. [Invalid_argument] when [a] is outside [[0, 1)].
-    [?anytime] (checked paths; default false) turns budget exhaustion
-    {e inside exact verification} into a partial result
+    mode. [Invalid_argument] when [a] is outside [[0, 1)]. The
+    approximate mode is also {e anytime}: on the checked path, budget
+    exhaustion inside exact verification returns a partial result
     ([partial = true]) instead of a typed error — exhaustion during
     the descent still fails the query, because no sound subset exists
     yet.
@@ -125,14 +124,13 @@ val range :
     simple shifts and scales compose with the general transformations
     this way. *)
 
-(** [range_checked t ?spec ?budget ?retry ~query ~epsilon] is {!range}
+(** [range_checked t ?spec ?budget ~query ~epsilon] is {!range}
     under a {!Simq_fault.Budget} and bounded {!Simq_fault.Retry}: node
     visits are charged against the budget inside the traversal
     (cooperatively cancellable), candidate postprocessing charges one
     comparison per candidate, and transient node-access faults from the
-    budget's fault plan are retried per [retry] (default
-    {!Simq_fault.Retry.default}; [on_retry] observes abandoned
-    attempts). Returns the exact
+    budget's fault plan are retried, each retry an event on the
+    caller's innermost open [profile] node. Returns the exact
     {!range} result or a typed error — never a fault or budget
     exception. Each attempt gets a fresh budget state; the tree's
     cumulative access counter is credited only by a successful
@@ -143,11 +141,8 @@ val range_checked :
   ?mean_window:float ->
   ?std_band:float ->
   ?budget:Simq_fault.Budget.t ->
-  ?retry:Simq_fault.Retry.policy ->
-  ?on_retry:(attempt:int -> unit) ->
   ?sketch:(Dataset.entry -> prefilter option) ->
   ?approx:float ->
-  ?anytime:bool ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t ->
@@ -204,7 +199,7 @@ val nearest :
   t ->
   query:Simq_series.Series.t -> k:int -> (Dataset.entry * float) list
 
-(** [nearest_scan t ?spec ?budget ?retry ~query ~k] answers the same
+(** [nearest_scan t ?spec ?budget ~query ~k] answers the same
     query as {!nearest} through an exact linear selection over the
     prepared entries — the degraded NN path, exposed so callers (the
     scatter-gather executor of {!module:Simq_shard}) can degrade one
@@ -219,22 +214,29 @@ val nearest_scan :
   ?spec:Spec.t ->
   ?normalise_query:bool ->
   ?budget:Simq_fault.Budget.t ->
-  ?retry:Simq_fault.Retry.policy ->
-  ?on_retry:(attempt:int -> unit) ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t ->
   k:int ->
   ((Dataset.entry * float) list, Simq_fault.Error.t) Result.t
 
-(** [nearest_checked t ?spec ?budget ?retry ?admission ~query ~k] is
+type nearest_result = {
+  neighbours : (Dataset.entry * float) list;
+      (** the {!nearest} answer, closest first *)
+  admission : Simq_admission.decision option;
+      (** the admission decision, when an [admission] policy was
+          given *)
+}
+
+(** [nearest_checked t ?spec ?budget ?admission ~query ~k] is
     {!nearest} (which it runs without a sketch) under a
     {!Simq_fault.Budget} and bounded {!Simq_fault.Retry}: the same
     traversal, with every node
     expansion checked and charged as a node access and every
     refinement (or warp distance) as one comparison; queue keys charge
-    nothing. Node faults from the budget's fault plan are retried per
-    [retry]; outlasting the retries is a typed [Io_failed], like budget
+    nothing. Node faults from the budget's fault plan are retried, each
+    retry an event on the [kindex.nearest] profile node; outlasting
+    the retries is a typed [Io_failed], like budget
     exhaustion, never a degradation. Without a budget, admission or
     profile it is the plain {!nearest} run. Returns the exact
     {!nearest} result or a typed error; each attempt gets a fresh
@@ -252,21 +254,18 @@ val nearest_scan :
     exactly through a linear selection over the prepared entries
     (priced like the scan path: one comparison and one logical page
     read per series, ties at the [k] boundary broken on the entry
-    id); [Admit] runs the index traversal unchanged. [on_decision]
-    observes the decision (for query logs). *)
+    id); [Admit] runs the index traversal unchanged. The decision
+    comes back in the result's [admission]. *)
 val nearest_checked :
   ?spec:Spec.t ->
   ?normalise_query:bool ->
   ?budget:Simq_fault.Budget.t ->
-  ?retry:Simq_fault.Retry.policy ->
-  ?on_retry:(attempt:int -> unit) ->
   ?admission:Simq_admission.t ->
-  ?on_decision:(Simq_admission.decision -> unit) ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t ->
   k:int ->
-  ((Dataset.entry * float) list, Simq_fault.Error.t) Result.t
+  (nearest_result, Simq_fault.Error.t) Result.t
 
 (** [range_generic t ?spec ~query_coeffs ~epsilon ~distance] is the
     engine behind {!range} and the join methods: [query_coeffs] are the
@@ -300,14 +299,13 @@ val prepare : t -> Spec.t -> prepared
 (** [range_prepared t prepared ~query_coeffs ~epsilon ~distance] is
     {!range_generic} with the preparation factored out. [?prefilter]
     is an already-built funnel (the prepared-query entry is the
-    caller's here), run under the same exact/approx/anytime contract
-    as {!range}'s [?sketch]. *)
+    caller's here), run under the same exact/approx contract as
+    {!range}'s [?sketch]. *)
 val range_prepared :
   ?mean_range:Simq_geometry.Region.range ->
   ?std_range:Simq_geometry.Region.range ->
   ?prefilter:prefilter ->
   ?approx:float ->
-  ?anytime:bool ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   prepared ->

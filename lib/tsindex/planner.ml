@@ -71,7 +71,10 @@ let estimate_answers stats ~cardinality ~epsilon =
 
 type plan = Use_index | Use_scan
 
-let choose ?(scan_threshold = 0.3) stats ~cardinality ~epsilon =
+(* The paper's "one third of the relation" crossover. *)
+let scan_threshold = 0.3
+
+let choose stats ~cardinality ~epsilon =
   let expected = estimate_answers stats ~cardinality ~epsilon in
   let plan =
     if expected > scan_threshold *. float_of_int cardinality then Use_scan
@@ -92,34 +95,6 @@ let pp_plan ppf plan = Format.pp_print_string ppf (plan_name plan)
 
 module Budget = Simq_fault.Budget
 module Error = Simq_fault.Error
-
-type counters = {
-  mutable queries : int;
-  mutable index_attempts : int;
-  mutable degraded : int;
-  mutable retries : int;
-  mutable failures : int;
-  mutable rejected : int;
-}
-
-let create_counters () =
-  {
-    queries = 0;
-    index_attempts = 0;
-    degraded = 0;
-    retries = 0;
-    failures = 0;
-    rejected = 0;
-  }
-
-let degradation_rate c =
-  if c.queries = 0 then 0. else float_of_int c.degraded /. float_of_int c.queries
-
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "queries=%d index_attempts=%d degraded=%d retries=%d failures=%d \
-     rejected=%d"
-    c.queries c.index_attempts c.degraded c.retries c.failures c.rejected
 
 type resilient_result = {
   answers : (Dataset.entry * float) list;
@@ -146,24 +121,12 @@ let admission_workload ?stats ?(sketch_levels = 0) kindex ~epsilon =
   }
 
 let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
-    ?stats ?(budget = Budget.unlimited) ?retry ?counters ?(validate = false)
-    ?admission ?sketch ?(sketch_levels = 0) ?approx ?anytime ?profile kindex
-    ~query ~epsilon =
-  let bump f = match counters with Some c -> f c | None -> () in
-  bump (fun c -> c.queries <- c.queries + 1);
+    ?stats ?(budget = Budget.unlimited) ?(validate = false) ?admission ?sketch
+    ?(sketch_levels = 0) ?approx ?profile kindex ~query ~epsilon =
   let pn = Profile.enter profile "planner" in
   Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
-  let on_retry ~attempt =
-    Profile.add_event pn (Printf.sprintf "retry: attempt %d abandoned" attempt);
-    bump (fun c -> c.retries <- c.retries + 1)
-  in
   let dataset = Kindex.dataset kindex in
-  let scan () =
-    Seqscan.range_checked ?pool ~spec ?mean_window ?std_band ~budget ?retry
-      ~on_retry ?profile dataset ~query ~epsilon
-  in
   let failed e =
-    bump (fun c -> c.failures <- c.failures + 1);
     Metrics.incr m_failures;
     Profile.add_event pn ("error: " ^ Error.kind e);
     Error e
@@ -206,25 +169,11 @@ let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
   (* The fallback restarts the budget (range_checked derives a fresh
      state per attempt): limits bound each execution attempt, and a
      degraded query must be allowed to finish its scan. *)
-  let fallback index_error =
-    bump (fun c -> c.degraded <- c.degraded + 1);
-    Metrics.incr m_degraded;
-    Profile.add_event pn ("degraded: " ^ Error.kind index_error);
-    match scan () with
-    | Ok (r : Seqscan.result) ->
-      Ok
-        {
-          answers = r.Seqscan.answers;
-          executed = Use_scan;
-          degraded = true;
-          partial = false;
-          index_error = Some index_error;
-          admission = decision;
-        }
-    | Error e -> failed e
-  in
-  let run_scan ~degraded =
-    match scan () with
+  let run_scan ?index_error ~degraded () =
+    match
+      Seqscan.range_checked ?pool ~spec ?mean_window ?std_band ~budget
+        ?profile dataset ~query ~epsilon
+    with
     | Ok (r : Seqscan.result) ->
       Ok
         {
@@ -232,19 +181,23 @@ let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
           executed = Use_scan;
           degraded;
           partial = false;
-          index_error = None;
+          index_error;
           admission = decision;
         }
     | Error e -> failed e
+  in
+  let fallback index_error =
+    Metrics.incr m_degraded;
+    Profile.add_event pn ("degraded: " ^ Error.kind index_error);
+    run_scan ~index_error ~degraded:true ()
   in
   let run_index () =
     if validate && not (Simq_rtree.Check.is_valid (Kindex.tree kindex)) then
       fallback (Error.Index_unusable { reason = "R-tree invariant check failed" })
     else begin
-      bump (fun c -> c.index_attempts <- c.index_attempts + 1);
       match
-        Kindex.range_checked ~spec ?mean_window ?std_band ~budget ?retry
-          ~on_retry ?sketch ?approx ?anytime ?profile kindex ~query ~epsilon
+        Kindex.range_checked ~spec ?mean_window ?std_band ~budget ?sketch
+          ?approx ?profile kindex ~query ~epsilon
       with
       | Ok (r : Kindex.range_result) ->
         Ok
@@ -261,15 +214,15 @@ let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
   in
   match decision with
   | Some (Simq_admission.Reject reject) ->
-    (* Refused before execution: not an execution failure, so only the
-       rejection counter moves, and no page was read. *)
-    bump (fun c -> c.rejected <- c.rejected + 1);
+    (* Refused before execution: not an execution failure, and no page
+       was read. *)
     Profile.add_event pn "rejected by admission control";
     Error (Simq_admission.error_of_reject reject)
   | Some Simq_admission.Degrade_to_scan ->
-    bump (fun c -> c.degraded <- c.degraded + 1);
     Metrics.incr m_degraded;
     Profile.add_event pn "degraded: admission";
-    run_scan ~degraded:true
+    run_scan ~degraded:true ()
   | None | Some Simq_admission.Admit -> (
-    match plan with Use_scan -> run_scan ~degraded:false | Use_index -> run_index ())
+    match plan with
+    | Use_scan -> run_scan ~degraded:false ()
+    | Use_index -> run_index ())

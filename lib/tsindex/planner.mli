@@ -22,14 +22,11 @@ val estimate_answers : stats -> cardinality:int -> epsilon:float -> float
 
 type plan = Use_index | Use_scan
 
-(** [choose ?scan_threshold stats ~cardinality ~epsilon] picks the access
-    path: scan when the expected answer fraction exceeds
-    [scan_threshold] (default 0.3, the paper's “one third of the
-    relation” crossover). Returns the plan and the expected answer
-    count. *)
-val choose :
-  ?scan_threshold:float -> stats -> cardinality:int -> epsilon:float ->
-  plan * float
+(** [choose stats ~cardinality ~epsilon] picks the access path: scan
+    when the expected answer fraction exceeds 0.3 (the paper's “one
+    third of the relation” crossover). Returns the plan and the
+    expected answer count. *)
+val choose : stats -> cardinality:int -> epsilon:float -> plan * float
 
 val pp_plan : Format.formatter -> plan -> unit
 
@@ -41,28 +38,12 @@ val pp_plan : Format.formatter -> plan -> unit
     outlasting every retry, or a failed {!Simq_rtree.Check} validation
     — fall back to the sequential scan for that query. Both paths are
     exact, so a degraded query still returns the Lemma 1 answer; only
-    cost changes, and the fallback is recorded in {!counters} so
-    reports can show degradation rates. *)
-
-(** Mutable per-workload counters, shared by every query routed through
-    {!range_resilient} with the same record. *)
-type counters = {
-  mutable queries : int;  (** queries routed through {!range_resilient} *)
-  mutable index_attempts : int;  (** queries that tried the index path *)
-  mutable degraded : int;  (** queries that fell back to the scan *)
-  mutable retries : int;  (** transient-fault attempts abandoned *)
-  mutable failures : int;  (** executed queries that returned [Error] *)
-  mutable rejected : int;
-      (** queries refused by admission control before execution (not
-          counted in [failures]: nothing ran) *)
-}
-
-val create_counters : unit -> counters
-
-(** [degradation_rate c] is [degraded / queries] (0 when idle). *)
-val degradation_rate : counters -> float
-
-val pp_counters : Format.formatter -> counters -> unit
+    cost changes. The registry counts every outcome:
+    [simq_planner_path_index_total]/[simq_planner_path_scan_total] per
+    plan, [simq_planner_degraded_total] per fallback,
+    [simq_planner_failures_total] per executed query that returned
+    [Error], [simq_fault_retries_total] per abandoned attempt and
+    [simq_admission_decisions_total] per admission decision. *)
 
 type resilient_result = {
   answers : (Dataset.entry * float) list;
@@ -72,7 +53,7 @@ type resilient_result = {
           the index path failed mid-flight, or admission control
           predicted it would and redirected before execution *)
   partial : bool;
-      (** the index path ran in anytime mode ([?anytime]) and its
+      (** the index path ran in approximate mode ([?approx]) and its
           budget died inside exact verification: the answers are a
           sound subset (see {!Kindex.range_result}). Always [false] on
           the scan path *)
@@ -83,11 +64,10 @@ type resilient_result = {
       (** the admission decision, when an [admission] policy was given *)
 }
 
-(** [range_resilient kindex ?stats ?budget ?retry ?counters ?validate
-    ?admission ~query ~epsilon] plans ([Use_index] when [stats] is
-    omitted), executes under [budget] (default unlimited) with [retry]
-    (default {!Simq_fault.Retry.default}), and degrades index failures
-    to the scan. Each execution attempt gets a fresh budget state — in
+(** [range_resilient kindex ?stats ?budget ?validate ?admission ~query
+    ~epsilon] plans ([Use_index] when [stats] is omitted), executes
+    under [budget] (default unlimited) with {!Simq_fault.Retry}'s
+    bounded retries, and degrades index failures to the scan. Each execution attempt gets a fresh budget state — in
     particular the fallback scan restarts the budget, so a degraded
     query can still complete. [validate:true] (default false) checks
     the R*-tree invariants first and treats a violation as an index
@@ -100,18 +80,20 @@ type resilient_result = {
     unchanged (bit-identical answers to the same call without
     [admission]); [Degrade_to_scan] runs the scan directly; [Reject]
     returns [Error (Simq_fault.Error.Rejected _)] without executing
-    anything, bumping [counters.rejected] only.
+    anything (not counted as a failure: nothing ran).
 
     With [?profile] ({!Simq_obs.Profile}) the query records a
     [planner] operator node — [plan] and [admit] children annotated
-    with the chosen path and the admission decision, retry and
-    degradation events, and the executed access path's own node below
-    it. The profile never changes answers, counters or decisions. The
+    with the chosen path and the admission decision, the index path's
+    retry events and degradation events, and the executed access
+    path's own node below it (a scan records its own retries on its
+    [seqscan.range] node). The profile never changes answers, counters
+    or decisions. The
     planner logs nothing: a query's log line is built from
     [Simq_serve.Engine]'s request record.
 
-    [?sketch]/[?approx]/[?anytime] thread the {!Kindex} sketch funnel
-    into the index path only — the fallback scan is always exact and
+    [?sketch]/[?approx] thread the {!Kindex} sketch funnel (and the
+    anytime mode an approximation brings) into the index path only — the fallback scan is always exact and
     full, so a degraded query keeps the Lemma 1 answer even in
     approximate mode (a superset of the approximate answers, every one
     true). [?sketch_levels] feeds the funnel's level count into the
@@ -132,14 +114,11 @@ val range_resilient :
   ?std_band:float ->
   ?stats:stats ->
   ?budget:Simq_fault.Budget.t ->
-  ?retry:Simq_fault.Retry.policy ->
-  ?counters:counters ->
   ?validate:bool ->
   ?admission:Simq_admission.t ->
   ?sketch:(Dataset.entry -> Kindex.prefilter option) ->
   ?sketch_levels:int ->
   ?approx:float ->
-  ?anytime:bool ->
   ?profile:Simq_obs.Profile.t ->
   Kindex.t ->
   query:Simq_series.Series.t ->

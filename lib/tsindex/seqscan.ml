@@ -160,11 +160,15 @@ let profiled_scan ~pool ~abandon ~normalise_query ?bstate ?sides ?profile
     dataset spec query epsilon =
   Otrace.with_span "seqscan.range" (fun () ->
       let count = Array.length (Dataset.entries dataset) in
+      (* A page fault aborts the attempt here: closing the node keeps a
+         retried attempt's nodes beside this one, not inside it. *)
       let pio = Profile.enter profile "seqscan.io" in
-      Otrace.with_span "seqscan.io" (fun () ->
-          account_io ?budget:bstate dataset);
-      Profile.add_pages pio count;
-      Profile.leave profile pio;
+      Fun.protect
+        ~finally:(fun () -> Profile.leave profile pio)
+        (fun () ->
+          Otrace.with_span "seqscan.io" (fun () ->
+              account_io ?budget:bstate dataset);
+          Profile.add_pages pio count);
       let pc = Profile.enter profile "seqscan.compute" in
       let result =
         scan_compute ~pool ~abandon ~normalise_query ?bstate ?sides dataset
@@ -207,22 +211,18 @@ let range_early_abandon ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
 
 let range_checked ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
     ?mean_window ?std_band ?(abandon = true) ?(budget = Budget.unlimited)
-    ?retry ?on_retry ?profile dataset ~query ~epsilon =
+    ?profile dataset ~query ~epsilon =
   check_query_length dataset spec query;
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Seqscan: epsilon must be finite and >= 0";
   let sides = Dataset.side_ranges ?mean_window ?std_band query in
   let pool = resolve_pool pool in
   let pn = Profile.enter profile "seqscan.range" in
-  let on_retry ~attempt =
-    Profile.add_event pn (Printf.sprintf "retry: attempt %d abandoned" attempt);
-    match on_retry with Some f -> f ~attempt | None -> ()
-  in
   Fun.protect
     ~finally:(fun () -> Profile.leave profile pn)
     (fun () ->
       let result =
-        Retry.with_retries ?policy:retry ~on_retry ~budget (fun bstate ->
+        Retry.with_retries ?profile ~budget (fun bstate ->
             profiled_scan ~pool ~abandon ~normalise_query ?bstate ~sides
               ?profile dataset spec query epsilon)
       in

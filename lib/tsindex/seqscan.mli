@@ -48,7 +48,7 @@ val range_early_abandon :
   Dataset.t -> query:Simq_series.Series.t -> epsilon:float ->
   result
 
-(** [range_checked dataset ?pool ?spec ?abandon ?budget ?retry ~query
+(** [range_checked dataset ?pool ?spec ?abandon ?budget ~query
     ~epsilon] is the resilient scan: same answers as
     {!range_early_abandon} (or {!range_full} with [abandon:false]) but
     executed under a {!Simq_fault.Budget} and bounded
@@ -56,9 +56,9 @@ val range_early_abandon :
     Each attempt gets a fresh budget state, charged for every page the
     attempt touches on the backing relation and checked per entry in
     every scan domain; transient page-read faults from the budget's
-    fault plan ({!Simq_fault.Budget.create} [~faults]) are retried per
-    [retry] (default {!Simq_fault.Retry.default}), with [on_retry] told
-    about each abandoned attempt. With an unlimited budget and no fault
+    fault plan ({!Simq_fault.Budget.create} [~faults]) are retried, each
+    abandoned attempt an event on the [seqscan.range] profile node.
+    With an unlimited budget and no fault
     plan the result is bit-identical to the unchecked scan.
 
     [?mean_window]/[?std_band] are the side constraints of
@@ -77,8 +77,6 @@ val range_checked :
   ?std_band:float ->
   ?abandon:bool ->
   ?budget:Simq_fault.Budget.t ->
-  ?retry:Simq_fault.Retry.policy ->
-  ?on_retry:(attempt:int -> unit) ->
   ?profile:Simq_obs.Profile.t ->
   Dataset.t -> query:Simq_series.Series.t -> epsilon:float ->
   (result, Simq_fault.Error.t) Result.t

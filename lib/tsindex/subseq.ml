@@ -4,8 +4,6 @@ module Coords = Simq_geometry.Coords
 module Region = Simq_geometry.Region
 module Rect = Simq_geometry.Rect
 module Rstar = Simq_rtree.Rstar
-module Budget = Simq_fault.Budget
-module Retry = Simq_fault.Retry
 module Metrics = Simq_obs.Metrics
 module Otrace = Simq_obs.Trace
 module Profile = Simq_obs.Profile
@@ -112,10 +110,10 @@ let expand_candidate t query ~epsilon payload acc =
   done;
   !result
 
-(* The engine behind {!range} and {!range_checked}: accesses counted
-   locally and credited afterwards, each candidate window charged as one
-   comparison against an optional budget state. *)
-let range_compute ?bstate ?profile t ~query ~epsilon =
+(* Node accesses are counted locally and credited afterwards. *)
+let range ?profile t ~query ~epsilon =
+  check_query t query;
+  if epsilon < 0. then invalid_arg "Subseq.range: negative epsilon";
   let pn = Profile.enter profile "subseq.range" in
   Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
   Otrace.with_span "subseq.range" @@ fun () ->
@@ -127,12 +125,11 @@ let range_compute ?bstate ?profile t ~query ~epsilon =
   let pd = Profile.enter profile "subseq.descent" in
   let hits, accesses =
     Otrace.with_span "subseq.descent" (fun () ->
-        Rstar.fold_region_counted ?budget:bstate t.tree
+        Rstar.fold_region_counted t.tree
           ~overlaps:(fun r -> Region.intersects_rect region r)
           ~matches:(fun r _ -> Region.intersects_rect region r)
           ~init:[]
           ~f:(fun acc _ payload ->
-            Budget.comparisons bstate payload.run;
             candidates := !candidates + payload.run;
             expand_candidate t query ~epsilon payload acc))
   in
@@ -159,34 +156,15 @@ let range_compute ?bstate ?profile t ~query ~epsilon =
   Metrics.add m_survivors survivors;
   (hits, !candidates)
 
-let range ?profile t ~query ~epsilon =
+let nearest ?profile t ~query ~k =
   check_query t query;
-  if epsilon < 0. then invalid_arg "Subseq.range: negative epsilon";
-  range_compute ?profile t ~query ~epsilon
-
-let range_checked ?(budget = Budget.unlimited) ?retry ?on_retry ?profile t
-    ~query ~epsilon =
-  check_query t query;
-  if epsilon < 0. then invalid_arg "Subseq.range_checked: negative epsilon";
-  Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
-      range_compute ?bstate ?profile t ~query ~epsilon)
-
-let nearest_compute ?bstate ?profile t ~query ~k =
   let pn = Profile.enter profile "subseq.nearest" in
   Profile.set_detail pn (Printf.sprintf "k=%d" k);
   Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
   Otrace.with_span "subseq.nearest" @@ fun () ->
   let query_point = encode ~k:t.k query in
   let visits = ref 0 in
-  let visit =
-    match (bstate, pn) with
-    | None, None -> None
-    | _ ->
-        Some
-          (fun () ->
-            incr visits;
-            Budget.node_access bstate)
-  in
+  let visit = Option.map (fun _ () -> incr visits) pn in
   (* With trails an entry stands for [run] windows; best-first over
      entries keyed by the minimum distance of their windows, expanded as
      they surface, stays exact because the feature-space MINDIST
@@ -195,7 +173,6 @@ let nearest_compute ?bstate ?profile t ~query ~k =
     ~rect_bound:(fun r -> Rect.mindist query_point r)
     ~point_dist:(fun _ payload ->
       Profile.add_candidates pn payload.run;
-      Budget.comparisons bstate payload.run;
       let best = ref Float.infinity in
       for offset = payload.first to payload.first + payload.run - 1 do
         best :=
@@ -225,14 +202,3 @@ let nearest_compute ?bstate ?profile t ~query ~k =
   Profile.add_pages pn !visits;
   Profile.add_rows_out pn (List.length hits);
   hits
-
-let nearest ?profile t ~query ~k =
-  check_query t query;
-  nearest_compute ?profile t ~query ~k
-
-let nearest_checked ?(budget = Budget.unlimited) ?retry ?on_retry ?profile t
-    ~query ~k =
-  check_query t query;
-  if k <= 0 then invalid_arg "Subseq.nearest_checked: k must be positive";
-  Retry.with_retries ?policy:retry ?on_retry ~budget (fun bstate ->
-      nearest_compute ?bstate ?profile t ~query ~k)

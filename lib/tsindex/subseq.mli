@@ -53,7 +53,7 @@ val index_entries : t -> int
 (** [range t ~query ~epsilon] is every window within [epsilon] of
     [query] (whose length must equal [window t]), sorted by series id
     then offset, plus the number of window positions postprocessed. *)
-(** All four query entry points take an optional [?profile]
+(** Both query entry points take an optional [?profile]
     ({!Simq_obs.Profile}): range queries record a [subseq.range]
     operator node with [subseq.descent]/[subseq.postfilter] children,
     nearest queries a [subseq.nearest] node whose pages are the node
@@ -64,22 +64,6 @@ val range :
   ?profile:Simq_obs.Profile.t ->
   t -> query:Simq_series.Series.t -> epsilon:float -> hit list * int
 
-(** [range_checked t ?budget ?retry ~query ~epsilon] is {!range} under
-    a {!Simq_fault.Budget} and bounded {!Simq_fault.Retry}: node visits
-    are charged inside the traversal (and consult the budget's fault
-    plan), every candidate window position as one comparison. Returns the exact {!range} result or a typed
-    error; each attempt gets a fresh budget state. Argument validation
-    still raises [Invalid_argument]. *)
-val range_checked :
-  ?budget:Simq_fault.Budget.t ->
-  ?retry:Simq_fault.Retry.policy ->
-  ?on_retry:(attempt:int -> unit) ->
-  ?profile:Simq_obs.Profile.t ->
-  t ->
-  query:Simq_series.Series.t ->
-  epsilon:float ->
-  (hit list * int, Simq_fault.Error.t) Result.t
-
 (** [nearest t ~query ~k] is the [k] closest windows, closest first
     (ties broken arbitrarily). Exact in both layouts: every popped
     trail contributes at least its best window, so the globally
@@ -87,19 +71,3 @@ val range_checked :
 val nearest :
   ?profile:Simq_obs.Profile.t ->
   t -> query:Simq_series.Series.t -> k:int -> hit list
-
-(** [nearest_checked t ?budget ?retry ~query ~k] is {!nearest} under a
-    budget: node expansions consult its fault plan and charge node
-    accesses, each candidate entry's window evaluations charge
-    comparisons. Transient faults are retried per [retry], each attempt
-    with a fresh budget state. Returns the exact {!nearest} result or a
-    typed error. *)
-val nearest_checked :
-  ?budget:Simq_fault.Budget.t ->
-  ?retry:Simq_fault.Retry.policy ->
-  ?on_retry:(attempt:int -> unit) ->
-  ?profile:Simq_obs.Profile.t ->
-  t ->
-  query:Simq_series.Series.t ->
-  k:int ->
-  (hit list, Simq_fault.Error.t) Result.t

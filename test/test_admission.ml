@@ -130,42 +130,27 @@ let test_deadline_prediction_needs_history () =
   | Admission.Admit -> ()
   | d -> Alcotest.failf "roomy deadline must admit, got %s" (Admission.decision_name d)
 
-let test_calibration_is_clamped () =
-  let registry = Metrics.create_registry () in
-  let t = Admission.create ~registry () in
+(* A query is admitted while every estimate fits its limit: the index
+   comparison estimate 2 * sel * cardinality = 20 admits against a
+   limit of 20, and one less sends it to a scan that fits no better. *)
+let test_estimate_at_limit_admits () =
+  let t = Admission.create ~registry:(Metrics.create_registry ()) () in
   let w = workload ~cardinality:1000 ~selectivity:0.01 () in
-  let base = Admission.estimate t w in
   Alcotest.(check int)
-    "uncalibrated index comparisons = 2 * sel * cardinality" 20
-    base.Admission.index_comparisons;
-  let est = Metrics.gauge ~registry "simq_planner_estimated_selectivity" in
-  let act = Metrics.gauge ~registry "simq_planner_actual_selectivity" in
-  Metrics.with_enabled true (fun () ->
-      Metrics.set_gauge est 0.001;
-      Metrics.set_gauge act 1.0);
-  let calibrated = Admission.estimate t w in
-  (* actual/estimated = 1000, clamped to 4. *)
-  Alcotest.(check int)
-    "calibration clamps at 4x" 80 calibrated.Admission.index_comparisons;
-  let uncalibrated =
-    Admission.estimate (Admission.create ~registry ~calibrate:false ()) w
+    "index comparisons = 2 * sel * cardinality" 20
+    (Admission.estimate t w).Admission.index_comparisons;
+  let decide limit =
+    Admission.decide t w ~prefer:Admission.Index_path
+      ~budget:(Budget.create ~max_comparisons:limit ())
   in
-  Alcotest.(check int)
-    "calibrate:false ignores the gauges" 20
-    uncalibrated.Admission.index_comparisons
-
-let test_headroom_scales_limits () =
-  let t = Admission.create ~registry:(Metrics.create_registry ()) ~headroom:0.5 () in
-  match
-    Admission.decide t (workload ~cardinality:100 ())
-      ~prefer:Admission.Scan_path
-      ~budget:(Budget.create ~max_comparisons:150 ())
-  with
+  (match decide 20 with
+  | Admission.Admit -> ()
+  | d -> Alcotest.failf "estimate = limit must admit, got %s"
+           (Admission.decision_name d));
+  match decide 19 with
   | Admission.Reject _ -> ()
-  | d ->
-    Alcotest.failf
-      "headroom 0.5 must reject 100 comparisons against a 150 limit, got %s"
-      (Admission.decision_name d)
+  | d -> Alcotest.failf "estimate > limit must reject, got %s"
+           (Admission.decision_name d)
 
 (* --- planner integration --------------------------------------------------- *)
 
@@ -185,31 +170,35 @@ let roomy_budget () =
     ~max_node_accesses:1000 ()
 
 let run ?pool ?admission ~budget ~epsilon () =
-  let counters = Planner.create_counters () in
-  let outcome =
-    Planner.range_resilient ?pool ~stats ~budget ?admission ~counters index
-      ~query ~epsilon
-  in
-  (outcome, counters)
+  Planner.range_resilient ?pool ~stats ~budget ?admission index ~query
+    ~epsilon
 
 let sorted_ids answers =
   List.sort compare
     (List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) answers)
 
 let test_rejection_before_any_execution () =
-  let outcome, counters =
+  let registry = Metrics.create_registry () in
+  let outcome =
     Metrics.with_enabled true (fun () ->
         Metrics.reset ();
-        run ~pool:Pool.sequential ~admission:(fresh_policy ())
+        run ~pool:Pool.sequential ~admission:(Admission.create ~registry ())
           ~budget:(starved_budget ()) ~epsilon:2.0 ())
   in
   (match outcome with
   | Error (Error.Rejected _) -> ()
   | Error e -> Alcotest.failf "expected Rejected, got %s" (Error.kind e)
   | Ok _ -> Alcotest.fail "a starved budget must be rejected");
-  Alcotest.(check int) "rejection counted" 1 counters.Planner.rejected;
-  Alcotest.(check int) "not an execution failure" 0 counters.Planner.failures;
-  Alcotest.(check int) "no index attempt" 0 counters.Planner.index_attempts;
+  let total ?registry ?labels family =
+    Metrics.counter_total (Metrics.counter ?registry ?labels family)
+  in
+  Alcotest.(check int) "rejection counted" 1
+    (total ~registry ~labels:[ ("decision", "reject") ]
+       "simq_admission_decisions_total");
+  Alcotest.(check int) "not an execution failure" 0
+    (total "simq_planner_failures_total");
+  Alcotest.(check int) "no index attempt" 0
+    (total "simq_rtree_node_visits_total");
   List.iter
     (fun family ->
       Alcotest.(check int)
@@ -219,13 +208,12 @@ let test_rejection_before_any_execution () =
     [
       "simq_buffer_pool_hits_total"; "simq_buffer_pool_misses_total";
       "simq_scan_candidates_total"; "simq_kindex_candidates_total";
-      "simq_rtree_node_accesses_total";
     ]
 
 let test_admitted_run_bit_identical_to_admission_off () =
   let budget = roomy_budget () in
-  let off, _ = run ~pool:Pool.sequential ~budget ~epsilon:2.0 () in
-  let on, _ =
+  let off = run ~pool:Pool.sequential ~budget ~epsilon:2.0 () in
+  let on =
     run ~pool:Pool.sequential ~admission:(fresh_policy ()) ~budget
       ~epsilon:2.0 ()
   in
@@ -256,10 +244,10 @@ let test_decisions_identical_at_every_domain_count () =
           List.map
             (fun budget ->
               match run ~pool ~admission:policy ~budget ~epsilon () with
-              | Ok r, _ ->
+              | Ok r ->
                 ( Option.map Admission.decision_name r.Planner.admission,
                   Ok (sorted_ids r.Planner.answers) )
-              | Error e, _ ->
+              | Error e ->
                 ((match e with Error.Rejected _ -> Some "reject" | _ -> None),
                  Result.Error (Error.kind e)))
             budgets)
@@ -292,8 +280,8 @@ let test_decisions_identical_at_every_domain_count () =
   List.iter
     (fun (epsilon, budget) ->
       match run ~pool:Pool.sequential ~budget ~epsilon () with
-      | Error _, _ -> ()
-      | Ok _, _ ->
+      | Error _ -> ()
+      | Ok _ ->
         Alcotest.failf "eps %g: rejected, yet fits without admission" epsilon)
     rejected
 
@@ -332,11 +320,7 @@ let test_join_scan_admission () =
   (match
      Join.scan_checked ~pool:Pool.sequential
        ~budget:(Budget.create ~max_comparisons:(comparisons - 1) ())
-       ~admission:(fresh_policy ())
-       ~on_decision:(fun d ->
-         Alcotest.(check string)
-           "decision reported" "reject" (Admission.decision_name d))
-       index ~epsilon
+       ~admission:(fresh_policy ()) index ~epsilon
    with
   | Error (Error.Rejected _) -> ()
   | Error e -> Alcotest.failf "expected Rejected, got %s" (Error.kind e)
@@ -347,6 +331,8 @@ let test_join_scan_admission () =
       ~admission:(fresh_policy ()) index ~epsilon
   with
   | Ok r ->
+    Alcotest.(check bool) "decision reported" true
+      (r.Join.admission = Some Admission.Admit);
     Alcotest.(check bool) "pairs bit-identical" true
       (r.Join.pairs = plain.Join.pairs);
     Alcotest.(check int) "distance computations"
@@ -370,10 +356,8 @@ let () =
             test_rejected_error_is_typed;
           Alcotest.test_case "deadline prediction needs history" `Quick
             test_deadline_prediction_needs_history;
-          Alcotest.test_case "calibration is clamped" `Quick
-            test_calibration_is_clamped;
-          Alcotest.test_case "headroom scales limits" `Quick
-            test_headroom_scales_limits;
+          Alcotest.test_case "an estimate at its limit admits" `Quick
+            test_estimate_at_limit_admits;
         ] );
       ( "planner",
         [

@@ -9,16 +9,34 @@ module Error = Simq_fault.Error
 module Injector = Simq_fault.Injector
 module Budget = Simq_fault.Budget
 module Retry = Simq_fault.Retry
+module Metrics = Simq_obs.Metrics
+module Profile = Simq_obs.Profile
 module Pool = Simq_parallel.Pool
 module Rstar = Simq_rtree.Rstar
 module Check = Simq_rtree.Check
 open Simq_tsindex
 module Generator = Simq_series.Generator
 
-(* Backoff delays would dominate the suite; faults are injected, not
-   real, so retrying instantly is fine everywhere below. *)
-let fast_retry ?(max_attempts = 2) () =
-  Retry.policy ~max_attempts ~base_delay_s:0. ()
+(* [planner_counts f] runs [f] with metrics on and returns its value
+   with the deltas of the planner's outcome families: queries planned,
+   degradations and failures. *)
+let planner_counts f =
+  let families =
+    [
+      "simq_planner_path_index_total"; "simq_planner_path_scan_total";
+      "simq_planner_degraded_total"; "simq_planner_failures_total";
+    ]
+  in
+  let totals () =
+    List.map (fun f -> Metrics.counter_total (Metrics.counter f)) families
+  in
+  Metrics.with_enabled true @@ fun () ->
+  let before = totals () in
+  let v = f () in
+  match List.map2 ( - ) (totals ()) before with
+  | [ index; scan; degraded; failures ] ->
+    (v, `Queries (index + scan), `Degraded degraded, `Failures failures)
+  | _ -> assert false
 
 (* --- Injector ------------------------------------------------------------- *)
 
@@ -193,21 +211,27 @@ let test_retry_recovers () =
       ~page_reads:(Injector.transient ~schedule:[ 1 ] ())
       ~seed:1 ()
   in
-  let abandoned = ref [] in
+  let profile = Profile.create () in
+  let op = Profile.enter (Some profile) "op" in
   let result =
-    Retry.with_retries ~policy:(fast_retry ())
-      ~on_retry:(fun ~attempt -> abandoned := attempt :: !abandoned)
-      (fun _ ->
+    Retry.with_retries ~profile (fun _ ->
+        (* A node the failing attempt leaves open does not take the
+           event: the retry belongs to the operator that started the
+           loop. *)
+        ignore (Profile.enter (Some profile) "attempt");
         Injector.check inj Injector.Page_read;
         "done")
   in
+  Profile.leave (Some profile) op;
   Alcotest.(check bool) "second attempt succeeds" true (result = Ok "done");
-  Alcotest.(check (list int)) "one abandoned attempt" [ 1 ] !abandoned
+  Alcotest.(check (list string)) "one abandoned attempt, on the operator"
+    [ "retry: attempt 1 abandoned" ]
+    (Option.fold ~none:[] ~some:Profile.events op)
 
 let test_retry_exhausts () =
   let attempts = ref 0 in
   match
-    Retry.with_retries ~policy:(fast_retry ~max_attempts:3 ()) (fun _ ->
+    Retry.with_retries (fun _ ->
         incr attempts;
         raise
           (Injector.Transient_fault
@@ -216,7 +240,7 @@ let test_retry_exhausts () =
   | Ok _ -> Alcotest.fail "expected Io_failed"
   | Error (Error.Io_failed { site; attempts = reported }) ->
     Alcotest.(check string) "site" "node_access" site;
-    Alcotest.(check int) "every attempt used" 3 reported;
+    Alcotest.(check int) "every attempt used" Retry.max_attempts reported;
     Alcotest.(check int) "f called per attempt" 3 !attempts
   | Error e -> Alcotest.failf "unexpected error %s" (Error.to_string e)
 
@@ -227,7 +251,7 @@ let test_retry_never_retries_budgets () =
       { resource = Error.Comparisons; spent = 5; limit = 4 }
   in
   (match
-     Retry.with_retries ~policy:(fast_retry ~max_attempts:5 ()) (fun _ ->
+     Retry.with_retries (fun _ ->
          incr attempts;
          raise (Budget.Exceeded blown))
    with
@@ -350,14 +374,13 @@ let prop_safety =
             ~config:{ Feature.k = 2; representation }
             ~max_fill:8 dataset
         in
-        let counters = Planner.create_counters () in
-        let outcome =
-          Planner.range_resilient ~pool:Pool.sequential ~spec ~budget
-            ~retry:(fast_retry ()) ~counters index ~query ~epsilon:eps
-        in
-        (outcome, counters)
+        planner_counts (fun () ->
+            Planner.range_resilient ~pool:Pool.sequential ~spec ~budget index
+              ~query ~epsilon:eps)
       in
-      let outcome, counters = run () in
+      let outcome, `Queries queries, `Degraded degraded, `Failures failures =
+        run ()
+      in
       let expected = reference_ids dataset spec query eps in
       (match outcome with
       | Ok r ->
@@ -367,17 +390,16 @@ let prop_safety =
         if r.Planner.degraded then begin
           Alcotest.(check bool) "degradation carries the index error" true
             (r.Planner.index_error <> None);
-          Alcotest.(check int) "degradation counted" 1
-            counters.Planner.degraded
+          Alcotest.(check int) "degradation counted" 1 degraded
         end
       | Error e ->
         Alcotest.(check bool) "typed error has a kind" true
           (String.length (Error.kind e) > 0);
-        Alcotest.(check int) "failure counted" 1 counters.Planner.failures);
-      Alcotest.(check int) "query counted" 1 counters.Planner.queries;
+        Alcotest.(check int) "failure counted" 1 failures);
+      Alcotest.(check int) "query counted" 1 queries;
       (* Reproducibility: a fresh injector with the same seed gives the
          same outcome — same answers, or an error of the same kind. *)
-      let outcome', _ = run () in
+      let outcome', _, _, _ = run () in
       (match (outcome, outcome') with
       | Ok a, Ok b ->
         Alcotest.(check (list int)) "same seed, same answers"
@@ -403,7 +425,6 @@ let prop_degradation =
       let spec = safe_spec Simq_geometry.Coords.Polar (spec_of_index qseed) in
       let query = query_for dataset spec qseed in
       let index = Kindex.build ~max_fill:8 dataset in
-      let counters = Planner.create_counters () in
       (* Four ways in: a corrupted tree, a zero node budget, a fault
          plan failing the first visit of every attempt, and neither
          limit nor faults (nothing may degrade). *)
@@ -426,13 +447,14 @@ let prop_degradation =
           ( (fun () -> Budget.create ~max_node_accesses:0 ()),
             "budget_exceeded:node_accesses" )
         | 2 ->
-          (* Transient node faults outlasting every retry: each attempt's
-             first visit faults. *)
+          (* Transient node faults outlasting every retry: each of the
+             three attempts' first visit faults. *)
           ( (fun () ->
               Budget.create
                 ~faults:
                   (Injector.create
-                     ~node_accesses:(Injector.transient ~schedule:[ 1; 2 ] ())
+                     ~node_accesses:
+                       (Injector.transient ~schedule:[ 1; 2; 3 ] ())
                      ~seed:fseed ())
                 ()),
             "io_failed" )
@@ -442,8 +464,8 @@ let prop_degradation =
         (not validate)
         &&
         match
-          Kindex.range_checked ~spec ~budget:(budget ()) ~retry:(fast_retry ())
-            index ~query ~epsilon:eps
+          Kindex.range_checked ~spec ~budget:(budget ()) index ~query
+            ~epsilon:eps
         with
         | Ok _ -> true
         | Error _ -> false
@@ -451,11 +473,12 @@ let prop_degradation =
       if kind = 3 then
         Alcotest.(check bool) "no limit, no faults: the index survives" true
           index_survives;
-      (match
-         Planner.range_resilient ~pool:Pool.sequential ~spec ~budget:(budget ())
-           ~retry:(fast_retry ()) ~counters ~validate index ~query
-           ~epsilon:eps
-       with
+      let outcome, `Queries queries, `Degraded degraded, `Failures failures =
+        planner_counts (fun () ->
+            Planner.range_resilient ~pool:Pool.sequential ~spec
+              ~budget:(budget ()) ~validate index ~query ~epsilon:eps)
+      in
+      (match outcome with
       | Error e -> Alcotest.failf "fallback failed: %s" (Error.to_string e)
       | Ok r when index_survives ->
         (* The budget never bit: the index path must be kept, with the
@@ -479,11 +502,9 @@ let prop_degradation =
           (reference_ids dataset spec query eps)
           (sorted_ids r.Planner.answers));
       let expected_degraded = if index_survives then 0 else 1 in
-      Alcotest.(check int) "degradation counted" expected_degraded
-        counters.Planner.degraded;
-      Alcotest.(check int) "no failure" 0 counters.Planner.failures;
-      Alcotest.(check bool) "rate visible" true
-        (Planner.degradation_rate counters = float_of_int expected_degraded);
+      Alcotest.(check int) "degradation counted" expected_degraded degraded;
+      Alcotest.(check int) "no failure" 0 failures;
+      Alcotest.(check int) "query counted" 1 queries;
       true)
 
 (* --- Parallel equivalence under faults and budgets --------------------------- *)
@@ -528,8 +549,8 @@ let prop_parallel_checked =
                 ~seed:fseed ()
             in
             ( domains,
-              Seqscan.range_checked ~pool ~spec ~budget:(budget faults)
-                ~retry:(fast_retry ()) dataset ~query ~epsilon:eps ))
+              Seqscan.range_checked ~pool ~spec ~budget:(budget faults) dataset
+                ~query ~epsilon:eps ))
           pools
       in
       (match outcomes with
@@ -627,15 +648,15 @@ let test_unlimited_checked_is_unchecked () =
 let test_scan_retry_end_to_end () =
   let dataset = datasets.(1) in
   let query = query_for dataset Spec.Identity 3 in
-  let with_schedule schedule retry =
+  let with_schedule schedule =
     let faults =
       Injector.create ~page_reads:(Injector.transient ~schedule ()) ~seed:2 ()
     in
-    Seqscan.range_checked ~pool:Pool.sequential ~retry
+    Seqscan.range_checked ~pool:Pool.sequential
       ~budget:(Budget.create ~faults ()) dataset ~query ~epsilon:3.
   in
   (* One scheduled fault on the first page: a single retry absorbs it. *)
-  (match with_schedule [ 1 ] (fast_retry ()) with
+  (match with_schedule [ 1 ] with
   | Ok r ->
     let plain =
       Seqscan.range_early_abandon ~pool:Pool.sequential dataset ~query
@@ -643,12 +664,13 @@ let test_scan_retry_end_to_end () =
     in
     check_result_equal "retried scan" plain r
   | Error e -> Alcotest.failf "retry should absorb it: %s" (Error.to_string e));
-  (* The same fault without retries surfaces as a typed I/O failure. *)
-  match with_schedule [ 1 ] Retry.none with
+  (* A fault on the first page of every attempt outlasts the retries
+     and surfaces as a typed I/O failure. *)
+  match with_schedule [ 1; 2; 3 ] with
   | Ok _ -> Alcotest.fail "expected Io_failed"
   | Error (Error.Io_failed { site; attempts }) ->
     Alcotest.(check string) "site" "page_read" site;
-    Alcotest.(check int) "single attempt" 1 attempts
+    Alcotest.(check int) "every attempt" Retry.max_attempts attempts
   | Error e -> Alcotest.failf "unexpected error %s" (Error.to_string e)
 
 let () =

@@ -611,22 +611,19 @@ let nn_decisions index ~domains =
       let query = (Dataset.entries (Kindex.dataset index)).(1).Dataset.series in
       List.map
         (fun (k, budget) ->
-          let decision = ref None in
-          let result =
-            Kindex.nearest_checked ~budget ~admission
-              ~on_decision:(fun d -> decision := Some d)
-              index ~query ~k
-          in
-          let ids =
-            match result with
-            | Ok answers ->
+          match Kindex.nearest_checked ~budget ~admission index ~query ~k with
+          | Ok r ->
+            ( Option.map Admission.decision_name r.Kindex.admission,
               Ok
                 (List.map
                    (fun ((e : Dataset.entry), _) -> e.Dataset.id)
-                   answers)
-            | Error e -> Error (Simq_fault.Error.kind e)
-          in
-          (Option.map Admission.decision_name !decision, ids))
+                   r.Kindex.neighbours) )
+          | Error e ->
+            (* A rejection is the one decision reported as an error. *)
+            ( (match e with
+              | Simq_fault.Error.Rejected _ -> Some "reject"
+              | _ -> None),
+              Error (Simq_fault.Error.kind e) ))
         [
           (3, Budget.unlimited);
           (3, Budget.create ~max_node_accesses:0 ~max_comparisons:10_000
@@ -667,8 +664,10 @@ let test_nn_degrade_is_exact () =
              ~max_page_reads:10_000 ())
         ~admission index ~query ~k
     with
-    | Ok answers ->
-      List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) answers
+    | Ok r ->
+      List.map
+        (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d))
+        r.Kindex.neighbours
     | Error e -> Alcotest.failf "degraded NN failed: %s" (Simq_fault.Error.kind e)
   in
   Alcotest.(check bool) "degraded NN bit-identical to the index path" true

@@ -273,7 +273,7 @@ let test_pruned_shards_execute_nothing () =
    and traversal compute every distance with the one kernel, so ids
    and distances are the same, bit for bit. *)
 let first_shard_faults () =
-  let attempts = Simq_fault.Retry.default.Simq_fault.Retry.max_attempts in
+  let attempts = Simq_fault.Retry.max_attempts in
   Budget.create
     ~faults:
       (Injector.create
@@ -476,18 +476,17 @@ let test_admission_decisions_identical_at_every_domain_count () =
     let policy = fresh_policy () in
     List.concat_map
       (fun budget ->
-        let decisions = ref [] in
-        let outcome =
-          match
-            Shard.range_checked ~pool ~budget ~admission:policy
-              ~on_decision:(fun dec ->
-                decisions := Admission.decision_name dec :: !decisions)
-              sh ~query ~epsilon:8.0
-          with
-          | Ok r -> Ok (pairs r.Shard.answers, r.Shard.report.Shard.degraded)
-          | Error e -> Result.Error (Error.kind e)
-        in
-        [ (List.rev !decisions, outcome) ])
+        match
+          Shard.range_checked ~pool ~budget ~admission:policy sh ~query
+            ~epsilon:8.0
+        with
+        | Ok r ->
+          [
+            ( Array.to_list r.Shard.report.Shard.admission
+              |> List.filter_map (Option.map Admission.decision_name),
+              Ok (pairs r.Shard.answers, r.Shard.report.Shard.degraded) );
+          ]
+        | Error e -> [ ([], Result.Error (Error.kind e)) ])
       budgets
   in
   let reference = outcomes_at (List.hd pools) in

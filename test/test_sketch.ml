@@ -364,11 +364,12 @@ let test_anytime_partial_is_sound () =
           "a non-anytime Ok is the exact answer" exact
           (pairs r.Kindex.answers)
       | Error _ -> ());
-      (* ...with anytime it is a sound subset marked partial. *)
+      (* ...in approximate mode, which is anytime, it is a sound subset
+         marked partial; approx 0 keeps the cutoff at epsilon. *)
       match
         Kindex.range_checked
           ~budget:(Budget.create ~max_comparisons:1 ())
-          ~sketch:funnel ~anytime:true index ~query ~epsilon
+          ~sketch:funnel ~approx:0. index ~query ~epsilon
       with
       | Error e -> Alcotest.failf "anytime failed: %s" (Simq_fault.Error.kind e)
       | Ok r ->
@@ -390,7 +391,7 @@ let test_anytime_with_headroom_is_exact () =
   let epsilon = 7. in
   let exact = pairs (Kindex.range index ~query ~epsilon).Kindex.answers in
   match
-    Kindex.range_checked ~budget:Budget.unlimited ~sketch:funnel ~anytime:true
+    Kindex.range_checked ~budget:Budget.unlimited ~sketch:funnel ~approx:0.
       index ~query ~epsilon
   with
   | Error e -> Alcotest.failf "unexpected error %s" (Simq_fault.Error.kind e)

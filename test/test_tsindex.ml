@@ -685,7 +685,8 @@ let test_nearest_matches_kernel_selection () =
                         check "nearest_checked"
                           (nn_ok label
                              (Kindex.nearest_checked ~spec ~budget:(budget ())
-                                idx ~query ~k));
+                                idx ~query ~k))
+                            .Kindex.neighbours;
                         List.iter
                           (fun (domains, pool) ->
                             check
@@ -1116,56 +1117,51 @@ let test_subseq_nearest () =
   in
   Alcotest.(check (list (float 1e-9))) "knn distances" expected actual
 
-(* A scheduled node fault reaches both NN traversals through the
-   attempt's budget state: the first visit of the first attempt fails,
-   the retry (a fresh state, a new ordinal) runs clean, and the answer
-   is the fault-free one. *)
-let first_visit_faults () =
+(* A scheduled fault reaches a checked traversal through the attempt's
+   budget state: the first node visit (or page read) of the first
+   attempt fails, the retry (a fresh state, a new ordinal) runs clean,
+   and the answer is the fault-free one. *)
+let first_visit_faults ?(pages = false) () =
   let module Injector = Simq_fault.Injector in
+  let first = Injector.transient ~schedule:[ 1 ] () in
   Simq_fault.Budget.create
     ~faults:
-      (Injector.create
-         ~node_accesses:(Injector.transient ~schedule:[ 1 ] ())
-         ~seed:5 ())
+      (if pages then Injector.create ~page_reads:first ~seed:5 ()
+       else Injector.create ~node_accesses:first ~seed:5 ())
     ()
 
-let fast_retry = Simq_fault.Retry.policy ~base_delay_s:0. ()
+(* Every retry event of a profile, with the node that recorded it. *)
+let retry_events profile =
+  let module Profile = Simq_obs.Profile in
+  let rec walk node =
+    List.filter_map
+      (fun e ->
+        if String.starts_with ~prefix:"retry:" e then
+          Some (Profile.name node, e)
+        else None)
+      (Profile.events node)
+    @ List.concat_map walk (Profile.children node)
+  in
+  List.concat_map walk (Profile.roots profile)
 
 let test_nearest_checked_retries_fault () =
   let d = dataset_of ~seed:67 ~count:120 ~n:64 in
   let idx = Kindex.build ~max_fill:8 d in
   let query = query_for d Spec.Identity 13 in
-  let retries = ref 0 in
+  let profile = Simq_obs.Profile.create () in
   match
-    Kindex.nearest_checked ~budget:(first_visit_faults ()) ~retry:fast_retry
-      ~on_retry:(fun ~attempt:_ -> incr retries)
-      idx ~query ~k:5
+    Kindex.nearest_checked ~budget:(first_visit_faults ()) ~profile idx ~query
+      ~k:5
   with
-  | Ok answers ->
-    Alcotest.(check int) "one retry" 1 !retries;
+  | Ok r ->
+    Alcotest.(check (list (pair string string)))
+      "one retry, on the NN node"
+      [ ("kindex.nearest", "retry: attempt 1 abandoned") ]
+      (retry_events profile);
     Alcotest.(check (list (pair (float 0.) int)))
       "fault-free answer"
       (nn_pairs (Kindex.nearest idx ~query ~k:5))
-      (nn_pairs answers)
-  | Error e -> Alcotest.failf "retry should absorb it: %s" (Simq_fault.Error.kind e)
-
-let test_subseq_nearest_checked_retries_fault () =
-  let series = Generator.random_walks ~seed:54 ~count:10 ~n:64 in
-  let index = Subseq.build ~window:8 series in
-  let query = Simq_series.Series.subsequence series.(2) ~pos:9 ~len:8 in
-  let retries = ref 0 in
-  let hit (h : Subseq.hit) = (h.Subseq.series_id, h.Subseq.offset, h.Subseq.distance) in
-  match
-    Subseq.nearest_checked ~budget:(first_visit_faults ()) ~retry:fast_retry
-      ~on_retry:(fun ~attempt:_ -> incr retries)
-      index ~query ~k:4
-  with
-  | Ok hits ->
-    Alcotest.(check int) "one retry" 1 !retries;
-    Alcotest.(check (list (triple int int (float 0.))))
-      "fault-free answer"
-      (List.map hit (Subseq.nearest index ~query ~k:4))
-      (List.map hit hits)
+      (nn_pairs r.Kindex.neighbours)
   | Error e -> Alcotest.failf "retry should absorb it: %s" (Simq_fault.Error.kind e)
 
 let test_subseq_paper_example_12 () =
@@ -1325,7 +1321,38 @@ let test_planner_choice_and_execution () =
         paths)
   in
   Alcotest.(check bool) "both paths ran" true
-    (List.mem Planner.Use_index paths && List.mem Planner.Use_scan paths)
+    (List.mem Planner.Use_index paths && List.mem Planner.Use_scan paths);
+  (* A retried access path records its retry once, on the operator
+     that retried: the index path on the planner node (its own node
+     is per attempt), the scan on its [seqscan.range] node. *)
+  List.iter
+    (fun (epsilon, pages, path, node, children) ->
+      let profile = Simq_obs.Profile.create () in
+      match
+        Planner.range_resilient ~stats ~budget:(first_visit_faults ~pages ())
+          ~profile idx ~query ~epsilon
+      with
+      | Ok r ->
+        Alcotest.(check bool) "planned path kept" true
+          (r.Planner.executed = path && not r.Planner.degraded);
+        Alcotest.(check (list int)) "fault-free answers"
+          (ids_of (Kindex.range idx ~query ~epsilon).Kindex.answers)
+          (ids_of r.Planner.answers);
+        Alcotest.(check (list (pair string string)))
+          (node ^ " records the retry once")
+          [ (node, "retry: attempt 1 abandoned") ]
+          (retry_events profile);
+        (* The abandoned attempt's nodes sit beside the retried ones. *)
+        Alcotest.(check (list string)) "attempts are siblings" children
+          (match Simq_obs.Profile.find profile node with
+          | Some n -> List.map Simq_obs.Profile.name (Simq_obs.Profile.children n)
+          | None -> [])
+      | Error e ->
+        Alcotest.failf "retry should absorb it: %s" (Simq_fault.Error.kind e))
+    [ (0.5, false, Planner.Use_index, "planner",
+       [ "plan"; "kindex.range"; "kindex.range" ]);
+      (50., true, Planner.Use_scan, "seqscan.range",
+       [ "seqscan.io"; "seqscan.io"; "seqscan.compute" ]) ]
 
 (* --- property-based -------------------------------------------------------------- *)
 
@@ -1461,8 +1488,6 @@ let () =
           Alcotest.test_case "range = brute force" `Quick
             test_subseq_range_matches_brute_force;
           Alcotest.test_case "nearest" `Quick test_subseq_nearest;
-          Alcotest.test_case "checked nearest retries a node fault" `Quick
-            test_subseq_nearest_checked_retries_fault;
           Alcotest.test_case "paper example 1.2 floor" `Quick
             test_subseq_paper_example_12;
           Alcotest.test_case "validation" `Quick test_subseq_validation;

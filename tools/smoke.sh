@@ -64,10 +64,11 @@ echo "== bench --fast with metrics and tracing on"
 
 # The exposition must contain every instrumented family the bench
 # links (simq_batch, the batch executor's, is checked on the simq batch
-# run below); the trace must be non-empty valid JSON (well-formedness
+# run below, and simq_planner on the planned query below: the bench
+# runs no planner); the trace must be non-empty valid JSON (well-formedness
 # is checked structurally by the test suite, so a cheap shape check
 # suffices here).
-for family in simq_buffer_pool simq_rtree simq_planner simq_pool \
+for family in simq_buffer_pool simq_rtree simq_pool \
   simq_fault simq_scan simq_kindex simq_join simq_timer simq_admission; do
   grep -q "^# TYPE $family" metrics.prom || {
     echo "smoke: family $family missing from the exposition" >&2
@@ -96,6 +97,10 @@ grep -q "rejected by admission control" reject.err || {
 }
 grep -q '^simq_admission_decisions_total{decision="reject"} 1' reject.prom || {
   echo "smoke: rejection not counted in the dumped exposition" >&2
+  exit 1
+}
+grep -q '^# TYPE simq_planner' reject.prom || {
+  echo "smoke: family simq_planner missing from the planned query's exposition" >&2
   exit 1
 }
 grep -q '"traceEvents"' reject.json || {
@@ -496,7 +501,7 @@ grep -q '"event":"simq.qlog"' daemon.qlog || {
   exit 1
 }
 grep -q '"event":"simq.metrics-state"' daemon.state || {
-  echo "smoke: drained daemon left no calibration state" >&2
+  echo "smoke: drained daemon left no metrics state" >&2
   exit 1
 }
 "$simq" qlog-top daemon.qlog --by-trace >daemon.top
@@ -559,7 +564,7 @@ grep -q '4-shard' sharded.top || {
 }
 
 echo "== fault plan: every query class of a daemon under always-firing faults"
-"$simq" serve smoke.rel --fault-node-prob 1 --fault-page-prob 1 \
+"$simq" serve smoke.rel --fault-node-prob 1 --fault-page-prob 1 --slow-k 4 \
   --qlog faults.qlog 2>faults.err &
 faults_pid=$!
 faults_port=
@@ -577,7 +582,7 @@ done
   exit 1
 }
 "$simq" stress smoke.rel --port "$faults_port" --clients 2 --queries 10 \
-  --shutdown >faults-stress.out || {
+  --slow --shutdown >faults-stress.out || {
   echo "smoke: stress run against the faulted daemon failed" >&2
   cat faults-stress.out >&2
   cat faults.err >&2
@@ -603,6 +608,14 @@ fi
 grep '"spec":"NEAREST' faults.qlog | grep -q '"outcome":"io_failed"' || {
   echo "smoke: no NEAREST query failed typed under faults" >&2
   cat faults.qlog >&2
+  exit 1
+}
+# Every retry is an event on the operator that retried, so the worst
+# queries' rendered profiles show the abandoned attempts.
+grep '"event":"simq.serve.slow"' faults-stress.out \
+  | grep -q 'retry: attempt 1 abandoned' || {
+  echo "smoke: no slow profile of the faulted daemon shows a retry" >&2
+  cat faults-stress.out >&2
   exit 1
 }
 
