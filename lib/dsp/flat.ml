@@ -43,8 +43,9 @@ let acc () = { sum = 0. }
 
 (* The bounds are checked once up front, so the loops read unchecked;
    [sum] is a local float ref the compiler keeps unboxed, stored back
-   into the all-float [acc] record once at the end. *)
-let sq_dist ~stretch ~limit ~lo ~hi x xo y yo acc =
+   into the all-float [acc] record once at the end. Inlined into its
+   callers, so a computed [limit] is never boxed. *)
+let[@inline] kernel ~stretch ~limit ~lo ~hi x xo y yo acc =
   if lo < 0 || hi < lo || xo < 0 || yo < 0
      || 2 * (xo + hi) > Array.length x
      || 2 * (yo + hi) > Array.length y
@@ -81,14 +82,18 @@ let sq_dist ~stretch ~limit ~lo ~hi x xo y yo acc =
   acc.sum <- !sum;
   !f - lo
 
-let dist_within ~stretch ~within ~lo ~hi x xo y yo acc =
-  let limit = within *. within in
-  let touched = sq_dist ~stretch ~limit ~lo ~hi x xo y yo acc in
+let sq_dist ~stretch ~limit ~lo ~hi x xo y yo acc =
+  kernel ~stretch ~limit ~lo ~hi x xo y yo acc
+
+let dist_within ~stretch ~lo ~hi x xo y yo acc ~within =
+  let w = within.sum in
+  let limit = w *. w in
+  let touched = kernel ~stretch ~limit ~lo ~hi x xo y yo acc in
   (* Past the limit by rounding alone: complete the sum. *)
-  if acc.sum > limit && not (sqrt acc.sum > within) then
+  if acc.sum > limit && not (sqrt acc.sum > w) then
     ignore
-      (sq_dist ~stretch ~limit:infinity ~lo:(lo + touched) ~hi x xo y yo acc);
-  sqrt acc.sum
+      (kernel ~stretch ~limit:infinity ~lo:(lo + touched) ~hi x xo y yo acc);
+  within.sum <- sqrt acc.sum
 
 (* One 64-byte cache line of coefficients per entry (see the .mli);
    {!pair_sum} walks exactly these four, unrolled. *)

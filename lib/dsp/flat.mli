@@ -73,20 +73,20 @@ val sq_dist :
   acc ->
   int
 
-(** [dist_within ~stretch ~within ~lo ~hi x xo y yo acc] resumes
+(** [dist_within ~stretch ~lo ~hi x xo y yo acc ~within] resumes
     {!sq_dist} from [acc.sum] over coefficients [lo .. hi-1] with
-    limit [within *. within] and returns [sqrt acc.sum]: the distance
-    over every coefficient summed into [acc], in ascending order,
-    unless a partial sum's root is strictly greater than [within], in
-    which case that root (a lower bound above [within]) is returned. A
-    partial sum past the limit whose root is not strictly greater than
-    [within] (a rounding case) is completed with no limit, so a result
-    [<= within] is always the exact distance. Nearest-neighbour
-    refinement abandons an entry this way against the k-th best
-    distance so far. *)
+    limit [w *. w], where [w] is [within.sum] on entry, and sets
+    [within.sum] to [sqrt acc.sum]: the distance over every coefficient
+    summed into [acc], in ascending order, unless a partial sum's root
+    is strictly greater than [w], in which case that root (a lower
+    bound above [w]) is set. A partial sum past the limit whose root is
+    not strictly greater than [w] (a rounding case) is completed with no
+    limit, so a result [<= w] is always the exact distance.
+    Nearest-neighbour refinement abandons an entry this way against the
+    k-th best distance so far. Both the abandon distance and the result
+    travel in the cell [within], so the call boxes no float. *)
 val dist_within :
   stretch:t option ->
-  within:float ->
   lo:int ->
   hi:int ->
   t ->
@@ -94,7 +94,8 @@ val dist_within :
   t ->
   int ->
   acc ->
-  float
+  within:acc ->
+  unit
 
 (** {1 The row kernel}
 

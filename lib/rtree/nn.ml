@@ -1,9 +1,13 @@
 open Simq_geometry
+module Heap = Simq_pqueue.Heap
+module Flat = Simq_dsp.Flat
 
-type 'a item =
-  | Node_item of 'a Node.node
-  | Data_item of Rect.t * 'a
-  | Deferred_item of Rect.t * 'a
+(* What a queued tree entry stands for. A [Child] is always a node; a
+   [Data] entry is queued either under a lower bound (keyed, still to
+   be refined) or under its distance (refined, ready to emit). *)
+let node = 0
+let keyed = 1
+let refined = 2
 
 (* Equal-key heap order: nodes first (so every tied candidate is
    discovered before any tied data entry is emitted), then data entries
@@ -11,17 +15,17 @@ type 'a item =
    canonical instead of heap-insertion-order dependent. *)
 let node_tie = min_int
 
-let nearest_custom ?visit ?data_rank ?point_bound ?refine t ~rect_bound
-    ~point_dist ~k =
-  if k <= 0 then invalid_arg "Nn.nearest_custom: k must be positive";
+let best_first ?visit ?refine t ~node_bound ~key ~rank ~k =
+  if k <= 0 then invalid_arg "Nn.best_first: k must be positive";
   if Rstar.size t = 0 then []
   else begin
-    let heap = Simq_pqueue.Heap.create () in
-    let rank = match data_rank with None -> fun _ -> 0 | Some f -> f in
-    let refine =
-      match refine with
-      | Some f -> f
-      | None -> fun r v ~within:_ -> point_dist r v
+    let heap = Heap.create () in
+    (* [cell] receives the callers' bounds and distances; [key_cell] hands
+       them to the queue. Copying one into the other boxes nothing. *)
+    let cell = Flat.acc () and key_cell = Heap.cell () in
+    let push ~tie ~state e =
+      key_cell.Heap.key <- cell.Flat.sum;
+      Heap.push_cell heap key_cell ~tie ~state e
     in
     (* The k best refined distances so far, ascending, padded with
        infinity; [within] is the last of them. When the tree holds
@@ -29,70 +33,66 @@ let nearest_custom ?visit ?data_rank ?point_bound ?refine t ~rect_bound
        is refined, so nothing is ever skipped. *)
     let best = Array.make (Int.min k (Rstar.size t)) infinity in
     let last = Array.length best - 1 in
-    let beyond d = d > best.(last) in
-    let note d =
-      let i = ref last in
-      if d < best.(!i) then begin
-        while !i > 0 && best.(!i - 1) > d do
-          best.(!i) <- best.(!i - 1);
-          decr i
-        done;
-        best.(!i) <- d
-      end
+    (* The tree's own entries are queued: nothing is boxed per push. *)
+    let rec push_entries = function
+      | [] -> ()
+      | (Node.Child c as e) :: rest ->
+        node_bound c.Node.mbr cell;
+        push ~tie:node_tie ~state:node e;
+        push_entries rest
+      | (Node.Data { rect; value } as e) :: rest ->
+        key rect value cell;
+        (match refine with
+        | None -> push ~tie:(rank value) ~state:refined e
+        | Some _ ->
+          (* An entry whose bound lies beyond [within] can never be
+             emitted: the k entries at or below it all pop first. *)
+          if not (cell.Flat.sum > best.(last)) then
+            push ~tie:(rank value) ~state:keyed e);
+        push_entries rest
     in
-    Simq_pqueue.Heap.push_tie heap
-      (rect_bound (Rstar.root t).Node.mbr)
-      node_tie
-      (Node_item (Rstar.root t));
+    let root = Rstar.root t in
+    node_bound root.Node.mbr cell;
+    push ~tie:node_tie ~state:node (Node.Child root);
     let results = ref [] in
     let found = ref 0 in
-    let rec drain () =
-      if !found < k then
-        match Simq_pqueue.Heap.pop_min heap with
-        | None -> ()
-        | Some (d, Data_item (r, v)) ->
-          results := (r.Rect.lo, v, d) :: !results;
-          incr found;
-          drain ()
-        | Some (_, Deferred_item (r, v)) ->
-          (* Deferred refinement (the multi-step pattern): a data entry
-             queued under its cheap lower bound gets its exact distance
-             only when it surfaces, then re-queues. Since the bound
-             never overestimates, everything still pending lies at
-             least as far, so emitted entries are exact. An entry
-             provably beyond the k-th best refined distance can never
-             be emitted (the k entries at or below it all pop first),
-             so its refinement may stop early and it is dropped. *)
-          let d = refine r v ~within:best.(last) in
-          if not (beyond d) then begin
-            note d;
-            Simq_pqueue.Heap.push_tie heap d (rank v) (Data_item (r, v))
-          end;
-          drain ()
-        | Some (_, Node_item node) ->
-          (match visit with None -> () | Some f -> f ());
-          Rstar.count_access t;
-          List.iter
-            (fun entry ->
-              match entry with
-              | Node.Child c ->
-                Simq_pqueue.Heap.push_tie heap (rect_bound c.Node.mbr)
-                  node_tie (Node_item c)
-              | Node.Data { rect; value } -> (
-                match point_bound with
-                | None ->
-                  Simq_pqueue.Heap.push_tie heap (point_dist rect value)
-                    (rank value)
-                    (Data_item (rect, value))
-                | Some bound ->
-                  let b = bound rect value in
-                  if not (beyond b) then
-                    Simq_pqueue.Heap.push_tie heap b (rank value)
-                      (Deferred_item (rect, value))))
-            node.Node.entries;
-          drain ()
-    in
-    drain ();
+    while !found < k && not (Heap.is_empty heap) do
+      let state = Heap.top_state heap and entry = Heap.top heap in
+      match entry with
+      | Node.Data { rect; value } when state = refined ->
+        results := (rect.Rect.lo, value, Heap.top_key heap) :: !results;
+        Heap.drop heap;
+        incr found
+      | Node.Data { rect; value } -> (
+        Heap.drop heap;
+        (* Deferred refinement (the multi-step pattern): a data entry
+           queued under its cheap lower bound gets its exact distance
+           only when it surfaces, then re-queues. Since the bound never
+           overestimates, everything still pending lies at least as
+           far, so emitted entries are exact. An entry provably beyond
+           [within] is dropped, so its refinement may stop early. *)
+        match refine with
+        | None -> assert false
+        | Some refine ->
+          cell.Flat.sum <- best.(last);
+          refine rect value cell;
+          if not (cell.Flat.sum > best.(last)) then begin
+            let i = ref last in
+            if cell.Flat.sum < best.(!i) then begin
+              while !i > 0 && best.(!i - 1) > cell.Flat.sum do
+                best.(!i) <- best.(!i - 1);
+                decr i
+              done;
+              best.(!i) <- cell.Flat.sum
+            end;
+            push ~tie:(rank value) ~state:refined entry
+          end)
+      | Node.Child n ->
+        Heap.drop heap;
+        (match visit with None -> () | Some f -> f ());
+        Rstar.count_access t;
+        push_entries n.Node.entries
+    done;
     List.rev !results
   end
 
@@ -103,7 +103,8 @@ let nearest ?transform t ~query ~k =
     | Some tr ->
       (Linear_transform.apply_rect tr, Linear_transform.apply tr)
   in
-  nearest_custom t
-    ~rect_bound:(fun r -> Rect.mindist query (map_rect r))
-    ~point_dist:(fun r _ -> Point.distance query (map_point r.Rect.lo))
+  best_first t
+    ~node_bound:(fun r c -> c.Flat.sum <- Rect.mindist query (map_rect r))
+    ~key:(fun r _ c -> c.Flat.sum <- Point.distance query (map_point r.Rect.lo))
+    ~rank:(fun _ -> 0)
     ~k

@@ -385,40 +385,46 @@ let range_probe ?(spec = Spec.Identity) ?(normalise_query = true) ?mean_window
 
 let two_pi = 2. *. Float.pi
 
-let pos_mod x =
+(* [Float.min] and [Float.max], NaN and signed zeros included, inlined
+   so that the node bound below boxes no float. *)
+let[@inline] fmin (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if y <> y then y else x
+  else if x <> x then x
+  else y
+
+let[@inline] fmax (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if x <> x then x else y
+  else if y <> y then y
+  else x
+
+let[@inline] pos_mod x =
   let r = Float.rem x two_pi in
   if r < 0. then r +. two_pi else r
 
 (* Shortest angular distance from [theta] to the interval
-   [lo, hi] (on the circle). *)
-let angle_gap theta ~lo ~hi =
+   [lo, hi] (on the circle): to either endpoint, around the circle. *)
+let[@inline] angle_gap theta ~lo ~hi =
   let width = hi -. lo in
   if width >= two_pi then 0.
   else begin
     let offset = pos_mod (theta -. lo) in
-    if offset <= width then 0.
-    else begin
-      (* Distance to either endpoint, around the circle. *)
-      let to_hi = offset -. width in
-      let to_lo = two_pi -. offset in
-      Float.min to_hi to_lo
-    end
+    if offset <= width then 0. else fmin (offset -. width) (two_pi -. offset)
   end
 
 (* Minimum |q - z| over complex z with |z| in [mag_lo, mag_hi] and
-   angle z within the interval: law of cosines, minimised over the
-   magnitude. *)
-let polar_mindist q ~mag_lo ~mag_hi ~ang_lo ~ang_hi =
-  let qmag = Cpx.abs q and qang = Cpx.angle q in
-  let mag_lo = Float.max 0. mag_lo in
+   angle z within the interval, for q of magnitude [qmag] and angle
+   [qang]: law of cosines, minimised over the magnitude. *)
+let[@inline] polar_mindist ~qmag ~qang ~mag_lo ~mag_hi ~ang_lo ~ang_hi =
+  let mag_lo = fmax 0. mag_lo in
   let dtheta = angle_gap qang ~lo:ang_lo ~hi:ang_hi in
   let c = cos dtheta in
   let m_star =
-    if c > 0. then Float.min mag_hi (Float.max mag_lo (qmag *. c))
-    else mag_lo
+    if c > 0. then fmin mag_hi (fmax mag_lo (qmag *. c)) else mag_lo
   in
   let d2 = (qmag *. qmag) +. (m_star *. m_star) -. (2. *. qmag *. m_star *. c) in
-  sqrt (Float.max 0. d2)
+  sqrt (fmax 0. d2)
 
 (* The node bound's rounding slack, relative to the squared scale of
    each feature. The polar bound cancels in the law of cosines when the
@@ -431,35 +437,84 @@ let polar_mindist q ~mag_lo ~mag_hi ~ang_lo ~ang_hi =
    entry's kernel distance; it moves a node key by about 1e-10. *)
 let bound_slack = 1e-12
 
-let feature_lower_bound t ~query_coeffs (r : Rect.t) =
-  let k = t.config.Feature.k in
+(* The query side of the node bound, computed once per query: every
+   feature's coordinates in both representations, and the lowered
+   transformation's coefficients (empty without one), so that a bound
+   reads its floats from arrays. *)
+type nn_query = {
+  qre : float array;
+  qim : float array;
+  qmag : float array;
+  qang : float array;
+  map_a : float array;
+  map_b : float array;
+}
+
+let nn_query t prepared q =
+  let coeffs = query_coeffs t q in
+  let map_a, map_b =
+    match prepared.ptransform with
+    | None -> ([||], [||])
+    | Some tr -> (tr.Linear_transform.a, tr.Linear_transform.b)
+  in
+  {
+    qre = Array.map Cpx.re coeffs;
+    qim = Array.map Cpx.im coeffs;
+    qmag = Array.map Cpx.abs coeffs;
+    qang = Array.map Cpx.angle coeffs;
+    map_a;
+    map_b;
+  }
+
+(* A lower bound of the distance from the query to every entry under a
+   node with MBR [r] ([RKV95]'s MINDIST, per feature), written into
+   [cell]. Under a transformation each feature's interval is
+   [Linear_transform.apply_rect]'s — both corners mapped, then ordered
+   by [Rect.create]'s min/max — computed in place, so the bound maps no
+   rectangle and boxes no float. *)
+let node_bound t nq (r : Rect.t) (cell : Flat.acc) =
+  let lo = r.Rect.lo and hi = r.Rect.hi in
+  let mapped = Array.length nq.map_a > 0 in
+  let polar =
+    match t.config.Feature.representation with
+    | Coords.Polar -> true
+    | Coords.Rectangular -> false
+  in
   let acc = ref 0. and tol = ref 0. in
-  for i = 0 to k - 1 do
-    let lo_a = r.Rect.lo.(2 * i) and hi_a = r.Rect.hi.(2 * i) in
-    let lo_b = r.Rect.lo.((2 * i) + 1) and hi_b = r.Rect.hi.((2 * i) + 1) in
+  for i = 0 to t.config.Feature.k - 1 do
+    let ia = 2 * i and ib = (2 * i) + 1 in
+    let xa = if mapped then (nq.map_a.(ia) *. lo.(ia)) +. nq.map_b.(ia) else lo.(ia) in
+    let ya = if mapped then (nq.map_a.(ia) *. hi.(ia)) +. nq.map_b.(ia) else hi.(ia) in
+    let xb = if mapped then (nq.map_a.(ib) *. lo.(ib)) +. nq.map_b.(ib) else lo.(ib) in
+    let yb = if mapped then (nq.map_a.(ib) *. hi.(ib)) +. nq.map_b.(ib) else hi.(ib) in
+    let lo_a = if mapped then fmin xa ya else xa in
+    let hi_a = if mapped then fmax xa ya else ya in
+    let lo_b = if mapped then fmin xb yb else xb in
+    let hi_b = if mapped then fmax xb yb else yb in
     let d =
-      match t.config.Feature.representation with
-      | Coords.Rectangular ->
-        let re = Cpx.re query_coeffs.(i) and im = Cpx.im query_coeffs.(i) in
-        let clamp v lo hi = Float.max lo (Float.min hi v) in
-        let dre = re -. clamp re lo_a hi_a in
-        let dim = im -. clamp im lo_b hi_b in
+      if polar then begin
+        let qmag = nq.qmag.(i) in
+        let scale = qmag +. Float.abs hi_a in
+        tol := !tol +. (scale *. scale);
+        polar_mindist ~qmag ~qang:nq.qang.(i) ~mag_lo:lo_a ~mag_hi:hi_a
+          ~ang_lo:lo_b ~ang_hi:hi_b
+      end
+      else begin
+        let re = nq.qre.(i) and im = nq.qim.(i) in
+        let dre = re -. fmax lo_a (fmin hi_a re) in
+        let dim = im -. fmax lo_b (fmin hi_b im) in
         let scale =
           Float.abs re +. Float.abs im
-          +. Float.max (Float.abs lo_a) (Float.abs hi_a)
-          +. Float.max (Float.abs lo_b) (Float.abs hi_b)
+          +. fmax (Float.abs lo_a) (Float.abs hi_a)
+          +. fmax (Float.abs lo_b) (Float.abs hi_b)
         in
         tol := !tol +. (scale *. scale);
         sqrt ((dre *. dre) +. (dim *. dim))
-      | Coords.Polar ->
-        let scale = Cpx.abs query_coeffs.(i) +. Float.abs hi_a in
-        tol := !tol +. (scale *. scale);
-        polar_mindist query_coeffs.(i) ~mag_lo:lo_a ~mag_hi:hi_a ~ang_lo:lo_b
-          ~ang_hi:hi_b
+      end
     in
     acc := !acc +. (d *. d)
   done;
-  sqrt (Float.max 0. (!acc -. (bound_slack *. !tol)))
+  cell.Flat.sum <- sqrt (fmax 0. (!acc -. (bound_slack *. !tol)))
 
 (* The NN sketch argument is also a builder: applied to the prepared
    query it yields a per-entry lower bound (the max over the funnel's
@@ -470,7 +525,8 @@ let nn_point_bound t sketch q =
   | None -> None
   | Some f ->
     Option.map
-      (fun bound (_ : Rect.t) id -> bound (Dataset.get t.dataset id))
+      (fun bound (_ : Rect.t) id (cell : Flat.acc) ->
+        cell.Flat.sum <- bound (Dataset.get t.dataset id))
       (f q : (Dataset.entry -> float) option)
 
 let nn_detail ~k point_bound =
@@ -486,41 +542,40 @@ let nn_detail ~k point_bound =
    resumes the same accumulator over the tail of the stored spectrum
    ({!Flat.dist_within}), so a refined distance is exactly
    {!prepared_distance}'s, and an entry is abandoned only when
-   [sqrt partial > within]. The warp changes the length and keeps its
+   [sqrt partial > within]. Keys and distances are written into the
+   traversal's cell. The warp changes the length and keeps its
    time-domain distance. The accumulator belongs to one query. *)
-let nn_refinement t prepared (q : Dataset.entry) =
+let nn_refinement t prepared (q : Dataset.entry) ~count =
   match prepared.pspec with
   | Spec.Warp _ -> None
   | _ ->
     let n = Dataset.series_length t.dataset in
     let stretch = prepared.pstretch and qs = q.Dataset.spectrum in
     let acc = Flat.acc () in
-    let bound id =
-      ignore (Dataset.head_sq_dist t.dataset ~stretch id qs acc);
-      sqrt acc.Flat.sum
+    let key (_ : Rect.t) id (cell : Flat.acc) =
+      ignore (Dataset.head_sq_dist t.dataset ~stretch id qs cell);
+      cell.Flat.sum <- sqrt cell.Flat.sum
     in
-    let refine id ~within =
+    let refine (_ : Rect.t) id (cell : Flat.acc) =
+      count ();
       let lo = Dataset.head_sq_dist t.dataset ~stretch id qs acc in
-      Flat.dist_within ~stretch ~within ~lo ~hi:n
-        (Dataset.get t.dataset id).Dataset.spectrum 0 qs 0 acc
+      Flat.dist_within ~stretch ~lo ~hi:n
+        (Dataset.get t.dataset id).Dataset.spectrum 0 qs 0 acc ~within:cell
     in
-    Some (bound, refine)
+    Some (key, refine)
 
 (* The one NN traversal behind {!nearest} and {!nearest_checked}:
    best-first over the tree with per-feature geometric bounds on the
-   nodes ([RKV95]), data entries queued under the sketch bound when one
-   is given, else under the head bound, and refined on the kernel as
-   they surface. Under [bstate] every node expansion is checked and
-   charged as a node access and every refinement (or warp distance) as
-   one comparison; bounds charge nothing. [visits] counts node
-   expansions when a budget or a profile asks for them. *)
+   nodes ([RKV95]), data entries keyed by the sketch bound when one is
+   given, else by the head bound, and refined on the kernel as they
+   surface. Under [bstate] every node expansion is checked and charged
+   as a node access and every refinement (or warp distance) as one
+   comparison; bounds charge nothing. [visits] counts node expansions
+   when a budget or a profile asks for them; the profile node counts
+   the entries keyed as its rows in and the refinements as its
+   candidates. *)
 let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
-  let query_coeffs = query_coeffs t q in
-  let map_rect r =
-    match prepared.ptransform with
-    | None -> r
-    | Some tr -> Linear_transform.apply_rect tr r
-  in
+  let nq = nn_query t prepared q in
   let visit =
     match (bstate, pn) with
     | None, None -> None
@@ -530,29 +585,29 @@ let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
           incr visits;
           Budget.node_access bstate)
   in
-  let dist = prepared_distance t prepared q in
-  let point_dist _ id =
+  let count () =
     Profile.add_candidates pn 1;
-    Budget.comparisons bstate 1;
-    dist (Dataset.get t.dataset id)
+    Budget.comparisons bstate 1
   in
-  let point_bound, refine =
-    match nn_refinement t prepared q with
-    | None -> (sketch_bound, None)
-    | Some (head_bound, refine) ->
-      ( (match sketch_bound with
-        | Some _ -> sketch_bound
-        | None -> Some (fun _ id -> head_bound id)),
-        Some
-          (fun _ id ~within ->
-            Profile.add_candidates pn 1;
-            Budget.comparisons bstate 1;
-            refine id ~within) )
+  let dist = prepared_distance t prepared q in
+  let exact (_ : Rect.t) id (cell : Flat.acc) =
+    count ();
+    cell.Flat.sum <- dist (Dataset.get t.dataset id)
+  in
+  let key, refine =
+    match (nn_refinement t prepared q ~count, sketch_bound) with
+    | None, None -> (exact, None)
+    | None, Some bound -> (bound, Some exact)
+    | Some (head, refine), None -> (head, Some refine)
+    | Some (_, refine), Some bound -> (bound, Some refine)
+  in
+  let key r id cell =
+    Profile.add_rows_in pn 1;
+    key r id cell
   in
   Otrace.with_span "kindex.nearest" @@ fun () ->
-  Nn.nearest_custom ?visit ?point_bound ?refine ~data_rank:Fun.id t.tree
-    ~rect_bound:(fun r -> feature_lower_bound t ~query_coeffs (map_rect r))
-    ~point_dist ~k
+  Nn.best_first ?visit ?refine t.tree ~node_bound:(node_bound t nq) ~key
+    ~rank:Fun.id ~k
   |> List.map (fun (_, id, d) -> (Dataset.get t.dataset id, d))
 
 (* What both NN entry points prepare before traversing: the query

@@ -169,17 +169,17 @@ let nearest ?profile t ~query ~k =
      entries keyed by the minimum distance of their windows, expanded as
      they surface, stays exact because the feature-space MINDIST
      lower-bounds every window the rectangle covers. *)
-  Simq_rtree.Nn.nearest_custom ?visit t.tree
-    ~rect_bound:(fun r -> Rect.mindist query_point r)
-    ~point_dist:(fun _ payload ->
+  Simq_rtree.Nn.best_first ?visit t.tree
+    ~node_bound:(fun r c -> c.Simq_dsp.Flat.sum <- Rect.mindist query_point r)
+    ~key:(fun _ payload c ->
       Profile.add_candidates pn payload.run;
       let best = ref Float.infinity in
       for offset = payload.first to payload.first + payload.run - 1 do
         best :=
           Float.min !best (true_distance t query ~sid:payload.sid ~offset)
       done;
-      !best)
-    ~k
+      c.Simq_dsp.Flat.sum <- !best)
+    ~rank:(fun _ -> 0) ~k
   |> List.concat_map (fun (_, payload, best) ->
          (* Report the windows of this entry achieving its distance tier:
             re-rank all its windows and keep them; the final take below

@@ -294,7 +294,7 @@ let test_batch_metric_totals_invariant () =
   let families =
     [ "simq_batch_queries_total"; "simq_scan_candidates_total";
       "simq_scan_survivors_total"; "simq_scan_early_abandon_total";
-      "simq_kindex_candidates_total"; "simq_rtree_node_accesses_total" ]
+      "simq_kindex_candidates_total"; "simq_rtree_node_visits_total" ]
   in
   let ref_totals = ref None in
   List.iter

@@ -55,6 +55,87 @@ let test_heap_random () =
   in
   Alcotest.(check int) "all elements" 500 (List.length (drain []))
 
+(* Pushed all at once, entries pop in the order of a stable sort on
+   (key, tie): keys and ties drawn from small sets, so both repeat
+   often, and entries equal in both pop first in, first out. The
+   state pushed with an entry comes back with it, and [pop_min] drains
+   in the same order as [top]/[drop]. *)
+let test_heap_stable_order () =
+  let module Heap = Simq_pqueue.Heap in
+  let state = Random.State.make [| 29 |] in
+  let keys = [| 0.; 0.5; 1.; 1.; 2.; infinity |]
+  and ties = [| min_int; -1; 0; 0; 3 |] in
+  for round = 1 to 200 do
+    let size = Random.State.int state 60 in
+    let input =
+      List.init size (fun i ->
+          ( keys.(Random.State.int state (Array.length keys)),
+            ties.(Random.State.int state (Array.length ties)),
+            i ))
+    in
+    let expected =
+      List.stable_sort
+        (fun (k1, t1, _) (k2, t2, _) -> compare (k1, t1) (k2, t2))
+        input
+    in
+    let h = Heap.create () and c = Heap.cell () in
+    List.iter
+      (fun (k, t, i) ->
+        c.Heap.key <- k;
+        Heap.push_cell h c ~tie:t ~state:(i mod 3) (k, t, i))
+      input;
+    let drained =
+      if round mod 2 = 0 then
+        List.init size (fun _ ->
+            let v = Heap.top h and s = Heap.top_state h and k = Heap.top_key h in
+            let _, _, i = v in
+            Alcotest.(check int) "state travels with the value" (i mod 3) s;
+            Alcotest.(check (float 0.)) "top key" (let k', _, _ = v in k') k;
+            Heap.drop h;
+            v)
+      else
+        List.init size (fun _ ->
+            match Heap.pop_min h with
+            | Some (_, v) -> v
+            | None -> Alcotest.fail "drained early")
+    in
+    Alcotest.(check (list (triple (float 0.) int int)))
+      "pop order = stable sort on (key, tie)" expected drained;
+    Alcotest.(check bool) "empty" true (Heap.is_empty h)
+  done
+
+(* Pushes and pops interleaved: every pop takes the least remaining
+   entry by (key, tie, insertion), as a sorted-list model does. *)
+let test_heap_interleaved () =
+  let module Heap = Simq_pqueue.Heap in
+  let state = Random.State.make [| 31 |] in
+  let h = Heap.create () and c = Heap.cell () in
+  let model = ref [] and next = ref 0 in
+  let order (k1, t1, i1) (k2, t2, i2) = compare (k1, t1, i1) (k2, t2, i2) in
+  for _ = 1 to 5000 do
+    if !model = [] || Random.State.int state 3 > 0 then begin
+      let k = float_of_int (Random.State.int state 8) /. 2.
+      and t = Random.State.int state 4 - 2 in
+      let e = (k, t, !next) in
+      incr next;
+      c.Heap.key <- k;
+      Heap.push_cell h c ~tie:t ~state:0 e;
+      model := List.merge order [ e ] !model
+    end
+    else begin
+      match !model with
+      | least :: rest ->
+        Alcotest.(check (triple (float 0.) int int)) "least first" least
+          (Heap.top h);
+        Heap.drop h;
+        model := rest
+      | [] -> ()
+    end;
+    Alcotest.(check int) "size" (List.length !model) (Heap.size h)
+  done;
+  Alcotest.check_raises "drop on empty" (Invalid_argument "Heap: empty")
+    (fun () -> Heap.drop (Heap.create ()))
+
 (* --- insertion & search ------------------------------------------------- *)
 
 let test_empty_tree () =
@@ -257,25 +338,24 @@ let test_nn_deferred_refinement () =
       |> List.sort compare
       |> List.filteri (fun i _ -> i < k)
     in
-    let run ?point_bound ?refine () =
+    let run ~key ?refine () =
       let visits = ref 0 in
       let answers =
-        Nn.nearest_custom ~visit:(fun () -> incr visits) ~data_rank:Fun.id
-          ?point_bound ?refine t
-          ~rect_bound:(fun r -> Rect.mindist query r)
-          ~point_dist:(fun r _ -> rounded r)
-          ~k
+        Nn.best_first ~visit:(fun () -> incr visits) ?refine t
+          ~node_bound:(fun r c -> c.Simq_dsp.Flat.sum <- Rect.mindist query r)
+          ~key:(fun r _ c -> c.Simq_dsp.Flat.sum <- key r)
+          ~rank:Fun.id ~k
         |> List.map (fun (_, v, d) -> (d, v))
       in
       (answers, !visits)
     in
-    let plain, plain_visits = run () in
+    let plain, plain_visits = run ~key:rounded () in
     let deferred, deferred_visits =
-      run
-        ~point_bound:(fun r _ -> euclid r)
-        ~refine:(fun r _ ~within ->
+      run ~key:euclid
+        ~refine:(fun r _ c ->
+          let within = c.Simq_dsp.Flat.sum in
           let d = rounded r in
-          if d > within then d +. 1. else d)
+          c.Simq_dsp.Flat.sum <- (if d > within then d +. 1. else d))
         ()
     in
     Alcotest.(check (list (pair (float 0.) int))) "plain = brute force"
@@ -290,7 +370,7 @@ let test_nn_empty_tree () =
   Alcotest.(check int) "no neighbours" 0
     (List.length (Nn.nearest t ~query:[| 0.; 0. |] ~k:3));
   Alcotest.check_raises "k must be positive"
-    (Invalid_argument "Nn.nearest_custom: k must be positive") (fun () ->
+    (Invalid_argument "Nn.best_first: k must be positive") (fun () ->
       ignore (Nn.nearest t ~query:[| 0.; 0. |] ~k:0))
 
 let test_nn_k_larger_than_tree () =
@@ -544,6 +624,10 @@ let () =
         [
           Alcotest.test_case "orders" `Quick test_heap_orders;
           Alcotest.test_case "random" `Quick test_heap_random;
+          Alcotest.test_case "pop order is a stable sort on (key, tie)" `Quick
+            test_heap_stable_order;
+          Alcotest.test_case "interleaved pushes and pops" `Quick
+            test_heap_interleaved;
         ] );
       ( "insert/search",
         [

@@ -313,7 +313,7 @@ let execution_families =
   [
     "simq_buffer_pool_hits_total"; "simq_buffer_pool_misses_total";
     "simq_scan_candidates_total"; "simq_kindex_candidates_total";
-    "simq_rtree_node_accesses_total";
+    "simq_rtree_node_visits_total";
   ]
 
 let test_shed_is_typed_and_executes_nothing () =

@@ -452,7 +452,7 @@ let test_one_rejecting_shard_rejects_everything () =
         [
           "simq_shard_queries_total"; "simq_shard_fanout_total";
           "simq_buffer_pool_hits_total"; "simq_buffer_pool_misses_total";
-          "simq_kindex_candidates_total"; "simq_rtree_node_accesses_total";
+          "simq_kindex_candidates_total"; "simq_rtree_node_visits_total";
         ];
       Array.iteri
         (fun i _ ->
