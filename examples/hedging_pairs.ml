@@ -58,7 +58,7 @@ let () =
         Array.init k (fun i ->
             Simq_dsp.Cpx.neg
               (Simq_dsp.Cpx.mul transfer.(i + 1)
-                 (Simq_dsp.Flat.coeff q.Dataset.spectrum (i + 1))))
+                 (Simq_dsp.Flat.coeff q.Dataset.qspectrum (i + 1))))
       in
       let result =
         Kindex.range_generic ~spec:smooth index ~query_coeffs ~epsilon

@@ -28,6 +28,13 @@ val fft_inplace : Flat.t -> unit
     [Invalid_argument] when [x] has odd length. *)
 val ifft_inplace : Flat.t -> unit
 
+(** [fft_real_into x dst ~off] writes the forward transform of the real
+    signal [x] into coefficients [off .. off + n - 1] of the flat buffer
+    [dst], for [n] the length of [x], bit for bit {!fft_real_flat}'s
+    coefficients: several spectra can share one buffer with no
+    transient copy. Raises [Invalid_argument] when they do not fit. *)
+val fft_real_into : float array -> Flat.t -> off:int -> unit
+
 (** [fft_real_flat x] is the forward transform of the real signal [x]
     as a fresh flat vector of [length x] coefficients: [x] is written
     straight into the output buffer, which is then transformed and

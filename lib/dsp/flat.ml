@@ -16,18 +16,21 @@ let coeff x f = { Complex.re = x.(2 * f); im = x.((2 * f) + 1) }
 let sub x ~pos ~len = Array.init len (fun i -> coeff x (pos + i))
 let to_cpx x = sub x ~pos:0 ~len:(length x)
 
-(* The real part of coefficient [f] of [stretch · x] by [Complex.mul]'s
-   formula: the head stores it, and the band join sorts by it. *)
-let[@inline] stretched_re ~stretch x f =
-  (stretch.(2 * f) *. x.(2 * f)) -. (stretch.((2 * f) + 1) *. x.((2 * f) + 1))
+(* The real part of coefficient [f] of [stretch · x], for [x] read
+   from float index [xo], by [Complex.mul]'s formula: the head stores
+   it, and the band join sorts by it. *)
+let[@inline] stretched_re ~stretch x xo f =
+  (stretch.(2 * f) *. x.(xo + (2 * f)))
+  -. (stretch.((2 * f) + 1) *. x.(xo + (2 * f) + 1))
 
-(* Coefficients [0 .. len-1] of [stretch · x] into [dst] from
-   coefficient [off], with [Complex.mul]'s formula. *)
-let stretch_prefix ~stretch x ~len dst ~off =
+(* Coefficients [0 .. len-1] of [stretch · x], for [x] read from float
+   index [xo], into [dst] from coefficient [off], with [Complex.mul]'s
+   formula. *)
+let stretch_prefix ~stretch x ~xo ~len dst ~off =
   for f = 0 to len - 1 do
     let sr = stretch.(2 * f) and si = stretch.((2 * f) + 1) in
-    let xr = x.(2 * f) and xi = x.((2 * f) + 1) in
-    dst.(2 * (off + f)) <- stretched_re ~stretch x f;
+    let xr = x.(xo + (2 * f)) and xi = x.(xo + (2 * f) + 1) in
+    dst.(2 * (off + f)) <- stretched_re ~stretch x xo f;
     dst.((2 * (off + f)) + 1) <- (sr *. xi) +. (si *. xr)
   done
 
@@ -35,7 +38,7 @@ let stretch_into ~stretch x dst ~off =
   if Array.length stretch <> Array.length x || off < 0
      || (2 * off) + Array.length x > Array.length dst
   then invalid_arg "Flat.stretch_into: length mismatch";
-  stretch_prefix ~stretch x ~len:(length x) dst ~off
+  stretch_prefix ~stretch x ~xo:0 ~len:(length x) dst ~off
 
 type acc = { mutable sum : float }
 
@@ -101,48 +104,50 @@ let head_width = 4
 
 type rows = {
   stretch : t;
-  spectra : t array;  (* position [p]'s spectrum; its length was checked *)
+  buf : t;  (* the spectra, each [n] coefficients long *)
+  offs : int array;  (* position [p]'s spectrum from float index [offs.(p)] *)
   n : int;
   head : t;  (* position [p]'s stretched head from coefficient [p·head_width] *)
   key_re : t;  (* position [p]'s stretched coefficient 1, copied from the *)
   key_im : t;  (* head so that the band pre-pass reads it densely *)
 }
 
-let sort_key ~stretch x =
-  if Array.length x <> Array.length stretch then
-    invalid_arg "Flat.sort_key: spectrum length differs from the stretch";
-  if length x < 2 then 0. else stretched_re ~stretch x 1
+let sort_key ~stretch x ~off =
+  if off < 0 || 2 * (off + length stretch) > Array.length x then
+    invalid_arg "Flat.sort_key: spectrum out of bounds";
+  if length stretch < 2 then 0. else stretched_re ~stretch x (2 * off) 1
 
-let rows ~stretch ?order spectra =
+let rows ~stretch ?order buf offsets =
   let n = length stretch in
   Array.iter
-    (fun x ->
-      if Array.length x <> Array.length stretch then
-        invalid_arg "Flat.rows: spectrum length differs from the stretch")
-    spectra;
-  let count = Array.length spectra in
-  let spectra =
+    (fun off ->
+      if off < 0 || 2 * (off + n) > Array.length buf then
+        invalid_arg "Flat.rows: spectrum out of bounds")
+    offsets;
+  let count = Array.length offsets in
+  let order =
     match order with
-    | None -> Array.copy spectra
+    | None -> Array.init count Fun.id
     | Some order ->
       if Array.length order <> count then
         invalid_arg "Flat.rows: order length differs from the spectra";
-      Array.map (fun j -> spectra.(j)) order
+      order
   in
+  let offs = Array.map (fun r -> 2 * offsets.(r)) order in
   (* Zero past coefficient [n - 1]: such a coefficient adds [0.] to the
      sum, which leaves it and every abandon test unchanged. *)
   let head = Array.make (2 * head_width * count) 0. in
   Array.iteri
-    (fun p x ->
-      stretch_prefix ~stretch x ~len:(min head_width n) head
+    (fun p xo ->
+      stretch_prefix ~stretch buf ~xo ~len:(min head_width n) head
         ~off:(p * head_width))
-    spectra;
+    offs;
   let key_re = create count and key_im = create count in
   for p = 0 to count - 1 do
     key_re.(p) <- head.((2 * head_width * p) + 2);
     key_im.(p) <- head.((2 * head_width * p) + 3)
   done;
-  { stretch; spectra; n; head; key_re; key_im }
+  { stretch; buf; offs; n; head; key_re; key_im }
 
 (* The squared distance between positions [i] and [j], abandoned at
    [limit]: {!sq_dist}'s arithmetic over two pre-stretched spectra. The
@@ -153,7 +158,8 @@ let rows ~stretch ?order spectra =
    their arithmetic. The callers checked every index, so the loads are
    unchecked; inlined, the float result stays unboxed. *)
 let[@inline] pair_sum r ~limit ~i ~j =
-  let s = r.stretch and head = r.head and spectra = r.spectra and n = r.n in
+  let s = r.stretch and head = r.head and buf = r.buf and offs = r.offs
+  and n = r.n in
   let xo = 2 * head_width * i and yo = 2 * head_width * j in
   let sum = ref 0. in
   let dr = Array.unsafe_get head xo -. Array.unsafe_get head yo
@@ -180,17 +186,16 @@ let[@inline] pair_sum r ~limit ~i ~j =
         in
         sum := !sum +. ((dr *. dr) +. (di *. di));
         if not (!sum > limit) then begin
-          let x = Array.unsafe_get spectra i
-          and y = Array.unsafe_get spectra j in
+          let xs = Array.unsafe_get offs i and ys = Array.unsafe_get offs j in
           let f = ref head_width and stop = ref n in
           while !f < !stop do
             let k = 2 * !f in
             let sr = Array.unsafe_get s k
             and si = Array.unsafe_get s (k + 1) in
-            let xr = Array.unsafe_get x k
-            and xi = Array.unsafe_get x (k + 1) in
-            let yr = Array.unsafe_get y k
-            and yi = Array.unsafe_get y (k + 1) in
+            let xr = Array.unsafe_get buf (xs + k)
+            and xi = Array.unsafe_get buf (xs + k + 1) in
+            let yr = Array.unsafe_get buf (ys + k)
+            and yi = Array.unsafe_get buf (ys + k + 1) in
             let dr =
               ((sr *. xr) -. (si *. xi)) -. ((sr *. yr) -. (si *. yi))
             in
@@ -208,7 +213,7 @@ let[@inline] pair_sum r ~limit ~i ~j =
   !sum
 
 let within_row r ~limit ~threshold ~i ~j0 hits =
-  let count = Array.length r.spectra in
+  let count = Array.length r.offs in
   if i < 0 || i >= count || j0 < 0 || j0 > count
      || Array.length hits < count - j0
   then invalid_arg "Flat.within_row: row out of bounds";
@@ -229,7 +234,7 @@ let within_row r ~limit ~threshold ~i ~j0 hits =
    branch depends on the data. The kernel then compacts its hits into
    the same buffer, never writing past the candidate it reads. *)
 let within_band r ~limit ~threshold ~i ~j1 buf =
-  let count = Array.length r.spectra in
+  let count = Array.length r.offs in
   if i < 0 || i >= count || j1 <= i || j1 > count
      || Array.length buf < j1 - i - 1
   then invalid_arg "Flat.within_band: row out of bounds";

@@ -112,29 +112,34 @@ val dist_within :
     early-abandoning join comparisons end within them. *)
 val head_width : int
 
-(** A relation prepared for {!within_row} and {!within_band}: its
-    stored spectra in position order, one stretch, and the head buffer
+(** A relation prepared for {!within_row} and {!within_band}: the
+    buffer holding its stored spectra with each position's offset in
+    it, one stretch, and the head buffer
     holding the first [head_width] stretched coefficients of every
     position, one after another (zero beyond coefficient [n - 1] when
     [n < head_width]: adding [0.] leaves a sum and its abandon tests
     unchanged). *)
 type rows
 
-(** [sort_key ~stretch x] is the real part of [stretch.(1)·x.(1)] by
-    [Complex.mul]'s formula ([0.] when [x] has fewer than two
-    coefficients): the very double {!rows} stores as the real part of
-    the entry's head coefficient 1, which {!within_band}'s pre-pass
-    reads. Raises [Invalid_argument] when [x]'s length differs from
-    [stretch]'s. *)
-val sort_key : stretch:t -> t -> float
+(** [sort_key ~stretch x ~off] is the real part of
+    [stretch.(1)·x.(off + 1)] by [Complex.mul]'s formula ([0.] when
+    [stretch] has fewer than two coefficients): the very double {!rows}
+    stores as the real part of the head coefficient 1 of a spectrum
+    starting at coefficient [off] of [x], which {!within_band}'s
+    pre-pass reads. Raises [Invalid_argument] when that spectrum, as
+    long as [stretch], does not fit in [x]. *)
+val sort_key : stretch:t -> t -> off:int -> float
 
-(** [rows ~stretch ?order spectra] prepares [spectra] under [stretch]:
-    position [p] holds [spectra.(order.(p))] ([order] defaults to the
-    identity, and should be a permutation). Only the head buffer is
-    stretched: [Array.length spectra × head_width] coefficients. Raises
-    [Invalid_argument] when a spectrum's length differs from
-    [stretch]'s, or [order]'s from [spectra]'s. *)
-val rows : stretch:t -> ?order:int array -> t array -> rows
+(** [rows ~stretch ?order buf offsets] prepares the spectra of [buf]
+    under [stretch]: spectrum [r] is the [length stretch] coefficients
+    of [buf] from coefficient [offsets.(r)] (so one buffer holds them
+    all, in any layout), and position [p] holds spectrum [order.(p)]
+    ([order] defaults to the identity, and should be a permutation).
+    The spectra are read in place, never copied; only the head buffer
+    is stretched: [Array.length offsets × head_width] coefficients.
+    Raises [Invalid_argument] when a spectrum does not fit in [buf], or
+    [order]'s length differs from [offsets]'s. *)
+val rows : stretch:t -> ?order:int array -> t -> int array -> rows
 
 (** [within_row r ~limit ~threshold ~i ~j0 hits] compares position [i]
     with each position [j] in [j0 .. count-1], in ascending order, and

@@ -744,7 +744,7 @@ let ablation_rtree ~fast =
   let config = Feature.default in
   let points =
     Array.map
-      (fun (e : Dataset.entry) -> (Feature.point config e, e.Dataset.id))
+      (fun (e : Dataset.entry) -> (Feature.point config dataset e, e.Dataset.id))
       (Dataset.entries dataset)
   in
   let dims = Feature.dims config in

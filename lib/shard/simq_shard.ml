@@ -66,7 +66,7 @@ let create ?pool ?(config = Feature.default) ?(max_fill = 32) ?sketch ~shards
     let box =
       Rect.of_points
         (Array.to_list
-           (Array.map (Feature.point config) (Dataset.entries sdataset)))
+           (Array.map (Feature.point config sdataset) (Dataset.entries sdataset)))
     in
     {
       ordinal;

@@ -90,13 +90,16 @@ let slack = 1. -. 1e-9
    identity), and any subset of the non-negative terms lower-bounds
    it. The ranges accumulate into one sum, in ascending coefficient
    order. *)
-let coarse_bound ~ranges ~stretch ~(q : Dataset.entry) (entry : Dataset.entry) =
+let coarse_bound t ~ranges ~stretch ~(q : Dataset.query)
+    (entry : Dataset.entry) =
+  let n = Dataset.series_length t.dataset in
+  let off = Dataset.slot t.dataset entry.Dataset.id * n in
   let acc = Flat.acc () in
   List.iter
     (fun (lo, hi) ->
       ignore
-        (Flat.sq_dist ~stretch ~limit:infinity ~lo ~hi entry.Dataset.spectrum 0
-           q.Dataset.spectrum 0 acc))
+        (Flat.sq_dist ~stretch ~limit:infinity ~lo ~hi
+           (Dataset.spectra t.dataset) off q.Dataset.qspectrum 0 acc))
     ranges;
   sqrt acc.Flat.sum *. slack
 
@@ -132,23 +135,23 @@ let on_filtered levels level n =
 (* The per-level bounds for one prepared query, or None when the
    transformation supports no sketch (the warp changes the length, so
    neither the spectra nor the segment cuts align). *)
-let level_bounds t ~spec ~(query : Dataset.entry) =
+let level_bounds t ~spec ~(query : Dataset.query) =
   let n = Dataset.series_length t.dataset in
   match spec with
   | Spec.Warp _ -> None
   | Spec.Identity ->
     let ranges = coarse_ranges ~n ~coarse:t.config.coarse in
     let lengths = seg_lengths ~n ~segments:t.config.segments in
-    let qmeans = seg_means ~lengths query.Dataset.normal in
+    let qmeans = seg_means ~lengths query.Dataset.qnormal in
     Some
       [|
-        ("coarse", coarse_bound ~ranges ~stretch:None ~q:query);
+        ("coarse", coarse_bound t ~ranges ~stretch:None ~q:query);
         ("segment", segment_bound t ~lengths ~qmeans);
       |]
   | _ ->
     let ranges = coarse_ranges ~n ~coarse:t.config.coarse in
     let stretch = Some (Flat.of_cpx (Spec.stretch spec ~n)) in
-    Some [| ("coarse", coarse_bound ~ranges ~stretch ~q:query) |]
+    Some [| ("coarse", coarse_bound t ~ranges ~stretch ~q:query) |]
 
 let funnel t ~spec ~query =
   match level_bounds t ~spec ~query with

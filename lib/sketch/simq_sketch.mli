@@ -61,7 +61,7 @@ val spec_levels : Simq_tsindex.Spec.t -> int
 val funnel :
   t ->
   spec:Simq_tsindex.Spec.t ->
-  query:Simq_tsindex.Dataset.entry ->
+  query:Simq_tsindex.Dataset.query ->
   Simq_tsindex.Kindex.prefilter option
 
 (** [nn_bound t ~spec ~query] is the strongest per-entry lower bound
@@ -73,5 +73,5 @@ val funnel :
 val nn_bound :
   t ->
   spec:Simq_tsindex.Spec.t ->
-  query:Simq_tsindex.Dataset.entry ->
+  query:Simq_tsindex.Dataset.query ->
   (Simq_tsindex.Dataset.entry -> float) option

@@ -9,16 +9,21 @@ type entry = {
   name : string;
   series : Series.t;
   normal : Series.t;
-  spectrum : Flat.t;
   mean : float;
   std : float;
 }
 
+type query = { qnormal : Series.t; qspectrum : Flat.t }
+
 type t = {
-  mutable entries : entry array;  (* amortised growable; [count] live *)
+  mutable entries : entry array;  (* by id; amortised growable; [count] live *)
+  mutable spectra : Flat.t;
+      (* slot [s]'s spectrum from coefficient [s·n]; grows with [entries] *)
   mutable head : Flat.t;
-      (* entry [id]'s first [Flat.head_width] spectrum coefficients from
-         coefficient [id·head_width]; grows with [entries] *)
+      (* slot [s]'s first [Flat.head_width] spectrum coefficients from
+         coefficient [s·head_width]; grows with [entries] *)
+  mutable slots : int array;  (* id → slot *)
+  mutable ids : int array;  (* slot → id *)
   mutable count : int;
   n : int;
   relation : Relation.t;
@@ -26,23 +31,25 @@ type t = {
 
 let head_width = Flat.head_width
 
-(* Coefficients [0 .. min head_width n - 1] of [entry]'s spectrum into
+(* Coefficients [0 .. min head_width n - 1] of slot [s]'s spectrum into
    its slot of [head]; the slot's zero padding beyond [n - 1] is never
    read by the kernel, whose ranges stop at [n]. *)
-let fill_head head (entry : entry) =
-  let len = 2 * Int.min head_width (Flat.length entry.spectrum) in
-  Array.blit entry.spectrum 0 head (2 * head_width * entry.id) len
+let fill_head t s =
+  Array.blit t.spectra (2 * s * t.n) t.head (2 * head_width * s)
+    (2 * Int.min head_width t.n)
 
-let prepare ~id ~name series =
+(* Normalises [series] and writes the spectrum of its normal form
+   straight into coefficient [off] of [spectra]: every
+   frequency-domain distance reads it there through the one kernel
+   ({!Simq_dsp.Flat}). *)
+let prepare ~id ~name series spectra ~off =
   let d = Normal_form.decompose series in
+  Simq_dsp.Fft.fft_real_into d.Normal_form.normalised spectra ~off;
   {
     id;
     name;
     series;
     normal = d.Normal_form.normalised;
-    (* Filled once; every frequency-domain distance reads it through
-       the one kernel ({!Simq_dsp.Flat}). *)
-    spectrum = Simq_dsp.Fft.fft_real_flat d.Normal_form.normalised;
     mean = d.Normal_form.mean;
     std = d.Normal_form.std;
   }
@@ -52,23 +59,39 @@ let of_relation ?pool r =
     invalid_arg "Dataset.of_relation: empty relation";
   let tuples = Relation.to_array r in
   let n = Series.length tuples.(0).Relation.data in
-  (* Per-entry normalisation + FFT dominates the build cost and is pure,
-     so the tuples fan out over the pool; [map_array] keeps positions
-     and surfaces the lowest-index length error, like the
-     left-to-right sequential map did. *)
+  let count = Array.length tuples in
+  let spectra = Flat.create (n * count) in
+  (* Per-entry normalisation + FFT dominates the build cost and is pure
+     but for its own disjoint slot of [spectra] (slot = id at first), so
+     the tuples fan out over the pool; [map_array] keeps positions and
+     surfaces the lowest-index length error, like the left-to-right
+     sequential map did. *)
   let entries =
     Simq_parallel.Pool.map_array ?pool
       (fun (tuple : Relation.tuple) ->
         if Series.length tuple.Relation.data <> n then
           invalid_arg "Dataset.of_relation: series of unequal lengths";
-        prepare ~id:tuple.Relation.id ~name:tuple.Relation.name
-          tuple.Relation.data)
+        let id = tuple.Relation.id in
+        prepare ~id ~name:tuple.Relation.name tuple.Relation.data spectra
+          ~off:(id * n))
       tuples
   in
-  let count = Array.length entries in
-  let head = Array.make (2 * head_width * count) 0. in
-  Array.iter (fill_head head) entries;
-  { entries; head; count; n; relation = r }
+  let t =
+    {
+      entries;
+      spectra;
+      head = Array.make (2 * head_width * count) 0.;
+      slots = Array.init count Fun.id;
+      ids = Array.init count Fun.id;
+      count;
+      n;
+      relation = r;
+    }
+  in
+  for s = 0 to count - 1 do
+    fill_head t s
+  done;
+  t
 
 let of_series ?pool ~name batch =
   of_relation ?pool (Relation.of_series ~name batch)
@@ -78,34 +101,81 @@ let insert t ~name data =
   if Series.length data <> t.n then
     invalid_arg "Dataset.insert: series length mismatch";
   let tuple = Relation.insert t.relation ~name data in
-  let entry = prepare ~id:tuple.Relation.id ~name data in
-  let capacity = Array.length t.entries in
+  let capacity = Array.length t.ids in
   if t.count = capacity then begin
-    let fresh = Array.make (max 16 (2 * capacity)) entry in
-    Array.blit t.entries 0 fresh 0 capacity;
-    t.entries <- fresh;
-    let head = Array.make (2 * head_width * Array.length fresh) 0. in
+    let fresh = max 16 (2 * capacity) in
+    let grow a = Array.append a (Array.make (fresh - capacity) 0) in
+    let spectra = Flat.create (fresh * t.n) in
+    Array.blit t.spectra 0 spectra 0 (Array.length t.spectra);
+    t.spectra <- spectra;
+    let head = Array.make (2 * head_width * fresh) 0. in
     Array.blit t.head 0 head 0 (Array.length t.head);
-    t.head <- head
+    t.head <- head;
+    t.slots <- grow t.slots;
+    t.ids <- grow t.ids
   end;
-  fill_head t.head entry;
+  (* The new entry's spectrum goes to the end: no re-clustering. *)
+  let s = t.count in
+  let entry =
+    prepare ~id:tuple.Relation.id ~name data t.spectra ~off:(s * t.n)
+  in
+  if t.count = Array.length t.entries then begin
+    let fresh = Array.make (Array.length t.ids) entry in
+    Array.blit t.entries 0 fresh 0 t.count;
+    t.entries <- fresh
+  end;
+  fill_head t s;
   t.entries.(t.count) <- entry;
+  t.slots.(entry.id) <- s;
+  t.ids.(s) <- entry.id;
   t.count <- t.count + 1;
   entry
 
+(* In place, cycle by cycle: slot [s] takes the spectrum and head of
+   the entry [order.(s)], each row moving once through a one-row
+   buffer, so no second copy of the spectra ever exists. *)
+let lay_out t order =
+  if Array.length order <> t.count then
+    invalid_arg "Dataset.lay_out: order length differs from the cardinality";
+  let seen = Bytes.make t.count '\000' in
+  Array.iter
+    (fun id ->
+      if id < 0 || id >= t.count || Bytes.get seen id <> '\000' then
+        invalid_arg "Dataset.lay_out: order is not a permutation of the ids";
+      Bytes.set seen id '\001')
+    order;
+  let row = 2 * t.n and hrow = 2 * head_width in
+  (* [from.(s)]: the slot holding what slot [s] must hold. *)
+  let from = Array.map (fun id -> t.slots.(id)) order in
+  let spare = Flat.create t.n and hspare = Flat.create head_width in
+  Bytes.fill seen 0 t.count '\000';
+  for start = 0 to t.count - 1 do
+    if Bytes.get seen start = '\000' && from.(start) <> start then begin
+      Array.blit t.spectra (start * row) spare 0 row;
+      Array.blit t.head (start * hrow) hspare 0 hrow;
+      let s = ref start in
+      while from.(!s) <> start do
+        let src = from.(!s) in
+        Array.blit t.spectra (src * row) t.spectra (!s * row) row;
+        Array.blit t.head (src * hrow) t.head (!s * hrow) hrow;
+        Bytes.set seen !s '\001';
+        s := src
+      done;
+      Array.blit spare 0 t.spectra (!s * row) row;
+      Array.blit hspare 0 t.head (!s * hrow) hrow;
+      Bytes.set seen !s '\001'
+    end
+  done;
+  Array.iteri
+    (fun s id ->
+      t.ids.(s) <- id;
+      t.slots.(id) <- s)
+    order
+
 let prepare_query ?(normalise = true) q =
   let q = Series.validate q in
-  if normalise then prepare ~id:(-1) ~name:"query" q
-  else
-    {
-      id = -1;
-      name = "query";
-      series = q;
-      normal = q;
-      spectrum = Simq_dsp.Fft.fft_real_flat q;
-      mean = 0.;
-      std = 1.;
-    }
+  let qnormal = if normalise then Normal_form.normalise q else q in
+  { qnormal; qspectrum = Simq_dsp.Fft.fft_real_flat qnormal }
 
 (* GK95-style side constraints always refer to the raw query, which is
    decomposed only when a constraint asks for it. The messages are the
@@ -143,12 +213,25 @@ let get t id =
   if id < 0 || id >= t.count then invalid_arg "Dataset.get: unknown id";
   t.entries.(id)
 
-let head_sq_dist t ~stretch id qs acc =
-  if id < 0 || id >= t.count then
-    invalid_arg "Dataset.head_sq_dist: unknown id";
+let spectra t = t.spectra
+
+let slot t id =
+  if id < 0 || id >= t.count then invalid_arg "Dataset.slot: unknown id";
+  t.slots.(id)
+
+let id_at t s =
+  if s < 0 || s >= t.count then invalid_arg "Dataset.id_at: unknown slot";
+  t.ids.(s)
+
+let spectrum t id =
+  Array.sub t.spectra (2 * slot t id * t.n) (2 * t.n)
+
+let head_sq_dist t ~stretch s qs acc =
+  if s < 0 || s >= t.count then
+    invalid_arg "Dataset.head_sq_dist: unknown slot";
   acc.Flat.sum <- 0.;
   Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:(Int.min head_width t.n)
-    t.head (head_width * id) qs 0 acc
+    t.head (head_width * s) qs 0 acc
 
 let cardinality t = t.count
 let series_length t = t.n

@@ -4,19 +4,34 @@
     normal form, and then we found its Fourier coefficients”).
 
     The spectrum stored is that of the {e normal form}; the original
-    mean and standard deviation ride along and become the first two
-    index dimensions. *)
+    mean and standard deviation ride along and become the last two
+    index dimensions.
+
+    The spectra live in one contiguous flat buffer ({!spectra}), one
+    {e slot} of [n] coefficients per entry, beside a head table of
+    every slot's first {!Simq_dsp.Flat.head_width} coefficients. Ids
+    are stable; the slot of an id is the data set's business
+    ({!slot}, {!id_at}). Slots start in id order; {!lay_out} permutes
+    them in place (the k-index lays them out in its tree's leaf order,
+    so a traversal reads them nearly sequentially) and {!insert}
+    appends one. Every reader takes (buffer, slot) and computes the
+    same doubles in any layout. *)
 
 type entry = {
   id : int;
   name : string;
   series : Simq_series.Series.t;  (** the original series *)
   normal : Simq_series.Series.t;  (** its normal form *)
-  spectrum : Simq_dsp.Flat.t;
-      (** full unitary DFT of [normal], flat (re/im interleaved, see
-          {!Simq_dsp.Flat}); coefficient 0 is always 0 *)
   mean : float;
   std : float;
+}
+
+(** A prepared query: the series compared against ({!prepare_query}) and
+    its full unitary DFT, flat (re/im interleaved, see
+    {!Simq_dsp.Flat}). *)
+type query = {
+  qnormal : Simq_series.Series.t;
+  qspectrum : Simq_dsp.Flat.t;
 }
 
 type t
@@ -35,9 +50,19 @@ val of_series :
 
 (** [insert t ~name data] validates, stores and prepares one more
     series (appending it to the backing relation); its id is the new
-    cardinality minus one. Raises [Invalid_argument] when the length
-    differs from the data set's. *)
+    cardinality minus one, and its spectrum takes a new slot at the end
+    of the buffer (no re-clustering). Raises [Invalid_argument] when
+    the length differs from the data set's. *)
 val insert : t -> name:string -> Simq_series.Series.t -> entry
+
+(** [lay_out t order] moves entry [order.(s)]'s spectrum and head to
+    slot [s], for every slot, by an in-place cycle permutation (no
+    second copy of the buffer exists at any time). Answers, distances
+    and counters of every query are unchanged: only the memory order
+    of the spectra moves. Not safe while another domain queries [t].
+    Raises [Invalid_argument] when [order] is not a permutation of the
+    ids. *)
+val lay_out : t -> int array -> unit
 
 (** [prepare_query ?normalise q] transforms an external query series the
     same way (it need not have the data-set length — warp queries are
@@ -45,7 +70,7 @@ val insert : t -> name:string -> Simq_series.Series.t -> entry
     query that is {e already} in the comparison space, e.g. the moving
     average of a normal form when matching “series whose smoothed normal
     forms track this curve”. *)
-val prepare_query : ?normalise:bool -> Simq_series.Series.t -> entry
+val prepare_query : ?normalise:bool -> Simq_series.Series.t -> query
 
 (** [side_ranges ?mean_window ?std_band query] is the pair of closed
     ranges GK95-style side constraints allow for an answer's mean and
@@ -72,18 +97,35 @@ val within_sides :
   entry ->
   bool
 
-(** [head_sq_dist t ~stretch id qs acc] sets [acc.sum] to the
-    {!Simq_dsp.Flat.sq_dist} sum of entry [id]'s coefficients
+(** [spectra t] is the spectrum buffer: slot [s]'s spectrum is the
+    [n] coefficients from coefficient [s·n] (pass [s·n] as the
+    kernel's offset). {!insert} may replace the buffer, so fetch it per
+    query. *)
+val spectra : t -> Simq_dsp.Flat.t
+
+(** [slot t id] is the slot holding entry [id]'s spectrum; [id_at t s]
+    is the entry whose spectrum slot [s] holds. Raise
+    [Invalid_argument] for an unknown id or slot. *)
+val slot : t -> int -> int
+
+val id_at : t -> int -> int
+
+(** [spectrum t id] is a copy of entry [id]'s spectrum (for feature
+    extraction and tests, not for hot loops). *)
+val spectrum : t -> int -> Simq_dsp.Flat.t
+
+(** [head_sq_dist t ~stretch s qs acc] sets [acc.sum] to the
+    {!Simq_dsp.Flat.sq_dist} sum of slot [s]'s coefficients
     [0 .. h-1] against [qs]'s, where [h] is [min head_width n] for
     {!Simq_dsp.Flat.head_width}, and returns [h]. The coefficients come
-    from the head table: an unstretched copy of every entry's first
+    from the head table: an unstretched copy of every slot's first
     [head_width] spectrum coefficients, one 64-byte cache line per
-    entry, filled by {!of_relation} and grown by {!insert}. They are
-    copies of [spectrum]'s doubles, so resuming [acc] from coefficient
-    [h] over [spectrum] gives the sum over [spectrum] alone bit for bit:
-    nearest-neighbour search queues entries under the head sum and
-    refines them by that resumption ({!Kindex.nearest}). Raises
-    [Invalid_argument] for an unknown id. *)
+    slot, in slot order. They are copies of the buffer's doubles, so
+    resuming [acc] from coefficient [h] over the slot's spectrum gives
+    the sum over the spectrum alone bit for bit: nearest-neighbour
+    search queues entries under the head sum and refines them by that
+    resumption ({!Kindex.nearest}). Raises [Invalid_argument] for an
+    unknown slot. *)
 val head_sq_dist :
   t ->
   stretch:Simq_dsp.Flat.t option ->

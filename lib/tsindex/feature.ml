@@ -14,14 +14,16 @@ let validate config ~n =
 
 let dims config = 2 + (2 * config.k)
 
-let coefficients config (entry : Dataset.entry) =
-  Simq_dsp.Flat.sub entry.Dataset.spectrum ~pos:1 ~len:config.k
+let coefficients config dataset (entry : Dataset.entry) =
+  Simq_dsp.Flat.sub (Dataset.spectra dataset)
+    ~pos:((Dataset.slot dataset entry.Dataset.id * Dataset.series_length dataset) + 1)
+    ~len:config.k
 
 (* Feature dimensions first, mean/std last: the bulk loader tiles along
    the leading dimensions, and queries constrain the DFT features while
    leaving mean/std free, so the discriminating dimensions must lead. *)
-let point config (entry : Dataset.entry) =
+let point config dataset (entry : Dataset.entry) =
   let encoded =
-    Coords.encode config.representation (coefficients config entry)
+    Coords.encode config.representation (coefficients config dataset entry)
   in
   Array.append encoded [| entry.Dataset.mean; entry.Dataset.std |]

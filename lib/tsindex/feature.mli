@@ -23,9 +23,10 @@ val validate : config -> n:int -> unit
 (** [dims config] is [2 + 2k]. *)
 val dims : config -> int
 
-(** [coefficients config entry] is coefficients 1..k of the entry's
-    normal-form spectrum — the complex features. *)
-val coefficients : config -> Dataset.entry -> Simq_dsp.Cpx.t array
+(** [coefficients config dataset entry] is coefficients 1..k of the
+    entry's normal-form spectrum, read from [dataset]'s buffer — the
+    complex features. *)
+val coefficients : config -> Dataset.t -> Dataset.entry -> Simq_dsp.Cpx.t array
 
-(** [point config entry] is the full index key. *)
-val point : config -> Dataset.entry -> Simq_geometry.Point.t
+(** [point config dataset entry] is the full index key. *)
+val point : config -> Dataset.t -> Dataset.entry -> Simq_geometry.Point.t

@@ -58,13 +58,11 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
   let dataset = Kindex.dataset kindex in
   let count = Dataset.cardinality dataset in
   let limit = epsilon *. epsilon in
-  let stretch () =
-    Flat.of_cpx (Spec.stretch spec ~n:(Dataset.series_length dataset))
-  in
-  let spectra () =
-    Array.map (fun (e : Dataset.entry) -> e.Dataset.spectrum)
-      (Dataset.entries dataset)
-  in
+  let n = Dataset.series_length dataset in
+  let stretch () = Flat.of_cpx (Spec.stretch spec ~n) in
+  (* Entry [i]'s spectrum, read in place from the data set's buffer. *)
+  let spectra = Dataset.spectra dataset in
+  let offsets () = Array.init count (fun i -> Dataset.slot dataset i * n) in
   (* [row_for ~lo ~hi] is a chunk's row function: it adds row [p]'s
      pairs to the list and returns its comparisons. [canonical] orders
      the merged pairs. *)
@@ -88,7 +86,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
     | _ when not abandon ->
       (* Method (a): every later row, in id order, never abandoned.
          Only the [count × head_width] head buffer is materialised. *)
-      let rows = Flat.rows ~stretch:(stretch ()) (spectra ()) in
+      let rows = Flat.rows ~stretch:(stretch ()) spectra (offsets ()) in
       ( (fun ~lo ~hi:_ ->
           (* The chunk's own hit buffer, long enough for its first and
              longest row: domains never share one. *)
@@ -108,11 +106,11 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
          stretched coefficient 1, a lower bound on the pair distance,
          so row [p] compares only the later positions whose key is
          within the band width of its own. *)
-      let stretch = stretch () and spectra = spectra () in
-      let keys = Array.map (Flat.sort_key ~stretch) spectra in
+      let stretch = stretch () and offsets = offsets () in
+      let keys = Array.map (fun off -> Flat.sort_key ~stretch spectra ~off) offsets in
       let order = Array.init count Fun.id in
       Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b)) order;
-      let rows = Flat.rows ~stretch ~order spectra in
+      let rows = Flat.rows ~stretch ~order spectra offsets in
       let width = band_width epsilon in
       (* [ends.(p)]: one past row [p]'s window. Rounding is monotone,
          so a key within [width] of row [p]'s stays under the rounded
@@ -232,17 +230,19 @@ let index_join ?profile kindex spec epsilon =
   (* Query features for entry i: the first k coefficients of its
      transformed spectrum (for Warp these are the predicted prefix of the
      warped spectrum, which is all the index needs). *)
+  let n = Dataset.series_length dataset and spectra = Dataset.spectra dataset in
+  let at (e : Dataset.entry) = Dataset.slot dataset e.Dataset.id * n in
   let query_coeffs =
     match spec with
     | Spec.Identity ->
-      fun (e : Dataset.entry) -> Flat.sub e.Dataset.spectrum ~pos:1 ~len:k
+      fun (e : Dataset.entry) -> Flat.sub spectra ~pos:(at e + 1) ~len:k
     | _ ->
       (* Only coefficients [1 .. k] are stretched, with [Complex.mul] —
          the formula every stretched spectrum is computed with. *)
-      let stretch = Spec.stretch spec ~n:(Dataset.series_length dataset) in
+      let stretch = Spec.stretch spec ~n in
       fun (e : Dataset.entry) ->
         Array.init k (fun f ->
-            Complex.mul stretch.(f + 1) (Flat.coeff e.Dataset.spectrum (f + 1)))
+            Complex.mul stretch.(f + 1) (Flat.coeff spectra (at e + f + 1)))
   in
   let prepared = Kindex.prepare kindex spec in
   (* One flat operator node for the whole nested-query loop: a child

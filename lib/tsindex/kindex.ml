@@ -30,22 +30,32 @@ type t = {
   tree : int Rstar.t;
 }
 
+(* The data set's spectra are laid out in the tree's leaf order (the
+   STR bulk load packs neighbours in feature space into the same and
+   adjacent leaves), so the refinements of one NEAREST, which pop in
+   key order, read nearby slots instead of slots scattered over the
+   whole buffer. *)
 let build ?(config = Feature.default) ?(max_fill = 32) dataset =
   Feature.validate config ~n:(Dataset.series_length dataset);
   let items =
     Array.map
       (fun (entry : Dataset.entry) ->
-        (Feature.point config entry, entry.Dataset.id))
+        (Feature.point config dataset entry, entry.Dataset.id))
       (Dataset.entries dataset)
   in
   let tree = Simq_rtree.Bulk.load ~max_fill ~dims:(Feature.dims config) items in
+  let order = Array.make (Array.length items) 0 and next = ref 0 in
+  Rstar.iter tree ~f:(fun _ id ->
+      order.(!next) <- id;
+      incr next);
+  Dataset.lay_out dataset order;
   { dataset; config; tree }
 
 (* --- maintenance --------------------------------------------------------- *)
 
 let insert t ~name series =
   let entry = Dataset.insert t.dataset ~name series in
-  Rstar.insert t.tree (Feature.point t.config entry) entry.Dataset.id;
+  Rstar.insert t.tree (Feature.point t.config t.dataset entry) entry.Dataset.id;
   entry
 
 let delete t id =
@@ -55,7 +65,7 @@ let delete t id =
     (* Remove from the index only; the backing relation keeps the tuple
        (append-only storage), but no query can reach it any more. *)
     Rstar.delete t.tree
-      ~point:(Feature.point t.config entry)
+      ~point:(Feature.point t.config t.dataset entry)
       ~where:(Int.equal id)
 
 let dataset t = t.dataset
@@ -288,25 +298,27 @@ let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
    doubles; the warp changes the length and falls back to the time
    domain. Equal to the time-domain distance by Parseval, up to
    rounding. *)
-let prepared_distance t prepared (q : Dataset.entry) =
+let prepared_distance t prepared (q : Dataset.query) =
   let n = Dataset.series_length t.dataset in
   match (prepared.pspec, prepared.pstretch) with
   | Spec.Warp _, _ ->
     fun (entry : Dataset.entry) ->
       Distance.euclidean
         (Spec.apply_series prepared.pspec entry.Dataset.normal)
-        q.Dataset.normal
+        q.Dataset.qnormal
   | _, stretch ->
     fun (entry : Dataset.entry) ->
       let acc = Flat.acc () in
       ignore
         (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n
-           entry.Dataset.spectrum 0 q.Dataset.spectrum 0 acc);
+           (Dataset.spectra t.dataset)
+           (Dataset.slot t.dataset entry.Dataset.id * n)
+           q.Dataset.qspectrum 0 acc);
       sqrt acc.Flat.sum
 
 (* The query's index features: its first k non-DC coefficients. *)
-let query_coeffs t (q : Dataset.entry) =
-  Flat.sub q.Dataset.spectrum ~pos:1 ~len:t.config.Feature.k
+let query_coeffs t (q : Dataset.query) =
+  Flat.sub q.Dataset.qspectrum ~pos:1 ~len:t.config.Feature.k
 
 let check_query_length t spec query =
   let n = Dataset.series_length t.dataset in
@@ -335,7 +347,7 @@ let range_request ?mean_window ?std_band ~normalise_query t spec query =
   (mean_range, std_range, q, query_coeffs, prepared)
 
 (* The sketch argument of the public entry points is a builder
-   ([Simq_sketch.funnel] partially applied): the prepared query entry
+   ([Simq_sketch.funnel] partially applied): the prepared query
    only exists inside the call, so the funnel is built here, once per
    query. *)
 let build_funnel sketch q =
@@ -545,22 +557,23 @@ let nn_detail ~k point_bound =
    [sqrt partial > within]. Keys and distances are written into the
    traversal's cell. The warp changes the length and keeps its
    time-domain distance. The accumulator belongs to one query. *)
-let nn_refinement t prepared (q : Dataset.entry) ~count =
+let nn_refinement t prepared (q : Dataset.query) ~count =
   match prepared.pspec with
   | Spec.Warp _ -> None
   | _ ->
-    let n = Dataset.series_length t.dataset in
-    let stretch = prepared.pstretch and qs = q.Dataset.spectrum in
+    let ds = t.dataset in
+    let n = Dataset.series_length ds and spectra = Dataset.spectra ds in
+    let stretch = prepared.pstretch and qs = q.Dataset.qspectrum in
     let acc = Flat.acc () in
     let key (_ : Rect.t) id (cell : Flat.acc) =
-      ignore (Dataset.head_sq_dist t.dataset ~stretch id qs cell);
+      ignore (Dataset.head_sq_dist ds ~stretch (Dataset.slot ds id) qs cell);
       cell.Flat.sum <- sqrt cell.Flat.sum
     in
     let refine (_ : Rect.t) id (cell : Flat.acc) =
       count ();
-      let lo = Dataset.head_sq_dist t.dataset ~stretch id qs acc in
-      Flat.dist_within ~stretch ~lo ~hi:n
-        (Dataset.get t.dataset id).Dataset.spectrum 0 qs 0 acc ~within:cell
+      let s = Dataset.slot ds id in
+      let lo = Dataset.head_sq_dist ds ~stretch s qs acc in
+      Flat.dist_within ~stretch ~lo ~hi:n spectra (s * n) qs 0 acc ~within:cell
     in
     Some (key, refine)
 
@@ -642,14 +655,13 @@ let nearest_scan_counted ?bstate ?profile t ~dist ~k =
   let pn = Profile.enter profile "kindex.nearest-scan" in
   Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
   Otrace.with_span "kindex.nearest-scan" @@ fun () ->
-  let entries = Dataset.entries t.dataset in
+  (* Slot order: the spectra are read front to back. *)
   let scored =
-    Array.map
-      (fun (entry : Dataset.entry) ->
+    Array.init (Dataset.cardinality t.dataset) (fun s ->
+        let entry = Dataset.get t.dataset (Dataset.id_at t.dataset s) in
         Budget.page_read bstate;
         Budget.comparisons bstate 1;
         (entry, dist entry))
-      entries
   in
   Array.sort
     (fun ((a : Dataset.entry), da) ((b : Dataset.entry), db) ->

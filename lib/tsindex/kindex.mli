@@ -17,9 +17,11 @@
 
 type t
 
-(** [build ?config ?max_fill dataset] bulk-loads the index.
-    Raises [Invalid_argument] when [config.k] is not below the series
-    length. *)
+(** [build ?config ?max_fill dataset] bulk-loads the index (STR) and
+    lays [dataset]'s spectra out in the tree's leaf order
+    ({!Dataset.lay_out}), so the refinements of a query read nearby
+    slots. Raises [Invalid_argument] when [config.k] is not below the
+    series length. *)
 val build : ?config:Feature.config -> ?max_fill:int -> Dataset.t -> t
 
 (** [insert t ~name series] adds one series to the data set and the
@@ -84,7 +86,7 @@ val range :
   ?normalise_query:bool ->
   ?mean_window:float ->
   ?std_band:float ->
-  ?sketch:(Dataset.entry -> prefilter option) ->
+  ?sketch:(Dataset.query -> prefilter option) ->
   ?approx:float ->
   ?profile:Simq_obs.Profile.t ->
   t ->
@@ -97,11 +99,12 @@ val range :
     level (rows in/out — the filter ladder), and [kindex.postfilter]
     (survivors in, answers out) children; [nearest] records a
     [kindex.nearest] node whose pages are the node expansions of the
-    best-first traversal. Profiling never changes an answer and costs
+    best-first traversal, whose rows in are the data entries it keyed
+    and whose candidates are the entries it refined. Profiling never changes an answer and costs
     nothing when absent.
 
     [?sketch] is a funnel {e builder} ({!Simq_sketch.funnel} partially
-    applied): called once on the prepared query entry, its result (a
+    applied): called once on the prepared query, its result (a
     {!prefilter}) filters candidates between descent and the exact
     postfilter. With no [?approx] the answer is bit-identical to the
     funnel-free run (every level lower-bounds the exact distance —
@@ -141,7 +144,7 @@ val range_checked :
   ?mean_window:float ->
   ?std_band:float ->
   ?budget:Simq_fault.Budget.t ->
-  ?sketch:(Dataset.entry -> prefilter option) ->
+  ?sketch:(Dataset.query -> prefilter option) ->
   ?approx:float ->
   ?profile:Simq_obs.Profile.t ->
   t ->
@@ -179,8 +182,11 @@ val range_probe :
     sum over its first {!Simq_dsp.Flat.head_width} coefficients
     ({!Dataset.head_sq_dist}), and is refined only when it reaches the
     top of the queue, by resuming that same accumulator over the tail
-    of its stored spectrum ({!Simq_dsp.Flat.dist_within}). So a refined distance is exactly
-    {!prepared_distance}'s double. The traversal keeps the [k] best
+    of its stored spectrum ({!Simq_dsp.Flat.dist_within}). So a
+    refined distance is exactly {!prepared_distance}'s double. The
+    traversal is {!Simq_rtree.Nn.best_first}: it queues the tree's own
+    entries and writes every bound, key and distance into one float
+    cell, so it allocates per query, not per entry. The traversal keeps the [k] best
     refined distances so far: an entry whose head bound is strictly
     above the k-th is never queued, and a refinement abandons once
     its partial root is strictly above it. The warp changes the
@@ -188,13 +194,13 @@ val range_probe :
     are found. Nodes are expanded exactly as without the deferral.
 
     [?sketch] is an NN bound builder ({!Simq_sketch.nn_bound}
-    partially applied): called once on the prepared query entry, it
+    partially applied): called once on the prepared query, it
     yields a per-entry lower bound that replaces the head bound as the
     queue key; refinement is the same, so the answers are
     bit-identical to the sketch-free run at every domain count. *)
 val nearest :
   ?spec:Spec.t -> ?normalise_query:bool ->
-  ?sketch:(Dataset.entry -> (Dataset.entry -> float) option) ->
+  ?sketch:(Dataset.query -> (Dataset.entry -> float) option) ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t -> k:int -> (Dataset.entry * float) list
@@ -298,7 +304,7 @@ val prepare : t -> Spec.t -> prepared
 
 (** [range_prepared t prepared ~query_coeffs ~epsilon ~distance] is
     {!range_generic} with the preparation factored out. [?prefilter]
-    is an already-built funnel (the prepared-query entry is the
+    is an already-built funnel (the prepared query is the
     caller's here), run under the same exact/approx contract as
     {!range}'s [?sketch]. *)
 val range_prepared :
@@ -321,4 +327,4 @@ val range_prepared :
     identity included, so index, scan and degraded distances are the
     same doubles), time-domain for the warp. *)
 val prepared_distance :
-  t -> prepared -> Dataset.entry -> Dataset.entry -> float
+  t -> prepared -> Dataset.query -> Dataset.entry -> float

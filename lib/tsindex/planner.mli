@@ -116,7 +116,7 @@ val range_resilient :
   ?budget:Simq_fault.Budget.t ->
   ?validate:bool ->
   ?admission:Simq_admission.t ->
-  ?sketch:(Dataset.entry -> Kindex.prefilter option) ->
+  ?sketch:(Dataset.query -> Kindex.prefilter option) ->
   ?sketch_levels:int ->
   ?approx:float ->
   ?profile:Simq_obs.Profile.t ->

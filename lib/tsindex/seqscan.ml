@@ -51,28 +51,29 @@ let account_io ?budget dataset =
    distance computation ran to completion, and the coefficients (or
    time-domain points) examined. Safe to run from any domain that owns
    the accumulator it passes (only the frequency path uses it). *)
-let compute_warp ~abandon spec epsilon (q : Dataset.entry) _acc
+let compute_warp ~abandon spec epsilon (q : Dataset.query) _acc _slot
     (entry : Dataset.entry) =
   let transformed = Spec.apply_series spec entry.Dataset.normal in
   let touched = Series.length transformed in
   let d =
     if abandon then
       Distance.euclidean_early_abandon ~threshold:epsilon transformed
-        q.Dataset.normal
-    else Some (Distance.euclidean transformed q.Dataset.normal)
+        q.Dataset.qnormal
+    else Some (Distance.euclidean transformed q.Dataset.qnormal)
   in
   match d with
   | Some d when d <= epsilon -> (Some (entry, d), 1, touched)
   | _ -> (None, 1, touched)
 
 (* [limit] is the kernel's abandon limit: [epsilon²] when abandoning,
-   [infinity] otherwise. *)
-let compute_freq ~stretch ~n ~limit epsilon (q : Dataset.entry) acc
-    (entry : Dataset.entry) =
+   [infinity] otherwise. The entry's spectrum is slot [s] of
+   [spectra]. *)
+let compute_freq ~stretch ~n ~limit ~spectra epsilon (q : Dataset.query) acc
+    s (entry : Dataset.entry) =
   acc.Flat.sum <- 0.;
   let touched =
-    Flat.sq_dist ~stretch ~limit ~lo:0 ~hi:n entry.Dataset.spectrum 0
-      q.Dataset.spectrum 0 acc
+    Flat.sq_dist ~stretch ~limit ~lo:0 ~hi:n spectra (s * n)
+      q.Dataset.qspectrum 0 acc
   in
   if acc.Flat.sum > limit then (None, 0, touched)
   else begin
@@ -85,24 +86,26 @@ let compute_freq ~stretch ~n ~limit epsilon (q : Dataset.entry) acc
    the time domain (same value by Parseval, no early-abandon benefit on
    the warped prefix).
 
-   The entry array is cut into chunks fanned out over the pool; each
-   chunk keeps its answers in entry order and its own counters, and the
-   chunks are merged in chunk order, so answers, distances and counters
-   are bit-identical to a single-domain scan. An answer outside the
-   side-constraint [sides] ({!Dataset.side_ranges}) is dropped. *)
+   The scan walks the spectrum buffer in slot order, front to back. The
+   slots are cut into chunks fanned out over the pool; each chunk keeps
+   its own answers and counters, the chunks are merged in chunk order
+   and the answers sorted by id, so answers, distances and counters are
+   bit-identical to a single-domain scan in any layout. An answer
+   outside the side-constraint [sides] ({!Dataset.side_ranges}) is
+   dropped. *)
 let scan_compute ~pool ~abandon ~normalise_query ?bstate ?sides dataset spec
     query epsilon =
   let q = Dataset.prepare_query ~normalise:normalise_query query in
   let n = Dataset.series_length dataset in
   let limit = if abandon then epsilon *. epsilon else infinity in
-  let entries = Dataset.entries dataset in
-  let count = Array.length entries in
+  let count = Dataset.cardinality dataset in
   let compute =
     match spec with
     | Spec.Warp _ -> compute_warp ~abandon spec epsilon q
     | _ ->
       let stretch = Some (Flat.of_cpx (Spec.stretch spec ~n)) in
-      compute_freq ~stretch ~n ~limit epsilon q
+      compute_freq ~stretch ~n ~limit ~spectra:(Dataset.spectra dataset)
+        epsilon q
   in
   let keep =
     match sides with None -> fun _ -> true | Some s -> Dataset.within_sides s
@@ -120,7 +123,8 @@ let scan_compute ~pool ~abandon ~normalise_query ?bstate ?sides dataset spec
              so a budget blown anywhere stops all chunks promptly. Each
              entry costs one comparison whether or not it abandons. *)
           Budget.comparisons bstate 1;
-          let answer, completed, examined = compute acc entries.(i) in
+          let entry = Dataset.get dataset (Dataset.id_at dataset i) in
+          let answer, completed, examined = compute acc i entry in
           (match answer with
           | Some ((e, _) as hit) when keep e -> answers := hit :: !answers
           | _ -> ());
@@ -243,7 +247,7 @@ let reference ?(spec = Spec.Identity) ?(normalise_query = true) dataset ~query
          let d =
            Distance.euclidean
              (Spec.apply_series spec entry.Dataset.normal)
-             q.Dataset.normal
+             q.Dataset.qnormal
          in
          if d <= epsilon then Some (entry, d) else None)
   |> List.sort (fun (a, _) (b, _) -> compare a.Dataset.id b.Dataset.id)

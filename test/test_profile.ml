@@ -475,6 +475,64 @@ let test_profile_invariance_across_domains () =
         (List.map snd on = reference))
     [ 1; 2; 4 ]
 
+(* NEAREST's operator node counts its work: entries keyed (rows in),
+   entries refined (candidates) and nodes expanded (pages). The data
+   set is prepared on pools of 1, 2 and 4 domains (each writes its
+   spectra into the shared buffer from several domains), and the
+   answers, the counts and the rendered tree (timings stripped) are
+   identical at every domain count. *)
+let test_nearest_counts_invariant_across_domains () =
+  let batch = Generator.random_walks ~seed:1996 ~count:300 ~n:32 in
+  let specs =
+    [ Spec.Identity; Spec.Moving_average 3; Spec.Reverse; Spec.Warp 2 ]
+  in
+  let run_at domains =
+    let pool = Pool.create ~domains in
+    let dataset = Dataset.of_series ~pool ~name:"nn" batch in
+    Pool.shutdown pool;
+    let index = Kindex.build ~max_fill:8 dataset in
+    List.map
+      (fun spec ->
+        let query =
+          match spec with
+          | Spec.Warp m -> Simq_series.Warp.expand m batch.(4)
+          | _ -> Array.map (fun v -> v +. 0.3) batch.(4)
+        in
+        let profile = Profile.create () in
+        let answers =
+          match Kindex.nearest_checked ~spec ~profile index ~query ~k:6 with
+          | Ok r ->
+            List.map
+              (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d))
+              r.Kindex.neighbours
+          | Error _ -> Alcotest.fail "nearest must succeed"
+        in
+        let counts =
+          match Profile.find profile "kindex.nearest" with
+          | Some n -> (Profile.rows_in n, Profile.candidates n, Profile.pages n)
+          | None -> Alcotest.fail "no kindex.nearest node"
+        in
+        (answers, counts, Profile.render ~timings:false profile))
+      specs
+  in
+  let reference = run_at 1 in
+  List.iter2
+    (fun spec (_, (keyed, refined, pages), _) ->
+      let name = Spec.name spec in
+      Alcotest.(check bool) (name ^ ": entries keyed") true (keyed > 0);
+      Alcotest.(check bool) (name ^ ": refined no more than keyed") true
+        (refined > 0 && refined <= keyed);
+      Alcotest.(check bool) (name ^ ": nodes expanded") true (pages > 0))
+    specs reference;
+  List.iter
+    (fun domains ->
+      Alcotest.(check bool)
+        (Printf.sprintf "answers, counts and tree identical at %d domains"
+           domains)
+        true
+        (run_at domains = reference))
+    [ 2; 4 ]
+
 let test_qlog_never_changes_answers () =
   let batch = Generator.random_walks ~seed:7 ~count:60 ~n:32 in
   let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"inv" batch in
@@ -537,6 +595,8 @@ let () =
         ] );
       ( "invariance",
         [
+          Alcotest.test_case "nearest counts across domains" `Quick
+            test_nearest_counts_invariant_across_domains;
           Alcotest.test_case "profile on/off across domains" `Quick
             test_profile_invariance_across_domains;
           Alcotest.test_case "qlog never changes answers" `Quick

@@ -80,7 +80,8 @@ let test_dataset_preparation () =
       Alcotest.(check bool) "normal form" true
         (Simq_series.Normal_form.is_normal e.Dataset.normal);
       Alcotest.(check (float 1e-9)) "coefficient 0 is zero" 0.
-        (Simq_dsp.Cpx.abs (Simq_dsp.Flat.coeff e.Dataset.spectrum 0)))
+        (Simq_dsp.Cpx.abs
+           (Simq_dsp.Flat.coeff (Dataset.spectrum d e.Dataset.id) 0)))
     (Dataset.entries d)
 
 (* The boxed formula every frequency-domain distance used before the
@@ -103,12 +104,22 @@ let boxed_sq_dist ~stretch ~limit x y =
   done;
   (!acc, not !alive, !f)
 
+(* [Flat.rows] over separate spectra: laid end to end in one buffer,
+   spectrum [r] from coefficient [r·n]. *)
+let rows_of ~stretch ?order spectra =
+  let module Flat = Simq_dsp.Flat in
+  let n = Flat.length stretch in
+  Flat.rows ~stretch ?order (Array.concat (Array.to_list spectra))
+    (Array.init (Array.length spectra) (fun r -> r * n))
+
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let test_flat_kernel_matches_boxed () =
   let module Flat = Simq_dsp.Flat in
   let n = 64 in
-  let entries = Dataset.entries (dataset_of ~seed:12 ~count:12 ~n) in
+  let d = dataset_of ~seed:12 ~count:12 ~n in
+  let entries = Dataset.entries d in
+  let spectrum (e : Dataset.entry) = Dataset.spectrum d e.Dataset.id in
   let boxed =
     Array.map
       (fun (e : Dataset.entry) -> Simq_dsp.Fft.fft_real e.Dataset.normal)
@@ -133,7 +144,7 @@ let test_flat_kernel_matches_boxed () =
         let acc = Flat.acc () in
         let flat_touched =
           Flat.sq_dist ~stretch:flat_stretch ~limit ~lo:0 ~hi:n
-            entries.(i).Dataset.spectrum 0 entries.(j).Dataset.spectrum 0 acc
+            (spectrum entries.(i)) 0 (spectrum entries.(j)) 0 acc
         in
         if abandoned then incr abandons;
         Alcotest.(check bool) "sum bit-identical" true
@@ -156,7 +167,7 @@ let test_flat_kernel_matches_boxed () =
   Alcotest.(check bool) "the tight limit abandons" true (!abandons > 0);
   (* The kernel allocates nothing per comparison: only the two
      [Gc.minor_words] results are boxed across a thousand calls. *)
-  let x = entries.(0).Dataset.spectrum and y = entries.(1).Dataset.spectrum in
+  let x = spectrum entries.(0) and y = spectrum entries.(1) in
   let stretch = Some (Flat.of_cpx (Spec.stretch (Spec.Moving_average 4) ~n)) in
   let acc = Flat.acc () in
   let before = Gc.minor_words () in
@@ -194,7 +205,9 @@ let test_dist_within () =
         true (same_bits d within))
     [ (0, 0.); (1, 2.) ];
   let n = 32 in
-  let entries = Dataset.entries (dataset_of ~seed:14 ~count:8 ~n) in
+  let d = dataset_of ~seed:14 ~count:8 ~n in
+  let entries = Dataset.entries d in
+  let spectrum (e : Dataset.entry) = Dataset.spectrum d e.Dataset.id in
   let stretch = Some (Flat.of_cpx (Spec.stretch (Spec.Moving_average 3) ~n)) in
   let checked = ref 0 in
   Array.iter
@@ -204,18 +217,18 @@ let test_dist_within () =
           let acc = Flat.acc () in
           ignore
             (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n
-               a.Dataset.spectrum 0 b.Dataset.spectrum 0 acc);
+               (spectrum a) 0 (spectrum b) 0 acc);
           let exact = sqrt acc.Flat.sum in
           List.iter
             (fun within ->
               let acc = Flat.acc () in
               let head =
                 Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:4
-                  a.Dataset.spectrum 0 b.Dataset.spectrum 0 acc
+                  (spectrum a) 0 (spectrum b) 0 acc
               in
               let d =
                 dist_within ~stretch ~within ~lo:head ~hi:n
-                  a.Dataset.spectrum 0 b.Dataset.spectrum 0 acc
+                  (spectrum a) 0 (spectrum b) 0 acc
               in
               incr checked;
               if d <= within then
@@ -257,7 +270,7 @@ let test_row_kernel_matches_boxed () =
       List.iter
         (fun spec ->
           let stretch = Spec.stretch spec ~n in
-          let rows = Flat.rows ~stretch:(Flat.of_cpx stretch) spectra in
+          let rows = rows_of ~stretch:(Flat.of_cpx stretch) spectra in
           (* Both sides stretched with [Cpx.mul], as the join compares
              two transformed spectra. *)
           let stretched = Array.map (Simq_dsp.Cpx.mul_arrays stretch) boxed in
@@ -351,7 +364,7 @@ let test_row_kernel_matches_boxed () =
      results are boxed across a thousand rows. *)
   let spectra = Array.init count (fun _ -> Array.make 128 0.5) in
   let rows =
-    Flat.rows
+    rows_of
       ~stretch:(Flat.of_cpx (Spec.stretch (Spec.Moving_average 4) ~n:64))
       spectra
   in
@@ -378,12 +391,14 @@ let test_rows_order () =
   let module Flat = Simq_dsp.Flat in
   let d = dataset_of ~seed:17 ~count:9 ~n:16 in
   let spectra =
-    Array.map (fun (e : Dataset.entry) -> e.Dataset.spectrum) (Dataset.entries d)
+    Array.map
+      (fun (e : Dataset.entry) -> Dataset.spectrum d e.Dataset.id)
+      (Dataset.entries d)
   in
   let stretch = Flat.of_cpx (Spec.stretch (Spec.Moving_average 3) ~n:16) in
   let order = [| 4; 0; 8; 2; 6; 1; 3; 5; 7 |] in
-  let plain = Flat.rows ~stretch spectra
-  and sorted = Flat.rows ~stretch ~order spectra in
+  let plain = rows_of ~stretch spectra
+  and sorted = rows_of ~stretch ~order spectra in
   let hits = Array.make 9 0 in
   let position = Array.make 9 0 in
   Array.iteri (fun p j -> position.(j) <- p) order;
@@ -413,11 +428,11 @@ let test_rows_order () =
     (fun x ->
       Alcotest.(check (float 0.)) "sort_key = Complex.mul's real part"
         (Complex.mul (Flat.coeff stretch 1) (Flat.coeff x 1)).Complex.re
-        (Flat.sort_key ~stretch x))
+        (Flat.sort_key ~stretch x ~off:0))
     spectra;
   Alcotest.check_raises "order length"
     (Invalid_argument "Flat.rows: order length differs from the spectra")
-    (fun () -> ignore (Flat.rows ~stretch ~order:[| 0 |] spectra))
+    (fun () -> ignore (rows_of ~stretch ~order:[| 0 |] spectra))
 
 let test_flat_spectrum_is_fft () =
   let d = dataset_of ~seed:13 ~count:8 ~n:48 in
@@ -425,10 +440,10 @@ let test_flat_spectrum_is_fft () =
     (fun (e : Dataset.entry) ->
       let reference = Simq_dsp.Fft.fft_real e.Dataset.normal in
       Alcotest.(check int) "coefficients" (Array.length reference)
-        (Simq_dsp.Flat.length e.Dataset.spectrum);
+        (Simq_dsp.Flat.length (Dataset.spectrum d e.Dataset.id));
       Array.iteri
         (fun f (z : Simq_dsp.Cpx.t) ->
-          let c = Simq_dsp.Flat.coeff e.Dataset.spectrum f in
+          let c = Simq_dsp.Flat.coeff (Dataset.spectrum d e.Dataset.id) f in
           Alcotest.(check bool) "coefficient bit-identical" true
             (same_bits z.Complex.re c.Complex.re
             && same_bits z.Complex.im c.Complex.im))
@@ -566,7 +581,7 @@ let brute_nearest ~spec d ~query ~k =
          ( e,
            Simq_series.Distance.euclidean
              (Spec.apply_series spec e.Dataset.normal)
-             q.Dataset.normal ))
+             q.Dataset.qnormal ))
   |> List.sort (fun (_, d1) (_, d2) -> Float.compare d1 d2)
   |> List.filteri (fun i _ -> i < k)
 
@@ -615,7 +630,7 @@ let kernel_nearest ~spec d ~query ~k =
          let acc = Simq_dsp.Flat.acc () in
          ignore
            (Simq_dsp.Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n
-              e.Dataset.spectrum 0 q.Dataset.spectrum 0 acc);
+              (Dataset.spectrum d e.Dataset.id) 0 q.Dataset.qspectrum 0 acc);
          (sqrt acc.Simq_dsp.Flat.sum, e.Dataset.id))
   |> List.sort compare
   |> List.filteri (fun i _ -> i < k)
@@ -1086,6 +1101,89 @@ let test_kindex_delete () =
   Alcotest.(check bool) "invariants" true
     (Simq_rtree.Check.is_valid (Kindex.tree idx))
 
+(* The layout of the spectrum buffer moves memory, never a double:
+   one data set laid out in its tree's leaf order (what [Kindex.build]
+   does) and then in id order answers every reader bit for bit alike —
+   NEAREST (answers, distances, node accesses, keys and refinements),
+   RANGE (answers, candidates, node accesses), the scan (answers and
+   its counters), PAIRS methods (a) and (b) (pairs and comparisons)
+   and the sketch bounds — also after an insert appends a slot and
+   after a delete. *)
+let test_layout_invariance () =
+  let module Profile = Simq_obs.Profile in
+  let d = dataset_of ~seed:68 ~count:240 ~n:32 in
+  let idx = Kindex.build ~max_fill:8 d in
+  let count () = Dataset.cardinality d in
+  let leaf_order = Array.init (count ()) (Dataset.id_at d) in
+  Alcotest.(check bool) "the build moved slots" true
+    (Array.exists (fun b -> b) (Array.mapi (fun s id -> s <> id) leaf_order));
+  let sketch = Simq_sketch.create d in
+  let bits = Int64.bits_of_float in
+  let pairs answers =
+    List.map (fun ((e : Dataset.entry), x) -> (e.Dataset.id, bits x)) answers
+  in
+  let specs = [ Spec.Identity; Spec.Moving_average 4; Spec.Reverse ] in
+  let observe () =
+    let tree = Kindex.tree idx in
+    List.concat_map
+      (fun spec ->
+        let query = query_for d spec 5 in
+        let profile = Profile.create () in
+        let n0 = Simq_rtree.Rstar.node_accesses tree in
+        let nn = Kindex.nearest ~spec ~profile idx ~query ~k:7 in
+        let nodes = Simq_rtree.Rstar.node_accesses tree - n0 in
+        let keys, refinements =
+          match Profile.find profile "kindex.nearest" with
+          | Some p -> (Profile.rows_in p, Profile.candidates p)
+          | None -> Alcotest.fail "no kindex.nearest node"
+        in
+        let r = Kindex.range ~spec idx ~query ~epsilon:4. in
+        let scan = Seqscan.range_early_abandon ~spec d ~query ~epsilon:4. in
+        let q = Dataset.prepare_query query in
+        let bounds =
+          match Simq_sketch.nn_bound sketch ~spec ~query:q with
+          | None -> []
+          | Some b ->
+            Array.to_list
+              (Array.map (fun e -> bits (b e)) (Dataset.entries d))
+        in
+        let join (j : Join.result) = (j.Join.pairs, j.Join.distance_computations) in
+        [
+          ( pairs nn,
+            [ nodes; keys; refinements; r.Kindex.candidates;
+              r.Kindex.node_accesses; scan.Seqscan.full_computations;
+              scan.Seqscan.coefficients_touched ],
+            pairs r.Kindex.answers @ pairs scan.Seqscan.answers,
+            bounds,
+            [ join (Join.scan_full ~spec idx ~epsilon:2.);
+              join (Join.scan_early_abandon ~spec idx ~epsilon:2.) ] );
+        ])
+      specs
+  in
+  let in_both_layouts what leaf_order =
+    let leaf = observe () in
+    Dataset.lay_out d (Array.init (count ()) Fun.id);
+    let by_id = observe () in
+    Alcotest.(check bool) (what ^ ": identical in both layouts") true
+      (leaf = by_id);
+    Dataset.lay_out d leaf_order
+  in
+  in_both_layouts "after the build" leaf_order;
+  let extra = (Dataset.get d 3).Dataset.series in
+  let entry =
+    Kindex.insert idx ~name:"extra" (Array.map (fun v -> v +. 0.25) extra)
+  in
+  Alcotest.(check int) "the insert appends a slot" (count () - 1)
+    (Dataset.slot d entry.Dataset.id);
+  in_both_layouts "after an insert"
+    (Array.append leaf_order [| entry.Dataset.id |]);
+  Alcotest.(check bool) "delete" true (Kindex.delete idx 11);
+  in_both_layouts "after a delete"
+    (Array.append leaf_order [| entry.Dataset.id |]);
+  Alcotest.check_raises "not a permutation"
+    (Invalid_argument "Dataset.lay_out: order is not a permutation of the ids")
+    (fun () -> Dataset.lay_out d (Array.make (count ()) 0))
+
 (* --- Subsequence matching ---------------------------------------------------- *)
 
 let brute_force_subseq series ~window ~query ~epsilon =
@@ -1516,6 +1614,8 @@ let () =
           Alcotest.test_case "insert validates length" `Quick
             test_kindex_insert_rejects_bad_length;
           Alcotest.test_case "delete" `Quick test_kindex_delete;
+          Alcotest.test_case "layout moves no double" `Quick
+            test_layout_invariance;
         ] );
       ( "constraints",
         [
