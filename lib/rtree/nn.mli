@@ -9,8 +9,8 @@
 
 (** [nearest ?transform t ~query ~k] is the [k] data points minimising
     the distance from [query] to the (transformed) stored point, closest
-    first, with their distances, found by {!best_first}. Fewer than [k] results are returned only
-    when the tree is smaller than [k]. *)
+    first, with their distances, found by {!best_first}. Fewer than [k]
+    results are returned only when the tree is smaller than [k]. *)
 val nearest :
   ?transform:Simq_geometry.Linear_transform.t ->
   'a Rstar.t ->
@@ -23,11 +23,11 @@ val nearest :
     entries of [t] with the smallest distances, closest first, each
     with its data point, value and distance.
 
-    [node_bound r c] writes into [c.sum] a lower bound of the distance of
-    every entry under a node whose MBR is [r]. [key r v c] writes into
-    [c.sum] the key of the data entry [(r, v)] (its rectangle is degenerate
-    for point data): its distance when [refine] is absent, else a lower
-    bound of it. The queue holds the tree's own entries, with an integer
+    [node_bound r c] writes into [c.sum] a lower bound of the distance
+    of every entry under a node whose MBR is [r]. [key r v c] writes
+    into [c.sum] the key of the data entry [(r, v)] (its rectangle is
+    degenerate for point data): its distance when [refine] is absent,
+    else a lower bound of it. The queue holds the tree's own entries, with an integer
     state telling nodes, keyed and refined entries apart, so a push
     allocates nothing.
 

@@ -101,29 +101,22 @@ let insert t ~name data =
   if Series.length data <> t.n then
     invalid_arg "Dataset.insert: series length mismatch";
   let tuple = Relation.insert t.relation ~name data in
-  let capacity = Array.length t.ids in
-  if t.count = capacity then begin
-    let fresh = max 16 (2 * capacity) in
-    let grow a = Array.append a (Array.make (fresh - capacity) 0) in
-    let spectra = Flat.create (fresh * t.n) in
-    Array.blit t.spectra 0 spectra 0 (Array.length t.spectra);
-    t.spectra <- spectra;
-    let head = Array.make (2 * head_width * fresh) 0. in
-    Array.blit t.head 0 head 0 (Array.length t.head);
-    t.head <- head;
-    t.slots <- grow t.slots;
-    t.ids <- grow t.ids
+  if t.count = Array.length t.ids then begin
+    (* Every array doubles at once; [entries.(0)] exists (no data set
+       is empty) and only fills cells past [count]. *)
+    let more = max 16 t.count in
+    let extend a ~per fill = Array.append a (Array.make (per * more) fill) in
+    t.entries <- extend t.entries ~per:1 t.entries.(0);
+    t.spectra <- extend t.spectra ~per:(2 * t.n) 0.;
+    t.head <- extend t.head ~per:(2 * head_width) 0.;
+    t.slots <- extend t.slots ~per:1 0;
+    t.ids <- extend t.ids ~per:1 0
   end;
   (* The new entry's spectrum goes to the end: no re-clustering. *)
   let s = t.count in
   let entry =
     prepare ~id:tuple.Relation.id ~name data t.spectra ~off:(s * t.n)
   in
-  if t.count = Array.length t.entries then begin
-    let fresh = Array.make (Array.length t.ids) entry in
-    Array.blit t.entries 0 fresh 0 t.count;
-    t.entries <- fresh
-  end;
   fill_head t s;
   t.entries.(t.count) <- entry;
   t.slots.(entry.id) <- s;

@@ -110,8 +110,8 @@ val slot : t -> int -> int
 
 val id_at : t -> int -> int
 
-(** [spectrum t id] is a copy of entry [id]'s spectrum (for feature
-    extraction and tests, not for hot loops). *)
+(** [spectrum t id] is a copy of entry [id]'s spectrum (for tests and
+    inspection, not for hot loops). *)
 val spectrum : t -> int -> Simq_dsp.Flat.t
 
 (** [head_sq_dist t ~stretch s qs acc] sets [acc.sum] to the
