@@ -40,7 +40,9 @@ val to_cpx : t -> Cpx.t array
 val stretch_into : stretch:t -> t -> t -> off:int -> unit
 
 (** The running sum of {!sq_dist}: an all-float record, so storing into
-    it allocates nothing. *)
+    it allocates nothing. It is also the cell through which
+    {!dist_within} and the nearest-neighbour traversal
+    ({!Simq_rtree.Nn.best_first}) pass floats without boxing them. *)
 type acc = { mutable sum : float }
 
 (** [acc ()] is a fresh accumulator at 0. *)

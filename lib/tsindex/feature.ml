@@ -15,9 +15,10 @@ let validate config ~n =
 let dims config = 2 + (2 * config.k)
 
 let coefficients config dataset (entry : Dataset.entry) =
-  Simq_dsp.Flat.sub (Dataset.spectra dataset)
-    ~pos:((Dataset.slot dataset entry.Dataset.id * Dataset.series_length dataset) + 1)
-    ~len:config.k
+  let off =
+    Dataset.slot dataset entry.Dataset.id * Dataset.series_length dataset
+  in
+  Simq_dsp.Flat.sub (Dataset.spectra dataset) ~pos:(off + 1) ~len:config.k
 
 (* Feature dimensions first, mean/std last: the bulk loader tiles along
    the leading dimensions, and queries constrain the DFT features while

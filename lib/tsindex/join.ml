@@ -107,7 +107,9 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
          so row [p] compares only the later positions whose key is
          within the band width of its own. *)
       let stretch = stretch () and offsets = offsets () in
-      let keys = Array.map (fun off -> Flat.sort_key ~stretch spectra ~off) offsets in
+      let keys =
+        Array.map (fun off -> Flat.sort_key ~stretch spectra ~off) offsets
+      in
       let order = Array.init count Fun.id in
       Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b)) order;
       let rows = Flat.rows ~stretch ~order spectra offsets in

@@ -478,6 +478,11 @@ let nn_query t prepared q =
     map_b;
   }
 
+(* Coordinate [x] of dimension [j] under the lowered transformation,
+   as [Linear_transform.apply] computes it. *)
+let[@inline] corner nq ~mapped j x =
+  if mapped then (nq.map_a.(j) *. x) +. nq.map_b.(j) else x
+
 (* A lower bound of the distance from the query to every entry under a
    node with MBR [r] ([RKV95]'s MINDIST, per feature), written into
    [cell]. Under a transformation each feature's interval is
@@ -495,10 +500,10 @@ let node_bound t nq (r : Rect.t) (cell : Flat.acc) =
   let acc = ref 0. and tol = ref 0. in
   for i = 0 to t.config.Feature.k - 1 do
     let ia = 2 * i and ib = (2 * i) + 1 in
-    let xa = if mapped then (nq.map_a.(ia) *. lo.(ia)) +. nq.map_b.(ia) else lo.(ia) in
-    let ya = if mapped then (nq.map_a.(ia) *. hi.(ia)) +. nq.map_b.(ia) else hi.(ia) in
-    let xb = if mapped then (nq.map_a.(ib) *. lo.(ib)) +. nq.map_b.(ib) else lo.(ib) in
-    let yb = if mapped then (nq.map_a.(ib) *. hi.(ib)) +. nq.map_b.(ib) else hi.(ib) in
+    let xa = corner nq ~mapped ia lo.(ia)
+    and ya = corner nq ~mapped ia hi.(ia) in
+    let xb = corner nq ~mapped ib lo.(ib)
+    and yb = corner nq ~mapped ib hi.(ib) in
     let lo_a = if mapped then fmin xa ya else xa in
     let hi_a = if mapped then fmax xa ya else ya in
     let lo_b = if mapped then fmin xb yb else xb in
