@@ -9,7 +9,6 @@ type t =
   | Timeout of { elapsed_s : float; deadline_s : float }
   | Io_failed of { site : string; attempts : int }
   | Budget_exceeded of { resource : resource; spent : int; limit : int }
-  | Index_unusable of { reason : string }
   | Rejected of { resource : resource; estimated : int; limit : int }
 
 let resource_name = function
@@ -23,7 +22,6 @@ let kind = function
   | Timeout _ -> "timeout"
   | Io_failed _ -> "io_failed"
   | Budget_exceeded { resource; _ } -> "budget_exceeded:" ^ resource_name resource
-  | Index_unusable _ -> "index_unusable"
   | Rejected { resource; _ } -> "rejected:" ^ resource_name resource
 
 let same_kind a b = String.equal (kind a) (kind b)
@@ -38,7 +36,6 @@ let pp ppf = function
   | Budget_exceeded { resource; spent; limit } ->
     Format.fprintf ppf "budget exceeded: %s spent %d, limit %d"
       (resource_name resource) spent limit
-  | Index_unusable { reason } -> Format.fprintf ppf "index unusable: %s" reason
   | Rejected { resource; estimated; limit } ->
     Format.fprintf ppf
       "rejected by admission control: estimated %d %s exceeds the budget's %d"

@@ -26,9 +26,6 @@ type t =
       (** a resource limit was crossed; [spent] is the consumption
           observed when the limit was detected (>= [limit], and may
           slightly exceed it under parallel execution) *)
-  | Index_unusable of { reason : string }
-      (** the k-index failed structural validation
-          ({!Simq_rtree.Check}) and was not queried *)
   | Rejected of { resource : resource; estimated : int; limit : int }
       (** admission control predicted the query cannot finish within
           its budget and refused it {e before} execution — no page was

@@ -1,5 +1,5 @@
 (** Structural invariant checking for R*-trees; used by the test suite
-    after randomised insert/delete workloads. *)
+    after randomised insertion workloads and bulk loads. *)
 
 type violation = {
   where : string;

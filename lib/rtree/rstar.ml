@@ -344,19 +344,14 @@ let rec insert_rec t node entry ~level ~reinserted ~pending =
   end
 
 let insert_entry t entry ~level ~reinserted ~pending =
-  if level > t.root.Node.level then
-    (* Can only happen while reinserting orphans of a taller tree that
-       has since shrunk; grow the root back. *)
-    invalid_arg "Rstar.insert_entry: level above root"
-  else
-    match insert_rec t t.root entry ~level ~reinserted ~pending with
-    | None -> ()
-    | Some sibling ->
-      let new_root =
-        Node.make ~level:(t.root.Node.level + 1)
-          [ Node.Child t.root; Node.Child sibling ]
-      in
-      t.root <- new_root
+  match insert_rec t t.root entry ~level ~reinserted ~pending with
+  | None -> ()
+  | Some sibling ->
+    let new_root =
+      Node.make ~level:(t.root.Node.level + 1)
+        [ Node.Child t.root; Node.Child sibling ]
+    in
+    t.root <- new_root
 
 let drain_pending t ~reinserted ~pending =
   while not (Queue.is_empty pending) do
@@ -377,93 +372,6 @@ let insert t point value =
   if Array.length point <> t.dims then
     invalid_arg "Rstar.insert: dimension mismatch";
   insert_rect t (Rect.of_point point) value
-
-(* --- deletion ----------------------------------------------------------- *)
-
-let delete t ~point ~where =
-  if Array.length point <> t.dims then
-    invalid_arg "Rstar.delete: dimension mismatch";
-  let orphans = ref [] in
-  let rec go node =
-    count_access t;
-    if Node.is_leaf node then begin
-      let rec remove before = function
-        | [] -> false
-        | Node.Data { rect; value } :: rest
-          when
-            Point.equal ~eps:0. rect.Rect.lo point
-            && Point.equal ~eps:0. rect.Rect.hi point
-            && where value ->
-          node.Node.entries <- List.rev_append before rest;
-          if node.Node.entries <> [] then Node.recompute_mbr node;
-          true
-        | e :: rest -> remove (e :: before) rest
-      in
-      remove [] node.Node.entries
-    end
-    else begin
-      let rec try_children before = function
-        | [] -> false
-        | (Node.Child c as e) :: rest when Rect.contains_point c.Node.mbr point
-          ->
-          if go c then begin
-            if Node.entry_count c < t.min_fill then begin
-              orphans := (c.Node.entries, c.Node.level) :: !orphans;
-              node.Node.entries <- List.rev_append before rest
-            end
-            else node.Node.entries <- List.rev_append before (e :: rest);
-            if node.Node.entries <> [] then Node.recompute_mbr node;
-            true
-          end
-          else try_children (e :: before) rest
-        | e :: rest -> try_children (e :: before) rest
-      in
-      try_children [] node.Node.entries
-    end
-  in
-  if t.size = 0 then false
-  else if go t.root then begin
-    t.size <- t.size - 1;
-    (* Shrink the root while it is an internal node with a single child. *)
-    let rec shrink () =
-      if (not (Node.is_leaf t.root)) && Node.entry_count t.root = 1 then begin
-        (match t.root.Node.entries with
-        | [ Node.Child only ] -> t.root <- only
-        | _ -> ());
-        shrink ()
-      end
-      else if (not (Node.is_leaf t.root)) && Node.entry_count t.root = 0 then
-        t.root <- Node.empty_leaf ~dims:t.dims
-    in
-    (* Reinsert orphaned entries at their original levels. *)
-    let reinserted = Hashtbl.create 4 in
-    let pending = Queue.create () in
-    List.iter
-      (fun (entries, level) ->
-        List.iter (fun e -> Queue.add (e, level) pending) entries)
-      !orphans;
-    shrink ();
-    (* Orphan subtrees can be as tall as the shrunken root; dissolve any
-       that no longer fit below it into their children. An entry with
-       target level l that came from node c has c.level = l, and c's own
-       entries target level l - 1. *)
-    let rec flatten (entry, level) =
-      if level <= t.root.Node.level then [ (entry, level) ]
-      else
-        match entry with
-        | Node.Data _ -> [ (entry, 0) ]
-        | Node.Child c ->
-          List.concat_map (fun e -> flatten (e, level - 1)) c.Node.entries
-    in
-    let flattened =
-      Queue.fold (fun acc item -> flatten item @ acc) [] pending
-    in
-    Queue.clear pending;
-    List.iter (fun item -> Queue.add item pending) flattened;
-    drain_pending t ~reinserted ~pending;
-    true
-  end
-  else false
 
 (* --- queries ------------------------------------------------------------ *)
 

@@ -43,13 +43,6 @@ val insert : 'a t -> Simq_geometry.Point.t -> 'a -> unit
     index rectangles natively; the subsequence-index trails use this. *)
 val insert_rect : 'a t -> Simq_geometry.Rect.t -> 'a -> unit
 
-(** [delete t ~point ~where] removes one {e point} data entry at exactly [point]
-    whose value satisfies [where]; returns [false] when none matches.
-    Underfull nodes are dissolved and their entries reinserted
-    (CondenseTree). *)
-val delete :
-  'a t -> point:Simq_geometry.Point.t -> where:('a -> bool) -> bool
-
 (** [fold_region t ~overlaps ~matches ~init ~f] is the generic traversal
     behind every query in the library: descend into each subtree whose
     MBR satisfies [overlaps] and feed [f] every data entry of the

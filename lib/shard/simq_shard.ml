@@ -136,6 +136,7 @@ type 'a run = {
   r_nodes : int;
   r_scan : bool;  (* answered by the shard's own scan *)
   r_partial : bool;  (* this shard's anytime verification was cut short *)
+  r_profile : Profile.t option;  (* NN: the shard task's own profile *)
 }
 
 (* The per-shard sketch funnel builder: the shard's own sketch table
@@ -148,6 +149,21 @@ let shard_funnel ?spec s =
   Option.map
     (fun sk query -> Simq_sketch.funnel sk ~spec:(sketch_spec spec) ~query)
     s.ssketch
+
+(* An NN run leaves its candidates and nodes at 0: the shard's NN
+   operator node in its own profile (the scan's when the shard was
+   answered by its scan) lends [shard.i] its counts instead — the
+   entries keyed as rows in, the refinements as candidates and the
+   node expansions as pages. *)
+let copy_counts ~scan pc sp =
+  match
+    Profile.find sp (if scan then "kindex.nearest-scan" else "kindex.nearest")
+  with
+  | None -> ()
+  | Some node ->
+    Profile.add_rows_in pc (Profile.rows_in node);
+    Profile.add_candidates pc (Profile.candidates node);
+    Profile.add_pages pc (Profile.pages node)
 
 (* Metrics and profile for one finished scatter, on the coordinating
    domain after the merge (deterministic at every domain count). *)
@@ -195,6 +211,7 @@ let finish ?profile t ~op ~decisions ~(runs : _ run option array) ~rows_out =
           Profile.set_detail pc (if r.r_scan then "scan" else "index");
           Profile.add_pages pc r.r_nodes;
           Profile.add_candidates pc r.r_candidates;
+          Option.iter (copy_counts ~scan:r.r_scan pc) r.r_profile;
           Profile.add_rows_out pc r.r_rows);
         Profile.leave profile pc)
       runs;
@@ -315,6 +332,7 @@ let range_checked ?pool ?spec ?mean_window ?std_band
           r_nodes = 0;
           r_scan = true;
           r_partial = false;
+          r_profile = None;
         }
       | Error e -> raise (Shard_failed e)
     in
@@ -341,6 +359,7 @@ let range_checked ?pool ?spec ?mean_window ?std_band
                 r_nodes = r.Kindex.node_accesses;
                 r_scan = false;
                 r_partial = r.Kindex.partial;
+                r_profile = None;
               }
             | Error _ -> scan s))
     in
@@ -396,14 +415,15 @@ let gather_nearest ?profile t ~k ~decisions runs =
   in
   { neighbours; nearest_report = report }
 
-let nn_run t s answers =
+let nn_run t s ~sp ~scan answers =
   {
     r_payload = globalise t s answers;
     r_rows = List.length answers;
-    r_candidates = List.length answers;
+    r_candidates = 0;
     r_nodes = 0;
-    r_scan = false;
+    r_scan = scan;
     r_partial = false;
+    r_profile = sp;
   }
 
 let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
@@ -420,19 +440,28 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
   match preflight ?admission ~budget ~keep ~selectivity ~sketch_levels t with
   | Error e -> Error e
   | Ok decisions ->
-    let scan s =
-      match Kindex.nearest_scan ?spec ~budget s.sindex ~query ~k with
-      | Ok answers -> { (nn_run t s answers) with r_scan = true }
-      | Error e -> raise (Shard_failed e)
-    in
+    (* A profiled query gives every shard task a private profile, so
+       no two domains record into one tree; the gather copies its
+       counts into [shard.i] on the coordinating domain. *)
     let task s =
+      let sp = Option.map (fun _ -> Profile.create ()) profile in
+      let scan () =
+        match
+          Kindex.nearest_scan ?spec ~budget ?profile:sp s.sindex ~query ~k
+        with
+        | Ok answers -> nn_run t s ~sp ~scan:true answers
+        | Error e -> raise (Shard_failed e)
+      in
       Some
         (match decisions.(s.ordinal) with
-        | Some Simq_admission.Degrade_to_scan -> scan s
+        | Some Simq_admission.Degrade_to_scan -> scan ()
         | _ -> (
-          match Kindex.nearest_checked ?spec ~budget s.sindex ~query ~k with
-          | Ok r -> nn_run t s r.Kindex.neighbours
-          | Error _ -> scan s))
+          match
+            Kindex.nearest_checked ?spec ~budget ?profile:sp s.sindex ~query
+              ~k
+          with
+          | Ok r -> nn_run t s ~sp ~scan:false r.Kindex.neighbours
+          | Error _ -> scan ()))
     in
     (try
        Otrace.with_span "shard.scatter" @@ fun () ->

@@ -235,8 +235,12 @@ val nearest :
     (distance, entry id) order — the same exact answer set as the
     unsharded traversal, in the canonical order the degraded NN path
     uses. It records the same [shard.scatter]/[shard.gather] profile
-    nodes as {!range_checked}, and raises [Invalid_argument] when
-    [k <= 0] or on a query-length mismatch.
+    nodes as {!range_checked}; each shard task then records into a
+    private profile of its own, and its [shard.i] node takes the counts
+    of that shard's [kindex.nearest] node (or [kindex.nearest-scan]
+    when the shard was answered by its scan): entries keyed as rows
+    in, refinements as candidates, node expansions as pages. Raises
+    [Invalid_argument] when [k <= 0] or on a query-length mismatch.
 
     The fault layer follows the same per-shard contract as
     {!range_checked}: every shard vetted before any

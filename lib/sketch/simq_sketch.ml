@@ -21,10 +21,8 @@ let default = { coarse = 2; segments = 8 }
 type t = {
   dataset : Dataset.t;
   config : config;
-  (* Segment means of the normal forms present at build time, indexed
-     by entry id. Entries inserted later fall off the end and are
-     sketched on the fly — no mutation, so concurrent traversals never
-     race on the table. *)
+  (* Segment means of every normal form, indexed by entry id; never
+     mutated, so concurrent traversals never race on the table. *)
   segmeans : float array array;
 }
 
@@ -103,17 +101,12 @@ let coarse_bound t ~ranges ~stretch ~(q : Dataset.query)
     ranges;
   sqrt acc.Flat.sum *. slack
 
-let entry_segmeans t ~lengths (entry : Dataset.entry) =
-  if entry.Dataset.id < Array.length t.segmeans then
-    t.segmeans.(entry.Dataset.id)
-  else seg_means ~lengths entry.Dataset.normal
-
 (* Piecewise-constant lower bound (identity only): by Cauchy-Schwarz,
    the squared distance inside segment j is at least
    L_j (mean_x(j) - mean_q(j))^2, so the weighted mean differences
    lower-bound the full euclidean distance on the normal forms. *)
 let segment_bound t ~lengths ~qmeans (entry : Dataset.entry) =
-  let means = entry_segmeans t ~lengths entry in
+  let means = t.segmeans.(entry.Dataset.id) in
   let acc = ref 0. in
   Array.iteri
     (fun j len ->

@@ -38,8 +38,7 @@ val default : config
 
 (** [create ?config dataset] precomputes the segment sketches of every
     entry in [dataset]. Coarse sketches need no extra storage — they
-    read the spectra the dataset already holds. Entries appended to
-    the dataset later are sketched on the fly. Raises
+    read the spectra the dataset already holds. Raises
     [Invalid_argument] on a non-positive [config] field. *)
 val create : ?config:config -> Simq_tsindex.Dataset.t -> t
 

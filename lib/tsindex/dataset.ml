@@ -16,15 +16,13 @@ type entry = {
 type query = { qnormal : Series.t; qspectrum : Flat.t }
 
 type t = {
-  mutable entries : entry array;  (* by id; amortised growable; [count] live *)
-  mutable spectra : Flat.t;
-      (* slot [s]'s spectrum from coefficient [s·n]; grows with [entries] *)
-  mutable head : Flat.t;
+  entries : entry array;  (* by id *)
+  spectra : Flat.t;  (* slot [s]'s spectrum from coefficient [s·n] *)
+  head : Flat.t;
       (* slot [s]'s first [Flat.head_width] spectrum coefficients from
-         coefficient [s·head_width]; grows with [entries] *)
-  mutable slots : int array;  (* id → slot *)
-  mutable ids : int array;  (* slot → id *)
-  mutable count : int;
+         coefficient [s·head_width] *)
+  slots : int array;  (* id → slot *)
+  ids : int array;  (* slot → id *)
   n : int;
   relation : Relation.t;
 }
@@ -83,7 +81,6 @@ let of_relation ?pool r =
       head = Array.make (2 * head_width * count) 0.;
       slots = Array.init count Fun.id;
       ids = Array.init count Fun.id;
-      count;
       n;
       relation = r;
     }
@@ -96,44 +93,19 @@ let of_relation ?pool r =
 let of_series ?pool ~name batch =
   of_relation ?pool (Relation.of_series ~name batch)
 
-let insert t ~name data =
-  let data = Series.validate data in
-  if Series.length data <> t.n then
-    invalid_arg "Dataset.insert: series length mismatch";
-  let tuple = Relation.insert t.relation ~name data in
-  if t.count = Array.length t.ids then begin
-    (* Every array doubles at once; [entries.(0)] exists (no data set
-       is empty) and only fills cells past [count]. *)
-    let more = max 16 t.count in
-    let extend a ~per fill = Array.append a (Array.make (per * more) fill) in
-    t.entries <- extend t.entries ~per:1 t.entries.(0);
-    t.spectra <- extend t.spectra ~per:(2 * t.n) 0.;
-    t.head <- extend t.head ~per:(2 * head_width) 0.;
-    t.slots <- extend t.slots ~per:1 0;
-    t.ids <- extend t.ids ~per:1 0
-  end;
-  (* The new entry's spectrum goes to the end: no re-clustering. *)
-  let s = t.count in
-  let entry =
-    prepare ~id:tuple.Relation.id ~name data t.spectra ~off:(s * t.n)
-  in
-  fill_head t s;
-  t.entries.(t.count) <- entry;
-  t.slots.(entry.id) <- s;
-  t.ids.(s) <- entry.id;
-  t.count <- t.count + 1;
-  entry
+let cardinality t = Array.length t.entries
 
 (* In place, cycle by cycle: slot [s] takes the spectrum and head of
    the entry [order.(s)], each row moving once through a one-row
    buffer, so no second copy of the spectra ever exists. *)
 let lay_out t order =
-  if Array.length order <> t.count then
+  let count = cardinality t in
+  if Array.length order <> count then
     invalid_arg "Dataset.lay_out: order length differs from the cardinality";
-  let seen = Bytes.make t.count '\000' in
+  let seen = Bytes.make count '\000' in
   Array.iter
     (fun id ->
-      if id < 0 || id >= t.count || Bytes.get seen id <> '\000' then
+      if id < 0 || id >= count || Bytes.get seen id <> '\000' then
         invalid_arg "Dataset.lay_out: order is not a permutation of the ids";
       Bytes.set seen id '\001')
     order;
@@ -141,8 +113,8 @@ let lay_out t order =
   (* [from.(s)]: the slot holding what slot [s] must hold. *)
   let from = Array.map (fun id -> t.slots.(id)) order in
   let spare = Flat.create t.n and hspare = Flat.create head_width in
-  Bytes.fill seen 0 t.count '\000';
-  for start = 0 to t.count - 1 do
+  Bytes.fill seen 0 count '\000';
+  for start = 0 to count - 1 do
     if Bytes.get seen start = '\000' && from.(start) <> start then begin
       Array.blit t.spectra (start * row) spare 0 row;
       Array.blit t.head (start * hrow) hspare 0 hrow;
@@ -200,32 +172,31 @@ let within_sides (mean_range, std_range) entry =
   in
   within entry.mean mean_range && within entry.std std_range
 
-let entries t = Array.sub t.entries 0 t.count
+let entries t = Array.copy t.entries
 
 let get t id =
-  if id < 0 || id >= t.count then invalid_arg "Dataset.get: unknown id";
+  if id < 0 || id >= cardinality t then invalid_arg "Dataset.get: unknown id";
   t.entries.(id)
 
 let spectra t = t.spectra
 
 let slot t id =
-  if id < 0 || id >= t.count then invalid_arg "Dataset.slot: unknown id";
+  if id < 0 || id >= cardinality t then invalid_arg "Dataset.slot: unknown id";
   t.slots.(id)
 
 let id_at t s =
-  if s < 0 || s >= t.count then invalid_arg "Dataset.id_at: unknown slot";
+  if s < 0 || s >= cardinality t then invalid_arg "Dataset.id_at: unknown slot";
   t.ids.(s)
 
 let spectrum t id =
   Array.sub t.spectra (2 * slot t id * t.n) (2 * t.n)
 
 let head_sq_dist t ~stretch s qs acc =
-  if s < 0 || s >= t.count then
+  if s < 0 || s >= cardinality t then
     invalid_arg "Dataset.head_sq_dist: unknown slot";
   acc.Flat.sum <- 0.;
   Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:(Int.min head_width t.n)
     t.head (head_width * s) qs 0 acc
 
-let cardinality t = t.count
 let series_length t = t.n
 let relation t = t.relation

@@ -13,9 +13,11 @@
     are stable; the slot of an id is the data set's business
     ({!slot}, {!id_at}). Slots start in id order; {!lay_out} permutes
     them in place (the k-index lays them out in its tree's leaf order,
-    so a traversal reads them nearly sequentially) and {!insert}
-    appends one. Every reader takes (buffer, slot) and computes the
-    same doubles in any layout. *)
+    so a traversal reads them nearly sequentially). Every reader takes
+    (buffer, slot) and computes the same doubles in any layout.
+
+    A data set is built once: its entries, buffer and cardinality never
+    change after {!of_relation}, and only {!lay_out} moves slots. *)
 
 type entry = {
   id : int;
@@ -47,13 +49,6 @@ val of_relation : ?pool:Simq_parallel.Pool.t -> Simq_storage.Relation.t -> t
     relation and prepares it. *)
 val of_series :
   ?pool:Simq_parallel.Pool.t -> name:string -> Simq_series.Series.t array -> t
-
-(** [insert t ~name data] validates, stores and prepares one more
-    series (appending it to the backing relation); its id is the new
-    cardinality minus one, and its spectrum takes a new slot at the end
-    of the buffer (no re-clustering). Raises [Invalid_argument] when
-    the length differs from the data set's. *)
-val insert : t -> name:string -> Simq_series.Series.t -> entry
 
 (** [lay_out t order] moves entry [order.(s)]'s spectrum and head to
     slot [s], for every slot, by an in-place cycle permutation (no
@@ -99,8 +94,7 @@ val within_sides :
 
 (** [spectra t] is the spectrum buffer: slot [s]'s spectrum is the
     [n] coefficients from coefficient [s·n] (pass [s·n] as the
-    kernel's offset). {!insert} may replace the buffer, so fetch it per
-    query. *)
+    kernel's offset). *)
 val spectra : t -> Simq_dsp.Flat.t
 
 (** [slot t id] is the slot holding entry [id]'s spectrum; [id_at t s]
@@ -134,7 +128,7 @@ val head_sq_dist :
   Simq_dsp.Flat.acc ->
   int
 
-(** [entries t] is a snapshot of the live entries. *)
+(** [entries t] is a copy of the entries, indexed by id. *)
 val entries : t -> entry array
 val get : t -> int -> entry
 val cardinality : t -> int

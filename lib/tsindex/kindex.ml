@@ -51,23 +51,6 @@ let build ?(config = Feature.default) ?(max_fill = 32) dataset =
   Dataset.lay_out dataset order;
   { dataset; config; tree }
 
-(* --- maintenance --------------------------------------------------------- *)
-
-let insert t ~name series =
-  let entry = Dataset.insert t.dataset ~name series in
-  Rstar.insert t.tree (Feature.point t.config t.dataset entry) entry.Dataset.id;
-  entry
-
-let delete t id =
-  match Dataset.get t.dataset id with
-  | exception Invalid_argument _ -> false
-  | entry ->
-    (* Remove from the index only; the backing relation keeps the tuple
-       (append-only storage), but no query can reach it any more. *)
-    Rstar.delete t.tree
-      ~point:(Feature.point t.config t.dataset entry)
-      ~where:(Int.equal id)
-
 let dataset t = t.dataset
 let config t = t.config
 let tree t = t.tree
@@ -700,9 +683,7 @@ let nn_workload t ~k =
     pages = Simq_storage.Relation.pages (Dataset.relation t.dataset);
     tree_size = Rstar.size t.tree;
     tree_height = Rstar.height t.tree;
-    selectivity =
-      (if cardinality = 0 then 1.
-       else Float.min 1. (float_of_int k /. float_of_int cardinality));
+    selectivity = Float.min 1. (float_of_int k /. float_of_int cardinality);
     (* The checked NN path takes no sketch: the comparison estimate
        keeps its funnel-free form. *)
     sketch_levels = 0;

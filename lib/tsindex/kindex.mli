@@ -20,19 +20,10 @@ type t
 (** [build ?config ?max_fill dataset] bulk-loads the index (STR) and
     lays [dataset]'s spectra out in the tree's leaf order
     ({!Dataset.lay_out}), so the refinements of a query read nearby
-    slots. Raises [Invalid_argument] when [config.k] is not below the
-    series length. *)
+    slots. The index is read-only from then on: its tree and data set
+    never gain or lose an entry. Raises [Invalid_argument] when
+    [config.k] is not below the series length. *)
 val build : ?config:Feature.config -> ?max_fill:int -> Dataset.t -> t
-
-(** [insert t ~name series] adds one series to the data set and the
-    index; later queries see it immediately. Raises [Invalid_argument]
-    on a length mismatch. *)
-val insert : t -> name:string -> Simq_series.Series.t -> Dataset.entry
-
-(** [delete t id] removes a series from the index (the backing relation
-    keeps the tuple, unreachable); [false] when [id] is unknown or
-    already removed. *)
-val delete : t -> int -> bool
 
 val dataset : t -> Dataset.t
 val config : t -> Feature.config

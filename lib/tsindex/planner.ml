@@ -121,7 +121,7 @@ let admission_workload ?stats ?(sketch_levels = 0) kindex ~epsilon =
   }
 
 let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
-    ?stats ?(budget = Budget.unlimited) ?(validate = false) ?admission ?sketch
+    ?stats ?(budget = Budget.unlimited) ?admission ?sketch
     ?(sketch_levels = 0) ?approx ?profile kindex ~query ~epsilon =
   let pn = Profile.enter profile "planner" in
   Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
@@ -192,25 +192,21 @@ let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
     run_scan ~index_error ~degraded:true ()
   in
   let run_index () =
-    if validate && not (Simq_rtree.Check.is_valid (Kindex.tree kindex)) then
-      fallback (Error.Index_unusable { reason = "R-tree invariant check failed" })
-    else begin
-      match
-        Kindex.range_checked ~spec ?mean_window ?std_band ~budget ?sketch
-          ?approx ?profile kindex ~query ~epsilon
-      with
-      | Ok (r : Kindex.range_result) ->
-        Ok
-          {
-            answers = r.Kindex.answers;
-            executed = Use_index;
-            degraded = false;
-            partial = r.Kindex.partial;
-            index_error = None;
-            admission = decision;
-          }
-      | Error e -> fallback e
-    end
+    match
+      Kindex.range_checked ~spec ?mean_window ?std_band ~budget ?sketch
+        ?approx ?profile kindex ~query ~epsilon
+    with
+    | Ok (r : Kindex.range_result) ->
+      Ok
+        {
+          answers = r.Kindex.answers;
+          executed = Use_index;
+          degraded = false;
+          partial = r.Kindex.partial;
+          index_error = None;
+          admission = decision;
+        }
+    | Error e -> fallback e
   in
   match decision with
   | Some (Simq_admission.Reject reject) ->

@@ -64,15 +64,15 @@ type resilient_result = {
       (** the admission decision, when an [admission] policy was given *)
 }
 
-(** [range_resilient kindex ?stats ?budget ?validate ?admission ~query
-    ~epsilon] plans ([Use_index] when [stats] is omitted), executes
-    under [budget] (default unlimited) with {!Simq_fault.Retry}'s
-    bounded retries, and degrades index failures to the scan. Each execution attempt gets a fresh budget state — in
-    particular the fallback scan restarts the budget, so a degraded
-    query can still complete. [validate:true] (default false) checks
-    the R*-tree invariants first and treats a violation as an index
-    failure ([Index_unusable]). [Error] is returned only when the
-    fallback itself fails. [pool] feeds the scan path's domain pool.
+(** [range_resilient kindex ?stats ?budget ?admission ~query ~epsilon]
+    plans ([Use_index] when [stats] is omitted), executes under
+    [budget] (default unlimited) with {!Simq_fault.Retry}'s bounded
+    retries, and degrades index failures (budget exhaustion, persistent
+    faults) to the scan. Each execution attempt gets a fresh budget
+    state — in particular the fallback scan restarts the budget, so a
+    degraded query can still complete. [Error] is returned only when
+    the fallback itself fails. [pool] feeds the scan path's domain
+    pool.
 
     When [admission] is given, {!Simq_admission.decide} runs between
     planning and execution, on catalogue metadata and the planner
@@ -114,7 +114,6 @@ val range_resilient :
   ?std_band:float ->
   ?stats:stats ->
   ?budget:Simq_fault.Budget.t ->
-  ?validate:bool ->
   ?admission:Simq_admission.t ->
   ?sketch:(Dataset.query -> Kindex.prefilter option) ->
   ?sketch_levels:int ->

@@ -163,7 +163,7 @@ let resolve_pool = function Some pool -> pool | None -> Pool.default ()
 let profiled_scan ~pool ~abandon ~normalise_query ?bstate ?sides ?profile
     dataset spec query epsilon =
   Otrace.with_span "seqscan.range" (fun () ->
-      let count = Array.length (Dataset.entries dataset) in
+      let count = Dataset.cardinality dataset in
       (* A page fault aborts the attempt here: closing the node keeps a
          retried attempt's nodes beside this one, not inside it. *)
       let pio = Profile.enter profile "seqscan.io" in
@@ -214,7 +214,7 @@ let range_early_abandon ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
   scan ?pool ?profile ~abandon:true ~normalise_query dataset spec query epsilon
 
 let range_checked ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
-    ?mean_window ?std_band ?(abandon = true) ?(budget = Budget.unlimited)
+    ?mean_window ?std_band ?(budget = Budget.unlimited)
     ?profile dataset ~query ~epsilon =
   check_query_length dataset spec query;
   if not (Float.is_finite epsilon) || epsilon < 0. then
@@ -227,12 +227,12 @@ let range_checked ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
     (fun () ->
       let result =
         Retry.with_retries ?profile ~budget (fun bstate ->
-            profiled_scan ~pool ~abandon ~normalise_query ?bstate ~sides
+            profiled_scan ~pool ~abandon:true ~normalise_query ?bstate ~sides
               ?profile dataset spec query epsilon)
       in
       (match result with
       | Ok r ->
-          Profile.add_rows_in pn (Array.length (Dataset.entries dataset));
+          Profile.add_rows_in pn (Dataset.cardinality dataset);
           Profile.add_rows_out pn (List.length r.answers)
       | Error e ->
           Profile.add_event pn ("error: " ^ Simq_fault.Error.kind e));

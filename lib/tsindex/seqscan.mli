@@ -48,9 +48,8 @@ val range_early_abandon :
   Dataset.t -> query:Simq_series.Series.t -> epsilon:float ->
   result
 
-(** [range_checked dataset ?pool ?spec ?abandon ?budget ~query
-    ~epsilon] is the resilient scan: same answers as
-    {!range_early_abandon} (or {!range_full} with [abandon:false]) but
+(** [range_checked dataset ?pool ?spec ?budget ~query ~epsilon] is
+    the resilient scan: same answers as {!range_early_abandon} but
     executed under a {!Simq_fault.Budget} and bounded
     {!Simq_fault.Retry}, returning a typed error instead of raising.
     Each attempt gets a fresh budget state, charged for every page the
@@ -75,7 +74,6 @@ val range_checked :
   ?normalise_query:bool ->
   ?mean_window:float ->
   ?std_band:float ->
-  ?abandon:bool ->
   ?budget:Simq_fault.Budget.t ->
   ?profile:Simq_obs.Profile.t ->
   Dataset.t -> query:Simq_series.Series.t -> epsilon:float ->

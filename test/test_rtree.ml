@@ -196,48 +196,6 @@ let test_node_accesses_bounded () =
     true
     (accesses < 80)
 
-(* --- deletion ----------------------------------------------------------- *)
-
-let test_delete_basic () =
-  let t = Rstar.create ~max_fill:4 ~dims:2 () in
-  Rstar.insert t [| 1.; 1. |] "a";
-  Rstar.insert t [| 2.; 2. |] "b";
-  Alcotest.(check bool) "deletes" true
-    (Rstar.delete t ~point:[| 1.; 1. |] ~where:(String.equal "a"));
-  Alcotest.(check bool) "already gone" false
-    (Rstar.delete t ~point:[| 1.; 1. |] ~where:(String.equal "a"));
-  Alcotest.(check int) "size" 1 (Rstar.size t);
-  assert_valid t
-
-let test_delete_random_workload () =
-  let points = random_points ~seed:31 ~count:400 ~dims:2 ~range:100. in
-  let t = build_by_insertion ~max_fill:6 ~dims:2 points in
-  (* Delete even ids, keep odd. *)
-  Array.iter
-    (fun (p, v) ->
-      if v mod 2 = 0 then
-        Alcotest.(check bool) "deleted" true
-          (Rstar.delete t ~point:p ~where:(Int.equal v)))
-    points;
-  Alcotest.(check int) "half remain" 200 (Rstar.size t);
-  assert_valid t;
-  let rect = Rect.create ~lo:[| 0.; 0. |] ~hi:[| 100.; 100. |] in
-  let survivors = Rstar.search_rect t rect in
-  Alcotest.(check bool) "only odd ids" true
-    (List.for_all (fun (_, v) -> v mod 2 = 1) survivors);
-  Alcotest.(check int) "200 found" 200 (List.length survivors)
-
-let test_delete_to_empty_and_reuse () =
-  let points = random_points ~seed:41 ~count:60 ~dims:2 ~range:10. in
-  let t = build_by_insertion ~max_fill:4 ~dims:2 points in
-  Array.iter
-    (fun (p, v) -> ignore (Rstar.delete t ~point:p ~where:(Int.equal v)))
-    points;
-  Alcotest.(check int) "empty" 0 (Rstar.size t);
-  Rstar.insert t [| 5.; 5. |] 999;
-  Alcotest.(check int) "usable again" 1 (Rstar.size t);
-  assert_valid t
-
 (* --- bulk loading ------------------------------------------------------- *)
 
 let test_bulk_load_matches_insertion () =
@@ -504,19 +462,6 @@ let test_guttman_search_equivalence () =
       (brute_force_rect points rect = sort_results (Rstar.search_rect t rect))
   done
 
-let test_guttman_delete () =
-  let points = random_points ~seed:123 ~count:200 ~dims:2 ~range:50. in
-  let t = Rstar.create ~variant:Rstar.Guttman_variant ~max_fill:6 ~dims:2 () in
-  Array.iter (fun (p, v) -> Rstar.insert t p v) points;
-  Array.iter
-    (fun (p, v) ->
-      if v mod 3 = 0 then
-        Alcotest.(check bool) "deleted" true
-          (Rstar.delete t ~point:p ~where:(Int.equal v)))
-    points;
-  assert_valid t;
-  Alcotest.(check int) "survivors" 133 (Rstar.size t)
-
 let test_variants_same_answers () =
   (* Different trees, identical query results. *)
   let points = random_points ~seed:124 ~count:400 ~dims:3 ~range:100. in
@@ -569,19 +514,6 @@ let prop_guttman_invariants =
       Array.iter (fun (p, v) -> Rstar.insert t p v) points;
       Check.is_valid t)
 
-let prop_delete_keeps_invariants =
-  QCheck.Test.make ~name:"invariants survive random deletions" ~count:30
-    arb_workload (fun (n, seed, max_fill) ->
-      let points = random_points ~seed ~count:n ~dims:2 ~range:100. in
-      let t = build_by_insertion ~max_fill ~dims:2 points in
-      let state = Random.State.make [| seed + 1 |] in
-      Array.iter
-        (fun (p, v) ->
-          if Random.State.bool state then
-            ignore (Rstar.delete t ~point:p ~where:(Int.equal v)))
-        points;
-      Check.is_valid t)
-
 let prop_bulk_load_equivalence =
   QCheck.Test.make ~name:"bulk load answers like brute force" ~count:30
     arb_workload (fun (n, seed, max_fill) ->
@@ -612,7 +544,6 @@ let properties =
     [
       prop_insert_search_equivalence;
       prop_guttman_invariants;
-      prop_delete_keeps_invariants;
       prop_bulk_load_equivalence;
       prop_nn_first_equals_min;
     ]
@@ -638,13 +569,6 @@ let () =
           Alcotest.test_case "duplicate points" `Quick test_duplicate_points;
           Alcotest.test_case "node accesses bounded" `Quick
             test_node_accesses_bounded;
-        ] );
-      ( "delete",
-        [
-          Alcotest.test_case "basic" `Quick test_delete_basic;
-          Alcotest.test_case "random workload" `Quick test_delete_random_workload;
-          Alcotest.test_case "delete to empty, reuse" `Quick
-            test_delete_to_empty_and_reuse;
         ] );
       ( "bulk",
         [
@@ -681,7 +605,6 @@ let () =
         [
           Alcotest.test_case "search equivalence" `Quick
             test_guttman_search_equivalence;
-          Alcotest.test_case "delete" `Quick test_guttman_delete;
           Alcotest.test_case "variants agree" `Quick test_variants_same_answers;
         ] );
       ( "region",

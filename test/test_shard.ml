@@ -16,6 +16,7 @@ module Injector = Simq_fault.Injector
 module Budget = Simq_fault.Budget
 module Error = Simq_fault.Error
 module Admission = Simq_admission
+module Profile = Simq_obs.Profile
 open Simq_tsindex
 module Generator = Simq_series.Generator
 
@@ -517,6 +518,62 @@ let test_admitted_run_bit_identical_to_admission_off () =
     Alcotest.(check int) "nothing degraded" 0 r.Shard.report.Shard.degraded
   | Error e -> Alcotest.failf "roomy budget must complete: %s" (Error.kind e)
 
+(* A profiled sharded NEAREST shows each shard's real work: [shard.i]'s
+   rows in, candidates and pages are the entries keyed, the refinements
+   and the node expansions of a direct profiled traversal of shard i's
+   own index, and the rendered tree (timings stripped) is the same at
+   every domain count. *)
+let test_nearest_profile_shows_shard_work () =
+  let d = dataset_of ~seed:36 ~count:200 ~n:32 in
+  let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
+  let query = query_for d Spec.Identity 36 in
+  let k = 5 in
+  let node profile name =
+    match Profile.find profile name with
+    | Some node -> node
+    | None -> Alcotest.failf "no %s node" name
+  in
+  let counts node =
+    (Profile.rows_in node, Profile.candidates node, Profile.pages node)
+  in
+  let direct =
+    List.init (Shard.shards sh) (fun i ->
+        let profile = Profile.create () in
+        (match
+           Kindex.nearest_checked ~profile (Shard.shard_index sh i) ~query ~k
+         with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "shard %d: %s" i (Error.kind e));
+        counts (node profile "kindex.nearest"))
+  in
+  List.iteri
+    (fun i (_, refinements, pages) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d refines and expands" i)
+        true
+        (refinements > 0 && pages > 0))
+    direct;
+  let renders =
+    List.map
+      (fun (domains, pool) ->
+        let profile = Profile.create () in
+        ignore (Shard.nearest ~pool ~profile sh ~query ~k);
+        List.iteri
+          (fun i expected ->
+            Alcotest.(check (triple int int int))
+              (Printf.sprintf "%d domains: shard.%d = its direct traversal"
+                 domains i)
+              expected
+              (counts (node profile (Printf.sprintf "shard.%d" i))))
+          direct;
+        Profile.render ~timings:false profile)
+      pools
+  in
+  List.iter
+    (Alcotest.(check string) "rendered tree identical at every domain count"
+       (List.hd renders))
+    (List.tl renders)
+
 let () =
   Alcotest.run "simq_shard"
     [
@@ -537,6 +594,11 @@ let () =
             test_degraded_shard_nearest_still_exact;
           Alcotest.test_case "nn gather ties are canonical" `Quick
             test_nn_gather_ties_canonical;
+        ] );
+      ( "profile",
+        [
+          Alcotest.test_case "nearest shows each shard's work" `Quick
+            test_nearest_profile_shows_shard_work;
         ] );
       ( "admission",
         [

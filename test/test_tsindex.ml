@@ -737,28 +737,6 @@ let test_nearest_matches_kernel_selection () =
         [ Coords.Polar; Coords.Rectangular ])
     [ 2; 3; 32 ]
 
-(* A series inserted after the build is found by NN at distance 0: the
-   head table grows with the entries. *)
-let test_nearest_finds_inserted () =
-  let d = dataset_of ~seed:64 ~count:30 ~n:32 in
-  let idx = Kindex.build ~max_fill:8 d in
-  let extra = Generator.random_walks ~seed:65 ~count:40 ~n:32 in
-  Array.iteri
-    (fun i s ->
-      let entry = Kindex.insert idx ~name:(Printf.sprintf "new-%d" i) s in
-      match Kindex.nearest idx ~query:s ~k:1 with
-      | [ (e, dist) ] ->
-        Alcotest.(check int) "inserted id" entry.Dataset.id e.Dataset.id;
-        Alcotest.(check (float 0.)) "distance 0" 0. dist
-      | _ -> Alcotest.fail "expected one neighbour")
-    extra;
-  (* Earlier entries' head slots survive every growth of the table. *)
-  let query = query_for d Spec.Identity 4 in
-  Alcotest.(check (list (pair (float 0.) int)))
-    "grown set = kernel selection"
-    (kernel_nearest ~spec:Spec.Identity d ~query ~k:7)
-    (nn_pairs (Kindex.nearest idx ~query ~k:7))
-
 (* NEAREST allocates per query, not per entry: the traversal queues
    the tree's own entries and writes every node bound, key and
    refinement into one float cell, so what a query allocates is its
@@ -1047,59 +1025,7 @@ let test_range_unnormalised_query () =
   Alcotest.(check (list int)) "matches direct computation" expected
     (ids_of result.Kindex.answers)
 
-(* --- Index maintenance --------------------------------------------------------- *)
-
-let test_kindex_insert_visible () =
-  let d = dataset_of ~seed:61 ~count:80 ~n:64 in
-  let idx = Kindex.build ~max_fill:8 d in
-  let extra = Generator.random_walks ~seed:62 ~count:20 ~n:64 in
-  Array.iteri
-    (fun i s ->
-      let entry = Kindex.insert idx ~name:(Printf.sprintf "new-%d" i) s in
-      Alcotest.(check int) "dense id" (80 + i) entry.Dataset.id)
-    extra;
-  Alcotest.(check int) "cardinality" 100 (Dataset.cardinality d);
-  Alcotest.(check int) "tree size" 100
-    (Simq_rtree.Rstar.size (Kindex.tree idx));
-  Alcotest.(check bool) "invariants" true
-    (Simq_rtree.Check.is_valid (Kindex.tree idx));
-  (* A query around a freshly inserted series finds it. *)
-  let query = extra.(5) in
-  let r = Kindex.range idx ~query ~epsilon:0.5 in
-  Alcotest.(check bool) "new series found" true
-    (List.exists (fun ((e : Dataset.entry), _) -> e.Dataset.id = 85)
-       r.Kindex.answers);
-  (* And results still agree with the scan reference over the grown set. *)
-  let reference = Seqscan.reference d ~query ~epsilon:6. in
-  let actual = Kindex.range idx ~query ~epsilon:6. in
-  Alcotest.(check (list int)) "reference equivalence" (ids_of reference)
-    (ids_of actual.Kindex.answers)
-
-let test_kindex_insert_rejects_bad_length () =
-  let d = dataset_of ~seed:63 ~count:10 ~n:64 in
-  let idx = Kindex.build d in
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Dataset.insert: series length mismatch") (fun () ->
-      ignore (Kindex.insert idx ~name:"bad" (Array.make 32 1.)))
-
-let test_kindex_delete () =
-  let d = dataset_of ~seed:64 ~count:60 ~n:64 in
-  let idx = Kindex.build ~max_fill:8 d in
-  let victim = (Dataset.get d 7).Dataset.series in
-  let before = Kindex.range idx ~query:victim ~epsilon:0.1 in
-  Alcotest.(check bool) "victim present" true
-    (List.exists (fun ((e : Dataset.entry), _) -> e.Dataset.id = 7)
-       before.Kindex.answers);
-  Alcotest.(check bool) "delete succeeds" true (Kindex.delete idx 7);
-  Alcotest.(check bool) "second delete fails" false (Kindex.delete idx 7);
-  Alcotest.(check bool) "unknown id fails" false (Kindex.delete idx 999);
-  let after = Kindex.range idx ~query:victim ~epsilon:0.1 in
-  Alcotest.(check bool) "victim gone" false
-    (List.exists (fun ((e : Dataset.entry), _) -> e.Dataset.id = 7)
-       after.Kindex.answers);
-  Alcotest.(check int) "tree shrank" 59 (Simq_rtree.Rstar.size (Kindex.tree idx));
-  Alcotest.(check bool) "invariants" true
-    (Simq_rtree.Check.is_valid (Kindex.tree idx))
+(* --- Spectrum layout ----------------------------------------------------------- *)
 
 (* The layout of the spectrum buffer moves memory, never a double:
    one data set laid out in its tree's leaf order (what [Kindex.build]
@@ -1107,14 +1033,13 @@ let test_kindex_delete () =
    NEAREST (answers, distances, node accesses, keys and refinements),
    RANGE (answers, candidates, node accesses), the scan (answers and
    its counters), PAIRS methods (a) and (b) (pairs and comparisons)
-   and the sketch bounds — also after an insert appends a slot and
-   after a delete. *)
+   and the sketch bounds. *)
 let test_layout_invariance () =
   let module Profile = Simq_obs.Profile in
   let d = dataset_of ~seed:68 ~count:240 ~n:32 in
   let idx = Kindex.build ~max_fill:8 d in
-  let count () = Dataset.cardinality d in
-  let leaf_order = Array.init (count ()) (Dataset.id_at d) in
+  let count = Dataset.cardinality d in
+  let leaf_order = Array.init count (Dataset.id_at d) in
   Alcotest.(check bool) "the build moved slots" true
     (Array.exists (fun b -> b) (Array.mapi (fun s id -> s <> id) leaf_order));
   let sketch = Simq_sketch.create d in
@@ -1160,29 +1085,15 @@ let test_layout_invariance () =
         ])
       specs
   in
-  let in_both_layouts what leaf_order =
-    let leaf = observe () in
-    Dataset.lay_out d (Array.init (count ()) Fun.id);
-    let by_id = observe () in
-    Alcotest.(check bool) (what ^ ": identical in both layouts") true
-      (leaf = by_id);
-    Dataset.lay_out d leaf_order
-  in
-  in_both_layouts "after the build" leaf_order;
-  let extra = (Dataset.get d 3).Dataset.series in
-  let entry =
-    Kindex.insert idx ~name:"extra" (Array.map (fun v -> v +. 0.25) extra)
-  in
-  Alcotest.(check int) "the insert appends a slot" (count () - 1)
-    (Dataset.slot d entry.Dataset.id);
-  in_both_layouts "after an insert"
-    (Array.append leaf_order [| entry.Dataset.id |]);
-  Alcotest.(check bool) "delete" true (Kindex.delete idx 11);
-  in_both_layouts "after a delete"
-    (Array.append leaf_order [| entry.Dataset.id |]);
+  let leaf = observe () in
+  Dataset.lay_out d (Array.init count Fun.id);
+  let by_id = observe () in
+  Alcotest.(check bool) "after the build: identical in both layouts" true
+    (leaf = by_id);
+  Dataset.lay_out d leaf_order;
   Alcotest.check_raises "not a permutation"
     (Invalid_argument "Dataset.lay_out: order is not a permutation of the ids")
-    (fun () -> Dataset.lay_out d (Array.make (count ()) 0))
+    (fun () -> Dataset.lay_out d (Array.make count 0))
 
 (* --- Subsequence matching ---------------------------------------------------- *)
 
@@ -1598,8 +1509,6 @@ let () =
             test_nearest_matches_brute_force;
           Alcotest.test_case "matches the kernel's linear selection" `Quick
             test_nearest_matches_kernel_selection;
-          Alcotest.test_case "finds inserted series" `Quick
-            test_nearest_finds_inserted;
           Alcotest.test_case "checked charges" `Quick
             test_nearest_checked_charges;
           Alcotest.test_case "allocates per query, not per entry" `Quick
@@ -1609,11 +1518,6 @@ let () =
         ] );
       ( "maintenance",
         [
-          Alcotest.test_case "insert visible to queries" `Quick
-            test_kindex_insert_visible;
-          Alcotest.test_case "insert validates length" `Quick
-            test_kindex_insert_rejects_bad_length;
-          Alcotest.test_case "delete" `Quick test_kindex_delete;
           Alcotest.test_case "layout moves no double" `Quick
             test_layout_invariance;
         ] );

@@ -23,7 +23,8 @@
 # sketch funnel: a --sketch query (plain and sharded) checked
 # bit-identical to the unsketched run with its filter counters exposed,
 # a NEAREST query printing the same rows plain, with --shards 4 and
-# with --shards 4 --sketch,
+# with --shards 4 --sketch, and profiled with --shards 4 showing pages
+# on every executed shard,
 # an --approx query checked superset-free against the exact answers
 # with the sketch ladder visible in its profile tree, and an
 # out-of-range --approx rejected as a usage error, plus PAIRS joins
@@ -342,6 +343,21 @@ for opts in "--shards 4" "--shards 4 --sketch"; do
     exit 1
   }
 done
+# A profiled sharded NEAREST shows each shard's real work: all four
+# shards execute, and every executed shard.N line carries its node
+# expansions as pages.
+"$simq" query smoke.rel "$nn_spec" --shards 4 --profile >nn.profile.out
+grep -E -- '-> shard\.[0-9]+ \[(index|scan)\]' nn.profile.out >nn.shards || true
+[ "$(wc -l <nn.shards)" -eq 4 ] || {
+  echo "smoke: sharded NEAREST profile does not show four executed shards" >&2
+  cat nn.profile.out >&2
+  exit 1
+}
+if grep -v -E 'pages=[1-9]' nn.shards | grep -q .; then
+  echo "smoke: an executed shard of a profiled NEAREST shows no pages" >&2
+  cat nn.profile.out >&2
+  exit 1
+fi
 "$simq" query smoke.rel "RANGE FROM r QUERY s0 EPS 2.5" \
   --approx 0.4 --profile >approx.out
 grep -q 'sketch.coarse' approx.out || {
