@@ -851,9 +851,8 @@ let render_history body =
                kvs)
         | _ -> ""
       in
-      Printf.printf "sketch: %sfilter rate %.1f%%\n" filtered
+      Printf.printf "sketch: %sfilter rate %.1f%%\n%!" filtered
         (num "filter_rate" sketch *. 100.);
-      Printf.printf "pool imbalance %.2f\n%!" (num "pool_imbalance" w);
       Ok ())
 
 let top_impl host port once interval_ms iterations timeout_ms =

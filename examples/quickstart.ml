@@ -68,8 +68,11 @@ let () =
   let reference =
     Seqscan.reference ~spec ~normalise_query:false dataset ~query ~epsilon
   in
-  Printf.printf "sequential scan agrees: %b\n"
-    (List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) reference
+  let agrees =
+    List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) reference
     = List.map
         (fun ((e : Dataset.entry), _) -> e.Dataset.id)
-        result.Kindex.answers)
+        result.Kindex.answers
+  in
+  Printf.printf "sequential scan agrees: %b\n" agrees;
+  if not agrees then exit 1

@@ -98,7 +98,6 @@ type window = {
   prune_rate : float;
   sketch_filtered : (string * int) list;
   sketch_filter_rate : float;
-  pool_imbalance : float;
   latency_count : int;
   p50_s : float;
   p99_s : float;
@@ -120,14 +119,6 @@ let counter_by_label name label samples =
           Option.map (fun v -> (v, total)) (List.assoc_opt label labels)
       | _ -> None)
     samples
-
-let gauge_value name samples =
-  List.fold_left
-    (fun acc s ->
-      match s with
-      | Metrics.Gauge_sample { name = n; value; _ } when n = name -> value
-      | _ -> acc)
-    0. samples
 
 let histogram_buckets name samples =
   List.fold_left
@@ -229,7 +220,6 @@ let window t =
           prune_rate = ratio shard_pruned (shard_fanout + shard_pruned);
           sketch_filtered;
           sketch_filter_rate = ratio filtered_sum candidates;
-          pool_imbalance = gauge_value "simq_pool_imbalance_ratio" newest.samples;
           latency_count;
           p50_s;
           p99_s;
@@ -261,7 +251,6 @@ let window_json w =
                    w.sketch_filtered) );
             ("filter_rate", Json.Num w.sketch_filter_rate);
           ] );
-      ("pool_imbalance", Json.Num w.pool_imbalance);
       ( "latency",
         Json.Obj
           [

@@ -8,8 +8,10 @@
     one probe always has a fresh endpoint), and derives windowed
     rates from the deltas between the two newest: qps and shed rate
     from the serve counters, shard pruning rate, per-level sketch
-    filter counts, pool imbalance, and latency quantiles read off the
-    [simq_timer_seconds] log-scale bucket deltas.
+    filter counts, and latency quantiles read off the
+    [simq_timer_seconds] log-scale bucket deltas. Every member is a
+    counter or bucket delta, so a window never reports a timing
+    gauge that the last job happened to leave behind.
 
     Reading never writes a metric: the sampler calls
     {!Metrics.snapshot} (an atomic merge-on-read) and stores the
@@ -65,8 +67,6 @@ type window = {
       (** per-level ([coarse], [segment]) sketch dismissal deltas *)
   sketch_filter_rate : float;
       (** sketch-dismissed share of the window's k-index candidates *)
-  pool_imbalance : float;
-      (** [simq_pool_imbalance_ratio] at the newest snapshot *)
   latency_count : int;  (** timer observations inside the window *)
   p50_s : float;
       (** median windowed timer latency — the upper bound of the

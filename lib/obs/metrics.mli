@@ -14,8 +14,9 @@
     instrumented work itself is deterministic (which the Lemma 1
     parallel tests enforce). Histogram [sum]s are floating-point and
     merge in shard order, and gauges are last-write-wins, so neither
-    is bit-deterministic under parallel execution; pool self-metrics
-    (task counts, busy time) inherently depend on the chunking and are
+    is bit-deterministic under parallel execution; the pool's task
+    count depends on the domain count (it is a pure function of input
+    sizes and domain count, so it repeats from run to run) and is
     excluded from the cross-domain determinism guarantee.
 
     Metric names follow Prometheus conventions

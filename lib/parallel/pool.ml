@@ -2,39 +2,13 @@ let m_tasks =
   Simq_obs.Metrics.counter ~help:"Chunks executed by the domain pool"
     "simq_pool_tasks_total"
 
-let m_busy =
-  Simq_obs.Metrics.histogram ~help:"Per-chunk busy time in seconds"
-    "simq_pool_busy_seconds"
-
-let m_imbalance =
-  Simq_obs.Metrics.gauge
-    ~help:"Last job's max/mean per-domain busy time (1 = perfectly balanced)"
-    "simq_pool_imbalance_ratio"
-
-(* Per-domain busy-time slots for one job, indexed like the metrics
-   shards; each participating domain only writes its own slot. *)
-let busy_slots = 64
-
-(* --- adaptive chunking knobs --------------------------------------------- *)
-
-(* A chunk never holds fewer elements than this: below the quantum the
-   scheduling overhead (claim, finish bookkeeping, wake-ups) dominates
-   the work, so tiny inputs collapse to one chunk and run inline. *)
-let min_chunk_quantum = 64
-
-(* Fresh pools start coarse — [coarse_chunks_per_domain] chunks per
-   domain — and split finer only when a finished job's measured
-   per-domain busy times are imbalanced, up to
-   [max_chunks_per_domain]. *)
-let coarse_chunks_per_domain = 2
-let max_chunks_per_domain = 16
-
-(* Controller thresholds on the max/mean per-domain busy-time ratio of
-   the job that just finished: above [imbalance_split_ratio] the next
-   job gets twice as many chunks per domain; below
-   [imbalance_coarsen_ratio] (near-perfect balance) it gets half. *)
-let imbalance_split_ratio = 1.25
-let imbalance_coarsen_ratio = 1.05
+(* The chunking rule: [chunks_per_domain] chunks per domain, so one
+   slow chunk holds a domain up for a small share of the job, but never
+   a chunk below [min_chunk] elements, where claiming and finishing a
+   chunk would outweigh its work — smaller inputs are one chunk and run
+   inline. *)
+let chunks_per_domain = 8
+let min_chunk = 64
 
 (* A job is one parallel operation: [total] chunks, claimed one at a
    time through the atomic [next] counter by every domain working on it
@@ -57,10 +31,6 @@ type t = {
   mutable jobs : job list;
   mutable stopped : bool;
   mutable workers : unit Domain.t list;
-  split : int Atomic.t;
-      (* current chunks-per-domain target of the adaptive controller;
-         only ever between [coarse_chunks_per_domain] and
-         [max_chunks_per_domain] *)
 }
 
 let domains t = t.size
@@ -114,7 +84,6 @@ let create ~domains =
       jobs = [];
       stopped = false;
       workers = [];
-      split = Atomic.make coarse_chunks_per_domain;
     }
   in
   if domains > 1 then
@@ -132,68 +101,19 @@ let shutdown t =
   List.iter Domain.join t.workers;
   t.workers <- []
 
-(* Wrap a chunk body with busy-time accounting; [busy] is the
-   per-domain slot array of one job (absent on the inline path, where
-   only the metric families are fed). Slot timing always runs on the
-   parallel branch — it feeds the adaptive controller — at the cost of
-   two clock reads per chunk, negligible against a quantum of work. *)
-let instrument_run ~metrics run busy i =
-  let t0 = Simq_obs.Clock.now_ns () in
-  run i;
-  let dt = Simq_obs.Clock.elapsed_s t0 in
-  if metrics then begin
-    Simq_obs.Metrics.incr m_tasks;
-    Simq_obs.Metrics.observe m_busy dt
-  end;
-  match busy with
-  | None -> ()
-  | Some slots ->
-    let s = (Domain.self () :> int) land (busy_slots - 1) in
-    slots.(s) <- slots.(s) +. dt
-
-(* Digest the per-domain busy times of the job just finished: publish
-   the max/mean ratio (when metrics are on) and steer the adaptive
-   split — observed imbalance means the next job should cut finer
-   chunks, near-perfect balance that coarser ones suffice. Chunk-size
-   choices never change answers (all merges are chunk-order
-   deterministic), so the controller is free to react to timing. *)
-let digest_imbalance t slots =
-  let mx = ref 0. and sum = ref 0. and active = ref 0 in
-  Array.iter
-    (fun v ->
-      if v > 0. then begin
-        if v > !mx then mx := v;
-        sum := !sum +. v;
-        incr active
-      end)
-    slots;
-  if !active > 0 && !sum > 0. then begin
-    let ratio = !mx /. (!sum /. float_of_int !active) in
-    if Simq_obs.Metrics.on () then
-      Simq_obs.Metrics.set_gauge m_imbalance ratio;
-    let split = Atomic.get t.split in
-    if ratio > imbalance_split_ratio then
-      Atomic.set t.split (min (split * 2) max_chunks_per_domain)
-    else if ratio < imbalance_coarsen_ratio then
-      Atomic.set t.split (max (split / 2) coarse_chunks_per_domain)
-  end
-
 (* Run [total] chunks, caller participating; returns when every chunk
    has completed. [run] must not raise. *)
 let run_chunks t ~total run =
+  let run i =
+    run i;
+    Simq_obs.Metrics.incr m_tasks
+  in
   if total > 0 then
-    if t.size <= 1 || t.stopped || total = 1 then begin
-      let run =
-        if Simq_obs.Metrics.on () then instrument_run ~metrics:true run None
-        else run
-      in
+    if t.size <= 1 || t.stopped || total = 1 then
       for i = 0 to total - 1 do
         run i
       done
-    end
     else begin
-      let busy = Array.make busy_slots 0. in
-      let run = instrument_run ~metrics:(Simq_obs.Metrics.on ()) run (Some busy) in
       let job =
         {
           next = Atomic.make 0;
@@ -216,8 +136,7 @@ let run_chunks t ~total run =
       Mutex.unlock job.fin_mutex;
       Mutex.lock t.lock;
       t.jobs <- List.filter (fun j -> j != job) t.jobs;
-      Mutex.unlock t.lock;
-      digest_imbalance t busy
+      Mutex.unlock t.lock
     end
 
 (* --- the default pool ---------------------------------------------------- *)
@@ -285,18 +204,9 @@ let default () =
 
 let resolve = function Some pool -> pool | None -> default ()
 
-(* The controller's current chunk size for an [n]-element operation:
-   [split * size] chunks, but never a chunk below the minimum-work
-   quantum — so an input smaller than the quantum is one chunk and
-   runs inline, whatever the pool size. *)
-let adaptive_chunk pool n =
-  if n <= 0 then 1
-  else begin
-    let target = Atomic.get pool.split * pool.size in
-    max min_chunk_quantum ((n + target - 1) / target)
-  end
-
-let default_chunk = adaptive_chunk
+let chunk_size pool n =
+  let target = chunks_per_domain * pool.size in
+  max min_chunk ((n + target - 1) / target)
 
 let check_chunk chunk =
   if chunk < 1 then invalid_arg "Pool: chunk must be >= 1"
@@ -316,7 +226,7 @@ let map_array ?pool ?chunk f arr =
       | Some c ->
         check_chunk c;
         c
-      | None -> default_chunk pool n
+      | None -> chunk_size pool n
     in
     let chunks = (n + chunk - 1) / chunk in
     if pool.size <= 1 || chunks = 1 then Array.map f arr
@@ -353,43 +263,4 @@ let map_chunks ?pool ~chunk ~n f =
     raise_first_error errors;
     Array.to_list
       (Array.map (function Some v -> v | None -> assert false) results)
-  end
-
-let chunked_iter ?pool ~chunk ~n f =
-  let units = map_chunks ?pool ~chunk ~n f in
-  ignore (units : unit list)
-
-let reduce ?pool ?chunk ~map ~combine init arr =
-  let pool = resolve pool in
-  let n = Array.length arr in
-  if n = 0 then init
-  else begin
-    let chunk =
-      match chunk with
-      | Some c ->
-        check_chunk c;
-        c
-      | None -> default_chunk pool n
-    in
-    (* Pre-sized partials buffer written in place by each chunk, folded
-       in chunk order — no intermediate list. Chunk grouping is the
-       same at every domain count for a fixed [chunk], so even
-       non-associative combines stay deterministic. *)
-    let chunks = (n + chunk - 1) / chunk in
-    let partials = Array.make chunks None in
-    let errors = Array.make chunks None in
-    run_chunks pool ~total:chunks (fun c ->
-        let lo = c * chunk and hi = min n ((c + 1) * chunk) in
-        try
-          let acc = ref (map arr.(lo)) in
-          for i = lo + 1 to hi - 1 do
-            acc := combine !acc (map arr.(i))
-          done;
-          partials.(c) <- Some !acc
-        with e -> errors.(c) <- Some e);
-    raise_first_error errors;
-    Array.fold_left
-      (fun acc p ->
-        match p with Some v -> combine acc v | None -> assert false)
-      init partials
   end

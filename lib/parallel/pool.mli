@@ -70,54 +70,42 @@ val default_domains : unit -> int
     [n < 1]. *)
 val set_default_domains : int -> unit
 
-(** {2 Adaptive chunking}
+(** {2 Chunking}
 
-    When [?chunk] is omitted, the pool picks the chunk size itself and
-    adapts it to the workload: jobs start {e coarse} (2 chunks per
-    domain, amortising scheduling overhead) and split finer — up to 16
-    per domain — only when the measured per-domain busy times of a
-    finished job are imbalanced (the [simq_pool_imbalance_ratio]
-    gauge); near-perfect balance coarsens them again. A chunk never
-    holds fewer than 64 elements (the minimum-work quantum below which
-    scheduling overhead dominates), so smaller inputs collapse to a
-    single chunk and run inline in the caller. Chunk sizing only moves
-    work between domains — per-chunk answers and counters merge in
-    chunk order — so adaptation never changes an answer. *)
+    When [?chunk] is omitted, an operation over [n] elements cuts
+    {!chunk_size}[ pool n]-element chunks: 8 chunks per domain, so the
+    domains share the work evenly and one slow chunk holds a domain up
+    for a small share of the job, but never fewer than 64 elements per
+    chunk (below that, claiming and finishing a chunk outweighs its
+    work), so smaller inputs are a single chunk and run inline in the
+    caller. The size is a pure function of [n] and the pool's domain
+    count: the same input is cut the same way on every run, and no job
+    leaves state behind for the next. Chunk sizing only moves work
+    between domains — per-chunk answers and counters merge in chunk
+    order — so it never changes an answer. Every chunk run counts once
+    in [simq_pool_tasks_total]. *)
 
-(** [adaptive_chunk pool n] is the chunk size the controller currently
-    picks for an [n]-element operation on [pool] — what every operation
-    below uses when [?chunk] is omitted. Exposed so callers that cut
-    chunks themselves (the scans) follow the same policy. *)
-val adaptive_chunk : t -> int -> int
+(** [chunk_size pool n] is the chunk size for an [n]-element operation
+    on [pool]: [max 64 (ceil (n / (8 * domains pool)))]. Exposed so
+    callers that cut chunks themselves (the scans) follow the same
+    rule. *)
+val chunk_size : t -> int -> int
 
 (** {2 Parallel operations}
 
-    Every operation takes [?pool] (default {!default}) and an optional
-    [?chunk] — the number of consecutive elements handed to a domain at
-    a time. The default is {!adaptive_chunk}. *)
+    Every operation takes [?pool] (default {!default}) and a chunk
+    size — the number of consecutive elements handed to a domain at a
+    time. *)
 
 (** [map_array ?pool ?chunk f arr] is [Array.map f arr], computed in
-    parallel. Results are positioned exactly as [Array.map] would. *)
+    parallel. Results are positioned exactly as [Array.map] would.
+    [?chunk] defaults to {!chunk_size}; pass [~chunk:1] to make each
+    element its own task. *)
 val map_array : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [chunked_iter ?pool ~chunk ~n f] calls [f ~lo ~hi] over the
-    disjoint ranges [\[lo, hi)] covering [0 .. n-1], [chunk] indices per
-    range, in parallel. [f] must only write state owned by its range. *)
-val chunked_iter : ?pool:t -> chunk:int -> n:int -> (lo:int -> hi:int -> unit) -> unit
-
-(** [map_chunks ?pool ~chunk ~n f] runs [f ~lo ~hi] over the same
-    ranges as {!chunked_iter} and returns the per-chunk results {e in
-    chunk order} — the deterministic-merge building block behind the
-    parallel scans and joins. *)
+(** [map_chunks ?pool ~chunk ~n f] calls [f ~lo ~hi] over the disjoint
+    ranges [\[lo, hi)] covering [0 .. n-1], [chunk] indices per range,
+    in parallel, and returns the per-chunk results {e in chunk order}
+    — the deterministic-merge building block behind the parallel scans
+    and joins. [f] must only write state owned by its range. *)
 val map_chunks : ?pool:t -> chunk:int -> n:int -> (lo:int -> hi:int -> 'b) -> 'b list
-
-(** [reduce ?pool ?chunk ~map ~combine init arr] folds [combine] over
-    [map x] for every element of [arr]:
-    [combine (... (combine init (map arr.(0))) ...) (map arr.(n-1))]
-    with the combines of one chunk evaluated left-to-right inside the
-    chunk and chunks combined left-to-right — associative [combine]
-    therefore yields the sequential answer, and even non-associative
-    floating-point reductions are deterministic for a fixed [chunk]. *)
-val reduce :
-  ?pool:t -> ?chunk:int -> map:('a -> 'b) -> combine:('b -> 'b -> 'b) ->
-  'b -> 'a array -> 'b

@@ -108,16 +108,14 @@ let globalise t s answers =
     (fun ((e : Dataset.entry), d) -> (Dataset.get t.parent (s.lo + e.Dataset.id), d))
     answers
 
-let probe_of ?spec ?normalise_query ?mean_window ?std_band t ~query ~epsilon =
+let probe_of ?spec ?mean_window ?std_band t ~query ~epsilon =
   (* Any shard's index carries the config and series length shared by
      all of them; the probe itself is tree-independent. *)
-  Kindex.range_probe ?spec ?normalise_query ?mean_window ?std_band
+  Kindex.range_probe ?spec ?mean_window ?std_band
     t.parts.(0).sindex ~query ~epsilon
 
-let survivors ?spec ?normalise_query ?mean_window ?std_band t ~query ~epsilon =
-  let probe =
-    probe_of ?spec ?normalise_query ?mean_window ?std_band t ~query ~epsilon
-  in
+let survivors ?spec ?mean_window ?std_band t ~query ~epsilon =
+  let probe = probe_of ?spec ?mean_window ?std_band t ~query ~epsilon in
   Array.map (fun s -> probe s.box) t.parts
 
 type range_result = {
@@ -366,7 +364,8 @@ let range_checked ?pool ?spec ?mean_window ?std_band
     (try
        Otrace.with_span "shard.scatter" @@ fun () ->
        Ok
-         (gather_range ?profile t ~decisions (Pool.map_array ?pool task t.parts))
+         (gather_range ?profile t ~decisions
+            (Pool.map_array ?pool ~chunk:1 task t.parts))
      with Shard_failed e -> Error e)
 
 (* The unbudgeted forms are the checked ones with no admission and an
@@ -467,7 +466,7 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
        Otrace.with_span "shard.scatter" @@ fun () ->
        Ok
          (gather_nearest ?profile t ~k ~decisions
-            (Pool.map_array ?pool task t.parts))
+            (Pool.map_array ?pool ~chunk:1 task t.parts))
      with Shard_failed e -> Error e)
 
 let nearest ?pool ?spec ?profile t ~query ~k =

@@ -106,7 +106,6 @@ type report = {
     validation raises [Invalid_argument] like {!range}. *)
 val survivors :
   ?spec:Simq_tsindex.Spec.t ->
-  ?normalise_query:bool ->
   ?mean_window:float ->
   ?std_band:float ->
   t ->

@@ -21,13 +21,23 @@ type result = {
   admission : Simq_admission.decision option;
 }
 
-(* The transformed normal forms (time domain, exact for every spec
-   including Warp): a pure per-entry map, so it fans out over the pool
-   too. *)
-let transformed_normals ?pool kindex spec =
-  Pool.map_array ?pool
-    (fun (entry : Dataset.entry) -> Spec.apply_series spec entry.Dataset.normal)
-    (Dataset.entries (Kindex.dataset kindex))
+(* The transformed normal forms by id (time domain, exact for every
+   spec including Warp): a pure per-entry map, so it fans out over the
+   pool too, each chunk filling its own ids. *)
+let transformed_normals ~pool kindex spec =
+  let dataset = Kindex.dataset kindex in
+  let count = Dataset.cardinality dataset in
+  let normals = Array.make count [||] in
+  let fill ~lo ~hi =
+    for id = lo to hi - 1 do
+      normals.(id) <-
+        Spec.apply_series spec (Dataset.get dataset id).Dataset.normal
+    done
+  in
+  ignore
+    (Pool.map_chunks ~pool ~chunk:(Pool.chunk_size pool count) ~n:count fill
+      : unit list);
+  normals
 
 (* How far apart the band keys of a pair within ε can lie. A hit's sum
    is at least coefficient 1's term, so [fl(dr²) <= fl(ε²)] for the
@@ -228,7 +238,7 @@ let index_join ?profile kindex spec epsilon =
     invalid_arg "Join.index_join: epsilon must be finite and >= 0";
   let dataset = Kindex.dataset kindex in
   let k = (Kindex.config kindex).Feature.k in
-  let normals = transformed_normals kindex spec in
+  let normals = transformed_normals ~pool:(Pool.default ()) kindex spec in
   (* Query features for entry i: the first k coefficients of its
      transformed spectrum (for Warp these are the predicted prefix of the
      warped spectrum, which is all the index needs). *)
@@ -256,22 +266,22 @@ let index_join ?profile kindex spec epsilon =
   let pairs = ref [] in
   let computations = ref 0 in
   let node_accesses = ref 0 in
-  Array.iter
-    (fun (entry : Dataset.entry) ->
-      let i = entry.Dataset.id in
-      let query_coeffs = query_coeffs entry in
-      let distance (candidate : Dataset.entry) =
-        Distance.euclidean normals.(candidate.Dataset.id) normals.(i)
-      in
-      let r = Kindex.range_prepared kindex prepared ~query_coeffs ~epsilon ~distance in
-      computations := !computations + r.Kindex.candidates;
-      node_accesses := !node_accesses + r.Kindex.node_accesses;
-      List.iter
-        (fun ((candidate : Dataset.entry), _) ->
-          if candidate.Dataset.id <> i then
-            pairs := (i, candidate.Dataset.id) :: !pairs)
-        r.Kindex.answers)
-    (Dataset.entries dataset);
+  for i = 0 to Dataset.cardinality dataset - 1 do
+    let query_coeffs = query_coeffs (Dataset.get dataset i) in
+    let distance (candidate : Dataset.entry) =
+      Distance.euclidean normals.(candidate.Dataset.id) normals.(i)
+    in
+    let r =
+      Kindex.range_prepared kindex prepared ~query_coeffs ~epsilon ~distance
+    in
+    computations := !computations + r.Kindex.candidates;
+    node_accesses := !node_accesses + r.Kindex.node_accesses;
+    List.iter
+      (fun ((candidate : Dataset.entry), _) ->
+        if candidate.Dataset.id <> i then
+          pairs := (i, candidate.Dataset.id) :: !pairs)
+      r.Kindex.answers
+  done;
   Metrics.add m_comparisons !computations;
   Metrics.add m_pairs (List.length !pairs);
   Profile.add_rows_in pn (Dataset.cardinality dataset);

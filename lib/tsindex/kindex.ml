@@ -315,7 +315,7 @@ let check_query_length t spec query =
    side-constraint ranges, the prepared transformation and the query
    coefficients. Shared by {!range} and {!range_checked} so a retried
    attempt re-runs only the traversal. *)
-let range_request ?mean_window ?std_band ~normalise_query t spec query =
+let range_request ?normalise_query ?mean_window ?std_band t spec query =
   check_query_length t spec query;
   (* GK95-style side constraints: mean and standard deviation ride along
      as the trailing index dimensions, so simple shifts and scales bound
@@ -324,7 +324,7 @@ let range_request ?mean_window ?std_band ~normalise_query t spec query =
   let mean_range, std_range =
     Dataset.side_ranges ?mean_window ?std_band query
   in
-  let q = Dataset.prepare_query ~normalise:normalise_query query in
+  let q = Dataset.prepare_query ?normalise:normalise_query query in
   let query_coeffs = query_coeffs t q in
   let prepared = prepare t spec in
   (mean_range, std_range, q, query_coeffs, prepared)
@@ -336,23 +336,22 @@ let range_request ?mean_window ?std_band ~normalise_query t spec query =
 let build_funnel sketch q =
   match sketch with None -> None | Some f -> (f q : prefilter option)
 
-let range ?(spec = Spec.Identity) ?(normalise_query = true) ?mean_window
-    ?std_band ?sketch ?approx ?profile t ~query ~epsilon =
+let range ?(spec = Spec.Identity) ?normalise_query ?mean_window ?std_band
+    ?sketch ?approx ?profile t ~query ~epsilon =
   let mean_range, std_range, q, query_coeffs, prepared =
-    range_request ?mean_window ?std_band ~normalise_query t spec query
+    range_request ?normalise_query ?mean_window ?std_band t spec query
   in
   range_prepared ?mean_range ?std_range
     ?prefilter:(build_funnel sketch q)
     ?approx ?profile t prepared ~query_coeffs ~epsilon
     ~distance:(prepared_distance t prepared q)
 
-let range_checked ?(spec = Spec.Identity) ?(normalise_query = true)
-    ?mean_window ?std_band ?(budget = Budget.unlimited) ?sketch ?approx
-    ?profile t ~query ~epsilon =
+let range_checked ?(spec = Spec.Identity) ?mean_window ?std_band
+    ?(budget = Budget.unlimited) ?sketch ?approx ?profile t ~query ~epsilon =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Kindex.range: epsilon must be finite and >= 0";
   let mean_range, std_range, q, query_coeffs, prepared =
-    range_request ?mean_window ?std_band ~normalise_query t spec query
+    range_request ?mean_window ?std_band t spec query
   in
   let prefilter = build_funnel sketch q in
   let distance = prepared_distance t prepared q in
@@ -366,12 +365,12 @@ let range_checked ?(spec = Spec.Identity) ?(normalise_query = true)
       Rstar.add_accesses t.tree result.node_accesses;
       result)
 
-let range_probe ?(spec = Spec.Identity) ?(normalise_query = true) ?mean_window
-    ?std_band t ~query ~epsilon =
+let range_probe ?(spec = Spec.Identity) ?mean_window ?std_band t ~query
+    ~epsilon =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Kindex.range_probe: epsilon must be finite and >= 0";
   let mean_range, std_range, _, query_coeffs, prepared =
-    range_request ?mean_window ?std_band ~normalise_query t spec query
+    range_request ?mean_window ?std_band t spec query
   in
   let region = full_region t ?mean_range ?std_range ~query_coeffs ~epsilon () in
   fst (region_tests region prepared.ptransform)
@@ -613,19 +612,18 @@ let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
 
 (* What both NN entry points prepare before traversing: the query
    entry, the transformation, the sketch bound and the profile node. *)
-let nearest_request ~spec ~normalise_query ?sketch ?profile t ~query ~k =
+let nearest_request ~spec ?sketch ?profile t ~query ~k =
   check_query_length t spec query;
-  let q = Dataset.prepare_query ~normalise:normalise_query query in
+  let q = Dataset.prepare_query query in
   let prepared = prepare t spec in
   let sketch_bound = nn_point_bound t sketch q in
   let pn = Profile.enter profile "kindex.nearest" in
   Profile.set_detail pn (nn_detail ~k sketch_bound);
   (q, prepared, sketch_bound, pn)
 
-let nearest ?(spec = Spec.Identity) ?(normalise_query = true) ?sketch ?profile
-    t ~query ~k =
+let nearest ?(spec = Spec.Identity) ?sketch ?profile t ~query ~k =
   let q, prepared, sketch_bound, pn =
-    nearest_request ~spec ~normalise_query ?sketch ?profile t ~query ~k
+    nearest_request ~spec ?sketch ?profile t ~query ~k
   in
   let visits = ref 0 in
   Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
@@ -663,11 +661,11 @@ let nearest_scan_counted ?bstate ?profile t ~dist ~k =
   Profile.add_rows_out pn n;
   Array.to_list (Array.sub scored 0 n)
 
-let nearest_scan ?(spec = Spec.Identity) ?(normalise_query = true)
-    ?(budget = Budget.unlimited) ?profile t ~query ~k =
+let nearest_scan ?(spec = Spec.Identity) ?(budget = Budget.unlimited) ?profile
+    t ~query ~k =
   check_query_length t spec query;
   if k <= 0 then invalid_arg "Kindex.nearest_scan: k must be positive";
-  let q = Dataset.prepare_query ~normalise:normalise_query query in
+  let q = Dataset.prepare_query query in
   let prepared = prepare t spec in
   let dist = prepared_distance t prepared q in
   Retry.with_retries ?profile ~budget (fun bstate ->
@@ -694,13 +692,11 @@ type nearest_result = {
   admission : Simq_admission.decision option;
 }
 
-let nearest_checked ?(spec = Spec.Identity) ?(normalise_query = true)
-    ?(budget = Budget.unlimited) ?admission ?profile t ~query ~k =
+let nearest_checked ?(spec = Spec.Identity) ?(budget = Budget.unlimited)
+    ?admission ?profile t ~query ~k =
   check_query_length t spec query;
   if k <= 0 then invalid_arg "Kindex.nearest_checked: k must be positive";
-  let q, prepared, _, pn =
-    nearest_request ~spec ~normalise_query ?profile t ~query ~k
-  in
+  let q, prepared, _, pn = nearest_request ~spec ?profile t ~query ~k in
   let visits = ref 0 in
   Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
   (* Admission runs once, before any attempt: the decision is a pure

@@ -131,7 +131,6 @@ val range :
     attempt. Argument validation still raises [Invalid_argument]. *)
 val range_checked :
   ?spec:Spec.t ->
-  ?normalise_query:bool ->
   ?mean_window:float ->
   ?std_band:float ->
   ?budget:Simq_fault.Budget.t ->
@@ -156,7 +155,6 @@ val range_checked :
     [Invalid_argument] like {!range}. *)
 val range_probe :
   ?spec:Spec.t ->
-  ?normalise_query:bool ->
   ?mean_window:float ->
   ?std_band:float ->
   t ->
@@ -190,7 +188,7 @@ val range_probe :
     queue key; refinement is the same, so the answers are
     bit-identical to the sketch-free run at every domain count. *)
 val nearest :
-  ?spec:Spec.t -> ?normalise_query:bool ->
+  ?spec:Spec.t ->
   ?sketch:(Dataset.query -> (Dataset.entry -> float) option) ->
   ?profile:Simq_obs.Profile.t ->
   t ->
@@ -209,7 +207,6 @@ val nearest :
     state. *)
 val nearest_scan :
   ?spec:Spec.t ->
-  ?normalise_query:bool ->
   ?budget:Simq_fault.Budget.t ->
   ?profile:Simq_obs.Profile.t ->
   t ->
@@ -255,7 +252,6 @@ type nearest_result = {
     comes back in the result's [admission]. *)
 val nearest_checked :
   ?spec:Spec.t ->
-  ?normalise_query:bool ->
   ?budget:Simq_fault.Budget.t ->
   ?admission:Simq_admission.t ->
   ?profile:Simq_obs.Profile.t ->

@@ -42,10 +42,9 @@ let check_query_length dataset spec query =
    accounting stays single-domain and deterministic. *)
 let account_io ?budget dataset =
   let relation = Dataset.relation dataset in
-  Array.iter
-    (fun (entry : Dataset.entry) ->
-      ignore (Relation.get ?budget relation entry.Dataset.id))
-    (Dataset.entries dataset)
+  for id = 0 to Dataset.cardinality dataset - 1 do
+    ignore (Relation.get ?budget relation id)
+  done
 
 (* Per-entry comparison: the answer (when within ε), whether the
    distance computation ran to completion, and the coefficients (or
@@ -93,9 +92,8 @@ let compute_freq ~stretch ~n ~limit ~spectra epsilon (q : Dataset.query) acc
    bit-identical to a single-domain scan in any layout. An answer
    outside the side-constraint [sides] ({!Dataset.side_ranges}) is
    dropped. *)
-let scan_compute ~pool ~abandon ~normalise_query ?bstate ?sides dataset spec
-    query epsilon =
-  let q = Dataset.prepare_query ~normalise:normalise_query query in
+let scan_compute ~pool ~abandon ?bstate ?sides dataset spec query epsilon =
+  let q = Dataset.prepare_query query in
   let n = Dataset.series_length dataset in
   let limit = if abandon then epsilon *. epsilon else infinity in
   let count = Dataset.cardinality dataset in
@@ -110,7 +108,7 @@ let scan_compute ~pool ~abandon ~normalise_query ?bstate ?sides dataset spec
   let keep =
     match sides with None -> fun _ -> true | Some s -> Dataset.within_sides s
   in
-  let chunk = Pool.adaptive_chunk pool count in
+  let chunk = Pool.chunk_size pool count in
   let partials =
     Otrace.with_span "seqscan.compute" @@ fun () ->
     Pool.map_chunks ~pool ~chunk ~n:count (fun ~lo ~hi ->
@@ -160,8 +158,8 @@ let resolve_pool = function Some pool -> pool | None -> Pool.default ()
    child, counters recorded on the coordinating domain only, after the
    deterministic chunk merge — so the profile tree and its counters
    are identical at every domain count. *)
-let profiled_scan ~pool ~abandon ~normalise_query ?bstate ?sides ?profile
-    dataset spec query epsilon =
+let profiled_scan ~pool ~abandon ?bstate ?sides ?profile dataset spec query
+    epsilon =
   Otrace.with_span "seqscan.range" (fun () ->
       let count = Dataset.cardinality dataset in
       (* A page fault aborts the attempt here: closing the node keeps a
@@ -175,8 +173,8 @@ let profiled_scan ~pool ~abandon ~normalise_query ?bstate ?sides ?profile
           Profile.add_pages pio count);
       let pc = Profile.enter profile "seqscan.compute" in
       let result =
-        scan_compute ~pool ~abandon ~normalise_query ?bstate ?sides dataset
-          spec query epsilon
+        scan_compute ~pool ~abandon ?bstate ?sides dataset spec query
+          epsilon
       in
       let survivors = List.length result.answers in
       Profile.add_rows_in pc count;
@@ -187,7 +185,7 @@ let profiled_scan ~pool ~abandon ~normalise_query ?bstate ?sides ?profile
       Profile.leave profile pc;
       result)
 
-let scan ?pool ?profile ~abandon ~normalise_query dataset spec query epsilon =
+let scan ?pool ?profile ~abandon dataset spec query epsilon =
   check_query_length dataset spec query;
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Seqscan: epsilon must be finite and >= 0";
@@ -197,25 +195,21 @@ let scan ?pool ?profile ~abandon ~normalise_query dataset spec query epsilon =
     ~finally:(fun () -> Profile.leave profile pn)
     (fun () ->
       let result =
-        profiled_scan ~pool ~abandon ~normalise_query ?profile dataset spec
-          query epsilon
+        profiled_scan ~pool ~abandon ?profile dataset spec query epsilon
       in
-      Profile.add_rows_in pn (Array.length (Dataset.entries dataset));
+      Profile.add_rows_in pn (Dataset.cardinality dataset);
       Profile.add_rows_out pn (List.length result.answers);
       result)
 
-let range_full ?pool ?(spec = Spec.Identity) ?(normalise_query = true) ?profile
-    dataset ~query ~epsilon =
-  scan ?pool ?profile ~abandon:false ~normalise_query dataset spec query
-    epsilon
+let range_full ?pool ?(spec = Spec.Identity) ?profile dataset ~query ~epsilon =
+  scan ?pool ?profile ~abandon:false dataset spec query epsilon
 
-let range_early_abandon ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
-    ?profile dataset ~query ~epsilon =
-  scan ?pool ?profile ~abandon:true ~normalise_query dataset spec query epsilon
+let range_early_abandon ?pool ?(spec = Spec.Identity) ?profile dataset ~query
+    ~epsilon =
+  scan ?pool ?profile ~abandon:true dataset spec query epsilon
 
-let range_checked ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
-    ?mean_window ?std_band ?(budget = Budget.unlimited)
-    ?profile dataset ~query ~epsilon =
+let range_checked ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
+    ?(budget = Budget.unlimited) ?profile dataset ~query ~epsilon =
   check_query_length dataset spec query;
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Seqscan: epsilon must be finite and >= 0";
@@ -227,8 +221,8 @@ let range_checked ?pool ?(spec = Spec.Identity) ?(normalise_query = true)
     (fun () ->
       let result =
         Retry.with_retries ?profile ~budget (fun bstate ->
-            profiled_scan ~pool ~abandon:true ~normalise_query ?bstate ~sides
-              ?profile dataset spec query epsilon)
+            profiled_scan ~pool ~abandon:true ?bstate ~sides ?profile dataset
+              spec query epsilon)
       in
       (match result with
       | Ok r ->

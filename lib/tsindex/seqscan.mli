@@ -35,7 +35,7 @@ type result = {
     against every entry with no early abandoning (method (a) style). *)
 val range_full :
   ?pool:Simq_parallel.Pool.t ->
-  ?spec:Spec.t -> ?normalise_query:bool -> ?profile:Simq_obs.Profile.t ->
+  ?spec:Spec.t -> ?profile:Simq_obs.Profile.t ->
   Dataset.t -> query:Simq_series.Series.t -> epsilon:float ->
   result
 
@@ -44,7 +44,7 @@ val range_full :
     (method (b) style). Answers are identical to {!range_full}. *)
 val range_early_abandon :
   ?pool:Simq_parallel.Pool.t ->
-  ?spec:Spec.t -> ?normalise_query:bool -> ?profile:Simq_obs.Profile.t ->
+  ?spec:Spec.t -> ?profile:Simq_obs.Profile.t ->
   Dataset.t -> query:Simq_series.Series.t -> epsilon:float ->
   result
 
@@ -71,7 +71,6 @@ val range_early_abandon :
 val range_checked :
   ?pool:Simq_parallel.Pool.t ->
   ?spec:Spec.t ->
-  ?normalise_query:bool ->
   ?mean_window:float ->
   ?std_band:float ->
   ?budget:Simq_fault.Budget.t ->

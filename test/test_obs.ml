@@ -189,11 +189,13 @@ let test_merge_deterministic_across_domains () =
     let pool = Pool.create ~domains in
     Metrics.with_enabled true (fun () ->
         Metrics.reset ();
-        Pool.chunked_iter ~pool ~chunk:64 ~n (fun ~lo ~hi ->
-            Metrics.add c (hi - lo);
-            for i = lo to hi - 1 do
-              Metrics.observe h values.(i)
-            done));
+        ignore
+          (Pool.map_chunks ~pool ~chunk:64 ~n (fun ~lo ~hi ->
+               Metrics.add c (hi - lo);
+               for i = lo to hi - 1 do
+                 Metrics.observe h values.(i)
+               done)
+            : unit list));
     Pool.shutdown pool;
     (Metrics.counter_total c, Metrics.histogram_count h,
      Array.to_list (Metrics.histogram_buckets h))
@@ -807,8 +809,10 @@ let test_span_trace_stamped_across_domains () =
           let id = Trace.new_request_id () in
           Trace.with_request id (fun () ->
               Trace.with_span "request" (fun () ->
-                  Pool.chunked_iter ~pool ~chunk:8 ~n:64 (fun ~lo:_ ~hi:_ ->
-                      Trace.with_span "chunk" (fun () -> ()))));
+                  ignore
+                    (Pool.map_chunks ~pool ~chunk:8 ~n:64 (fun ~lo:_ ~hi:_ ->
+                         Trace.with_span "chunk" (fun () -> ()))
+                      : unit list)));
           Pool.shutdown pool;
           let traces = Trace.event_traces () in
           Alcotest.(check bool)
@@ -951,8 +955,10 @@ let test_history_sampler_keeps_totals () =
     History.start h;
     Metrics.with_enabled true (fun () ->
         Metrics.reset ();
-        Pool.chunked_iter ~pool ~chunk:16 ~n:512 (fun ~lo ~hi ->
-            Metrics.add c (hi - lo)));
+        ignore
+          (Pool.map_chunks ~pool ~chunk:16 ~n:512 (fun ~lo ~hi ->
+               Metrics.add c (hi - lo))
+            : unit list));
     History.stop h;
     Pool.shutdown pool;
     Alcotest.(check bool) "the sampler sampled" true (History.length h >= 1);

@@ -48,42 +48,27 @@ let test_empty_and_singleton () =
         (Pool.map_chunks ~pool ~chunk:4 ~n:0 (fun ~lo ~hi -> lo + hi)))
     pools
 
-let test_chunked_iter_covers_exactly_once () =
+let test_map_chunks_covers_exactly_once () =
   List.iter
     (fun (d, pool) ->
       List.iter
         (fun (n, chunk) ->
           let seen = Array.make n 0 in
-          Pool.chunked_iter ~pool ~chunk ~n (fun ~lo ~hi ->
-              for i = lo to hi - 1 do
-                seen.(i) <- seen.(i) + 1
-              done);
-          Alcotest.(check (array int))
-            (Printf.sprintf "domains=%d n=%d chunk=%d" d n chunk)
-            (Array.make n 1) seen)
+          let ranges =
+            Pool.map_chunks ~pool ~chunk ~n (fun ~lo ~hi ->
+                for i = lo to hi - 1 do
+                  seen.(i) <- seen.(i) + 1
+                done;
+                (lo, hi))
+          in
+          let label = Printf.sprintf "domains=%d n=%d chunk=%d" d n chunk in
+          Alcotest.(check (array int)) label (Array.make n 1) seen;
+          Alcotest.(check (list (pair int int)))
+            (label ^ ", ranges in chunk order")
+            (List.init ((n + chunk - 1) / chunk) (fun c ->
+                 (c * chunk, min n ((c + 1) * chunk))))
+            ranges)
         [ (100, 9); (5, 100); (1, 1); (64, 64) ])
-    pools
-
-let test_reduce () =
-  let arr = Array.init 57 (fun i -> i + 1) in
-  let expected = Array.fold_left (fun acc x -> acc + (x * x)) 0 arr in
-  List.iter
-    (fun (d, pool) ->
-      Alcotest.(check int)
-        (Printf.sprintf "sum of squares, domains=%d" d)
-        expected
-        (Pool.reduce ~pool ~chunk:5 ~map:(fun x -> x * x) ~combine:( + ) 0 arr))
-    pools;
-  (* Associative but non-commutative combine: chunk merges must stay in
-     order. *)
-  let words = Array.init 26 (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) in
-  let expected = Array.fold_left ( ^ ) "" words in
-  List.iter
-    (fun (d, pool) ->
-      Alcotest.(check string)
-        (Printf.sprintf "ordered concat, domains=%d" d)
-        expected
-        (Pool.reduce ~pool ~chunk:3 ~map:Fun.id ~combine:( ^ ) "" words))
     pools
 
 let test_exception_propagation () =
@@ -651,6 +636,27 @@ let test_scan_with_metrics_enabled () =
           expected totals)
     pools
 
+(* The chunking rule is a pure function of the input size and the
+   domain count: a 4,000-entry scan on 2 domains is cut into 8 chunks
+   per domain on every run, whatever the runs before it did. *)
+let test_scan_chunking_deterministic () =
+  let module Metrics = Simq_obs.Metrics in
+  let pool = pool_of 2 in
+  let d = dataset_of ~seed:5 ~count:4000 ~n:32 in
+  let query = query_for d Spec.Identity 5 in
+  let tasks = Metrics.counter "simq_pool_tasks_total" in
+  let run () =
+    Metrics.with_enabled true (fun () ->
+        Metrics.reset ();
+        ignore (Seqscan.range_early_abandon ~pool d ~query ~epsilon:4.);
+        Metrics.counter_total tasks)
+  in
+  Alcotest.(check int) "chunk size" 250 (Pool.chunk_size pool 4000);
+  Alcotest.(check int) "first run" 16 (run ());
+  Alcotest.(check int) "second run" 16 (run ());
+  Alcotest.(check int) "at least 64 per chunk" 64 (Pool.chunk_size pool 100);
+  Alcotest.(check int) "one domain" 500 (Pool.chunk_size Pool.sequential 4000)
+
 let () =
   Alcotest.run "simq_parallel"
     [
@@ -660,9 +666,8 @@ let () =
             test_map_array_matches_sequential;
           Alcotest.test_case "empty and singleton" `Quick
             test_empty_and_singleton;
-          Alcotest.test_case "chunked_iter covers once" `Quick
-            test_chunked_iter_covers_exactly_once;
-          Alcotest.test_case "reduce" `Quick test_reduce;
+          Alcotest.test_case "map_chunks covers once" `Quick
+            test_map_chunks_covers_exactly_once;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "reuse after exception" `Quick
@@ -690,6 +695,8 @@ let () =
               test_scan_io_accounting_matches;
             Alcotest.test_case "Lemma 1 with metrics enabled" `Quick
               test_scan_with_metrics_enabled;
+            Alcotest.test_case "scan chunking is deterministic" `Quick
+              test_scan_chunking_deterministic;
           ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_band_join_eq_exhaustive ]
       );

@@ -264,6 +264,27 @@ let test_pruned_shards_execute_nothing () =
   in
   Alcotest.(check bool) "the skewed workload prunes shards" true (pruned > 0)
 
+(* Every surviving shard is its own pool task: a 4-shard query on a
+   2-domain pool hands the pool 4 chunks, not one inline chunk. *)
+let test_shards_fan_out () =
+  let d = dataset_of ~seed:12 ~count:60 ~n:32 in
+  let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
+  let query = query_for d Spec.Identity 12 in
+  let pool = List.assoc 2 pools in
+  let tasks = Metrics.counter "simq_pool_tasks_total" in
+  let tasks_of label run =
+    Metrics.with_enabled true (fun () ->
+        Metrics.reset ();
+        (match run () with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: %s" label (Error.kind e));
+        Alcotest.(check int) (label ^ " tasks") 4 (Metrics.counter_total tasks))
+  in
+  tasks_of "range" (fun () ->
+      Result.map ignore (Shard.range_checked ~pool sh ~query ~epsilon:12.0));
+  tasks_of "nearest" (fun () ->
+      Result.map ignore (Shard.nearest_checked ~pool sh ~query ~k:5))
+
 (* --- degradation ------------------------------------------------------------ *)
 
 (* A fresh per-query fault plan failing the first [max_attempts] node
@@ -585,6 +606,8 @@ let () =
             test_pruning_never_drops_a_qualifying_shard;
           Alcotest.test_case "pruned shards execute nothing" `Quick
             test_pruned_shards_execute_nothing;
+          Alcotest.test_case "shards fan out one task each" `Quick
+            test_shards_fan_out;
         ] );
       ( "degradation",
         [
