@@ -73,7 +73,7 @@ val set_default_domains : int -> unit
 (** {2 Chunking}
 
     When [?chunk] is omitted, an operation over [n] elements cuts
-    {!chunk_size}[ pool n]-element chunks: 8 chunks per domain, so the
+    chunks of [chunk_size pool n] elements: 8 chunks per domain, so the
     domains share the work evenly and one slow chunk holds a domain up
     for a small share of the job, but never fewer than 64 elements per
     chunk (below that, claiming and finishing a chunk outweighs its
@@ -82,8 +82,9 @@ val set_default_domains : int -> unit
     count: the same input is cut the same way on every run, and no job
     leaves state behind for the next. Chunk sizing only moves work
     between domains — per-chunk answers and counters merge in chunk
-    order — so it never changes an answer. Every chunk run counts once
-    in [simq_pool_tasks_total]. *)
+    order — so it never changes an answer. Each chunk of {!map_chunks},
+    and of a {!map_array} that fans out, counts once in
+    [simq_pool_tasks_total] while metrics are on. *)
 
 (** [chunk_size pool n] is the chunk size for an [n]-element operation
     on [pool]: [max 64 (ceil (n / (8 * domains pool)))]. Exposed so
