@@ -57,7 +57,7 @@ let () =
       let query_coeffs =
         Array.init k (fun i ->
             Simq_dsp.Cpx.neg
-              (Simq_dsp.Cpx.mul transfer.(i + 1)
+              (Simq_dsp.Cpx.mul (Simq_dsp.Flat.coeff transfer (i + 1))
                  (Simq_dsp.Flat.coeff q.Dataset.qspectrum (i + 1))))
       in
       let result =

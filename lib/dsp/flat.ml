@@ -23,10 +23,8 @@ let[@inline] stretched_re ~stretch x xo f =
   (stretch.(2 * f) *. x.(xo + (2 * f)))
   -. (stretch.((2 * f) + 1) *. x.(xo + (2 * f) + 1))
 
-(* Coefficients [0 .. len-1] of [stretch · x], for [x] read from float
-   index [xo], into [dst] from coefficient [off], with [Complex.mul]'s
-   formula. *)
 let stretch_prefix ~stretch x ~xo ~len dst ~off =
+  let xo = 2 * xo in
   for f = 0 to len - 1 do
     let sr = stretch.(2 * f) and si = stretch.((2 * f) + 1) in
     let xr = x.(xo + (2 * f)) and xi = x.(xo + (2 * f) + 1) in
@@ -139,7 +137,7 @@ let rows ~stretch ?order buf offsets =
   let head = Array.make (2 * head_width * count) 0. in
   Array.iteri
     (fun p xo ->
-      stretch_prefix ~stretch buf ~xo ~len:(min head_width n) head
+      stretch_prefix ~stretch buf ~xo:(xo / 2) ~len:(min head_width n) head
         ~off:(p * head_width))
     offs;
   let key_re = create count and key_im = create count in

@@ -32,11 +32,15 @@ val sub : t -> pos:int -> len:int -> Cpx.t array
     inverse of {!of_cpx}. *)
 val to_cpx : t -> Cpx.t array
 
-(** [stretch_into ~stretch x dst ~off] writes [stretch.(f) · x.(f)] for
-    every coefficient [f] of [x] into coefficient [off + f] of [dst], with
-    [Complex.mul]'s formula (so the result is bit-identical to
-    [Cpx.mul_arrays] on the boxed vectors). Raises [Invalid_argument]
-    when the lengths disagree or [dst] is too short. *)
+(** [stretch_prefix ~stretch x ~xo ~len dst ~off] writes
+    [stretch.(f) · x.(xo + f)] for [f] in [0 .. len-1] into coefficient
+    [off + f] of [dst], with [Complex.mul]'s formula (so the result is
+    bit-identical to [Cpx.mul_arrays] on the boxed vectors). *)
+val stretch_prefix : stretch:t -> t -> xo:int -> len:int -> t -> off:int -> unit
+
+(** [stretch_into ~stretch x dst ~off] is {!stretch_prefix} over every
+    coefficient of [x] from 0. Raises [Invalid_argument] when the
+    lengths disagree or [dst] is too short. *)
 val stretch_into : stretch:t -> t -> t -> off:int -> unit
 
 (** The running sum of {!sq_dist}: an all-float record, so storing into

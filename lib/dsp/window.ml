@@ -47,10 +47,8 @@ let kernel n w =
 let transfer n w =
   let h = Fft.fft_real_flat (kernel n w) in
   let gain = sqrt (float_of_int n) in
-  for i = 0 to Array.length h - 1 do
-    h.(i) <- gain *. h.(i)
-  done;
-  Flat.to_cpx h
+  Array.map_inplace (fun v -> gain *. v) h;
+  h
 
 let pp ppf w =
   Format.fprintf ppf "window[%a]"

@@ -42,6 +42,6 @@ val kernel : int -> t -> float array
     signal's DFT element-wise by [transfer n w] equals taking the
     circular moving average in the time domain, which is the
     transformation [T_mavg = (a, 0)] of Section 3.2. *)
-val transfer : int -> t -> Cpx.t array
+val transfer : int -> t -> Flat.t
 
 val pp : Format.formatter -> t -> unit

@@ -49,14 +49,6 @@ val apply : t -> Simq_dsp.Cpx.t array -> Simq_dsp.Cpx.t array
 (** [compose outer inner] applies [inner] first. *)
 val compose : t -> t -> t
 
-(** [is_real_stretch ?eps t] tests the hypothesis of Theorem 2:
-    every [a_i] is real. *)
-val is_real_stretch : ?eps:float -> t -> bool
-
-(** [is_pure_stretch ?eps t] tests the hypothesis of Theorem 3:
-    [b = 0]. *)
-val is_pure_stretch : ?eps:float -> t -> bool
-
 (** [to_rectangular t] lowers [t] to the real transformation [(c, d)] on
     [S_rect] given by Theorem 2: [c_2i = c_2i+1 = a_i],
     [d_2i = Re b_i], [d_2i+1 = Im b_i] (0-indexed). Raises {!Unsafe}

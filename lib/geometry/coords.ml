@@ -2,8 +2,6 @@ module Cpx = Simq_dsp.Cpx
 
 type representation = Rectangular | Polar
 
-let dims_of_features k = 2 * k
-
 let encode rep x =
   let k = Array.length x in
   let p = Array.make (2 * k) 0. in

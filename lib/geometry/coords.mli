@@ -10,9 +10,6 @@
 
 type representation = Rectangular | Polar
 
-(** [dims_of_features k] is [2k]. *)
-val dims_of_features : int -> int
-
 (** [encode rep x] maps [k] complex features to a [2k]-dimensional
     point. *)
 val encode : representation -> Simq_dsp.Cpx.t array -> Point.t

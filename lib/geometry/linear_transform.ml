@@ -20,7 +20,6 @@ let create ~a ~b =
   { a = Array.copy a; b = Array.copy b }
 
 let identity d = create ~a:(Array.make d 1.) ~b:(Array.make d 0.)
-let uniform_scale d c = create ~a:(Array.make d c) ~b:(Array.make d 0.)
 let translation b = create ~a:(Array.make (Array.length b) 1.) ~b
 let dims t = Array.length t.a
 

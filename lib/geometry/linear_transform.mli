@@ -17,9 +17,6 @@ val create : a:float array -> b:float array -> t
     paper's Figures 8 and 9 to isolate the cost of transformed search. *)
 val identity : int -> t
 
-(** [uniform_scale d c] stretches every dimension by [c]. *)
-val uniform_scale : int -> float -> t
-
 (** [translation b] is [(1…1, b)]. *)
 val translation : float array -> t
 

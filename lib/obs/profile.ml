@@ -127,13 +127,11 @@ let roots t = List.rev t.roots_rev
 let children node = List.rev node.node_children
 let name node = node.node_name
 let detail node = node.node_detail
-let wall_ns node = node.node_wall_ns
 let rows_in node = node.node_rows_in
 let rows_out node = node.node_rows_out
 let pages node = node.node_pages
 let candidates node = node.node_candidates
 let survivors node = node.node_survivors
-let early_abandon node = node.node_early_abandon
 let events node = List.rev node.node_events
 
 let find t wanted =

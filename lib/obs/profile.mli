@@ -93,9 +93,6 @@ val name : node -> string
 
 val detail : node -> string
 
-val wall_ns : node -> int64
-(** Wall time between [enter] and [leave]; [0L] while still open. *)
-
 val rows_in : node -> int
 
 val rows_out : node -> int
@@ -105,8 +102,6 @@ val pages : node -> int
 val candidates : node -> int
 
 val survivors : node -> int
-
-val early_abandon : node -> int
 
 val events : node -> string list
 (** Events in emission order. *)

@@ -138,5 +138,3 @@ let pop_min h =
     drop h;
     Some (key, v)
   end
-
-let peek_min_key h = if h.count = 0 then None else Some h.keys.(0)

@@ -49,6 +49,3 @@ val drop : 'a t -> unit
 (** [pop_min h] removes and returns the key and value of the entry that
     orders first. *)
 val pop_min : 'a t -> (float * 'a) option
-
-(** [peek_min_key h] is the smallest key without removing it. *)
-val peek_min_key : 'a t -> float option

@@ -23,5 +23,3 @@ val partial :
 
 (** [print_summary claims] prints one line per claim plus a tally. *)
 val print_summary : claim list -> unit
-
-val verdict_symbol : verdict -> string

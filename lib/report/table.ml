@@ -46,15 +46,10 @@ let escape_csv cell =
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
   else cell
 
-let to_csv t =
-  let line row = String.concat "," (List.map escape_csv row) in
-  String.concat "\n" (List.map line (t.columns :: rows t)) ^ "\n"
-
 let save_csv t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_csv t))
+  let line row = String.concat "," (List.map escape_csv row) ^ "\n" in
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun row -> output_string oc (line row)) (t.columns :: rows t))
 
 let print t =
   let all = t.columns :: rows t in

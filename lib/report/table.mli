@@ -10,11 +10,6 @@ val create : title:string -> columns:string list -> t
     count. *)
 val add_row : t -> string list -> unit
 
-(** [print t] writes the aligned table to stdout. *)
+(** [print t] writes the aligned table to stdout, and as CSV into
+    [$SIMQ_CSV_DIR] when that names a directory. *)
 val print : t -> unit
-
-(** [to_csv t] is the table as CSV text (header + rows). *)
-val to_csv : t -> string
-
-(** [save_csv t path] writes {!to_csv} to a file. *)
-val save_csv : t -> string -> unit

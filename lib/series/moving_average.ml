@@ -39,7 +39,7 @@ let repeated k w s =
 
 let via_dft w s =
   let n = Array.length s in
-  let transfer = Dsp.Flat.of_cpx (Dsp.Window.transfer n w) in
+  let transfer = Dsp.Window.transfer n w in
   let spectrum = Dsp.Fft.fft_real_flat s in
   let product = Dsp.Flat.create n in
   Dsp.Flat.stretch_into ~stretch:transfer spectrum product ~off:0;

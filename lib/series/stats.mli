@@ -12,10 +12,6 @@ val std : Series.t -> float
 val minimum : Series.t -> float
 val maximum : Series.t -> float
 
-(** [covariance a b] is the population covariance. Raises
-    [Invalid_argument] on length mismatch or empty input. *)
-val covariance : Series.t -> Series.t -> float
-
 (** [correlation a b] is Pearson's correlation coefficient in [-1, 1];
     0 when either series is constant. *)
 val correlation : Series.t -> Series.t -> float

@@ -143,7 +143,7 @@ let level_bounds t ~spec ~(query : Dataset.query) =
       |]
   | _ ->
     let ranges = coarse_ranges ~n ~coarse:t.config.coarse in
-    let stretch = Some (Flat.of_cpx (Spec.stretch spec ~n)) in
+    let stretch = Some (Spec.stretch spec ~n) in
     Some [| ("coarse", coarse_bound t ~ranges ~stretch ~q:query) |]
 
 let funnel t ~spec ~query =

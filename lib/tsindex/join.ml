@@ -69,7 +69,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
   let count = Dataset.cardinality dataset in
   let limit = epsilon *. epsilon in
   let n = Dataset.series_length dataset in
-  let stretch () = Flat.of_cpx (Spec.stretch spec ~n) in
+  let stretch () = Spec.stretch spec ~n in
   (* Entry [i]'s spectrum, read in place from the data set's buffer. *)
   let spectra = Dataset.spectra dataset in
   let offsets () = Array.init count (fun i -> Dataset.slot dataset i * n) in
@@ -157,7 +157,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
             ends.(p) - p - 1),
         List.sort compare_pairs )
   in
-  let chunk = max 1 (count / (16 * Pool.domains pool)) in
+  let chunk = Pool.chunk_size pool count in
   let pn = Profile.enter profile "join.scan" in
   Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
   Otrace.with_span "join.scan" @@ fun () ->
@@ -249,12 +249,12 @@ let index_join ?profile kindex spec epsilon =
     | Spec.Identity ->
       fun (e : Dataset.entry) -> Flat.sub spectra ~pos:(at e + 1) ~len:k
     | _ ->
-      (* Only coefficients [1 .. k] are stretched, with [Complex.mul] —
-         the formula every stretched spectrum is computed with. *)
-      let stretch = Spec.stretch spec ~n in
+      (* Only coefficients [0 .. k] are stretched, with [Complex.mul]'s
+         formula, and [1 .. k] kept. *)
+      let stretch = Spec.stretch spec ~n and buf = Flat.create (k + 1) in
       fun (e : Dataset.entry) ->
-        Array.init k (fun f ->
-            Complex.mul stretch.(f + 1) (Flat.coeff spectra (at e + f + 1)))
+        Flat.stretch_prefix ~stretch spectra ~xo:(at e) ~len:(k + 1) buf ~off:0;
+        Flat.sub buf ~pos:1 ~len:k
   in
   let prepared = Kindex.prepare kindex spec in
   (* One flat operator node for the whole nested-query loop: a child

@@ -81,37 +81,34 @@ let lift lowered =
     ~a:(Array.append lowered.Linear_transform.a [| 1.; 1. |])
     ~b:(Array.append lowered.Linear_transform.b [| 0.; 0. |])
 
-(* A transformation prepared for repeated queries: the stretch vector,
-   its safe lowering to the index coordinate space (Theorems 2/3) lifted
-   over mean/std, both computed once. Identity short circuits so
+(* A transformation prepared for repeated queries: the safe lowering
+   of its first k stretch coefficients to the index coordinate space
+   (Theorems 2/3) lifted over mean/std. Identity short circuits so
    untransformed queries skip the per-entry work. *)
-type prepared = {
-  pspec : Spec.t;
-  ptransform : Linear_transform.t option;
-  pstretch : Flat.t option;
-      (* full-length frequency multiplier, flat; None for Identity (not
-         needed) and Warp (length changes) *)
-}
+type prepared = { pspec : Spec.t; ptransform : Linear_transform.t option }
 
 let prepare t spec =
   match spec with
-  | Spec.Identity -> { pspec = spec; ptransform = None; pstretch = None }
+  | Spec.Identity -> { pspec = spec; ptransform = None }
   | _ ->
     let n = Dataset.series_length t.dataset in
-    let stretch = Spec.stretch spec ~n in
-    let ak = Array.sub stretch 1 t.config.Feature.k in
-    let ct = Complex_transform.stretch ak in
+    let ct =
+      Complex_transform.stretch
+        (Spec.feature_stretch spec ~n ~k:t.config.Feature.k)
+    in
     let lowered =
       match t.config.Feature.representation with
       | Coords.Polar -> Complex_transform.to_polar ct
       | Coords.Rectangular -> Complex_transform.to_rectangular ct
     in
-    let pstretch =
-      match spec with
-      | Spec.Warp _ -> None
-      | _ -> Some (Flat.of_cpx stretch)
-    in
-    { pspec = spec; ptransform = Some (lift lowered); pstretch }
+    { pspec = spec; ptransform = Some (lift lowered) }
+
+(* The stored side's multiplier: none for Identity (not needed) and
+   Warp (length changes). *)
+let pstretch t prepared =
+  match prepared.pspec with
+  | Spec.Identity | Spec.Warp _ -> None
+  | spec -> Some (Spec.stretch spec ~n:(Dataset.series_length t.dataset))
 
 let unconstrained = Region.linear ~lo:Float.neg_infinity ~hi:Float.infinity
 
@@ -280,24 +277,28 @@ let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
    relation), so index, scan and degraded-shard distances are the same
    doubles; the warp changes the length and falls back to the time
    domain. Equal to the time-domain distance by Parseval, up to
-   rounding. *)
-let prepared_distance t prepared (q : Dataset.query) =
+   rounding. It abandons above [within] ({!Flat.dist_within}), so a
+   result [<= within] is exact: the range postfilter passes epsilon. *)
+let distance_within t prepared (q : Dataset.query) ~within =
   let n = Dataset.series_length t.dataset in
-  match (prepared.pspec, prepared.pstretch) with
-  | Spec.Warp _, _ ->
+  match prepared.pspec with
+  | Spec.Warp _ ->
     fun (entry : Dataset.entry) ->
       Distance.euclidean
         (Spec.apply_series prepared.pspec entry.Dataset.normal)
         q.Dataset.qnormal
-  | _, stretch ->
+  | _ ->
+    let stretch = pstretch t prepared in
     fun (entry : Dataset.entry) ->
-      let acc = Flat.acc () in
-      ignore
-        (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n
-           (Dataset.spectra t.dataset)
-           (Dataset.slot t.dataset entry.Dataset.id * n)
-           q.Dataset.qspectrum 0 acc);
-      sqrt acc.Flat.sum
+      let cell = { Flat.sum = within } in
+      Flat.dist_within ~stretch ~lo:0 ~hi:n
+        (Dataset.spectra t.dataset)
+        (Dataset.slot t.dataset entry.Dataset.id * n)
+        q.Dataset.qspectrum 0 (Flat.acc ()) ~within:cell;
+      cell.Flat.sum
+
+let prepared_distance t prepared q =
+  distance_within t prepared q ~within:infinity
 
 (* The query's index features: its first k non-DC coefficients. *)
 let query_coeffs t (q : Dataset.query) =
@@ -344,7 +345,7 @@ let range ?(spec = Spec.Identity) ?normalise_query ?mean_window ?std_band
   range_prepared ?mean_range ?std_range
     ?prefilter:(build_funnel sketch q)
     ?approx ?profile t prepared ~query_coeffs ~epsilon
-    ~distance:(prepared_distance t prepared q)
+    ~distance:(distance_within t prepared q ~within:epsilon)
 
 let range_checked ?(spec = Spec.Identity) ?mean_window ?std_band
     ?(budget = Budget.unlimited) ?sketch ?approx ?profile t ~query ~epsilon =
@@ -354,7 +355,7 @@ let range_checked ?(spec = Spec.Identity) ?mean_window ?std_band
     range_request ?mean_window ?std_band t spec query
   in
   let prefilter = build_funnel sketch q in
-  let distance = prepared_distance t prepared q in
+  let distance = distance_within t prepared q ~within:epsilon in
   Retry.with_retries ?profile ~budget (fun bstate ->
       (* Node accesses are credited to the tree only for the attempt
          that succeeds. *)
@@ -550,7 +551,7 @@ let nn_refinement t prepared (q : Dataset.query) ~count =
   | _ ->
     let ds = t.dataset in
     let n = Dataset.series_length ds and spectra = Dataset.spectra ds in
-    let stretch = prepared.pstretch and qs = q.Dataset.qspectrum in
+    let stretch = pstretch t prepared and qs = q.Dataset.qspectrum in
     let acc = Flat.acc () in
     let key (_ : Rect.t) id (cell : Flat.acc) =
       ignore (Dataset.head_sq_dist ds ~stretch (Dataset.slot ds id) qs cell);

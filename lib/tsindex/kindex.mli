@@ -71,7 +71,9 @@ type prefilter = {
     series must have length [Spec.output_length spec ~n].
     [~normalise_query:false] uses the query verbatim — pass a series
     already in the comparison space (e.g. the moving average of a normal
-    form) to match both-sides-transformed semantics. *)
+    form) to match both-sides-transformed semantics. The postfilter
+    abandons each distance at [epsilon] ({!Simq_dsp.Flat.dist_within}),
+    so answers and distances are {!prepared_distance}'s, bit for bit. *)
 val range :
   ?spec:Spec.t ->
   ?normalise_query:bool ->
@@ -278,10 +280,10 @@ val range_generic :
 
 (** {2 Prepared transformations}
 
-    {!range} and {!range_generic} prepare the transformation (stretch
-    vector + lowering) on every call. Workloads that pose many queries
-    under one transformation — the join methods, experiment loops —
-    prepare once instead. *)
+    {!range} and {!range_generic} prepare the transformation (the
+    lowering; the stretch is {!Spec.stretch}'s shared one) on every
+    call. Workloads that pose many queries under one transformation —
+    the join methods, experiment loops — prepare once instead. *)
 
 type prepared
 

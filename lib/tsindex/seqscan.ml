@@ -65,19 +65,21 @@ let compute_warp ~abandon spec epsilon (q : Dataset.query) _acc _slot
   | _ -> (None, 1, touched)
 
 (* [limit] is the kernel's abandon limit: [epsilon²] when abandoning,
-   [infinity] otherwise. The entry's spectrum is slot [s] of
-   [spectra]. *)
+   [infinity] otherwise; a sum past it by rounding alone (root not above
+   [epsilon]) is completed. The entry's spectrum is slot [s] of [spectra]. *)
 let compute_freq ~stretch ~n ~limit ~spectra epsilon (q : Dataset.query) acc
     s (entry : Dataset.entry) =
   acc.Flat.sum <- 0.;
-  let touched =
-    Flat.sq_dist ~stretch ~limit ~lo:0 ~hi:n spectra (s * n)
-      q.Dataset.qspectrum 0 acc
-  in
-  if acc.Flat.sum > limit then (None, 0, touched)
+  let x = s * n and qs = q.Dataset.qspectrum in
+  let touched = Flat.sq_dist ~stretch ~limit ~lo:0 ~hi:n spectra x qs 0 acc in
+  if acc.Flat.sum > limit && sqrt acc.Flat.sum > epsilon then
+    (None, 0, touched)
   else begin
+    let rest =
+      Flat.sq_dist ~stretch ~limit:infinity ~lo:touched ~hi:n spectra x qs 0 acc
+    in
     let d = sqrt acc.Flat.sum in
-    ((if d <= epsilon then Some (entry, d) else None), 1, touched)
+    ((if d <= epsilon then Some (entry, d) else None), 1, touched + rest)
   end
 
 (* Frequency-domain scan for the length-preserving transformations; the
@@ -101,7 +103,7 @@ let scan_compute ~pool ~abandon ?bstate ?sides dataset spec query epsilon =
     match spec with
     | Spec.Warp _ -> compute_warp ~abandon spec epsilon q
     | _ ->
-      let stretch = Some (Flat.of_cpx (Spec.stretch spec ~n)) in
+      let stretch = Some (Spec.stretch spec ~n) in
       compute_freq ~stretch ~n ~limit ~spectra:(Dataset.spectra dataset)
         epsilon q
   in

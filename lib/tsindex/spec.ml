@@ -18,15 +18,47 @@ let apply_series t s =
   | Reverse -> Series.reverse_sign s
   | Warp m -> Warp_op.expand m s
 
-let stretch t ~n =
+(* Coefficients [0 .. k-1] of the warp vector, each computed on its
+   own, so a prefix holds the full vector's doubles. *)
+let warp_stretch m ~n ~k =
+  let a = Warp_op.coefficients ~m ~n ~k in
+  Dsp.Flat.of_cpx (Dsp.Cpx.scale_array (1. /. sqrt (float_of_int m)) a)
+
+let compute t ~n =
+  let constant re = Array.init (2 * n) (fun i -> if i mod 2 = 0 then re else 0.) in
   match t with
-  | Identity -> Array.make n Dsp.Cpx.one
+  | Identity -> constant 1.
   | Moving_average m -> Dsp.Window.transfer n (Dsp.Window.uniform m)
   | Weighted_ma w -> Dsp.Window.transfer n w
-  | Reverse -> Array.make n (Dsp.Cpx.of_float (-1.))
-  | Warp m ->
-    let a = Warp_op.coefficients ~m ~n ~k:n in
-    Dsp.Cpx.scale_array (1. /. sqrt (float_of_int m)) a
+  | Reverse -> constant (-1.)
+  | Warp m -> warp_stretch m ~n ~k:n
+
+module Memo = Map.Make (struct type nonrec t = t * int let compare = compare end)
+
+(* The shared stretches, by (spec, length): an immutable map in an
+   [Atomic.t], extended by [compare_and_set], so readers never lock and
+   a lost race recomputes the same bits. The query language names only
+   id, rev, mavg(m) and wma(m), and [Window.kernel] rejects m > n, so
+   the map holds at most 2n+2 entries per length. *)
+let memo = Atomic.make Memo.empty
+
+let rec stretch t ~n =
+  match t with
+  | Warp _ -> compute t ~n
+  | _ -> (
+    let table = Atomic.get memo and key = (t, n) in
+    match Memo.find_opt key table with
+    | Some s -> s
+    | None ->
+      let s = compute t ~n in
+      if Atomic.compare_and_set memo table (Memo.add key s table) then s
+      else stretch t ~n)
+
+let feature_stretch t ~n ~k =
+  let s =
+    match t with Warp m -> warp_stretch m ~n ~k:(k + 1) | _ -> stretch t ~n
+  in
+  Dsp.Flat.sub s ~pos:1 ~len:k
 
 let output_length t ~n =
   match t with

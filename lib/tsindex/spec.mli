@@ -20,13 +20,20 @@ type t =
     executable specification the index path is tested against. *)
 val apply_series : t -> Simq_series.Series.t -> Simq_series.Series.t
 
-(** [stretch t ~n] is the length-[n] frequency multiplier: applying [t]
-    to a series of length [n] multiplies its [f]-th unitary DFT
-    coefficient by [stretch.(f)]. For [Warp m] the result maps the
-    coefficients of the original onto the first [n] coefficients of the
-    length-[m·n] output. Raises [Invalid_argument] when a window is wider
-    than [n] or a warp factor is < 1. *)
-val stretch : t -> n:int -> Simq_dsp.Cpx.t array
+(** [stretch t ~n] is the length-[n] frequency multiplier, flat:
+    applying [t] to a series of length [n] multiplies its [f]-th unitary
+    DFT coefficient by coefficient [f] of [stretch t ~n]. For [Warp m]
+    the result maps the coefficients of the original onto the first [n]
+    coefficients of the length-[m·n] output. Raises [Invalid_argument]
+    when a window is wider than [n] or a warp factor is < 1. Except for
+    the warp, it is computed once per [(t, n)] and shared by every call
+    from any domain: callers must never write to it. *)
+val stretch : t -> n:int -> Simq_dsp.Flat.t
+
+(** [feature_stretch t ~n ~k] is coefficients [1 .. k] of
+    [stretch t ~n], boxed, for the k-index's lowering (Theorems 2/3);
+    for [Warp m] only these are computed, the same doubles. *)
+val feature_stretch : t -> n:int -> k:int -> Simq_dsp.Cpx.t array
 
 (** [output_length t ~n] is the length of [apply_series t s] for an
     input of length [n]: [m·n] for [Warp m], [n] otherwise. A range

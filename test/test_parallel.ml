@@ -267,7 +267,7 @@ let reference_join ~abandon d spec epsilon =
   let module Flat = Simq_dsp.Flat in
   let entries = Dataset.entries d in
   let count = Array.length entries and n = Dataset.series_length d in
-  let stretch = Flat.of_cpx (Spec.stretch spec ~n) in
+  let stretch = Spec.stretch spec ~n in
   let spectra = Flat.create (count * n) in
   Array.iteri
     (fun i (e : Dataset.entry) ->

@@ -219,7 +219,9 @@ let test_fft_callers_bit_identical () =
       in
       check "via_dft"
         (boxed_idft
-           (Dsp.Cpx.mul_arrays (Dsp.Window.transfer n w) (Dsp.Fft.fft_real s)))
+           (Dsp.Cpx.mul_arrays
+              (Dsp.Flat.to_cpx (Dsp.Window.transfer n w))
+              (Dsp.Fft.fft_real s)))
         (Moving_average.via_dft w s);
       let z = Dsp.Fft.fft_real s in
       check "idft" (boxed_idft z) (Series.idft z);

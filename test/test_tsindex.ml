@@ -16,6 +16,8 @@ let check_same_answers msg expected actual =
       Alcotest.(check (float 1e-6)) (msg ^ ": distance") d1 d2)
     expected actual
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let query_for dataset spec seed =
   (* A query built by perturbing one of the data series keeps answer sets
      non-trivial. *)
@@ -55,7 +57,7 @@ let test_spec_stretch_predicts_spectrum () =
   List.iter
     (fun spec ->
       let n = 32 in
-      let stretch = Spec.stretch spec ~n in
+      let stretch = Simq_dsp.Flat.to_cpx (Spec.stretch spec ~n) in
       let predicted = Simq_dsp.Cpx.mul_arrays stretch spectrum in
       let actual = Simq_dsp.Fft.fft_real (Spec.apply_series spec s) in
       let actual_prefix = Array.sub actual 0 n in
@@ -64,6 +66,111 @@ let test_spec_stretch_predicts_spectrum () =
         true
         (Simq_dsp.Cpx.close_arrays ~eps:1e-6 predicted actual_prefix))
     all_specs
+
+(* The stretch every reader shares ([Spec.stretch]'s memo) holds the
+   doubles of the boxed formula computed fresh — the transfer function
+   through [Cpx], ones for id, minus ones for rev — at both lengths,
+   also after the readers (index range and NN, scan, join scan, sketch
+   funnel) have used it: no reader writes to it. *)
+let test_spec_stretch_shared () =
+  let module Cpx = Simq_dsp.Cpx in
+  let module Flat = Simq_dsp.Flat in
+  let module Window = Simq_dsp.Window in
+  let specs =
+    [ Spec.Identity; Spec.Reverse ]
+    @ List.init 6 (fun i -> Spec.Moving_average (i + 2))
+    @ List.init 6 (fun i -> Spec.Weighted_ma (Window.ascending (i + 2)))
+  in
+  let boxed spec ~n =
+    match spec with
+    | Spec.Identity -> Array.make n Cpx.one
+    | Spec.Reverse -> Array.make n (Cpx.of_float (-1.))
+    | Spec.Moving_average m -> Flat.to_cpx (Window.transfer n (Window.uniform m))
+    | Spec.Weighted_ma w -> Flat.to_cpx (Window.transfer n w)
+    | Spec.Warp _ -> assert false
+  in
+  let check_all label =
+    List.iter
+      (fun n ->
+        List.iter
+          (fun spec ->
+            let expected = boxed spec ~n and shared = Spec.stretch spec ~n in
+            Alcotest.(check int) "length" n (Flat.length shared);
+            Array.iteri
+              (fun f (z : Cpx.t) ->
+                let c = Flat.coeff shared f in
+                if not
+                     (same_bits z.Complex.re c.Complex.re
+                     && same_bits z.Complex.im c.Complex.im)
+                then
+                  Alcotest.failf "%s: %s n=%d coefficient %d differs" label
+                    (Spec.name spec) n f)
+              expected)
+          specs)
+      [ 128; 1024 ]
+  in
+  check_all "first use";
+  let n = 128 in
+  let d = dataset_of ~seed:31 ~count:60 ~n in
+  let idx = Kindex.build ~max_fill:8 d in
+  let sketch = Simq_sketch.create d in
+  List.iter
+    (fun spec ->
+      let query = query_for d spec 3 in
+      ignore
+        (Kindex.range ~spec ~sketch:(fun q -> Simq_sketch.funnel sketch ~spec ~query:q)
+           idx ~query ~epsilon:6.);
+      ignore (Kindex.nearest ~spec idx ~query ~k:3);
+      ignore (Seqscan.range_early_abandon ~spec d ~query ~epsilon:6.);
+      ignore (Join.scan_early_abandon ~spec idx ~epsilon:1.);
+      ignore (Join.scan_full ~spec idx ~epsilon:1.))
+    specs;
+  check_all "after the readers";
+  (* Equal specs share one buffer: a second [Kindex.prepare] of an equal
+     (separately built) spec allocates less than one stretch. *)
+  let n = 1024 in
+  let d = dataset_of ~seed:32 ~count:20 ~n in
+  let idx = Kindex.build ~max_fill:8 d in
+  let spec () = Spec.Weighted_ma (Window.triangular 9) in
+  ignore (Kindex.prepare idx (spec ()));
+  let before = Gc.minor_words () in
+  ignore (Kindex.prepare idx (spec ()));
+  let words = Gc.minor_words () -. before in
+  if words >= float_of_int (2 * n) then
+    Alcotest.failf "second prepare allocates %.0f words (a stretch: %d)" words
+      (2 * n);
+  Alcotest.(check bool) "one buffer" true
+    (Spec.stretch (spec ()) ~n == Spec.stretch (spec ()) ~n)
+
+(* First use from two domains at once: every domain gets the doubles of
+   a fresh computation, and one buffer per spec. *)
+let test_spec_stretch_two_domains () =
+  let module Flat = Simq_dsp.Flat in
+  let module Window = Simq_dsp.Window in
+  let module Pool = Simq_parallel.Pool in
+  let n = 128 in
+  (* Windows no other test names, so each first use happens here. *)
+  let spec j = Spec.Weighted_ma (Window.custom [| float_of_int (j + 3); 1.; 2. |]) in
+  let pool = Pool.create ~domains:2 in
+  let got =
+    Pool.map_array ~pool ~chunk:1
+      (fun j -> (j, Spec.stretch (spec j) ~n))
+      (Array.init 64 (fun i -> i mod 8))
+  in
+  Array.iter
+    (fun (j, s) ->
+      let fresh =
+        Window.transfer n (Window.custom [| float_of_int (j + 3); 1.; 2. |])
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "window %d: fresh doubles" j)
+        true
+        (Array.for_all2 same_bits fresh s);
+      Alcotest.(check bool)
+        (Printf.sprintf "window %d: one buffer" j)
+        true
+        (s == Spec.stretch (spec j) ~n))
+    got
 
 let test_spec_output_length () =
   Alcotest.(check int) "identity" 10 (Spec.output_length Spec.Identity ~n:10);
@@ -112,8 +219,6 @@ let rows_of ~stretch ?order spectra =
   Flat.rows ~stretch ?order (Array.concat (Array.to_list spectra))
     (Array.init (Array.length spectra) (fun r -> r * n))
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let test_flat_kernel_matches_boxed () =
   let module Flat = Simq_dsp.Flat in
   let n = 64 in
@@ -135,8 +240,8 @@ let test_flat_kernel_matches_boxed () =
   in
   let abandons = ref 0 in
   List.iter
-    (fun stretch ->
-      let flat_stretch = Option.map Flat.of_cpx stretch in
+    (fun flat_stretch ->
+      let stretch = Option.map Flat.to_cpx flat_stretch in
       let check i j limit =
         let sum, abandoned, touched =
           boxed_sq_dist ~stretch ~limit boxed.(i) boxed.(j)
@@ -168,7 +273,7 @@ let test_flat_kernel_matches_boxed () =
   (* The kernel allocates nothing per comparison: only the two
      [Gc.minor_words] results are boxed across a thousand calls. *)
   let x = spectrum entries.(0) and y = spectrum entries.(1) in
-  let stretch = Some (Flat.of_cpx (Spec.stretch (Spec.Moving_average 4) ~n)) in
+  let stretch = Some (Spec.stretch (Spec.Moving_average 4) ~n) in
   let acc = Flat.acc () in
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
@@ -208,7 +313,7 @@ let test_dist_within () =
   let d = dataset_of ~seed:14 ~count:8 ~n in
   let entries = Dataset.entries d in
   let spectrum (e : Dataset.entry) = Dataset.spectrum d e.Dataset.id in
-  let stretch = Some (Flat.of_cpx (Spec.stretch (Spec.Moving_average 3) ~n)) in
+  let stretch = Some (Spec.stretch (Spec.Moving_average 3) ~n) in
   let checked = ref 0 in
   Array.iter
     (fun (a : Dataset.entry) ->
@@ -269,7 +374,7 @@ let test_row_kernel_matches_boxed () =
       in
       List.iter
         (fun spec ->
-          let stretch = Spec.stretch spec ~n in
+          let stretch = Flat.to_cpx (Spec.stretch spec ~n) in
           let rows = rows_of ~stretch:(Flat.of_cpx stretch) spectra in
           (* Both sides stretched with [Cpx.mul], as the join compares
              two transformed spectra. *)
@@ -365,7 +470,7 @@ let test_row_kernel_matches_boxed () =
   let spectra = Array.init count (fun _ -> Array.make 128 0.5) in
   let rows =
     rows_of
-      ~stretch:(Flat.of_cpx (Spec.stretch (Spec.Moving_average 4) ~n:64))
+      ~stretch:(Spec.stretch (Spec.Moving_average 4) ~n:64)
       spectra
   in
   let hits = Array.make count 0 in
@@ -395,7 +500,7 @@ let test_rows_order () =
       (fun (e : Dataset.entry) -> Dataset.spectrum d e.Dataset.id)
       (Dataset.entries d)
   in
-  let stretch = Flat.of_cpx (Spec.stretch (Spec.Moving_average 3) ~n:16) in
+  let stretch = Spec.stretch (Spec.Moving_average 3) ~n:16 in
   let order = [| 4; 0; 8; 2; 6; 1; 3; 5; 7 |] in
   let plain = rows_of ~stretch spectra
   and sorted = rows_of ~stretch ~order spectra in
@@ -459,6 +564,70 @@ let test_dataset_rejects_mixed_lengths () =
     (fun () -> ignore (Dataset.of_relation r))
 
 (* --- Kindex range: exactness under every spec and representation ------------- *)
+
+(* The index postfilter abandons at epsilon as the scan does: under id
+   and mavg(4) its answers equal the early-abandon scan's and the full
+   scan's, ids and distances bit for bit, at random thresholds and at
+   thresholds set exactly to one entry's distance — among them entries
+   whose squared distance lies above the rounded [epsilon²], where the
+   abandoned sum must be completed to keep the entry. *)
+let test_range_postfilter_abandons () =
+  let module Flat = Simq_dsp.Flat in
+  let n = 64 in
+  let d = dataset_of ~seed:23 ~count:200 ~n in
+  let idx = Kindex.build ~max_fill:8 d in
+  let same label expected actual =
+    Alcotest.(check (list int)) (label ^ ": ids") (ids_of expected)
+      (ids_of actual);
+    List.iter2
+      (fun (_, a) (_, b) ->
+        Alcotest.(check bool) (label ^ ": distance bits") true (same_bits a b))
+      expected actual
+  in
+  let rounding_cases = ref 0 in
+  List.iter
+    (fun spec ->
+      let query = query_for d spec 5 in
+      let q = Dataset.prepare_query query in
+      let stretch = Spec.stretch spec ~n in
+      (* Every entry's distance, nearest first, with its full sum. *)
+      let all =
+        (Seqscan.range_full ~spec d ~query ~epsilon:1e9).Seqscan.answers
+        |> List.map (fun ((e : Dataset.entry), dist) ->
+               let acc = Flat.acc () in
+               ignore
+                 (Flat.sq_dist ~stretch:(Some stretch) ~limit:infinity ~lo:0
+                    ~hi:n (Dataset.spectra d)
+                    (Dataset.slot d e.Dataset.id * n)
+                    q.Dataset.qspectrum 0 acc);
+               (e.Dataset.id, dist, acc.Flat.sum))
+        |> List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b)
+      in
+      let exact =
+        List.filteri (fun i _ -> i < 12) all
+        |> List.map (fun (id, dist, sum) ->
+               if dist *. dist < sum then incr rounding_cases;
+               (Some id, dist))
+      in
+      List.iter
+        (fun (must_hold, epsilon) ->
+          let label = Printf.sprintf "%s eps=%h" (Spec.name spec) epsilon in
+          let index = (Kindex.range ~spec idx ~query ~epsilon).Kindex.answers in
+          let early =
+            (Seqscan.range_early_abandon ~spec d ~query ~epsilon).Seqscan.answers
+          in
+          let full = (Seqscan.range_full ~spec d ~query ~epsilon).Seqscan.answers in
+          same (label ^ " early scan") early index;
+          same (label ^ " full scan") full index;
+          match must_hold with
+          | None -> ()
+          | Some id ->
+            Alcotest.(check bool) (label ^ ": boundary entry kept") true
+              (List.mem id (ids_of index)))
+        ((None, 0.) :: (None, 3.) :: (None, 5.5) :: exact))
+    [ Spec.Identity; Spec.Moving_average 4 ];
+  Alcotest.(check bool) "a threshold reaches the rounding case" true
+    (!rounding_cases > 0)
 
 let test_range_matches_reference () =
   let dropped = ref 0 in
@@ -623,7 +792,7 @@ let kernel_nearest ~spec d ~query ~k =
   let stretch =
     match spec with
     | Spec.Identity -> None
-    | _ -> Some (Simq_dsp.Flat.of_cpx (Spec.stretch spec ~n))
+    | _ -> Some (Spec.stretch spec ~n)
   in
   Array.to_list (Dataset.entries d)
   |> List.map (fun (e : Dataset.entry) ->
@@ -1474,6 +1643,10 @@ let () =
           Alcotest.test_case "stretch predicts spectrum" `Quick
             test_spec_stretch_predicts_spectrum;
           Alcotest.test_case "output length" `Quick test_spec_output_length;
+          Alcotest.test_case "shared stretch = boxed formula, bit for bit"
+            `Quick test_spec_stretch_shared;
+          Alcotest.test_case "shared stretch from two domains" `Quick
+            test_spec_stretch_two_domains;
         ] );
       ( "dataset",
         [
@@ -1499,6 +1672,8 @@ let () =
             `Quick test_range_matches_reference;
           Alcotest.test_case "rejects bad query lengths" `Quick
             test_range_rejects_bad_query_length;
+          Alcotest.test_case "postfilter abandons like the scan" `Quick
+            test_range_postfilter_abandons;
           Alcotest.test_case "prunes candidates" `Quick test_range_prunes;
           Alcotest.test_case "index invariants" `Quick test_rtree_of_index_is_valid;
           Alcotest.test_case "k=3 configuration" `Quick test_range_with_k3_config;
