@@ -124,7 +124,7 @@ let metrics_state_arg =
         ~doc:
           "Persist the metrics registry across processes: load $(docv) \
            when it exists before the command runs and rewrite it \
-           afterwards, so counters, gauges and histograms (among them \
+           afterwards, so counters and histograms (among them \
            the timer histogram behind admission's deadline prediction) \
            survive restarts. Implies metric collection.")
 

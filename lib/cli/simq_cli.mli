@@ -106,7 +106,7 @@ val resolve_metrics_port : int option -> int option
     logged counter deltas are live — and [metrics_state] a
     {!Simq_obs.Metrics.save_state} file — loaded before [f] when it
     exists (forcing metric collection on, like [metrics_port]) and
-    rewritten afterwards, so the registry's counters, gauges and
+    rewritten afterwards, so the registry's counters and
     histograms survive restarts (among them the [simq_timer_seconds]
     histogram behind admission's deadline prediction). A state
     file that exists but does not parse is a [File] error and [f] is

@@ -56,20 +56,41 @@ let transformed_vs_plain ~label ~configs =
   List.iter
     (fun (name, dataset, index, queries) ->
       ignore dataset;
-      let repeats = 10 in
-      let plain_times, ident_times = (ref [], ref []) in
+      let repeats = 10 and windows = 5 in
+      let time ?spec (query, epsilon) =
+        Bench_util.time_per_query ~repeats (fun () ->
+            ignore (Kindex.range ?spec index ~query ~epsilon))
+      in
+      (* Window [w] times every query both ways, the plain query first
+         when [q + w] is even and second otherwise, so neither side
+         always runs second; a side's time is the median over the
+         windows of its mean per query, which one GC slice in one
+         window cannot move. *)
+      let window w =
+        let plain = ref 0. and ident = ref 0. in
+        List.iteri
+          (fun q query ->
+            let time_plain () = plain := !plain +. time query in
+            let time_ident () =
+              ident := !ident +. time ~spec:exercised_identity query
+            in
+            if (q + w) mod 2 = 0 then (time_plain (); time_ident ())
+            else (time_ident (); time_plain ()))
+          queries;
+        let count = float_of_int (List.length queries) in
+        (!plain /. count, !ident /. count)
+      in
+      let samples = List.init windows window in
+      let median xs =
+        let a = Array.of_list xs in
+        Array.sort Float.compare a;
+        a.(Array.length a / 2)
+      in
+      let plain = median (List.map fst samples)
+      and ident = median (List.map snd samples) in
       let plain_accesses = ref 0 and ident_accesses = ref 0 in
       List.iter
         (fun (query, epsilon) ->
-          plain_times :=
-            Bench_util.time_per_query ~repeats (fun () ->
-                ignore (Kindex.range index ~query ~epsilon))
-            :: !plain_times;
-          ident_times :=
-            Bench_util.time_per_query ~repeats (fun () ->
-                ignore
-                  (Kindex.range ~spec:exercised_identity index ~query ~epsilon))
-            :: !ident_times;
           let plain = Kindex.range index ~query ~epsilon in
           let ident =
             Kindex.range ~spec:exercised_identity index ~query ~epsilon
@@ -77,8 +98,6 @@ let transformed_vs_plain ~label ~configs =
           plain_accesses := !plain_accesses + plain.Kindex.node_accesses;
           ident_accesses := !ident_accesses + ident.Kindex.node_accesses)
         queries;
-      let plain = Bench_util.mean !plain_times in
-      let ident = Bench_util.mean !ident_times in
       ratios := (ident /. plain) :: !ratios;
       access_pairs := (!plain_accesses, !ident_accesses) :: !access_pairs;
       Table.add_row table

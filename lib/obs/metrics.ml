@@ -118,13 +118,6 @@ type counter = {
   cells : int Atomic.t array; (* one per shard *)
 }
 
-type gauge = {
-  g_name : string;
-  g_labels : (string * string) list;
-  g_help : string;
-  cell : float Atomic.t;
-}
-
 type histogram = {
   h_name : string;
   h_labels : (string * string) list;
@@ -133,7 +126,7 @@ type histogram = {
   sums : float Atomic.t array; (* one per shard, CAS-updated *)
 }
 
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type metric = Counter of counter | Histogram of histogram
 
 type registry = {
   mutex : Mutex.t;
@@ -154,12 +147,10 @@ let default = create_registry ()
 
 let metric_name = function
   | Counter c -> c.c_name
-  | Gauge g -> g.g_name
   | Histogram h -> h.h_name
 
 let metric_labels = function
   | Counter c -> c.c_labels
-  | Gauge g -> g.g_labels
   | Histogram h -> h.h_labels
 
 let register registry name labels kind make expect =
@@ -206,15 +197,6 @@ let counter ?(registry = default) ?(help = "") ?(labels = []) name =
       (Counter c, c))
     (function Counter c -> Some c | _ -> None)
 
-let gauge ?(registry = default) ?(help = "") ?(labels = []) name =
-  register registry name labels "gauge"
-    (fun labels ->
-      let g =
-        { g_name = name; g_labels = labels; g_help = help; cell = Atomic.make 0. }
-      in
-      (Gauge g, g))
-    (function Gauge g -> Some g | _ -> None)
-
 let histogram ?(registry = default) ?(help = "") ?(labels = []) name =
   register registry name labels "histogram"
     (fun labels ->
@@ -253,8 +235,6 @@ let add c n =
   if on () && n <> 0 then
     ignore (Atomic.fetch_and_add c.cells.(shard_index ()) n)
 
-let set_gauge g v = if on () then Atomic.set g.cell v
-
 let atomic_float_add cell v =
   let rec go () =
     let cur = Atomic.get cell in
@@ -271,8 +251,6 @@ let observe h v =
 
 let counter_total c =
   Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.cells
-
-let gauge_value g = Atomic.get g.cell
 
 let histogram_buckets h =
   let merged = Array.make buckets 0 in
@@ -295,12 +273,6 @@ type sample =
       help : string;
       total : int;
     }
-  | Gauge_sample of {
-      name : string;
-      labels : (string * string) list;
-      help : string;
-      value : float;
-    }
   | Histogram_sample of {
       name : string;
       labels : (string * string) list;
@@ -312,13 +284,11 @@ type sample =
 
 let sample_name = function
   | Counter_sample { name; _ }
-  | Gauge_sample { name; _ }
   | Histogram_sample { name; _ } ->
       name
 
 let sample_labels = function
   | Counter_sample { labels; _ }
-  | Gauge_sample { labels; _ }
   | Histogram_sample { labels; _ } ->
       labels
 
@@ -330,14 +300,6 @@ let sample_of_metric = function
           labels = c.c_labels;
           help = c.c_help;
           total = counter_total c;
-        }
-  | Gauge g ->
-      Gauge_sample
-        {
-          name = g.g_name;
-          labels = g.g_labels;
-          help = g.g_help;
-          value = gauge_value g;
         }
   | Histogram h ->
       let buckets = histogram_buckets h in
@@ -407,11 +369,6 @@ let exposition ?(registry = default) () =
           header name help "counter";
           Buffer.add_string buf
             (Printf.sprintf "%s%s %d\n" name (render_labels labels) total)
-      | Gauge_sample { name; labels; help; value } ->
-          header name help "gauge";
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s %s\n" name (render_labels labels)
-               (float_repr value))
       | Histogram_sample { name; labels; help; buckets; sum; count } ->
           header name help "histogram";
           let first_nonempty =
@@ -448,7 +405,6 @@ let reset ?(registry = default) () =
   List.iter
     (function
       | Counter c -> Array.iter (fun cell -> Atomic.set cell 0) c.cells
-      | Gauge g -> Atomic.set g.cell 0.
       | Histogram h ->
           Array.iter (Array.iter (fun cell -> Atomic.set cell 0)) h.counts;
           Array.iter (fun cell -> Atomic.set cell 0.) h.sums)
@@ -476,15 +432,6 @@ let sample_json sample =
           ("labels", labels_json labels);
           ("help", Json.Str help);
           ("total", Json.Num (float_of_int total));
-        ]
-  | Gauge_sample { name; labels; help; value } ->
-      Json.Obj
-        [
-          ("kind", Json.Str "gauge");
-          ("name", Json.Str name);
-          ("labels", labels_json labels);
-          ("help", Json.Str help);
-          ("value", Json.Num value);
         ]
   | Histogram_sample { name; labels; help; buckets; sum; count = _ } ->
       Json.Obj
@@ -571,9 +518,6 @@ let load_state ?(registry = default) path =
           let c = registered (fun () -> counter ~registry ~help ~labels name) in
           let total = int_of_float (num "total") in
           if total <> 0 then ignore (Atomic.fetch_and_add c.cells.(0) total)
-      | "gauge" ->
-          let g = registered (fun () -> gauge ~registry ~help ~labels name) in
-          Atomic.set g.cell (num "value")
       | "histogram" ->
           let h =
             registered (fun () -> histogram ~registry ~help ~labels name)

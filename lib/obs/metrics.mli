@@ -1,4 +1,4 @@
-(** Sharded metrics registry: counters, gauges, log-scale histograms.
+(** Sharded metrics registry: counters and log-scale histograms.
 
     Hot-path updates go to a per-domain shard selected from
     [Domain.self ()], so concurrent domains never contend on a lock;
@@ -13,8 +13,8 @@
     across any [SIMQ_DOMAINS]/[--jobs] setting as long as the
     instrumented work itself is deterministic (which the Lemma 1
     parallel tests enforce). Histogram [sum]s are floating-point and
-    merge in shard order, and gauges are last-write-wins, so neither
-    is bit-deterministic under parallel execution; the pool's task
+    merge in shard order, so they are not bit-deterministic under
+    parallel execution; the pool's task
     count depends on the domain count (it is a pure function of input
     sizes and domain count, so it repeats from run to run) and is
     excluded from the cross-domain determinism guarantee.
@@ -59,7 +59,6 @@ val create_registry : unit -> registry
 (** {1 Metric kinds} *)
 
 type counter
-type gauge
 type histogram
 
 (** [counter name] registers (or retrieves, if [name] with the same
@@ -76,15 +75,6 @@ val counter :
   ?labels:(string * string) list ->
   string ->
   counter
-
-(** [gauge name] registers a last-write-wins floating-point gauge
-    (a single atomic cell, not sharded). Validation as {!counter}. *)
-val gauge :
-  ?registry:registry ->
-  ?help:string ->
-  ?labels:(string * string) list ->
-  string ->
-  gauge
 
 (** [histogram name] registers a log-scale histogram: 64 buckets with
     upper bounds [2 ^ (i - 30)], covering roughly [1e-9 .. 8e9] —
@@ -104,7 +94,6 @@ val histogram :
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val set_gauge : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
 (** {1 Reading}
@@ -115,8 +104,6 @@ val observe : histogram -> float -> unit
 
 (** [counter_total c] is the merged total over all shards. *)
 val counter_total : counter -> int
-
-val gauge_value : gauge -> float
 
 (** [histogram_count h] is the merged number of observations. *)
 val histogram_count : histogram -> int
@@ -136,12 +123,6 @@ type sample =
       labels : (string * string) list;
       help : string;
       total : int;
-    }
-  | Gauge_sample of {
-      name : string;
-      labels : (string * string) list;
-      help : string;
-      value : float;
     }
   | Histogram_sample of {
       name : string;
@@ -181,7 +162,7 @@ val reset : ?registry:registry -> unit -> unit
 (** {1 State persistence} *)
 
 (** [save_state path] writes the full merged snapshot of the registry
-    (counters, gauges, histogram buckets and sums, with labels and
+    (counter totals, histogram buckets and sums, with labels and
     help text) as one self-describing JSON document — the mechanism
     behind the [--metrics-state] flag, which keeps the
     [simq_timer_seconds] histogram behind admission's deadline
@@ -192,7 +173,7 @@ val save_state : ?registry:registry -> string -> unit
 (** [load_state path] reads a {!save_state} document back: unseen
     metrics are registered from their recorded kind/labels/help,
     counter totals and histogram contents are {e added} to the
-    registry, gauges are set. Loading bypasses the {!on} gate — it
+    registry. Loading bypasses the {!on} gate — it
     restores state rather than instrumenting work — and is
     independent of the domain count. Raises [Failure] on malformed
     content (with the path in the message) and [Sys_error] on I/O

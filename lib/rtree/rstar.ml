@@ -359,19 +359,16 @@ let drain_pending t ~reinserted ~pending =
     insert_entry t entry ~level ~reinserted ~pending
   done
 
-let insert_rect t rect value =
-  if Rect.dims rect <> t.dims then
-    invalid_arg "Rstar.insert_rect: dimension mismatch";
-  let reinserted = Hashtbl.create 4 in
-  let pending = Queue.create () in
-  insert_entry t (Node.Data { rect; value }) ~level:0 ~reinserted ~pending;
-  drain_pending t ~reinserted ~pending;
-  t.size <- t.size + 1
-
 let insert t point value =
   if Array.length point <> t.dims then
     invalid_arg "Rstar.insert: dimension mismatch";
-  insert_rect t (Rect.of_point point) value
+  let reinserted = Hashtbl.create 4 in
+  let pending = Queue.create () in
+  insert_entry t
+    (Node.Data { rect = Rect.of_point point; value })
+    ~level:0 ~reinserted ~pending;
+  drain_pending t ~reinserted ~pending;
+  t.size <- t.size + 1
 
 (* --- queries ------------------------------------------------------------ *)
 

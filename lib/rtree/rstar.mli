@@ -39,28 +39,14 @@ val height : 'a t -> int
     rectangle). Raises [Invalid_argument] on dimension mismatch. *)
 val insert : 'a t -> Simq_geometry.Point.t -> 'a -> unit
 
-(** [insert_rect t rect value] adds a rectangle data entry — R-trees
-    index rectangles natively; the subsequence-index trails use this. *)
-val insert_rect : 'a t -> Simq_geometry.Rect.t -> 'a -> unit
-
-(** [fold_region t ~overlaps ~matches ~init ~f] is the generic traversal
-    behind every query in the library: descend into each subtree whose
-    MBR satisfies [overlaps] and feed [f] every data entry of the
-    reached leaves whose rectangle satisfies [matches] (a degenerate
-    rectangle for point data — its [lo] is the point). Algorithms 1–2
-    of the paper are obtained by making [overlaps] and [matches] apply a
-    safe transformation before testing — the index is “transformed on
-    the fly”. *)
-val fold_region :
-  'a t ->
-  overlaps:(Simq_geometry.Rect.t -> bool) ->
-  matches:(Simq_geometry.Rect.t -> 'a -> bool) ->
-  init:'acc ->
-  f:('acc -> Simq_geometry.Rect.t -> 'a -> 'acc) ->
-  'acc
-
-(** [fold_region_counted t ~overlaps ~matches ~init ~f] is
-    {!fold_region} except that the nodes visited are counted into the
+(** [fold_region_counted t ~overlaps ~matches ~init ~f] is the generic
+    traversal behind every query in the library: descend into each
+    subtree whose MBR satisfies [overlaps] and feed [f] every data entry
+    of the reached leaves whose rectangle satisfies [matches] (a
+    degenerate rectangle for point data — its [lo] is the point).
+    Algorithms 1–2 of the paper are obtained by making [overlaps] and
+    [matches] apply a safe transformation before testing — the index is
+    “transformed on the fly”. The nodes visited are counted into the
     {e returned} value instead of the tree's cumulative
     {!node_accesses} counter. The traversal then writes no shared
     state, so read-only queries may run concurrently from several

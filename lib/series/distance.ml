@@ -32,7 +32,9 @@ let euclidean_early_abandon ~threshold a b =
   let limit = threshold *. threshold in
   let n = Array.length a in
   let rec go t acc =
-    if acc > limit then None
+    (* Past the limit by rounding alone (root not above [threshold]):
+       keep summing. *)
+    if acc > limit && sqrt acc > threshold then None
     else if t >= n then Some (sqrt acc)
     else begin
       let d = a.(t) -. b.(t) in

@@ -13,7 +13,9 @@ val chebyshev : Series.t -> Series.t -> float
 (** [euclidean_early_abandon ~threshold a b] is [Some (euclidean a b)]
     when it does not exceed [threshold], and [None] as soon as the
     partial sum proves it does — the optimised sequential scan of
-    Section 5. *)
+    Section 5. A partial sum past [threshold²] whose root is not above
+    [threshold] (the rounding case) is carried on, so the answer is
+    [euclidean a b <= threshold] exactly. *)
 val euclidean_early_abandon :
   threshold:float -> Series.t -> Series.t -> float option
 

@@ -44,30 +44,23 @@ type shard = {
 
 type t = { parent : Dataset.t; parts : shard array }
 
-let create ?pool ?(config = Feature.default) ?(max_fill = 32) ?sketch ~shards
-    dataset =
+let create ?(config = Feature.default) ?(max_fill = 32) ?sketch ~shards dataset
+    =
   if shards < 1 then invalid_arg "Simq_shard.create: shards must be >= 1";
   let n = Dataset.cardinality dataset in
   let k = Int.min shards n in
-  let entries = Dataset.entries dataset in
   let name = Relation.name (Dataset.relation dataset) in
   let base = n / k and rem = n mod k in
   let mk ordinal =
     let lo = (ordinal * base) + Int.min ordinal rem in
     let width = base + if ordinal < rem then 1 else 0 in
-    let series =
-      Array.init width (fun i -> entries.(lo + i).Dataset.series)
-    in
     let sdataset =
-      Dataset.of_series ?pool ~name:(Printf.sprintf "%s/shard%d" name ordinal)
-        series
+      Dataset.sub dataset ~name:(Printf.sprintf "%s/shard%d" name ordinal) ~lo
+        ~width
     in
     let sindex = Kindex.build ~config ~max_fill sdataset in
-    let box =
-      Rect.of_points
-        (Array.to_list
-           (Array.map (Feature.point config sdataset) (Dataset.entries sdataset)))
-    in
+    (* The root MBR is the min/max over the shard's feature points. *)
+    let box = (Rstar.root (Kindex.tree sindex)).Simq_rtree.Node.mbr in
     {
       ordinal;
       lo;

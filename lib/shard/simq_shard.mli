@@ -1,6 +1,7 @@
 (** Sharded scatter-gather execution: one relation partitioned into K
-    shards, each owning its own dataset, R*-tree, buffer pool and
-    labelled metrics shard, queried through a scatter-gather executor
+    shards, each owning its own dataset (a block of the parent's
+    prepared entries), R*-tree, buffer pool and labelled metrics
+    shard, queried through a scatter-gather executor
     that prunes shards by catalogue bounds {e before touching any
     page} — the way TSseek routes similarity queries to distributed
     time-series partitions.
@@ -48,12 +49,22 @@
 
 type t
 
-(** [create ~shards dataset] partitions [dataset]. Each shard gets its
-    own backing relation (hence buffer pool), prepared dataset,
-    R*-tree over [config] (default {!Simq_tsindex.Feature.default}),
-    catalogue box and labelled metrics child; the per-shard builds fan
-    out their per-entry work over [pool]. [shards] above the
-    cardinality is clamped; [shards < 1] raises [Invalid_argument].
+(** [create ~shards dataset] partitions [dataset]. No series is
+    prepared again: each shard's dataset is the parent's block
+    ({!Simq_tsindex.Dataset.sub}), whose entries share the parent's
+    [series] and [normal] arrays and whose spectrum and head rows are
+    copied from the parent's slots. The rows are copied, not a slice of
+    the parent's buffer: the parent's slots follow the parent tree's
+    leaf order, while each shard lays its own block out in its own
+    tree's leaf order, which is what makes its traversals read
+    spectra nearly in sequence.
+
+    Each shard owns its backing relation (hence buffer pool), spectrum
+    buffer, R*-tree over [config] (default
+    {!Simq_tsindex.Feature.default}), catalogue box (its tree's root
+    MBR, the min/max box of its feature points) and labelled metrics
+    child. [shards] above the cardinality is clamped; [shards < 1]
+    raises [Invalid_argument].
 
     With [?sketch] every shard additionally builds its own
     {!Simq_sketch} table over its local dataset, and the range entry
@@ -62,7 +73,6 @@ type t
     per shard), only the count of exact distance evaluations drops.
     NN takes no sketch. *)
 val create :
-  ?pool:Simq_parallel.Pool.t ->
   ?config:Simq_tsindex.Feature.config ->
   ?max_fill:int ->
   ?sketch:Simq_sketch.config ->

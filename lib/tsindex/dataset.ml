@@ -95,6 +95,38 @@ let of_series ?pool ~name batch =
 
 let cardinality t = Array.length t.entries
 
+(* Nothing is normalised or transformed again: the entries keep the
+   parent's [series] and [normal] arrays, and each row is copied from
+   the parent's slot into the block's own buffer in id order, ready
+   for the block's own {!lay_out}. *)
+let sub t ~name ~lo ~width =
+  if lo < 0 || width < 1 || lo > cardinality t - width then
+    invalid_arg "Dataset.sub: block outside the ids";
+  let relation =
+    Relation.of_series ~name
+      (Array.init width (fun i -> t.entries.(lo + i).series))
+  in
+  let tuples = Relation.to_array relation in
+  let row = 2 * t.n and hrow = 2 * head_width in
+  let spectra = Flat.create (t.n * width)
+  and head = Array.make (hrow * width) 0. in
+  let entries =
+    Array.init width (fun i ->
+        let s = t.slots.(lo + i) in
+        Array.blit t.spectra (s * row) spectra (i * row) row;
+        Array.blit t.head (s * hrow) head (i * hrow) hrow;
+        { (t.entries.(lo + i)) with id = i; name = tuples.(i).Relation.name })
+  in
+  {
+    entries;
+    spectra;
+    head;
+    slots = Array.init width Fun.id;
+    ids = Array.init width Fun.id;
+    n = t.n;
+    relation;
+  }
+
 (* In place, cycle by cycle: slot [s] takes the spectrum and head of
    the entry [order.(s)], each row moving once through a one-row
    buffer, so no second copy of the spectra ever exists. *)

@@ -17,7 +17,9 @@
     (buffer, slot) and computes the same doubles in any layout.
 
     A data set is built once: its entries, buffer and cardinality never
-    change after {!of_relation}, and only {!lay_out} moves slots. *)
+    change after {!of_relation} or {!sub}, and only {!lay_out} moves
+    slots. A {!sub} block shares its parent's [series] and [normal]
+    arrays, so nothing may write to them. *)
 
 type entry = {
   id : int;
@@ -49,6 +51,20 @@ val of_relation : ?pool:Simq_parallel.Pool.t -> Simq_storage.Relation.t -> t
     relation and prepares it. *)
 val of_series :
   ?pool:Simq_parallel.Pool.t -> name:string -> Simq_series.Series.t array -> t
+
+(** [sub t ~name ~lo ~width] is the data set of [t]'s ids
+    [[lo, lo + width)], renumbered from 0, over a fresh relation named
+    [name]. Nothing is prepared again: entry [i] is [t]'s entry
+    [lo + i] with id [i] and its new tuple's name, sharing the parent
+    entry's [series] and [normal] arrays, and its spectrum and head row
+    are copied from the parent's slot into the block's own buffer, slots
+    in id order. Every field, double and slot equals that of
+    [of_series ~name] over the block's series. The rows are copies, not
+    a view of [t]'s buffer: [t]'s slots follow its own tree's leaf
+    order, and the block is laid out anew by its own {!lay_out}. Raises
+    [Invalid_argument] unless [0 <= lo] and [1 <= width <= cardinality
+    t - lo]. *)
+val sub : t -> name:string -> lo:int -> width:int -> t
 
 (** [lay_out t order] moves entry [order.(s)]'s spectrum and head to
     slot [s], for every slot, by an in-place cycle permutation (no

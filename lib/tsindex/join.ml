@@ -39,12 +39,32 @@ let transformed_normals ~pool kindex spec =
       : unit list);
   normals
 
+(* The largest double [t] with [sqrt t <= epsilon]. The rounded root is
+   monotone, so a pair's sum passes [sum <= t] exactly when its
+   distance [sqrt sum] is within ε, with no root taken per pair; the
+   rounded [fl(ε²)] alone loses a sum that rounds above it although
+   its root is ε. [t] is [fl(ε²)] or a few ulps from it; when [ε²]
+   overflows, every finite sum passes. *)
+let sq_threshold epsilon =
+  let t = ref (epsilon *. epsilon) in
+  if Float.is_finite !t then begin
+    while sqrt !t > epsilon do
+      t := Float.pred !t
+    done;
+    while sqrt (Float.succ !t) <= epsilon do
+      t := Float.succ !t
+    done
+  end;
+  !t
+
 (* How far apart the band keys of a pair within ε can lie. A hit's sum
-   is at least coefficient 1's term, so [fl(dr²) <= fl(ε²)] for the
-   difference [dr] of its keys, and the keys differ by at most
-   [ε·(1 + 3u)] — or, when [dr²] underflows, by less than [2^-511],
-   which the additive term covers. When [ε²] overflows, every pair
-   is a hit. *)
+   is at least coefficient 1's term, so [fl(dr²) <= t] for the
+   difference [dr] of its keys and the threshold [t] above. As
+   [sqrt t] rounds to at most ε, [t <= ε²(1 + u)²] for the unit
+   roundoff [u], and the keys differ by at most
+   [ε·(1 + u)/(1 - u)^(3/2) < ε·(1 + 3u)] — or, when [dr²] underflows,
+   by less than [2^-511], which the additive term covers. When [ε²]
+   overflows, every pair is a hit. *)
 let band_width epsilon =
   if Float.is_finite (epsilon *. epsilon) then
     (epsilon *. (1. +. 1e-9)) +. 1e-153
@@ -67,7 +87,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let dataset = Kindex.dataset kindex in
   let count = Dataset.cardinality dataset in
-  let limit = epsilon *. epsilon in
+  let threshold = sq_threshold epsilon in
   let n = Dataset.series_length dataset in
   let stretch () = Spec.stretch spec ~n in
   (* Entry [i]'s spectrum, read in place from the data set's buffer. *)
@@ -103,7 +123,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
           let hits = Array.make (count - lo) 0 in
           fun pairs i ->
             let found =
-              Flat.within_row rows ~limit:infinity ~threshold:limit ~i
+              Flat.within_row rows ~limit:infinity ~threshold ~i
                 ~j0:(i + 1) hits
             in
             for h = 0 to found - 1 do
@@ -146,7 +166,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
           let buf = Array.make !widest 0 in
           fun pairs p ->
             let found =
-              Flat.within_band rows ~limit ~threshold:limit ~i:p
+              Flat.within_band rows ~limit:threshold ~threshold ~i:p
                 ~j1:ends.(p) buf
             in
             let a = order.(p) in

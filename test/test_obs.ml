@@ -39,19 +39,9 @@ let test_registration_idempotent_and_kind_checked () =
   Alcotest.(check int)
     "one metric in the snapshot" 1
     (List.length (Metrics.snapshot ~registry:r ()));
-  (match Metrics.gauge ~registry:r "test_shared_total" with
+  (match Metrics.histogram ~registry:r "test_shared_total" with
   | _ -> Alcotest.fail "kind mismatch must raise"
   | exception Invalid_argument _ -> ())
-
-let test_gauge_last_write_wins () =
-  let r = Metrics.create_registry () in
-  let g = Metrics.gauge ~registry:r "test_gauge" in
-  Metrics.with_enabled false (fun () -> Metrics.set_gauge g 9.);
-  Alcotest.(check (float 0.)) "disabled set is a no-op" 0. (Metrics.gauge_value g);
-  Metrics.with_enabled true (fun () ->
-      Metrics.set_gauge g 1.5;
-      Metrics.set_gauge g 2.5);
-  Alcotest.(check (float 0.)) "last write wins" 2.5 (Metrics.gauge_value g)
 
 let test_with_enabled_restores () =
   Metrics.set_enabled false;
@@ -133,11 +123,9 @@ let check_exposition_parseable text =
 let test_exposition_stable_and_parseable () =
   let r = Metrics.create_registry () in
   let c = Metrics.counter ~registry:r ~help:"a counter" "test_expo_total" in
-  let g = Metrics.gauge ~registry:r "test_expo_gauge" in
   let h = Metrics.histogram ~registry:r ~help:"a histogram" "test_expo_hist" in
   Metrics.with_enabled true (fun () ->
       Metrics.add c 5;
-      Metrics.set_gauge g 0.25;
       List.iter (Metrics.observe h) [ 0.001; 0.5; 4.0; 4.0 ]);
   let text = Metrics.exposition ~registry:r () in
   check_exposition_parseable text;
@@ -147,7 +135,7 @@ let test_exposition_stable_and_parseable () =
   let names = List.map Metrics.sample_name (Metrics.snapshot ~registry:r ()) in
   Alcotest.(check (list string))
     "snapshot sorted by name"
-    [ "test_expo_gauge"; "test_expo_hist"; "test_expo_total" ]
+    [ "test_expo_hist"; "test_expo_total" ]
     names;
   let contains needle =
     let n = String.length needle and m = String.length text in
@@ -155,7 +143,6 @@ let test_exposition_stable_and_parseable () =
     go 0
   in
   Alcotest.(check bool) "counter sample" true (contains "test_expo_total 5");
-  Alcotest.(check bool) "gauge sample" true (contains "test_expo_gauge 0.25");
   Alcotest.(check bool)
     "+Inf bucket equals count" true
     (contains "test_expo_hist_bucket{le=\"+Inf\"} 4"
@@ -619,8 +606,7 @@ let test_exposition_conforms_to_strict_grammar () =
   in
   Metrics.with_enabled true (fun () ->
       Metrics.incr c;
-      Metrics.observe h 0.25;
-      Metrics.set_gauge (Metrics.gauge ~registry:r "test_strict_gauge") 1e-9);
+      Metrics.observe h 0.25);
   Alcotest.(check bool)
     "kinds + labels + escapes conform" true
     (strict_exposition_ok (Metrics.exposition ~registry:r ()))
@@ -647,12 +633,10 @@ let prop_exposition_grammar =
       let r = Metrics.create_registry () in
       let child v = Metrics.counter ~registry:r ~help ~labels:[ ("q", v) ] "test_prop_total" in
       let a = child v1 and b = child v2 in
-      let g = Metrics.gauge ~registry:r ~help ~labels:[ ("q", v1) ] "test_prop_gauge" in
       let h = Metrics.histogram ~registry:r ~labels:[ ("q", v2) ] "test_prop_seconds" in
       Metrics.with_enabled true (fun () ->
           Metrics.incr a;
           Metrics.add b 2;
-          Metrics.set_gauge g 0.5;
           Metrics.observe h 1.0);
       strict_exposition_ok (Metrics.exposition ~registry:r ()))
 
@@ -700,11 +684,9 @@ let test_state_roundtrip () =
         Metrics.counter ~registry:src ~help:"h" "test_state_total"
           ~labels:[ ("path", "index") ]
       in
-      let g = Metrics.gauge ~registry:src "test_state_gauge" in
       let h = Metrics.histogram ~registry:src "test_state_seconds" in
       Metrics.with_enabled true (fun () ->
           Metrics.add c 42;
-          Metrics.set_gauge g 1.25;
           Metrics.observe h 0.003;
           Metrics.observe h 7.5);
       Metrics.save_state ~registry:src file;
@@ -714,18 +696,14 @@ let test_state_roundtrip () =
         "expositions identical after round trip"
         (Metrics.exposition ~registry:src ())
         (Metrics.exposition ~registry:dst ());
-      (* Loading into a registry that already carries totals adds; the
-         calibration use case overwrites gauges (last write wins). *)
+      (* Loading into a registry that already carries totals adds. *)
       Metrics.load_state ~registry:dst file;
       let c' =
         Metrics.counter ~registry:dst "test_state_total"
           ~labels:[ ("path", "index") ]
       in
       Alcotest.(check int) "counter totals accumulate" 84
-        (Metrics.counter_total c');
-      let g' = Metrics.gauge ~registry:dst "test_state_gauge" in
-      Alcotest.(check (float 1e-9)) "gauge last write wins" 1.25
-        (Metrics.gauge_value g'))
+        (Metrics.counter_total c'))
 
 let test_state_survives_disabled_collection () =
   (* The load path must bypass the collection gate: a process that only
@@ -1024,8 +1002,6 @@ let () =
           Alcotest.test_case "counter basics" `Quick test_counter_basics;
           Alcotest.test_case "idempotent registration, kind checked" `Quick
             test_registration_idempotent_and_kind_checked;
-          Alcotest.test_case "gauge last write wins" `Quick
-            test_gauge_last_write_wins;
           Alcotest.test_case "with_enabled restores" `Quick
             test_with_enabled_restores;
           Alcotest.test_case "histogram bucketing" `Quick

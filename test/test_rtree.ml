@@ -397,12 +397,16 @@ let test_region_search_circular () =
 (* --- rectangle data entries -------------------------------------------------- *)
 
 let test_rect_data_entries () =
-  (* Insert rectangles directly; range search returns entries whose
+  (* Load rectangles directly; range search returns entries whose
      rectangles intersect the query window. *)
-  let t = Rstar.create ~max_fill:4 ~dims:2 () in
-  Rstar.insert_rect t (Rect.create ~lo:[| 0.; 0. |] ~hi:[| 2.; 2. |]) "a";
-  Rstar.insert_rect t (Rect.create ~lo:[| 5.; 5. |] ~hi:[| 7.; 9. |]) "b";
-  Rstar.insert_rect t (Rect.create ~lo:[| 1.; 1. |] ~hi:[| 6.; 6. |]) "c";
+  let t =
+    Bulk.load_rects ~max_fill:4 ~dims:2
+      [|
+        (Rect.create ~lo:[| 0.; 0. |] ~hi:[| 2.; 2. |], "a");
+        (Rect.create ~lo:[| 5.; 5. |] ~hi:[| 7.; 9. |], "b");
+        (Rect.create ~lo:[| 1.; 1. |] ~hi:[| 6.; 6. |], "c");
+      |]
+  in
   Alcotest.(check int) "size" 3 (Rstar.size t);
   assert_valid t;
   let hits rect =
@@ -434,15 +438,16 @@ let test_rect_data_bulk_and_fold () =
     |> List.filter_map (fun (r, v) -> if Rect.intersects window r then Some v else None)
     |> List.sort compare
   in
-  let actual =
-    Rstar.fold_region t
+  let actual, accesses =
+    Rstar.fold_region_counted t
       ~overlaps:(fun r -> Rect.intersects window r)
       ~matches:(fun r _ -> Rect.intersects window r)
       ~init:[]
       ~f:(fun acc _ v -> v :: acc)
-    |> List.sort compare
   in
-  Alcotest.(check (list int)) "intersection semantics" expected actual
+  Alcotest.(check (list int)) "intersection semantics" expected
+    (List.sort compare actual);
+  Alcotest.(check bool) "nodes counted" true (accesses > 0)
 
 (* --- Guttman variant ------------------------------------------------------ *)
 
@@ -595,7 +600,7 @@ let () =
         ] );
       ( "rect data",
         [
-          Alcotest.test_case "insert_rect and search" `Quick
+          Alcotest.test_case "load_rects and search" `Quick
             test_rect_data_entries;
           Alcotest.test_case "bulk load_rects and fold" `Quick
             test_rect_data_bulk_and_fold;

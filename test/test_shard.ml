@@ -1,4 +1,7 @@
-(* The sharded scatter-gather layer (Simq_shard): sharded execution is
+(* The sharded scatter-gather layer (Simq_shard): a shard is built from
+   its parent's prepared entries (shared series and normal arrays, rows
+   equal to a fresh preparation, catalogue box the min/max of its
+   feature points); sharded execution is
    invisible — range and NN answers bit-identical to the unsharded
    traversal under every Spec, shard count and domain count, with
    per-query counters and merged metric totals invariant in the domain
@@ -115,7 +118,7 @@ let prop_sharded_eq_unsharded =
       let expected_nn = canon (Kindex.nearest ~spec index ~query ~k:5) in
       List.iter
         (fun shards ->
-          let sh = Shard.create ~pool:Pool.sequential ~shards d in
+          let sh = Shard.create ~shards d in
           let counters = ref None and totals = ref None in
           List.iter
             (fun (domains, pool) ->
@@ -176,6 +179,107 @@ let prop_sharded_eq_unsharded =
         shard_counts;
       true)
 
+(* --- shards built from the parent's prepared entries ---------------------- *)
+
+(* Each case shards a parent whose own k-index has already laid its
+   buffer out in leaf order, as the engine does, so a parent's slot is
+   not its id. The configurations give one-leaf and multi-level shard
+   trees, and 50 entries over 3 shards give blocks of 17, 17 and 16. *)
+let construction_setups () =
+  List.map
+    (fun (config, max_fill) ->
+      let d = dataset_of ~seed:41 ~count:50 ~n:32 in
+      ignore (Kindex.build ~config ~max_fill d);
+      (config, max_fill, d, Shard.create ~config ~max_fill ~shards:3 d))
+    [
+      (Feature.default, 32);
+      ({ Feature.k = 3; representation = Simq_geometry.Coords.Rectangular }, 4);
+    ]
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_shard_entries_share_parent_arrays () =
+  List.iter
+    (fun (_, _, d, sh) ->
+      for i = 0 to Shard.shards sh - 1 do
+        let lo, hi = Shard.bounds sh i in
+        let sd = Shard.shard_dataset sh i in
+        Alcotest.(check int) "block width" (hi - lo) (Dataset.cardinality sd);
+        for j = 0 to hi - lo - 1 do
+          let p = Dataset.get d (lo + j) and e = Dataset.get sd j in
+          Alcotest.(check int) "local id" j e.Dataset.id;
+          Alcotest.(check bool) "normal is the parent's array" true
+            (e.Dataset.normal == p.Dataset.normal);
+          Alcotest.(check bool) "series is the parent's array" true
+            (e.Dataset.series == p.Dataset.series);
+          Alcotest.(check bool) "mean and std" true
+            (same_bits e.Dataset.mean p.Dataset.mean
+            && same_bits e.Dataset.std p.Dataset.std)
+        done
+      done)
+    (construction_setups ())
+
+(* A shard's rows are those a fresh preparation of its block gives: the
+   same entries, spectra bit for bit, the head rows a copy of each
+   spectrum's first coefficients (a zero head distance to the entry's
+   own spectrum), and, once both are indexed alike, the same slots. *)
+let test_shard_rows_equal_fresh_preparation () =
+  List.iter
+    (fun (config, max_fill, _, sh) ->
+      for i = 0 to Shard.shards sh - 1 do
+        let sd = Shard.shard_dataset sh i in
+        let width = Dataset.cardinality sd in
+        let fresh =
+          Dataset.of_series ~pool:Pool.sequential ~name:"fresh"
+            (Array.map (fun e -> e.Dataset.series) (Dataset.entries sd))
+        in
+        ignore (Kindex.build ~config ~max_fill fresh);
+        let acc = Simq_dsp.Flat.acc () in
+        for j = 0 to width - 1 do
+          let e = Dataset.get sd j and f = Dataset.get fresh j in
+          Alcotest.(check string) "name" f.Dataset.name e.Dataset.name;
+          Alcotest.(check bool) "normal form" true
+            (Array.for_all2 same_bits f.Dataset.normal e.Dataset.normal);
+          Alcotest.(check bool) "mean and std" true
+            (same_bits f.Dataset.mean e.Dataset.mean
+            && same_bits f.Dataset.std e.Dataset.std);
+          Alcotest.(check bool) "spectrum bits" true
+            (Array.for_all2 same_bits (Dataset.spectrum fresh j)
+               (Dataset.spectrum sd j));
+          Alcotest.(check int) "slot" (Dataset.slot fresh j) (Dataset.slot sd j);
+          ignore
+            (Dataset.head_sq_dist sd ~stretch:None (Dataset.slot sd j)
+               (Dataset.spectrum sd j) acc);
+          Alcotest.(check bool) "head row is the spectrum's prefix" true
+            (same_bits 0. acc.Simq_dsp.Flat.sum)
+        done
+      done)
+    (construction_setups ())
+
+(* The catalogue box is the shard tree's root MBR: the same min/max, bit
+   for bit, as the box of the shard's feature points. *)
+let test_catalogue_box_is_feature_box () =
+  let module Rect = Simq_geometry.Rect in
+  List.iter
+    (fun (config, _, _, sh) ->
+      for i = 0 to Shard.shards sh - 1 do
+        let sd = Shard.shard_dataset sh i in
+        let points =
+          Array.to_list
+            (Array.map (Feature.point config sd) (Dataset.entries sd))
+        in
+        let expected = Rect.of_points points in
+        let root =
+          Simq_rtree.Rstar.root (Kindex.tree (Shard.shard_index sh i))
+        in
+        let box = root.Simq_rtree.Node.mbr in
+        Alcotest.(check bool) "lo bits" true
+          (Array.for_all2 same_bits expected.Rect.lo box.Rect.lo);
+        Alcotest.(check bool) "hi bits" true
+          (Array.for_all2 same_bits expected.Rect.hi box.Rect.hi)
+      done)
+    (construction_setups ())
+
 (* --- catalogue pruning ------------------------------------------------------ *)
 
 (* Lemma 1 conservatism at the shard catalogue: a shard whose own
@@ -183,7 +287,7 @@ let prop_sharded_eq_unsharded =
 let test_pruning_never_drops_a_qualifying_shard () =
   let clusters = 8 in
   let d = clustered_dataset ~clusters ~count:64 ~n:32 in
-  let sh = Shard.create ~pool:Pool.sequential ~shards:clusters d in
+  let sh = Shard.create ~shards:clusters d in
   let state = Random.State.make [| 7 |] in
   List.iter
     (fun spec ->
@@ -216,7 +320,7 @@ let test_pruning_never_drops_a_qualifying_shard () =
 let test_pruned_shards_execute_nothing () =
   let clusters = 8 in
   let d = clustered_dataset ~clusters ~count:64 ~n:32 in
-  let sh = Shard.create ~pool:Pool.sequential ~shards:clusters d in
+  let sh = Shard.create ~shards:clusters d in
   let query =
     Simq_workload.Queries.perturb
       (Random.State.make [| 8 |])
@@ -268,7 +372,7 @@ let test_pruned_shards_execute_nothing () =
    2-domain pool hands the pool 4 chunks, not one inline chunk. *)
 let test_shards_fan_out () =
   let d = dataset_of ~seed:12 ~count:60 ~n:32 in
-  let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
+  let sh = Shard.create ~shards:4 d in
   let query = query_for d Spec.Identity 12 in
   let pool = List.assoc 2 pools in
   let tasks = Metrics.counter "simq_pool_tasks_total" in
@@ -309,7 +413,7 @@ let test_degraded_shard_still_exact () =
   let index = Kindex.build d in
   let query = query_for d Spec.Identity 31 in
   let epsilon = 12.0 in
-  let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
+  let sh = Shard.create ~shards:4 d in
   (* The degraded shard's scan applies the side constraints itself: the
      constrained case keeps 7 of the 60 answers. At this ε the
      catalogue prunes no shard in either case. *)
@@ -348,7 +452,7 @@ let test_degraded_shard_nearest_still_exact () =
   let index = Kindex.build d in
   let query = query_for d Spec.Identity 32 in
   let expected = canon (Kindex.nearest index ~query ~k:5) in
-  let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
+  let sh = Shard.create ~shards:4 d in
   List.iter
     (fun (domains, pool) ->
       match
@@ -418,7 +522,7 @@ let test_nn_gather_ties_canonical () =
     (canon (Kindex.nearest index ~query ~k));
   List.iter
     (fun shards ->
-      let sh = Shard.create ~pool:Pool.sequential ~shards d in
+      let sh = Shard.create ~shards d in
       List.iter
         (fun (domains, pool) ->
           let label s = Printf.sprintf "%s K=%d domains=%d" s shards domains in
@@ -453,7 +557,7 @@ let roomy_budget () =
 
 let test_one_rejecting_shard_rejects_everything () =
   let d = dataset_of ~seed:33 ~count:60 ~n:32 in
-  let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
+  let sh = Shard.create ~shards:4 d in
   let query = query_for d Spec.Identity 33 in
   Metrics.with_enabled true (fun () ->
       Metrics.reset ();
@@ -489,7 +593,7 @@ let test_one_rejecting_shard_rejects_everything () =
 
 let test_admission_decisions_identical_at_every_domain_count () =
   let d = dataset_of ~seed:34 ~count:60 ~n:32 in
-  let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
+  let sh = Shard.create ~shards:4 d in
   let query = query_for d Spec.Identity 34 in
   let budgets =
     [ starved_budget (); degrade_budget (); roomy_budget () ]
@@ -522,7 +626,7 @@ let test_admission_decisions_identical_at_every_domain_count () =
 
 let test_admitted_run_bit_identical_to_admission_off () =
   let d = dataset_of ~seed:35 ~count:60 ~n:32 in
-  let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
+  let sh = Shard.create ~shards:4 d in
   let query = query_for d Spec.Identity 35 in
   let plain = Shard.range ~pool:Pool.sequential sh ~query ~epsilon:8.0 in
   match
@@ -546,7 +650,7 @@ let test_admitted_run_bit_identical_to_admission_off () =
    every domain count. *)
 let test_nearest_profile_shows_shard_work () =
   let d = dataset_of ~seed:36 ~count:200 ~n:32 in
-  let sh = Shard.create ~pool:Pool.sequential ~shards:4 d in
+  let sh = Shard.create ~shards:4 d in
   let query = query_for d Spec.Identity 36 in
   let k = 5 in
   let node profile name =
@@ -600,6 +704,15 @@ let () =
     [
       ( "equivalence",
         [ QCheck_alcotest.to_alcotest prop_sharded_eq_unsharded ] );
+      ( "construction",
+        [
+          Alcotest.test_case "entries share the parent's arrays" `Quick
+            test_shard_entries_share_parent_arrays;
+          Alcotest.test_case "rows equal a fresh preparation" `Quick
+            test_shard_rows_equal_fresh_preparation;
+          Alcotest.test_case "catalogue box is the feature box" `Quick
+            test_catalogue_box_is_feature_box;
+        ] );
       ( "pruning",
         [
           Alcotest.test_case "never drops a qualifying shard" `Quick

@@ -186,7 +186,7 @@ let test_sharded_sketch_parity () =
   List.iter
     (fun shards ->
       let sh =
-        Shard.create ~pool:Pool.sequential ~sketch:Sketch.default ~shards d
+        Shard.create ~sketch:Sketch.default ~shards d
       in
       List.iter
         (fun qseed ->

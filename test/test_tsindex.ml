@@ -836,7 +836,7 @@ let test_nearest_matches_kernel_selection () =
           let config = { Feature.k = Int.min 2 (n - 1); representation } in
           let idx = Kindex.build ~config ~max_fill:4 d in
           let sh =
-            Shard.create ~pool:Pool.sequential ~config ~max_fill:4 ~shards:4 d
+            Shard.create ~config ~max_fill:4 ~shards:4 d
           in
           List.iter
             (fun spec ->
@@ -1057,6 +1057,75 @@ let test_join_methods_agree () =
         (2 * List.length (canonical_pairs dd.Join.pairs))
         (List.length dd.Join.pairs))
     [ (Spec.Identity, 3.); (Spec.Moving_average 8, 1.5); (Spec.Warp 2, 4.) ]
+
+(* A pair whose distance is exactly ε stays joined by every method, also
+   when its squared sum lies above the rounded [ε²] (the rounding case).
+   For each spec the test picks the first pair in the rounding case of
+   the scans' own arithmetic — both spectra stretched, then
+   {!Flat.sq_dist}, or the time-domain sum under warp — whose
+   time-domain distance, the index join's, is not above it, and sets ε
+   to the scans' distance. *)
+let test_join_keeps_pair_at_epsilon () =
+  let module Flat = Simq_dsp.Flat in
+  let d = dataset_of ~seed:23 ~count:40 ~n:64 in
+  let idx = Kindex.build ~max_fill:8 d in
+  let n = Dataset.series_length d and count = Dataset.cardinality d in
+  List.iter
+    (fun spec ->
+      let label = Spec.name spec in
+      let normal id = Spec.apply_series spec (Dataset.get d id).Dataset.normal in
+      let time_sum i j =
+        let a = normal i and b = normal j in
+        let sum = ref 0. in
+        Array.iteri
+          (fun t x ->
+            let e = x -. b.(t) in
+            sum := !sum +. (e *. e))
+          a;
+        !sum
+      in
+      let scan_sum i j =
+        match spec with
+        | Spec.Warp _ -> time_sum i j
+        | _ ->
+          let stretch = Spec.stretch spec ~n in
+          let stretched id =
+            let x = Flat.create n in
+            Flat.stretch_into ~stretch (Dataset.spectrum d id) x ~off:0;
+            x
+          in
+          let acc = Flat.acc () in
+          ignore
+            (Flat.sq_dist ~stretch:None ~limit:infinity ~lo:0 ~hi:n
+               (stretched i) 0 (stretched j) 0 acc);
+          acc.Flat.sum
+      in
+      let boundary = ref None in
+      for i = 0 to count - 1 do
+        for j = i + 1 to count - 1 do
+          if Option.is_none !boundary then begin
+            let sum = scan_sum i j in
+            let dist = sqrt sum in
+            if dist *. dist < sum && sqrt (time_sum i j) <= dist then
+              boundary := Some ((i, j), dist)
+          end
+        done
+      done;
+      match !boundary with
+      | None -> Alcotest.failf "%s: no pair in the rounding case" label
+      | Some (pair, epsilon) ->
+        let a = canonical_pairs (Join.scan_full ~spec idx ~epsilon).Join.pairs in
+        let b =
+          canonical_pairs (Join.scan_early_abandon ~spec idx ~epsilon).Join.pairs
+        in
+        let c =
+          canonical_pairs (Join.index_transformed ~spec idx ~epsilon).Join.pairs
+        in
+        Alcotest.(check bool) (label ^ ": full scan keeps the pair") true
+          (List.mem pair a);
+        Alcotest.(check (list (pair int int))) (label ^ ": a = b") a b;
+        Alcotest.(check (list (pair int int))) (label ^ ": a = d") a c)
+    [ Spec.Identity; Spec.Moving_average 4; Spec.Warp 2 ]
 
 let test_join_untransformed_matches_identity () =
   let d = dataset_of ~seed:29 ~count:50 ~n:64 in
@@ -1725,6 +1794,8 @@ let () =
       ( "join",
         [
           Alcotest.test_case "methods agree" `Quick test_join_methods_agree;
+          Alcotest.test_case "a pair at exactly epsilon is kept" `Quick
+            test_join_keeps_pair_at_epsilon;
           Alcotest.test_case "untransformed matches identity" `Quick
             test_join_untransformed_matches_identity;
           Alcotest.test_case "smoothing admits more pairs" `Quick

@@ -18,7 +18,8 @@
 # unsharded run, a MEAN-constrained range checked identical to the
 # plain run under a budget, admission and a budgeted --shards run, an
 # STD band below 1 rejected as usage, a sharded batch whose qlog
-# aggregates by fanout, and a sharded
+# aggregates by fanout and whose answers, at --shards 4 with and
+# without --sketch, equal the unsharded batch's, and a sharded
 # daemon verified by stress with its qlog aggregated by fanout, and the
 # sketch funnel: a --sketch query (plain and sharded) checked
 # bit-identical to the unsketched run with its filter counters exposed,
@@ -292,6 +293,21 @@ grep -q '^simq_shard_queries_total 4' shardbatch.prom || {
   echo "smoke: sharded batch queries not counted in the exposition" >&2
   exit 1
 }
+# Sharded and sketched answers are the unsharded batch's, line for
+# line, once the path and the timing are stripped.
+"$simq" batch smoke.rel batch.specs --shards 4 --sketch --jobs 2 \
+  -o sketchbatch.jsonl 2>/dev/null
+results_only() {
+  sed -e 's/"path":[^,]*,//' -e 's/,"duration_ms":[^,}]*//' "$1"
+}
+results_only batch.jsonl >batch.results
+for out in shardbatch.jsonl sketchbatch.jsonl; do
+  results_only "$out" | cmp -s batch.results - || {
+    echo "smoke: $out answers differ from the unsharded batch" >&2
+    results_only "$out" | diff batch.results - >&2 || true
+    exit 1
+  }
+done
 # Batch qlog lines project the same record as query and serve lines,
 # shard counts included.
 "$simq" qlog-top shardbatch.qlog >shardbatch.top
