@@ -704,7 +704,7 @@ let () =
     [
       ( "equivalence",
         [ QCheck_alcotest.to_alcotest prop_sharded_eq_unsharded ] );
-      ( "construction",
+      ( "shared rows",
         [
           Alcotest.test_case "entries share the parent's arrays" `Quick
             test_shard_entries_share_parent_arrays;
