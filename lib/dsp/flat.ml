@@ -96,6 +96,59 @@ let dist_within ~stretch ~lo ~hi x xo y yo acc ~within =
       (kernel ~stretch ~limit:infinity ~lo:(lo + touched) ~hi x xo y yo acc);
   within.sum <- sqrt acc.sum
 
+(* The mirrored bound, proved here once for every filter that uses it.
+
+   Write Δ_f = S_f·X_f − Q_f for the stored doubles of a stretch S, a
+   stored spectrum X and the spectrum Q it is compared with, in exact
+   arithmetic, and D = ‖Δ‖. Let F be coefficients in 1 .. n−1 whose
+   twins n−F are disjoint from F and from a set G (coefficient 0 is its
+   own twin and may be in G). The vectors (Δ_G, Δ_F, |Δ_F|) and
+   (Δ_G, Δ_F, |Δ_(n−F)|) differ by the twin gaps
+   η_f = | |Δ_(n−f)| − |Δ_f| |, and the second has norm at most D, so
+   by the triangle inequality
+
+     sqrt (Σ_G |Δ_g|² + 2·Σ_F |Δ_f|²) <= D + ‖η‖.
+
+   The gaps come from rounding alone. The exact DFT of a real series is
+   conjugate-symmetric, and so is the stretch of id, rev and every
+   moving average (the DFT of a real window). Let u = 2^-53 and ρ bound
+   the transform's normwise relative error, ‖F̂x − Fx‖ <= ρ‖x‖. The
+   radix-2 transform's twiddles come from a recurrence, each within
+   about 2.5·n·u, which gives ρ <= 3·n·log2 n·u (Higham, Accuracy and
+   Stability, §24.1); Bluestein's three radix-2 transforms of length
+   m < 4n, its chirp products and the 1/m scaling give
+   ρ <= 70·n^1.5·log2(4n)·u, which covers both. So the asymmetries e
+   of X, g of Q and σ of S (a window's transfer is √n times a
+   transform; id and rev have none) satisfy ‖e‖ <= 2ρ‖x‖,
+   ‖g‖ <= 2ρ‖q‖ and ‖σ‖ <= 2ρ·√n·s, for s = max(1, gain) where the
+   gain bounds every |S_f|. Expanding
+   Δ_(n−f) = conj Δ_f + conj S_f·e_f + σ_f·X_(n−f) − g_f gives
+   ‖η‖ <= 2ρ(1 + ρ)(1 + √n)·Λ, where Λ = 2s·N and N bounds ‖x‖ and
+   ‖q‖ (a join's two stored spectra play the parts of x and q). The
+   kernel's rounding moves its result from D by at most (n + 6)·u·Λ,
+   and each filter's own arithmetic (region corners, the node bound
+   after its own slack, the head key, the band keys and sums) by a few
+   ulps of Λ. Altogether that is under 3e-14·n²·log2(4n)·Λ, and
+   {!rounding_slack} takes 1e-12·n²·log2(4n)·Λ, over thirty times as
+   much: about 3e-6 at n = 128 for normal forms (N = √n, s = 1), where
+   the stored spectra's measured asymmetry is about 1e-14.
+
+   So with τ = {!rounding_slack}, every stored spectrum whose kernel
+   distance is within ε has ‖Δ_F‖ <= (ε + τ)/√2, and every one has a
+   kernel distance of at least sqrt (Σ_G |Δ_g|² + 2·Σ_F |Δ_f|²) − τ.
+   The 1e-9·ε of {!twin_radius} covers ε's own ulps, as in the band
+   join's one-sided width, and τ is at least 1e-10·Λ, a million ulps
+   of any coefficient, so it covers the rounding of every comparison
+   with the radius. Without twins the same accounting, η aside, bounds
+   ‖Δ_F‖ by ε·(1 + 1e-9) + τ. *)
+let rounding_slack ~n ~gain ~norm =
+  let n = float_of_int n in
+  1e-12 *. n *. n *. Float.log2 (4. *. n) *. (2. *. Float.max 1. gain *. norm)
+
+(* fl(1/√2), which lies above 1/√2. *)
+let[@inline] twin_radius ~slack epsilon =
+  ((epsilon *. (1. +. 1e-9)) +. slack) *. 0.7071067811865476
+
 (* One 64-byte cache line of coefficients per entry (see the .mli);
    {!pair_sum} walks exactly these four, unrolled. *)
 let head_width = 4
@@ -108,6 +161,7 @@ type rows = {
   head : t;  (* position [p]'s stretched head from coefficient [p·head_width] *)
   key_re : t;  (* position [p]'s stretched coefficient 1, copied from the *)
   key_im : t;  (* head so that the band pre-pass reads it densely *)
+  twin : float;  (* the mirrored bound's slack, [infinity] for none *)
 }
 
 let sort_key ~stretch x ~off =
@@ -145,7 +199,9 @@ let rows ~stretch ?order buf offsets =
     key_re.(p) <- head.((2 * head_width * p) + 2);
     key_im.(p) <- head.((2 * head_width * p) + 3)
   done;
-  { stretch; buf; offs; n; head; key_re; key_im }
+  { stretch; buf; offs; n; head; key_re; key_im; twin = infinity }
+
+let mirrored r ~slack = { r with twin = slack }
 
 (* The squared distance between positions [i] and [j], abandoned at
    [limit]: {!sq_dist}'s arithmetic over two pre-stretched spectra. The
@@ -227,10 +283,12 @@ let within_row r ~limit ~threshold ~i ~j0 hits =
 (* The pre-pass is coefficient 1's term of {!pair_sum}, the same
    doubles in the same order. A pair abandoned before coefficient 1 is
    over [limit >= threshold], and any other's sum only grows from that
-   term: a position the pre-pass drops can never be a hit. It stores
-   every [j] and advances the count by the comparison's 0 or 1, so no
-   branch depends on the data. The kernel then compacts its hits into
-   the same buffer, never writing past the candidate it reads. *)
+   term: a position the pre-pass drops can never be a hit. With twins
+   the term of a hit is also at most the squared {!twin_radius} of the
+   threshold's root, and the pre-pass keeps the smaller bound. It
+   stores every [j] and advances the count by the comparison's 0 or 1,
+   so no branch depends on the data. The kernel then compacts its hits
+   into the same buffer, never writing past the candidate it reads. *)
 let within_band r ~limit ~threshold ~i ~j1 buf =
   let count = Array.length r.offs in
   if i < 0 || i >= count || j1 <= i || j1 > count
@@ -238,13 +296,18 @@ let within_band r ~limit ~threshold ~i ~j1 buf =
   then invalid_arg "Flat.within_band: row out of bounds";
   if not (threshold <= limit) then
     invalid_arg "Flat.within_band: limit below the threshold";
+  let bound =
+    let radius = twin_radius ~slack:r.twin (sqrt threshold) in
+    let twin = radius *. radius in
+    if twin < threshold then twin else threshold
+  in
   let re = r.key_re and im = r.key_im in
   let xr = Array.unsafe_get re i and xi = Array.unsafe_get im i in
   let kept = ref 0 in
   for j = i + 1 to j1 - 1 do
     let dr = xr -. Array.unsafe_get re j and di = xi -. Array.unsafe_get im j in
     Array.unsafe_set buf !kept j;
-    kept := !kept + Bool.to_int ((dr *. dr) +. (di *. di) <= threshold)
+    kept := !kept + Bool.to_int ((dr *. dr) +. (di *. di) <= bound)
   done;
   let found = ref 0 in
   for c = 0 to !kept - 1 do

@@ -103,6 +103,40 @@ val dist_within :
   within:acc ->
   unit
 
+(** {1 The mirrored bound}
+
+    The DFT of a real series is conjugate-symmetric: coefficient [n−f]
+    is the conjugate of coefficient [f]. So is the stretch of id, rev
+    and every moving average, so in such a distance coefficient [n−f]
+    adds as much as coefficient [f]. A lower bound over a set [F] of
+    coefficients whose twins [n−F] are distinct from [F] (and from the
+    other coefficients it counts, such as coefficient 0, its own twin)
+    may count each coefficient of [F] twice. The stored spectra are
+    symmetric only up to rounding; the slack below covers that
+    asymmetry, for power-of-two and Bluestein lengths alike, and the
+    rounding of the kernel and of the filters that use the bound (the
+    proof is at {!rounding_slack} in [flat.ml]). Which distances are
+    conjugate-symmetric, and when the twins are distinct, the caller
+    decides ([Simq_tsindex.Kindex.twin_slack]). *)
+
+(** [rounding_slack ~n ~gain ~norm] is the slack τ of a bound over
+    spectra of length [n] compared under a stretch none of whose
+    coefficients exceeds [gain] in modulus, when [norm] bounds the
+    norm of every series compared (a normal form of length [n] has
+    norm [√n]): [1e-12·n²·log2(4n)·2·max(1, gain)·norm]. With it,
+    every spectrum whose kernel distance is within ε has
+    [sqrt (Σ_F |Δ_f|²) <= twin_radius ~slack ε] when [F]'s twins are
+    distinct (else [<= ε·(1 + 1e-9) + τ]), and every spectrum's kernel
+    distance is at least [sqrt (Σ_G |Δ_g|² + 2·Σ_F |Δ_f|²) − τ], where
+    [Δ_f] is the stretched difference of coefficient [f]. *)
+val rounding_slack : n:int -> gain:float -> norm:float -> float
+
+(** [twin_radius ~slack epsilon] is [(ε·(1 + 1e-9) + slack)/√2],
+    rounded up by [1/√2]'s rounding: the half-width of the mirrored
+    search region of a query within [epsilon]. It is [infinity] when
+    [slack] is, which is how a bound without twins stays one-sided. *)
+val twin_radius : slack:float -> float -> float
+
 (** {1 The row kernel}
 
     The pairwise join compares entries pair by pair. Its comparisons
@@ -147,6 +181,14 @@ val sort_key : stretch:t -> t -> off:int -> float
     [order]'s length differs from [offsets]'s. *)
 val rows : stretch:t -> ?order:int array -> t -> int array -> rows
 
+(** [mirrored r ~slack] is [r] with twins: {!within_band}'s pre-pass
+    also drops a position whose coefficient-1 term exceeds the square
+    of [twin_radius ~slack] at the threshold's root. Only for spectra
+    of real series under a conjugate-symmetric stretch, with [n >= 3]
+    so that coefficient 1's twin is another coefficient, and [slack]
+    from {!rounding_slack}. [rows] makes rows without twins. *)
+val mirrored : rows -> slack:float -> rows
+
 (** [within_row r ~limit ~threshold ~i ~j0 hits] compares position [i]
     with each position [j] in [j0 .. count-1], in ascending order, and
     writes every [j] whose squared distance is [<= threshold] into
@@ -185,7 +227,11 @@ val within_row :
     is over [limit], so not a hit, and any other pair's sum is at
     least that term (each later coefficient adds a non-negative one):
     a dropped [j] can never have been a hit. This needs
-    [threshold <= limit]. The kernel allocates nothing. Raises
+    [threshold <= limit]. Rows with twins ({!mirrored}) keep only the
+    [j] whose term is also at most [r²], for [r] the {!twin_radius} of
+    [sqrt threshold]: by the mirrored bound a hit's term is at most
+    that, since coefficient [n−1] adds as much. The kernel allocates
+    nothing. Raises
     [Invalid_argument] when [i] is not a position, [j1] is outside
     [i+1 .. count], [buf] is too short, or [limit] is below
     [threshold]. *)

@@ -54,24 +54,24 @@ let meets_interval range ~lo:ilo ~hi:ihi =
   | Linear { lo; hi } -> lo <= ihi && ilo <= hi
   | Circular { lo; width } -> arc_meets_interval ~lo ~width ~ilo ~ihi
 
+(* Both tests stop at the first dimension that misses. *)
 let contains region p =
-  if Array.length region <> Array.length p then
+  let dims = Array.length region in
+  if dims <> Array.length p then
     invalid_arg "Region.contains: dimension mismatch";
-  let ok = ref true in
-  for i = 0 to Array.length region - 1 do
-    if not (contains_value region.(i) p.(i)) then ok := false
-  done;
-  !ok
+  let rec go i = i >= dims || (contains_value region.(i) p.(i) && go (i + 1)) in
+  go 0
 
 let intersects_rect region (r : Rect.t) =
-  if Array.length region <> Rect.dims r then
+  let dims = Array.length region in
+  if dims <> Rect.dims r then
     invalid_arg "Region.intersects_rect: dimension mismatch";
-  let ok = ref true in
-  for i = 0 to Array.length region - 1 do
-    let ilo = r.Rect.lo.(i) and ihi = r.Rect.hi.(i) in
-    if not (meets_interval region.(i) ~lo:ilo ~hi:ihi) then ok := false
-  done;
-  !ok
+  let rec go i =
+    i >= dims
+    || meets_interval region.(i) ~lo:r.Rect.lo.(i) ~hi:r.Rect.hi.(i)
+       && go (i + 1)
+  in
+  go 0
 
 let pp_range ppf = function
   | Linear { lo; hi } -> Format.fprintf ppf "[%g, %g]" lo hi

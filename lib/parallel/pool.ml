@@ -237,7 +237,12 @@ let map_array ?pool ?chunk f arr =
          Option boxing, no final copy. *)
       let results = Array.make n (f arr.(0)) in
       let errors = Array.make chunks None in
-      run_chunks pool ~total:chunks (fun c ->
+      (* With one element per chunk, chunk 0 is element 0 alone, which
+         just ran: it is counted here and never submitted. *)
+      let first = if chunk = 1 then 1 else 0 in
+      if first = 1 then Simq_obs.Metrics.incr m_tasks;
+      run_chunks pool ~total:(chunks - first) (fun c ->
+          let c = c + first in
           let lo = max 1 (c * chunk) and hi = min n ((c + 1) * chunk) in
           try
             for i = lo to hi - 1 do

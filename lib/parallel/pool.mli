@@ -101,7 +101,9 @@ val chunk_size : t -> int -> int
 (** [map_array ?pool ?chunk f arr] is [Array.map f arr], computed in
     parallel. Results are positioned exactly as [Array.map] would.
     [?chunk] defaults to {!chunk_size}; pass [~chunk:1] to make each
-    element its own task. *)
+    element its own task. Element 0 runs in the caller before the rest
+    fan out; with [~chunk:1] it is the whole of chunk 0, which then
+    counts as a task but is never submitted. *)
 val map_array : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [map_chunks ?pool ~chunk ~n f] calls [f ~lo ~hi] over the disjoint

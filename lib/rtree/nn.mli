@@ -27,7 +27,15 @@ val nearest :
     of every entry under a node whose MBR is [r]. [key r v c] writes
     into [c.sum] the key of the data entry [(r, v)] (its rectangle is
     degenerate for point data): its distance when [refine] is absent,
-    else a lower bound of it. The queue holds the tree's own entries, with an integer
+    else a lower bound of it. Both must be true lower bounds, down to
+    the last ulp: a tie at the k-th boundary is decided by [rank] only
+    if no bound exceeds the distance it bounds. Any such bound, however
+    tight, leaves the results unchanged; a tighter one only keys fewer
+    entries and expands fewer nodes. The k-index's bounds count each
+    feature and head coefficient with its conjugate twin and subtract
+    the slack that makes them safe against rounding
+    ({!Simq_dsp.Flat.rounding_slack}, [Simq_tsindex.Kindex.twin_slack]).
+    The queue holds the tree's own entries, with an integer
     state telling nodes, keyed and refined entries apart, so a push
     allocates nothing.
 

@@ -230,5 +230,15 @@ let head_sq_dist t ~stretch s qs acc =
   Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:(Int.min head_width t.n)
     t.head (head_width * s) qs 0 acc
 
+(* Coefficients 1 .. h-1 first, doubled, then coefficient 0 added. *)
+let head_twin_sq_dist t ~stretch s qs acc =
+  if s < 0 || s >= cardinality t then
+    invalid_arg "Dataset.head_twin_sq_dist: unknown slot";
+  let hi = Int.min head_width t.n and at = head_width * s in
+  acc.Flat.sum <- 0.;
+  ignore (Flat.sq_dist ~stretch ~limit:infinity ~lo:1 ~hi t.head at qs 0 acc);
+  acc.Flat.sum <- 2. *. acc.Flat.sum;
+  ignore (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:1 t.head at qs 0 acc)
+
 let series_length t = t.n
 let relation t = t.relation

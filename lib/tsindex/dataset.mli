@@ -144,6 +144,23 @@ val head_sq_dist :
   Simq_dsp.Flat.acc ->
   int
 
+(** [head_twin_sq_dist t ~stretch s qs acc] sets [acc.sum] to
+    [T_0 + 2·(T_1 + … + T_(h-1))], where [T_f] is the
+    {!Simq_dsp.Flat.sq_dist} term of slot [s]'s coefficient [f]
+    against [qs]'s, read from the head table like {!head_sq_dist}: the
+    head coefficients counted with their twins [n−f], the mirrored
+    bound's sum ({!Simq_dsp.Flat.rounding_slack}). Only a lower bound when
+    the spectra are conjugate-symmetric under [stretch] and
+    [n >= 2·head_width]. Raises [Invalid_argument] for an unknown
+    slot. *)
+val head_twin_sq_dist :
+  t ->
+  stretch:Simq_dsp.Flat.t option ->
+  int ->
+  Simq_dsp.Flat.t ->
+  Simq_dsp.Flat.acc ->
+  unit
+
 (** [entries t] is a copy of the entries, indexed by id. *)
 val entries : t -> entry array
 val get : t -> int -> entry

@@ -135,15 +135,23 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
       (* Method (b), a band join: positions sorted by the real part of
          stretched coefficient 1, a lower bound on the pair distance,
          so row [p] compares only the later positions whose key is
-         within the band width of its own. *)
+         within the band width of its own. Coefficient [n − 1], the
+         twin of coefficient 1, adds as much to the distance, so with
+         twins the band narrows to about ε/√2, and so does the
+         pre-pass ({!Kindex.twin_slack}). *)
       let stretch = stretch () and offsets = offsets () in
       let keys =
         Array.map (fun off -> Flat.sort_key ~stretch spectra ~off) offsets
       in
       let order = Array.init count Fun.id in
       Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b)) order;
-      let rows = Flat.rows ~stretch ~order spectra offsets in
-      let width = band_width epsilon in
+      let slack = Kindex.twin_slack kindex spec ~query_norm:0. in
+      let rows =
+        Flat.mirrored (Flat.rows ~stretch ~order spectra offsets) ~slack
+      in
+      let width =
+        Float.min (band_width epsilon) (Flat.twin_radius ~slack epsilon)
+      in
       (* [ends.(p)]: one past row [p]'s window. Rounding is monotone,
          so a key within [width] of row [p]'s stays under the rounded
          bound, and bounds, hence ends, grow with [p] (NaN keys sort

@@ -110,6 +110,42 @@ let pstretch t prepared =
   | Spec.Identity | Spec.Warp _ -> None
   | spec -> Some (Spec.stretch spec ~n:(Dataset.series_length t.dataset))
 
+(* The rounding allowance of [spec]'s bounds ({!Flat.rounding_slack}),
+   at the length the distance is taken over. The stored series are
+   normal forms, of norm √n, and so is a warp of one at its length. *)
+let slack t spec ~query_norm =
+  let len = Spec.output_length spec ~n:(Dataset.series_length t.dataset) in
+  Flat.rounding_slack ~n:len ~gain:(Spec.gain spec)
+    ~norm:(Float.max (sqrt (float_of_int len)) query_norm)
+
+(* The mirrored bound holds for every spec but the warp, whose distance
+   is not the frequency-domain kernel: the stretches of id, rev and the
+   moving averages are conjugate-symmetric like the stored spectra. Its
+   twins must be coefficients of their own: those of the k features
+   ([n >= 2k + 2]) and of the head key's coefficients
+   1 .. head_width−1 ([n >= 2·head_width]). *)
+let mirrors t spec =
+  let n = Dataset.series_length t.dataset and k = t.config.Feature.k in
+  match spec with
+  | Spec.Warp _ -> false
+  | _ -> n >= 2 * Flat.head_width && n >= (2 * k) + 2
+
+let twin_slack t spec ~query_norm =
+  if mirrors t spec then slack t spec ~query_norm else infinity
+
+let spectrum_norm (x : Flat.t) = sqrt (Simq_dsp.Spectrum.energy_real x)
+
+(* The per-feature radius of a range query's search region: the
+   mirrored radius when the twins apply, else ε (Lemma 1); both carry
+   the rounding slack, without which a warp's predicted features can
+   miss the query's region by an ulp when ε is within rounding of an
+   answer's distance. The mirrored radius exceeds ε when ε is within a
+   few τ of 0, and is used there all the same. *)
+let search_radius t spec (q : Dataset.query) ~epsilon =
+  let slack = slack t spec ~query_norm:(spectrum_norm q.Dataset.qspectrum) in
+  if mirrors t spec then Flat.twin_radius ~slack epsilon
+  else (epsilon *. (1. +. 1e-9)) +. slack
+
 let unconstrained = Region.linear ~lo:Float.neg_infinity ~hi:Float.infinity
 
 let full_region t ?mean_range ?std_range ~query_coeffs ~epsilon () =
@@ -162,7 +198,7 @@ let region_tests region ptransform =
    concurrently from several domains; {!range_prepared} credits the
    tree's cumulative counter afterwards. *)
 let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
-    ?profile t prepared ~query_coeffs ~epsilon ~distance =
+    ?profile t prepared ~query_coeffs ~radius ~epsilon ~distance =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Kindex.range_prepared: epsilon must be finite and >= 0";
   (match approx with
@@ -171,7 +207,9 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
   | _ -> ());
   if Array.length query_coeffs <> t.config.Feature.k then
     invalid_arg "Kindex.range_prepared: expected k query coefficients";
-  let region = full_region t ?mean_range ?std_range ~query_coeffs ~epsilon () in
+  let region =
+    full_region t ?mean_range ?std_range ~query_coeffs ~epsilon:radius ()
+  in
   let overlaps, matches = region_tests region prepared.ptransform in
   Otrace.with_span "kindex.range" @@ fun () ->
   let pn = Profile.enter profile "kindex.range" in
@@ -258,14 +296,20 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
   Metrics.add m_survivors survivors;
   { answers; candidates; node_accesses; partial = !partial }
 
-let range_prepared ?mean_range ?std_range ?prefilter ?approx ?profile t
-    prepared ~query_coeffs ~epsilon ~distance =
+let range_within ?mean_range ?std_range ?prefilter ?approx ?profile t
+    prepared ~query_coeffs ~radius ~epsilon ~distance =
   let result =
     range_prepared_counted ?mean_range ?std_range ?prefilter ?approx ?profile t
-      prepared ~query_coeffs ~epsilon ~distance
+      prepared ~query_coeffs ~radius ~epsilon ~distance
   in
   Rstar.add_accesses t.tree result.node_accesses;
   result
+
+(* One-sided: the caller's distance need not be the kernel. *)
+let range_prepared ?mean_range ?std_range ?prefilter ?approx ?profile t
+    prepared ~query_coeffs ~epsilon ~distance =
+  range_within ?mean_range ?std_range ?prefilter ?approx ?profile t prepared
+    ~query_coeffs ~radius:epsilon ~epsilon ~distance
 
 let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
   range_prepared t (prepare t spec) ~query_coeffs ~epsilon ~distance
@@ -342,9 +386,11 @@ let range ?(spec = Spec.Identity) ?normalise_query ?mean_window ?std_band
   let mean_range, std_range, q, query_coeffs, prepared =
     range_request ?normalise_query ?mean_window ?std_band t spec query
   in
-  range_prepared ?mean_range ?std_range
+  range_within ?mean_range ?std_range
     ?prefilter:(build_funnel sketch q)
-    ?approx ?profile t prepared ~query_coeffs ~epsilon
+    ?approx ?profile t prepared ~query_coeffs
+    ~radius:(search_radius t spec q ~epsilon)
+    ~epsilon
     ~distance:(distance_within t prepared q ~within:epsilon)
 
 let range_checked ?(spec = Spec.Identity) ?mean_window ?std_band
@@ -355,13 +401,14 @@ let range_checked ?(spec = Spec.Identity) ?mean_window ?std_band
     range_request ?mean_window ?std_band t spec query
   in
   let prefilter = build_funnel sketch q in
+  let radius = search_radius t spec q ~epsilon in
   let distance = distance_within t prepared q ~within:epsilon in
   Retry.with_retries ?profile ~budget (fun bstate ->
       (* Node accesses are credited to the tree only for the attempt
          that succeeds. *)
       let result =
         range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter
-          ?approx ?profile t prepared ~query_coeffs ~epsilon ~distance
+          ?approx ?profile t prepared ~query_coeffs ~radius ~epsilon ~distance
       in
       Rstar.add_accesses t.tree result.node_accesses;
       result)
@@ -370,10 +417,14 @@ let range_probe ?(spec = Spec.Identity) ?mean_window ?std_band t ~query
     ~epsilon =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Kindex.range_probe: epsilon must be finite and >= 0";
-  let mean_range, std_range, _, query_coeffs, prepared =
+  let mean_range, std_range, q, query_coeffs, prepared =
     range_request ?mean_window ?std_band t spec query
   in
-  let region = full_region t ?mean_range ?std_range ~query_coeffs ~epsilon () in
+  let region =
+    full_region t ?mean_range ?std_range ~query_coeffs
+      ~epsilon:(search_radius t spec q ~epsilon)
+      ()
+  in
   fst (region_tests region prepared.ptransform)
 
 (* --- nearest neighbours -------------------------------------------------- *)
@@ -433,9 +484,9 @@ let[@inline] polar_mindist ~qmag ~qang ~mag_lo ~mag_hi ~ang_lo ~ang_hi =
 let bound_slack = 1e-12
 
 (* The query side of the node bound, computed once per query: every
-   feature's coordinates in both representations, and the lowered
+   feature's coordinates in both representations, the lowered
    transformation's coefficients (empty without one), so that a bound
-   reads its floats from arrays. *)
+   reads its floats from arrays, and the mirrored bound's slack. *)
 type nn_query = {
   qre : float array;
   qim : float array;
@@ -443,9 +494,10 @@ type nn_query = {
   qang : float array;
   map_a : float array;
   map_b : float array;
+  twin : float;
 }
 
-let nn_query t prepared q =
+let nn_query t prepared q ~twin =
   let coeffs = query_coeffs t q in
   let map_a, map_b =
     match prepared.ptransform with
@@ -459,6 +511,7 @@ let nn_query t prepared q =
     qang = Array.map Cpx.angle coeffs;
     map_a;
     map_b;
+    twin;
   }
 
 (* Coordinate [x] of dimension [j] under the lowered transformation,
@@ -471,7 +524,10 @@ let[@inline] corner nq ~mapped j x =
    [cell]. Under a transformation each feature's interval is
    [Linear_transform.apply_rect]'s — both corners mapped, then ordered
    by [Rect.create]'s min/max — computed in place, so the bound maps no
-   rectangle and boxes no float. *)
+   rectangle and boxes no float. Every feature's twin adds as much
+   again: the mirrored bound √2·b − τ ({!Flat.rounding_slack}) is kept
+   when it is the larger, which it is unless b is within a few τ of
+   0 ([τ = infinity] leaves b). *)
 let node_bound t nq (r : Rect.t) (cell : Flat.acc) =
   let lo = r.Rect.lo and hi = r.Rect.hi in
   let mapped = Array.length nq.map_a > 0 in
@@ -514,7 +570,8 @@ let node_bound t nq (r : Rect.t) (cell : Flat.acc) =
     in
     acc := !acc +. (d *. d)
   done;
-  cell.Flat.sum <- sqrt (fmax 0. (!acc -. (bound_slack *. !tol)))
+  let b = sqrt (fmax 0. (!acc -. (bound_slack *. !tol))) in
+  cell.Flat.sum <- fmax b ((1.4142135623730951 *. b) -. nq.twin)
 
 (* The NN sketch argument is also a builder: applied to the prepared
    query it yields a per-entry lower bound (the max over the funnel's
@@ -537,15 +594,17 @@ let nn_detail ~k point_bound =
 (* Multi-step NN refinement on the one kernel, for the
    length-preserving transformations: an entry's key is the square
    root of the kernel sum over the head coefficients, read from the
-   dataset's head table (one cache line per entry); refinement
-   recomputes that sum — the same doubles in the same order — and
-   resumes the same accumulator over the tail of the stored spectrum
-   ({!Flat.dist_within}), so a refined distance is exactly
+   dataset's head table (one cache line per entry) — with twins,
+   [sqrt (T0 + 2·(T1 + T2 + T3)) − τ] ({!Dataset.head_twin_sq_dist},
+   {!Flat.rounding_slack}), coefficient 0 being its own twin; refinement
+   recomputes the plain head sum — the same doubles in the same order —
+   and resumes the same accumulator over the tail of the stored
+   spectrum ({!Flat.dist_within}), so a refined distance is exactly
    {!prepared_distance}'s, and an entry is abandoned only when
    [sqrt partial > within]. Keys and distances are written into the
    traversal's cell. The warp changes the length and keeps its
    time-domain distance. The accumulator belongs to one query. *)
-let nn_refinement t prepared (q : Dataset.query) ~count =
+let nn_refinement t prepared (q : Dataset.query) ~twin ~count =
   match prepared.pspec with
   | Spec.Warp _ -> None
   | _ ->
@@ -553,9 +612,13 @@ let nn_refinement t prepared (q : Dataset.query) ~count =
     let n = Dataset.series_length ds and spectra = Dataset.spectra ds in
     let stretch = pstretch t prepared and qs = q.Dataset.qspectrum in
     let acc = Flat.acc () in
-    let key (_ : Rect.t) id (cell : Flat.acc) =
-      ignore (Dataset.head_sq_dist ds ~stretch (Dataset.slot ds id) qs cell);
-      cell.Flat.sum <- sqrt cell.Flat.sum
+    let key =
+      if Float.is_finite twin then fun (_ : Rect.t) id (cell : Flat.acc) ->
+        Dataset.head_twin_sq_dist ds ~stretch (Dataset.slot ds id) qs cell;
+        cell.Flat.sum <- fmax 0. (sqrt cell.Flat.sum -. twin)
+      else fun (_ : Rect.t) id (cell : Flat.acc) ->
+        ignore (Dataset.head_sq_dist ds ~stretch (Dataset.slot ds id) qs cell);
+        cell.Flat.sum <- sqrt cell.Flat.sum
     in
     let refine (_ : Rect.t) id (cell : Flat.acc) =
       count ();
@@ -576,7 +639,11 @@ let nn_refinement t prepared (q : Dataset.query) ~count =
    the entries keyed as its rows in and the refinements as its
    candidates. *)
 let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
-  let nq = nn_query t prepared q in
+  let twin =
+    twin_slack t prepared.pspec
+      ~query_norm:(spectrum_norm q.Dataset.qspectrum)
+  in
+  let nq = nn_query t prepared q ~twin in
   let visit =
     match (bstate, pn) with
     | None, None -> None
@@ -596,7 +663,7 @@ let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
     cell.Flat.sum <- dist (Dataset.get t.dataset id)
   in
   let key, refine =
-    match (nn_refinement t prepared q ~count, sketch_bound) with
+    match (nn_refinement t prepared q ~twin ~count, sketch_bound) with
     | None, None -> (exact, None)
     | None, Some bound -> (bound, Some exact)
     | Some (head, refine), None -> (head, Some refine)

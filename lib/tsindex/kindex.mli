@@ -164,6 +164,24 @@ val range_probe :
   epsilon:float ->
   (Simq_geometry.Rect.t -> bool)
 
+(** [twin_slack t spec ~query_norm] is the slack of the mirrored bound
+    ({!Simq_dsp.Flat.rounding_slack} over [t]'s series length, the
+    gain of [spec] and the larger of [√n] and [query_norm]) against a
+    query spectrum of norm [query_norm] (pass [0.] when both sides are
+    stored entries, as a join does), or [infinity] when the bound stays
+    one-sided: under a warp, whose distance is not the
+    frequency-domain kernel, and when a twin would not be a
+    coefficient of its own, [n < 2·Flat.head_width] or [n < 2k + 2].
+    {!range}, {!range_checked} and {!range_probe} search each feature
+    within {!Simq_dsp.Flat.twin_radius} of ε (about ε/√2), or, without
+    twins, within [ε·(1 + 1e-9)] plus the same rounding slack (taken
+    at the warped length under a warp); {!nearest} and
+    {!nearest_checked} count each feature of a node bound and each
+    head coefficient of a key with its twin. {!range_prepared} and
+    {!range_generic} search within ε itself, one-sided: their callers
+    supply the distance. *)
+val twin_slack : t -> Spec.t -> query_norm:float -> float
+
 (** [nearest t ?spec ~query ~k] is the [k] entries minimising the same
     distance, closest first, ties broken by ascending entry id —
     best-first search with per-feature geometric lower bounds on the

@@ -60,6 +60,15 @@ let feature_stretch t ~n ~k =
   in
   Dsp.Flat.sub s ~pos:1 ~len:k
 
+(* A transfer is Σ_t w_t·e^(−2πi·f·t/n); the warp's coefficient f is
+   Σ_j e^(−2πi·f·j/(m·n)) / √m. *)
+let gain = function
+  | Identity | Reverse -> 1.
+  | Moving_average _ -> 1.
+  | Weighted_ma w ->
+    Array.fold_left (fun acc x -> acc +. Float.abs x) 0. w.Dsp.Window.weights
+  | Warp m -> sqrt (float_of_int m)
+
 let output_length t ~n =
   match t with
   | Identity | Moving_average _ | Weighted_ma _ | Reverse -> n

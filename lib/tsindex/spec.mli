@@ -35,6 +35,12 @@ val stretch : t -> n:int -> Simq_dsp.Flat.t
     for [Warp m] only these are computed, the same doubles. *)
 val feature_stretch : t -> n:int -> k:int -> Simq_dsp.Cpx.t array
 
+(** [gain t] bounds the modulus of every coefficient of [t]'s stretch
+    at any length: 1 for id and rev, the sum of the window's absolute
+    weights for the moving averages (1 for every window with
+    non-negative weights), [√m] for [Warp m]. *)
+val gain : t -> float
+
 (** [output_length t ~n] is the length of [apply_series t s] for an
     input of length [n]: [m·n] for [Warp m], [n] otherwise. A range
     query's series must have this length. *)

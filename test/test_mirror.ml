@@ -1,0 +1,411 @@
+(* The mirrored bound where it is tight. Every series below is a sum of
+   sinusoids at frequencies 1 .. 3, so its spectrum lives in
+   coefficients 1 .. 3 and their twins n−1 .. n−3, and so does every
+   distance between two of them under a conjugate-symmetric stretch:
+   the head key counted with its twins is the whole distance, and for
+   the series without frequency 3 so is the feature bound. Duplicates
+   and shifted, scaled copies add pairs at distance 0 and ties at the
+   k-th neighbour. RANGE is checked at ε set to exact distances, NEAREST
+   at every k across the ties and PAIRS at exact pair distances, each
+   against a reference that uses no bound: the time-domain brute force
+   and the full kernel scan, the exact linear selection, and the full
+   join scan. Below the length where the twins are coefficients of
+   their own the bound must stay one-sided. *)
+
+open Simq_tsindex
+module Flat = Simq_dsp.Flat
+module Coords = Simq_geometry.Coords
+module Shard = Simq_shard
+module Sketch = Simq_sketch
+
+let two_pi = 2. *. Float.pi
+
+(* [count] sums of sinusoids at frequencies 1 .. 3 (every third without
+   frequency 3), then exact duplicates and shifted, scaled copies of
+   some of them, and reflections of others: the series with its cosine
+   at frequency 1 negated, of the same mean and norm, so that the pair
+   differs only in the real part of coefficient 1 and its twin — where
+   the band's keys and pre-pass are tight too. *)
+let sinusoids ~seed ~count ~n =
+  let st = Random.State.make [| seed |] in
+  let one i =
+    let amp f =
+      if f = 3 && i mod 3 = 0 then 0. else 0.2 +. Random.State.float st 1.
+    in
+    let parts =
+      List.map
+        (fun f -> (f, amp f, Random.State.float st two_pi))
+        [ 1; 2; 3 ]
+    in
+    Array.init n (fun t ->
+        List.fold_left
+          (fun acc (f, a, phase) ->
+            acc
+            +. a
+               *. cos
+                    ((two_pi *. float_of_int (f * t) /. float_of_int n)
+                    +. phase))
+          0. parts)
+  in
+  let base = Array.init count one in
+  let copies =
+    Array.init (count / 4) (fun i ->
+        let s = base.(i * 3 mod count) in
+        if i mod 2 = 0 then Array.copy s
+        else Array.map (fun v -> (2.5 *. v) -. 4.) s)
+  in
+  let cosine =
+    Array.init n (fun t -> cos (two_pi *. float_of_int t /. float_of_int n))
+  in
+  let dot a b =
+    let acc = ref 0. in
+    Array.iteri (fun t x -> acc := !acc +. (x *. b.(t))) a;
+    !acc
+  in
+  let reflections =
+    Array.init (count / 4) (fun i ->
+        let s = base.(((i * 5) + 1) mod count) in
+        let c = 2. *. dot s cosine /. dot cosine cosine in
+        Array.mapi (fun t v -> v -. (c *. cosine.(t))) s)
+  in
+  Dataset.of_series ~pool:Simq_parallel.Pool.sequential ~name:"twins"
+    (Array.concat [ base; copies; reflections ])
+
+let specs_for n =
+  [
+    Spec.Identity;
+    Spec.Reverse;
+    Spec.Moving_average 3;
+    Spec.Weighted_ma (Simq_dsp.Window.ascending 5);
+    Spec.Warp 2;
+  ]
+  @ if n >= 8 then [ Spec.Moving_average 8 ] else []
+
+let query_of d spec i =
+  let s = (Dataset.get d i).Dataset.series in
+  match spec with Spec.Warp m -> Simq_series.Warp.expand m s | _ -> s
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let pairs_of answers =
+  List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) answers
+
+let check_bits label expected actual =
+  Alcotest.(check (list int))
+    (label ^ ": ids") (List.map fst expected) (List.map fst actual);
+  List.iter2
+    (fun (_, a) (_, b) ->
+      Alcotest.(check bool) (label ^ ": distance bits") true (same_bits a b))
+    expected actual
+
+let lengths = [ 128; 100; 7 ]
+
+let mirrored spec ~n =
+  n >= 8 && match spec with Spec.Warp _ -> false | _ -> true
+
+let test_slack_applies () =
+  List.iter
+    (fun n ->
+      let idx = Kindex.build (sinusoids ~seed:1 ~count:12 ~n) in
+      List.iter
+        (fun spec ->
+          let slack = Kindex.twin_slack idx spec ~query_norm:0. in
+          let label = Printf.sprintf "%s n=%d" (Spec.name spec) n in
+          Alcotest.(check bool)
+            (label ^ ": twins iff non-warp and n >= 8")
+            (mirrored spec ~n) (Float.is_finite slack);
+          if Float.is_finite slack then
+            Alcotest.(check bool)
+              (label ^ ": slack is small but positive")
+              true
+              (slack > 0. && slack < 1e-4))
+        (specs_for n))
+    lengths
+
+(* On these series the head key with its twins is the distance itself,
+   while the one-sided head key is at most 1/√2 of it: the tests below
+   run where the slack decides. *)
+let test_bound_is_tight () =
+  List.iter
+    (fun n ->
+      let d = sinusoids ~seed:2 ~count:24 ~n in
+      let idx = Kindex.build d in
+      List.iter
+        (fun spec ->
+          let stretch = Some (Spec.stretch spec ~n) in
+          let q = Dataset.prepare_query (query_of d spec 1) in
+          let dist = Kindex.prepared_distance idx (Kindex.prepare idx spec) q in
+          let acc = Flat.acc () in
+          Array.iter
+            (fun (e : Dataset.entry) ->
+              let s = Dataset.slot d e.Dataset.id in
+              Dataset.head_twin_sq_dist d ~stretch s q.Dataset.qspectrum acc;
+              let twin = sqrt acc.Flat.sum in
+              ignore
+                (Dataset.head_sq_dist d ~stretch s q.Dataset.qspectrum acc);
+              let plain = sqrt acc.Flat.sum and exact = dist e in
+              let label =
+                Printf.sprintf "%s n=%d id=%d" (Spec.name spec) n e.Dataset.id
+              in
+              Alcotest.(check (float (1e-9 *. (1. +. exact))))
+                (label ^ ": twin key = distance") exact twin;
+              Alcotest.(check bool)
+                (label ^ ": one-sided key <= distance/√2")
+                true
+                (plain <= (exact *. 0.70711) +. 1e-9))
+            (Dataset.entries d))
+        [ Spec.Identity; Spec.Reverse; Spec.Moving_average 3 ])
+    [ 128; 100 ]
+
+(* Every distinct kernel distance from the query up to the 20th, and
+   every 7th beyond: thresholds that sit exactly on an answer. *)
+let exact_epsilons d spec query =
+  (Seqscan.range_full ~spec d ~query ~epsilon:1e9).Seqscan.answers
+  |> List.map snd |> List.sort_uniq Float.compare
+  |> List.filteri (fun i _ -> i < 20 || i mod 7 = 0)
+
+let test_range_at_exact_distances () =
+  List.iter
+    (fun n ->
+      let d = sinusoids ~seed:3 ~count:48 ~n in
+      List.iter
+        (fun representation ->
+          let config = { Feature.k = 2; representation } in
+          let idx = Kindex.build ~config ~max_fill:6 d in
+          let sh = Shard.create ~config ~max_fill:6 ~shards:4 d in
+          let ssh =
+            Shard.create ~config ~max_fill:6 ~sketch:Sketch.default ~shards:4 d
+          in
+          List.iter
+            (fun spec ->
+              (* Complex stretches are only safe in S_pol (Theorem 3). *)
+              let skip =
+                representation = Coords.Rectangular
+                &&
+                match spec with
+                | Spec.Identity | Spec.Reverse -> false
+                | _ -> true
+              in
+              if not skip then
+                List.iter
+                  (fun qi ->
+                    let query = query_of d spec qi in
+                    List.iter
+                      (fun epsilon ->
+                        let label =
+                          Printf.sprintf "%s %s n=%d q=%d eps=%h"
+                            (match representation with
+                            | Coords.Polar -> "polar"
+                            | Coords.Rectangular -> "rect")
+                            (Spec.name spec) n qi epsilon
+                        in
+                        let full =
+                          pairs_of
+                            (Seqscan.range_full ~spec d ~query ~epsilon)
+                              .Seqscan.answers
+                        in
+                        let index =
+                          pairs_of (Kindex.range ~spec idx ~query ~epsilon)
+                            .Kindex.answers
+                        in
+                        check_bits (label ^ " index = full scan") full index;
+                        (match
+                           Kindex.range_checked ~spec idx ~query ~epsilon
+                         with
+                        | Ok r ->
+                          check_bits (label ^ " checked") full
+                            (pairs_of r.Kindex.answers)
+                        | Error e ->
+                          Alcotest.failf "%s: %s" label
+                            (Simq_fault.Error.to_string e));
+                        List.iter
+                          (fun (name, sh) ->
+                            check_bits
+                              (Printf.sprintf "%s %s" label name)
+                              full
+                              (pairs_of
+                                 (Shard.range ~spec sh ~query ~epsilon)
+                                   .Shard.answers))
+                          [ ("shards", sh); ("shards+sketch", ssh) ];
+                        (* The time-domain brute force agrees but for
+                           distances within rounding of ε. *)
+                        let ids e =
+                          List.map
+                            (fun ((x : Dataset.entry), _) -> x.Dataset.id)
+                            (Seqscan.reference ~spec d ~query ~epsilon:e)
+                        in
+                        let index_ids = List.map fst index in
+                        let tol = 1e-9 *. (1. +. epsilon) in
+                        List.iter
+                          (fun id ->
+                            Alcotest.(check bool)
+                              (Printf.sprintf "%s: reference holds %d" label
+                                 id)
+                              true
+                              (List.mem id index_ids))
+                          (ids (epsilon -. tol));
+                        List.iter
+                          (fun id ->
+                            Alcotest.(check bool)
+                              (Printf.sprintf "%s: answer %d in reference"
+                                 label id)
+                              true
+                              (List.mem id (ids (epsilon +. tol))))
+                          index_ids)
+                      (exact_epsilons d spec query))
+                  [ 0; 5 ])
+            (specs_for n))
+        [ Coords.Polar; Coords.Rectangular ])
+    lengths
+
+let test_nearest_ties () =
+  List.iter
+    (fun n ->
+      let d = sinusoids ~seed:4 ~count:40 ~n in
+      let idx = Kindex.build ~max_fill:4 d in
+      let sh = Shard.create ~max_fill:4 ~shards:4 d in
+      let sketch = Sketch.create d in
+      List.iter
+        (fun spec ->
+          List.iter
+            (fun qi ->
+              let query = query_of d spec qi in
+              List.iter
+                (fun k ->
+                  let label =
+                    Printf.sprintf "%s n=%d q=%d k=%d" (Spec.name spec) n qi k
+                  in
+                  let expected =
+                    match Kindex.nearest_scan ~spec idx ~query ~k with
+                    | Ok r -> pairs_of r
+                    | Error e ->
+                      Alcotest.failf "%s: %s" label
+                        (Simq_fault.Error.to_string e)
+                  in
+                  check_bits (label ^ " index") expected
+                    (pairs_of (Kindex.nearest ~spec idx ~query ~k));
+                  check_bits (label ^ " sketch key") expected
+                    (pairs_of
+                       (Kindex.nearest ~spec
+                          ~sketch:(fun query -> Sketch.nn_bound sketch ~spec ~query)
+                          idx ~query ~k));
+                  (match Kindex.nearest_checked ~spec idx ~query ~k with
+                  | Ok r ->
+                    check_bits (label ^ " checked") expected
+                      (pairs_of r.Kindex.neighbours)
+                  | Error e ->
+                    Alcotest.failf "%s: %s" label
+                      (Simq_fault.Error.to_string e));
+                  check_bits (label ^ " shards") expected
+                    (pairs_of (Shard.nearest ~spec sh ~query ~k).Shard.neighbours))
+                (List.init 24 succ))
+            [ 0; 3; 9; 11 ])
+        (specs_for n))
+    lengths
+
+(* Exact pair distances under the stretch, from the kernel over the
+   stretched spectra: thresholds on which a pair sits. *)
+let pair_epsilons d spec =
+  let n = Dataset.series_length d and count = Dataset.cardinality d in
+  let stretch = Spec.stretch spec ~n in
+  let stretched =
+    Array.init count (fun i ->
+        let x = Flat.create n in
+        Flat.stretch_into ~stretch (Dataset.spectrum d i) x ~off:0;
+        x)
+  in
+  let acc = Flat.acc () in
+  let all = ref [] in
+  for i = 0 to count - 1 do
+    for j = i + 1 to count - 1 do
+      acc.Flat.sum <- 0.;
+      ignore
+        (Flat.sq_dist ~stretch:None ~limit:infinity ~lo:0 ~hi:n stretched.(i)
+           0 stretched.(j) 0 acc);
+      all := sqrt acc.Flat.sum :: !all
+    done
+  done;
+  List.sort_uniq Float.compare !all
+  |> List.filteri (fun i _ -> i < 12 || i mod 97 = 0)
+
+let test_pairs_at_exact_distances () =
+  List.iter
+    (fun n ->
+      let d = sinusoids ~seed:5 ~count:36 ~n in
+      let idx = Kindex.build ~max_fill:6 d in
+      List.iter
+        (fun spec ->
+          List.iter
+            (fun epsilon ->
+              let label =
+                Printf.sprintf "%s n=%d eps=%h" (Spec.name spec) n epsilon
+              in
+              let full = Join.scan_full ~spec idx ~epsilon in
+              let early = Join.scan_early_abandon ~spec idx ~epsilon in
+              Alcotest.(check (list (pair int int)))
+                (label ^ ": band = full scan") full.Join.pairs early.Join.pairs;
+              Alcotest.(check bool)
+                (label ^ ": the band compares no more pairs")
+                true
+                (early.Join.distance_computations
+                <= full.Join.distance_computations))
+            (pair_epsilons d spec))
+        (List.filter
+           (function Spec.Warp _ -> false | _ -> true)
+           (specs_for n)))
+    lengths
+
+(* On random walks the mirrored region takes fewer candidates than the
+   one-sided region of [range_generic] — which must stay one-sided, its
+   caller supplying the distance — and the same answers. *)
+let test_region_narrows () =
+  let d =
+    Dataset.of_series ~name:"walks"
+      (Simq_series.Generator.random_walks ~seed:6 ~count:300 ~n:128)
+  in
+  let idx = Kindex.build ~max_fill:8 d in
+  let mirrored = ref 0 and one_sided = ref 0 in
+  List.iter
+    (fun (qi, epsilon) ->
+      let query = (Dataset.get d qi).Dataset.series in
+      let q = Dataset.prepare_query query in
+      let r = Kindex.range idx ~query ~epsilon in
+      let g =
+        Kindex.range_generic idx
+          ~query_coeffs:(Flat.sub q.Dataset.qspectrum ~pos:1 ~len:2)
+          ~epsilon
+          ~distance:(Kindex.prepared_distance idx (Kindex.prepare idx Spec.Identity) q)
+      in
+      check_bits
+        (Printf.sprintf "q=%d eps=%g: answers" qi epsilon)
+        (pairs_of g.Kindex.answers) (pairs_of r.Kindex.answers);
+      mirrored := !mirrored + r.Kindex.candidates;
+      one_sided := !one_sided + g.Kindex.candidates)
+    [ (0, 4.); (11, 6.); (42, 8.); (99, 10.) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "mirrored candidates %d < one-sided %d" !mirrored
+       !one_sided)
+    true
+    (!mirrored < !one_sided)
+
+let () =
+  Alcotest.run "mirror"
+    [
+      ( "slack",
+        [
+          Alcotest.test_case "applies to non-warp specs at n >= 8" `Quick
+            test_slack_applies;
+          Alcotest.test_case "tight on low-frequency sinusoids" `Quick
+            test_bound_is_tight;
+        ] );
+      ( "filters",
+        [
+          Alcotest.test_case "RANGE at exact distances" `Quick
+            test_range_at_exact_distances;
+          Alcotest.test_case "NEAREST across ties" `Quick test_nearest_ties;
+          Alcotest.test_case "PAIRS at exact distances" `Quick
+            test_pairs_at_exact_distances;
+          Alcotest.test_case "RANGE region narrows" `Quick
+            test_region_narrows;
+        ] );
+    ]

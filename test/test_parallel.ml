@@ -262,7 +262,9 @@ let prop_scan_parallel_eq_sequential =
    for method (a), and for method (b) one per pair whose coefficient-1
    real parts lie within the band width of each other (any two keys,
    in either order: the band is a property of the pair, not of the
-   sort). *)
+   sort). The band is the smaller of the one-sided width and the
+   mirrored radius, whose twins are distinct at [n >= 8] under the
+   default two features. *)
 let reference_join ~abandon d spec epsilon =
   let module Flat = Simq_dsp.Flat in
   let entries = Dataset.entries d in
@@ -277,9 +279,18 @@ let reference_join ~abandon d spec epsilon =
   let threshold = epsilon *. epsilon in
   let limit = if abandon then threshold else infinity in
   let key i = if n < 2 then 0. else spectra.(2 * ((i * n) + 1)) in
-  let width =
-    if Float.is_finite threshold then (epsilon *. (1. +. 1e-9)) +. 1e-153
+  let slack =
+    if n >= 2 * Flat.head_width && n >= (2 * Feature.default.Feature.k) + 2
+    then
+      Flat.rounding_slack ~n ~gain:(Spec.gain spec)
+        ~norm:(sqrt (float_of_int n))
     else infinity
+  in
+  let width =
+    Float.min
+      (if Float.is_finite threshold then (epsilon *. (1. +. 1e-9)) +. 1e-153
+       else infinity)
+      (Flat.twin_radius ~slack epsilon)
   in
   let acc = Flat.acc () and pairs = ref [] and band = ref 0 in
   for i = 0 to count - 1 do

@@ -30,7 +30,10 @@
 # with the sketch ladder visible in its profile tree, and an
 # out-of-range --approx rejected as a usage error, plus PAIRS joins
 # (identity, rev, mavg(4)) whose early-abandoning band join prints the
-# same pairs as the full scan, and a daemon whose budget carries
+# same pairs as the full scan, the same two checks at a Bluestein length
+# (100) and at a length below the mirrored bounds' twins (5), where RANGE
+# and NEAREST print the plain rows with --shards 4 --sketch and the band
+# join prints the full scan's pairs, and a daemon whose budget carries
 # always-firing node and page faults, driven by a plain stress session
 # with every NEAREST line of its qlog failed typed.
 #
@@ -143,6 +146,46 @@ for using in "" "USING rev " "USING mavg(4) "; do
     diff pairs.full.out pairs.early.out >&2 || true
     exit 1
   }
+done
+
+echo "== mirrored bounds: a Bluestein length and one below the twins"
+# Length 100 is not a power of two (Bluestein's transform); length 5
+# is below 2·head_width, where the bounds stay one-sided. On each the
+# sharded, sketched executor prints the plain rows and the band join
+# the full scan's pairs.
+for shape in "100 10 4" "5 2 0.3"; do
+  set -- $shape
+  len=$1 range_eps=$2 pairs_eps=$3
+  "$simq" generate --count 120 --length "$len" -o "mirror$len.rel" >/dev/null
+  for spec in "RANGE FROM r USING mavg(4) QUERY s7 EPS $range_eps" \
+    "NEAREST 5 FROM r USING wma(3) QUERY s7"; do
+    "$simq" query "mirror$len.rel" "$spec" >mirror.plain.out
+    grep -q ' distance ' mirror.plain.out || {
+      echo "smoke: '$spec' at length $len printed no rows" >&2
+      exit 1
+    }
+    "$simq" query "mirror$len.rel" "$spec" --shards 4 --sketch >mirror.shard.out
+    [ "$(grep ' distance ' mirror.shard.out)" = "$(grep ' distance ' mirror.plain.out)" ] || {
+      echo "smoke: '$spec' at length $len differs sharded and sketched" >&2
+      diff mirror.plain.out mirror.shard.out >&2 || true
+      exit 1
+    }
+  done
+  for using in "" "USING rev "; do
+    "$simq" query "mirror$len.rel" \
+      "PAIRS FROM r ${using}EPS $pairs_eps METHOD scan" >mirror.full.out
+    "$simq" query "mirror$len.rel" \
+      "PAIRS FROM r ${using}EPS $pairs_eps METHOD scan-early" >mirror.early.out
+    grep -q ' ~ ' mirror.full.out || {
+      echo "smoke: the PAIRS scan ${using}at length $len found no pair" >&2
+      exit 1
+    }
+    [ "$(grep ' ~ ' mirror.early.out)" = "$(grep ' ~ ' mirror.full.out)" ] || {
+      echo "smoke: scan-early pairs ${using}at length $len differ from the full scan" >&2
+      diff mirror.full.out mirror.early.out >&2 || true
+      exit 1
+    }
+  done
 done
 
 echo "== bench sweep persists the metrics registry"
