@@ -173,9 +173,10 @@ let sketch_config ~sketch ~approx =
   | None -> Ok (if sketch then Some Simq_sketch.default else None)
 
 (* The set-up simq query and simq serve share: check the budget and
-   sketch flags, load and prepare the relation, build the index, and
-   hand [k] the engine every query runs through — inside the [span]
-   trace span. [faults] rides in the engine's budget. *)
+   sketch flags, load the relation, open its index (from the prepared
+   image when it is valid), and hand [k] the engine every query runs
+   through — inside the [span] trace span. [faults] rides in the
+   engine's budget. *)
 let with_engine ?faults ~span ~file ~noise ~shards ~admission ~sketch ~approx
     ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses k =
   let* budget =
@@ -189,10 +190,7 @@ let with_engine ?faults ~span ~file ~noise ~shards ~admission ~sketch ~approx
   let* sketch = sketch_config ~sketch ~approx in
   let* relation = load_relation file in
   Otrace.with_span span @@ fun () ->
-  let dataset =
-    Otrace.with_span "prepare" (fun () -> Dataset.of_relation relation)
-  in
-  let index = Otrace.with_span "build" (fun () -> Kindex.build dataset) in
+  let index = Kindex.open_file ~relation file in
   let admission = if admission then Some Simq_admission.default else None in
   k
     (Engine.create ~noise ~budget ?admission ?shards ?sketch
@@ -493,14 +491,9 @@ let batch_impl file specs from_qlog output noise shards sketch approx jobs
           match out with Some oc -> close_out_noerr oc | None -> flush stdout)
         (fun () ->
           Otrace.with_span "batch" @@ fun () ->
-          let dataset =
-            Otrace.with_span "prepare" (fun () -> Dataset.of_relation relation)
-          in
-          let index =
-            Otrace.with_span "build" (fun () -> Kindex.build dataset)
-          in
           let engine =
-            Engine.create ~noise ?shards ?sketch:sketch_cfg ?approx index
+            Engine.create ~noise ?shards ?sketch:sketch_cfg ?approx
+              (Kindex.open_file ~relation file)
           in
           let texts = Array.of_list texts in
           let n = Array.length texts in
@@ -688,6 +681,7 @@ let serve_impl file port max_inflight slow_k idle_timeout_ms write_timeout_ms
         shed;
         errors;
         connections;
+        _;
       } =
         Simq_serve.Server.stats server
       in
@@ -716,9 +710,7 @@ let stress_impl file host port clients per_client seed chaos verify slow
         (* The offline oracle: the same engine the daemon runs, minus
            budget and admission — every served answer an admitted or
            degraded query returns must be bit-identical to it. *)
-        let dataset = Dataset.of_relation relation in
-        let index = Kindex.build dataset in
-        let engine = Engine.create ~noise index in
+        let engine = Engine.create ~noise (Kindex.open_file ~relation file) in
         Ok
           (Some
              (fun spec ->

@@ -4,20 +4,21 @@ type decomposition = {
   std : float;
 }
 
-let decompose (s : Series.t) =
-  let mean = Stats.mean s and std = Stats.std s in
+let standardise s ~mean ~std =
   let n = Array.length s in
-  let normalised =
-    if std = 0. then Array.make n 0.
-    else begin
-      let out = Array.create_float n in
-      for t = 0 to n - 1 do
-        out.(t) <- (s.(t) -. mean) /. std
-      done;
-      out
-    end
-  in
-  { normalised; mean; std }
+  if std = 0. then Array.make n 0.
+  else begin
+    let out = Array.create_float n in
+    for t = 0 to n - 1 do
+      out.(t) <- (s.(t) -. mean) /. std
+    done;
+    out
+  end
+
+let decompose (s : Series.t) =
+  let mean = Stats.mean s in
+  let std = sqrt (Stats.variance_about s ~mean) in
+  { normalised = standardise s ~mean ~std; mean; std }
 
 let normalise s = (decompose s).normalised
 

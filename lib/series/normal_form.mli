@@ -18,6 +18,13 @@ type decomposition = {
     normalises to the zero series. *)
 val decompose : Series.t -> decomposition
 
+(** [standardise s ~mean ~std] is [(s_i - mean) / std] at every
+    point, or the zero series when [std = 0]: the step {!decompose}
+    takes once it has the moments. Given [s]'s own moments it is
+    [(decompose s).normalised] bit for bit, which is how a normal form
+    is recomputed from stored moments. *)
+val standardise : Series.t -> mean:float -> std:float -> Series.t
+
 (** [normalise s] is [(decompose s).normalised]. *)
 val normalise : Series.t -> Series.t
 

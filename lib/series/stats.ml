@@ -13,14 +13,17 @@ let mean (s : Series.t) =
   done;
   !sum /. float_of_int (Array.length s)
 
-let variance (s : Series.t) =
+let variance_about (s : Series.t) ~mean:m =
   require_non_empty "Stats.variance" s;
-  let m = mean s in
   let acc = ref 0. in
   for t = 0 to Array.length s - 1 do
     acc := !acc +. ((s.(t) -. m) ** 2.)
   done;
   !acc /. float_of_int (Array.length s)
+
+let variance s =
+  require_non_empty "Stats.variance" s;
+  variance_about s ~mean:(mean s)
 
 let std s = sqrt (variance s)
 

@@ -6,6 +6,10 @@ val mean : Series.t -> float
 (** [variance s] is the population variance (divide by n). *)
 val variance : Series.t -> float
 
+(** [variance_about s ~mean] is [variance s] given [mean = mean s],
+    bit for bit, without computing the mean again. *)
+val variance_about : Series.t -> mean:float -> float
+
 (** [std s] is the population standard deviation. *)
 val std : Series.t -> float
 

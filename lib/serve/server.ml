@@ -42,7 +42,8 @@ type t = {
   engine_mutex : Mutex.t;
   conns_mutex : Mutex.t;
   mutable conns : Unix.file_descr list;
-  mutable workers : Thread.t list;  (** under [conns_mutex] *)
+  mutable workers : Thread.t list;
+      (** the live workers, under [conns_mutex]: each removes itself *)
   mutable accept_thread : Thread.t option;
 }
 
@@ -51,6 +52,7 @@ type stats = {
   shed : int;
   errors : int;
   connections : int;
+  workers : int;
 }
 
 let stats t =
@@ -59,6 +61,8 @@ let stats t =
     shed = Atomic.get t.n_shed;
     errors = Atomic.get t.n_errors;
     connections = Atomic.get t.n_connections;
+    workers =
+      Mutex.protect t.conns_mutex (fun () -> List.length t.workers);
   }
 
 let port t = t.port
@@ -282,11 +286,16 @@ let worker t fd =
         ()
     end
   in
+  (* The accept thread lists this thread in [workers] under the mutex
+     it creates it under, so the last action below finds it listed. *)
+  let self = Thread.id (Thread.self ()) in
   Fun.protect
     ~finally:(fun () ->
       Mutex.protect t.conns_mutex (fun () ->
           t.conns <- List.filter (fun c -> c != fd) t.conns);
-      try Unix.close fd with Unix.Unix_error _ -> ())
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Mutex.protect t.conns_mutex (fun () ->
+          t.workers <- List.filter (fun w -> Thread.id w <> self) t.workers))
     (fun () -> try read_loop () with Conn_done -> () | _ -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -398,7 +407,8 @@ let start ?max_inflight ?(max_line_bytes = Protocol.max_line_bytes)
 let wait t =
   (match t.accept_thread with Some th -> Thread.join th | None -> ());
   (* Workers are spawned only by the accept thread, so once it has
-     exited this snapshot is complete. *)
+     exited this snapshot holds every worker still running; one that
+     finishes after it is joined at once. *)
   let workers = Mutex.protect t.conns_mutex (fun () -> t.workers) in
   List.iter Thread.join workers
 

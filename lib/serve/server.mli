@@ -79,6 +79,9 @@ type stats = {
   shed : int;  (** requests refused by the in-flight cap *)
   errors : int;  (** error responses other than sheds *)
   connections : int;  (** connections ever accepted *)
+  workers : int;
+      (** connections being served now: worker threads not yet exited
+          (a worker forgets its thread as its last action) *)
 }
 
 (** Monotonic totals since [start]; safe from any thread. *)

@@ -36,6 +36,17 @@ let fill_head t s =
   Array.blit t.spectra (2 * s * t.n) t.head (2 * head_width * s)
     (2 * Int.min head_width t.n)
 
+let check_permutation name ~count order =
+  if Array.length order <> count then
+    invalid_arg (name ^ ": order length differs from the cardinality");
+  let seen = Bytes.make count '\000' in
+  Array.iter
+    (fun id ->
+      if id < 0 || id >= count || Bytes.get seen id <> '\000' then
+        invalid_arg (name ^ ": order is not a permutation of the ids");
+      Bytes.set seen id '\001')
+    order
+
 (* Normalises [series] and writes the spectrum of its normal form
    straight into coefficient [off] of [spectra]: every
    frequency-domain distance reads it there through the one kernel
@@ -93,6 +104,54 @@ let of_relation ?pool r =
 let of_series ?pool ~name batch =
   of_relation ?pool (Relation.of_series ~name batch)
 
+(* The entries of {!prepare} without its FFT: the spectra arrive in
+   slot order, and each normal form is recomputed by the formula
+   {!Normal_form.decompose} applies to the same moments. *)
+let of_prepared r ~means ~stds ~ids spectra =
+  let bad why = invalid_arg ("Dataset.of_prepared: " ^ why) in
+  let tuples = Relation.to_array r in
+  let count = Array.length tuples in
+  if count = 0 then bad "empty relation";
+  let n = Series.length tuples.(0).Relation.data in
+  if Array.length means <> count || Array.length stds <> count then
+    bad "one mean and one std per tuple";
+  if Array.length spectra <> 2 * n * count then
+    bad "spectra of another size";
+  check_permutation "Dataset.of_prepared" ~count ids;
+  let entries =
+    Array.map
+      (fun (tuple : Relation.tuple) ->
+        let series = tuple.Relation.data and id = tuple.Relation.id in
+        if Series.length series <> n then bad "series of unequal lengths";
+        let mean = means.(id) and std = stds.(id) in
+        {
+          id;
+          name = tuple.Relation.name;
+          series;
+          normal = Normal_form.standardise series ~mean ~std;
+          mean;
+          std;
+        })
+      tuples
+  in
+  let slots = Array.make count 0 in
+  Array.iteri (fun s id -> slots.(id) <- s) ids;
+  let t =
+    {
+      entries;
+      spectra;
+      head = Array.make (2 * head_width * count) 0.;
+      slots;
+      ids = Array.copy ids;
+      n;
+      relation = r;
+    }
+  in
+  for s = 0 to count - 1 do
+    fill_head t s
+  done;
+  t
+
 let cardinality t = Array.length t.entries
 
 (* Nothing is normalised or transformed again: the entries keep the
@@ -132,20 +191,12 @@ let sub t ~name ~lo ~width =
    buffer, so no second copy of the spectra ever exists. *)
 let lay_out t order =
   let count = cardinality t in
-  if Array.length order <> count then
-    invalid_arg "Dataset.lay_out: order length differs from the cardinality";
-  let seen = Bytes.make count '\000' in
-  Array.iter
-    (fun id ->
-      if id < 0 || id >= count || Bytes.get seen id <> '\000' then
-        invalid_arg "Dataset.lay_out: order is not a permutation of the ids";
-      Bytes.set seen id '\001')
-    order;
+  check_permutation "Dataset.lay_out" ~count order;
   let row = 2 * t.n and hrow = 2 * head_width in
   (* [from.(s)]: the slot holding what slot [s] must hold. *)
   let from = Array.map (fun id -> t.slots.(id)) order in
   let spare = Flat.create t.n and hspare = Flat.create head_width in
-  Bytes.fill seen 0 count '\000';
+  let seen = Bytes.make count '\000' in
   for start = 0 to count - 1 do
     if Bytes.get seen start = '\000' && from.(start) <> start then begin
       Array.blit t.spectra (start * row) spare 0 row;
@@ -222,6 +273,11 @@ let id_at t s =
 
 let spectrum t id =
   Array.sub t.spectra (2 * slot t id * t.n) (2 * t.n)
+
+let head_row t s =
+  if s < 0 || s >= cardinality t then
+    invalid_arg "Dataset.head_row: unknown slot";
+  Array.sub t.head (2 * head_width * s) (2 * head_width)
 
 let head_sq_dist t ~stretch s qs acc =
   if s < 0 || s >= cardinality t then

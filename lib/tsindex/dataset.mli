@@ -52,6 +52,25 @@ val of_relation : ?pool:Simq_parallel.Pool.t -> Simq_storage.Relation.t -> t
 val of_series :
   ?pool:Simq_parallel.Pool.t -> name:string -> Simq_series.Series.t array -> t
 
+(** [of_prepared r ~means ~stds ~ids spectra] is the data set of [r]
+    laid out in the slot order [ids] (slot [s] holds entry
+    [ids.(s)]), from what {!of_relation} and {!lay_out} computed for
+    it: entry [id]'s moments [means.(id)] and [stds.(id)], and the
+    spectrum buffer [spectra] in slot order, which the data set takes
+    over. No FFT runs; each normal form is recomputed from its moments
+    by {!Simq_series.Normal_form.standardise}. Given [t]'s own moments,
+    slot order and buffer, every field, double and slot equals [t]'s.
+    Raises [Invalid_argument] when [r] is empty or its series differ
+    in length, when the arrays do not fit [r], or when [ids] is not a
+    permutation of the ids. *)
+val of_prepared :
+  Simq_storage.Relation.t ->
+  means:float array ->
+  stds:float array ->
+  ids:int array ->
+  Simq_dsp.Flat.t ->
+  t
+
 (** [sub t ~name ~lo ~width] is the data set of [t]'s ids
     [[lo, lo + width)], renumbered from 0, over a fresh relation named
     [name]. Nothing is prepared again: entry [i] is [t]'s entry
@@ -123,6 +142,11 @@ val id_at : t -> int -> int
 (** [spectrum t id] is a copy of entry [id]'s spectrum (for tests and
     inspection, not for hot loops). *)
 val spectrum : t -> int -> Simq_dsp.Flat.t
+
+(** [head_row t s] is a copy of slot [s]'s row of the head table
+    ({!head_sq_dist}), its zero padding included (for tests and
+    inspection). Raises [Invalid_argument] for an unknown slot. *)
+val head_row : t -> int -> Simq_dsp.Flat.t
 
 (** [head_sq_dist t ~stretch s qs acc] sets [acc.sum] to the
     {!Simq_dsp.Flat.sq_dist} sum of slot [s]'s coefficients

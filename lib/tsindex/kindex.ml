@@ -51,6 +51,56 @@ let build ?(config = Feature.default) ?(max_fill = 32) dataset =
   Dataset.lay_out dataset order;
   { dataset; config; tree }
 
+(* The warm path: the image's moments, slot order and spectra become
+   the data set, its feature points are recomputed from the spectra,
+   and the tree is packed from the stored shape, with no FFT and no
+   STR sort. *)
+let of_image ~config ~max_fill relation (image : Image.t) =
+  let dataset =
+    Dataset.of_prepared relation ~means:image.Image.means
+      ~stds:image.Image.stds ~ids:image.Image.ids image.Image.spectra
+  in
+  Feature.validate config ~n:(Dataset.series_length dataset);
+  let items =
+    Array.map
+      (fun id -> (Feature.point config dataset (Dataset.get dataset id), id))
+      image.Image.ids
+  in
+  let tree =
+    Simq_rtree.Bulk.pack ~max_fill ~dims:(Feature.dims config)
+      ~shape:image.Image.shape items
+  in
+  { dataset; config; tree }
+
+(* An image that passed its checks but still does not fit (it cannot
+   have come from this code) falls back to the cold path like any
+   other invalid image. A failed write costs the next open its warm
+   path, nothing else. *)
+let open_file ?(config = Feature.default) ?(max_fill = 32) ~relation file =
+  let path = Image.path file in
+  let key = Image.key ~config ~max_fill relation in
+  let warm =
+    Otrace.with_span "image.open" @@ fun () ->
+    match Image.read path key with
+    | None -> None
+    | Some image -> (
+      try Some (of_image ~config ~max_fill relation image)
+      with Invalid_argument _ -> None)
+  in
+  match warm with
+  | Some t -> t
+  | None ->
+    let dataset =
+      Otrace.with_span "prepare" (fun () -> Dataset.of_relation relation)
+    in
+    let t =
+      Otrace.with_span "build" (fun () -> build ~config ~max_fill dataset)
+    in
+    (Otrace.with_span "image.write" @@ fun () ->
+     try Image.write path key t.dataset ~shape:(Simq_rtree.Bulk.shape t.tree)
+     with Sys_error _ -> ());
+    t
+
 let dataset t = t.dataset
 let config t = t.config
 let tree t = t.tree

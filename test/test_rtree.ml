@@ -225,6 +225,53 @@ let test_bulk_load_supports_insert_after () =
   in
   Alcotest.(check int) "new point findable" 1 (List.length hits)
 
+(* A tree rebuilt from its shape and its entries in traversal order
+   equals it node for node, whether STR or insertion built it. *)
+let test_pack_rebuilds_from_shape () =
+  let entries t =
+    let acc = ref [] in
+    Rstar.iter t ~f:(fun p v -> acc := (Array.copy p, v) :: !acc);
+    Array.of_list (List.rev !acc)
+  in
+  let same name t =
+    let packed =
+      Bulk.pack ~max_fill:(Rstar.max_fill t) ~min_fill:(Rstar.min_fill t)
+        ~dims:(Rstar.dims t) ~shape:(Bulk.shape t) (entries t)
+    in
+    Alcotest.(check int) (name ^ ": size") (Rstar.size t) (Rstar.size packed);
+    Alcotest.(check bool)
+      (name ^ ": same nodes") true
+      (Rstar.size t = 0 || Rstar.root t = Rstar.root packed);
+    assert_valid packed
+  in
+  List.iter
+    (fun (count, max_fill) ->
+      let points = random_points ~seed:count ~count ~dims:3 ~range:50. in
+      same
+        (Printf.sprintf "STR %d/%d" count max_fill)
+        (Bulk.load ~max_fill ~dims:3 points))
+    [ (0, 8); (1, 8); (5, 4); (300, 4); (300, 8); (1000, 16) ];
+  same "insertion"
+    (build_by_insertion ~dims:2
+       (random_points ~seed:3 ~count:200 ~dims:2 ~range:100.))
+
+let test_pack_rejects_misfits () =
+  let points = random_points ~seed:9 ~count:20 ~dims:2 ~range:10. in
+  List.iter
+    (fun (name, shape, items) ->
+      match Bulk.pack ~max_fill:8 ~dims:2 ~shape items with
+      | _ -> Alcotest.failf "%s: packed" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("no level", [||], points);
+      ("nodes for no entry", [| [| 1 |] |], [||]);
+      ("fan-out above max_fill", [| [| 10; 10 |]; [| 2 |] |], points);
+      ("fan-out 0", [| [| 0; 8; 8; 4 |]; [| 4 |] |], points);
+      ("leaves short", [| [| 8; 8 |]; [| 2 |] |], points);
+      ("two roots", [| [| 8; 8; 4 |] |], points);
+      ("root over too few", [| [| 8; 8; 4 |]; [| 2 |] |], points);
+    ]
+
 (* --- nearest neighbour --------------------------------------------------- *)
 
 let brute_force_nn points query k =
@@ -581,6 +628,10 @@ let () =
           Alcotest.test_case "empty and tiny" `Quick test_bulk_load_empty_and_tiny;
           Alcotest.test_case "insert after bulk" `Quick
             test_bulk_load_supports_insert_after;
+          Alcotest.test_case "pack rebuilds from the shape" `Quick
+            test_pack_rebuilds_from_shape;
+          Alcotest.test_case "pack rejects a shape that does not fit" `Quick
+            test_pack_rejects_misfits;
         ] );
       ( "nearest neighbour",
         [

@@ -408,6 +408,54 @@ let test_shutdown_drains_and_answers () =
       Alcotest.(check bool) "served at least the one query" true
         (stats.Server.served >= 1))
 
+(* A worker forgets its thread as its last action, so a daemon that
+   has served many connections retains none that has finished. *)
+let test_finished_workers_not_retained () =
+  with_daemon (fun server port ->
+      for _ = 1 to 100 do
+        let client = connect port in
+        Stress.Client.send_line client "ping";
+        ignore (Stress.Client.recv_line client : string option);
+        Stress.Client.close client
+      done;
+      (* Each worker exits once it reads its peer's EOF, after the
+         close returned. *)
+      let deadline = Unix.gettimeofday () +. 10. in
+      let rec settle () =
+        let stats = Server.stats server in
+        if stats.Server.workers > 0 && Unix.gettimeofday () < deadline then begin
+          Thread.delay 0.005;
+          settle ()
+        end
+        else stats
+      in
+      let stats = settle () in
+      Alcotest.(check int) "connections" 100 stats.Server.connections;
+      Alcotest.(check int) "no finished worker retained" 0
+        stats.Server.workers)
+
+(* A full-scan self-join of 3,000 series runs long enough to be in
+   flight when the drain starts; [stop] returns only after it is
+   served. *)
+let test_drain_waits_for_inflight () =
+  let engine = Engine.create (build_index ~count:3000 ~n:32 ()) in
+  let server = Server.start ~engine ~port:0 () in
+  let client = connect (Server.port server) in
+  Fun.protect
+    ~finally:(fun () -> Stress.Client.close client)
+    (fun () ->
+      Stress.Client.send_line client "PAIRS FROM r EPS 0.5 METHOD scan";
+      Thread.delay 0.1;
+      Server.stop server;
+      let stats = Server.stats server in
+      Alcotest.(check int) "served before stop returned" 1 stats.Server.served;
+      Alcotest.(check int) "no worker left" 0 stats.Server.workers;
+      match Stress.Client.recv_line client with
+      | Some line ->
+        expect_outcome ~what:"in-flight query" ~outcome:"ok" ~exit_code:0
+          (Result.get_ok (J.parse line))
+      | None -> Alcotest.fail "the in-flight query got no response")
+
 let read_lines path =
   let ic = open_in path in
   let lines = ref [] in
@@ -1083,6 +1131,10 @@ let () =
         [
           Alcotest.test_case "shutdown drains" `Quick
             test_shutdown_drains_and_answers;
+          Alcotest.test_case "finished workers are not retained" `Quick
+            test_finished_workers_not_retained;
+          Alcotest.test_case "waits for an in-flight query" `Quick
+            test_drain_waits_for_inflight;
         ] );
       ( "nn-admission",
         [

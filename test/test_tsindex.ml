@@ -1640,6 +1640,267 @@ let test_planner_choice_and_execution () =
       (50., true, Planner.Use_scan, "seqscan.range",
        [ "seqscan.io"; "seqscan.io"; "seqscan.compute" ]) ]
 
+(* --- prepared image ---------------------------------------------------------------- *)
+
+module Relation = Simq_storage.Relation
+module Rstar = Simq_rtree.Rstar
+module Node = Simq_rtree.Node
+module Bulk = Simq_rtree.Bulk
+
+(* Random walks with every fifth series constant (std = 0). *)
+let image_batch ~seed ~count ~n =
+  Array.mapi
+    (fun i s -> if i mod 5 = 2 then Array.make n (float_of_int i) else s)
+    (Generator.random_walks ~seed ~count ~n)
+
+let save_relation path batch =
+  Relation.save (Relation.of_series ~name:"image" batch) path
+
+(* [f] gets a relation file of [batch]; the file and whatever stands at
+   its image path are removed afterwards. *)
+let with_relation_file batch f =
+  let path = Filename.temp_file "simq-image" ".rel" in
+  let image = Image.path path in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      if Sys.file_exists image then
+        if Sys.is_directory image then Sys.rmdir image else Sys.remove image)
+    (fun () ->
+      save_relation path batch;
+      f path)
+
+let open_path ?(max_fill = 8) path =
+  Kindex.open_file ~max_fill ~relation:(Relation.load path) path
+
+let built_of ?(max_fill = 8) path =
+  Kindex.build ~max_fill (Dataset.of_relation (Relation.load path))
+
+let inode path = (Unix.stat path).Unix.st_ino
+
+let check_bits msg a b =
+  Alcotest.(check bool)
+    msg true
+    (Array.length a = Array.length b && Array.for_all2 same_bits a b)
+
+let check_rect msg (a : Simq_geometry.Rect.t) (b : Simq_geometry.Rect.t) =
+  check_bits (msg ^ ": lo") a.Simq_geometry.Rect.lo b.Simq_geometry.Rect.lo;
+  check_bits (msg ^ ": hi") a.Simq_geometry.Rect.hi b.Simq_geometry.Rect.hi
+
+let rec check_node msg (a : int Node.node) (b : int Node.node) =
+  Alcotest.(check int) (msg ^ ": level") a.Node.level b.Node.level;
+  check_rect (msg ^ ": mbr") a.Node.mbr b.Node.mbr;
+  Alcotest.(check int)
+    (msg ^ ": fan-out")
+    (List.length a.Node.entries)
+    (List.length b.Node.entries);
+  List.iter2
+    (fun ea eb ->
+      match (ea, eb) with
+      | Node.Child ca, Node.Child cb -> check_node msg ca cb
+      | Node.Data da, Node.Data db ->
+        check_rect (msg ^ ": data") da.rect db.rect;
+        Alcotest.(check int) (msg ^ ": id") da.value db.value
+      | _ -> Alcotest.fail (msg ^ ": entry kinds differ"))
+    a.Node.entries b.Node.entries
+
+(* Entries, spectra, head rows, slots, and the tree node by node. *)
+let check_same_index msg built opened =
+  let db = Kindex.dataset built and dop = Kindex.dataset opened in
+  let count = Dataset.cardinality db in
+  Alcotest.(check int) (msg ^ ": cardinality") count (Dataset.cardinality dop);
+  Array.iter2
+    (fun (a : Dataset.entry) (b : Dataset.entry) ->
+      Alcotest.(check int) (msg ^ ": id") a.Dataset.id b.Dataset.id;
+      Alcotest.(check string) (msg ^ ": name") a.Dataset.name b.Dataset.name;
+      check_bits (msg ^ ": series") a.Dataset.series b.Dataset.series;
+      check_bits (msg ^ ": normal") a.Dataset.normal b.Dataset.normal;
+      check_bits (msg ^ ": moments")
+        [| a.Dataset.mean; a.Dataset.std |]
+        [| b.Dataset.mean; b.Dataset.std |])
+    (Dataset.entries db) (Dataset.entries dop);
+  check_bits (msg ^ ": spectra") (Dataset.spectra db) (Dataset.spectra dop);
+  for s = 0 to count - 1 do
+    Alcotest.(check int) (msg ^ ": slot order") (Dataset.id_at db s)
+      (Dataset.id_at dop s);
+    check_bits (msg ^ ": head row") (Dataset.head_row db s)
+      (Dataset.head_row dop s)
+  done;
+  let tb = Kindex.tree built and top = Kindex.tree opened in
+  Alcotest.(check (array (array int)))
+    (msg ^ ": shape") (Bulk.shape tb) (Bulk.shape top);
+  Alcotest.(check (pair int int))
+    (msg ^ ": size and fill")
+    (Rstar.size tb, Rstar.min_fill tb)
+    (Rstar.size top, Rstar.min_fill top);
+  Alcotest.(check bool)
+    (msg ^ ": opened tree valid") true
+    (Simq_rtree.Check.is_valid top);
+  check_node msg (Rstar.root tb) (Rstar.root top)
+
+let check_same_rows msg a b =
+  Alcotest.(check (list int)) (msg ^ ": ids") (ids_of a) (ids_of b);
+  check_bits (msg ^ ": distances")
+    (Array.of_list (List.map snd a))
+    (Array.of_list (List.map snd b))
+
+(* RANGE with and without MEAN/STD, NEAREST, and PAIRS by scan,
+   scan-early and index, under id, rev, mavg, wma and warp. *)
+let check_same_queries msg built opened =
+  let d = Kindex.dataset built in
+  let n = Dataset.series_length d in
+  let epsilon = 0.5 *. sqrt (float_of_int n) in
+  List.iter
+    (fun spec ->
+      let msg = msg ^ " " ^ Spec.name spec in
+      let query = query_for d spec 3 in
+      let range ?mean_window ?std_band idx =
+        (Kindex.range ~spec ?mean_window ?std_band idx ~query
+           ~epsilon:(2. *. epsilon))
+          .Kindex.answers
+      in
+      check_same_rows (msg ^ " range") (range built) (range opened);
+      check_same_rows (msg ^ " range mean/std")
+        (range ~mean_window:5. ~std_band:2. built)
+        (range ~mean_window:5. ~std_band:2. opened);
+      check_same_rows (msg ^ " nearest")
+        (Kindex.nearest ~spec built ~query ~k:5)
+        (Kindex.nearest ~spec opened ~query ~k:5);
+      List.iter
+        (fun (name, join) ->
+          Alcotest.(check (list (pair int int)))
+            (msg ^ " pairs " ^ name)
+            (join built).Join.pairs (join opened).Join.pairs)
+        [
+          ("scan", fun idx -> Join.scan_full ~spec idx ~epsilon);
+          ("scan-early", fun idx -> Join.scan_early_abandon ~spec idx ~epsilon);
+          ("index", fun idx -> Join.index_transformed ~spec idx ~epsilon);
+        ])
+    [
+      Spec.Identity;
+      Spec.Reverse;
+      Spec.Moving_average 3;
+      Spec.Weighted_ma (Simq_dsp.Window.triangular 3);
+      Spec.Warp 2;
+    ]
+
+let prop_image_opens_bit_identical =
+  QCheck.Test.make ~name:"opened from its image = built, bit for bit"
+    ~count:9
+    (QCheck.make
+       ~print:(fun (n, count, seed) ->
+         Printf.sprintf "n=%d count=%d seed=%d" n count seed)
+       QCheck.Gen.(
+         let* n = oneofl [ 128; 100; 7 ] in
+         let* count = oneof [ return 1; int_range 2 90 ] in
+         let* seed = int_range 0 1000 in
+         return (n, count, seed)))
+    (fun (n, count, seed) ->
+      with_relation_file (image_batch ~seed ~count ~n) @@ fun path ->
+      let cold = open_path path in
+      let written = inode (Image.path path) in
+      let warm = open_path path in
+      Alcotest.(check bool)
+        "the second open read the image, not rewrote it" true
+        (inode (Image.path path) = written);
+      let built = built_of path in
+      check_same_index "cold" built cold;
+      check_same_index "warm" built warm;
+      check_same_queries "warm" built warm;
+      true)
+
+let image_valid path =
+  let relation = Relation.load path in
+  Option.is_some
+    (Image.read (Image.path path)
+       (Image.key ~config:Feature.default ~max_fill:8 relation))
+
+let test_image_stale_replaced () =
+  with_relation_file (image_batch ~seed:3 ~count:40 ~n:32) @@ fun path ->
+  ignore (open_path path : Kindex.t);
+  save_relation path (image_batch ~seed:4 ~count:40 ~n:32);
+  let opened = open_path path in
+  check_same_index "stale" (built_of path) opened;
+  check_same_queries "stale" (built_of path) opened;
+  Alcotest.(check bool) "the image was rewritten" true (image_valid path);
+  (* Another max_fill keys another image. *)
+  let other = open_path ~max_fill:4 path in
+  check_same_index "max_fill 4" (built_of ~max_fill:4 path) other
+
+let rewrite path f =
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let oc = open_out_bin path in
+  output_string oc (f bytes);
+  close_out oc
+
+let test_image_invalid_falls_back () =
+  with_relation_file (image_batch ~seed:5 ~count:50 ~n:100) @@ fun path ->
+  let built = built_of path in
+  ignore (open_path path : Kindex.t);
+  let damage =
+    [
+      ("truncated by half", fun b -> String.sub b 0 (String.length b / 2));
+      ("short by one byte", fun b -> String.sub b 0 (String.length b - 1));
+      ("one trailing byte", fun b -> b ^ "\000");
+      ( "garbage",
+        fun b ->
+          let st = Random.State.make [| 11 |] in
+          String.init (String.length b) (fun _ ->
+              Char.chr (Random.State.int st 256)) );
+      ( "wrong version",
+        fun b ->
+          let b = Bytes.of_string b in
+          Bytes.set_int64_le b 8 2L;
+          Bytes.to_string b );
+      ( "one spectrum bit flipped",
+        fun b ->
+          let b = Bytes.of_string b and at = String.length b / 2 in
+          Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
+          Bytes.to_string b );
+      ("empty", fun _ -> "");
+    ]
+  in
+  List.iter
+    (fun (what, f) ->
+      rewrite (Image.path path) f;
+      Alcotest.(check bool) (what ^ ": rejected") false (image_valid path);
+      let opened = open_path path in
+      check_same_index what built opened;
+      Alcotest.(check bool) (what ^ ": rewritten") true (image_valid path))
+    damage;
+  (* Whole and in range, but its shape does not fit the entries. *)
+  let relation = Relation.load path in
+  let key = Image.key ~config:Feature.default ~max_fill:8 relation in
+  Image.write (Image.path path) key (Kindex.dataset built) ~shape:[| [| 1 |] |];
+  let opened = open_path path in
+  check_same_index "misfit shape" built opened;
+  match Image.read (Image.path path) key with
+  | Some image ->
+    Alcotest.(check (array (array int)))
+      "misfit shape: rewritten"
+      (Bulk.shape (Kindex.tree built))
+      image.Image.shape
+  | None -> Alcotest.fail "misfit shape: no image after the open"
+
+let test_image_path_is_directory () =
+  with_relation_file (image_batch ~seed:6 ~count:30 ~n:16) @@ fun path ->
+  Sys.mkdir (Image.path path) 0o755;
+  let built = built_of path in
+  let opened = open_path path in
+  check_same_index "directory" built opened;
+  check_same_queries "directory" built opened;
+  Alcotest.(check bool)
+    "the directory is left alone" true
+    (Sys.is_directory (Image.path path));
+  let prefix = Filename.basename (Image.path path) in
+  Alcotest.(check (list string))
+    "no temporary file left behind" []
+    (List.filter
+       (fun f -> f <> prefix && String.starts_with ~prefix f)
+       (Array.to_list (Sys.readdir (Filename.dirname path))))
+
 (* --- property-based -------------------------------------------------------------- *)
 
 let arb_setup =
@@ -1764,6 +2025,16 @@ let () =
         [
           Alcotest.test_case "layout moves no double" `Quick
             test_layout_invariance;
+        ] );
+      ( "image",
+        [
+          QCheck_alcotest.to_alcotest prop_image_opens_bit_identical;
+          Alcotest.test_case "a stale image is replaced" `Quick
+            test_image_stale_replaced;
+          Alcotest.test_case "an invalid image falls back" `Quick
+            test_image_invalid_falls_back;
+          Alcotest.test_case "a directory in its place" `Quick
+            test_image_path_is_directory;
         ] );
       ( "constraints",
         [

@@ -35,7 +35,10 @@
 # and NEAREST print the plain rows with --shards 4 --sketch and the band
 # join prints the full scan's pairs, and a daemon whose budget carries
 # always-firing node and page faults, driven by a plain stress session
-# with every NEAREST line of its qlog failed typed.
+# with every NEAREST line of its qlog failed typed, and the prepared
+# image: a second query opened from it (an image.open span, no prepare
+# or build span) printing the first one's rows, and a directory in the
+# image's place ignored.
 #
 # Two modes:
 #   tools/smoke.sh                full standalone run: dune build @all,
@@ -445,7 +448,49 @@ grep -q -- '--approx must be in \[0, 1)' approx.err || {
   exit 1
 }
 
+echo "== prepared image: the second query opens it and prints the same rows"
+"$simq" generate --count 300 --length 64 -o image.rel >/dev/null
+image_spec="NEAREST 5 FROM r USING mavg(4) QUERY s7"
+"$simq" query image.rel "$image_spec" --trace cold.json >cold.out
+[ -f image.rel.prepared ] || {
+  echo "smoke: the first query wrote no prepared image" >&2
+  exit 1
+}
+"$simq" query image.rel "$image_spec" --trace warm.json >warm.out
+# The header line carries the duration; the rows must match exactly.
+sed 1d cold.out >cold.rows
+sed 1d warm.out >warm.rows
+cmp -s cold.rows warm.rows || {
+  echo "smoke: the query opened from the image printed other rows" >&2
+  diff cold.rows warm.rows >&2 || true
+  exit 1
+}
+grep -q '"name":"prepare"' cold.json || {
+  echo "smoke: the first query traced no prepare span" >&2
+  exit 1
+}
+grep -q '"name":"image.open"' warm.json || {
+  echo "smoke: the second query traced no image.open span" >&2
+  exit 1
+}
+if grep -q -e '"name":"prepare"' -e '"name":"build"' warm.json; then
+  echo "smoke: the second query prepared or built the index again" >&2
+  exit 1
+fi
+# A directory where the image belongs is neither read nor replaced:
+# the query still answers, exit 0, with the same rows.
+"$simq" generate --count 300 --length 64 -o dir.rel >/dev/null
+mkdir dir.rel.prepared
+"$simq" query dir.rel "$image_spec" >dir.out
+sed 1d dir.out | cmp -s - cold.rows || {
+  echo "smoke: a directory in the image's place changed the rows" >&2
+  exit 1
+}
+
 echo "== live scrape of a serving bench run"
+# Each log a background process writes is created before the process
+# starts, so the polling sed below never reads a missing file.
+: >serve.err
 "$bench" --fast --metrics-port 0 2>serve.err &
 bench_pid=$!
 port=
@@ -479,6 +524,7 @@ grep -q '^# TYPE simq_' scrape.prom || {
 }
 
 echo "== serve: daemon + chaotic stress session, live scrape, in-band shutdown"
+: >daemon.err
 "$simq" serve smoke.rel --admission --slow-k 3 --qlog daemon.qlog \
   --metrics-state daemon.state --metrics-port 0 2>daemon.err &
 daemon_pid=$!
@@ -591,6 +637,7 @@ grep -q 'by trace:' daemon.top || {
 }
 
 echo "== sharded serve: --shards daemon verified by stress, qlog by fanout"
+: >sharded.err
 "$simq" serve smoke.rel --shards 4 --qlog sharded.qlog 2>sharded.err &
 sharded_pid=$!
 sharded_port=
@@ -639,6 +686,7 @@ grep -q '4-shard' sharded.top || {
 }
 
 echo "== fault plan: every query class of a daemon under always-firing faults"
+: >faults.err
 "$simq" serve smoke.rel --fault-node-prob 1 --fault-page-prob 1 --slow-k 4 \
   --qlog faults.qlog 2>faults.err &
 faults_pid=$!
