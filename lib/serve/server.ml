@@ -53,6 +53,7 @@ type stats = {
   errors : int;
   connections : int;
   workers : int;
+  in_flight : int;
 }
 
 let stats t =
@@ -63,6 +64,7 @@ let stats t =
     connections = Atomic.get t.n_connections;
     workers =
       Mutex.protect t.conns_mutex (fun () -> List.length t.workers);
+    in_flight = Atomic.get t.inflight;
   }
 
 let port t = t.port

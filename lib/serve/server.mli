@@ -82,9 +82,13 @@ type stats = {
   workers : int;
       (** connections being served now: worker threads not yet exited
           (a worker forgets its thread as its last action) *)
+  in_flight : int;
+      (** queries executing or waiting for the engine now, sheds
+          excluded *)
 }
 
-(** Monotonic totals since [start]; safe from any thread. *)
+(** Monotonic totals since [start], and the current [workers] and
+    [in_flight]; safe from any thread. *)
 val stats : t -> stats
 
 (** [request_drain t] begins a graceful shutdown: the listener stops

@@ -274,11 +274,6 @@ let id_at t s =
 let spectrum t id =
   Array.sub t.spectra (2 * slot t id * t.n) (2 * t.n)
 
-let head_row t s =
-  if s < 0 || s >= cardinality t then
-    invalid_arg "Dataset.head_row: unknown slot";
-  Array.sub t.head (2 * head_width * s) (2 * head_width)
-
 let head_sq_dist t ~stretch s qs acc =
   if s < 0 || s >= cardinality t then
     invalid_arg "Dataset.head_sq_dist: unknown slot";

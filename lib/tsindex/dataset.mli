@@ -143,11 +143,6 @@ val id_at : t -> int -> int
     inspection, not for hot loops). *)
 val spectrum : t -> int -> Simq_dsp.Flat.t
 
-(** [head_row t s] is a copy of slot [s]'s row of the head table
-    ({!head_sq_dist}), its zero padding included (for tests and
-    inspection). Raises [Invalid_argument] for an unknown slot. *)
-val head_row : t -> int -> Simq_dsp.Flat.t
-
 (** [head_sq_dist t ~stretch s qs acc] sets [acc.sum] to the
     {!Simq_dsp.Flat.sq_dist} sum of slot [s]'s coefficients
     [0 .. h-1] against [qs]'s, where [h] is [min head_width n] for

@@ -1,5 +1,4 @@
 module Flat = Simq_dsp.Flat
-module Coords = Simq_geometry.Coords
 module Relation = Simq_storage.Relation
 
 (* Every field is one little-endian 64-bit word: ints as themselves,
@@ -8,13 +7,11 @@ let magic = Bytes.get_int64_le (Bytes.of_string "SIMQPREP") 0
 
 (* Bump it whenever a cold open would compute other bits or another
    tree from the same series: the normal form, the FFT, the feature
-   map or the STR bulk load. An image keyed by the old version is then
-   ignored and rewritten. *)
-let version = 1L
+   configuration and map, [max_fill] or the STR bulk load. An image
+   keyed by the old version is then ignored and rewritten. *)
+let version = 2L
 
 type key = {
-  config : Feature.config;
-  max_fill : int;
   count : int;
   n : int;
   digest : int64;
@@ -48,7 +45,7 @@ let[@inline] mix h w =
 
 let seed = 0x9e3779b97f4a7c15L
 
-let key ~config ~max_fill r =
+let key r =
   let tuples = Relation.to_array r in
   let h = ref seed in
   for i = 0 to Array.length tuples - 1 do
@@ -58,8 +55,6 @@ let key ~config ~max_fill r =
     done
   done;
   {
-    config;
-    max_fill;
     count = Array.length tuples;
     n =
       (if Array.length tuples = 0 then 0
@@ -71,15 +66,18 @@ let header key =
   [
     magic;
     version;
-    Int64.of_int key.config.Feature.k;
-    (match key.config.Feature.representation with
-    | Coords.Polar -> 0L
-    | Coords.Rectangular -> 1L);
-    Int64.of_int key.max_fill;
     Int64.of_int key.count;
     Int64.of_int key.n;
     key.digest;
   ]
+
+(* The image holds enough to rebuild every series (each normal form's
+   spectrum, mean and std), so it may let in no one the relation
+   file's own bits keep out: it carries those bits, less the group's
+   when its group is not the file's. *)
+let perm ~like (st : Unix.stats) =
+  let bits = like.Unix.st_perm land 0o777 in
+  if st.Unix.st_gid = like.Unix.st_gid then bits else bits land 0o707
 
 (* Bulk fields move through one buffer of [chunk] words. *)
 let chunk = 8192
@@ -129,16 +127,20 @@ let write_fields w key dataset ~shape =
   output w.oc w.wbuf 0 8
 
 (* Written beside the final name and renamed over it, so a reader
-   sees the old image or the new one, never a part. *)
-let write file key dataset ~shape =
+   sees the old image or the new one, never a part. Created readable
+   by its owner alone, and widened to the relation file's bits only
+   once it is known whose group it is in. *)
+let write ~like file key dataset ~shape =
   let tmp, oc =
-    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o600
       ~temp_dir:(Filename.dirname file) (Filename.basename file) ".tmp"
   in
   match
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
+        let fd = Unix.descr_of_out_channel oc in
+        Unix.fchmod fd (perm ~like (Unix.fstat fd));
         write_fields
           { oc; wbuf = Bytes.create (8 * chunk); wsum = seed }
           key dataset ~shape;
@@ -203,7 +205,7 @@ let read_fields r key =
   let shape =
     Array.init levels (fun _ ->
         let m = get_int r ~lo:1 ~hi:count in
-        Array.init m (fun _ -> get_int r ~lo:1 ~hi:key.max_fill))
+        Array.init m (fun _ -> get_int r ~lo:1 ~hi:count))
   in
   let sum = r.rsum in
   really_input r.ic r.rbuf 0 8;
@@ -213,7 +215,7 @@ let read_fields r key =
   | exception End_of_file -> ());
   { means; stds; ids; spectra; shape }
 
-let read file key =
+let read ~like file key =
   match open_in_bin file with
   | exception Sys_error _ -> None
   | ic ->
@@ -221,7 +223,12 @@ let read file key =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
         match
+          let st = Unix.fstat (Unix.descr_of_in_channel ic) in
+          if st.Unix.st_perm land lnot (perm ~like st) <> 0 then
+            raise Invalid;
           read_fields { ic; rbuf = Bytes.create (8 * chunk); rsum = seed } key
         with
         | image -> Some image
-        | exception (Invalid | End_of_file | Sys_error _) -> None)
+        | exception
+            (Invalid | End_of_file | Sys_error _ | Unix.Unix_error _) ->
+          None)

@@ -35,7 +35,9 @@ type t = {
    adjacent leaves), so the refinements of one NEAREST, which pop in
    key order, read nearby slots instead of slots scattered over the
    whole buffer. *)
-let build ?(config = Feature.default) ?(max_fill = 32) dataset =
+let default_max_fill = 32
+
+let build ?(config = Feature.default) ?(max_fill = default_max_fill) dataset =
   Feature.validate config ~n:(Dataset.series_length dataset);
   let items =
     Array.map
@@ -55,7 +57,8 @@ let build ?(config = Feature.default) ?(max_fill = 32) dataset =
    the data set, its feature points are recomputed from the spectra,
    and the tree is packed from the stored shape, with no FFT and no
    STR sort. *)
-let of_image ~config ~max_fill relation (image : Image.t) =
+let of_image relation (image : Image.t) =
+  let config = Feature.default in
   let dataset =
     Dataset.of_prepared relation ~means:image.Image.means
       ~stds:image.Image.stds ~ids:image.Image.ids image.Image.spectra
@@ -67,7 +70,8 @@ let of_image ~config ~max_fill relation (image : Image.t) =
       image.Image.ids
   in
   let tree =
-    Simq_rtree.Bulk.pack ~max_fill ~dims:(Feature.dims config)
+    Simq_rtree.Bulk.pack ~max_fill:default_max_fill
+      ~dims:(Feature.dims config)
       ~shape:image.Image.shape items
   in
   { dataset; config; tree }
@@ -75,17 +79,18 @@ let of_image ~config ~max_fill relation (image : Image.t) =
 (* An image that passed its checks but still does not fit (it cannot
    have come from this code) falls back to the cold path like any
    other invalid image. A failed write costs the next open its warm
-   path, nothing else. *)
-let open_file ?(config = Feature.default) ?(max_fill = 32) ~relation file =
+   path, nothing else; so does a relation file gone since it was
+   loaded, whose permission bits the image cannot copy. *)
+let open_file ~relation file =
   let path = Image.path file in
-  let key = Image.key ~config ~max_fill relation in
+  let key = Image.key relation in
+  let like = try Some (Unix.stat file) with Unix.Unix_error _ -> None in
   let warm =
     Otrace.with_span "image.open" @@ fun () ->
-    match Image.read path key with
+    match Option.bind like (fun like -> Image.read ~like path key) with
     | None -> None
     | Some image -> (
-      try Some (of_image ~config ~max_fill relation image)
-      with Invalid_argument _ -> None)
+      try Some (of_image relation image) with Invalid_argument _ -> None)
   in
   match warm with
   | Some t -> t
@@ -93,12 +98,15 @@ let open_file ?(config = Feature.default) ?(max_fill = 32) ~relation file =
     let dataset =
       Otrace.with_span "prepare" (fun () -> Dataset.of_relation relation)
     in
-    let t =
-      Otrace.with_span "build" (fun () -> build ~config ~max_fill dataset)
-    in
-    (Otrace.with_span "image.write" @@ fun () ->
-     try Image.write path key t.dataset ~shape:(Simq_rtree.Bulk.shape t.tree)
-     with Sys_error _ -> ());
+    let t = Otrace.with_span "build" (fun () -> build dataset) in
+    Option.iter
+      (fun like ->
+        Otrace.with_span "image.write" @@ fun () ->
+        try
+          Image.write ~like path key t.dataset
+            ~shape:(Simq_rtree.Bulk.shape t.tree)
+        with Sys_error _ | Unix.Unix_error _ -> ())
+      like;
     t
 
 let dataset t = t.dataset

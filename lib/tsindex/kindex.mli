@@ -25,23 +25,18 @@ type t
     [config.k] is not below the series length. *)
 val build : ?config:Feature.config -> ?max_fill:int -> Dataset.t -> t
 
-(** [open_file ?config ?max_fill ~relation file] is the index of
-    [relation], the relation loaded from [file], equal to
-    [build ?config ?max_fill (Dataset.of_relation relation)] bit for
-    bit: entries, spectra, head rows, slots, node order and node MBRs.
-    When [file]'s prepared image ({!Image.path}) was written for this
-    relation, configuration and [max_fill] ({!Image.read}), it is read
-    instead and nothing is prepared or sorted (trace span
-    ["image.open"]). Otherwise the index is prepared and built (spans
-    ["prepare"] and ["build"]) and the image written (span
-    ["image.write"]); a write that fails is ignored. Raises what
-    {!Dataset.of_relation} and {!build} raise. *)
-val open_file :
-  ?config:Feature.config ->
-  ?max_fill:int ->
-  relation:Simq_storage.Relation.t ->
-  string ->
-  t
+(** [open_file ~relation file] is the index of [relation], the
+    relation loaded from [file], equal to
+    [build (Dataset.of_relation relation)] bit for bit: entries,
+    spectra, head rows, slots, node order and node MBRs. When [file]'s
+    prepared image ({!Image.path}) was written for this relation
+    ({!Image.read}), it is read instead and nothing is prepared or
+    sorted (trace span ["image.open"]). Otherwise the index is prepared
+    and built (spans ["prepare"] and ["build"]) and the image written
+    with [file]'s permission bits (span ["image.write"]); a write that
+    fails is ignored. Raises what {!Dataset.of_relation} and {!build}
+    raise. *)
+val open_file : relation:Simq_storage.Relation.t -> string -> t
 
 val dataset : t -> Dataset.t
 val config : t -> Feature.config

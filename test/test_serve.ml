@@ -434,9 +434,9 @@ let test_finished_workers_not_retained () =
       Alcotest.(check int) "no finished worker retained" 0
         stats.Server.workers)
 
-(* A full-scan self-join of 3,000 series runs long enough to be in
-   flight when the drain starts; [stop] returns only after it is
-   served. *)
+(* The drain starts once the query is executing (a full-scan self-join
+   of 3,000 series, far longer than the polling step) and while it
+   still is; [stop] returns only after it is served. *)
 let test_drain_waits_for_inflight () =
   let engine = Engine.create (build_index ~count:3000 ~n:32 ()) in
   let server = Server.start ~engine ~port:0 () in
@@ -445,7 +445,16 @@ let test_drain_waits_for_inflight () =
     ~finally:(fun () -> Stress.Client.close client)
     (fun () ->
       Stress.Client.send_line client "PAIRS FROM r EPS 0.5 METHOD scan";
-      Thread.delay 0.1;
+      let deadline = Unix.gettimeofday () +. 60. in
+      while (Server.stats server).Server.in_flight = 0 do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "the query never started";
+        Thread.delay 0.001
+      done;
+      Server.request_drain server;
+      Alcotest.(check int)
+        "in flight when the drain began" 1
+        (Server.stats server).Server.in_flight;
       Server.stop server;
       let stats = Server.stats server in
       Alcotest.(check int) "served before stop returned" 1 stats.Server.served;

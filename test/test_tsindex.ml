@@ -1670,11 +1670,8 @@ let with_relation_file batch f =
       save_relation path batch;
       f path)
 
-let open_path ?(max_fill = 8) path =
-  Kindex.open_file ~max_fill ~relation:(Relation.load path) path
-
-let built_of ?(max_fill = 8) path =
-  Kindex.build ~max_fill (Dataset.of_relation (Relation.load path))
+let open_path path = Kindex.open_file ~relation:(Relation.load path) path
+let built_of path = Kindex.build (Dataset.of_relation (Relation.load path))
 
 let inode path = (Unix.stat path).Unix.st_ino
 
@@ -1704,6 +1701,22 @@ let rec check_node msg (a : int Node.node) (b : int Node.node) =
       | _ -> Alcotest.fail (msg ^ ": entry kinds differ"))
     a.Node.entries b.Node.entries
 
+(* The head table is probed through [head_sq_dist] against a zero
+   query (each row's energy) and a random one. *)
+let head_probes n =
+  let st = Random.State.make [| n |] in
+  [ Array.make (2 * n) 0.;
+    Array.init (2 * n) (fun _ -> Random.State.float st 2. -. 1.) ]
+
+let head_sums d s probes =
+  let acc = Simq_dsp.Flat.acc () in
+  List.concat_map
+    (fun q ->
+      let h = Dataset.head_sq_dist d ~stretch:None s q acc in
+      [ float_of_int h; acc.Simq_dsp.Flat.sum ])
+    probes
+  |> Array.of_list
+
 (* Entries, spectra, head rows, slots, and the tree node by node. *)
 let check_same_index msg built opened =
   let db = Kindex.dataset built and dop = Kindex.dataset opened in
@@ -1720,11 +1733,12 @@ let check_same_index msg built opened =
         [| b.Dataset.mean; b.Dataset.std |])
     (Dataset.entries db) (Dataset.entries dop);
   check_bits (msg ^ ": spectra") (Dataset.spectra db) (Dataset.spectra dop);
+  let probes = head_probes (Dataset.series_length db) in
   for s = 0 to count - 1 do
     Alcotest.(check int) (msg ^ ": slot order") (Dataset.id_at db s)
       (Dataset.id_at dop s);
-    check_bits (msg ^ ": head row") (Dataset.head_row db s)
-      (Dataset.head_row dop s)
+    check_bits (msg ^ ": head row") (head_sums db s probes)
+      (head_sums dop s probes)
   done;
   let tb = Kindex.tree built and top = Kindex.tree opened in
   Alcotest.(check (array (array int)))
@@ -1792,7 +1806,7 @@ let prop_image_opens_bit_identical =
          Printf.sprintf "n=%d count=%d seed=%d" n count seed)
        QCheck.Gen.(
          let* n = oneofl [ 128; 100; 7 ] in
-         let* count = oneof [ return 1; int_range 2 90 ] in
+         let* count = oneof [ return 1; int_range 2 300 ] in
          let* seed = int_range 0 1000 in
          return (n, count, seed)))
     (fun (n, count, seed) ->
@@ -1810,10 +1824,9 @@ let prop_image_opens_bit_identical =
       true)
 
 let image_valid path =
-  let relation = Relation.load path in
   Option.is_some
-    (Image.read (Image.path path)
-       (Image.key ~config:Feature.default ~max_fill:8 relation))
+    (Image.read ~like:(Unix.stat path) (Image.path path)
+       (Image.key (Relation.load path)))
 
 let test_image_stale_replaced () =
   with_relation_file (image_batch ~seed:3 ~count:40 ~n:32) @@ fun path ->
@@ -1822,10 +1835,7 @@ let test_image_stale_replaced () =
   let opened = open_path path in
   check_same_index "stale" (built_of path) opened;
   check_same_queries "stale" (built_of path) opened;
-  Alcotest.(check bool) "the image was rewritten" true (image_valid path);
-  (* Another max_fill keys another image. *)
-  let other = open_path ~max_fill:4 path in
-  check_same_index "max_fill 4" (built_of ~max_fill:4 path) other
+  Alcotest.(check bool) "the image was rewritten" true (image_valid path)
 
 let rewrite path f =
   let ic = open_in_bin path in
@@ -1852,7 +1862,7 @@ let test_image_invalid_falls_back () =
       ( "wrong version",
         fun b ->
           let b = Bytes.of_string b in
-          Bytes.set_int64_le b 8 2L;
+          Bytes.set_int64_le b 8 (Int64.succ (Bytes.get_int64_le b 8));
           Bytes.to_string b );
       ( "one spectrum bit flipped",
         fun b ->
@@ -1871,18 +1881,58 @@ let test_image_invalid_falls_back () =
       Alcotest.(check bool) (what ^ ": rewritten") true (image_valid path))
     damage;
   (* Whole and in range, but its shape does not fit the entries. *)
-  let relation = Relation.load path in
-  let key = Image.key ~config:Feature.default ~max_fill:8 relation in
-  Image.write (Image.path path) key (Kindex.dataset built) ~shape:[| [| 1 |] |];
+  let key = Image.key (Relation.load path) and like = Unix.stat path in
+  Image.write ~like (Image.path path) key (Kindex.dataset built)
+    ~shape:[| [| 1 |] |];
   let opened = open_path path in
   check_same_index "misfit shape" built opened;
-  match Image.read (Image.path path) key with
+  match Image.read ~like (Image.path path) key with
   | Some image ->
     Alcotest.(check (array (array int)))
       "misfit shape: rewritten"
       (Bulk.shape (Kindex.tree built))
       image.Image.shape
   | None -> Alcotest.fail "misfit shape: no image after the open"
+
+(* Over 32² entries: leaves, inner nodes and a root. *)
+let test_image_three_levels () =
+  with_relation_file (image_batch ~seed:8 ~count:1100 ~n:8) @@ fun path ->
+  ignore (open_path path : Kindex.t);
+  let warm = open_path path and built = built_of path in
+  Alcotest.(check int)
+    "three levels" 3
+    (Array.length (Bulk.shape (Kindex.tree built)));
+  check_same_index "three levels" built warm;
+  check_same_queries "three levels" built warm
+
+(* The image can rebuild every series, so it is readable by no one the
+   relation file keeps out, and one that is wider is not used. *)
+let test_image_permissions () =
+  with_relation_file (image_batch ~seed:7 ~count:20 ~n:16) @@ fun path ->
+  let image = Image.path path in
+  let perm p = (Unix.stat p).Unix.st_perm land 0o777 in
+  Unix.chmod path 0o600;
+  ignore (open_path path : Kindex.t);
+  Alcotest.(check int) "a 0600 relation gets a 0600 image" 0o600 (perm image);
+  Sys.remove image;
+  Unix.chmod path 0o640;
+  ignore (open_path path : Kindex.t);
+  Alcotest.(check int) "a 0640 relation gets a 0640 image" 0o640 (perm image);
+  Unix.chmod path 0o600;
+  Alcotest.(check bool)
+    "an image wider than its relation is not read" false (image_valid path);
+  let wide = inode image in
+  let opened = open_path path in
+  check_same_index "wide image" (built_of path) opened;
+  Alcotest.(check bool) "the wide image was replaced" true
+    (inode image <> wide);
+  Alcotest.(check int) "by a 0600 one" 0o600 (perm image);
+  Unix.chmod path 0o644;
+  let narrow = inode image in
+  ignore (open_path path : Kindex.t);
+  Alcotest.(check bool)
+    "a narrower image is read" true
+    (image_valid path && inode image = narrow)
 
 let test_image_path_is_directory () =
   with_relation_file (image_batch ~seed:6 ~count:30 ~n:16) @@ fun path ->
@@ -2035,6 +2085,10 @@ let () =
             test_image_invalid_falls_back;
           Alcotest.test_case "a directory in its place" `Quick
             test_image_path_is_directory;
+          Alcotest.test_case "a three-level tree" `Quick
+            test_image_three_levels;
+          Alcotest.test_case "the relation's permission bits" `Quick
+            test_image_permissions;
         ] );
       ( "constraints",
         [
