@@ -165,10 +165,8 @@ let decide_pure t w ~prefer ~budget =
           | Some r -> Reject r)))
   end
 
-(* Every decision is spanned as ["admit"] and counted by outcome. *)
-let counted t decide =
-  Otrace.with_span "admit" @@ fun () ->
-  let decision = decide () in
+(* Every decision is counted by outcome. *)
+let counted t decision =
   Metrics.incr
     (match decision with
     | Admit -> t.m_admit
@@ -176,8 +174,9 @@ let counted t decide =
     | Reject _ -> t.m_reject);
   decision
 
-let decide t w ~prefer ~budget =
-  counted t (fun () -> decide_pure t w ~prefer ~budget)
+(* Not spanned here: the planner decides inside its [admit] operator,
+   whose bracket opens the span of that name. *)
+let decide t w ~prefer ~budget = counted t (decide_pure t w ~prefer ~budget)
 
 (* The pairwise join costs [n (n - 1) / 2] comparisons — a catalogue
    fact, like the scan costs — and reads no page (it runs over the
@@ -185,7 +184,9 @@ let decide t w ~prefer ~budget =
    prediction can refuse it, and there is no cheaper path to degrade
    to. *)
 let decide_pairs t ~comparisons ~budget =
-  counted t @@ fun () ->
+  Otrace.with_span "admit" @@ fun () ->
+  counted t
+  @@
   if Budget.is_unlimited budget then Admit
   else
     match

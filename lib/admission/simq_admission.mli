@@ -29,7 +29,8 @@
     [SIMQ_DOMAINS]/[--jobs] setting, and an {!Admit} never changes
     what the executed query returns. Every decision is counted in the
     [simq_admission_decisions_total] metric family (labelled by
-    decision) and wrapped in an ["admit"] trace span. *)
+    decision). {!decide_pairs} and {!shed} open an ["admit"] trace
+    span; {!decide} opens none (see there). *)
 
 (** What the optimiser knows about a query before running it — all
     catalogue metadata and one histogram estimate; producing it reads
@@ -98,8 +99,12 @@ val estimate : t -> workload -> estimate
     before execution. An unlimited budget always admits. With
     [prefer = Scan_path] the only outcomes are [Admit] and [Reject]
     (there is nothing cheaper to degrade to). Counted in
-    [simq_admission_decisions_total{decision="..."}] and spanned as
-    ["admit"]. *)
+    [simq_admission_decisions_total{decision="..."}]. Opens no span:
+    the planner calls it inside its ["admit"] operator, whose bracket
+    ({!Simq_obs.Profile.with_op}) opens the span, so spanning here
+    would nest an ["admit"] span directly in another. The NN decision
+    is timed by the [kindex.nearest] span around it; the sharded
+    pre-flight's, by none of its own. *)
 val decide : t -> workload -> prefer:path -> budget:Simq_fault.Budget.t -> decision
 
 (** [decide_pairs t ~comparisons ~budget] vets a pairwise scan join
@@ -111,7 +116,7 @@ val decide : t -> workload -> prefer:path -> budget:Simq_fault.Budget.t -> decis
     the bottom path — nothing cheaper to degrade to). An unlimited
     budget always admits. Counted in
     [simq_admission_decisions_total{decision="..."}] and spanned as
-    ["admit"], like every other decision. *)
+    ["admit"]. *)
 val decide_pairs :
   t -> comparisons:int -> budget:Simq_fault.Budget.t -> decision
 

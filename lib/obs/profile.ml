@@ -5,7 +5,6 @@ type node = {
   mutable node_detail : string;
   start_ns : int64;
   mutable node_wall_ns : int64;
-  mutable closed : bool;
   mutable node_rows_in : int;
   mutable node_rows_out : int;
   mutable node_pages : int;
@@ -39,7 +38,6 @@ let enter t name =
           node_detail = "";
           start_ns = Clock.now_ns ();
           node_wall_ns = 0L;
-          closed = false;
           node_rows_in = 0;
           node_rows_out = 0;
           node_pages = 0;
@@ -61,26 +59,28 @@ let current t =
   | Some { stack = node :: _; _ } -> Some node
   | Some { stack = []; _ } | None -> None
 
-let close_at now node =
-  if not node.closed then (
-    node.node_wall_ns <- Int64.sub now node.start_ns;
-    node.closed <- true)
-
+(* Brackets nest, so the node closed is always the innermost open one. *)
 let leave t node =
   match (t, node) with
-  | None, _ | _, None -> ()
   | Some t, Some node ->
-      if List.memq node t.stack then (
-        let now = Clock.now_ns () in
-        (* Close everything opened below [node] as well, so one
-           protected [leave] per operator survives exception paths. *)
-        let rec pop = function
-          | top :: rest ->
-              close_at now top;
-              if top == node then t.stack <- rest else pop rest
-          | [] -> t.stack <- []
-        in
-        pop t.stack)
+      node.node_wall_ns <- Int64.sub (Clock.now_ns ()) node.start_ns;
+      t.stack <- List.tl t.stack
+  | None, _ | _, None -> ()
+
+(* The bracket: one node and one span of the same name, closed in
+   reverse order under one [Fun.protect]. With no profile and tracing
+   off there is nothing to open, so [f] runs bare. *)
+let with_op t name f =
+  match t with
+  | None when not (Trace.on ()) -> f None
+  | _ ->
+      let node = enter t name in
+      let span = Trace.start name in
+      Fun.protect
+        ~finally:(fun () ->
+          Trace.finish span;
+          leave t node)
+        (fun () -> f node)
 
 let set_detail node d =
   match node with None -> () | Some node -> node.node_detail <- d
@@ -154,8 +154,7 @@ let well_formed t =
         (fun acc c -> Int64.add acc c.node_wall_ns)
         0L children
     in
-    node.closed
-    && node.node_rows_in >= 0
+    node.node_rows_in >= 0
     && node.node_rows_out >= 0
     && node.node_pages >= 0
     && node.node_candidates >= 0

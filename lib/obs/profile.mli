@@ -10,9 +10,12 @@
     touched, candidates and survivors, early-abandon hits, and
     degradation/retry events.
 
-    Every mutator here takes the {e option}: [enter None _] is [None]
-    and the recorders are no-ops on [None], so the disabled path costs
-    one immediate function call per site and allocates nothing. When a
+    Every operator is one {!with_op} bracket, which opens the node and
+    the {!Trace} span of the same name together, so the Chrome trace
+    of a profiled query shows the same operator tree. Every recorder
+    takes the {e option} and is a no-op on [None], so the disabled
+    path (no profile, tracing off) costs one immediate function call
+    per site and allocates nothing. When a
     pool is involved, nodes are recorded only on the coordinating
     domain after the deterministic chunk-order merge, so the tree
     {e structure and counters} are identical at every domain count —
@@ -43,20 +46,21 @@ val trace_id : t -> int
 
 (** {1 Recording} *)
 
-val enter : t option -> string -> node option
-(** [enter profile name] opens a node named [name] under the innermost
-    open node (or as a new root) and starts its clock. [None] in gives
-    [None] out. *)
+val with_op : t option -> string -> (node option -> 'a) -> 'a
+(** [with_op profile name f] is one operator: it opens a node named
+    [name] under the innermost open node (or as a new root), starts
+    the {!Trace} span of the same name, runs [f] with the node, then
+    finishes the span and closes the node (fixing its wall time), even
+    if [f] raises. Nodes an exception left open below it close with
+    it. So every profile node is also a span, covering exactly the
+    node's stretch and nested alike on the recording domain. On
+    [None] [f] gets [None]; with tracing on the span is still
+    recorded. With no profile and tracing off, [f None] runs directly:
+    no [Fun.protect] and no allocation beyond the caller's closure. *)
 
 val current : t option -> node option
 (** The innermost open node, [None] when none is open (or on [None]):
     where a caller that opened no node of its own records an event. *)
-
-val leave : t option -> node option -> unit
-(** [leave profile node] closes [node], fixing its wall time. Nodes
-    left open below it (by an exception path) are closed with it, so
-    a single [Fun.protect]ed [leave] per operator is enough. Closing a
-    node that is not on the open stack is a no-op. *)
 
 val set_detail : node option -> string -> unit
 (** A free-form annotation shown next to the name (plan choice,

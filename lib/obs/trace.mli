@@ -13,7 +13,16 @@
     complete event per finished span, with the domain id as [tid] and
     span/parent ids in [args], so a query's
     plan → index descent → postfilter → merge timeline is inspectable
-    in any trace viewer. *)
+    in any trace viewer.
+
+    Every operator of a query opens its span through
+    {!Profile.with_op}, together with the profile node of the same
+    name, so on the coordinating domain the spans named like nodes
+    nest exactly as the profile tree does. {!with_span} is for what
+    has no node: setup phases ([image.*], [prepare], [build], the
+    engine's [shard] and [sketch]), the batch executor, merges
+    ([join.merge], [seqscan.merge]) and admission decisions made
+    outside an operator. *)
 
 (** [on ()] is the current state of the tracing flag (default
     off; the [--trace FILE] CLI flag turns it on). *)
@@ -65,7 +74,8 @@ val start : string -> span
 val finish : span -> unit
 
 (** [with_span name f] runs [f ()] inside a span, finishing it even
-    if [f] raises. *)
+    if [f] raises. An operator with a profile node takes
+    {!Profile.with_op} instead, which opens both. *)
 val with_span : string -> (unit -> 'a) -> 'a
 
 (** [open_spans ()] is the number of started-but-unfinished spans

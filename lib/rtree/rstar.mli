@@ -98,7 +98,7 @@ val reset_stats : 'a t -> unit
 
 (** {2 Internal access for sibling modules}
 
-    Exposed for {!Bulk}, {!Nn}, {!Join} and {!Check}; not part of the
+    Exposed for {!Bulk}, {!Nn} and {!Check}; not part of the
     stable API. *)
 
 val root : 'a t -> 'a Node.node

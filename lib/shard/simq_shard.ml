@@ -10,7 +10,6 @@ module Rstar = Simq_rtree.Rstar
 module Pool = Simq_parallel.Pool
 module Budget = Simq_fault.Budget
 module Metrics = Simq_obs.Metrics
-module Otrace = Simq_obs.Trace
 module Profile = Simq_obs.Profile
 
 let m_queries =
@@ -40,6 +39,7 @@ type shard = {
   ssketch : Simq_sketch.t option;  (* own sketch table, over local ids *)
   mutable sstats : Planner.stats option;  (* per-shard calibration, lazy *)
   m_executed : Metrics.counter;  (* this shard's labelled metrics child *)
+  sname : string;  (* its operator's name, [shard.i] *)
 }
 
 type t = { parent : Dataset.t; parts : shard array }
@@ -75,6 +75,7 @@ let create ?(config = Feature.default) ?(max_fill = 32) ?sketch ~shards dataset
         Metrics.counter ~help:"Queries executed against this shard"
           ~labels:[ ("shard", string_of_int ordinal) ]
           "simq_shard_executed_total";
+      sname = Printf.sprintf "shard.%d" ordinal;
     }
   in
   { parent = dataset; parts = Array.init k mk }
@@ -156,18 +157,20 @@ let copy_counts ~scan pc sp =
     Profile.add_candidates pc (Profile.candidates node);
     Profile.add_pages pc (Profile.pages node)
 
-(* Metrics and profile for one finished scatter, on the coordinating
-   domain after the merge (deterministic at every domain count). *)
-let finish ?profile t ~op ~decisions ~(runs : _ run option array) ~rows_out =
+(* The fan-out: one pool task per shard under the [shard.scatter]
+   operator, then the metrics and each shard's [shard.i] node, on the
+   coordinating domain once every task is back (deterministic at every
+   domain count; a [shard.i] node times only that bookkeeping). *)
+let scatter ?pool ?profile t ~op ~decisions task =
+  Profile.with_op profile "shard.scatter" @@ fun ps ->
+  let runs = Pool.map_array ?pool ~chunk:1 task t.parts in
   let k = Array.length t.parts in
-  let fanout = ref 0 and degraded = ref 0 and rows_in = ref 0 in
+  let fanout = ref 0 and degraded = ref 0 in
   Array.iter
-    (fun r ->
-      match r with
+    (function
       | None -> ()
       | Some r ->
         incr fanout;
-        rows_in := !rows_in + r.r_rows;
         if r.r_scan then incr degraded)
     runs;
   let report =
@@ -183,45 +186,47 @@ let finish ?profile t ~op ~decisions ~(runs : _ run option array) ~rows_out =
   Metrics.add m_fanout report.fanout;
   Metrics.add m_pruned report.pruned;
   Metrics.add m_degraded report.degraded;
-  Array.iteri
-    (fun i r -> if Option.is_some r then Metrics.incr t.parts.(i).m_executed)
-    runs;
-  (match profile with
-  | None -> ()
-  | Some _ ->
-    let ps = Profile.enter profile "shard.scatter" in
-    Profile.set_detail ps
-      (Printf.sprintf "%s shards=%d fanout=%d pruned=%d degraded=%d" op
-         report.shards report.fanout report.pruned report.degraded);
-    Array.iteri
-      (fun i r ->
-        let pc = Profile.enter profile (Printf.sprintf "shard.%d" i) in
-        (match r with
-        | None -> Profile.set_detail pc "pruned"
-        | Some r ->
-          Profile.set_detail pc (if r.r_scan then "scan" else "index");
-          Profile.add_pages pc r.r_nodes;
-          Profile.add_candidates pc r.r_candidates;
-          Option.iter (copy_counts ~scan:r.r_scan pc) r.r_profile;
-          Profile.add_rows_out pc r.r_rows);
-        Profile.leave profile pc)
-      runs;
-    Profile.leave profile ps;
-    let pg = Profile.enter profile "shard.gather" in
-    Profile.set_detail pg op;
-    Profile.add_rows_in pg !rows_in;
-    Profile.add_rows_out pg rows_out;
-    Profile.leave profile pg);
-  report
+  Profile.set_detail ps
+    (Printf.sprintf "%s shards=%d fanout=%d pruned=%d degraded=%d" op
+       report.shards report.fanout report.pruned report.degraded);
+  Array.iter2
+    (fun s r ->
+      if Option.is_some r then Metrics.incr s.m_executed;
+      Profile.with_op profile s.sname @@ fun pc ->
+      match r with
+      | None -> Profile.set_detail pc "pruned"
+      | Some r ->
+        Profile.set_detail pc (if r.r_scan then "scan" else "index");
+        Profile.add_pages pc r.r_nodes;
+        Profile.add_candidates pc r.r_candidates;
+        Option.iter (copy_counts ~scan:r.r_scan pc) r.r_profile;
+        Profile.add_rows_out pc r.r_rows)
+    t.parts runs;
+  (runs, report)
 
-let gather_range ?profile t ~decisions runs =
-  let answers =
-    (* Contiguous id blocks in shard order: concatenation is already
-       globally sorted by entry id, like the unsharded traversal. *)
-    List.concat_map
-      (function None -> [] | Some r -> r.r_payload)
-      (Array.to_list runs)
+(* The merge of the per-shard payloads, under the [shard.gather]
+   operator: rows in are the per-shard answers, rows out the merged
+   ones. *)
+let gather ?profile ~op runs merge =
+  Profile.with_op profile "shard.gather" @@ fun pg ->
+  Profile.set_detail pg op;
+  let merged =
+    merge
+      (List.concat_map
+         (function None -> [] | Some r -> r.r_payload)
+         (Array.to_list runs))
   in
+  Profile.add_rows_in pg
+    (Array.fold_left
+       (fun acc -> function None -> acc | Some r -> acc + r.r_rows)
+       0 runs);
+  Profile.add_rows_out pg (List.length merged);
+  merged
+
+let gather_range ?profile (runs, report) =
+  (* Contiguous id blocks in shard order: concatenation is already
+     globally sorted by entry id, like the unsharded traversal. *)
+  let answers = gather ?profile ~op:"range" runs Fun.id in
   let candidates =
     Array.fold_left
       (fun acc -> function None -> acc | Some r -> acc + r.r_candidates)
@@ -233,10 +238,6 @@ let gather_range ?profile t ~decisions runs =
   in
   let partial =
     Array.exists (function None -> false | Some r -> r.r_partial) runs
-  in
-  let report =
-    finish ?profile t ~op:"range" ~decisions ~runs
-      ~rows_out:(List.length answers)
   in
   { answers; candidates; node_accesses; partial; report }
 
@@ -355,10 +356,9 @@ let range_checked ?pool ?spec ?mean_window ?std_band
             | Error _ -> scan s))
     in
     (try
-       Otrace.with_span "shard.scatter" @@ fun () ->
        Ok
-         (gather_range ?profile t ~decisions
-            (Pool.map_array ?pool ~chunk:1 task t.parts))
+         (gather_range ?profile
+            (scatter ?pool ?profile t ~op:"range" ~decisions task))
      with Shard_failed e -> Error e)
 
 (* The unbudgeted forms are the checked ones with no admission and an
@@ -391,19 +391,12 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let gather_nearest ?profile t ~k ~decisions runs =
+let gather_nearest ?profile ~op ~k (runs, report) =
+  (* Union of per-shard top-k contains the global top-k (each shard's
+     list is exact for its entries); the k-way merge is a sort in
+     canonical order over at most K·k pairs. *)
   let neighbours =
-    (* Union of per-shard top-k contains the global top-k (each shard's
-       list is exact for its entries); the k-way merge is a sort in
-       canonical order over at most K·k pairs. *)
-    List.concat_map
-      (function None -> [] | Some r -> r.r_payload)
-      (Array.to_list runs)
-    |> List.sort by_distance |> take k
-  in
-  let report =
-    finish ?profile t ~op:(Printf.sprintf "nearest k=%d" k) ~decisions ~runs
-      ~rows_out:(List.length neighbours)
+    gather ?profile ~op runs (fun all -> take k (List.sort by_distance all))
   in
   { neighbours; nearest_report = report }
 
@@ -455,11 +448,11 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
           | Ok r -> nn_run t s ~sp ~scan:false r.Kindex.neighbours
           | Error _ -> scan ()))
     in
+    let op = Printf.sprintf "nearest k=%d" k in
     (try
-       Otrace.with_span "shard.scatter" @@ fun () ->
        Ok
-         (gather_nearest ?profile t ~k ~decisions
-            (Pool.map_array ?pool ~chunk:1 task t.parts))
+         (gather_nearest ?profile ~op ~k
+            (scatter ?pool ?profile t ~op ~decisions task))
      with Shard_failed e -> Error e)
 
 let nearest ?pool ?spec ?profile t ~query ~k =

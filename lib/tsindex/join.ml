@@ -186,9 +186,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
         List.sort compare_pairs )
   in
   let chunk = Pool.chunk_size pool count in
-  let pn = Profile.enter profile "join.scan" in
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
-  Otrace.with_span "join.scan" @@ fun () ->
+  Profile.with_op profile "join.scan" @@ fun pn ->
   let partials =
     Pool.map_chunks ~pool ~chunk ~n:count (fun ~lo ~hi ->
         let pairs = ref [] in
@@ -288,9 +286,7 @@ let index_join ?profile kindex spec epsilon =
   (* One flat operator node for the whole nested-query loop: a child
      per inner range query would drown the tree in [cardinality]
      nodes. *)
-  let pn = Profile.enter profile "join.index" in
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
-  Otrace.with_span "join.index" @@ fun () ->
+  Profile.with_op profile "join.index" @@ fun pn ->
   let pairs = ref [] in
   let computations = ref 0 in
   let node_accesses = ref 0 in

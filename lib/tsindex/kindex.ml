@@ -269,19 +269,18 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
     full_region t ?mean_range ?std_range ~query_coeffs ~epsilon:radius ()
   in
   let overlaps, matches = region_tests region prepared.ptransform in
-  Otrace.with_span "kindex.range" @@ fun () ->
-  let pn = Profile.enter profile "kindex.range" in
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
-  let pd = Profile.enter profile "kindex.descent" in
+  Profile.with_op profile "kindex.range" @@ fun pn ->
   let candidate_ids, node_accesses =
-    Otrace.with_span "kindex.descent" (fun () ->
-        Rstar.fold_region_counted ?budget:bstate t.tree ~overlaps ~matches
-          ~init:[] ~f:(fun acc _ id -> id :: acc))
+    Profile.with_op profile "kindex.descent" @@ fun pd ->
+    let ((ids, accesses) as found) =
+      Rstar.fold_region_counted ?budget:bstate t.tree ~overlaps ~matches
+        ~init:[] ~f:(fun acc _ id -> id :: acc)
+    in
+    Profile.add_pages pd accesses;
+    Profile.add_rows_out pd (List.length ids);
+    found
   in
   let candidates = List.length candidate_ids in
-  Profile.add_pages pd node_accesses;
-  Profile.add_rows_out pd candidates;
-  Profile.leave profile pd;
   Metrics.add m_candidates candidates;
   (* The sketch funnel: every level filters the whole surviving set
      before the next (finer) level runs, so the profile reads as a
@@ -302,7 +301,7 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
       let ids = ref candidate_ids in
       Array.iteri
         (fun level name ->
-          let pl = Profile.enter profile ("sketch." ^ name) in
+          Profile.with_op profile ("sketch." ^ name) @@ fun pl ->
           let before = List.length !ids in
           ids :=
             List.filter
@@ -311,15 +310,13 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
           let after = List.length !ids in
           Profile.add_rows_in pl before;
           Profile.add_rows_out pl after;
-          pf.on_filtered level (before - after);
-          Profile.leave profile pl)
+          pf.on_filtered level (before - after))
         pf.levels;
       !ids
   in
-  let pp = Profile.enter profile "kindex.postfilter" in
   let partial = ref false in
   let answers =
-    Otrace.with_span "kindex.postfilter" @@ fun () ->
+    Profile.with_op profile "kindex.postfilter" @@ fun pp ->
     let kept = ref [] in
     (try
        List.iter
@@ -338,15 +335,18 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
           the result is a sound subset — return it marked partial
           instead of failing the whole query. *)
        partial := true);
-    List.sort (fun (a, _) (b, _) -> compare a.Dataset.id b.Dataset.id) !kept
+    let answers =
+      List.sort (fun (a, _) (b, _) -> compare a.Dataset.id b.Dataset.id) !kept
+    in
+    let survivors = List.length answers in
+    Profile.add_rows_in pp (List.length survivor_ids);
+    Profile.add_rows_out pp survivors;
+    Profile.add_candidates pp candidates;
+    Profile.add_survivors pp survivors;
+    if !partial then Profile.add_event pp "anytime: budget exhausted, partial";
+    answers
   in
   let survivors = List.length answers in
-  Profile.add_rows_in pp (List.length survivor_ids);
-  Profile.add_rows_out pp survivors;
-  Profile.add_candidates pp candidates;
-  Profile.add_survivors pp survivors;
-  (if !partial then Profile.add_event pp "anytime: budget exhausted, partial");
-  Profile.leave profile pp;
   Profile.add_rows_out pn survivors;
   Profile.add_candidates pn candidates;
   Profile.add_survivors pn survivors;
@@ -731,28 +731,27 @@ let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
     Profile.add_rows_in pn 1;
     key r id cell
   in
-  Otrace.with_span "kindex.nearest" @@ fun () ->
   Nn.best_first ?visit ?refine t.tree ~node_bound:(node_bound t nq) ~key
     ~rank:Fun.id ~k
   |> List.map (fun (_, id, d) -> (Dataset.get t.dataset id, d))
 
-(* What both NN entry points prepare before traversing: the query
-   entry, the transformation, the sketch bound and the profile node. *)
-let nearest_request ~spec ?sketch ?profile t ~query ~k =
+(* What both NN entry points prepare before traversing, inside their
+   [kindex.nearest] node: the query entry, the transformation and the
+   sketch bound, named in the node's detail. *)
+let nearest_request ~spec ?sketch ~pn t ~query ~k =
   check_query_length t spec query;
   let q = Dataset.prepare_query query in
   let prepared = prepare t spec in
   let sketch_bound = nn_point_bound t sketch q in
-  let pn = Profile.enter profile "kindex.nearest" in
   Profile.set_detail pn (nn_detail ~k sketch_bound);
-  (q, prepared, sketch_bound, pn)
+  (q, prepared, sketch_bound)
 
 let nearest ?(spec = Spec.Identity) ?sketch ?profile t ~query ~k =
-  let q, prepared, sketch_bound, pn =
-    nearest_request ~spec ?sketch ?profile t ~query ~k
+  Profile.with_op profile "kindex.nearest" @@ fun pn ->
+  let q, prepared, sketch_bound =
+    nearest_request ~spec ?sketch ~pn t ~query ~k
   in
   let visits = ref 0 in
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
   let answers = nearest_run ?sketch_bound ~pn ~visits t prepared q ~k in
   Profile.add_pages pn !visits;
   Profile.add_rows_out pn (List.length answers);
@@ -764,9 +763,7 @@ let nearest ?(spec = Spec.Identity) ?sketch ?profile t ~query ~k =
    boundary break on the entry id, so the selection is deterministic
    at every domain count. *)
 let nearest_scan_counted ?bstate ?profile t ~dist ~k =
-  let pn = Profile.enter profile "kindex.nearest-scan" in
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
-  Otrace.with_span "kindex.nearest-scan" @@ fun () ->
+  Profile.with_op profile "kindex.nearest-scan" @@ fun pn ->
   (* Slot order: the spectra are read front to back. *)
   let scored =
     Array.init (Dataset.cardinality t.dataset) (fun s ->
@@ -822,9 +819,9 @@ let nearest_checked ?(spec = Spec.Identity) ?(budget = Budget.unlimited)
     ?admission ?profile t ~query ~k =
   check_query_length t spec query;
   if k <= 0 then invalid_arg "Kindex.nearest_checked: k must be positive";
-  let q, prepared, _, pn = nearest_request ~spec ?profile t ~query ~k in
+  Profile.with_op profile "kindex.nearest" @@ fun pn ->
+  let q, prepared, _ = nearest_request ~spec ~pn t ~query ~k in
   let visits = ref 0 in
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
   (* Admission runs once, before any attempt: the decision is a pure
      function of catalogue metadata, the budget and a registry
      snapshot, so it cannot flip between retries (or domain counts). *)

@@ -1,6 +1,5 @@
 module Distance = Simq_series.Distance
 module Metrics = Simq_obs.Metrics
-module Otrace = Simq_obs.Trace
 module Profile = Simq_obs.Profile
 
 let m_path_index =
@@ -123,8 +122,7 @@ let admission_workload ?stats ?(sketch_levels = 0) kindex ~epsilon =
 let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
     ?stats ?(budget = Budget.unlimited) ?admission ?sketch
     ?(sketch_levels = 0) ?approx ?profile kindex ~query ~epsilon =
-  let pn = Profile.enter profile "planner" in
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
+  Profile.with_op profile "planner" @@ fun pn ->
   let dataset = Kindex.dataset kindex in
   let failed e =
     Metrics.incr m_failures;
@@ -134,14 +132,12 @@ let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
   let plan =
     match stats with
     | Some stats ->
-      let pplan = Profile.enter profile "plan" in
+      Profile.with_op profile "plan" @@ fun pplan ->
       let plan, estimated =
-        Otrace.with_span "plan" (fun () ->
-            choose stats ~cardinality:(Dataset.cardinality dataset) ~epsilon)
+        choose stats ~cardinality:(Dataset.cardinality dataset) ~epsilon
       in
       Profile.set_detail pplan
         (Printf.sprintf "%s est=%.1f" (plan_name plan) estimated);
-      Profile.leave profile pplan;
       plan
     | None -> Use_index
   in
@@ -154,7 +150,7 @@ let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
     match admission with
     | None -> None
     | Some policy ->
-      let padmit = Profile.enter profile "admit" in
+      Profile.with_op profile "admit" @@ fun padmit ->
       let workload = admission_workload ?stats ~sketch_levels kindex ~epsilon in
       let prefer =
         match plan with
@@ -163,7 +159,6 @@ let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
       in
       let d = Simq_admission.decide policy workload ~prefer ~budget in
       Profile.set_detail padmit (Simq_admission.decision_name d);
-      Profile.leave profile padmit;
       Some d
   in
   (* The fallback restarts the budget (range_checked derives a fresh

@@ -112,7 +112,6 @@ let scan_compute ~pool ~abandon ?bstate ?sides dataset spec query epsilon =
   in
   let chunk = Pool.chunk_size pool count in
   let partials =
-    Otrace.with_span "seqscan.compute" @@ fun () ->
     Pool.map_chunks ~pool ~chunk ~n:count (fun ~lo ~hi ->
         let answers = ref [] in
         let full = ref 0 in
@@ -162,46 +161,36 @@ let resolve_pool = function Some pool -> pool | None -> Pool.default ()
    are identical at every domain count. *)
 let profiled_scan ~pool ~abandon ?bstate ?sides ?profile dataset spec query
     epsilon =
-  Otrace.with_span "seqscan.range" (fun () ->
-      let count = Dataset.cardinality dataset in
-      (* A page fault aborts the attempt here: closing the node keeps a
-         retried attempt's nodes beside this one, not inside it. *)
-      let pio = Profile.enter profile "seqscan.io" in
-      Fun.protect
-        ~finally:(fun () -> Profile.leave profile pio)
-        (fun () ->
-          Otrace.with_span "seqscan.io" (fun () ->
-              account_io ?budget:bstate dataset);
-          Profile.add_pages pio count);
-      let pc = Profile.enter profile "seqscan.compute" in
-      let result =
-        scan_compute ~pool ~abandon ?bstate ?sides dataset spec query
-          epsilon
-      in
-      let survivors = List.length result.answers in
-      Profile.add_rows_in pc count;
-      Profile.add_candidates pc count;
-      Profile.add_rows_out pc survivors;
-      Profile.add_survivors pc survivors;
-      Profile.add_early_abandon pc (count - result.full_computations);
-      Profile.leave profile pc;
-      result)
+  let count = Dataset.cardinality dataset in
+  (* A page fault aborts the attempt here: the bracket closes the node,
+     so a retried attempt's nodes sit beside this one, not inside it. *)
+  Profile.with_op profile "seqscan.io" (fun pio ->
+      account_io ?budget:bstate dataset;
+      Profile.add_pages pio count);
+  Profile.with_op profile "seqscan.compute" @@ fun pc ->
+  let result =
+    scan_compute ~pool ~abandon ?bstate ?sides dataset spec query epsilon
+  in
+  let survivors = List.length result.answers in
+  Profile.add_rows_in pc count;
+  Profile.add_candidates pc count;
+  Profile.add_rows_out pc survivors;
+  Profile.add_survivors pc survivors;
+  Profile.add_early_abandon pc (count - result.full_computations);
+  result
 
 let scan ?pool ?profile ~abandon dataset spec query epsilon =
   check_query_length dataset spec query;
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Seqscan: epsilon must be finite and >= 0";
   let pool = resolve_pool pool in
-  let pn = Profile.enter profile "seqscan.range" in
-  Fun.protect
-    ~finally:(fun () -> Profile.leave profile pn)
-    (fun () ->
-      let result =
-        profiled_scan ~pool ~abandon ?profile dataset spec query epsilon
-      in
-      Profile.add_rows_in pn (Dataset.cardinality dataset);
-      Profile.add_rows_out pn (List.length result.answers);
-      result)
+  Profile.with_op profile "seqscan.range" @@ fun pn ->
+  let result =
+    profiled_scan ~pool ~abandon ?profile dataset spec query epsilon
+  in
+  Profile.add_rows_in pn (Dataset.cardinality dataset);
+  Profile.add_rows_out pn (List.length result.answers);
+  result
 
 let range_full ?pool ?(spec = Spec.Identity) ?profile dataset ~query ~epsilon =
   scan ?pool ?profile ~abandon:false dataset spec query epsilon
@@ -217,22 +206,18 @@ let range_checked ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
     invalid_arg "Seqscan: epsilon must be finite and >= 0";
   let sides = Dataset.side_ranges ?mean_window ?std_band query in
   let pool = resolve_pool pool in
-  let pn = Profile.enter profile "seqscan.range" in
-  Fun.protect
-    ~finally:(fun () -> Profile.leave profile pn)
-    (fun () ->
-      let result =
-        Retry.with_retries ?profile ~budget (fun bstate ->
-            profiled_scan ~pool ~abandon:true ?bstate ~sides ?profile dataset
-              spec query epsilon)
-      in
-      (match result with
-      | Ok r ->
-          Profile.add_rows_in pn (Dataset.cardinality dataset);
-          Profile.add_rows_out pn (List.length r.answers)
-      | Error e ->
-          Profile.add_event pn ("error: " ^ Simq_fault.Error.kind e));
-      result)
+  Profile.with_op profile "seqscan.range" @@ fun pn ->
+  let result =
+    Retry.with_retries ?profile ~budget (fun bstate ->
+        profiled_scan ~pool ~abandon:true ?bstate ~sides ?profile dataset
+          spec query epsilon)
+  in
+  (match result with
+  | Ok r ->
+    Profile.add_rows_in pn (Dataset.cardinality dataset);
+    Profile.add_rows_out pn (List.length r.answers)
+  | Error e -> Profile.add_event pn ("error: " ^ Simq_fault.Error.kind e));
+  result
 
 let reference ?(spec = Spec.Identity) ?(normalise_query = true) dataset ~query
     ~epsilon =

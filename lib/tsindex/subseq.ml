@@ -5,7 +5,6 @@ module Region = Simq_geometry.Region
 module Rect = Simq_geometry.Rect
 module Rstar = Simq_rtree.Rstar
 module Metrics = Simq_obs.Metrics
-module Otrace = Simq_obs.Trace
 module Profile = Simq_obs.Profile
 
 let m_candidates =
@@ -114,40 +113,40 @@ let expand_candidate t query ~epsilon payload acc =
 let range ?profile t ~query ~epsilon =
   check_query t query;
   if epsilon < 0. then invalid_arg "Subseq.range: negative epsilon";
-  let pn = Profile.enter profile "subseq.range" in
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
-  Otrace.with_span "subseq.range" @@ fun () ->
+  Profile.with_op profile "subseq.range" @@ fun pn ->
   let query_features = features ~k:t.k query in
   let region =
     Coords.search_region Coords.Rectangular ~query:query_features ~epsilon
   in
   let candidates = ref 0 in
-  let pd = Profile.enter profile "subseq.descent" in
   let hits, accesses =
-    Otrace.with_span "subseq.descent" (fun () ->
-        Rstar.fold_region_counted t.tree
-          ~overlaps:(fun r -> Region.intersects_rect region r)
-          ~matches:(fun r _ -> Region.intersects_rect region r)
-          ~init:[]
-          ~f:(fun acc _ payload ->
-            candidates := !candidates + payload.run;
-            expand_candidate t query ~epsilon payload acc))
+    Profile.with_op profile "subseq.descent" @@ fun pd ->
+    let ((_, accesses) as found) =
+      Rstar.fold_region_counted t.tree
+        ~overlaps:(fun r -> Region.intersects_rect region r)
+        ~matches:(fun r _ -> Region.intersects_rect region r)
+        ~init:[]
+        ~f:(fun acc _ payload ->
+          candidates := !candidates + payload.run;
+          expand_candidate t query ~epsilon payload acc)
+    in
+    Rstar.add_accesses t.tree accesses;
+    Profile.add_pages pd accesses;
+    Profile.add_rows_out pd !candidates;
+    found
   in
-  Rstar.add_accesses t.tree accesses;
-  Profile.add_pages pd accesses;
-  Profile.add_rows_out pd !candidates;
-  Profile.leave profile pd;
-  let pp = Profile.enter profile "subseq.postfilter" in
   let hits =
-    Otrace.with_span "subseq.postfilter" (fun () ->
-        List.sort
-          (fun a b -> compare (a.series_id, a.offset) (b.series_id, b.offset))
-          hits)
+    Profile.with_op profile "subseq.postfilter" @@ fun pp ->
+    let hits =
+      List.sort
+        (fun a b -> compare (a.series_id, a.offset) (b.series_id, b.offset))
+        hits
+    in
+    Profile.add_rows_in pp !candidates;
+    Profile.add_rows_out pp (List.length hits);
+    hits
   in
   let survivors = List.length hits in
-  Profile.add_rows_in pp !candidates;
-  Profile.add_rows_out pp survivors;
-  Profile.leave profile pp;
   Profile.add_candidates pn !candidates;
   Profile.add_survivors pn survivors;
   Profile.add_pages pn accesses;
@@ -158,10 +157,8 @@ let range ?profile t ~query ~epsilon =
 
 let nearest ?profile t ~query ~k =
   check_query t query;
-  let pn = Profile.enter profile "subseq.nearest" in
+  Profile.with_op profile "subseq.nearest" @@ fun pn ->
   Profile.set_detail pn (Printf.sprintf "k=%d" k);
-  Fun.protect ~finally:(fun () -> Profile.leave profile pn) @@ fun () ->
-  Otrace.with_span "subseq.nearest" @@ fun () ->
   let query_point = encode ~k:t.k query in
   let visits = ref 0 in
   let visit = Option.map (fun _ () -> incr visits) pn in

@@ -78,9 +78,8 @@ let test_profiles_are_threaded () =
       ignore
         (Batch.map ~pool ~profiles
            (fun ~profile q ->
-             let node = Profile.enter profile "batch.test" in
+             Profile.with_op profile "batch.test" @@ fun node ->
              Profile.add_rows_out node q;
-             Profile.leave profile node;
              q)
            (Array.init n (fun i -> i)));
       Array.iteri

@@ -266,9 +266,8 @@ let test_with_obs_dumps_profile_qlog_state_on_error () =
           ~profile:(profile, profile_file)
           ~qlog ~metrics_state:state_file ~metrics:None ~trace:None
           (fun () ->
-            let n = Simq_obs.Profile.enter (Some profile) "test.op" in
-            Simq_obs.Profile.add_rows_out n 3;
-            Simq_obs.Profile.leave (Some profile) n;
+            Simq_obs.Profile.with_op (Some profile) "test.op" (fun n ->
+                Simq_obs.Profile.add_rows_out n 3);
             Simq_obs.Qlog.log qlog
               {
                 Simq_obs.Qlog.spec = "test";
@@ -335,8 +334,7 @@ let test_with_obs_profile_json_export () =
       let result =
         Cli.with_obs ~profile:(profile, dest) ~metrics:None ~trace:None
           (fun () ->
-            Simq_obs.Profile.leave (Some profile)
-              (Simq_obs.Profile.enter (Some profile) "test.json");
+            Simq_obs.Profile.with_op (Some profile) "test.json" ignore;
             Ok ())
       in
       Alcotest.(check bool) "run ok" true (result = Ok ());

@@ -210,17 +210,17 @@ let test_retry_recovers () =
       ~seed:1 ()
   in
   let profile = Profile.create () in
-  let op = Profile.enter (Some profile) "op" in
-  let result =
-    Retry.with_retries ~profile (fun _ ->
-        (* A node the failing attempt leaves open does not take the
-           event: the retry belongs to the operator that started the
-           loop. *)
-        ignore (Profile.enter (Some profile) "attempt");
-        Injector.check inj Injector.Page_read;
-        "done")
+  let result, op =
+    Profile.with_op (Some profile) "op" @@ fun op ->
+    ( Retry.with_retries ~profile (fun _ ->
+          (* The node of the failing attempt does not take the event:
+             the retry belongs to the operator that started the
+             loop. *)
+          Profile.with_op (Some profile) "attempt" @@ fun _ ->
+          Injector.check inj Injector.Page_read;
+          "done"),
+      op )
   in
-  Profile.leave (Some profile) op;
   Alcotest.(check bool) "second attempt succeeds" true (result = Ok "done");
   Alcotest.(check (list string)) "one abandoned attempt, on the operator"
     [ "retry: attempt 1 abandoned" ]

@@ -1,12 +1,14 @@
 (* The per-query profiling layer (Simq_obs.Profile / Qlog / Json):
    tree construction and rendering, the JSON grammar of both exports,
-   deterministic query-log sampling, offline aggregation, and the
+   deterministic query-log sampling, offline aggregation, the span
+   tree of a traced query repeating its operator tree, and the
    stack-wide invariance guarantee — attaching a profile or a query log
    never changes answers, and the merged counter totals and the
    rendered tree (timings stripped) are identical at every domain
    count. *)
 
 module Profile = Simq_obs.Profile
+module Trace = Simq_obs.Trace
 module Qlog = Simq_obs.Qlog
 module Json = Simq_obs.Json
 module Metrics = Simq_obs.Metrics
@@ -96,21 +98,18 @@ let prop_json_roundtrip =
 let build_sample_profile () =
   let p = Profile.create () in
   let prof = Some p in
-  let root = Profile.enter prof "planner" in
-  Profile.set_detail root "index";
-  let child = Profile.enter prof "kindex.range" in
-  let grand = Profile.enter prof "kindex.descent" in
-  Profile.add_pages grand 7;
-  Profile.add_rows_out grand 3;
-  Profile.leave prof grand;
-  Profile.add_rows_in child 100;
-  Profile.add_rows_out child 3;
-  Profile.add_candidates child 3;
-  Profile.add_survivors child 2;
-  Profile.add_early_abandon child 1;
-  Profile.add_event child "retry: attempt 1 abandoned";
-  Profile.leave prof child;
-  Profile.leave prof root;
+  Profile.with_op prof "planner" (fun root ->
+      Profile.set_detail root "index";
+      Profile.with_op prof "kindex.range" (fun child ->
+          Profile.with_op prof "kindex.descent" (fun grand ->
+              Profile.add_pages grand 7;
+              Profile.add_rows_out grand 3);
+          Profile.add_rows_in child 100;
+          Profile.add_rows_out child 3;
+          Profile.add_candidates child 3;
+          Profile.add_survivors child 2;
+          Profile.add_early_abandon child 1;
+          Profile.add_event child "retry: attempt 1 abandoned"));
   p
 
 let test_profile_tree_shape () =
@@ -162,63 +161,84 @@ let test_profile_json_parses () =
         (Option.bind (Json.member "op" root) Json.string_of)
     | _ -> Alcotest.fail "one root expected in JSON")
 
-let test_profile_leave_pops_to_closing () =
+let test_profile_raise_closes_brackets () =
   let p = Profile.create () in
   let prof = Some p in
-  let outer = Profile.enter prof "outer" in
-  let _inner = Profile.enter prof "inner" in
-  (* An exception path that only runs the outer Fun.protect's leave:
-     the dangling inner node must be closed on the way. *)
-  Profile.leave prof outer;
-  Alcotest.(check bool) "well formed after pop-until" true
-    (Profile.well_formed p)
+  Trace.reset ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.reset ())
+    (fun () ->
+      (match
+         Profile.with_op prof "outer" (fun _ ->
+             Profile.with_op prof "inner" (fun _ -> raise Exit))
+       with
+      | () -> Alcotest.fail "the raise must escape both brackets"
+      | exception Exit -> ());
+      Alcotest.(check bool) "well formed after the raise" true
+        (Profile.well_formed p);
+      Alcotest.(check (option string)) "no node left open" None
+        (Option.map Profile.name (Profile.current prof));
+      (match Profile.roots p with
+      | [ outer ] ->
+        Alcotest.(check (list string)) "inner stays the child" [ "inner" ]
+          (List.map Profile.name (Profile.children outer))
+      | _ -> Alcotest.fail "one root expected");
+      Alcotest.(check int) "no span left open" 0 (Trace.open_spans ());
+      Alcotest.(check int) "both spans recorded" 2 (Trace.event_count ()))
 
 let test_profile_disabled_is_noop () =
-  let n = Profile.enter None "never" in
-  Alcotest.(check bool) "no node allocated" true (n = None);
-  Profile.add_rows_in n 5;
-  Profile.add_event n "nope";
-  Profile.leave None n
+  Trace.reset ();
+  let result =
+    Profile.with_op None "never" (fun n ->
+        Alcotest.(check bool) "no node allocated" true (n = None);
+        Profile.add_rows_in n 5;
+        Profile.add_event n "nope";
+        42)
+  in
+  Alcotest.(check int) "the body's value" 42 result;
+  Alcotest.(check int) "no span recorded with tracing off" 0
+    (Trace.event_count ())
 
+(* A random script of nested brackets: [0]/[1] open an operator that
+   runs the rest of the script until its [2], [7] raises out of every
+   open bracket, the rest record on the innermost node. *)
 let prop_profile_well_formed =
-  (* Random enter/leave/counter scripts, always closed out at the end,
-     must produce a well-formed tree with non-negative counters. *)
   QCheck2.Test.make ~count:200 ~name:"random profile scripts are well formed"
     QCheck2.Gen.(list_size (int_range 0 40) (int_range 0 7))
     (fun script ->
       let p = Profile.create () in
       let prof = Some p in
-      let stack = ref [] in
-      List.iter
-        (fun op ->
-          match op with
-          | 0 | 1 ->
-            stack := Profile.enter prof (Printf.sprintf "op%d" op) :: !stack
-          | 2 -> (
-            match !stack with
-            | n :: rest ->
-              Profile.leave prof n;
-              stack := rest
-            | [] -> ())
-          | 3 -> (
-            match !stack with
-            | n :: _ -> Profile.add_rows_in n 2
-            | [] -> ())
-          | 4 -> (
-            match !stack with
-            | n :: _ -> Profile.add_pages n 1
-            | [] -> ())
-          | 5 -> (
-            match !stack with
-            | n :: _ -> Profile.add_event n "e"
-            | [] -> ())
-          | _ -> (
-            match !stack with
-            | n :: _ -> Profile.add_candidates n 3
-            | [] -> ()))
-        script;
-      List.iter (fun n -> Profile.leave prof n) !stack;
-      Profile.well_formed p)
+      let rec run node = function
+        | [] -> []
+        | ((0 | 1) as op) :: rest ->
+          let rest =
+            Profile.with_op prof (Printf.sprintf "op%d" op) (fun n ->
+                run n rest)
+          in
+          run node rest
+        | 2 :: rest -> rest
+        | 3 :: rest ->
+          Profile.add_rows_in node 2;
+          run node rest
+        | 4 :: rest ->
+          Profile.add_pages node 1;
+          run node rest
+        | 5 :: rest ->
+          Profile.add_event node "e";
+          run node rest
+        | 6 :: rest ->
+          Profile.add_candidates node 3;
+          run node rest
+        | _ -> raise Exit
+      in
+      let rec top script =
+        match run None script with [] -> () | rest -> top rest
+      in
+      (try top script with Exit -> ());
+      Profile.current prof = None && Profile.well_formed p)
 
 (* --- Qlog ------------------------------------------------------------- *)
 
@@ -533,6 +553,174 @@ let test_nearest_counts_invariant_across_domains () =
         (run_at domains = reference))
     [ 2; 4 ]
 
+(* --- Span tree = profile tree ------------------------------------------ *)
+
+(* An operator forest: names, order and nesting. *)
+type forest = Op of string * forest list
+
+let rec pp_forest ppf (Op (name, kids)) =
+  match kids with
+  | [] -> Format.pp_print_string ppf name
+  | _ ->
+    Format.fprintf ppf "%s(%a)" name
+      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+         pp_forest)
+      kids
+
+let forest = Alcotest.testable pp_forest ( = )
+
+let profile_forest p =
+  let rec of_node n = Op (Profile.name n, List.map of_node (Profile.children n)) in
+  List.map of_node (Profile.roots p)
+
+(* Every span of the exported Chrome trace: (domain, id, parent, name). *)
+let exported_spans () =
+  let file = Filename.temp_file "simq_spans" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      Trace.export_file file;
+      let json =
+        match Json.parse (In_channel.with_open_text file In_channel.input_all) with
+        | Ok v -> v
+        | Error msg -> Alcotest.failf "trace did not parse: %s" msg
+      in
+      let num name v =
+        match Option.bind (Json.member name v) Json.number with
+        | Some x -> int_of_float x
+        | None -> Alcotest.failf "span without %s" name
+      in
+      List.map
+        (fun ev ->
+          let args = Option.get (Json.member "args" ev) in
+          ( num "tid" ev,
+            num "id" args,
+            num "parent" args,
+            Option.get (Option.bind (Json.member "name" ev) Json.string_of) ))
+        (Option.get (Option.bind (Json.member "traceEvents" json) Json.arr)))
+
+(* The forest the coordinating domain's spans named like one of the
+   profile's nodes form: each hangs under its nearest such ancestor,
+   siblings in the order they started (span ids are allocated in start
+   order). Spans of other names (the per-shard traversals, merges,
+   admission) are transparent. *)
+let span_forest ~names spans =
+  let tid = (Domain.self () :> int) in
+  let mine = List.filter (fun (d, _, _, _) -> d = tid) spans in
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun (_, id, parent, name) -> Hashtbl.replace by_id id (parent, name)) mine;
+  let named name = List.mem name names in
+  let rec owner parent =
+    match Hashtbl.find_opt by_id parent with
+    | None -> 0
+    | Some (up, name) -> if named name then parent else owner up
+  in
+  let kept =
+    List.filter (fun (_, _, _, name) -> named name) mine
+    |> List.sort (fun (_, a, _, _) (_, b, _, _) -> compare a b)
+  in
+  let rec under o =
+    List.filter_map
+      (fun (_, id, parent, name) ->
+        if owner parent = o then Some (Op (name, under id)) else None)
+      kept
+  in
+  under 0
+
+(* Runs [query] with a fresh profile and tracing on, then checks the
+   coordinating domain's spans against the profile tree, and that no
+   span on any domain sits directly inside one of its own name. *)
+let check_spans label ~expect query =
+  let profile = Profile.create () in
+  Trace.reset ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Trace.set_enabled false)
+    (fun () -> query profile);
+  let spans = exported_spans () in
+  Trace.reset ();
+  let rec names acc (Op (name, kids)) = List.fold_left names (name :: acc) kids in
+  let ops = profile_forest profile in
+  let names = List.fold_left names [] ops in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (label ^ ": has a " ^ n ^ " node") true (List.mem n names))
+    expect;
+  Alcotest.(check bool) (label ^ ": profile well formed") true
+    (Profile.well_formed profile);
+  Alcotest.(check (list forest)) (label ^ ": spans nest like the nodes") ops
+    (span_forest ~names spans);
+  List.iter
+    (fun (d, _, parent, name) ->
+      match List.find_opt (fun (d', id, _, _) -> d' = d && id = parent) spans with
+      | Some (_, _, _, up) when up = name ->
+        Alcotest.failf "%s: a %s span directly inside another" label name
+      | _ -> ())
+    spans
+
+let every_attempt_faults () =
+  let module Injector = Simq_fault.Injector in
+  Simq_fault.Budget.create
+    ~faults:
+      (Injector.create
+         ~node_accesses:(Injector.transient ~schedule:[ 1; 2; 3 ] ())
+         ~seed:5 ())
+    ()
+
+let test_span_tree_equals_profile_tree () =
+  let batch = Generator.random_walks ~seed:2024 ~count:240 ~n:64 in
+  let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"spans" batch in
+  let index = Kindex.build ~max_fill:8 dataset in
+  let stats = Planner.collect dataset in
+  let sketch = Simq_sketch.create dataset in
+  let shards = Simq_shard.create ~sketch:Simq_sketch.default ~shards:4 dataset in
+  let query = Array.map (fun v -> v +. 0.2) batch.(7) in
+  let spec = Spec.Moving_average 4 in
+  let ok = function Ok _ -> () | Error _ -> Alcotest.fail "the query must answer" in
+  let planner ?budget ?admission ?sketch profile =
+    ok
+      (Planner.range_resilient ~spec ~stats ?budget ?admission ?sketch
+         ~profile index ~query ~epsilon:2.)
+  in
+  check_spans "planner index range with a sketch and admission"
+    ~expect:[ "planner"; "plan"; "admit"; "kindex.range"; "sketch.coarse" ]
+    (planner
+       ~admission:(Simq_admission.create ())
+       ~sketch:(fun q -> Simq_sketch.funnel sketch ~spec ~query:q));
+  check_spans "planner degraded to the scan"
+    ~expect:[ "planner"; "kindex.range"; "seqscan.range"; "seqscan.compute" ]
+    (planner ~budget:(every_attempt_faults ()));
+  check_spans "a retried attempt" ~expect:[ "planner"; "kindex.descent" ]
+    (planner
+       ~budget:
+         (Simq_fault.Budget.create
+            ~faults:
+              (Simq_fault.Injector.create
+                 ~node_accesses:(Simq_fault.Injector.transient ~schedule:[ 1 ] ())
+                 ~seed:5 ())
+            ()));
+  check_spans "nearest checked" ~expect:[ "kindex.nearest" ] (fun profile ->
+      ok (Kindex.nearest_checked ~spec ~profile index ~query ~k:5));
+  check_spans "sharded range"
+    ~expect:[ "shard.scatter"; "shard.3"; "shard.gather" ]
+    (fun profile ->
+      ok (Simq_shard.range_checked ~spec ~profile shards ~query ~epsilon:2.));
+  check_spans "sharded nearest"
+    ~expect:[ "shard.scatter"; "shard.0"; "shard.gather" ]
+    (fun profile ->
+      ok (Simq_shard.nearest_checked ~spec ~profile shards ~query ~k:5));
+  check_spans "scan join" ~expect:[ "join.scan" ] (fun profile ->
+      ok (Join.scan_checked ~spec ~profile index ~epsilon:1.));
+  check_spans "index join" ~expect:[ "join.index" ] (fun profile ->
+      ignore (Join.index_transformed ~spec ~profile index ~epsilon:1.));
+  let subseq = Subseq.build ~k:2 ~window:16 (Array.sub batch 0 20) in
+  let window = Array.sub batch.(3) 10 16 in
+  check_spans "subsequence range"
+    ~expect:[ "subseq.range"; "subseq.descent"; "subseq.postfilter" ]
+    (fun profile -> ignore (Subseq.range ~profile subseq ~query:window ~epsilon:1.));
+  check_spans "subsequence nearest" ~expect:[ "subseq.nearest" ] (fun profile ->
+      ignore (Subseq.nearest ~profile subseq ~query:window ~k:3))
+
 let test_qlog_never_changes_answers () =
   let batch = Generator.random_walks ~seed:7 ~count:60 ~n:32 in
   let dataset = Dataset.of_series ~pool:Pool.sequential ~name:"inv" batch in
@@ -578,8 +766,9 @@ let () =
           Alcotest.test_case "render text tree" `Quick test_profile_render;
           Alcotest.test_case "JSON export parses" `Quick
             test_profile_json_parses;
-          Alcotest.test_case "leave pops to the closing node" `Quick
-            test_profile_leave_pops_to_closing;
+          Alcotest.test_case
+            "a raise inside nested brackets closes every node and span" `Quick
+            test_profile_raise_closes_brackets;
           Alcotest.test_case "disabled path is a no-op" `Quick
             test_profile_disabled_is_noop;
           QCheck_alcotest.to_alcotest prop_profile_well_formed;
@@ -592,6 +781,11 @@ let () =
           Alcotest.test_case "counter deltas" `Quick test_qlog_counter_deltas;
           Alcotest.test_case "offline aggregation" `Quick test_qlog_aggregate;
           QCheck_alcotest.to_alcotest prop_qlog_lines_parse;
+        ] );
+      ( "span tree",
+        [
+          Alcotest.test_case "span tree equals profile tree" `Quick
+            test_span_tree_equals_profile_tree;
         ] );
       ( "invariance",
         [

@@ -383,46 +383,6 @@ let test_nn_k_larger_than_tree () =
   Alcotest.(check int) "returns all" 5
     (List.length (Nn.nearest t ~query:[| 0.; 0. |] ~k:50))
 
-(* --- join ---------------------------------------------------------------- *)
-
-let test_join_within_epsilon () =
-  let left = random_points ~seed:101 ~count:200 ~dims:2 ~range:50. in
-  let right = random_points ~seed:102 ~count:200 ~dims:2 ~range:50. in
-  let t1 = build_by_insertion ~dims:2 left in
-  let t2 = build_by_insertion ~dims:2 right in
-  let epsilon = 2.5 in
-  let expected = ref 0 in
-  Array.iter
-    (fun (p1, _) ->
-      Array.iter
-        (fun (p2, _) -> if Point.distance p1 p2 <= epsilon then incr expected)
-        right)
-    left;
-  let pairs = Join.within_epsilon t1 t2 ~epsilon in
-  Alcotest.(check int) "pair count" !expected (List.length pairs)
-
-let test_join_with_transform () =
-  (* Joining x with T(y) where T is a translation by (5,0): pairs are
-     points horizontally 5 apart. *)
-  let mk i = ([| float_of_int i; 0. |], i) in
-  let left = Array.init 10 mk in
-  let right = Array.init 10 mk in
-  let t1 = build_by_insertion ~dims:2 left in
-  let t2 = build_by_insertion ~dims:2 right in
-  let tr = Linear_transform.translation [| 5.; 0. |] in
-  let pairs = Join.within_epsilon ~transform_right:(Some tr |> Option.get) t1 t2 ~epsilon:0.1 in
-  Alcotest.(check int) "5 pairs" 5 (List.length pairs);
-  List.iter
-    (fun ((_, v1), (_, v2)) -> Alcotest.(check int) "offset 5" (v2 + 5) v1)
-    pairs
-
-let test_join_empty_side () =
-  let left = random_points ~seed:111 ~count:10 ~dims:2 ~range:10. in
-  let t1 = build_by_insertion ~dims:2 left in
-  let t2 : int Rstar.t = Rstar.create ~dims:2 () in
-  Alcotest.(check int) "no pairs" 0
-    (List.length (Join.within_epsilon t1 t2 ~epsilon:100.))
-
 (* --- region search with circular dimension -------------------------------- *)
 
 let test_region_search_circular () =
@@ -642,12 +602,6 @@ let () =
             test_nn_deferred_refinement;
           Alcotest.test_case "empty tree" `Quick test_nn_empty_tree;
           Alcotest.test_case "k larger than tree" `Quick test_nn_k_larger_than_tree;
-        ] );
-      ( "join",
-        [
-          Alcotest.test_case "within epsilon" `Quick test_join_within_epsilon;
-          Alcotest.test_case "with transformation" `Quick test_join_with_transform;
-          Alcotest.test_case "empty side" `Quick test_join_empty_side;
         ] );
       ( "rect data",
         [

@@ -25,7 +25,9 @@
 # bit-identical to the unsketched run with its filter counters exposed,
 # a NEAREST query printing the same rows plain, with --shards 4 and
 # with --shards 4 --sketch, and profiled with --shards 4 showing pages
-# on every executed shard,
+# on every executed shard, every operator of a profiled planner RANGE
+# (--sketch) and of a profiled --shards 4 NEAREST found as a span of
+# its name in the query's trace,
 # an --approx query checked superset-free against the exact answers
 # with the sketch ladder visible in its profile tree, and an
 # out-of-range --approx rejected as a usage error, plus PAIRS joins
@@ -420,6 +422,28 @@ if grep -v -E 'pages=[1-9]' nn.shards | grep -q .; then
   cat nn.profile.out >&2
   exit 1
 fi
+# Every operator node is also a span: each name the profile tree
+# prints appears as a span in the same query's Chrome trace.
+op_spans() {
+  label=$1
+  shift
+  "$simq" query smoke.rel "$@" --profile --trace ops.json >ops.out
+  sed -n 's/^ *-> \([^ ]*\).*/\1/p' ops.out | sort -u >ops.names
+  [ -s ops.names ] || {
+    echo "smoke: $label printed no operator tree" >&2
+    exit 1
+  }
+  while IFS= read -r op; do
+    grep -qF "\"name\":\"$op\"" ops.json || {
+      echo "smoke: operator $op of $label has no span in its trace" >&2
+      cat ops.out >&2
+      exit 1
+    }
+  done <ops.names
+}
+op_spans "the planner RANGE" "RANGE FROM r USING mavg(4) QUERY s0 EPS 2.5" \
+  --sketch
+op_spans "the sharded NEAREST" "$nn_spec" --shards 4
 "$simq" query smoke.rel "RANGE FROM r QUERY s0 EPS 2.5" \
   --approx 0.4 --profile >approx.out
 grep -q 'sketch.coarse' approx.out || {
