@@ -44,7 +44,7 @@ let () =
       let smoothed_reversed (candidate : Dataset.entry) =
         Distance.euclidean
           (Spec.apply_series smooth
-             (Series.reverse_sign candidate.Dataset.normal))
+             (Series.reverse_sign (Dataset.normal candidate)))
           (Spec.apply_series smooth (Normal_form.normalise query_series))
       in
       (* Data side transformed by smooth∘reverse. Reversal is linear, so

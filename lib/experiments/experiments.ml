@@ -26,8 +26,7 @@ let build_walks ~seed ~count ~n =
 
 let calibrated_epsilon dataset query ~target =
   let normals =
-    Array.map (fun (e : Dataset.entry) -> e.Dataset.normal)
-      (Dataset.entries dataset)
+    Array.map Dataset.normal (Dataset.entries dataset)
   in
   Queries.epsilon_for_answer_size ~normals
     ~query:(Normal_form.normalise query)
@@ -373,7 +372,7 @@ let table1 ~fast =
      like the paper's answer set. *)
   let normals =
     Array.map
-      (fun (e : Dataset.entry) -> Spec.apply_series spec e.Dataset.normal)
+      (fun e -> Spec.apply_series spec (Dataset.normal e))
       (Dataset.entries dataset)
   in
   let pair_distances =

@@ -4,16 +4,20 @@ type decomposition = {
   std : float;
 }
 
-let standardise s ~mean ~std =
+let standardise_into s ~mean ~std out =
   let n = Array.length s in
-  if std = 0. then Array.make n 0.
-  else begin
-    let out = Array.create_float n in
+  if Array.length out <> n then
+    invalid_arg "Normal_form.standardise_into: length mismatch";
+  if std = 0. then Array.fill out 0 n 0.
+  else
     for t = 0 to n - 1 do
       out.(t) <- (s.(t) -. mean) /. std
-    done;
-    out
-  end
+    done
+
+let standardise s ~mean ~std =
+  let out = Array.create_float (Array.length s) in
+  standardise_into s ~mean ~std out;
+  out
 
 let decompose (s : Series.t) =
   let mean = Stats.mean s in

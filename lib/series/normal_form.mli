@@ -25,6 +25,12 @@ val decompose : Series.t -> decomposition
     is recomputed from stored moments. *)
 val standardise : Series.t -> mean:float -> std:float -> Series.t
 
+(** [standardise_into s ~mean ~std out] writes [standardise s ~mean
+    ~std] into [out], the same doubles without allocating. Raises
+    [Invalid_argument] when [out]'s length differs from [s]'s. *)
+val standardise_into :
+  Series.t -> mean:float -> std:float -> Series.t -> unit
+
 (** [normalise s] is [(decompose s).normalised]. *)
 val normalise : Series.t -> Series.t
 

@@ -5,11 +5,10 @@ let length = Array.length
 
 let validate s =
   if Array.length s = 0 then invalid_arg "Series.validate: empty series";
-  Array.iter
-    (fun v ->
-      if not (Float.is_finite v) then
-        invalid_arg "Series.validate: non-finite value")
-    s;
+  for t = 0 to Array.length s - 1 do
+    if not (Float.is_finite s.(t)) then
+      invalid_arg "Series.validate: non-finite value"
+  done;
   s
 
 let equal ?(eps = 1e-9) a b =

@@ -157,13 +157,25 @@ let copy_counts ~scan pc sp =
     Profile.add_candidates pc (Profile.candidates node);
     Profile.add_pages pc (Profile.pages node)
 
+(* A shard abandoned by both its index path and its fallback scan: the
+   typed error surfaces as the whole query's (deterministically — the
+   pool re-raises from the lowest chunk). *)
+exception Shard_failed of Simq_fault.Error.t
+
 (* The fan-out: one pool task per shard under the [shard.scatter]
    operator, then the metrics and each shard's [shard.i] node, on the
    coordinating domain once every task is back (deterministic at every
-   domain count; a [shard.i] node times only that bookkeeping). *)
+   domain count; a [shard.i] node times only that bookkeeping). A failed
+   fan-out records its error on the [shard.scatter] node, as an
+   unsharded operator does on its own. *)
 let scatter ?pool ?profile t ~op ~decisions task =
   Profile.with_op profile "shard.scatter" @@ fun ps ->
-  let runs = Pool.map_array ?pool ~chunk:1 task t.parts in
+  let runs =
+    try Pool.map_array ?pool ~chunk:1 task t.parts
+    with Shard_failed e as exn ->
+      Profile.add_event ps ("error: " ^ Simq_fault.Error.kind e);
+      raise exn
+  in
   let k = Array.length t.parts in
   let fanout = ref 0 and degraded = ref 0 in
   Array.iter
@@ -240,11 +252,6 @@ let gather_range ?profile (runs, report) =
     Array.exists (function None -> false | Some r -> r.r_partial) runs
   in
   { answers; candidates; node_accesses; partial; report }
-
-(* A shard abandoned by both its index path and its fallback scan: the
-   typed error surfaces as the whole query's (deterministically — the
-   pool re-raises from the lowest chunk). *)
-exception Shard_failed of Simq_fault.Error.t
 
 (* The per-shard range calibration: the shard's own sampled histogram,
    collected at most once (from the coordinating domain, during the

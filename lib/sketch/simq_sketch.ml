@@ -45,14 +45,19 @@ let seg_lengths ~n ~segments =
   let base = n / s and rem = n mod s in
   Array.init s (fun j -> base + if j < rem then 1 else 0)
 
-let seg_means ~lengths series =
+(* The segment means of [series] standardised by [mean] and [std], each
+   point by {!Normal_form.standardise}'s operations as it is summed, so
+   an entry's are its normal form's bit for bit; mean 0 and std 1 leave
+   a finite point as it is. *)
+let seg_means ~lengths ~mean ~std series =
   let means = Array.make (Array.length lengths) 0. in
   let pos = ref 0 in
   Array.iteri
     (fun j len ->
       let acc = ref 0. in
       for i = !pos to !pos + len - 1 do
-        acc := !acc +. series.(i)
+        let v = if std = 0. then 0. else (series.(i) -. mean) /. std in
+        acc := !acc +. v
       done;
       pos := !pos + len;
       means.(j) <- !acc /. float_of_int len)
@@ -68,7 +73,9 @@ let create ?(config = default) dataset =
   let lengths = seg_lengths ~n ~segments:config.segments in
   let segmeans =
     Array.map
-      (fun (entry : Dataset.entry) -> seg_means ~lengths entry.Dataset.normal)
+      (fun (e : Dataset.entry) ->
+        seg_means ~lengths ~mean:e.Dataset.mean ~std:e.Dataset.std
+          e.Dataset.series)
       (Dataset.entries dataset)
   in
   { dataset; config; segmeans }
@@ -135,7 +142,7 @@ let level_bounds t ~spec ~(query : Dataset.query) =
   | Spec.Identity ->
     let ranges = coarse_ranges ~n ~coarse:t.config.coarse in
     let lengths = seg_lengths ~n ~segments:t.config.segments in
-    let qmeans = seg_means ~lengths query.Dataset.qnormal in
+    let qmeans = seg_means ~lengths ~mean:0. ~std:1. query.Dataset.qnormal in
     Some
       [|
         ("coarse", coarse_bound t ~ranges ~stretch:None ~q:query);

@@ -124,8 +124,18 @@ let load ?page_size ?pool_pages path =
       (fun () -> (Marshal.from_channel ic : snapshot))
   in
   let t = create ?page_size ?pool_pages ~name:snapshot.snap_name () in
-  Array.iter
-    (fun (tuple : tuple) -> ignore (insert t ~name:tuple.name tuple.data))
-    snapshot.snap_tuples;
-  Io_stats.reset t.stats;
+  (* The snapshot's tuples are adopted, in one pass that validates,
+     numbers and lays them out as {!insert} would; the stats stay zero. *)
+  let tuples = snapshot.snap_tuples in
+  let offsets = Array.make (Array.length tuples) 0 in
+  Array.iteri
+    (fun idx (tuple : tuple) ->
+      ignore (Series.validate tuple.data);
+      if tuple.id <> idx then tuples.(idx) <- { tuple with id = idx };
+      offsets.(idx) <- t.next_offset;
+      t.next_offset <- t.next_offset + tuple_bytes tuple)
+    tuples;
+  t.tuples <- tuples;
+  t.offsets <- offsets;
+  t.count <- Array.length tuples;
   t

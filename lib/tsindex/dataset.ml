@@ -8,7 +8,6 @@ type entry = {
   id : int;
   name : string;
   series : Series.t;
-  normal : Series.t;
   mean : float;
   std : float;
 }
@@ -47,21 +46,16 @@ let check_permutation name ~count order =
       Bytes.set seen id '\001')
     order
 
+let normal e = Normal_form.standardise e.series ~mean:e.mean ~std:e.std
+
 (* Normalises [series] and writes the spectrum of its normal form
    straight into coefficient [off] of [spectra]: every
    frequency-domain distance reads it there through the one kernel
-   ({!Simq_dsp.Flat}). *)
+   ({!Simq_dsp.Flat}). The normal form itself is not kept. *)
 let prepare ~id ~name series spectra ~off =
   let d = Normal_form.decompose series in
   Simq_dsp.Fft.fft_real_into d.Normal_form.normalised spectra ~off;
-  {
-    id;
-    name;
-    series;
-    normal = d.Normal_form.normalised;
-    mean = d.Normal_form.mean;
-    std = d.Normal_form.std;
-  }
+  { id; name; series; mean = d.Normal_form.mean; std = d.Normal_form.std }
 
 let of_relation ?pool r =
   if Relation.cardinality r = 0 then
@@ -105,8 +99,7 @@ let of_series ?pool ~name batch =
   of_relation ?pool (Relation.of_series ~name batch)
 
 (* The entries of {!prepare} without its FFT: the spectra arrive in
-   slot order, and each normal form is recomputed by the formula
-   {!Normal_form.decompose} applies to the same moments. *)
+   slot order, and the moments are the stored ones. *)
 let of_prepared r ~means ~stds ~ids spectra =
   let bad why = invalid_arg ("Dataset.of_prepared: " ^ why) in
   let tuples = Relation.to_array r in
@@ -123,14 +116,12 @@ let of_prepared r ~means ~stds ~ids spectra =
       (fun (tuple : Relation.tuple) ->
         let series = tuple.Relation.data and id = tuple.Relation.id in
         if Series.length series <> n then bad "series of unequal lengths";
-        let mean = means.(id) and std = stds.(id) in
         {
           id;
           name = tuple.Relation.name;
           series;
-          normal = Normal_form.standardise series ~mean ~std;
-          mean;
-          std;
+          mean = means.(id);
+          std = stds.(id);
         })
       tuples
   in
@@ -155,7 +146,7 @@ let of_prepared r ~means ~stds ~ids spectra =
 let cardinality t = Array.length t.entries
 
 (* Nothing is normalised or transformed again: the entries keep the
-   parent's [series] and [normal] arrays, and each row is copied from
+   parent's [series] arrays, and each row is copied from
    the parent's slot into the block's own buffer in id order, ready
    for the block's own {!lay_out}. *)
 let sub t ~name ~lo ~width =

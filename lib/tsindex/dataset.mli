@@ -5,7 +5,10 @@
 
     The spectrum stored is that of the {e normal form}; the original
     mean and standard deviation ride along and become the last two
-    index dimensions.
+    index dimensions. The normal form itself is not stored: by
+    Parseval the spectrum stands for it in every length-preserving
+    distance, and the time-domain paths (the warp, the join's
+    transformed normals) recompute it on demand ({!normal}).
 
     The spectra live in one contiguous flat buffer ({!spectra}), one
     {e slot} of [n] coefficients per entry, beside a head table of
@@ -18,17 +21,24 @@
 
     A data set is built once: its entries, buffer and cardinality never
     change after {!of_relation} or {!sub}, and only {!lay_out} moves
-    slots. A {!sub} block shares its parent's [series] and [normal]
-    arrays, so nothing may write to them. *)
+    slots. A {!sub} block shares its parent's [series] arrays, so
+    nothing may write to them. *)
 
 type entry = {
   id : int;
   name : string;
   series : Simq_series.Series.t;  (** the original series *)
-  normal : Simq_series.Series.t;  (** its normal form *)
-  mean : float;
-  std : float;
+  mean : float;  (** its mean *)
+  std : float;  (** its standard deviation *)
 }
+
+(** [normal e] is a fresh copy of [e]'s normal form,
+    {!Simq_series.Normal_form.standardise} of [e.series] by [e.mean]
+    and [e.std]: the formula {!Simq_series.Normal_form.decompose}
+    applies to the same moments, so it equals
+    [(decompose e.series).normalised] bit for bit. It allocates [n]
+    doubles per call; the frequency-domain paths never need it. *)
+val normal : entry -> Simq_series.Series.t
 
 (** A prepared query: the series compared against ({!prepare_query}) and
     its full unitary DFT, flat (re/im interleaved, see
@@ -57,8 +67,7 @@ val of_series :
     [ids.(s)]), from what {!of_relation} and {!lay_out} computed for
     it: entry [id]'s moments [means.(id)] and [stds.(id)], and the
     spectrum buffer [spectra] in slot order, which the data set takes
-    over. No FFT runs; each normal form is recomputed from its moments
-    by {!Simq_series.Normal_form.standardise}. Given [t]'s own moments,
+    over. No FFT runs and nothing is normalised. Given [t]'s own moments,
     slot order and buffer, every field, double and slot equals [t]'s.
     Raises [Invalid_argument] when [r] is empty or its series differ
     in length, when the arrays do not fit [r], or when [ids] is not a
@@ -75,7 +84,7 @@ val of_prepared :
     [[lo, lo + width)], renumbered from 0, over a fresh relation named
     [name]. Nothing is prepared again: entry [i] is [t]'s entry
     [lo + i] with id [i] and its new tuple's name, sharing the parent
-    entry's [series] and [normal] arrays, and its spectrum and head row
+    entry's [series] array, and its spectrum and head row
     are copied from the parent's slot into the block's own buffer, slots
     in id order. Every field, double and slot equals that of
     [of_series ~name] over the block's series. The rows are copies, not

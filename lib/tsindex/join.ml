@@ -31,7 +31,7 @@ let transformed_normals ~pool kindex spec =
   let fill ~lo ~hi =
     for id = lo to hi - 1 do
       normals.(id) <-
-        Spec.apply_series spec (Dataset.get dataset id).Dataset.normal
+        Spec.apply_series spec (Dataset.normal (Dataset.get dataset id))
     done
   in
   ignore

@@ -387,7 +387,7 @@ let distance_within t prepared (q : Dataset.query) ~within =
   | Spec.Warp _ ->
     fun (entry : Dataset.entry) ->
       Distance.euclidean
-        (Spec.apply_series prepared.pspec entry.Dataset.normal)
+        (Spec.apply_series prepared.pspec (Dataset.normal entry))
         q.Dataset.qnormal
   | _ ->
     let stretch = pstretch t prepared in

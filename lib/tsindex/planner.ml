@@ -1,4 +1,5 @@
 module Distance = Simq_series.Distance
+module Normal_form = Simq_series.Normal_form
 module Metrics = Simq_obs.Metrics
 module Profile = Simq_obs.Profile
 
@@ -30,11 +31,21 @@ let collect ?(samples = 2000) ?(seed = 42) ?(buckets = 64) dataset =
   let entries = Dataset.entries dataset in
   let n = Array.length entries in
   let state = Random.State.make [| seed |] in
+  (* Each sampled pair's normal forms, standardised into the call's own
+     two buffers: the doubles {!Dataset.normal} would allocate. *)
+  let a = Array.create_float (Dataset.series_length dataset)
+  and b = Array.create_float (Dataset.series_length dataset) in
+  let standardise (e : Dataset.entry) out =
+    Normal_form.standardise_into e.Dataset.series ~mean:e.Dataset.mean
+      ~std:e.Dataset.std out
+  in
   let distances =
     Array.init samples (fun _ ->
         let i = Random.State.int state n in
         let j = Random.State.int state n in
-        Distance.euclidean entries.(i).Dataset.normal entries.(j).Dataset.normal)
+        standardise entries.(i) a;
+        standardise entries.(j) b;
+        Distance.euclidean a b)
   in
   let max_distance = Array.fold_left Float.max 0. distances in
   let bucket_width =
@@ -47,6 +58,8 @@ let collect ?(samples = 2000) ?(seed = 42) ?(buckets = 64) dataset =
       counts.(idx) <- counts.(idx) + 1)
     distances;
   { bucket_width; counts; total = samples }
+
+let histogram stats = (stats.bucket_width, Array.copy stats.counts)
 
 let selectivity stats ~epsilon =
   if epsilon < 0. then 0.

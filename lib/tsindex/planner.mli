@@ -11,6 +11,11 @@ type stats
     equi-width histogram (default 64 buckets). *)
 val collect : ?samples:int -> ?seed:int -> ?buckets:int -> Dataset.t -> stats
 
+(** [histogram stats] is the bucket width [w] and a copy of the counts:
+    count [i] is the number of sampled distances in [[i·w, (i+1)·w)],
+    the last bucket also holding those beyond it. *)
+val histogram : stats -> float * int array
+
 (** [selectivity stats ~epsilon] is the estimated fraction of series
     within [epsilon] of a typical query, in [0, 1]; monotone in
     [epsilon], linear interpolation inside buckets. *)

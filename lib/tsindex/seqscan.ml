@@ -52,7 +52,7 @@ let account_io ?budget dataset =
    the accumulator it passes (only the frequency path uses it). *)
 let compute_warp ~abandon spec epsilon (q : Dataset.query) _acc _slot
     (entry : Dataset.entry) =
-  let transformed = Spec.apply_series spec entry.Dataset.normal in
+  let transformed = Spec.apply_series spec (Dataset.normal entry) in
   let touched = Series.length transformed in
   let d =
     if abandon then
@@ -227,7 +227,7 @@ let reference ?(spec = Spec.Identity) ?(normalise_query = true) dataset ~query
   |> List.filter_map (fun (entry : Dataset.entry) ->
          let d =
            Distance.euclidean
-             (Spec.apply_series spec entry.Dataset.normal)
+             (Spec.apply_series spec (Dataset.normal entry))
              q.Dataset.qnormal
          in
          if d <= epsilon then Some (entry, d) else None)

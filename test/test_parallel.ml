@@ -556,7 +556,7 @@ let test_parallel_build_eq_sequential () =
           Alcotest.(check bool)
             (Printf.sprintf "normal form bit-identical, domains=%d" d)
             true
-            (a.Dataset.normal = b.Dataset.normal);
+            (Dataset.normal a = Dataset.normal b);
           Alcotest.(check bool)
             (Printf.sprintf "spectrum bit-identical, domains=%d" d)
             true

@@ -749,6 +749,35 @@ let test_qlog_never_changes_answers () =
           (Option.bind (Json.member "path" v) Json.string_of)
       | Error msg -> Alcotest.failf "qlog line unparseable: %s" msg)
 
+(* A sharded fan-out whose shards fail both their index path and their
+   own scan exits 4 with the error on its [shard.scatter] node, the way
+   an unsharded operator records one on its own node. *)
+let test_failed_scatter_records_error () =
+  let batch = Simq_workload.Stocklike.batch ~seed:1995 ~count:300 ~n:64 in
+  let index = Kindex.build (Dataset.of_series ~name:"fail" batch) in
+  let engine =
+    Simq_serve.Engine.create ~shards:4 ~sketch:Simq_sketch.default
+      ~admission:Simq_admission.default
+      ~budget:(Simq_fault.Budget.create ~max_comparisons:3 ())
+      index
+  in
+  let profile = Profile.create () in
+  match
+    Simq_serve.Engine.exec ~profile engine
+      "RANGE FROM r USING mavg(4) QUERY s3 EPS 3"
+  with
+  | Ok _ -> Alcotest.fail "three comparisons cannot answer the range"
+  | Error e ->
+    Alcotest.(check int) "exit code" 4 (Simq_cli.exit_code e);
+    (match Profile.find profile "shard.scatter" with
+    | None -> Alcotest.fail "no shard.scatter node"
+    | Some node ->
+      Alcotest.(check bool) "shard.scatter carries the error" true
+        (List.exists
+           (fun ev -> String.starts_with ~prefix:"error: " ev)
+           (Profile.events node)));
+    Alcotest.(check bool) "tree well formed" true (Profile.well_formed profile)
+
 let () =
   Alcotest.run "simq_profile"
     [
@@ -786,6 +815,8 @@ let () =
         [
           Alcotest.test_case "span tree equals profile tree" `Quick
             test_span_tree_equals_profile_tree;
+          Alcotest.test_case "failed scatter records its error" `Quick
+            test_failed_scatter_records_error;
         ] );
       ( "invariance",
         [

@@ -454,11 +454,70 @@ let test_filter_counters_match_on_filtered () =
     totals;
   Alcotest.(check bool) "the funnel filtered something" true (tallied.(0) > 0)
 
+(* The segment level reads no stored normal form: each entry's segment
+   means standardise its series point by point as they sum it, so the
+   bound equals, bit for bit, the one computed from
+   [Normal_form.decompose]'s normal forms by the same cut and slack. *)
+let test_segment_means_of_normal_forms () =
+  List.iter
+    (fun n ->
+      let batch =
+        Array.mapi
+          (fun i s -> if i mod 5 = 2 then Array.make n 3. else s)
+          (Generator.random_walks ~seed:n ~count:40 ~n)
+      in
+      let d = Dataset.of_series ~pool:Pool.sequential ~name:"seg" batch in
+      let q = Dataset.prepare_query (query_for d Spec.Identity 5) in
+      let cuts = Int.min Sketch.default.Sketch.segments n in
+      let lengths =
+        Array.init cuts (fun j -> (n / cuts) + if j < n mod cuts then 1 else 0)
+      in
+      let means s =
+        let pos = ref 0 in
+        Array.map
+          (fun len ->
+            let acc = ref 0. in
+            for i = !pos to !pos + len - 1 do
+              acc := !acc +. s.(i)
+            done;
+            pos := !pos + len;
+            !acc /. float_of_int len)
+          lengths
+      in
+      let qmeans = means q.Dataset.qnormal in
+      let reference (e : Dataset.entry) =
+        let m = means (Simq_series.Normal_form.decompose e.Dataset.series)
+                  .Simq_series.Normal_form.normalised in
+        let acc = ref 0. in
+        Array.iteri
+          (fun j len ->
+            let diff = m.(j) -. qmeans.(j) in
+            acc := !acc +. (float_of_int len *. diff *. diff))
+          lengths;
+        sqrt !acc *. (1. -. 1e-9)
+      in
+      match Sketch.funnel (Sketch.create d) ~spec:Spec.Identity ~query:q with
+      | None -> Alcotest.fail "the identity has a funnel"
+      | Some f ->
+        Alcotest.(check string) "level 1" "segment" f.Kindex.levels.(1);
+        Array.iter
+          (fun (e : Dataset.entry) ->
+            Alcotest.(check int64)
+              (Printf.sprintf "n=%d entry %d" n e.Dataset.id)
+              (Int64.bits_of_float (reference e))
+              (Int64.bits_of_float (f.Kindex.bound 1 e)))
+          (Dataset.entries d))
+    [ 128; 100; 7 ]
+
 let () =
   Alcotest.run "simq_sketch"
     [
       ( "lower bounds",
-        [ QCheck_alcotest.to_alcotest prop_levels_lower_bound ] );
+        [
+          QCheck_alcotest.to_alcotest prop_levels_lower_bound;
+          Alcotest.test_case "segment means of the normal forms" `Quick
+            test_segment_means_of_normal_forms;
+        ] );
       ( "exact parity",
         [
           QCheck_alcotest.to_alcotest prop_sketched_eq_unsketched;

@@ -162,6 +162,82 @@ let test_relation_save_load () =
             (Simq_series.Series.equal t.Relation.data copy.(idx).Relation.data))
         orig)
 
+(* A snapshot written by hand, in {!Relation.save}'s layout, so a test
+   can persist tuples that [insert] would refuse or number otherwise. *)
+type snapshot = { snap_name : string; snap_tuples : Relation.tuple array }
+
+let with_snapshot tuples f =
+  let path = Filename.temp_file "simq" ".rel" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      Marshal.to_channel oc { snap_name = "hand"; snap_tuples = tuples } [];
+      close_out oc;
+      f path)
+
+let bits s = Array.map Int64.bits_of_float s
+
+(* [load] adopts the snapshot's tuples: ids, names, data, page layout
+   and counters are those of inserting every tuple again, whatever ids
+   the snapshot carried. *)
+let test_relation_load_equals_reinsert () =
+  let batch = sample_batch 30 40 in
+  let tuples =
+    Array.mapi
+      (fun idx data ->
+        { Relation.id = 100 - idx; name = Printf.sprintf "t%d" idx; data })
+      batch
+  in
+  with_snapshot tuples (fun path ->
+      let loaded = Relation.load ~page_size:512 path in
+      let inserted = Relation.create ~page_size:512 ~name:"hand" () in
+      Array.iter
+        (fun (t : Relation.tuple) ->
+          ignore
+            (Relation.insert inserted ~name:t.Relation.name t.Relation.data))
+        tuples;
+      Io_stats.reset (Relation.stats inserted);
+      Alcotest.(check string) "name" "hand" (Relation.name loaded);
+      Array.iter2
+        (fun (a : Relation.tuple) (b : Relation.tuple) ->
+          Alcotest.(check int) "id" a.Relation.id b.Relation.id;
+          Alcotest.(check string) "tuple name" a.Relation.name b.Relation.name;
+          Alcotest.(check (array int64)) "data bits" (bits a.Relation.data)
+            (bits b.Relation.data))
+        (Relation.to_array inserted) (Relation.to_array loaded);
+      let counters r =
+        let s = Relation.stats r in
+        [ Io_stats.page_reads s; Io_stats.page_writes s; Io_stats.cache_hits s ]
+      in
+      Alcotest.(check int) "pages" (Relation.pages inserted)
+        (Relation.pages loaded);
+      Alcotest.(check (list int)) "zeroed stats" [ 0; 0; 0 ] (counters loaded);
+      (* The offsets: every tuple touches the pages the inserted one does. *)
+      for id = 0 to Array.length tuples - 1 do
+        ignore (Relation.get inserted id);
+        ignore (Relation.get loaded id);
+        Alcotest.(check (list int)) "page traffic" (counters inserted)
+          (counters loaded)
+      done;
+      let extra = [| 1.; 2. |] in
+      Alcotest.(check int) "next insert's id"
+        (Relation.insert inserted ~name:"x" extra).Relation.id
+        (Relation.insert loaded ~name:"x" extra).Relation.id)
+
+let test_relation_load_rejects_bad_series () =
+  List.iter
+    (fun (data, message) ->
+      let tuples =
+        [| { Relation.id = 0; name = "ok"; data = [| 1.; 2. |] };
+           { Relation.id = 1; name = "bad"; data } |]
+      in
+      with_snapshot tuples (fun path ->
+          Alcotest.check_raises message (Invalid_argument message) (fun () ->
+              ignore (Relation.load path))))
+    [ ([| 1.; Float.nan |], "Series.validate: non-finite value");
+      ([||], "Series.validate: empty series") ]
+
 let test_relation_to_array_and_iter_agree () =
   let r = Relation.of_series ~name:"x" (sample_batch 7 16) in
   let via_iter = ref [] in
@@ -302,6 +378,10 @@ let () =
           Alcotest.test_case "repeated scan hits cache" `Quick
             test_relation_repeated_scan_hits_cache;
           Alcotest.test_case "save/load" `Quick test_relation_save_load;
+          Alcotest.test_case "load equals re-insertion" `Quick
+            test_relation_load_equals_reinsert;
+          Alcotest.test_case "load rejects bad series" `Quick
+            test_relation_load_rejects_bad_series;
           Alcotest.test_case "iteration order" `Quick
             test_relation_to_array_and_iter_agree;
         ] );

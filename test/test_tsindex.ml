@@ -185,7 +185,7 @@ let test_dataset_preparation () =
   Array.iter
     (fun (e : Dataset.entry) ->
       Alcotest.(check bool) "normal form" true
-        (Simq_series.Normal_form.is_normal e.Dataset.normal);
+        (Simq_series.Normal_form.is_normal (Dataset.normal e));
       Alcotest.(check (float 1e-9)) "coefficient 0 is zero" 0.
         (Simq_dsp.Cpx.abs
            (Simq_dsp.Flat.coeff (Dataset.spectrum d e.Dataset.id) 0)))
@@ -227,7 +227,7 @@ let test_flat_kernel_matches_boxed () =
   let spectrum (e : Dataset.entry) = Dataset.spectrum d e.Dataset.id in
   let boxed =
     Array.map
-      (fun (e : Dataset.entry) -> Simq_dsp.Fft.fft_real e.Dataset.normal)
+      (fun (e : Dataset.entry) -> Simq_dsp.Fft.fft_real (Dataset.normal e))
       entries
   in
   (* Every stretch of the spec mix ([Queries.spec_mix]): identity, rev,
@@ -543,7 +543,7 @@ let test_flat_spectrum_is_fft () =
   let d = dataset_of ~seed:13 ~count:8 ~n:48 in
   Array.iter
     (fun (e : Dataset.entry) ->
-      let reference = Simq_dsp.Fft.fft_real e.Dataset.normal in
+      let reference = Simq_dsp.Fft.fft_real (Dataset.normal e) in
       Alcotest.(check int) "coefficients" (Array.length reference)
         (Simq_dsp.Flat.length (Dataset.spectrum d e.Dataset.id));
       Array.iteri
@@ -749,7 +749,7 @@ let brute_nearest ~spec d ~query ~k =
   |> List.map (fun (e : Dataset.entry) ->
          ( e,
            Simq_series.Distance.euclidean
-             (Spec.apply_series spec e.Dataset.normal)
+             (Spec.apply_series spec (Dataset.normal e))
              q.Dataset.qnormal ))
   |> List.sort (fun (_, d1) (_, d2) -> Float.compare d1 d2)
   |> List.filteri (fun i _ -> i < k)
@@ -1073,7 +1073,9 @@ let test_join_keeps_pair_at_epsilon () =
   List.iter
     (fun spec ->
       let label = Spec.name spec in
-      let normal id = Spec.apply_series spec (Dataset.get d id).Dataset.normal in
+      let normal id =
+        Spec.apply_series spec (Dataset.normal (Dataset.get d id))
+      in
       let time_sum i j =
         let a = normal i and b = normal j in
         let sum = ref 0. in
@@ -1255,7 +1257,7 @@ let test_range_unnormalised_query () =
     |> List.filter_map (fun (e : Dataset.entry) ->
            let dist =
              Simq_series.Distance.euclidean
-               (Spec.apply_series spec e.Dataset.normal)
+               (Spec.apply_series spec (Dataset.normal e))
                query
            in
            if dist <= epsilon then Some e.Dataset.id else None)
@@ -1535,18 +1537,60 @@ let test_planner_selectivity_monotone () =
   Alcotest.(check (float 1e-6)) "huge epsilon saturates" 1.
     (Planner.selectivity stats ~epsilon:1e6)
 
+(* The sampled distances are those between the entries' normal forms
+   as [decompose] computes them: the same draws, the same doubles, so
+   the same histogram bit for bit. *)
+let test_planner_histogram_formula () =
+  List.iter
+    (fun n ->
+      let batch =
+        Array.mapi
+          (fun i s -> if i mod 5 = 2 then Array.make n 1. else s)
+          (Generator.random_walks ~seed:n ~count:60 ~n)
+      in
+      let d = Dataset.of_series ~name:"h" batch in
+      let samples = 700 and seed = 9 and buckets = 16 in
+      let width, counts =
+        Planner.histogram (Planner.collect ~samples ~seed ~buckets d)
+      in
+      let normals =
+        Array.map
+          (fun s -> (Simq_series.Normal_form.decompose s).normalised)
+          batch
+      in
+      let state = Random.State.make [| seed |] in
+      let distances =
+        Array.init samples (fun _ ->
+            let i = Random.State.int state 60 in
+            let j = Random.State.int state 60 in
+            Simq_series.Distance.euclidean normals.(i) normals.(j))
+      in
+      let top = Array.fold_left Float.max 0. distances in
+      let expected_width = top /. float_of_int buckets in
+      let expected = Array.make buckets 0 in
+      Array.iter
+        (fun d ->
+          let b = min (buckets - 1) (int_of_float (d /. expected_width)) in
+          expected.(b) <- expected.(b) + 1)
+        distances;
+      Alcotest.(check int64) "bucket width bits"
+        (Int64.bits_of_float expected_width) (Int64.bits_of_float width);
+      Alcotest.(check (array int)) "counts" expected counts)
+    [ 128; 100; 7 ]
+
 let test_planner_estimates_roughly_correct () =
   let d = dataset_of ~seed:72 ~count:300 ~n:64 in
   let stats = Planner.collect ~samples:4000 d in
   (* Compare the estimate against the true count for a median-ish eps. *)
   let entries = Dataset.entries d in
-  let query = entries.(0).Dataset.normal in
+  let query = Dataset.normal entries.(0) in
   List.iter
     (fun epsilon ->
       let truth =
         Array.to_list entries
         |> List.filter (fun (e : Dataset.entry) ->
-               Simq_series.Distance.euclidean e.Dataset.normal query <= epsilon)
+               Simq_series.Distance.euclidean (Dataset.normal e) query
+               <= epsilon)
         |> List.length
       in
       let estimate = Planner.estimate_answers stats ~cardinality:300 ~epsilon in
@@ -1727,7 +1771,7 @@ let check_same_index msg built opened =
       Alcotest.(check int) (msg ^ ": id") a.Dataset.id b.Dataset.id;
       Alcotest.(check string) (msg ^ ": name") a.Dataset.name b.Dataset.name;
       check_bits (msg ^ ": series") a.Dataset.series b.Dataset.series;
-      check_bits (msg ^ ": normal") a.Dataset.normal b.Dataset.normal;
+      check_bits (msg ^ ": normal") (Dataset.normal a) (Dataset.normal b);
       check_bits (msg ^ ": moments")
         [| a.Dataset.mean; a.Dataset.std |]
         [| b.Dataset.mean; b.Dataset.std |])
@@ -1821,6 +1865,42 @@ let prop_image_opens_bit_identical =
       check_same_index "cold" built cold;
       check_same_index "warm" built warm;
       check_same_queries "warm" built warm;
+      true)
+
+(* The normal form is not stored: [Dataset.normal] recomputes it from
+   the entry's moments, and gives [decompose]'s array bit for bit
+   however the entry was made. *)
+let prop_normal_on_demand =
+  QCheck.Test.make ~name:"on-demand normal form = decompose, bit for bit"
+    ~count:9
+    (QCheck.make
+       ~print:(fun (n, count, seed) ->
+         Printf.sprintf "n=%d count=%d seed=%d" n count seed)
+       QCheck.Gen.(
+         let* n = oneofl [ 128; 100; 7 ] in
+         let* count = int_range 3 200 in
+         let* seed = int_range 0 1000 in
+         return (n, count, seed)))
+    (fun (n, count, seed) ->
+      with_relation_file (image_batch ~seed ~count ~n) @@ fun path ->
+      let built = Dataset.of_relation (Relation.load path) in
+      ignore (open_path path : Kindex.t);
+      let warm = Kindex.dataset (open_path path) in
+      let check what d =
+        Array.iter
+          (fun (e : Dataset.entry) ->
+            check_bits what
+              (Simq_series.Normal_form.decompose e.Dataset.series)
+                .Simq_series.Normal_form.normalised
+              (Dataset.normal e))
+          (Dataset.entries d)
+      in
+      let lo = count / 3 in
+      check "of_relation" built;
+      check "warm open" warm;
+      check "sub" (Dataset.sub built ~name:"block" ~lo ~width:(count - lo));
+      check "sub of the warm open"
+        (Dataset.sub warm ~name:"block" ~lo ~width:(count - lo));
       true)
 
 let image_valid path =
@@ -2079,6 +2159,7 @@ let () =
       ( "image",
         [
           QCheck_alcotest.to_alcotest prop_image_opens_bit_identical;
+          QCheck_alcotest.to_alcotest prop_normal_on_demand;
           Alcotest.test_case "a stale image is replaced" `Quick
             test_image_stale_replaced;
           Alcotest.test_case "an invalid image falls back" `Quick
@@ -2134,6 +2215,8 @@ let () =
             test_planner_selectivity_monotone;
           Alcotest.test_case "estimates roughly correct" `Quick
             test_planner_estimates_roughly_correct;
+          Alcotest.test_case "histogram of the normal forms" `Quick
+            test_planner_histogram_formula;
           Alcotest.test_case "choice and execution" `Quick
             test_planner_choice_and_execution;
         ] );

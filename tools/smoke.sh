@@ -40,7 +40,9 @@
 # with every NEAREST line of its qlog failed typed, and the prepared
 # image: a second query opened from it (an image.open span, no prepare
 # or build span) printing the first one's rows, and a directory in the
-# image's place ignored.
+# image's place ignored, and warp(2) RANGE and NEAREST and index PAIRS
+# under mavg(4) printing the same rows cold and warm, plain and with
+# --shards 4 --sketch.
 #
 # Two modes:
 #   tools/smoke.sh                full standalone run: dune build @all,
@@ -510,6 +512,40 @@ sed 1d dir.out | cmp -s - cold.rows || {
   echo "smoke: a directory in the image's place changed the rows" >&2
   exit 1
 }
+
+echo "== warp and index PAIRS: cold, warm, plain and sharded print the same rows"
+# The warp is the one path that standardises each entry it touches on
+# demand; index PAIRS transforms every normal form. Each query is run
+# with its image removed (cold) and then opened from it (warm), plain
+# and with --shards 4 --sketch, and must print the first run's rows.
+"$simq" generate --count 120 --length 32 -o warp.rel >/dev/null
+for spec in "RANGE FROM r USING warp(2) QUERY s5 EPS 6" \
+  "NEAREST 5 FROM r USING warp(2) QUERY s5" \
+  "PAIRS FROM r USING mavg(4) EPS 2 METHOD index"; do
+  rm -f warp.rel.prepared
+  "$simq" query warp.rel "$spec" --noise 0.3 >warp.out
+  sed 1d warp.out >warp-first.rows
+  [ -s warp-first.rows ] || {
+    echo "smoke: $spec printed no rows" >&2
+    exit 1
+  }
+  for opts in "" "--shards 4 --sketch"; do
+    for open in cold warm; do
+      [ "$open" = warm ] || rm -f warp.rel.prepared
+      # shellcheck disable=SC2086
+      "$simq" query warp.rel "$spec" --noise 0.3 $opts >warp.out
+      [ -f warp.rel.prepared ] || {
+        echo "smoke: $spec ($open $opts) wrote no prepared image" >&2
+        exit 1
+      }
+      sed 1d warp.out | cmp -s warp-first.rows - || {
+        echo "smoke: $spec ($open $opts) printed other rows" >&2
+        sed 1d warp.out | diff warp-first.rows - >&2 || true
+        exit 1
+      }
+    done
+  done
+done
 
 echo "== live scrape of a serving bench run"
 # Each log a background process writes is created before the process
