@@ -40,7 +40,7 @@ let run_query index queries_by_name text =
         match method_ with
         | Ql.Scan_full -> Join.scan_full ~spec index ~epsilon
         | Ql.Scan_early -> Join.scan_early_abandon ~spec index ~epsilon
-        | Ql.Index -> Join.index_transformed ~spec index ~epsilon
+        | Ql.Index -> Result.get_ok (Join.index ~spec index ~epsilon)
       in
       Printf.printf
         "    %d pairs (%d distance computations, %d node accesses)\n"

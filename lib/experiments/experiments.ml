@@ -396,8 +396,9 @@ let table1 ~fast =
   let a, ta = Simq_report.Timer.time (fun () -> Join.scan_full ~spec index ~epsilon) in
   let run f = Simq_report.Timer.time_median ~runs:3 f in
   let b, tb = run (fun () -> Join.scan_early_abandon ~spec index ~epsilon) in
-  let c, tc = run (fun () -> Join.index_untransformed index ~epsilon) in
-  let d, td = run (fun () -> Join.index_transformed ~spec index ~epsilon) in
+  let index_join ?spec () = Result.get_ok (Join.index ?spec index ~epsilon) in
+  let c, tc = run (fun () -> index_join ()) in
+  let d, td = run (fun () -> index_join ~spec ()) in
   let table =
     Table.create
       ~title:

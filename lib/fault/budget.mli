@@ -49,8 +49,7 @@ val create :
 val unlimited : t
 
 (** [is_unlimited t] holds when [t] sets no limit — whatever its fault
-    plan. Admission control and the refusal of budgets on index joins
-    look at limits only. *)
+    plan. Admission control looks at limits only. *)
 val is_unlimited : t -> bool
 
 (** [limit t r] is the count limit for resource [r], [None] when [r]

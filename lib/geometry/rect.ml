@@ -44,15 +44,6 @@ let contains_point r p =
   done;
   !ok
 
-let contains_point_strict r p =
-  dims r = Array.length p
-  &&
-  let ok = ref true in
-  for i = 0 to dims r - 1 do
-    if p.(i) <= r.lo.(i) || p.(i) >= r.hi.(i) then ok := false
-  done;
-  !ok
-
 let contains_rect outer inner =
   dims outer = dims inner
   &&

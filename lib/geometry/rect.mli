@@ -22,15 +22,8 @@ val of_points : Point.t list -> t
 val dims : t -> int
 val contains_point : t -> Point.t -> bool
 
-(** [contains_point_strict r p] requires [p] to be interior (no boundary
-    contact); used by the safety property tests. *)
-val contains_point_strict : t -> Point.t -> bool
-
 val contains_rect : t -> t -> bool
 val intersects : t -> t -> bool
-
-(** [intersection a b] is [None] when the rectangles are disjoint. *)
-val intersection : t -> t -> t option
 
 (** [union a b] is the MBR of both rectangles. *)
 val union : t -> t -> t

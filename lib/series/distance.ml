@@ -11,22 +11,6 @@ let euclidean a b =
   done;
   sqrt !acc
 
-let city_block a b =
-  check "city_block" a b;
-  let acc = ref 0. in
-  for t = 0 to Array.length a - 1 do
-    acc := !acc +. Float.abs (a.(t) -. b.(t))
-  done;
-  !acc
-
-let chebyshev a b =
-  check "chebyshev" a b;
-  let acc = ref 0. in
-  for t = 0 to Array.length a - 1 do
-    acc := Float.max !acc (Float.abs (a.(t) -. b.(t)))
-  done;
-  !acc
-
 let euclidean_early_abandon ~threshold a b =
   check "euclidean_early_abandon" a b;
   let limit = threshold *. threshold in

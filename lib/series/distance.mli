@@ -4,12 +4,6 @@
 (** [euclidean a b] is the L2 distance — the paper's [D] (Eq. 8). *)
 val euclidean : Series.t -> Series.t -> float
 
-(** [city_block a b] is the L1 distance mentioned in the introduction. *)
-val city_block : Series.t -> Series.t -> float
-
-(** [chebyshev a b] is the L∞ distance. *)
-val chebyshev : Series.t -> Series.t -> float
-
 (** [euclidean_early_abandon ~threshold a b] is [Some (euclidean a b)]
     when it does not exceed [threshold], and [None] as soon as the
     partial sum proves it does — the optimised sequential scan of

@@ -50,13 +50,6 @@ let correlation a b =
   let sa = std a and sb = std b in
   if sa = 0. || sb = 0. then 0. else covariance a b /. (sa *. sb)
 
-let autocorrelation s ~lag =
-  let n = Array.length s in
-  if lag < 0 || lag >= n then invalid_arg "Stats.autocorrelation: bad lag";
-  if lag = 0 then 1.
-  else
-    correlation (Array.sub s 0 (n - lag)) (Array.sub s lag (n - lag))
-
 let returns s =
   if Array.length s < 2 then invalid_arg "Stats.returns: series too short";
   Array.init
@@ -64,12 +57,3 @@ let returns s =
     (fun t ->
       if s.(t) = 0. then invalid_arg "Stats.returns: zero value";
       (s.(t + 1) -. s.(t)) /. s.(t))
-
-let log_returns s =
-  if Array.length s < 2 then invalid_arg "Stats.log_returns: series too short";
-  Array.init
-    (Array.length s - 1)
-    (fun t ->
-      if s.(t) <= 0. || s.(t + 1) <= 0. then
-        invalid_arg "Stats.log_returns: non-positive value";
-      log (s.(t + 1) /. s.(t)))

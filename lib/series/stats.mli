@@ -20,16 +20,8 @@ val maximum : Series.t -> float
     0 when either series is constant. *)
 val correlation : Series.t -> Series.t -> float
 
-(** [autocorrelation s ~lag] is the correlation of [s] with itself
-    shifted by [lag] points (population normalisation). Raises
-    [Invalid_argument] unless [0 <= lag < length s]. *)
-val autocorrelation : Series.t -> lag:int -> float
-
 (** [returns s] is the relative day-over-day change
     [(s_(t+1) - s_t) / s_t], length [length s - 1] — standard for price
     series. Raises [Invalid_argument] on zero values or series shorter
     than 2. *)
 val returns : Series.t -> Series.t
-
-(** [log_returns s] is [ln (s_(t+1) / s_t)]; requires positive values. *)
-val log_returns : Series.t -> Series.t

@@ -25,29 +25,3 @@ let spectrum_of_expanded m s =
   let inv_sqrt_m = 1. /. sqrt (float_of_int m) in
   Array.init n (fun f ->
       Dsp.Cpx.scale inv_sqrt_m (Dsp.Cpx.mul a.(f) (Dsp.Flat.coeff spectrum f)))
-
-let dtw ?band a b =
-  let n = Array.length a and m = Array.length b in
-  if n = 0 || m = 0 then invalid_arg "Warp.dtw: empty series";
-  let band =
-    match band with
-    | None -> max n m
-    | Some w ->
-      if w < 0 then invalid_arg "Warp.dtw: negative band";
-      max w (abs (n - m))
-  in
-  let inf = Float.infinity in
-  let cost = Array.make_matrix (n + 1) (m + 1) inf in
-  cost.(0).(0) <- 0.;
-  for t = 1 to n do
-    let lo = max 1 (t - band) and hi = min m (t + band) in
-    for u = lo to hi do
-      let d = a.(t - 1) -. b.(u - 1) in
-      let best =
-        Float.min cost.(t - 1).(u)
-          (Float.min cost.(t).(u - 1) cost.(t - 1).(u - 1))
-      in
-      cost.(t).(u) <- (d *. d) +. best
-    done
-  done;
-  sqrt cost.(n).(m)

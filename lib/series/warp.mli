@@ -4,11 +4,7 @@
     factor: every value [v] becomes [m] copies of [v]. Appendix A shows
     the first [k] Fourier coefficients of the stretched series are
     obtained from those of the original by the linear transformation
-    [T = (a, 0)] with [a_f = Σ_(t<m) e^(-2π·t·f·j / (m·n))].
-
-    [dtw] is additionally provided as the classical dynamic
-    time-warping distance of Sankoff and Kruskal [SK83], cited by the
-    paper as the origin of the operation. *)
+    [T = (a, 0)] with [a_f = Σ_(t<m) e^(-2π·t·f·j / (m·n))]. *)
 
 (** [expand m s] replaces every value by [m] consecutive copies
     (Eq. 16); the result has length [m · length s]. Raises
@@ -26,8 +22,3 @@ val coefficients : m:int -> n:int -> k:int -> Simq_dsp.Cpx.t array
     Appendix A's [1/sqrt n] normalisation to the unitary convention of a
     length-[m·n] transform). *)
 val spectrum_of_expanded : int -> Series.t -> Simq_dsp.Cpx.t array
-
-(** [dtw ?band a b] is the dynamic time-warping distance with squared
-    point costs and an optional Sakoe–Chiba band of half-width [band];
-    returns the square root of the accumulated cost. *)
-val dtw : ?band:int -> Series.t -> Series.t -> float

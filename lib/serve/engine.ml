@@ -289,28 +289,21 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
           ~answers:(List.length r.Kindex.neighbours)
           ~results:(answers_json r.Kindex.neighbours)
       | Error e -> fault e))
-  | Ql.Pairs { spec; epsilon; method_ = Ql.Index; _ } ->
-    if not (Budget.is_unlimited t.budget) then
-      (* Refused before anything executes, so the note keeps no path. *)
-      usage
-        "budgets (--deadline/--max-*) apply to RANGE, NEAREST and PAIRS \
-         scan queries"
-    else begin
-      note.note_path <- Some "index";
-      let r = Join.index_transformed ~spec ?profile t.index ~epsilon in
-      finish note
-        ~answers:(List.length r.Join.pairs)
-        ~results:(pairs_json t.dataset r.Join.pairs)
-    end
   | Ql.Pairs { spec; epsilon; method_; _ } -> (
-    note.note_path <- Some "scan";
-    (* Admission (when the engine has a policy) decides from the
-       catalogue pair count before any series is materialised. *)
-    match
-      Join.scan_checked ?pool:pairs_pool ~spec
-        ~abandon:(method_ = Ql.Scan_early) ~budget:t.budget
-        ?admission:t.admission ?profile t.index ~epsilon
-    with
+    let result =
+      match method_ with
+      | Ql.Index ->
+        note.note_path <- Some "index";
+        Join.index ~spec ~budget:t.budget ?profile t.index ~epsilon
+      | Ql.Scan_full | Ql.Scan_early ->
+        note.note_path <- Some "scan";
+        (* Admission (when the engine has a policy) decides from the
+           catalogue pair count before any series is materialised. *)
+        Join.scan_checked ?pool:pairs_pool ~spec
+          ~abandon:(method_ = Ql.Scan_early) ~budget:t.budget
+          ?admission:t.admission ?profile t.index ~epsilon
+    in
+    match result with
     | Ok (r : Join.result) ->
       note_decision note r.Join.admission;
       finish note

@@ -15,7 +15,7 @@
     {!Simq_tsindex.Kindex.nearest_checked} (the same vetting, exact
     linear-selection degradation), scan PAIRS
     {!Simq_tsindex.Join.scan_checked} and index PAIRS
-    {!Simq_tsindex.Join.index_transformed}. A plain engine is the one
+    {!Simq_tsindex.Join.index}. A plain engine is the one
     with an unlimited budget and no admission policy: it takes the
     same routes. The engine's budget also carries its fault plan
     ([Simq_fault.Budget.create ~faults], [simq serve --fault-*]):
@@ -23,8 +23,8 @@
     state. A faulted attempt is retried; when the faults outlast the
     retries, RANGE (and each shard of a sharded NEAREST) degrades to
     the scan, while unsharded NEAREST and scan PAIRS answer
-    [io_failed]. Index PAIRS takes no budget, so it cannot be faulted.
-    Both paths of every
+    [io_failed], and index PAIRS answers [io_failed] like unsharded
+    NEAREST. Both paths of every
     degradation are exact, side constraints ([MEAN]/[STD]) included,
     so for every query a checked engine {e admits or degrades}, the
     answers are bit-identical to the plain engine's — the invariant

@@ -68,7 +68,6 @@ let stats t =
   }
 
 let port t = t.port
-let draining t = Atomic.get t.stopping
 
 let request_drain t =
   if not (Atomic.exchange t.stopping true) then begin

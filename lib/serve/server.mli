@@ -97,8 +97,6 @@ val stats : t -> stats
     and worker threads. *)
 val request_drain : t -> unit
 
-val draining : t -> bool
-
 (** [wait t] blocks until the accept thread and every worker have
     exited (i.e. until someone calls {!request_drain} — or a client
     sends [shutdown] — and the drain completes). *)

@@ -21,24 +21,6 @@ type result = {
   admission : Simq_admission.decision option;
 }
 
-(* The transformed normal forms by id (time domain, exact for every
-   spec including Warp): a pure per-entry map, so it fans out over the
-   pool too, each chunk filling its own ids. *)
-let transformed_normals ~pool kindex spec =
-  let dataset = Kindex.dataset kindex in
-  let count = Dataset.cardinality dataset in
-  let normals = Array.make count [||] in
-  let fill ~lo ~hi =
-    for id = lo to hi - 1 do
-      normals.(id) <-
-        Spec.apply_series spec (Dataset.normal (Dataset.get dataset id))
-    done
-  in
-  ignore
-    (Pool.map_chunks ~pool ~chunk:(Pool.chunk_size pool count) ~n:count fill
-      : unit list);
-  normals
-
 (* The largest double [t] with [sqrt t <= epsilon]. The rounded root is
    monotone, so a pair's sum passes [sum <= t] exactly when its
    distance [sqrt sum] is within ε, with no root taken per pair; the
@@ -100,8 +82,19 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
     match spec with
     | Spec.Warp _ ->
       (* Frequency-domain prefixes underestimate warped distances; use
-         the exact time-domain comparison instead. *)
-      let normals = transformed_normals ~pool kindex spec in
+         the exact time-domain comparison instead, over the transformed
+         normal forms by id: a pure per-entry map, so it fans out over
+         the pool too, each chunk filling its own ids. *)
+      let normals = Array.make count [||] in
+      ignore
+        (Pool.map_chunks ~pool ~chunk:(Pool.chunk_size pool count) ~n:count
+           (fun ~lo ~hi ->
+             for id = lo to hi - 1 do
+               normals.(id) <-
+                 Spec.apply_series spec
+                   (Dataset.normal (Dataset.get dataset id))
+             done)
+          : unit list);
       ( (fun ~lo:_ ~hi:_ pairs i ->
           for j = i + 1 to count - 1 do
             let hit =
@@ -256,33 +249,40 @@ let scan_checked ?pool ?(spec = Spec.Identity) ?(abandon = true)
         { (scan ?pool ?bstate ?profile ~abandon kindex spec epsilon) with
           admission = decision })
 
-(* One index range query per sequence; the transformation (when present)
-   applies to both the stored side (via the transformed traversal) and
-   the query side (its features and the postprocessing distance). *)
-let index_join ?profile kindex spec epsilon =
+(* Methods (c) and (d): every entry posed as a prepared query to the
+   k-index's own range attempt ({!Kindex.range_attempt}), the whole
+   join one attempt under the budget. Outside the warp, entry [i]'s
+   query is its stored spectrum stretched once, so its features are the
+   stretched prefix and each candidate's kernel sum is the scan join's
+   per-pair sum, bit for bit; the warp keeps its time-domain query, the
+   warped normal form. Answers come sorted by id, so the pairs are in
+   (i, j) order, each unordered pair in both directions. *)
+let index ?(spec = Spec.Identity) ?(budget = Budget.unlimited) ?profile kindex
+    ~epsilon =
   if not (Float.is_finite epsilon) || epsilon < 0. then
-    invalid_arg "Join.index_join: epsilon must be finite and >= 0";
+    invalid_arg "Join.index: epsilon must be finite and >= 0";
   let dataset = Kindex.dataset kindex in
-  let k = (Kindex.config kindex).Feature.k in
-  let normals = transformed_normals ~pool:(Pool.default ()) kindex spec in
-  (* Query features for entry i: the first k coefficients of its
-     transformed spectrum (for Warp these are the predicted prefix of the
-     warped spectrum, which is all the index needs). *)
-  let n = Dataset.series_length dataset and spectra = Dataset.spectra dataset in
-  let at (e : Dataset.entry) = Dataset.slot dataset e.Dataset.id * n in
-  let query_coeffs =
-    match spec with
-    | Spec.Identity ->
-      fun (e : Dataset.entry) -> Flat.sub spectra ~pos:(at e + 1) ~len:k
-    | _ ->
-      (* Only coefficients [0 .. k] are stretched, with [Complex.mul]'s
-         formula, and [1 .. k] kept. *)
-      let stretch = Spec.stretch spec ~n and buf = Flat.create (k + 1) in
-      fun (e : Dataset.entry) ->
-        Flat.stretch_prefix ~stretch spectra ~xo:(at e) ~len:(k + 1) buf ~off:0;
-        Flat.sub buf ~pos:1 ~len:k
-  in
+  let count = Dataset.cardinality dataset in
+  let n = Dataset.series_length dataset in
   let prepared = Kindex.prepare kindex spec in
+  let query =
+    match spec with
+    | Spec.Warp _ ->
+      fun i ->
+        Dataset.prepare_query ~normalise:false
+          (Spec.apply_series spec (Dataset.normal (Dataset.get dataset i)))
+    | _ ->
+      (* One buffer for every entry: only the warp's distance reads the
+         time-domain series, so none is made. *)
+      let stretch = Spec.stretch spec ~n and spectra = Dataset.spectra dataset in
+      let q = { Dataset.qnormal = [||]; qspectrum = Flat.create n } in
+      fun i ->
+        Flat.stretch_prefix ~stretch spectra
+          ~xo:(Dataset.slot dataset i * n)
+          ~len:n q.Dataset.qspectrum ~off:0;
+        q
+  in
+  Retry.with_retries ?profile ~budget @@ fun bstate ->
   (* One flat operator node for the whole nested-query loop: a child
      per inner range query would drown the tree in [cardinality]
      nodes. *)
@@ -290,14 +290,8 @@ let index_join ?profile kindex spec epsilon =
   let pairs = ref [] in
   let computations = ref 0 in
   let node_accesses = ref 0 in
-  for i = 0 to Dataset.cardinality dataset - 1 do
-    let query_coeffs = query_coeffs (Dataset.get dataset i) in
-    let distance (candidate : Dataset.entry) =
-      Distance.euclidean normals.(candidate.Dataset.id) normals.(i)
-    in
-    let r =
-      Kindex.range_prepared kindex prepared ~query_coeffs ~epsilon ~distance
-    in
+  for i = 0 to count - 1 do
+    let r = Kindex.range_attempt kindex prepared bstate (query i) ~epsilon in
     computations := !computations + r.Kindex.candidates;
     node_accesses := !node_accesses + r.Kindex.node_accesses;
     List.iter
@@ -306,18 +300,13 @@ let index_join ?profile kindex spec epsilon =
           pairs := (i, candidate.Dataset.id) :: !pairs)
       r.Kindex.answers
   done;
+  Simq_rtree.Rstar.add_accesses (Kindex.tree kindex) !node_accesses;
   Metrics.add m_comparisons !computations;
   Metrics.add m_pairs (List.length !pairs);
-  Profile.add_rows_in pn (Dataset.cardinality dataset);
+  Profile.add_rows_in pn count;
   Profile.add_candidates pn !computations;
   Profile.add_pages pn !node_accesses;
   Profile.add_rows_out pn (List.length !pairs);
   Profile.add_survivors pn (List.length !pairs);
   { pairs = List.rev !pairs; distance_computations = !computations;
     node_accesses = !node_accesses; admission = None }
-
-let index_untransformed ?profile kindex ~epsilon =
-  index_join ?profile kindex Spec.Identity epsilon
-
-let index_transformed ?(spec = Spec.Identity) ?profile kindex ~epsilon =
-  index_join ?profile kindex spec epsilon

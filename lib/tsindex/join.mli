@@ -9,13 +9,16 @@
       computation, run as a band join (below) that compares only the
       pairs one stretched coefficient cannot already rule out;
     - {b c} — scan the relation and pose one index range query per
-      sequence, {e without} the transformation;
+      sequence, {e without} the transformation ({!index} at its default
+      spec, [Identity]);
     - {b d} — as (c), applying the transformation to both the index and
-      the search regions.
+      the search regions ({!index} with [spec]).
 
     Methods a/b report each unordered pair once; c/d report every pair
     in both directions, exactly like the paper's answer-set sizes
-    (3×2 and 12×2).
+    (3×2 and 12×2). Every method's verdict on a pair is the same: the
+    index join's pairs, each unordered pair taken once, are the scan
+    join's.
 
     The scan methods parallelise their outer loop over a
     {!Simq_parallel.Pool} (default the global pool) with row-chunk
@@ -41,8 +44,6 @@
     the [count (count - 1) / 2] of method (a).
     [Warp] compares the transformed normal forms in the time domain,
     every pair, for both methods.
-    The index methods stretch only the [k] query coefficients of each
-    entry.
 
     Every method takes an optional [?profile] ({!Simq_obs.Profile}):
     the scans record one flat [join.scan] operator node (rows in,
@@ -108,13 +109,32 @@ val scan_checked :
   epsilon:float ->
   (result, Simq_fault.Error.t) Result.t
 
-(** [index_untransformed kindex ~epsilon] — method (c): no
-    transformation on either side. *)
-val index_untransformed :
-  ?profile:Simq_obs.Profile.t -> Kindex.t -> epsilon:float -> result
+(** [index kindex ?spec ?budget ~epsilon] is the index join, methods
+    (c) (the default [Identity]) and (d): each entry is posed as a
+    prepared query to the k-index's own range attempt
+    ({!Kindex.range_attempt}, the body {!Kindex.range_checked} runs),
+    with [spec] (default [Identity]) on both sides. Outside the warp
+    the query side is the entry's stored spectrum stretched once, so
+    its features are the stretched prefix, the search region takes the
+    mirrored radius where the twins apply, and each candidate's
+    distance is the scan join's per-pair kernel sum, bit for bit,
+    abandoned at ε: the pairs, each unordered pair taken once, are
+    {!scan_full}'s. The warp's query is the warped normal form, its
+    distance the time-domain one. The join reads one spectrum buffer
+    and allocates no normal form outside the warp.
 
-(** [index_transformed kindex ?spec ~epsilon] — method (d): [spec] on
-    both sides. *)
-val index_transformed :
-  ?spec:Spec.t -> ?profile:Simq_obs.Profile.t -> Kindex.t -> epsilon:float ->
-  result
+    The whole join is one attempt under {!Simq_fault.Retry.with_retries}
+    on [budget] (default unlimited): every node visit is charged and
+    consults the budget's fault plan, every candidate is charged one
+    comparison, exactly as for a RANGE query, and the tree's access
+    counter is credited only by the attempt that succeeds. Returns the
+    pairs or a typed error — never a fault or budget exception;
+    argument validation still raises [Invalid_argument]. The join runs
+    on the calling domain. *)
+val index :
+  ?spec:Spec.t ->
+  ?budget:Simq_fault.Budget.t ->
+  ?profile:Simq_obs.Profile.t ->
+  Kindex.t ->
+  epsilon:float ->
+  (result, Simq_fault.Error.t) Result.t

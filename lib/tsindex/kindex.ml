@@ -253,18 +253,18 @@ let region_tests region ptransform =
 
 (* The engine behind every range query, with node accesses counted
    locally (never written to the tree) so read-only queries can run
-   concurrently from several domains; {!range_prepared} credits the
-   tree's cumulative counter afterwards. *)
+   concurrently from several domains; its callers credit the tree's
+   cumulative counter afterwards. *)
 let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
     ?profile t prepared ~query_coeffs ~radius ~epsilon ~distance =
   if not (Float.is_finite epsilon) || epsilon < 0. then
-    invalid_arg "Kindex.range_prepared: epsilon must be finite and >= 0";
+    invalid_arg "Kindex.range: epsilon must be finite and >= 0";
   (match approx with
   | Some a when not (Float.is_finite a) || a < 0. || a >= 1. ->
-    invalid_arg "Kindex.range_prepared: approx must be in [0, 1)"
+    invalid_arg "Kindex.range: approx must be in [0, 1)"
   | _ -> ());
   if Array.length query_coeffs <> t.config.Feature.k then
-    invalid_arg "Kindex.range_prepared: expected k query coefficients";
+    invalid_arg "Kindex.range: expected k query coefficients";
   let region =
     full_region t ?mean_range ?std_range ~query_coeffs ~epsilon:radius ()
   in
@@ -364,13 +364,9 @@ let range_within ?mean_range ?std_range ?prefilter ?approx ?profile t
   result
 
 (* One-sided: the caller's distance need not be the kernel. *)
-let range_prepared ?mean_range ?std_range ?prefilter ?approx ?profile t
-    prepared ~query_coeffs ~epsilon ~distance =
-  range_within ?mean_range ?std_range ?prefilter ?approx ?profile t prepared
-    ~query_coeffs ~radius:epsilon ~epsilon ~distance
-
 let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
-  range_prepared t (prepare t spec) ~query_coeffs ~epsilon ~distance
+  range_within t (prepare t spec) ~query_coeffs ~radius:epsilon ~epsilon
+    ~distance
 
 (* The exact distance used in postprocessing. Length-preserving
    transformations, the identity included, are evaluated in the
@@ -470,6 +466,12 @@ let range_checked ?(spec = Spec.Identity) ?mean_window ?std_band
       in
       Rstar.add_accesses t.tree result.node_accesses;
       result)
+
+let range_attempt t prepared bstate q ~epsilon =
+  range_prepared_counted ?bstate t prepared ~query_coeffs:(query_coeffs t q)
+    ~radius:(search_radius t prepared.pspec q ~epsilon)
+    ~epsilon
+    ~distance:(distance_within t prepared q ~within:epsilon)
 
 let range_probe ?(spec = Spec.Identity) ?mean_window ?std_band t ~query
     ~epsilon =

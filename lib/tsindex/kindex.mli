@@ -190,9 +190,9 @@ val range_probe :
     twins, within [ε·(1 + 1e-9)] plus the same rounding slack (taken
     at the warped length under a warp); {!nearest} and
     {!nearest_checked} count each feature of a node bound and each
-    head coefficient of a key with its twin. {!range_prepared} and
-    {!range_generic} search within ε itself, one-sided: their callers
-    supply the distance. *)
+    head coefficient of a key with its twin, and so does
+    {!range_attempt}. {!range_generic} searches within ε itself,
+    one-sided: its caller supplies the distance. *)
 val twin_slack : t -> Spec.t -> query_norm:float -> float
 
 (** [nearest t ?spec ~query ~k] is the [k] entries minimising the same
@@ -293,14 +293,14 @@ val nearest_checked :
   k:int ->
   (nearest_result, Simq_fault.Error.t) Result.t
 
-(** [range_generic t ?spec ~query_coeffs ~epsilon ~distance] is the
-    engine behind {!range} and the join methods: [query_coeffs] are the
+(** [range_generic t ?spec ~query_coeffs ~epsilon ~distance] is a
+    range traversal with a caller's distance: [query_coeffs] are the
     [k] complex features of the (already transformed) query side,
     [distance] computes the full distance used in postprocessing, and
-    [spec] transforms the data side during traversal. The result is
-    exact provided [Spectrum.prefix] of the transformed data spectrum
-    against [query_coeffs] lower-bounds [distance] — the Lemma 1
-    condition. *)
+    [spec] transforms the data side during traversal. Its search region
+    is one-sided, within ε of [query_coeffs]. The result is exact
+    provided [Spectrum.prefix] of the transformed data spectrum against
+    [query_coeffs] lower-bounds [distance] — the Lemma 1 condition. *)
 val range_generic :
   ?spec:Spec.t ->
   t ->
@@ -314,7 +314,7 @@ val range_generic :
     {!range} and {!range_generic} prepare the transformation (the
     lowering; the stretch is {!Spec.stretch}'s shared one) on every
     call. Workloads that pose many queries under one transformation —
-    the join methods, experiment loops — prepare once instead. *)
+    the index join — prepare once instead. *)
 
 type prepared
 
@@ -322,22 +322,25 @@ type prepared
     index. *)
 val prepare : t -> Spec.t -> prepared
 
-(** [range_prepared t prepared ~query_coeffs ~epsilon ~distance] is
-    {!range_generic} with the preparation factored out. [?prefilter]
-    is an already-built funnel (the prepared query is the
-    caller's here), run under the same exact/approx contract as
-    {!range}'s [?sketch]. *)
-val range_prepared :
-  ?mean_range:Simq_geometry.Region.range ->
-  ?std_range:Simq_geometry.Region.range ->
-  ?prefilter:prefilter ->
-  ?approx:float ->
-  ?profile:Simq_obs.Profile.t ->
+(** [range_attempt t prepared bstate q ~epsilon] is one attempt of
+    {!range_checked}'s body for the prepared query [q] (of length
+    [Spec.output_length], in the comparison space already — no side
+    constraint, sketch or profile): the search region around [q]'s
+    first [k] coefficients, within the mirrored radius where the twins
+    apply ({!twin_slack}), each node visit charged to and faulted by
+    [bstate], then each candidate charged one comparison and checked
+    against {!prepared_distance}'s kernel, which abandons at ε. Node
+    accesses come back in the result and are not credited to the
+    tree's counter: the caller credits the attempt that succeeds.
+    Raises {!Simq_fault.Budget.Exceeded} and
+    {!Simq_fault.Injector.Transient_fault} out of [bstate]: run it
+    inside {!Simq_fault.Retry.with_retries}. *)
+val range_attempt :
   t ->
   prepared ->
-  query_coeffs:Simq_dsp.Cpx.t array ->
+  Simq_fault.Budget.state option ->
+  Dataset.query ->
   epsilon:float ->
-  distance:(Dataset.entry -> float) ->
   range_result
 
 (** [prepared_distance t prepared q] is the exact full distance

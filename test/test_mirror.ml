@@ -6,10 +6,10 @@
    the series without frequency 3 so is the feature bound. Duplicates
    and shifted, scaled copies add pairs at distance 0 and ties at the
    k-th neighbour. RANGE is checked at ε set to exact distances, NEAREST
-   at every k across the ties and PAIRS at exact pair distances, each
-   against a reference that uses no bound: the time-domain brute force
-   and the full kernel scan, the exact linear selection, and the full
-   join scan. Below the length where the twins are coefficients of
+   at every k across the ties and PAIRS (band and index joins) at exact
+   pair distances, each against a reference that uses no bound: the
+   time-domain brute force and the full kernel scan, the exact linear
+   selection, and the full join scan. Below the length where the twins are coefficients of
    their own the bound must stay one-sided. *)
 
 open Simq_tsindex
@@ -304,30 +304,46 @@ let test_nearest_ties () =
     lengths
 
 (* Exact pair distances under the stretch, from the kernel over the
-   stretched spectra: thresholds on which a pair sits. *)
+   stretched spectra (the warp's from the time domain, as its scans
+   compare): thresholds on which a pair sits. *)
 let pair_epsilons d spec =
   let n = Dataset.series_length d and count = Dataset.cardinality d in
-  let stretch = Spec.stretch spec ~n in
-  let stretched =
-    Array.init count (fun i ->
-        let x = Flat.create n in
-        Flat.stretch_into ~stretch (Dataset.spectrum d i) x ~off:0;
-        x)
+  let distance =
+    match spec with
+    | Spec.Warp _ ->
+      let warped =
+        Array.init count (fun i ->
+            Spec.apply_series spec (Dataset.normal (Dataset.get d i)))
+      in
+      fun i j -> Simq_series.Distance.euclidean warped.(i) warped.(j)
+    | _ ->
+      let stretch = Spec.stretch spec ~n in
+      let stretched =
+        Array.init count (fun i ->
+            let x = Flat.create n in
+            Flat.stretch_into ~stretch (Dataset.spectrum d i) x ~off:0;
+            x)
+      in
+      let acc = Flat.acc () in
+      fun i j ->
+        acc.Flat.sum <- 0.;
+        ignore
+          (Flat.sq_dist ~stretch:None ~limit:infinity ~lo:0 ~hi:n
+             stretched.(i) 0 stretched.(j) 0 acc);
+        sqrt acc.Flat.sum
   in
-  let acc = Flat.acc () in
   let all = ref [] in
   for i = 0 to count - 1 do
     for j = i + 1 to count - 1 do
-      acc.Flat.sum <- 0.;
-      ignore
-        (Flat.sq_dist ~stretch:None ~limit:infinity ~lo:0 ~hi:n stretched.(i)
-           0 stretched.(j) 0 acc);
-      all := sqrt acc.Flat.sum :: !all
+      all := distance i j :: !all
     done
   done;
   List.sort_uniq Float.compare !all
   |> List.filteri (fun i _ -> i < 12 || i mod 97 = 0)
 
+(* The band join and the index join against the full scan: the index
+   join reports each of the full scan's pairs in both directions and
+   nothing else. *)
 let test_pairs_at_exact_distances () =
   List.iter
     (fun n ->
@@ -348,11 +364,19 @@ let test_pairs_at_exact_distances () =
                 (label ^ ": the band compares no more pairs")
                 true
                 (early.Join.distance_computations
-                <= full.Join.distance_computations))
+                <= full.Join.distance_computations);
+              match Join.index ~spec idx ~epsilon with
+              | Ok index ->
+                Alcotest.(check (list (pair int int)))
+                  (label ^ ": index = full scan, both directions")
+                  (List.sort compare
+                     (full.Join.pairs
+                     @ List.map (fun (i, j) -> (j, i)) full.Join.pairs))
+                  (List.sort compare index.Join.pairs)
+              | Error e ->
+                Alcotest.failf "%s: %s" label (Simq_fault.Error.to_string e))
             (pair_epsilons d spec))
-        (List.filter
-           (function Spec.Warp _ -> false | _ -> true)
-           (specs_for n)))
+        (specs_for n))
     lengths
 
 (* On random walks the mirrored region takes fewer candidates than the

@@ -712,7 +712,7 @@ let test_span_tree_equals_profile_tree () =
   check_spans "scan join" ~expect:[ "join.scan" ] (fun profile ->
       ok (Join.scan_checked ~spec ~profile index ~epsilon:1.));
   check_spans "index join" ~expect:[ "join.index" ] (fun profile ->
-      ignore (Join.index_transformed ~spec ~profile index ~epsilon:1.));
+      ok (Join.index ~spec ~profile index ~epsilon:1.));
   let subseq = Subseq.build ~k:2 ~window:16 (Array.sub batch 0 20) in
   let window = Array.sub batch.(3) 10 16 in
   check_spans "subsequence range"

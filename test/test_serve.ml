@@ -403,7 +403,6 @@ let test_shutdown_drains_and_answers () =
       Stress.Client.close client;
       (* wait must return: the drain completes on its own. *)
       Server.wait server;
-      Alcotest.(check bool) "draining" true (Server.draining server);
       let stats = Server.stats server in
       Alcotest.(check bool) "served at least the one query" true
         (stats.Server.served >= 1))
@@ -891,23 +890,37 @@ let test_nearest_sees_faults () =
     (results_of (Engine.exec (Engine.create index) spec))
     (results_of result)
 
-(* Index PAIRS takes no budget, so the engine's fault plan cannot reach
-   it: under always-firing faults it answers the plain engine's pairs,
-   plain and sharded, instead of letting a raw fault escape. *)
-let test_index_pairs_under_faults () =
+(* Index PAIRS runs its inner range queries as one attempt under the
+   engine's budget, like RANGE: always-firing node faults outlast the
+   retries and answer io_failed, plain and sharded alike (the index
+   join reads the whole relation's k-index), and the node and
+   comparison limits fail it typed. No case raises. *)
+let test_index_pairs_sees_faults () =
   let index = build_index ~count:80 () in
   let spec = "PAIRS FROM r EPS 1.5 METHOD index" in
-  let expected = results_of (Engine.exec (Engine.create index) spec) in
+  let outcome engine =
+    let note, _ = exec_note engine spec in
+    (note.Engine.note_outcome, note.Engine.note_exit)
+  in
   List.iter
     (fun (label, shards) ->
-      let note, result =
-        exec_note (faulty_engine ?shards ~node:true ~page:true index) spec
-      in
-      Alcotest.(check string) (label ^ ": answered") "ok"
-        note.Engine.note_outcome;
-      Alcotest.(check string) (label ^ ": plain pairs") expected
-        (results_of result))
-    [ ("plain", None); ("3 shards", Some 3) ]
+      Alcotest.(check (pair string int))
+        (label ^ ": node faults")
+        ("io_failed", 4)
+        (outcome (faulty_engine ?shards ~node:true index)))
+    [ ("plain", None); ("3 shards", Some 3) ];
+  List.iter
+    (fun (label, budget, kind) ->
+      Alcotest.(check (pair string int)) label (kind, 4)
+        (outcome (Engine.create ~budget index)))
+    [
+      ( "one node access",
+        Budget.create ~max_node_accesses:1 (),
+        "budget_exceeded:node_accesses" );
+      ( "no comparison",
+        Budget.create ~max_comparisons:0 (),
+        "budget_exceeded:comparisons" );
+    ]
 
 let test_chaos_stream_deterministic () =
   let index = build_index () in
@@ -1164,8 +1177,8 @@ let () =
             test_injector_reaches_every_shard;
           Alcotest.test_case "NEAREST sees injected faults" `Quick
             test_nearest_sees_faults;
-          Alcotest.test_case "index PAIRS answers under faults" `Quick
-            test_index_pairs_under_faults;
+          Alcotest.test_case "index PAIRS sees injected faults" `Quick
+            test_index_pairs_sees_faults;
         ] );
       ( "correlation",
         [

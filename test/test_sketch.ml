@@ -332,7 +332,7 @@ let test_approx_rejects_bad_a () =
     (fun a ->
       Alcotest.check_raises
         (Printf.sprintf "approx %g rejected" a)
-        (Invalid_argument "Kindex.range_prepared: approx must be in [0, 1)")
+        (Invalid_argument "Kindex.range: approx must be in [0, 1)")
         (fun () ->
           ignore
             (Kindex.range ~sketch:funnel ~approx:a index ~query ~epsilon:1.)))

@@ -1034,6 +1034,12 @@ let canonical_pairs pairs =
   List.map (fun (a, b) -> (min a b, max a b)) pairs
   |> List.sort_uniq compare
 
+(* The index join with no budget, which must answer. *)
+let index_join ?spec idx ~epsilon =
+  match Join.index ?spec idx ~epsilon with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "index join: %s" (Simq_fault.Error.to_string e)
+
 let test_join_methods_agree () =
   let d = dataset_of ~seed:23 ~count:60 ~n:64 in
   let idx = Kindex.build ~max_fill:8 d in
@@ -1041,7 +1047,7 @@ let test_join_methods_agree () =
     (fun (spec, epsilon) ->
       let a = Join.scan_full ~spec idx ~epsilon in
       let b = Join.scan_early_abandon ~spec idx ~epsilon in
-      let dd = Join.index_transformed ~spec idx ~epsilon in
+      let dd = index_join ~spec idx ~epsilon in
       let label = Spec.name spec in
       Alcotest.(check (list (pair int int)))
         (label ^ ": a = b")
@@ -1121,7 +1127,7 @@ let test_join_keeps_pair_at_epsilon () =
           canonical_pairs (Join.scan_early_abandon ~spec idx ~epsilon).Join.pairs
         in
         let c =
-          canonical_pairs (Join.index_transformed ~spec idx ~epsilon).Join.pairs
+          canonical_pairs (index_join ~spec idx ~epsilon).Join.pairs
         in
         Alcotest.(check bool) (label ^ ": full scan keeps the pair") true
           (List.mem pair a);
@@ -1132,7 +1138,7 @@ let test_join_keeps_pair_at_epsilon () =
 let test_join_untransformed_matches_identity () =
   let d = dataset_of ~seed:29 ~count:50 ~n:64 in
   let idx = Kindex.build ~max_fill:8 d in
-  let c = Join.index_untransformed idx ~epsilon:3. in
+  let c = index_join idx ~epsilon:3. in
   let a = Join.scan_full idx ~epsilon:3. in
   Alcotest.(check (list (pair int int))) "c = a (canonical)"
     (canonical_pairs a.Join.pairs)
@@ -1200,6 +1206,48 @@ let test_join_checked_charges () =
         "budget_exceeded:comparisons"
         (run (r.Join.distance_computations - 1)))
     [ (Spec.Identity, 2.); (Spec.Moving_average 8, 1.); (Spec.Reverse, 2.5) ]
+
+(* The index join charges its budget like RANGE: every node visit of
+   its inner range queries one node access, every candidate one
+   comparison. A budget of exactly the unbudgeted run's counts answers
+   with its pairs; one less of either fails typed. *)
+let test_index_join_charges () =
+  let module Budget = Simq_fault.Budget in
+  let d = dataset_of ~seed:41 ~count:120 ~n:64 in
+  let idx = Kindex.build ~max_fill:8 d in
+  List.iter
+    (fun (spec, epsilon) ->
+      let label = Spec.name spec in
+      let r = index_join ~spec idx ~epsilon in
+      let run ?max_comparisons ?max_node_accesses () =
+        match
+          Join.index ~spec
+            ~budget:(Budget.create ?max_comparisons ?max_node_accesses ())
+            idx ~epsilon
+        with
+        | Ok r' ->
+          Alcotest.(check (list (pair int int))) (label ^ ": budgeted pairs")
+            r.Join.pairs r'.Join.pairs;
+          "ok"
+        | Error e -> Simq_fault.Error.kind e
+      in
+      let nodes = r.Join.node_accesses
+      and comparisons = r.Join.distance_computations in
+      Alcotest.(check string) (label ^ ": the run's own counts")
+        "ok"
+        (run ~max_node_accesses:nodes ~max_comparisons:comparisons ());
+      Alcotest.(check string) (label ^ ": one node access short")
+        "budget_exceeded:node_accesses"
+        (run ~max_node_accesses:(nodes - 1) ~max_comparisons:comparisons ());
+      Alcotest.(check string) (label ^ ": one comparison short")
+        "budget_exceeded:comparisons"
+        (run ~max_node_accesses:nodes ~max_comparisons:(comparisons - 1) ()))
+    [
+      (Spec.Identity, 2.);
+      (Spec.Moving_average 8, 1.);
+      (Spec.Reverse, 2.5);
+      (Spec.Warp 2, 3.);
+    ]
 
 (* --- GK95 constraints & raw queries ----------------------------------------- *)
 
@@ -1832,7 +1880,7 @@ let check_same_queries msg built opened =
         [
           ("scan", fun idx -> Join.scan_full ~spec idx ~epsilon);
           ("scan-early", fun idx -> Join.scan_early_abandon ~spec idx ~epsilon);
-          ("index", fun idx -> Join.index_transformed ~spec idx ~epsilon);
+          ("index", fun idx -> index_join ~spec idx ~epsilon);
         ])
     [
       Spec.Identity;
@@ -2208,6 +2256,8 @@ let () =
             test_join_transformed_finds_more_smoothed_pairs;
           Alcotest.test_case "checked band charges its windows" `Quick
             test_join_checked_charges;
+          Alcotest.test_case "index join charges its budget" `Quick
+            test_index_join_charges;
         ] );
       ( "planner",
         [

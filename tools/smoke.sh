@@ -32,7 +32,10 @@
 # with the sketch ladder visible in its profile tree, and an
 # out-of-range --approx rejected as a usage error, plus PAIRS joins
 # (identity, rev, mavg(4)) whose early-abandoning band join prints the
-# same pairs as the full scan, the same two checks at a Bluestein length
+# same pairs as the full scan and the index join, whose rows are the
+# band join's pairs in both directions and which exits 4 with a
+# node_accesses outcome under a one-node budget, the same two checks
+# at a Bluestein length
 # (100) and at a length below the mirrored bounds' twins (5), where RANGE
 # and NEAREST print the plain rows with --shards 4 --sketch and the band
 # join prints the full scan's pairs, and a daemon whose budget carries
@@ -154,6 +157,42 @@ for using in "" "USING rev " "USING mavg(4) "; do
     exit 1
   }
 done
+
+echo "== index PAIRS: the scan join's pairs, both directions, under a budget"
+# The index join reports every pair in both directions; taken once
+# (the first name below the second), its rows are the band join's.
+for using in "" "USING rev " "USING mavg(4) "; do
+  "$simq" query smoke.rel "PAIRS FROM r ${using}EPS 2.5 METHOD scan-early" \
+    >pairs.early.out
+  "$simq" query smoke.rel "PAIRS FROM r ${using}EPS 2.5 METHOD index" \
+    >pairs.index.out
+  grep ' ~ ' pairs.early.out | sort >pairs.early.rows
+  grep ' ~ ' pairs.index.out | awk '$1 < $3' | sort >pairs.index.rows
+  cmp -s pairs.early.rows pairs.index.rows || {
+    echo "smoke: index pairs ${using}differ from the band join's" >&2
+    diff pairs.early.rows pairs.index.rows >&2 || true
+    exit 1
+  }
+  [ "$(grep -c ' ~ ' pairs.index.out)" -eq $((2 * $(wc -l <pairs.early.rows))) ] || {
+    echo "smoke: index pairs ${using}are not reported in both directions" >&2
+    exit 1
+  }
+done
+# The index join runs under the budget like RANGE: one node access
+# cannot answer it.
+status=0
+"$simq" query smoke.rel "PAIRS FROM r EPS 1.5 METHOD index" \
+  --max-node-accesses 1 --qlog pairs.qlog 2>pairs.err || status=$?
+[ "$status" -eq 4 ] || {
+  echo "smoke: a one-node budget on index PAIRS exited $status, expected 4" >&2
+  cat pairs.err >&2
+  exit 1
+}
+grep -q '"outcome":"budget_exceeded:node_accesses"' pairs.qlog || {
+  echo "smoke: the budgeted index PAIRS logged no node_accesses outcome" >&2
+  cat pairs.qlog >&2
+  exit 1
+}
 
 echo "== mirrored bounds: a Bluestein length and one below the twins"
 # Length 100 is not a power of two (Bluestein's transform); length 5
@@ -515,7 +554,7 @@ sed 1d dir.out | cmp -s - cold.rows || {
 
 echo "== warp and index PAIRS: cold, warm, plain and sharded print the same rows"
 # The warp is the one path that standardises each entry it touches on
-# demand; index PAIRS transforms every normal form. Each query is run
+# demand; index PAIRS stretches every stored spectrum. Each query is run
 # with its image removed (cold) and then opened from it (warm), plain
 # and with --shards 4 --sketch, and must print the first run's rows.
 "$simq" generate --count 120 --length 32 -o warp.rel >/dev/null
