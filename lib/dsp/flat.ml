@@ -164,56 +164,143 @@ type rows = {
   twin : float;  (* the mirrored bound's slack, [infinity] for none *)
 }
 
-let sort_key ~stretch x ~off =
-  if off < 0 || 2 * (off + length stretch) > Array.length x then
-    invalid_arg "Flat.sort_key: spectrum out of bounds";
-  if length stretch < 2 then 0. else stretched_re ~stretch x (2 * off) 1
+let sort_key ~stretch heads ~slot =
+  if slot < 0 || 2 * head_width * (slot + 1) > Array.length heads then
+    invalid_arg "Flat.sort_key: slot out of bounds";
+  if length stretch < 2 then 0.
+  else stretched_re ~stretch heads (2 * head_width * slot) 1
 
-let rows ~stretch ?order buf offsets =
+(* [b] sorts strictly before [a] by [Float.compare]: NaN before every
+   other double and equal to itself, [-0.] equal to [0.]. *)
+let[@inline] before (b : float) (a : float) = b < a || (b <> b && a = a)
+
+(* A bottom-up merge sort of the indices, comparing their keys:
+   insertion-sorted runs of [run], then merges of doubling width from
+   one index array into the other. Both move an index only past one
+   whose key is strictly greater and take the left run's index on
+   ties, so the sort is stable. Only two [count]-long int arrays are
+   made; the keys are read in place. *)
+let key_order keys =
+  let count = Array.length keys in
+  let run = 16 in
+  let o = ref (Array.init count Fun.id) and o' = ref (Array.make count 0) in
+  let lo = ref 0 in
+  while !lo < count do
+    let hi = Int.min count (!lo + run) and o = !o in
+    for i = !lo + 1 to hi - 1 do
+      let xi = Array.unsafe_get o i in
+      let x = Array.unsafe_get keys xi in
+      let j = ref (i - 1) in
+      while
+        !j >= !lo && before x (Array.unsafe_get keys (Array.unsafe_get o !j))
+      do
+        Array.unsafe_set o (!j + 1) (Array.unsafe_get o !j);
+        decr j
+      done;
+      Array.unsafe_set o (!j + 1) xi
+    done;
+    lo := hi
+  done;
+  let width = ref run in
+  while !width < count do
+    let src = !o and dst = !o' in
+    let lo = ref 0 in
+    while !lo < count do
+      let mid = Int.min count (!lo + !width) in
+      let hi = Int.min count (mid + !width) in
+      let a = ref !lo and b = ref mid and d = ref !lo in
+      while !a < mid && !b < hi do
+        let ia = Array.unsafe_get src !a and ib = Array.unsafe_get src !b in
+        let ka = Array.unsafe_get keys ia and kb = Array.unsafe_get keys ib in
+        if before kb ka then begin
+          Array.unsafe_set dst !d ib;
+          incr b
+        end
+        else begin
+          Array.unsafe_set dst !d ia;
+          incr a
+        end;
+        incr d
+      done;
+      Array.blit src !a dst !d (mid - !a);
+      Array.blit src !b dst (!d + mid - !a) (hi - !b);
+      lo := hi
+    done;
+    o := dst;
+    o' := src;
+    width := 2 * !width
+  done;
+  !o
+
+let rows ~stretch ?order ~heads buf slots =
   let n = length stretch in
   Array.iter
-    (fun off ->
-      if off < 0 || 2 * (off + n) > Array.length buf then
-        invalid_arg "Flat.rows: spectrum out of bounds")
-    offsets;
-  let count = Array.length offsets in
+    (fun slot ->
+      if slot < 0 || 2 * n * (slot + 1) > Array.length buf
+         || 2 * head_width * (slot + 1) > Array.length heads
+      then invalid_arg "Flat.rows: slot out of bounds")
+    slots;
+  let count = Array.length slots in
   let order =
     match order with
     | None -> Array.init count Fun.id
     | Some order ->
       if Array.length order <> count then
-        invalid_arg "Flat.rows: order length differs from the spectra";
+        invalid_arg "Flat.rows: order length differs from the slots";
       order
   in
-  let offs = Array.map (fun r -> 2 * offsets.(r)) order in
+  let offs = Array.make count 0 in
   (* Zero past coefficient [n - 1]: such a coefficient adds [0.] to the
      sum, which leaves it and every abandon test unchanged. *)
   let head = Array.make (2 * head_width * count) 0. in
-  Array.iteri
-    (fun p xo ->
-      stretch_prefix ~stretch buf ~xo:(xo / 2) ~len:(min head_width n) head
-        ~off:(p * head_width))
-    offs;
   let key_re = create count and key_im = create count in
-  for p = 0 to count - 1 do
-    key_re.(p) <- head.((2 * head_width * p) + 2);
-    key_im.(p) <- head.((2 * head_width * p) + 3)
-  done;
+  let len = Int.min head_width n in
+  Array.iteri
+    (fun p r ->
+      let slot = slots.(r) in
+      offs.(p) <- 2 * n * slot;
+      stretch_prefix ~stretch heads ~xo:(head_width * slot) ~len head
+        ~off:(p * head_width);
+      key_re.(p) <- head.((2 * head_width * p) + 2);
+      key_im.(p) <- head.((2 * head_width * p) + 3))
+    order;
   { stretch; buf; offs; n; head; key_re; key_im; twin = infinity }
 
 let mirrored r ~slack = { r with twin = slack }
 
+(* Coefficients [head_width .. n-1] of the pair's squared distance,
+   added to [sum] and abandoned at [limit]: {!sq_dist}'s arithmetic,
+   stretching both sides with the same [Complex.mul] formula
+   {!stretch_into} uses, so every difference, sum and abandon test sees
+   the doubles of two pre-stretched spectra. The callers checked every
+   index, so the loads are unchecked; inlined, the float result stays
+   unboxed. *)
+let[@inline] tail_sum r ~limit ~i ~j sum =
+  let s = r.stretch and buf = r.buf and offs = r.offs in
+  let sum = ref sum in
+  let xs = Array.unsafe_get offs i and ys = Array.unsafe_get offs j in
+  let f = ref head_width and stop = ref r.n in
+  while !f < !stop do
+    let k = 2 * !f in
+    let sr = Array.unsafe_get s k and si = Array.unsafe_get s (k + 1) in
+    let xr = Array.unsafe_get buf (xs + k)
+    and xi = Array.unsafe_get buf (xs + k + 1) in
+    let yr = Array.unsafe_get buf (ys + k)
+    and yi = Array.unsafe_get buf (ys + k + 1) in
+    let dr = ((sr *. xr) -. (si *. xi)) -. ((sr *. yr) -. (si *. yi)) in
+    let di = ((sr *. xi) +. (si *. xr)) -. ((sr *. yi) +. (si *. yr)) in
+    sum := !sum +. ((dr *. dr) +. (di *. di));
+    incr f;
+    if !sum > limit then stop := !f
+  done;
+  !sum
+
 (* The squared distance between positions [i] and [j], abandoned at
-   [limit]: {!sq_dist}'s arithmetic over two pre-stretched spectra. The
-   head is stored stretched, and the tail stretches both sides with the
-   same [Complex.mul] formula {!stretch_into} uses, so every
-   difference, sum and abandon test sees the same doubles. The four
-   head coefficients are unrolled: a loop over them costs more than
-   their arithmetic. The callers checked every index, so the loads are
-   unchecked; inlined, the float result stays unboxed. *)
+   [limit]: the head's stretched coefficients, then {!tail_sum}. The
+   four head coefficients are unrolled: a loop over them costs more
+   than their arithmetic. *)
 let[@inline] pair_sum r ~limit ~i ~j =
-  let s = r.stretch and head = r.head and buf = r.buf and offs = r.offs
-  and n = r.n in
+  let head = r.head in
   let xo = 2 * head_width * i and yo = 2 * head_width * j in
   let sum = ref 0. in
   let dr = Array.unsafe_get head xo -. Array.unsafe_get head yo
@@ -239,28 +326,7 @@ let[@inline] pair_sum r ~limit ~i ~j =
           Array.unsafe_get head (xo + 7) -. Array.unsafe_get head (yo + 7)
         in
         sum := !sum +. ((dr *. dr) +. (di *. di));
-        if not (!sum > limit) then begin
-          let xs = Array.unsafe_get offs i and ys = Array.unsafe_get offs j in
-          let f = ref head_width and stop = ref n in
-          while !f < !stop do
-            let k = 2 * !f in
-            let sr = Array.unsafe_get s k
-            and si = Array.unsafe_get s (k + 1) in
-            let xr = Array.unsafe_get buf (xs + k)
-            and xi = Array.unsafe_get buf (xs + k + 1) in
-            let yr = Array.unsafe_get buf (ys + k)
-            and yi = Array.unsafe_get buf (ys + k + 1) in
-            let dr =
-              ((sr *. xr) -. (si *. xi)) -. ((sr *. yr) -. (si *. yi))
-            in
-            let di =
-              ((sr *. xi) +. (si *. xr)) -. ((sr *. yi) +. (si *. yr))
-            in
-            sum := !sum +. ((dr *. dr) +. (di *. di));
-            incr f;
-            if !sum > limit then stop := !f
-          done
-        end
+        if not (!sum > limit) then sum := tail_sum r ~limit ~i ~j !sum
       end
     end
   end;
@@ -281,14 +347,13 @@ let within_row r ~limit ~threshold ~i ~j0 hits =
   !found
 
 (* The pre-pass is coefficient 1's term of {!pair_sum}, the same
-   doubles in the same order. A pair abandoned before coefficient 1 is
-   over [limit >= threshold], and any other's sum only grows from that
-   term: a position the pre-pass drops can never be a hit. With twins
-   the term of a hit is also at most the squared {!twin_radius} of the
-   threshold's root, and the pre-pass keeps the smaller bound. It
-   stores every [j] and advances the count by the comparison's 0 or 1,
-   so no branch depends on the data. The kernel then compacts its hits
-   into the same buffer, never writing past the candidate it reads. *)
+   doubles in the same order. It stores every [j] and advances the
+   count by the comparison's 0 or 1, so no branch depends on the data.
+   Each survivor then passes the head exit, the terms of coefficients
+   1 .. head_width−1 summed and held to the pre-pass's [bound], before
+   the kernel's own sum over the head and the tail. Both filters are
+   proved in the .mli. Hits are compacted into the same buffer, never
+   written past the candidate read. *)
 let within_band r ~limit ~threshold ~i ~j1 buf =
   let count = Array.length r.offs in
   if i < 0 || i >= count || j1 <= i || j1 > count
@@ -309,12 +374,34 @@ let within_band r ~limit ~threshold ~i ~j1 buf =
     Array.unsafe_set buf !kept j;
     kept := !kept + Bool.to_int ((dr *. dr) +. (di *. di) <= bound)
   done;
+  let head = r.head and xo = 2 * head_width * i in
+  let x0r = Array.unsafe_get head xo and x0i = Array.unsafe_get head (xo + 1)
+  and x1r = Array.unsafe_get head (xo + 2) and x1i = Array.unsafe_get head (xo + 3)
+  and x2r = Array.unsafe_get head (xo + 4) and x2i = Array.unsafe_get head (xo + 5)
+  and x3r = Array.unsafe_get head (xo + 6)
+  and x3i = Array.unsafe_get head (xo + 7) in
   let found = ref 0 in
   for c = 0 to !kept - 1 do
     let j = Array.unsafe_get buf c in
-    if pair_sum r ~limit ~i ~j <= threshold then begin
-      Array.unsafe_set buf !found j;
-      incr found
+    let yo = 2 * head_width * j in
+    let dr = x1r -. Array.unsafe_get head (yo + 2)
+    and di = x1i -. Array.unsafe_get head (yo + 3) in
+    let t1 = (dr *. dr) +. (di *. di) in
+    let dr = x2r -. Array.unsafe_get head (yo + 4)
+    and di = x2i -. Array.unsafe_get head (yo + 5) in
+    let t2 = (dr *. dr) +. (di *. di) in
+    let dr = x3r -. Array.unsafe_get head (yo + 6)
+    and di = x3i -. Array.unsafe_get head (yo + 7) in
+    let t3 = (dr *. dr) +. (di *. di) in
+    if (t1 +. t2) +. t3 <= bound then begin
+      let dr = x0r -. Array.unsafe_get head yo
+      and di = x0i -. Array.unsafe_get head (yo + 1) in
+      let sum = ((((dr *. dr) +. (di *. di)) +. t1) +. t2) +. t3 in
+      let sum = if sum > limit then sum else tail_sum r ~limit ~i ~j sum in
+      if sum <= threshold then begin
+        Array.unsafe_set buf !found j;
+        incr found
+      end
     end
   done;
   !found

@@ -148,8 +148,12 @@ val twin_radius : slack:float -> float -> float
 
 (** [head_width] is 4: the number of leading coefficients stored
     stretched in the head buffer — 4 × 16 bytes, one 64-byte cache
-    line per entry. On the benchmark's spec mix 99.4% of
-    early-abandoning join comparisons end within them. *)
+    line per entry. On 200 PAIRS specs of the benchmark's mix (1,067
+    series of 128 points; id, rev, mavg and wma; ε from 0.5 to 3) a
+    band join's window comparison ends within them 97.0% of the time,
+    and 84.5% of the pairs its coefficient-1 pre-pass keeps would
+    abandon within them: {!within_band}'s head exit drops 95.7% of
+    those survivors before the per-pair kernel runs. *)
 val head_width : int
 
 (** A relation prepared for {!within_row} and {!within_band}: the
@@ -161,31 +165,46 @@ val head_width : int
     unchanged). *)
 type rows
 
-(** [sort_key ~stretch x ~off] is the real part of
-    [stretch.(1)·x.(off + 1)] by [Complex.mul]'s formula ([0.] when
-    [stretch] has fewer than two coefficients): the very double {!rows}
-    stores as the real part of the head coefficient 1 of a spectrum
-    starting at coefficient [off] of [x], which {!within_band}'s
-    pre-pass reads. Raises [Invalid_argument] when that spectrum, as
-    long as [stretch], does not fit in [x]. *)
-val sort_key : stretch:t -> t -> off:int -> float
+(** [sort_key ~stretch heads ~slot] is the real part of
+    [stretch.(1)·h.(1)] by [Complex.mul]'s formula, where [h] is the
+    [head_width] coefficients of [heads] from coefficient
+    [slot·head_width] ([0.] when [stretch] has fewer than two
+    coefficients): the very double {!rows} stores as the real part of
+    that slot's head coefficient 1, which {!within_band}'s pre-pass
+    reads. Raises [Invalid_argument] when the slot does not fit in
+    [heads]. *)
+val sort_key : stretch:t -> t -> slot:int -> float
 
-(** [rows ~stretch ?order buf offsets] prepares the spectra of [buf]
-    under [stretch]: spectrum [r] is the [length stretch] coefficients
-    of [buf] from coefficient [offsets.(r)] (so one buffer holds them
-    all, in any layout), and position [p] holds spectrum [order.(p)]
-    ([order] defaults to the identity, and should be a permutation).
-    The spectra are read in place, never copied; only the head buffer
-    is stretched: [Array.length offsets × head_width] coefficients.
-    Raises [Invalid_argument] when a spectrum does not fit in [buf], or
-    [order]'s length differs from [offsets]'s. *)
-val rows : stretch:t -> ?order:int array -> t -> int array -> rows
+(** [key_order keys] is the permutation that sorts [keys] stably by
+    [Float.compare]: exactly the order
+    [Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b))]
+    leaves [Array.init (Array.length keys) Fun.id] in — NaN first,
+    [-0.] equal to [0.], ties by ascending index. A merge sort
+    specialised to float keys: it calls no closure and boxes no
+    float. *)
+val key_order : float array -> int array
+
+(** [rows ~stretch ?order ~heads buf slots] prepares the spectra of
+    [buf] under [stretch]. Spectrum [r] is the [n = length stretch]
+    coefficients of [buf] from coefficient [slots.(r)·n], and [heads]
+    holds its first [head_width] coefficients from coefficient
+    [slots.(r)·head_width] (a dense head table, one cache line per
+    slot, zero beyond coefficient [n − 1]; they must be copies of the
+    spectrum's). Position [p] holds spectrum [order.(p)] ([order]
+    defaults to the identity, and should be a permutation). The heads
+    are stretched from [heads], so building the rows reads nothing of
+    [buf]; the spectra are read in place, never copied, and only the
+    head buffer is made: [Array.length slots × head_width]
+    coefficients. Raises [Invalid_argument] when a slot does not fit
+    in [buf] or [heads], or [order]'s length differs from [slots]'s. *)
+val rows : stretch:t -> ?order:int array -> heads:t -> t -> int array -> rows
 
 (** [mirrored r ~slack] is [r] with twins: {!within_band}'s pre-pass
-    also drops a position whose coefficient-1 term exceeds the square
-    of [twin_radius ~slack] at the threshold's root. Only for spectra
-    of real series under a conjugate-symmetric stretch, with [n >= 3]
-    so that coefficient 1's twin is another coefficient, and [slack]
+    and head exit hold their terms to the square of [twin_radius
+    ~slack] at the threshold's root where that is below the threshold.
+    Only for spectra of real series under a conjugate-symmetric
+    stretch, with [n >= 2·head_width] so that the twins of coefficients
+    1 .. [head_width − 1] are coefficients of their own, and [slack]
     from {!rounding_slack}. [rows] makes rows without twins. *)
 val mirrored : rows -> slack:float -> rows
 
@@ -218,20 +237,39 @@ val within_row :
 (** [within_band r ~limit ~threshold ~i ~j1 buf] is {!within_row}
     over positions [i+1 .. j1-1] only, with the same hits in the same
     order, written into [buf] from index 0; it returns their number.
-    [buf] must hold at least [j1 - i - 1] elements.
+    [buf] must hold at least [j1 - i - 1] elements. This needs
+    [threshold <= limit], and then its hits are exactly those of
+    [within_row ~limit:infinity]: a pair whose sum passes [limit] at
+    any coefficient ends above [limit >= threshold] whether or not it
+    is abandoned there, since each later coefficient adds a
+    non-negative term.
 
-    A branch-free pre-pass first keeps each [j] whose coefficient-1
-    term [dr*.dr +. di*.di] — the kernel's own, over the head's
-    doubles — is [<= threshold], and only those run the per-pair
-    kernel, from coefficient 0. A pair abandoned after coefficient 0
-    is over [limit], so not a hit, and any other pair's sum is at
-    least that term (each later coefficient adds a non-negative one):
-    a dropped [j] can never have been a hit. This needs
-    [threshold <= limit]. Rows with twins ({!mirrored}) keep only the
-    [j] whose term is also at most [r²], for [r] the {!twin_radius} of
-    [sqrt threshold]: by the mirrored bound a hit's term is at most
-    that, since coefficient [n−1] adds as much. The kernel allocates
-    nothing. Raises
+    Two filters run before the per-pair kernel, both against one
+    [bound]: the threshold, or for rows with twins ({!mirrored}) the
+    smaller of it and [r²], for [r] the {!twin_radius} of
+    [sqrt threshold].
+    - A branch-free pre-pass keeps each [j] whose coefficient-1 term
+      [T_1 = dr*.dr +. di*.di] — the kernel's own, over the head's
+      doubles — is [<= bound].
+    - The head exit then keeps each survivor whose head terms
+      [(T_1 +. T_2) +. T_3], over coefficients 1 .. [head_width − 1],
+      are [<= bound], and only those run the kernel.
+
+    Neither drops a hit. Without twins: rounded addition is monotone in
+    each operand and every term is non-negative, so the kernel's sum
+    after coefficient 3, [((T_0 +. T_1) +. T_2) +. T_3], is at least
+    [(T_1 +. T_2) +. T_3], which is at least [T_1], and the final sum
+    at least that; a pair above the threshold there is no hit. With
+    twins ([n >= 2·head_width], a conjugate-symmetric stretch and the
+    slack τ of {!rounding_slack}): coefficients [F = {1 .. head_width−1}]
+    have twins [n−F] distinct from [F] and from coefficient 0, so by
+    the mirrored bound every pair whose kernel distance is within
+    [e = sqrt threshold] has [sqrt (Σ_F |Δ_f|²) <= twin_radius ~slack e];
+    the slack covers the few ulps by which the doubles [T_f] and their
+    rounded sum differ from [Σ_F |Δ_f|²], as it covers the band's keys.
+    The pre-pass is the case [F = {1}]. This is the doubled-head
+    argument of [Simq_tsindex.Dataset.head_twin_sq_dist], applied to two
+    stored spectra. The kernel allocates nothing. Raises
     [Invalid_argument] when [i] is not a position, [j1] is outside
     [i+1 .. count], [buf] is too short, or [limit] is below
     [threshold]. *)

@@ -47,25 +47,3 @@ let search_region rep ~query ~epsilon =
          end)
   done;
   region
-
-let distance_lower_bound rep a b =
-  match rep with
-  | Rectangular -> Point.distance a b
-  | Polar ->
-    let d = Array.length a in
-    if d <> Array.length b then
-      invalid_arg "Coords.distance_lower_bound: dimension mismatch";
-    if d mod 2 <> 0 then
-      invalid_arg "Coords.distance_lower_bound: odd dimension count";
-    let acc = ref 0. in
-    for i = 0 to (d / 2) - 1 do
-      let m1 = a.(2 * i) and m2 = b.(2 * i) in
-      let dm = m1 -. m2 in
-      let dtheta = a.((2 * i) + 1) -. b.((2 * i) + 1) in
-      (* chord between the two points, decomposed radially/tangentially:
-         |m1 e^(jθ1) - m2 e^(jθ2)|² = (m1-m2)² + 2 m1 m2 (1 - cos Δθ)
-         = (m1-m2)² + (2 sqrt(m1 m2) sin(Δθ/2))²  — exact, so just use it. *)
-      let cross = 2. *. m1 *. m2 *. (1. -. cos dtheta) in
-      acc := !acc +. (dm *. dm) +. Float.max 0. cross
-    done;
-    sqrt !acc

@@ -27,9 +27,3 @@ val decode : representation -> Point.t -> Simq_dsp.Cpx.t array
     encodes to a point inside the region. *)
 val search_region :
   representation -> query:Simq_dsp.Cpx.t array -> epsilon:float -> Region.t
-
-(** [distance_lower_bound rep a b] is a lower bound on the complex
-    Euclidean distance given only encoded points: exact in
-    [Rectangular]; in [Polar] the chord-length bound
-    [sqrt (Σ (m1-m2)² + (2·min(m1,m2)·sin(Δθ/2))²)]. *)
-val distance_lower_bound : representation -> Point.t -> Point.t -> float

@@ -109,29 +109,6 @@ let mindist p r =
   done;
   sqrt !acc
 
-let minmaxdist p r =
-  if Array.length p <> dims r then
-    invalid_arg "Rect.minmaxdist: dimension mismatch";
-  let d = dims r in
-  (* rm_i: squared distance to the nearer face along i;
-     r_M i: squared distance to the farther face along i. *)
-  let near = Array.make d 0. and far = Array.make d 0. in
-  let far_total = ref 0. in
-  for i = 0 to d - 1 do
-    let mid = (r.lo.(i) +. r.hi.(i)) /. 2. in
-    let near_face = if p.(i) <= mid then r.lo.(i) else r.hi.(i) in
-    let far_face = if p.(i) >= mid then r.lo.(i) else r.hi.(i) in
-    near.(i) <- (p.(i) -. near_face) ** 2.;
-    far.(i) <- (p.(i) -. far_face) ** 2.;
-    far_total := !far_total +. far.(i)
-  done;
-  let best = ref Float.infinity in
-  for k = 0 to d - 1 do
-    let candidate = !far_total -. far.(k) +. near.(k) in
-    if candidate < !best then best := candidate
-  done;
-  sqrt !best
-
 let equal ?(eps = 1e-9) a b =
   dims a = dims b
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a.lo b.lo

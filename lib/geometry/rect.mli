@@ -52,10 +52,5 @@ val center : t -> Point.t
     of [r]; 0 when [p] is inside — the optimistic NN bound of [RKV95]. *)
 val mindist : Point.t -> t -> float
 
-(** [minmaxdist p r] is the [RKV95] pessimistic bound: the smallest
-    distance within which at least one data point of [r] must lie
-    (assuming every face of an MBR touches data). *)
-val minmaxdist : Point.t -> t -> float
-
 val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

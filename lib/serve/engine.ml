@@ -292,13 +292,15 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
   | Ql.Pairs { spec; epsilon; method_; _ } -> (
     let result =
       match method_ with
+      (* Admission (when the engine has a policy) decides from the
+         catalogue pair count before any series is materialised or any
+         node visited. *)
       | Ql.Index ->
         note.note_path <- Some "index";
-        Join.index ~spec ~budget:t.budget ?profile t.index ~epsilon
+        Join.index ~spec ~budget:t.budget ?admission:t.admission ?profile
+          t.index ~epsilon
       | Ql.Scan_full | Ql.Scan_early ->
         note.note_path <- Some "scan";
-        (* Admission (when the engine has a policy) decides from the
-           catalogue pair count before any series is materialised. *)
         Join.scan_checked ?pool:pairs_pool ~spec
           ~abandon:(method_ = Ql.Scan_early) ~budget:t.budget
           ?admission:t.admission ?profile t.index ~epsilon

@@ -253,6 +253,7 @@ let get t id =
   t.entries.(id)
 
 let spectra t = t.spectra
+let heads t = t.head
 
 let slot t id =
   if id < 0 || id >= cardinality t then invalid_arg "Dataset.slot: unknown id";

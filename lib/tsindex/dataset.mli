@@ -141,6 +141,15 @@ val within_sides :
     kernel's offset). *)
 val spectra : t -> Simq_dsp.Flat.t
 
+(** [heads t] is the head table: slot [s]'s first
+    {!Simq_dsp.Flat.head_width} spectrum coefficients from coefficient
+    [s·head_width], copies of the buffer's doubles, zero beyond
+    coefficient [n − 1] — one 64-byte cache line per slot, in slot
+    order (pass it to {!Simq_dsp.Flat.rows} and
+    {!Simq_dsp.Flat.sort_key}). Like {!spectra} it is the data set's
+    own buffer, shared: read it, never write to it. *)
+val heads : t -> Simq_dsp.Flat.t
+
 (** [slot t id] is the slot holding entry [id]'s spectrum; [id_at t s]
     is the entry whose spectrum slot [s] holds. Raise
     [Invalid_argument] for an unknown id or slot. *)

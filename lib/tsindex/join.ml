@@ -72,9 +72,10 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
   let threshold = sq_threshold epsilon in
   let n = Dataset.series_length dataset in
   let stretch () = Spec.stretch spec ~n in
-  (* Entry [i]'s spectrum, read in place from the data set's buffer. *)
-  let spectra = Dataset.spectra dataset in
-  let offsets () = Array.init count (fun i -> Dataset.slot dataset i * n) in
+  (* Entry [i]'s spectrum, read in place from the data set's buffer
+     at its slot, and its head from the dense head table. *)
+  let spectra = Dataset.spectra dataset and heads = Dataset.heads dataset in
+  let slots () = Array.init count (Dataset.slot dataset) in
   (* [row_for ~lo ~hi] is a chunk's row function: it adds row [p]'s
      pairs to the list and returns its comparisons. [canonical] orders
      the merged pairs. *)
@@ -109,7 +110,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
     | _ when not abandon ->
       (* Method (a): every later row, in id order, never abandoned.
          Only the [count × head_width] head buffer is materialised. *)
-      let rows = Flat.rows ~stretch:(stretch ()) spectra (offsets ()) in
+      let rows = Flat.rows ~stretch:(stretch ()) ~heads spectra (slots ()) in
       ( (fun ~lo ~hi:_ ->
           (* The chunk's own hit buffer, long enough for its first and
              longest row: domains never share one. *)
@@ -130,17 +131,18 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
          so row [p] compares only the later positions whose key is
          within the band width of its own. Coefficient [n − 1], the
          twin of coefficient 1, adds as much to the distance, so with
-         twins the band narrows to about ε/√2, and so does the
-         pre-pass ({!Kindex.twin_slack}). *)
-      let stretch = stretch () and offsets = offsets () in
+         twins the band narrows to about ε/√2, and so do the pre-pass
+         and the head exit ({!Kindex.twin_slack}). The keys and the
+         stretched heads come from the dense head table, so setting up
+         the band reads no spectrum. *)
+      let stretch = stretch () and slots = slots () in
       let keys =
-        Array.map (fun off -> Flat.sort_key ~stretch spectra ~off) offsets
+        Array.map (fun slot -> Flat.sort_key ~stretch heads ~slot) slots
       in
-      let order = Array.init count Fun.id in
-      Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b)) order;
+      let order = Flat.key_order keys in
       let slack = Kindex.twin_slack kindex spec ~query_norm:0. in
       let rows =
-        Flat.mirrored (Flat.rows ~stretch ~order spectra offsets) ~slack
+        Flat.mirrored (Flat.rows ~stretch ~order ~heads spectra slots) ~slack
       in
       let width =
         Float.min (band_width epsilon) (Flat.twin_radius ~slack epsilon)
@@ -221,33 +223,34 @@ let scan_full ?pool ?(spec = Spec.Identity) ?profile kindex ~epsilon =
 let scan_early_abandon ?pool ?(spec = Spec.Identity) ?profile kindex ~epsilon =
   scan ?pool ?profile ~abandon:true kindex spec epsilon
 
+(* Admission runs once, before any comparison: a self-join's pair count
+   n (n - 1) / 2 is a catalogue fact, so the decision is a pure function
+   of the budget and a registry snapshot — identical at every domain
+   count. A rejection returns before anything is materialised or
+   compared. *)
+let admitted ?admission ~budget kindex run =
+  let decision =
+    Option.map
+      (fun policy ->
+        let n = Dataset.cardinality (Kindex.dataset kindex) in
+        Simq_admission.decide_pairs policy
+          ~comparisons:(n * (n - 1) / 2)
+          ~budget)
+      admission
+  in
+  match decision with
+  | Some (Simq_admission.Reject reject) ->
+    Error (Simq_admission.error_of_reject reject)
+  | Some Simq_admission.Admit | Some Simq_admission.Degrade_to_scan | None ->
+    Result.map (fun r -> { r with admission = decision }) (run ())
+
 let scan_checked ?pool ?(spec = Spec.Identity) ?(abandon = true)
     ?(budget = Budget.unlimited) ?admission ?profile kindex ~epsilon =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Join.scan: epsilon must be finite and >= 0";
-  (* Admission runs once, before any comparison: the join's comparison
-     count n (n - 1) / 2 is a catalogue fact, so the decision is a pure
-     function of the budget and a registry snapshot — identical at
-     every domain count. *)
-  let decision =
-    match admission with
-    | None -> None
-    | Some policy ->
-      let n = Dataset.cardinality (Kindex.dataset kindex) in
-      Some
-        (Simq_admission.decide_pairs policy
-           ~comparisons:(n * (n - 1) / 2)
-           ~budget)
-  in
-  match decision with
-  | Some (Simq_admission.Reject reject) ->
-    (* Refused before execution: no transformed normal or spectrum is
-       materialised, no comparison runs. *)
-    Error (Simq_admission.error_of_reject reject)
-  | Some Simq_admission.Admit | Some Simq_admission.Degrade_to_scan | None ->
-    Retry.with_retries ?profile ~budget (fun bstate ->
-        { (scan ?pool ?bstate ?profile ~abandon kindex spec epsilon) with
-          admission = decision })
+  admitted ?admission ~budget kindex @@ fun () ->
+  Retry.with_retries ?profile ~budget (fun bstate ->
+      scan ?pool ?bstate ?profile ~abandon kindex spec epsilon)
 
 (* Methods (c) and (d): every entry posed as a prepared query to the
    k-index's own range attempt ({!Kindex.range_attempt}), the whole
@@ -257,10 +260,11 @@ let scan_checked ?pool ?(spec = Spec.Identity) ?(abandon = true)
    per-pair sum, bit for bit; the warp keeps its time-domain query, the
    warped normal form. Answers come sorted by id, so the pairs are in
    (i, j) order, each unordered pair in both directions. *)
-let index ?(spec = Spec.Identity) ?(budget = Budget.unlimited) ?profile kindex
-    ~epsilon =
+let index ?(spec = Spec.Identity) ?(budget = Budget.unlimited) ?admission
+    ?profile kindex ~epsilon =
   if not (Float.is_finite epsilon) || epsilon < 0. then
     invalid_arg "Join.index: epsilon must be finite and >= 0";
+  admitted ?admission ~budget kindex @@ fun () ->
   let dataset = Kindex.dataset kindex in
   let count = Dataset.cardinality dataset in
   let n = Dataset.series_length dataset in

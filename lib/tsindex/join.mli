@@ -31,15 +31,20 @@
     a band join. By Parseval and Lemma 1 any single stretched
     coefficient lower-bounds the pair distance, so the entries are
     sorted once per query by {!Simq_dsp.Flat.sort_key}, the real part
-    of stretched coefficient 1. Row [p] of that order then takes only
-    the contiguous window of later rows whose key is within
-    [ε·(1 + 1e-9)] of its own, and {!Simq_dsp.Flat.within_band} runs
-    the per-pair kernel on the window's pairs whose whole coefficient 1
-    lies within ε. Hits are mapped back to ids as [(min, max)] and
-    sorted into [(i, j)] order. Both methods' pairs are bit-identical
-    to a double loop of {!Simq_dsp.Flat.sq_dist} over pre-stretched
-    spectra: a pair outside the window or the pre-pass can never be a
-    hit, and every other pair gets the same doubles in the same order.
+    of stretched coefficient 1 ({!Simq_dsp.Flat.key_order}, the order
+    of a stable sort by [Float.compare]). The keys and the stretched
+    heads are read from the data set's dense head table
+    ({!Dataset.heads}), not from its spectra. Row [p] of that order
+    then takes only the contiguous window of later rows whose key is
+    within [ε·(1 + 1e-9)] of its own (about [ε/√2] where the twins
+    apply), and {!Simq_dsp.Flat.within_band} runs the per-pair kernel
+    on the window's pairs that its coefficient-1 pre-pass and its head
+    exit, over head coefficients 1..3, keep. Hits are mapped back to
+    ids as [(min, max)] and sorted into [(i, j)] order. Both methods'
+    pairs are bit-identical to a double loop of
+    {!Simq_dsp.Flat.sq_dist} over pre-stretched spectra: a pair outside
+    the window, the pre-pass or the head exit can never be a hit, and
+    every other pair gets the same doubles in the same order.
     Method (b)'s [distance_computations] count the window pairs, not
     the [count (count - 1) / 2] of method (a).
     [Warp] compares the transformed normal forms in the time domain,
@@ -59,9 +64,8 @@ type result = {
           or postprocessing computations (c, d) *)
   node_accesses : int;  (** R-tree nodes visited (0 for a, b) *)
   admission : Simq_admission.decision option;
-      (** the admission decision of {!scan_checked}, when an
-          [admission] policy was given; [None] for every other
-          method *)
+      (** the admission decision of {!scan_checked} or {!index}, when
+          an [admission] policy was given; [None] otherwise *)
 }
 
 (** [scan_full kindex ?pool ?spec ~epsilon] — method (a). *)
@@ -130,10 +134,18 @@ val scan_checked :
     counter is credited only by the attempt that succeeds. Returns the
     pairs or a typed error — never a fault or budget exception;
     argument validation still raises [Invalid_argument]. The join runs
-    on the calling domain. *)
+    on the calling domain.
+
+    With [?admission] the join is vetted before execution exactly as
+    {!scan_checked} vets the scan: {!Simq_admission.decide_pairs} on the
+    catalogue pair count [n (n - 1) / 2]. A [Reject] returns the typed
+    [Rejected] error with no node visited and no query prepared; an
+    [Admit] runs the join unchanged, and the decision comes back in the
+    result's [admission]. *)
 val index :
   ?spec:Spec.t ->
   ?budget:Simq_fault.Budget.t ->
+  ?admission:Simq_admission.t ->
   ?profile:Simq_obs.Profile.t ->
   Kindex.t ->
   epsilon:float ->

@@ -339,6 +339,59 @@ let test_join_scan_admission () =
       plain.Join.distance_computations r.Join.distance_computations
   | Error e -> Alcotest.failf "a fitting join must run: %s" (Error.kind e)
 
+(* Index PAIRS is vetted like the scan join, on the same catalogue
+   pair count: over the cap it is rejected before any node is visited
+   or any candidate compared; at a fitting cap it runs unchanged, its
+   decision reported. *)
+let test_join_index_admission () =
+  let n = Dataset.cardinality dataset in
+  let comparisons = n * (n - 1) / 2 in
+  let epsilon = 2.0 in
+  let plain = Result.get_ok (Join.index index ~epsilon) in
+  let registry = Metrics.create_registry () in
+  let rejected =
+    Metrics.with_enabled true (fun () ->
+        Metrics.reset ();
+        Join.index
+          ~budget:(Budget.create ~max_comparisons:(comparisons - 1) ())
+          ~admission:(Admission.create ~registry ())
+          index ~epsilon)
+  in
+  (match rejected with
+  | Error (Error.Rejected _ as e) ->
+    Alcotest.(check string) "kind" "rejected:comparisons" (Error.kind e)
+  | Error e -> Alcotest.failf "expected Rejected, got %s" (Error.kind e)
+  | Ok _ -> Alcotest.fail "an over-cap index join must be rejected");
+  Alcotest.(check int) "rejection counted" 1
+    (Metrics.counter_total
+       (Metrics.counter ~registry ~labels:[ ("decision", "reject") ]
+          "simq_admission_decisions_total"));
+  List.iter
+    (fun family ->
+      Alcotest.(check int)
+        (family ^ " untouched")
+        0
+        (Metrics.counter_total (Metrics.counter family)))
+    [
+      "simq_rtree_node_visits_total"; "simq_kindex_candidates_total";
+      "simq_join_comparisons_total";
+    ];
+  match
+    Join.index
+      ~budget:(Budget.create ~max_comparisons:(n * n) ())
+      ~admission:(fresh_policy ()) index ~epsilon
+  with
+  | Ok r ->
+    Alcotest.(check bool) "decision reported" true
+      (r.Join.admission = Some Admission.Admit);
+    Alcotest.(check (list (pair int int))) "pairs" plain.Join.pairs
+      r.Join.pairs;
+    Alcotest.(check int) "distance computations"
+      plain.Join.distance_computations r.Join.distance_computations;
+    Alcotest.(check int) "node accesses" plain.Join.node_accesses
+      r.Join.node_accesses
+  | Error e -> Alcotest.failf "a fitting join must run: %s" (Error.kind e)
+
 let () =
   Alcotest.run "simq_admission"
     [
@@ -371,5 +424,7 @@ let () =
             test_admission_decision_metric_counts;
           Alcotest.test_case "join scan admission" `Quick
             test_join_scan_admission;
+          Alcotest.test_case "join index admission" `Quick
+            test_join_index_admission;
         ] );
     ]

@@ -68,50 +68,6 @@ let test_mindist () =
   check_float "left" 1. (Rect.mindist [| -1.; 1. |] r);
   check_float "corner" (sqrt 2.) (Rect.mindist [| 3.; 3. |] r)
 
-let test_minmaxdist_bounds () =
-  (* MINDIST <= distance-to-some-point <= MINMAXDIST for the nearest
-     corner-ish point; we check the standard sandwich property on random
-     configurations. *)
-  let state = Random.State.make [| 77 |] in
-  for _ = 1 to 200 do
-    let coord () = Random.State.float state 20. -. 10. in
-    let lo = [| coord (); coord () |] and hi = [| coord (); coord () |] in
-    let r = rect lo hi in
-    let p = [| coord (); coord () |] in
-    let mind = Rect.mindist p r and minmax = Rect.minmaxdist p r in
-    Alcotest.(check bool) "mindist <= minmaxdist" true (mind <= minmax +. 1e-9);
-    (* MINMAXDIST is attained by some point on the boundary: verify it
-       upper-bounds the distance to the nearest corner along one face. *)
-    let corners =
-      [
-        [| r.Rect.lo.(0); r.Rect.lo.(1) |];
-        [| r.Rect.lo.(0); r.Rect.hi.(1) |];
-        [| r.Rect.hi.(0); r.Rect.lo.(1) |];
-        [| r.Rect.hi.(0); r.Rect.hi.(1) |];
-      ]
-    in
-    let nearest_corner =
-      List.fold_left
-        (fun acc c -> Float.min acc (Point.distance p c))
-        Float.infinity corners
-    in
-    Alcotest.(check bool) "mindist <= nearest corner" true
-      (mind <= nearest_corner +. 1e-9);
-    Alcotest.(check bool) "nearest corner >= minmaxdist not guaranteed; \
-                           minmaxdist <= farthest corner" true
-      (minmax
-      <= List.fold_left
-           (fun acc c -> Float.max acc (Point.distance p c))
-           0. corners
-         +. 1e-9)
-  done
-
-let test_minmaxdist_known_value () =
-  (* Point at the origin, square [1,2]x[1,2]: the nearest face along one
-     axis plus the farthest along the other gives min(1+4, 4+1) = 5. *)
-  let r = rect [| 1.; 1. |] [| 2.; 2. |] in
-  check_close 1e-9 "known value" (sqrt 5.) (Rect.minmaxdist [| 0.; 0. |] r)
-
 let test_mindist_inside_is_zero () =
   let r = rect [| 0.; 0. |] [| 4.; 4. |] in
   check_float "centre" 0. (Rect.mindist [| 2.; 2. |] r);
@@ -274,16 +230,6 @@ let test_coords_rect_distance_preserved () =
   in
   check_close 1e-9 "S_rect preserves distance" complex_d rect_d
 
-let test_coords_polar_distance_exact () =
-  let x = [| Cpx.polar 2. 0.4 |] and y = [| Cpx.polar 3. (-2.9) |] in
-  let complex_d = Simq_dsp.Spectrum.distance x y in
-  let bound =
-    Coords.distance_lower_bound Coords.Polar
-      (Coords.encode Coords.Polar x)
-      (Coords.encode Coords.Polar y)
-  in
-  check_close 1e-9 "polar law of cosines" complex_d bound
-
 let test_search_region_rectangular () =
   let q = [| Cpx.make 1. 2. |] in
   let region = Coords.search_region Coords.Rectangular ~query:q ~epsilon:0.5 in
@@ -431,9 +377,6 @@ let () =
           Alcotest.test_case "measures" `Quick test_rect_measures;
           Alcotest.test_case "of_points" `Quick test_rect_of_points;
           Alcotest.test_case "mindist" `Quick test_mindist;
-          Alcotest.test_case "minmaxdist bounds" `Quick test_minmaxdist_bounds;
-          Alcotest.test_case "minmaxdist known value" `Quick
-            test_minmaxdist_known_value;
           Alcotest.test_case "mindist inside" `Quick test_mindist_inside_is_zero;
         ] );
       ( "linear transform",
@@ -460,8 +403,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_coords_roundtrip;
           Alcotest.test_case "S_rect preserves distance" `Quick
             test_coords_rect_distance_preserved;
-          Alcotest.test_case "polar law of cosines" `Quick
-            test_coords_polar_distance_exact;
           Alcotest.test_case "search region S_rect" `Quick
             test_search_region_rectangular;
           Alcotest.test_case "search region Figure 7" `Quick

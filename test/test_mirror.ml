@@ -379,6 +379,86 @@ let test_pairs_at_exact_distances () =
         (specs_for n))
     lengths
 
+(* The band kernel on mirrored rows, where its pre-pass and head exit
+   are tight: on these series coefficients 1 .. 3 and their twins carry
+   the whole distance, so a pair's head terms over 1 .. 3 are about
+   half its sum. At thresholds set to every exact pair sum and one ulp
+   either side, [within_band] (abandoning at the threshold or never)
+   hits exactly the positions that [within_row ~limit:infinity] hits. *)
+let test_band_kernel_at_exact_sums () =
+  List.iter
+    (fun n ->
+      let d = sinusoids ~seed:9 ~count:16 ~n in
+      let idx = Kindex.build ~max_fill:6 d in
+      let count = Dataset.cardinality d in
+      let slots = Array.init count (Dataset.slot d) in
+      List.iter
+        (fun spec ->
+          let label = Printf.sprintf "%s n=%d" (Spec.name spec) n in
+          let stretch = Spec.stretch spec ~n in
+          let slack = Kindex.twin_slack idx spec ~query_norm:0. in
+          Alcotest.(check bool) (label ^ ": rows with twins") true
+            (Float.is_finite slack);
+          let rows =
+            Flat.mirrored
+              (Flat.rows ~stretch ~heads:(Dataset.heads d)
+                 (Dataset.spectra d) slots)
+              ~slack
+          in
+          let stretched =
+            Array.init count (fun id ->
+                let x = Flat.create n in
+                Flat.stretch_into ~stretch (Dataset.spectrum d id) x ~off:0;
+                x)
+          in
+          let sums = ref [] in
+          for i = 0 to count - 1 do
+            for j = i + 1 to count - 1 do
+              let acc = Flat.acc () in
+              ignore
+                (Flat.sq_dist ~stretch:None ~limit:infinity ~lo:0 ~hi:n
+                   stretched.(i) 0 stretched.(j) 0 acc);
+              sums := acc.Flat.sum :: !sums
+            done
+          done;
+          let hits = Array.make count 0 and band = Array.make count 0 in
+          let hit_count = ref 0 in
+          List.iter
+            (fun sum ->
+              List.iter
+                (fun threshold ->
+                  for i = 0 to count - 1 do
+                    let expected =
+                      Array.to_list
+                        (Array.sub hits 0
+                           (Flat.within_row rows ~limit:infinity ~threshold ~i
+                              ~j0:(i + 1) hits))
+                    in
+                    hit_count := !hit_count + List.length expected;
+                    List.iter
+                      (fun limit ->
+                        let found =
+                          Array.to_list
+                            (Array.sub band 0
+                               (Flat.within_band rows ~limit ~threshold ~i
+                                  ~j1:count band))
+                        in
+                        if found <> expected then
+                          Alcotest.(check (list int))
+                            (Printf.sprintf "%s i=%d threshold=%h limit=%h"
+                               label i threshold limit)
+                            expected found)
+                      [ threshold; infinity ]
+                  done)
+                [ Float.pred sum; sum; Float.succ sum ])
+            (List.sort_uniq Float.compare !sums);
+          Alcotest.(check bool) (label ^ ": some hits") true (!hit_count > 0))
+        [
+          Spec.Identity; Spec.Reverse; Spec.Moving_average 3;
+          Spec.Weighted_ma (Simq_dsp.Window.ascending 5);
+        ])
+    [ 8; 9; 16; 128 ]
+
 (* On random walks the mirrored region takes fewer candidates than the
    one-sided region of [range_generic] — which must stay one-sided, its
    caller supplying the distance — and the same answers. *)
@@ -429,6 +509,8 @@ let () =
           Alcotest.test_case "NEAREST across ties" `Quick test_nearest_ties;
           Alcotest.test_case "PAIRS at exact distances" `Quick
             test_pairs_at_exact_distances;
+          Alcotest.test_case "band kernel at exact pair sums" `Quick
+            test_band_kernel_at_exact_sums;
           Alcotest.test_case "RANGE region narrows" `Quick
             test_region_narrows;
         ] );

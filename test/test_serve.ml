@@ -922,6 +922,42 @@ let test_index_pairs_sees_faults () =
         "budget_exceeded:comparisons" );
     ]
 
+(* On an admission engine every PAIRS method is vetted on the
+   catalogue pair count before it runs: over the comparison cap, index
+   PAIRS is refused as scan-early is — exit 5, rejected:comparisons,
+   decision reject — and visits no node. *)
+let test_pairs_admission_every_method () =
+  let index = build_index ~count:80 () in
+  let engine () =
+    Engine.create
+      ~budget:(Budget.create ~max_comparisons:10 ())
+      ~admission:(Simq_admission.create
+                    ~registry:(Simq_obs.Metrics.create_registry ()) ())
+      index
+  in
+  List.iter
+    (fun method_ ->
+      let spec = "PAIRS FROM r EPS 2.5 METHOD " ^ method_ in
+      let note =
+        Simq_obs.Metrics.with_enabled true (fun () ->
+            Simq_obs.Metrics.reset ();
+            fst (exec_note (engine ()) spec))
+      in
+      Alcotest.(check (triple string int (option string)))
+        (method_ ^ ": refused before execution")
+        ("rejected:comparisons", 5, Some "reject")
+        (note.Engine.note_outcome, note.Engine.note_exit,
+         note.Engine.note_decision);
+      List.iter
+        (fun family ->
+          Alcotest.(check int)
+            (method_ ^ ": " ^ family ^ " untouched")
+            0
+            (Simq_obs.Metrics.counter_total
+               (Simq_obs.Metrics.counter family)))
+        [ "simq_rtree_node_visits_total"; "simq_join_comparisons_total" ])
+    [ "scan-early"; "index" ]
+
 let test_chaos_stream_deterministic () =
   let index = build_index () in
   let a = chaos_report index and b = chaos_report index in
@@ -1179,6 +1215,8 @@ let () =
             test_nearest_sees_faults;
           Alcotest.test_case "index PAIRS sees injected faults" `Quick
             test_index_pairs_sees_faults;
+          Alcotest.test_case "PAIRS admission for every method" `Quick
+            test_pairs_admission_every_method;
         ] );
       ( "correlation",
         [

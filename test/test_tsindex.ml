@@ -211,13 +211,26 @@ let boxed_sq_dist ~stretch ~limit x y =
   done;
   (!acc, not !alive, !f)
 
+(* [heads_of spectra] is the head table of separate spectra: spectrum
+   [r]'s first [Flat.head_width] coefficients from coefficient
+   [r·head_width], zero beyond its length. *)
+let heads_of spectra =
+  let module Flat = Simq_dsp.Flat in
+  let w = Flat.head_width in
+  let heads = Array.make (2 * w * Array.length spectra) 0. in
+  Array.iteri
+    (fun r x ->
+      Array.blit x 0 heads (2 * w * r) (Int.min (2 * w) (Array.length x)))
+    spectra;
+  heads
+
 (* [Flat.rows] over separate spectra: laid end to end in one buffer,
-   spectrum [r] from coefficient [r·n]. *)
+   spectrum [r] in slot [r], with their head table. *)
 let rows_of ~stretch ?order spectra =
   let module Flat = Simq_dsp.Flat in
-  let n = Flat.length stretch in
-  Flat.rows ~stretch ?order (Array.concat (Array.to_list spectra))
-    (Array.init (Array.length spectra) (fun r -> r * n))
+  Flat.rows ~stretch ?order ~heads:(heads_of spectra)
+    (Array.concat (Array.to_list spectra))
+    (Array.init (Array.length spectra) Fun.id)
 
 let test_flat_kernel_matches_boxed () =
   let module Flat = Simq_dsp.Flat in
@@ -529,15 +542,65 @@ let test_rows_order () =
                   (Array.to_list (Array.sub hits 0 found)))))
         order)
     [ 0.; 8.; 16.; 24.; 32.; infinity ];
-  Array.iter
-    (fun x ->
+  let heads = heads_of spectra in
+  Array.iteri
+    (fun slot x ->
       Alcotest.(check (float 0.)) "sort_key = Complex.mul's real part"
         (Complex.mul (Flat.coeff stretch 1) (Flat.coeff x 1)).Complex.re
-        (Flat.sort_key ~stretch x ~off:0))
+        (Flat.sort_key ~stretch heads ~slot))
     spectra;
+  Alcotest.check_raises "sort_key past the head table"
+    (Invalid_argument "Flat.sort_key: slot out of bounds")
+    (fun () -> ignore (Flat.sort_key ~stretch heads ~slot:9));
   Alcotest.check_raises "order length"
-    (Invalid_argument "Flat.rows: order length differs from the spectra")
+    (Invalid_argument "Flat.rows: order length differs from the slots")
     (fun () -> ignore (rows_of ~stretch ~order:[| 0 |] spectra))
+
+(* [key_order] is [Array.stable_sort] by [Float.compare] over the
+   indices: ties by index, NaN (of either sign) first and equal to
+   itself, [-0.] equal to [0.], the infinities at the ends — on lengths
+   around its insertion runs and merges, keys drawn from pools small
+   enough to repeat, sorted and reversed inputs, and all-equal keys.
+   The keys are left as they were. *)
+let test_key_order () =
+  let module Flat = Simq_dsp.Flat in
+  let state = Random.State.make [| 19 |] in
+  let specials =
+    [| nan; Float.neg nan; -0.; 0.; infinity; neg_infinity; Float.min_float;
+       -.Float.min_float; Float.max_float; -.Float.max_float |]
+  in
+  let check label keys =
+    let expected = Array.init (Array.length keys) Fun.id in
+    Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b)) expected;
+    let copy = Array.copy keys in
+    Alcotest.(check (array int)) label expected (Flat.key_order keys);
+    Alcotest.(check bool) (label ^ ": keys untouched") true
+      (Array.for_all2
+         (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+         copy keys)
+  in
+  List.iter
+    (fun count ->
+      List.iter
+        (fun distinct ->
+          let keys =
+            Array.init count (fun _ ->
+                if Random.State.int state 3 = 0 then
+                  specials.(Random.State.int state (Array.length specials))
+                else
+                  float_of_int (Random.State.int state distinct - (distinct / 2))
+                  /. 4.)
+          in
+          let label = Printf.sprintf "count %d, %d values" count distinct in
+          check label keys;
+          let sorted = Array.copy keys in
+          Array.stable_sort Float.compare sorted;
+          check (label ^ ", sorted") sorted;
+          check (label ^ ", reversed")
+            (Array.init count (fun i -> sorted.(count - 1 - i))))
+        [ 1; 3; 50; 1_000_000 ];
+      check (Printf.sprintf "count %d, all equal" count) (Array.make count 0.))
+    [ 0; 1; 2; 3; 15; 16; 17; 31; 32; 33; 64; 100; 1067; 2500 ]
 
 let test_flat_spectrum_is_fft () =
   let d = dataset_of ~seed:13 ~count:8 ~n:48 in
@@ -2169,6 +2232,8 @@ let () =
           Alcotest.test_case "row kernel = boxed formula, bit for bit" `Quick
             test_row_kernel_matches_boxed;
           Alcotest.test_case "rows follow their order" `Quick test_rows_order;
+          Alcotest.test_case "key order = stable sort by Float.compare"
+            `Quick test_key_order;
           Alcotest.test_case "dist_within: exact within, a bound beyond" `Quick
             test_dist_within;
           Alcotest.test_case "flat spectrum = fft_real of the normal form"

@@ -31,7 +31,7 @@
 # an --approx query checked superset-free against the exact answers
 # with the sketch ladder visible in its profile tree, and an
 # out-of-range --approx rejected as a usage error, plus PAIRS joins
-# (identity, rev, mavg(4)) whose early-abandoning band join prints the
+# (identity, rev, mavg(4), wma(3)) whose early-abandoning band join prints the
 # same pairs as the full scan and the index join, whose rows are the
 # band join's pairs in both directions and which exits 4 with a
 # node_accesses outcome under a one-node budget, the same two checks
@@ -142,7 +142,7 @@ grep -q '"event":"simq.profile"' profile.json || {
 }
 
 echo "== PAIRS: the early-abandoning band join equals the full scan"
-for using in "" "USING rev " "USING mavg(4) "; do
+for using in "" "USING rev " "USING mavg(4) " "USING wma(3) "; do
   "$simq" query smoke.rel "PAIRS FROM r ${using}EPS 2.5 METHOD scan" \
     >pairs.full.out
   "$simq" query smoke.rel "PAIRS FROM r ${using}EPS 2.5 METHOD scan-early" \
@@ -161,7 +161,7 @@ done
 echo "== index PAIRS: the scan join's pairs, both directions, under a budget"
 # The index join reports every pair in both directions; taken once
 # (the first name below the second), its rows are the band join's.
-for using in "" "USING rev " "USING mavg(4) "; do
+for using in "" "USING rev " "USING mavg(4) " "USING wma(3) "; do
   "$simq" query smoke.rel "PAIRS FROM r ${using}EPS 2.5 METHOD scan-early" \
     >pairs.early.out
   "$simq" query smoke.rel "PAIRS FROM r ${using}EPS 2.5 METHOD index" \
@@ -217,7 +217,7 @@ for shape in "100 10 4" "5 2 0.3"; do
       exit 1
     }
   done
-  for using in "" "USING rev "; do
+  for using in "" "USING rev " "USING wma(3) "; do
     "$simq" query "mirror$len.rel" \
       "PAIRS FROM r ${using}EPS $pairs_eps METHOD scan" >mirror.full.out
     "$simq" query "mirror$len.rel" \
