@@ -86,15 +86,48 @@ let[@inline] kernel ~stretch ~limit ~lo ~hi x xo y yo acc =
 let sq_dist ~stretch ~limit ~lo ~hi x xo y yo acc =
   kernel ~stretch ~limit ~lo ~hi x xo y yo acc
 
-let dist_within ~stretch ~lo ~hi x xo y yo acc ~within =
+type mirror = { slack : float; mutable t0 : float }
+
+let mirror ~slack = { slack; t0 = 0. }
+
+(* The limit at which a running sum [S] with first term [t0] passes
+   the twin test [2·S − t0 > bound], taken as the plain test
+   [S > (bound + t0)/2] (proved at {!rounding_slack}). *)
+let[@inline] twin_limit ~bound ~t0 = (bound +. t0) *. 0.5
+
+(* With twins, coefficients [lo .. ⌈hi/2⌉−1] run under the twin test,
+   the rest, or all of them without twins, under the plain one. *)
+let dist_within ~stretch ?mirror ~lo ~hi x xo y yo acc ~within =
   let w = within.sum in
   let limit = w *. w in
-  let touched = kernel ~stretch ~limit ~lo ~hi x xo y yo acc in
-  (* Past the limit by rounding alone: complete the sum. *)
-  if acc.sum > limit && not (sqrt acc.sum > w) then
-    ignore
-      (kernel ~stretch ~limit:infinity ~lo:(lo + touched) ~hi x xo y yo acc);
-  within.sum <- sqrt acc.sum
+  let from = ref lo and over = ref false in
+  (match mirror with
+  | Some m when lo < (hi + 1) / 2 && m.slack < infinity ->
+    if lo = 0 then
+      from := kernel ~stretch ~limit:infinity ~lo:0 ~hi:1 x xo y yo acc;
+    let t0 = if lo = 0 then acc.sum else m.t0 in
+    let twin =
+      let b = w +. m.slack in
+      twin_limit ~bound:(b *. b) ~t0
+    in
+    from :=
+      !from
+      + kernel ~stretch ~limit:twin ~lo:!from ~hi:((hi + 1) / 2) x xo y yo acc;
+    if acc.sum > twin then begin
+      over := true;
+      let b = sqrt ((2. *. acc.sum) -. t0) -. m.slack in
+      within.sum <- (if b > w then b else Float.succ w)
+    end
+  | _ -> ());
+  if not !over then begin
+    let lo = !from in
+    let touched = kernel ~stretch ~limit ~lo ~hi x xo y yo acc in
+    (* Past the limit by rounding alone: complete the sum. *)
+    if acc.sum > limit && not (sqrt acc.sum > w) then
+      ignore
+        (kernel ~stretch ~limit:infinity ~lo:(lo + touched) ~hi x xo y yo acc);
+    within.sum <- sqrt acc.sum
+  end
 
 (* The mirrored bound, proved here once for every filter that uses it.
 
@@ -140,7 +173,26 @@ let dist_within ~stretch ~lo ~hi x xo y yo acc ~within =
    join's one-sided width, and τ is at least 1e-10·Λ, a million ulps
    of any coefficient, so it covers the rounding of every comparison
    with the radius. Without twins the same accounting, η aside, bounds
-   ‖Δ_F‖ by ε·(1 + 1e-9) + τ. *)
+   ‖Δ_F‖ by ε·(1 + 1e-9) + τ.
+
+   The twin abandon of {!dist_within} and of the band join's tail
+   takes G = {0} and F = {1 .. j} for j <= ⌈n/2⌉−1 < n/2, whose twins
+   n−j .. n−1 lie past n/2, apart from F and from 0. Its bound,
+   T_0 + 2·Σ_F |Δ_f|², is 2·S_j − T_0 for the kernel's own running sum
+   S_j and first term T_0, and the test that it exceeds (w + τ)², for a
+   double w >= 0, is taken as S_j > L with
+   L = fl (fl (fl (w + τ)² + T_0)·0.5): the kernel's rounding, doubled,
+   and a few roundings more. The test can pass only when
+   w + τ < √2·Λ (the bound is at most 2·D², rounding aside, and
+   D <= Λ), and T_0 <= D², so each of those roundings is an ulp of Λ²
+   at most, and their roots move the test by a few ulps of Λ. With the
+   kernel's rounding and ‖η‖ that is within the budget τ covers thirty
+   times over, as above. So when S_j > L, the kernel distance is at
+   least sqrt (T_0 + 2·Σ_F |Δ_f|²) − τ > w:
+   the sum can be abandoned there, and no sum whose distance is within
+   w is. The band join tests its squared sums against a threshold; it
+   takes w = fl(sqrt threshold), and a sum whose correctly rounded
+   root is above that is above the threshold. *)
 let rounding_slack ~n ~gain ~norm =
   let n = float_of_int n in
   1e-12 *. n *. n *. Float.log2 (4. *. n) *. (2. *. Float.max 1. gain *. norm)
@@ -272,14 +324,19 @@ let mirrored r ~slack = { r with twin = slack }
    added to [sum] and abandoned at [limit]: {!sq_dist}'s arithmetic,
    stretching both sides with the same [Complex.mul] formula
    {!stretch_into} uses, so every difference, sum and abandon test sees
-   the doubles of two pre-stretched spectra. The callers checked every
+   the doubles of two pre-stretched spectra. With a finite [twin] (a
+   {!twin_limit}), coefficients up to [⌈n/2⌉−1] are abandoned at it
+   instead, {!dist_within}'s twin test, and a sum abandoned there comes
+   back as [infinity]. The callers checked every
    index, so the loads are unchecked; inlined, the float result stays
    unboxed. *)
-let[@inline] tail_sum r ~limit ~i ~j sum =
+let[@inline] tail_sum r ~limit ~twin ~i ~j sum =
   let s = r.stretch and buf = r.buf and offs = r.offs in
-  let sum = ref sum in
+  let sum = ref sum and over = ref false in
   let xs = Array.unsafe_get offs i and ys = Array.unsafe_get offs j in
+  let half = if twin < infinity then (r.n + 1) / 2 else head_width in
   let f = ref head_width and stop = ref r.n in
+  let lim = ref (if head_width < half then twin else limit) in
   while !f < !stop do
     let k = 2 * !f in
     let sr = Array.unsafe_get s k and si = Array.unsafe_get s (k + 1) in
@@ -291,9 +348,13 @@ let[@inline] tail_sum r ~limit ~i ~j sum =
     let di = ((sr *. xi) +. (si *. xr)) -. ((sr *. yi) +. (si *. yr)) in
     sum := !sum +. ((dr *. dr) +. (di *. di));
     incr f;
-    if !sum > limit then stop := !f
+    if !sum > !lim then begin
+      over := !f <= half;
+      stop := !f
+    end
+    else if !f = half then lim := limit
   done;
-  !sum
+  if !over then infinity else !sum
 
 (* The squared distance between positions [i] and [j], abandoned at
    [limit]: the head's stretched coefficients, then {!tail_sum}. The
@@ -326,7 +387,8 @@ let[@inline] pair_sum r ~limit ~i ~j =
           Array.unsafe_get head (xo + 7) -. Array.unsafe_get head (yo + 7)
         in
         sum := !sum +. ((dr *. dr) +. (di *. di));
-        if not (!sum > limit) then sum := tail_sum r ~limit ~i ~j !sum
+        if not (!sum > limit) then
+          sum := tail_sum r ~limit ~twin:infinity ~i ~j !sum
       end
     end
   end;
@@ -366,6 +428,12 @@ let within_band r ~limit ~threshold ~i ~j1 buf =
     let twin = radius *. radius in
     if twin < threshold then twin else threshold
   in
+  (* The tail's twin bound at w = fl(sqrt threshold) ([infinity]
+     without twins). *)
+  let twin =
+    let b = sqrt threshold +. r.twin in
+    b *. b
+  in
   let re = r.key_re and im = r.key_im in
   let xr = Array.unsafe_get re i and xi = Array.unsafe_get im i in
   let kept = ref 0 in
@@ -396,8 +464,12 @@ let within_band r ~limit ~threshold ~i ~j1 buf =
     if (t1 +. t2) +. t3 <= bound then begin
       let dr = x0r -. Array.unsafe_get head yo
       and di = x0i -. Array.unsafe_get head (yo + 1) in
-      let sum = ((((dr *. dr) +. (di *. di)) +. t1) +. t2) +. t3 in
-      let sum = if sum > limit then sum else tail_sum r ~limit ~i ~j sum in
+      let t0 = (dr *. dr) +. (di *. di) in
+      let sum = ((t0 +. t1) +. t2) +. t3 in
+      let sum =
+        if sum > limit then sum
+        else tail_sum r ~limit ~twin:(twin_limit ~bound:twin ~t0) ~i ~j sum
+      in
       if sum <= threshold then begin
         Array.unsafe_set buf !found j;
         incr found

@@ -79,9 +79,19 @@ val sq_dist :
   acc ->
   int
 
-(** [dist_within ~stretch ~lo ~hi x xo y yo acc ~within] resumes
-    {!sq_dist} from [acc.sum] over coefficients [lo .. hi-1] with
-    limit [w *. w], where [w] is [within.sum] on entry, and sets
+(** The state of {!dist_within}'s mirrored abandon: the slack τ of
+    {!rounding_slack} ([infinity] for none), and [t0], coefficient 0's
+    term of the sum being resumed, which the caller sets when it
+    resumes from a coefficient past 0. An all-float record: writing
+    [t0] boxes nothing. *)
+type mirror = { slack : float; mutable t0 : float }
+
+(** [mirror ~slack] is a fresh state with [t0 = 0.]. *)
+val mirror : slack:float -> mirror
+
+(** [dist_within ~stretch ?mirror ~lo ~hi x xo y yo acc ~within]
+    resumes {!sq_dist} from [acc.sum] over coefficients [lo .. hi-1]
+    with limit [w *. w], where [w] is [within.sum] on entry, and sets
     [within.sum] to [sqrt acc.sum]: the distance over every coefficient
     summed into [acc], in ascending order, unless a partial sum's root
     is strictly greater than [w], in which case that root (a lower
@@ -90,9 +100,31 @@ val sq_dist :
     limit, so a result [<= w] is always the exact distance.
     Nearest-neighbour refinement abandons an entry this way against the
     k-th best distance so far. Both the abandon distance and the result
-    travel in the cell [within], so the call boxes no float. *)
+    travel in the cell [within], so the call boxes no float.
+
+    With [mirror] of a finite slack τ, [hi] must be the spectra's
+    length [n], the distance conjugate-symmetric (see below) and [x],
+    [y] spectra of real series. Coefficients [lo .. ⌈n/2⌉−1] then run
+    under the twin test instead of the plain one: the sum is abandoned
+    right after the first coefficient [j] whose running sum [S_j]
+    passes [((w + τ)² + T_0)/2], that is [2·S_j − T_0 > (w + τ)²] up to
+    rounding, where [T_0] is coefficient 0's term — [mirror.t0] when
+    [lo > 0], the sum through coefficient 0 when [lo = 0] (the call
+    then leaves [mirror] untouched). [2·S_j − T_0] is
+    [T_0 + 2·Σ_(1..j) |Δ_f|²], the mirrored bound over [F = {1 .. j}],
+    whose twins lie past [n/2]; when the test fires the exact distance
+    is strictly above [w] (the proof is at {!rounding_slack} in
+    [flat.ml]), and [within.sum] is set to a lower bound of it strictly
+    above [w]: [sqrt (2·S_j − T_0) − τ], or the double after [w] when
+    that rounds to [w] or below. Coefficients from [⌈n/2⌉] run under
+    the plain test. A sum the twin test does not abandon reads the same
+    coefficients in the same order, so every result [<= w] is bit for
+    bit the one-sided one, and a sum it abandons is one the one-sided
+    kernel ends above [w] too. [mirror] absent, or of slack
+    [infinity], is the one-sided kernel. *)
 val dist_within :
   stretch:t option ->
+  ?mirror:mirror ->
   lo:int ->
   hi:int ->
   t ->

@@ -15,10 +15,6 @@ let circular ~lo ~hi =
 
 let full_circle = Circular { lo = -.Float.pi; width = two_pi }
 
-let of_rect (r : Rect.t) =
-  Array.init (Rect.dims r) (fun i ->
-      Linear { lo = r.Rect.lo.(i); hi = r.Rect.hi.(i) })
-
 (* Positive remainder of [x] modulo 2π, in [0, 2π). *)
 let pos_mod x =
   let r = Float.rem x two_pi in

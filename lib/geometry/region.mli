@@ -26,9 +26,6 @@ val circular : lo:float -> hi:float -> range
 
 val full_circle : range
 
-(** [of_rect r] views every dimension of [r] as a linear range. *)
-val of_rect : Rect.t -> t
-
 (** [contains region p] tests point membership; circular dimensions
     compare angles modulo 2π. Raises [Invalid_argument] on dimension
     mismatch. *)

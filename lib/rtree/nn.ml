@@ -15,7 +15,8 @@ let refined = 2
    canonical instead of heap-insertion-order dependent. *)
 let node_tie = min_int
 
-let best_first ?visit ?refine t ~node_bound ~key ~rank ~k =
+let best_first ?visit ?refine ?(within = infinity) t ~node_bound ~key ~rank
+    ~k =
   if k <= 0 then invalid_arg "Nn.best_first: k must be positive";
   if Rstar.size t = 0 then []
   else begin
@@ -27,33 +28,36 @@ let best_first ?visit ?refine t ~node_bound ~key ~rank ~k =
       key_cell.Heap.key <- cell.Flat.sum;
       Heap.push_cell heap key_cell ~tie ~state e
     in
-    (* The k best refined distances so far, ascending, padded with
-       infinity; [within] is the last of them. When the tree holds
-       fewer than k entries, the last slot fills only once every entry
-       is refined, so nothing is ever skipped. *)
-    let best = Array.make (Int.min k (Rstar.size t)) infinity in
+    (* The k best refined distances so far, ascending, padded with the
+       caller's [within]; the bound is the last of them. When the tree
+       holds fewer than k entries, the last slot fills only once every
+       entry is refined, so nothing within [within] is ever skipped. *)
+    let best = Array.make (Int.min k (Rstar.size t)) within in
     let last = Array.length best - 1 in
-    (* The tree's own entries are queued: nothing is boxed per push. *)
+    (* A node or entry whose bound lies beyond the last slot can never
+       be emitted: either it is beyond [within], or the k refined
+       entries at or below the slot all pop first. Nothing popped can
+       lie beyond it, so the queue is filtered at push alone. The
+       tree's own entries are queued: nothing is boxed per push. *)
+    let push_within ~tie ~state e =
+      if not (cell.Flat.sum > best.(last)) then push ~tie ~state e
+    in
     let rec push_entries = function
       | [] -> ()
       | (Node.Child c as e) :: rest ->
         node_bound c.Node.mbr cell;
-        push ~tie:node_tie ~state:node e;
+        push_within ~tie:node_tie ~state:node e;
         push_entries rest
       | (Node.Data { rect; value } as e) :: rest ->
         key rect value cell;
-        (match refine with
-        | None -> push ~tie:(rank value) ~state:refined e
-        | Some _ ->
-          (* An entry whose bound lies beyond [within] can never be
-             emitted: the k entries at or below it all pop first. *)
-          if not (cell.Flat.sum > best.(last)) then
-            push ~tie:(rank value) ~state:keyed e);
+        push_within ~tie:(rank value)
+          ~state:(match refine with None -> refined | Some _ -> keyed)
+          e;
         push_entries rest
     in
     let root = Rstar.root t in
     node_bound root.Node.mbr cell;
-    push ~tie:node_tie ~state:node (Node.Child root);
+    push_within ~tie:node_tie ~state:node (Node.Child root);
     let results = ref [] in
     let found = ref 0 in
     while !found < k && not (Heap.is_empty heap) do

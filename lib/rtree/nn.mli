@@ -55,7 +55,7 @@ val nearest :
     filter-and-refine pattern of Seidl and Kriegel), which skips the
     exact distance entirely for entries that never reach the top of
     the queue. The traversal keeps the [k] best refined distances seen
-    so far; call the k-th of them [within] ([infinity] until [k]
+    so far; call the k-th of them [within] (the seed below until [k]
     entries have been refined). An entry whose key is strictly greater
     than [within] is not queued, since it can never be emitted. A
     surfacing entry [(r, v)] is refined by [refine r v c], called with
@@ -67,10 +67,25 @@ val nearest :
     same as without a bound: results, their order and the nodes
     visited are identical to the traversal whose [key] is the distance.
 
+    [within] (default [infinity]) seeds that bound: the traversal
+    starts as if [k] entries at distance [within] had been refined. A
+    node or keyed entry whose bound is strictly above the current
+    [within] is not queued, nor, without [refine], a data entry whose
+    distance is; nothing queued can later pop above it, since the [k]
+    refined entries at or below a lowered bound pop first. So the
+    result is the first [k] of the entries at distance [<= within] in
+    the traversal's order — the unseeded result cut at [within], ties
+    at [within] included — and a sharded search seeded with another
+    shard's k-th distance misses nothing of the global top [k]. With
+    [within = infinity] the nodes expanded, the entries keyed and the
+    refinements are exactly the unseeded traversal's: a node or entry
+    above the k-th refined distance would never have popped.
+
     Raises [Invalid_argument] when [k <= 0]. *)
 val best_first :
   ?visit:(unit -> unit) ->
   ?refine:(Simq_geometry.Rect.t -> 'a -> Simq_dsp.Flat.acc -> unit) ->
+  ?within:float ->
   'a Rstar.t ->
   node_bound:(Simq_geometry.Rect.t -> Simq_dsp.Flat.acc -> unit) ->
   key:(Simq_geometry.Rect.t -> 'a -> Simq_dsp.Flat.acc -> unit) ->

@@ -23,9 +23,3 @@ let sine state ~n ~period ~amplitude ~noise =
       in
       base +. if noise > 0. then uniform state (-.noise) noise else 0.)
 
-let trend state ~n ~start ~slope ~noise =
-  if n <= 0 then invalid_arg "Generator.trend: n must be positive";
-  Array.init n (fun t ->
-      start
-      +. (slope *. float_of_int t)
-      +. if noise > 0. then uniform state (-.noise) noise else 0.)

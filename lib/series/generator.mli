@@ -21,7 +21,3 @@ val sine :
   Random.State.t -> n:int -> period:float -> amplitude:float -> noise:float ->
   Series.t
 
-(** [trend state ~n ~start ~slope ~noise] is a noisy line. *)
-val trend :
-  Random.State.t -> n:int -> start:float -> slope:float -> noise:float ->
-  Series.t

@@ -26,9 +26,6 @@ let decompose (s : Series.t) =
 
 let normalise s = (decompose s).normalised
 
-let reconstruct { normalised; mean; std } =
-  Array.map (fun v -> (v *. std) +. mean) normalised
-
 let is_normal ?(eps = 1e-6) s =
   let m = Stats.mean s and sd = Stats.std s in
   Float.abs m <= eps && (sd = 0. || Float.abs (sd -. 1.) <= eps)

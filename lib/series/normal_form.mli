@@ -34,10 +34,6 @@ val standardise_into :
 (** [normalise s] is [(decompose s).normalised]. *)
 val normalise : Series.t -> Series.t
 
-(** [reconstruct d] inverts {!decompose}:
-    [reconstruct (decompose s) = s] up to rounding. *)
-val reconstruct : decomposition -> Series.t
-
 (** [is_normal ?eps s] checks mean ≈ 0 and std ≈ 1 (or std = 0 for the
     zero series). *)
 val is_normal : ?eps:float -> Series.t -> bool

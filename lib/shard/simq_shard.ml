@@ -158,23 +158,36 @@ let copy_counts ~scan pc sp =
     Profile.add_pages pc (Profile.pages node)
 
 (* A shard abandoned by both its index path and its fallback scan: the
-   typed error surfaces as the whole query's (deterministically — the
-   pool re-raises from the lowest chunk). *)
+   typed error surfaces as the whole query's (deterministically —
+   {!scatter} raises the lowest shard's). *)
 exception Shard_failed of Simq_fault.Error.t
 
-(* The fan-out: one pool task per shard under the [shard.scatter]
-   operator, then the metrics and each shard's [shard.i] node, on the
-   coordinating domain once every task is back (deterministic at every
-   domain count; a [shard.i] node times only that bookkeeping). A failed
-   fan-out records its error on the [shard.scatter] node, as an
-   unsharded operator does on its own. *)
-let scatter ?pool ?profile t ~op ~decisions task =
+(* One pool task per shard of [parts], every one submitted (the
+   caller runs one like any domain), each outcome kept in place. *)
+let fan_out ?pool task parts =
+  Array.of_list
+    (Pool.map_chunks ?pool ~chunk:1 ~n:(Array.length parts) (fun ~lo ~hi:_ ->
+         try Ok (task parts.(lo)) with e -> Error e))
+
+(* The fan-out, [execute] giving every shard's outcome in shard order,
+   under the [shard.scatter] operator; then the metrics and each
+   shard's [shard.i] node, on the coordinating domain once every task
+   is back (deterministic at every domain count; a [shard.i] node
+   times only that bookkeeping). The failure of the lowest shard is
+   raised, as a sequential run would raise it first; a failed fan-out
+   records its error on the [shard.scatter] node, as an unsharded
+   operator does on its own. *)
+let scatter ?profile t ~op ~decisions execute =
   Profile.with_op profile "shard.scatter" @@ fun ps ->
   let runs =
-    try Pool.map_array ?pool ~chunk:1 task t.parts
-    with Shard_failed e as exn ->
-      Profile.add_event ps ("error: " ^ Simq_fault.Error.kind e);
-      raise exn
+    Array.map
+      (function
+        | Ok r -> r
+        | Error (Shard_failed e as exn) ->
+          Profile.add_event ps ("error: " ^ Simq_fault.Error.kind e);
+          raise exn
+        | Error exn -> raise exn)
+      (execute ())
   in
   let k = Array.length t.parts in
   let fanout = ref 0 and degraded = ref 0 in
@@ -365,7 +378,8 @@ let range_checked ?pool ?spec ?mean_window ?std_band
     (try
        Ok
          (gather_range ?profile
-            (scatter ?pool ?profile t ~op:"range" ~decisions task))
+            (scatter ?profile t ~op:"range" ~decisions (fun () ->
+                 fan_out ?pool task t.parts)))
      with Shard_failed e -> Error e)
 
 (* The unbudgeted forms are the checked ones with no admission and an
@@ -435,7 +449,7 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
     (* A profiled query gives every shard task a private profile, so
        no two domains record into one tree; the gather copies its
        counts into [shard.i] on the coordinating domain. *)
-    let task s =
+    let task ~within s =
       let sp = Option.map (fun _ -> Profile.create ()) profile in
       let scan () =
         match
@@ -449,17 +463,47 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
         | Some Simq_admission.Degrade_to_scan -> scan ()
         | _ -> (
           match
-            Kindex.nearest_checked ?spec ~budget ?profile:sp s.sindex ~query
-              ~k
+            Kindex.nearest_checked ?spec ~budget ~within ?profile:sp s.sindex
+              ~query ~k
           with
           | Ok r -> nn_run t s ~sp ~scan:false r.Kindex.neighbours
           | Error _ -> scan ()))
+    in
+    (* The seed: the shard whose catalogue box is nearest the query by
+       the traversal's own node bound, the lowest ordinal on ties,
+       chosen before any shard runs. Its k-th distance, when it finds
+       k answers, seeds the others' traversals. *)
+    let seed =
+      let probe = Kindex.nearest_probe ?spec t.parts.(0).sindex ~query in
+      let bounds = Array.map (fun s -> probe s.box) t.parts in
+      let best = ref 0 in
+      Array.iteri (fun i b -> if b < bounds.(!best) then best := i) bounds;
+      !best
+    in
+    (* The seed runs as a pool task of its own, so every shard still
+       counts one task. *)
+    let execute () =
+      let lead =
+        (fan_out ?pool (task ~within:infinity) [| t.parts.(seed) |]).(0)
+      in
+      let within =
+        match lead with
+        | Ok (Some r) when r.r_rows >= k -> snd (List.nth r.r_payload (k - 1))
+        | _ -> infinity
+      in
+      let rest =
+        fan_out ?pool (task ~within)
+          (Array.of_list
+             (List.filter (fun s -> s.ordinal <> seed) (Array.to_list t.parts)))
+      in
+      Array.init (Array.length t.parts) (fun i ->
+          if i < seed then rest.(i) else if i = seed then lead else rest.(i - 1))
     in
     let op = Printf.sprintf "nearest k=%d" k in
     (try
        Ok
          (gather_nearest ?profile ~op ~k
-            (scatter ?pool ?profile t ~op ~decisions task))
+            (scatter ?profile t ~op ~decisions execute))
      with Shard_failed e -> Error e)
 
 let nearest ?pool ?spec ?profile t ~query ~k =

@@ -25,8 +25,11 @@
     stay untouched.
 
     {b Determinism.} Surviving shards fan out over a
-    {!Simq_parallel.Pool}, one task per shard; no two tasks share
-    mutable state (each touches only its own tree and pool). Answers,
+    {!Simq_parallel.Pool}, one task per shard, every task submitted at
+    once; no two tasks share
+    mutable state (each touches only its own tree and pool). A nearest
+    query first runs one seed shard alone, then fans the others out
+    under its k-th distance (see {!nearest_checked}). Answers,
     per-query counters and the merged metric totals are bit-identical
     to the unsharded run of the same query at every K and every domain
     count: range answers by the ordered union above, NN answers by a
@@ -243,7 +246,26 @@ val nearest :
     K execute) and k-way-merges the per-shard top-k lists in
     (distance, entry id) order — the same exact answer set as the
     unsharded traversal, in the canonical order the degraded NN path
-    uses. It records the same [shard.scatter]/[shard.gather] profile
+    uses.
+
+    The shards do not all start blind. Before any shard runs, the
+    {e seed} is chosen: the shard whose catalogue box has the smallest
+    NN node bound ({!Simq_tsindex.Kindex.nearest_probe}), the lowest
+    ordinal on ties. It runs first, alone, inside the [shard.scatter]
+    node. When it returns [k] answers, its k-th distance [W] seeds the
+    other K−1, which fan out together with
+    [Kindex.nearest_checked ~within:W]: they skip every node and entry
+    whose bound is above [W] and abandon refinements against it from
+    the first. The global k-th distance is at most [W], so every
+    global answer lies at or below [W] in its own shard and survives,
+    ties at [W] included, and the merge is unchanged. A seed that
+    returns fewer than [k] answers, or fails, seeds nothing
+    ([W = infinity]); a failure is raised in shard order after the
+    rest have run, as for {!range_checked}. So answers are those of
+    the unseeded scatter; the node, key and refinement counts fall on
+    the non-seed shards only, and are the same at every domain count.
+
+    It records the same [shard.scatter]/[shard.gather] profile
     nodes as {!range_checked}; each shard task then records into a
     private profile of its own, and its [shard.i] node takes the counts
     of that shard's [kindex.nearest] node (or [kindex.nearest-scan]

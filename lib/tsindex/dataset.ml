@@ -266,12 +266,23 @@ let id_at t s =
 let spectrum t id =
   Array.sub t.spectra (2 * slot t id * t.n) (2 * t.n)
 
-let head_sq_dist t ~stretch s qs acc =
+(* Coefficient 0 first, recorded when asked, then the rest: the same
+   sum as one call over the head. *)
+let head_sq_dist t ~stretch ?mirror s qs acc =
   if s < 0 || s >= cardinality t then
     invalid_arg "Dataset.head_sq_dist: unknown slot";
+  let hi = Int.min head_width t.n and at = head_width * s in
   acc.Flat.sum <- 0.;
-  Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:(Int.min head_width t.n)
-    t.head (head_width * s) qs 0 acc
+  match mirror with
+  | None -> Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi t.head at qs 0 acc
+  | Some (m : Flat.mirror) ->
+    let first =
+      Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:(Int.min 1 hi) t.head at
+        qs 0 acc
+    in
+    m.Flat.t0 <- acc.Flat.sum;
+    first
+    + Flat.sq_dist ~stretch ~limit:infinity ~lo:first ~hi t.head at qs 0 acc
 
 (* Coefficients 1 .. h-1 first, doubled, then coefficient 0 added. *)
 let head_twin_sq_dist t ~stretch s qs acc =

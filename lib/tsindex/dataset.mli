@@ -171,11 +171,14 @@ val spectrum : t -> int -> Simq_dsp.Flat.t
     resuming [acc] from coefficient [h] over the slot's spectrum gives
     the sum over the spectrum alone bit for bit: nearest-neighbour
     search queues entries under the head sum and refines them by that
-    resumption ({!Kindex.nearest}). Raises [Invalid_argument] for an
-    unknown slot. *)
+    resumption ({!Kindex.nearest}). With [mirror], coefficient 0's
+    term, the sum's first, is also written into [mirror.t0], for the
+    twin abandon of {!Simq_dsp.Flat.dist_within}; the sum is the same.
+    Raises [Invalid_argument] for an unknown slot. *)
 val head_sq_dist :
   t ->
   stretch:Simq_dsp.Flat.t option ->
+  ?mirror:Simq_dsp.Flat.mirror ->
   int ->
   Simq_dsp.Flat.t ->
   Simq_dsp.Flat.acc ->

@@ -193,6 +193,10 @@ let twin_slack t spec ~query_norm =
 
 let spectrum_norm (x : Flat.t) = sqrt (Simq_dsp.Spectrum.energy_real x)
 
+(* The twin abandon's state for a finite slack, made once per query. *)
+let mirror_of twin =
+  if Float.is_finite twin then Some (Flat.mirror ~slack:twin) else None
+
 (* The per-feature radius of a range query's search region: the
    mirrored radius when the twins apply, else ε (Lemma 1); both carry
    the rounding slack, without which a warp's predicted features can
@@ -375,8 +379,11 @@ let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
    relation), so index, scan and degraded-shard distances are the same
    doubles; the warp changes the length and falls back to the time
    domain. Equal to the time-domain distance by Parseval, up to
-   rounding. It abandons above [within] ({!Flat.dist_within}), so a
-   result [<= within] is exact: the range postfilter passes epsilon. *)
+   rounding. It abandons above [within] ({!Flat.dist_within}), by the
+   twin test too when the mirrored bound holds, so a result [<= within]
+   is exact: the range postfilter passes epsilon. Starting from
+   coefficient 0, the kernel never writes the mirror state, so the
+   closure may be shared. *)
 let distance_within t prepared (q : Dataset.query) ~within =
   let n = Dataset.series_length t.dataset in
   match prepared.pspec with
@@ -385,11 +392,17 @@ let distance_within t prepared (q : Dataset.query) ~within =
       Distance.euclidean
         (Spec.apply_series prepared.pspec (Dataset.normal entry))
         q.Dataset.qnormal
-  | _ ->
+  | spec ->
     let stretch = pstretch t prepared in
+    let mirror =
+      if within < infinity then
+        mirror_of
+          (twin_slack t spec ~query_norm:(spectrum_norm q.Dataset.qspectrum))
+      else None
+    in
     fun (entry : Dataset.entry) ->
       let cell = { Flat.sum = within } in
-      Flat.dist_within ~stretch ~lo:0 ~hi:n
+      Flat.dist_within ~stretch ?mirror ~lo:0 ~hi:n
         (Dataset.spectra t.dataset)
         (Dataset.slot t.dataset entry.Dataset.id * n)
         q.Dataset.qspectrum 0 (Flat.acc ()) ~within:cell;
@@ -660,10 +673,13 @@ let nn_detail ~k point_bound =
    recomputes the plain head sum — the same doubles in the same order —
    and resumes the same accumulator over the tail of the stored
    spectrum ({!Flat.dist_within}), so a refined distance is exactly
-   {!prepared_distance}'s, and an entry is abandoned only when
-   [sqrt partial > within]. Keys and distances are written into the
-   traversal's cell. The warp changes the length and keeps its
-   time-domain distance. The accumulator belongs to one query. *)
+   {!prepared_distance}'s, and an entry is abandoned only when its
+   distance is above [within]: by the twin test up to coefficient
+   ⌈n/2⌉−1, with the head's coefficient-0 term recorded in the mirror
+   state, then by [sqrt partial > within]. Keys and distances are
+   written into the traversal's cell. The warp changes the length and
+   keeps its time-domain distance. The accumulator and the mirror
+   state belong to one query. *)
 let nn_refinement t prepared (q : Dataset.query) ~twin ~count =
   match prepared.pspec with
   | Spec.Warp _ -> None
@@ -680,11 +696,13 @@ let nn_refinement t prepared (q : Dataset.query) ~twin ~count =
         ignore (Dataset.head_sq_dist ds ~stretch (Dataset.slot ds id) qs cell);
         cell.Flat.sum <- sqrt cell.Flat.sum
     in
+    let mirror = mirror_of twin in
     let refine (_ : Rect.t) id (cell : Flat.acc) =
       count ();
       let s = Dataset.slot ds id in
-      let lo = Dataset.head_sq_dist ds ~stretch s qs acc in
-      Flat.dist_within ~stretch ~lo ~hi:n spectra (s * n) qs 0 acc ~within:cell
+      let lo = Dataset.head_sq_dist ds ~stretch ?mirror s qs acc in
+      Flat.dist_within ~stretch ?mirror ~lo ~hi:n spectra (s * n) qs 0 acc
+        ~within:cell
     in
     Some (key, refine)
 
@@ -698,12 +716,15 @@ let nn_refinement t prepared (q : Dataset.query) ~twin ~count =
    when a budget or a profile asks for them; the profile node counts
    the entries keyed as its rows in and the refinements as its
    candidates. *)
-let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
-  let twin =
-    twin_slack t prepared.pspec
-      ~query_norm:(spectrum_norm q.Dataset.qspectrum)
-  in
-  let nq = nn_query t prepared q ~twin in
+let nn_query_of t prepared q =
+  nn_query t prepared q
+    ~twin:
+      (twin_slack t prepared.pspec
+         ~query_norm:(spectrum_norm q.Dataset.qspectrum))
+
+let nearest_run ?bstate ?sketch_bound ?within ~pn ~visits t prepared q ~k =
+  let nq = nn_query_of t prepared q in
+  let twin = nq.twin in
   let visit =
     match (bstate, pn) with
     | None, None -> None
@@ -733,8 +754,8 @@ let nearest_run ?bstate ?sketch_bound ~pn ~visits t prepared q ~k =
     Profile.add_rows_in pn 1;
     key r id cell
   in
-  Nn.best_first ?visit ?refine t.tree ~node_bound:(node_bound t nq) ~key
-    ~rank:Fun.id ~k
+  Nn.best_first ?visit ?refine ?within t.tree ~node_bound:(node_bound t nq)
+    ~key ~rank:Fun.id ~k
   |> List.map (fun (_, id, d) -> (Dataset.get t.dataset id, d))
 
 (* What both NN entry points prepare before traversing, inside their
@@ -818,7 +839,7 @@ type nearest_result = {
 }
 
 let nearest_checked ?(spec = Spec.Identity) ?(budget = Budget.unlimited)
-    ?admission ?profile t ~query ~k =
+    ?admission ?within ?profile t ~query ~k =
   check_query_length t spec query;
   if k <= 0 then invalid_arg "Kindex.nearest_checked: k must be positive";
   Profile.with_op profile "kindex.nearest" @@ fun pn ->
@@ -860,4 +881,15 @@ let nearest_checked ?(spec = Spec.Identity) ?(budget = Budget.unlimited)
            | Some Simq_admission.Degrade_to_scan ->
              nearest_scan_counted ?bstate ?profile t
                ~dist:(prepared_distance t prepared q) ~k
-           | _ -> nearest_run ?bstate ~pn ~visits t prepared q ~k))
+           | _ -> nearest_run ?bstate ?within ~pn ~visits t prepared q ~k))
+
+(* The node bound of a whole box: what the traversal would key a node
+   with that MBR under. *)
+let nearest_probe ?(spec = Spec.Identity) t ~query =
+  check_query_length t spec query;
+  let prepared = prepare t spec in
+  let nq = nn_query_of t prepared (Dataset.prepare_query query) in
+  let cell = Flat.acc () in
+  fun box ->
+    node_bound t nq box cell;
+    cell.Flat.sum

@@ -211,7 +211,14 @@ val twin_slack : t -> Spec.t -> query_norm:float -> float
     cell, so it allocates per query, not per entry. The traversal keeps the [k] best
     refined distances so far: an entry whose head bound is strictly
     above the k-th is never queued, and a refinement abandons once
-    its partial root is strictly above it. The warp changes the
+    its distance provably lies strictly above it — by the twin test
+    of {!Simq_dsp.Flat.dist_within} over coefficients up to [⌈n/2⌉−1]
+    when the mirrored bound holds ({!twin_slack}; the head's
+    coefficient-0 term comes from {!Dataset.head_sq_dist}, the row is
+    not read again), then once its partial root is strictly above it.
+    An abandoned entry is one the plain kernel would have dropped too,
+    so the entries refined, the answers and every count are the
+    one-sided kernel's. The warp changes the
     length and keeps its time-domain distance, computed as entries
     are found. Nodes are expanded exactly as without the deferral.
 
@@ -282,16 +289,39 @@ type nearest_result = {
     (priced like the scan path: one comparison and one logical page
     read per series, ties at the [k] boundary broken on the entry
     id); [Admit] runs the index traversal unchanged. The decision
-    comes back in the result's [admission]. *)
+    comes back in the result's [admission].
+
+    [?within] (default [infinity]) seeds the traversal's k-th bound
+    ({!Simq_rtree.Nn.best_first}): nodes and entries whose bound is
+    strictly above it are never queued, and refinements abandon
+    against it from the first. The index path then returns the first
+    [k] of the {!nearest} answers at distance [<= within], ties at
+    [within] included; the degraded scan ignores it and returns the
+    full {!nearest} answer. Either way, merged with a list of [k]
+    answers at distance [<= within] from elsewhere, the top [k] are
+    those of the unseeded run — how {!module:Simq_shard} seeds the
+    shards after the first. *)
 val nearest_checked :
   ?spec:Spec.t ->
   ?budget:Simq_fault.Budget.t ->
   ?admission:Simq_admission.t ->
+  ?within:float ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t ->
   k:int ->
   (nearest_result, Simq_fault.Error.t) Result.t
+
+(** [nearest_probe ?spec t ~query] is the node bound of {!nearest}
+    detached from the tree: applied to a box of feature points (a node
+    MBR, or a shard's catalogue box in {!module:Simq_shard}) it is the
+    lower bound, twins counted as in the traversal, on the distance
+    from [query] to every entry whose feature point the box holds.
+    The returned function reuses one cell: call it from one domain at
+    a time. Raises [Invalid_argument] when [query] has the wrong
+    length. *)
+val nearest_probe :
+  ?spec:Spec.t -> t -> query:Simq_series.Series.t -> Simq_geometry.Rect.t -> float
 
 (** [range_generic t ?spec ~query_coeffs ~epsilon ~distance] is a
     range traversal with a caller's distance: [query_coeffs] are the

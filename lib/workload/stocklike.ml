@@ -45,8 +45,6 @@ let batch ~seed ~count ~n =
   let state = Random.State.make [| seed |] in
   Array.init count (fun _ -> generate state ~n)
 
-let paper_market () = batch ~seed:1995 ~count:1067 ~n:128
-
 let correlated_pair state ~n ~rho =
   if rho < -1. || rho > 1. then
     invalid_arg "Stocklike.correlated_pair: rho must be in [-1, 1]";

@@ -15,10 +15,6 @@ val generate : Random.State.t -> n:int -> Simq_series.Series.t
 (** [batch ~seed ~count ~n] is a reproducible market. *)
 val batch : seed:int -> count:int -> n:int -> Simq_series.Series.t array
 
-(** [paper_market ()] is the Table-1 scale: 1067 series × 128 days,
-    fixed seed. *)
-val paper_market : unit -> Simq_series.Series.t array
-
 (** [correlated_pair state ~n ~rho] is two series driven by shocks with
     correlation [rho] ([rho = -1] gives mirror movements, the hedging
     scenario of Example 2.2). Raises [Invalid_argument] unless

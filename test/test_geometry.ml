@@ -283,12 +283,6 @@ let test_region_intersects_rect () =
   let miss = rect [| 1.; 0. |] [| 3.; 1. |] in
   Alcotest.(check bool) "no overlap" false (Region.intersects_rect region miss)
 
-let test_region_of_rect () =
-  let r = rect [| 0.; 1. |] [| 2.; 3. |] in
-  let region = Region.of_rect r in
-  Alcotest.(check bool) "inside" true (Region.contains region [| 1.; 2. |]);
-  Alcotest.(check bool) "outside" false (Region.contains region [| 1.; 4. |])
-
 (* --- properties -------------------------------------------------------- *)
 
 let arb_transform_and_rect_and_point =
@@ -417,7 +411,6 @@ let () =
         [
           Alcotest.test_case "intersects rect with wrap" `Quick
             test_region_intersects_rect;
-          Alcotest.test_case "of_rect" `Quick test_region_of_rect;
           Alcotest.test_case "full circle" `Quick
             test_region_full_circle_meets_everything;
         ] );

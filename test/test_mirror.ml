@@ -379,16 +379,120 @@ let test_pairs_at_exact_distances () =
         (specs_for n))
     lengths
 
-(* The band kernel on mirrored rows, where its pre-pass and head exit
-   are tight: on these series coefficients 1 .. 3 and their twins carry
-   the whole distance, so a pair's head terms over 1 .. 3 are about
-   half its sum. At thresholds set to every exact pair sum and one ulp
-   either side, [within_band] (abandoning at the threshold or never)
-   hits exactly the positions that [within_row ~limit:infinity] hits. *)
-let test_band_kernel_at_exact_sums () =
+let walks ~seed ~count ~n =
+  Dataset.of_series ~pool:Simq_parallel.Pool.sequential ~name:"walks"
+    (Simq_series.Generator.random_walks ~seed ~count ~n)
+
+(* The twin abandon of [Flat.dist_within], on the sinusoids (where the
+   twin bound is the whole distance, so it is tight against every
+   threshold) and on random walks (where it fires early). For every
+   entry and every [w] set to an exact kernel distance and one ulp
+   either side, from coefficient 0 and resumed after the head (its
+   coefficient-0 term recorded by [Dataset.head_sq_dist]), the result
+   with twins is bit for bit the one-sided kernel's wherever that is
+   within [w], and above [w] wherever it is not. *)
+let test_dist_within_twin () =
+  let abandoned = ref 0 in
   List.iter
     (fun n ->
-      let d = sinusoids ~seed:9 ~count:16 ~n in
+      List.iter
+        (fun d ->
+          let idx = Kindex.build d in
+          let spectra = Dataset.spectra d in
+          List.iter
+            (fun spec ->
+              let label = Printf.sprintf "%s n=%d" (Spec.name spec) n in
+              let stretch = Some (Spec.stretch spec ~n) in
+              let q = Dataset.prepare_query (query_of d spec 0) in
+              let qs = q.Dataset.qspectrum in
+              let slack =
+                Kindex.twin_slack idx spec
+                  ~query_norm:(sqrt (Simq_dsp.Spectrum.energy_real qs))
+              in
+              Alcotest.(check bool) (label ^ ": twins") true
+                (Float.is_finite slack);
+              let mirror = Flat.mirror ~slack in
+              let slots =
+                Array.map
+                  (fun (e : Dataset.entry) -> Dataset.slot d e.Dataset.id)
+                  (Dataset.entries d)
+              in
+              let run ?mirror ~resume s w =
+                let acc = Flat.acc () and cell = Flat.acc () in
+                cell.Flat.sum <- w;
+                let lo =
+                  if resume then Dataset.head_sq_dist d ~stretch ?mirror s qs acc
+                  else 0
+                in
+                Flat.dist_within ~stretch ?mirror ~lo ~hi:n spectra (s * n) qs 0
+                  acc ~within:cell;
+                cell.Flat.sum
+              in
+              let exact = Array.map (fun s -> run ~resume:false s infinity) slots in
+              Array.iter
+                (fun e ->
+                  List.iter
+                    (fun w ->
+                      Array.iter
+                        (fun s ->
+                          let plain = run ~resume:false s w in
+                          List.iter
+                            (fun resume ->
+                              let twin = run ~mirror ~resume s w in
+                              if plain <= w then begin
+                                if not (same_bits plain twin) then
+                                  Alcotest.failf
+                                    "%s slot=%d w=%h resume=%b: %h, expected %h"
+                                    label s w resume twin plain
+                              end
+                              else begin
+                                if not (twin > w) then
+                                  Alcotest.failf
+                                    "%s slot=%d w=%h resume=%b: %h not above w"
+                                    label s w resume twin;
+                                if not (same_bits plain twin) then
+                                  incr abandoned
+                              end)
+                            [ false; true ])
+                        slots)
+                    [ Float.pred e; e; Float.succ e ])
+                exact)
+            [
+              Spec.Identity; Spec.Reverse; Spec.Moving_average 3;
+              Spec.Weighted_ma (Simq_dsp.Window.ascending 5);
+            ])
+        [ sinusoids ~seed:12 ~count:12 ~n; walks ~seed:12 ~count:12 ~n ])
+    [ 8; 9; 16; 128 ];
+  Alcotest.(check bool) "the twin test fires" true (!abandoned > 0);
+  (* The mirrored path allocates nothing per call either. *)
+  let d = walks ~seed:13 ~count:4 ~n:128 in
+  let q = Dataset.prepare_query (Dataset.get d 0).Dataset.series in
+  let mirror = Some (Flat.mirror ~slack:1e-6) in
+  let acc = Flat.acc () and cell = Flat.acc () in
+  let before = Gc.minor_words () in
+  for i = 1 to 1000 do
+    let s = i mod 4 in
+    let lo =
+      Dataset.head_sq_dist d ~stretch:None ?mirror s q.Dataset.qspectrum acc
+    in
+    cell.Flat.sum <- 1.;
+    Flat.dist_within ~stretch:None ?mirror ~lo ~hi:128 (Dataset.spectra d)
+      (s * 128) q.Dataset.qspectrum 0 acc ~within:cell
+  done;
+  Alcotest.(check bool) "no allocation per refinement" true
+    (Gc.minor_words () -. before < 16.)
+
+(* The band kernel on mirrored rows, where its pre-pass, head exit and
+   tail's twin test are tight: on the sinusoids coefficients 1 .. 3
+   and their twins carry the whole distance, so a pair's head terms
+   over 1 .. 3 are about half its sum; on random walks the tail's twin
+   test fires early. At thresholds set to every exact pair sum and one
+   ulp either side, [within_band] (abandoning at the threshold or
+   never) hits exactly the positions that [within_row ~limit:infinity]
+   hits, and allocates nothing. *)
+let test_band_kernel_at_exact_sums () =
+  List.iter
+    (fun (n, d) ->
       let idx = Kindex.build ~max_fill:6 d in
       let count = Dataset.cardinality d in
       let slots = Array.init count (Dataset.slot d) in
@@ -452,12 +556,23 @@ let test_band_kernel_at_exact_sums () =
                   done)
                 [ Float.pred sum; sum; Float.succ sum ])
             (List.sort_uniq Float.compare !sums);
-          Alcotest.(check bool) (label ^ ": some hits") true (!hit_count > 0))
+          Alcotest.(check bool) (label ^ ": some hits") true (!hit_count > 0);
+          let before = Gc.minor_words () in
+          for i = 0 to 999 do
+            ignore
+              (Flat.within_band rows ~limit:infinity ~threshold:1.
+                 ~i:(i mod count) ~j1:count band)
+          done;
+          Alcotest.(check bool) (label ^ ": no allocation per row") true
+            (Gc.minor_words () -. before < 16.))
         [
           Spec.Identity; Spec.Reverse; Spec.Moving_average 3;
           Spec.Weighted_ma (Simq_dsp.Window.ascending 5);
         ])
-    [ 8; 9; 16; 128 ]
+    (List.concat_map
+       (fun n ->
+         [ (n, sinusoids ~seed:9 ~count:16 ~n); (n, walks ~seed:9 ~count:16 ~n) ])
+       [ 8; 9; 16; 128 ])
 
 (* On random walks the mirrored region takes fewer candidates than the
    one-sided region of [range_generic] — which must stay one-sided, its
@@ -509,6 +624,8 @@ let () =
           Alcotest.test_case "NEAREST across ties" `Quick test_nearest_ties;
           Alcotest.test_case "PAIRS at exact distances" `Quick
             test_pairs_at_exact_distances;
+          Alcotest.test_case "dist_within twin abandon at exact distances"
+            `Quick test_dist_within_twin;
           Alcotest.test_case "band kernel at exact pair sums" `Quick
             test_band_kernel_at_exact_sums;
           Alcotest.test_case "RANGE region narrows" `Quick

@@ -95,8 +95,7 @@ let test_distance_early_abandon () =
 let test_normal_form_properties () =
   let s = Fixtures.ex11_s2 in
   let d = Normal_form.decompose s in
-  Alcotest.(check bool) "normalised" true (Normal_form.is_normal d.normalised);
-  Alcotest.check series_testable "reconstruct" s (Normal_form.reconstruct d)
+  Alcotest.(check bool) "normalised" true (Normal_form.is_normal d.normalised)
 
 let test_normal_form_constant_series () =
   let d = Normal_form.decompose (Array.make 5 3.) in
@@ -314,13 +313,11 @@ let test_generator_reproducible () =
     (fun idx s -> Alcotest.check series_testable "same batch" s b.(idx))
     a
 
-let test_generator_sine_and_trend () =
+let test_generator_sine () =
   let state = Random.State.make [| 3 |] in
   let s = Generator.sine state ~n:64 ~period:16. ~amplitude:2. ~noise:0. in
   Alcotest.(check bool) "sine bounded" true
-    (Stats.maximum s <= 2.0001 && Stats.minimum s >= -2.0001);
-  let t = Generator.trend state ~n:10 ~start:1. ~slope:2. ~noise:0. in
-  check_float "trend endpoint" 19. t.(9)
+    (Stats.maximum s <= 2.0001 && Stats.minimum s >= -2.0001)
 
 (* --- property-based --------------------------------------------------- *)
 
@@ -362,11 +359,6 @@ let prop_euclidean_triangle =
       Distance.euclidean a c
       <= Distance.euclidean a b +. Distance.euclidean b c +. 1e-6)
 
-let prop_normal_form_roundtrip =
-  QCheck.Test.make ~name:"reconstruct . decompose = id" ~count:100 arb_series
-    (fun s ->
-      Series.equal ~eps:1e-6 s (Normal_form.reconstruct (Normal_form.decompose s)))
-
 let prop_ma_equals_dft_route =
   QCheck.Test.make ~name:"circular MA = frequency-domain MA" ~count:60
     (QCheck.pair arb_series (QCheck.int_range 1 8)) (fun (s, m) ->
@@ -398,7 +390,6 @@ let properties =
     [
       prop_euclidean_metric;
       prop_euclidean_triangle;
-      prop_normal_form_roundtrip;
       prop_ma_equals_dft_route;
       prop_distance_time_freq;
       prop_warp_expand_length;
@@ -468,7 +459,7 @@ let () =
           Alcotest.test_case "random walk shape" `Quick
             test_generator_random_walk_shape;
           Alcotest.test_case "reproducible" `Quick test_generator_reproducible;
-          Alcotest.test_case "sine and trend" `Quick test_generator_sine_and_trend;
+          Alcotest.test_case "sine" `Quick test_generator_sine;
         ] );
       ("properties", properties);
     ]

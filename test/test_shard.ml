@@ -641,11 +641,26 @@ let test_admitted_run_bit_identical_to_admission_off () =
     Alcotest.(check int) "nothing degraded" 0 r.Shard.report.Shard.degraded
   | Error e -> Alcotest.failf "roomy budget must complete: %s" (Error.kind e)
 
+(* The seed shard of a sharded NEAREST: the one whose root box has the
+   smallest node bound, the lowest ordinal on ties. *)
+let seed_shard sh ~query =
+  let probe = Kindex.nearest_probe (Shard.shard_index sh 0) ~query in
+  let bound i =
+    probe (Simq_rtree.Rstar.root (Kindex.tree (Shard.shard_index sh i)))
+      .Simq_rtree.Node.mbr
+  in
+  let best = ref 0 in
+  for i = 1 to Shard.shards sh - 1 do
+    if bound i < bound !best then best := i
+  done;
+  !best
+
 (* A profiled sharded NEAREST shows each shard's real work: [shard.i]'s
    rows in, candidates and pages are the entries keyed, the refinements
    and the node expansions of a direct profiled traversal of shard i's
-   own index, and the rendered tree (timings stripped) is the same at
-   every domain count. *)
+   own index — unseeded for the seed shard, seeded with the seed's
+   k-th distance for the others — and the rendered tree (timings
+   stripped) is the same at every domain count. *)
 let test_nearest_profile_shows_shard_work () =
   let d = dataset_of ~seed:36 ~count:200 ~n:32 in
   let sh = Shard.create ~shards:4 d in
@@ -659,15 +674,22 @@ let test_nearest_profile_shows_shard_work () =
   let counts node =
     (Profile.rows_in node, Profile.candidates node, Profile.pages node)
   in
+  let traverse ?within i =
+    let profile = Profile.create () in
+    match
+      Kindex.nearest_checked ?within ~profile (Shard.shard_index sh i) ~query
+        ~k
+    with
+    | Ok r -> (r.Kindex.neighbours, counts (node profile "kindex.nearest"))
+    | Error e -> Alcotest.failf "shard %d: %s" i (Error.kind e)
+  in
+  let seed = seed_shard sh ~query in
+  let seed_answers, seed_counts = traverse seed in
+  Alcotest.(check int) "the seed finds k" k (List.length seed_answers);
+  let within = snd (List.nth seed_answers (k - 1)) in
   let direct =
     List.init (Shard.shards sh) (fun i ->
-        let profile = Profile.create () in
-        (match
-           Kindex.nearest_checked ~profile (Shard.shard_index sh i) ~query ~k
-         with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "shard %d: %s" i (Error.kind e));
-        counts (node profile "kindex.nearest"))
+        if i = seed then seed_counts else snd (traverse ~within i))
   in
   List.iteri
     (fun i (_, refinements, pages) ->
@@ -696,6 +718,121 @@ let test_nearest_profile_shows_shard_work () =
     (Alcotest.(check string) "rendered tree identical at every domain count"
        (List.hd renders))
     (List.tl renders)
+
+(* --- seeded sharded NEAREST (QCheck) ---------------------------------------- *)
+
+(* Sharded NEAREST, whose shards after the seed run under the seed's
+   k-th distance, returns [Kindex.nearest]'s answer bit for bit: k from
+   1 to 24 (above a shard's size at 16 shards), every spec including
+   the warp, at lengths 128, 100 (Bluestein) and 7 (one-sided), over
+   random walks of which twenty are duplicated into another shard, so
+   that ties fall at the k-th distance. At 1 and 2 domains the answers,
+   the report and the rendered profile (timings stripped) agree; with
+   the seed shard faulted into its own scan the answer is still
+   exact. *)
+let arb_seeded =
+  QCheck.make
+    ~print:(fun (seed, qseed, k, si, n) ->
+      Printf.sprintf "seed=%d qseed=%d k=%d spec=%d n=%d" seed qseed k si n)
+    QCheck.Gen.(
+      let* seed = int_range 0 1000 in
+      let* qseed = int_range 0 1000 in
+      let* k = oneof [ return 1; int_range 1 24 ] in
+      let* si = int_range 0 4 in
+      let* n = oneofl [ 128; 100; 7 ] in
+      return (seed, qseed, k, si, n))
+
+let prop_seeded_nearest_exact =
+  QCheck.Test.make ~name:"seeded sharded NEAREST ≡ Kindex.nearest" ~count:60
+    arb_seeded (fun (seed, qseed, k, si, n) ->
+      let base = Generator.random_walks ~seed ~count:40 ~n in
+      let series =
+        Array.init 60 (fun i -> Array.copy base.(if i < 40 then i else i - 40))
+      in
+      let d = Dataset.of_series ~pool:Pool.sequential ~name:"seeded" series in
+      let spec =
+        match si with
+        | 0 -> Spec.Identity
+        | 1 -> Spec.Reverse
+        | 2 -> Spec.Moving_average 3
+        | 3 -> Spec.Weighted_ma (Simq_dsp.Window.ascending 5)
+        | _ -> Spec.Warp 2
+      in
+      let query = query_for d spec (qseed mod 20) in
+      let expected = canon (Kindex.nearest ~spec (Kindex.build d) ~query ~k) in
+      List.iter
+        (fun shards ->
+          let sh = Shard.create ~shards d in
+          let runs =
+            List.map
+              (fun (domains, pool) ->
+                let label what =
+                  Printf.sprintf "%s K=%d domains=%d" what shards domains
+                in
+                let profile = Profile.create () in
+                let r = Shard.nearest ~pool ~spec ~profile sh ~query ~k in
+                Alcotest.(check (list (pair (float 0.) int)))
+                  (label "answers") expected (canon r.Shard.neighbours);
+                Alcotest.(check (list (pair (float 0.) int)))
+                  (label "canonical order") expected
+                  (List.map
+                     (fun ((e : Dataset.entry), dist) -> (dist, e.Dataset.id))
+                     r.Shard.neighbours);
+                (match
+                   Shard.nearest_checked ~pool ~spec
+                     ~budget:(first_shard_faults ()) sh ~query ~k
+                 with
+                | Ok f ->
+                  Alcotest.(check (list (pair (float 0.) int)))
+                    (label "answers, seed degraded") expected
+                    (canon f.Shard.neighbours);
+                  Alcotest.(check int) (label "one degraded shard") 1
+                    f.Shard.nearest_report.Shard.degraded
+                | Error e ->
+                  Alcotest.failf "%s: %s" (label "faulted") (Error.kind e));
+                Profile.render ~timings:false profile)
+              (List.filter (fun (domains, _) -> domains <= 2) pools)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "K=%d: profile identical at 1 and 2 domains" shards)
+            (List.hd runs) (List.nth runs 1))
+        [ 4; 16 ];
+      true)
+
+(* The seeded traversal itself: [Kindex.nearest_checked ~within:w] is
+   the unseeded answer cut at [w], ties at [w] kept — with [w] set to
+   each answer's distance and the double below it, under the head key
+   and refinement (id, mavg) and under the warp, whose data entries are
+   keyed by their distance itself. Three copies of each of ten series
+   make every distance a tie. *)
+let test_seeded_traversal_cuts_at_within () =
+  let base = Generator.random_walks ~seed:51 ~count:10 ~n:32 in
+  let d =
+    Dataset.of_series ~pool:Pool.sequential ~name:"copies"
+      (Array.init 30 (fun i -> Array.copy base.(i mod 10)))
+  in
+  let index = Kindex.build ~max_fill:4 d in
+  List.iter
+    (fun spec ->
+      let query = query_for d spec 3 in
+      let k = 12 in
+      let run ?within () =
+        match Kindex.nearest_checked ~spec ?within index ~query ~k with
+        | Ok r -> canon r.Kindex.neighbours
+        | Error e -> Alcotest.failf "%s: %s" (Spec.name spec) (Error.kind e)
+      in
+      let full = run () in
+      List.iter
+        (fun (w, _) ->
+          List.iter
+            (fun w ->
+              Alcotest.(check (list (pair (float 0.) int)))
+                (Printf.sprintf "%s within=%h" (Spec.name spec) w)
+                (List.filter (fun (dist, _) -> dist <= w) full)
+                (run ~within:w ()))
+            [ w; Float.pred w ])
+        full)
+    [ Spec.Identity; Spec.Moving_average 3; Spec.Warp 2 ]
 
 let () =
   Alcotest.run "simq_shard"
@@ -733,6 +870,12 @@ let () =
         [
           Alcotest.test_case "nearest shows each shard's work" `Quick
             test_nearest_profile_shows_shard_work;
+        ] );
+      ( "seeded nearest",
+        [
+          Alcotest.test_case "seeded traversal cuts at within" `Quick
+            test_seeded_traversal_cuts_at_within;
+          QCheck_alcotest.to_alcotest prop_seeded_nearest_exact;
         ] );
       ( "admission",
         [

@@ -20,11 +20,6 @@ let test_stocklike_reproducible () =
       Alcotest.(check bool) "same" true (Simq_series.Series.equal s b.(idx)))
     a
 
-let test_stocklike_paper_market_scale () =
-  let market = Stocklike.paper_market () in
-  Alcotest.(check int) "1067 series" 1067 (Array.length market);
-  Alcotest.(check int) "128 days" 128 (Array.length market.(0))
-
 let test_stocklike_series_differ () =
   let batch = Stocklike.batch ~seed:7 ~count:10 ~n:64 in
   let distinct = ref true in
@@ -101,8 +96,6 @@ let () =
         [
           Alcotest.test_case "shape" `Quick test_stocklike_shape;
           Alcotest.test_case "reproducible" `Quick test_stocklike_reproducible;
-          Alcotest.test_case "paper market scale" `Quick
-            test_stocklike_paper_market_scale;
           Alcotest.test_case "series differ" `Quick test_stocklike_series_differ;
           Alcotest.test_case "correlated pairs" `Quick test_correlated_pair;
           Alcotest.test_case "validation" `Quick test_correlated_pair_validation;

@@ -41,6 +41,10 @@
 # join prints the full scan's pairs, and a daemon whose budget carries
 # always-firing node and page faults, driven by a plain stress session
 # with every NEAREST line of its qlog failed typed, and the prepared
+# image, a sharded NEAREST at k 1, 5 and 24 printing the plain rows
+# with --shards 4 and --shards 16 (k above a shard's size) at lengths
+# 100 and 7, where every shard after the first runs under the first's
+# k-th distance, and the prepared
 # image: a second query opened from it (an image.open span, no prepare
 # or build span) printing the first one's rows, and a directory in the
 # image's place ignored, and warp(2) RANGE and NEAREST and index PAIRS
@@ -193,6 +197,32 @@ grep -q '"outcome":"budget_exceeded:node_accesses"' pairs.qlog || {
   cat pairs.qlog >&2
   exit 1
 }
+
+echo "== seeded sharded NEAREST: k at and above a shard's size"
+# Each shard after the seed starts its top-k at the seed's k-th
+# distance; the merged rows must still be the plain run's, also where
+# k = 24 exceeds the 7 or 8 series of a shard at --shards 16.
+for len in 100 7; do
+  "$simq" generate --count 120 --length "$len" -o "seeded$len.rel" >/dev/null
+  for k in 1 5 24; do
+    for using in "" "USING mavg(4) "; do
+      spec="NEAREST $k FROM r ${using}QUERY s7"
+      "$simq" query "seeded$len.rel" "$spec" >seeded.plain.out
+      [ "$(grep -c ' distance ' seeded.plain.out)" -eq "$k" ] || {
+        echo "smoke: '$spec' at length $len did not print $k rows" >&2
+        exit 1
+      }
+      for shards in 4 16; do
+        "$simq" query "seeded$len.rel" "$spec" --shards "$shards" >seeded.shard.out
+        [ "$(grep ' distance ' seeded.shard.out)" = "$(grep ' distance ' seeded.plain.out)" ] || {
+          echo "smoke: '$spec' at length $len differs with --shards $shards" >&2
+          diff seeded.plain.out seeded.shard.out >&2 || true
+          exit 1
+        }
+      done
+    done
+  done
+done
 
 echo "== mirrored bounds: a Bluestein length and one below the twins"
 # Length 100 is not a power of two (Bluestein's transform); length 5
