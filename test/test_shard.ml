@@ -871,7 +871,7 @@ let () =
           Alcotest.test_case "nearest shows each shard's work" `Quick
             test_nearest_profile_shows_shard_work;
         ] );
-      ( "seeded nearest",
+      ( "seeded-nn",
         [
           Alcotest.test_case "seeded traversal cuts at within" `Quick
             test_seeded_traversal_cuts_at_within;
