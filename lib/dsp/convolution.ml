@@ -22,10 +22,10 @@ let circular_fft x y =
     (* fx := sqrt n · fx·fy, by [Complex.mul]'s formula, then back. *)
     let gain = sqrt (float_of_int n) in
     for f = 0 to n - 1 do
-      let xr = fx.(2 * f) and xi = fx.((2 * f) + 1) in
-      let yr = fy.(2 * f) and yi = fy.((2 * f) + 1) in
-      fx.(2 * f) <- gain *. ((xr *. yr) -. (xi *. yi));
-      fx.((2 * f) + 1) <- gain *. ((xr *. yi) +. (xi *. yr))
+      let xr = fx.{2 * f} and xi = fx.{(2 * f) + 1} in
+      let yr = fy.{2 * f} and yi = fy.{(2 * f) + 1} in
+      fx.{2 * f} <- gain *. ((xr *. yr) -. (xi *. yi));
+      fx.{(2 * f) + 1} <- gain *. ((xr *. yi) +. (xi *. yr))
     done;
     Fft.ifft_inplace fx;
     Flat.to_cpx fx

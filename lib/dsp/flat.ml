@@ -1,40 +1,85 @@
-type t = float array
+module A = Bigarray.Array1
 
-let create n = Array.create_float (2 * n)
+type t = (float, Bigarray.float64_elt, Bigarray.c_layout) A.t
+
+(* Every access goes through these: the kind and layout are known, so
+   the compiler inlines them as plain loads and stores of unboxed
+   doubles. The callers check their ranges first. *)
+let[@inline] get (x : t) i = A.unsafe_get x i
+let[@inline] set (x : t) i v = A.unsafe_set x i v
+let[@inline] dim (x : t) = A.dim x
+
+let create n = A.create Bigarray.float64 Bigarray.c_layout (2 * n)
+
+let zeros n =
+  let x = create n in
+  A.fill x 0.;
+  x
 
 let of_cpx zs =
   let x = create (Array.length zs) in
   Array.iteri
     (fun f (z : Cpx.t) ->
-      x.(2 * f) <- z.Complex.re;
-      x.((2 * f) + 1) <- z.Complex.im)
+      set x (2 * f) z.Complex.re;
+      set x ((2 * f) + 1) z.Complex.im)
     zs;
   x
 
-let length x = Array.length x / 2
-let coeff x f = { Complex.re = x.(2 * f); im = x.((2 * f) + 1) }
+let length x = dim x / 2
+
+let coeff x f =
+  if f < 0 || f >= length x then invalid_arg "Flat.coeff: out of bounds";
+  { Complex.re = get x (2 * f); im = get x ((2 * f) + 1) }
+
 let sub x ~pos ~len = Array.init len (fun i -> coeff x (pos + i))
 let to_cpx x = sub x ~pos:0 ~len:(length x)
+
+let blit x ~pos y ~off ~len =
+  if pos < 0 || off < 0 || len < 0
+     || 2 * (pos + len) > dim x
+     || 2 * (off + len) > dim y
+  then invalid_arg "Flat.blit: out of bounds";
+  let pos = 2 * pos and off = 2 * off in
+  (* A whole row moves by one [memmove] through two views; a few
+     coefficients (a head row) cost less copied than viewed. *)
+  if len >= 16 then A.blit (A.sub x pos (2 * len)) (A.sub y off (2 * len))
+  else
+    for i = 0 to (2 * len) - 1 do
+      set y (off + i) (get x (pos + i))
+    done
+
+let energy x =
+  let e = ref 0. in
+  for i = 0 to dim x - 1 do
+    let v = get x i in
+    e := !e +. (v *. v)
+  done;
+  !e
 
 (* The real part of coefficient [f] of [stretch · x], for [x] read
    from float index [xo], by [Complex.mul]'s formula: the head stores
    it, and the band join sorts by it. *)
 let[@inline] stretched_re ~stretch x xo f =
-  (stretch.(2 * f) *. x.(xo + (2 * f)))
-  -. (stretch.((2 * f) + 1) *. x.(xo + (2 * f) + 1))
+  (get stretch (2 * f) *. get x (xo + (2 * f)))
+  -. (get stretch ((2 * f) + 1) *. get x (xo + (2 * f) + 1))
 
 let stretch_prefix ~stretch x ~xo ~len dst ~off =
+  if xo < 0 || off < 0 || len < 0
+     || 2 * len > dim stretch
+     || 2 * (xo + len) > dim x
+     || 2 * (off + len) > dim dst
+  then invalid_arg "Flat.stretch_prefix: out of bounds";
   let xo = 2 * xo in
   for f = 0 to len - 1 do
-    let sr = stretch.(2 * f) and si = stretch.((2 * f) + 1) in
-    let xr = x.(xo + (2 * f)) and xi = x.(xo + (2 * f) + 1) in
-    dst.(2 * (off + f)) <- stretched_re ~stretch x xo f;
-    dst.((2 * (off + f)) + 1) <- (sr *. xi) +. (si *. xr)
+    let sr = get stretch (2 * f) and si = get stretch ((2 * f) + 1) in
+    let xr = get x (xo + (2 * f)) and xi = get x (xo + (2 * f) + 1) in
+    set dst (2 * (off + f)) (stretched_re ~stretch x xo f);
+    set dst ((2 * (off + f)) + 1) ((sr *. xi) +. (si *. xr))
   done
 
 let stretch_into ~stretch x dst ~off =
-  if Array.length stretch <> Array.length x || off < 0
-     || (2 * off) + Array.length x > Array.length dst
+  if dim stretch <> dim x || off < 0
+     || (2 * off) + dim x > dim dst
   then invalid_arg "Flat.stretch_into: length mismatch";
   stretch_prefix ~stretch x ~xo:0 ~len:(length x) dst ~off
 
@@ -48,8 +93,8 @@ let acc () = { sum = 0. }
    callers, so a computed [limit] is never boxed. *)
 let[@inline] kernel ~stretch ~limit ~lo ~hi x xo y yo acc =
   if lo < 0 || hi < lo || xo < 0 || yo < 0
-     || 2 * (xo + hi) > Array.length x
-     || 2 * (yo + hi) > Array.length y
+     || 2 * (xo + hi) > dim x
+     || 2 * (yo + hi) > dim y
   then invalid_arg "Flat.sq_dist: range out of bounds";
   let xo = 2 * xo and yo = 2 * yo in
   let sum = ref acc.sum in
@@ -58,24 +103,24 @@ let[@inline] kernel ~stretch ~limit ~lo ~hi x xo y yo acc =
   | None ->
     while !f < !stop do
       let i = 2 * !f in
-      let dr = Array.unsafe_get x (xo + i) -. Array.unsafe_get y (yo + i) in
+      let dr = get x (xo + i) -. get y (yo + i) in
       let di =
-        Array.unsafe_get x (xo + i + 1) -. Array.unsafe_get y (yo + i + 1)
+        get x (xo + i + 1) -. get y (yo + i + 1)
       in
       sum := !sum +. ((dr *. dr) +. (di *. di));
       incr f;
       if !sum > limit then stop := !f
     done
   | Some s ->
-    if 2 * hi > Array.length s then
+    if 2 * hi > dim s then
       invalid_arg "Flat.sq_dist: stretch too short";
     while !f < !stop do
       let i = 2 * !f in
-      let sr = Array.unsafe_get s i and si = Array.unsafe_get s (i + 1) in
-      let xr = Array.unsafe_get x (xo + i)
-      and xi = Array.unsafe_get x (xo + i + 1) in
-      let dr = ((sr *. xr) -. (si *. xi)) -. Array.unsafe_get y (yo + i) in
-      let di = ((sr *. xi) +. (si *. xr)) -. Array.unsafe_get y (yo + i + 1) in
+      let sr = get s i and si = get s (i + 1) in
+      let xr = get x (xo + i)
+      and xi = get x (xo + i + 1) in
+      let dr = ((sr *. xr) -. (si *. xi)) -. get y (yo + i) in
+      let di = ((sr *. xi) +. (si *. xr)) -. get y (yo + i + 1) in
       sum := !sum +. ((dr *. dr) +. (di *. di));
       incr f;
       if !sum > limit then stop := !f
@@ -211,13 +256,13 @@ type rows = {
   offs : int array;  (* position [p]'s spectrum from float index [offs.(p)] *)
   n : int;
   head : t;  (* position [p]'s stretched head from coefficient [p·head_width] *)
-  key_re : t;  (* position [p]'s stretched coefficient 1, copied from the *)
-  key_im : t;  (* head so that the band pre-pass reads it densely *)
+  key_re : float array;  (* position [p]'s stretched coefficient 1, copied *)
+  key_im : float array;  (* from the head so the band pre-pass reads it densely *)
   twin : float;  (* the mirrored bound's slack, [infinity] for none *)
 }
 
 let sort_key ~stretch heads ~slot =
-  if slot < 0 || 2 * head_width * (slot + 1) > Array.length heads then
+  if slot < 0 || 2 * head_width * (slot + 1) > dim heads then
     invalid_arg "Flat.sort_key: slot out of bounds";
   if length stretch < 2 then 0.
   else stretched_re ~stretch heads (2 * head_width * slot) 1
@@ -288,8 +333,8 @@ let rows ~stretch ?order ~heads buf slots =
   let n = length stretch in
   Array.iter
     (fun slot ->
-      if slot < 0 || 2 * n * (slot + 1) > Array.length buf
-         || 2 * head_width * (slot + 1) > Array.length heads
+      if slot < 0 || 2 * n * (slot + 1) > dim buf
+         || 2 * head_width * (slot + 1) > dim heads
       then invalid_arg "Flat.rows: slot out of bounds")
     slots;
   let count = Array.length slots in
@@ -304,8 +349,8 @@ let rows ~stretch ?order ~heads buf slots =
   let offs = Array.make count 0 in
   (* Zero past coefficient [n - 1]: such a coefficient adds [0.] to the
      sum, which leaves it and every abandon test unchanged. *)
-  let head = Array.make (2 * head_width * count) 0. in
-  let key_re = create count and key_im = create count in
+  let head = zeros (head_width * count) in
+  let key_re = Array.create_float count and key_im = Array.create_float count in
   let len = Int.min head_width n in
   Array.iteri
     (fun p r ->
@@ -313,8 +358,8 @@ let rows ~stretch ?order ~heads buf slots =
       offs.(p) <- 2 * n * slot;
       stretch_prefix ~stretch heads ~xo:(head_width * slot) ~len head
         ~off:(p * head_width);
-      key_re.(p) <- head.((2 * head_width * p) + 2);
-      key_im.(p) <- head.((2 * head_width * p) + 3))
+      key_re.(p) <- get head ((2 * head_width * p) + 2);
+      key_im.(p) <- get head ((2 * head_width * p) + 3))
     order;
   { stretch; buf; offs; n; head; key_re; key_im; twin = infinity }
 
@@ -339,11 +384,11 @@ let[@inline] tail_sum r ~limit ~twin ~i ~j sum =
   let lim = ref (if head_width < half then twin else limit) in
   while !f < !stop do
     let k = 2 * !f in
-    let sr = Array.unsafe_get s k and si = Array.unsafe_get s (k + 1) in
-    let xr = Array.unsafe_get buf (xs + k)
-    and xi = Array.unsafe_get buf (xs + k + 1) in
-    let yr = Array.unsafe_get buf (ys + k)
-    and yi = Array.unsafe_get buf (ys + k + 1) in
+    let sr = get s k and si = get s (k + 1) in
+    let xr = get buf (xs + k)
+    and xi = get buf (xs + k + 1) in
+    let yr = get buf (ys + k)
+    and yi = get buf (ys + k + 1) in
     let dr = ((sr *. xr) -. (si *. xi)) -. ((sr *. yr) -. (si *. yi)) in
     let di = ((sr *. xi) +. (si *. xr)) -. ((sr *. yi) +. (si *. yr)) in
     sum := !sum +. ((dr *. dr) +. (di *. di));
@@ -364,27 +409,27 @@ let[@inline] pair_sum r ~limit ~i ~j =
   let head = r.head in
   let xo = 2 * head_width * i and yo = 2 * head_width * j in
   let sum = ref 0. in
-  let dr = Array.unsafe_get head xo -. Array.unsafe_get head yo
-  and di = Array.unsafe_get head (xo + 1) -. Array.unsafe_get head (yo + 1) in
+  let dr = get head xo -. get head yo
+  and di = get head (xo + 1) -. get head (yo + 1) in
   sum := !sum +. ((dr *. dr) +. (di *. di));
   if not (!sum > limit) then begin
-    let dr = Array.unsafe_get head (xo + 2) -. Array.unsafe_get head (yo + 2)
+    let dr = get head (xo + 2) -. get head (yo + 2)
     and di =
-      Array.unsafe_get head (xo + 3) -. Array.unsafe_get head (yo + 3)
+      get head (xo + 3) -. get head (yo + 3)
     in
     sum := !sum +. ((dr *. dr) +. (di *. di));
     if not (!sum > limit) then begin
       let dr =
-        Array.unsafe_get head (xo + 4) -. Array.unsafe_get head (yo + 4)
+        get head (xo + 4) -. get head (yo + 4)
       and di =
-        Array.unsafe_get head (xo + 5) -. Array.unsafe_get head (yo + 5)
+        get head (xo + 5) -. get head (yo + 5)
       in
       sum := !sum +. ((dr *. dr) +. (di *. di));
       if not (!sum > limit) then begin
         let dr =
-          Array.unsafe_get head (xo + 6) -. Array.unsafe_get head (yo + 6)
+          get head (xo + 6) -. get head (yo + 6)
         and di =
-          Array.unsafe_get head (xo + 7) -. Array.unsafe_get head (yo + 7)
+          get head (xo + 7) -. get head (yo + 7)
         in
         sum := !sum +. ((dr *. dr) +. (di *. di));
         if not (!sum > limit) then
@@ -443,27 +488,27 @@ let within_band r ~limit ~threshold ~i ~j1 buf =
     kept := !kept + Bool.to_int ((dr *. dr) +. (di *. di) <= bound)
   done;
   let head = r.head and xo = 2 * head_width * i in
-  let x0r = Array.unsafe_get head xo and x0i = Array.unsafe_get head (xo + 1)
-  and x1r = Array.unsafe_get head (xo + 2) and x1i = Array.unsafe_get head (xo + 3)
-  and x2r = Array.unsafe_get head (xo + 4) and x2i = Array.unsafe_get head (xo + 5)
-  and x3r = Array.unsafe_get head (xo + 6)
-  and x3i = Array.unsafe_get head (xo + 7) in
+  let x0r = get head xo and x0i = get head (xo + 1)
+  and x1r = get head (xo + 2) and x1i = get head (xo + 3)
+  and x2r = get head (xo + 4) and x2i = get head (xo + 5)
+  and x3r = get head (xo + 6)
+  and x3i = get head (xo + 7) in
   let found = ref 0 in
   for c = 0 to !kept - 1 do
     let j = Array.unsafe_get buf c in
     let yo = 2 * head_width * j in
-    let dr = x1r -. Array.unsafe_get head (yo + 2)
-    and di = x1i -. Array.unsafe_get head (yo + 3) in
+    let dr = x1r -. get head (yo + 2)
+    and di = x1i -. get head (yo + 3) in
     let t1 = (dr *. dr) +. (di *. di) in
-    let dr = x2r -. Array.unsafe_get head (yo + 4)
-    and di = x2i -. Array.unsafe_get head (yo + 5) in
+    let dr = x2r -. get head (yo + 4)
+    and di = x2i -. get head (yo + 5) in
     let t2 = (dr *. dr) +. (di *. di) in
-    let dr = x3r -. Array.unsafe_get head (yo + 6)
-    and di = x3i -. Array.unsafe_get head (yo + 7) in
+    let dr = x3r -. get head (yo + 6)
+    and di = x3i -. get head (yo + 7) in
     let t3 = (dr *. dr) +. (di *. di) in
     if (t1 +. t2) +. t3 <= bound then begin
-      let dr = x0r -. Array.unsafe_get head yo
-      and di = x0i -. Array.unsafe_get head (yo + 1) in
+      let dr = x0r -. get head yo
+      and di = x0i -. get head (yo + 1) in
       let t0 = (dr *. dr) +. (di *. di) in
       let sum = ((t0 +. t1) +. t2) +. t3 in
       let sum =

@@ -1,16 +1,24 @@
 (** Flat spectra and the one frequency-domain distance kernel.
 
-    A flat spectrum stores a length-[n] complex vector as a
-    [float array] of length [2n] with real and imaginary parts
+    A flat spectrum stores a length-[n] complex vector as a float64
+    {!Bigarray.Array1.t} of length [2n] with real and imaginary parts
     interleaved: coefficient [f] sits at indices [2f] (re) and [2f+1]
-    (im). Float arrays are unboxed, so reading a coefficient allocates
+    (im). Its doubles are unboxed, so reading a coefficient allocates
     nothing — unlike a [Cpx.t array], whose every element is a boxed
     record and whose [Cpx.sub]/[Cpx.mul] allocate a fresh one.
+
+    It is one type for every spectrum buffer: a data set's stored
+    spectra, a query's spectrum and a stretch. A buffer may live on the
+    C heap ({!create}) or be a view of a mapped file (the prepared
+    image, {!Simq_tsindex.Image.read}): the kernels read both through
+    the same loads, one body each. The OCaml heap holds only the
+    buffer's small header, so a data set's spectra do not count in
+    [Gc.top_heap_words].
 
     Several flat spectra may share one buffer, one after another; the
     kernel then takes each one's offset, counted in coefficients. *)
 
-type t = float array
+type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** [of_cpx zs] is the flat copy of [zs]. *)
 val of_cpx : Cpx.t array -> t
@@ -18,10 +26,14 @@ val of_cpx : Cpx.t array -> t
 (** [create n] is an uninitialised buffer of [n] coefficients. *)
 val create : int -> t
 
+(** [zeros n] is a buffer of [n] coefficients, every double [0.]. *)
+val zeros : int -> t
+
 (** [length x] is the number of complex coefficients of [x]. *)
 val length : t -> int
 
-(** [coeff x f] is coefficient [f] of [x]. *)
+(** [coeff x f] is coefficient [f] of [x]. Raises [Invalid_argument]
+    when [f] is not a coefficient of [x]. *)
 val coeff : t -> int -> Cpx.t
 
 (** [sub x ~pos ~len] is coefficients [pos .. pos+len-1] of [x] as a
@@ -32,10 +44,22 @@ val sub : t -> pos:int -> len:int -> Cpx.t array
     inverse of {!of_cpx}. *)
 val to_cpx : t -> Cpx.t array
 
+(** [blit x ~pos y ~off ~len] copies coefficients [pos .. pos+len-1]
+    of [x] to coefficients [off .. off+len-1] of [y], double for
+    double. The ranges must not overlap unless they are the same.
+    Raises [Invalid_argument] when a range falls outside its buffer. *)
+val blit : t -> pos:int -> t -> off:int -> len:int -> unit
+
+(** [energy x] is the sum of the squares of [x]'s doubles in index
+    order: [Σ_f |x_f|²], by the fold
+    [Simq_dsp.Spectrum.energy_real] applies to a float array. *)
+val energy : t -> float
+
 (** [stretch_prefix ~stretch x ~xo ~len dst ~off] writes
     [stretch.(f) · x.(xo + f)] for [f] in [0 .. len-1] into coefficient
     [off + f] of [dst], with [Complex.mul]'s formula (so the result is
-    bit-identical to [Cpx.mul_arrays] on the boxed vectors). *)
+    bit-identical to [Cpx.mul_arrays] on the boxed vectors). Raises
+    [Invalid_argument] when a range falls outside its buffer. *)
 val stretch_prefix : stretch:t -> t -> xo:int -> len:int -> t -> off:int -> unit
 
 (** [stretch_into ~stretch x dst ~off] is {!stretch_prefix} over every

@@ -47,7 +47,9 @@ let kernel n w =
 let transfer n w =
   let h = Fft.fft_real_flat (kernel n w) in
   let gain = sqrt (float_of_int n) in
-  Array.map_inplace (fun v -> gain *. v) h;
+  for i = 0 to Bigarray.Array1.dim h - 1 do
+    h.{i} <- gain *. h.{i}
+  done;
   h
 
 let pp ppf w =

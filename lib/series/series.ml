@@ -42,7 +42,7 @@ let idft_flat (x : Simq_dsp.Flat.t) =
   Simq_dsp.Fft.ifft_inplace x;
   let out = Array.create_float (Simq_dsp.Flat.length x) in
   for t = 0 to Array.length out - 1 do
-    out.(t) <- x.(2 * t)
+    out.(t) <- x.{2 * t}
   done;
   out
 

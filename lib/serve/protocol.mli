@@ -24,12 +24,10 @@ val max_line_bytes : int
 
 (** [escape s] maps backslash, newline, carriage return and tab to
     two-character escapes ([\\], [\n], [\r], [\t]); every other byte —
-    including non-ASCII — passes through. [unescape] inverts it;
-    a trailing backslash or an unknown escape is an error.
-    [unescape (escape s) = Ok s] for every string. *)
+    including non-ASCII — passes through. {!parse_request} inverts it
+    on a query's spec; a trailing backslash or an unknown escape is an
+    error there. *)
 val escape : string -> string
-
-val unescape : string -> (string, string) result
 
 type request =
   | Ping  (** liveness probe; answered without touching the engine *)

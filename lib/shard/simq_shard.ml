@@ -449,11 +449,18 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
     (* A profiled query gives every shard task a private profile, so
        no two domains record into one tree; the gather copies its
        counts into [shard.i] on the coordinating domain. *)
+    (* The query is prepared once, for the probe and every shard: the
+       shards share one series length and feature configuration. *)
+    let r =
+      Kindex.nearest_query t.parts.(0).sindex
+        (Option.value spec ~default:Spec.Identity)
+        query
+    in
     let task ~within s =
       let sp = Option.map (fun _ -> Profile.create ()) profile in
       let scan () =
         match
-          Kindex.nearest_scan ?spec ~budget ?profile:sp s.sindex ~query ~k
+          Kindex.nearest_scan_prepared s.sindex r ~budget ~profile:sp ~k
         with
         | Ok answers -> nn_run t s ~sp ~scan:true answers
         | Error e -> raise (Shard_failed e)
@@ -463,10 +470,9 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
         | Some Simq_admission.Degrade_to_scan -> scan ()
         | _ -> (
           match
-            Kindex.nearest_checked ?spec ~budget ~within ?profile:sp s.sindex
-              ~query ~k
+            Kindex.nearest_prepared s.sindex r ~budget ~within ~profile:sp ~k
           with
-          | Ok r -> nn_run t s ~sp ~scan:false r.Kindex.neighbours
+          | Ok neighbours -> nn_run t s ~sp ~scan:false neighbours
           | Error _ -> scan ()))
     in
     (* The seed: the shard whose catalogue box is nearest the query by
@@ -474,7 +480,7 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
        chosen before any shard runs. Its k-th distance, when it finds
        k answers, seeds the others' traversals. *)
     let seed =
-      let probe = Kindex.nearest_probe ?spec t.parts.(0).sindex ~query in
+      let probe = Kindex.nearest_bound t.parts.(0).sindex r in
       let bounds = Array.map (fun s -> probe s.box) t.parts in
       let best = ref 0 in
       Array.iteri (fun i b -> if b < bounds.(!best) then best := i) bounds;

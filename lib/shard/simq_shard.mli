@@ -250,7 +250,7 @@ val nearest :
 
     The shards do not all start blind. Before any shard runs, the
     {e seed} is chosen: the shard whose catalogue box has the smallest
-    NN node bound ({!Simq_tsindex.Kindex.nearest_probe}), the lowest
+    NN node bound ({!Simq_tsindex.Kindex.nearest_bound}), the lowest
     ordinal on ties. It runs first, alone, inside the [shard.scatter]
     node. When it returns [k] answers, its k-th distance [W] seeds the
     other K−1, which fan out together with

@@ -32,8 +32,8 @@ let head_width = Flat.head_width
    its slot of [head]; the slot's zero padding beyond [n - 1] is never
    read by the kernel, whose ranges stop at [n]. *)
 let fill_head t s =
-  Array.blit t.spectra (2 * s * t.n) t.head (2 * head_width * s)
-    (2 * Int.min head_width t.n)
+  Flat.blit t.spectra ~pos:(s * t.n) t.head ~off:(head_width * s)
+    ~len:(Int.min head_width t.n)
 
 let check_permutation name ~count order =
   if Array.length order <> count then
@@ -83,7 +83,7 @@ let of_relation ?pool r =
     {
       entries;
       spectra;
-      head = Array.make (2 * head_width * count) 0.;
+      head = Flat.zeros (head_width * count);
       slots = Array.init count Fun.id;
       ids = Array.init count Fun.id;
       n;
@@ -108,7 +108,7 @@ let of_prepared r ~means ~stds ~ids spectra =
   let n = Series.length tuples.(0).Relation.data in
   if Array.length means <> count || Array.length stds <> count then
     bad "one mean and one std per tuple";
-  if Array.length spectra <> 2 * n * count then
+  if Flat.length spectra <> n * count then
     bad "spectra of another size";
   check_permutation "Dataset.of_prepared" ~count ids;
   let entries =
@@ -131,7 +131,7 @@ let of_prepared r ~means ~stds ~ids spectra =
     {
       entries;
       spectra;
-      head = Array.make (2 * head_width * count) 0.;
+      head = Flat.zeros (head_width * count);
       slots;
       ids = Array.copy ids;
       n;
@@ -157,14 +157,14 @@ let sub t ~name ~lo ~width =
       (Array.init width (fun i -> t.entries.(lo + i).series))
   in
   let tuples = Relation.to_array relation in
-  let row = 2 * t.n and hrow = 2 * head_width in
-  let spectra = Flat.create (t.n * width)
-  and head = Array.make (hrow * width) 0. in
+  let n = t.n in
+  let spectra = Flat.create (n * width) and head = Flat.zeros (head_width * width) in
   let entries =
     Array.init width (fun i ->
         let s = t.slots.(lo + i) in
-        Array.blit t.spectra (s * row) spectra (i * row) row;
-        Array.blit t.head (s * hrow) head (i * hrow) hrow;
+        Flat.blit t.spectra ~pos:(s * n) spectra ~off:(i * n) ~len:n;
+        Flat.blit t.head ~pos:(s * head_width) head ~off:(i * head_width)
+          ~len:head_width;
         { (t.entries.(lo + i)) with id = i; name = tuples.(i).Relation.name })
   in
   {
@@ -183,25 +183,30 @@ let sub t ~name ~lo ~width =
 let lay_out t order =
   let count = cardinality t in
   check_permutation "Dataset.lay_out" ~count order;
-  let row = 2 * t.n and hrow = 2 * head_width in
+  let n = t.n and h = head_width in
+  let move src s dst d =
+    Flat.blit src ~pos:(s * n) dst ~off:(d * n) ~len:n
+  and move_head src s dst d =
+    Flat.blit src ~pos:(s * h) dst ~off:(d * h) ~len:h
+  in
   (* [from.(s)]: the slot holding what slot [s] must hold. *)
   let from = Array.map (fun id -> t.slots.(id)) order in
-  let spare = Flat.create t.n and hspare = Flat.create head_width in
+  let spare = Flat.create n and hspare = Flat.create h in
   let seen = Bytes.make count '\000' in
   for start = 0 to count - 1 do
     if Bytes.get seen start = '\000' && from.(start) <> start then begin
-      Array.blit t.spectra (start * row) spare 0 row;
-      Array.blit t.head (start * hrow) hspare 0 hrow;
+      move t.spectra start spare 0;
+      move_head t.head start hspare 0;
       let s = ref start in
       while from.(!s) <> start do
         let src = from.(!s) in
-        Array.blit t.spectra (src * row) t.spectra (!s * row) row;
-        Array.blit t.head (src * hrow) t.head (!s * hrow) hrow;
+        move t.spectra src t.spectra !s;
+        move_head t.head src t.head !s;
         Bytes.set seen !s '\001';
         s := src
       done;
-      Array.blit spare 0 t.spectra (!s * row) row;
-      Array.blit hspare 0 t.head (!s * hrow) hrow;
+      move spare 0 t.spectra !s;
+      move_head hspare 0 t.head !s;
       Bytes.set seen !s '\001'
     end
   done;
@@ -264,7 +269,9 @@ let id_at t s =
   t.ids.(s)
 
 let spectrum t id =
-  Array.sub t.spectra (2 * slot t id * t.n) (2 * t.n)
+  let x = Flat.create t.n in
+  Flat.blit t.spectra ~pos:(slot t id * t.n) x ~off:0 ~len:t.n;
+  x
 
 (* Coefficient 0 first, recorded when asked, then the rest: the same
    sum as one call over the head. *)

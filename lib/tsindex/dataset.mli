@@ -10,7 +10,8 @@
     distance, and the time-domain paths (the warp, the join's
     transformed normals) recompute it on demand ({!normal}).
 
-    The spectra live in one contiguous flat buffer ({!spectra}), one
+    The spectra live in one contiguous flat buffer ({!spectra}, a
+    float64 {!Simq_dsp.Flat.t} outside the OCaml heap), one
     {e slot} of [n] coefficients per entry, beside a head table of
     every slot's first {!Simq_dsp.Flat.head_width} coefficients. Ids
     are stable; the slot of an id is the data set's business
@@ -18,6 +19,12 @@
     them in place (the k-index lays them out in its tree's leaf order,
     so a traversal reads them nearly sequentially). Every reader takes
     (buffer, slot) and computes the same doubles in any layout.
+
+    The buffer is the one resident copy of the spectra. A cold build
+    ({!of_relation}, {!sub}) fills a fresh buffer; a warm open
+    ({!of_prepared} from {!Image.read}) adopts a view of the mapped
+    image file, so its pages are the page cache's, read in place and
+    faulted in as they are touched, never copied into fresh memory.
 
     A data set is built once: its entries, buffer and cardinality never
     change after {!of_relation} or {!sub}, and only {!lay_out} moves
@@ -67,7 +74,10 @@ val of_series :
     [ids.(s)]), from what {!of_relation} and {!lay_out} computed for
     it: entry [id]'s moments [means.(id)] and [stds.(id)], and the
     spectrum buffer [spectra] in slot order, which the data set takes
-    over. No FFT runs and nothing is normalised. Given [t]'s own moments,
+    over as it is, never copied — the image's mapped view, whose pages
+    stay the file's ({!Image}). No FFT runs and nothing is normalised;
+    only the head table is made, from the first {!Simq_dsp.Flat.head_width}
+    coefficients of every slot. Given [t]'s own moments,
     slot order and buffer, every field, double and slot equals [t]'s.
     Raises [Invalid_argument] when [r] is empty or its series differ
     in length, when the arrays do not fit [r], or when [ids] is not a
@@ -99,6 +109,8 @@ val sub : t -> name:string -> lo:int -> width:int -> t
     second copy of the buffer exists at any time). Answers, distances
     and counters of every query are unchanged: only the memory order
     of the spectra moves. Not safe while another domain queries [t].
+    On a data set opened from an image the moved rows are private
+    copies of the mapped pages: the file never changes.
     Raises [Invalid_argument] when [order] is not a permutation of the
     ids. *)
 val lay_out : t -> int array -> unit

@@ -7,7 +7,8 @@
     IEEE bits; no [Marshal]):
 
     + the header: the magic ["SIMQPREP"], the format version, and the
-      {!key}: the count, the series length [n] and the digest;
+      {!key}: the count, the series length [n], the digest and the
+      code fingerprint;
     + every entry's mean, then every entry's std, in id order;
     + the slot order: the id each slot holds;
     + the spectrum buffer in slot order, [2·n·count] floats;
@@ -18,20 +19,48 @@
 
     An image is used only when it is complete, its header equals the
     key of the relation being opened (the same format version, count,
-    length, and digest of every series value's IEEE bits), and its
-    permission bits let in no one the relation file's keep out. The
-    feature configuration and [max_fill] are fixed
-    ({!Kindex.open_file}); the format version changes with them. *)
+    length, digest of every series value's IEEE bits, and code
+    fingerprint), and its permission bits let in no one the relation
+    file's keep out. The feature configuration and [max_fill] are fixed
+    ({!Kindex.open_file}); the format version changes with them.
+
+    {b The mapping.} {!read} maps the whole file once, privately
+    ({!Unix.map_file}, float64, the descriptor closed once the mapping
+    is made), checks it word by word, and hands out the spectrum
+    section as a view of that one mapping: the data set reads the
+    file's pages in place, never copying them into the heap, and the
+    pages a process touches count once in its resident set. The
+    mapping lives as long as the view. Its contract:
+    - simq replaces an image only by renaming a complete new file over
+      it ({!write}), so a process holding a mapping keeps the old inode
+      and its bytes, whatever later opens write;
+    - writing an image file in place (or truncating it) under a running
+      reader is out of contract: the reader may see the new bytes, or
+      be killed by [SIGBUS] for pages the file no longer has;
+    - nothing writes through the mapping: it is private, so even a
+      write (a {!Dataset.lay_out} of the opened data set) would copy
+      the page, never change the file;
+    - a failed mapping ([Unix.Unix_error]) is an invalid image, and so
+      is any image on a big-endian host, which would read other
+      doubles than the file holds: the open takes the cold path. *)
 
 (** What an image must have been written for. *)
 type key = {
   count : int;
   n : int;
   digest : int64;  (** of every series value's bits, in id order *)
+  code : int64;
+      (** the fingerprint of the preparing code: the bits of one fixed
+          probe series of length [n] prepared by the cold path — its
+          moments, its spectrum and, when [n] allows one, its feature
+          point — so that a change to the normal form, the FFT or the
+          feature map is caught even when the format version was not
+          bumped *)
 }
 
 (** A read image: the arrays {!Dataset.of_prepared} and
-    {!Simq_rtree.Bulk.pack} take. *)
+    {!Simq_rtree.Bulk.pack} take. [spectra] is a view of the file's
+    mapping; the other fields are copies. *)
 type t = {
   means : float array;  (** by id *)
   stds : float array;  (** by id *)
@@ -44,7 +73,7 @@ type t = {
 val path : string -> string
 
 (** [key r] is the key of [r]'s image; it reads every series value
-    once. *)
+    once and prepares one probe series. *)
 val key : Simq_storage.Relation.t -> key
 
 (** [write ~like path key dataset ~shape] writes the image of
@@ -65,7 +94,9 @@ val write :
   unit
 
 (** [read ~like path key] is the image at [path] when it was written
-    for [key]; [None] when there is no readable file, when its
+    for [key], mapped (see {e The mapping} above); [None] when there is
+    no readable regular file, when it cannot be mapped, on a big-endian
+    host, when its
     permission bits allow more than {!write} gives an image of a file
     with stats [like], or when it is short, has trailing bytes, another
     header, a field out of range (a non-finite moment, a negative std,

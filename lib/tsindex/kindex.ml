@@ -191,7 +191,7 @@ let mirrors t spec =
 let twin_slack t spec ~query_norm =
   if mirrors t spec then slack t spec ~query_norm else infinity
 
-let spectrum_norm (x : Flat.t) = sqrt (Simq_dsp.Spectrum.energy_real x)
+let spectrum_norm x = sqrt (Flat.energy x)
 
 (* The twin abandon's state for a finite slack, made once per query. *)
 let mirror_of twin =
@@ -706,6 +706,37 @@ let nn_refinement t prepared (q : Dataset.query) ~twin ~count =
     in
     Some (key, refine)
 
+(* A NEAREST query prepared once: the query entry, the transformation
+   and the node bound's query side. It depends on the index only
+   through its series length and feature configuration, and is read
+   only, so the shards of one data set share it across domains. *)
+type nearest_query = {
+  nlength : int;
+  nconfig : Feature.config;
+  q : Dataset.query;
+  prepared : prepared;
+  nq : nn_query;
+}
+
+let nearest_query t spec query =
+  check_query_length t spec query;
+  let q = Dataset.prepare_query query in
+  let prepared = prepare t spec in
+  let twin =
+    twin_slack t spec ~query_norm:(spectrum_norm q.Dataset.qspectrum)
+  in
+  {
+    nlength = Dataset.series_length t.dataset;
+    nconfig = t.config;
+    q;
+    prepared;
+    nq = nn_query t prepared q ~twin;
+  }
+
+let check_fits t r =
+  if r.nlength <> Dataset.series_length t.dataset || r.nconfig <> t.config
+  then invalid_arg "Kindex: nearest query prepared for another index"
+
 (* The one NN traversal behind {!nearest} and {!nearest_checked}:
    best-first over the tree with per-feature geometric bounds on the
    nodes ([RKV95]), data entries keyed by the sketch bound when one is
@@ -716,14 +747,8 @@ let nn_refinement t prepared (q : Dataset.query) ~twin ~count =
    when a budget or a profile asks for them; the profile node counts
    the entries keyed as its rows in and the refinements as its
    candidates. *)
-let nn_query_of t prepared q =
-  nn_query t prepared q
-    ~twin:
-      (twin_slack t prepared.pspec
-         ~query_norm:(spectrum_norm q.Dataset.qspectrum))
-
-let nearest_run ?bstate ?sketch_bound ?within ~pn ~visits t prepared q ~k =
-  let nq = nn_query_of t prepared q in
+let nearest_run ?bstate ?sketch_bound ?within ~pn ~visits t r ~k =
+  let nq = r.nq and prepared = r.prepared and q = r.q in
   let twin = nq.twin in
   let visit =
     match (bstate, pn) with
@@ -758,24 +783,13 @@ let nearest_run ?bstate ?sketch_bound ?within ~pn ~visits t prepared q ~k =
     ~key ~rank:Fun.id ~k
   |> List.map (fun (_, id, d) -> (Dataset.get t.dataset id, d))
 
-(* What both NN entry points prepare before traversing, inside their
-   [kindex.nearest] node: the query entry, the transformation and the
-   sketch bound, named in the node's detail. *)
-let nearest_request ~spec ?sketch ~pn t ~query ~k =
-  check_query_length t spec query;
-  let q = Dataset.prepare_query query in
-  let prepared = prepare t spec in
-  let sketch_bound = nn_point_bound t sketch q in
-  Profile.set_detail pn (nn_detail ~k sketch_bound);
-  (q, prepared, sketch_bound)
-
 let nearest ?(spec = Spec.Identity) ?sketch ?profile t ~query ~k =
   Profile.with_op profile "kindex.nearest" @@ fun pn ->
-  let q, prepared, sketch_bound =
-    nearest_request ~spec ?sketch ~pn t ~query ~k
-  in
+  let r = nearest_query t spec query in
+  let sketch_bound = nn_point_bound t sketch r.q in
+  Profile.set_detail pn (nn_detail ~k sketch_bound);
   let visits = ref 0 in
-  let answers = nearest_run ?sketch_bound ~pn ~visits t prepared q ~k in
+  let answers = nearest_run ?sketch_bound ~pn ~visits t r ~k in
   Profile.add_pages pn !visits;
   Profile.add_rows_out pn (List.length answers);
   answers
@@ -807,15 +821,21 @@ let nearest_scan_counted ?bstate ?profile t ~dist ~k =
   Profile.add_rows_out pn n;
   Array.to_list (Array.sub scored 0 n)
 
+let nearest_scan_of t r ~budget ~profile ~k =
+  if k <= 0 then invalid_arg "Kindex.nearest_scan: k must be positive";
+  let dist = prepared_distance t r.prepared r.q in
+  Retry.with_retries ?profile ~budget (fun bstate ->
+      nearest_scan_counted ?bstate ?profile t ~dist ~k)
+
 let nearest_scan ?(spec = Spec.Identity) ?(budget = Budget.unlimited) ?profile
     t ~query ~k =
   check_query_length t spec query;
   if k <= 0 then invalid_arg "Kindex.nearest_scan: k must be positive";
-  let q = Dataset.prepare_query query in
-  let prepared = prepare t spec in
-  let dist = prepared_distance t prepared q in
-  Retry.with_retries ?profile ~budget (fun bstate ->
-      nearest_scan_counted ?bstate ?profile t ~dist ~k)
+  nearest_scan_of t (nearest_query t spec query) ~budget ~profile ~k
+
+let nearest_scan_prepared t r ~budget ~profile ~k =
+  check_fits t r;
+  nearest_scan_of t r ~budget ~profile ~k
 
 (* What admission control knows about an NN query before running it:
    catalogue metadata only, and the exact answer fraction k/N in place
@@ -838,12 +858,13 @@ type nearest_result = {
   admission : Simq_admission.decision option;
 }
 
-let nearest_checked ?(spec = Spec.Identity) ?(budget = Budget.unlimited)
-    ?admission ?within ?profile t ~query ~k =
-  check_query_length t spec query;
-  if k <= 0 then invalid_arg "Kindex.nearest_checked: k must be positive";
-  Profile.with_op profile "kindex.nearest" @@ fun pn ->
-  let q, prepared, _ = nearest_request ~spec ~pn t ~query ~k in
+(* The body of {!nearest_checked} inside its [kindex.nearest] node,
+   for a query prepared by [prepare] (inside the node, so the node's
+   time covers the preparation when the query is prepared for it
+   alone). *)
+let nearest_attempts ?admission ~budget ?within ?profile ~pn t ~prepare ~k =
+  let r = prepare () in
+  Profile.set_detail pn (nn_detail ~k None);
   let visits = ref 0 in
   (* Admission runs once, before any attempt: the decision is a pure
      function of catalogue metadata, the budget and a registry
@@ -880,16 +901,30 @@ let nearest_checked ?(spec = Spec.Identity) ?(budget = Budget.unlimited)
            match decision with
            | Some Simq_admission.Degrade_to_scan ->
              nearest_scan_counted ?bstate ?profile t
-               ~dist:(prepared_distance t prepared q) ~k
-           | _ -> nearest_run ?bstate ?within ~pn ~visits t prepared q ~k))
+               ~dist:(prepared_distance t r.prepared r.q) ~k
+           | _ -> nearest_run ?bstate ?within ~pn ~visits t r ~k))
+
+let nearest_checked ?(spec = Spec.Identity) ?(budget = Budget.unlimited)
+    ?admission ?within ?profile t ~query ~k =
+  check_query_length t spec query;
+  if k <= 0 then invalid_arg "Kindex.nearest_checked: k must be positive";
+  Profile.with_op profile "kindex.nearest" @@ fun pn ->
+  nearest_attempts ?admission ~budget ?within ?profile ~pn t
+    ~prepare:(fun () -> nearest_query t spec query)
+    ~k
+
+let nearest_prepared t r ~budget ~within ~profile ~k =
+  check_fits t r;
+  if k <= 0 then invalid_arg "Kindex.nearest_checked: k must be positive";
+  Profile.with_op profile "kindex.nearest" @@ fun pn ->
+  nearest_attempts ~budget ~within ?profile ~pn t ~prepare:(fun () -> r) ~k
+  |> Result.map (fun result -> result.neighbours)
 
 (* The node bound of a whole box: what the traversal would key a node
    with that MBR under. *)
-let nearest_probe ?(spec = Spec.Identity) t ~query =
-  check_query_length t spec query;
-  let prepared = prepare t spec in
-  let nq = nn_query_of t prepared (Dataset.prepare_query query) in
+let nearest_bound t r =
+  check_fits t r;
   let cell = Flat.acc () in
   fun box ->
-    node_bound t nq box cell;
+    node_bound t r.nq box cell;
     cell.Flat.sum

@@ -31,7 +31,9 @@ val build : ?config:Feature.config -> ?max_fill:int -> Dataset.t -> t
     spectra, head rows, slots, node order and node MBRs. When [file]'s
     prepared image ({!Image.path}) was written for this relation
     ({!Image.read}), it is read instead and nothing is prepared or
-    sorted (trace span ["image.open"]). Otherwise the index is prepared
+    sorted (trace span ["image.open"]): the data set's spectra are then
+    a view of the image's private mapping, read in place (see
+    {!Image}). Otherwise the index is prepared
     and built (spans ["prepare"] and ["build"]) and the image written
     with [file]'s permission bits (span ["image.write"]); a write that
     fails is ignored. Raises what {!Dataset.of_relation} and {!build}
@@ -312,16 +314,59 @@ val nearest_checked :
   k:int ->
   (nearest_result, Simq_fault.Error.t) Result.t
 
-(** [nearest_probe ?spec t ~query] is the node bound of {!nearest}
-    detached from the tree: applied to a box of feature points (a node
-    MBR, or a shard's catalogue box in {!module:Simq_shard}) it is the
-    lower bound, twins counted as in the traversal, on the distance
-    from [query] to every entry whose feature point the box holds.
-    The returned function reuses one cell: call it from one domain at
-    a time. Raises [Invalid_argument] when [query] has the wrong
-    length. *)
-val nearest_probe :
-  ?spec:Spec.t -> t -> query:Simq_series.Series.t -> Simq_geometry.Rect.t -> float
+(** {2 A NEAREST prepared once}
+
+    The entry points above prepare their query on every call. A caller
+    that poses one query to several indexes of the same series length
+    and feature configuration — the shards of {!module:Simq_shard} —
+    prepares it once and hands it to each. *)
+
+(** A prepared NEAREST query: the query entry
+    ({!Dataset.prepare_query}), the transformation ({!prepare}) and the
+    query side of the node bound. Read only: one value may be used
+    from several domains at once. *)
+type nearest_query
+
+(** [nearest_query t spec query] prepares [query] under [spec] for [t]
+    and every index of [t]'s series length and feature configuration.
+    Raises [Invalid_argument] when [query] has the wrong length. *)
+val nearest_query : t -> Spec.t -> Simq_series.Series.t -> nearest_query
+
+(** [nearest_prepared t r ~budget ~within ~profile ~k] is
+    [nearest_checked ~spec ~budget ~within ?profile t ~query ~k] for
+    the query [r] was prepared from, without admission: the same
+    answers, counts and profile node, returned as the neighbours.
+    Raises [Invalid_argument] when [k <= 0] or [r] was prepared for an
+    index of another length or configuration. *)
+val nearest_prepared :
+  t ->
+  nearest_query ->
+  budget:Simq_fault.Budget.t ->
+  within:float ->
+  profile:Simq_obs.Profile.t option ->
+  k:int ->
+  ((Dataset.entry * float) list, Simq_fault.Error.t) Result.t
+
+(** [nearest_scan_prepared t r ~budget ~profile ~k] is {!nearest_scan}
+    for the query [r] was prepared from. Raises [Invalid_argument] as
+    {!nearest_prepared} does. *)
+val nearest_scan_prepared :
+  t ->
+  nearest_query ->
+  budget:Simq_fault.Budget.t ->
+  profile:Simq_obs.Profile.t option ->
+  k:int ->
+  ((Dataset.entry * float) list, Simq_fault.Error.t) Result.t
+
+(** [nearest_bound t r] is the node bound of {!nearest} detached from
+    the tree, for the query [r] was prepared from: applied to a box of
+    feature points (a node MBR, or a shard's catalogue box in
+    {!module:Simq_shard}) it is the lower bound, twins counted as in
+    the traversal, on the distance from the query to every entry whose
+    feature point the box holds. The returned function reuses one
+    cell: call it from one domain at a time. Raises [Invalid_argument]
+    as {!nearest_prepared} does. *)
+val nearest_bound : t -> nearest_query -> Simq_geometry.Rect.t -> float
 
 (** [range_generic t ?spec ~query_coeffs ~epsilon ~distance] is a
     range traversal with a caller's distance: [query_coeffs] are the

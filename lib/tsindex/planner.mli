@@ -21,16 +21,12 @@ val histogram : stats -> float * int array
     [epsilon], linear interpolation inside buckets. *)
 val selectivity : stats -> epsilon:float -> float
 
-(** [estimate_answers stats ~cardinality ~epsilon] scales the
-    selectivity to an expected answer count. *)
-val estimate_answers : stats -> cardinality:int -> epsilon:float -> float
-
 type plan = Use_index | Use_scan
 
 (** [choose stats ~cardinality ~epsilon] picks the access path: scan
     when the expected answer fraction exceeds 0.3 (the paper's “one
     third of the relation” crossover). Returns the plan and the
-    expected answer count. *)
+    expected answer count, the selectivity scaled by [cardinality]. *)
 val choose : stats -> cardinality:int -> epsilon:float -> plan * float
 
 val pp_plan : Format.formatter -> plan -> unit

@@ -25,7 +25,10 @@ let warp_stretch m ~n ~k =
   Dsp.Flat.of_cpx (Dsp.Cpx.scale_array (1. /. sqrt (float_of_int m)) a)
 
 let compute t ~n =
-  let constant re = Array.init (2 * n) (fun i -> if i mod 2 = 0 then re else 0.) in
+  let constant re =
+    Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout (2 * n) (fun i ->
+        if i mod 2 = 0 then re else 0.)
+  in
   match t with
   | Identity -> constant 1.
   | Moving_average m -> Dsp.Window.transfer n (Dsp.Window.uniform m)

@@ -326,7 +326,9 @@ let test_fft_callers_bit_identical () =
 let test_fft_flat_odd_buffer () =
   Alcotest.check_raises "odd buffer"
     (Invalid_argument "Fft.fft_inplace: odd buffer length") (fun () ->
-      Fft.fft_inplace [| 1.; 2.; 3. |])
+      Fft.fft_inplace
+        (Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout
+           [| 1.; 2.; 3. |]))
 
 (* --- Convolution ------------------------------------------------------ *)
 

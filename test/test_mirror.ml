@@ -407,7 +407,7 @@ let test_dist_within_twin () =
               let qs = q.Dataset.qspectrum in
               let slack =
                 Kindex.twin_slack idx spec
-                  ~query_norm:(sqrt (Simq_dsp.Spectrum.energy_real qs))
+                  ~query_norm:(sqrt (Flat.energy qs))
               in
               Alcotest.(check bool) (label ^ ": twins") true
                 (Float.is_finite slack);

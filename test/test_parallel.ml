@@ -278,7 +278,7 @@ let reference_join ~abandon d spec epsilon =
     entries;
   let threshold = epsilon *. epsilon in
   let limit = if abandon then threshold else infinity in
-  let key i = if n < 2 then 0. else spectra.(2 * ((i * n) + 1)) in
+  let key i = if n < 2 then 0. else spectra.{2 * ((i * n) + 1)} in
   let slack =
     if n >= 2 * Flat.head_width && n >= (2 * Feature.default.Feature.k) + 2
     then

@@ -66,22 +66,24 @@ let prop_escape_roundtrip =
     arb_raw_line (fun s ->
       let escaped = Protocol.escape s in
       String.for_all (fun c -> c <> '\n' && c <> '\r') escaped
-      && Protocol.unescape escaped = Ok s)
+      && Protocol.parse_request ("RANGE " ^ escaped)
+         = Ok (Protocol.Query { profile = false; spec = "RANGE " ^ s }))
 
 let test_unescape_rejects_bad_escapes () =
-  (match Protocol.unescape "a\\qb" with
+  (match Protocol.parse_request "a\\qb" with
   | Error _ -> ()
-  | Ok s -> Alcotest.failf "unknown escape accepted as %S" s);
-  match Protocol.unescape "dangling\\" with
+  | Ok _ -> Alcotest.fail "unknown escape accepted");
+  match Protocol.parse_request "dangling\\" with
   | Error _ -> ()
-  | Ok s -> Alcotest.failf "dangling backslash accepted as %S" s
+  | Ok _ -> Alcotest.fail "dangling backslash accepted"
 
 let test_escape_handles_newlines () =
   let spec = "RANGE FROM r\nQUERY s1\tEPS 2.0\r" in
   let escaped = Protocol.escape spec in
   Alcotest.(check bool) "single line" false (String.contains escaped '\n');
-  Alcotest.(check (result string string)) "round-trips" (Ok spec)
-    (Protocol.unescape escaped)
+  Alcotest.(check bool) "round-trips" true
+    (Protocol.parse_request escaped
+    = Ok (Protocol.Query { profile = false; spec }))
 
 (* --- served answers equal offline execution -------------------------------- *)
 

@@ -18,6 +18,13 @@ let check_same_answers msg expected actual =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* A flat buffer's doubles as a float array, and a float array as a
+   flat buffer. *)
+let floats (x : Simq_dsp.Flat.t) =
+  Array.init (Bigarray.Array1.dim x) (fun i -> x.{i})
+
+let flat a = Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout a
+
 let query_for dataset spec seed =
   (* A query built by perturbing one of the data series keeps answer sets
      non-trivial. *)
@@ -165,7 +172,7 @@ let test_spec_stretch_two_domains () =
       Alcotest.(check bool)
         (Printf.sprintf "window %d: fresh doubles" j)
         true
-        (Array.for_all2 same_bits fresh s);
+        (Array.for_all2 same_bits (floats fresh) (floats s));
       Alcotest.(check bool)
         (Printf.sprintf "window %d: one buffer" j)
         true
@@ -217,10 +224,10 @@ let boxed_sq_dist ~stretch ~limit x y =
 let heads_of spectra =
   let module Flat = Simq_dsp.Flat in
   let w = Flat.head_width in
-  let heads = Array.make (2 * w * Array.length spectra) 0. in
+  let heads = Flat.zeros (w * Array.length spectra) in
   Array.iteri
     (fun r x ->
-      Array.blit x 0 heads (2 * w * r) (Int.min (2 * w) (Array.length x)))
+      Flat.blit x ~pos:0 heads ~off:(w * r) ~len:(Int.min w (Flat.length x)))
     spectra;
   heads
 
@@ -229,7 +236,7 @@ let heads_of spectra =
 let rows_of ~stretch ?order spectra =
   let module Flat = Simq_dsp.Flat in
   Flat.rows ~stretch ?order ~heads:(heads_of spectra)
-    (Array.concat (Array.to_list spectra))
+    (flat (Array.concat (List.map floats (Array.to_list spectra))))
     (Array.init (Array.length spectra) Fun.id)
 
 let test_flat_kernel_matches_boxed () =
@@ -309,7 +316,7 @@ let test_dist_within () =
     Flat.dist_within ~stretch ~lo ~hi x xo y yo acc ~within:cell;
     cell.Flat.sum
   in
-  let x = [| 1.; 1.; 1.; 0.; 0.; 0.; 0.; 0. |] and y = Array.make 8 0. in
+  let x = flat [| 1.; 1.; 1.; 0.; 0.; 0.; 0.; 0. |] and y = Flat.zeros 4 in
   let within = sqrt 3. in
   Alcotest.(check bool) "the limit rounds below the sum" true
     (within *. within < 3.);
@@ -374,7 +381,7 @@ let test_row_kernel_matches_boxed () =
     (fun n ->
       let spectra =
         Array.init count (fun _ ->
-            Array.init (2 * n) (fun _ -> Random.State.float state 2. -. 1.))
+            flat (Array.init (2 * n) (fun _ -> Random.State.float state 2. -. 1.)))
       in
       let boxed = Array.map Flat.to_cpx spectra in
       let specs =
@@ -480,7 +487,7 @@ let test_row_kernel_matches_boxed () =
     [ 2; 3; 4; 16; 64 ];
   (* The kernel allocates nothing: only the two [Gc.minor_words]
      results are boxed across a thousand rows. *)
-  let spectra = Array.init count (fun _ -> Array.make 128 0.5) in
+  let spectra = Array.init count (fun _ -> flat (Array.make 128 0.5)) in
   let rows =
     rows_of
       ~stretch:(Spec.stretch (Spec.Moving_average 4) ~n:64)
@@ -1704,7 +1711,7 @@ let test_planner_estimates_roughly_correct () =
                <= epsilon)
         |> List.length
       in
-      let estimate = Planner.estimate_answers stats ~cardinality:300 ~epsilon in
+      let _, estimate = Planner.choose stats ~cardinality:300 ~epsilon in
       (* Pairwise-sample estimates are coarse; require the right order of
          magnitude for mid-range epsilons. *)
       if truth >= 30 then
@@ -1860,8 +1867,8 @@ let rec check_node msg (a : int Node.node) (b : int Node.node) =
    query (each row's energy) and a random one. *)
 let head_probes n =
   let st = Random.State.make [| n |] in
-  [ Array.make (2 * n) 0.;
-    Array.init (2 * n) (fun _ -> Random.State.float st 2. -. 1.) ]
+  [ Simq_dsp.Flat.zeros n;
+    flat (Array.init (2 * n) (fun _ -> Random.State.float st 2. -. 1.)) ]
 
 let head_sums d s probes =
   let acc = Simq_dsp.Flat.acc () in
@@ -1887,7 +1894,9 @@ let check_same_index msg built opened =
         [| a.Dataset.mean; a.Dataset.std |]
         [| b.Dataset.mean; b.Dataset.std |])
     (Dataset.entries db) (Dataset.entries dop);
-  check_bits (msg ^ ": spectra") (Dataset.spectra db) (Dataset.spectra dop);
+  check_bits (msg ^ ": spectra")
+    (floats (Dataset.spectra db))
+    (floats (Dataset.spectra dop));
   let probes = head_probes (Dataset.series_length db) in
   for s = 0 to count - 1 do
     Alcotest.(check int) (msg ^ ": slot order") (Dataset.id_at db s)
@@ -2142,6 +2151,90 @@ let test_image_path_is_directory () =
        (fun f -> f <> prefix && String.starts_with ~prefix f)
        (Array.to_list (Sys.readdir (Filename.dirname path))))
 
+(* An image keyed for other preparing code: complete, its trailer
+   right, only the fingerprint word another. *)
+let test_image_code_mismatch () =
+  with_relation_file (image_batch ~seed:9 ~count:40 ~n:32) @@ fun path ->
+  let built = built_of path in
+  let key = Image.key (Relation.load path) and like = Unix.stat path in
+  Image.write ~like (Image.path path)
+    { key with Image.code = Int64.succ key.Image.code }
+    (Kindex.dataset built)
+    ~shape:(Bulk.shape (Kindex.tree built));
+  Alcotest.(check bool) "another fingerprint is rejected" false
+    (image_valid path);
+  let stale = inode (Image.path path) in
+  let opened = open_path path in
+  check_same_index "another fingerprint" built opened;
+  Alcotest.(check bool) "and rewritten" true
+    (image_valid path && inode (Image.path path) <> stale)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* An opened index reads its image's pages in place. Rewriting the
+   relation and renaming another relation's image over its image
+   leaves it the old file's bytes: it answers as before. *)
+let test_image_replaced_under_reader () =
+  with_relation_file (image_batch ~seed:21 ~count:120 ~n:64) @@ fun path ->
+  let built = built_of path in
+  ignore (open_path path : Kindex.t);
+  let mapped = inode (Image.path path) in
+  let warm = open_path path in
+  Alcotest.(check bool) "the open read the image" true
+    (inode (Image.path path) = mapped);
+  let other_batch = image_batch ~seed:22 ~count:80 ~n:64 in
+  with_relation_file other_batch @@ fun other ->
+  ignore (open_path other : Kindex.t);
+  save_relation path other_batch;
+  Sys.rename (Image.path other) (Image.path path);
+  Alcotest.(check bool) "the new image is the new relation's" true
+    (image_valid path && inode (Image.path path) <> mapped);
+  check_same_index "replaced" built warm;
+  check_same_queries "replaced" built warm
+
+(* A batch of RANGE, NEAREST and the three PAIRS methods on an opened
+   index, plain and over four shards, writes nothing into its image,
+   and leaves the index's spectra those of a fresh build. *)
+let test_image_unchanged_by_batch () =
+  let module Engine = Simq_serve.Engine in
+  with_relation_file (image_batch ~seed:23 ~count:150 ~n:128) @@ fun path ->
+  ignore (open_path path : Kindex.t);
+  let image = read_file (Image.path path) in
+  let warm = open_path path and built = built_of path in
+  let texts =
+    [|
+      "RANGE FROM r QUERY s3 EPS 6";
+      "RANGE FROM r USING mavg(3) QUERY s5 EPS 6";
+      "NEAREST 5 FROM r QUERY s7";
+      "NEAREST 5 FROM r USING rev QUERY s2";
+      "PAIRS FROM r EPS 4 METHOD scan";
+      "PAIRS FROM r USING mavg(3) EPS 4 METHOD scan-early";
+      "PAIRS FROM r USING rev EPS 4 METHOD index";
+    |]
+  in
+  let results ?shards index =
+    Array.map
+      (fun (_, result) ->
+        match result with
+        | Ok (o : Engine.outcome) ->
+          Alcotest.(check bool) "some answers" true (o.Engine.answers > 0);
+          Simq_obs.Json.to_string o.Engine.results
+        | Error e -> Alcotest.failf "batch failed: %s" (Simq_cli.message e))
+      (Engine.batch (Engine.create ?shards index) texts)
+  in
+  List.iter
+    (fun shards ->
+      let what =
+        match shards with None -> "plain" | Some k -> Printf.sprintf "%d shards" k
+      in
+      Alcotest.(check (array string))
+        (what ^ ": answers") (results ?shards built) (results ?shards warm);
+      Alcotest.(check bool)
+        (what ^ ": the image's bytes are unchanged") true
+        (String.equal image (read_file (Image.path path)));
+      check_same_index what built warm)
+    [ None; Some 4 ]
+
 (* --- property-based -------------------------------------------------------------- *)
 
 let arb_setup =
@@ -2283,6 +2376,12 @@ let () =
             test_image_three_levels;
           Alcotest.test_case "the relation's permission bits" `Quick
             test_image_permissions;
+          Alcotest.test_case "another code fingerprint is rewritten" `Quick
+            test_image_code_mismatch;
+          Alcotest.test_case "replaced by rename under a reader" `Quick
+            test_image_replaced_under_reader;
+          Alcotest.test_case "a batch leaves the image unchanged" `Quick
+            test_image_unchanged_by_batch;
         ] );
       ( "constraints",
         [

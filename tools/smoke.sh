@@ -46,8 +46,10 @@
 # 100 and 7, where every shard after the first runs under the first's
 # k-th distance, and the prepared
 # image: a second query opened from it (an image.open span, no prepare
-# or build span) printing the first one's rows, and a directory in the
-# image's place ignored, and warp(2) RANGE and NEAREST and index PAIRS
+# or build span) printing the first one's rows, a directory in the
+# image's place ignored, and a daemon that opened the image answering
+# from it after the relation is regenerated and a query replaces the
+# image, and warp(2) RANGE and NEAREST and index PAIRS
 # under mavg(4) printing the same rows cold and warm, plain and with
 # --shards 4 --sketch.
 #
@@ -579,6 +581,59 @@ mkdir dir.rel.prepared
 "$simq" query dir.rel "$image_spec" >dir.out
 sed 1d dir.out | cmp -s - cold.rows || {
   echo "smoke: a directory in the image's place changed the rows" >&2
+  exit 1
+}
+
+echo "== prepared image: a daemon keeps its mapped image when a query replaces it"
+# A daemon opened from the image reads its spectra from the mapped
+# file. The relation is then regenerated at the same path and a query
+# rewrites the image (a new file renamed over the old one): the daemon
+# still answers from the old relation, which stress --verify replays
+# offline against a copy of it, and the query prints the new
+# relation's rows, those of a fresh copy without an image.
+"$simq" generate --count 300 --length 64 -o mapped.rel >/dev/null
+"$simq" query mapped.rel "$image_spec" >mapped-first.out
+cp mapped.rel mapped-old.rel
+: >mapped.err
+"$simq" serve mapped.rel 2>mapped.err &
+mapped_pid=$!
+mapped_port=
+i=0
+while [ -z "$mapped_port" ]; do
+  mapped_port=$(sed -n 's!.*serving queries on 127\.0\.0\.1:\([0-9]*\)$!\1!p' mapped.err | head -n 1)
+  kill -0 "$mapped_pid" 2>/dev/null || break
+  [ "$i" -lt 400 ] || break
+  sleep 0.02
+  i=$((i + 1))
+done
+[ -n "$mapped_port" ] || {
+  echo "smoke: the image daemon never announced its port" >&2
+  cat mapped.err >&2
+  exit 1
+}
+"$simq" generate --count 300 --length 64 --seed 2024 -o mapped.rel >/dev/null
+cp mapped.rel mapped-new.rel
+"$simq" query mapped.rel "$image_spec" >mapped-second.out
+"$simq" query mapped-new.rel "$image_spec" >mapped-fresh.out
+sed 1d mapped-second.out >mapped-second.rows
+sed 1d mapped-fresh.out | cmp -s mapped-second.rows - || {
+  echo "smoke: the query after the regeneration printed other rows than the new relation's" >&2
+  exit 1
+}
+sed 1d mapped-first.out | cmp -s mapped-second.rows - && {
+  echo "smoke: the regenerated relation printed the old relation's rows" >&2
+  exit 1
+}
+"$simq" stress mapped-old.rel --port "$mapped_port" --clients 2 --queries 10 \
+  --verify --shutdown >mapped-stress.out || {
+  echo "smoke: the daemon stopped answering from its mapped image" >&2
+  cat mapped-stress.out >&2
+  cat mapped.err >&2
+  exit 1
+}
+wait "$mapped_pid" || {
+  echo "smoke: the image daemon did not exit cleanly after shutdown" >&2
+  cat mapped.err >&2
   exit 1
 }
 
