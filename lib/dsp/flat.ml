@@ -34,19 +34,18 @@ let coeff x f =
 let sub x ~pos ~len = Array.init len (fun i -> coeff x (pos + i))
 let to_cpx x = sub x ~pos:0 ~len:(length x)
 
+(* One [memmove] of [len] doubles, no allocation: a row copied through
+   [A.sub] views makes two custom blocks, and a loop over the elements
+   costs several times the copy. *)
+external memmove : t -> int -> t -> int -> int -> unit = "simq_flat_blit"
+[@@noalloc]
+
 let blit x ~pos y ~off ~len =
   if pos < 0 || off < 0 || len < 0
      || 2 * (pos + len) > dim x
      || 2 * (off + len) > dim y
   then invalid_arg "Flat.blit: out of bounds";
-  let pos = 2 * pos and off = 2 * off in
-  (* A whole row moves by one [memmove] through two views; a few
-     coefficients (a head row) cost less copied than viewed. *)
-  if len >= 16 then A.blit (A.sub x pos (2 * len)) (A.sub y off (2 * len))
-  else
-    for i = 0 to (2 * len) - 1 do
-      set y (off + i) (get x (pos + i))
-    done
+  memmove x (2 * pos) y (2 * off) (2 * len)
 
 let energy x =
   let e = ref 0. in

@@ -46,8 +46,9 @@ val to_cpx : t -> Cpx.t array
 
 (** [blit x ~pos y ~off ~len] copies coefficients [pos .. pos+len-1]
     of [x] to coefficients [off .. off+len-1] of [y], double for
-    double. The ranges must not overlap unless they are the same.
-    Raises [Invalid_argument] when a range falls outside its buffer. *)
+    double, by one [memmove] (overlapping ranges included), allocating
+    nothing. Raises [Invalid_argument] when a range falls outside its
+    buffer. *)
 val blit : t -> pos:int -> t -> off:int -> len:int -> unit
 
 (** [energy x] is the sum of the squares of [x]'s doubles in index

@@ -446,9 +446,6 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
   match preflight ?admission ~budget ~keep ~selectivity ~sketch_levels t with
   | Error e -> Error e
   | Ok decisions ->
-    (* A profiled query gives every shard task a private profile, so
-       no two domains record into one tree; the gather copies its
-       counts into [shard.i] on the coordinating domain. *)
     (* The query is prepared once, for the probe and every shard: the
        shards share one series length and feature configuration. *)
     let r =
@@ -456,11 +453,14 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
         (Option.value spec ~default:Spec.Identity)
         query
     in
+    (* A profiled query gives every shard task a private profile, so
+       no two domains record into one tree; the gather copies its
+       counts into [shard.i] on the coordinating domain. *)
     let task ~within s =
       let sp = Option.map (fun _ -> Profile.create ()) profile in
       let scan () =
         match
-          Kindex.nearest_scan_prepared s.sindex r ~budget ~profile:sp ~k
+          Kindex.nearest_scan s.sindex r ~budget ~profile:sp ~k
         with
         | Ok answers -> nn_run t s ~sp ~scan:true answers
         | Error e -> raise (Shard_failed e)

@@ -821,21 +821,12 @@ let nearest_scan_counted ?bstate ?profile t ~dist ~k =
   Profile.add_rows_out pn n;
   Array.to_list (Array.sub scored 0 n)
 
-let nearest_scan_of t r ~budget ~profile ~k =
+let nearest_scan t r ~budget ~profile ~k =
+  check_fits t r;
   if k <= 0 then invalid_arg "Kindex.nearest_scan: k must be positive";
   let dist = prepared_distance t r.prepared r.q in
   Retry.with_retries ?profile ~budget (fun bstate ->
       nearest_scan_counted ?bstate ?profile t ~dist ~k)
-
-let nearest_scan ?(spec = Spec.Identity) ?(budget = Budget.unlimited) ?profile
-    t ~query ~k =
-  check_query_length t spec query;
-  if k <= 0 then invalid_arg "Kindex.nearest_scan: k must be positive";
-  nearest_scan_of t (nearest_query t spec query) ~budget ~profile ~k
-
-let nearest_scan_prepared t r ~budget ~profile ~k =
-  check_fits t r;
-  nearest_scan_of t r ~budget ~profile ~k
 
 (* What admission control knows about an NN query before running it:
    catalogue metadata only, and the exact answer fraction k/N in place

@@ -236,26 +236,6 @@ val nearest :
   t ->
   query:Simq_series.Series.t -> k:int -> (Dataset.entry * float) list
 
-(** [nearest_scan t ?spec ?budget ~query ~k] answers the same
-    query as {!nearest} through an exact linear selection over the
-    prepared entries — the degraded NN path, exposed so callers (the
-    scatter-gather executor of {!module:Simq_shard}) can degrade one
-    partition without an admission verdict. Priced like the scan path:
-    one comparison and one logical page read per series against
-    [budget], each page read consulting its fault plan; ties at the
-    [k] boundary break on the entry id, so the selection is
-    deterministic at every domain count. Returns the answers (closest
-    first) or a typed error; each retry attempt gets a fresh budget
-    state. *)
-val nearest_scan :
-  ?spec:Spec.t ->
-  ?budget:Simq_fault.Budget.t ->
-  ?profile:Simq_obs.Profile.t ->
-  t ->
-  query:Simq_series.Series.t ->
-  k:int ->
-  ((Dataset.entry * float) list, Simq_fault.Error.t) Result.t
-
 type nearest_result = {
   neighbours : (Dataset.entry * float) list;
       (** the {!nearest} answer, closest first *)
@@ -347,10 +327,19 @@ val nearest_prepared :
   k:int ->
   ((Dataset.entry * float) list, Simq_fault.Error.t) Result.t
 
-(** [nearest_scan_prepared t r ~budget ~profile ~k] is {!nearest_scan}
-    for the query [r] was prepared from. Raises [Invalid_argument] as
+(** [nearest_scan t r ~budget ~profile ~k] answers the query [r] was
+    prepared from as {!nearest} does, through an exact linear
+    selection over the prepared entries — the degraded NN path,
+    exposed so callers (the scatter-gather executor of
+    {!module:Simq_shard}) can degrade one partition without an
+    admission verdict. Priced like the scan path: one comparison and
+    one logical page read per series against [budget], each page read
+    consulting its fault plan; ties at the [k] boundary break on the
+    entry id, so the selection is deterministic at every domain count.
+    Returns the answers (closest first) or a typed error; each retry
+    attempt gets a fresh budget state. Raises [Invalid_argument] as
     {!nearest_prepared} does. *)
-val nearest_scan_prepared :
+val nearest_scan :
   t ->
   nearest_query ->
   budget:Simq_fault.Budget.t ->

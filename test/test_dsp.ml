@@ -323,6 +323,27 @@ let test_fft_callers_bit_identical () =
         (Convolution.circular_fft x y))
     [ 8; 12; 32; 100; 128 ]
 
+(* [Flat.blit] is one memmove: rows copy double for double, an
+   overlapping range moves as a whole, and every range is checked
+   before the copy. *)
+let test_flat_blit () =
+  let x = Flat.of_cpx (Array.init 6 (fun f -> Cpx.make (float_of_int f) (-1.))) in
+  let y = Flat.zeros 4 in
+  Flat.blit x ~pos:2 y ~off:1 ~len:3;
+  check_cpx_arrays "copied"
+    [| Cpx.zero; Cpx.make 2. (-1.); Cpx.make 3. (-1.); Cpx.make 4. (-1.) |]
+    (Flat.to_cpx y);
+  Flat.blit x ~pos:0 x ~off:1 ~len:5;
+  check_cpx_arrays "overlapping"
+    (Array.init 6 (fun f -> Cpx.make (float_of_int (Int.max 0 (f - 1))) (-1.)))
+    (Flat.to_cpx x);
+  List.iter
+    (fun (pos, off, len) ->
+      Alcotest.check_raises "out of bounds"
+        (Invalid_argument "Flat.blit: out of bounds") (fun () ->
+          Flat.blit x ~pos y ~off ~len))
+    [ (4, 0, 3); (0, 2, 3); (-1, 0, 1); (0, -1, 1); (0, 0, -1) ]
+
 let test_fft_flat_odd_buffer () =
   Alcotest.check_raises "odd buffer"
     (Invalid_argument "Fft.fft_inplace: odd buffer length") (fun () ->
@@ -580,6 +601,8 @@ let () =
           Alcotest.test_case "transfer and convolution bit-identical" `Quick
             test_fft_callers_bit_identical;
           Alcotest.test_case "odd buffer rejected" `Quick test_fft_flat_odd_buffer;
+          Alcotest.test_case "blit copies and checks its ranges" `Quick
+            test_flat_blit;
         ] );
       ( "convolution",
         [

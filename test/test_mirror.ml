@@ -276,7 +276,11 @@ let test_nearest_ties () =
                     Printf.sprintf "%s n=%d q=%d k=%d" (Spec.name spec) n qi k
                   in
                   let expected =
-                    match Kindex.nearest_scan ~spec idx ~query ~k with
+                    match
+                      Kindex.nearest_scan idx
+                        (Kindex.nearest_query idx spec query)
+                        ~budget:Simq_fault.Budget.unlimited ~profile:None ~k
+                    with
                     | Ok r -> pairs_of r
                     | Error e ->
                       Alcotest.failf "%s: %s" label

@@ -512,7 +512,11 @@ let test_nn_gather_ties_canonical () =
   in
   let k = 2 in
   let scan =
-    match Kindex.nearest_scan index ~query ~k with
+    match
+      Kindex.nearest_scan index
+        (Kindex.nearest_query index Spec.Identity query)
+        ~budget:Simq_fault.Budget.unlimited ~profile:None ~k
+    with
     | Ok answers -> answers
     | Error e -> Alcotest.failf "nearest_scan failed: %s" (Error.kind e)
   in
