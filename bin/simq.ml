@@ -35,9 +35,7 @@ let load_relation file =
   else
     match Relation.load file with
     | relation -> Ok relation
-    | exception (Failure _ | End_of_file | Sys_error _) ->
-      Error
-        (File (Printf.sprintf "not a relation file (corrupt or truncated): %s" file))
+    | exception (Relation.Invalid_file msg | Sys_error msg) -> Error (File msg)
 
 (* --- parallelism --------------------------------------------------------- *)
 
@@ -152,10 +150,7 @@ let info_cmd_impl file =
     (Relation.name relation)
     (Relation.cardinality relation)
     (Relation.pages relation);
-  if Relation.cardinality relation > 0 then begin
-    let tuple = Relation.get relation 0 in
-    Printf.printf "series length: %d\n" (Array.length tuple.Relation.data)
-  end;
+  Option.iter (Printf.printf "series length: %d\n") (Relation.length relation);
   Ok ()
 
 let file_arg =
@@ -567,12 +562,15 @@ let import_impl csv out =
         ~name:(Filename.remove_extension (Filename.basename out))
         csv
     with
-    | relation ->
-      Relation.save relation out;
-      Printf.printf "imported %d series into %s\n"
-        (Relation.cardinality relation)
-        out;
-      Ok ()
+    | relation -> (
+      match Relation.save relation out with
+      | () ->
+        Printf.printf "imported %d series into %s\n"
+          (Relation.cardinality relation)
+          out;
+        Ok ()
+      | exception Invalid_argument msg -> Error (Csv_error msg)
+      | exception Sys_error msg -> Error (File msg))
     | exception Failure msg -> Error (Csv_error msg)
     | exception Sys_error msg -> Error (File msg)
 

@@ -41,10 +41,10 @@ let () =
       (* Query side: the smoothed normal form of this stock. Data side:
          smoothed reversal. Matches = stocks moving opposite to it. *)
       let query_series = entry.Dataset.series in
-      let smoothed_reversed (candidate : Dataset.entry) =
+      let smoothed_reversed candidate =
         Distance.euclidean
           (Spec.apply_series smooth
-             (Series.reverse_sign (Dataset.normal candidate)))
+             (Series.reverse_sign (Dataset.normal dataset candidate)))
           (Spec.apply_series smooth (Normal_form.normalise query_series))
       in
       (* Data side transformed by smooth∘reverse. Reversal is linear, so

@@ -26,7 +26,7 @@ let build_walks ~seed ~count ~n =
 
 let calibrated_epsilon dataset query ~target =
   let normals =
-    Array.map Dataset.normal (Dataset.entries dataset)
+    Array.init (Dataset.cardinality dataset) (Dataset.normal dataset)
   in
   Queries.epsilon_for_answer_size ~normals
     ~query:(Normal_form.normalise query)
@@ -371,9 +371,8 @@ let table1 ~fast =
   (* Calibrate epsilon so the transformed join finds 12 unordered pairs,
      like the paper's answer set. *)
   let normals =
-    Array.map
-      (fun e -> Spec.apply_series spec (Dataset.normal e))
-      (Dataset.entries dataset)
+    Array.init (Dataset.cardinality dataset) (fun id ->
+        Spec.apply_series spec (Dataset.normal dataset id))
   in
   let pair_distances =
     let acc = ref [] in
@@ -762,9 +761,8 @@ let ablation_rtree ~fast =
   let dataset = Dataset.of_series ~name:"stocks" market in
   let config = Feature.default in
   let points =
-    Array.map
-      (fun (e : Dataset.entry) -> (Feature.point config dataset e, e.Dataset.id))
-      (Dataset.entries dataset)
+    Array.init (Dataset.cardinality dataset) (fun id ->
+        (Feature.point config dataset id, id))
   in
   let dims = Feature.dims config in
   let module Rstar = Simq_rtree.Rstar in

@@ -18,6 +18,14 @@ let create ~lo ~hi =
 
 let of_point p = create ~lo:(Array.copy p) ~hi:(Array.copy p)
 
+let point p =
+  if Array.length p = 0 then invalid_arg "Rect.create: zero dimensions";
+  for i = 0 to Array.length p - 1 do
+    if not (Float.is_finite p.(i)) then
+      invalid_arg "Rect.create: non-finite bound"
+  done;
+  { lo = p; hi = p }
+
 let dims r = Array.length r.lo
 
 let union a b =
@@ -27,9 +35,28 @@ let union a b =
     hi = Array.map2 Float.max a.hi b.hi;
   }
 
+(* One pass, each bound folded in list order by the [Float.min] or
+   [Float.max] {!union} applies, into two fresh arrays. *)
+let hull f = function
+  | [] -> invalid_arg "Rect.hull: empty list"
+  | x :: rest ->
+    let first = f x in
+    let lo = Array.copy first.lo and hi = Array.copy first.hi in
+    let d = Array.length lo in
+    List.iter
+      (fun x ->
+        let r = f x in
+        if Array.length r.lo <> d then invalid_arg "Rect.hull: dimension mismatch";
+        for i = 0 to d - 1 do
+          lo.(i) <- Float.min lo.(i) r.lo.(i);
+          hi.(i) <- Float.max hi.(i) r.hi.(i)
+        done)
+      rest;
+    { lo; hi }
+
 let union_many = function
   | [] -> invalid_arg "Rect.union_many: empty list"
-  | r :: rest -> List.fold_left union r rest
+  | rs -> hull Fun.id rs
 
 let of_points = function
   | [] -> invalid_arg "Rect.of_points: empty list"

@@ -16,6 +16,11 @@ val create : lo:float array -> hi:float array -> t
 (** [of_point p] is the degenerate rectangle containing exactly [p]. *)
 val of_point : Point.t -> t
 
+(** [point p] is the degenerate rectangle containing exactly [p], with
+    [p] itself as both corners: no copy is made, so [p] must never
+    change afterwards. Raises [Invalid_argument] as {!of_point} does. *)
+val point : Point.t -> t
+
 (** [of_points ps] is the MBR of a non-empty list of points. *)
 val of_points : Point.t list -> t
 
@@ -27,6 +32,12 @@ val intersects : t -> t -> bool
 
 (** [union a b] is the MBR of both rectangles. *)
 val union : t -> t -> t
+
+(** [hull f xs] is the MBR of the rectangles [f x] of a non-empty list,
+    in one pass: equal to [union_many (List.map f xs)] bit for bit,
+    allocating only the result's two arrays. Raises [Invalid_argument]
+    on an empty list or a dimension mismatch. *)
+val hull : ('a -> t) -> 'a list -> t
 
 (** [union_many rs] folds {!union} over a non-empty list. *)
 val union_many : t list -> t

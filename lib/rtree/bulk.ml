@@ -92,8 +92,9 @@ let check_dims name ~dims items =
         invalid_arg (name ^ ": dimension mismatch"))
     items
 
+(* The point is its rectangle's two corners, shared, not copied. *)
 let point_entry (p, v) =
-  Node.Data { rect = Simq_geometry.Rect.of_point p; value = v }
+  Node.Data { rect = Simq_geometry.Rect.point p; value = v }
 
 let load ?max_fill ?min_fill ~dims items =
   check_dims "Bulk.load" ~dims items;
@@ -145,8 +146,12 @@ let pack ?max_fill ?min_fill ~dims ~shape items =
         (fun f ->
           if f < 1 || f > Rstar.max_fill t || !pos + f > Array.length below
           then bad "a fan-out does not fit the level below";
-          let entries = Array.to_list (Array.sub below !pos f) in
+          let entries = ref [] in
+          for i = !pos + f - 1 downto !pos do
+            entries := below.(i) :: !entries
+          done;
           pos := !pos + f;
+          let entries = !entries in
           Node.make ~level entries)
         fanouts
     in

@@ -4,7 +4,11 @@
     way to build the paper's k-index over an existing relation. *)
 
 (** [load ?max_fill ?min_fill ~dims items] builds a tree containing all
-    [items]. Raises [Invalid_argument] on a dimension mismatch. *)
+    [items]. Each item's point becomes both corners of its data
+    rectangle ({!Simq_geometry.Rect.point}), shared, not copied: it must
+    not change afterwards. Every node's MBR is made in one pass over
+    its entries ({!Simq_geometry.Rect.hull}). Raises [Invalid_argument]
+    on a dimension mismatch or a non-finite coordinate. *)
 val load :
   ?max_fill:int ->
   ?min_fill:int ->
@@ -33,8 +37,9 @@ val shape : 'a Rstar.t -> int array array
     order, without sorting: leaf [j] takes the next [shape.(0).(j)]
     items, and each node above the next run of nodes below. Packed from
     [shape t] and [t]'s entries, with [t]'s [max_fill] and [min_fill],
-    the result equals [t] node for node, MBRs bit for bit. Raises
-    [Invalid_argument] on a dimension mismatch or when [shape] does
+    the result equals [t] node for node, MBRs bit for bit. The points
+    are shared as {!load} shares them. Raises [Invalid_argument] on a
+    dimension mismatch, a non-finite coordinate, or when [shape] does
     not fit [items] (a fan-out outside [1 .. max_fill], a level whose
     fan-outs do not sum to the size of the level below, or a top level
     that is not one root). *)

@@ -25,8 +25,7 @@ let is_leaf node = node.level = 0
 
 let mbr_of_entries = function
   | [] -> invalid_arg "Node.mbr_of_entries: empty entry list"
-  | e :: rest ->
-    List.fold_left (fun acc e -> Rect.union acc (entry_mbr e)) (entry_mbr e) rest
+  | entries -> Rect.hull entry_mbr entries
 
 let recompute_mbr node = node.mbr <- mbr_of_entries node.entries
 

@@ -91,7 +91,7 @@ let resolve_query_series dataset spec ~name ~noise =
       | None -> usage (Printf.sprintf "bad query name %S (expected sN)" name)
     else usage (Printf.sprintf "bad query name %S (expected sN)" name)
   in
-  let base = (Dataset.get dataset id).Dataset.series in
+  let base = Dataset.series dataset id in
   let series =
     if noise > 0. then
       Simq_workload.Queries.perturb (Random.State.make [| 17 |]) base
@@ -207,8 +207,11 @@ let pairs_json dataset pairs =
   J.Arr
     (List.map
        (fun (i, j) ->
-         let a = Dataset.get dataset i and b = Dataset.get dataset j in
-         J.Obj [ ("a", J.Str a.Dataset.name); ("b", J.Str b.Dataset.name) ])
+         J.Obj
+           [
+             ("a", J.Str (Dataset.name dataset i));
+             ("b", J.Str (Dataset.name dataset j));
+           ])
        pairs)
 
 let finish ?(partial = false) note ~answers ~results =

@@ -94,12 +94,13 @@ type report = {
   admission : Simq_admission.decision option array;
 }
 
-(* Shard ids are local (dense 0..width-1); global id = lo + local. The
-   parent entry is returned so answers are physically the entries an
-   unsharded query yields. *)
-let globalise t s answers =
+(* Shard ids are local (dense 0..width-1); global id = lo + local. A
+   shard's relation and moments are views of the parent's for its id
+   range, so a shard entry renumbered is the parent's entry, field for
+   field: the answers equal an unsharded query's. *)
+let globalise s answers =
   List.map
-    (fun ((e : Dataset.entry), d) -> (Dataset.get t.parent (s.lo + e.Dataset.id), d))
+    (fun ((e : Dataset.entry), d) -> ({ e with Dataset.id = s.lo + e.Dataset.id }, d))
     answers
 
 let probe_of ?spec ?mean_window ?std_band t ~query ~epsilon =
@@ -338,7 +339,7 @@ let range_checked ?pool ?spec ?mean_window ?std_band
       with
       | Ok r ->
         {
-          r_payload = globalise t s r.Seqscan.answers;
+          r_payload = globalise s r.Seqscan.answers;
           r_rows = List.length r.Seqscan.answers;
           r_candidates = Dataset.cardinality s.sdataset;
           r_nodes = 0;
@@ -365,7 +366,7 @@ let range_checked ?pool ?spec ?mean_window ?std_band
             with
             | Ok r ->
               {
-                r_payload = globalise t s r.Kindex.answers;
+                r_payload = globalise s r.Kindex.answers;
                 r_rows = List.length r.Kindex.answers;
                 r_candidates = r.Kindex.candidates;
                 r_nodes = r.Kindex.node_accesses;
@@ -421,9 +422,9 @@ let gather_nearest ?profile ~op ~k (runs, report) =
   in
   { neighbours; nearest_report = report }
 
-let nn_run t s ~sp ~scan answers =
+let nn_run s ~sp ~scan answers =
   {
-    r_payload = globalise t s answers;
+    r_payload = globalise s answers;
     r_rows = List.length answers;
     r_candidates = 0;
     r_nodes = 0;
@@ -462,7 +463,7 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
         match
           Kindex.nearest_scan s.sindex r ~budget ~profile:sp ~k
         with
-        | Ok answers -> nn_run t s ~sp ~scan:true answers
+        | Ok answers -> nn_run s ~sp ~scan:true answers
         | Error e -> raise (Shard_failed e)
       in
       Some
@@ -472,7 +473,7 @@ let nearest_checked ?pool ?spec ?(budget = Budget.unlimited) ?admission
           match
             Kindex.nearest_prepared s.sindex r ~budget ~within ~profile:sp ~k
           with
-          | Ok neighbours -> nn_run t s ~sp ~scan:false neighbours
+          | Ok neighbours -> nn_run s ~sp ~scan:false neighbours
           | Error _ -> scan ()))
     in
     (* The seed: the shard whose catalogue box is nearest the query by

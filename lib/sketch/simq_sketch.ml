@@ -71,12 +71,12 @@ let create ?(config = default) dataset =
     invalid_arg "Simq_sketch.create: segments must be >= 1";
   let n = Dataset.series_length dataset in
   let lengths = seg_lengths ~n ~segments:config.segments in
+  let row = Array.create_float n in
   let segmeans =
-    Array.map
-      (fun (e : Dataset.entry) ->
-        seg_means ~lengths ~mean:e.Dataset.mean ~std:e.Dataset.std
-          e.Dataset.series)
-      (Dataset.entries dataset)
+    Array.init (Dataset.cardinality dataset) (fun id ->
+        Dataset.series_into dataset id row;
+        seg_means ~lengths ~mean:(Dataset.mean dataset id)
+          ~std:(Dataset.std dataset id) row)
   in
   { dataset; config; segmeans }
 
@@ -95,10 +95,9 @@ let slack = 1. -. 1e-9
    identity), and any subset of the non-negative terms lower-bounds
    it. The ranges accumulate into one sum, in ascending coefficient
    order. *)
-let coarse_bound t ~ranges ~stretch ~(q : Dataset.query)
-    (entry : Dataset.entry) =
+let coarse_bound t ~ranges ~stretch ~(q : Dataset.query) id =
   let n = Dataset.series_length t.dataset in
-  let off = Dataset.slot t.dataset entry.Dataset.id * n in
+  let off = Dataset.slot t.dataset id * n in
   let acc = Flat.acc () in
   List.iter
     (fun (lo, hi) ->
@@ -112,8 +111,8 @@ let coarse_bound t ~ranges ~stretch ~(q : Dataset.query)
    the squared distance inside segment j is at least
    L_j (mean_x(j) - mean_q(j))^2, so the weighted mean differences
    lower-bound the full euclidean distance on the normal forms. *)
-let segment_bound t ~lengths ~qmeans (entry : Dataset.entry) =
-  let means = t.segmeans.(entry.Dataset.id) in
+let segment_bound t ~lengths ~qmeans id =
+  let means = t.segmeans.(id) in
   let acc = ref 0. in
   Array.iteri
     (fun j len ->
@@ -161,7 +160,7 @@ let funnel t ~spec ~query =
     Some
       {
         Kindex.levels;
-        bound = (fun level entry -> (snd bounds.(level)) entry);
+        bound = (fun level id -> (snd bounds.(level)) id);
         on_filtered = on_filtered levels;
       }
 
@@ -170,7 +169,7 @@ let nn_bound t ~spec ~query =
   | None -> None
   | Some bounds ->
     Some
-      (fun entry ->
+      (fun id ->
         Array.fold_left
-          (fun acc (_, bound) -> Float.max acc (bound entry))
+          (fun acc (_, bound) -> Float.max acc (bound id))
           0. bounds)

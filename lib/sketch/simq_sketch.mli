@@ -73,4 +73,4 @@ val nn_bound :
   t ->
   spec:Simq_tsindex.Spec.t ->
   query:Simq_tsindex.Dataset.query ->
-  (Simq_tsindex.Dataset.entry -> float) option
+  (int -> float) option

@@ -3,6 +3,7 @@ module Normal_form = Simq_series.Normal_form
 module Relation = Simq_storage.Relation
 module Flat = Simq_dsp.Flat
 module Region = Simq_geometry.Region
+module A = Bigarray.Array1
 
 type entry = {
   id : int;
@@ -14,8 +15,12 @@ type entry = {
 
 type query = { qnormal : Series.t; qspectrum : Flat.t }
 
+type floats = Simq_storage.Words.buffer
+
 type t = {
-  entries : entry array;  (* by id *)
+  relation : Relation.t;  (* the series and their names *)
+  means : floats;  (* by id *)
+  stds : floats;  (* by id *)
   spectra : Flat.t;  (* slot [s]'s spectrum from coefficient [s·n] *)
   head : Flat.t;
       (* slot [s]'s first [Flat.head_width] spectrum coefficients from
@@ -23,10 +28,11 @@ type t = {
   slots : int array;  (* id → slot *)
   ids : int array;  (* slot → id *)
   n : int;
-  relation : Relation.t;
 }
 
 let head_width = Flat.head_width
+let floats len = A.create Bigarray.float64 Bigarray.c_layout len
+let cardinality t = Array.length t.ids
 
 (* Coefficients [0 .. min head_width n - 1] of slot [s]'s spectrum into
    its slot of [head]; the slot's zero padding beyond [n - 1] is never
@@ -46,48 +52,85 @@ let check_permutation name ~count order =
       Bytes.set seen id '\001')
     order
 
-let normal e = Normal_form.standardise e.series ~mean:e.mean ~std:e.std
+let check_id name t id =
+  if id < 0 || id >= cardinality t then invalid_arg (name ^ ": unknown id")
 
-(* Normalises [series] and writes the spectrum of its normal form
-   straight into coefficient [off] of [spectra]: every
-   frequency-domain distance reads it there through the one kernel
-   ({!Simq_dsp.Flat}). The normal form itself is not kept. *)
-let prepare ~id ~name series spectra ~off =
-  let d = Normal_form.decompose series in
-  Simq_dsp.Fft.fft_real_into d.Normal_form.normalised spectra ~off;
-  { id; name; series; mean = d.Normal_form.mean; std = d.Normal_form.std }
+let series_into t id out =
+  check_id "Dataset.series_into" t id;
+  Relation.series_into t.relation id out
+
+let series t id =
+  check_id "Dataset.series" t id;
+  Relation.series t.relation id
+
+let name t id =
+  check_id "Dataset.name" t id;
+  Relation.series_name t.relation id
+
+let mean t id =
+  check_id "Dataset.mean" t id;
+  A.get t.means id
+
+let std t id =
+  check_id "Dataset.std" t id;
+  A.get t.stds id
+
+let get t id =
+  check_id "Dataset.get" t id;
+  {
+    id;
+    name = Relation.series_name t.relation id;
+    series = Relation.series t.relation id;
+    mean = A.get t.means id;
+    std = A.get t.stds id;
+  }
+
+(* The formula [decompose] applies, on a copy of the row, in place. *)
+let normal t id =
+  let s = series t id in
+  Normal_form.standardise_into s ~mean:(A.get t.means id) ~std:(A.get t.stds id)
+    s;
+  s
+
+(* The common length of a relation's series, or the refusal. *)
+let length_of name r =
+  if Relation.cardinality r = 0 then invalid_arg (name ^ ": empty relation");
+  match Relation.length r with
+  | Some n -> n
+  | None -> invalid_arg (name ^ ": series of unequal lengths")
 
 let of_relation ?pool r =
-  if Relation.cardinality r = 0 then
-    invalid_arg "Dataset.of_relation: empty relation";
-  let tuples = Relation.to_array r in
-  let n = Series.length tuples.(0).Relation.data in
-  let count = Array.length tuples in
-  let spectra = Flat.create (n * count) in
+  let n = length_of "Dataset.of_relation" r in
+  let count = Relation.cardinality r in
+  let spectra = Flat.create (n * count)
+  and means = floats count
+  and stds = floats count in
   (* Per-entry normalisation + FFT dominates the build cost and is pure
-     but for its own disjoint slot of [spectra] (slot = id at first), so
-     the tuples fan out over the pool; [map_array] keeps positions and
-     surfaces the lowest-index length error, like the left-to-right
-     sequential map did. *)
-  let entries =
-    Simq_parallel.Pool.map_array ?pool
-      (fun (tuple : Relation.tuple) ->
-        if Series.length tuple.Relation.data <> n then
-          invalid_arg "Dataset.of_relation: series of unequal lengths";
-        let id = tuple.Relation.id in
-        prepare ~id ~name:tuple.Relation.name tuple.Relation.data spectra
-          ~off:(id * n))
-      tuples
-  in
+     but for its own disjoint slot of [spectra] and of the moments
+     (slot = id at first), so the ids fan out over the pool. The
+     spectrum of each normal form is written straight into its slot,
+     where every frequency-domain distance reads it through the one
+     kernel ({!Simq_dsp.Flat}); the normal form itself is not kept. *)
+  ignore
+    (Simq_parallel.Pool.map_array ?pool
+       (fun id ->
+         let d = Normal_form.decompose (Relation.series r id) in
+         Simq_dsp.Fft.fft_real_into d.Normal_form.normalised spectra
+           ~off:(id * n);
+         A.unsafe_set means id d.Normal_form.mean;
+         A.unsafe_set stds id d.Normal_form.std)
+       (Array.init count Fun.id)
+      : unit array);
   let t =
     {
-      entries;
+      relation = r;
+      means;
+      stds;
       spectra;
       head = Flat.zeros (head_width * count);
       slots = Array.init count Fun.id;
       ids = Array.init count Fun.id;
       n;
-      relation = r;
     }
   in
   for s = 0 to count - 1 do
@@ -98,83 +141,55 @@ let of_relation ?pool r =
 let of_series ?pool ~name batch =
   of_relation ?pool (Relation.of_series ~name batch)
 
-(* The entries of {!prepare} without its FFT: the spectra arrive in
-   slot order, and the moments are the stored ones. *)
-let of_prepared r ~means ~stds ~ids spectra =
+(* Every buffer is adopted as it is: no FFT, no normalisation, no
+   copy; only the slot order is checked and inverted. *)
+let of_prepared r ~means ~stds ~ids ~heads spectra =
   let bad why = invalid_arg ("Dataset.of_prepared: " ^ why) in
-  let tuples = Relation.to_array r in
-  let count = Array.length tuples in
-  if count = 0 then bad "empty relation";
-  let n = Series.length tuples.(0).Relation.data in
-  if Array.length means <> count || Array.length stds <> count then
+  let n = length_of "Dataset.of_prepared" r in
+  let count = Relation.cardinality r in
+  if A.dim means <> count || A.dim stds <> count then
     bad "one mean and one std per tuple";
-  if Flat.length spectra <> n * count then
-    bad "spectra of another size";
+  if Flat.length spectra <> n * count then bad "spectra of another size";
+  if Flat.length heads <> head_width * count then
+    bad "a head table of another size";
   check_permutation "Dataset.of_prepared" ~count ids;
-  let entries =
-    Array.map
-      (fun (tuple : Relation.tuple) ->
-        let series = tuple.Relation.data and id = tuple.Relation.id in
-        if Series.length series <> n then bad "series of unequal lengths";
-        {
-          id;
-          name = tuple.Relation.name;
-          series;
-          mean = means.(id);
-          std = stds.(id);
-        })
-      tuples
-  in
   let slots = Array.make count 0 in
   Array.iteri (fun s id -> slots.(id) <- s) ids;
-  let t =
-    {
-      entries;
-      spectra;
-      head = Flat.zeros (head_width * count);
-      slots;
-      ids = Array.copy ids;
-      n;
-      relation = r;
-    }
-  in
-  for s = 0 to count - 1 do
-    fill_head t s
-  done;
-  t
+  {
+    relation = r;
+    means;
+    stds;
+    spectra;
+    head = heads;
+    slots;
+    ids = Array.copy ids;
+    n;
+  }
 
-let cardinality t = Array.length t.entries
-
-(* Nothing is normalised or transformed again: the entries keep the
-   parent's [series] arrays, and each row is copied from
-   the parent's slot into the block's own buffer in id order, ready
-   for the block's own {!lay_out}. *)
+(* Nothing is normalised or transformed again: the block's relation and
+   moments are views of the parent's for the id range, and each row is
+   copied from the parent's slot into the block's own buffer in id
+   order, ready for the block's own {!lay_out}. *)
 let sub t ~name ~lo ~width =
   if lo < 0 || width < 1 || lo > cardinality t - width then
     invalid_arg "Dataset.sub: block outside the ids";
-  let relation =
-    Relation.of_series ~name
-      (Array.init width (fun i -> t.entries.(lo + i).series))
-  in
-  let tuples = Relation.to_array relation in
   let n = t.n in
   let spectra = Flat.create (n * width) and head = Flat.zeros (head_width * width) in
-  let entries =
-    Array.init width (fun i ->
-        let s = t.slots.(lo + i) in
-        Flat.blit t.spectra ~pos:(s * n) spectra ~off:(i * n) ~len:n;
-        Flat.blit t.head ~pos:(s * head_width) head ~off:(i * head_width)
-          ~len:head_width;
-        { (t.entries.(lo + i)) with id = i; name = tuples.(i).Relation.name })
-  in
+  for i = 0 to width - 1 do
+    let s = t.slots.(lo + i) in
+    Flat.blit t.spectra ~pos:(s * n) spectra ~off:(i * n) ~len:n;
+    Flat.blit t.head ~pos:(s * head_width) head ~off:(i * head_width)
+      ~len:head_width
+  done;
   {
-    entries;
+    relation = Relation.sub t.relation ~name ~lo ~width;
+    means = A.sub t.means lo width;
+    stds = A.sub t.stds lo width;
     spectra;
     head;
     slots = Array.init width Fun.id;
     ids = Array.init width Fun.id;
-    n = t.n;
-    relation;
+    n;
   }
 
 (* In place, cycle by cycle: slot [s] takes the spectrum and head of
@@ -244,21 +259,18 @@ let side_ranges ?mean_window ?std_band query =
   in
   (mean_range, std_range)
 
-let within_sides (mean_range, std_range) entry =
+let within_sides (mean_range, std_range) t id =
   let within v = function
     | None -> true
     | Some range -> Region.contains_value range v
   in
-  within entry.mean mean_range && within entry.std std_range
+  within (A.get t.means id) mean_range && within (A.get t.stds id) std_range
 
-let entries t = Array.copy t.entries
-
-let get t id =
-  if id < 0 || id >= cardinality t then invalid_arg "Dataset.get: unknown id";
-  t.entries.(id)
-
+let entries t = Array.init (cardinality t) (get t)
 let spectra t = t.spectra
 let heads t = t.head
+let means t = t.means
+let stds t = t.stds
 
 let slot t id =
   if id < 0 || id >= cardinality t then invalid_arg "Dataset.slot: unknown id";

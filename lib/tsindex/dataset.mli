@@ -20,32 +20,30 @@
     so a traversal reads them nearly sequentially). Every reader takes
     (buffer, slot) and computes the same doubles in any layout.
 
-    The buffer is the one resident copy of the spectra. A cold build
-    ({!of_relation}, {!sub}) fills a fresh buffer; a warm open
-    ({!of_prepared} from {!Image.read}) adopts a view of the mapped
-    image file, so its pages are the page cache's, read in place and
-    faulted in as they are touched, never copied into fresh memory.
+    The series stay in the backing relation's rows
+    ({!Simq_storage.Relation}); the data set holds no copy of them,
+    and an entry's series is copied out of the rows when it is asked
+    for ({!get}, {!series}). The moments are two float64 buffers by
+    id. A cold build ({!of_relation}, {!sub}) fills fresh buffers; a
+    warm open ({!of_prepared} from {!Image.read}) adopts views of the
+    mapped image file for every buffer, so their pages are the page
+    cache's, read in place and faulted in as they are touched, never
+    copied into fresh memory.
 
-    A data set is built once: its entries, buffer and cardinality never
-    change after {!of_relation} or {!sub}, and only {!lay_out} moves
-    slots. A {!sub} block shares its parent's [series] arrays, so
-    nothing may write to them. *)
+    A data set is built once: its buffers and cardinality never change
+    after {!of_relation} or {!sub}, and only {!lay_out} moves slots.
+    A {!sub} block's relation and moments are views of its parent's,
+    so nothing may write to them. *)
 
+(** An entry, as {!get} hands it out: its id, name, moments, and a
+    fresh copy of its original series. *)
 type entry = {
   id : int;
   name : string;
-  series : Simq_series.Series.t;  (** the original series *)
+  series : Simq_series.Series.t;  (** a copy of the original series *)
   mean : float;  (** its mean *)
   std : float;  (** its standard deviation *)
 }
-
-(** [normal e] is a fresh copy of [e]'s normal form,
-    {!Simq_series.Normal_form.standardise} of [e.series] by [e.mean]
-    and [e.std]: the formula {!Simq_series.Normal_form.decompose}
-    applies to the same moments, so it equals
-    [(decompose e.series).normalised] bit for bit. It allocates [n]
-    doubles per call; the frequency-domain paths never need it. *)
-val normal : entry -> Simq_series.Series.t
 
 (** A prepared query: the series compared against ({!prepare_query}) and
     its full unitary DFT, flat (re/im interleaved, see
@@ -69,37 +67,42 @@ val of_relation : ?pool:Simq_parallel.Pool.t -> Simq_storage.Relation.t -> t
 val of_series :
   ?pool:Simq_parallel.Pool.t -> name:string -> Simq_series.Series.t array -> t
 
-(** [of_prepared r ~means ~stds ~ids spectra] is the data set of [r]
-    laid out in the slot order [ids] (slot [s] holds entry
+(** A float64 buffer of one double per entry, by id (the same type as
+    {!Simq_dsp.Flat.t}, counted in doubles). *)
+type floats = Simq_storage.Words.buffer
+
+(** [of_prepared r ~means ~stds ~ids ~heads spectra] is the data set
+    of [r] laid out in the slot order [ids] (slot [s] holds entry
     [ids.(s)]), from what {!of_relation} and {!lay_out} computed for
-    it: entry [id]'s moments [means.(id)] and [stds.(id)], and the
-    spectrum buffer [spectra] in slot order, which the data set takes
-    over as it is, never copied — the image's mapped view, whose pages
-    stay the file's ({!Image}). No FFT runs and nothing is normalised;
-    only the head table is made, from the first {!Simq_dsp.Flat.head_width}
-    coefficients of every slot. Given [t]'s own moments,
-    slot order and buffer, every field, double and slot equals [t]'s.
-    Raises [Invalid_argument] when [r] is empty or its series differ
-    in length, when the arrays do not fit [r], or when [ids] is not a
-    permutation of the ids. *)
+    it: entry [id]'s moments [means.{id}] and [stds.{id}], the head
+    table [heads] and the spectrum buffer [spectra] in slot order.
+    Every buffer is taken over as it is, never copied — the image's
+    mapped views, whose pages stay the file's ({!Image}). No FFT runs,
+    nothing is normalised, and no series is read. Given [t]'s own
+    moments, slot order, head table and buffer, every field, double
+    and slot equals [t]'s. Raises [Invalid_argument] when [r] is empty
+    or its series differ in length, when the buffers do not fit [r],
+    or when [ids] is not a permutation of the ids. *)
 val of_prepared :
   Simq_storage.Relation.t ->
-  means:float array ->
-  stds:float array ->
+  means:floats ->
+  stds:floats ->
   ids:int array ->
+  heads:Simq_dsp.Flat.t ->
   Simq_dsp.Flat.t ->
   t
 
 (** [sub t ~name ~lo ~width] is the data set of [t]'s ids
-    [[lo, lo + width)], renumbered from 0, over a fresh relation named
-    [name]. Nothing is prepared again: entry [i] is [t]'s entry
-    [lo + i] with id [i] and its new tuple's name, sharing the parent
-    entry's [series] array, and its spectrum and head row
-    are copied from the parent's slot into the block's own buffer, slots
-    in id order. Every field, double and slot equals that of
-    [of_series ~name] over the block's series. The rows are copies, not
-    a view of [t]'s buffer: [t]'s slots follow its own tree's leaf
-    order, and the block is laid out anew by its own {!lay_out}. Raises
+    [[lo, lo + width)], renumbered from 0, over the relation
+    {!Simq_storage.Relation.sub}[ ~name ~lo ~width] of [t]'s. Nothing
+    is prepared again and no series is copied: the block's rows, names
+    and moments are views of [t]'s for the id range, and only its
+    spectra and head rows are copied, from the parent's slots into the
+    block's own buffers, slots in id order. Every field, double and
+    slot but the relation's name equals that of [of_series ~name] over
+    the block's series. The spectra are copies, not a view of [t]'s
+    buffer: [t]'s slots follow its own tree's leaf order, and the
+    block is laid out anew by its own {!lay_out}. Raises
     [Invalid_argument] unless [0 <= lo] and [1 <= width <= cardinality
     t - lo]. *)
 val sub : t -> name:string -> lo:int -> width:int -> t
@@ -139,13 +142,14 @@ val side_ranges :
   Simq_series.Series.t ->
   Simq_geometry.Region.range option * Simq_geometry.Region.range option
 
-(** [within_sides ranges entry] holds when the entry's mean and
+(** [within_sides ranges t id] holds when entry [id]'s mean and
     deviation each lie in the matching present range of [ranges]
     ({!side_ranges}) — the membership test the index applies to its
     mean/std dimensions. *)
 val within_sides :
   Simq_geometry.Region.range option * Simq_geometry.Region.range option ->
-  entry ->
+  t ->
+  int ->
   bool
 
 (** [spectra t] is the spectrum buffer: slot [s]'s spectrum is the
@@ -213,10 +217,41 @@ val head_twin_sq_dist :
   Simq_dsp.Flat.acc ->
   unit
 
-(** [entries t] is a copy of the entries, indexed by id. *)
-val entries : t -> entry array
+(** [get t id] is entry [id], its series a fresh copy of its row;
+    [entries t] is every entry, by id. They are for answers and
+    inspection: the query paths read the buffers by id. Raise
+    [Invalid_argument] for an unknown id. *)
 val get : t -> int -> entry
+
+val entries : t -> entry array
 val cardinality : t -> int
+
+(** [series t id] is a fresh copy of entry [id]'s series, read from the
+    relation's rows; [series_into t id out] writes it into [out]
+    instead. [name t id] is its name, and [mean t id] and [std t id]
+    its moments. Raise [Invalid_argument] for an unknown id;
+    [series_into] also when [out]'s length differs. *)
+val series : t -> int -> Simq_series.Series.t
+
+val series_into : t -> int -> Simq_series.Series.t -> unit
+val name : t -> int -> string
+val mean : t -> int -> float
+val std : t -> int -> float
+
+(** [means t] and [stds t] are the moment buffers, by id. Like
+    {!spectra} they are the data set's own, shared: read them, never
+    write to them. *)
+val means : t -> floats
+
+val stds : t -> floats
+
+(** [normal t id] is a fresh copy of entry [id]'s normal form,
+    {!Simq_series.Normal_form.standardise} of its series by its stored
+    mean and std: the formula {!Simq_series.Normal_form.decompose}
+    applies to the same moments, so it equals
+    [(decompose (series t id)).normalised] bit for bit. It allocates
+    [n] doubles per call; the frequency-domain paths never need it. *)
+val normal : t -> int -> Simq_series.Series.t
 
 (** [series_length t] is the common length [n]. *)
 val series_length : t -> int

@@ -14,17 +14,15 @@ let validate config ~n =
 
 let dims config = 2 + (2 * config.k)
 
-let coefficients config dataset (entry : Dataset.entry) =
-  let off =
-    Dataset.slot dataset entry.Dataset.id * Dataset.series_length dataset
-  in
+let coefficients config dataset id =
+  let off = Dataset.slot dataset id * Dataset.series_length dataset in
   Simq_dsp.Flat.sub (Dataset.spectra dataset) ~pos:(off + 1) ~len:config.k
 
 (* Feature dimensions first, mean/std last: the bulk loader tiles along
    the leading dimensions, and queries constrain the DFT features while
    leaving mean/std free, so the discriminating dimensions must lead. *)
-let point config dataset (entry : Dataset.entry) =
+let point config dataset id =
   let encoded =
-    Coords.encode config.representation (coefficients config dataset entry)
+    Coords.encode config.representation (coefficients config dataset id)
   in
-  Array.append encoded [| entry.Dataset.mean; entry.Dataset.std |]
+  Array.append encoded [| Dataset.mean dataset id; Dataset.std dataset id |]

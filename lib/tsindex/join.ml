@@ -92,8 +92,7 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
            (fun ~lo ~hi ->
              for id = lo to hi - 1 do
                normals.(id) <-
-                 Spec.apply_series spec
-                   (Dataset.normal (Dataset.get dataset id))
+                 Spec.apply_series spec (Dataset.normal dataset id)
              done)
           : unit list);
       ( (fun ~lo:_ ~hi:_ pairs i ->
@@ -274,7 +273,7 @@ let index ?(spec = Spec.Identity) ?(budget = Budget.unlimited) ?admission
     | Spec.Warp _ ->
       fun i ->
         Dataset.prepare_query ~normalise:false
-          (Spec.apply_series spec (Dataset.normal (Dataset.get dataset i)))
+          (Spec.apply_series spec (Dataset.normal dataset i))
     | _ ->
       (* One buffer for every entry: only the warp's distance reads the
          time-domain series, so none is made. *)
@@ -299,9 +298,7 @@ let index ?(spec = Spec.Identity) ?(budget = Budget.unlimited) ?admission
     computations := !computations + r.Kindex.candidates;
     node_accesses := !node_accesses + r.Kindex.node_accesses;
     List.iter
-      (fun ((candidate : Dataset.entry), _) ->
-        if candidate.Dataset.id <> i then
-          pairs := (i, candidate.Dataset.id) :: !pairs)
+      (fun (id, _) -> if id <> i then pairs := (i, id) :: !pairs)
       r.Kindex.answers
   done;
   Simq_rtree.Rstar.add_accesses (Kindex.tree kindex) !node_accesses;

@@ -35,15 +35,13 @@ type t = {
    adjacent leaves), so the refinements of one NEAREST, which pop in
    key order, read nearby slots instead of slots scattered over the
    whole buffer. *)
-let default_max_fill = 32
+let default_max_fill = Image.max_fill
 
 let build ?(config = Feature.default) ?(max_fill = default_max_fill) dataset =
   Feature.validate config ~n:(Dataset.series_length dataset);
   let items =
-    Array.map
-      (fun (entry : Dataset.entry) ->
-        (Feature.point config dataset entry, entry.Dataset.id))
-      (Dataset.entries dataset)
+    Array.init (Dataset.cardinality dataset) (fun id ->
+        (Feature.point config dataset id, id))
   in
   let tree = Simq_rtree.Bulk.load ~max_fill ~dims:(Feature.dims config) items in
   let order = Array.make (Array.length items) 0 and next = ref 0 in
@@ -53,25 +51,31 @@ let build ?(config = Feature.default) ?(max_fill = default_max_fill) dataset =
   Dataset.lay_out dataset order;
   { dataset; config; tree }
 
-(* The warm path: the image's moments, slot order and spectra become
-   the data set, its feature points are recomputed from the spectra,
-   and the tree is packed from the stored shape, with no FFT and no
-   STR sort. *)
+(* The warm path: the image's moments, slot order, head table and
+   spectra become the data set as they are, and the tree is packed
+   from the stored shape and leaf points, with no FFT, no feature map
+   and no STR sort. *)
 let of_image relation (image : Image.t) =
   let config = Feature.default in
   let dataset =
     Dataset.of_prepared relation ~means:image.Image.means
-      ~stds:image.Image.stds ~ids:image.Image.ids image.Image.spectra
+      ~stds:image.Image.stds ~ids:image.Image.ids ~heads:image.Image.heads
+      image.Image.spectra
   in
   Feature.validate config ~n:(Dataset.series_length dataset);
+  let dims = Feature.dims config and points = image.Image.points in
   let items =
-    Array.map
-      (fun id -> (Feature.point config dataset (Dataset.get dataset id), id))
+    Array.mapi
+      (fun s id ->
+        let p = Array.create_float dims in
+        for j = 0 to dims - 1 do
+          p.(j) <- Bigarray.Array1.get points ((s * dims) + j)
+        done;
+        (p, id))
       image.Image.ids
   in
   let tree =
-    Simq_rtree.Bulk.pack ~max_fill:default_max_fill
-      ~dims:(Feature.dims config)
+    Simq_rtree.Bulk.pack ~max_fill:default_max_fill ~dims
       ~shape:image.Image.shape items
   in
   { dataset; config; tree }
@@ -83,14 +87,19 @@ let of_image relation (image : Image.t) =
    loaded, whose permission bits the image cannot copy. *)
 let open_file ~relation file =
   let path = Image.path file in
-  let key = Image.key relation in
+  (* A ragged relation has no image: its cold path raises. *)
+  let key = lazy (Image.key relation) in
   let like = try Some (Unix.stat file) with Unix.Unix_error _ -> None in
   let warm =
     Otrace.with_span "image.open" @@ fun () ->
-    match Option.bind like (fun like -> Image.read ~like path key) with
-    | None -> None
-    | Some image -> (
-      try Some (of_image relation image) with Invalid_argument _ -> None)
+    match like with
+    | Some like when Option.is_some (Simq_storage.Relation.length relation)
+      -> (
+      match Image.read ~like path (Lazy.force key) with
+      | None -> None
+      | Some image -> (
+        try Some (of_image relation image) with Invalid_argument _ -> None))
+    | _ -> None
   in
   match warm with
   | Some t -> t
@@ -103,7 +112,7 @@ let open_file ~relation file =
       (fun like ->
         Otrace.with_span "image.write" @@ fun () ->
         try
-          Image.write ~like path key t.dataset
+          Image.write ~like path (Lazy.force key) t.dataset
             ~shape:(Simq_rtree.Bulk.shape t.tree)
         with Sys_error _ | Unix.Unix_error _ -> ())
       like;
@@ -113,12 +122,18 @@ let dataset t = t.dataset
 let config t = t.config
 let tree t = t.tree
 
-type range_result = {
-  answers : (Dataset.entry * float) list;
+type 'a found = {
+  answers : 'a list;
   candidates : int;
   node_accesses : int;
   partial : bool;
 }
+
+type range_result = (Dataset.entry * float) found
+
+(* The answers' entries, each copied out of the data set once. *)
+let entries_of t (r : (int * float) found) =
+  { r with answers = List.map (fun (id, d) -> (Dataset.get t.dataset id, d)) r.answers }
 
 (* A multi-resolution sketch funnel ([Simq_sketch] builds one per
    query): each level maps an entry to a proved lower bound on the
@@ -128,7 +143,7 @@ type range_result = {
    finest level pay the exact distance. *)
 type prefilter = {
   levels : string array;
-  bound : int -> Dataset.entry -> float;
+  bound : int -> int -> float;
   on_filtered : int -> int -> unit;
 }
 
@@ -309,7 +324,7 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
           let before = List.length !ids in
           ids :=
             List.filter
-              (fun id -> pf.bound level (Dataset.get t.dataset id) <= cutoff)
+              (fun id -> pf.bound level id <= cutoff)
               !ids;
           let after = List.length !ids in
           Profile.add_rows_in pl before;
@@ -328,9 +343,8 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
            (* Each exact-distance evaluation of a candidate is one
               comparison against the budget, like a scan entry. *)
            Budget.comparisons bstate 1;
-           let entry = Dataset.get t.dataset id in
-           let d = distance entry in
-           if d <= epsilon then kept := (entry, d) :: !kept)
+           let d = distance id in
+           if d <= epsilon then kept := (id, d) :: !kept)
          survivor_ids
      with Budget.Exceeded _ when Option.is_some approx ->
        (* Approximate mode is anytime: the budget died inside the
@@ -339,9 +353,7 @@ let range_prepared_counted ?mean_range ?std_range ?bstate ?prefilter ?approx
           the result is a sound subset — return it marked partial
           instead of failing the whole query. *)
        partial := true);
-    let answers =
-      List.sort (fun (a, _) (b, _) -> compare a.Dataset.id b.Dataset.id) !kept
-    in
+    let answers = List.sort (fun (a, _) (b, _) -> Int.compare a b) !kept in
     let survivors = List.length answers in
     Profile.add_rows_in pp (List.length survivor_ids);
     Profile.add_rows_out pp survivors;
@@ -365,7 +377,7 @@ let range_within ?mean_range ?std_range ?prefilter ?approx ?profile t
       prepared ~query_coeffs ~radius ~epsilon ~distance
   in
   Rstar.add_accesses t.tree result.node_accesses;
-  result
+  entries_of t result
 
 (* One-sided: the caller's distance need not be the kernel. *)
 let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
@@ -388,9 +400,9 @@ let distance_within t prepared (q : Dataset.query) ~within =
   let n = Dataset.series_length t.dataset in
   match prepared.pspec with
   | Spec.Warp _ ->
-    fun (entry : Dataset.entry) ->
+    fun id ->
       Distance.euclidean
-        (Spec.apply_series prepared.pspec (Dataset.normal entry))
+        (Spec.apply_series prepared.pspec (Dataset.normal t.dataset id))
         q.Dataset.qnormal
   | spec ->
     let stretch = pstretch t prepared in
@@ -400,11 +412,11 @@ let distance_within t prepared (q : Dataset.query) ~within =
           (twin_slack t spec ~query_norm:(spectrum_norm q.Dataset.qspectrum))
       else None
     in
-    fun (entry : Dataset.entry) ->
+    fun id ->
       let cell = { Flat.sum = within } in
       Flat.dist_within ~stretch ?mirror ~lo:0 ~hi:n
         (Dataset.spectra t.dataset)
-        (Dataset.slot t.dataset entry.Dataset.id * n)
+        (Dataset.slot t.dataset id * n)
         q.Dataset.qspectrum 0 (Flat.acc ()) ~within:cell;
       cell.Flat.sum
 
@@ -478,7 +490,7 @@ let range_checked ?(spec = Spec.Identity) ?mean_window ?std_band
           ?approx ?profile t prepared ~query_coeffs ~radius ~epsilon ~distance
       in
       Rstar.add_accesses t.tree result.node_accesses;
-      result)
+      entries_of t result)
 
 let range_attempt t prepared bstate q ~epsilon =
   range_prepared_counted ?bstate t prepared ~query_coeffs:(query_coeffs t q)
@@ -650,14 +662,14 @@ let node_bound t nq (r : Rect.t) (cell : Flat.acc) =
    query it yields a per-entry lower bound (the max over the funnel's
    levels). When given, it replaces the head bound below as the key
    data entries are queued under; refinement is the same. *)
-let nn_point_bound t sketch q =
+let nn_point_bound sketch q =
   match sketch with
   | None -> None
   | Some f ->
     Option.map
       (fun bound (_ : Rect.t) id (cell : Flat.acc) ->
-        cell.Flat.sum <- bound (Dataset.get t.dataset id))
-      (f q : (Dataset.entry -> float) option)
+        cell.Flat.sum <- bound id)
+      (f q : (int -> float) option)
 
 let nn_detail ~k point_bound =
   match point_bound with
@@ -766,7 +778,7 @@ let nearest_run ?bstate ?sketch_bound ?within ~pn ~visits t r ~k =
   let dist = prepared_distance t prepared q in
   let exact (_ : Rect.t) id (cell : Flat.acc) =
     count ();
-    cell.Flat.sum <- dist (Dataset.get t.dataset id)
+    cell.Flat.sum <- dist id
   in
   let key, refine =
     match (nn_refinement t prepared q ~twin ~count, sketch_bound) with
@@ -786,7 +798,7 @@ let nearest_run ?bstate ?sketch_bound ?within ~pn ~visits t r ~k =
 let nearest ?(spec = Spec.Identity) ?sketch ?profile t ~query ~k =
   Profile.with_op profile "kindex.nearest" @@ fun pn ->
   let r = nearest_query t spec query in
-  let sketch_bound = nn_point_bound t sketch r.q in
+  let sketch_bound = nn_point_bound sketch r.q in
   Profile.set_detail pn (nn_detail ~k sketch_bound);
   let visits = ref 0 in
   let answers = nearest_run ?sketch_bound ~pn ~visits t r ~k in
@@ -804,22 +816,22 @@ let nearest_scan_counted ?bstate ?profile t ~dist ~k =
   (* Slot order: the spectra are read front to back. *)
   let scored =
     Array.init (Dataset.cardinality t.dataset) (fun s ->
-        let entry = Dataset.get t.dataset (Dataset.id_at t.dataset s) in
+        let id = Dataset.id_at t.dataset s in
         Budget.page_read bstate;
         Budget.comparisons bstate 1;
-        (entry, dist entry))
+        (id, dist id))
   in
   Array.sort
-    (fun ((a : Dataset.entry), da) ((b : Dataset.entry), db) ->
-      match Float.compare da db with
-      | 0 -> compare a.Dataset.id b.Dataset.id
-      | c -> c)
+    (fun (a, da) (b, db) ->
+      match Float.compare da db with 0 -> Int.compare a b | c -> c)
     scored;
   let n = Int.min k (Array.length scored) in
   Profile.add_rows_in pn (Array.length scored);
   Profile.add_candidates pn (Array.length scored);
   Profile.add_rows_out pn n;
-  Array.to_list (Array.sub scored 0 n)
+  List.init n (fun i ->
+      let id, d = scored.(i) in
+      (Dataset.get t.dataset id, d))
 
 let nearest_scan t r ~budget ~profile ~k =
   check_fits t r;

@@ -47,10 +47,11 @@ val config : t -> Feature.config
     inspection and invariant checking. *)
 val tree : t -> int Simq_rtree.Rstar.t
 
-type range_result = {
-  answers : (Dataset.entry * float) list;
-      (** entries whose true (transformed) distance is within ε, with
-          that distance *)
+(** A range query's answers, and what finding them cost. *)
+type 'a found = {
+  answers : 'a list;
+      (** the entries whose true (transformed) distance is within ε,
+          with that distance, by ascending id *)
   candidates : int;  (** leaf hits before postprocessing (>= answers) *)
   node_accesses : int;  (** R-tree nodes visited by this query *)
   partial : bool;
@@ -61,10 +62,12 @@ type range_result = {
           [false] otherwise. *)
 }
 
+type range_result = (Dataset.entry * float) found
+
 (** A multi-resolution sketch funnel, run between the index descent
     and the exact postfilter: level [l] (coarse first; [levels.(l)]
-    names it, e.g. ["coarse"], ["segment"]) maps an entry to
-    [bound l entry], a proved lower bound on the true (transformed)
+    names it, e.g. ["coarse"], ["segment"]) maps an entry id to
+    [bound l id], a proved lower bound on the true (transformed)
     distance. A candidate is dismissed as soon as one level's bound
     exceeds the cutoff (ε in exact mode — Lemma 1 applied one
     resolution at a time, so the answer is unchanged; [(1 - a)·ε]
@@ -76,7 +79,7 @@ type range_result = {
     postfilter distance or exact mode loses answers. *)
 type prefilter = {
   levels : string array;
-  bound : int -> Dataset.entry -> float;
+  bound : int -> int -> float;
   on_filtered : int -> int -> unit;
 }
 
@@ -231,7 +234,7 @@ val twin_slack : t -> Spec.t -> query_norm:float -> float
     bit-identical to the sketch-free run at every domain count. *)
 val nearest :
   ?spec:Spec.t ->
-  ?sketch:(Dataset.query -> (Dataset.entry -> float) option) ->
+  ?sketch:(Dataset.query -> (int -> float) option) ->
   ?profile:Simq_obs.Profile.t ->
   t ->
   query:Simq_series.Series.t -> k:int -> (Dataset.entry * float) list
@@ -360,7 +363,8 @@ val nearest_bound : t -> nearest_query -> Simq_geometry.Rect.t -> float
 (** [range_generic t ?spec ~query_coeffs ~epsilon ~distance] is a
     range traversal with a caller's distance: [query_coeffs] are the
     [k] complex features of the (already transformed) query side,
-    [distance] computes the full distance used in postprocessing, and
+    [distance] computes the full distance used in postprocessing from
+    an entry id, and
     [spec] transforms the data side during traversal. Its search region
     is one-sided, within ε of [query_coeffs]. The result is exact
     provided [Spectrum.prefix] of the transformed data spectrum against
@@ -370,7 +374,7 @@ val range_generic :
   t ->
   query_coeffs:Simq_dsp.Cpx.t array ->
   epsilon:float ->
-  distance:(Dataset.entry -> float) ->
+  distance:(int -> float) ->
   range_result
 
 (** {2 Prepared transformations}
@@ -395,7 +399,8 @@ val prepare : t -> Spec.t -> prepared
     [bstate], then each candidate charged one comparison and checked
     against {!prepared_distance}'s kernel, which abandons at ε. Node
     accesses come back in the result and are not credited to the
-    tree's counter: the caller credits the attempt that succeeds.
+    tree's counter: the caller credits the attempt that succeeds. The
+    answers are entry ids: no entry is copied out.
     Raises {!Simq_fault.Budget.Exceeded} and
     {!Simq_fault.Injector.Transient_fault} out of [bstate]: run it
     inside {!Simq_fault.Retry.with_retries}. *)
@@ -405,13 +410,13 @@ val range_attempt :
   Simq_fault.Budget.state option ->
   Dataset.query ->
   epsilon:float ->
-  range_result
+  (int * float) found
 
 (** [prepared_distance t prepared q] is the exact full distance
-    [entry -> D(T entry, q)] used by postprocessing and NN refinement:
+    [id -> D(T entry, q)] used by postprocessing and NN refinement:
     {!Simq_dsp.Flat.sq_dist} over the stored spectra, [0 .. n-1] in
     ascending order, for length-preserving transformations (the
     identity included, so index, scan and degraded distances are the
     same doubles), time-domain for the warp. *)
 val prepared_distance :
-  t -> prepared -> Dataset.query -> Dataset.entry -> float
+  t -> prepared -> Dataset.query -> int -> float

@@ -28,23 +28,24 @@ type stats = {
 let collect ?(samples = 2000) ?(seed = 42) ?(buckets = 64) dataset =
   if samples <= 0 then invalid_arg "Planner.collect: samples must be positive";
   if buckets <= 0 then invalid_arg "Planner.collect: buckets must be positive";
-  let entries = Dataset.entries dataset in
-  let n = Array.length entries in
+  let n = Dataset.cardinality dataset in
   let state = Random.State.make [| seed |] in
-  (* Each sampled pair's normal forms, standardised into the call's own
-     two buffers: the doubles {!Dataset.normal} would allocate. *)
+  (* Each sampled pair's normal forms, copied and standardised in place
+     in the call's own two buffers: the doubles {!Dataset.normal} would
+     allocate. *)
   let a = Array.create_float (Dataset.series_length dataset)
   and b = Array.create_float (Dataset.series_length dataset) in
-  let standardise (e : Dataset.entry) out =
-    Normal_form.standardise_into e.Dataset.series ~mean:e.Dataset.mean
-      ~std:e.Dataset.std out
+  let standardise id out =
+    Dataset.series_into dataset id out;
+    Normal_form.standardise_into out ~mean:(Dataset.mean dataset id)
+      ~std:(Dataset.std dataset id) out
   in
   let distances =
     Array.init samples (fun _ ->
         let i = Random.State.int state n in
         let j = Random.State.int state n in
-        standardise entries.(i) a;
-        standardise entries.(j) b;
+        standardise i a;
+        standardise j b;
         Distance.euclidean a b)
   in
   let max_distance = Array.fold_left Float.max 0. distances in

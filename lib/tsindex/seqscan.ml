@@ -38,21 +38,22 @@ let check_query_length dataset spec query =
 (* One full pass of page traffic against the backing relation, in entry
    order — the touch sequence (hence the buffer-pool statistics) a
    sequential scan produces, each touch charged to the attempt's
-   [budget] when it has one. Kept out of the workers so the I/O
-   accounting stays single-domain and deterministic. *)
+   [budget] when it has one; no series is copied. Kept out of the
+   workers so the I/O accounting stays single-domain and
+   deterministic. *)
 let account_io ?budget dataset =
   let relation = Dataset.relation dataset in
   for id = 0 to Dataset.cardinality dataset - 1 do
-    ignore (Relation.get ?budget relation id)
+    Relation.touch ?budget relation id
   done
 
 (* Per-entry comparison: the answer (when within ε), whether the
    distance computation ran to completion, and the coefficients (or
    time-domain points) examined. Safe to run from any domain that owns
    the accumulator it passes (only the frequency path uses it). *)
-let compute_warp ~abandon spec epsilon (q : Dataset.query) _acc _slot
-    (entry : Dataset.entry) =
-  let transformed = Spec.apply_series spec (Dataset.normal entry) in
+let compute_warp ~abandon dataset spec epsilon (q : Dataset.query) _acc _slot
+    id =
+  let transformed = Spec.apply_series spec (Dataset.normal dataset id) in
   let touched = Series.length transformed in
   let d =
     if abandon then
@@ -61,14 +62,14 @@ let compute_warp ~abandon spec epsilon (q : Dataset.query) _acc _slot
     else Some (Distance.euclidean transformed q.Dataset.qnormal)
   in
   match d with
-  | Some d when d <= epsilon -> (Some (entry, d), 1, touched)
+  | Some d when d <= epsilon -> (Some (id, d), 1, touched)
   | _ -> (None, 1, touched)
 
 (* [limit] is the kernel's abandon limit: [epsilon²] when abandoning,
    [infinity] otherwise; a sum past it by rounding alone (root not above
    [epsilon]) is completed. The entry's spectrum is slot [s] of [spectra]. *)
 let compute_freq ~stretch ~n ~limit ~spectra epsilon (q : Dataset.query) acc
-    s (entry : Dataset.entry) =
+    s id =
   acc.Flat.sum <- 0.;
   let x = s * n and qs = q.Dataset.qspectrum in
   let touched = Flat.sq_dist ~stretch ~limit ~lo:0 ~hi:n spectra x qs 0 acc in
@@ -79,7 +80,7 @@ let compute_freq ~stretch ~n ~limit ~spectra epsilon (q : Dataset.query) acc
       Flat.sq_dist ~stretch ~limit:infinity ~lo:touched ~hi:n spectra x qs 0 acc
     in
     let d = sqrt acc.Flat.sum in
-    ((if d <= epsilon then Some (entry, d) else None), 1, touched + rest)
+    ((if d <= epsilon then Some (id, d) else None), 1, touched + rest)
   end
 
 (* Frequency-domain scan for the length-preserving transformations; the
@@ -101,14 +102,16 @@ let scan_compute ~pool ~abandon ?bstate ?sides dataset spec query epsilon =
   let count = Dataset.cardinality dataset in
   let compute =
     match spec with
-    | Spec.Warp _ -> compute_warp ~abandon spec epsilon q
+    | Spec.Warp _ -> compute_warp ~abandon dataset spec epsilon q
     | _ ->
       let stretch = Some (Spec.stretch spec ~n) in
       compute_freq ~stretch ~n ~limit ~spectra:(Dataset.spectra dataset)
         epsilon q
   in
   let keep =
-    match sides with None -> fun _ -> true | Some s -> Dataset.within_sides s
+    match sides with
+    | None -> fun _ -> true
+    | Some s -> Dataset.within_sides s dataset
   in
   let chunk = Pool.chunk_size pool count in
   let partials =
@@ -122,10 +125,11 @@ let scan_compute ~pool ~abandon ?bstate ?sides dataset spec query epsilon =
              so a budget blown anywhere stops all chunks promptly. Each
              entry costs one comparison whether or not it abandons. *)
           Budget.comparisons bstate 1;
-          let entry = Dataset.get dataset (Dataset.id_at dataset i) in
-          let answer, completed, examined = compute acc i entry in
+          let answer, completed, examined =
+            compute acc i (Dataset.id_at dataset i)
+          in
           (match answer with
-          | Some ((e, _) as hit) when keep e -> answers := hit :: !answers
+          | Some ((id, _) as hit) when keep id -> answers := hit :: !answers
           | _ -> ());
           full := !full + completed;
           touched := !touched + examined
@@ -147,8 +151,9 @@ let scan_compute ~pool ~abandon ?bstate ?sides dataset spec query epsilon =
       in
       {
         answers =
-          List.sort (fun (a, _) (b, _) -> compare a.Dataset.id b.Dataset.id)
-            (List.concat_map (fun (a, _, _) -> a) partials);
+          List.sort (fun (a, _) (b, _) -> Int.compare a b)
+            (List.concat_map (fun (a, _, _) -> a) partials)
+          |> List.map (fun (id, d) -> (Dataset.get dataset id, d));
         full_computations = full;
         coefficients_touched = touched;
       })
@@ -223,12 +228,11 @@ let reference ?(spec = Spec.Identity) ?(normalise_query = true) dataset ~query
     ~epsilon =
   check_query_length dataset spec query;
   let q = Dataset.prepare_query ~normalise:normalise_query query in
-  Array.to_list (Dataset.entries dataset)
-  |> List.filter_map (fun (entry : Dataset.entry) ->
+  List.init (Dataset.cardinality dataset) Fun.id
+  |> List.filter_map (fun id ->
          let d =
            Distance.euclidean
-             (Spec.apply_series spec (Dataset.normal entry))
+             (Spec.apply_series spec (Dataset.normal dataset id))
              q.Dataset.qnormal
          in
-         if d <= epsilon then Some (entry, d) else None)
-  |> List.sort (fun (a, _) (b, _) -> compare a.Dataset.id b.Dataset.id)
+         if d <= epsilon then Some (Dataset.get dataset id, d) else None)

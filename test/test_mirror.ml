@@ -143,7 +143,7 @@ let test_bound_is_tight () =
               let twin = sqrt acc.Flat.sum in
               ignore
                 (Dataset.head_sq_dist d ~stretch s q.Dataset.qspectrum acc);
-              let plain = sqrt acc.Flat.sum and exact = dist e in
+              let plain = sqrt acc.Flat.sum and exact = dist e.Dataset.id in
               let label =
                 Printf.sprintf "%s n=%d id=%d" (Spec.name spec) n e.Dataset.id
               in
@@ -317,7 +317,7 @@ let pair_epsilons d spec =
     | Spec.Warp _ ->
       let warped =
         Array.init count (fun i ->
-            Spec.apply_series spec (Dataset.normal (Dataset.get d i)))
+            Spec.apply_series spec (Dataset.normal d i))
       in
       fun i j -> Simq_series.Distance.euclidean warped.(i) warped.(j)
     | _ ->

@@ -208,8 +208,10 @@ let test_shard_entries_share_parent_arrays () =
         for j = 0 to hi - lo - 1 do
           let p = Dataset.get d (lo + j) and e = Dataset.get sd j in
           Alcotest.(check int) "local id" j e.Dataset.id;
-          Alcotest.(check bool) "series is the parent's array" true
-            (e.Dataset.series == p.Dataset.series);
+          Alcotest.(check bool) "series is the parent's row" true
+            (Array.for_all2 same_bits e.Dataset.series p.Dataset.series);
+          Alcotest.(check string) "name is the parent's" p.Dataset.name
+            e.Dataset.name;
           Alcotest.(check bool) "mean and std" true
             (same_bits e.Dataset.mean p.Dataset.mean
             && same_bits e.Dataset.std p.Dataset.std)
@@ -223,9 +225,10 @@ let test_shard_entries_share_parent_arrays () =
    own spectrum), and, once both are indexed alike, the same slots. *)
 let test_shard_rows_equal_fresh_preparation () =
   List.iter
-    (fun (config, max_fill, _, sh) ->
+    (fun (config, max_fill, d, sh) ->
       for i = 0 to Shard.shards sh - 1 do
         let sd = Shard.shard_dataset sh i in
+        let lo, _ = Shard.bounds sh i in
         let width = Dataset.cardinality sd in
         let fresh =
           Dataset.of_series ~pool:Pool.sequential ~name:"fresh"
@@ -235,9 +238,10 @@ let test_shard_rows_equal_fresh_preparation () =
         let acc = Simq_dsp.Flat.acc () in
         for j = 0 to width - 1 do
           let e = Dataset.get sd j and f = Dataset.get fresh j in
-          Alcotest.(check string) "name" f.Dataset.name e.Dataset.name;
+          Alcotest.(check string) "name" (Dataset.name d (lo + j)) e.Dataset.name;
           Alcotest.(check bool) "normal form" true
-            (Array.for_all2 same_bits (Dataset.normal f) (Dataset.normal e));
+            (Array.for_all2 same_bits (Dataset.normal fresh j)
+               (Dataset.normal sd j));
           Alcotest.(check bool) "mean and std" true
             (same_bits f.Dataset.mean e.Dataset.mean
             && same_bits f.Dataset.std e.Dataset.std);
@@ -267,7 +271,7 @@ let test_catalogue_box_is_feature_box () =
         let sd = Shard.shard_dataset sh i in
         let points =
           Array.to_list
-            (Array.map (Feature.point config sd) (Dataset.entries sd))
+            (Array.init (Dataset.cardinality sd) (Feature.point config sd))
         in
         let expected = Rect.of_points points in
         let root =

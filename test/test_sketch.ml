@@ -86,8 +86,8 @@ let prop_levels_lower_bound =
               (fun level name ->
                 Array.iter
                   (fun entry ->
-                    let b = pf.Kindex.bound level entry in
-                    let x = dist entry in
+                    let b = pf.Kindex.bound level entry.Dataset.id in
+                    let x = dist entry.Dataset.id in
                     if b > x +. 1e-9 then
                       Alcotest.failf
                         "%s level %s: bound %.17g > distance %.17g (entry %d)"
@@ -99,8 +99,8 @@ let prop_levels_lower_bound =
           | Some bound ->
             Array.iter
               (fun entry ->
-                let b = bound entry in
-                let x = dist entry in
+                let b = bound entry.Dataset.id in
+                let x = dist entry.Dataset.id in
                 if b > x +. 1e-9 then
                   Alcotest.failf
                     "%s nn bound %.17g > distance %.17g (entry %d)"
@@ -505,7 +505,7 @@ let test_segment_means_of_normal_forms () =
             Alcotest.(check int64)
               (Printf.sprintf "n=%d entry %d" n e.Dataset.id)
               (Int64.bits_of_float (reference e))
-              (Int64.bits_of_float (f.Kindex.bound 1 e)))
+              (Int64.bits_of_float (f.Kindex.bound 1 e.Dataset.id)))
           (Dataset.entries d))
     [ 128; 100; 7 ]
 

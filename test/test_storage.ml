@@ -162,43 +162,59 @@ let test_relation_save_load () =
             (Simq_series.Series.equal t.Relation.data copy.(idx).Relation.data))
         orig)
 
-(* A snapshot written by hand, in {!Relation.save}'s layout, so a test
-   can persist tuples that [insert] would refuse or number otherwise. *)
-type snapshot = { snap_name : string; snap_tuples : Relation.tuple array }
-
-let with_snapshot tuples f =
+let with_temp f =
   let path = Filename.temp_file "simq" ".rel" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      Marshal.to_channel oc { snap_name = "hand"; snap_tuples = tuples } [];
-      close_out oc;
-      f path)
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
 
 let bits s = Array.map Int64.bits_of_float s
 
-(* [load] adopts the snapshot's tuples: ids, names, data, page layout
-   and counters are those of inserting every tuple again, whatever ids
-   the snapshot carried. *)
+(* A relation file written word by word in {!Relation.save}'s layout,
+   with its trailer, so a test can persist rows that [insert] would
+   refuse. *)
+let write_by_hand path ~n rows names =
+  let oc = open_out_bin path in
+  let w = Words.writer (Some oc) in
+  Words.word w (Bytes.get_int64_le (Bytes.of_string "SIMQREL\001") 0);
+  Words.int w 1;
+  Words.int w (Array.length rows);
+  Words.int w n;
+  Words.int w 4;
+  Words.bytes w "hand";
+  Array.iter (Array.iter (Words.float w)) rows;
+  let off = ref 0 in
+  Array.iter
+    (fun s ->
+      Words.int w !off;
+      off := !off + String.length s)
+    names;
+  Words.int w !off;
+  Words.bytes w (String.concat "" (Array.to_list names));
+  ignore (Words.finish w : int64);
+  close_out oc
+
+let rejected path =
+  match Relation.load path with
+  | _ -> false
+  | exception Relation.Invalid_file _ -> true
+
+(* [load] reads what [save] wrote: ids, names, data, page layout and
+   counters are those of inserting every tuple again. *)
 let test_relation_load_equals_reinsert () =
   let batch = sample_batch 30 40 in
-  let tuples =
-    Array.mapi
-      (fun idx data ->
-        { Relation.id = 100 - idx; name = Printf.sprintf "t%d" idx; data })
-      batch
-  in
-  with_snapshot tuples (fun path ->
+  let inserted = Relation.create ~page_size:512 ~name:"hand" () in
+  Array.iteri
+    (fun idx data ->
+      ignore (Relation.insert inserted ~name:(Printf.sprintf "t%d" idx) data))
+    batch;
+  Io_stats.reset (Relation.stats inserted);
+  with_temp (fun path ->
+      Relation.save inserted path;
       let loaded = Relation.load ~page_size:512 path in
-      let inserted = Relation.create ~page_size:512 ~name:"hand" () in
-      Array.iter
-        (fun (t : Relation.tuple) ->
-          ignore
-            (Relation.insert inserted ~name:t.Relation.name t.Relation.data))
-        tuples;
-      Io_stats.reset (Relation.stats inserted);
       Alcotest.(check string) "name" "hand" (Relation.name loaded);
+      Alcotest.(check int64) "digest" (Relation.digest inserted)
+        (Relation.digest loaded);
       Array.iter2
         (fun (a : Relation.tuple) (b : Relation.tuple) ->
           Alcotest.(check int) "id" a.Relation.id b.Relation.id;
@@ -214,7 +230,7 @@ let test_relation_load_equals_reinsert () =
         (Relation.pages loaded);
       Alcotest.(check (list int)) "zeroed stats" [ 0; 0; 0 ] (counters loaded);
       (* The offsets: every tuple touches the pages the inserted one does. *)
-      for id = 0 to Array.length tuples - 1 do
+      for id = 0 to Array.length batch - 1 do
         ignore (Relation.get inserted id);
         ignore (Relation.get loaded id);
         Alcotest.(check (list int)) "page traffic" (counters inserted)
@@ -223,20 +239,132 @@ let test_relation_load_equals_reinsert () =
       let extra = [| 1.; 2. |] in
       Alcotest.(check int) "next insert's id"
         (Relation.insert inserted ~name:"x" extra).Relation.id
-        (Relation.insert loaded ~name:"x" extra).Relation.id)
+        (Relation.insert loaded ~name:"x" extra).Relation.id;
+      Alcotest.(check (array int64)) "an insert leaves the rows"
+        (bits batch.(7)) (bits (Relation.series loaded 7));
+      Alcotest.(check bool) "and the file" false (rejected path))
 
 let test_relation_load_rejects_bad_series () =
   List.iter
-    (fun (data, message) ->
-      let tuples =
-        [| { Relation.id = 0; name = "ok"; data = [| 1.; 2. |] };
-           { Relation.id = 1; name = "bad"; data } |]
-      in
-      with_snapshot tuples (fun path ->
-          Alcotest.check_raises message (Invalid_argument message) (fun () ->
-              ignore (Relation.load path))))
-    [ ([| 1.; Float.nan |], "Series.validate: non-finite value");
-      ([||], "Series.validate: empty series") ]
+    (fun (what, n, rows) ->
+      with_temp (fun path ->
+          write_by_hand path ~n rows (Array.map (fun _ -> "x") rows);
+          Alcotest.(check bool) what true (rejected path)))
+    [
+      ("a NaN", 2, [| [| 1.; 2. |]; [| 1.; Float.nan |] |]);
+      ("an infinity", 2, [| [| Float.neg_infinity; 2. |] |]);
+      ("empty series", 0, [| [||]; [||] |]);
+    ];
+  with_temp (fun path ->
+      write_by_hand path ~n:2 [| [| 1.; 2. |]; [| 3.; 4. |] |] [| "a"; "bc" |];
+      let r = Relation.load path in
+      Alcotest.(check (list string)) "the hand-written file is valid"
+        [ "a"; "bc" ]
+        [ Relation.series_name r 0; Relation.series_name r 1 ])
+
+(* Every byte of a small file flipped in turn, across the header, the
+   rows, the name table and the trailer: each flip is refused as an
+   invalid file, never read and never a crash. *)
+let test_relation_byte_flips () =
+  let r = Relation.of_series ~name:"flips" (sample_batch 3 5) in
+  with_temp (fun path ->
+      Relation.save r path;
+      let good = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check bool) "the intact file loads" false (rejected path);
+      String.iteri
+        (fun at c ->
+          List.iter
+            (fun bit ->
+              let b = Bytes.of_string good in
+              Bytes.set b at (Char.chr (Char.code c lxor bit));
+              Out_channel.with_open_bin path (fun oc ->
+                  Out_channel.output_bytes oc b);
+              if not (rejected path) then
+                Alcotest.failf "byte %d xor %d of %d was read" at bit
+                  (String.length good))
+            [ 1; 0x80; 1 lsl (at mod 8) ])
+        good)
+
+(* A [Marshal] snapshot, the format before this one, is not a relation
+   file; nor is a truncated file or an empty one. *)
+let test_relation_refuses_old_and_short_files () =
+  let tuples =
+    [| { Relation.id = 0; name = "a"; data = [| 1.; 2. |] } |]
+  in
+  let message path =
+    match Relation.load path with
+    | _ -> Alcotest.fail "loaded"
+    | exception Relation.Invalid_file m -> m
+  in
+  with_temp (fun path ->
+      let oc = open_out_bin path in
+      Marshal.to_channel oc ("hand", tuples) [];
+      output_string oc (String.make 64 '\000');
+      close_out oc;
+      Alcotest.(check bool) "a Marshal snapshot: not a relation file" true
+        (String.starts_with ~prefix:"not a relation file" (message path)));
+  with_temp (fun path ->
+      Relation.save (Relation.of_series ~name:"t" (sample_batch 4 8)) path;
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      List.iter
+        (fun len ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc (String.sub whole 0 len));
+          Alcotest.(check bool)
+            (Printf.sprintf "cut to %d bytes" len)
+            true (rejected path))
+        [ 0; 7; 8; 56; String.length whole - 8; String.length whole - 1 ]);
+  Alcotest.check_raises "a directory"
+    (Relation.Invalid_file
+       (Printf.sprintf "not a relation file (not a regular file): %s"
+          Filename.current_dir_name))
+    (fun () -> ignore (Relation.load Filename.current_dir_name))
+
+(* A ragged relation lives in memory, and [save] refuses it before
+   writing anything. *)
+let test_relation_ragged_not_saved () =
+  let r = Relation.create ~name:"ragged" () in
+  ignore (Relation.insert r ~name:"a" [| 1.; 2.; 3. |]);
+  ignore (Relation.insert r ~name:"b" [| 4.; 5. |]);
+  Alcotest.(check (option int)) "no common length" None (Relation.length r);
+  Alcotest.(check (array int64)) "rows as inserted" (bits [| 4.; 5. |])
+    (bits (Relation.series r 1));
+  with_temp (fun path ->
+      Sys.remove path;
+      Alcotest.check_raises "refused"
+        (Invalid_argument "Relation.save: series of unequal lengths")
+        (fun () -> Relation.save r path);
+      Alcotest.(check bool) "nothing written" false (Sys.file_exists path))
+
+(* A block is a view of its parent's rows and names, laid out on pages
+   as a fresh relation of the same series, with its own counters. *)
+let test_relation_sub_is_a_view () =
+  let batch = sample_batch 12 20 in
+  let parent = Relation.of_series ~name:"p" batch in
+  with_temp (fun path ->
+      Relation.save parent path;
+      List.iter
+        (fun (what, parent) ->
+          let block = Relation.sub parent ~name:"b" ~lo:4 ~width:5 in
+          let fresh = Relation.of_series ~name:"f" (Array.sub batch 4 5) in
+          Alcotest.(check int) (what ^ ": cardinality") 5
+            (Relation.cardinality block);
+          Alcotest.(check int) (what ^ ": pages") (Relation.pages fresh)
+            (Relation.pages block);
+          for i = 0 to 4 do
+            Alcotest.(check (array int64)) (what ^ ": row")
+              (bits batch.(4 + i)) (bits (Relation.series block i));
+            Alcotest.(check string) (what ^ ": name")
+              (Relation.series_name parent (4 + i))
+              (Relation.series_name block i)
+          done;
+          Relation.iter block ~f:ignore;
+          Alcotest.(check int) (what ^ ": its own page reads")
+            (Relation.pages block)
+            (Io_stats.page_reads (Relation.stats block));
+          Alcotest.(check int) (what ^ ": none of the parent's") 0
+            (Io_stats.page_reads (Relation.stats parent)))
+        [ ("built", parent); ("loaded", Relation.load path) ])
 
 let test_relation_to_array_and_iter_agree () =
   let r = Relation.of_series ~name:"x" (sample_batch 7 16) in
@@ -382,6 +510,14 @@ let () =
             test_relation_load_equals_reinsert;
           Alcotest.test_case "load rejects bad series" `Quick
             test_relation_load_rejects_bad_series;
+          Alcotest.test_case "every flipped byte refused" `Quick
+            test_relation_byte_flips;
+          Alcotest.test_case "old and short files refused" `Quick
+            test_relation_refuses_old_and_short_files;
+          Alcotest.test_case "ragged relation not saved" `Quick
+            test_relation_ragged_not_saved;
+          Alcotest.test_case "a block is a view" `Quick
+            test_relation_sub_is_a_view;
           Alcotest.test_case "iteration order" `Quick
             test_relation_to_array_and_iter_agree;
         ] );

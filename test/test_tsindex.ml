@@ -192,7 +192,7 @@ let test_dataset_preparation () =
   Array.iter
     (fun (e : Dataset.entry) ->
       Alcotest.(check bool) "normal form" true
-        (Simq_series.Normal_form.is_normal (Dataset.normal e));
+        (Simq_series.Normal_form.is_normal (Dataset.normal d e.Dataset.id));
       Alcotest.(check (float 1e-9)) "coefficient 0 is zero" 0.
         (Simq_dsp.Cpx.abs
            (Simq_dsp.Flat.coeff (Dataset.spectrum d e.Dataset.id) 0)))
@@ -247,7 +247,7 @@ let test_flat_kernel_matches_boxed () =
   let spectrum (e : Dataset.entry) = Dataset.spectrum d e.Dataset.id in
   let boxed =
     Array.map
-      (fun (e : Dataset.entry) -> Simq_dsp.Fft.fft_real (Dataset.normal e))
+      (fun (e : Dataset.entry) -> Simq_dsp.Fft.fft_real (Dataset.normal d e.Dataset.id))
       entries
   in
   (* Every stretch of the spec mix ([Queries.spec_mix]): identity, rev,
@@ -613,7 +613,7 @@ let test_flat_spectrum_is_fft () =
   let d = dataset_of ~seed:13 ~count:8 ~n:48 in
   Array.iter
     (fun (e : Dataset.entry) ->
-      let reference = Simq_dsp.Fft.fft_real (Dataset.normal e) in
+      let reference = Simq_dsp.Fft.fft_real (Dataset.normal d e.Dataset.id) in
       Alcotest.(check int) "coefficients" (Array.length reference)
         (Simq_dsp.Flat.length (Dataset.spectrum d e.Dataset.id));
       Array.iteri
@@ -819,7 +819,7 @@ let brute_nearest ~spec d ~query ~k =
   |> List.map (fun (e : Dataset.entry) ->
          ( e,
            Simq_series.Distance.euclidean
-             (Spec.apply_series spec (Dataset.normal e))
+             (Spec.apply_series spec (Dataset.normal d e.Dataset.id))
              q.Dataset.qnormal ))
   |> List.sort (fun (_, d1) (_, d2) -> Float.compare d1 d2)
   |> List.filteri (fun i _ -> i < k)
@@ -1150,7 +1150,7 @@ let test_join_keeps_pair_at_epsilon () =
     (fun spec ->
       let label = Spec.name spec in
       let normal id =
-        Spec.apply_series spec (Dataset.normal (Dataset.get d id))
+        Spec.apply_series spec (Dataset.normal d id)
       in
       let time_sum i j =
         let a = normal i and b = normal j in
@@ -1375,7 +1375,7 @@ let test_range_unnormalised_query () =
     |> List.filter_map (fun (e : Dataset.entry) ->
            let dist =
              Simq_series.Distance.euclidean
-               (Spec.apply_series spec (Dataset.normal e))
+               (Spec.apply_series spec (Dataset.normal d e.Dataset.id))
                query
            in
            if dist <= epsilon then Some e.Dataset.id else None)
@@ -1428,7 +1428,7 @@ let test_layout_invariance () =
           | None -> []
           | Some b ->
             Array.to_list
-              (Array.map (fun e -> bits (b e)) (Dataset.entries d))
+              (Array.map (fun e -> bits (b e.Dataset.id)) (Dataset.entries d))
         in
         let join (j : Join.result) = (j.Join.pairs, j.Join.distance_computations) in
         [
@@ -1701,13 +1701,13 @@ let test_planner_estimates_roughly_correct () =
   let stats = Planner.collect ~samples:4000 d in
   (* Compare the estimate against the true count for a median-ish eps. *)
   let entries = Dataset.entries d in
-  let query = Dataset.normal entries.(0) in
+  let query = Dataset.normal d 0 in
   List.iter
     (fun epsilon ->
       let truth =
         Array.to_list entries
         |> List.filter (fun (e : Dataset.entry) ->
-               Simq_series.Distance.euclidean (Dataset.normal e) query
+               Simq_series.Distance.euclidean (Dataset.normal d e.Dataset.id) query
                <= epsilon)
         |> List.length
       in
@@ -1889,7 +1889,8 @@ let check_same_index msg built opened =
       Alcotest.(check int) (msg ^ ": id") a.Dataset.id b.Dataset.id;
       Alcotest.(check string) (msg ^ ": name") a.Dataset.name b.Dataset.name;
       check_bits (msg ^ ": series") a.Dataset.series b.Dataset.series;
-      check_bits (msg ^ ": normal") (Dataset.normal a) (Dataset.normal b);
+      check_bits (msg ^ ": normal") (Dataset.normal db a.Dataset.id)
+        (Dataset.normal dop b.Dataset.id);
       check_bits (msg ^ ": moments")
         [| a.Dataset.mean; a.Dataset.std |]
         [| b.Dataset.mean; b.Dataset.std |])
@@ -2012,7 +2013,7 @@ let prop_normal_on_demand =
             check_bits what
               (Simq_series.Normal_form.decompose e.Dataset.series)
                 .Simq_series.Normal_form.normalised
-              (Dataset.normal e))
+              (Dataset.normal d e.Dataset.id))
           (Dataset.entries d)
       in
       let lo = count / 3 in
@@ -2166,6 +2167,28 @@ let test_image_code_mismatch () =
   let stale = inode (Image.path path) in
   let opened = open_path path in
   check_same_index "another fingerprint" built opened;
+  Alcotest.(check bool) "and rewritten" true
+    (image_valid path && inode (Image.path path) <> stale)
+
+(* The fingerprint covers the tree the STR load packs: an image keyed
+   by another [max_fill]'s fingerprint is rejected and rewritten. *)
+let test_image_code_covers_the_tree () =
+  with_relation_file (image_batch ~seed:10 ~count:60 ~n:32) @@ fun path ->
+  let built = built_of path in
+  let key = Image.key (Relation.load path) and like = Unix.stat path in
+  Alcotest.(check int64) "the key's fingerprint is the fill's"
+    (Image.code ~max_fill:Image.max_fill 32)
+    key.Image.code;
+  let other = Image.code ~max_fill:(Image.max_fill / 2) 32 in
+  Alcotest.(check bool) "another fill, another fingerprint" false
+    (Int64.equal other key.Image.code);
+  Image.write ~like (Image.path path) { key with Image.code = other }
+    (Kindex.dataset built)
+    ~shape:(Bulk.shape (Kindex.tree built));
+  Alcotest.(check bool) "is rejected" false (image_valid path);
+  let stale = inode (Image.path path) in
+  let opened = open_path path in
+  check_same_index "another fill" built opened;
   Alcotest.(check bool) "and rewritten" true
     (image_valid path && inode (Image.path path) <> stale)
 
@@ -2378,6 +2401,8 @@ let () =
             test_image_permissions;
           Alcotest.test_case "another code fingerprint is rewritten" `Quick
             test_image_code_mismatch;
+          Alcotest.test_case "the fingerprint covers the tree" `Quick
+            test_image_code_covers_the_tree;
           Alcotest.test_case "replaced by rename under a reader" `Quick
             test_image_replaced_under_reader;
           Alcotest.test_case "a batch leaves the image unchanged" `Quick

@@ -49,7 +49,9 @@
 # or build span) printing the first one's rows, a directory in the
 # image's place ignored, and a daemon that opened the image answering
 # from it after the relation is regenerated and a query replaces the
-# image, and warp(2) RANGE and NEAREST and index PAIRS
+# image, a relation file with one byte flipped in its series or its
+# name table refused by info and query with exit 2, and warp(2) RANGE
+# and NEAREST and index PAIRS
 # under mavg(4) printing the same rows cold and warm, plain and with
 # --shards 4 --sketch.
 #
@@ -581,6 +583,56 @@ mkdir dir.rel.prepared
 "$simq" query dir.rel "$image_spec" >dir.out
 sed 1d dir.out | cmp -s - cold.rows || {
   echo "smoke: a directory in the image's place changed the rows" >&2
+  exit 1
+}
+
+echo "== relation file: a flipped byte is a file error, never a signal"
+# The relation file's trailer sums every word, so one flipped byte in
+# the series section or in the name table makes simq info and simq
+# query exit 2 with the file message, never end on a signal, even with
+# a valid image beside it. A regenerated file is read again, and its
+# first query rewrites the image and prints the plain rows.
+"$simq" generate --count 300 --length 64 -o flip.rel >/dev/null
+"$simq" query flip.rel "$image_spec" >/dev/null
+# Header (5 words) and the name "flip" (1 word), then the rows, then
+# 301 name offsets and the names' bytes.
+rows_at=48
+names_at=$((8 * (6 + 300 * 64 + 301)))
+flip_byte() {
+  b=$(dd if="$1" bs=1 skip="$2" count=1 2>/dev/null | od -An -tu1 | tr -d ' ')
+  # shellcheck disable=SC2059
+  printf "$(printf '\\%03o' $((b ^ 1)))" |
+    dd of="$1" bs=1 seek="$2" conv=notrunc 2>/dev/null
+}
+for at in $((rows_at + 1000)) $((names_at + 3)); do
+  "$simq" generate --count 300 --length 64 -o flip.rel >/dev/null
+  flip_byte flip.rel "$at"
+  for cmd in info query; do
+    status=0
+    if [ "$cmd" = info ]; then
+      "$simq" info flip.rel >flip.out 2>flip.err || status=$?
+    else
+      "$simq" query flip.rel "$image_spec" >flip.out 2>flip.err || status=$?
+    fi
+    [ "$status" -eq 2 ] && grep -q "not a relation file" flip.err || {
+      echo "smoke: simq $cmd on a byte flipped at $at exited $status" >&2
+      cat flip.err >&2
+      exit 1
+    }
+  done
+done
+"$simq" generate --count 300 --length 64 --seed 2024 -o flip.rel >/dev/null
+cp flip.rel flip-fresh.rel
+flip_image=$(ls -i flip.rel.prepared)
+"$simq" query flip.rel "$image_spec" >flip.out
+"$simq" query flip-fresh.rel "$image_spec" >flip-fresh.out
+[ "$(ls -i flip.rel.prepared)" != "$flip_image" ] || {
+  echo "smoke: the query after the regeneration kept the old image" >&2
+  exit 1
+}
+sed 1d flip.out >flip.rows
+sed 1d flip-fresh.out | cmp -s flip.rows - || {
+  echo "smoke: the regenerated relation printed other rows than a fresh copy" >&2
   exit 1
 }
 
