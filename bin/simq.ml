@@ -150,7 +150,8 @@ let info_cmd_impl file =
     (Relation.name relation)
     (Relation.cardinality relation)
     (Relation.pages relation);
-  Option.iter (Printf.printf "series length: %d\n") (Relation.length relation);
+  if Relation.cardinality relation > 0 then
+    Printf.printf "series length: %d\n" (Relation.length relation);
   Ok ()
 
 let file_arg =
@@ -569,7 +570,6 @@ let import_impl csv out =
           (Relation.cardinality relation)
           out;
         Ok ()
-      | exception Invalid_argument msg -> Error (Csv_error msg)
       | exception Sys_error msg -> Error (File msg))
     | exception Failure msg -> Error (Csv_error msg)
     | exception Sys_error msg -> Error (File msg)

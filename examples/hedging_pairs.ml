@@ -34,42 +34,39 @@ let () =
      calibrated on the planted pairs' scale. *)
   let epsilon = 1.5 in
   let smooth = Spec.Moving_average 20 in
-  let entries = Dataset.entries dataset in
   let hedges = ref [] in
-  Array.iter
-    (fun (entry : Dataset.entry) ->
-      (* Query side: the smoothed normal form of this stock. Data side:
-         smoothed reversal. Matches = stocks moving opposite to it. *)
-      let query_series = entry.Dataset.series in
-      let smoothed_reversed candidate =
-        Distance.euclidean
-          (Spec.apply_series smooth
-             (Series.reverse_sign (Dataset.normal dataset candidate)))
-          (Spec.apply_series smooth (Normal_form.normalise query_series))
-      in
-      (* Data side transformed by smooth∘reverse. Reversal is linear, so
-         D(smooth (rev x), smooth q) = D(smooth x, smooth (-q)): traverse
-         with spec = smooth and use the features of smooth(-q) — the
-         query's coefficients through the (negated) transfer function. *)
-      let q = Dataset.prepare_query query_series in
-      let k = (Kindex.config index).Feature.k in
-      let transfer = Spec.stretch smooth ~n in
-      let query_coeffs =
-        Array.init k (fun i ->
-            Simq_dsp.Cpx.neg
-              (Simq_dsp.Cpx.mul (Simq_dsp.Flat.coeff transfer (i + 1))
-                 (Simq_dsp.Flat.coeff q.Dataset.qspectrum (i + 1))))
-      in
-      let result =
-        Kindex.range_generic ~spec:smooth index ~query_coeffs ~epsilon
-          ~distance:smoothed_reversed
-      in
-      List.iter
-        (fun ((candidate : Dataset.entry), d) ->
-          if candidate.Dataset.id < entry.Dataset.id then
-            hedges := (candidate.Dataset.id, entry.Dataset.id, d) :: !hedges)
-        result.Kindex.answers)
-    entries;
+  for id = 0 to Dataset.cardinality dataset - 1 do
+    (* Query side: the smoothed normal form of this stock. Data side:
+       smoothed reversal. Matches = stocks moving opposite to it. *)
+    let query_series = Dataset.series dataset id in
+    let smoothed_reversed candidate =
+      Distance.euclidean
+        (Spec.apply_series smooth
+           (Series.reverse_sign (Dataset.normal dataset candidate)))
+        (Spec.apply_series smooth (Normal_form.normalise query_series))
+    in
+    (* Data side transformed by smooth∘reverse. Reversal is linear, so
+       D(smooth (rev x), smooth q) = D(smooth x, smooth (-q)): traverse
+       with spec = smooth and use the features of smooth(-q) — the
+       query's coefficients through the (negated) transfer function. *)
+    let q = Dataset.prepare_query query_series in
+    let k = (Kindex.config index).Feature.k in
+    let transfer = Spec.stretch smooth ~n in
+    let query_coeffs =
+      Array.init k (fun i ->
+          Simq_dsp.Cpx.neg
+            (Simq_dsp.Cpx.mul (Simq_dsp.Flat.coeff transfer (i + 1))
+               (Simq_dsp.Flat.coeff q.Dataset.qspectrum (i + 1))))
+    in
+    let result =
+      Kindex.range_generic ~spec:smooth index ~query_coeffs ~epsilon
+        ~distance:smoothed_reversed
+    in
+    List.iter
+      (fun (candidate, d) ->
+        if candidate < id then hedges := (candidate, id, d) :: !hedges)
+      result.Kindex.answers
+  done;
 
   Printf.printf "market: %d stocks x %d days; planted hedging pairs: ids %s\n"
     (Array.length market) n
@@ -84,6 +81,6 @@ let () =
     (fun (i, j, d) ->
       let planted_pair = i >= 120 && j = i + 1 && (i - 120) mod 2 = 0 in
       Printf.printf "  %s-%s  D(ma20 x, ma20 (-y)) = %.2f%s\n"
-        entries.(i).Dataset.name entries.(j).Dataset.name d
+        (Dataset.name dataset i) (Dataset.name dataset j) d
         (if planted_pair then "   <- planted" else ""))
     (List.sort compare !hedges)

@@ -12,6 +12,11 @@ let run_query index queries_by_name text =
   | Error msg -> Printf.printf "  parse error: %s\n" msg
   | Ok q -> (
     Printf.printf "  parsed: %s\n" (Format.asprintf "%a" Ql.pp q);
+    let print_answer (id, d) =
+      Printf.printf "    %s  distance %.3f\n"
+        (Dataset.name (Kindex.dataset index) id)
+        d
+    in
     match q with
     | Ql.Range { spec; query; epsilon; mean_window; std_band; _ } -> (
       match List.assoc_opt query queries_by_name with
@@ -24,17 +29,12 @@ let run_query index queries_by_name text =
         Printf.printf "  %d answers, %d candidates, %d node accesses\n"
           (List.length r.Kindex.answers)
           r.Kindex.candidates r.Kindex.node_accesses;
-        List.iter
-          (fun ((e : Dataset.entry), d) ->
-            Printf.printf "    %s  distance %.3f\n" e.Dataset.name d)
-          r.Kindex.answers)
+        List.iter print_answer r.Kindex.answers)
     | Ql.Nearest { k; spec; query; _ } -> (
       match List.assoc_opt query queries_by_name with
       | None -> Printf.printf "  unknown query series %S\n" query
       | Some series ->
-        Kindex.nearest ~spec index ~query:series ~k
-        |> List.iter (fun ((e : Dataset.entry), d) ->
-               Printf.printf "    %s  distance %.3f\n" e.Dataset.name d))
+        List.iter print_answer (Kindex.nearest ~spec index ~query:series ~k))
     | Ql.Pairs { spec; epsilon; method_; _ } ->
       let result =
         match method_ with

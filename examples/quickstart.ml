@@ -59,8 +59,8 @@ let () =
     (List.length result.Kindex.answers)
     result.Kindex.candidates result.Kindex.node_accesses;
   List.iter
-    (fun ((e : Dataset.entry), d) ->
-      Printf.printf "  %s  distance %.3f\n" e.Dataset.name d)
+    (fun (id, d) ->
+      Printf.printf "  %s  distance %.3f\n" (Dataset.name dataset id) d)
     result.Kindex.answers;
 
   (* The same query through the sequential-scan baseline gives the same
@@ -68,11 +68,6 @@ let () =
   let reference =
     Seqscan.reference ~spec ~normalise_query:false dataset ~query ~epsilon
   in
-  let agrees =
-    List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) reference
-    = List.map
-        (fun ((e : Dataset.entry), _) -> e.Dataset.id)
-        result.Kindex.answers
-  in
+  let agrees = List.map fst reference = List.map fst result.Kindex.answers in
   Printf.printf "sequential scan agrees: %b\n" agrees;
   if not agrees then exit 1

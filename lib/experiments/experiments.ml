@@ -44,6 +44,11 @@ let with_selective_epsilons dataset queries =
 
 (* --- Figures 8 and 9: transformed vs plain queries ----------------------- *)
 
+(* The least time each side of a timing window runs for: long enough
+   that a scheduler hiccup of a few milliseconds on a shared machine
+   cannot move a window of µs-scale queries by a constant factor. *)
+let min_side_s = 0.020
+
 let transformed_vs_plain ~label ~configs =
   let table =
     Table.create ~title:label
@@ -55,10 +60,25 @@ let transformed_vs_plain ~label ~configs =
   List.iter
     (fun (name, dataset, index, queries) ->
       ignore dataset;
-      let repeats = 10 and windows = 5 in
-      let time ?spec (query, epsilon) =
-        Bench_util.time_per_query ~repeats (fun () ->
-            ignore (Kindex.range ?spec index ~query ~epsilon))
+      let run ?spec (query, epsilon) () =
+        ignore (Kindex.range ?spec index ~query ~epsilon)
+      in
+      (* One calibration pass, every query once each way, sets one
+         repeat count for both sides: enough passes of the faster side
+         to take [min_side_s]. *)
+      let pass ?spec () =
+        List.fold_left
+          (fun acc query ->
+            acc +. Bench_util.time_per_query ~repeats:1 (run ?spec query))
+          0. queries
+      in
+      let fastest = Float.min (pass ()) (pass ~spec:exercised_identity ()) in
+      let repeats =
+        Int.max 10
+          (int_of_float (Float.ceil (min_side_s /. Float.max fastest 1e-7)))
+      and windows = 5 in
+      let time ?spec query =
+        Bench_util.time_per_query ~repeats (run ?spec query)
       in
       (* Window [w] times every query both ways, the plain query first
          when [q + w] is even and second otherwise, so neither side

@@ -83,13 +83,19 @@ let digest text = String.sub (Digest.to_hex (Digest.string text)) 0 12
 
 let resolve_query_series dataset spec ~name ~noise =
   let n = Dataset.series_length dataset in
+  (* [s] and decimal digits only: [int_of_string] alone would also
+     read [0x1f], [1_0] and [0b11]. *)
+  let digits =
+    if name = "" then "" else String.sub name 1 (String.length name - 1)
+  in
   let* id =
-    if String.length name >= 2 && name.[0] = 's' then
-      match int_of_string_opt (String.sub name 1 (String.length name - 1)) with
-      | Some id when id >= 0 && id < Dataset.cardinality dataset -> Ok id
-      | Some id -> usage (Printf.sprintf "series id %d out of range" id)
-      | None -> usage (Printf.sprintf "bad query name %S (expected sN)" name)
-    else usage (Printf.sprintf "bad query name %S (expected sN)" name)
+    match int_of_string_opt digits with
+    | Some id
+      when String.starts_with ~prefix:"s" name
+           && String.for_all (fun c -> c >= '0' && c <= '9') digits ->
+      if id < Dataset.cardinality dataset then Ok id
+      else usage (Printf.sprintf "series id %d out of range" id)
+    | _ -> usage (Printf.sprintf "bad query name %S (expected sN)" name)
   in
   let base = Dataset.series dataset id in
   let series =
@@ -191,14 +197,14 @@ let note_report note (r : Simq_shard.report) =
 
 type outcome = { partial : bool; answers : int; results : J.t }
 
-let answers_json answers =
+let answers_json dataset answers =
   J.Arr
     (List.map
-       (fun ((e : Dataset.entry), d) ->
+       (fun (id, d) ->
          J.Obj
            [
-             ("id", J.Num (float_of_int e.Dataset.id));
-             ("name", J.Str e.Dataset.name);
+             ("id", J.Num (float_of_int id));
+             ("name", J.Str (Dataset.name dataset id));
              ("distance", J.Num d);
            ])
        answers)
@@ -243,7 +249,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
         note_report note r.Simq_shard.report;
         finish ~partial:r.Simq_shard.partial note
           ~answers:(List.length r.Simq_shard.answers)
-          ~results:(answers_json r.Simq_shard.answers)
+          ~results:(answers_json t.dataset r.Simq_shard.answers)
       | Error e -> fault e)
     | None -> (
       let stats = Option.map (fun _ -> stats t) t.admission in
@@ -259,7 +265,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
         note_decision note r.Planner.admission;
         finish ~partial:r.Planner.partial note
           ~answers:(List.length r.Planner.answers)
-          ~results:(answers_json r.Planner.answers)
+          ~results:(answers_json t.dataset r.Planner.answers)
       | Error e -> fault e))
   | Ql.Nearest { k; spec; query; _ } -> (
     let* series =
@@ -276,7 +282,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
         note_report note r.Simq_shard.nearest_report;
         finish note
           ~answers:(List.length r.Simq_shard.neighbours)
-          ~results:(answers_json r.Simq_shard.neighbours)
+          ~results:(answers_json t.dataset r.Simq_shard.neighbours)
       | Error e -> fault e)
     | None -> (
       note.note_path <- Some "index";
@@ -290,7 +296,7 @@ let exec_parsed ?profile ?pairs_pool ~note t text =
           note.note_path <- Some "scan";
         finish note
           ~answers:(List.length r.Kindex.neighbours)
-          ~results:(answers_json r.Kindex.neighbours)
+          ~results:(answers_json t.dataset r.Kindex.neighbours)
       | Error e -> fault e))
   | Ql.Pairs { spec; epsilon; method_; _ } -> (
     let result =

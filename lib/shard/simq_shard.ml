@@ -95,13 +95,10 @@ type report = {
 }
 
 (* Shard ids are local (dense 0..width-1); global id = lo + local. A
-   shard's relation and moments are views of the parent's for its id
-   range, so a shard entry renumbered is the parent's entry, field for
-   field: the answers equal an unsharded query's. *)
-let globalise s answers =
-  List.map
-    (fun ((e : Dataset.entry), d) -> ({ e with Dataset.id = s.lo + e.Dataset.id }, d))
-    answers
+   shard's relation is a view of the parent's rows for its id range, so
+   a shard id shifted names the parent's entry: the answers equal an
+   unsharded query's. *)
+let globalise s answers = List.map (fun (id, d) -> (s.lo + id, d)) answers
 
 let probe_of ?spec ?mean_window ?std_band t ~query ~epsilon =
   (* Any shard's index carries the config and series length shared by
@@ -114,7 +111,7 @@ let survivors ?spec ?mean_window ?std_band t ~query ~epsilon =
   Array.map (fun s -> probe s.box) t.parts
 
 type range_result = {
-  answers : (Dataset.entry * float) list;
+  answers : (int * float) list;
   candidates : int;
   node_accesses : int;
   partial : bool;
@@ -396,17 +393,15 @@ let range ?pool ?spec ?mean_window ?std_band ?approx ?profile t ~query
        ~query ~epsilon)
 
 type nearest_result = {
-  neighbours : (Dataset.entry * float) list;
+  neighbours : (int * float) list;
   nearest_report : report;
 }
 
 (* The canonical NN order: distance first, entry id breaking ties —
    the order the degraded linear selection uses, deterministic at
    every K and domain count. *)
-let by_distance ((a : Dataset.entry), da) ((b : Dataset.entry), db) =
-  match Float.compare da db with
-  | 0 -> compare a.Dataset.id b.Dataset.id
-  | c -> c
+let by_distance (a, da) (b, db) =
+  match Float.compare da db with 0 -> Int.compare a b | c -> c
 
 let rec take n = function
   | [] -> []

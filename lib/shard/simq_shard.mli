@@ -34,8 +34,10 @@
     to the unsharded run of the same query at every K and every domain
     count: range answers by the ordered union above, NN answers by a
     k-way merge of per-shard top-k lists in canonical
-    (distance, entry id) order. Answer entries are the {e parent}
-    dataset's — physically the entries an unsharded query returns.
+    (distance, entry id) order. Answers are ids of the {e parent}
+    dataset, with their distances: a shard's local ids shifted by its
+    block's first id, so a renderer reads names and series from
+    {!dataset}, as for an unsharded query.
 
     {b Resilience.} The checked entry points decide admission {e per
     shard} (each shard's own catalogue facts and calibration) before
@@ -54,9 +56,9 @@ type t
 
 (** [create ~shards dataset] partitions [dataset]. No series is
     prepared again: each shard's dataset is the parent's block
-    ({!Simq_tsindex.Dataset.sub}), whose entries share the parent's
-    [series] and [normal] arrays and whose spectrum and head rows are
-    copied from the parent's slots. The rows are copied, not a slice of
+    ({!Simq_tsindex.Dataset.sub}), whose rows, names and moments are
+    views of the parent's and whose spectrum and head rows are copied
+    from the parent's slots. The rows are copied, not a slice of
     the parent's buffer: the parent's slots follow the parent tree's
     leaf order, while each shard lays its own block out in its own
     tree's leaf order, which is what makes its traversals read
@@ -86,7 +88,7 @@ val create :
 (** [shards t] is the effective shard count K. *)
 val shards : t -> int
 
-(** [dataset t] is the parent dataset the answers' entries belong to. *)
+(** [dataset t] is the parent dataset the answers' ids belong to. *)
 val dataset : t -> Simq_tsindex.Dataset.t
 
 (** [bounds t i] is shard [i]'s contiguous global-id block as
@@ -127,8 +129,8 @@ val survivors :
   bool array
 
 type range_result = {
-  answers : (Simq_tsindex.Dataset.entry * float) list;
-      (** parent-dataset entries within ε, globally sorted by id —
+  answers : (int * float) list;
+      (** parent-dataset ids within ε, globally sorted by id —
           bit-identical to the unsharded traversal's *)
   candidates : int;
       (** summed over executed shards, in shard order; a scan-degraded
@@ -222,8 +224,8 @@ val range_checked :
   (range_result, Simq_fault.Error.t) Result.t
 
 type nearest_result = {
-  neighbours : (Simq_tsindex.Dataset.entry * float) list;
-      (** the k nearest parent-dataset entries in canonical
+  neighbours : (int * float) list;
+      (** the k nearest parent-dataset ids in canonical
           (distance, entry id) order *)
   nearest_report : report;  (** NN prunes nothing: fanout = K *)
 }

@@ -3,23 +3,23 @@ let export relation path =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      Relation.iter relation ~f:(fun tuple ->
-          if
-            String.contains tuple.Relation.name ','
-            || String.contains tuple.Relation.name '\n'
-          then failwith ("Csv.export: unquotable name " ^ tuple.Relation.name);
-          output_string oc tuple.Relation.name;
-          Array.iter
-            (fun v -> Printf.fprintf oc ",%.17g" v)
-            tuple.Relation.data;
-          output_char oc '\n'))
+      for id = 0 to Relation.cardinality relation - 1 do
+        let name = Relation.series_name relation id in
+        if String.contains name ',' || String.contains name '\n' then
+          failwith ("Csv.export: unquotable name " ^ name);
+        output_string oc name;
+        Array.iter
+          (fun v -> Printf.fprintf oc ",%.17g" v)
+          (Relation.series relation id);
+        output_char oc '\n'
+      done)
 
 let import ?page_size ?pool_pages ~name path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let relation = Relation.create ?page_size ?pool_pages ~name () in
+      let rows = ref [] in
       let expected_columns = ref None in
       let line_number = ref 0 in
       (try
@@ -66,11 +66,11 @@ let import ?page_size ?pool_pages ~name path =
                                !line_number cell))
                       cells)
                in
-               ignore (Relation.insert relation ~name:series_name data)
+               rows := (series_name, data) :: !rows
            end
          done
        with End_of_file -> ());
-      if Relation.cardinality relation = 0 then
-        failwith "Csv.import: no series found";
-      Io_stats.reset (Relation.stats relation);
-      relation)
+      if !rows = [] then failwith "Csv.import: no series found";
+      let rows = Array.of_list (List.rev !rows) in
+      Relation.of_rows ?page_size ?pool_pages ~name ~names:(Array.map fst rows)
+        (Array.map snd rows))

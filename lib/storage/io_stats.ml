@@ -1,22 +1,14 @@
 type t = {
   mutable page_reads : int;
-  mutable page_writes : int;
   mutable cache_hits : int;
 }
 
-let create () = { page_reads = 0; page_writes = 0; cache_hits = 0 }
+let create () = { page_reads = 0; cache_hits = 0 }
 let record_page_read t = t.page_reads <- t.page_reads + 1
-let record_page_write t = t.page_writes <- t.page_writes + 1
 let record_cache_hit t = t.cache_hits <- t.cache_hits + 1
 let page_reads t = t.page_reads
-let page_writes t = t.page_writes
 let cache_hits t = t.cache_hits
 
 let reset t =
   t.page_reads <- 0;
-  t.page_writes <- 0;
   t.cache_hits <- 0
-
-let pp ppf t =
-  Format.fprintf ppf "reads=%d writes=%d hits=%d" t.page_reads t.page_writes
-    t.cache_hits

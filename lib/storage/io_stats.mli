@@ -8,12 +8,9 @@ type t
 val create : unit -> t
 
 val record_page_read : t -> unit
-val record_page_write : t -> unit
 val record_cache_hit : t -> unit
 
 val page_reads : t -> int
-val page_writes : t -> int
 val cache_hits : t -> int
 
 val reset : t -> unit
-val pp : Format.formatter -> t -> unit

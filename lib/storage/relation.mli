@@ -1,21 +1,22 @@
 (** Relations of time sequences. The paper treats relations as unary —
     sets of sequences — “in practice of course they may have other
-    attributes”; tuples here carry an id and a symbolic name (ticker,
-    sensor, …) next to the data.
+    attributes”; each row here carries an id and a symbolic name
+    (ticker, sensor, …) next to the data.
 
-    Tuples are laid out on fixed-size logical pages in insertion order;
-    scans and point lookups account their page traffic through an LRU
-    buffer pool, so sequential-scan baselines report page reads the way
-    the paper reports disk accesses.
+    Rows are laid out on fixed-size logical pages in id order; scans
+    and point lookups account their page traffic through an LRU buffer
+    pool, so sequential-scan baselines report page reads the way the
+    paper reports disk accesses.
 
-    {b The rows.} A relation's series are one float64 word buffer
-    ({!Words.buffer}), row after row in id order. A loaded relation's
-    buffer is a view of its file's private mapping, read in place: a
-    load decodes no series. A relation built by {!create}, {!insert}
-    or {!of_series} builds its buffer on the C heap. A series is
-    copied out only when it is asked for ({!get}, {!series}). Series
-    are copied out of the rows bit for bit, so every reader sees the
-    doubles that were inserted.
+    {b The rows.} A relation is read-only: a view over rows of one
+    length, row after row in id order in one float64 word buffer
+    ({!Words.buffer}), with one name per row. Ids are dense, from 0. A
+    loaded relation's buffer is a view of its file's private mapping,
+    read in place: a load decodes no series. {!of_rows} and
+    {!of_series} fill a buffer on the C heap once, and a {!sub} block
+    is a view of its parent's rows. A series is copied out only when it
+    is asked for ({!series}), bit for bit, so every reader sees the
+    doubles the relation was made from.
 
     {b The file} ({!save}, {!load}) is a flat sequence of
     little-endian 64-bit words (ints as themselves, floats as their
@@ -46,58 +47,54 @@
     relation file in place under a running reader is out of contract,
     as for the prepared image. *)
 
-type tuple = {
-  id : int;           (** dense, assigned at insertion, starting from 0 *)
-  name : string;
-  data : Simq_series.Series.t;
-}
-
 (** A relation file that is not one, or is corrupt: the message names
     the file and what is wrong with it. *)
 exception Invalid_file of string
 
 type t
 
-(** [create ~name ()] is an empty relation. [page_size] is the logical
-    page size in bytes (default 4096); [pool_pages] the buffer-pool
-    capacity in pages (default 64). *)
-val create : ?page_size:int -> ?pool_pages:int -> name:string -> unit -> t
+(** [of_rows ~name ~names rows] is the relation of [rows], row [i]
+    named [names.(i)]. [page_size] is the logical page size in bytes
+    (default 4096); [pool_pages] the buffer-pool capacity in pages
+    (default 64). Raises [Invalid_argument], before it builds
+    anything, unless there is one name per row and the rows are
+    non-empty series of finite values, all of one length. No rows make
+    an empty relation. *)
+val of_rows :
+  ?page_size:int ->
+  ?pool_pages:int ->
+  name:string ->
+  names:string array ->
+  Simq_series.Series.t array ->
+  t
+
+(** [of_series ~name batch] is {!of_rows} with row [i] named
+    [seq-%04d] of [i]. *)
+val of_series : ?page_size:int -> name:string -> Simq_series.Series.t array -> t
 
 val name : t -> string
 val cardinality : t -> int
 
-(** [insert t ~name data] validates [data], appends it, and returns the
-    new tuple. Series of different lengths are allowed (a {e ragged}
-    relation): {!Simq_tsindex.Dataset} refuses them, and {!save}
-    refuses to write them. Inserting into a loaded relation or a
-    {!sub} view first copies its rows and names to the heap; the file
-    and the parent never change. *)
-val insert : t -> name:string -> Simq_series.Series.t -> tuple
+(** [length t] is the length every series of [t] has: 0 when [t] is
+    empty. *)
+val length : t -> int
 
-(** [of_series ~name batch] bulk-creates a relation with generated tuple
-    names. *)
-val of_series : ?page_size:int -> name:string -> Simq_series.Series.t array -> t
-
-(** [sub t ~name ~lo ~width] is the relation of [t]'s tuples
+(** [sub t ~name ~lo ~width] is the relation of [t]'s rows
     [[lo, lo + width)], renumbered from 0, named [name]: a view of
     [t]'s rows and names, copying neither. Its page layout, buffer pool
     and counters are its own, laid out as {!of_series} would lay out
-    the same series. Raises [Invalid_argument] unless [0 <= lo],
-    [0 <= width <= cardinality t - lo] and the series in range share
-    one length. *)
+    the same series. Raises [Invalid_argument] unless [0 <= lo] and
+    [0 <= width <= cardinality t - lo]. *)
 val sub : t -> name:string -> lo:int -> width:int -> t
 
-(** [get ?budget t id] fetches one tuple through the buffer pool,
-    guarding every page touch with [budget] when given — its charges
-    and its fault plan (see {!Buffer_pool.touch}). The tuple's data is
-    a fresh copy. Raises [Not_found] for unknown ids. *)
-val get : ?budget:Simq_fault.Budget.state -> t -> int -> tuple
-
-(** [touch ?budget t id] makes the page traffic of [get ?budget t id]
-    and copies nothing. *)
+(** [touch ?budget t id] makes the page traffic of reading row [id]
+    through the buffer pool, guarding every page touch with [budget]
+    when given — its charges and its fault plan (see
+    {!Buffer_pool.touch}). It copies nothing. Raises [Not_found] for
+    unknown ids. *)
 val touch : ?budget:Simq_fault.Budget.state -> t -> int -> unit
 
-(** [series t id] is a fresh copy of tuple [id]'s series, and
+(** [series t id] is a fresh copy of row [id]'s series, and
     [series_into t id out] writes it into [out]; neither touches a
     page. [series_name t id] is its name. Raise [Not_found] for
     unknown ids; [series_into] raises [Invalid_argument] when [out]'s
@@ -106,19 +103,6 @@ val series : t -> int -> Simq_series.Series.t
 
 val series_into : t -> int -> Simq_series.Series.t -> unit
 val series_name : t -> int -> string
-
-(** [length t] is the length every series of [t] has; [None] when [t]
-    is empty or ragged. *)
-val length : t -> int option
-
-(** [fold t ~init ~f] scans all tuples in storage order, touching each
-    data page once, unguarded. *)
-val fold : t -> init:'acc -> f:('acc -> tuple -> 'acc) -> 'acc
-
-val iter : t -> f:(tuple -> unit) -> unit
-
-(** [to_array t] is every tuple, touching no page. *)
-val to_array : t -> tuple array
 
 (** [pages t] is the number of logical pages the relation occupies. *)
 val pages : t -> int
@@ -129,14 +113,12 @@ val stats : t -> Io_stats.t
 
 (** [digest t] is the trailer {!save} writes for [t]: read from the
     file for a loaded relation (checked by {!load}), else computed
-    once by one pass over what {!save} would write. Raises
-    [Invalid_argument] for a ragged relation. *)
+    once by one pass over what {!save} would write. *)
 val digest : t -> int64
 
 (** [save t path] writes [t]'s file to a temporary file beside [path]
-    and renames it to [path]. Raises [Invalid_argument] for a ragged
-    relation (before writing anything), and [Sys_error] when a step
-    fails, after removing the temporary file. *)
+    and renames it to [path]. Raises [Sys_error] when a step fails,
+    after removing the temporary file. *)
 val save : t -> string -> unit
 
 (** [load path] maps and checks the relation file at [path] (see

@@ -95,9 +95,7 @@ let normal t id =
 (* The common length of a relation's series, or the refusal. *)
 let length_of name r =
   if Relation.cardinality r = 0 then invalid_arg (name ^ ": empty relation");
-  match Relation.length r with
-  | Some n -> n
-  | None -> invalid_arg (name ^ ": series of unequal lengths")
+  Relation.length r
 
 let of_relation ?pool r =
   let n = length_of "Dataset.of_relation" r in

@@ -20,23 +20,25 @@
     so a traversal reads them nearly sequentially). Every reader takes
     (buffer, slot) and computes the same doubles in any layout.
 
-    The series stay in the backing relation's rows
-    ({!Simq_storage.Relation}); the data set holds no copy of them,
-    and an entry's series is copied out of the rows when it is asked
-    for ({!get}, {!series}). The moments are two float64 buffers by
-    id. A cold build ({!of_relation}, {!sub}) fills fresh buffers; a
-    warm open ({!of_prepared} from {!Image.read}) adopts views of the
-    mapped image file for every buffer, so their pages are the page
-    cache's, read in place and faulted in as they are touched, never
-    copied into fresh memory.
+    The series and their names stay in the backing relation
+    ({!Simq_storage.Relation}), one read-only store of rows of one
+    length; the data set holds no copy of them. Queries answer entry
+    ids, and only a caller that renders or inspects an answer reads
+    its name or series by id ({!name}, {!series}). The moments are two
+    float64 buffers by id. A cold build ({!of_relation}, {!sub}) fills
+    fresh buffers; a warm open ({!of_prepared} from {!Image.read})
+    adopts views of the mapped image file for every buffer, so their
+    pages are the page cache's, read in place and faulted in as they
+    are touched, never copied into fresh memory.
 
     A data set is built once: its buffers and cardinality never change
     after {!of_relation} or {!sub}, and only {!lay_out} moves slots.
     A {!sub} block's relation and moments are views of its parent's,
     so nothing may write to them. *)
 
-(** An entry, as {!get} hands it out: its id, name, moments, and a
-    fresh copy of its original series. *)
+(** An entry, as {!get} hands it out for inspection: its id, name,
+    moments, and a fresh copy of its original series. No query path
+    builds one. *)
 type entry = {
   id : int;
   name : string;
@@ -59,7 +61,7 @@ type t
     normalisation + FFT (the dominant build cost) fans out over [pool]
     (default {!Simq_parallel.Pool.default}) with results identical to a
     sequential build. Raises [Invalid_argument] when the relation is
-    empty or holds series of unequal lengths. *)
+    empty. *)
 val of_relation : ?pool:Simq_parallel.Pool.t -> Simq_storage.Relation.t -> t
 
 (** [of_series ?pool ~name batch] shortcut: wraps the batch in a
@@ -80,9 +82,9 @@ type floats = Simq_storage.Words.buffer
     mapped views, whose pages stay the file's ({!Image}). No FFT runs,
     nothing is normalised, and no series is read. Given [t]'s own
     moments, slot order, head table and buffer, every field, double
-    and slot equals [t]'s. Raises [Invalid_argument] when [r] is empty
-    or its series differ in length, when the buffers do not fit [r],
-    or when [ids] is not a permutation of the ids. *)
+    and slot equals [t]'s. Raises [Invalid_argument] when [r] is
+    empty, when the buffers do not fit [r], or when [ids] is not a
+    permutation of the ids. *)
 val of_prepared :
   Simq_storage.Relation.t ->
   means:floats ->
@@ -218,8 +220,8 @@ val head_twin_sq_dist :
   unit
 
 (** [get t id] is entry [id], its series a fresh copy of its row;
-    [entries t] is every entry, by id. They are for answers and
-    inspection: the query paths read the buffers by id. Raise
+    [entries t] is every entry, by id. They are for inspection only:
+    the query paths read the buffers by id and answer ids. Raise
     [Invalid_argument] for an unknown id. *)
 val get : t -> int -> entry
 

@@ -81,7 +81,7 @@ let code ~max_fill n =
   Words.finish w
 
 let key r =
-  let n = Option.value (Relation.length r) ~default:0 in
+  let n = Relation.length r in
   {
     count = Relation.cardinality r;
     n;

@@ -87,19 +87,17 @@ let of_image relation (image : Image.t) =
    loaded, whose permission bits the image cannot copy. *)
 let open_file ~relation file =
   let path = Image.path file in
-  (* A ragged relation has no image: its cold path raises. *)
   let key = lazy (Image.key relation) in
   let like = try Some (Unix.stat file) with Unix.Unix_error _ -> None in
   let warm =
     Otrace.with_span "image.open" @@ fun () ->
     match like with
-    | Some like when Option.is_some (Simq_storage.Relation.length relation)
-      -> (
+    | Some like -> (
       match Image.read ~like path (Lazy.force key) with
       | None -> None
       | Some image -> (
         try Some (of_image relation image) with Invalid_argument _ -> None))
-    | _ -> None
+    | None -> None
   in
   match warm with
   | Some t -> t
@@ -122,18 +120,12 @@ let dataset t = t.dataset
 let config t = t.config
 let tree t = t.tree
 
-type 'a found = {
-  answers : 'a list;
+type found = {
+  answers : (int * float) list;
   candidates : int;
   node_accesses : int;
   partial : bool;
 }
-
-type range_result = (Dataset.entry * float) found
-
-(* The answers' entries, each copied out of the data set once. *)
-let entries_of t (r : (int * float) found) =
-  { r with answers = List.map (fun (id, d) -> (Dataset.get t.dataset id, d)) r.answers }
 
 (* A multi-resolution sketch funnel ([Simq_sketch] builds one per
    query): each level maps an entry to a proved lower bound on the
@@ -377,7 +369,7 @@ let range_within ?mean_range ?std_range ?prefilter ?approx ?profile t
       prepared ~query_coeffs ~radius ~epsilon ~distance
   in
   Rstar.add_accesses t.tree result.node_accesses;
-  entries_of t result
+  result
 
 (* One-sided: the caller's distance need not be the kernel. *)
 let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
@@ -490,7 +482,7 @@ let range_checked ?(spec = Spec.Identity) ?mean_window ?std_band
           ?approx ?profile t prepared ~query_coeffs ~radius ~epsilon ~distance
       in
       Rstar.add_accesses t.tree result.node_accesses;
-      entries_of t result)
+      result)
 
 let range_attempt t prepared bstate q ~epsilon =
   range_prepared_counted ?bstate t prepared ~query_coeffs:(query_coeffs t q)
@@ -793,7 +785,7 @@ let nearest_run ?bstate ?sketch_bound ?within ~pn ~visits t r ~k =
   in
   Nn.best_first ?visit ?refine ?within t.tree ~node_bound:(node_bound t nq)
     ~key ~rank:Fun.id ~k
-  |> List.map (fun (_, id, d) -> (Dataset.get t.dataset id, d))
+  |> List.map (fun (_, id, d) -> (id, d))
 
 let nearest ?(spec = Spec.Identity) ?sketch ?profile t ~query ~k =
   Profile.with_op profile "kindex.nearest" @@ fun pn ->
@@ -829,9 +821,7 @@ let nearest_scan_counted ?bstate ?profile t ~dist ~k =
   Profile.add_rows_in pn (Array.length scored);
   Profile.add_candidates pn (Array.length scored);
   Profile.add_rows_out pn n;
-  List.init n (fun i ->
-      let id, d = scored.(i) in
-      (Dataset.get t.dataset id, d))
+  Array.to_list (Array.sub scored 0 n)
 
 let nearest_scan t r ~budget ~profile ~k =
   check_fits t r;
@@ -857,7 +847,7 @@ let nn_workload t ~k =
   }
 
 type nearest_result = {
-  neighbours : (Dataset.entry * float) list;
+  neighbours : (int * float) list;
   admission : Simq_admission.decision option;
 }
 

@@ -13,7 +13,12 @@
 
     Lemma 1 (no false dismissals) holds because the distance on the
     first [k] coefficients lower-bounds the full distance; the answer
-    returned after postprocessing is therefore exact. *)
+    returned after postprocessing is therefore exact.
+
+    Every answer is an entry id of the index's data set with its
+    distance: nothing is copied out of the relation to answer a query.
+    A caller that renders an answer reads its name or series by id
+    ({!Dataset.name}, {!Dataset.series}). *)
 
 type t
 
@@ -48,10 +53,10 @@ val config : t -> Feature.config
 val tree : t -> int Simq_rtree.Rstar.t
 
 (** A range query's answers, and what finding them cost. *)
-type 'a found = {
-  answers : 'a list;
-      (** the entries whose true (transformed) distance is within ε,
-          with that distance, by ascending id *)
+type found = {
+  answers : (int * float) list;
+      (** the ids of the entries whose true (transformed) distance is
+          within ε, with that distance, by ascending id *)
   candidates : int;  (** leaf hits before postprocessing (>= answers) *)
   node_accesses : int;  (** R-tree nodes visited by this query *)
   partial : bool;
@@ -61,8 +66,6 @@ type 'a found = {
           exact distance), and the tail was never verified. Always
           [false] otherwise. *)
 }
-
-type range_result = (Dataset.entry * float) found
 
 (** A multi-resolution sketch funnel, run between the index descent
     and the exact postfilter: level [l] (coarse first; [levels.(l)]
@@ -103,7 +106,7 @@ val range :
   t ->
   query:Simq_series.Series.t ->
   epsilon:float ->
-  range_result
+  found
 (** With [?profile] ({!Simq_obs.Profile}) the query records a
     [kindex.range] operator node with [kindex.descent] (node accesses
     as pages, candidates out), one [sketch.<level>] node per funnel
@@ -160,7 +163,7 @@ val range_checked :
   t ->
   query:Simq_series.Series.t ->
   epsilon:float ->
-  (range_result, Simq_fault.Error.t) Result.t
+  (found, Simq_fault.Error.t) Result.t
 
 (** [range_probe t ?spec ~query ~epsilon] is the pruning predicate of
     the corresponding {!range} traversal, detached from the tree: it
@@ -200,8 +203,9 @@ val range_probe :
     one-sided: its caller supplies the distance. *)
 val twin_slack : t -> Spec.t -> query_norm:float -> float
 
-(** [nearest t ?spec ~query ~k] is the [k] entries minimising the same
-    distance, closest first, ties broken by ascending entry id —
+(** [nearest t ?spec ~query ~k] is the ids of the [k] entries
+    minimising the same distance, with that distance, closest first,
+    ties broken by ascending entry id —
     best-first search with per-feature geometric lower bounds on the
     nodes ([RKV95]), in the optimal multi-step form of Seidl and
     Kriegel: every data entry of an expanded leaf is queued under the
@@ -237,10 +241,10 @@ val nearest :
   ?sketch:(Dataset.query -> (int -> float) option) ->
   ?profile:Simq_obs.Profile.t ->
   t ->
-  query:Simq_series.Series.t -> k:int -> (Dataset.entry * float) list
+  query:Simq_series.Series.t -> k:int -> (int * float) list
 
 type nearest_result = {
-  neighbours : (Dataset.entry * float) list;
+  neighbours : (int * float) list;
       (** the {!nearest} answer, closest first *)
   admission : Simq_admission.decision option;
       (** the admission decision, when an [admission] policy was
@@ -328,7 +332,7 @@ val nearest_prepared :
   within:float ->
   profile:Simq_obs.Profile.t option ->
   k:int ->
-  ((Dataset.entry * float) list, Simq_fault.Error.t) Result.t
+  ((int * float) list, Simq_fault.Error.t) Result.t
 
 (** [nearest_scan t r ~budget ~profile ~k] answers the query [r] was
     prepared from as {!nearest} does, through an exact linear
@@ -348,7 +352,7 @@ val nearest_scan :
   budget:Simq_fault.Budget.t ->
   profile:Simq_obs.Profile.t option ->
   k:int ->
-  ((Dataset.entry * float) list, Simq_fault.Error.t) Result.t
+  ((int * float) list, Simq_fault.Error.t) Result.t
 
 (** [nearest_bound t r] is the node bound of {!nearest} detached from
     the tree, for the query [r] was prepared from: applied to a box of
@@ -375,7 +379,7 @@ val range_generic :
   query_coeffs:Simq_dsp.Cpx.t array ->
   epsilon:float ->
   distance:(int -> float) ->
-  range_result
+  found
 
 (** {2 Prepared transformations}
 
@@ -399,8 +403,7 @@ val prepare : t -> Spec.t -> prepared
     [bstate], then each candidate charged one comparison and checked
     against {!prepared_distance}'s kernel, which abandons at ε. Node
     accesses come back in the result and are not credited to the
-    tree's counter: the caller credits the attempt that succeeds. The
-    answers are entry ids: no entry is copied out.
+    tree's counter: the caller credits the attempt that succeeds.
     Raises {!Simq_fault.Budget.Exceeded} and
     {!Simq_fault.Injector.Transient_fault} out of [bstate]: run it
     inside {!Simq_fault.Retry.with_retries}. *)
@@ -410,7 +413,7 @@ val range_attempt :
   Simq_fault.Budget.state option ->
   Dataset.query ->
   epsilon:float ->
-  (int * float) found
+  found
 
 (** [prepared_distance t prepared q] is the exact full distance
     [id -> D(T entry, q)] used by postprocessing and NN refinement:

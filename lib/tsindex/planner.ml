@@ -110,7 +110,7 @@ module Budget = Simq_fault.Budget
 module Error = Simq_fault.Error
 
 type resilient_result = {
-  answers : (Dataset.entry * float) list;
+  answers : (int * float) list;
   executed : plan;
   degraded : bool;
   partial : bool;
@@ -205,7 +205,7 @@ let range_resilient ?pool ?(spec = Spec.Identity) ?mean_window ?std_band
       Kindex.range_checked ~spec ?mean_window ?std_band ~budget ?sketch
         ?approx ?profile kindex ~query ~epsilon
     with
-    | Ok (r : Kindex.range_result) ->
+    | Ok (r : Kindex.found) ->
       Ok
         {
           answers = r.Kindex.answers;

@@ -47,7 +47,8 @@ val pp_plan : Format.formatter -> plan -> unit
     [simq_admission_decisions_total] per admission decision. *)
 
 type resilient_result = {
-  answers : (Dataset.entry * float) list;
+  answers : (int * float) list;
+      (** the ids within ε, with their distances, by ascending id *)
   executed : plan;  (** the path that produced the answers *)
   degraded : bool;
       (** the scan answered in place of the planned index path — either
@@ -56,7 +57,7 @@ type resilient_result = {
   partial : bool;
       (** the index path ran in approximate mode ([?approx]) and its
           budget died inside exact verification: the answers are a
-          sound subset (see {!Kindex.range_result}). Always [false] on
+          sound subset (see {!Kindex.found}). Always [false] on
           the scan path *)
   index_error : Simq_fault.Error.t option;
       (** why the index path was abandoned mid-flight, when [degraded];

@@ -22,7 +22,7 @@ let m_abandoned =
     "simq_scan_early_abandon_total"
 
 type result = {
-  answers : (Dataset.entry * float) list;
+  answers : (int * float) list;
   full_computations : int;
   coefficients_touched : int;
 }
@@ -152,8 +152,7 @@ let scan_compute ~pool ~abandon ?bstate ?sides dataset spec query epsilon =
       {
         answers =
           List.sort (fun (a, _) (b, _) -> Int.compare a b)
-            (List.concat_map (fun (a, _, _) -> a) partials)
-          |> List.map (fun (id, d) -> (Dataset.get dataset id, d));
+            (List.concat_map (fun (a, _, _) -> a) partials);
         full_computations = full;
         coefficients_touched = touched;
       })
@@ -235,4 +234,4 @@ let reference ?(spec = Spec.Identity) ?(normalise_query = true) dataset ~query
              (Spec.apply_series spec (Dataset.normal dataset id))
              q.Dataset.qnormal
          in
-         if d <= epsilon then Some (Dataset.get dataset id, d) else None)
+         if d <= epsilon then Some (id, d) else None)

@@ -23,7 +23,9 @@
     nothing. *)
 
 type result = {
-  answers : (Dataset.entry * float) list;
+  answers : (int * float) list;
+      (** the ids of the entries within ε, with their distances, by
+          ascending id *)
   full_computations : int;
       (** distance computations carried to completion *)
   coefficients_touched : int;
@@ -79,7 +81,8 @@ val range_checked :
   (result, Simq_fault.Error.t) Result.t
 
 (** [reference dataset ?spec ~query ~epsilon] is the plain time-domain
-    brute force used as the test oracle (always single-domain). *)
+    brute force used as the test oracle (always single-domain): the
+    ids within ε, with their distances, by ascending id. *)
 val reference :
   ?spec:Spec.t -> ?normalise_query:bool -> Dataset.t -> query:Simq_series.Series.t -> epsilon:float ->
-  (Dataset.entry * float) list
+  (int * float) list

@@ -175,7 +175,7 @@ let run ?pool ?admission ~budget ~epsilon () =
 
 let sorted_ids answers =
   List.sort compare
-    (List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) answers)
+    (List.map fst answers)
 
 let test_rejection_before_any_execution () =
   let registry = Metrics.create_registry () in

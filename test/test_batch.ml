@@ -215,9 +215,6 @@ let prop_profiled_batch_eq_sequential =
         | Ok q -> q
         | Error e -> Alcotest.failf "query %d: %s" i (Simq_cli.message e)
       in
-      let pairs answers =
-        List.map (fun ((e : Dataset.entry), dist) -> (e.Dataset.id, dist)) answers
-      in
       let direct_index i =
         Kindex.range ~spec index ~query:(query i) ~epsilon:epsilons.(i)
       in
@@ -273,9 +270,9 @@ let prop_profiled_batch_eq_sequential =
             [ 1; 2; 4 ])
         [
           ( "kindex", Engine.create index, "index",
-            fun i -> pairs (direct_index i).Kindex.answers );
+            fun i -> (direct_index i).Kindex.answers );
           ( "scan", scan_engine index, "scan",
-            fun i -> pairs (direct_scan i).Seqscan.answers );
+            fun i -> (direct_scan i).Seqscan.answers );
         ];
       true)
 

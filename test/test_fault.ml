@@ -305,7 +305,7 @@ let query_for dataset spec seed =
 
 let sorted_ids answers =
   List.sort compare
-    (List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) answers)
+    (List.map fst answers)
 
 let reference_ids dataset spec query epsilon =
   sorted_ids (Seqscan.reference ~spec dataset ~query ~epsilon)
@@ -500,8 +500,8 @@ let check_result_equal msg (expected : Seqscan.result) (actual : Seqscan.result)
     =
   Alcotest.(check (list (pair int (float 0.))))
     (msg ^ ": answers")
-    (List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) expected.Seqscan.answers)
-    (List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) actual.Seqscan.answers);
+    expected.Seqscan.answers
+    actual.Seqscan.answers;
   Alcotest.(check int) (msg ^ ": full computations")
     expected.Seqscan.full_computations actual.Seqscan.full_computations;
   Alcotest.(check int) (msg ^ ": coefficients touched")
@@ -622,11 +622,11 @@ let test_unlimited_checked_is_unchecked () =
   let plain = Kindex.range ~spec index ~query ~epsilon in
   match Kindex.range_checked ~spec index ~query ~epsilon with
   | Error e -> Alcotest.failf "index failed: %s" (Error.to_string e)
-  | Ok (checked : Kindex.range_result) ->
+  | Ok (checked : Kindex.found) ->
     Alcotest.(check (list (pair int (float 0.))))
       "index answers"
-      (List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) plain.Kindex.answers)
-      (List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) checked.Kindex.answers);
+      plain.Kindex.answers
+      checked.Kindex.answers;
     Alcotest.(check int) "candidates" plain.Kindex.candidates
       checked.Kindex.candidates;
     Alcotest.(check int) "node accesses" plain.Kindex.node_accesses

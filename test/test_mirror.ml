@@ -87,9 +87,6 @@ let query_of d spec i =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let pairs_of answers =
-  List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) answers
-
 let check_bits label expected actual =
   Alcotest.(check (list int))
     (label ^ ": ids") (List.map fst expected) (List.map fst actual);
@@ -200,12 +197,11 @@ let test_range_at_exact_distances () =
                             (Spec.name spec) n qi epsilon
                         in
                         let full =
-                          pairs_of
-                            (Seqscan.range_full ~spec d ~query ~epsilon)
+                          (Seqscan.range_full ~spec d ~query ~epsilon)
                               .Seqscan.answers
                         in
                         let index =
-                          pairs_of (Kindex.range ~spec idx ~query ~epsilon)
+                          (Kindex.range ~spec idx ~query ~epsilon)
                             .Kindex.answers
                         in
                         check_bits (label ^ " index = full scan") full index;
@@ -214,7 +210,7 @@ let test_range_at_exact_distances () =
                          with
                         | Ok r ->
                           check_bits (label ^ " checked") full
-                            (pairs_of r.Kindex.answers)
+                            r.Kindex.answers
                         | Error e ->
                           Alcotest.failf "%s: %s" label
                             (Simq_fault.Error.to_string e));
@@ -223,15 +219,14 @@ let test_range_at_exact_distances () =
                             check_bits
                               (Printf.sprintf "%s %s" label name)
                               full
-                              (pairs_of
-                                 (Shard.range ~spec sh ~query ~epsilon)
+                              ((Shard.range ~spec sh ~query ~epsilon)
                                    .Shard.answers))
                           [ ("shards", sh); ("shards+sketch", ssh) ];
                         (* The time-domain brute force agrees but for
                            distances within rounding of ε. *)
                         let ids e =
                           List.map
-                            (fun ((x : Dataset.entry), _) -> x.Dataset.id)
+                            fst
                             (Seqscan.reference ~spec d ~query ~epsilon:e)
                         in
                         let index_ids = List.map fst index in
@@ -281,27 +276,26 @@ let test_nearest_ties () =
                         (Kindex.nearest_query idx spec query)
                         ~budget:Simq_fault.Budget.unlimited ~profile:None ~k
                     with
-                    | Ok r -> pairs_of r
+                    | Ok r -> r
                     | Error e ->
                       Alcotest.failf "%s: %s" label
                         (Simq_fault.Error.to_string e)
                   in
                   check_bits (label ^ " index") expected
-                    (pairs_of (Kindex.nearest ~spec idx ~query ~k));
+                    (Kindex.nearest ~spec idx ~query ~k);
                   check_bits (label ^ " sketch key") expected
-                    (pairs_of
-                       (Kindex.nearest ~spec
+                    (Kindex.nearest ~spec
                           ~sketch:(fun query -> Sketch.nn_bound sketch ~spec ~query)
-                          idx ~query ~k));
+                          idx ~query ~k);
                   (match Kindex.nearest_checked ~spec idx ~query ~k with
                   | Ok r ->
                     check_bits (label ^ " checked") expected
-                      (pairs_of r.Kindex.neighbours)
+                      r.Kindex.neighbours
                   | Error e ->
                     Alcotest.failf "%s: %s" label
                       (Simq_fault.Error.to_string e));
                   check_bits (label ^ " shards") expected
-                    (pairs_of (Shard.nearest ~spec sh ~query ~k).Shard.neighbours))
+                    ((Shard.nearest ~spec sh ~query ~k).Shard.neighbours))
                 (List.init 24 succ))
             [ 0; 3; 9; 11 ])
         (specs_for n))
@@ -601,7 +595,7 @@ let test_region_narrows () =
       in
       check_bits
         (Printf.sprintf "q=%d eps=%g: answers" qi epsilon)
-        (pairs_of g.Kindex.answers) (pairs_of r.Kindex.answers);
+        g.Kindex.answers r.Kindex.answers;
       mirrored := !mirrored + r.Kindex.candidates;
       one_sided := !one_sided + g.Kindex.candidates)
     [ (0, 4.); (11, 6.); (42, 8.); (99, 10.) ];

@@ -200,8 +200,8 @@ let spec_of_index i =
 let check_result_equal msg (expected : Seqscan.result) (actual : Seqscan.result) =
   Alcotest.(check (list (pair int (float 0.))))
     (msg ^ ": answers")
-    (List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) expected.Seqscan.answers)
-    (List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) actual.Seqscan.answers);
+    expected.Seqscan.answers
+    actual.Seqscan.answers;
   Alcotest.(check int) (msg ^ ": full computations")
     expected.Seqscan.full_computations actual.Seqscan.full_computations;
   Alcotest.(check int) (msg ^ ": coefficients touched")
@@ -250,8 +250,8 @@ let prop_scan_parallel_eq_sequential =
           Alcotest.(check (list int))
             (Printf.sprintf "reference ids, %s, domains=%d" (Spec.name spec)
                domains)
-            (List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) reference)
-            (List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id)
+            (List.map fst reference)
+            (List.map fst
                par_full.Seqscan.answers))
         [ 1; 2; 4 ];
       true)
@@ -505,9 +505,6 @@ let prop_batch_eq_one_by_one =
                     reference rendered)
               [ 1; 2; 4 ])
       in
-      let project answers =
-        List.map (fun ((e : Dataset.entry), dist) -> (e.Dataset.id, dist)) answers
-      in
       let requested = spec_of_index qseed in
       List.iter
         (fun representation ->
@@ -523,7 +520,7 @@ let prop_batch_eq_one_by_one =
           let index = Kindex.build ~config ~max_fill:8 d in
           check_batch "kindex" (Engine.create index) spec
             ~direct:(fun ~query ~epsilon ->
-              project (Kindex.range ~spec index ~query ~epsilon).Kindex.answers))
+              (Kindex.range ~spec index ~query ~epsilon).Kindex.answers))
         [ Simq_geometry.Coords.Polar; Simq_geometry.Coords.Rectangular ];
       (* The sequential-scan half, against its own one-by-one loop. *)
       let index = Kindex.build ~max_fill:8 d in
@@ -536,8 +533,7 @@ let prop_batch_eq_one_by_one =
           index
       in
       check_batch "scan" scan requested ~direct:(fun ~query ~epsilon ->
-          project
-            (Seqscan.range_early_abandon ~pool:Pool.sequential ~spec:requested d
+          (Seqscan.range_early_abandon ~pool:Pool.sequential ~spec:requested d
                ~query ~epsilon)
               .Seqscan.answers);
       true)
@@ -606,8 +602,7 @@ let test_scan_with_metrics_enabled () =
     let r =
       Metrics.with_enabled on (fun () -> Kindex.range ~spec index ~query ~epsilon)
     in
-    ( List.map (fun ((e : Dataset.entry), dist) -> (e.Dataset.id, dist))
-        r.Kindex.answers,
+    ( r.Kindex.answers,
       (r.Kindex.candidates, r.Kindex.node_accesses) )
   in
   let kindex_off = kindex_run false and kindex_on = kindex_run true in

@@ -450,9 +450,7 @@ let test_profile_invariance_across_domains () =
               let answers =
                 match result with
                 | Ok r ->
-                  List.map
-                    (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d))
-                    r.Planner.answers
+                  r.Planner.answers
                 | Error _ -> Alcotest.fail "resilient range must succeed"
               in
               let tree =
@@ -522,9 +520,7 @@ let test_nearest_counts_invariant_across_domains () =
         let answers =
           match Kindex.nearest_checked ~spec ~profile index ~query ~k:6 with
           | Ok r ->
-            List.map
-              (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d))
-              r.Kindex.neighbours
+            r.Kindex.neighbours
           | Error _ -> Alcotest.fail "nearest must succeed"
         in
         let counts =

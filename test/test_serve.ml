@@ -122,6 +122,25 @@ let test_served_equals_offline () =
               "PAIRS FROM r EPS 1.0 METHOD scan";
             ]))
 
+(* A query series is named [s] and decimal digits: the other integer
+   syntaxes [int_of_string] reads are usage errors, not other series. *)
+let test_query_names_are_decimal () =
+  let engine = Engine.create (build_index ()) in
+  List.iter
+    (fun name ->
+      match
+        Engine.exec engine (Printf.sprintf "NEAREST 3 FROM r QUERY %s" name)
+      with
+      | Ok _ -> Alcotest.failf "%s answered" name
+      | Error e ->
+        Alcotest.(check string) (name ^ ": message")
+          (Printf.sprintf "bad query name %S (expected sN)" name)
+          (Simq_cli.message e);
+        Alcotest.(check (pair string int)) (name ^ ": outcome") ("usage", 1)
+          (Simq_cli.outcome_of_error e))
+    [ "s0x1f"; "s1_0"; "s0b11"; "s0o7" ];
+  ignore (offline_results engine "NEAREST 3 FROM r QUERY s031")
+
 (* --- one executor: every engine type answers alike ---------------------------- *)
 
 let answer_count engine spec =
@@ -184,11 +203,11 @@ let test_checked_engines_keep_side_constraints () =
         (J.to_string
            (J.Arr
               (List.map
-                 (fun ((e : Dataset.entry), d) ->
+                 (fun (id, d) ->
                    J.Obj
                      [
-                       ("id", J.Num (float_of_int e.Dataset.id));
-                       ("name", J.Str e.Dataset.name);
+                       ("id", J.Num (float_of_int id));
+                       ("name", J.Str (Dataset.name dataset id));
                        ("distance", J.Num d);
                      ])
                  direct.Kindex.answers)))
@@ -673,8 +692,7 @@ let nn_decisions index ~domains =
           | Ok r ->
             ( Option.map Admission.decision_name r.Kindex.admission,
               Ok
-                (List.map
-                   (fun ((e : Dataset.entry), _) -> e.Dataset.id)
+                (List.map fst
                    r.Kindex.neighbours) )
           | Error e ->
             (* A rejection is the one decision reported as an error. *)
@@ -711,8 +729,7 @@ let test_nn_degrade_is_exact () =
   let query = (Dataset.entries (Kindex.dataset index)).(2).Dataset.series in
   let k = 4 in
   let plain =
-    List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d))
-      (Kindex.nearest index ~query ~k)
+    Kindex.nearest index ~query ~k
   in
   let degraded =
     match
@@ -723,9 +740,7 @@ let test_nn_degrade_is_exact () =
         ~admission index ~query ~k
     with
     | Ok r ->
-      List.map
-        (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d))
-        r.Kindex.neighbours
+      r.Kindex.neighbours
     | Error e -> Alcotest.failf "degraded NN failed: %s" (Simq_fault.Error.kind e)
   in
   Alcotest.(check bool) "degraded NN bit-identical to the index path" true
@@ -1165,6 +1180,8 @@ let () =
             test_rejected_mean_range_executes_nothing;
           Alcotest.test_case "one record behind every entry point" `Quick
             test_one_record_every_entry_point;
+          Alcotest.test_case "query names are decimal" `Quick
+            test_query_names_are_decimal;
         ] );
       ( "one-executor",
         [

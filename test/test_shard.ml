@@ -53,17 +53,14 @@ let spec_of_index i =
   | 3 -> Spec.Reverse
   | _ -> Spec.Warp 2
 
-let pairs answers =
-  List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) answers
-
 let ids answers =
-  List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) answers
+  List.map fst answers
 
 (* NN answers in canonical (distance, entry id) order, whatever order
    the compared traversal returned them in. *)
 let canon answers =
   List.sort compare
-    (List.map (fun ((e : Dataset.entry), d) -> (d, e.Dataset.id)) answers)
+    (List.map (fun (id, d) -> (d, id)) answers)
 
 let fresh_policy () = Admission.create ~registry:(Metrics.create_registry ()) ()
 
@@ -114,7 +111,9 @@ let prop_sharded_eq_unsharded =
       let spec = spec_of_index qseed in
       let query = query_for d spec qseed in
       let index = Kindex.build d in
-      let expected = pairs (Kindex.range ~spec index ~query ~epsilon).Kindex.answers in
+      let expected =
+        (Kindex.range ~spec index ~query ~epsilon).Kindex.answers
+      in
       let expected_nn = canon (Kindex.nearest ~spec index ~query ~k:5) in
       List.iter
         (fun shards ->
@@ -138,7 +137,7 @@ let prop_sharded_eq_unsharded =
               in
               let r = Option.get !r in
               Alcotest.(check (list (pair int (float 0.))))
-                (label "range answers") expected (pairs r.Shard.answers);
+                (label "range answers") expected r.Shard.answers;
               let c =
                 ( r.Shard.candidates, r.Shard.node_accesses,
                   r.Shard.report.Shard.fanout, r.Shard.report.Shard.pruned )
@@ -163,7 +162,7 @@ let prop_sharded_eq_unsharded =
                 (label "nn canonical order")
                 (canon nn.Shard.neighbours)
                 (List.map
-                   (fun ((e : Dataset.entry), dist) -> (dist, e.Dataset.id))
+                   (fun (id, dist) -> (dist, id))
                    nn.Shard.neighbours);
               match
                 Shard.range_checked ~pool ~spec sh ~query ~epsilon
@@ -171,7 +170,7 @@ let prop_sharded_eq_unsharded =
               | Ok rc ->
                 Alcotest.(check (list (pair int (float 0.))))
                   (label "checked range ≡ plain") expected
-                  (pairs rc.Shard.answers)
+                  rc.Shard.answers
               | Error e ->
                 Alcotest.failf "%s: unexpected error %s"
                   (label "checked range") (Error.kind e))
@@ -437,8 +436,8 @@ let test_degraded_shard_still_exact () =
         List.iter2
           (fun (_, a) (_, b) ->
             Alcotest.(check (float 0.)) (label ^ " distance") a b)
-          (pairs expected.Kindex.answers)
-          (pairs r.Shard.answers);
+          expected.Kindex.answers
+          r.Shard.answers;
         Alcotest.(check int) (label ^ ": one degraded shard") 1
           r.Shard.report.Shard.degraded;
         Alcotest.(check int) (label ^ ": full fanout") 4
@@ -619,7 +618,7 @@ let test_admission_decisions_identical_at_every_domain_count () =
           [
             ( Array.to_list r.Shard.report.Shard.admission
               |> List.filter_map (Option.map Admission.decision_name),
-              Ok (pairs r.Shard.answers, r.Shard.report.Shard.degraded) );
+              Ok (r.Shard.answers, r.Shard.report.Shard.degraded) );
           ]
         | Error e -> [ ([], Result.Error (Error.kind e)) ])
       budgets
@@ -644,8 +643,8 @@ let test_admitted_run_bit_identical_to_admission_off () =
   with
   | Ok r ->
     Alcotest.(check (list (pair int (float 0.))))
-      "answers bit-identical" (pairs plain.Shard.answers)
-      (pairs r.Shard.answers);
+      "answers bit-identical" plain.Shard.answers
+      r.Shard.answers;
     Alcotest.(check int) "candidates" plain.Shard.candidates r.Shard.candidates;
     Alcotest.(check int) "node accesses" plain.Shard.node_accesses
       r.Shard.node_accesses;
@@ -790,7 +789,7 @@ let prop_seeded_nearest_exact =
                 Alcotest.(check (list (pair (float 0.) int)))
                   (label "canonical order") expected
                   (List.map
-                     (fun ((e : Dataset.entry), dist) -> (dist, e.Dataset.id))
+                     (fun (id, dist) -> (dist, id))
                      r.Shard.neighbours);
                 (match
                    Shard.nearest_checked ~pool ~spec

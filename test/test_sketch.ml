@@ -45,13 +45,10 @@ let all_specs =
     Spec.Warp 2;
   ]
 
-let pairs answers =
-  List.map (fun ((e : Dataset.entry), d) -> (e.Dataset.id, d)) answers
-
 (* NN answers in canonical (distance, entry id) order. *)
 let canon answers =
   List.sort compare
-    (List.map (fun ((e : Dataset.entry), d) -> (d, e.Dataset.id)) answers)
+    (List.map (fun (id, d) -> (d, id)) answers)
 
 (* --- every level lower-bounds the exact distance (QCheck) ------------------- *)
 
@@ -154,8 +151,8 @@ let prop_sketched_eq_unsketched =
                 in
                 Alcotest.(check (list (pair int (float 0.))))
                   (Printf.sprintf "range %s" (Spec.name spec))
-                  (pairs expected.Kindex.answers)
-                  (pairs sketched.Kindex.answers);
+                  expected.Kindex.answers
+                  sketched.Kindex.answers;
                 let nn_expected = Kindex.nearest ~spec index ~query ~k:5 in
                 let nn_sketched =
                   Kindex.nearest ~spec
@@ -193,7 +190,7 @@ let test_sharded_sketch_parity () =
           let query = query_for d Spec.Identity qseed in
           let epsilon = 6. in
           let expected =
-            pairs (Kindex.range index ~query ~epsilon).Kindex.answers
+            (Kindex.range index ~query ~epsilon).Kindex.answers
           in
           let nn_expected = canon (Kindex.nearest index ~query ~k:5) in
           let totals = ref None in
@@ -215,7 +212,7 @@ let test_sharded_sketch_parity () =
               let r = Option.get !r in
               Alcotest.(check (list (pair int (float 0.))))
                 (label "sharded sketched range ≡ unsharded unsketched")
-                expected (pairs r.Shard.answers);
+                expected r.Shard.answers;
               Alcotest.(check bool) (label "not partial") false r.Shard.partial;
               (match !totals with
               | None -> totals := Some run_totals
@@ -283,7 +280,7 @@ let test_approx_guarantee () =
       let query = query_for d Spec.Identity qseed in
       let epsilon = 7. in
       let exact =
-        pairs (Kindex.range index ~query ~epsilon).Kindex.answers
+        (Kindex.range index ~query ~epsilon).Kindex.answers
       in
       total := !total + List.length exact;
       (* a = 0: the cutoff is ε itself, so the run stays exact. *)
@@ -292,13 +289,13 @@ let test_approx_guarantee () =
       in
       Alcotest.(check (list (pair int (float 0.))))
         "a=0 ≡ exact" exact
-        (pairs at_zero.Kindex.answers);
+        at_zero.Kindex.answers;
       List.iter
         (fun a ->
           let r =
             Kindex.range ~sketch:funnel ~approx:a index ~query ~epsilon
           in
-          let approx = pairs r.Kindex.answers in
+          let approx = r.Kindex.answers in
           if a = recall_a then kept := !kept + List.length approx;
           List.iter
             (fun pair ->
@@ -351,7 +348,7 @@ let test_anytime_partial_is_sound () =
       let query = query_for d Spec.Identity qseed in
       let epsilon = 7. in
       let exact =
-        pairs (Kindex.range index ~query ~epsilon).Kindex.answers
+        (Kindex.range index ~query ~epsilon).Kindex.answers
       in
       (* Without anytime the dying budget is a typed error... *)
       (match
@@ -362,7 +359,7 @@ let test_anytime_partial_is_sound () =
       | Ok r ->
         Alcotest.(check (list (pair int (float 0.))))
           "a non-anytime Ok is the exact answer" exact
-          (pairs r.Kindex.answers)
+          r.Kindex.answers
       | Error _ -> ());
       (* ...in approximate mode, which is anytime, it is a sound subset
          marked partial; approx 0 keeps the cutoff at epsilon. *)
@@ -378,7 +375,7 @@ let test_anytime_partial_is_sound () =
           (fun pair ->
             if not (List.mem pair exact) then
               Alcotest.fail "partial answer not in the exact set")
-          (pairs r.Kindex.answers))
+          r.Kindex.answers)
     [ 2; 11; 30 ];
   Alcotest.(check bool) "a budget died inside verification" true !seen_partial
 
@@ -389,7 +386,7 @@ let test_anytime_with_headroom_is_exact () =
   let funnel q = Sketch.funnel sketch ~spec:Spec.Identity ~query:q in
   let query = query_for d Spec.Identity 4 in
   let epsilon = 7. in
-  let exact = pairs (Kindex.range index ~query ~epsilon).Kindex.answers in
+  let exact = (Kindex.range index ~query ~epsilon).Kindex.answers in
   match
     Kindex.range_checked ~budget:Budget.unlimited ~sketch:funnel ~approx:0.
       index ~query ~epsilon
@@ -398,7 +395,7 @@ let test_anytime_with_headroom_is_exact () =
   | Ok r ->
     Alcotest.(check bool) "not partial" false r.Kindex.partial;
     Alcotest.(check (list (pair int (float 0.)))) "exact" exact
-      (pairs r.Kindex.answers)
+      r.Kindex.answers
 
 (* --- observability ---------------------------------------------------------- *)
 

@@ -6,10 +6,8 @@ let test_io_stats () =
   let s = Io_stats.create () in
   Io_stats.record_page_read s;
   Io_stats.record_page_read s;
-  Io_stats.record_page_write s;
   Io_stats.record_cache_hit s;
   Alcotest.(check int) "reads" 2 (Io_stats.page_reads s);
-  Alcotest.(check int) "writes" 1 (Io_stats.page_writes s);
   Alcotest.(check int) "hits" 1 (Io_stats.cache_hits s);
   Io_stats.reset s;
   Alcotest.(check int) "reset" 0 (Io_stats.page_reads s)
@@ -100,23 +98,69 @@ let test_pool_retouch_eviction_victim () =
 let sample_batch n length =
   Simq_series.Generator.random_walks ~seed:5 ~count:n ~n:length
 
-let test_relation_insert_get () =
-  let r = Relation.create ~name:"stocks" () in
-  let t1 = Relation.insert r ~name:"AAA" [| 1.; 2.; 3. |] in
-  let t2 = Relation.insert r ~name:"BBB" [| 4.; 5.; 6. |] in
-  Alcotest.(check int) "ids dense" 0 t1.Relation.id;
-  Alcotest.(check int) "ids dense" 1 t2.Relation.id;
+let bits s = Array.map Int64.bits_of_float s
+
+let test_relation_of_rows () =
+  let r =
+    Relation.of_rows ~name:"stocks" ~names:[| "AAA"; "BBB" |]
+      [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |]
+  in
   Alcotest.(check int) "cardinality" 2 (Relation.cardinality r);
-  let fetched = Relation.get r 1 in
-  Alcotest.(check string) "name" "BBB" fetched.Relation.name;
+  Alcotest.(check int) "length" 3 (Relation.length r);
+  Alcotest.(check string) "name" "BBB" (Relation.series_name r 1);
+  Alcotest.(check (array int64)) "row" (bits [| 4.; 5.; 6. |])
+    (bits (Relation.series r 1));
   Alcotest.check_raises "unknown id" Not_found (fun () ->
-      ignore (Relation.get r 5))
+      ignore (Relation.series r 5));
+  Alcotest.check_raises "unknown id touched" Not_found (fun () ->
+      Relation.touch r 2);
+  let empty = Relation.of_rows ~name:"none" ~names:[||] [||] in
+  Alcotest.(check (pair int int)) "an empty relation" (0, 0)
+    (Relation.cardinality empty, Relation.length empty)
 
 let test_relation_rejects_bad_series () =
-  let r = Relation.create ~name:"bad" () in
   Alcotest.check_raises "empty series"
     (Invalid_argument "Series.validate: empty series") (fun () ->
-      ignore (Relation.insert r ~name:"x" [||]))
+      ignore (Relation.of_rows ~name:"bad" ~names:[| "x" |] [| [||] |]))
+
+(* A batch is refused whole, before anything is built, by both
+   constructors. *)
+let test_relation_refuses_bad_batches () =
+  let refused what message make =
+    Alcotest.check_raises what (Invalid_argument message) (fun () ->
+        ignore (make () : Relation.t))
+  in
+  let ragged = [| [| 1.; 2.; 3. |]; [| 4.; 5. |] |]
+  and infinite = [| [| 1.; 2. |]; [| Float.infinity; 4. |] |]
+  and nan = [| [| Float.nan; 2. |] |] in
+  List.iter
+    (fun (what, message, rows) ->
+      refused ("of_rows: " ^ what) message (fun () ->
+          Relation.of_rows ~name:"bad"
+            ~names:(Array.map (fun _ -> "x") rows)
+            rows);
+      refused ("of_series: " ^ what) message (fun () ->
+          Relation.of_series ~name:"bad" rows))
+    [
+      ("unequal lengths", "Relation.of_rows: rows of unequal lengths", ragged);
+      ("an infinity", "Series.validate: non-finite value", infinite);
+      ("a NaN", "Series.validate: non-finite value", nan);
+    ];
+  List.iter
+    (fun names ->
+      refused
+        (Printf.sprintf "%d names for 2 rows" (Array.length names))
+        "Relation.of_rows: one name per row"
+        (fun () ->
+          Relation.of_rows ~name:"bad" ~names [| [| 1. |]; [| 2. |] |]))
+    [ [||]; [| "a" |]; [| "a"; "b"; "c" |] ]
+
+(* Every row touched in id order: one pass of a sequential scan's page
+   traffic. *)
+let scan r =
+  for id = 0 to Relation.cardinality r - 1 do
+    Relation.touch r id
+  done
 
 let test_relation_scan_counts_pages () =
   (* 100 series of 128 floats: each tuple is 1056 bytes, so a 4096-byte
@@ -126,27 +170,26 @@ let test_relation_scan_counts_pages () =
   let pages = Relation.pages r in
   Alcotest.(check bool) "plausible page count" true (pages >= 25 && pages <= 35);
   Io_stats.reset (Relation.stats r);
-  let seen = Relation.fold r ~init:0 ~f:(fun acc _ -> acc + 1) in
-  Alcotest.(check int) "all tuples" 100 seen;
+  scan r;
   Alcotest.(check int) "page reads = pages" pages
     (Io_stats.page_reads (Relation.stats r))
 
 let test_relation_repeated_scan_hits_cache () =
+  let batch = sample_batch 10 64 in
   let r =
-    Relation.create ~name:"small" ~page_size:4096 ~pool_pages:64 ()
+    Relation.of_rows ~name:"small" ~page_size:4096 ~pool_pages:64
+      ~names:(Array.map (fun _ -> "w") batch)
+      batch
   in
-  Array.iter
-    (fun s -> ignore (Relation.insert r ~name:"w" s))
-    (sample_batch 10 64);
-  Io_stats.reset (Relation.stats r);
-  Relation.iter r ~f:(fun _ -> ());
+  scan r;
   let first_scan = Io_stats.page_reads (Relation.stats r) in
-  Relation.iter r ~f:(fun _ -> ());
+  scan r;
   Alcotest.(check int) "second scan free (fits in pool)" first_scan
     (Io_stats.page_reads (Relation.stats r))
 
 let test_relation_save_load () =
-  let r = Relation.of_series ~name:"persisted" (sample_batch 20 32) in
+  let batch = sample_batch 20 32 in
+  let r = Relation.of_series ~name:"persisted" batch in
   let path = Filename.temp_file "simq" ".rel" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -155,12 +198,11 @@ let test_relation_save_load () =
       let r' = Relation.load path in
       Alcotest.(check string) "name" "persisted" (Relation.name r');
       Alcotest.(check int) "cardinality" 20 (Relation.cardinality r');
-      let orig = Relation.to_array r and copy = Relation.to_array r' in
       Array.iteri
-        (fun idx (t : Relation.tuple) ->
+        (fun id data ->
           Alcotest.(check bool) "same data" true
-            (Simq_series.Series.equal t.Relation.data copy.(idx).Relation.data))
-        orig)
+            (Simq_series.Series.equal data (Relation.series r' id)))
+        batch)
 
 let with_temp f =
   let path = Filename.temp_file "simq" ".rel" in
@@ -168,10 +210,8 @@ let with_temp f =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
-let bits s = Array.map Int64.bits_of_float s
-
 (* A relation file written word by word in {!Relation.save}'s layout,
-   with its trailer, so a test can persist rows that [insert] would
+   with its trailer, so a test can persist rows that [of_rows] would
    refuse. *)
 let write_by_hand path ~n rows names =
   let oc = open_out_bin path in
@@ -199,48 +239,48 @@ let rejected path =
   | _ -> false
   | exception Relation.Invalid_file _ -> true
 
+(* The names and rows of two relations, bit for bit. *)
+let check_same what a b =
+  Alcotest.(check int) (what ^ ": cardinality") (Relation.cardinality a)
+    (Relation.cardinality b);
+  for id = 0 to Relation.cardinality a - 1 do
+    Alcotest.(check string) (what ^ ": name") (Relation.series_name a id)
+      (Relation.series_name b id);
+    Alcotest.(check (array int64)) (what ^ ": row bits")
+      (bits (Relation.series a id)) (bits (Relation.series b id))
+  done
+
 (* [load] reads what [save] wrote: ids, names, data, page layout and
-   counters are those of inserting every tuple again. *)
+   counters are those of the relation built from the same rows. *)
 let test_relation_load_equals_reinsert () =
   let batch = sample_batch 30 40 in
-  let inserted = Relation.create ~page_size:512 ~name:"hand" () in
-  Array.iteri
-    (fun idx data ->
-      ignore (Relation.insert inserted ~name:(Printf.sprintf "t%d" idx) data))
-    batch;
-  Io_stats.reset (Relation.stats inserted);
+  let built =
+    Relation.of_rows ~page_size:512 ~name:"hand"
+      ~names:(Array.mapi (fun idx _ -> Printf.sprintf "t%d" idx) batch)
+      batch
+  in
   with_temp (fun path ->
-      Relation.save inserted path;
+      Relation.save built path;
       let loaded = Relation.load ~page_size:512 path in
       Alcotest.(check string) "name" "hand" (Relation.name loaded);
-      Alcotest.(check int64) "digest" (Relation.digest inserted)
+      Alcotest.(check int64) "digest" (Relation.digest built)
         (Relation.digest loaded);
-      Array.iter2
-        (fun (a : Relation.tuple) (b : Relation.tuple) ->
-          Alcotest.(check int) "id" a.Relation.id b.Relation.id;
-          Alcotest.(check string) "tuple name" a.Relation.name b.Relation.name;
-          Alcotest.(check (array int64)) "data bits" (bits a.Relation.data)
-            (bits b.Relation.data))
-        (Relation.to_array inserted) (Relation.to_array loaded);
+      check_same "loaded" built loaded;
       let counters r =
         let s = Relation.stats r in
-        [ Io_stats.page_reads s; Io_stats.page_writes s; Io_stats.cache_hits s ]
+        [ Io_stats.page_reads s; Io_stats.cache_hits s ]
       in
-      Alcotest.(check int) "pages" (Relation.pages inserted)
+      Alcotest.(check int) "pages" (Relation.pages built)
         (Relation.pages loaded);
-      Alcotest.(check (list int)) "zeroed stats" [ 0; 0; 0 ] (counters loaded);
-      (* The offsets: every tuple touches the pages the inserted one does. *)
+      Alcotest.(check (list int)) "zeroed stats" [ 0; 0 ] (counters loaded);
+      (* The offsets: every tuple touches the pages the built one does. *)
       for id = 0 to Array.length batch - 1 do
-        ignore (Relation.get inserted id);
-        ignore (Relation.get loaded id);
-        Alcotest.(check (list int)) "page traffic" (counters inserted)
+        Relation.touch built id;
+        Relation.touch loaded id;
+        Alcotest.(check (list int)) "page traffic" (counters built)
           (counters loaded)
       done;
-      let extra = [| 1.; 2. |] in
-      Alcotest.(check int) "next insert's id"
-        (Relation.insert inserted ~name:"x" extra).Relation.id
-        (Relation.insert loaded ~name:"x" extra).Relation.id;
-      Alcotest.(check (array int64)) "an insert leaves the rows"
+      Alcotest.(check (array int64)) "the rows are the batch's"
         (bits batch.(7)) (bits (Relation.series loaded 7));
       Alcotest.(check bool) "and the file" false (rejected path))
 
@@ -288,9 +328,7 @@ let test_relation_byte_flips () =
 (* A [Marshal] snapshot, the format before this one, is not a relation
    file; nor is a truncated file or an empty one. *)
 let test_relation_refuses_old_and_short_files () =
-  let tuples =
-    [| { Relation.id = 0; name = "a"; data = [| 1.; 2. |] } |]
-  in
+  let tuples = [| (0, "a", [| 1.; 2. |]) |] in
   let message path =
     match Relation.load path with
     | _ -> Alcotest.fail "loaded"
@@ -320,22 +358,6 @@ let test_relation_refuses_old_and_short_files () =
           Filename.current_dir_name))
     (fun () -> ignore (Relation.load Filename.current_dir_name))
 
-(* A ragged relation lives in memory, and [save] refuses it before
-   writing anything. *)
-let test_relation_ragged_not_saved () =
-  let r = Relation.create ~name:"ragged" () in
-  ignore (Relation.insert r ~name:"a" [| 1.; 2.; 3. |]);
-  ignore (Relation.insert r ~name:"b" [| 4.; 5. |]);
-  Alcotest.(check (option int)) "no common length" None (Relation.length r);
-  Alcotest.(check (array int64)) "rows as inserted" (bits [| 4.; 5. |])
-    (bits (Relation.series r 1));
-  with_temp (fun path ->
-      Sys.remove path;
-      Alcotest.check_raises "refused"
-        (Invalid_argument "Relation.save: series of unequal lengths")
-        (fun () -> Relation.save r path);
-      Alcotest.(check bool) "nothing written" false (Sys.file_exists path))
-
 (* A block is a view of its parent's rows and names, laid out on pages
    as a fresh relation of the same series, with its own counters. *)
 let test_relation_sub_is_a_view () =
@@ -358,7 +380,7 @@ let test_relation_sub_is_a_view () =
               (Relation.series_name parent (4 + i))
               (Relation.series_name block i)
           done;
-          Relation.iter block ~f:ignore;
+          scan block;
           Alcotest.(check int) (what ^ ": its own page reads")
             (Relation.pages block)
             (Io_stats.page_reads (Relation.stats block));
@@ -366,12 +388,10 @@ let test_relation_sub_is_a_view () =
             (Io_stats.page_reads (Relation.stats parent)))
         [ ("built", parent); ("loaded", Relation.load path) ])
 
-let test_relation_to_array_and_iter_agree () =
-  let r = Relation.of_series ~name:"x" (sample_batch 7 16) in
-  let via_iter = ref [] in
-  Relation.iter r ~f:(fun t -> via_iter := t.Relation.id :: !via_iter);
-  let ids = Array.to_list (Array.map (fun (t : Relation.tuple) -> t.Relation.id) (Relation.to_array r)) in
-  Alcotest.(check (list int)) "ids in order" ids (List.rev !via_iter)
+let write_file path contents =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      output_string oc contents)
 
 (* --- Csv -------------------------------------------------------------------- *)
 
@@ -384,18 +404,28 @@ let test_csv_roundtrip () =
       Csv.export r path;
       let r' = Csv.import ~name:"csv" path in
       Alcotest.(check int) "cardinality" 15 (Relation.cardinality r');
-      Array.iteri
-        (fun idx (t : Relation.tuple) ->
-          let t' = Relation.get r' idx in
-          Alcotest.(check string) "name" t.Relation.name t'.Relation.name;
-          Alcotest.(check bool) "data" true
-            (Simq_series.Series.equal ~eps:1e-12 t.Relation.data t'.Relation.data))
-        (Relation.to_array r))
+      check_same "imported" r r')
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc contents)
+(* An imported relation saved and loaded again keeps every name, every
+   row bit and its digest. *)
+let test_csv_import_save_load () =
+  with_temp (fun csv ->
+      write_file csv
+        "AAA,1.5,-2,3e-7\nBB B,0.1,0.2,0.30000000000000004\nc,4,5,6\n";
+      let imported = Csv.import ~name:"ticks" csv in
+      Alcotest.(check (list string)) "names" [ "AAA"; "BB B"; "c" ]
+        (List.init 3 (Relation.series_name imported));
+      Alcotest.(check (array int64)) "a row"
+        (bits [| 0.1; 0.2; 0.30000000000000004 |])
+        (bits (Relation.series imported 1));
+      with_temp (fun path ->
+          Relation.save imported path;
+          let loaded = Relation.load path in
+          Alcotest.(check string) "relation name" "ticks"
+            (Relation.name loaded);
+          check_same "loaded" imported loaded;
+          Alcotest.(check int64) "digest" (Relation.digest imported)
+            (Relation.digest loaded)))
 
 let test_csv_import_errors () =
   let path = Filename.temp_file "simq" ".csv" in
@@ -444,10 +474,9 @@ let test_csv_crlf () =
       write_file path "a,1,2\r\n\r\nb,3,4\r\nc,5,6";
       let r = Csv.import ~name:"crlf" path in
       Alcotest.(check int) "three series" 3 (Relation.cardinality r);
-      let t = Relation.get r 1 in
-      Alcotest.(check string) "name unpolluted" "b" t.Relation.name;
+      Alcotest.(check string) "name unpolluted" "b" (Relation.series_name r 1);
       Alcotest.(check bool) "values parse past the CR" true
-        (Simq_series.Series.equal ~eps:0. t.Relation.data [| 3.; 4. |]))
+        (Simq_series.Series.equal ~eps:0. (Relation.series r 1) [| 3.; 4. |]))
 
 let test_csv_rejects_non_finite () =
   let path = Filename.temp_file "simq" ".csv" in
@@ -489,6 +518,8 @@ let () =
       ( "csv",
         [
           Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
+          Alcotest.test_case "import, save, load" `Quick
+            test_csv_import_save_load;
           Alcotest.test_case "import errors" `Quick test_csv_import_errors;
           Alcotest.test_case "blank lines skipped" `Quick
             test_csv_blank_lines_skipped;
@@ -498,9 +529,11 @@ let () =
         ] );
       ( "relation",
         [
-          Alcotest.test_case "insert/get" `Quick test_relation_insert_get;
+          Alcotest.test_case "of_rows/series_name" `Quick test_relation_of_rows;
           Alcotest.test_case "rejects bad series" `Quick
             test_relation_rejects_bad_series;
+          Alcotest.test_case "refuses bad batches" `Quick
+            test_relation_refuses_bad_batches;
           Alcotest.test_case "scan counts pages" `Quick
             test_relation_scan_counts_pages;
           Alcotest.test_case "repeated scan hits cache" `Quick
@@ -514,11 +547,7 @@ let () =
             test_relation_byte_flips;
           Alcotest.test_case "old and short files refused" `Quick
             test_relation_refuses_old_and_short_files;
-          Alcotest.test_case "ragged relation not saved" `Quick
-            test_relation_ragged_not_saved;
           Alcotest.test_case "a block is a view" `Quick
             test_relation_sub_is_a_view;
-          Alcotest.test_case "iteration order" `Quick
-            test_relation_to_array_and_iter_agree;
         ] );
     ]

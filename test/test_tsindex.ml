@@ -7,7 +7,7 @@ let dataset_of ~seed ~count ~n =
   Dataset.of_series ~name:"test"
     (Generator.random_walks ~seed ~count ~n)
 
-let ids_of answers = List.map (fun ((e : Dataset.entry), _) -> e.Dataset.id) answers
+let ids_of answers = List.map fst answers
 
 let check_same_answers msg expected actual =
   Alcotest.(check (list int)) (msg ^ ": ids") (ids_of expected) (ids_of actual);
@@ -625,13 +625,13 @@ let test_flat_spectrum_is_fft () =
         reference)
     (Dataset.entries d)
 
+(* Every relation holds rows of one length, so series of mixed lengths
+   are refused before a data set could be prepared from them. *)
 let test_dataset_rejects_mixed_lengths () =
-  let r = Simq_storage.Relation.create ~name:"bad" () in
-  ignore (Simq_storage.Relation.insert r ~name:"a" (Array.make 8 1.));
-  ignore (Simq_storage.Relation.insert r ~name:"b" (Array.make 16 1.));
   Alcotest.check_raises "unequal lengths"
-    (Invalid_argument "Dataset.of_relation: series of unequal lengths")
-    (fun () -> ignore (Dataset.of_relation r))
+    (Invalid_argument "Relation.of_rows: rows of unequal lengths") (fun () ->
+      ignore
+        (Dataset.of_series ~name:"bad" [| Array.make 8 1.; Array.make 16 1. |]))
 
 (* --- Kindex range: exactness under every spec and representation ------------- *)
 
@@ -663,14 +663,14 @@ let test_range_postfilter_abandons () =
       (* Every entry's distance, nearest first, with its full sum. *)
       let all =
         (Seqscan.range_full ~spec d ~query ~epsilon:1e9).Seqscan.answers
-        |> List.map (fun ((e : Dataset.entry), dist) ->
+        |> List.map (fun (id, dist) ->
                let acc = Flat.acc () in
                ignore
                  (Flat.sq_dist ~stretch:(Some stretch) ~limit:infinity ~lo:0
                     ~hi:n (Dataset.spectra d)
-                    (Dataset.slot d e.Dataset.id * n)
+                    (Dataset.slot d id * n)
                     q.Dataset.qspectrum 0 acc);
-               (e.Dataset.id, dist, acc.Flat.sum))
+               (id, dist, acc.Flat.sum))
         |> List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b)
       in
       let exact =
@@ -750,16 +750,9 @@ let test_range_matches_reference () =
                       Alcotest.failf "%s: constrained scan failed: %s" label
                         (Simq_fault.Error.to_string e)
                     | Ok scan ->
-                      let pairs answers =
-                        List.map
-                          (fun ((e : Dataset.entry), dist) ->
-                            (e.Dataset.id, dist))
-                          answers
-                      in
                       Alcotest.(check (list (pair int (float 0.))))
                         (label ^ ": constrained scan = constrained index")
-                        (pairs index.Kindex.answers)
-                        (pairs scan.Seqscan.answers);
+                        index.Kindex.answers scan.Seqscan.answers;
                       dropped :=
                         !dropped + List.length actual.Kindex.answers
                         - List.length index.Kindex.answers)
@@ -875,7 +868,7 @@ let kernel_nearest ~spec d ~query ~k =
   |> List.filteri (fun i _ -> i < k)
 
 let nn_pairs answers =
-  List.map (fun ((e : Dataset.entry), d) -> (d, e.Dataset.id)) answers
+  List.map (fun (id, d) -> (d, id)) answers
 
 let nn_ok what = function
   | Ok answers -> answers
@@ -1338,10 +1331,10 @@ let test_range_mean_std_constraints () =
      mean/std fall in the windows. *)
   let expected =
     List.filter
-      (fun ((e : Dataset.entry), _) ->
-        Float.abs (e.Dataset.mean -. qmean) <= mean_window
-        && e.Dataset.std >= qstd /. std_band
-        && e.Dataset.std <= qstd *. std_band)
+      (fun (id, _) ->
+        Float.abs (Dataset.mean d id -. qmean) <= mean_window
+        && Dataset.std d id >= qstd /. std_band
+        && Dataset.std d id <= qstd *. std_band)
       unconstrained.Kindex.answers
   in
   Alcotest.(check (list int)) "filtered ids" (ids_of expected)
@@ -1403,7 +1396,7 @@ let test_layout_invariance () =
   let sketch = Simq_sketch.create d in
   let bits = Int64.bits_of_float in
   let pairs answers =
-    List.map (fun ((e : Dataset.entry), x) -> (e.Dataset.id, bits x)) answers
+    List.map (fun (id, x) -> (id, bits x)) answers
   in
   let specs = [ Spec.Identity; Spec.Moving_average 4; Spec.Reverse ] in
   let observe () =

@@ -50,7 +50,9 @@
 # image's place ignored, and a daemon that opened the image answering
 # from it after the relation is regenerated and a query replaces the
 # image, a relation file with one byte flipped in its series or its
-# name table refused by info and query with exit 2, and warp(2) RANGE
+# name table refused by info and query with exit 2, a relation
+# exported to CSV and imported again printing the same info, file
+# bytes and answer rows, and warp(2) RANGE
 # and NEAREST and index PAIRS
 # under mavg(4) printing the same rows cold and warm, plain and with
 # --shards 4 --sketch.
@@ -635,6 +637,42 @@ sed 1d flip-fresh.out | cmp -s flip.rows - || {
   echo "smoke: the regenerated relation printed other rows than a fresh copy" >&2
   exit 1
 }
+
+echo "== CSV round trip: export, import, and the same relation back"
+# A generated relation exported to CSV and imported again, under the
+# same file name in another directory, is the same file byte for byte:
+# info prints the same count and length, and a RANGE and a NEAREST
+# print the same answer lines, names included.
+mkdir csv
+"$simq" generate --count 120 --length 48 -o csv.rel >/dev/null
+"$simq" export csv.rel -o csv.csv >/dev/null
+"$simq" import csv.csv -o csv/csv.rel >/dev/null
+"$simq" info csv.rel >csv.info
+"$simq" info csv/csv.rel | cmp -s csv.info - || {
+  echo "smoke: info differs after a CSV round trip" >&2
+  exit 1
+}
+grep -q "^relation csv: 120 series" csv.info &&
+  grep -q "^series length: 48$" csv.info || {
+  echo "smoke: info did not print the generated count and length" >&2
+  exit 1
+}
+cmp -s csv.rel csv/csv.rel || {
+  echo "smoke: the imported relation file differs from the exported one" >&2
+  exit 1
+}
+for spec in "RANGE FROM r USING mavg(4) QUERY s7 EPS 3.0" \
+  "NEAREST 6 FROM r QUERY s11"; do
+  "$simq" query csv.rel "$spec" | sed 1d >csv.rows
+  "$simq" query csv/csv.rel "$spec" | sed 1d | cmp -s csv.rows - || {
+    echo "smoke: $spec printed other rows after a CSV round trip" >&2
+    exit 1
+  }
+  grep -q "seq-" csv.rows || {
+    echo "smoke: $spec printed no named answers" >&2
+    exit 1
+  }
+done
 
 echo "== prepared image: a daemon keeps its mapped image when a query replaces it"
 # A daemon opened from the image reads its spectra from the mapped
