@@ -247,6 +247,8 @@ let query_impl file text noise shards jobs metrics trace metrics_port
     ?metrics_port:(Simq_cli.resolve_metrics_port metrics_port)
     ?metrics_state ?profile ?qlog ~metrics ~trace (fun () ->
       Otrace.with_request request @@ fun () ->
+      (* A malformed query is refused before the relation is loaded. *)
+      let* () = Engine.parse_checked ~qlog text in
       with_engine ~span:"query" ~file ~noise ~shards ~admission ~sketch
         ~approx ~deadline ~max_page_reads ~max_comparisons ~max_node_accesses
       @@ fun engine ->

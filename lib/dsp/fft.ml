@@ -146,6 +146,25 @@ let fft_real_into (x : float array) (dst : Flat.t) ~off =
   done;
   transform ~sign:(-1.) dst ~o n
 
+let half n = (n / 2) + 1
+
+(* fl(√2). Coefficient [f] with [0 < 2f < n] stands for itself and its
+   conjugate twin [n − f]. *)
+let sqrt2 = 1.4142135623730951
+
+let weighted_half_into ~scratch (x : float array) (dst : Flat.t) ~off =
+  let n = Array.length x in
+  let h = half n in
+  if n < 1 || Flat.length scratch < n || off < 0 || 2 * (off + h) > A.dim dst
+  then invalid_arg "Fft.weighted_half_into: out of bounds";
+  fft_real_into x scratch ~off:0;
+  let o = 2 * off in
+  for f = 0 to h - 1 do
+    let w = if f > 0 && 2 * f < n then sqrt2 else 1. in
+    A.unsafe_set dst (o + (2 * f)) (w *. A.unsafe_get scratch (2 * f));
+    A.unsafe_set dst (o + (2 * f) + 1) (w *. A.unsafe_get scratch ((2 * f) + 1))
+  done
+
 let fft_real_flat (x : float array) =
   let y = Flat.create (Array.length x) in
   fft_real_into x y ~off:0;

@@ -28,12 +28,31 @@ val fft_inplace : Flat.t -> unit
     [Invalid_argument] when [x] has odd length. *)
 val ifft_inplace : Flat.t -> unit
 
-(** [fft_real_into x dst ~off] writes the forward transform of the real
-    signal [x] into coefficients [off .. off + n - 1] of the flat buffer
-    [dst], for [n] the length of [x], bit for bit {!fft_real_flat}'s
-    coefficients: several spectra can share one buffer with no
-    transient copy. Raises [Invalid_argument] when they do not fit. *)
-val fft_real_into : float array -> Flat.t -> off:int -> unit
+(** [half n] is [⌊n/2⌋ + 1], the number of coefficients of a weighted
+    half spectrum of a length-[n] series ([n >= 1]). *)
+val half : int -> int
+
+(** [weighted_half_into ~scratch x dst ~off] writes the weighted half
+    spectrum of the real series [x] into coefficients
+    [off .. off + h - 1] of [dst], for [h = half n] and [n] the length
+    of [x]: coefficient [f] of {!fft_real_flat}[ x], times [fl(√2)] when
+    [0 < 2f < n], as is for [f = 0] and, for even [n], [f = n/2].
+    The transform runs in the first [n] coefficients of [scratch], which
+    may be [dst] itself when [off = 0]; nothing is allocated for a
+    power-of-two length.
+
+    For a real series coefficient [n − f] is the conjugate of
+    coefficient [f], so by Parseval the squared norm of the [h]
+    weighted coefficients is the series' (up to rounding), and for two
+    series of one length, and any stretch that maps real series to real
+    series, the kernel's distance over their weighted halves is the
+    Euclidean distance of the series. Every prefix of that sum is then
+    a lower bound over the same doubles, with no slack: rounded
+    addition of non-negative terms is monotone. Raises
+    [Invalid_argument] when [x] is empty, [scratch] is shorter than [x]
+    or the half does not fit in [dst]. *)
+val weighted_half_into :
+  scratch:Flat.t -> float array -> Flat.t -> off:int -> unit
 
 (** [fft_real_flat x] is the forward transform of the real signal [x]
     as a fresh flat vector of [length x] coefficients: [x] is written

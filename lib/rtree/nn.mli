@@ -31,11 +31,9 @@ val nearest :
     the last ulp: a tie at the k-th boundary is decided by [rank] only
     if no bound exceeds the distance it bounds. Any such bound, however
     tight, leaves the results unchanged; a tighter one only keys fewer
-    entries and expands fewer nodes. The k-index's bounds count each
-    feature and head coefficient with its conjugate twin and subtract
-    the slack that makes them safe against rounding
-    ({!Simq_dsp.Flat.rounding_slack}, [Simq_tsindex.Kindex.twin_slack]).
-    The queue holds the tree's own entries, with an integer
+    entries and expands fewer nodes. The k-index's head keys are
+    prefixes of the very sums they bound, so rounding cannot lift them
+    above the distance. The queue holds the tree's own entries, with an integer
     state telling nodes, keyed and refined entries apart, so a push
     allocates nothing.
 

@@ -337,8 +337,9 @@ let qlog_entry ?(deltas = []) note =
     trace_id = note.note_trace;
   }
 
-let exec ?qlog ?profile ?pairs_pool ?note:n t text =
-  let note = match n with Some n -> n | None -> note () in
+(* The record, qlog line and error handling of one query whose body is
+   [run]. *)
+let recorded ~qlog ~profile note text run =
   note.note_spec <- text;
   note.note_trace <-
     (match Trace.current_request () with 0 -> None | id -> Some id);
@@ -353,7 +354,7 @@ let exec ?qlog ?profile ?pairs_pool ?note:n t text =
   let bracket = Option.map (fun log -> (log, Metrics.snapshot ())) qlog in
   let t0 = Clock.now_ns () in
   let result =
-    match exec_parsed ?profile ?pairs_pool ~note t text with
+    match run () with
     | r -> Ok r
     | exception Invalid_argument msg -> Ok (usage msg)
     | exception e -> Error (e, Printexc.get_raw_backtrace ())
@@ -375,6 +376,18 @@ let exec ?qlog ?profile ?pairs_pool ?note:n t text =
   match result with
   | Ok r -> r
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+let exec ?qlog ?profile ?pairs_pool ?note:n t text =
+  let note = match n with Some n -> n | None -> note () in
+  recorded ~qlog ~profile note text (fun () ->
+      exec_parsed ?profile ?pairs_pool ~note t text)
+
+let parse_checked ~qlog text =
+  match Ql.parse text with
+  | Ok _ -> Ok ()
+  | Error m ->
+    recorded ~qlog ~profile:None (note ()) text (fun () -> usage m)
+    |> Result.map ignore
 
 let batch ?profiles ?qlog t texts =
   let n = Array.length texts in

@@ -173,6 +173,14 @@ val exec :
   string ->
   (outcome, Simq_cli.error) result
 
+(** [parse_checked ~qlog text] is [Ok ()] when [text] parses, and
+    otherwise the [Usage] error {!exec} returns for it, with the qlog
+    line {!exec} logs for it when [qlog] is given (durations aside): a
+    caller can refuse a malformed query before it loads a relation or
+    creates an engine. *)
+val parse_checked :
+  qlog:Simq_obs.Qlog.t option -> string -> (unit, Simq_cli.error) result
+
 (** [qlog_entry ?deltas note] is the record's qlog line: spec and
     digest, decision, path, shard counts, duration, outcome, exit code
     and trace id, plus the domain count of the default pool, read now.

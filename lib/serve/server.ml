@@ -236,18 +236,45 @@ let worker t fd =
     incr seq;
     s
   in
-  let pending = Buffer.create 4096 in
-  let chunk = Bytes.create 8192 in
+  (* The unread bytes are [buf.[start .. stop-1]], and none of
+     [buf.[start .. scanned-1]] is a newline: each line is cut out
+     where it lies, so a byte is scanned once, and what is left moves to
+     the front at most once per read. *)
+  let read_size = 8192 in
+  let buf = ref (Bytes.create (2 * read_size)) in
+  let start = ref 0 and stop = ref 0 and scanned = ref 0 in
   let discarding = ref false in
-  (* The first complete line of [pending], leaving the rest. *)
+  (* Room for one read after [stop]. *)
+  let reserve () =
+    if Bytes.length !buf - !stop < read_size then begin
+      let live = !stop - !start in
+      let dst =
+        if live + read_size <= Bytes.length !buf then !buf
+        else Bytes.create (2 * (live + read_size))
+      in
+      Bytes.blit !buf !start dst 0 live;
+      buf := dst;
+      scanned := !scanned - !start;
+      start := 0;
+      stop := live
+    end
+  in
+  (* The first complete unread line, if any. *)
   let take_line () =
-    let s = Buffer.contents pending in
-    match String.index_opt s '\n' with
-    | None -> None
+    let rec find i =
+      if i >= !stop then None
+      else if Bytes.get !buf i = '\n' then Some i
+      else find (i + 1)
+    in
+    match find !scanned with
+    | None ->
+      scanned := !stop;
+      None
     | Some i ->
-      Buffer.clear pending;
-      Buffer.add_substring pending s (i + 1) (String.length s - i - 1);
-      Some (String.sub s 0 i)
+      let line = Bytes.sub_string !buf !start (i - !start) in
+      start := i + 1;
+      scanned := i + 1;
+      Some line
   in
   let rec drain_lines () =
     match take_line () with
@@ -257,7 +284,7 @@ let worker t fd =
       if !discarding then discarding := false else handle_line t fd ~next_seq line;
       drain_lines ()
     | None ->
-      if Buffer.length pending > t.max_line_bytes then begin
+      if !stop - !start > t.max_line_bytes then begin
         if not !discarding then begin
           discarding := true;
           Atomic.incr t.n_errors;
@@ -269,16 +296,17 @@ let worker t fd =
                     t.max_line_bytes)
                ())
         end;
-        Buffer.clear pending
+        start := !stop
       end
   in
   let rec read_loop () =
-    if Atomic.get t.stopping && Buffer.length pending = 0 then ()
+    if Atomic.get t.stopping && !stop = !start then ()
     else begin
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      reserve ();
+      match Unix.read fd !buf !stop read_size with
       | 0 -> ()
       | n ->
-        Buffer.add_subbytes pending chunk 0 n;
+        stop := !stop + n;
         drain_lines ();
         read_loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_loop ()

@@ -26,17 +26,6 @@ type t = {
   segmeans : float array array;
 }
 
-(* Both-ends coarse frequency set: {1..c} and their conjugate mirrors
-   {n-c..n-1}, clamped inside [1, n-1] (coefficient 0 of a normal form
-   is always 0 on both sides), as ascending half-open coefficient
-   ranges — one when the two halves meet, two otherwise. For real
-   series the mirror of f carries the conjugate coefficient, so taking
-   both halves doubles the captured energy without reading more of the
-   record. *)
-let coarse_ranges ~n ~coarse =
-  let low_hi = Int.min coarse (n - 1) + 1 and high_lo = Int.max 1 (n - coarse) in
-  if high_lo <= low_hi then [ (1, n) ] else [ (1, low_hi); (high_lo, n) ]
-
 (* Segment lengths of an n-point series cut into [segments] pieces:
    the first [n mod s] segments carry one extra point. Query and data
    sides must agree on the cut, so it is a pure function of (n, s). *)
@@ -89,22 +78,22 @@ let config t = t.config
    break the exact-mode parity of Lemma 1. *)
 let slack = 1. -. 1e-9
 
-(* Partial frequency-domain distance over the coarse set: for every
-   length-preserving transformation the exact postfilter distance is
-   sqrt (sum over all f of |s_f X_f - Q_f|^2) (by Parseval for the
-   identity), and any subset of the non-negative terms lower-bounds
-   it. The ranges accumulate into one sum, in ascending coefficient
-   order. *)
-let coarse_bound t ~ranges ~stretch ~(q : Dataset.query) id =
-  let n = Dataset.series_length t.dataset in
-  let off = Dataset.slot t.dataset id * n in
+(* Partial frequency-domain distance over coefficients 1 .. c of the
+   weighted half (coefficient 0 of a normal form is always 0 on both
+   sides): for every length-preserving transformation the exact
+   postfilter distance is the kernel's sum over every coefficient of
+   the weighted half, each of which counts its conjugate twin, and
+   this prefix of its non-negative terms lower-bounds it over the same
+   doubles. *)
+let coarse_bound t ~coarse ~stretch ~(q : Dataset.query) id =
+  let width = Dataset.width t.dataset in
   let acc = Flat.acc () in
-  List.iter
-    (fun (lo, hi) ->
-      ignore
-        (Flat.sq_dist ~stretch ~limit:infinity ~lo ~hi
-           (Dataset.spectra t.dataset) off q.Dataset.qspectrum 0 acc))
-    ranges;
+  ignore
+    (Flat.sq_dist ~stretch ~limit:infinity ~lo:1
+       ~hi:(Int.min (coarse + 1) width)
+       (Dataset.spectra t.dataset)
+       (Dataset.slot t.dataset id * width)
+       q.Dataset.qspectrum 0 acc);
   sqrt acc.Flat.sum *. slack
 
 (* Piecewise-constant lower bound (identity only): by Cauchy-Schwarz,
@@ -135,22 +124,20 @@ let on_filtered levels level n =
    transformation supports no sketch (the warp changes the length, so
    neither the spectra nor the segment cuts align). *)
 let level_bounds t ~spec ~(query : Dataset.query) =
-  let n = Dataset.series_length t.dataset in
+  let n = Dataset.series_length t.dataset and coarse = t.config.coarse in
   match spec with
   | Spec.Warp _ -> None
   | Spec.Identity ->
-    let ranges = coarse_ranges ~n ~coarse:t.config.coarse in
     let lengths = seg_lengths ~n ~segments:t.config.segments in
     let qmeans = seg_means ~lengths ~mean:0. ~std:1. query.Dataset.qnormal in
     Some
       [|
-        ("coarse", coarse_bound t ~ranges ~stretch:None ~q:query);
+        ("coarse", coarse_bound t ~coarse ~stretch:None ~q:query);
         ("segment", segment_bound t ~lengths ~qmeans);
       |]
   | _ ->
-    let ranges = coarse_ranges ~n ~coarse:t.config.coarse in
     let stretch = Some (Spec.stretch spec ~n) in
-    Some [| ("coarse", coarse_bound t ~ranges ~stretch ~q:query) |]
+    Some [| ("coarse", coarse_bound t ~coarse ~stretch ~q:query) |]
 
 let funnel t ~spec ~query =
   match level_bounds t ~spec ~query with

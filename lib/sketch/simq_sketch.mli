@@ -8,10 +8,11 @@
     touches the survivors. Two resolutions are kept per series:
 
     - {b coarse}: the partial frequency-domain distance over the first
-      few DFT coefficients and their conjugate mirrors (the
-      high-energy ends of the spectrum the k-index itself is built
-      on), valid for every length-preserving transformation because
-      the stretch acts coefficient-wise;
+      few coefficients of the stored weighted half spectrum (the
+      high-energy end the k-index itself is built on; each weighted
+      coefficient counts its conjugate twin), valid for every
+      length-preserving transformation because the stretch acts
+      coefficient-wise;
     - {b segment}: a piecewise-constant summary — per-segment means of
       the normal form — whose length-weighted mean differences
       lower-bound the euclidean distance by Cauchy–Schwarz. Identity
@@ -25,9 +26,9 @@ type t
 
 type config = {
   coarse : int;
-      (** DFT coefficients taken from {e each} end of the spectrum for
-          the coarse level (so up to [2 * coarse] terms). Must be
-          >= 1. *)
+      (** weighted coefficients [1 .. coarse] of the stored half
+          spectrum summed by the coarse level (capped at the row's
+          width). Must be >= 1. *)
   segments : int;
       (** segment count of the piecewise-constant level (capped at the
           series length). Must be >= 1. *)

@@ -21,25 +21,26 @@ type t = {
   relation : Relation.t;  (* the series and their names *)
   means : floats;  (* by id *)
   stds : floats;  (* by id *)
-  spectra : Flat.t;  (* slot [s]'s spectrum from coefficient [s·n] *)
+  spectra : Flat.t;  (* slot [s]'s weighted half from coefficient [s·width] *)
   head : Flat.t;
       (* slot [s]'s first [Flat.head_width] spectrum coefficients from
          coefficient [s·head_width] *)
   slots : int array;  (* id → slot *)
   ids : int array;  (* slot → id *)
   n : int;
+  width : int;  (* coefficients per row, [Fft.half n] *)
 }
 
 let head_width = Flat.head_width
 let floats len = A.create Bigarray.float64 Bigarray.c_layout len
 let cardinality t = Array.length t.ids
 
-(* Coefficients [0 .. min head_width n - 1] of slot [s]'s spectrum into
-   its slot of [head]; the slot's zero padding beyond [n - 1] is never
-   read by the kernel, whose ranges stop at [n]. *)
+(* Coefficients [0 .. min head_width width - 1] of slot [s]'s spectrum
+   into its slot of [head]; the slot's zero padding beyond them adds
+   [0.] to any sum that reads it. *)
 let fill_head t s =
-  Flat.blit t.spectra ~pos:(s * t.n) t.head ~off:(head_width * s)
-    ~len:(Int.min head_width t.n)
+  Flat.blit t.spectra ~pos:(s * t.width) t.head ~off:(head_width * s)
+    ~len:(Int.min head_width t.width)
 
 let check_permutation name ~count order =
   if Array.length order <> count then
@@ -99,26 +100,32 @@ let length_of name r =
 
 let of_relation ?pool r =
   let n = length_of "Dataset.of_relation" r in
-  let count = Relation.cardinality r in
-  let spectra = Flat.create (n * count)
+  let count = Relation.cardinality r and width = Simq_dsp.Fft.half n in
+  let spectra = Flat.create (width * count)
   and means = floats count
   and stds = floats count in
   (* Per-entry normalisation + FFT dominates the build cost and is pure
      but for its own disjoint slot of [spectra] and of the moments
-     (slot = id at first), so the ids fan out over the pool. The
-     spectrum of each normal form is written straight into its slot,
-     where every frequency-domain distance reads it through the one
-     kernel ({!Simq_dsp.Flat}); the normal form itself is not kept. *)
+     (slot = id at first), so the ids fan out over the pool in chunks,
+     each transforming through one scratch row of its own. The weighted
+     half of each normal form's spectrum is written straight into its
+     slot, where every frequency-domain distance reads it through the
+     one kernel ({!Simq_dsp.Flat}); the normal form itself is not
+     kept. *)
+  let module Pool = Simq_parallel.Pool in
+  let pool = match pool with Some p -> p | None -> Pool.default () in
   ignore
-    (Simq_parallel.Pool.map_array ?pool
-       (fun id ->
-         let d = Normal_form.decompose (Relation.series r id) in
-         Simq_dsp.Fft.fft_real_into d.Normal_form.normalised spectra
-           ~off:(id * n);
-         A.unsafe_set means id d.Normal_form.mean;
-         A.unsafe_set stds id d.Normal_form.std)
-       (Array.init count Fun.id)
-      : unit array);
+    (Pool.map_chunks ~pool ~chunk:(Pool.chunk_size pool count) ~n:count
+       (fun ~lo ~hi ->
+         let scratch = Flat.create n in
+         for id = lo to hi - 1 do
+           let d = Normal_form.decompose (Relation.series r id) in
+           Simq_dsp.Fft.weighted_half_into ~scratch d.Normal_form.normalised
+             spectra ~off:(id * width);
+           A.unsafe_set means id d.Normal_form.mean;
+           A.unsafe_set stds id d.Normal_form.std
+         done)
+      : unit list);
   let t =
     {
       relation = r;
@@ -129,6 +136,7 @@ let of_relation ?pool r =
       slots = Array.init count Fun.id;
       ids = Array.init count Fun.id;
       n;
+      width;
     }
   in
   for s = 0 to count - 1 do
@@ -144,10 +152,10 @@ let of_series ?pool ~name batch =
 let of_prepared r ~means ~stds ~ids ~heads spectra =
   let bad why = invalid_arg ("Dataset.of_prepared: " ^ why) in
   let n = length_of "Dataset.of_prepared" r in
-  let count = Relation.cardinality r in
+  let count = Relation.cardinality r and width = Simq_dsp.Fft.half n in
   if A.dim means <> count || A.dim stds <> count then
     bad "one mean and one std per tuple";
-  if Flat.length spectra <> n * count then bad "spectra of another size";
+  if Flat.length spectra <> width * count then bad "spectra of another size";
   if Flat.length heads <> head_width * count then
     bad "a head table of another size";
   check_permutation "Dataset.of_prepared" ~count ids;
@@ -162,6 +170,7 @@ let of_prepared r ~means ~stds ~ids ~heads spectra =
     slots;
     ids = Array.copy ids;
     n;
+    width;
   }
 
 (* Nothing is normalised or transformed again: the block's relation and
@@ -171,11 +180,11 @@ let of_prepared r ~means ~stds ~ids ~heads spectra =
 let sub t ~name ~lo ~width =
   if lo < 0 || width < 1 || lo > cardinality t - width then
     invalid_arg "Dataset.sub: block outside the ids";
-  let n = t.n in
-  let spectra = Flat.create (n * width) and head = Flat.zeros (head_width * width) in
+  let w = t.width in
+  let spectra = Flat.create (w * width) and head = Flat.zeros (head_width * width) in
   for i = 0 to width - 1 do
     let s = t.slots.(lo + i) in
-    Flat.blit t.spectra ~pos:(s * n) spectra ~off:(i * n) ~len:n;
+    Flat.blit t.spectra ~pos:(s * w) spectra ~off:(i * w) ~len:w;
     Flat.blit t.head ~pos:(s * head_width) head ~off:(i * head_width)
       ~len:head_width
   done;
@@ -187,7 +196,8 @@ let sub t ~name ~lo ~width =
     head;
     slots = Array.init width Fun.id;
     ids = Array.init width Fun.id;
-    n;
+    n = t.n;
+    width = w;
   }
 
 (* In place, cycle by cycle: slot [s] takes the spectrum and head of
@@ -196,15 +206,15 @@ let sub t ~name ~lo ~width =
 let lay_out t order =
   let count = cardinality t in
   check_permutation "Dataset.lay_out" ~count order;
-  let n = t.n and h = head_width in
+  let w = t.width and h = head_width in
   let move src s dst d =
-    Flat.blit src ~pos:(s * n) dst ~off:(d * n) ~len:n
+    Flat.blit src ~pos:(s * w) dst ~off:(d * w) ~len:w
   and move_head src s dst d =
     Flat.blit src ~pos:(s * h) dst ~off:(d * h) ~len:h
   in
   (* [from.(s)]: the slot holding what slot [s] must hold. *)
   let from = Array.map (fun id -> t.slots.(id)) order in
-  let spare = Flat.create n and hspare = Flat.create h in
+  let spare = Flat.create w and hspare = Flat.create h in
   let seen = Bytes.make count '\000' in
   for start = 0 to count - 1 do
     if Bytes.get seen start = '\000' && from.(start) <> start then begin
@@ -232,7 +242,12 @@ let lay_out t order =
 let prepare_query ?(normalise = true) q =
   let q = Series.validate q in
   let qnormal = if normalise then Normal_form.normalise q else q in
-  { qnormal; qspectrum = Simq_dsp.Fft.fft_real_flat qnormal }
+  (* Transformed in one buffer of [n] coefficients and weighted in
+     place; the query holds a view of its first [width]. *)
+  let n = Array.length qnormal in
+  let buf = Flat.create n in
+  Simq_dsp.Fft.weighted_half_into ~scratch:buf qnormal buf ~off:0;
+  { qnormal; qspectrum = A.sub buf 0 (2 * Simq_dsp.Fft.half n) }
 
 (* GK95-style side constraints always refer to the raw query, which is
    decomposed only when a constraint asks for it. The messages are the
@@ -279,37 +294,17 @@ let id_at t s =
   t.ids.(s)
 
 let spectrum t id =
-  let x = Flat.create t.n in
-  Flat.blit t.spectra ~pos:(slot t id * t.n) x ~off:0 ~len:t.n;
+  let x = Flat.create t.width in
+  Flat.blit t.spectra ~pos:(slot t id * t.width) x ~off:0 ~len:t.width;
   x
 
-(* Coefficient 0 first, recorded when asked, then the rest: the same
-   sum as one call over the head. *)
-let head_sq_dist t ~stretch ?mirror s qs acc =
+let head_sq_dist t ~stretch s qs acc =
   if s < 0 || s >= cardinality t then
     invalid_arg "Dataset.head_sq_dist: unknown slot";
-  let hi = Int.min head_width t.n and at = head_width * s in
   acc.Flat.sum <- 0.;
-  match mirror with
-  | None -> Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi t.head at qs 0 acc
-  | Some (m : Flat.mirror) ->
-    let first =
-      Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:(Int.min 1 hi) t.head at
-        qs 0 acc
-    in
-    m.Flat.t0 <- acc.Flat.sum;
-    first
-    + Flat.sq_dist ~stretch ~limit:infinity ~lo:first ~hi t.head at qs 0 acc
-
-(* Coefficients 1 .. h-1 first, doubled, then coefficient 0 added. *)
-let head_twin_sq_dist t ~stretch s qs acc =
-  if s < 0 || s >= cardinality t then
-    invalid_arg "Dataset.head_twin_sq_dist: unknown slot";
-  let hi = Int.min head_width t.n and at = head_width * s in
-  acc.Flat.sum <- 0.;
-  ignore (Flat.sq_dist ~stretch ~limit:infinity ~lo:1 ~hi t.head at qs 0 acc);
-  acc.Flat.sum <- 2. *. acc.Flat.sum;
-  ignore (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:1 t.head at qs 0 acc)
+  Flat.sq_dist ~stretch ~limit:infinity ~lo:0
+    ~hi:(Int.min head_width t.width) t.head (head_width * s) qs 0 acc
 
 let series_length t = t.n
+let width t = t.width
 let relation t = t.relation

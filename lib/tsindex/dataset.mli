@@ -3,16 +3,18 @@
     (Section 5: “for every time series, we first transformed it to the
     normal form, and then we found its Fourier coefficients”).
 
-    The spectrum stored is that of the {e normal form}; the original
-    mean and standard deviation ride along and become the last two
-    index dimensions. The normal form itself is not stored: by
-    Parseval the spectrum stands for it in every length-preserving
+    The spectrum stored is the weighted half of the {e normal form}'s
+    ({!Simq_dsp.Fft.weighted_half_into}): coefficients [0 .. ⌊n/2⌋],
+    each one that has a conjugate twin of its own multiplied by [√2].
+    The original mean and standard deviation ride along and become the
+    last two index dimensions. The normal form itself is not stored: by
+    Parseval the weighted half stands for it in every length-preserving
     distance, and the time-domain paths (the warp, the join's
     transformed normals) recompute it on demand ({!normal}).
 
     The spectra live in one contiguous flat buffer ({!spectra}, a
     float64 {!Simq_dsp.Flat.t} outside the OCaml heap), one
-    {e slot} of [n] coefficients per entry, beside a head table of
+    {e slot} of {!width} coefficients per entry, beside a head table of
     every slot's first {!Simq_dsp.Flat.head_width} coefficients. Ids
     are stable; the slot of an id is the data set's business
     ({!slot}, {!id_at}). Slots start in id order; {!lay_out} permutes
@@ -48,8 +50,8 @@ type entry = {
 }
 
 (** A prepared query: the series compared against ({!prepare_query}) and
-    its full unitary DFT, flat (re/im interleaved, see
-    {!Simq_dsp.Flat}). *)
+    the weighted half of its unitary DFT at its own length, flat (re/im
+    interleaved, see {!Simq_dsp.Flat}). *)
 type query = {
   qnormal : Simq_series.Series.t;
   qspectrum : Simq_dsp.Flat.t;
@@ -59,9 +61,9 @@ type t
 
 (** [of_relation ?pool r] prepares every tuple; the per-entry
     normalisation + FFT (the dominant build cost) fans out over [pool]
-    (default {!Simq_parallel.Pool.default}) with results identical to a
-    sequential build. Raises [Invalid_argument] when the relation is
-    empty. *)
+    (default {!Simq_parallel.Pool.default}) in chunks, each reusing one
+    scratch row, with results identical to a sequential build. Raises
+    [Invalid_argument] when the relation is empty. *)
 val of_relation : ?pool:Simq_parallel.Pool.t -> Simq_storage.Relation.t -> t
 
 (** [of_series ?pool ~name batch] shortcut: wraps the batch in a
@@ -121,8 +123,10 @@ val sub : t -> name:string -> lo:int -> width:int -> t
 val lay_out : t -> int array -> unit
 
 (** [prepare_query ?normalise q] transforms an external query series the
-    same way (it need not have the data-set length — warp queries are
-    longer). With [~normalise:false] the series is used verbatim: pass a
+    same way, into the weighted half at its own length (it need not have
+    the data-set length — warp queries are longer), through the same
+    function as the stored rows, so a stored series posed as a query
+    has its row's doubles. With [~normalise:false] the series is used verbatim: pass a
     query that is {e already} in the comparison space, e.g. the moving
     average of a normal form when matching “series whose smoothed normal
     forms track this curve”. *)
@@ -155,14 +159,20 @@ val within_sides :
   bool
 
 (** [spectra t] is the spectrum buffer: slot [s]'s spectrum is the
-    [n] coefficients from coefficient [s·n] (pass [s·n] as the
-    kernel's offset). *)
+    [width t] coefficients from coefficient [s·width t] (pass that as
+    the kernel's offset). *)
 val spectra : t -> Simq_dsp.Flat.t
+
+(** [width t] is the number of coefficients of every stored row,
+    [⌊n/2⌋ + 1] for the series length [n]: the range a kernel runs over
+    and the stride between slots. Only the data set knows the layout;
+    its readers take the width from here. *)
+val width : t -> int
 
 (** [heads t] is the head table: slot [s]'s first
     {!Simq_dsp.Flat.head_width} spectrum coefficients from coefficient
     [s·head_width], copies of the buffer's doubles, zero beyond
-    coefficient [n − 1] — one 64-byte cache line per slot, in slot
+    coefficient [width t − 1] — one 64-byte cache line per slot, in slot
     order (pass it to {!Simq_dsp.Flat.rows} and
     {!Simq_dsp.Flat.sort_key}). Like {!spectra} it is the data set's
     own buffer, shared: read it, never write to it. *)
@@ -181,43 +191,24 @@ val spectrum : t -> int -> Simq_dsp.Flat.t
 
 (** [head_sq_dist t ~stretch s qs acc] sets [acc.sum] to the
     {!Simq_dsp.Flat.sq_dist} sum of slot [s]'s coefficients
-    [0 .. h-1] against [qs]'s, where [h] is [min head_width n] for
-    {!Simq_dsp.Flat.head_width}, and returns [h]. The coefficients come
-    from the head table: an unstretched copy of every slot's first
+    [0 .. h-1] against [qs]'s, where [h] is [min head_width (width t)]
+    for {!Simq_dsp.Flat.head_width}, and returns [h]. The coefficients
+    come from the head table: an unstretched copy of every slot's first
     [head_width] spectrum coefficients, one 64-byte cache line per
     slot, in slot order. They are copies of the buffer's doubles, so
     resuming [acc] from coefficient [h] over the slot's spectrum gives
-    the sum over the spectrum alone bit for bit: nearest-neighbour
-    search queues entries under the head sum and refines them by that
-    resumption ({!Kindex.nearest}). With [mirror], coefficient 0's
-    term, the sum's first, is also written into [mirror.t0], for the
-    twin abandon of {!Simq_dsp.Flat.dist_within}; the sum is the same.
-    Raises [Invalid_argument] for an unknown slot. *)
+    the sum over the spectrum alone bit for bit, and the head sum is a
+    lower bound of it over the same doubles: nearest-neighbour search
+    queues entries under the head sum and refines them by that
+    resumption ({!Kindex.nearest}). Raises [Invalid_argument] for an
+    unknown slot. *)
 val head_sq_dist :
   t ->
   stretch:Simq_dsp.Flat.t option ->
-  ?mirror:Simq_dsp.Flat.mirror ->
   int ->
   Simq_dsp.Flat.t ->
   Simq_dsp.Flat.acc ->
   int
-
-(** [head_twin_sq_dist t ~stretch s qs acc] sets [acc.sum] to
-    [T_0 + 2·(T_1 + … + T_(h-1))], where [T_f] is the
-    {!Simq_dsp.Flat.sq_dist} term of slot [s]'s coefficient [f]
-    against [qs]'s, read from the head table like {!head_sq_dist}: the
-    head coefficients counted with their twins [n−f], the mirrored
-    bound's sum ({!Simq_dsp.Flat.rounding_slack}). Only a lower bound when
-    the spectra are conjugate-symmetric under [stretch] and
-    [n >= 2·head_width]. Raises [Invalid_argument] for an unknown
-    slot. *)
-val head_twin_sq_dist :
-  t ->
-  stretch:Simq_dsp.Flat.t option ->
-  int ->
-  Simq_dsp.Flat.t ->
-  Simq_dsp.Flat.acc ->
-  unit
 
 (** [get t id] is entry [id], its series a fresh copy of its row;
     [entries t] is every entry, by id. They are for inspection only:

@@ -9,13 +9,13 @@ let default = { k = 2; representation = Coords.Polar }
 
 let validate config ~n =
   if config.k < 1 then invalid_arg "Feature.validate: k must be >= 1";
-  if config.k >= n then
-    invalid_arg "Feature.validate: k must be smaller than the series length"
+  if 2 * config.k >= n then
+    invalid_arg "Feature.validate: 2k must be smaller than the series length"
 
 let dims config = 2 + (2 * config.k)
 
 let coefficients config dataset id =
-  let off = Dataset.slot dataset id * Dataset.series_length dataset in
+  let off = Dataset.slot dataset id * Dataset.width dataset in
   Simq_dsp.Flat.sub (Dataset.spectra dataset) ~pos:(off + 1) ~len:config.k
 
 (* Feature dimensions first, mean/std last: the bulk loader tiles along

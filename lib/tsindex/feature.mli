@@ -17,14 +17,17 @@ type config = {
 
 val default : config
 
-(** [validate config ~n] checks [1 <= k < n]. *)
+(** [validate config ~n] checks [1 <= k] and [2k < n], so that every
+    feature coefficient has a conjugate twin of its own and is weighted
+    alike in the weighted half spectrum at the data length and at a
+    warp's longer length. Raises [Invalid_argument] otherwise. *)
 val validate : config -> n:int -> unit
 
 (** [dims config] is [2 + 2k]. *)
 val dims : config -> int
 
 (** [coefficients config dataset id] is coefficients 1..k of entry
-    [id]'s normal-form spectrum, read from [dataset]'s buffer — the
+    [id]'s weighted half spectrum, read from [dataset]'s buffer — the
     complex features. *)
 val coefficients : config -> Dataset.t -> int -> Simq_dsp.Cpx.t array
 

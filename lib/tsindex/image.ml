@@ -13,7 +13,7 @@ let magic = Bytes.get_int64_le (Bytes.of_string "SIMQPREP") 0
    bulk load. An image keyed by the old version is then ignored and
    rewritten. The key's [code] word catches a forgotten bump of any of
    them but the configuration. *)
-let version = 4L
+let version = 5L
 
 let max_fill = 32
 
@@ -69,7 +69,7 @@ let code ~max_fill n =
     let spectrum = Dataset.spectrum d 0 in
     Words.words w spectrum ~pos:0 ~len:(A.dim spectrum);
     Words.words w (Dataset.heads d) ~pos:0 ~len:(A.dim (Dataset.heads d));
-    if config.Feature.k < n then
+    if 2 * config.Feature.k < n then
       Array.iter (Words.float w) (Feature.point config d 0)
   end;
   let tree = Simq_rtree.Bulk.load ~max_fill ~dims probe_points in
@@ -112,7 +112,13 @@ let perm ~like (st : Unix.stats) =
    table) and the points the tree is packed from are the last the
    verification pass reads, and the likeliest still in cache. *)
 let sections ~count ~n =
-  [ 2 * n * count; count; count; 2 * Flat.head_width * count; dims * count ]
+  [
+    2 * Simq_dsp.Fft.half n * count;
+    count;
+    count;
+    2 * Flat.head_width * count;
+    dims * count;
+  ]
 
 (* --- writing -------------------------------------------------------------- *)
 

@@ -10,7 +10,8 @@
       {!key}: the count, the series length [n], the relation file's
       digest and the code fingerprint;
     + the slot order: the id each slot holds;
-    + the float sections: the spectrum buffer, [2·n·count] doubles;
+    + the float sections: the spectrum buffer of weighted halves,
+      [2·(⌊n/2⌋+1)·count] doubles;
       every entry's mean, then every entry's std, in id order; the
       head table ({!Dataset.heads}, [2·head_width] doubles per slot);
       the tree's leaf points ({!Feature.point}, [dims] doubles per

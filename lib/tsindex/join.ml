@@ -128,24 +128,18 @@ let scan ?pool ?bstate ?profile ~abandon kindex spec epsilon =
       (* Method (b), a band join: positions sorted by the real part of
          stretched coefficient 1, a lower bound on the pair distance,
          so row [p] compares only the later positions whose key is
-         within the band width of its own. Coefficient [n − 1], the
-         twin of coefficient 1, adds as much to the distance, so with
-         twins the band narrows to about ε/√2, and so do the pre-pass
-         and the head exit ({!Kindex.twin_slack}). The keys and the
-         stretched heads come from the dense head table, so setting up
-         the band reads no spectrum. *)
+         within the band width of its own. Coefficient 1 of the
+         weighted half counts its twin already, so that width is the
+         tight one. The keys and the stretched heads come from the
+         dense head table, so setting up the band reads no
+         spectrum. *)
       let stretch = stretch () and slots = slots () in
       let keys =
         Array.map (fun slot -> Flat.sort_key ~stretch heads ~slot) slots
       in
       let order = Flat.key_order keys in
-      let slack = Kindex.twin_slack kindex spec ~query_norm:0. in
-      let rows =
-        Flat.mirrored (Flat.rows ~stretch ~order ~heads spectra slots) ~slack
-      in
-      let width =
-        Float.min (band_width epsilon) (Flat.twin_radius ~slack epsilon)
-      in
+      let rows = Flat.rows ~stretch ~order ~heads spectra slots in
+      let width = band_width epsilon in
       (* [ends.(p)]: one past row [p]'s window. Rounding is monotone,
          so a key within [width] of row [p]'s stays under the rounded
          bound, and bounds, hence ends, grow with [p] (NaN keys sort
@@ -266,7 +260,6 @@ let index ?(spec = Spec.Identity) ?(budget = Budget.unlimited) ?admission
   admitted ?admission ~budget kindex @@ fun () ->
   let dataset = Kindex.dataset kindex in
   let count = Dataset.cardinality dataset in
-  let n = Dataset.series_length dataset in
   let prepared = Kindex.prepare kindex spec in
   let query =
     match spec with
@@ -277,12 +270,14 @@ let index ?(spec = Spec.Identity) ?(budget = Budget.unlimited) ?admission
     | _ ->
       (* One buffer for every entry: only the warp's distance reads the
          time-domain series, so none is made. *)
-      let stretch = Spec.stretch spec ~n and spectra = Dataset.spectra dataset in
-      let q = { Dataset.qnormal = [||]; qspectrum = Flat.create n } in
+      let stretch = Spec.stretch spec ~n:(Dataset.series_length dataset)
+      and spectra = Dataset.spectra dataset
+      and width = Dataset.width dataset in
+      let q = { Dataset.qnormal = [||]; qspectrum = Flat.create width } in
       fun i ->
         Flat.stretch_prefix ~stretch spectra
-          ~xo:(Dataset.slot dataset i * n)
-          ~len:n q.Dataset.qspectrum ~off:0;
+          ~xo:(Dataset.slot dataset i * width)
+          ~len:width q.Dataset.qspectrum ~off:0;
         q
   in
   Retry.with_retries ?profile ~budget @@ fun bstate ->

@@ -36,9 +36,9 @@
     heads are read from the data set's dense head table
     ({!Dataset.heads}), not from its spectra. Row [p] of that order
     then takes only the contiguous window of later rows whose key is
-    within [ε·(1 + 1e-9)] of its own (about [ε/√2] where the twins
-    apply), and {!Simq_dsp.Flat.within_band} runs the per-pair kernel
-    on the window's pairs that its coefficient-1 pre-pass and its head
+    within [ε·(1 + 1e-9)] of its own (coefficient 1 of the weighted
+    half counts its twin already), and {!Simq_dsp.Flat.within_band}
+    runs the per-pair kernel on the window's pairs that its coefficient-1 pre-pass and its head
     exit, over head coefficients 1..3, keep. Hits are mapped back to
     ids as [(min, max)] and sorted into [(i, j)] order. Both methods'
     pairs are bit-identical to a double loop of
@@ -119,8 +119,8 @@ val scan_checked :
     ({!Kindex.range_attempt}, the body {!Kindex.range_checked} runs),
     with [spec] (default [Identity]) on both sides. Outside the warp
     the query side is the entry's stored spectrum stretched once, so
-    its features are the stretched prefix, the search region takes the
-    mirrored radius where the twins apply, and each candidate's
+    its features are the stretched prefix, the search region is
+    {!Kindex.range}'s, and each candidate's
     distance is the scan join's per-pair kernel sum, bit for bit,
     abandoned at ε: the pairs, each unordered pair taken once, are
     {!scan_full}'s. The warp's query is the warped normal form, its

@@ -183,37 +183,15 @@ let slack t spec ~query_norm =
   Flat.rounding_slack ~n:len ~gain:(Spec.gain spec)
     ~norm:(Float.max (sqrt (float_of_int len)) query_norm)
 
-(* The mirrored bound holds for every spec but the warp, whose distance
-   is not the frequency-domain kernel: the stretches of id, rev and the
-   moving averages are conjugate-symmetric like the stored spectra. Its
-   twins must be coefficients of their own: those of the k features
-   ([n >= 2k + 2]) and of the head key's coefficients
-   1 .. head_width−1 ([n >= 2·head_width]). *)
-let mirrors t spec =
-  let n = Dataset.series_length t.dataset and k = t.config.Feature.k in
-  match spec with
-  | Spec.Warp _ -> false
-  | _ -> n >= 2 * Flat.head_width && n >= (2 * k) + 2
-
-let twin_slack t spec ~query_norm =
-  if mirrors t spec then slack t spec ~query_norm else infinity
-
-let spectrum_norm x = sqrt (Flat.energy x)
-
-(* The twin abandon's state for a finite slack, made once per query. *)
-let mirror_of twin =
-  if Float.is_finite twin then Some (Flat.mirror ~slack:twin) else None
-
-(* The per-feature radius of a range query's search region: the
-   mirrored radius when the twins apply, else ε (Lemma 1); both carry
-   the rounding slack, without which a warp's predicted features can
-   miss the query's region by an ulp when ε is within rounding of an
-   answer's distance. The mirrored radius exceeds ε when ε is within a
-   few τ of 0, and is used there all the same. *)
+(* The per-feature radius of a range query's search region (Lemma 1),
+   for every spec: the features are coefficients of the weighted half,
+   which count their twins already. It carries the rounding slack,
+   without which a warp's predicted features can miss the query's
+   region by an ulp when ε is within rounding of an answer's
+   distance. *)
 let search_radius t spec (q : Dataset.query) ~epsilon =
-  let slack = slack t spec ~query_norm:(spectrum_norm q.Dataset.qspectrum) in
-  if mirrors t spec then Flat.twin_radius ~slack epsilon
-  else (epsilon *. (1. +. 1e-9)) +. slack
+  (epsilon *. (1. +. 1e-9))
+  +. slack t spec ~query_norm:(sqrt (Flat.energy q.Dataset.qspectrum))
 
 let unconstrained = Region.linear ~lo:Float.neg_infinity ~hi:Float.infinity
 
@@ -371,7 +349,8 @@ let range_within ?mean_range ?std_range ?prefilter ?approx ?profile t
   Rstar.add_accesses t.tree result.node_accesses;
   result
 
-(* One-sided: the caller's distance need not be the kernel. *)
+(* One-sided, like every search region: the caller's distance need not
+   be the kernel. *)
 let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
   range_within t (prepare t spec) ~query_coeffs ~radius:epsilon ~epsilon
     ~distance
@@ -383,39 +362,31 @@ let range_generic ?(spec = Spec.Identity) t ~query_coeffs ~epsilon ~distance =
    relation), so index, scan and degraded-shard distances are the same
    doubles; the warp changes the length and falls back to the time
    domain. Equal to the time-domain distance by Parseval, up to
-   rounding. It abandons above [within] ({!Flat.dist_within}), by the
-   twin test too when the mirrored bound holds, so a result [<= within]
-   is exact: the range postfilter passes epsilon. Starting from
-   coefficient 0, the kernel never writes the mirror state, so the
-   closure may be shared. *)
+   rounding. It abandons above [within] ({!Flat.dist_within}), so a
+   result [<= within] is exact: the range postfilter passes epsilon. *)
 let distance_within t prepared (q : Dataset.query) ~within =
-  let n = Dataset.series_length t.dataset in
+  let width = Dataset.width t.dataset in
   match prepared.pspec with
   | Spec.Warp _ ->
     fun id ->
       Distance.euclidean
         (Spec.apply_series prepared.pspec (Dataset.normal t.dataset id))
         q.Dataset.qnormal
-  | spec ->
+  | _ ->
     let stretch = pstretch t prepared in
-    let mirror =
-      if within < infinity then
-        mirror_of
-          (twin_slack t spec ~query_norm:(spectrum_norm q.Dataset.qspectrum))
-      else None
-    in
     fun id ->
       let cell = { Flat.sum = within } in
-      Flat.dist_within ~stretch ?mirror ~lo:0 ~hi:n
+      Flat.dist_within ~stretch ~lo:0 ~hi:width
         (Dataset.spectra t.dataset)
-        (Dataset.slot t.dataset id * n)
+        (Dataset.slot t.dataset id * width)
         q.Dataset.qspectrum 0 (Flat.acc ()) ~within:cell;
       cell.Flat.sum
 
 let prepared_distance t prepared q =
   distance_within t prepared q ~within:infinity
 
-(* The query's index features: its first k non-DC coefficients. *)
+(* The query's index features: its first k non-DC weighted
+   coefficients. *)
 let query_coeffs t (q : Dataset.query) =
   Flat.sub q.Dataset.qspectrum ~pos:1 ~len:t.config.Feature.k
 
@@ -563,7 +534,7 @@ let bound_slack = 1e-12
 (* The query side of the node bound, computed once per query: every
    feature's coordinates in both representations, the lowered
    transformation's coefficients (empty without one), so that a bound
-   reads its floats from arrays, and the mirrored bound's slack. *)
+   reads its floats from arrays. *)
 type nn_query = {
   qre : float array;
   qim : float array;
@@ -571,10 +542,9 @@ type nn_query = {
   qang : float array;
   map_a : float array;
   map_b : float array;
-  twin : float;
 }
 
-let nn_query t prepared q ~twin =
+let nn_query t prepared q =
   let coeffs = query_coeffs t q in
   let map_a, map_b =
     match prepared.ptransform with
@@ -588,7 +558,6 @@ let nn_query t prepared q ~twin =
     qang = Array.map Cpx.angle coeffs;
     map_a;
     map_b;
-    twin;
   }
 
 (* Coordinate [x] of dimension [j] under the lowered transformation,
@@ -601,10 +570,8 @@ let[@inline] corner nq ~mapped j x =
    [cell]. Under a transformation each feature's interval is
    [Linear_transform.apply_rect]'s — both corners mapped, then ordered
    by [Rect.create]'s min/max — computed in place, so the bound maps no
-   rectangle and boxes no float. Every feature's twin adds as much
-   again: the mirrored bound √2·b − τ ({!Flat.rounding_slack}) is kept
-   when it is the larger, which it is unless b is within a few τ of
-   0 ([τ = infinity] leaves b). *)
+   rectangle and boxes no float. The features are weighted half
+   coefficients, so each counts its twin already. *)
 let node_bound t nq (r : Rect.t) (cell : Flat.acc) =
   let lo = r.Rect.lo and hi = r.Rect.hi in
   let mapped = Array.length nq.map_a > 0 in
@@ -647,8 +614,7 @@ let node_bound t nq (r : Rect.t) (cell : Flat.acc) =
     in
     acc := !acc +. (d *. d)
   done;
-  let b = sqrt (fmax 0. (!acc -. (bound_slack *. !tol))) in
-  cell.Flat.sum <- fmax b ((1.4142135623730951 *. b) -. nq.twin)
+  cell.Flat.sum <- sqrt (fmax 0. (!acc -. (bound_slack *. !tol)))
 
 (* The NN sketch argument is also a builder: applied to the prepared
    query it yields a per-entry lower bound (the max over the funnel's
@@ -671,41 +637,32 @@ let nn_detail ~k point_bound =
 (* Multi-step NN refinement on the one kernel, for the
    length-preserving transformations: an entry's key is the square
    root of the kernel sum over the head coefficients, read from the
-   dataset's head table (one cache line per entry) — with twins,
-   [sqrt (T0 + 2·(T1 + T2 + T3)) − τ] ({!Dataset.head_twin_sq_dist},
-   {!Flat.rounding_slack}), coefficient 0 being its own twin; refinement
-   recomputes the plain head sum — the same doubles in the same order —
-   and resumes the same accumulator over the tail of the stored
-   spectrum ({!Flat.dist_within}), so a refined distance is exactly
-   {!prepared_distance}'s, and an entry is abandoned only when its
-   distance is above [within]: by the twin test up to coefficient
-   ⌈n/2⌉−1, with the head's coefficient-0 term recorded in the mirror
-   state, then by [sqrt partial > within]. Keys and distances are
-   written into the traversal's cell. The warp changes the length and
-   keeps its time-domain distance. The accumulator and the mirror
-   state belong to one query. *)
-let nn_refinement t prepared (q : Dataset.query) ~twin ~count =
+   dataset's head table (one cache line per entry), a lower bound over
+   the same doubles; refinement recomputes the head sum — the same
+   doubles in the same order — and resumes the same accumulator over
+   the tail of the stored spectrum ({!Flat.dist_within}), so a refined
+   distance is exactly {!prepared_distance}'s, and an entry is
+   abandoned only when its distance is above [within]. Keys and
+   distances are written into the traversal's cell. The warp changes
+   the length and keeps its time-domain distance. The accumulator
+   belongs to one query. *)
+let nn_refinement t prepared (q : Dataset.query) ~count =
   match prepared.pspec with
   | Spec.Warp _ -> None
   | _ ->
     let ds = t.dataset in
-    let n = Dataset.series_length ds and spectra = Dataset.spectra ds in
+    let width = Dataset.width ds and spectra = Dataset.spectra ds in
     let stretch = pstretch t prepared and qs = q.Dataset.qspectrum in
     let acc = Flat.acc () in
-    let key =
-      if Float.is_finite twin then fun (_ : Rect.t) id (cell : Flat.acc) ->
-        Dataset.head_twin_sq_dist ds ~stretch (Dataset.slot ds id) qs cell;
-        cell.Flat.sum <- fmax 0. (sqrt cell.Flat.sum -. twin)
-      else fun (_ : Rect.t) id (cell : Flat.acc) ->
-        ignore (Dataset.head_sq_dist ds ~stretch (Dataset.slot ds id) qs cell);
-        cell.Flat.sum <- sqrt cell.Flat.sum
+    let key (_ : Rect.t) id (cell : Flat.acc) =
+      ignore (Dataset.head_sq_dist ds ~stretch (Dataset.slot ds id) qs cell);
+      cell.Flat.sum <- sqrt cell.Flat.sum
     in
-    let mirror = mirror_of twin in
     let refine (_ : Rect.t) id (cell : Flat.acc) =
       count ();
       let s = Dataset.slot ds id in
-      let lo = Dataset.head_sq_dist ds ~stretch ?mirror s qs acc in
-      Flat.dist_within ~stretch ?mirror ~lo ~hi:n spectra (s * n) qs 0 acc
+      let lo = Dataset.head_sq_dist ds ~stretch s qs acc in
+      Flat.dist_within ~stretch ~lo ~hi:width spectra (s * width) qs 0 acc
         ~within:cell
     in
     Some (key, refine)
@@ -726,15 +683,12 @@ let nearest_query t spec query =
   check_query_length t spec query;
   let q = Dataset.prepare_query query in
   let prepared = prepare t spec in
-  let twin =
-    twin_slack t spec ~query_norm:(spectrum_norm q.Dataset.qspectrum)
-  in
   {
     nlength = Dataset.series_length t.dataset;
     nconfig = t.config;
     q;
     prepared;
-    nq = nn_query t prepared q ~twin;
+    nq = nn_query t prepared q;
   }
 
 let check_fits t r =
@@ -753,7 +707,6 @@ let check_fits t r =
    candidates. *)
 let nearest_run ?bstate ?sketch_bound ?within ~pn ~visits t r ~k =
   let nq = r.nq and prepared = r.prepared and q = r.q in
-  let twin = nq.twin in
   let visit =
     match (bstate, pn) with
     | None, None -> None
@@ -773,7 +726,7 @@ let nearest_run ?bstate ?sketch_bound ?within ~pn ~visits t r ~k =
     cell.Flat.sum <- dist id
   in
   let key, refine =
-    match (nn_refinement t prepared q ~twin ~count, sketch_bound) with
+    match (nn_refinement t prepared q ~count, sketch_bound) with
     | None, None -> (exact, None)
     | None, Some bound -> (bound, Some exact)
     | Some (head, refine), None -> (head, Some refine)

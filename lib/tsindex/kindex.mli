@@ -26,8 +26,8 @@ type t
     lays [dataset]'s spectra out in the tree's leaf order
     ({!Dataset.lay_out}), so the refinements of a query read nearby
     slots. The index is read-only from then on: its tree and data set
-    never gain or lose an entry. Raises [Invalid_argument] when
-    [config.k] is not below the series length. *)
+    never gain or lose an entry. Raises [Invalid_argument] unless
+    [2·config.k] is below the series length ({!Feature.validate}). *)
 val build : ?config:Feature.config -> ?max_fill:int -> Dataset.t -> t
 
 (** [open_file ~relation file] is the index of [relation], the
@@ -94,7 +94,11 @@ type prefilter = {
     already in the comparison space (e.g. the moving average of a normal
     form) to match both-sides-transformed semantics. The postfilter
     abandons each distance at [epsilon] ({!Simq_dsp.Flat.dist_within}),
-    so answers and distances are {!prepared_distance}'s, bit for bit. *)
+    so answers and distances are {!prepared_distance}'s, bit for bit.
+    The search region holds each feature within [ε·(1 + 1e-9)] plus
+    {!Simq_dsp.Flat.rounding_slack} (at the warped length under a
+    warp), for every spec; {!range_checked}, {!range_probe} and
+    {!range_attempt} search the same region. *)
 val range :
   ?spec:Spec.t ->
   ?normalise_query:bool ->
@@ -185,24 +189,6 @@ val range_probe :
   epsilon:float ->
   (Simq_geometry.Rect.t -> bool)
 
-(** [twin_slack t spec ~query_norm] is the slack of the mirrored bound
-    ({!Simq_dsp.Flat.rounding_slack} over [t]'s series length, the
-    gain of [spec] and the larger of [√n] and [query_norm]) against a
-    query spectrum of norm [query_norm] (pass [0.] when both sides are
-    stored entries, as a join does), or [infinity] when the bound stays
-    one-sided: under a warp, whose distance is not the
-    frequency-domain kernel, and when a twin would not be a
-    coefficient of its own, [n < 2·Flat.head_width] or [n < 2k + 2].
-    {!range}, {!range_checked} and {!range_probe} search each feature
-    within {!Simq_dsp.Flat.twin_radius} of ε (about ε/√2), or, without
-    twins, within [ε·(1 + 1e-9)] plus the same rounding slack (taken
-    at the warped length under a warp); {!nearest} and
-    {!nearest_checked} count each feature of a node bound and each
-    head coefficient of a key with its twin, and so does
-    {!range_attempt}. {!range_generic} searches within ε itself,
-    one-sided: its caller supplies the distance. *)
-val twin_slack : t -> Spec.t -> query_norm:float -> float
-
 (** [nearest t ?spec ~query ~k] is the ids of the [k] entries
     minimising the same distance, with that distance, closest first,
     ties broken by ascending entry id —
@@ -220,14 +206,12 @@ val twin_slack : t -> Spec.t -> query_norm:float -> float
     cell, so it allocates per query, not per entry. The traversal keeps the [k] best
     refined distances so far: an entry whose head bound is strictly
     above the k-th is never queued, and a refinement abandons once
-    its distance provably lies strictly above it — by the twin test
-    of {!Simq_dsp.Flat.dist_within} over coefficients up to [⌈n/2⌉−1]
-    when the mirrored bound holds ({!twin_slack}; the head's
-    coefficient-0 term comes from {!Dataset.head_sq_dist}, the row is
-    not read again), then once its partial root is strictly above it.
-    An abandoned entry is one the plain kernel would have dropped too,
-    so the entries refined, the answers and every count are the
-    one-sided kernel's. The warp changes the
+    its partial root is strictly above it. The head sum, the node
+    bound and the partial sums are over the weighted half, whose
+    coefficients count their twins already, so every one is a lower
+    bound of the same doubles' whole distance with no slack (the node
+    bound keeps a small allowance for its own arithmetic).
+    The warp changes the
     length and keeps its time-domain distance, computed as entries
     are found. Nodes are expanded exactly as without the deferral.
 
@@ -357,8 +341,7 @@ val nearest_scan :
 (** [nearest_bound t r] is the node bound of {!nearest} detached from
     the tree, for the query [r] was prepared from: applied to a box of
     feature points (a node MBR, or a shard's catalogue box in
-    {!module:Simq_shard}) it is the lower bound, twins counted as in
-    the traversal, on the distance from the query to every entry whose
+    {!module:Simq_shard}) it is the lower bound on the distance from the query to every entry whose
     feature point the box holds. The returned function reuses one
     cell: call it from one domain at a time. Raises [Invalid_argument]
     as {!nearest_prepared} does. *)
@@ -370,9 +353,15 @@ val nearest_bound : t -> nearest_query -> Simq_geometry.Rect.t -> float
     [distance] computes the full distance used in postprocessing from
     an entry id, and
     [spec] transforms the data side during traversal. Its search region
-    is one-sided, within ε of [query_coeffs]. The result is exact
-    provided [Spectrum.prefix] of the transformed data spectrum against
-    [query_coeffs] lower-bounds [distance] — the Lemma 1 condition. *)
+    is one-sided, within ε of [query_coeffs], like every search region
+    here. The result is exact provided the distance between the [k]
+    transformed stored features (coefficients of the weighted half,
+    {!Dataset}) and [query_coeffs] lower-bounds [distance] — the
+    Lemma 1 condition. It holds when [query_coeffs] come from a
+    weighted query spectrum ({!Dataset.prepare_query}) and [distance]
+    is the full Euclidean distance: each weighted feature counts its
+    coefficient and the conjugate twin, both of which the full distance
+    sums. *)
 val range_generic :
   ?spec:Spec.t ->
   t ->
@@ -398,8 +387,8 @@ val prepare : t -> Spec.t -> prepared
     {!range_checked}'s body for the prepared query [q] (of length
     [Spec.output_length], in the comparison space already — no side
     constraint, sketch or profile): the search region around [q]'s
-    first [k] coefficients, within the mirrored radius where the twins
-    apply ({!twin_slack}), each node visit charged to and faulted by
+    first [k] coefficients, within [ε·(1 + 1e-9)] plus the rounding
+    slack, as {!range}'s, each node visit charged to and faulted by
     [bstate], then each candidate charged one comparison and checked
     against {!prepared_distance}'s kernel, which abandons at ε. Node
     accesses come back in the result and are not credited to the
@@ -417,8 +406,8 @@ val range_attempt :
 
 (** [prepared_distance t prepared q] is the exact full distance
     [id -> D(T entry, q)] used by postprocessing and NN refinement:
-    {!Simq_dsp.Flat.sq_dist} over the stored spectra, [0 .. n-1] in
-    ascending order, for length-preserving transformations (the
+    {!Simq_dsp.Flat.sq_dist} over the stored weighted halves,
+    [0 .. Dataset.width - 1] in ascending order, for length-preserving transformations (the
     identity included, so index, scan and degraded distances are the
     same doubles), time-domain for the warp. *)
 val prepared_distance :

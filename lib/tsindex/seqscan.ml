@@ -67,17 +67,21 @@ let compute_warp ~abandon dataset spec epsilon (q : Dataset.query) _acc _slot
 
 (* [limit] is the kernel's abandon limit: [epsilon²] when abandoning,
    [infinity] otherwise; a sum past it by rounding alone (root not above
-   [epsilon]) is completed. The entry's spectrum is slot [s] of [spectra]. *)
-let compute_freq ~stretch ~n ~limit ~spectra epsilon (q : Dataset.query) acc
-    s id =
+   [epsilon]) is completed. The entry's spectrum is slot [s] of [spectra],
+   [width] coefficients a row. *)
+let compute_freq ~stretch ~width ~limit ~spectra epsilon (q : Dataset.query)
+    acc s id =
   acc.Flat.sum <- 0.;
-  let x = s * n and qs = q.Dataset.qspectrum in
-  let touched = Flat.sq_dist ~stretch ~limit ~lo:0 ~hi:n spectra x qs 0 acc in
+  let x = s * width and qs = q.Dataset.qspectrum in
+  let touched =
+    Flat.sq_dist ~stretch ~limit ~lo:0 ~hi:width spectra x qs 0 acc
+  in
   if acc.Flat.sum > limit && sqrt acc.Flat.sum > epsilon then
     (None, 0, touched)
   else begin
     let rest =
-      Flat.sq_dist ~stretch ~limit:infinity ~lo:touched ~hi:n spectra x qs 0 acc
+      Flat.sq_dist ~stretch ~limit:infinity ~lo:touched ~hi:width spectra x qs 0
+        acc
     in
     let d = sqrt acc.Flat.sum in
     ((if d <= epsilon then Some (id, d) else None), 1, touched + rest)
@@ -97,16 +101,16 @@ let compute_freq ~stretch ~n ~limit ~spectra epsilon (q : Dataset.query) acc
    dropped. *)
 let scan_compute ~pool ~abandon ?bstate ?sides dataset spec query epsilon =
   let q = Dataset.prepare_query query in
-  let n = Dataset.series_length dataset in
   let limit = if abandon then epsilon *. epsilon else infinity in
   let count = Dataset.cardinality dataset in
   let compute =
     match spec with
     | Spec.Warp _ -> compute_warp ~abandon dataset spec epsilon q
     | _ ->
-      let stretch = Some (Spec.stretch spec ~n) in
-      compute_freq ~stretch ~n ~limit ~spectra:(Dataset.spectra dataset)
-        epsilon q
+      let n = Dataset.series_length dataset in
+      compute_freq ~stretch:(Some (Spec.stretch spec ~n))
+        ~width:(Dataset.width dataset) ~limit
+        ~spectra:(Dataset.spectra dataset) epsilon q
   in
   let keep =
     match sides with

@@ -24,17 +24,20 @@ let warp_stretch m ~n ~k =
   let a = Warp_op.coefficients ~m ~n ~k in
   Dsp.Flat.of_cpx (Dsp.Cpx.scale_array (1. /. sqrt (float_of_int m)) a)
 
+(* Coefficients [0 .. ⌊n/2⌋], the weighted half's: a stretch multiplies
+   a coefficient and its twin alike, so it is not weighted itself. *)
 let compute t ~n =
+  let h = Dsp.Fft.half n in
   let constant re =
-    Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout (2 * n) (fun i ->
+    Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout (2 * h) (fun i ->
         if i mod 2 = 0 then re else 0.)
-  in
+  and transfer w = Bigarray.Array1.sub (Dsp.Window.transfer n w) 0 (2 * h) in
   match t with
   | Identity -> constant 1.
-  | Moving_average m -> Dsp.Window.transfer n (Dsp.Window.uniform m)
-  | Weighted_ma w -> Dsp.Window.transfer n w
+  | Moving_average m -> transfer (Dsp.Window.uniform m)
+  | Weighted_ma w -> transfer w
   | Reverse -> constant (-1.)
-  | Warp m -> warp_stretch m ~n ~k:n
+  | Warp m -> warp_stretch m ~n ~k:h
 
 module Memo = Map.Make (struct type nonrec t = t * int let compare = compare end)
 

@@ -20,11 +20,15 @@ type t =
     executable specification the index path is tested against. *)
 val apply_series : t -> Simq_series.Series.t -> Simq_series.Series.t
 
-(** [stretch t ~n] is the length-[n] frequency multiplier, flat:
-    applying [t] to a series of length [n] multiplies its [f]-th unitary
-    DFT coefficient by coefficient [f] of [stretch t ~n]. For [Warp m]
-    the result maps the coefficients of the original onto the first [n]
-    coefficients of the length-[m·n] output. Raises [Invalid_argument]
+(** [stretch t ~n] is the length-[n] frequency multiplier over the
+    weighted half, flat: its [⌊n/2⌋ + 1] coefficients
+    ({!Simq_dsp.Fft.half}[ n]), where applying [t] to a series of length
+    [n] multiplies its [f]-th unitary DFT coefficient by coefficient [f]
+    of [stretch t ~n] (and the twin [n − f] by its conjugate: every [t]
+    maps real series to real series). It multiplies a stored weighted
+    half coefficient for coefficient. For [Warp m] the result maps those
+    coefficients of the original onto the same coefficients of the
+    length-[m·n] output. Raises [Invalid_argument]
     when a window is wider than [n] or a warp factor is < 1. Except for
     the warp, it is computed once per [(t, n)] and shared by every call
     from any domain: callers must never write to it. *)

@@ -1,16 +1,16 @@
-(* The mirrored bound where it is tight. Every series below is a sum of
-   sinusoids at frequencies 1 .. 3, so its spectrum lives in
-   coefficients 1 .. 3 and their twins n−1 .. n−3, and so does every
-   distance between two of them under a conjugate-symmetric stretch:
-   the head key counted with its twins is the whole distance, and for
-   the series without frequency 3 so is the feature bound. Duplicates
-   and shifted, scaled copies add pairs at distance 0 and ties at the
-   k-th neighbour. RANGE is checked at ε set to exact distances, NEAREST
-   at every k across the ties and PAIRS (band and index joins) at exact
+(* The weighted half spectrum where its bounds are tight. Every series
+   below is a sum of sinusoids at frequencies 1 .. 3, so its weighted
+   half lives in coefficients 1 .. 3, and so does every distance
+   between two of them under a stretch that maps real series to real
+   series: the head key is the whole distance, and for the series
+   without frequency 3 so is the feature bound. Duplicates and shifted,
+   scaled copies add pairs at distance 0 and ties at the k-th
+   neighbour. RANGE is checked at ε set to exact distances, NEAREST at
+   every k across the ties and PAIRS (band and index joins) at exact
    pair distances, each against a reference that uses no bound: the
    time-domain brute force and the full kernel scan, the exact linear
-   selection, and the full join scan. Below the length where the twins are coefficients of
-   their own the bound must stay one-sided. *)
+   selection, and the full join scan. Parseval's relation over the
+   half is checked at odd, radix-2 and Bluestein lengths. *)
 
 open Simq_tsindex
 module Flat = Simq_dsp.Flat
@@ -97,32 +97,54 @@ let check_bits label expected actual =
 
 let lengths = [ 128; 100; 7 ]
 
-let mirrored spec ~n =
-  n >= 8 && match spec with Spec.Warp _ -> false | _ -> true
+let walks ~seed ~count ~n =
+  Dataset.of_series ~pool:Simq_parallel.Pool.sequential ~name:"walks"
+    (Simq_series.Generator.random_walks ~seed ~count ~n)
 
-let test_slack_applies () =
+let norm_sq x = Array.fold_left (fun acc v -> acc +. (v *. v)) 0. x
+
+(* Parseval over the half: every row holds [⌊n/2⌋ + 1] coefficients
+   whose energy is the normal form's, and the kernel distance under
+   every length-preserving spec is the time-domain Euclidean distance
+   of the transformed normal forms. *)
+let test_half_parseval () =
   List.iter
     (fun n ->
-      let idx = Kindex.build (sinusoids ~seed:1 ~count:12 ~n) in
+      let d = walks ~seed:21 ~count:20 ~n in
+      let idx = Kindex.build d in
+      Alcotest.(check int) (Printf.sprintf "n=%d: width" n) ((n / 2) + 1)
+        (Dataset.width d);
+      for id = 0 to Dataset.cardinality d - 1 do
+        let row = Dataset.spectrum d id and normal = Dataset.normal d id in
+        Alcotest.(check int) "row length" (Dataset.width d) (Flat.length row);
+        let energy = Flat.energy row and expected = norm_sq normal in
+        if Float.abs (energy -. expected) > 1e-12 *. expected then
+          Alcotest.failf "n=%d id=%d: row energy %h, normal form %h" n id
+            energy expected
+      done;
       List.iter
         (fun spec ->
-          let slack = Kindex.twin_slack idx spec ~query_norm:0. in
-          let label = Printf.sprintf "%s n=%d" (Spec.name spec) n in
-          Alcotest.(check bool)
-            (label ^ ": twins iff non-warp and n >= 8")
-            (mirrored spec ~n) (Float.is_finite slack);
-          if Float.is_finite slack then
-            Alcotest.(check bool)
-              (label ^ ": slack is small but positive")
-              true
-              (slack > 0. && slack < 1e-4))
-        (specs_for n))
-    lengths
+          let q = Dataset.prepare_query (query_of d spec 3) in
+          let dist = Kindex.prepared_distance idx (Kindex.prepare idx spec) q in
+          for id = 0 to Dataset.cardinality d - 1 do
+            let expected =
+              Simq_series.Distance.euclidean
+                (Spec.apply_series spec (Dataset.normal d id))
+                q.Dataset.qnormal
+            in
+            Alcotest.(check (float 1e-9))
+              (Printf.sprintf "%s n=%d id=%d: kernel = time domain"
+                 (Spec.name spec) n id)
+              expected (dist id)
+          done)
+        (List.filter
+           (function Spec.Warp _ -> false | _ -> true)
+           (specs_for n)))
+    [ 7; 8; 100; 128 ]
 
-(* On these series the head key with its twins is the distance itself,
-   while the one-sided head key is at most 1/√2 of it: the tests below
-   run where the slack decides. *)
-let test_bound_is_tight () =
+(* On these series the head key is the distance itself, and never
+   above it: it is a prefix of the same sum. *)
+let test_head_key_is_distance () =
   List.iter
     (fun n ->
       let d = sinusoids ~seed:2 ~count:24 ~n in
@@ -136,23 +158,19 @@ let test_bound_is_tight () =
           Array.iter
             (fun (e : Dataset.entry) ->
               let s = Dataset.slot d e.Dataset.id in
-              Dataset.head_twin_sq_dist d ~stretch s q.Dataset.qspectrum acc;
-              let twin = sqrt acc.Flat.sum in
               ignore
                 (Dataset.head_sq_dist d ~stretch s q.Dataset.qspectrum acc);
-              let plain = sqrt acc.Flat.sum and exact = dist e.Dataset.id in
+              let key = sqrt acc.Flat.sum and exact = dist e.Dataset.id in
               let label =
                 Printf.sprintf "%s n=%d id=%d" (Spec.name spec) n e.Dataset.id
               in
               Alcotest.(check (float (1e-9 *. (1. +. exact))))
-                (label ^ ": twin key = distance") exact twin;
-              Alcotest.(check bool)
-                (label ^ ": one-sided key <= distance/√2")
-                true
-                (plain <= (exact *. 0.70711) +. 1e-9))
+                (label ^ ": head key = distance") exact key;
+              Alcotest.(check bool) (label ^ ": head key <= distance") true
+                (key <= exact))
             (Dataset.entries d))
         [ Spec.Identity; Spec.Reverse; Spec.Moving_average 3 ])
-    [ 128; 100 ]
+    [ 128; 100; 7 ]
 
 (* Every distinct kernel distance from the query up to the 20th, and
    every 7th beyond: thresholds that sit exactly on an answer. *)
@@ -306,6 +324,7 @@ let test_nearest_ties () =
    compare): thresholds on which a pair sits. *)
 let pair_epsilons d spec =
   let n = Dataset.series_length d and count = Dataset.cardinality d in
+  let width = Dataset.width d in
   let distance =
     match spec with
     | Spec.Warp _ ->
@@ -318,7 +337,7 @@ let pair_epsilons d spec =
       let stretch = Spec.stretch spec ~n in
       let stretched =
         Array.init count (fun i ->
-            let x = Flat.create n in
+            let x = Flat.create width in
             Flat.stretch_into ~stretch (Dataset.spectrum d i) x ~off:0;
             x)
       in
@@ -326,7 +345,7 @@ let pair_epsilons d spec =
       fun i j ->
         acc.Flat.sum <- 0.;
         ignore
-          (Flat.sq_dist ~stretch:None ~limit:infinity ~lo:0 ~hi:n
+          (Flat.sq_dist ~stretch:None ~limit:infinity ~lo:0 ~hi:width
              stretched.(i) 0 stretched.(j) 0 acc);
         sqrt acc.Flat.sum
   in
@@ -377,53 +396,40 @@ let test_pairs_at_exact_distances () =
         (specs_for n))
     lengths
 
-let walks ~seed ~count ~n =
-  Dataset.of_series ~pool:Simq_parallel.Pool.sequential ~name:"walks"
-    (Simq_series.Generator.random_walks ~seed ~count ~n)
-
-(* The twin abandon of [Flat.dist_within], on the sinusoids (where the
-   twin bound is the whole distance, so it is tight against every
-   threshold) and on random walks (where it fires early). For every
-   entry and every [w] set to an exact kernel distance and one ulp
-   either side, from coefficient 0 and resumed after the head (its
-   coefficient-0 term recorded by [Dataset.head_sq_dist]), the result
-   with twins is bit for bit the one-sided kernel's wherever that is
-   within [w], and above [w] wherever it is not. *)
-let test_dist_within_twin () =
+(* The one-sided abandon of [Flat.dist_within], on the sinusoids
+   (where the head carries the whole distance, so the abandon is tight
+   against every threshold) and on random walks (where it fires early).
+   For every entry and every [w] set to an exact kernel distance and
+   one ulp either side, from coefficient 0 and resumed after the head
+   ([Dataset.head_sq_dist]), the result is bit for bit the full
+   kernel's wherever that is within [w], and above [w] wherever it is
+   not: no distance [<= w] is dropped. *)
+let test_dist_within_abandon () =
   let abandoned = ref 0 in
   List.iter
     (fun n ->
       List.iter
         (fun d ->
-          let idx = Kindex.build d in
-          let spectra = Dataset.spectra d in
+          let spectra = Dataset.spectra d and width = Dataset.width d in
           List.iter
             (fun spec ->
               let label = Printf.sprintf "%s n=%d" (Spec.name spec) n in
               let stretch = Some (Spec.stretch spec ~n) in
               let q = Dataset.prepare_query (query_of d spec 0) in
               let qs = q.Dataset.qspectrum in
-              let slack =
-                Kindex.twin_slack idx spec
-                  ~query_norm:(sqrt (Flat.energy qs))
-              in
-              Alcotest.(check bool) (label ^ ": twins") true
-                (Float.is_finite slack);
-              let mirror = Flat.mirror ~slack in
               let slots =
                 Array.map
                   (fun (e : Dataset.entry) -> Dataset.slot d e.Dataset.id)
                   (Dataset.entries d)
               in
-              let run ?mirror ~resume s w =
+              let run ~resume s w =
                 let acc = Flat.acc () and cell = Flat.acc () in
                 cell.Flat.sum <- w;
                 let lo =
-                  if resume then Dataset.head_sq_dist d ~stretch ?mirror s qs acc
-                  else 0
+                  if resume then Dataset.head_sq_dist d ~stretch s qs acc else 0
                 in
-                Flat.dist_within ~stretch ?mirror ~lo ~hi:n spectra (s * n) qs 0
-                  acc ~within:cell;
+                Flat.dist_within ~stretch ~lo ~hi:width spectra (s * width) qs
+                  0 acc ~within:cell;
                 cell.Flat.sum
               in
               let exact = Array.map (fun s -> run ~resume:false s infinity) slots in
@@ -431,24 +437,23 @@ let test_dist_within_twin () =
                 (fun e ->
                   List.iter
                     (fun w ->
-                      Array.iter
-                        (fun s ->
-                          let plain = run ~resume:false s w in
+                      Array.iteri
+                        (fun i s ->
                           List.iter
                             (fun resume ->
-                              let twin = run ~mirror ~resume s w in
-                              if plain <= w then begin
-                                if not (same_bits plain twin) then
+                              let got = run ~resume s w in
+                              if exact.(i) <= w then begin
+                                if not (same_bits exact.(i) got) then
                                   Alcotest.failf
                                     "%s slot=%d w=%h resume=%b: %h, expected %h"
-                                    label s w resume twin plain
+                                    label s w resume got exact.(i)
                               end
                               else begin
-                                if not (twin > w) then
+                                if not (got > w) then
                                   Alcotest.failf
                                     "%s slot=%d w=%h resume=%b: %h not above w"
-                                    label s w resume twin;
-                                if not (same_bits plain twin) then
+                                    label s w resume got;
+                                if not (same_bits exact.(i) got) then
                                   incr abandoned
                               end)
                             [ false; true ])
@@ -460,56 +465,47 @@ let test_dist_within_twin () =
               Spec.Weighted_ma (Simq_dsp.Window.ascending 5);
             ])
         [ sinusoids ~seed:12 ~count:12 ~n; walks ~seed:12 ~count:12 ~n ])
-    [ 8; 9; 16; 128 ];
-  Alcotest.(check bool) "the twin test fires" true (!abandoned > 0);
-  (* The mirrored path allocates nothing per call either. *)
+    [ 7; 8; 9; 16; 128 ];
+  Alcotest.(check bool) "the abandon fires" true (!abandoned > 0);
+  (* A refinement allocates nothing per call. *)
   let d = walks ~seed:13 ~count:4 ~n:128 in
-  let q = Dataset.prepare_query (Dataset.get d 0).Dataset.series in
-  let mirror = Some (Flat.mirror ~slack:1e-6) in
+  let width = Dataset.width d in
+  let q = Dataset.prepare_query (Dataset.series d 0) in
   let acc = Flat.acc () and cell = Flat.acc () in
   let before = Gc.minor_words () in
   for i = 1 to 1000 do
     let s = i mod 4 in
-    let lo =
-      Dataset.head_sq_dist d ~stretch:None ?mirror s q.Dataset.qspectrum acc
-    in
+    let lo = Dataset.head_sq_dist d ~stretch:None s q.Dataset.qspectrum acc in
     cell.Flat.sum <- 1.;
-    Flat.dist_within ~stretch:None ?mirror ~lo ~hi:128 (Dataset.spectra d)
-      (s * 128) q.Dataset.qspectrum 0 acc ~within:cell
+    Flat.dist_within ~stretch:None ~lo ~hi:width (Dataset.spectra d)
+      (s * width) q.Dataset.qspectrum 0 acc ~within:cell
   done;
   Alcotest.(check bool) "no allocation per refinement" true
     (Gc.minor_words () -. before < 16.)
 
-(* The band kernel on mirrored rows, where its pre-pass, head exit and
-   tail's twin test are tight: on the sinusoids coefficients 1 .. 3
-   and their twins carry the whole distance, so a pair's head terms
-   over 1 .. 3 are about half its sum; on random walks the tail's twin
-   test fires early. At thresholds set to every exact pair sum and one
-   ulp either side, [within_band] (abandoning at the threshold or
-   never) hits exactly the positions that [within_row ~limit:infinity]
-   hits, and allocates nothing. *)
+(* The band kernel where its pre-pass and head exit are tight: on the
+   sinusoids coefficients 1 .. 3 of the weighted half carry the whole
+   distance, so a pair's head terms over 1 .. 3 are its sum; on random
+   walks the tail abandons early. At thresholds set to every exact pair
+   sum and one ulp either side, [within_band] (abandoning at the
+   threshold or never) hits exactly the positions that
+   [within_row ~limit:infinity] hits, and allocates nothing. *)
 let test_band_kernel_at_exact_sums () =
   List.iter
     (fun (n, d) ->
-      let idx = Kindex.build ~max_fill:6 d in
-      let count = Dataset.cardinality d in
+      let count = Dataset.cardinality d and width = Dataset.width d in
       let slots = Array.init count (Dataset.slot d) in
       List.iter
         (fun spec ->
           let label = Printf.sprintf "%s n=%d" (Spec.name spec) n in
           let stretch = Spec.stretch spec ~n in
-          let slack = Kindex.twin_slack idx spec ~query_norm:0. in
-          Alcotest.(check bool) (label ^ ": rows with twins") true
-            (Float.is_finite slack);
           let rows =
-            Flat.mirrored
-              (Flat.rows ~stretch ~heads:(Dataset.heads d)
-                 (Dataset.spectra d) slots)
-              ~slack
+            Flat.rows ~stretch ~heads:(Dataset.heads d) (Dataset.spectra d)
+              slots
           in
           let stretched =
             Array.init count (fun id ->
-                let x = Flat.create n in
+                let x = Flat.create width in
                 Flat.stretch_into ~stretch (Dataset.spectrum d id) x ~off:0;
                 x)
           in
@@ -518,7 +514,7 @@ let test_band_kernel_at_exact_sums () =
             for j = i + 1 to count - 1 do
               let acc = Flat.acc () in
               ignore
-                (Flat.sq_dist ~stretch:None ~limit:infinity ~lo:0 ~hi:n
+                (Flat.sq_dist ~stretch:None ~limit:infinity ~lo:0 ~hi:width
                    stretched.(i) 0 stretched.(j) 0 acc);
               sums := acc.Flat.sum :: !sums
             done
@@ -570,50 +566,54 @@ let test_band_kernel_at_exact_sums () =
     (List.concat_map
        (fun n ->
          [ (n, sinusoids ~seed:9 ~count:16 ~n); (n, walks ~seed:9 ~count:16 ~n) ])
-       [ 8; 9; 16; 128 ])
+       [ 7; 8; 9; 16; 128 ])
 
-(* On random walks the mirrored region takes fewer candidates than the
-   one-sided region of [range_generic] — which must stay one-sided, its
-   caller supplying the distance — and the same answers. *)
-let test_region_narrows () =
-  let d =
-    Dataset.of_series ~name:"walks"
-      (Simq_series.Generator.random_walks ~seed:6 ~count:300 ~n:128)
-  in
+(* [range_generic] stays one-sided, its caller supplying the distance:
+   given the weighted query's features and the time-domain Euclidean
+   distance, it finds RANGE's answers (their distances within rounding
+   of RANGE's kernel distances), from no more candidates than RANGE's
+   region, which only adds the rounding slack. *)
+let test_generic_region () =
+  let d = walks ~seed:6 ~count:300 ~n:128 in
   let idx = Kindex.build ~max_fill:8 d in
-  let mirrored = ref 0 and one_sided = ref 0 in
+  let found = ref 0 in
   List.iter
     (fun (qi, epsilon) ->
-      let query = (Dataset.get d qi).Dataset.series in
+      let label = Printf.sprintf "q=%d eps=%g" qi epsilon in
+      let query = Dataset.series d qi in
       let q = Dataset.prepare_query query in
       let r = Kindex.range idx ~query ~epsilon in
       let g =
         Kindex.range_generic idx
           ~query_coeffs:(Flat.sub q.Dataset.qspectrum ~pos:1 ~len:2)
           ~epsilon
-          ~distance:(Kindex.prepared_distance idx (Kindex.prepare idx Spec.Identity) q)
+          ~distance:(fun id ->
+            Simq_series.Distance.euclidean (Dataset.normal d id)
+              q.Dataset.qnormal)
       in
-      check_bits
-        (Printf.sprintf "q=%d eps=%g: answers" qi epsilon)
-        g.Kindex.answers r.Kindex.answers;
-      mirrored := !mirrored + r.Kindex.candidates;
-      one_sided := !one_sided + g.Kindex.candidates)
+      Alcotest.(check (list int)) (label ^ ": answers")
+        (List.map fst r.Kindex.answers)
+        (List.map fst g.Kindex.answers);
+      List.iter2
+        (fun (_, a) (_, b) ->
+          Alcotest.(check (float 1e-9)) (label ^ ": distance") a b)
+        r.Kindex.answers g.Kindex.answers;
+      found := !found + List.length r.Kindex.answers;
+      Alcotest.(check bool) (label ^ ": no more candidates") true
+        (g.Kindex.candidates <= r.Kindex.candidates))
     [ (0, 4.); (11, 6.); (42, 8.); (99, 10.) ];
-  Alcotest.(check bool)
-    (Printf.sprintf "mirrored candidates %d < one-sided %d" !mirrored
-       !one_sided)
-    true
-    (!mirrored < !one_sided)
+  Alcotest.(check bool) "answers beyond the queries themselves" true
+    (!found > 4)
 
 let () =
   Alcotest.run "mirror"
     [
-      ( "slack",
+      ( "half",
         [
-          Alcotest.test_case "applies to non-warp specs at n >= 8" `Quick
-            test_slack_applies;
-          Alcotest.test_case "tight on low-frequency sinusoids" `Quick
-            test_bound_is_tight;
+          Alcotest.test_case "Parseval over the weighted half" `Quick
+            test_half_parseval;
+          Alcotest.test_case "head key is the distance on sinusoids" `Quick
+            test_head_key_is_distance;
         ] );
       ( "filters",
         [
@@ -622,11 +622,11 @@ let () =
           Alcotest.test_case "NEAREST across ties" `Quick test_nearest_ties;
           Alcotest.test_case "PAIRS at exact distances" `Quick
             test_pairs_at_exact_distances;
-          Alcotest.test_case "dist_within twin abandon at exact distances"
-            `Quick test_dist_within_twin;
+          Alcotest.test_case "dist_within abandon at exact distances" `Quick
+            test_dist_within_abandon;
           Alcotest.test_case "band kernel at exact pair sums" `Quick
             test_band_kernel_at_exact_sums;
-          Alcotest.test_case "RANGE region narrows" `Quick
-            test_region_narrows;
+          Alcotest.test_case "range_generic region under RANGE's" `Quick
+            test_generic_region;
         ] );
     ]

@@ -257,48 +257,37 @@ let prop_scan_parallel_eq_sequential =
       true)
 
 (* The frequency-domain join scan as a plain double loop of the
-   distance kernel over one pre-stretched [count × n] buffer: the pairs
-   in (i, j) order, and the comparisons the scan makes — one per pair
-   for method (a), and for method (b) one per pair whose coefficient-1
-   real parts lie within the band width of each other (any two keys,
-   in either order: the band is a property of the pair, not of the
-   sort). The band is the smaller of the one-sided width and the
-   mirrored radius, whose twins are distinct at [n >= 8] under the
-   default two features. *)
+   distance kernel over one pre-stretched [count × w] buffer of
+   weighted halves: the pairs in (i, j) order, and the comparisons the
+   scan makes — one per pair for method (a), and for method (b) one per
+   pair whose coefficient-1 real parts lie within the one-sided band
+   width of each other (any two keys, in either order: the band is a
+   property of the pair, not of the sort). *)
 let reference_join ~abandon d spec epsilon =
   let module Flat = Simq_dsp.Flat in
   let entries = Dataset.entries d in
-  let count = Array.length entries and n = Dataset.series_length d in
-  let stretch = Spec.stretch spec ~n in
-  let spectra = Flat.create (count * n) in
+  let count = Array.length entries and w = Dataset.width d in
+  let stretch = Spec.stretch spec ~n:(Dataset.series_length d) in
+  let spectra = Flat.create (count * w) in
   Array.iteri
     (fun i (e : Dataset.entry) ->
       Flat.stretch_into ~stretch (Dataset.spectrum d e.Dataset.id) spectra
-        ~off:(i * n))
+        ~off:(i * w))
     entries;
   let threshold = epsilon *. epsilon in
   let limit = if abandon then threshold else infinity in
-  let key i = if n < 2 then 0. else spectra.{2 * ((i * n) + 1)} in
-  let slack =
-    if n >= 2 * Flat.head_width && n >= (2 * Feature.default.Feature.k) + 2
-    then
-      Flat.rounding_slack ~n ~gain:(Spec.gain spec)
-        ~norm:(sqrt (float_of_int n))
-    else infinity
-  in
+  let key i = if w < 2 then 0. else spectra.{2 * ((i * w) + 1)} in
   let width =
-    Float.min
-      (if Float.is_finite threshold then (epsilon *. (1. +. 1e-9)) +. 1e-153
-       else infinity)
-      (Flat.twin_radius ~slack epsilon)
+    if Float.is_finite threshold then (epsilon *. (1. +. 1e-9)) +. 1e-153
+    else infinity
   in
   let acc = Flat.acc () and pairs = ref [] and band = ref 0 in
   for i = 0 to count - 1 do
     for j = i + 1 to count - 1 do
       acc.Flat.sum <- 0.;
       ignore
-        (Flat.sq_dist ~stretch:None ~limit ~lo:0 ~hi:n spectra (i * n) spectra
-           (j * n) acc);
+        (Flat.sq_dist ~stretch:None ~limit ~lo:0 ~hi:w spectra (i * w) spectra
+           (j * w) acc);
       if acc.Flat.sum <= threshold then pairs := (i, j) :: !pairs;
       let lo = Float.min (key i) (key j) and hi = Float.max (key i) (key j) in
       if hi <= lo +. width then incr band

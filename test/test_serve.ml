@@ -313,6 +313,51 @@ let test_oversized_line_isolated () =
           expect_outcome ~what:"after oversized" ~outcome:"ok" ~exit_code:0
             (query_json client "NEAREST 2 FROM r QUERY s0")))
 
+(* Request lines as they arrive on the wire, however the writes cut
+   them: 500 requests in one write, then one request split across two
+   writes. Every line is answered, in order. *)
+let test_pipelined_lines () =
+  let spec i = Printf.sprintf "NEAREST 1 FROM r QUERY s%d" (i mod 32) in
+  let write_all fd s =
+    let rec go off =
+      if off < String.length s then
+        go (off + Unix.write_substring fd s off (String.length s - off))
+    in
+    go 0
+  in
+  let session port f =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        let ic = Unix.in_channel_of_descr fd in
+        let answered count =
+          for i = 0 to count - 1 do
+            match J.parse (input_line ic) with
+            | Ok json ->
+              Alcotest.(check (option int)) "in order" (Some i)
+                (member_int "seq" json);
+              Alcotest.(check (option string)) "its spec" (Some (spec i))
+                (member_str "spec" json)
+            | Error msg -> Alcotest.failf "unparseable response: %s" msg
+          done
+        in
+        f (write_all fd) answered)
+  in
+  with_daemon (fun _server port ->
+      session port (fun write answered ->
+          write (String.concat "" (List.init 500 (fun i -> spec i ^ "\n")));
+          answered 500);
+      session port (fun write answered ->
+          let lines = spec 0 ^ "\n" ^ spec 1 ^ "\n" in
+          let cut = String.length (spec 0) + 9 in
+          write (String.sub lines 0 cut);
+          Thread.delay 0.05;
+          write (String.sub lines cut (String.length lines - cut));
+          answered 2))
+
 let test_disconnect_mid_query_isolated () =
   with_daemon (fun _server port ->
       (* Fire a query and vanish before the response. *)
@@ -526,6 +571,50 @@ let test_qlog_records_served_queries () =
     "outcomes logged in order"
     [ Some "ok"; Some "usage" ]
     outcomes
+
+(* A malformed query refused before any engine exists gets the usage
+   error and the qlog line that executing it on an engine gets, the
+   duration aside; a query that parses passes and logs nothing. *)
+let test_parse_checked_matches_exec () =
+  let engine = Engine.create (build_index ()) in
+  let logged f =
+    let path = Filename.temp_file "simq_serve" ".qlog" in
+    let qlog = Qlog.create path in
+    let result = f qlog in
+    Qlog.close qlog;
+    let lines = read_lines path in
+    Sys.remove path;
+    ( result,
+      List.map
+        (fun line ->
+          match J.parse line with
+          | Ok (J.Obj fields) -> List.remove_assoc "duration_ms" fields
+          | _ -> Alcotest.failf "not a JSON object: %s" line)
+        lines )
+  in
+  List.iter
+    (fun text ->
+      let exec_result, exec_lines =
+        logged (fun qlog -> Engine.exec ~qlog engine text)
+      and checked, checked_lines =
+        logged (fun qlog -> Engine.parse_checked ~qlog:(Some qlog) text)
+      in
+      (match (exec_result, checked) with
+      | Error (Simq_cli.Usage a), Error (Simq_cli.Usage b) ->
+        Alcotest.(check string) (text ^ ": message") a b
+      | _ -> Alcotest.failf "%s: expected two usage errors" text);
+      Alcotest.(check int) (text ^ ": one line each") 1
+        (List.length checked_lines);
+      Alcotest.(check bool) (text ^ ": the same qlog line") true
+        (exec_lines = checked_lines))
+    [ "NOT A QUERY"; "RANGE FROM r USING teleport QUERY s0 EPS 1"; "" ];
+  let ok, lines =
+    logged (fun qlog ->
+        Engine.parse_checked ~qlog:(Some qlog)
+          "RANGE FROM r QUERY s3 EPS 2.0")
+  in
+  Alcotest.(check bool) "a query that parses passes" true (Result.is_ok ok);
+  Alcotest.(check int) "and logs nothing" 0 (List.length lines)
 
 (* A served RANGE that admission rejects logs the decision [reject] in
    the daemon's qlog, and the engine's record of the same query carries
@@ -1172,6 +1261,8 @@ let () =
             test_served_equals_offline;
           Alcotest.test_case "qlog records served queries" `Quick
             test_qlog_records_served_queries;
+          Alcotest.test_case "a malformed query is refused without an engine"
+            `Quick test_parse_checked_matches_exec;
           Alcotest.test_case "qlog logs a range rejection" `Quick
             test_qlog_logs_range_rejection;
           Alcotest.test_case "qlog keeps side constraints apart" `Quick
@@ -1196,6 +1287,8 @@ let () =
             test_malformed_line_isolated;
           Alcotest.test_case "oversized line" `Quick
             test_oversized_line_isolated;
+          Alcotest.test_case "pipelined and split request lines" `Quick
+            test_pipelined_lines;
           Alcotest.test_case "mid-query disconnect" `Quick
             test_disconnect_mid_query_isolated;
         ] );

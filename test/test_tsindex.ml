@@ -57,7 +57,8 @@ let all_specs =
 
 let test_spec_stretch_predicts_spectrum () =
   (* For every spec, multiplying the spectrum by the stretch vector must
-     equal the DFT of the time-domain transformation (prefix n). *)
+     equal the DFT of the time-domain transformation over the stretch's
+     coefficients 0 .. n/2, the weighted half's. *)
   let s = Simq_series.Normal_form.normalise
       (Generator.random_walk (Random.State.make [| 2 |]) 32) in
   let spectrum = Simq_dsp.Fft.fft_real s in
@@ -65,9 +66,14 @@ let test_spec_stretch_predicts_spectrum () =
     (fun spec ->
       let n = 32 in
       let stretch = Simq_dsp.Flat.to_cpx (Spec.stretch spec ~n) in
-      let predicted = Simq_dsp.Cpx.mul_arrays stretch spectrum in
+      let h = Simq_dsp.Fft.half n in
+      Alcotest.(check int) (Spec.name spec ^ " stretch length") h
+        (Array.length stretch);
+      let predicted =
+        Simq_dsp.Cpx.mul_arrays stretch (Array.sub spectrum 0 h)
+      in
       let actual = Simq_dsp.Fft.fft_real (Spec.apply_series spec s) in
-      let actual_prefix = Array.sub actual 0 n in
+      let actual_prefix = Array.sub actual 0 h in
       Alcotest.(check bool)
         (Spec.name spec ^ " stretch = DFT of time-domain op")
         true
@@ -101,8 +107,10 @@ let test_spec_stretch_shared () =
       (fun n ->
         List.iter
           (fun spec ->
-            let expected = boxed spec ~n and shared = Spec.stretch spec ~n in
-            Alcotest.(check int) "length" n (Flat.length shared);
+            let h = Simq_dsp.Fft.half n in
+            let expected = Array.sub (boxed spec ~n) 0 h
+            and shared = Spec.stretch spec ~n in
+            Alcotest.(check int) "length" h (Flat.length shared);
             Array.iteri
               (fun f (z : Cpx.t) ->
                 let c = Flat.coeff shared f in
@@ -172,7 +180,9 @@ let test_spec_stretch_two_domains () =
       Alcotest.(check bool)
         (Printf.sprintf "window %d: fresh doubles" j)
         true
-        (Array.for_all2 same_bits (floats fresh) (floats s));
+        (Array.for_all2 same_bits
+           (Array.sub (floats fresh) 0 (2 * Simq_dsp.Fft.half n))
+           (floats s));
       Alcotest.(check bool)
         (Printf.sprintf "window %d: one buffer" j)
         true
@@ -245,11 +255,8 @@ let test_flat_kernel_matches_boxed () =
   let d = dataset_of ~seed:12 ~count:12 ~n in
   let entries = Dataset.entries d in
   let spectrum (e : Dataset.entry) = Dataset.spectrum d e.Dataset.id in
-  let boxed =
-    Array.map
-      (fun (e : Dataset.entry) -> Simq_dsp.Fft.fft_real (Dataset.normal d e.Dataset.id))
-      entries
-  in
+  let width = Dataset.width d in
+  let boxed = Array.map (fun e -> Flat.to_cpx (spectrum e)) entries in
   (* Every stretch of the spec mix ([Queries.spec_mix]): identity, rev,
      mavg 2-7 and wma 2-7, plus no stretch at all. *)
   let specs =
@@ -268,7 +275,7 @@ let test_flat_kernel_matches_boxed () =
         in
         let acc = Flat.acc () in
         let flat_touched =
-          Flat.sq_dist ~stretch:flat_stretch ~limit ~lo:0 ~hi:n
+          Flat.sq_dist ~stretch:flat_stretch ~limit ~lo:0 ~hi:width
             (spectrum entries.(i)) 0 (spectrum entries.(j)) 0 acc
         in
         if abandoned then incr abandons;
@@ -297,7 +304,7 @@ let test_flat_kernel_matches_boxed () =
   let acc = Flat.acc () in
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
-    ignore (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n x 0 y 0 acc)
+    ignore (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:width x 0 y 0 acc)
   done;
   Alcotest.(check bool) "no allocation per comparison" true
     (Gc.minor_words () -. before < 16.)
@@ -334,6 +341,7 @@ let test_dist_within () =
   let entries = Dataset.entries d in
   let spectrum (e : Dataset.entry) = Dataset.spectrum d e.Dataset.id in
   let stretch = Some (Spec.stretch (Spec.Moving_average 3) ~n) in
+  let width = Dataset.width d in
   let checked = ref 0 in
   Array.iter
     (fun (a : Dataset.entry) ->
@@ -341,7 +349,7 @@ let test_dist_within () =
         (fun (b : Dataset.entry) ->
           let acc = Flat.acc () in
           ignore
-            (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n
+            (Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:width
                (spectrum a) 0 (spectrum b) 0 acc);
           let exact = sqrt acc.Flat.sum in
           List.iter
@@ -352,7 +360,7 @@ let test_dist_within () =
                   (spectrum a) 0 (spectrum b) 0 acc
               in
               let d =
-                dist_within ~stretch ~within ~lo:head ~hi:n
+                dist_within ~stretch ~within ~lo:head ~hi:width
                   (spectrum a) 0 (spectrum b) 0 acc
               in
               incr checked;
@@ -381,7 +389,10 @@ let test_row_kernel_matches_boxed () =
     (fun n ->
       let spectra =
         Array.init count (fun _ ->
-            flat (Array.init (2 * n) (fun _ -> Random.State.float state 2. -. 1.)))
+            flat
+              (Array.init
+                 (2 * Simq_dsp.Fft.half n)
+                 (fun _ -> Random.State.float state 2. -. 1.)))
       in
       let boxed = Array.map Flat.to_cpx spectra in
       let specs =
@@ -609,21 +620,48 @@ let test_key_order () =
       check (Printf.sprintf "count %d, all equal" count) (Array.make count 0.))
     [ 0; 1; 2; 3; 15; 16; 17; 31; 32; 33; 64; 100; 1067; 2500 ]
 
+(* Each row is the weighted half of the normal form's spectrum:
+   coefficients 0 .. n/2 of [fft_real], those with a twin of their own
+   times fl(√2), bit for bit, at an even and an odd length. *)
 let test_flat_spectrum_is_fft () =
-  let d = dataset_of ~seed:13 ~count:8 ~n:48 in
-  Array.iter
-    (fun (e : Dataset.entry) ->
-      let reference = Simq_dsp.Fft.fft_real (Dataset.normal d e.Dataset.id) in
-      Alcotest.(check int) "coefficients" (Array.length reference)
-        (Simq_dsp.Flat.length (Dataset.spectrum d e.Dataset.id));
-      Array.iteri
-        (fun f (z : Simq_dsp.Cpx.t) ->
-          let c = Simq_dsp.Flat.coeff (Dataset.spectrum d e.Dataset.id) f in
-          Alcotest.(check bool) "coefficient bit-identical" true
-            (same_bits z.Complex.re c.Complex.re
-            && same_bits z.Complex.im c.Complex.im))
-        reference)
-    (Dataset.entries d)
+  List.iter
+    (fun n ->
+      let d = dataset_of ~seed:13 ~count:8 ~n in
+      Array.iter
+        (fun (e : Dataset.entry) ->
+          let reference =
+            Simq_dsp.Fft.fft_real (Dataset.normal d e.Dataset.id)
+          in
+          let row = Dataset.spectrum d e.Dataset.id in
+          Alcotest.(check int) "coefficients" ((n / 2) + 1)
+            (Simq_dsp.Flat.length row);
+          for f = 0 to (n / 2) do
+            let z = reference.(f) and c = Simq_dsp.Flat.coeff row f in
+            let w = if f > 0 && 2 * f < n then sqrt 2. else 1. in
+            Alcotest.(check bool) "coefficient bit-identical" true
+              (same_bits (w *. z.Complex.re) c.Complex.re
+              && same_bits (w *. z.Complex.im) c.Complex.im)
+          done)
+        (Dataset.entries d))
+    [ 48; 45 ]
+
+(* Every feature coefficient needs a twin of its own, so that it is
+   weighted alike at the data and the warped lengths: [2k < n]. *)
+let test_feature_needs_twins () =
+  let refused =
+    Invalid_argument
+      "Feature.validate: 2k must be smaller than the series length"
+  in
+  List.iter
+    (fun (k, n) ->
+      Alcotest.check_raises (Printf.sprintf "k=%d n=%d" k n) refused (fun () ->
+          Feature.validate { Feature.default with Feature.k } ~n))
+    [ (2, 4); (2, 3); (1, 2); (3, 6) ];
+  List.iter
+    (fun (k, n) -> Feature.validate { Feature.default with Feature.k } ~n)
+    [ (2, 5); (1, 3); (3, 7) ];
+  Alcotest.check_raises "the default k at n = 4" refused (fun () ->
+      ignore (Kindex.build (dataset_of ~seed:1 ~count:5 ~n:4)))
 
 (* Every relation holds rows of one length, so series of mixed lengths
    are refused before a data set could be prepared from them. *)
@@ -659,7 +697,7 @@ let test_range_postfilter_abandons () =
     (fun spec ->
       let query = query_for d spec 5 in
       let q = Dataset.prepare_query query in
-      let stretch = Spec.stretch spec ~n in
+      let stretch = Spec.stretch spec ~n and width = Dataset.width d in
       (* Every entry's distance, nearest first, with its full sum. *)
       let all =
         (Seqscan.range_full ~spec d ~query ~epsilon:1e9).Seqscan.answers
@@ -667,8 +705,8 @@ let test_range_postfilter_abandons () =
                let acc = Flat.acc () in
                ignore
                  (Flat.sq_dist ~stretch:(Some stretch) ~limit:infinity ~lo:0
-                    ~hi:n (Dataset.spectra d)
-                    (Dataset.slot d id * n)
+                    ~hi:width (Dataset.spectra d)
+                    (Dataset.slot d id * width)
                     q.Dataset.qspectrum 0 acc);
                (id, dist, acc.Flat.sum))
         |> List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b)
@@ -846,7 +884,7 @@ let test_nearest_matches_brute_force () =
     [ Coords.Polar; Coords.Rectangular ]
 
 (* NN against a brute-force linear selection on the one kernel
-   ([Flat.sq_dist] over coefficients [0 .. n-1]), ordered by
+   ([Flat.sq_dist] over the row's coefficients), ordered by
    (distance, id): the traversal's answers must be these ids and these
    doubles, bit for bit. *)
 let kernel_nearest ~spec d ~query ~k =
@@ -861,8 +899,9 @@ let kernel_nearest ~spec d ~query ~k =
   |> List.map (fun (e : Dataset.entry) ->
          let acc = Simq_dsp.Flat.acc () in
          ignore
-           (Simq_dsp.Flat.sq_dist ~stretch ~limit:infinity ~lo:0 ~hi:n
-              (Dataset.spectrum d e.Dataset.id) 0 q.Dataset.qspectrum 0 acc);
+           (Simq_dsp.Flat.sq_dist ~stretch ~limit:infinity ~lo:0
+              ~hi:(Dataset.width d) (Dataset.spectrum d e.Dataset.id) 0
+              q.Dataset.qspectrum 0 acc);
          (sqrt acc.Simq_dsp.Flat.sum, e.Dataset.id))
   |> List.sort compare
   |> List.filteri (fun i _ -> i < k)
@@ -876,10 +915,11 @@ let nn_ok what = function
 
 (* Every series appears twice, so equal distances come in pairs and
    the k = 1 and k = 5 boundaries cut through ties (a query equal to a
-   stored series ties at distance 0); n = 2 and 3 sit below the head
-   width, 32 above it (smoothing windows wider than n do not apply). Each case runs through [nearest],
-   [nearest_checked] under a finite budget, and a 4-shard executor
-   (plain and checked) at 1 and 2 domains. Complex stretches are only
+   stored series ties at distance 0); n = 3 and 5 sit below the head
+   width (their rows hold 2 and 3 coefficients), 32 above it
+   (smoothing windows wider than n do not apply). Each case runs
+   through [nearest], [nearest_checked] under a finite budget, and a
+   4-shard executor (plain and checked) at 1 and 2 domains. Complex stretches are only
    safe in the polar representation (Theorem 3). *)
 let test_nearest_matches_kernel_selection () =
   let module Shard = Simq_shard in
@@ -896,7 +936,9 @@ let test_nearest_matches_kernel_selection () =
       let count = Dataset.cardinality d in
       List.iter
         (fun representation ->
-          let config = { Feature.k = Int.min 2 (n - 1); representation } in
+          let config =
+            { Feature.k = Int.min 2 ((n - 1) / 2); representation }
+          in
           let idx = Kindex.build ~config ~max_fill:4 d in
           let sh =
             Shard.create ~config ~max_fill:4 ~shards:4 d
@@ -967,7 +1009,7 @@ let test_nearest_matches_kernel_selection () =
               Spec.Reverse;
             ])
         [ Coords.Polar; Coords.Rectangular ])
-    [ 2; 3; 32 ]
+    [ 3; 5; 32 ]
 
 (* NEAREST allocates per query, not per entry: the traversal queues
    the tree's own entries and writes every node bound, key and
@@ -2163,6 +2205,56 @@ let test_image_code_mismatch () =
   Alcotest.(check bool) "and rewritten" true
     (image_valid path && inode (Image.path path) <> stale)
 
+(* An image in format version 4's layout, which held all [n]
+   coefficients of every spectrum, unweighted: complete, its trailer
+   right and keyed for this relation but for the version, it is
+   refused, and the open rewrites it in the current format. *)
+let test_image_version_4 () =
+  let module Words = Simq_storage.Words in
+  let module A = Bigarray.Array1 in
+  with_relation_file (image_batch ~seed:12 ~count:40 ~n:32) @@ fun path ->
+  let built = built_of path in
+  let d = Kindex.dataset built in
+  let key = Image.key (Relation.load path) and count = Dataset.cardinality d in
+  let ids = Array.init count (Dataset.id_at d) in
+  let full =
+    Array.map (fun id -> Simq_dsp.Fft.fft_real_flat (Dataset.normal d id)) ids
+  in
+  let oc = open_out_bin (Image.path path) in
+  let w = Words.writer (Some oc) in
+  List.iter (Words.word w)
+    [
+      Bytes.get_int64_le (Bytes.of_string "SIMQPREP") 0; 4L;
+      Int64.of_int count; 32L; key.Image.digest; key.Image.code;
+    ];
+  Array.iter (Words.int w) ids;
+  Array.iter (fun x -> Words.words w x ~pos:0 ~len:(A.dim x)) full;
+  let all b = Words.words w b ~pos:0 ~len:(A.dim b) in
+  all (Dataset.means d);
+  all (Dataset.stds d);
+  Array.iter
+    (fun x -> Words.words w x ~pos:0 ~len:(2 * Simq_dsp.Flat.head_width))
+    full;
+  Array.iter
+    (fun id -> Array.iter (Words.float w) (Feature.point Feature.default d id))
+    ids;
+  let shape = Bulk.shape (Kindex.tree built) in
+  Words.int w (Array.length shape);
+  Array.iter
+    (fun level ->
+      Words.int w (Array.length level);
+      Array.iter (Words.int w) level)
+    shape;
+  ignore (Words.finish w : int64);
+  close_out oc;
+  Unix.chmod (Image.path path) 0o600;
+  Alcotest.(check bool) "version 4 is refused" false (image_valid path);
+  let stale = inode (Image.path path) in
+  let opened = open_path path in
+  check_same_index "version 4" built opened;
+  Alcotest.(check bool) "and rewritten" true
+    (image_valid path && inode (Image.path path) <> stale)
+
 (* The fingerprint covers the tree the STR load packs: an image keyed
    by another [max_fill]'s fingerprint is rejected and rewritten. *)
 let test_image_code_covers_the_tree () =
@@ -2331,6 +2423,8 @@ let () =
       ( "dataset",
         [
           Alcotest.test_case "preparation" `Quick test_dataset_preparation;
+          Alcotest.test_case "features need 2k < n" `Quick
+            test_feature_needs_twins;
           Alcotest.test_case "rejects mixed lengths" `Quick
             test_dataset_rejects_mixed_lengths;
         ] );
@@ -2394,6 +2488,8 @@ let () =
             test_image_permissions;
           Alcotest.test_case "another code fingerprint is rewritten" `Quick
             test_image_code_mismatch;
+          Alcotest.test_case "a version-4 image is rewritten" `Quick
+            test_image_version_4;
           Alcotest.test_case "the fingerprint covers the tree" `Quick
             test_image_code_covers_the_tree;
           Alcotest.test_case "replaced by rename under a reader" `Quick

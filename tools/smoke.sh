@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke test: drive the built binaries end to end — the fast benchmark
 # sweep with observability on, an admission-control rejection (exit 5)
-# that still dumps its metrics and trace, a profiled query with both
+# that still dumps its metrics and trace, a malformed query refused
+# (exit 1) before its relation's image is written, a profiled query with both
 # profile exports, a bench sweep persisting its registry state, a
 # batch run (a workload file in, one JSON line per query out, with
 # metrics, a sampled query log aggregated by qlog-top and a --from-qlog
@@ -36,7 +37,7 @@
 # band join's pairs in both directions and which exits 4 with a
 # node_accesses outcome under a one-node budget, the same two checks
 # at a Bluestein length
-# (100) and at a length below the mirrored bounds' twins (5), where RANGE
+# (100) and at a length whose rows are narrower than the head (5), where RANGE
 # and NEAREST print the plain rows with --shards 4 --sketch and the band
 # join prints the full scan's pairs, and a daemon whose budget carries
 # always-firing node and page faults, driven by a plain stress session
@@ -130,6 +131,25 @@ grep -q '^# TYPE simq_planner' reject.prom || {
 }
 grep -q '"traceEvents"' reject.json || {
   echo "smoke: rejected run left no trace dump" >&2
+  exit 1
+}
+
+echo "== a malformed query is refused before the relation is opened"
+"$simq" generate --count 50 --length 32 -o parse.rel
+status=0
+"$simq" query parse.rel "RANGE FROM r USING teleport QUERY s0 EPS 1" \
+  2>parse.err || status=$?
+[ "$status" -eq 1 ] || {
+  echo "smoke: a malformed query should exit 1, got $status" >&2
+  exit 1
+}
+grep -qx 'simq: error: unknown transformation "teleport"' parse.err || {
+  echo "smoke: a malformed query printed another message" >&2
+  cat parse.err >&2
+  exit 1
+}
+[ ! -e parse.rel.prepared ] || {
+  echo "smoke: a malformed query wrote the prepared image" >&2
   exit 1
 }
 
@@ -230,11 +250,11 @@ for len in 100 7; do
   done
 done
 
-echo "== mirrored bounds: a Bluestein length and one below the twins"
-# Length 100 is not a power of two (Bluestein's transform); length 5
-# is below 2·head_width, where the bounds stay one-sided. On each the
-# sharded, sketched executor prints the plain rows and the band join
-# the full scan's pairs.
+echo "== half spectra: a Bluestein length and one below the head width"
+# Length 100 is not a power of two (Bluestein's transform); at length
+# 5 each row holds 3 coefficients, fewer than the head's 4. On each
+# the sharded, sketched executor prints the plain rows and the band
+# join the full scan's pairs.
 for shape in "100 10 4" "5 2 0.3"; do
   set -- $shape
   len=$1 range_eps=$2 pairs_eps=$3
